@@ -12,7 +12,9 @@ import (
 // earlier result that those two dominate the low- and high-contention
 // regimes under WI); these are provided as library extensions so users
 // can reproduce that earlier comparison under the update-based protocols
-// as well (see experiments.ExtendedLockSweep).
+// as well (see experiments.ExtendedLockSweep). Both are ProgramLocks: each
+// imperative method is followed by its step-function twin, held to the
+// same Result by the cross-model tests in locks_extra_test.go.
 
 // TASLock is the classic test_and_set spin lock with bounded exponential
 // backoff: acquisition attempts are fetch_and_store(1) operations, and
@@ -68,6 +70,75 @@ func (l *TASLock) Release(p *machine.Proc) {
 	p.Write(l.word, 0)
 }
 
+// FAcquire is Acquire compiled to the state-machine model.
+func (l *TASLock) FAcquire(p *machine.Proc) machine.OpStatus {
+	p.Call(tasAcquireStep, l)
+	return machine.OpCalled
+}
+
+// FRelease is Release compiled to the state-machine model.
+func (l *TASLock) FRelease(p *machine.Proc) machine.OpStatus {
+	return fClearWord(p, l.word)
+}
+
+// tasAcquireStep registers: T0 episode start, I0 doublings applied to
+// the backoff window. The window is minBackoff<<I0 — kept as a count so
+// no register has to be as wide as SetBackoff's sim.Time.
+func tasAcquireStep(p *machine.Proc, f *machine.Frame) machine.OpStatus {
+	l := f.Obj.(*TASLock)
+	switch f.PC {
+	case 0:
+		f.T0 = p.Now()
+		p.BeginPhase(machine.PhaseLock)
+		f.PC = 1
+		return p.FFetchStore(l.word, 1)
+	case 1: // swap result in p.Ret()
+		if p.Ret() == 0 {
+			p.EndPhase()
+			l.lat.Observe(p.Now() - f.T0)
+			return machine.OpDone
+		}
+		pause := l.minBackoff << uint(f.I0)
+		if pause < l.maxBackoff {
+			f.I0++
+		}
+		f.PC = 2
+		if !p.FCompute(sim.Time(p.Rand().Int63n(int64(pause))) + 1) {
+			return machine.OpBlocked
+		}
+		fallthrough
+	case 2: // backoff elapsed: swap again
+		f.PC = 1
+		return p.FFetchStore(l.word, 1)
+	}
+	panic("constructs: tasAcquireStep bad pc")
+}
+
+// fClearWord pushes the release both locks share: fence, then clear the
+// lock word.
+func fClearWord(p *machine.Proc, word machine.Addr) machine.OpStatus {
+	f := p.Call(clearWordStep, nil)
+	f.A0 = word
+	return machine.OpCalled
+}
+
+// clearWordStep registers: A0 lock word.
+func clearWordStep(p *machine.Proc, f *machine.Frame) machine.OpStatus {
+	switch f.PC {
+	case 0:
+		p.BeginPhase(machine.PhaseLock)
+		f.PC = 1
+		return p.FFence()
+	case 1:
+		f.PC = 2
+		return p.FWrite(f.A0, 0)
+	case 2:
+		p.EndPhase()
+		return machine.OpDone
+	}
+	panic("constructs: clearWordStep bad pc")
+}
+
 // TTASLock is the test-and-test_and_set lock: waiters spin reading the
 // lock word (hitting in their caches, or receiving updates) and attempt
 // the atomic swap only when they observe it free — the textbook fix for
@@ -106,4 +177,39 @@ func (l *TTASLock) Release(p *machine.Proc) {
 	defer p.EndPhase()
 	p.Fence()
 	p.Write(l.word, 0)
+}
+
+// FAcquire is Acquire compiled to the state-machine model.
+func (l *TTASLock) FAcquire(p *machine.Proc) machine.OpStatus {
+	p.Call(ttasAcquireStep, l)
+	return machine.OpCalled
+}
+
+// FRelease is Release compiled to the state-machine model.
+func (l *TTASLock) FRelease(p *machine.Proc) machine.OpStatus {
+	return fClearWord(p, l.word)
+}
+
+// ttasAcquireStep registers: T0 episode start.
+func ttasAcquireStep(p *machine.Proc, f *machine.Frame) machine.OpStatus {
+	l := f.Obj.(*TTASLock)
+	switch f.PC {
+	case 0:
+		f.T0 = p.Now()
+		p.BeginPhase(machine.PhaseLock)
+		f.PC = 1
+		return p.FSpinUntilEqual(l.word, 0)
+	case 1: // observed free: race the swap
+		f.PC = 2
+		return p.FFetchStore(l.word, 1)
+	case 2:
+		if p.Ret() == 0 {
+			p.EndPhase()
+			l.lat.Observe(p.Now() - f.T0)
+			return machine.OpDone
+		}
+		f.PC = 1
+		return p.FSpinUntilEqual(l.word, 0)
+	}
+	panic("constructs: ttasAcquireStep bad pc")
 }

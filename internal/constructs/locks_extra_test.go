@@ -2,10 +2,13 @@ package constructs
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"coherencesim/internal/machine"
+	"coherencesim/internal/metrics"
 	"coherencesim/internal/proto"
+	"coherencesim/internal/trace"
 )
 
 func extraLockFactories() map[string]func(m *machine.Machine) Lock {
@@ -121,4 +124,93 @@ func TestTASBackoffValidation(t *testing.T) {
 		}
 	}()
 	l.SetBackoff(10, 5)
+}
+
+// lockLoopProg is the acquire/hold/release loop as a Program — the same
+// body as workload's lock loop, which cannot be imported from here
+// (workload imports this package). Registers: I0 iteration.
+type lockLoopProg struct {
+	l     ProgramLock
+	iters int
+}
+
+func (g *lockLoopProg) Step(p *machine.Proc, f *machine.Frame) machine.OpStatus {
+	switch f.PC {
+	case 0:
+		if f.I0 >= g.iters {
+			return machine.OpDone
+		}
+		f.PC = 1
+		return g.l.FAcquire(p)
+	case 1:
+		f.PC = 2
+		if !p.FCompute(50) {
+			return machine.OpBlocked
+		}
+		fallthrough
+	case 2:
+		f.I0++
+		f.PC = 0
+		return g.l.FRelease(p)
+	}
+	panic("lockLoopProg bad pc")
+}
+
+// TestLockStepsMatchImperative holds every lock's step functions to its
+// imperative methods: the same loop run as a closure and as a Program
+// must produce the same Result — cycles, events, per-processor stats,
+// traffic, and (through the attached registry and tracer) the
+// acquire-latency histogram and the per-phase stall attribution — and
+// the Program run must never hand off to a goroutine.
+func TestLockStepsMatchImperative(t *testing.T) {
+	variants := []struct {
+		name string
+		poll uint64
+		mk   func(m *machine.Machine) ProgramLock
+	}{
+		{"tas", 0, func(m *machine.Machine) ProgramLock { return NewTASLock(m, "L") }},
+		{"tas-nobackoff", 0, func(m *machine.Machine) ProgramLock {
+			l := NewTASLock(m, "L")
+			l.SetBackoff(1, 1)
+			return l
+		}},
+		{"ttas", 0, func(m *machine.Machine) ProgramLock { return NewTTASLock(m, "L") }},
+		{"ttas-polling", 30, func(m *machine.Machine) ProgramLock { return NewTTASLock(m, "L") }},
+		{"ticket", 0, func(m *machine.Machine) ProgramLock { return NewTicketLock(m, "L") }},
+		{"mcs", 0, func(m *machine.Machine) ProgramLock { return NewMCSLock(m, "L", false) }},
+		{"ucmcs", 0, func(m *machine.Machine) ProgramLock { return NewMCSLock(m, "L", true) }},
+	}
+	const iters = 6
+	for _, v := range variants {
+		for _, pr := range allProtocols() {
+			for _, procs := range []int{1, 2, 8, 32} {
+				t.Run(fmt.Sprintf("%s/%v/p%d", v.name, pr, procs), func(t *testing.T) {
+					build := func() (*machine.Machine, ProgramLock) {
+						cfg := machine.DefaultConfig(pr, procs)
+						cfg.SpinPollCycles = v.poll
+						cfg.Metrics = metrics.New(1000)
+						cfg.Txn = trace.NewTracer(procs, 0)
+						m := machine.New(cfg)
+						return m, v.mk(m)
+					}
+					m1, l1 := build()
+					closure := m1.Run(func(p *machine.Proc) {
+						for i := 0; i < iters; i++ {
+							l1.Acquire(p)
+							p.Compute(50)
+							l1.Release(p)
+						}
+					})
+					m2, l2 := build()
+					program := m2.RunProgram(&lockLoopProg{l: l2, iters: iters})
+					if !reflect.DeepEqual(closure, program) {
+						t.Errorf("results differ\nclosure: %+v\nprogram: %+v", closure, program)
+					}
+					if h := m2.Engine().Handoffs(); h != 0 {
+						t.Errorf("program run performed %d goroutine hand-offs, want 0", h)
+					}
+				})
+			}
+		}
+	}
 }

@@ -5,15 +5,16 @@ import (
 	"coherencesim/internal/sim"
 )
 
-// This file compiles the stock constructs to the machine's resumable
-// state-machine model (machine.Program). Each F-prefixed method pushes
-// one frame running a package-level step function that mirrors the
-// imperative method line for line — same operation order, same phase
-// brackets, same histogram observations at the same simulated times —
-// so a Program-mode run is byte-identical to a legacy coroutine run
-// using the plain methods. The imperative methods remain the reference
-// implementations; the cross-mode equivalence tests hold the two
-// executions of every construct to the same Result.
+// This file compiles the paper's constructs to the machine's resumable
+// state-machine model (machine.Program); the TAS/TTAS extensions carry
+// their step functions in locks_extra.go. Each F-prefixed method pushes
+// one frame running a package-level step function with the same
+// operation order, phase brackets and histogram observations (at the
+// same simulated times) as the imperative method of the same name.
+// Every experiment under internal/ executes the step functions; the
+// imperative methods serve the closure-style public facade and are the
+// reference the cross-model equivalence tests compare a Program run's
+// Result against.
 
 // ProgramLock is a Lock whose acquire and release are also available as
 // resumable operations callable from state-machine programs.
@@ -48,6 +49,8 @@ type ProgramReducer interface {
 var (
 	_ ProgramLock    = (*TicketLock)(nil)
 	_ ProgramLock    = (*MCSLock)(nil)
+	_ ProgramLock    = (*TASLock)(nil)
+	_ ProgramLock    = (*TTASLock)(nil)
 	_ ProgramLock    = (*machine.MagicLock)(nil)
 	_ ProgramBarrier = (*CentralBarrier)(nil)
 	_ ProgramBarrier = (*DisseminationBarrier)(nil)

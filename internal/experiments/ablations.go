@@ -105,17 +105,8 @@ func AblatePURetention(o Options) *RetentionAblation {
 		for i := range own {
 			own[i] = m.Alloc(fmt.Sprintf("priv%d", i), 64, i)
 		}
-		b := m.NewMagicBarrier()
-		return m.Run(func(p *machine.Proc) {
-			id := p.ID()
-			for ph := 0; ph < phases; ph++ {
-				for w := 0; w < rewritesPhase; w++ {
-					p.Write(own[id]+machine.Addr(4*w), uint32(ph*100+w))
-				}
-				b.Wait(p)
-			}
-			// Join: a neighbour consumes the privately built result.
-			p.Read(own[(id+1)%procs])
+		return m.RunProgram(&privateRewriteProgram{
+			own: own, b: m.NewMagicBarrier(), phases: phases, rewrites: rewritesPhase,
 		})
 	}
 	pair := runner.Map(o.Runner, []runner.Job[machine.Result]{
@@ -132,6 +123,37 @@ func AblatePURetention(o Options) *RetentionAblation {
 		WriteThroughOn:  on.Counters.WriteThrough,
 		WriteThroughOff: off.Counters.WriteThrough,
 	}
+}
+
+// privateRewriteProgram is AblatePURetention's body: every phase each
+// processor rewrites all words of its own block, then all cross a magic
+// barrier; at the join a neighbour consumes the privately built result.
+// Registers: I0 phase, I1 word.
+type privateRewriteProgram struct {
+	own              []machine.Addr
+	b                *machine.MagicBarrier
+	phases, rewrites int
+}
+
+func (g *privateRewriteProgram) Step(p *machine.Proc, f *machine.Frame) machine.OpStatus {
+	switch f.PC {
+	case 0:
+		id := p.ID()
+		if f.I0 >= g.phases {
+			f.PC = 1
+			return p.FRead(g.own[(id+1)%len(g.own)])
+		}
+		if w := f.I1; w < g.rewrites {
+			f.I1++
+			return p.FWrite(g.own[id]+machine.Addr(4*w), uint32(f.I0*100+w))
+		}
+		f.I0++
+		f.I1 = 0
+		return g.b.FWait(p)
+	case 1:
+		return machine.OpDone
+	}
+	panic("experiments: privateRewriteProgram bad pc")
 }
 
 // Table renders the retention comparison.

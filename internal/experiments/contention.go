@@ -9,6 +9,7 @@ import (
 	"coherencesim/internal/proto"
 	"coherencesim/internal/runner"
 	"coherencesim/internal/stats"
+	"coherencesim/internal/workload"
 )
 
 // ContentionReport quantifies the resource contention the paper invokes
@@ -53,17 +54,13 @@ func AnalyzeLockContentions(o Options, prs []proto.Protocol) []*ContentionReport
 // the construct's communication is.
 func AnalyzeLockContention(o Options, pr proto.Protocol) *ContentionReport {
 	procs := o.TrafficProcs
+	p := workload.DefaultLockParams(pr, procs)
+	p.Iterations = o.LockIterations
+	// The run's machine is built here, not by workload.LockLoop, because
+	// the per-node counters are read off it after the run.
 	m := machine.Acquire(machine.DefaultConfig(pr, procs))
 	defer m.Release()
-	l := constructs.NewTicketLock(m, "lock")
-	iters := o.LockIterations / procs
-	res := m.Run(func(p *machine.Proc) {
-		for i := 0; i < iters; i++ {
-			l.Acquire(p)
-			p.Compute(50)
-			l.Release(p)
-		}
-	})
+	res := workload.LockLoopOn(m, constructs.NewTicketLock(m, "lock"), p)
 
 	nw := m.System().Network()
 	flits := make([]uint64, procs)

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"coherencesim/internal/classify"
-	"coherencesim/internal/machine"
 	"coherencesim/internal/metrics"
 	"coherencesim/internal/proto"
 	"coherencesim/internal/runner"
@@ -97,16 +96,6 @@ var (
 
 func comboName(alg fmt.Stringer, pr proto.Protocol) string {
 	return fmt.Sprintf("%v-%s", alg, pr.Short())
-}
-
-// latencyPoint is one latency-sweep measurement: the full run result
-// (for the pool's sim-cycle throughput accounting) plus the figure's
-// metric. Sweeps now decompose into serializable Points; this form
-// remains for the custom-lock path (runCustomLock) that builds its
-// machine inline.
-type latencyPoint struct {
-	machine.Result
-	Latency float64
 }
 
 // latencySweep builds a latency figure by decomposing it into one Point

@@ -7,7 +7,6 @@ import (
 	"coherencesim/internal/classify"
 	"coherencesim/internal/proto"
 	"coherencesim/internal/runner"
-	"coherencesim/internal/workload"
 )
 
 // tiny returns a very small configuration so the full figure set runs in
@@ -316,18 +315,6 @@ func TestExtendedLockSweep(t *testing.T) {
 	for _, c := range s.Combos {
 		if s.Latency[c][2] <= 0 {
 			t.Errorf("%s: non-positive latency", c)
-		}
-	}
-}
-
-func TestLockPathsAgree(t *testing.T) {
-	// The extended sweep's custom-lock runner and the workload package
-	// must produce identical latencies for the shared algorithms.
-	o := tiny()
-	for _, kind := range []workload.LockKind{workload.Ticket, workload.MCS} {
-		w, c := crossCheckLockPaths(o, kind, proto.CU, 8)
-		if w != c {
-			t.Errorf("%v: workload path %.2f != custom path %.2f", kind, w, c)
 		}
 	}
 }

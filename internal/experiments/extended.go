@@ -4,30 +4,27 @@ import (
 	"coherencesim/internal/constructs"
 	"coherencesim/internal/machine"
 	"coherencesim/internal/proto"
-	"coherencesim/internal/sim"
 	"coherencesim/internal/workload"
 )
 
-// mkLock builds a lock implementation on a fresh machine.
-type mkLock func(m *machine.Machine) constructs.Lock
+// extAlgo is one algorithm of the extended suite: an index into
+// extendedAlgos, which is also the extlock point's stable Kind.
+type extAlgo int
 
-// namedAlgo pairs a lock constructor with its figure label.
-type namedAlgo struct {
-	name string
-	mk   mkLock
-}
-
-func (a namedAlgo) String() string { return a.name }
+func (a extAlgo) String() string { return extendedAlgos[a].name }
 
 // extendedAlgos is the full Mellor-Crummey & Scott suite: the paper's
 // three candidates plus test-and-set (with exponential backoff) and
 // test-and-test-and-set.
-var extendedAlgos = []namedAlgo{
-	{"tas", func(m *machine.Machine) constructs.Lock { return constructs.NewTASLock(m, "lock") }},
-	{"ttas", func(m *machine.Machine) constructs.Lock { return constructs.NewTTASLock(m, "lock") }},
-	{"tk", func(m *machine.Machine) constructs.Lock { return constructs.NewTicketLock(m, "lock") }},
-	{"MCS", func(m *machine.Machine) constructs.Lock { return constructs.NewMCSLock(m, "lock", false) }},
-	{"uc", func(m *machine.Machine) constructs.Lock { return constructs.NewMCSLock(m, "lock", true) }},
+var extendedAlgos = []struct {
+	name string
+	mk   func(m *machine.Machine) constructs.ProgramLock
+}{
+	{"tas", func(m *machine.Machine) constructs.ProgramLock { return constructs.NewTASLock(m, "lock") }},
+	{"ttas", func(m *machine.Machine) constructs.ProgramLock { return constructs.NewTTASLock(m, "lock") }},
+	{"tk", func(m *machine.Machine) constructs.ProgramLock { return constructs.NewTicketLock(m, "lock") }},
+	{"MCS", func(m *machine.Machine) constructs.ProgramLock { return constructs.NewMCSLock(m, "lock", false) }},
+	{"uc", func(m *machine.Machine) constructs.ProgramLock { return constructs.NewMCSLock(m, "lock", true) }},
 }
 
 // ExtendedLockSweep extends figure 8 with the two other classic spin
@@ -36,58 +33,23 @@ var extendedAlgos = []namedAlgo{
 // algorithms under all three protocols — the comparison the paper's
 // Section 2.1 references when justifying its ticket/MCS selection.
 func ExtendedLockSweep(o Options) *LatencySweep {
+	algos := make([]extAlgo, len(extendedAlgos))
+	for i := range algos {
+		algos[i] = extAlgo(i)
+	}
 	return latencySweep(o, "Extended lock sweep", "avg acquire-release latency (cycles)",
-		extendedAlgos,
-		func(alg namedAlgo, pr proto.Protocol, procs int) Point {
-			return o.extLockPoint(extAlgoIndex(alg.name), pr, procs)
+		algos,
+		func(alg extAlgo, pr proto.Protocol, procs int) Point {
+			return o.extLockPoint(int(alg), pr, procs)
 		})
 }
 
-// extAlgoIndex maps an extended-suite algorithm name back to its stable
-// point Kind (the index in extendedAlgos).
-func extAlgoIndex(name string) int {
-	for i, a := range extendedAlgos {
-		if a.name == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// runCustomLock measures the paper's lock synthetic program over an
-// arbitrary lock implementation.
-func runCustomLock(pr proto.Protocol, procs, iterations int, mk mkLock) latencyPoint {
-	const hold = sim.Time(50)
+// runExtLock measures the paper's lock synthetic program (workload's
+// lock loop) over one algorithm of the extended suite.
+func runExtLock(alg extAlgo, pr proto.Protocol, procs, iterations int) workload.LockResult {
+	p := workload.DefaultLockParams(pr, procs)
+	p.Iterations = iterations
 	m := machine.Acquire(machine.DefaultConfig(pr, procs))
 	defer m.Release()
-	l := mk(m)
-	iters := iterations / procs
-	res := m.Run(func(p *machine.Proc) {
-		for i := 0; i < iters; i++ {
-			l.Acquire(p)
-			p.Compute(hold)
-			l.Release(p)
-		}
-	})
-	return latencyPoint{res, float64(res.Cycles)/float64(iters*procs) - float64(hold)}
-}
-
-// Ensure the extended sweep and figure-8 share workload semantics: the
-// three paper locks measured through either path must agree. Exposed for
-// tests.
-func crossCheckLockPaths(o Options, kind workload.LockKind, pr proto.Protocol, procs int) (viaWorkload, viaCustom float64) {
-	p := workload.DefaultLockParams(pr, procs)
-	p.Iterations = o.LockIterations
-	viaWorkload = workload.LockLoop(p, kind).AvgLatency
-	var mk mkLock
-	switch kind {
-	case workload.Ticket:
-		mk = func(m *machine.Machine) constructs.Lock { return constructs.NewTicketLock(m, "lock") }
-	case workload.MCS:
-		mk = func(m *machine.Machine) constructs.Lock { return constructs.NewMCSLock(m, "lock", false) }
-	case workload.UpdateConsciousMCS:
-		mk = func(m *machine.Machine) constructs.Lock { return constructs.NewMCSLock(m, "lock", true) }
-	}
-	viaCustom = runCustomLock(pr, procs, o.LockIterations, mk).Latency
-	return viaWorkload, viaCustom
+	return workload.LockLoopOn(m, extendedAlgos[alg].mk(m), p)
 }

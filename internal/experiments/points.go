@@ -169,8 +169,8 @@ func runPoint(ctx context.Context, pt Point, forks *WarmForkCache) (PointResult,
 		if pt.Kind < 0 || pt.Kind >= len(extendedAlgos) {
 			return PointResult{}, fmt.Errorf("extlock kind %d out of range", pt.Kind)
 		}
-		lp := runCustomLock(pt.Protocol, pt.Procs, pt.Iterations, extendedAlgos[pt.Kind].mk)
-		return pointResult(lp.Result, lp.Latency), nil
+		r := runExtLock(extAlgo(pt.Kind), pt.Protocol, pt.Procs, pt.Iterations)
+		return pointResult(r.Result, r.AvgLatency), nil
 	default:
 		return PointResult{}, fmt.Errorf("unknown point family %q", pt.Family)
 	}
@@ -190,9 +190,12 @@ func (o Options) runPoints(pts []Point) []PointResult {
 		jobs[i] = runner.Job[PointResult]{
 			Label: pt.Label,
 			Run: func() PointResult {
-				// Family and kind are constructed by this package, so
-				// runPoint cannot fail here.
-				res, _ := runPoint(o.Runner.Context(), pt, o.Forks)
+				// Family and kind are constructed by this package, so a
+				// failure here is a bug in the sweep that built pt.
+				res, err := runPoint(o.Runner.Context(), pt, o.Forks)
+				if err != nil {
+					panic(fmt.Sprintf("experiments: point %q: %v", pt.Label, err))
+				}
 				return res
 			},
 		}
@@ -236,8 +239,8 @@ func (o Options) reductionPoint(kind workload.ReductionKind, imbalanced bool, pr
 }
 
 // extLockPoint carries no metrics/warm-fork fields: the extended sweep
-// has always run the bare custom-lock program (no registry attached),
-// and the point form preserves that byte-for-byte.
+// has always run the bare lock loop (no registry attached), and the
+// point form preserves that byte-for-byte.
 func (o Options) extLockPoint(algoIndex int, pr proto.Protocol, procs int) Point {
 	return Point{
 		Family: FamilyExtLock, Kind: algoIndex,

@@ -172,3 +172,21 @@ func TestRunPointUnknownFamily(t *testing.T) {
 		t.Error("out-of-range extlock kind did not error")
 	}
 }
+
+// TestRunPointsLocalFailsLoudly: the local path builds its own points,
+// so one it cannot execute is a bug in the sweep — it must panic naming
+// the point, not render a zero cell where the fleet path reports an
+// error.
+func TestRunPointsLocalFailsLoudly(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "Extended lock sweep/bogus-i/P=2") || !strings.Contains(msg, "out of range") {
+			t.Errorf("panic = %q, want the point label and the runPoint error", msg)
+		}
+	}()
+	o := Options{}
+	o.runPoints([]Point{{
+		Family: FamilyExtLock, Kind: len(extendedAlgos), Protocol: proto.WI, Procs: 2,
+		Iterations: 10, Label: "Extended lock sweep/bogus-i/P=2",
+	}})
+}

@@ -1,7 +1,13 @@
 package machine
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"coherencesim/internal/proto"
@@ -132,5 +138,65 @@ func TestProgramMatchesClosurePolling(t *testing.T) {
 	sm := m2.RunProgram(g2)
 	if !reflect.DeepEqual(legacy, sm) {
 		t.Errorf("results differ\nlegacy: %+v\nsm:     %+v", legacy, sm)
+	}
+}
+
+// TestNoClosureRunInInternal scans every non-test source file under
+// internal/ for a .Run(...) call that takes a func(*Proc) literal: all
+// experiments and workloads there are compiled to Programs, and the
+// closure model survives only for the public facade, examples and
+// tests. A straggler would silently pay goroutine hand-offs again.
+func TestNoClosureRunInInternal(t *testing.T) {
+	takesProc := func(lit *ast.FuncLit) bool {
+		params := lit.Type.Params.List
+		if len(params) != 1 {
+			return false
+		}
+		star, ok := params[0].Type.(*ast.StarExpr)
+		if !ok {
+			return false
+		}
+		switch x := star.X.(type) {
+		case *ast.Ident: // inside package machine
+			return x.Name == "Proc"
+		case *ast.SelectorExpr:
+			return x.Sel.Name == "Proc"
+		}
+		return false
+	}
+	fset := token.NewFileSet()
+	files := 0
+	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		files++
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "Run" {
+				return true
+			}
+			for _, arg := range call.Args {
+				if lit, ok := arg.(*ast.FuncLit); ok && takesProc(lit) {
+					t.Errorf("%s: Machine.Run(closure) in internal/; compile the body to a Program and use RunProgram",
+						fset.Position(call.Pos()))
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files < 50 {
+		t.Fatalf("scanned only %d files; the walk no longer covers internal/", files)
 	}
 }

@@ -189,7 +189,14 @@ func lockLatency(res machine.Result, acquires int, hold sim.Time) LockResult {
 func LockLoop(p Params, kind LockKind) LockResult {
 	m := p.newMachine()
 	defer m.Release()
-	l := newLock(m, kind)
+	return LockLoopOn(m, newLock(m, kind), p)
+}
+
+// LockLoopOn runs the lock synthetic program over an arbitrary lock on a
+// machine the caller built (with p.Procs processors) and still owns
+// afterwards — for locks outside LockKind and for callers that inspect
+// the machine once the run is over.
+func LockLoopOn(m *machine.Machine, l constructs.ProgramLock, p Params) LockResult {
 	iters := p.Iterations / p.Procs
 	res := m.RunProgram(&lockLoopProgram{l: l, iters: iters, hold: p.HoldCycles})
 	return lockLatency(res, iters*p.Procs, p.HoldCycles)
