@@ -323,11 +323,11 @@ func machineResetOnly(b *testing.B) uint64 {
 	return 0
 }
 
-// machineSnapshotFork measures the per-sweep-point cycle of the
-// warm-fork drivers: acquire a pooled machine, rebuild the allocation
-// map, restore the shared warm checkpoint, run the measured
+// machineSnapshotFork measures the per-fork cycle of the warm-fork
+// drivers (workload.Warm*.Run): acquire a pooled machine, rebuild the
+// allocation map, restore the shared warm checkpoint, run the measured
 // continuation, release. The checkpoint itself is built once, outside
-// the timer, exactly as a sweep builds it once per warm-up class.
+// the timer.
 func machineSnapshotFork(b *testing.B) uint64 {
 	b.ReportAllocs()
 	cfg := core.DefaultConfig(core.CU, 32)

@@ -85,7 +85,7 @@ func run() int {
 		quick      = flag.Bool("quick", false, "reduced iteration counts (~20x faster, same shapes)")
 		format     = flag.String("format", "table", "output format for fig8/fig11/fig14 and traffic figures: table or csv")
 		parallel   = flag.Int("parallel", 0, "simulation worker pool size: 0 = NumCPU, 1 = pure serial")
-		warmfork   = flag.Bool("warmfork", false, "fork sweep points from shared warm-up snapshots instead of running each warm-up from scratch (deterministic, but figures differ slightly from the single-phase defaults)")
+		warmfork   = flag.Bool("warmfork", false, "run each sweep point as warm-up and measured rest on one machine and simulate identical points once per invocation (deterministic, but figures differ slightly from the single-phase defaults)")
 		progress   = flag.Bool("progress", false, "report per-job progress (with ETA and sim-cycle throughput) and per-figure wall time on stderr")
 		runKind    = flag.String("run", "", "single run: lock, barrier, or reduction")
 		lockKind   = flag.String("lock", "tk", "lock for -run lock: tk, mcs, ucmcs")

@@ -116,10 +116,13 @@ const (
 // the original machine onward.
 type MachineSnapshot = machine.Snapshot
 
-// Warm-forked sweep support: the Warm*Loop drivers split a workload
-// into a shared warm-up phase (snapshotted once) plus a measured rest
-// phase forked per run, and WarmForkCache shares those checkpoints
-// across an experiment sweep (attach one to ExperimentOptions.Forks).
+// Machine-level forking and warm-forked sweeps. The Warm*Loop drivers
+// split a workload into a warm-up phase (snapshotted once) plus a
+// measured rest phase forked per Run() — the fork facility for callers
+// that want many continuations of one prefix. Sweeps do not use it:
+// WarmForkCache (attach one to ExperimentOptions.Forks) runs each point
+// as the same two phases on one machine and memoizes the result per
+// identical point.
 type (
 	LockVariant   = workload.LockVariant
 	WarmForkCache = experiments.WarmForkCache
@@ -132,7 +135,7 @@ const (
 	WorkRatio   = workload.WorkRatio
 )
 
-// Warm-fork drivers and the sweep-level checkpoint cache.
+// Warm-fork drivers and the sweep-level result memo.
 var (
 	WarmLockLoop      = workload.WarmLockLoop
 	WarmBarrierLoop   = workload.WarmBarrierLoop

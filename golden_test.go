@@ -2,6 +2,8 @@ package coherencesim
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"coherencesim/internal/runner"
@@ -100,6 +102,27 @@ func TestGoldenFetchAddChain(t *testing.T) {
 	for i, cycles := range goldenMap("fetchadd", goldenFetchAdd) {
 		if pr := goldenProtocols[i]; cycles != want[pr] {
 			t.Errorf("fetchadd/%v: %d cycles, want %d", pr, cycles, want[pr])
+		}
+	}
+}
+
+// TestGoldenWarmForkFigure9 pins the two-phase (-warmfork) output, which
+// is part of every warm_fork service document's content hash. The file
+// is the stdout of `coherencesim -experiment fig9 -quick -warmfork`,
+// generated when sweeps still forked from warm-up checkpoints: the
+// result memo must reproduce those bytes at any worker count.
+func TestGoldenWarmForkFigure9(t *testing.T) {
+	path := filepath.Join("testdata", "warmfork_fig9_quick.golden")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		o := QuickScale()
+		o.Forks = NewWarmForkCache()
+		o.Runner = NewRunnerPool(workers)
+		if got := fmt.Sprintln(Figure9(o).Table()); got != string(want) {
+			t.Errorf("%d workers: warm-forked figure 9 drifted from %s\n%s\ngot:\n%s", workers, path, firstDiff(string(want), got), got)
 		}
 	}
 }

@@ -44,12 +44,12 @@ type Options struct {
 	// submission-ordered assembly loops, so the report is byte-identical
 	// at any worker count.
 	Breakdown *trace.BreakdownCollector
-	// Forks, when non-nil, memoizes workload warm-up checkpoints so each
-	// distinct (construct, protocol, size) prefix simulates once and every
-	// run needing it forks from the snapshot. Opt-in: forked figures are
-	// deterministic at any worker count but differ slightly from the
-	// default single-phase figures (the checkpoint boundary re-
-	// synchronizes processors), so nil keeps the classic execution.
+	// Forks, when non-nil, runs every point as two phases on one machine
+	// (warm-up, then the rest) and memoizes results per identical point,
+	// so figures that re-request a point simulate it once. Opt-in:
+	// two-phase figures are deterministic at any worker count but differ
+	// slightly from the default single-phase figures (the phase boundary
+	// re-synchronizes processors), so nil keeps the classic execution.
 	Forks *WarmForkCache
 	// Dispatch, when non-nil, executes a sweep's decomposed points
 	// instead of the local pool — the fleet coordinator installs one to

@@ -60,20 +60,6 @@ func (pt Point) Key() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// WarmGroup identifies the point's warm-fork checkpoint. The warm key
-// (see warmKey) covers every simulation-shaping field, so two points
-// share a checkpoint exactly when they are the same point and the group
-// collapses to the content address; the fleet coordinator batches
-// same-group shards to one worker so each checkpoint is built once per
-// batch stream. Points that did not opt into warm forking have no
-// group.
-func (pt Point) WarmGroup() string {
-	if !pt.WarmFork {
-		return ""
-	}
-	return pt.Key()
-}
-
 // PointResult is the serializable outcome of one Point: the figure
 // metric plus everything the sweep assembly loops feed to collectors.
 // All fields are pure data and survive a JSON round trip byte-for-byte
@@ -121,49 +107,68 @@ func (pt Point) params(p workload.Params) workload.Params {
 	return p
 }
 
-// RunPoint executes one point from its serialized form. Warm-forked
-// points build their own checkpoint (a single-point cache): forked runs
-// are deterministic, so the result is byte-identical to one produced
-// through a shared in-process cache.
+// RunPoint executes one point from its serialized form, remembering
+// nothing: a warm_fork point runs its two phases on one machine, and
+// the simulator is deterministic, so the result is byte-identical to
+// one served from a shared in-process memo.
 func RunPoint(ctx context.Context, pt Point) (PointResult, error) {
 	return RunPointForked(ctx, pt, nil)
 }
 
-// RunPointForked executes one point, forking its warm-up prefix from
-// forks when the point opts in — the fleet worker's entry. Two points
-// share a warm checkpoint only when every simulation-shaping field
-// matches, i.e. when they are the same point (see Point.WarmGroup), so
-// a worker-lifetime cache turns repeated points in a batch stream into
-// measurement-phase-only runs. A nil cache reproduces RunPoint: each
-// warm-forked point builds a private checkpoint. Results are
-// byte-identical either way — sharing a checkpoint saves the warm-up
-// simulation, never changes its output.
+// RunPointForked executes one point, through forks when the point opts
+// in (WarmFork) — the local sweep's and the fleet worker's entry. The
+// memo is keyed by every simulation-shaping field, so a cache that
+// outlives one batch turns each repeated point of a batch stream into a
+// lookup. A nil cache, or a point that did not opt in, simulates
+// unconditionally. Results are byte-identical either way — the memo
+// saves the simulation, never changes its output.
 func RunPointForked(ctx context.Context, pt Point, forks *WarmForkCache) (PointResult, error) {
-	if !pt.WarmFork {
-		forks = nil
-	} else if forks == nil {
-		forks = NewWarmForkCache()
+	if !pt.WarmFork || forks == nil {
+		return pt.simulate()
 	}
-	return runPoint(ctx, pt, forks)
+	return forks.run(ctx, pt, pt.simulate)
 }
 
-// runPoint executes pt, forking warm checkpoints from forks (nil =
-// plain single-phase runs). The in-process sweep path calls this with
-// the batch-shared cache; RunPoint calls it with a private one.
-func runPoint(ctx context.Context, pt Point, forks *WarmForkCache) (PointResult, error) {
+// simulate runs pt's simulation: the family's single-phase loop, or its
+// two-phase twin when the point is warm-forked.
+func (pt Point) simulate() (PointResult, error) {
 	switch pt.Family {
 	case FamilyLock:
-		kind := workload.LockKind(pt.Kind)
-		v := workload.LockVariant(pt.Variant)
-		r := forks.LockLoop(ctx, pt.params(workload.DefaultLockParams(pt.Protocol, pt.Procs)), kind, v)
+		p := pt.params(workload.DefaultLockParams(pt.Protocol, pt.Procs))
+		kind, v := workload.LockKind(pt.Kind), workload.LockVariant(pt.Variant)
+		var r workload.LockResult
+		switch {
+		case pt.WarmFork:
+			r = workload.TwoPhaseLockLoop(p, kind, v)
+		case v == workload.RandomPause:
+			r = workload.LockLoopRandomPause(p, kind)
+		case v == workload.WorkRatio:
+			r = workload.LockLoopWorkRatio(p, kind)
+		default:
+			r = workload.LockLoop(p, kind)
+		}
 		return pointResult(r.Result, r.AvgLatency), nil
 	case FamilyBarrier:
+		p := pt.params(workload.DefaultBarrierParams(pt.Protocol, pt.Procs))
 		kind := workload.BarrierKind(pt.Kind)
-		r := forks.BarrierLoop(ctx, pt.params(workload.DefaultBarrierParams(pt.Protocol, pt.Procs)), kind)
+		loop := workload.BarrierLoop
+		if pt.WarmFork {
+			loop = workload.TwoPhaseBarrierLoop
+		}
+		r := loop(p, kind)
 		return pointResult(r.Result, r.AvgLatency), nil
 	case FamilyReduction:
-		kind := workload.ReductionKind(pt.Kind)
-		r := forks.ReductionLoop(ctx, pt.params(workload.DefaultReductionParams(pt.Protocol, pt.Procs)), kind, pt.Variant == 1)
+		p := pt.params(workload.DefaultReductionParams(pt.Protocol, pt.Procs))
+		kind, imbalanced := workload.ReductionKind(pt.Kind), pt.Variant == 1
+		var r workload.ReductionResult
+		switch {
+		case pt.WarmFork:
+			r = workload.TwoPhaseReductionLoop(p, kind, imbalanced)
+		case imbalanced:
+			r = workload.ReductionLoopImbalanced(p, kind)
+		default:
+			r = workload.ReductionLoop(p, kind)
+		}
 		return pointResult(r.Result, r.AvgLatency), nil
 	case FamilyExtLock:
 		if pt.Kind < 0 || pt.Kind >= len(extendedAlgos) {
@@ -178,7 +183,7 @@ func runPoint(ctx context.Context, pt Point, forks *WarmForkCache) (PointResult,
 
 // runPoints executes a decomposed sweep: through the installed
 // dispatcher when one is set (the fleet path), otherwise on the local
-// pool with the batch-shared warm-fork cache. Either way results come
+// pool through the batch-shared result memo. Either way results come
 // back in submission order, so assembly is identical.
 func (o Options) runPoints(pts []Point) []PointResult {
 	if o.Dispatch != nil {
@@ -192,7 +197,7 @@ func (o Options) runPoints(pts []Point) []PointResult {
 			Run: func() PointResult {
 				// Family and kind are constructed by this package, so a
 				// failure here is a bug in the sweep that built pt.
-				res, err := runPoint(o.Runner.Context(), pt, o.Forks)
+				res, err := RunPointForked(o.Runner.Context(), pt, o.Forks)
 				if err != nil {
 					panic(fmt.Sprintf("experiments: point %q: %v", pt.Label, err))
 				}

@@ -112,9 +112,9 @@ func TestDispatcherParityWithCollectors(t *testing.T) {
 	}
 }
 
-// TestDispatcherParityWarmFork: warm-forked points rebuild their
-// checkpoint privately on the remote side (RunPoint), which must match
-// the shared in-process cache byte-for-byte.
+// TestDispatcherParityWarmFork: warm-forked points run both phases
+// privately on the remote side (RunPoint), which must match the shared
+// in-process memo byte-for-byte.
 func TestDispatcherParityWarmFork(t *testing.T) {
 	ol := pointsTiny()
 	ol.Forks = NewWarmForkCache()

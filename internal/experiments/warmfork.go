@@ -3,222 +3,80 @@ package experiments
 import (
 	"context"
 	"sync"
-
-	"coherencesim/internal/sim"
-	"coherencesim/internal/workload"
-
-	"coherencesim/internal/proto"
 )
 
-// WarmForkCache memoizes workload warm-start checkpoints
-// (workload.Warm*) across an experiment batch. Many figures rerun the
-// same (construct, protocol, size) simulation — figures 9 and 10 share
-// every lock-traffic point, figure 8's largest size repeats them — and
-// every run spends half its iterations warming caches. With a cache
-// attached (Options.Forks), each distinct warm-up prefix executes once;
-// every run needing it forks from the checkpoint and simulates only the
-// measurement phase.
+// WarmForkCache memoizes the results of warm_fork points across an
+// experiment batch. Many figures rerun the same (construct, protocol,
+// size) simulation — figures 9 and 10 share every lock-traffic point,
+// figure 8's largest size repeats them — and the simulator is
+// deterministic, so with a cache attached (Options.Forks) each distinct
+// point is simulated once, as warm-up and remainder on one machine
+// (workload.TwoPhase*), and every later request returns the stored
+// PointResult. Memoized results share their metrics and breakdown
+// snapshots; consumers treat them as read-only.
 //
-// Forked runs are deterministic at any worker count but not
+// Two-phase runs are deterministic at any worker count but not
 // byte-identical to default single-phase runs (the phase boundary
 // re-synchronizes processors), so the cache is strictly opt-in and
-// golden outputs of the default path are unaffected. Runs with a Tune
-// hook bypass the cache: the hook is not comparable, so two tuned runs
-// can never be proven to share a checkpoint.
-//
-// Checkpoint builds observe the caller's context: a build is never
-// started after cancellation, and a cancelled entry is left unbuilt so
-// an unrelated later batch sharing the cache rebuilds it cleanly rather
-// than forking from a checkpoint that was never made.
+// golden outputs of the default path are unaffected.
 type WarmForkCache struct {
-	mu         sync.Mutex
-	locks      map[warmKey]*warmEntry[*workload.WarmLock]
-	barriers   map[warmKey]*warmEntry[*workload.WarmBarrier]
-	reductions map[warmKey]*warmEntry[*workload.WarmReduction]
+	mu      sync.Mutex
+	entries map[Point]*memoEntry // keyed by the point with Label cleared
 }
 
-// NewWarmForkCache returns an empty checkpoint cache.
+// memoEntry is one point's slot: res and err are written once by the
+// goroutine that created the entry, before it closes done.
+type memoEntry struct {
+	done chan struct{}
+	res  PointResult
+	err  error
+}
+
+// NewWarmForkCache returns an empty result memo.
 func NewWarmForkCache() *WarmForkCache {
-	return &WarmForkCache{
-		locks:      make(map[warmKey]*warmEntry[*workload.WarmLock]),
-		barriers:   make(map[warmKey]*warmEntry[*workload.WarmBarrier]),
-		reductions: make(map[warmKey]*warmEntry[*workload.WarmReduction]),
-	}
+	return &WarmForkCache{entries: make(map[Point]*memoEntry)}
 }
 
-// warmKey identifies one warm-up prefix: every Params field that shapes
-// the simulation (Tune excepted — tuned runs bypass the cache) plus the
-// construct selector. kind and variant are family-scoped ints; each
-// family has its own map, so overlapping values cannot collide.
-type warmKey struct {
-	procs   int
-	pr      proto.Protocol
-	iters   int
-	hold    sim.Time
-	metrics sim.Time
-	brk     bool
-	kind    int
-	variant int
-}
-
-func keyFor(p workload.Params, kind, variant int) warmKey {
-	return warmKey{
-		procs: p.Procs, pr: p.Protocol, iters: p.Iterations, hold: p.HoldCycles,
-		metrics: p.MetricsInterval, brk: p.Breakdown, kind: kind, variant: variant,
-	}
-}
-
-// warmEntry is one checkpoint slot: unbuilt, building, or built.
-// Concurrent jobs needing the same checkpoint elect one builder; the
-// losers wait on the in-flight build's done channel and then fork from
-// the winner's snapshot. Unlike a bare sync.Once, a build abandoned by
-// cancellation leaves the entry unbuilt: the next acquirer becomes the
-// new builder instead of forking from a zero-value checkpoint forever.
-type warmEntry[W any] struct {
-	mu    sync.Mutex
-	w     W
-	built bool
-	done  chan struct{} // non-nil while a build is in flight
-}
-
-// acquire returns the built checkpoint, electing this caller as builder
-// when the slot is empty. ok is false only when ctx was cancelled —
-// before building, or while waiting on another goroutine's build.
-func (e *warmEntry[W]) acquire(ctx context.Context, build func() W) (w W, ok bool) {
-	for {
-		e.mu.Lock()
-		if e.built {
-			w = e.w
-			e.mu.Unlock()
-			return w, true
-		}
-		if e.done == nil {
-			done := make(chan struct{})
-			e.done = done
-			e.mu.Unlock()
-			// The expensive part starts here: refuse to begin after
-			// cancellation, but never interrupt a build mid-simulation
-			// (matching runner.MapCtx's between-jobs cancellation).
-			if ctx.Err() != nil {
-				e.mu.Lock()
-				e.done = nil
-				e.mu.Unlock()
-				close(done)
-				return w, false
-			}
-			built := build()
-			e.mu.Lock()
-			e.w, e.built, e.done = built, true, nil
-			e.mu.Unlock()
-			close(done)
-			return built, true
-		}
-		done := e.done
-		e.mu.Unlock()
-		select {
-		case <-done:
-			// Built, or the builder abandoned: loop and re-examine.
-		case <-ctx.Done():
-			return w, false
-		}
-	}
-}
-
-// entryFor returns (creating if needed) the slot for key k in m.
-func entryFor[W any](mu *sync.Mutex, m map[warmKey]*warmEntry[W], k warmKey) *warmEntry[W] {
-	mu.Lock()
-	defer mu.Unlock()
-	e := m[k]
+// run returns pt's memoized outcome, electing the first caller to
+// simulate it with build while concurrent callers for the same point
+// wait. A simulation is never started after ctx is cancelled and never
+// interrupted once running (matching runner.MapCtx's between-jobs
+// cancellation), so an entry exists only for a simulation that runs to
+// completion; a cancelled caller gets the zero result and leaves no
+// entry behind for a later batch sharing the cache. Callers discard
+// partial sweeps, as runner.MapCtx's contract already requires.
+func (c *WarmForkCache) run(ctx context.Context, pt Point, build func() (PointResult, error)) (PointResult, error) {
+	pt.Label = ""
+	c.mu.Lock()
+	e := c.entries[pt]
 	if e == nil {
-		e = &warmEntry[W]{}
-		m[k] = e
-	}
-	return e
-}
-
-// LockLoop runs the lock-loop variant v, forking from a (possibly
-// freshly built) warm checkpoint. A nil cache or a Tune hook falls back
-// to the plain single-phase entry points. A cancelled ctx returns the
-// zero result; callers are expected to discard partial sweeps (as
-// runner.MapCtx's contract already requires).
-func (c *WarmForkCache) LockLoop(ctx context.Context, p workload.Params, kind workload.LockKind, v workload.LockVariant) workload.LockResult {
-	if c == nil || p.Tune != nil {
-		switch v {
-		case workload.RandomPause:
-			return workload.LockLoopRandomPause(p, kind)
-		case workload.WorkRatio:
-			return workload.LockLoopWorkRatio(p, kind)
-		default:
-			return workload.LockLoop(p, kind)
+		if ctx.Err() != nil {
+			c.mu.Unlock()
+			return PointResult{}, nil
 		}
+		e = &memoEntry{done: make(chan struct{})}
+		c.entries[pt] = e
+		c.mu.Unlock()
+		e.res, e.err = build()
+		close(e.done)
+		return e.res, e.err
 	}
-	e := entryFor(&c.mu, c.locks, keyFor(p, int(kind), int(v)))
-	w, ok := e.acquire(ctx, func() *workload.WarmLock { return workload.WarmLockLoop(p, kind, v) })
-	if !ok {
-		return workload.LockResult{}
+	c.mu.Unlock()
+	select {
+	case <-e.done:
+		return e.res, e.err
+	case <-ctx.Done():
+		return PointResult{}, nil
 	}
-	return w.Run()
 }
 
-// BarrierLoop runs the barrier loop, forking from a warm checkpoint
-// (plain path when the cache is nil or the run is tuned).
-func (c *WarmForkCache) BarrierLoop(ctx context.Context, p workload.Params, kind workload.BarrierKind) workload.BarrierResult {
-	if c == nil || p.Tune != nil {
-		return workload.BarrierLoop(p, kind)
-	}
-	e := entryFor(&c.mu, c.barriers, keyFor(p, int(kind), 0))
-	w, ok := e.acquire(ctx, func() *workload.WarmBarrier { return workload.WarmBarrierLoop(p, kind) })
-	if !ok {
-		return workload.BarrierResult{}
-	}
-	return w.Run()
-}
-
-// ReductionLoop runs the (im)balanced reduction loop, forking from a
-// warm checkpoint (plain path when the cache is nil or the run is
-// tuned).
-func (c *WarmForkCache) ReductionLoop(ctx context.Context, p workload.Params, kind workload.ReductionKind, imbalanced bool) workload.ReductionResult {
-	if c == nil || p.Tune != nil {
-		if imbalanced {
-			return workload.ReductionLoopImbalanced(p, kind)
-		}
-		return workload.ReductionLoop(p, kind)
-	}
-	variant := 0
-	if imbalanced {
-		variant = 1
-	}
-	e := entryFor(&c.mu, c.reductions, keyFor(p, int(kind), variant))
-	w, ok := e.acquire(ctx, func() *workload.WarmReduction { return workload.WarmReductionLoop(p, kind, imbalanced) })
-	if !ok {
-		return workload.ReductionResult{}
-	}
-	return w.Run()
-}
-
-// Checkpoints reports how many distinct built warm-up prefixes the
-// cache holds (diagnostics and tests). Abandoned builds do not count.
+// Checkpoints reports how many distinct points the cache has simulated
+// or is simulating (diagnostics and tests).
 func (c *WarmForkCache) Checkpoints() int {
 	if c == nil {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for _, e := range c.locks {
-		if e.built {
-			n++
-		}
-	}
-	for _, e := range c.barriers {
-		if e.built {
-			n++
-		}
-	}
-	for _, e := range c.reductions {
-		if e.built {
-			n++
-		}
-	}
-	return n
+	return len(c.entries)
 }

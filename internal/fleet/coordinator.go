@@ -102,7 +102,7 @@ type shard struct {
 	job       *fleetJob
 	index     int
 	key       string
-	group     string // warm-fork checkpoint group (== key when the point forks)
+	group     string // result-memo group: the key of a warm_fork point, else ""
 	point     experiments.Point
 	attempts  int
 	notBefore time.Time
@@ -136,6 +136,7 @@ type Coordinator struct {
 	closed  bool
 
 	stats Stats
+	memo  pointMemo // localFallback's; shared by every job
 
 	done chan struct{}
 }
@@ -319,7 +320,7 @@ func (c *Coordinator) RunPoints(ctx context.Context, pts []experiments.Point, on
 		}
 		group := ""
 		if pt.WarmFork {
-			group = key // == pt.WarmGroup(): the warm key covers every key field
+			group = key // the worker's memo is keyed by every key field
 		}
 		fresh = append(fresh, &shard{
 			id:    fmt.Sprintf("%s#%d", job.id, i),
@@ -396,8 +397,8 @@ func (c *Coordinator) abandon(job *fleetJob) {
 
 // localFallback executes the job's pending shards on the coordinator
 // process whenever no live workers exist — at job start, or after every
-// worker died mid-sweep. It exits when the job finishes or is
-// cancelled.
+// worker died mid-sweep — through the same lifetime memo a worker
+// holds. It exits when the job finishes or is cancelled.
 func (c *Coordinator) localFallback(job *fleetJob) {
 	for {
 		select {
@@ -430,7 +431,7 @@ func (c *Coordinator) localFallback(job *fleetJob) {
 			if s == nil {
 				break
 			}
-			res, err := experiments.RunPoint(job.ctx, s.point)
+			res, err := c.memo.run(job.ctx, s.point)
 			if err != nil {
 				c.finishShard(s, nil, err.Error())
 				continue
@@ -533,8 +534,9 @@ func (c *Coordinator) heartbeat(req HeartbeatRequest) (revoked []string, known b
 
 // takePendingLocked leases up to max eligible pending shards to
 // workerID. The first eligible shard anchors the batch and the rest of
-// the batch prefers shards sharing its warm-fork group, so one worker
-// builds one warm checkpoint for the whole batch. Callers hold c.mu.
+// the batch prefers shards sharing its group — same group = same point
+// = one simulation, answered from that worker's memo for the rest.
+// Callers hold c.mu.
 func (c *Coordinator) takePendingLocked(workerID string, max int, now time.Time) []*shard {
 	var anchor *shard
 	for _, s := range c.pending {
@@ -594,8 +596,9 @@ func (c *Coordinator) takePendingLocked(workerID string, max int, now time.Time)
 // idle poller. The head of the victim's queue is what it is executing
 // right now, so the tail is the part it has provably not reached; the
 // victim's self-reported unstarted depth further clamps the cut. The
-// victim learns via the revocation list on its next heartbeat or poll;
-// if it raced ahead anyway, the duplicate completion is a no-op.
+// victim learns via the revocation list in the response to its next
+// completion (it completes shard by shard), heartbeat or poll; if it
+// raced ahead anyway, the duplicate completion is a no-op.
 // Callers hold c.mu.
 func (c *Coordinator) stealLocked(thief string, max int, now time.Time) []*shard {
 	if c.steal < 0 {
@@ -741,8 +744,9 @@ func (c *Coordinator) dropFromOwnerLocked(s *shard, completedBy string) {
 // identical bytes. A completion for a shard that is no longer
 // outstanding (already completed by the other party to a steal, or
 // cancelled) is a counted no-op: it must not touch merge order, the
-// shard cache, or the completion counters a second time.
-func (c *Coordinator) complete(req CompleteRequest) error {
+// shard cache, or the completion counters a second time. The worker's
+// pending revocations ride back on the response.
+func (c *Coordinator) complete(req CompleteRequest) (revoked []string, err error) {
 	type outcome struct {
 		s      *shard
 		res    *experiments.PointResult
@@ -753,6 +757,8 @@ func (c *Coordinator) complete(req CompleteRequest) error {
 	if w := c.workers[req.Worker]; w != nil {
 		w.lastSeen = time.Now()
 		w.reported = req.Queued
+		revoked = w.revoked
+		w.revoked = nil
 	}
 	for _, sr := range req.Results {
 		s, ok := c.leased[sr.Shard]
@@ -778,7 +784,7 @@ func (c *Coordinator) complete(req CompleteRequest) error {
 		}
 		if sr.Error == "" && sr.Result == nil {
 			c.mu.Unlock()
-			return fmt.Errorf("complete for %s carries neither result nor error", sr.Shard)
+			return nil, fmt.Errorf("complete for %s carries neither result nor error", sr.Shard)
 		}
 		outs = append(outs, outcome{s, sr.Result, sr.Error})
 	}
@@ -786,7 +792,7 @@ func (c *Coordinator) complete(req CompleteRequest) error {
 	for _, o := range outs {
 		c.finishShard(o.s, o.res, o.errStr)
 	}
-	return nil
+	return revoked, nil
 }
 
 // Mount registers the fleet's REST surface on mux.
@@ -861,9 +867,10 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if !decodeInto(w, r, &req) {
 		return
 	}
-	if err := c.complete(req); err != nil {
+	revoked, err := c.complete(req)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	w.WriteHeader(http.StatusNoContent)
+	writeJSON(w, HeartbeatResponse{Revoked: revoked})
 }

@@ -87,7 +87,7 @@ func testConfig(cache ShardCache) Config {
 
 // startWorkers attaches n workers to the coordinator over real HTTP and
 // returns a stop function per worker.
-func startWorkers(t *testing.T, coord *Coordinator, n int) (url string, stops []context.CancelFunc) {
+func startWorkers(t *testing.T, coord *Coordinator, n int) (workers []*Worker, stops []context.CancelFunc) {
 	t.Helper()
 	cfgs := make([]WorkerConfig, n)
 	for i := range cfgs {
@@ -98,7 +98,7 @@ func startWorkers(t *testing.T, coord *Coordinator, n int) (url string, stops []
 
 // startFleet attaches one worker per config (Coordinator filled in) and
 // waits for every one to register.
-func startFleet(t *testing.T, coord *Coordinator, cfgs []WorkerConfig) (url string, stops []context.CancelFunc) {
+func startFleet(t *testing.T, coord *Coordinator, cfgs []WorkerConfig) (workers []*Worker, stops []context.CancelFunc) {
 	t.Helper()
 	mux := http.NewServeMux()
 	coord.Mount(mux)
@@ -114,6 +114,7 @@ func startFleet(t *testing.T, coord *Coordinator, cfgs []WorkerConfig) (url stri
 		stops = append(stops, cancel)
 		t.Cleanup(cancel)
 		w := NewWorker(cfg)
+		workers = append(workers, w)
 		go w.Run(ctx)
 	}
 	// Wait until every worker has registered.
@@ -124,7 +125,7 @@ func startFleet(t *testing.T, coord *Coordinator, cfgs []WorkerConfig) (url stri
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	return ts.URL, stops
+	return workers, stops
 }
 
 // TestRunPointsMatchesBaselineAcrossWorkerCounts is the fabric's core
@@ -319,7 +320,10 @@ func fig11Points() []experiments.Point {
 // heterogeneous fleet (one slow worker throttled by fault injection,
 // the rest fast) forces the fast workers to steal the slow worker's
 // tail, and the assembled fig8/fig11 sweeps must still match the
-// single-process baseline exactly, result for result.
+// single-process baseline exactly, result for result. A stolen shard is
+// simulated once: workers complete shard by shard and each response
+// carries their revocations, so every victim drops its stolen tail
+// unexecuted and no completion arrives twice.
 func TestStealInterleavingByteIdentity(t *testing.T) {
 	for _, fig := range []struct {
 		name string
@@ -335,7 +339,7 @@ func TestStealInterleavingByteIdentity(t *testing.T) {
 				for i := 1; i < workers; i++ {
 					cfgs[i] = WorkerConfig{ID: fmt.Sprintf("fast%d", i), Batch: 8}
 				}
-				startFleet(t, coord, cfgs)
+				fleet, _ := startFleet(t, coord, cfgs)
 				got, err := coord.RunPoints(context.Background(), fig.pts, nil)
 				if err != nil {
 					t.Fatal(err)
@@ -343,8 +347,27 @@ func TestStealInterleavingByteIdentity(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Error("stolen-shard sweep differs from single-process baseline")
 				}
-				if st := coord.Stats(); st.Stolen == 0 {
+				st := coord.Stats()
+				if st.Stolen == 0 {
 					t.Errorf("no shards stolen from the throttled worker (stats %+v)", st)
+				}
+				if st.DupCompletes != 0 {
+					t.Errorf("%d of %d stolen shards were completed twice", st.DupCompletes, st.Stolen)
+				}
+				// A victim walks past its stolen tail once its current
+				// shard is done, which may be just after the job finished.
+				dropped := func() (n uint64) {
+					for _, w := range fleet {
+						w.mu.Lock()
+						n += uint64(w.dropped)
+						w.mu.Unlock()
+					}
+					return n
+				}
+				for deadline := time.Now().Add(5 * time.Second); dropped() != st.Stolen; time.Sleep(5 * time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("workers dropped %d shards as revoked, want all %d stolen", dropped(), st.Stolen)
+					}
 				}
 			})
 		}
@@ -398,7 +421,7 @@ func TestDuplicateCompletionIsNoOp(t *testing.T) {
 
 	// The thief (which "stole" shard 0 and raced ahead) completes it
 	// first...
-	if err := coord.complete(CompleteRequest{Worker: "thief", Results: []ShardResult{
+	if _, err := coord.complete(CompleteRequest{Worker: "thief", Results: []ShardResult{
 		{Shard: shards[0].ID, Result: &results[0]},
 	}}); err != nil {
 		t.Fatal(err)
@@ -413,7 +436,7 @@ func TestDuplicateCompletionIsNoOp(t *testing.T) {
 	}
 	// The owner finished its whole batch before noticing and completes
 	// both shards anyway: shard 0 is a duplicate, shard 1 is fresh.
-	if err := coord.complete(CompleteRequest{Worker: "orig", Results: []ShardResult{
+	if _, err := coord.complete(CompleteRequest{Worker: "orig", Results: []ShardResult{
 		{Shard: shards[0].ID, Result: &results[0]},
 		{Shard: shards[1].ID, Result: &results[1]},
 	}}); err != nil {
@@ -444,8 +467,9 @@ func TestDuplicateCompletionIsNoOp(t *testing.T) {
 }
 
 // TestPollGroupsWarmForkBatches: with two warm-forked points
-// interleaved A,B,A,B,... a poll batch must contain only one warm
-// group, so the leased worker builds exactly one checkpoint per batch.
+// interleaved A,B,A,B,... a poll batch must contain only one group, so
+// the leased worker simulates exactly one point per batch and answers
+// the rest from its memo.
 func TestPollGroupsWarmForkBatches(t *testing.T) {
 	var pts []experiments.Point
 	for i := 0; i < 8; i++ {
@@ -493,7 +517,7 @@ func TestPollGroupsWarmForkBatches(t *testing.T) {
 			rc := r
 			results = append(results, ShardResult{Shard: s.ID, Result: &rc})
 		}
-		if err := coord.complete(CompleteRequest{Worker: "w", Results: results}); err != nil {
+		if _, err := coord.complete(CompleteRequest{Worker: "w", Results: results}); err != nil {
 			t.Fatal(err)
 		}
 		leased += len(batch)
@@ -511,9 +535,9 @@ func TestPollGroupsWarmForkBatches(t *testing.T) {
 	}
 }
 
-// TestPerPointDispatchStillIdentical: the legacy shape — batch size 1
-// and a private warm checkpoint per shard — remains a supported
-// configuration and produces the same bytes.
+// TestPerPointDispatchStillIdentical: batch size 1 — one shard per
+// round-trip — remains a supported configuration and produces the same
+// bytes.
 func TestPerPointDispatchStillIdentical(t *testing.T) {
 	pts := fig11Points()[:9]
 	want := baseline(t, pts)
@@ -525,7 +549,7 @@ func TestPerPointDispatchStillIdentical(t *testing.T) {
 		StealThreshold:   -1,
 	})
 	defer coord.Close()
-	startFleet(t, coord, []WorkerConfig{{ID: "solo", Batch: 1, PrivateWarmForks: true}})
+	startFleet(t, coord, []WorkerConfig{{ID: "solo", Batch: 1}})
 	got, err := coord.RunPoints(context.Background(), pts, nil)
 	if err != nil {
 		t.Fatal(err)

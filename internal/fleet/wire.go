@@ -5,8 +5,8 @@
 // REST surface (POST /v1/fleet/*). A worker registers, then long-polls
 // for a *batch* of shards — each one serializable experiments.Point —
 // executes them with experiments.RunPointForked against a
-// worker-lifetime warm-checkpoint cache, and posts the whole batch's
-// results back in a single completion. The coordinator leases shards,
+// worker-lifetime result memo, and posts each result back as it
+// finishes. The coordinator leases shards,
 // heartbeat-times-out dead workers, requeues their shards with bounded
 // backoff, steals the tail half of a loaded worker's queue for an idle
 // poller, and assembles results strictly in submission order, so a
@@ -45,9 +45,10 @@ type HeartbeatRequest struct {
 	Queued int    `json:"queued,omitempty"`
 }
 
-// HeartbeatResponse carries shard revocations: IDs this worker still
-// holds that were reassigned (stolen by an idle worker, or completed
-// first by another lease holder). The worker drops them unexecuted;
+// HeartbeatResponse answers heartbeats and completions. It carries
+// shard revocations: IDs this worker still holds that were reassigned
+// (stolen by an idle worker, or completed first by another lease
+// holder). The worker drops them unexecuted;
 // executing one anyway is harmless — identical points produce identical
 // bytes and the duplicate completion is a no-op.
 type HeartbeatResponse struct {
@@ -70,10 +71,10 @@ type Shard struct {
 	Point experiments.Point `json:"point"`
 }
 
-// PollResponse carries the leased batch — grouped by warm-fork
-// checkpoint so one worker reuses one warm-up snapshot across the batch
-// — or nothing (an empty poll; the worker simply polls again), plus any
-// pending revocations for this worker.
+// PollResponse carries the leased batch — repeats of a warm_fork point
+// grouped (same group = same point = one simulation in the worker's
+// memo) — or nothing (an empty poll; the worker simply polls again),
+// plus any pending revocations for this worker.
 type PollResponse struct {
 	Shards  []Shard  `json:"shards,omitempty"`
 	Revoked []string `json:"revoked,omitempty"`
@@ -87,9 +88,10 @@ type ShardResult struct {
 	Error  string                   `json:"error,omitempty"`
 }
 
-// CompleteRequest posts a batch of shard outcomes in one round-trip.
-// Queued reports the worker's remaining unstarted backlog, refreshing
-// the coordinator's steal accounting at completion time.
+// CompleteRequest posts shard outcomes — a worker sends each as it
+// finishes — and is answered with a HeartbeatResponse. Queued reports
+// the worker's remaining unstarted backlog, refreshing the
+// coordinator's steal accounting at completion time.
 type CompleteRequest struct {
 	Worker  string        `json:"worker"`
 	Results []ShardResult `json:"results"`

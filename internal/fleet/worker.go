@@ -21,14 +21,8 @@ type WorkerConfig struct {
 	ID          string // stable worker identity (default hostname-pid)
 	Parallel    int    // concurrent shard executions within a batch (default 1)
 	// Batch is how many shards each poll requests (default 8; the
-	// coordinator clamps to its own cap). 1 reproduces PR 9's
-	// per-point dispatch.
+	// coordinator clamps to its own cap). 1 is per-point dispatch.
 	Batch int
-	// PrivateWarmForks builds a fresh warm checkpoint per shard
-	// instead of sharing a worker-lifetime cache across the batch
-	// stream — the pre-batching behavior, kept for benchmarking the
-	// reuse win (results are byte-identical either way).
-	PrivateWarmForks bool
 	// ShardDelay injects an artificial pause before every shard
 	// execution: fault injection for steal tests and a stand-in for a
 	// heterogeneous (slow) fleet member in benchmarks.
@@ -61,27 +55,47 @@ func (cfg WorkerConfig) withDefaults() WorkerConfig {
 // Worker pulls shard batches from a coordinator and executes them. It
 // owns no listener: registration, polling, completion, and heartbeats
 // are all HTTP requests it initiates, so a worker runs from anywhere
-// that can reach the coordinator. One warm-checkpoint cache lives as
-// long as the worker, so a batch stream repeating a point pays its
-// warm-up simulation once, not once per shard.
+// that can reach the coordinator. One result memo lives as long as the
+// worker, so a batch stream repeating a warm_fork point simulates it
+// once, not once per shard.
 type Worker struct {
 	cfg       WorkerConfig
 	heartbeat time.Duration
-	forks     *experiments.WarmForkCache // nil when PrivateWarmForks
+	memo      pointMemo
 
 	mu      sync.Mutex
 	queued  int             // unstarted shards in the current batch
 	revoked map[string]bool // coordinator-revoked shard IDs, dropped before execution
+	dropped int             // shards skipped because a revocation arrived first
 }
 
 // NewWorker builds a worker (Run does the work).
 func NewWorker(cfg WorkerConfig) *Worker {
-	cfg = cfg.withDefaults()
-	w := &Worker{cfg: cfg, heartbeat: time.Second, revoked: make(map[string]bool)}
-	if !cfg.PrivateWarmForks {
-		w.forks = experiments.NewWarmForkCache()
+	return &Worker{cfg: cfg.withDefaults(), heartbeat: time.Second, revoked: make(map[string]bool)}
+}
+
+// maxWarmCheckpoints bounds a lifetime result memo, in points.
+const maxWarmCheckpoints = 256
+
+// pointMemo runs shards through a lifetime result memo — one per
+// worker, one for the coordinator's zero-worker fallback. A long stream
+// of distinct points would otherwise pin every result ever computed, so
+// past maxWarmCheckpoints entries the whole memo is dropped; that is
+// safe because the simulator is deterministic: the next repeat
+// re-simulates to the same bytes.
+type pointMemo struct {
+	mu    sync.Mutex
+	forks *experiments.WarmForkCache
+}
+
+func (m *pointMemo) run(ctx context.Context, pt experiments.Point) (experiments.PointResult, error) {
+	m.mu.Lock()
+	if m.forks == nil || m.forks.Checkpoints() > maxWarmCheckpoints {
+		m.forks = experiments.NewWarmForkCache()
 	}
-	return w
+	forks := m.forks
+	m.mu.Unlock()
+	return experiments.RunPointForked(ctx, pt, forks)
 }
 
 // ID returns the worker's identity.
@@ -134,6 +148,7 @@ func (w *Worker) takeRevoked(id string) bool {
 	defer w.mu.Unlock()
 	if w.revoked[id] {
 		delete(w.revoked, id)
+		w.dropped++
 		return true
 	}
 	return false
@@ -196,8 +211,9 @@ func (w *Worker) register(ctx context.Context) error {
 // Run registers and then polls/executes/completes batches until ctx
 // ends. A 410 from the coordinator (it forgot us — usually a
 // coordinator restart or a heartbeat gap) triggers transparent
-// re-registration. Heartbeat responses deliver mid-batch revocations,
-// so a straggling worker learns promptly that its tail was stolen.
+// re-registration. Completion and heartbeat responses deliver mid-batch
+// revocations, so a straggling worker learns that its tail was stolen
+// before it starts the next shard.
 func (w *Worker) Run(ctx context.Context) error {
 	if err := w.register(ctx); err != nil {
 		return err
@@ -259,30 +275,18 @@ func (w *Worker) batchLoop(ctx context.Context) {
 			continue // empty poll; ask again
 		}
 		w.runBatch(ctx, resp.Shards)
-		// Bound the worker-lifetime checkpoint cache: a long stream of
-		// distinct points would otherwise pin every warm snapshot ever
-		// built. Dropping the whole cache is safe — the next repeat
-		// rebuilds its checkpoint and forked runs are deterministic, so
-		// results are unchanged.
-		if w.forks != nil && w.forks.Checkpoints() > maxWarmCheckpoints {
-			w.forks = experiments.NewWarmForkCache()
-		}
 	}
 }
 
-// maxWarmCheckpoints bounds the worker's warm-fork cache between
-// batches (each checkpoint pins a full machine snapshot).
-const maxWarmCheckpoints = 256
-
-// runBatch executes one leased batch (up to Parallel shards at a time)
-// and posts a single completion for everything it actually ran. Shards
-// revoked before their turn — stolen by an idle worker — are dropped;
-// the thief reports them.
+// runBatch executes one leased batch (up to Parallel shards at a time),
+// completing each shard as it finishes: the coordinator sees the queue
+// shrink and the response tells the worker which of its remaining
+// shards were stolen meanwhile. Shards revoked before their turn are
+// dropped; the thief reports them.
 func (w *Worker) runBatch(ctx context.Context, shards []Shard) {
 	w.setQueued(len(shards))
 	defer w.setQueued(0)
 
-	results := make([]*ShardResult, len(shards))
 	sem := make(chan struct{}, w.cfg.Parallel)
 	var wg sync.WaitGroup
 	for i := range shards {
@@ -295,7 +299,7 @@ func (w *Worker) runBatch(ctx context.Context, shards []Shard) {
 			break
 		}
 		wg.Add(1)
-		go func(i int, s Shard) {
+		go func(s Shard) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			w.decQueued()
@@ -303,24 +307,23 @@ func (w *Worker) runBatch(ctx context.Context, shards []Shard) {
 				w.logf("fleet worker %s: shard %s dropped (revoked)", w.cfg.ID, s.ID)
 				return
 			}
-			results[i] = w.executeShard(ctx, s)
-		}(i, shards[i])
+			if r := w.executeShard(ctx, s); r != nil {
+				w.complete(ctx, *r)
+			}
+		}(shards[i])
 	}
 	wg.Wait()
+}
 
-	req := CompleteRequest{Worker: w.cfg.ID}
-	for _, r := range results {
-		if r != nil {
-			req.Results = append(req.Results, *r)
-		}
-	}
-	if len(req.Results) == 0 || ctx.Err() != nil {
-		return
-	}
-	// Deliver the batch with a few retries: losing it costs a full
-	// re-simulation of every shard on another worker.
+// complete delivers one shard outcome with a few retries — losing it
+// costs a full re-simulation on another worker — and records the
+// revocations the response carries.
+func (w *Worker) complete(ctx context.Context, r ShardResult) {
+	req := CompleteRequest{Worker: w.cfg.ID, Results: []ShardResult{r}, Queued: w.queuedDepth()}
 	for attempt := 0; attempt < 3; attempt++ {
-		if _, err := w.post(ctx, "/v1/fleet/complete", req, nil); err == nil || ctx.Err() != nil {
+		var resp HeartbeatResponse
+		if _, err := w.post(ctx, "/v1/fleet/complete", req, &resp); err == nil {
+			w.markRevoked(resp.Revoked)
 			return
 		}
 		select {
@@ -329,7 +332,7 @@ func (w *Worker) runBatch(ctx context.Context, shards []Shard) {
 		case <-time.After(time.Duration(attempt+1) * 200 * time.Millisecond):
 		}
 	}
-	w.logf("fleet worker %s: failed to deliver %d shard results", w.cfg.ID, len(req.Results))
+	w.logf("fleet worker %s: failed to deliver the result of shard %s", w.cfg.ID, r.Shard)
 }
 
 func (w *Worker) executeShard(ctx context.Context, s Shard) *ShardResult {
@@ -341,7 +344,7 @@ func (w *Worker) executeShard(ctx context.Context, s Shard) *ShardResult {
 		}
 	}
 	sr := &ShardResult{Shard: s.ID}
-	res, err := experiments.RunPointForked(ctx, s.Point, w.forks)
+	res, err := w.memo.run(ctx, s.Point)
 	if err != nil {
 		sr.Error = err.Error()
 	} else {

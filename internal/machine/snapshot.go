@@ -16,9 +16,9 @@ import (
 // are immutable once taken — RestoreFrom never writes through one — so
 // a single snapshot can seed any number of concurrent forks.
 //
-// Sweeps use this to run a shared warm-up phase once, snapshot, and
-// fork each measurement point from the checkpoint instead of replaying
-// the warm-up per point.
+// workload.Warm*Loop uses this to run a warm-up phase once, snapshot,
+// and fork any number of measurement runs from the checkpoint. Sweeps
+// do not: they memoize whole point results instead.
 type Snapshot struct {
 	cfg       Config
 	nextBlock uint32

@@ -105,9 +105,10 @@ func (p *Pool) boundCtx() context.Context {
 }
 
 // Context returns the pool's bound cancellation context (Background for
-// nil or unbound pools). Experiment code uses it to make long setup
-// phases — warm-fork checkpoint builds, most notably — observe the same
-// cancellation as the Map loops themselves.
+// nil or unbound pools). Experiment code uses it so that work started
+// from inside a job — a memoized point's simulation, or the wait for
+// another job's — observes the same cancellation as the Map loops
+// themselves.
 func (p *Pool) Context() context.Context { return p.boundCtx() }
 
 // Workers returns the pool's concurrency bound (1 for nil pools).

@@ -1,21 +1,26 @@
 package workload
 
-// Warm-start checkpoints. A synthetic run splits naturally into a
-// warm-up prefix (cold caches, directory filling, the constructs'
-// steady state forming) and a measurement-bearing remainder. The Warm*
-// constructors execute the prefix once on a throwaway machine, capture
-// a machine.Snapshot at the phase boundary, and release the machine;
-// each Run() then forks a fresh machine from the checkpoint and
-// executes only the remainder, reporting cumulative figures over both
-// phases. A single checkpoint serves any number of concurrent Run()
-// calls — the snapshot is never written through.
+// Two-phase runs and warm-start checkpoints. A synthetic run splits
+// naturally into a warm-up prefix (cold caches, directory filling, the
+// constructs' steady state forming) and a measurement-bearing
+// remainder. The TwoPhase* runners execute both phases back to back on
+// one machine, reporting cumulative figures over both; they are what a
+// warm_fork sweep point runs.
+//
+// The Warm* constructors are the machine-level fork facility over the
+// same split: they execute the prefix once on a throwaway machine,
+// capture a machine.Snapshot at the phase boundary, and release the
+// machine; each Run() then forks a fresh machine from the checkpoint
+// and executes only the remainder. A single checkpoint serves any
+// number of concurrent Run() calls — the snapshot is never written
+// through — and every forked Run() matches the TwoPhase* runner
+// exactly. No sweep uses them: a checkpoint is only ever shared by the
+// same point, whose whole result is cheaper to remember.
 //
 // A two-phase run is deterministic but not byte-identical to the
 // single-phase equivalent (the phase boundary re-synchronizes all
-// processors and finalizes in-flight classification), so warm-fork
-// execution is strictly opt-in: every forked Run() matches a fresh
-// machine executing the same two phases exactly, and default runs are
-// untouched.
+// processors and finalizes in-flight classification), so it is strictly
+// opt-in and default runs are untouched.
 
 import (
 	"coherencesim/internal/constructs"
@@ -23,7 +28,7 @@ import (
 	"coherencesim/internal/sim"
 )
 
-// LockVariant selects the lock-loop flavour a warm checkpoint covers.
+// LockVariant selects the lock-loop flavour a two-phase run covers.
 type LockVariant int
 
 const (
@@ -53,6 +58,52 @@ func (v LockVariant) program(p Params, l constructs.ProgramLock, iters int) Prog
 func warmSplit(n int) (warm, rest int) {
 	warm = n / 2
 	return warm, n - warm
+}
+
+// reductionProgram builds the (im)balanced reduction program starting
+// at episode base.
+func reductionProgram(p Params, imbalanced bool, red constructs.ProgramReducer, iters, base int) Program {
+	if imbalanced {
+		return &reductionImbalProgram{red: red, iters: iters, procs: p.Procs, base: base}
+	}
+	return &reductionLoopProgram{red: red, iters: iters, procs: p.Procs, base: base}
+}
+
+// TwoPhaseLockLoop runs the (p, kind, v) lock loop as warm-up and
+// remainder on one machine.
+func TwoPhaseLockLoop(p Params, kind LockKind, v LockVariant) LockResult {
+	warm, rest := warmSplit(p.Iterations / p.Procs)
+	m := p.newMachine()
+	defer m.Release()
+	l := newLock(m, kind)
+	m.RunProgram(v.program(p, l, warm))
+	res := m.RunProgram(v.program(p, l, rest))
+	return lockLatency(res, (warm+rest)*p.Procs, p.HoldCycles)
+}
+
+// TwoPhaseBarrierLoop runs the (p, kind) barrier loop as warm-up and
+// remainder on one machine.
+func TwoPhaseBarrierLoop(p Params, kind BarrierKind) BarrierResult {
+	warm, rest := warmSplit(p.Iterations)
+	m := p.newMachine()
+	defer m.Release()
+	b := newBarrier(m, kind)
+	m.RunProgram(&barrierLoopProgram{b: b, iters: warm})
+	res := m.RunProgram(&barrierLoopProgram{b: b, iters: rest})
+	return barrierResult(res, warm+rest)
+}
+
+// TwoPhaseReductionLoop runs the (p, kind) reduction loop — the
+// imbalanced variant when imbalanced is set — as warm-up and remainder
+// on one machine.
+func TwoPhaseReductionLoop(p Params, kind ReductionKind, imbalanced bool) ReductionResult {
+	warm, rest := warmSplit(p.Iterations)
+	m := p.newMachine()
+	defer m.Release()
+	red := newReducer(m, kind)
+	m.RunProgram(reductionProgram(p, imbalanced, red, warm, 0))
+	res := m.RunProgram(reductionProgram(p, imbalanced, red, rest, warm))
+	return reductionResult(res, warm+rest)
 }
 
 // WarmLock is a reusable warm-start checkpoint of a lock loop.
@@ -112,12 +163,7 @@ func (w *WarmBarrier) Run() BarrierResult {
 	b := newBarrier(m, w.kind)
 	m.RestoreFrom(w.snap)
 	res := m.RunProgram(&barrierLoopProgram{b: b, iters: w.rest})
-	total := w.warm + w.rest
-	return BarrierResult{
-		Result:     res,
-		Episodes:   total,
-		AvgLatency: float64(res.Cycles) / float64(total),
-	}
+	return barrierResult(res, w.warm+w.rest)
 }
 
 // WarmReduction is a reusable warm-start checkpoint of a reduction
@@ -130,27 +176,16 @@ type WarmReduction struct {
 	snap       *machine.Snapshot
 }
 
-// reductionProgram builds the (im)balanced reduction program starting
-// at episode base.
-func (w *WarmReduction) program(red constructs.ProgramReducer, iters, base int) Program {
-	if w.imbalanced {
-		return &reductionImbalProgram{red: red, iters: iters, procs: w.p.Procs, base: base}
-	}
-	return &reductionLoopProgram{red: red, iters: iters, procs: w.p.Procs, base: base}
-}
-
 // WarmReductionLoop executes the warm-up prefix of the (p, kind) loop —
 // the imbalanced variant when imbalanced is set — and captures its
 // checkpoint.
 func WarmReductionLoop(p Params, kind ReductionKind, imbalanced bool) *WarmReduction {
 	warm, rest := warmSplit(p.Iterations)
-	w := &WarmReduction{p: p, kind: kind, imbalanced: imbalanced, warm: warm, rest: rest}
 	m := p.newMachine()
 	defer m.Release()
 	red := newReducer(m, kind)
-	m.RunProgram(w.program(red, warm, 0))
-	w.snap = m.Snapshot()
-	return w
+	m.RunProgram(reductionProgram(p, imbalanced, red, warm, 0))
+	return &WarmReduction{p: p, kind: kind, imbalanced: imbalanced, warm: warm, rest: rest, snap: m.Snapshot()}
 }
 
 // Run forks one measurement run from the checkpoint.
@@ -159,13 +194,8 @@ func (w *WarmReduction) Run() ReductionResult {
 	defer m.Release()
 	red := newReducer(m, w.kind)
 	m.RestoreFrom(w.snap)
-	res := m.RunProgram(w.program(red, w.rest, w.warm))
-	total := w.warm + w.rest
-	return ReductionResult{
-		Result:     res,
-		Reductions: total,
-		AvgLatency: float64(res.Cycles) / float64(total),
-	}
+	res := m.RunProgram(reductionProgram(w.p, w.imbalanced, red, w.rest, w.warm))
+	return reductionResult(res, w.warm+w.rest)
 }
 
 // WarmCycles reports the simulated time the checkpoint covers

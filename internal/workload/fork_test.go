@@ -9,41 +9,6 @@ import (
 	"coherencesim/internal/proto"
 )
 
-// freshTwoPhaseLock runs the warm and measurement phases back to back
-// on one machine — the reference a forked run must match exactly.
-func freshTwoPhaseLock(p Params, kind LockKind, v LockVariant) LockResult {
-	warm, rest := warmSplit(p.Iterations / p.Procs)
-	m := p.newMachine()
-	defer m.Release()
-	l := newLock(m, kind)
-	m.RunProgram(v.program(p, l, warm))
-	res := m.RunProgram(v.program(p, l, rest))
-	return lockLatency(res, (warm+rest)*p.Procs, p.HoldCycles)
-}
-
-func freshTwoPhaseBarrier(p Params, kind BarrierKind) BarrierResult {
-	warm, rest := warmSplit(p.Iterations)
-	m := p.newMachine()
-	defer m.Release()
-	b := newBarrier(m, kind)
-	m.RunProgram(&barrierLoopProgram{b: b, iters: warm})
-	res := m.RunProgram(&barrierLoopProgram{b: b, iters: rest})
-	total := warm + rest
-	return BarrierResult{Result: res, Episodes: total, AvgLatency: float64(res.Cycles) / float64(total)}
-}
-
-func freshTwoPhaseReduction(p Params, kind ReductionKind, imbalanced bool) ReductionResult {
-	warm, rest := warmSplit(p.Iterations)
-	w := &WarmReduction{p: p, kind: kind, imbalanced: imbalanced, warm: warm, rest: rest}
-	m := p.newMachine()
-	defer m.Release()
-	red := newReducer(m, kind)
-	m.RunProgram(w.program(red, warm, 0))
-	res := m.RunProgram(w.program(red, rest, warm))
-	total := warm + rest
-	return ReductionResult{Result: res, Reductions: total, AvgLatency: float64(res.Cycles) / float64(total)}
-}
-
 // requireEqualResults compares two results (including metrics snapshots,
 // breakdowns, and per-processor stats) field for field.
 func requireEqualResults(t *testing.T, label string, fresh, forked any) {
@@ -63,8 +28,10 @@ func observedParams(pr proto.Protocol, procs, iters int) Params {
 }
 
 // TestWarmForkLockMatchesFresh forks every lock kind and variant from a
-// warm checkpoint and requires byte-identical results to a fresh
-// machine executing the same two phases, across protocols and sizes.
+// warm checkpoint and requires byte-identical results to the two-phase
+// runner a sweep point executes (both phases on one fresh machine),
+// across protocols and sizes — the checkpoint API and the sweep path
+// cannot drift.
 func TestWarmForkLockMatchesFresh(t *testing.T) {
 	for _, pr := range []proto.Protocol{proto.WI, proto.PU, proto.CU} {
 		for _, procs := range []int{4, 16} {
@@ -72,7 +39,7 @@ func TestWarmForkLockMatchesFresh(t *testing.T) {
 				for _, v := range []LockVariant{PlainLock, RandomPause, WorkRatio} {
 					label := fmt.Sprintf("%v/P%d/%v/variant%d", pr, procs, kind, v)
 					p := observedParams(pr, procs, 1600)
-					fresh := freshTwoPhaseLock(p, kind, v)
+					fresh := TwoPhaseLockLoop(p, kind, v)
 					w := WarmLockLoop(p, kind, v)
 					requireEqualResults(t, label, fresh, w.Run())
 				}
@@ -88,7 +55,7 @@ func TestWarmForkBarrierMatchesFresh(t *testing.T) {
 			for _, kind := range []BarrierKind{Central, Dissemination, Tree} {
 				label := fmt.Sprintf("%v/P%d/%v", pr, procs, kind)
 				p := observedParams(pr, procs, 200)
-				fresh := freshTwoPhaseBarrier(p, kind)
+				fresh := TwoPhaseBarrierLoop(p, kind)
 				w := WarmBarrierLoop(p, kind)
 				requireEqualResults(t, label, fresh, w.Run())
 			}
@@ -106,7 +73,7 @@ func TestWarmForkReductionMatchesFresh(t *testing.T) {
 			for _, imbal := range []bool{false, true} {
 				label := fmt.Sprintf("%v/%v/imbal=%v", pr, kind, imbal)
 				p := observedParams(pr, 8, 200)
-				fresh := freshTwoPhaseReduction(p, kind, imbal)
+				fresh := TwoPhaseReductionLoop(p, kind, imbal)
 				w := WarmReductionLoop(p, kind, imbal)
 				requireEqualResults(t, label, fresh, w.Run())
 			}

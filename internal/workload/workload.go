@@ -236,17 +236,16 @@ type BarrierResult struct {
 	AvgLatency float64
 }
 
+func barrierResult(res machine.Result, episodes int) BarrierResult {
+	return BarrierResult{Result: res, Episodes: episodes, AvgLatency: float64(res.Cycles) / float64(episodes)}
+}
+
 // BarrierLoop runs the paper's barrier synthetic program.
 func BarrierLoop(p Params, kind BarrierKind) BarrierResult {
 	m := p.newMachine()
 	defer m.Release()
 	b := newBarrier(m, kind)
-	res := m.RunProgram(&barrierLoopProgram{b: b, iters: p.Iterations})
-	return BarrierResult{
-		Result:     res,
-		Episodes:   p.Iterations,
-		AvgLatency: float64(res.Cycles) / float64(p.Iterations),
-	}
+	return barrierResult(m.RunProgram(&barrierLoopProgram{b: b, iters: p.Iterations}), p.Iterations)
 }
 
 // ReductionResult reports a reduction-loop run. AvgLatency is execution
@@ -255,6 +254,10 @@ type ReductionResult struct {
 	machine.Result
 	Reductions int
 	AvgLatency float64
+}
+
+func reductionResult(res machine.Result, reductions int) ReductionResult {
+	return ReductionResult{Result: res, Reductions: reductions, AvgLatency: float64(res.Cycles) / float64(reductions)}
 }
 
 // localValue is the per-episode contribution of a processor: strictly
@@ -272,12 +275,7 @@ func ReductionLoop(p Params, kind ReductionKind) ReductionResult {
 	m := p.newMachine()
 	defer m.Release()
 	red := newReducer(m, kind)
-	res := m.RunProgram(&reductionLoopProgram{red: red, iters: p.Iterations, procs: p.Procs})
-	return ReductionResult{
-		Result:     res,
-		Reductions: p.Iterations,
-		AvgLatency: float64(res.Cycles) / float64(p.Iterations),
-	}
+	return reductionResult(m.RunProgram(&reductionLoopProgram{red: red, iters: p.Iterations, procs: p.Procs}), p.Iterations)
 }
 
 // ReductionLoopImbalanced is the load-imbalance variant: processors
@@ -287,12 +285,7 @@ func ReductionLoopImbalanced(p Params, kind ReductionKind) ReductionResult {
 	m := p.newMachine()
 	defer m.Release()
 	red := newReducer(m, kind)
-	res := m.RunProgram(&reductionImbalProgram{red: red, iters: p.Iterations, procs: p.Procs})
-	return ReductionResult{
-		Result:     res,
-		Reductions: p.Iterations,
-		AvgLatency: float64(res.Cycles) / float64(p.Iterations),
-	}
+	return reductionResult(m.RunProgram(&reductionImbalProgram{red: red, iters: p.Iterations, procs: p.Procs}), p.Iterations)
 }
 
 func newReducer(m *machine.Machine, k ReductionKind) constructs.ProgramReducer {
