@@ -158,11 +158,7 @@ func BenchmarkMachineEventThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := NewMachine(DefaultConfig(CU, 32))
 		ctr := m.Alloc("ctr", 4, 0)
-		res := m.Run(func(p *Proc) {
-			for k := 0; k < 50; k++ {
-				p.FetchAdd(ctr, 1)
-			}
-		})
+		res := m.RunProgram(fetchAddLoop(ctr, 50))
 		if res.Cycles == 0 {
 			b.Fatal("empty run")
 		}
@@ -178,15 +174,20 @@ func BenchmarkReadHitIssue(b *testing.B) {
 	b.ReportAllocs()
 	m := NewMachine(DefaultConfig(WI, 1))
 	x := m.Alloc("x", 4, 0)
-	n := b.N
+	prog := Steps{
+		func(p *Proc, f *Frame) OpStatus { return p.FWrite(x, 7) },
+		func(p *Proc, f *Frame) OpStatus { return p.FFence() },
+		func(p *Proc, f *Frame) OpStatus { // re-enters itself b.N times
+			if f.I0 == b.N {
+				return OpDone
+			}
+			f.I0++
+			f.PC = 2
+			return p.FRead(x)
+		},
+	}
 	b.ResetTimer()
-	m.Run(func(p *Proc) {
-		p.Write(x, 7)
-		p.Fence()
-		for i := 0; i < n; i++ {
-			p.Read(x)
-		}
-	})
+	m.RunProgram(prog)
 }
 
 // BenchmarkSingleLockRun measures one MCS/CU lock workload at the

@@ -52,11 +52,7 @@ func TestBreakdownParallelIsByteIdentical(t *testing.T) {
 func tracedFetchAddRun(t *testing.T, m *Machine) (string, string) {
 	t.Helper()
 	ctr := m.Alloc("ctr", 4, 0)
-	res := m.Run(func(p *Proc) {
-		for i := 0; i < 20; i++ {
-			p.FetchAdd(ctr, 1)
-		}
-	})
+	res := m.RunProgram(fetchAddLoop(ctr, 20))
 	if res.Breakdown == nil {
 		t.Fatal("traced run produced no breakdown")
 	}

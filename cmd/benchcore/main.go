@@ -14,7 +14,7 @@
 // increase against the baseline exits non-zero (set BENCH_GATE=off to
 // override, e.g. when intentionally rebasing the committed baseline).
 // Benchmarks cover the engine event core (scheduling, stall fast path,
-// park/unpark), the memory-system data path (block fetch, cache
+// park/resume), the memory-system data path (block fetch, cache
 // install/evict), and machine-level workloads (event throughput on
 // pooled machines, read-hit issue, reset/reuse cycling, a full lock
 // run); events per second is reported where a run exposes its
@@ -84,47 +84,58 @@ func engineScheduleRun(b *testing.B) uint64 {
 	return e.Processed()
 }
 
-func engineStallFastPath(b *testing.B) uint64 {
-	b.ReportAllocs()
-	e := sim.NewEngine()
-	n := b.N
-	var c *sim.Coroutine
-	c = e.Go("bench", func() {
-		for i := 0; i < n; i++ {
-			c.StallFor(1)
-		}
-	})
-	b.ResetTimer()
-	e.Run()
-	return e.Processed()
-}
-
-func engineParkUnpark(b *testing.B) uint64 {
-	b.ReportAllocs()
-	e := sim.NewEngine()
-	n := b.N
-	done := false
+// ticker keeps one event per cycle queued until *done, which denies
+// StallFor its in-place fast path.
+func ticker(e *sim.Engine, done *bool) {
 	var tick func()
 	tick = func() {
-		if !done {
+		if !*done {
 			e.Schedule(1, tick)
 		}
 	}
 	e.Schedule(1, tick)
-	var c *sim.Coroutine
-	c = e.Go("bench", func() {
-		for i := 0; i < n; i++ {
-			c.StallFor(2)
+}
+
+// stallLoop runs b.N StallFor(d) calls on one Task; finished is set when
+// the loop completes.
+func stallLoop(b *testing.B, e *sim.Engine, d sim.Time, finished *bool) uint64 {
+	b.ReportAllocs()
+	var t sim.Task
+	i := 0
+	t.Init(e, "bench", func() {
+		for i < b.N {
+			i++
+			if !t.StallFor(d) {
+				return
+			}
 		}
-		done = true
+		*finished = true
+		t.End()
 	})
+	t.Begin()
 	b.ResetTimer()
 	e.Run()
 	return e.Processed()
 }
 
-// fetchAddProgram is the event-throughput body compiled to the
-// state-machine model: n fetch-and-adds on one shared counter.
+// engineStallFastPath: a lone task with nothing else queued, so every
+// StallFor advances the clock in place.
+func engineStallFastPath(b *testing.B) uint64 {
+	var finished bool
+	return stallLoop(b, sim.NewEngine(), 1, &finished)
+}
+
+// engineResume: a ticker denies the fast path, so every stall queues a
+// wake, parks, and is re-entered by a direct resume call.
+func engineResume(b *testing.B) uint64 {
+	e := sim.NewEngine()
+	done := false
+	ticker(e, &done)
+	return stallLoop(b, e, 2, &done)
+}
+
+// fetchAddProgram is the event-throughput body: n fetch-and-adds on one
+// shared counter.
 // Registers: I0 iteration.
 type fetchAddProgram struct {
 	ctr core.Addr
@@ -138,42 +149,6 @@ func (g *fetchAddProgram) Step(p *core.Proc, f *core.Frame) core.OpStatus {
 		return p.FFetchAdd(g.ctr, 1)
 	}
 	return core.OpDone
-}
-
-// engineResume is EngineParkUnpark's state-machine counterpart: an
-// embedded Task parks on every stall (a ticker denies the StallFor
-// fast path) and is woken by a direct resume call — no goroutines, no
-// channel hand-offs. The gap to EngineParkUnpark is what inline
-// dispatch saves per park/wake pair; the default machine path runs on
-// this mechanism (enforced by the hand-off probe in main).
-func engineResume(b *testing.B) uint64 {
-	b.ReportAllocs()
-	e := sim.NewEngine()
-	n := b.N
-	done := false
-	var tick func()
-	tick = func() {
-		if !done {
-			e.Schedule(1, tick)
-		}
-	}
-	e.Schedule(1, tick)
-	var t sim.Task
-	i := 0
-	t.Init(e, "bench", func() {
-		for i < n {
-			i++
-			if !t.StallFor(2) {
-				return
-			}
-		}
-		done = true
-		t.End()
-	})
-	t.Begin()
-	b.ResetTimer()
-	e.Run()
-	return e.Processed()
 }
 
 func machineEventThroughput(b *testing.B) uint64 {
@@ -357,20 +332,35 @@ func machineSnapshotFork(b *testing.B) uint64 {
 	return events
 }
 
+// readHitProgram writes one word, then reads it n times: every read
+// hits. PC 0 write, 1 fence, 2 reads; register I0 counts them.
+type readHitProgram struct {
+	x core.Addr
+	n int
+}
+
+func (g *readHitProgram) Step(p *core.Proc, f *core.Frame) core.OpStatus {
+	switch f.PC {
+	case 0:
+		f.PC = 1
+		return p.FWrite(g.x, 7)
+	case 1:
+		f.PC = 2
+		return p.FFence()
+	}
+	for f.I0 < g.n {
+		f.I0++
+		return p.FRead(g.x)
+	}
+	return core.OpDone
+}
+
 func machineReadHitIssue(b *testing.B) uint64 {
 	b.ReportAllocs()
 	m := core.NewMachine(core.DefaultConfig(core.WI, 1))
-	x := m.Alloc("x", 4, 0)
-	n := b.N
+	prog := &readHitProgram{x: m.Alloc("x", 4, 0), n: b.N}
 	b.ResetTimer()
-	res := m.Run(func(p *core.Proc) {
-		p.Write(x, 7)
-		p.Fence()
-		for i := 0; i < n; i++ {
-			p.Read(x)
-		}
-	})
-	return res.SimEvents
+	return m.RunProgram(prog).SimEvents
 }
 
 func singleLockRun(b *testing.B) uint64 {
@@ -406,7 +396,6 @@ func singleLockRunTraced(b *testing.B) uint64 {
 var benches = []bench{
 	{"EngineScheduleRun", engineScheduleRun},
 	{"EngineStallForFastPath", engineStallFastPath},
-	{"EngineParkUnpark", engineParkUnpark},
 	{"EngineResume", engineResume},
 	{"MachineEventThroughput", machineEventThroughput},
 	{"MachineEventThroughputTraced", machineEventThroughputTraced},
@@ -423,8 +412,8 @@ var benches = []bench{
 // allocCaps are absolute allocs/op ceilings, checked on every run (no
 // -compare needed): the machine-level steady-state paths are expected
 // to be allocation-free apart from the per-op pool round trip, so a cap
-// far below the old goroutine-era counts catches any slide back toward
-// per-event allocation even when the committed baseline moves.
+// far below a per-event count catches any slide toward per-event
+// allocation even when the committed baseline moves.
 var allocCaps = map[string]int64{
 	"EngineScheduleRun":      2,
 	"EngineStallForFastPath": 2,
@@ -440,25 +429,6 @@ var allocCaps = map[string]int64{
 	// jitter, not for a slide back to per-span copying at ~2400/6000).
 	"MachineEventThroughputTraced": 512,
 	"SingleLockRunTraced":          2048,
-}
-
-// probeDefaultPathHandoffs runs a default-path machine workload once
-// and fails if the engine performed a single goroutine hand-off. The
-// state-machine dispatch removed EngineParkUnpark-class control
-// transfers from every stock workload (they all run via RunProgram);
-// this probe keeps them from silently reappearing.
-func probeDefaultPathHandoffs() error {
-	m := core.AcquireMachine(core.DefaultConfig(core.CU, 8))
-	defer m.Release()
-	prog := &fetchAddProgram{ctr: m.Alloc("ctr", 4, 0), n: 50}
-	res := m.RunProgram(prog)
-	if res.SimEvents == 0 {
-		return fmt.Errorf("hand-off probe ran no events")
-	}
-	if h := m.Engine().Handoffs(); h != 0 {
-		return fmt.Errorf("default machine path performed %d goroutine hand-offs; the state-machine path must stay hand-off-free", h)
-	}
-	return nil
 }
 
 func run(benchtime string) (File, error) {
@@ -583,10 +553,6 @@ func main() {
 	gate := flag.Bool("gate", false, "with -compare: exit 1 on a >15% ns/op regression or any allocs/op increase (BENCH_GATE=off overrides)")
 	flag.Parse()
 
-	if err := probeDefaultPathHandoffs(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchcore:", err)
-		os.Exit(1)
-	}
 	f, err := run(*benchtime)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchcore:", err)

@@ -21,13 +21,25 @@
 //	m := coherencesim.NewMachine(cfg)
 //	lock := coherencesim.NewTicketLock(m, "L")
 //	counter := m.Alloc("counter", 4, 0)
-//	res := m.Run(func(p *coherencesim.Proc) {
-//		for i := 0; i < 100; i++ {
-//			lock.Acquire(p)
-//			v := p.Read(counter)
-//			p.Write(counter, v+1)
-//			lock.Release(p)
-//		}
+//	type (
+//		Proc  = coherencesim.Proc
+//		Frame = coherencesim.Frame
+//	)
+//	res := m.RunProgram(coherencesim.Steps{ // register I0 counts iterations
+//		func(p *Proc, f *Frame) coherencesim.OpStatus {
+//			if f.I0 == 100 {
+//				f.PC = 4 // past the last stage: done
+//				return coherencesim.OpDone
+//			}
+//			return lock.FAcquire(p)
+//		},
+//		func(p *Proc, f *Frame) coherencesim.OpStatus { return p.FRead(counter) },
+//		func(p *Proc, f *Frame) coherencesim.OpStatus { return p.FWrite(counter, p.Ret()+1) },
+//		func(p *Proc, f *Frame) coherencesim.OpStatus {
+//			f.I0++
+//			f.PC = 0 // back to the loop head once the release completes
+//			return lock.FRelease(p)
+//		},
 //	})
 //	fmt.Println(res.Cycles, res.Updates.Useful())
 //
@@ -87,15 +99,17 @@ func DefaultConfig(p Protocol, procs int) Config {
 	return machine.DefaultConfig(p, procs)
 }
 
-// Resumable workload API: a Program is a workload compiled to the
-// state-machine model, dispatched inline by the event loop (no
-// goroutine per simulated processor). Each processor runs the Program's
-// Step as its root activation; blocking operations return OpBlocked and
-// the processor is re-entered in place when the machine wakes it.
-// Machine.RunProgram runs one; a second RunProgram call on the same
-// machine continues the same simulation where the first left off.
+// Workload API: a Program is a resumable state machine, dispatched
+// inline by the event loop (no goroutine per simulated processor). Each
+// processor runs the Program's Step as its root activation; blocking
+// operations return OpBlocked and the processor is re-entered in place
+// when the machine wakes it. Steps builds a Program from a flat list of
+// stages, one operation each. Machine.RunProgram runs one; a second
+// RunProgram call on the same machine continues the same simulation
+// where the first left off.
 type (
 	Program  = machine.Program
+	Steps    = machine.Steps
 	Frame    = machine.Frame
 	StepFunc = machine.StepFunc
 	OpStatus = machine.OpStatus

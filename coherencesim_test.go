@@ -13,13 +13,21 @@ func TestQuickstartFlow(t *testing.T) {
 	m := NewMachine(cfg)
 	counter := m.Alloc("counter", 4, 0)
 	lock := NewTicketLock(m, "L")
-	res := m.Run(func(p *Proc) {
-		for i := 0; i < 20; i++ {
-			lock.Acquire(p)
-			v := p.Read(counter)
-			p.Write(counter, v+1)
-			lock.Release(p)
-		}
+	res := m.RunProgram(Steps{ // register I0 counts iterations
+		func(p *Proc, f *Frame) OpStatus {
+			if f.I0 == 20 {
+				f.PC = 4 // past the last stage: done
+				return OpDone
+			}
+			return lock.FAcquire(p)
+		},
+		func(p *Proc, f *Frame) OpStatus { return p.FRead(counter) },
+		func(p *Proc, f *Frame) OpStatus { return p.FWrite(counter, p.Ret()+1) },
+		func(p *Proc, f *Frame) OpStatus {
+			f.I0++
+			f.PC = 0 // back to the loop head once the release completes
+			return lock.FRelease(p)
+		},
 	})
 	if got := m.Peek(counter); got != 160 {
 		t.Fatalf("counter = %d, want 160", got)
@@ -47,22 +55,25 @@ func TestAllConstructConstructors(t *testing.T) {
 		NewParallelReducer(m, "pr", locks[3], barriers[3]),
 		NewSequentialReducer(m, "sr", barriers[3]),
 	}
-	m.Run(func(p *Proc) {
-		for _, l := range locks {
-			l.Acquire(p)
-			p.Compute(5)
-			l.Release(p)
-		}
-		for _, b := range barriers {
-			b.Wait(p)
-		}
-		for i, r := range reducers {
-			r.Reduce(p, uint32(10*i+p.ID()))
-			if p.ID() == 0 && p.Read(r.ResultAddr()) != uint32(10*i+7) {
-				t.Errorf("reducer %d wrong result", i)
-			}
-		}
-	})
+	var prog Steps
+	for _, l := range locks {
+		prog = append(prog, critical(l, compute(5))...)
+	}
+	for _, b := range barriers {
+		prog = append(prog, wait(b))
+	}
+	for i, r := range reducers {
+		i, r := i, r
+		prog = append(prog,
+			func(p *Proc, f *Frame) OpStatus { return r.FReduce(p, uint32(10*i+p.ID())) },
+			read(r.ResultAddr()),
+			do(func(p *Proc, f *Frame) {
+				if p.ID() == 0 && p.Ret() != uint32(10*i+7) {
+					t.Errorf("reducer %d wrong result", i)
+				}
+			}))
+	}
+	m.RunProgram(prog)
 }
 
 func TestWorkloadReExports(t *testing.T) {

@@ -9,6 +9,13 @@ import (
 	"coherencesim"
 )
 
+// Short names for the stage signature.
+type (
+	proc   = coherencesim.Proc
+	frame  = coherencesim.Frame
+	status = coherencesim.OpStatus
+)
+
 func main() {
 	// An 8-processor machine running the pure-update protocol.
 	cfg := coherencesim.DefaultConfig(coherencesim.PU, 8)
@@ -19,13 +26,27 @@ func main() {
 	lock := coherencesim.NewTicketLock(m, "L")
 
 	// Every processor increments the counter 100 times under the lock.
-	res := m.Run(func(p *coherencesim.Proc) {
-		for i := 0; i < 100; i++ {
-			lock.Acquire(p)
-			v := p.Read(counter)
-			p.Write(counter, v+1)
-			lock.Release(p)
-		}
+	// Each stage issues one operation; register I0 counts iterations and
+	// the last stage jumps back to the loop head.
+	res := m.RunProgram(coherencesim.Steps{
+		func(p *proc, f *frame) status {
+			if f.I0 == 100 {
+				f.PC = 4 // past the last stage: done
+				return coherencesim.OpDone
+			}
+			return lock.FAcquire(p)
+		},
+		func(p *proc, f *frame) status {
+			return p.FRead(counter)
+		},
+		func(p *proc, f *frame) status {
+			return p.FWrite(counter, p.Ret()+1)
+		},
+		func(p *proc, f *frame) status {
+			f.I0++
+			f.PC = 0
+			return lock.FRelease(p)
+		},
 	})
 
 	fmt.Printf("final counter value: %d (want %d)\n", m.Peek(counter), 8*100)

@@ -14,6 +14,13 @@ import (
 	"coherencesim"
 )
 
+// Short names for the stage signature.
+type (
+	proc   = coherencesim.Proc
+	frame  = coherencesim.Frame
+	status = coherencesim.OpStatus
+)
+
 const (
 	stripWords = 16 // one cache block per processor strip
 	sweeps     = 200
@@ -28,18 +35,36 @@ func run(protocol coherencesim.Protocol, procs int, mkBarrier func(m *coherences
 		strips[i] = m.Alloc(fmt.Sprintf("strip%d", i), stripWords*4, i)
 	}
 	b := mkBarrier(m)
-	res := m.Run(func(p *coherencesim.Proc) {
-		id := p.ID()
-		left := strips[(id+procs-1)%procs]
-		right := strips[(id+1)%procs]
-		for s := 0; s < sweeps; s++ {
-			// Halo reads from both neighbours, then local update work.
-			hl := p.Read(left)
-			hr := p.Read(right)
-			p.Compute(uint64(stripWords)) // one cycle per point
-			p.Write(strips[id], hl+hr+uint32(s))
-			b.Wait(p)
-		}
+	// One stage per operation. Registers: I0 sweep, U0 left halo value.
+	left := func(p *proc) coherencesim.Addr { return strips[(p.ID()+procs-1)%procs] }
+	right := func(p *proc) coherencesim.Addr { return strips[(p.ID()+1)%procs] }
+	res := m.RunProgram(coherencesim.Steps{
+		// Halo reads from both neighbours, then local update work.
+		func(p *proc, f *frame) status {
+			if f.I0 == sweeps {
+				f.PC = 5 // past the last stage: done
+				return coherencesim.OpDone
+			}
+			return p.FRead(left(p))
+		},
+		func(p *proc, f *frame) status {
+			f.U0 = p.Ret()
+			return p.FRead(right(p))
+		},
+		func(p *proc, f *frame) status {
+			if !p.FCompute(stripWords) { // one cycle per point
+				return coherencesim.OpBlocked
+			}
+			return coherencesim.OpDone
+		},
+		func(p *proc, f *frame) status {
+			return p.FWrite(strips[p.ID()], f.U0+p.Ret()+uint32(f.I0))
+		},
+		func(p *proc, f *frame) status {
+			f.I0++
+			f.PC = 0
+			return b.FWait(p)
+		},
 	})
 	return res.Cycles, res.Updates.Useful(), res.Updates.Total()
 }

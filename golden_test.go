@@ -38,11 +38,6 @@ func goldenMap(name string, run func(pr Protocol) uint64) []uint64 {
 	return runner.Map(runner.New(3), jobs)
 }
 
-func goldenRun(pr Protocol, procs int, body func(m *Machine) func(p *Proc)) Result {
-	m := NewMachine(DefaultConfig(pr, procs))
-	return m.Run(body(m))
-}
-
 func goldenLock(pr Protocol) uint64 {
 	p := DefaultLockParams(pr, 4)
 	p.Iterations = 400
@@ -56,15 +51,8 @@ func goldenBarrier(pr Protocol) uint64 {
 }
 
 func goldenFetchAdd(pr Protocol) uint64 {
-	res := goldenRun(pr, 8, func(m *Machine) func(p *Proc) {
-		ctr := m.Alloc("ctr", 4, 0)
-		return func(p *Proc) {
-			for i := 0; i < 20; i++ {
-				p.FetchAdd(ctr, 1)
-			}
-		}
-	})
-	return res.Cycles
+	m := NewMachine(DefaultConfig(pr, 8))
+	return m.RunProgram(fetchAddLoop(m.Alloc("ctr", 4, 0), 20)).Cycles
 }
 
 func TestGoldenLockLoop(t *testing.T) {

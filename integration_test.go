@@ -70,30 +70,38 @@ func TestParallelHistogram(t *testing.T) {
 		bar := NewDisseminationBarrier(m, "B")
 		total := m.Alloc("total", 4, 0)
 
-		m.Run(func(p *Proc) {
-			for i := 0; i < perProc; i++ {
-				b := (p.ID() + i) % bins
-				locks[b].Acquire(p)
-				v := p.Read(hist[b])
-				p.Write(hist[b], v+1)
-				locks[b].Release(p)
-			}
-			bar.Wait(p)
-			if p.ID() == 0 {
-				sum := uint32(0)
-				for b := 0; b < bins; b++ {
-					sum += p.Read(hist[b])
+		// Fill: each processor bins perProc values (register I0 counts).
+		bin := func(p *Proc, f *Frame) int { return (p.ID() + f.I0) % bins }
+		fill := repeat(perProc,
+			func(p *Proc, f *Frame) OpStatus { return locks[bin(p, f)].FAcquire(p) },
+			func(p *Proc, f *Frame) OpStatus { return p.FRead(hist[bin(p, f)]) },
+			func(p *Proc, f *Frame) OpStatus { return p.FWrite(hist[bin(p, f)], p.Ret()+1) },
+			func(p *Proc, f *Frame) OpStatus { return locks[bin(p, f)].FRelease(p) },
+		)
+		// Processor 0 sums the bins into register U0 and publishes it.
+		var sum []stage
+		for b := 0; b < bins; b++ {
+			sum = append(sum, read(hist[b]), do(func(p *Proc, f *Frame) { f.U0 += p.Ret() }))
+		}
+		sum = append(sum, func(p *Proc, f *Frame) OpStatus { return p.FWrite(total, f.U0) })
+		m.RunProgram(seq(
+			fill,
+			[]stage{wait(bar), do(func(p *Proc, f *Frame) {
+				if p.ID() != 0 {
+					f.PC += len(sum)
 				}
-				p.Write(total, sum)
-			}
-			bar.Wait(p)
-			// Every processor observes the published total. Sim procs run
-			// in strict alternation, so the append is race-free.
-			if got := p.Read(total); got != uint32(procs*perProc) {
-				fails = append(fails, fmt.Sprintf("proc %d read total %d, want %d",
-					p.ID(), got, procs*perProc))
-			}
-		})
+			})},
+			sum,
+			[]stage{wait(bar), read(total), do(func(p *Proc, f *Frame) {
+				// Every processor observes the published total. The whole
+				// simulation runs on this goroutine, so the append is
+				// race-free.
+				if got := p.Ret(); got != uint32(procs*perProc) {
+					fails = append(fails, fmt.Sprintf("proc %d read total %d, want %d",
+						p.ID(), got, procs*perProc))
+				}
+			})},
+		))
 		return append(fails, coherenceErrors(m)...)
 	}
 
@@ -127,21 +135,26 @@ func TestIterativeSolver(t *testing.T) {
 		red := NewSequentialReducer(m, "R", m.NewMagicBarrier())
 
 		residuals := make([][]uint32, procs)
-		m.Run(func(p *Proc) {
-			id := p.ID()
-			for s := 0; s < sweeps; s++ {
-				left := p.Read(strips[(id+procs-1)%procs])
-				right := p.Read(strips[(id+1)%procs])
-				p.Compute(16)
-				val := (left + right) / 2
-				p.Write(strips[id], val)
-				bar.Wait(p)
-				red.Reduce(p, val)
-				max := p.Read(red.ResultAddr())
-				residuals[id] = append(residuals[id], max)
-				bar.Wait(p)
-			}
-		})
+		// Register U0 holds the left halo, then the relaxed value.
+		m.RunProgram(seq(repeat(sweeps,
+			func(p *Proc, f *Frame) OpStatus { return p.FRead(strips[(p.ID()+procs-1)%procs]) },
+			func(p *Proc, f *Frame) OpStatus {
+				f.U0 = p.Ret()
+				return p.FRead(strips[(p.ID()+1)%procs])
+			},
+			func(p *Proc, f *Frame) OpStatus {
+				f.U0 = (f.U0 + p.Ret()) / 2
+				return compute(16)(p, f)
+			},
+			func(p *Proc, f *Frame) OpStatus { return p.FWrite(strips[p.ID()], f.U0) },
+			wait(bar),
+			func(p *Proc, f *Frame) OpStatus { return red.FReduce(p, f.U0) },
+			read(red.ResultAddr()),
+			func(p *Proc, f *Frame) OpStatus {
+				residuals[p.ID()] = append(residuals[p.ID()], p.Ret())
+				return bar.FWait(p)
+			},
+		)))
 		// All processors must have observed identical reduction results
 		// each sweep.
 		for s := 0; s < sweeps; s++ {
@@ -179,29 +192,38 @@ func TestProducerConsumerPipeline(t *testing.T) {
 		}
 		sink := m.Alloc("sink", 4, procs-1)
 
-		m.Run(func(p *Proc) {
-			id := p.ID()
-			for k := 1; k <= tokens; k++ {
-				if id == 0 {
-					// Produce token k into box 0 once it is free.
-					p.SpinUntil(boxes[0], func(v uint32) bool { return v == 0 })
-					p.Fence()
-					p.Write(boxes[0], uint32(k))
-					continue
-				}
-				// Stage id: take token from the previous box, pass on.
-				v := p.SpinUntil(boxes[id-1], func(v uint32) bool { return v != 0 })
-				p.Fence()
-				p.Write(boxes[id-1], 0) // free the upstream box
-				if id == procs-1 {
-					acc := p.Read(sink)
-					p.Write(sink, acc+v)
-				} else {
-					p.SpinUntil(boxes[id], func(v uint32) bool { return v == 0 })
-					p.Write(boxes[id], v)
+		fence := func(p *Proc, f *Frame) OpStatus { return p.FFence() }
+		// Processor 0 produces token k into box 0 once it is free.
+		progs := roles{seq(repeat(tokens,
+			func(p *Proc, f *Frame) OpStatus { return p.FSpinUntilEqual(boxes[0], 0) },
+			fence,
+			func(p *Proc, f *Frame) OpStatus { return p.FWrite(boxes[0], uint32(f.I0+1)) },
+		))}
+		// Stage id takes the token from the previous box (register U0),
+		// frees that box, and passes the token on; the last one sinks it.
+		for id := 1; id < procs; id++ {
+			id := id
+			take := []stage{
+				func(p *Proc, f *Frame) OpStatus { return p.FSpinWhileEqual(boxes[id-1], 0) },
+				func(p *Proc, f *Frame) OpStatus {
+					f.U0 = p.Ret()
+					return p.FFence()
+				},
+				func(p *Proc, f *Frame) OpStatus { return p.FWrite(boxes[id-1], 0) },
+			}
+			pass := []stage{
+				func(p *Proc, f *Frame) OpStatus { return p.FSpinUntilEqual(boxes[id], 0) },
+				func(p *Proc, f *Frame) OpStatus { return p.FWrite(boxes[id], f.U0) },
+			}
+			if id == procs-1 {
+				pass = []stage{
+					read(sink),
+					func(p *Proc, f *Frame) OpStatus { return p.FWrite(sink, p.Ret()+f.U0) },
 				}
 			}
-		})
+			progs = append(progs, seq(repeat(tokens, append(take, pass...)...)))
+		}
+		m.RunProgram(progs)
 		var fails []string
 		want := uint32(tokens * (tokens + 1) / 2)
 		if got := coherentPeek(m, sink); got != want {
@@ -242,17 +264,17 @@ func TestAllConstructsOneProgram(t *testing.T) {
 		for i := range ctrs {
 			ctrs[i] = m.Alloc(fmt.Sprintf("ctr%d", i), 4, 0)
 		}
-		m.Run(func(p *Proc) {
-			for i, l := range locks {
-				l.Acquire(p)
-				v := p.Read(ctrs[i])
-				p.Write(ctrs[i], v+1)
-				l.Release(p)
-			}
-			for _, b := range barriers {
-				b.Wait(p)
-			}
-		})
+		var prog Steps
+		for i, l := range locks {
+			ctr := ctrs[i]
+			prog = append(prog, critical(l,
+				read(ctr),
+				func(p *Proc, f *Frame) OpStatus { return p.FWrite(ctr, p.Ret()+1) })...)
+		}
+		for _, b := range barriers {
+			prog = append(prog, wait(b))
+		}
+		m.RunProgram(prog)
 		var fails []string
 		for i := range locks {
 			if got := coherentPeek(m, ctrs[i]); got != 8 {

@@ -64,7 +64,7 @@ func currentValue(m *machine.Machine, a machine.Addr) uint32 {
 }
 
 // buildLock constructs the chosen lock kind on m.
-func buildLock(m *machine.Machine, k workload.LockKind, name string) constructs.ProgramLock {
+func buildLock(m *machine.Machine, k workload.LockKind, name string) constructs.Lock {
 	switch k {
 	case workload.Ticket:
 		return constructs.NewTicketLock(m, name)
@@ -77,7 +77,7 @@ func buildLock(m *machine.Machine, k workload.LockKind, name string) constructs.
 }
 
 // buildBarrier constructs the chosen barrier kind on m.
-func buildBarrier(m *machine.Machine, k workload.BarrierKind, name string) constructs.ProgramBarrier {
+func buildBarrier(m *machine.Machine, k workload.BarrierKind, name string) constructs.Barrier {
 	switch k {
 	case workload.Central:
 		return constructs.NewCentralBarrier(m, name)
@@ -204,7 +204,7 @@ type NBodyParams struct {
 func NBodyMax(p NBodyParams) Result {
 	m := machine.Acquire(machine.DefaultConfig(p.Protocol, p.Procs))
 	defer m.Release()
-	var red constructs.ProgramReducer
+	var red constructs.Reducer
 	switch p.Reduction {
 	case workload.Parallel:
 		red = constructs.NewParallelReducer(m, "red", m.NewMagicLock(), m.NewMagicBarrier())

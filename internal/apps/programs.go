@@ -6,16 +6,14 @@ import (
 	"coherencesim/internal/sim"
 )
 
-// State-machine compilations of the three kernel bodies (see
-// workload/programs.go for the model). Each mirrors its closure twin
-// operation for operation, so results are byte-identical across the
-// two execution models.
+// The three kernel bodies as Programs (see machine/program.go for the
+// model).
 
 // workQueueProgram is WorkQueue's body: take the next index under the
 // lock, execute the task, repeat until the cursor passes the end.
 // Registers: U0 claimed task index.
 type workQueueProgram struct {
-	l      constructs.ProgramLock
+	l      constructs.Lock
 	cursor machine.Addr
 	done   machine.Addr
 	tasks  int
@@ -63,7 +61,7 @@ func (g *workQueueProgram) Step(p *machine.Proc, f *machine.Frame) machine.OpSta
 // relax, update the own strip's edges, cross the barrier. Registers:
 // I0 sweep, U0 left halo value, U1 right halo value.
 type jacobiProgram struct {
-	b      constructs.ProgramBarrier
+	b      constructs.Barrier
 	strips []machine.Addr
 	cells  int
 	sweeps int
@@ -120,11 +118,10 @@ func (g *jacobiProgram) Step(p *machine.Proc, f *machine.Frame) machine.OpStatus
 
 // nbodyProgram is NBodyMax's body: compute, reduce the force bound,
 // verify the observed maximum, cross the step gate. The correctness
-// verdict lives on the program (the closure twin captures a local);
-// step functions run on the single event-loop goroutine, so the plain
-// bool is race-free. Registers: I0 step, U0 expected maximum.
+// verdict lives on the program; step functions run on the single
+// event-loop goroutine, so the plain bool is race-free. Registers: I0 step, U0 expected maximum.
 type nbodyProgram struct {
-	red     constructs.ProgramReducer
+	red     constructs.Reducer
 	gate    *machine.MagicBarrier
 	steps   int
 	procs   int

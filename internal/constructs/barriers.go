@@ -36,25 +36,6 @@ func NewCentralBarrier(m *machine.Machine, name string) *CentralBarrier {
 	return b
 }
 
-// Wait joins the barrier episode.
-func (b *CentralBarrier) Wait(p *machine.Proc) {
-	t0 := p.Now()
-	defer func() { b.lat.Observe(p.Now() - t0) }()
-	p.BeginPhase(machine.PhaseBarrier)
-	defer p.EndPhase()
-	p.Fence() // release: writes before the barrier
-	ls := b.localSense[p.ID()]
-	b.localSense[p.ID()] = 1 - ls // toggle private sense (register-resident)
-	// fetch_and_decrement: add -1, old value 1 means we are last.
-	if p.FetchAdd(b.count, ^uint32(0)) == 1 {
-		p.Write(b.count, uint32(b.procs))
-		p.Fence()
-		p.Write(b.sense, ls)
-		return
-	}
-	p.SpinUntil(b.sense, func(v uint32) bool { return v == ls })
-}
-
 // DisseminationBarrier is the barrier of figure 4: ceil(log2 P) rounds in
 // which processor i signals processor (i + 2^k) mod P, with two parity
 // sets of flags to keep consecutive episodes from interfering. Every
@@ -90,28 +71,6 @@ func NewDisseminationBarrier(m *machine.Machine, name string) *DisseminationBarr
 // flagAddr returns allnodes[node].myflags[parity][round] (block-padded).
 func (b *DisseminationBarrier) flagAddr(node, parity, round int) machine.Addr {
 	return b.flags[node] + machine.Addr(64*(parity*6+round))
-}
-
-// Wait joins the barrier episode.
-func (b *DisseminationBarrier) Wait(p *machine.Proc) {
-	t0 := p.Now()
-	defer func() { b.lat.Observe(p.Now() - t0) }()
-	p.BeginPhase(machine.PhaseBarrier)
-	defer p.EndPhase()
-	p.Fence()
-	p.Compute(1) // parity/sense bookkeeping instructions
-	id := p.ID()
-	par := b.parity[id]
-	sense := b.sense[id]
-	for k := 0; k < b.rounds; k++ {
-		partner := (id + (1 << uint(k))) % b.procs
-		p.Write(b.flagAddr(partner, par, k), sense)
-		p.SpinUntil(b.flagAddr(id, par, k), func(v uint32) bool { return v == sense })
-	}
-	if par == 1 {
-		b.sense[id] = 1 - sense
-	}
-	b.parity[id] = 1 - par
 }
 
 // TreeBarrier is the 4-ary arrival-tree barrier of figure 5 (Mellor-
@@ -167,40 +126,6 @@ func (b *TreeBarrier) childFlag(node, j int) machine.Addr {
 // its parent's node (processor 0 has none).
 func (b *TreeBarrier) parentSlot(id int) machine.Addr {
 	return b.childFlag((id-1)/4, (id-1)%4)
-}
-
-// Wait joins the barrier episode.
-func (b *TreeBarrier) Wait(p *machine.Proc) {
-	t0 := p.Now()
-	defer func() { b.lat.Observe(p.Now() - t0) }()
-	p.BeginPhase(machine.PhaseBarrier)
-	defer p.EndPhase()
-	p.Fence()
-	id := p.ID()
-	sense := b.sense[id]
-
-	// Wait for all existing children to report, one flag at a time.
-	for j := 0; j < 4; j++ {
-		if b.havechild[id][j] {
-			p.SpinUntil(b.childFlag(id, j), func(v uint32) bool { return v == 0 })
-		}
-	}
-	// Re-arm for the next episode (childnotready := havechild).
-	for j := 0; j < 4; j++ {
-		if b.havechild[id][j] {
-			p.Write(b.childFlag(id, j), 1)
-		}
-	}
-	if id != 0 {
-		// Tell the parent we are ready, then await global wake-up.
-		p.Fence()
-		p.Write(b.parentSlot(id), 0)
-		p.SpinUntil(b.globalSense, func(v uint32) bool { return v == sense })
-	} else {
-		p.Fence()
-		p.Write(b.globalSense, sense)
-	}
-	b.sense[id] = 1 - sense
 }
 
 // ceilLog2 returns ceil(log2(n)) for n >= 1.

@@ -41,19 +41,17 @@ func TestLocksMutualExclusionAllProtocols(t *testing.T) {
 					inCS := 0
 					perProc := make([]int, procs)
 					const iters = 6
-					m.Run(func(p *machine.Proc) {
-						for i := 0; i < iters; i++ {
-							l.Acquire(p)
+					section := critical(l,
+						do(func(p *machine.Proc, f *machine.Frame) {
 							inCS++
 							if inCS != 1 {
 								t.Errorf("mutual exclusion violated (%d in CS)", inCS)
 							}
-							p.Compute(50)
-							inCS--
-							l.Release(p)
-							perProc[p.ID()]++
-						}
-					})
+						}),
+						compute(50),
+						do(func(p *machine.Proc, f *machine.Frame) { inCS-- }))
+					count := do(func(p *machine.Proc, f *machine.Frame) { perProc[p.ID()]++ })
+					m.RunProgram(seq(repeat(iters, append(section, count)...)))
 					for i, c := range perProc {
 						if c != iters {
 							t.Fatalf("proc %d completed %d/%d acquires", i, c, iters)
@@ -65,6 +63,19 @@ func TestLocksMutualExclusionAllProtocols(t *testing.T) {
 	}
 }
 
+// incrementSlowly is the unprotected read-modify-write the lock tests
+// guard: read the counter, dawdle, write it back plus one.
+func incrementSlowly(counter machine.Addr) []stage {
+	return []stage{
+		read(counter),
+		func(p *machine.Proc, f *machine.Frame) machine.OpStatus {
+			f.U0 = p.Ret()
+			return compute(2)(p, f)
+		},
+		func(p *machine.Proc, f *machine.Frame) machine.OpStatus { return p.FWrite(counter, f.U0+1) },
+	}
+}
+
 func TestLocksProtectSharedCounter(t *testing.T) {
 	for name, mk := range lockFactories() {
 		for _, pr := range allProtocols() {
@@ -73,15 +84,7 @@ func TestLocksProtectSharedCounter(t *testing.T) {
 				l := mk(m)
 				shared := m.Alloc("shared", 4, 0)
 				const iters = 8
-				m.Run(func(p *machine.Proc) {
-					for i := 0; i < iters; i++ {
-						l.Acquire(p)
-						v := p.Read(shared)
-						p.Compute(2)
-						p.Write(shared, v+1)
-						l.Release(p) // fences before releasing
-					}
-				})
+				m.RunProgram(seq(repeat(iters, critical(l, incrementSlowly(shared)...)...)))
 				// Read the final value coherently: memory plus any
 				// dirty cached copy.
 				final := m.Peek(shared)
@@ -102,14 +105,13 @@ func TestTicketLockIsFIFO(t *testing.T) {
 	m := machine.New(machine.DefaultConfig(proto.WI, 8))
 	l := NewTicketLock(m, "L")
 	var order []int
-	m.Run(func(p *machine.Proc) {
+	m.RunProgram(seq(
 		// Stagger arrivals so ticket order is the processor order.
-		p.Compute(sim.Time(1 + 500*p.ID()))
-		l.Acquire(p)
-		order = append(order, p.ID())
-		p.Compute(50)
-		l.Release(p)
-	})
+		[]stage{computeBy(func(p *machine.Proc) sim.Time { return sim.Time(1 + 500*p.ID()) })},
+		critical(l,
+			do(func(p *machine.Proc, f *machine.Frame) { order = append(order, p.ID()) }),
+			compute(50)),
+	))
 	for i, id := range order {
 		if id != i {
 			t.Fatalf("service order %v not FIFO", order)
@@ -121,13 +123,12 @@ func TestMCSQueueHandoffOrder(t *testing.T) {
 	m := machine.New(machine.DefaultConfig(proto.WI, 8))
 	l := NewMCSLock(m, "L", false)
 	var order []int
-	m.Run(func(p *machine.Proc) {
-		p.Compute(sim.Time(1 + 800*p.ID()))
-		l.Acquire(p)
-		order = append(order, p.ID())
-		p.Compute(50)
-		l.Release(p)
-	})
+	m.RunProgram(seq(
+		[]stage{computeBy(func(p *machine.Proc) sim.Time { return sim.Time(1 + 800*p.ID()) })},
+		critical(l,
+			do(func(p *machine.Proc, f *machine.Frame) { order = append(order, p.ID()) }),
+			compute(50)),
+	))
 	if len(order) != 8 {
 		t.Fatalf("only %d acquisitions", len(order))
 	}
@@ -141,26 +142,14 @@ func TestMCSQueueHandoffOrder(t *testing.T) {
 func TestUpdateConsciousMCSFlushes(t *testing.T) {
 	m := machine.New(machine.DefaultConfig(proto.PU, 4))
 	l := NewMCSLock(m, "L", true)
-	res := m.Run(func(p *machine.Proc) {
-		for i := 0; i < 5; i++ {
-			l.Acquire(p)
-			p.Compute(50)
-			l.Release(p)
-		}
-	})
+	res := m.RunProgram(seq(repeat(5, critical(l, compute(50))...)))
 	if res.Counters.Flushes == 0 {
 		t.Fatal("update-conscious MCS issued no flushes")
 	}
 	// Plain MCS must issue none.
 	m2 := machine.New(machine.DefaultConfig(proto.PU, 4))
 	l2 := NewMCSLock(m2, "L", false)
-	res2 := m2.Run(func(p *machine.Proc) {
-		for i := 0; i < 5; i++ {
-			l2.Acquire(p)
-			p.Compute(50)
-			l2.Release(p)
-		}
-	})
+	res2 := m2.RunProgram(seq(repeat(5, critical(l2, compute(50))...)))
 	if res2.Counters.Flushes != 0 {
 		t.Fatal("plain MCS issued flushes")
 	}
@@ -170,13 +159,7 @@ func TestUpdateConsciousMCSCutsUpdateTraffic(t *testing.T) {
 	run := func(uc bool) uint64 {
 		m := machine.New(machine.DefaultConfig(proto.PU, 8))
 		l := NewMCSLock(m, "L", uc)
-		res := m.Run(func(p *machine.Proc) {
-			for i := 0; i < 20; i++ {
-				l.Acquire(p)
-				p.Compute(50)
-				l.Release(p)
-			}
-		})
+		res := m.RunProgram(seq(repeat(20, critical(l, compute(50))...)))
 		return res.Updates.Total()
 	}
 	plain, conscious := run(false), run(true)
@@ -194,16 +177,18 @@ func TestBarriersJoinAllProtocolsAndSizes(t *testing.T) {
 					b := mk(m)
 					const episodes = 5
 					arrived := make([]int, episodes)
-					m.Run(func(p *machine.Proc) {
-						for ep := 0; ep < episodes; ep++ {
-							p.Compute(sim.Time(p.Rand().Intn(40) + 1))
-							arrived[ep]++
-							b.Wait(p)
-							if arrived[ep] != procs {
-								t.Errorf("episode %d: left with %d/%d arrived", ep, arrived[ep], procs)
+					m.RunProgram(seq(repeat(episodes,
+						computeBy(func(p *machine.Proc) sim.Time { return sim.Time(p.Rand().Intn(40) + 1) }),
+						func(p *machine.Proc, f *machine.Frame) machine.OpStatus {
+							arrived[f.I0]++
+							return b.FWait(p)
+						},
+						do(func(p *machine.Proc, f *machine.Frame) {
+							if arrived[f.I0] != procs {
+								t.Errorf("episode %d: left with %d/%d arrived", f.I0, arrived[f.I0], procs)
 							}
-						}
-					})
+						}),
+					)))
 				})
 			}
 		}
@@ -220,17 +205,22 @@ func TestBarrierPublishesData(t *testing.T) {
 				b := mk(m)
 				data := m.Alloc("data", 64*procs, -1)
 				slot := func(i int) machine.Addr { return data + machine.Addr(64*i) }
-				m.Run(func(p *machine.Proc) {
-					for ep := 0; ep < 3; ep++ {
-						p.Write(slot(p.ID()), uint32(100*ep+p.ID()))
-						b.Wait(p)
+				m.RunProgram(seq(repeat(3,
+					func(p *machine.Proc, f *machine.Frame) machine.OpStatus {
+						return p.FWrite(slot(p.ID()), uint32(100*f.I0+p.ID()))
+					},
+					wait(b),
+					func(p *machine.Proc, f *machine.Frame) machine.OpStatus {
+						return p.FRead(slot((p.ID() + 1) % procs))
+					},
+					func(p *machine.Proc, f *machine.Frame) machine.OpStatus {
 						peer := (p.ID() + 1) % procs
-						if got := p.Read(slot(peer)); got != uint32(100*ep+peer) {
-							t.Errorf("ep %d: proc %d read peer %d = %d", ep, p.ID(), peer, got)
+						if got := p.Ret(); got != uint32(100*f.I0+peer) {
+							t.Errorf("ep %d: proc %d read peer %d = %d", f.I0, p.ID(), peer, got)
 						}
-						b.Wait(p)
-					}
-				})
+						return b.FWait(p)
+					},
+				)))
 			})
 		}
 	}
@@ -245,6 +235,23 @@ func TestCeilLog2(t *testing.T) {
 	}
 }
 
+// maxEpisodes is four reduction episodes, each followed by a check of
+// the global result and a barrier that keeps the episodes separated.
+func maxEpisodes(r Reducer, b Barrier, procs int, wrong *bool) machine.Steps {
+	return seq(repeat(4,
+		func(p *machine.Proc, f *machine.Frame) machine.OpStatus {
+			return r.FReduce(p, uint32(1000*f.I0+10*p.ID()+5))
+		},
+		read(r.ResultAddr()),
+		func(p *machine.Proc, f *machine.Frame) machine.OpStatus {
+			if p.Ret() != uint32(1000*f.I0+10*(procs-1)+5) {
+				*wrong = true
+			}
+			return b.FWait(p)
+		},
+	))
+}
+
 func TestReducersComputeMax(t *testing.T) {
 	for _, pr := range allProtocols() {
 		for _, procs := range []int{1, 2, 4, 8} {
@@ -255,17 +262,7 @@ func TestReducersComputeMax(t *testing.T) {
 				pb := m.NewMagicBarrier()
 				r := NewParallelReducer(m, "R", pl, pb)
 				wrong := false
-				m.Run(func(p *machine.Proc) {
-					for ep := 0; ep < 4; ep++ {
-						local := uint32(1000*ep + 10*p.ID() + 5)
-						want := uint32(1000*ep + 10*(procs-1) + 5)
-						r.Reduce(p, local)
-						if got := p.Read(r.ResultAddr()); got != want {
-							wrong = true
-						}
-						pb.Wait(p) // keep episodes separated
-					}
-				})
+				m.RunProgram(maxEpisodes(r, pb, procs, &wrong))
 				if wrong {
 					t.Error("parallel reduction produced wrong max")
 				}
@@ -275,17 +272,7 @@ func TestReducersComputeMax(t *testing.T) {
 				sb := m2.NewMagicBarrier()
 				r2 := NewSequentialReducer(m2, "R", sb)
 				wrong2 := false
-				m2.Run(func(p *machine.Proc) {
-					for ep := 0; ep < 4; ep++ {
-						local := uint32(1000*ep + 10*p.ID() + 5)
-						want := uint32(1000*ep + 10*(procs-1) + 5)
-						r2.Reduce(p, local)
-						if got := p.Read(r2.ResultAddr()); got != want {
-							wrong2 = true
-						}
-						sb.Wait(p)
-					}
-				})
+				m2.RunProgram(maxEpisodes(r2, sb, procs, &wrong2))
 				if wrong2 {
 					t.Error("sequential reduction produced wrong max")
 				}
@@ -301,11 +288,14 @@ func TestReducersWithRealSync(t *testing.T) {
 	b := NewDisseminationBarrier(m, "B")
 	r := NewParallelReducer(m, "R", l, b)
 	bad := false
-	m.Run(func(p *machine.Proc) {
-		r.Reduce(p, uint32(7+p.ID()))
-		if p.Read(r.ResultAddr()) != 10 {
-			bad = true
-		}
+	m.RunProgram(machine.Steps{
+		func(p *machine.Proc, f *machine.Frame) machine.OpStatus { return r.FReduce(p, uint32(7+p.ID())) },
+		read(r.ResultAddr()),
+		do(func(p *machine.Proc, f *machine.Frame) {
+			if p.Ret() != 10 {
+				bad = true
+			}
+		}),
 	})
 	if bad {
 		t.Fatal("reduction with real lock/barrier wrong")
@@ -350,14 +340,7 @@ func TestConstructsDeterministic(t *testing.T) {
 		m := machine.New(machine.DefaultConfig(proto.CU, 8))
 		l := NewMCSLock(m, "L", false)
 		b := NewTreeBarrier(m, "B")
-		res := m.Run(func(p *machine.Proc) {
-			for i := 0; i < 10; i++ {
-				l.Acquire(p)
-				p.Compute(50)
-				l.Release(p)
-				b.Wait(p)
-			}
-		})
+		res := m.RunProgram(seq(repeat(10, append(critical(l, compute(50)), wait(b))...)))
 		return res.Cycles
 	}
 	if a, b := run(), run(); a != b {

@@ -20,7 +20,6 @@ import (
 
 	"coherencesim/internal/machine"
 	"coherencesim/internal/metrics"
-	"coherencesim/internal/sim"
 )
 
 // Observability histogram names shared by every construct of a kind, so
@@ -34,14 +33,19 @@ const (
 // Lock is a mutual-exclusion lock usable from simulated processors.
 // machine.MagicLock implements it too.
 type Lock interface {
-	Acquire(p *machine.Proc)
-	Release(p *machine.Proc)
+	// FAcquire pushes the acquire operation; the caller must have saved
+	// its resume PC and must return the OpStatus unchanged.
+	FAcquire(p *machine.Proc) machine.OpStatus
+	// FRelease pushes the release operation, as FAcquire.
+	FRelease(p *machine.Proc) machine.OpStatus
 }
 
 // Barrier is a global barrier usable from simulated processors.
 // machine.MagicBarrier implements it too.
 type Barrier interface {
-	Wait(p *machine.Proc)
+	// FWait pushes the barrier-wait operation; the caller must have
+	// saved its resume PC and must return the OpStatus unchanged.
+	FWait(p *machine.Proc) machine.OpStatus
 }
 
 // TicketLock is the centralized ticket lock of the paper's figure 1: a
@@ -70,33 +74,6 @@ func NewTicketLock(m *machine.Machine, name string) *TicketLock {
 	}
 	m.RegisterForkState(name, l)
 	return l
-}
-
-// Acquire takes a ticket and probes (with proportional backoff) until it
-// is served.
-func (l *TicketLock) Acquire(p *machine.Proc) {
-	t0 := p.Now()
-	defer func() { l.lat.Observe(p.Now() - t0) }()
-	p.BeginPhase(machine.PhaseLock)
-	defer p.EndPhase()
-	my := p.FetchAdd(l.ticket, 1)
-	l.myTick[p.ID()] = my
-	for {
-		now := p.Read(l.now)
-		if now == my {
-			return
-		}
-		p.Compute(sim.Time(l.backoff * (my - now)))
-	}
-}
-
-// Release serves the next ticket. The store is a release: it first waits
-// for the holder's outstanding writes.
-func (l *TicketLock) Release(p *machine.Proc) {
-	p.BeginPhase(machine.PhaseLock)
-	defer p.EndPhase()
-	p.Fence()
-	p.Write(l.now, l.myTick[p.ID()]+1)
 }
 
 // MCSLock is the list-based queue lock of figure 2 (Mellor-Crummey &
@@ -147,48 +124,4 @@ func (l *MCSLock) ownerOf(node machine.Addr) int {
 		}
 	}
 	panic(fmt.Sprintf("constructs: unknown MCS qnode address %d", node))
-}
-
-// Acquire appends p's node to the queue and spins on its own flag.
-func (l *MCSLock) Acquire(p *machine.Proc) {
-	t0 := p.Now()
-	defer func() { l.lat.Observe(p.Now() - t0) }()
-	p.BeginPhase(machine.PhaseLock)
-	defer p.EndPhase()
-	i := l.node(p.ID())
-	p.Write(i+qnodeNext, 0)
-	pred := machine.Addr(p.FetchStore(l.tail, uint32(i)))
-	if pred == 0 {
-		return // queue was empty: lock acquired
-	}
-	p.Write(i+qnodeLocked, 1)
-	// The locked flag must be set before the predecessor can see the
-	// link; the fence orders the two stores under release consistency.
-	p.Fence()
-	p.Write(pred+qnodeNext, uint32(i))
-	if l.updateConscious {
-		p.Flush(pred) // paper: "Flush *pred in update-conscious MCS"
-	}
-	p.SpinUntil(i+qnodeLocked, func(v uint32) bool { return v == 0 })
-}
-
-// Release hands the lock to the successor, or empties the queue.
-func (l *MCSLock) Release(p *machine.Proc) {
-	p.BeginPhase(machine.PhaseLock)
-	defer p.EndPhase()
-	i := l.node(p.ID())
-	p.Fence() // release: the critical section's writes
-	next := machine.Addr(p.Read(i + qnodeNext))
-	if next == 0 {
-		// No known successor: try to swing the tail back to nil.
-		if p.CompareSwap(l.tail, uint32(i), 0) {
-			return
-		}
-		// A successor is mid-enqueue: wait for the link.
-		next = machine.Addr(p.SpinUntil(i+qnodeNext, func(v uint32) bool { return v != 0 }))
-	}
-	p.Write(next+qnodeLocked, 0)
-	if l.updateConscious {
-		p.Flush(next) // paper: "Flush *(I->next) in update-conscious MCS"
-	}
 }

@@ -12,9 +12,7 @@ import (
 // earlier result that those two dominate the low- and high-contention
 // regimes under WI); these are provided as library extensions so users
 // can reproduce that earlier comparison under the update-based protocols
-// as well (see experiments.ExtendedLockSweep). Both are ProgramLocks: each
-// imperative method is followed by its step-function twin, held to the
-// same Result by the cross-model tests in locks_extra_test.go.
+// as well (see experiments.ExtendedLockSweep).
 
 // TASLock is the classic test_and_set spin lock with bounded exponential
 // backoff: acquisition attempts are fetch_and_store(1) operations, and
@@ -47,36 +45,13 @@ func (l *TASLock) SetBackoff(min, max sim.Time) {
 	l.minBackoff, l.maxBackoff = min, max
 }
 
-// Acquire spins with exponential backoff until the swap wins.
-func (l *TASLock) Acquire(p *machine.Proc) {
-	t0 := p.Now()
-	defer func() { l.lat.Observe(p.Now() - t0) }()
-	p.BeginPhase(machine.PhaseLock)
-	defer p.EndPhase()
-	pause := l.minBackoff
-	for p.FetchStore(l.word, 1) != 0 {
-		p.Compute(sim.Time(p.Rand().Int63n(int64(pause))) + 1)
-		if pause < l.maxBackoff {
-			pause *= 2
-		}
-	}
-}
-
-// Release clears the lock word (a release: fences first).
-func (l *TASLock) Release(p *machine.Proc) {
-	p.BeginPhase(machine.PhaseLock)
-	defer p.EndPhase()
-	p.Fence()
-	p.Write(l.word, 0)
-}
-
-// FAcquire is Acquire compiled to the state-machine model.
+// FAcquire spins with exponential backoff until the swap wins.
 func (l *TASLock) FAcquire(p *machine.Proc) machine.OpStatus {
 	p.Call(tasAcquireStep, l)
 	return machine.OpCalled
 }
 
-// FRelease is Release compiled to the state-machine model.
+// FRelease clears the lock word (a release: fences first).
 func (l *TASLock) FRelease(p *machine.Proc) machine.OpStatus {
 	return fClearWord(p, l.word)
 }
@@ -156,36 +131,14 @@ func NewTTASLock(m *machine.Machine, name string) *TTASLock {
 	}
 }
 
-// Acquire spins on a cached copy until the word reads free, then races
+// FAcquire spins on a cached copy until the word reads free, then races
 // the swap, repeating on loss.
-func (l *TTASLock) Acquire(p *machine.Proc) {
-	t0 := p.Now()
-	defer func() { l.lat.Observe(p.Now() - t0) }()
-	p.BeginPhase(machine.PhaseLock)
-	defer p.EndPhase()
-	for {
-		p.SpinUntil(l.word, func(v uint32) bool { return v == 0 })
-		if p.FetchStore(l.word, 1) == 0 {
-			return
-		}
-	}
-}
-
-// Release clears the lock word (a release: fences first).
-func (l *TTASLock) Release(p *machine.Proc) {
-	p.BeginPhase(machine.PhaseLock)
-	defer p.EndPhase()
-	p.Fence()
-	p.Write(l.word, 0)
-}
-
-// FAcquire is Acquire compiled to the state-machine model.
 func (l *TTASLock) FAcquire(p *machine.Proc) machine.OpStatus {
 	p.Call(ttasAcquireStep, l)
 	return machine.OpCalled
 }
 
-// FRelease is Release compiled to the state-machine model.
+// FRelease clears the lock word (a release: fences first).
 func (l *TTASLock) FRelease(p *machine.Proc) machine.OpStatus {
 	return fClearWord(p, l.word)
 }

@@ -1,13 +1,17 @@
 package constructs
 
 import (
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
-	"reflect"
+	"os"
+	"strings"
 	"testing"
 
 	"coherencesim/internal/machine"
 	"coherencesim/internal/metrics"
 	"coherencesim/internal/proto"
+	"coherencesim/internal/sim"
 	"coherencesim/internal/trace"
 )
 
@@ -27,19 +31,17 @@ func TestExtraLocksMutualExclusion(t *testing.T) {
 					l := mk(m)
 					inCS := 0
 					done := make([]int, procs)
-					m.Run(func(p *machine.Proc) {
-						for i := 0; i < 5; i++ {
-							l.Acquire(p)
+					section := critical(l,
+						do(func(p *machine.Proc, f *machine.Frame) {
 							inCS++
 							if inCS != 1 {
 								t.Errorf("mutual exclusion violated")
 							}
-							p.Compute(50)
-							inCS--
-							l.Release(p)
-							done[p.ID()]++
-						}
-					})
+						}),
+						compute(50),
+						do(func(p *machine.Proc, f *machine.Frame) { inCS-- }))
+					count := do(func(p *machine.Proc, f *machine.Frame) { done[p.ID()]++ })
+					m.RunProgram(seq(repeat(5, append(section, count)...)))
 					for i, c := range done {
 						if c != 5 {
 							t.Fatalf("proc %d finished %d/5", i, c)
@@ -58,15 +60,7 @@ func TestExtraLocksProtectCounter(t *testing.T) {
 				m := machine.New(machine.DefaultConfig(pr, 4))
 				l := mk(m)
 				shared := m.Alloc("shared", 4, 0)
-				m.Run(func(p *machine.Proc) {
-					for i := 0; i < 6; i++ {
-						l.Acquire(p)
-						v := p.Read(shared)
-						p.Compute(2)
-						p.Write(shared, v+1)
-						l.Release(p)
-					}
-				})
+				m.RunProgram(seq(repeat(6, critical(l, incrementSlowly(shared)...)...)))
 				final := m.Peek(shared)
 				for q := 0; q < 4; q++ {
 					if ln := m.System().Cache(q).Lookup(uint32(shared / 64)); ln != nil && ln.Dirty {
@@ -91,13 +85,7 @@ func TestTASFamilyContentionBehaviour(t *testing.T) {
 	run := func(mk func(m *machine.Machine) Lock) (msgs, cycles uint64) {
 		m := machine.New(machine.DefaultConfig(proto.WI, 16))
 		l := mk(m)
-		res := m.Run(func(p *machine.Proc) {
-			for i := 0; i < 20; i++ {
-				l.Acquire(p)
-				p.Compute(50)
-				l.Release(p)
-			}
-		})
+		res := m.RunProgram(seq(repeat(20, critical(l, compute(50))...)))
 		return res.Net.Messages, res.Cycles
 	}
 	naiveMsgs, naiveCycles := run(func(m *machine.Machine) Lock {
@@ -126,90 +114,166 @@ func TestTASBackoffValidation(t *testing.T) {
 	l.SetBackoff(10, 5)
 }
 
-// lockLoopProg is the acquire/hold/release loop as a Program — the same
-// body as workload's lock loop, which cannot be imported from here
-// (workload imports this package). Registers: I0 iteration.
-type lockLoopProg struct {
-	l     ProgramLock
-	iters int
-}
-
-func (g *lockLoopProg) Step(p *machine.Proc, f *machine.Frame) machine.OpStatus {
-	switch f.PC {
-	case 0:
-		if f.I0 >= g.iters {
-			return machine.OpDone
-		}
-		f.PC = 1
-		return g.l.FAcquire(p)
-	case 1:
-		f.PC = 2
-		if !p.FCompute(50) {
-			return machine.OpBlocked
-		}
-		fallthrough
-	case 2:
-		f.I0++
-		f.PC = 0
-		return g.l.FRelease(p)
+// frozenResults loads testdata/frozen_results.txt: one "case digest" line
+// per reference run. The digests were produced once, at the last commit
+// that still had an imperative Acquire/Release/Wait/Reduce beside every
+// step function, by running those methods on the closure model — so the
+// step functions are held to an implementation that no longer exists in
+// the tree.
+func frozenResults(t *testing.T) map[string]string {
+	t.Helper()
+	doc, err := os.ReadFile("testdata/frozen_results.txt")
+	if err != nil {
+		t.Fatal(err)
 	}
-	panic("lockLoopProg bad pc")
+	rows := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(doc)), "\n") {
+		name, digest, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("malformed frozen row %q", line)
+		}
+		rows[name] = digest
+	}
+	return rows
 }
 
-// TestLockStepsMatchImperative holds every lock's step functions to its
-// imperative methods: the same loop run as a closure and as a Program
-// must produce the same Result — cycles, events, per-processor stats,
-// traffic, and (through the attached registry and tracer) the
-// acquire-latency histogram and the per-phase stall attribution — and
-// the Program run must never hand off to a goroutine.
+// checkFrozen compares the digest of the full Result — cycles, events,
+// per-processor stats, traffic, and (through the attached registry and
+// tracer) the latency histograms and the per-phase stall attribution —
+// with the frozen row.
+func checkFrozen(t *testing.T, rows map[string]string, name string, r machine.Result) {
+	t.Helper()
+	doc, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, ok := rows[name]
+	if !ok {
+		t.Fatalf("no frozen row %q", name)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(doc)); got != want {
+		t.Errorf("%s: Result digest %s, frozen reference %s", name, got, want)
+	}
+}
+
+// observedMachine builds a machine with the metrics registry and the
+// transaction tracer attached, as every frozen row was recorded.
+func observedMachine(pr proto.Protocol, procs int, poll uint64) *machine.Machine {
+	cfg := machine.DefaultConfig(pr, procs)
+	cfg.SpinPollCycles = poll
+	cfg.Metrics = metrics.New(1000)
+	cfg.Txn = trace.NewTracer(procs, 0)
+	return machine.New(cfg)
+}
+
+var frozenSizes = []int{1, 2, 8, 32}
+
+// TestLockStepsMatchImperative holds every lock's step functions to the
+// frozen result of its imperative methods on the same
+// acquire/hold/release loop.
 func TestLockStepsMatchImperative(t *testing.T) {
 	variants := []struct {
 		name string
 		poll uint64
-		mk   func(m *machine.Machine) ProgramLock
+		mk   func(m *machine.Machine) Lock
 	}{
-		{"tas", 0, func(m *machine.Machine) ProgramLock { return NewTASLock(m, "L") }},
-		{"tas-nobackoff", 0, func(m *machine.Machine) ProgramLock {
+		{"tas", 0, func(m *machine.Machine) Lock { return NewTASLock(m, "L") }},
+		{"tas-nobackoff", 0, func(m *machine.Machine) Lock {
 			l := NewTASLock(m, "L")
 			l.SetBackoff(1, 1)
 			return l
 		}},
-		{"ttas", 0, func(m *machine.Machine) ProgramLock { return NewTTASLock(m, "L") }},
-		{"ttas-polling", 30, func(m *machine.Machine) ProgramLock { return NewTTASLock(m, "L") }},
-		{"ticket", 0, func(m *machine.Machine) ProgramLock { return NewTicketLock(m, "L") }},
-		{"mcs", 0, func(m *machine.Machine) ProgramLock { return NewMCSLock(m, "L", false) }},
-		{"ucmcs", 0, func(m *machine.Machine) ProgramLock { return NewMCSLock(m, "L", true) }},
+		{"ttas", 0, func(m *machine.Machine) Lock { return NewTTASLock(m, "L") }},
+		{"ttas-polling", 30, func(m *machine.Machine) Lock { return NewTTASLock(m, "L") }},
+		{"ticket", 0, func(m *machine.Machine) Lock { return NewTicketLock(m, "L") }},
+		{"mcs", 0, func(m *machine.Machine) Lock { return NewMCSLock(m, "L", false) }},
+		{"ucmcs", 0, func(m *machine.Machine) Lock { return NewMCSLock(m, "L", true) }},
 	}
-	const iters = 6
+	rows := frozenResults(t)
 	for _, v := range variants {
 		for _, pr := range allProtocols() {
-			for _, procs := range []int{1, 2, 8, 32} {
-				t.Run(fmt.Sprintf("%s/%v/p%d", v.name, pr, procs), func(t *testing.T) {
-					build := func() (*machine.Machine, ProgramLock) {
-						cfg := machine.DefaultConfig(pr, procs)
-						cfg.SpinPollCycles = v.poll
-						cfg.Metrics = metrics.New(1000)
-						cfg.Txn = trace.NewTracer(procs, 0)
-						m := machine.New(cfg)
-						return m, v.mk(m)
-					}
-					m1, l1 := build()
-					closure := m1.Run(func(p *machine.Proc) {
-						for i := 0; i < iters; i++ {
-							l1.Acquire(p)
-							p.Compute(50)
-							l1.Release(p)
-						}
-					})
-					m2, l2 := build()
-					program := m2.RunProgram(&lockLoopProg{l: l2, iters: iters})
-					if !reflect.DeepEqual(closure, program) {
-						t.Errorf("results differ\nclosure: %+v\nprogram: %+v", closure, program)
-					}
-					if h := m2.Engine().Handoffs(); h != 0 {
-						t.Errorf("program run performed %d goroutine hand-offs, want 0", h)
-					}
+			for _, procs := range frozenSizes {
+				name := fmt.Sprintf("%s/%v/p%d", v.name, pr, procs)
+				t.Run(name, func(t *testing.T) {
+					m := observedMachine(pr, procs, v.poll)
+					l := v.mk(m)
+					checkFrozen(t, rows, "lock/"+name, m.RunProgram(seq(repeat(6, critical(l, compute(50))...))))
 				})
+			}
+		}
+	}
+}
+
+// TestBarrierStepsMatchFrozen: each processor publishes a word, computes
+// for a processor-dependent time, and joins the barrier, six times.
+func TestBarrierStepsMatchFrozen(t *testing.T) {
+	variants := []struct {
+		name string
+		poll uint64
+		mk   func(m *machine.Machine) Barrier
+	}{
+		{"central", 0, func(m *machine.Machine) Barrier { return NewCentralBarrier(m, "B") }},
+		{"central-polling", 30, func(m *machine.Machine) Barrier { return NewCentralBarrier(m, "B") }},
+		{"dissemination", 0, func(m *machine.Machine) Barrier { return NewDisseminationBarrier(m, "B") }},
+		{"tree", 0, func(m *machine.Machine) Barrier { return NewTreeBarrier(m, "B") }},
+	}
+	rows := frozenResults(t)
+	for _, v := range variants {
+		for _, pr := range allProtocols() {
+			for _, procs := range frozenSizes {
+				m := observedMachine(pr, procs, v.poll)
+				b := v.mk(m)
+				data := m.Alloc("data", 64*procs, -1)
+				checkFrozen(t, rows, fmt.Sprintf("barrier/%s/%v/p%d", v.name, pr, procs), m.RunProgram(seq(repeat(6,
+					func(p *machine.Proc, f *machine.Frame) machine.OpStatus {
+						return p.FWrite(data+machine.Addr(64*p.ID()), uint32(f.I0))
+					},
+					computeBy(func(p *machine.Proc) sim.Time { return sim.Time(1 + 13*p.ID()) }),
+					wait(b),
+				))))
+			}
+		}
+	}
+}
+
+// TestReducerStepsMatchFrozen: four reduction episodes, each followed by
+// a read of the result and the barrier that separates episodes. Both
+// reducers run over the magic primitives and over real constructs.
+func TestReducerStepsMatchFrozen(t *testing.T) {
+	variants := []struct {
+		name string
+		mk   func(m *machine.Machine) (Reducer, Barrier)
+	}{
+		{"parallel-magic", func(m *machine.Machine) (Reducer, Barrier) {
+			b := m.NewMagicBarrier()
+			return NewParallelReducer(m, "R", m.NewMagicLock(), b), b
+		}},
+		{"sequential-magic", func(m *machine.Machine) (Reducer, Barrier) {
+			b := m.NewMagicBarrier()
+			return NewSequentialReducer(m, "R", b), b
+		}},
+		{"parallel-mcs-dissemination", func(m *machine.Machine) (Reducer, Barrier) {
+			b := NewDisseminationBarrier(m, "B")
+			return NewParallelReducer(m, "R", NewMCSLock(m, "L", false), b), b
+		}},
+		{"sequential-tree", func(m *machine.Machine) (Reducer, Barrier) {
+			b := NewTreeBarrier(m, "B")
+			return NewSequentialReducer(m, "R", b), b
+		}},
+	}
+	rows := frozenResults(t)
+	for _, v := range variants {
+		for _, pr := range allProtocols() {
+			for _, procs := range frozenSizes {
+				m := observedMachine(pr, procs, 0)
+				r, b := v.mk(m)
+				checkFrozen(t, rows, fmt.Sprintf("reducer/%s/%v/p%d", v.name, pr, procs), m.RunProgram(seq(repeat(4,
+					func(p *machine.Proc, f *machine.Frame) machine.OpStatus {
+						return r.FReduce(p, uint32(1000*f.I0+10*p.ID()+5))
+					},
+					read(r.ResultAddr()),
+					wait(b),
+				))))
 			}
 		}
 	}

@@ -16,8 +16,7 @@ import (
 // for the locks, no-early-escape for the barriers. Trials use fixed
 // seeds so failures replay; machine sizes, iteration counts, and arrival
 // jitter are drawn fresh per trial. The shared Go-level counters are
-// race-free because simulated processors run in strict alternation with
-// the engine.
+// race-free because the whole simulation runs on the test's goroutine.
 
 // csRecord is one critical-section admission observed at Acquire return.
 type csRecord struct {
@@ -38,10 +37,8 @@ func runLockTrial(mk func(m *machine.Machine) Lock, pr proto.Protocol, procs, it
 		jitter[i] = sim.Time(1 + rng.Intn(2000))
 	}
 	inCS := 0
-	m.Run(func(p *machine.Proc) {
-		p.Compute(jitter[p.ID()])
-		for i := 0; i < iters; i++ {
-			l.Acquire(p)
+	section := critical(l,
+		do(func(p *machine.Proc, f *machine.Frame) {
 			inCS++
 			if inCS != 1 {
 				violations = append(violations,
@@ -52,11 +49,13 @@ func runLockTrial(mk func(m *machine.Machine) Lock, pr proto.Protocol, procs, it
 				rec.tick = tk.myTick[p.ID()]
 			}
 			admissions = append(admissions, rec)
-			p.Compute(sim.Time(10 + rng.Intn(90)))
-			inCS--
-			l.Release(p)
-		}
-	})
+		}),
+		computeBy(func(*machine.Proc) sim.Time { return sim.Time(10 + rng.Intn(90)) }),
+		do(func(p *machine.Proc, f *machine.Frame) { inCS-- }))
+	m.RunProgram(seq(
+		[]stage{computeBy(func(p *machine.Proc) sim.Time { return jitter[p.ID()] })},
+		repeat(iters, section...),
+	))
 	return admissions, violations
 }
 
@@ -204,17 +203,21 @@ func TestPropertyBarriersNoEarlyEscape(t *testing.T) {
 					m := machine.New(machine.DefaultConfig(pr, procs))
 					b := mk(m)
 					arrived := make([]int, episodes)
-					m.Run(func(p *machine.Proc) {
-						for ep := 0; ep < episodes; ep++ {
-							p.Compute(jitter[p.ID()][ep])
-							arrived[ep]++
-							b.Wait(p)
-							if arrived[ep] != procs {
+					m.RunProgram(seq(repeat(episodes,
+						func(p *machine.Proc, f *machine.Frame) machine.OpStatus {
+							return compute(jitter[p.ID()][f.I0])(p, f)
+						},
+						func(p *machine.Proc, f *machine.Frame) machine.OpStatus {
+							arrived[f.I0]++
+							return b.FWait(p)
+						},
+						do(func(p *machine.Proc, f *machine.Frame) {
+							if arrived[f.I0] != procs {
 								t.Errorf("seed %d (P=%d): proc %d escaped episode %d with %d/%d arrived",
-									seed, procs, p.ID(), ep, arrived[ep], procs)
+									seed, procs, p.ID(), f.I0, arrived[f.I0], procs)
 							}
-						}
-					})
+						}),
+					)))
 				}
 			})
 		}

@@ -11,10 +11,12 @@ import (
 // one episode per call (the paper's figures 6 and 7 compute max; the
 // communication behaviour is operator-independent).
 type Reducer interface {
-	// Reduce contributes p's local value; when it returns, the global
-	// result of this episode is available at ResultAddr on every
-	// processor that reads it.
-	Reduce(p *machine.Proc, local uint32)
+	// FReduce pushes one reduction episode contributing p's local
+	// value; the caller must have saved its resume PC and must return
+	// the OpStatus unchanged. When the episode completes, its global
+	// result is available at ResultAddr on every processor that reads
+	// it.
+	FReduce(p *machine.Proc, local uint32) machine.OpStatus
 	// ResultAddr is the shared global cell holding the reduction result.
 	ResultAddr() machine.Addr
 }
@@ -43,18 +45,6 @@ func NewParallelReducer(m *machine.Machine, name string, lock Lock, barrier Barr
 
 // ResultAddr returns the global cell.
 func (r *ParallelReducer) ResultAddr() machine.Addr { return r.max }
-
-// Reduce performs one parallel reduction episode.
-func (r *ParallelReducer) Reduce(p *machine.Proc, local uint32) {
-	t0 := p.Now()
-	defer func() { r.lat.Observe(p.Now() - t0) }()
-	r.lock.Acquire(p)
-	if p.Read(r.max) < local {
-		p.Write(r.max, local)
-	}
-	r.lock.Release(p)
-	r.barrier.Wait(p)
-}
 
 // SequentialReducer is figure 7: each processor publishes its value in
 // its own slot, and after a barrier processor 0 walks the slots and
@@ -85,20 +75,3 @@ func (r *SequentialReducer) ResultAddr() machine.Addr { return r.max }
 
 // SlotAddr returns processor id's published-value slot.
 func (r *SequentialReducer) SlotAddr(id int) machine.Addr { return r.slots[id] }
-
-// Reduce performs one sequential reduction episode.
-func (r *SequentialReducer) Reduce(p *machine.Proc, local uint32) {
-	t0 := p.Now()
-	defer func() { r.lat.Observe(p.Now() - t0) }()
-	p.Write(r.slots[p.ID()], local)
-	r.barrier.Wait(p) // barrier entry fences, publishing the slot
-	if p.ID() == 0 {
-		for i := 0; i < r.procs; i++ {
-			v := p.Read(r.slots[i])
-			if p.Read(r.max) < v {
-				p.Write(r.max, v)
-			}
-		}
-	}
-	r.barrier.Wait(p)
-}

@@ -5,70 +5,37 @@ import (
 	"coherencesim/internal/sim"
 )
 
-// This file compiles the paper's constructs to the machine's resumable
-// state-machine model (machine.Program); the TAS/TTAS extensions carry
-// their step functions in locks_extra.go. Each F-prefixed method pushes
-// one frame running a package-level step function with the same
-// operation order, phase brackets and histogram observations (at the
-// same simulated times) as the imperative method of the same name.
-// Every experiment under internal/ executes the step functions; the
-// imperative methods serve the closure-style public facade and are the
-// reference the cross-model equivalence tests compare a Program run's
-// Result against.
-
-// ProgramLock is a Lock whose acquire and release are also available as
-// resumable operations callable from state-machine programs.
-// machine.MagicLock implements it too.
-type ProgramLock interface {
-	Lock
-	// FAcquire pushes the acquire operation; the caller must have saved
-	// its resume PC and must return the OpStatus unchanged.
-	FAcquire(p *machine.Proc) machine.OpStatus
-	// FRelease pushes the release operation, as FAcquire.
-	FRelease(p *machine.Proc) machine.OpStatus
-}
-
-// ProgramBarrier is a Barrier usable from state-machine programs.
-// machine.MagicBarrier implements it too.
-type ProgramBarrier interface {
-	Barrier
-	// FWait pushes the barrier-wait operation; the caller must have
-	// saved its resume PC and must return the OpStatus unchanged.
-	FWait(p *machine.Proc) machine.OpStatus
-}
-
-// ProgramReducer is a Reducer usable from state-machine programs.
-type ProgramReducer interface {
-	Reducer
-	// FReduce pushes one reduction episode contributing local; the
-	// caller must have saved its resume PC and must return the OpStatus
-	// unchanged.
-	FReduce(p *machine.Proc, local uint32) machine.OpStatus
-}
+// This file holds the behaviour of the paper's constructs (the TAS/TTAS
+// extensions carry theirs in locks_extra.go): each F-prefixed method
+// pushes one frame running a package-level step function, which brackets
+// its operations in the construct's synchronization phase and observes
+// the episode latency when it completes.
 
 var (
-	_ ProgramLock    = (*TicketLock)(nil)
-	_ ProgramLock    = (*MCSLock)(nil)
-	_ ProgramLock    = (*TASLock)(nil)
-	_ ProgramLock    = (*TTASLock)(nil)
-	_ ProgramLock    = (*machine.MagicLock)(nil)
-	_ ProgramBarrier = (*CentralBarrier)(nil)
-	_ ProgramBarrier = (*DisseminationBarrier)(nil)
-	_ ProgramBarrier = (*TreeBarrier)(nil)
-	_ ProgramBarrier = (*machine.MagicBarrier)(nil)
-	_ ProgramReducer = (*ParallelReducer)(nil)
-	_ ProgramReducer = (*SequentialReducer)(nil)
+	_ Lock    = (*TicketLock)(nil)
+	_ Lock    = (*MCSLock)(nil)
+	_ Lock    = (*TASLock)(nil)
+	_ Lock    = (*TTASLock)(nil)
+	_ Lock    = (*machine.MagicLock)(nil)
+	_ Barrier = (*CentralBarrier)(nil)
+	_ Barrier = (*DisseminationBarrier)(nil)
+	_ Barrier = (*TreeBarrier)(nil)
+	_ Barrier = (*machine.MagicBarrier)(nil)
+	_ Reducer = (*ParallelReducer)(nil)
+	_ Reducer = (*SequentialReducer)(nil)
 )
 
 // ---- TicketLock ----
 
-// FAcquire is Acquire compiled to the state-machine model.
+// FAcquire takes a ticket and probes (with proportional backoff) until
+// it is served.
 func (l *TicketLock) FAcquire(p *machine.Proc) machine.OpStatus {
 	p.Call(ticketAcquireStep, l)
 	return machine.OpCalled
 }
 
-// FRelease is Release compiled to the state-machine model.
+// FRelease serves the next ticket. The store is a release: it first
+// waits for the holder's outstanding writes.
 func (l *TicketLock) FRelease(p *machine.Proc) machine.OpStatus {
 	p.Call(ticketReleaseStep, l)
 	return machine.OpCalled
@@ -129,13 +96,13 @@ func ticketReleaseStep(p *machine.Proc, f *machine.Frame) machine.OpStatus {
 
 // ---- MCSLock ----
 
-// FAcquire is Acquire compiled to the state-machine model.
+// FAcquire appends p's node to the queue and spins on its own flag.
 func (l *MCSLock) FAcquire(p *machine.Proc) machine.OpStatus {
 	p.Call(mcsAcquireStep, l)
 	return machine.OpCalled
 }
 
-// FRelease is Release compiled to the state-machine model.
+// FRelease hands the lock to the successor, or empties the queue.
 func (l *MCSLock) FRelease(p *machine.Proc) machine.OpStatus {
 	p.Call(mcsReleaseStep, l)
 	return machine.OpCalled
@@ -172,7 +139,7 @@ func mcsAcquireStep(p *machine.Proc, f *machine.Frame) machine.OpStatus {
 	case 5:
 		if l.updateConscious {
 			f.PC = 6
-			return p.FFlush(f.A1)
+			return p.FFlush(f.A1) // paper: "Flush *pred in update-conscious MCS"
 		}
 		fallthrough
 	case 6:
@@ -194,7 +161,7 @@ func mcsReleaseStep(p *machine.Proc, f *machine.Frame) machine.OpStatus {
 		p.BeginPhase(machine.PhaseLock)
 		f.A0 = l.node(p.ID())
 		f.PC = 1
-		return p.FFence()
+		return p.FFence() // release: the critical section's writes
 	case 1:
 		f.PC = 2
 		return p.FRead(f.A0 + qnodeNext)
@@ -222,7 +189,7 @@ func mcsReleaseStep(p *machine.Proc, f *machine.Frame) machine.OpStatus {
 	case 5:
 		if l.updateConscious {
 			f.PC = 6
-			return p.FFlush(f.A1)
+			return p.FFlush(f.A1) // paper: "Flush *(I->next) in update-conscious MCS"
 		}
 		fallthrough
 	case 6:
@@ -234,7 +201,7 @@ func mcsReleaseStep(p *machine.Proc, f *machine.Frame) machine.OpStatus {
 
 // ---- CentralBarrier ----
 
-// FWait is Wait compiled to the state-machine model.
+// FWait joins the barrier episode.
 func (b *CentralBarrier) FWait(p *machine.Proc) machine.OpStatus {
 	p.Call(centralWaitStep, b)
 	return machine.OpCalled
@@ -248,12 +215,13 @@ func centralWaitStep(p *machine.Proc, f *machine.Frame) machine.OpStatus {
 		f.T0 = p.Now()
 		p.BeginPhase(machine.PhaseBarrier)
 		f.PC = 1
-		return p.FFence()
+		return p.FFence() // release: writes before the barrier
 	case 1:
 		ls := b.localSense[p.ID()]
-		b.localSense[p.ID()] = 1 - ls // toggle private sense
+		b.localSense[p.ID()] = 1 - ls // toggle private sense (register-resident)
 		f.U0 = ls
 		f.PC = 2
+		// fetch_and_decrement: add -1, old value 1 means we are last.
 		return p.FFetchAdd(b.count, ^uint32(0))
 	case 2:
 		if p.Ret() == 1 { // we are last: reset and release
@@ -278,7 +246,7 @@ func centralWaitStep(p *machine.Proc, f *machine.Frame) machine.OpStatus {
 
 // ---- DisseminationBarrier ----
 
-// FWait is Wait compiled to the state-machine model.
+// FWait joins the barrier episode.
 func (b *DisseminationBarrier) FWait(p *machine.Proc) machine.OpStatus {
 	p.Call(disseminationWaitStep, b)
 	return machine.OpCalled
@@ -332,7 +300,7 @@ func disseminationWaitStep(p *machine.Proc, f *machine.Frame) machine.OpStatus {
 
 // ---- TreeBarrier ----
 
-// FWait is Wait compiled to the state-machine model.
+// FWait joins the barrier episode.
 func (b *TreeBarrier) FWait(p *machine.Proc) machine.OpStatus {
 	p.Call(treeWaitStep, b)
 	return machine.OpCalled
@@ -407,9 +375,7 @@ func treeWaitStep(p *machine.Proc, f *machine.Frame) machine.OpStatus {
 
 // ---- Reducers ----
 
-// FReduce is Reduce compiled to the state-machine model. The injected
-// lock and barrier must be program-capable (all stock and magic
-// implementations are).
+// FReduce performs one parallel reduction episode.
 func (r *ParallelReducer) FReduce(p *machine.Proc, local uint32) machine.OpStatus {
 	f := p.Call(parallelReduceStep, r)
 	f.U0 = local
@@ -423,7 +389,7 @@ func parallelReduceStep(p *machine.Proc, f *machine.Frame) machine.OpStatus {
 	case 0:
 		f.T0 = p.Now()
 		f.PC = 1
-		return r.lock.(ProgramLock).FAcquire(p)
+		return r.lock.FAcquire(p)
 	case 1:
 		f.PC = 2
 		return p.FRead(r.max)
@@ -435,10 +401,10 @@ func parallelReduceStep(p *machine.Proc, f *machine.Frame) machine.OpStatus {
 		fallthrough
 	case 3:
 		f.PC = 4
-		return r.lock.(ProgramLock).FRelease(p)
+		return r.lock.FRelease(p)
 	case 4:
 		f.PC = 5
-		return r.barrier.(ProgramBarrier).FWait(p)
+		return r.barrier.FWait(p)
 	case 5:
 		r.lat.Observe(p.Now() - f.T0)
 		return machine.OpDone
@@ -446,8 +412,7 @@ func parallelReduceStep(p *machine.Proc, f *machine.Frame) machine.OpStatus {
 	panic("constructs: parallelReduceStep bad pc")
 }
 
-// FReduce is Reduce compiled to the state-machine model. The injected
-// barrier must be program-capable.
+// FReduce performs one sequential reduction episode.
 func (r *SequentialReducer) FReduce(p *machine.Proc, local uint32) machine.OpStatus {
 	f := p.Call(sequentialReduceStep, r)
 	f.U0 = local
@@ -466,7 +431,7 @@ func sequentialReduceStep(p *machine.Proc, f *machine.Frame) machine.OpStatus {
 			return p.FWrite(r.slots[p.ID()], f.U0)
 		case 1: // barrier entry fences, publishing the slot
 			f.PC = 2
-			return r.barrier.(ProgramBarrier).FWait(p)
+			return r.barrier.FWait(p)
 		case 2:
 			if p.ID() != 0 {
 				f.PC = 6
@@ -494,7 +459,7 @@ func sequentialReduceStep(p *machine.Proc, f *machine.Frame) machine.OpStatus {
 			f.PC = 3
 		case 6:
 			f.PC = 7
-			return r.barrier.(ProgramBarrier).FWait(p)
+			return r.barrier.FWait(p)
 		case 7:
 			r.lat.Observe(p.Now() - f.T0)
 			return machine.OpDone

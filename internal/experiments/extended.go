@@ -18,13 +18,13 @@ func (a extAlgo) String() string { return extendedAlgos[a].name }
 // test-and-test-and-set.
 var extendedAlgos = []struct {
 	name string
-	mk   func(m *machine.Machine) constructs.ProgramLock
+	mk   func(m *machine.Machine) constructs.Lock
 }{
-	{"tas", func(m *machine.Machine) constructs.ProgramLock { return constructs.NewTASLock(m, "lock") }},
-	{"ttas", func(m *machine.Machine) constructs.ProgramLock { return constructs.NewTTASLock(m, "lock") }},
-	{"tk", func(m *machine.Machine) constructs.ProgramLock { return constructs.NewTicketLock(m, "lock") }},
-	{"MCS", func(m *machine.Machine) constructs.ProgramLock { return constructs.NewMCSLock(m, "lock", false) }},
-	{"uc", func(m *machine.Machine) constructs.ProgramLock { return constructs.NewMCSLock(m, "lock", true) }},
+	{"tas", func(m *machine.Machine) constructs.Lock { return constructs.NewTASLock(m, "lock") }},
+	{"ttas", func(m *machine.Machine) constructs.Lock { return constructs.NewTTASLock(m, "lock") }},
+	{"tk", func(m *machine.Machine) constructs.Lock { return constructs.NewTicketLock(m, "lock") }},
+	{"MCS", func(m *machine.Machine) constructs.Lock { return constructs.NewMCSLock(m, "lock", false) }},
+	{"uc", func(m *machine.Machine) constructs.Lock { return constructs.NewMCSLock(m, "lock", true) }},
 }
 
 // ExtendedLockSweep extends figure 8 with the two other classic spin

@@ -21,18 +21,16 @@ func TestLitmusMessagePassing(t *testing.T) {
 			data := m.Alloc("data", 4, 0)
 			flag := m.Alloc("flag", 4, 1)
 			var observed uint32
-			trial := trial
-			m.Run(func(p *Proc) {
-				if p.ID() == 0 {
-					p.Compute(uint64(trial * 13)) // vary interleaving
-					p.Write(data, 42)
-					p.Fence() // release: data must be visible before flag
-					p.Write(flag, 1)
-					return
-				}
-				p.SpinUntil(flag, func(v uint32) bool { return v == 1 })
-				observed = p.Read(data)
-			})
+			m.RunProgram(byID{{
+				compute(uint64(trial * 13)), // vary interleaving
+				func(p *Proc, f *Frame) OpStatus { return p.FWrite(data, 42) },
+				func(p *Proc, f *Frame) OpStatus { return p.FFence() }, // release: data must be visible before flag
+				func(p *Proc, f *Frame) OpStatus { return p.FWrite(flag, 1) },
+			}, {
+				func(p *Proc, f *Frame) OpStatus { return p.FSpinUntilEqual(flag, 1) },
+				func(p *Proc, f *Frame) OpStatus { return p.FRead(data) },
+				do(func(p *Proc, f *Frame) { observed = p.Ret() }),
+			}})
 			if observed != 42 {
 				t.Fatalf("%v trial %d: MP read stale data %d", pr, trial, observed)
 			}
@@ -50,21 +48,18 @@ func TestLitmusStoreBuffering(t *testing.T) {
 			m := newM(t, pr, 2)
 			x := m.Alloc("x", 4, 0)
 			y := m.Alloc("y", 4, 1)
-			m.Run(func(p *Proc) {
-				if p.ID() == 0 {
-					p.Write(x, 1)
-					if fence {
-						p.Fence()
-					}
-					r0 = p.Read(y)
-				} else {
-					p.Write(y, 1)
-					if fence {
-						p.Fence()
-					}
-					r1 = p.Read(x)
+			// Each side stores its own word, optionally fences, then
+			// loads the other's.
+			side := func(mine, other Addr, r *uint32) Steps {
+				s := Steps{func(p *Proc, f *Frame) OpStatus { return p.FWrite(mine, 1) }}
+				if fence {
+					s = append(s, func(p *Proc, f *Frame) OpStatus { return p.FFence() })
 				}
-			})
+				return append(s,
+					func(p *Proc, f *Frame) OpStatus { return p.FRead(other) },
+					do(func(p *Proc, f *Frame) { *r = p.Ret() }))
+			}
+			m.RunProgram(byID{side(x, y, &r0), side(y, x, &r1)})
 			return r0, r1
 		}
 		// Unfenced: the model's read bypass makes r0 == r1 == 0 expected
@@ -95,17 +90,22 @@ func TestLitmusCoherenceSameLocation(t *testing.T) {
 			written[uint32(i*11)] = true
 		}
 		bad := false
-		m.Run(func(p *Proc) {
-			id := uint32(p.ID()+1) * 11
-			p.Write(x, id)
-			p.Fence()
-			for k := 0; k < 6; k++ {
-				if v := p.Read(x); !written[v] {
-					bad = true
-				}
-				p.Compute(uint64(7 * (p.ID() + 1)))
-			}
-		})
+		m.RunProgram(seq(
+			[]stage{
+				func(p *Proc, f *Frame) OpStatus { return p.FWrite(x, uint32(p.ID()+1)*11) },
+				func(p *Proc, f *Frame) OpStatus { return p.FFence() },
+			},
+			repeat(6,
+				func(p *Proc, f *Frame) OpStatus { return p.FRead(x) },
+				func(p *Proc, f *Frame) OpStatus {
+					if !written[p.Ret()] {
+						bad = true
+					}
+					return OpDone
+				},
+				computeBy(func(p *Proc) uint64 { return uint64(7 * (p.ID() + 1)) }),
+			),
+		))
 		if bad {
 			t.Fatalf("%v: out-of-thin-air value observed", pr)
 		}
@@ -134,14 +134,15 @@ func TestLitmusAtomicityRMW(t *testing.T) {
 				m := newM(t, pr, procs)
 				x := m.Alloc("x", 4, 0)
 				const each = 9
-				m.Run(func(p *Proc) {
-					for i := 0; i < each; i++ {
-						p.FetchAdd(x, 1)
-						if i%3 == 0 {
-							p.Compute(uint64(p.Rand().Intn(20)))
+				m.RunProgram(seq(repeat(each,
+					func(p *Proc, f *Frame) OpStatus { return p.FFetchAdd(x, 1) },
+					func(p *Proc, f *Frame) OpStatus {
+						if f.I0%3 != 0 {
+							return OpDone
 						}
-					}
-				})
+						return computeBy(func(p *Proc) uint64 { return uint64(p.Rand().Intn(20)) })(p, f)
+					},
+				)))
 				want := uint32(procs * each)
 				got := m.Peek(x)
 				for q := 0; q < procs; q++ {
@@ -165,15 +166,15 @@ func TestLitmusReadYourWriteThroughWB(t *testing.T) {
 		m := newM(t, pr, 2)
 		x := m.Alloc("x", 4, 1) // remote home: drain is slow
 		ok := true
-		m.Run(func(p *Proc) {
-			if p.ID() != 0 {
-				return
-			}
-			p.Write(x, 5)
-			if p.Read(x) != 5 { // must forward from the write buffer
-				ok = false
-			}
-		})
+		m.RunProgram(byID{{
+			func(p *Proc, f *Frame) OpStatus { return p.FWrite(x, 5) },
+			func(p *Proc, f *Frame) OpStatus { return p.FRead(x) },
+			do(func(p *Proc, f *Frame) {
+				if p.Ret() != 5 { // must forward from the write buffer
+					ok = false
+				}
+			}),
+		}, nil})
 		if !ok {
 			t.Fatalf("%v: read did not observe own buffered store", pr)
 		}

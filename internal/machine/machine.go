@@ -1,17 +1,17 @@
 // Package machine assembles the full simulated multiprocessor — engine,
 // mesh, memories, caches, coherence system, classifier — and exposes the
 // simulated-processor programming model that workloads are written
-// against: Read, Write, FetchAdd, FetchStore, CompareSwap, Flush,
-// Compute, Fence, and spin-wait primitives.
+// against: FRead, FWrite, FFetchAdd, FFetchStore, FCompareSwap, FFlush,
+// FCompute, FFence, and spin-wait primitives.
 //
-// Workloads are ordinary Go functions of a *Proc, one per simulated
-// processor; each runs as a coroutine in strict alternation with the
-// event engine, so simulations are deterministic and race-free. Cycle
-// accounting follows the paper: every instruction and read hit costs one
-// cycle, read misses stall the processor, writes enter a 4-entry write
-// buffer in one cycle (stalling only when it is full), reads bypass
-// buffered writes with value forwarding, and atomic instructions drain
-// the write buffer first.
+// A workload is a Program: a resumable step function that every
+// simulated processor runs and that the event engine re-enters by
+// direct call, all on the caller's goroutine, so simulations are
+// deterministic and race-free. Cycle accounting follows the paper:
+// every instruction and read hit costs one cycle, read misses stall the
+// processor, writes enter a 4-entry write buffer in one cycle (stalling
+// only when it is full), reads bypass buffered writes with value
+// forwarding, and atomic instructions drain the write buffer first.
 package machine
 
 import (
@@ -61,7 +61,7 @@ type Config struct {
 	// simulated time, so enabling it never perturbs the simulation and
 	// its snapshot is byte-identical at any experiment worker count.
 	// The machine threads the registry through the coherence system,
-	// caches, and mesh; Run folds the snapshot into Result.Metrics.
+	// caches, and mesh; RunProgram folds the snapshot into Result.Metrics.
 	Metrics *metrics.Registry
 	// Timeline, when non-nil, records per-processor state intervals
 	// (stalls, spins, sync waits) for Chrome trace-event / Perfetto
@@ -124,8 +124,9 @@ type Result struct {
 func (r Result) SimulatedCycles() uint64 { return r.Cycles }
 
 // Machine is one simulated multiprocessor. Allocate shared data with
-// Alloc, initialize it with Poke, then execute a workload with Run.
-// A Machine runs exactly one workload; build a fresh Machine per run.
+// Alloc, initialize it with Poke, then execute a workload with
+// RunProgram. A Machine runs one workload (in one or more RunProgram
+// phases); Reset it or build a fresh Machine per run.
 type Machine struct {
 	e   *sim.Engine
 	cl  *classify.Classifier
@@ -141,10 +142,6 @@ type Machine struct {
 	blockHome []int8
 	allocs    []allocEntry
 
-	// body is the workload for the current Run; each processor's
-	// once-built coroutine entry function reads it through the machine,
-	// so reused processors need no fresh closures.
-	body  func(p *Proc)
 	procs []*Proc
 	ran   bool
 
@@ -281,8 +278,8 @@ func (m *Machine) Config() Config { return m.cfg }
 // geometry, mesh, and memory parameters are fixed at construction.
 // Protocol selection, thresholds, ablation switches, and observability
 // sinks may change freely between runs. A reset machine is
-// indistinguishable from a fresh one: allocations, Pokes, and Run
-// produce byte-identical results.
+// indistinguishable from a fresh one: allocations, Pokes, and
+// RunProgram produce byte-identical results.
 func (m *Machine) Reset(cfg Config) bool {
 	if cfg.Procs != m.cfg.Procs || cfg.CacheBytes != m.cfg.CacheBytes ||
 		cfg.WBEntries != m.cfg.WBEntries || cfg.Mesh != m.cfg.Mesh ||
@@ -302,7 +299,6 @@ func (m *Machine) Reset(cfg Config) bool {
 	}
 	m.allocs = m.allocs[:0]
 	m.sys.Reset(m.protoConfig())
-	m.body = nil
 	for _, p := range m.procs {
 		p.reset()
 	}
@@ -388,7 +384,7 @@ func (m *Machine) Base(name string) Addr {
 }
 
 // Poke initializes a shared word in memory without simulated time or
-// traffic. Use only before Run.
+// traffic. Use only while no RunProgram phase is executing.
 func (m *Machine) Poke(a Addr, v uint32) {
 	block, word := cache.BlockOf(a), cache.WordOf(a)
 	m.sys.Memory(m.sys.HomeOf(block)).Poke(block, word, v)
@@ -411,47 +407,25 @@ func (m *Machine) ensureProcs() {
 	}
 }
 
-// Run executes body on every simulated processor to completion and
-// returns the run summary, using the legacy coroutine model: each
-// processor runs body on a dedicated goroutine in strict alternation
-// with the engine. Workloads compiled to the state-machine model run
-// through RunProgram instead — same semantics, no goroutines.
-// Following the paper's fork-time optimization, processor 0's cache is
-// flushed before the parallel phase (caches are cold in a fresh
-// Machine, so this matters only for machines that Poke through a
-// processor; it is kept for fidelity).
-func (m *Machine) Run(body func(p *Proc)) Result {
-	if m.ran {
-		panic("machine: Run called twice; Reset the machine or build a fresh one per run")
-	}
-	m.ran = true
-	m.sys.FlushAll(0)
-	m.ensureProcs()
-	m.body = body
-	for _, p := range m.procs {
-		p.sm = false
-		p.co = m.e.Go(p.name, p.runFn)
-	}
-	m.e.Run()
-	return m.collect()
-}
-
 // RunProgram executes prog on every simulated processor to completion
-// and returns the run summary. Programs are resumable state machines
-// dispatched inline by the event loop: no goroutine or channel
-// hand-offs, but cycle accounting, traces, and event numbering are
-// byte-identical to the equivalent Run workload.
+// and returns the run summary. Following the paper's fork-time
+// optimization, processor 0's cache is flushed before the parallel
+// phase (caches are cold in a fresh Machine, so this matters only for
+// machines that Poke through a processor; it is kept for fidelity).
 //
-// Unlike Run, RunProgram may be called again after it returns: a second
-// call is a continuation phase that extends the same simulation —
-// caches stay warm, the clock and event numbering continue, and the
-// returned Result is cumulative. Snapshot/RestoreFrom rely on this to
-// fork measurement phases off a captured warm-up phase. The fork-time
-// cache flush applies to the first phase only.
+// RunProgram may be called again after it returns: a second call is a
+// continuation phase that extends the same simulation — caches stay
+// warm, the clock and event numbering continue, and the returned Result
+// is cumulative. Snapshot/RestoreFrom rely on this to fork measurement
+// phases off a captured warm-up phase. The fork-time cache flush
+// applies to the first phase only.
+//
+// A step that returns OpBlocked without having parked the processor or
+// scheduled its wake (for one, ignoring FCompute's result) strands it:
+// the queue drains with the program unfinished. That is a bug in the
+// Program, and RunProgram panics rather than return a truncated Result;
+// the machine then refuses Reset, so the pool drops it.
 func (m *Machine) RunProgram(prog Program) Result {
-	if m.body != nil {
-		panic("machine: RunProgram after Run; Reset the machine or build a fresh one per run")
-	}
 	if !m.ran {
 		m.ran = true
 		m.sys.FlushAll(0)
@@ -461,6 +435,9 @@ func (m *Machine) RunProgram(prog Program) Result {
 		p.startProgram(prog)
 	}
 	m.e.Run()
+	if n := m.e.Live(); n != 0 {
+		panic(fmt.Sprintf("machine: run ended with %d processor(s) unfinished: a step returned OpBlocked without parking", n))
+	}
 	return m.collect()
 }
 

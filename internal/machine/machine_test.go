@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"coherencesim/internal/classify"
 	"coherencesim/internal/metrics"
 	"coherencesim/internal/proto"
 	"coherencesim/internal/sim"
@@ -97,17 +96,18 @@ func TestReadHitCostsOneCycle(t *testing.T) {
 		m := newM(t, pr, 2)
 		a := m.Alloc("x", 4, 0)
 		var missT, hitT sim.Time
-		res := m.Run(func(p *Proc) {
-			if p.ID() != 0 {
-				return
-			}
-			t0 := p.Now()
-			p.Read(a)
-			missT = p.Now() - t0
-			t1 := p.Now()
-			p.Read(a)
-			hitT = p.Now() - t1
-		})
+		res := m.RunProgram(byID{{ // register T0: issue time
+			func(p *Proc, f *Frame) OpStatus {
+				f.T0 = p.Now()
+				return p.FRead(a)
+			},
+			func(p *Proc, f *Frame) OpStatus {
+				missT = p.Now() - f.T0
+				f.T0 = p.Now()
+				return p.FRead(a)
+			},
+			do(func(p *Proc, f *Frame) { hitT = p.Now() - f.T0 }),
+		}, nil})
 		if hitT != 1 {
 			t.Errorf("%v: hit cost %d cycles, want 1", pr, hitT)
 		}
@@ -123,68 +123,66 @@ func TestReadHitCostsOneCycle(t *testing.T) {
 func TestWriteCostsOneCycleIntoBuffer(t *testing.T) {
 	m := newM(t, proto.WI, 2)
 	a := m.Alloc("x", 4, 1)
-	m.Run(func(p *Proc) {
-		if p.ID() != 0 {
-			return
-		}
-		t0 := p.Now()
-		p.Write(a, 1)
-		if d := p.Now() - t0; d != 1 {
-			t.Errorf("buffered write cost %d cycles, want 1", d)
-		}
-	})
+	m.RunProgram(byID{{
+		func(p *Proc, f *Frame) OpStatus {
+			f.T0 = p.Now()
+			return p.FWrite(a, 1)
+		},
+		do(func(p *Proc, f *Frame) {
+			if d := p.Now() - f.T0; d != 1 {
+				t.Errorf("buffered write cost %d cycles, want 1", d)
+			}
+		}),
+	}, nil})
 }
 
 func TestWriteBufferFullStalls(t *testing.T) {
 	m := newM(t, proto.PU, 2)
 	a := m.Alloc("x", 64*8, 1) // remote home: drains are slow
-	m.Run(func(p *Proc) {
-		if p.ID() != 0 {
-			return
-		}
-		t0 := p.Now()
-		// 5 writes into a 4-entry buffer: the fifth must stall.
-		for i := 0; i < 5; i++ {
-			p.Write(a+Addr(i*64), uint32(i))
-		}
-		if d := p.Now() - t0; d <= 5 {
-			t.Errorf("5 writes took %d cycles; fifth should have stalled", d)
-		}
-	})
+	var took sim.Time
+	// 5 writes into a 4-entry buffer: the fifth must stall.
+	m.RunProgram(byID{seq(
+		repeat(5, func(p *Proc, f *Frame) OpStatus { return p.FWrite(a+Addr(f.I0*64), uint32(f.I0)) }),
+		[]stage{do(func(p *Proc, f *Frame) { took = p.Now() })},
+	), nil})
+	if took <= 5 {
+		t.Errorf("5 writes took %d cycles; fifth should have stalled", took)
+	}
 }
 
 func TestReadForwardsFromWriteBuffer(t *testing.T) {
 	m := newM(t, proto.WI, 2)
 	a := m.Alloc("x", 4, 1)
-	m.Run(func(p *Proc) {
-		if p.ID() != 0 {
-			return
-		}
-		p.Write(a, 7)
-		t0 := p.Now()
-		if v := p.Read(a); v != 7 {
-			t.Errorf("forwarded read = %d, want 7", v)
-		}
-		if d := p.Now() - t0; d != 1 {
-			t.Errorf("forwarded read cost %d, want 1 (no miss)", d)
-		}
-	})
+	m.RunProgram(byID{{
+		func(p *Proc, f *Frame) OpStatus { return p.FWrite(a, 7) },
+		func(p *Proc, f *Frame) OpStatus {
+			f.T0 = p.Now()
+			return p.FRead(a)
+		},
+		do(func(p *Proc, f *Frame) {
+			if v := p.Ret(); v != 7 {
+				t.Errorf("forwarded read = %d, want 7", v)
+			}
+			if d := p.Now() - f.T0; d != 1 {
+				t.Errorf("forwarded read cost %d, want 1 (no miss)", d)
+			}
+		}),
+	}, nil})
 }
 
 func TestFenceWaitsForWritesAllProtocols(t *testing.T) {
 	for _, pr := range allProtocols() {
 		m := newM(t, pr, 4)
 		a := m.Alloc("x", 4, 3)
-		m.Run(func(p *Proc) {
-			if p.ID() != 0 {
-				return
-			}
-			p.Write(a, 1)
-			p.Fence()
-			if p.m.sys.Outstanding(p.id) != 0 || !p.wb.Empty() {
-				t.Errorf("%v: fence left outstanding state", pr)
-			}
-		})
+		m.RunProgram(byID{{
+			func(p *Proc, f *Frame) OpStatus { return p.FWrite(a, 1) },
+			func(p *Proc, f *Frame) OpStatus { return p.FFence() },
+			do(func(p *Proc, f *Frame) {
+				if p.m.sys.Outstanding(p.id) != 0 || !p.wb.Empty() {
+					t.Errorf("%v: fence left outstanding state", pr)
+				}
+			}),
+		}, nil})
 	}
 }
 
@@ -192,28 +190,15 @@ func TestFetchAddAcrossProcs(t *testing.T) {
 	for _, pr := range allProtocols() {
 		m := newM(t, pr, 8)
 		ctr := m.Alloc("ctr", 4, 0)
-		m.Run(func(p *Proc) {
-			for i := 0; i < 10; i++ {
-				p.FetchAdd(ctr, 1)
-			}
-		})
-		// All 80 increments must be present.
-		m2 := m
-		var final uint32
-		_ = m2
-		final = m.Peek(ctr)
+		m.RunProgram(seq(repeat(10, func(p *Proc, f *Frame) OpStatus { return p.FFetchAdd(ctr, 1) })))
+		// All 80 increments must be present. Under WI the final value may
+		// live in a cache, not memory.
+		final := m.Peek(ctr)
 		if pr == proto.WI {
-			// Under WI the final value may live in a cache, not memory.
-			// Fetch it through the directory by peeking each cache.
-			found := false
 			for q := 0; q < 8; q++ {
 				if ln := m.sys.Cache(q).Lookup(uint32(ctr / 64)); ln != nil {
 					final = ln.Data[0]
-					found = true
 				}
-			}
-			if !found {
-				final = m.Peek(ctr)
 			}
 		}
 		if final != 80 {
@@ -228,22 +213,24 @@ func TestCompareSwapMutex(t *testing.T) {
 		m := newM(t, pr, 4)
 		lock := m.Alloc("lock", 4, 0)
 		shared := m.Alloc("shared", 4, 0)
-		m.Run(func(p *Proc) {
-			for i := 0; i < 5; i++ {
-				for !p.CompareSwap(lock, 0, 1) {
-					p.SpinWhileEqual(lock, 1)
+		m.RunProgram(seq(repeat(5, // register U0: the value read
+			func(p *Proc, f *Frame) OpStatus { return p.FCompareSwap(lock, 0, 1) },
+			func(p *Proc, f *Frame) OpStatus {
+				if p.Ret() != 0 { // lost: wait for the holder, then swap again
+					f.PC -= 2
+					return p.FSpinWhileEqual(lock, 1)
 				}
-				v := p.Read(shared)
-				p.Compute(3)
-				p.Write(shared, v+1)
-				p.Fence()
-				p.Write(lock, 0)
-			}
-		})
-		var final uint32
-		m2 := New(DefaultConfig(pr, 1))
-		_ = m2
-		final = m.Peek(shared)
+				return p.FRead(shared)
+			},
+			func(p *Proc, f *Frame) OpStatus {
+				f.U0 = p.Ret()
+				return compute(3)(p, f)
+			},
+			func(p *Proc, f *Frame) OpStatus { return p.FWrite(shared, f.U0+1) },
+			func(p *Proc, f *Frame) OpStatus { return p.FFence() },
+			func(p *Proc, f *Frame) OpStatus { return p.FWrite(lock, 0) },
+		)))
+		final := m.Peek(shared)
 		if pr == proto.WI {
 			for q := 0; q < 4; q++ {
 				if ln := m.sys.Cache(q).Lookup(uint32(shared / 64)); ln != nil && ln.State != 0 {
@@ -257,20 +244,31 @@ func TestCompareSwapMutex(t *testing.T) {
 	}
 }
 
+// delayedFlagWrite is processor 0 of the spin tests: compute, publish
+// the flag, optionally fence, and report when the write retired.
+func delayedFlagWrite(delay sim.Time, flag Addr, fence bool, wroteAt *sim.Time) Steps {
+	s := Steps{
+		compute(delay),
+		func(p *Proc, f *Frame) OpStatus { return p.FWrite(flag, 1) },
+		do(func(p *Proc, f *Frame) { *wroteAt = p.Now() }),
+	}
+	if fence {
+		s = append(s, func(p *Proc, f *Frame) OpStatus { return p.FFence() })
+	}
+	return s
+}
+
 func TestSpinUntilSeesRemoteWrite(t *testing.T) {
 	for _, pr := range allProtocols() {
 		m := newM(t, pr, 2)
 		flag := m.Alloc("flag", 4, 0)
 		var sawAt, wroteAt sim.Time
-		m.Run(func(p *Proc) {
-			if p.ID() == 0 {
-				p.Compute(500)
-				p.Write(flag, 1)
-				wroteAt = p.Now()
-			} else {
-				p.SpinUntil(flag, func(v uint32) bool { return v == 1 })
-				sawAt = p.Now()
-			}
+		m.RunProgram(byID{
+			delayedFlagWrite(500, flag, false, &wroteAt),
+			{
+				func(p *Proc, f *Frame) OpStatus { return p.FSpinUntilEqual(flag, 1) },
+				do(func(p *Proc, f *Frame) { sawAt = p.Now() }),
+			},
 		})
 		if sawAt == 0 || sawAt < wroteAt {
 			t.Errorf("%v: spin saw flag at %d, write at %d", pr, sawAt, wroteAt)
@@ -290,14 +288,10 @@ func TestSpinPollTimelineSlices(t *testing.T) {
 		cfg.Timeline = tl
 		m := New(cfg)
 		flag := m.Alloc("flag", 4, 0)
-		res := m.Run(func(p *Proc) {
-			if p.ID() == 0 {
-				p.Compute(500)
-				p.Write(flag, 1)
-				p.Fence()
-			} else {
-				p.SpinUntil(flag, func(v uint32) bool { return v == 1 })
-			}
+		var wroteAt sim.Time
+		res := m.RunProgram(byID{
+			delayedFlagWrite(500, flag, true, &wroteAt),
+			{func(p *Proc, f *Frame) OpStatus { return p.FSpinUntilEqual(flag, 1) }},
 		})
 		var slices, total sim.Time
 		for _, s := range tl.Slices() {
@@ -320,73 +314,26 @@ func TestSpinPollTimelineSlices(t *testing.T) {
 	}
 }
 
-func TestSpinUntilWordsTreeStyle(t *testing.T) {
-	for _, pr := range allProtocols() {
-		m := newM(t, pr, 4)
-		flags := m.Alloc("flags", 16, 0) // 4 words, one block
-		for i := 0; i < 4; i++ {
-			m.Poke(flags+Addr(i*4), 1)
-		}
-		m.Run(func(p *Proc) {
-			if p.ID() == 0 {
-				addrs := []Addr{flags, flags + 4, flags + 8, flags + 12}
-				p.SpinUntilWords(addrs, func(vs []uint32) bool {
-					for _, v := range vs {
-						if v != 0 {
-							return false
-						}
-					}
-					return true
-				})
-				return
-			}
-			p.Compute(sim.Time(100 * p.ID()))
-			p.Write(flags+Addr((p.ID()-1)*4), 0)
-			if p.ID() == 3 {
-				p.Compute(50)
-				p.Write(flags+12, 0) // also clear the fourth word
-			}
-		})
-	}
-}
-
-func TestSpinUntilWordsValidation(t *testing.T) {
-	m := newM(t, proto.WI, 1)
-	a := m.Alloc("x", 128, 0)
-	m.Run(func(p *Proc) {
-		for name, addrs := range map[string][]Addr{
-			"empty":       {},
-			"span blocks": {a, a + 64},
-		} {
-			addrs := addrs
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s did not panic", name)
-					}
-				}()
-				p.SpinUntilWords(addrs, func([]uint32) bool { return true })
-			}()
-		}
-	})
-}
-
 func TestMagicLockFIFOAndExclusion(t *testing.T) {
 	m := newM(t, proto.WI, 8)
 	l := m.NewMagicLock()
 	inCS := 0
 	var order []int
-	m.Run(func(p *Proc) {
-		p.Compute(sim.Time(p.ID())) // stagger arrivals
-		l.Acquire(p)
-		inCS++
-		if inCS != 1 {
-			t.Error("mutual exclusion violated")
-		}
-		order = append(order, p.ID())
-		p.Compute(20)
-		inCS--
-		l.Release(p)
+	m.RunProgram(Steps{
+		computeBy(func(p *Proc) sim.Time { return sim.Time(p.ID()) }), // stagger arrivals
+		func(p *Proc, f *Frame) OpStatus { return l.FAcquire(p) },
+		func(p *Proc, f *Frame) OpStatus {
+			inCS++
+			if inCS != 1 {
+				t.Error("mutual exclusion violated")
+			}
+			order = append(order, p.ID())
+			return compute(20)(p, f)
+		},
+		func(p *Proc, f *Frame) OpStatus {
+			inCS--
+			return l.FRelease(p)
+		},
 	})
 	for i, id := range order {
 		if id != i {
@@ -398,13 +345,11 @@ func TestMagicLockFIFOAndExclusion(t *testing.T) {
 func TestMagicLockGeneratesNoTraffic(t *testing.T) {
 	m := newM(t, proto.PU, 4)
 	l := m.NewMagicLock()
-	res := m.Run(func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			l.Acquire(p)
-			p.Compute(5)
-			l.Release(p)
-		}
-	})
+	res := m.RunProgram(seq(repeat(10,
+		func(p *Proc, f *Frame) OpStatus { return l.FAcquire(p) },
+		compute(5),
+		func(p *Proc, f *Frame) OpStatus { return l.FRelease(p) },
+	)))
 	if res.Net.Messages != 0 || res.Net.Loopback != 0 {
 		t.Fatalf("magic lock produced traffic: %+v", res.Net)
 	}
@@ -413,14 +358,12 @@ func TestMagicLockGeneratesNoTraffic(t *testing.T) {
 func TestMagicLockReleaseWithoutHolderPanics(t *testing.T) {
 	m := newM(t, proto.WI, 1)
 	l := m.NewMagicLock()
-	m.Run(func(p *Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("release without holder did not panic")
-			}
-		}()
-		l.Release(p)
-	})
+	defer func() {
+		if recover() == nil {
+			t.Error("release without holder did not panic")
+		}
+	}()
+	m.RunProgram(Steps{func(p *Proc, f *Frame) OpStatus { return l.FRelease(p) }})
 }
 
 func TestMagicBarrierJoinsAll(t *testing.T) {
@@ -428,15 +371,19 @@ func TestMagicBarrierJoinsAll(t *testing.T) {
 	b := m.NewMagicBarrier()
 	var maxArrive, minLeave sim.Time
 	minLeave = 1 << 60
-	m.Run(func(p *Proc) {
-		p.Compute(sim.Time(10 * p.ID()))
-		if p.Now() > maxArrive {
-			maxArrive = p.Now()
-		}
-		b.Wait(p)
-		if p.Now() < minLeave {
-			minLeave = p.Now()
-		}
+	m.RunProgram(Steps{
+		computeBy(func(p *Proc) sim.Time { return sim.Time(10 * p.ID()) }),
+		func(p *Proc, f *Frame) OpStatus {
+			if p.Now() > maxArrive {
+				maxArrive = p.Now()
+			}
+			return b.FWait(p)
+		},
+		do(func(p *Proc, f *Frame) {
+			if p.Now() < minLeave {
+				minLeave = p.Now()
+			}
+		}),
 	})
 	if minLeave < maxArrive {
 		t.Fatalf("a processor left the barrier (t=%d) before the last arrival (t=%d)", minLeave, maxArrive)
@@ -447,54 +394,34 @@ func TestMagicBarrierRepeatedEpisodes(t *testing.T) {
 	m := newM(t, proto.WI, 4)
 	b := m.NewMagicBarrier()
 	counts := make([]int, 4)
-	m.Run(func(p *Proc) {
-		for ep := 0; ep < 50; ep++ {
-			p.Compute(sim.Time(p.Rand().Intn(30) + 1))
-			b.Wait(p)
-			counts[p.ID()]++
-		}
-	})
+	m.RunProgram(seq(repeat(50,
+		computeBy(func(p *Proc) sim.Time { return sim.Time(p.Rand().Intn(30) + 1) }),
+		func(p *Proc, f *Frame) OpStatus { return b.FWait(p) },
+		do(func(p *Proc, f *Frame) { counts[p.ID()]++ }),
+	)))
 	for i, c := range counts {
 		if c != 50 {
 			t.Fatalf("proc %d completed %d episodes, want 50", i, c)
 		}
-	}
-	if res := m; res == nil {
-		t.Fatal("unreachable")
 	}
 }
 
 func TestMagicBarrierGeneratesNoTraffic(t *testing.T) {
 	m := newM(t, proto.CU, 4)
 	b := m.NewMagicBarrier()
-	res := m.Run(func(p *Proc) {
-		for i := 0; i < 20; i++ {
-			b.Wait(p)
-		}
-	})
+	res := m.RunProgram(seq(repeat(20, func(p *Proc, f *Frame) OpStatus { return b.FWait(p) })))
 	if res.Net.Messages != 0 || res.Net.Loopback != 0 {
 		t.Fatalf("magic barrier produced traffic: %+v", res.Net)
 	}
 }
 
-func TestRunTwicePanics(t *testing.T) {
-	m := newM(t, proto.WI, 1)
-	m.Run(func(p *Proc) {})
-	defer func() {
-		if recover() == nil {
-			t.Error("second Run did not panic")
-		}
-	}()
-	m.Run(func(p *Proc) {})
-}
-
 func TestRunResultPopulated(t *testing.T) {
 	m := newM(t, proto.PU, 4)
 	a := m.Alloc("x", 4, 0)
-	res := m.Run(func(p *Proc) {
-		p.Read(a)
-		p.Write(a, uint32(p.ID()))
-		p.Fence()
+	res := m.RunProgram(Steps{
+		func(p *Proc, f *Frame) OpStatus { return p.FRead(a) },
+		func(p *Proc, f *Frame) OpStatus { return p.FWrite(a, uint32(p.ID())) },
+		func(p *Proc, f *Frame) OpStatus { return p.FFence() },
 	})
 	if res.Cycles == 0 {
 		t.Error("zero cycles")
@@ -515,16 +442,14 @@ func TestDeterminism(t *testing.T) {
 		m := newM(t, proto.CU, 8)
 		a := m.Alloc("x", 256, -1)
 		l := m.NewMagicLock()
-		return m.Run(func(p *Proc) {
-			for i := 0; i < 20; i++ {
-				p.FetchAdd(a, 1)
-				l.Acquire(p)
-				v := p.Read(a + 64)
-				p.Write(a+64, v+1)
-				l.Release(p)
-				p.Compute(sim.Time(p.Rand().Intn(10)))
-			}
-		})
+		return m.RunProgram(seq(repeat(20,
+			func(p *Proc, f *Frame) OpStatus { return p.FFetchAdd(a, 1) },
+			func(p *Proc, f *Frame) OpStatus { return l.FAcquire(p) },
+			func(p *Proc, f *Frame) OpStatus { return p.FRead(a + 64) },
+			func(p *Proc, f *Frame) OpStatus { return p.FWrite(a+64, p.Ret()+1) },
+			func(p *Proc, f *Frame) OpStatus { return l.FRelease(p) },
+			computeBy(func(p *Proc) sim.Time { return sim.Time(p.Rand().Intn(10)) }),
+		)))
 	}
 	r1, r2 := run(), run()
 	if r1.Cycles != r2.Cycles || r1.Misses != r2.Misses ||
@@ -540,17 +465,19 @@ func TestDeterminism(t *testing.T) {
 
 func TestProcAccessors(t *testing.T) {
 	m := newM(t, proto.WI, 3)
-	m.Run(func(p *Proc) {
-		if p.N() != 3 {
-			t.Errorf("N() = %d", p.N())
-		}
-		if p.Machine() != m {
-			t.Error("Machine() wrong")
-		}
-		if p.Rand() == nil {
-			t.Error("Rand() nil")
-		}
-		p.Compute(0) // zero-cost compute is a no-op
+	m.RunProgram(Steps{
+		func(p *Proc, f *Frame) OpStatus {
+			if p.N() != 3 {
+				t.Errorf("N() = %d", p.N())
+			}
+			if p.Machine() != m {
+				t.Error("Machine() wrong")
+			}
+			if p.Rand() == nil {
+				t.Error("Rand() nil")
+			}
+			return compute(0)(p, f) // zero-cost compute is a no-op
+		},
 	})
 	if m.Procs() != 3 || m.Protocol() != proto.WI {
 		t.Error("machine accessors wrong")
@@ -575,17 +502,19 @@ func TestPropertyReadYourOwnWrites(t *testing.T) {
 		m := New(DefaultConfig(pr, 2))
 		a := m.Alloc("x", 4, 1)
 		ok := true
-		m.Run(func(p *Proc) {
-			if p.ID() != 0 {
-				return
-			}
-			for _, v := range valsRaw {
-				p.Write(a, v)
-				if got := p.Read(a); got != v {
-					ok = false
-				}
-			}
-		})
+		var prog Steps
+		for _, v := range valsRaw {
+			v := v
+			prog = append(prog,
+				func(p *Proc, f *Frame) OpStatus { return p.FWrite(a, v) },
+				func(p *Proc, f *Frame) OpStatus { return p.FRead(a) },
+				do(func(p *Proc, f *Frame) {
+					if p.Ret() != v {
+						ok = false
+					}
+				}))
+		}
+		m.RunProgram(byID{prog, nil})
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -604,23 +533,26 @@ func TestPropertyEventualVisibility(t *testing.T) {
 		a := m.Alloc("x", 4, 0)
 		flag := m.Alloc("flag", 4, 0)
 		okAll := true
-		m.Run(func(p *Proc) {
-			if p.ID() == writer {
-				p.Write(a, v)
-				p.Fence()
-				p.Write(flag, 1)
-				return
-			}
-			p.SpinUntil(flag, func(x uint32) bool { return x == 1 })
-			if got := p.Read(a); got != v {
-				okAll = false
-			}
-		})
+		writerProg := Steps{
+			func(p *Proc, f *Frame) OpStatus { return p.FWrite(a, v) },
+			func(p *Proc, f *Frame) OpStatus { return p.FFence() },
+			func(p *Proc, f *Frame) OpStatus { return p.FWrite(flag, 1) },
+		}
+		readerProg := Steps{
+			func(p *Proc, f *Frame) OpStatus { return p.FSpinUntilEqual(flag, 1) },
+			func(p *Proc, f *Frame) OpStatus { return p.FRead(a) },
+			do(func(p *Proc, f *Frame) {
+				if p.Ret() != v {
+					okAll = false
+				}
+			}),
+		}
+		progs := byID{readerProg, readerProg, readerProg, readerProg}
+		progs[writer] = writerProg
+		m.RunProgram(progs)
 		return okAll
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
-
-var _ = classify.MissCold // keep import for documentation-oriented tests

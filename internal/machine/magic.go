@@ -1,28 +1,13 @@
 package machine
 
-import (
-	"coherencesim/internal/proto"
-	"coherencesim/internal/sim"
-)
-
-func (k atomicKind) proto() proto.AtomicKind {
-	switch k {
-	case atomicAdd:
-		return proto.FetchAdd
-	case atomicStore:
-		return proto.FetchStore
-	case atomicCAS:
-		return proto.CompareSwap
-	}
-	panic("machine: unknown atomic kind")
-}
+import "coherencesim/internal/sim"
 
 // MagicLock is the paper's zero-traffic lock (Section 4.3): it serializes
 // critical sections with FIFO fairness at a fixed cycle cost and without
 // generating any coherence or network activity. The reduction experiments
 // use it so that reduction communication is measured in isolation.
 //
-// Release performs the release-consistency fence (waiting for the
+// FRelease performs the release-consistency fence (waiting for the
 // holder's outstanding write acknowledgements), since that stall is a
 // property of the data writes being released, not of the lock's own
 // communication.
@@ -60,35 +45,72 @@ func (l *MagicLock) RestoreState(st any) {
 	l.held = st.(magicLockState).held
 }
 
-// Acquire obtains the lock, queueing FIFO behind the current holder.
-func (l *MagicLock) Acquire(p *Proc) {
-	p.BeginPhase(PhaseLock)
-	defer p.EndPhase()
-	p.Compute(l.cycles)
-	if !l.held {
-		l.held = true
-		return
-	}
-	l.queue = append(l.queue, p)
-	p.block(waitSync)
+// FAcquire obtains the lock, queueing FIFO behind the current holder.
+func (l *MagicLock) FAcquire(p *Proc) OpStatus {
+	p.Call(magicAcquireStep, l)
+	return OpCalled
 }
 
-// Release passes the lock to the oldest waiter, or frees it.
-func (l *MagicLock) Release(p *Proc) {
-	if !l.held {
-		panic("machine: MagicLock.Release without holder")
+// FRelease passes the lock to the oldest waiter, or frees it.
+func (l *MagicLock) FRelease(p *Proc) OpStatus {
+	p.Call(magicReleaseStep, l)
+	return OpCalled
+}
+
+func magicAcquireStep(p *Proc, f *Frame) OpStatus {
+	l := f.Obj.(*MagicLock)
+	switch f.PC {
+	case 0:
+		p.BeginPhase(PhaseLock)
+		f.PC = 1
+		if !p.FCompute(l.cycles) {
+			return OpBlocked
+		}
+		fallthrough
+	case 1:
+		if !l.held {
+			l.held = true
+			p.EndPhase()
+			return OpDone
+		}
+		l.queue = append(l.queue, p)
+		f.PC = 2
+		return p.block(waitSync)
+	case 2: // woken by a release handing us the lock
+		p.EndPhase()
+		return OpDone
 	}
-	p.BeginPhase(PhaseLock)
-	defer p.EndPhase()
-	p.Fence() // release consistency: wait for the holder's write acks
-	p.Compute(l.cycles)
-	if len(l.queue) == 0 {
-		l.held = false
-		return
+	panic("machine: magicAcquireStep bad pc")
+}
+
+func magicReleaseStep(p *Proc, f *Frame) OpStatus {
+	l := f.Obj.(*MagicLock)
+	switch f.PC {
+	case 0:
+		if !l.held {
+			panic("machine: MagicLock.Release without holder")
+		}
+		p.BeginPhase(PhaseLock)
+		f.PC = 1
+		return p.FFence() // release consistency: holder's write acks
+	case 1:
+		f.PC = 2
+		if !p.FCompute(l.cycles) {
+			return OpBlocked
+		}
+		fallthrough
+	case 2:
+		if len(l.queue) == 0 {
+			l.held = false
+		} else {
+			next := l.queue[0]
+			l.queue = l.queue[1:]
+			l.m.e.Schedule(0, func() { next.unblock(waitSync) })
+		}
+		p.EndPhase()
+		return OpDone
 	}
-	next := l.queue[0]
-	l.queue = l.queue[1:]
-	l.m.e.Schedule(0, func() { next.unblock(waitSync) })
+	panic("machine: magicReleaseStep bad pc")
 }
 
 // MagicBarrier is the paper's zero-traffic barrier: all processors
@@ -130,27 +152,48 @@ func (b *MagicBarrier) RestoreState(st any) {
 	b.arrived = st.(magicBarrierState).arrived
 }
 
-// Wait blocks until all processors have arrived. Like any barrier under
+// FWait blocks until all processors have arrived. Like any barrier under
 // release consistency, arrival first waits for the processor's prior
 // writes to be fully acknowledged, so data written before the barrier is
 // visible to every processor after it.
-func (b *MagicBarrier) Wait(p *Proc) {
-	p.BeginPhase(PhaseBarrier)
-	defer p.EndPhase()
-	p.Fence()
-	b.arrived++
-	if b.arrived < b.n {
-		b.waiters = append(b.waiters, p)
-		p.block(waitSync)
-		return
+func (b *MagicBarrier) FWait(p *Proc) OpStatus {
+	p.Call(magicBarrierWaitStep, b)
+	return OpCalled
+}
+
+func magicBarrierWaitStep(p *Proc, f *Frame) OpStatus {
+	b := f.Obj.(*MagicBarrier)
+	switch f.PC {
+	case 0:
+		p.BeginPhase(PhaseBarrier)
+		f.PC = 1
+		return p.FFence()
+	case 1:
+		b.arrived++
+		if b.arrived < b.n {
+			b.waiters = append(b.waiters, p)
+			f.PC = 3
+			return p.block(waitSync)
+		}
+		// Last arrival: release everyone after the fixed cost.
+		b.arrived = 0
+		ws := b.waiters
+		b.waiters = nil
+		for _, w := range ws {
+			w := w
+			b.m.e.Schedule(b.cycles, func() { w.unblock(waitSync) })
+		}
+		f.PC = 2
+		if !p.FCompute(b.cycles) {
+			return OpBlocked
+		}
+		fallthrough
+	case 2:
+		p.EndPhase()
+		return OpDone
+	case 3: // woken by the last arrival
+		p.EndPhase()
+		return OpDone
 	}
-	// Last arrival: release everyone after the fixed cost.
-	b.arrived = 0
-	ws := b.waiters
-	b.waiters = nil
-	for _, w := range ws {
-		w := w
-		b.m.e.Schedule(b.cycles, func() { w.unblock(waitSync) })
-	}
-	p.Compute(b.cycles)
+	panic("machine: magicBarrierWaitStep bad pc")
 }

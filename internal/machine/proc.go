@@ -84,36 +84,26 @@ func (s ProcStats) Total() sim.Time {
 		s.AtomicStall + s.SpinWait + s.SyncWait
 }
 
-// Proc is one simulated processor. It executes workloads under one of
-// two models: compiled state-machine Programs re-entered inline by the
-// event engine (Machine.RunProgram, the default path — see program.go),
-// or legacy imperative closures on a dedicated coroutine goroutine
-// (Machine.Run). The imperative methods (Read, Write, ...) must be
-// called only from a coroutine workload body; Programs use their F-
-// prefixed step twins.
+// Proc is one simulated processor. It executes a Program: a resumable
+// state machine the event engine re-enters inline (Machine.RunProgram,
+// see program.go), built from the F-prefixed operations.
 type Proc struct {
 	m    *Machine
 	id   int
-	co   *sim.Coroutine
-	name string // task/coroutine label, built once
-	// runFn is the coroutine entry point, built once; it reads the
-	// current workload body through the machine so reusing the
-	// processor across runs allocates no fresh closures.
-	runFn func()
+	name string // task label, built once
 
-	// State-machine execution state (program.go). task is the engine
-	// dispatch handle; frames/fp the activation stack; ret the child
-	// result register; wokenFrom carries the wait reason from unblock to
-	// smResume so stall accounting runs on the wake side; blockT0 is the
-	// park instant it charges from. smResume is built once.
+	// Execution state (program.go). task is the engine dispatch handle;
+	// frames/fp the activation stack; ret the child result register;
+	// wokenFrom carries the wait reason from unblock to resume so stall
+	// accounting runs on the wake side; blockT0 is the park instant it
+	// charges from. resumeFn is built once.
 	task      sim.Task
-	sm        bool // current run uses the state-machine model
 	frames    [frameStackDepth]Frame
 	fp        int
 	ret       uint32
 	wokenFrom waitReason
 	blockT0   sim.Time
-	smResume  func()
+	resumeFn  func()
 
 	wb      *cache.WriteBuffer
 	waiting waitReason
@@ -128,7 +118,7 @@ type Proc struct {
 	relBy trace.ReleaseInfo
 
 	// pending accumulates locally charged cycles (instruction issue,
-	// Compute) that have not yet been realized on the simulated clock.
+	// FCompute) that have not yet been realized on the simulated clock.
 	// flushPending realizes them as a single StallFor before the
 	// processor observes or mutates any state shared with the engine —
 	// the write buffer, the coherence system, traces — so deferred
@@ -159,10 +149,9 @@ func newProc(m *Machine, id int) *Proc {
 		rng:    rand.New(src),
 		rngSrc: src,
 	}
-	p.runFn = func() { p.m.body(p) }
 	p.fp = -1
-	p.smResume = p.smResumeFn
-	p.task.Init(m.e, p.name, p.smResume)
+	p.resumeFn = p.resume
+	p.task.Init(m.e, p.name, p.resumeFn)
 	p.readDone = func(v uint32) {
 		p.opVal = v
 		p.opDone = true
@@ -223,7 +212,6 @@ func (s *countingSource) Seed(seed int64) { s.draws = 0; s.src.Seed(seed) }
 // reuse. The once-built callbacks and write buffer are kept; only the
 // mutable run state is cleared.
 func (p *Proc) reset() {
-	p.co = nil
 	p.wb.Reset()
 	p.waiting = waitNone
 	if p.rngSrc.draws != 0 {
@@ -238,7 +226,6 @@ func (p *Proc) reset() {
 	p.opVal = 0
 	p.phase = p.phase[:0]
 	p.relBy = trace.ReleaseInfo{}
-	p.sm = false
 	for i := 0; i <= p.fp; i++ {
 		p.frames[i] = Frame{}
 	}
@@ -246,7 +233,7 @@ func (p *Proc) reset() {
 	p.ret = 0
 	p.wokenFrom = waitNone
 	p.blockT0 = 0
-	p.task.Init(p.m.e, p.name, p.smResume)
+	p.task.Init(p.m.e, p.name, p.resumeFn)
 }
 
 // BeginPhase pushes a synchronization-phase tag; EndPhase pops it. The
@@ -328,16 +315,6 @@ func (p *Proc) Stats() ProcStats { return p.stats }
 // accumulator without touching the simulated clock.
 func (p *Proc) charge(n sim.Time) { p.pending += n }
 
-// flushPending realizes all accumulated local cycles as one stall. It
-// must run before any interaction with shared protocol state.
-func (p *Proc) flushPending() {
-	if p.pending != 0 {
-		d := p.pending
-		p.pending = 0
-		p.co.StallFor(d)
-	}
-}
-
 // issue charges the fixed one-cycle instruction issue of an operation:
 // the operation count, the busy cycle, and the paired sampled counters
 // — reading the clock once and skipping it entirely when observability
@@ -353,108 +330,19 @@ func (p *Proc) issue(opCount *uint64, opCtr *metrics.Counter) {
 	p.charge(1)
 }
 
-// block parks the processor with a reason tag and charges the suspended
-// time to the matching stall category.
-func (p *Proc) block(r waitReason) {
-	if p.waiting != waitNone {
-		panic(fmt.Sprintf("machine: proc %d blocking while already waiting (%d)", p.id, p.waiting))
-	}
-	p.flushPending()
-	t0 := p.m.e.Now()
-	p.waiting = r
-	p.co.Stall()
-	now := p.m.e.Now()
-	dt := now - t0
-	switch r {
-	case waitRead:
-		p.stats.ReadStall += dt
-	case waitWBSpace, waitFlushWB:
-		p.stats.WriteStall += dt
-	case waitFence:
-		p.stats.FenceStall += dt
-	case waitAtomic:
-		p.stats.AtomicStall += dt
-	case waitSpin:
-		p.stats.SpinWait += dt
-	case waitSync:
-		p.stats.SyncWait += dt
-	}
-	p.m.met.stall[r].Add(now, dt)
-	if dt > 0 {
-		p.m.cfg.Timeline.AddSlice(p.id, r.timelineName(), t0, now)
-		if tr := p.m.cfg.Txn; tr != nil {
-			cat, by := p.stallCategory(r)
-			tr.AddStall(p.id, cat, t0, now, by)
-		}
-	}
-}
-
 // unblock wakes the processor if it is parked for the given reason,
-// capturing the releasing transaction at the release instant. Under the
-// state-machine model the wake is a direct call back into the step
-// loop (no goroutine hand-off); wokenFrom carries the reason across so
-// smResume applies the stall accounting block() would.
+// capturing the releasing transaction at the release instant. The wake
+// is a direct call back into the step loop; wokenFrom carries the
+// reason across so resume charges the stall.
 func (p *Proc) unblock(r waitReason) {
 	if p.waiting == r {
 		if tr := p.m.cfg.Txn; tr != nil {
 			p.relBy = tr.LastRelease(p.id)
 		}
 		p.waiting = waitNone
-		if p.sm {
-			p.wokenFrom = r
-			p.task.Wake()
-			return
-		}
-		p.co.Wake()
+		p.wokenFrom = r
+		p.task.Wake()
 	}
-}
-
-// Compute charges n cycles of local computation.
-func (p *Proc) Compute(n sim.Time) {
-	if n == 0 {
-		return
-	}
-	p.stats.Busy += n
-	p.m.met.busy.Add(p.m.e.Now(), n)
-	p.charge(n)
-	p.flushPending()
-}
-
-// Read performs a load. Read hits take one cycle; misses stall until the
-// protocol delivers the block. Reads bypass the write buffer, forwarding
-// the newest buffered value for the same address.
-func (p *Proc) Read(a Addr) uint32 {
-	p.issue(&p.stats.Reads, p.m.met.reads)
-	p.flushPending()
-	if v, ok := p.wb.Forward(a); ok {
-		return v
-	}
-	p.opDone = false
-	issued := p.m.e.Now()
-	p.m.sys.Read(p.id, a, p.readDone)
-	kind := trace.Read
-	if !p.opDone {
-		kind = trace.ReadMiss
-		p.block(waitRead)
-		p.m.met.readMiss.Observe(p.m.e.Now() - issued)
-	}
-	val := p.opVal
-	p.m.cfg.Trace.Record(p.Now(), p.id, kind, uint32(a), val)
-	return val
-}
-
-// Write performs a store: one cycle into the write buffer, stalling only
-// while the buffer is full. The buffered entry drains through the
-// coherence protocol in the background.
-func (p *Proc) Write(a Addr, v uint32) {
-	p.issue(&p.stats.Writes, p.m.met.writes)
-	p.flushPending()
-	for p.wb.Full() {
-		p.block(waitWBSpace)
-	}
-	p.wb.Push(a, v)
-	p.m.cfg.Trace.Record(p.Now(), p.id, trace.Write, uint32(a), v)
-	p.drain()
 }
 
 // drain launches the protocol transaction for the write-buffer head if
@@ -467,171 +355,3 @@ func (p *Proc) drain() {
 	h := p.wb.Head()
 	p.m.sys.Write(p.id, h.Addr, h.Val, p.drainStep)
 }
-
-// drainWB stalls until the write buffer is empty (atomic instructions
-// force this, per the paper).
-func (p *Proc) drainWB() {
-	for !p.wb.Empty() {
-		p.block(waitFlushWB)
-	}
-}
-
-// Fence implements the release-consistency synchronization point: it
-// stalls until the write buffer has drained and every prior write has
-// been fully acknowledged. Call it before releasing writes (unlock,
-// barrier-arrival stores).
-func (p *Proc) Fence() {
-	for !p.wb.Empty() {
-		p.block(waitFence)
-	}
-	p.opDone = false
-	p.m.sys.WhenDrained(p.id, p.fenceDone)
-	if !p.opDone {
-		p.block(waitFence)
-	}
-	p.m.cfg.Trace.Record(p.Now(), p.id, trace.Fence, 0, 0)
-}
-
-// atomic runs one atomic read-modify-write, stalling until it completes.
-func (p *Proc) atomic(a Addr, kind atomicKind, op1, op2 uint32) uint32 {
-	p.issue(&p.stats.Atomics, p.m.met.atomics)
-	p.flushPending()
-	p.drainWB()
-	p.opDone = false
-	p.m.sys.Atomic(p.id, a, kind.proto(), op1, op2, p.atomicDone)
-	if !p.opDone {
-		p.block(waitAtomic)
-	}
-	old := p.opVal
-	p.m.cfg.Trace.Record(p.Now(), p.id, trace.Atomic, uint32(a), old)
-	return old
-}
-
-// FetchAdd atomically adds delta to the word at a, returning the old
-// value (the paper's fetch_and_add).
-func (p *Proc) FetchAdd(a Addr, delta uint32) uint32 {
-	return p.atomic(a, atomicAdd, delta, 0)
-}
-
-// FetchStore atomically stores v, returning the old value (the paper's
-// fetch_and_store, i.e. swap).
-func (p *Proc) FetchStore(a Addr, v uint32) uint32 {
-	return p.atomic(a, atomicStore, v, 0)
-}
-
-// CompareSwap atomically stores newV if the word equals oldV, reporting
-// success (the paper's compare_and_swap).
-func (p *Proc) CompareSwap(a Addr, oldV, newV uint32) bool {
-	return p.atomic(a, atomicCAS, oldV, newV) == oldV
-}
-
-// Flush issues a user-level block flush of a's block (the PowerPC-style
-// instruction used by the update-conscious MCS lock). Pending buffered
-// stores drain first, so the flushed line's writes are not resurrected.
-func (p *Proc) Flush(a Addr) {
-	p.issue(&p.stats.Flushes, p.m.met.flushes)
-	p.flushPending()
-	p.drainWB()
-	p.opDone = false
-	p.m.sys.FlushBlock(p.id, a, p.flushDone)
-	if !p.opDone {
-		p.block(waitRead)
-	}
-	p.m.cfg.Trace.Record(p.Now(), p.id, trace.Flush, uint32(a), 0)
-}
-
-// spinPoll charges one uncompressed polling interval and records it as a
-// spin-wait timeline slice, mirroring the parked (compressed) path so
-// exported timelines agree with ProcStats.SpinWait under either model.
-func (p *Proc) spinPoll(poll sim.Time) {
-	t0 := p.m.e.Now()
-	p.stats.SpinWait += poll
-	p.m.met.stall[waitSpin].Add(t0, poll)
-	p.co.StallFor(poll)
-	now := p.m.e.Now()
-	p.m.cfg.Timeline.AddSlice(p.id, waitSpin.timelineName(), t0, now)
-	if tr := p.m.cfg.Txn; tr != nil {
-		tr.AddStall(p.id, p.phaseCategory(), t0, now, 0)
-	}
-}
-
-// SpinUntil spins reading the word at a until pred is satisfied and
-// returns the satisfying value. The spin is compressed: between checks
-// the processor parks and is woken only when a coherence event
-// (invalidate, update, drop, eviction) touches the watched block — the
-// only instants at which the value can change. Each check charges the
-// one-cycle read (plus any miss latency), exactly as an uncompressed
-// spin loop's first and post-event iterations would.
-func (p *Proc) SpinUntil(a Addr, pred func(v uint32) bool) uint32 {
-	poll := p.m.cfg.SpinPollCycles
-	for {
-		v := p.Read(a)
-		if pred(v) {
-			return v
-		}
-		if poll > 0 {
-			p.spinPoll(poll) // uncompressed polling loop (ablation)
-			continue
-		}
-		p.watchAndWait(cache.BlockOf(a))
-	}
-}
-
-// SpinWhileEqual spins until the word at a differs from v.
-func (p *Proc) SpinWhileEqual(a Addr, v uint32) uint32 {
-	return p.SpinUntil(a, func(x uint32) bool { return x != v })
-}
-
-// SpinUntilWords spins on several words of a single cache block until
-// pred over all their values is satisfied (the tree barrier spins on its
-// four child flags this way). All addresses must lie in one block.
-func (p *Proc) SpinUntilWords(addrs []Addr, pred func(vals []uint32) bool) []uint32 {
-	if len(addrs) == 0 {
-		panic("machine: SpinUntilWords needs at least one address")
-	}
-	block := cache.BlockOf(addrs[0])
-	for _, a := range addrs[1:] {
-		if cache.BlockOf(a) != block {
-			panic("machine: SpinUntilWords addresses span blocks")
-		}
-	}
-	vals := make([]uint32, len(addrs))
-	c := p.m.sys.Cache(p.id)
-	poll := p.m.cfg.SpinPollCycles
-	for {
-		v0 := c.Version(block)
-		for i, a := range addrs {
-			vals[i] = p.Read(a)
-		}
-		if pred(vals) {
-			return vals
-		}
-		if poll > 0 {
-			p.spinPoll(poll)
-			continue
-		}
-		if c.Version(block) != v0 {
-			// The block changed while we were reading: the value vector
-			// mixes epochs, so re-read before deciding to park.
-			continue
-		}
-		p.watchAndWait(block)
-	}
-}
-
-// watchAndWait parks until a coherence event touches block.
-func (p *Proc) watchAndWait(block uint32) {
-	p.m.cfg.Trace.Record(p.Now(), p.id, trace.SpinPark, block*cache.BlockBytes, 0)
-	p.m.sys.Cache(p.id).Watch(block, p.spinWake)
-	p.block(waitSpin)
-	p.m.cfg.Trace.Record(p.Now(), p.id, trace.SpinWake, block*cache.BlockBytes, 0)
-}
-
-// atomicKind mirrors proto's atomic ops without exposing that package.
-type atomicKind int
-
-const (
-	atomicAdd atomicKind = iota
-	atomicStore
-	atomicCAS
-)

@@ -10,16 +10,13 @@ import (
 func TestProcStatsComputeAndOps(t *testing.T) {
 	m := newM(t, proto.WI, 2)
 	a := m.Alloc("x", 4, 1)
-	res := m.Run(func(p *Proc) {
-		if p.ID() != 0 {
-			return
-		}
-		p.Compute(100)
-		p.Read(a)        // cold miss: shared copy
-		p.FetchAdd(a, 1) // upgrade transaction: stalls
-		p.Write(a, 1)    // local (line now exclusive)
-		p.Flush(a)
-	})
+	res := m.RunProgram(byID{{
+		compute(100),
+		func(p *Proc, f *Frame) OpStatus { return p.FRead(a) },        // cold miss: shared copy
+		func(p *Proc, f *Frame) OpStatus { return p.FFetchAdd(a, 1) }, // upgrade transaction: stalls
+		func(p *Proc, f *Frame) OpStatus { return p.FWrite(a, 1) },    // local (line now exclusive)
+		func(p *Proc, f *Frame) OpStatus { return p.FFlush(a) },
+	}, nil})
 	st := res.PerProc[0]
 	if st.Reads != 1 || st.Writes != 1 || st.Atomics != 1 || st.Flushes != 1 {
 		t.Fatalf("op counts %+v", st)
@@ -40,14 +37,12 @@ func TestProcStatsSpinWaitAccounted(t *testing.T) {
 	for _, pr := range allProtocols() {
 		m := newM(t, pr, 2)
 		flag := m.Alloc("flag", 4, 0)
-		res := m.Run(func(p *Proc) {
-			if p.ID() == 0 {
-				p.Compute(1000)
-				p.Write(flag, 1)
-				return
-			}
-			p.SpinUntil(flag, func(v uint32) bool { return v == 1 })
-		})
+		res := m.RunProgram(byID{{
+			compute(1000),
+			func(p *Proc, f *Frame) OpStatus { return p.FWrite(flag, 1) },
+		}, {
+			func(p *Proc, f *Frame) OpStatus { return p.FSpinUntilEqual(flag, 1) },
+		}})
 		st := res.PerProc[1]
 		if st.SpinWait < 800 {
 			t.Errorf("%v: spin wait %d cycles, expected most of the 1000-cycle delay", pr, st.SpinWait)
@@ -58,12 +53,8 @@ func TestProcStatsSpinWaitAccounted(t *testing.T) {
 func TestProcStatsSyncWaitAccounted(t *testing.T) {
 	m := newM(t, proto.WI, 2)
 	b := m.NewMagicBarrier()
-	res := m.Run(func(p *Proc) {
-		if p.ID() == 0 {
-			p.Compute(500)
-		}
-		b.Wait(p)
-	})
+	wait := func(p *Proc, f *Frame) OpStatus { return b.FWait(p) }
+	res := m.RunProgram(byID{{compute(500), wait}, {wait}})
 	if res.PerProc[1].SyncWait < 400 {
 		t.Fatalf("sync wait = %d, want ~500", res.PerProc[1].SyncWait)
 	}
@@ -72,16 +63,14 @@ func TestProcStatsSyncWaitAccounted(t *testing.T) {
 func TestProcStatsFenceAccounted(t *testing.T) {
 	m := newM(t, proto.PU, 4)
 	a := m.Alloc("x", 4, 3)
-	res := m.Run(func(p *Proc) {
-		if p.ID() != 0 {
-			p.Read(a) // create sharers so the write needs acks
-			p.Compute(200)
-			return
-		}
-		p.Compute(100) // let the sharers cache the block first
-		p.Write(a, 1)
-		p.Fence()
-	})
+	res := m.RunProgram(byID{{
+		compute(100), // let the sharers cache the block first
+		func(p *Proc, f *Frame) OpStatus { return p.FWrite(a, 1) },
+		func(p *Proc, f *Frame) OpStatus { return p.FFence() },
+	}, {
+		func(p *Proc, f *Frame) OpStatus { return p.FRead(a) }, // create sharers so the write needs acks
+		compute(200),
+	}})
 	if res.PerProc[0].FenceStall == 0 {
 		t.Fatal("fence recorded no stall despite outstanding acks")
 	}
@@ -94,14 +83,12 @@ func TestProcStatsTotalCoversRun(t *testing.T) {
 	m := newM(t, proto.CU, 4)
 	l := m.NewMagicLock()
 	a := m.Alloc("x", 4, 0)
-	res := m.Run(func(p *Proc) {
-		for i := 0; i < 20; i++ {
-			l.Acquire(p)
-			v := p.Read(a)
-			p.Write(a, v+1)
-			l.Release(p)
-		}
-	})
+	res := m.RunProgram(seq(repeat(20,
+		func(p *Proc, f *Frame) OpStatus { return l.FAcquire(p) },
+		func(p *Proc, f *Frame) OpStatus { return p.FRead(a) },
+		func(p *Proc, f *Frame) OpStatus { return p.FWrite(a, p.Ret()+1) },
+		func(p *Proc, f *Frame) OpStatus { return l.FRelease(p) },
+	)))
 	var maxTotal sim.Time
 	for _, st := range res.PerProc {
 		if st.Total() > maxTotal {

@@ -4,18 +4,14 @@ import (
 	"fmt"
 
 	"coherencesim/internal/cache"
+	"coherencesim/internal/proto"
 	"coherencesim/internal/sim"
 	"coherencesim/internal/trace"
 )
 
-// This file is the resumable state-machine execution model: workloads
-// compiled into explicit step functions that the event engine re-enters
-// by direct call, replacing the goroutine-per-processor coroutines on
-// the default path. The processor API (Read/Write/FetchAdd/.../Fence)
-// keeps identical cycle accounting, trace records, metrics, and
-// (seq, processed) event numbering in both models — the legacy
-// closure-based Machine.Run path stays available as a compatibility
-// shim and every golden is byte-identical across the two.
+// This file is the processor execution model: workloads are explicit
+// step functions that the event engine re-enters by direct call, on its
+// own stack.
 //
 // Model: each processor owns a small stack of Frames. A Frame is one
 // activation of a StepFunc — a resumable function encoding its position
@@ -64,13 +60,33 @@ type Frame struct {
 	step       StepFunc
 }
 
-// Program is a workload compiled to the state-machine model: Step is
-// the root StepFunc run by every processor. The Program value is shared
-// by all processors of a run (and must therefore be stateless or
-// read-only during the run); per-processor state lives in the root
-// frame's registers and p.ID()-indexed structures.
+// Program is a workload: Step is the root StepFunc run by every
+// processor. The Program value is shared by all processors of a run (and
+// must therefore be stateless or read-only during the run);
+// per-processor state lives in the root frame's registers and
+// p.ID()-indexed structures.
 type Program interface {
 	Step(p *Proc, f *Frame) OpStatus
+}
+
+// Steps is a Program written as a flat list of stages, for workloads
+// that do not warrant a hand-written switch. Step runs stage f.PC and
+// the ones after it until one parks or calls. While a stage runs, f.PC
+// already names the next one, so a stage returns an F-operation's
+// status to continue there, OpDone to fall through at once, and assigns
+// f.PC to loop or — with any index past the end — to finish.
+type Steps []func(p *Proc, f *Frame) OpStatus
+
+// Step implements Program.
+func (s Steps) Step(p *Proc, f *Frame) OpStatus {
+	for f.PC < len(s) {
+		stage := s[f.PC]
+		f.PC++
+		if st := stage(p, f); st != OpDone {
+			return st
+		}
+	}
+	return OpDone
 }
 
 // frameStackDepth bounds nesting: program -> construct -> spin ->
@@ -100,8 +116,7 @@ func (p *Proc) Call(step StepFunc, obj any) *Frame {
 func (p *Proc) Ret() uint32 { return p.ret }
 
 // stepLoop drives the frame stack until the processor parks or its
-// program completes. It is the state-machine analogue of the coroutine
-// body goroutine, running entirely on the engine's own stack.
+// program completes, running entirely on the engine's own stack.
 func (p *Proc) stepLoop() {
 	for p.fp >= 0 {
 		f := &p.frames[p.fp]
@@ -118,20 +133,17 @@ func (p *Proc) stepLoop() {
 }
 
 // startProgram arms the processor to run prog and registers its task
-// with the engine, mirroring what Engine.Go does for a coroutine (one
-// live task, one start event at the current time).
+// with the engine (one live task, one start event at the current time).
 func (p *Proc) startProgram(prog Program) {
-	p.sm = true
 	p.fp = 0
 	p.frames[0] = Frame{step: runProgramStep, Obj: prog}
 	p.task.Begin()
 }
 
-// smResume is the processor's Task resume function (built once in
-// newProc): apply the stall accounting a wake implies, then re-enter
-// the step loop. Timed wakes from StallFor carry no accounting, exactly
-// like the legacy path where StallFor parks outside block().
-func (p *Proc) smResumeFn() {
+// resume is the processor's Task resume function: apply the stall
+// accounting a wake implies, then re-enter the step loop. Timed wakes
+// from StallFor carry no accounting.
+func (p *Proc) resume() {
 	if r := p.wokenFrom; r != waitNone {
 		p.wokenFrom = waitNone
 		p.wakeAccounting(r)
@@ -139,12 +151,12 @@ func (p *Proc) smResumeFn() {
 	p.stepLoop()
 }
 
-// smFlushPending realizes accumulated local cycles as one stall,
-// exactly like flushPending on the legacy path. It reports true when
-// the processor may proceed (no pending cycles, or the StallFor fast
-// path absorbed them); false means the processor parked and the caller
-// must return OpBlocked after having saved its resume PC.
-func (p *Proc) smFlushPending() bool {
+// flushPending realizes accumulated local cycles as one stall; it must
+// run before any interaction with shared protocol state. It reports
+// true when the processor may proceed (no pending cycles, or the
+// StallFor fast path absorbed them); false means the processor parked
+// and the caller must return OpBlocked after having saved its resume PC.
+func (p *Proc) flushPending() bool {
 	if p.pending == 0 {
 		return true
 	}
@@ -153,14 +165,12 @@ func (p *Proc) smFlushPending() bool {
 	return p.task.StallFor(d)
 }
 
-// smBlock parks the processor with a reason tag and returns OpBlocked
-// for the caller to propagate. It is block()'s state-machine half:
-// wakeAccounting (run by smResume) is the other half, charging the
+// block parks the processor with a reason tag and returns OpBlocked for
+// the caller to propagate; wakeAccounting (run by resume) charges the
 // suspended time when the wake arrives. Every call site has already
-// realized its pending cycles (the legacy path flushes inside block;
-// here the flush stages precede the block stages), which blockT0
-// depends on, so this is asserted.
-func (p *Proc) smBlock(r waitReason) OpStatus {
+// realized its pending cycles (the flush stages precede the block
+// stages), which blockT0 depends on, so this is asserted.
+func (p *Proc) block(r waitReason) OpStatus {
 	if p.waiting != waitNone {
 		panic(fmt.Sprintf("machine: proc %d blocking while already waiting (%d)", p.id, p.waiting))
 	}
@@ -173,9 +183,8 @@ func (p *Proc) smBlock(r waitReason) OpStatus {
 	return OpBlocked
 }
 
-// wakeAccounting charges a completed stall to its category: the same
-// bookkeeping the legacy block() performs after Stall returns, applied
-// on the wake side of the state-machine split.
+// wakeAccounting charges a completed stall to its stall category, the
+// metrics, the timeline and the transaction tracer.
 func (p *Proc) wakeAccounting(r waitReason) {
 	t0 := p.blockT0
 	now := p.m.e.Now()
@@ -206,12 +215,13 @@ func (p *Proc) wakeAccounting(r waitReason) {
 
 // ---- Primitive operations ----
 //
-// Each primitive mirrors its imperative twin in proc.go line for line:
-// same issue charge, same flush point, same block reasons, same trace
-// records and metrics in the same order. The PC stages are exactly the
-// operation's park points.
+// The PC stages of each primitive are exactly the operation's park
+// points.
 
-// FRead performs a load (Proc.Read). Result in p.Ret().
+// FRead performs a load. Read hits take one cycle; misses stall until
+// the protocol delivers the block. Reads bypass the write buffer,
+// forwarding the newest buffered value for the same address. Result in
+// p.Ret().
 func (p *Proc) FRead(a Addr) OpStatus {
 	f := p.Call(readStep, nil)
 	f.A0 = a
@@ -224,7 +234,7 @@ func readStep(p *Proc, f *Frame) OpStatus {
 	case 0:
 		p.issue(&p.stats.Reads, p.m.met.reads)
 		f.PC = 1
-		if !p.smFlushPending() {
+		if !p.flushPending() {
 			return OpBlocked
 		}
 		fallthrough
@@ -238,7 +248,7 @@ func readStep(p *Proc, f *Frame) OpStatus {
 		p.m.sys.Read(p.id, f.A0, p.readDone)
 		if !p.opDone {
 			f.PC = 2
-			return p.smBlock(waitRead)
+			return p.block(waitRead)
 		}
 		p.ret = p.opVal
 		p.m.cfg.Trace.Record(p.Now(), p.id, trace.Read, uint32(f.A0), p.ret)
@@ -252,7 +262,9 @@ func readStep(p *Proc, f *Frame) OpStatus {
 	panic("machine: readStep bad pc")
 }
 
-// FWrite performs a store (Proc.Write).
+// FWrite performs a store: one cycle into the write buffer, stalling only
+// while the buffer is full. The buffered entry drains through the
+// coherence protocol in the background.
 func (p *Proc) FWrite(a Addr, v uint32) OpStatus {
 	f := p.Call(writeStep, nil)
 	f.A0, f.U0 = a, v
@@ -265,13 +277,13 @@ func writeStep(p *Proc, f *Frame) OpStatus {
 	case 0:
 		p.issue(&p.stats.Writes, p.m.met.writes)
 		f.PC = 1
-		if !p.smFlushPending() {
+		if !p.flushPending() {
 			return OpBlocked
 		}
 		fallthrough
 	case 1: // re-entered after each buffer-space wake
 		if p.wb.Full() {
-			return p.smBlock(waitWBSpace)
+			return p.block(waitWBSpace)
 		}
 		p.wb.Push(f.A0, f.U0)
 		p.m.cfg.Trace.Record(p.Now(), p.id, trace.Write, uint32(f.A0), f.U0)
@@ -281,46 +293,47 @@ func writeStep(p *Proc, f *Frame) OpStatus {
 	panic("machine: writeStep bad pc")
 }
 
-// FFetchAdd / FFetchStore / FCompareSwap / atomic plumbing
-// (Proc.FetchAdd and friends). Old value in p.Ret(); for CompareSwap
-// compare p.Ret() against the expected value.
+// FFetchAdd, FFetchStore and FCompareSwap are the paper's fetch_and_add,
+// fetch_and_store (swap) and compare_and_swap. Each drains the write
+// buffer first and leaves the old value in p.Ret(); a CompareSwap
+// succeeded when p.Ret() equals the expected value.
 func (p *Proc) FFetchAdd(a Addr, delta uint32) OpStatus {
-	return p.fatomic(a, atomicAdd, delta, 0)
+	return p.fatomic(a, proto.FetchAdd, delta, 0)
 }
 
 func (p *Proc) FFetchStore(a Addr, v uint32) OpStatus {
-	return p.fatomic(a, atomicStore, v, 0)
+	return p.fatomic(a, proto.FetchStore, v, 0)
 }
 
 func (p *Proc) FCompareSwap(a Addr, oldV, newV uint32) OpStatus {
-	return p.fatomic(a, atomicCAS, oldV, newV)
+	return p.fatomic(a, proto.CompareSwap, oldV, newV)
 }
 
-func (p *Proc) fatomic(a Addr, kind atomicKind, op1, op2 uint32) OpStatus {
+func (p *Proc) fatomic(a Addr, kind proto.AtomicKind, op1, op2 uint32) OpStatus {
 	f := p.Call(atomicStep, nil)
 	f.A0, f.U0, f.U1, f.I0 = a, op1, op2, int(kind)
 	return OpCalled
 }
 
-// atomicStep registers: A0 address, U0/U1 operands, I0 atomicKind.
+// atomicStep registers: A0 address, U0/U1 operands, I0 proto.AtomicKind.
 func atomicStep(p *Proc, f *Frame) OpStatus {
 	switch f.PC {
 	case 0:
 		p.issue(&p.stats.Atomics, p.m.met.atomics)
 		f.PC = 1
-		if !p.smFlushPending() {
+		if !p.flushPending() {
 			return OpBlocked
 		}
 		fallthrough
 	case 1: // drainWB loop: atomics force the write buffer empty first
 		if !p.wb.Empty() {
-			return p.smBlock(waitFlushWB)
+			return p.block(waitFlushWB)
 		}
 		p.opDone = false
-		p.m.sys.Atomic(p.id, f.A0, atomicKind(f.I0).proto(), f.U0, f.U1, p.atomicDone)
+		p.m.sys.Atomic(p.id, f.A0, proto.AtomicKind(f.I0), f.U0, f.U1, p.atomicDone)
 		if !p.opDone {
 			f.PC = 2
-			return p.smBlock(waitAtomic)
+			return p.block(waitAtomic)
 		}
 		fallthrough
 	case 2: // completed (usually via the waitAtomic wake)
@@ -331,7 +344,10 @@ func atomicStep(p *Proc, f *Frame) OpStatus {
 	panic("machine: atomicStep bad pc")
 }
 
-// FFence is the release-consistency synchronization point (Proc.Fence).
+// FFence is the release-consistency synchronization point: it stalls
+// until the write buffer has drained and every prior write has been
+// fully acknowledged. Issue it before releasing writes (unlock,
+// barrier-arrival stores).
 func (p *Proc) FFence() OpStatus {
 	p.Call(fenceStep, nil)
 	return OpCalled
@@ -341,13 +357,13 @@ func fenceStep(p *Proc, f *Frame) OpStatus {
 	switch f.PC {
 	case 0: // wait for the write buffer to drain
 		if !p.wb.Empty() {
-			return p.smBlock(waitFence)
+			return p.block(waitFence)
 		}
 		p.opDone = false
 		p.m.sys.WhenDrained(p.id, p.fenceDone)
 		if !p.opDone {
 			f.PC = 1
-			return p.smBlock(waitFence)
+			return p.block(waitFence)
 		}
 		fallthrough
 	case 1: // all prior writes acknowledged
@@ -357,7 +373,9 @@ func fenceStep(p *Proc, f *Frame) OpStatus {
 	panic("machine: fenceStep bad pc")
 }
 
-// FFlush issues a user-level block flush (Proc.Flush).
+// FFlush issues a user-level block flush of a's block (the PowerPC-style
+// instruction used by the update-conscious MCS lock). Pending buffered
+// stores drain first, so the flushed line's writes are not resurrected.
 func (p *Proc) FFlush(a Addr) OpStatus {
 	f := p.Call(flushStep, nil)
 	f.A0 = a
@@ -370,19 +388,19 @@ func flushStep(p *Proc, f *Frame) OpStatus {
 	case 0:
 		p.issue(&p.stats.Flushes, p.m.met.flushes)
 		f.PC = 1
-		if !p.smFlushPending() {
+		if !p.flushPending() {
 			return OpBlocked
 		}
 		fallthrough
 	case 1: // buffered stores drain first
 		if !p.wb.Empty() {
-			return p.smBlock(waitFlushWB)
+			return p.block(waitFlushWB)
 		}
 		p.opDone = false
 		p.m.sys.FlushBlock(p.id, f.A0, p.flushDone)
 		if !p.opDone {
 			f.PC = 2
-			return p.smBlock(waitRead)
+			return p.block(waitRead)
 		}
 		fallthrough
 	case 2:
@@ -392,10 +410,10 @@ func flushStep(p *Proc, f *Frame) OpStatus {
 	panic("machine: flushStep bad pc")
 }
 
-// FCompute charges n cycles of local computation (Proc.Compute). It
-// reports true when the caller may proceed; false means the processor
-// parked for the duration and the caller must return OpBlocked after
-// saving the PC of the statement after the compute.
+// FCompute charges n cycles of local computation. It reports true when
+// the caller may proceed; false means the processor parked for the
+// duration and the caller must return OpBlocked after saving the PC of
+// the statement after the compute.
 func (p *Proc) FCompute(n sim.Time) bool {
 	if n == 0 {
 		return true
@@ -403,7 +421,7 @@ func (p *Proc) FCompute(n sim.Time) bool {
 	p.stats.Busy += n
 	p.m.met.busy.Add(p.m.e.Now(), n)
 	p.charge(n)
-	return p.smFlushPending()
+	return p.flushPending()
 }
 
 // spinPred encodes the two wait conditions the stock constructs spin
@@ -422,9 +440,14 @@ func (sp spinPred) ok(v, arg uint32) bool {
 	return v != arg
 }
 
-// FSpinUntilEqual spins until the word at a equals v (compressed or
-// polling per SpinPollCycles, as Proc.SpinUntil). Satisfying value in
-// p.Ret().
+// FSpinUntilEqual spins reading the word at a until it equals v;
+// satisfying value in p.Ret(). The spin is compressed: between checks
+// the processor parks and is woken only when a coherence event
+// (invalidate, update, drop, eviction) touches the watched block — the
+// only instants at which the value can change. Each check charges the
+// one-cycle read (plus any miss latency), exactly as an uncompressed
+// spin loop's first and post-event iterations would. With
+// SpinPollCycles > 0 it instead re-reads every that many cycles.
 func (p *Proc) FSpinUntilEqual(a Addr, v uint32) OpStatus {
 	f := p.Call(spinStep, nil)
 	f.A0, f.U0, f.U1 = a, v, uint32(spinUntilEq)
@@ -454,7 +477,8 @@ func spinStep(p *Proc, f *Frame) OpStatus {
 				return OpDone
 			}
 			if poll := p.m.cfg.SpinPollCycles; poll > 0 {
-				// Uncompressed polling loop (ablation), as spinPoll.
+				// Uncompressed polling loop (ablation): charge the
+				// interval now, record its timeline slice at PC 2.
 				f.T0 = p.m.e.Now()
 				p.stats.SpinWait += poll
 				p.m.met.stall[waitSpin].Add(f.T0, poll)
@@ -465,12 +489,12 @@ func spinStep(p *Proc, f *Frame) OpStatus {
 				continue
 			}
 			// Compressed spin: park until a coherence event touches the
-			// watched block (watchAndWait).
+			// watched block.
 			block := cache.BlockOf(f.A0)
 			p.m.cfg.Trace.Record(p.Now(), p.id, trace.SpinPark, block*cache.BlockBytes, 0)
 			p.m.sys.Cache(p.id).Watch(block, p.spinWake)
 			f.PC = 3
-			return p.smBlock(waitSpin)
+			return p.block(waitSpin)
 		case 2: // poll interval elapsed
 			now := p.m.e.Now()
 			p.m.cfg.Timeline.AddSlice(p.id, waitSpin.timelineName(), f.T0, now)

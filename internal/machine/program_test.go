@@ -1,42 +1,30 @@
 package machine
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
+	"coherencesim/internal/metrics"
 	"coherencesim/internal/proto"
+	"coherencesim/internal/sim"
+	"coherencesim/internal/trace"
 )
 
-// eqvProg mirrors eqvBody step for step; the pair must produce
-// byte-identical Results under both execution models.
+// eqvProg mixes every primitive: reads, writes, compute, atomics, a
+// fence, and a flag hand-off the other processors spin on.
 type eqvProg struct {
 	data Addr
 	ctr  Addr
 	flag Addr
 	n    int
-}
-
-func eqvBody(g *eqvProg) func(p *Proc) {
-	return func(p *Proc) {
-		for i := 0; i < g.n; i++ {
-			v := p.Read(g.data + Addr(4*(p.ID()%4)))
-			p.Write(g.data+Addr(4*((p.ID()+1)%8)), v+1)
-			p.Compute(5)
-			p.FetchAdd(g.ctr, 1)
-		}
-		p.Fence()
-		if p.ID() == 0 {
-			p.Write(g.flag, 1)
-		} else {
-			p.SpinUntil(g.flag, func(v uint32) bool { return v == 1 })
-		}
-	}
 }
 
 // Step registers: I0 loop index.
@@ -93,26 +81,56 @@ func buildEqv(t *testing.T, protocol proto.Protocol, procs int) (*Machine, *eqvP
 	return m, g
 }
 
-// TestProgramMatchesClosure checks that the state-machine interpreter
-// reproduces the legacy coroutine path exactly: simulated cycles,
-// event counts, per-processor stats, misses, traffic — everything in
-// Result — across all three protocols.
+// frozenResults loads testdata/frozen_results.txt: one "case digest" line
+// per reference run. The digests were produced once, at the last commit
+// that still had the imperative closure model, by running that model —
+// so the step functions are held to an implementation that no longer
+// exists in the tree.
+func frozenResults(t *testing.T) map[string]string {
+	t.Helper()
+	doc, err := os.ReadFile("testdata/frozen_results.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(doc)), "\n") {
+		name, digest, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("malformed frozen row %q", line)
+		}
+		rows[name] = digest
+	}
+	return rows
+}
+
+// checkFrozen compares the digest of the full Result — cycles, events,
+// per-processor stats, misses, traffic, metrics and breakdown snapshots —
+// with the frozen row.
+func checkFrozen(t *testing.T, rows map[string]string, name string, r Result) {
+	t.Helper()
+	doc, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, ok := rows[name]
+	if !ok {
+		t.Fatalf("no frozen row %q", name)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(doc)); got != want {
+		t.Errorf("%s: Result digest %s, frozen reference %s", name, got, want)
+	}
+}
+
+// TestProgramMatchesClosure checks that the primitives reproduce the
+// frozen closure-model reference exactly — simulated cycles, event
+// counts, per-processor stats, misses, traffic, everything in Result —
+// across all three protocols.
 func TestProgramMatchesClosure(t *testing.T) {
+	rows := frozenResults(t)
 	for _, protocol := range []proto.Protocol{proto.WI, proto.PU, proto.CU} {
 		t.Run(protocol.String(), func(t *testing.T) {
-			m1, g1 := buildEqv(t, protocol, 8)
-			legacy := m1.Run(eqvBody(g1))
-			m2, g2 := buildEqv(t, protocol, 8)
-			sm := m2.RunProgram(g2)
-			if !reflect.DeepEqual(legacy, sm) {
-				t.Errorf("results differ\nlegacy: %+v\nsm:     %+v", legacy, sm)
-			}
-			if m2.e.Handoffs() != 0 {
-				t.Errorf("state-machine run performed %d goroutine hand-offs, want 0", m2.e.Handoffs())
-			}
-			if m1.e.Handoffs() == 0 {
-				t.Errorf("legacy run reported no hand-offs; counter broken")
-			}
+			m, g := buildEqv(t, protocol, 8)
+			checkFrozen(t, rows, "eqv/"+protocol.String(), m.RunProgram(g))
 		})
 	}
 }
@@ -120,83 +138,115 @@ func TestProgramMatchesClosure(t *testing.T) {
 // TestProgramMatchesClosurePolling covers the uncompressed spin model
 // (SpinPollCycles ablation) where spinStep takes the StallFor arm.
 func TestProgramMatchesClosurePolling(t *testing.T) {
-	build := func() (*Machine, *eqvProg) {
-		cfg := DefaultConfig(proto.WI, 8)
-		cfg.SpinPollCycles = 30
-		m := New(cfg)
-		g := &eqvProg{
-			data: m.Alloc("data", 64, 0),
-			ctr:  m.Alloc("ctr", 4, 0),
-			flag: m.Alloc("flag", 4, 0),
-			n:    20,
-		}
-		return m, g
+	cfg := DefaultConfig(proto.WI, 8)
+	cfg.SpinPollCycles = 30
+	m := New(cfg)
+	g := &eqvProg{
+		data: m.Alloc("data", 64, 0),
+		ctr:  m.Alloc("ctr", 4, 0),
+		flag: m.Alloc("flag", 4, 0),
+		n:    20,
 	}
-	m1, g1 := build()
-	legacy := m1.Run(eqvBody(g1))
-	m2, g2 := build()
-	sm := m2.RunProgram(g2)
-	if !reflect.DeepEqual(legacy, sm) {
-		t.Errorf("results differ\nlegacy: %+v\nsm:     %+v", legacy, sm)
+	checkFrozen(t, frozenResults(t), "eqv-polling/WI", m.RunProgram(g))
+}
+
+// TestMagicStepsMatchFrozen holds the zero-traffic lock and barrier to
+// their frozen references, with the metrics registry and the
+// transaction tracer attached.
+func TestMagicStepsMatchFrozen(t *testing.T) {
+	rows := frozenResults(t)
+	for _, pr := range allProtocols() {
+		for _, procs := range []int{1, 2, 8, 32} {
+			build := func() *Machine {
+				cfg := DefaultConfig(pr, procs)
+				cfg.Metrics = metrics.New(1000)
+				cfg.Txn = trace.NewTracer(procs, 0)
+				return New(cfg)
+			}
+			m := build()
+			l := m.NewMagicLock()
+			shared := m.Alloc("shared", 4, 0)
+			checkFrozen(t, rows, fmt.Sprintf("magiclock/%v/p%d", pr, procs), m.RunProgram(seq(repeat(6,
+				func(p *Proc, f *Frame) OpStatus { return l.FAcquire(p) },
+				func(p *Proc, f *Frame) OpStatus { return p.FRead(shared) },
+				func(p *Proc, f *Frame) OpStatus { return p.FWrite(shared, p.Ret()+1) },
+				func(p *Proc, f *Frame) OpStatus { return l.FRelease(p) },
+				compute(10),
+			))))
+			m = build()
+			b := m.NewMagicBarrier()
+			slots := m.Alloc("slots", 64*procs, -1)
+			checkFrozen(t, rows, fmt.Sprintf("magicbarrier/%v/p%d", pr, procs), m.RunProgram(seq(repeat(6,
+				func(p *Proc, f *Frame) OpStatus { return p.FWrite(slots+Addr(64*p.ID()), uint32(f.I0)) },
+				computeBy(func(p *Proc) sim.Time { return sim.Time(1 + 7*p.ID()) }),
+				func(p *Proc, f *Frame) OpStatus { return b.FWait(p) },
+			))))
+		}
 	}
 }
 
-// TestNoClosureRunInInternal scans every non-test source file under
-// internal/ for a .Run(...) call that takes a func(*Proc) literal: all
-// experiments and workloads there are compiled to Programs, and the
-// closure model survives only for the public facade, examples and
-// tests. A straggler would silently pay goroutine hand-offs again.
-func TestNoClosureRunInInternal(t *testing.T) {
-	takesProc := func(lit *ast.FuncLit) bool {
-		params := lit.Type.Params.List
-		if len(params) != 1 {
-			return false
-		}
-		star, ok := params[0].Type.(*ast.StarExpr)
-		if !ok {
-			return false
-		}
-		switch x := star.X.(type) {
-		case *ast.Ident: // inside package machine
-			return x.Name == "Proc"
-		case *ast.SelectorExpr:
-			return x.Sel.Name == "Proc"
-		}
-		return false
+// TestRunProgramPanicsOnStrandedProcessor: a stage that reports
+// OpBlocked without having parked leaves its processor live with
+// nothing queued to resume it. RunProgram must refuse to return the
+// truncated Result, and the machine must then be unusable for reuse:
+// Reset refuses it and Acquire drops it for a fresh one.
+func TestRunProgramPanicsOnStrandedProcessor(t *testing.T) {
+	cfg := DefaultConfig(proto.WI, 2)
+	m := Acquire(cfg)
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "2 processor(s) unfinished") {
+				t.Errorf("RunProgram returned or panicked with %q, want the unfinished-processor count", msg)
+			}
+		}()
+		m.RunProgram(Steps{func(p *Proc, f *Frame) OpStatus { return OpBlocked }})
+	}()
+	if m.Reset(cfg) {
+		t.Error("Reset accepted a machine with stranded processors")
 	}
+	prev := SetReuse(true)
+	defer SetReuse(prev)
+	m.Release()
+	if got := Acquire(cfg); got == m {
+		t.Error("Acquire handed out the machine with stranded processors")
+	}
+}
+
+// TestNoClosureRunInInternal guards the single execution model: the
+// simulation core runs entirely on the caller's goroutine, so no
+// non-test file of these packages may start a goroutine or mention a
+// channel type. The name dates from the scan for closure-style
+// Machine.Run calls that this check replaced; those no longer compile.
+func TestNoClosureRunInInternal(t *testing.T) {
 	fset := token.NewFileSet()
 	files := 0
-	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return err
-		}
-		file, err := parser.ParseFile(fset, path, nil, 0)
+	for _, dir := range []string{"sim", "machine", "constructs", "workload", "apps", "proto", "cache", "mem", "mesh", "classify"} {
+		paths, err := filepath.Glob(filepath.Join("..", dir, "*.go"))
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		files++
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
 			}
-			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "Run" {
-				return true
+			file, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, arg := range call.Args {
-				if lit, ok := arg.(*ast.FuncLit); ok && takesProc(lit) {
-					t.Errorf("%s: Machine.Run(closure) in internal/; compile the body to a Program and use RunProgram",
-						fset.Position(call.Pos()))
+			files++
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n.(type) {
+				case *ast.GoStmt:
+					t.Errorf("%s: go statement in the simulation core", fset.Position(n.Pos()))
+				case *ast.ChanType:
+					t.Errorf("%s: channel type in the simulation core", fset.Position(n.Pos()))
 				}
-			}
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+				return true
+			})
+		}
 	}
-	if files < 50 {
-		t.Fatalf("scanned only %d files; the walk no longer covers internal/", files)
+	if files < 30 {
+		t.Fatalf("scanned only %d files; the walk no longer covers the simulation core", files)
 	}
 }

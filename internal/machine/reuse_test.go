@@ -14,21 +14,25 @@ import (
 func reuseWorkload(m *Machine) Result {
 	a := m.Alloc("data", 256, -1)
 	flag := m.Alloc("flag", 4, 0)
-	return m.Run(func(p *Proc) {
-		for i := 0; i < 15; i++ {
-			p.FetchAdd(a, 1)
-			v := p.Read(a + 64)
-			p.Write(a+64, v+uint32(p.ID()))
-			p.Compute(sim.Time(p.Rand().Intn(8)))
-		}
-		p.Fence()
-		if p.ID() == 0 {
-			p.Write(flag, 1)
-			p.Fence()
-		} else {
-			p.SpinUntil(flag, func(v uint32) bool { return v == 1 })
-		}
-	})
+	return m.RunProgram(seq(
+		repeat(15,
+			func(p *Proc, f *Frame) OpStatus { return p.FFetchAdd(a, 1) },
+			func(p *Proc, f *Frame) OpStatus { return p.FRead(a + 64) },
+			func(p *Proc, f *Frame) OpStatus { return p.FWrite(a+64, p.Ret()+uint32(p.ID())) },
+			computeBy(func(p *Proc) sim.Time { return sim.Time(p.Rand().Intn(8)) }),
+		),
+		[]stage{
+			func(p *Proc, f *Frame) OpStatus { return p.FFence() },
+			func(p *Proc, f *Frame) OpStatus {
+				if p.ID() != 0 {
+					f.PC++ // spinners skip the publisher's fence
+					return p.FSpinUntilEqual(flag, 1)
+				}
+				return p.FWrite(flag, 1)
+			},
+			func(p *Proc, f *Frame) OpStatus { return p.FFence() },
+		},
+	))
 }
 
 func sameResult(t *testing.T, label string, fresh, reused Result) {

@@ -48,7 +48,6 @@ type procSnap struct {
 	opDone   bool
 	opVal    uint32
 	ret      uint32
-	sm       bool
 }
 
 // forkSnap is one registered construct's captured Go-side state.
@@ -61,8 +60,6 @@ type forkSnap struct {
 // operations: nothing buffered, nothing pending, no frame live.
 func (p *Proc) assertQuiescent(op string) {
 	switch {
-	case p.co != nil:
-		panic(fmt.Sprintf("machine: %s with proc %d on the legacy coroutine model", op, p.id))
 	case !p.wb.Empty():
 		panic(fmt.Sprintf("machine: %s with proc %d write buffer non-empty", op, p.id))
 	case p.waiting != waitNone:
@@ -88,7 +85,6 @@ func (p *Proc) snapshotState() procSnap {
 		opDone:   p.opDone,
 		opVal:    p.opVal,
 		ret:      p.ret,
-		sm:       p.sm,
 	}
 }
 
@@ -103,7 +99,6 @@ func (p *Proc) restoreState(st *procSnap) {
 	p.opDone = st.opDone
 	p.opVal = st.opVal
 	p.ret = st.ret
-	p.sm = st.sm
 	p.rng.Seed(procSeed(p.id))
 	for i := uint64(0); i < st.rngDraws; i++ {
 		p.rngSrc.src.Uint64()
@@ -113,16 +108,11 @@ func (p *Proc) restoreState(st *procSnap) {
 
 // Snapshot captures the machine's complete state. The machine must have
 // completed at least one RunProgram phase (snapshots are taken between
-// phases, at quiescence) and must be on the state-machine execution
-// model — legacy Run workloads hold suspended goroutine stacks that
-// cannot be copied. Machines with an operation trace log attached
+// phases, at quiescence). Machines with an operation trace log attached
 // cannot be snapshotted (the ring is not captured).
 func (m *Machine) Snapshot() *Snapshot {
 	if !m.ran {
 		panic("machine: Snapshot before any run; execute the warm-up phase first")
-	}
-	if m.body != nil {
-		panic("machine: Snapshot of a legacy Run machine is unsupported; use RunProgram workloads")
 	}
 	if m.cfg.Trace != nil {
 		panic("machine: Snapshot with an operation trace log attached is unsupported")

@@ -2,54 +2,14 @@ package machine
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"coherencesim/internal/proto"
 )
 
-// TestMixedModeCoexistence runs legacy-closure machines and
-// state-machine machines concurrently in one process: the two execution
-// models share no global state, so each produces exactly its solo
-// result regardless of what runs beside it.
-func TestMixedModeCoexistence(t *testing.T) {
-	m1, g1 := buildEqv(t, proto.CU, 8)
-	wantLegacy := m1.Run(eqvBody(g1))
-	m2, g2 := buildEqv(t, proto.CU, 8)
-	wantSM := m2.RunProgram(g2)
-
-	const pairs = 4
-	legacy := make([]Result, pairs)
-	sm := make([]Result, pairs)
-	var wg sync.WaitGroup
-	for i := 0; i < pairs; i++ {
-		wg.Add(2)
-		go func(i int) {
-			defer wg.Done()
-			m, g := buildEqv(t, proto.CU, 8)
-			legacy[i] = m.Run(eqvBody(g))
-		}(i)
-		go func(i int) {
-			defer wg.Done()
-			m, g := buildEqv(t, proto.CU, 8)
-			sm[i] = m.RunProgram(g)
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < pairs; i++ {
-		if !reflect.DeepEqual(legacy[i], wantLegacy) {
-			t.Errorf("legacy run %d diverged under mixed-mode execution", i)
-		}
-		if !reflect.DeepEqual(sm[i], wantSM) {
-			t.Errorf("state-machine run %d diverged under mixed-mode execution", i)
-		}
-	}
-}
-
 // TestRunProgramContinuationExtendsRun checks the multi-phase contract:
 // a second RunProgram continues the same simulation (clock and event
-// numbering advance monotonically, stats accumulate) instead of
-// panicking like legacy Run.
+// numbering advance monotonically, stats accumulate).
 func TestRunProgramContinuationExtendsRun(t *testing.T) {
 	m, g := buildEqv(t, proto.WI, 4)
 	r1 := m.RunProgram(g)
@@ -94,8 +54,8 @@ func TestSnapshotForkMatchesContinuation(t *testing.T) {
 }
 
 // TestSnapshotGuards covers the misuse panics: snapshotting before any
-// run, snapshotting a legacy Run machine, and restoring onto a machine
-// that already ran.
+// run, and restoring onto a machine that already ran or was built
+// differently.
 func TestSnapshotGuards(t *testing.T) {
 	expectPanic := func(name string, f func()) {
 		defer func() {
@@ -107,10 +67,6 @@ func TestSnapshotGuards(t *testing.T) {
 	}
 	m, _ := buildEqv(t, proto.WI, 2)
 	expectPanic("Snapshot before run", func() { m.Snapshot() })
-
-	ml, gl := buildEqv(t, proto.WI, 2)
-	ml.Run(eqvBody(gl))
-	expectPanic("Snapshot of legacy run", func() { ml.Snapshot() })
 
 	src, g := buildEqv(t, proto.WI, 2)
 	src.RunProgram(g)

@@ -13,17 +13,15 @@ func TestMachineTracing(t *testing.T) {
 	cfg.Trace = log
 	m := New(cfg)
 	flag := m.Alloc("flag", 4, 0)
-	m.Run(func(p *Proc) {
-		if p.ID() == 0 {
-			p.Compute(200)
-			p.FetchAdd(flag, 1)
-			p.Fence()
-			return
-		}
-		p.SpinUntil(flag, func(v uint32) bool { return v == 1 })
-		p.Write(flag+4, 2)
-		p.Flush(flag)
-	})
+	m.RunProgram(byID{{
+		compute(200),
+		func(p *Proc, f *Frame) OpStatus { return p.FFetchAdd(flag, 1) },
+		func(p *Proc, f *Frame) OpStatus { return p.FFence() },
+	}, {
+		func(p *Proc, f *Frame) OpStatus { return p.FSpinUntilEqual(flag, 1) },
+		func(p *Proc, f *Frame) OpStatus { return p.FWrite(flag+4, 2) },
+		func(p *Proc, f *Frame) OpStatus { return p.FFlush(flag) },
+	}})
 	var counts [16]int
 	for _, e := range log.Events() {
 		counts[e.Kind]++
@@ -61,11 +59,7 @@ func TestMachineWithoutTraceIsUnaffected(t *testing.T) {
 		}
 		m := New(cfg)
 		a := m.Alloc("x", 4, 0)
-		return m.Run(func(p *Proc) {
-			for i := 0; i < 10; i++ {
-				p.FetchAdd(a, 1)
-			}
-		})
+		return m.RunProgram(seq(repeat(10, func(p *Proc, f *Frame) OpStatus { return p.FFetchAdd(a, 1) })))
 	}
 	r1, r2 := run(true), run(false)
 	if r1.Cycles != r2.Cycles || r1.Misses != r2.Misses {

@@ -113,7 +113,7 @@ func (r *liveRunner) protoConfig() proto.Config {
 // reset returns the runner to the initial state for the next schedule.
 func (r *liveRunner) reset() error {
 	if !r.e.Reset() {
-		return fmt.Errorf("mc: engine refused reset (live coroutines)")
+		return fmt.Errorf("mc: engine refused reset (live tasks)")
 	}
 	r.s.Reset(r.protoConfig())
 	r.issued = [MaxProcs]uint8{}

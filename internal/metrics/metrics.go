@@ -5,7 +5,7 @@
 // trace-event timelines for Perfetto).
 //
 // Everything in this package is keyed to *simulated* time. A Registry
-// belongs to exactly one Machine (one engine, one coroutine at a time),
+// belongs to exactly one Machine (one engine, driven by one goroutine),
 // so it needs no locking, and because every mutation carries the
 // simulated clock, a run's snapshot is a pure function of the simulated
 // execution — byte-identical however many worker threads the experiment

@@ -25,8 +25,8 @@
 // the cache controller (obtaining an exclusive copy) under WI and at the
 // home memory under the update-based protocols, as in the paper.
 //
-// All methods must be invoked from engine context (events or stalled-
-// coroutine call sites); the package performs no locking.
+// All methods must be invoked from engine context (events or a
+// processor's step functions); the package performs no locking.
 package proto
 
 import (

@@ -25,46 +25,24 @@ func BenchmarkScheduleRun(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkStallForFastPath measures the in-place stall: a lone coroutine
+// BenchmarkStallForFastPath measures the in-place stall: a lone task
 // repeatedly stalls with nothing else queued, so every StallFor takes the
-// tail-dispatch fast path — no event, no goroutine hand-off.
+// tail-dispatch fast path — no event, no unwinding.
 func BenchmarkStallForFastPath(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
-	n := b.N
-	var c *Coroutine
-	c = e.Go("bench", func() {
-		for i := 0; i < n; i++ {
-			c.StallFor(1)
+	var t Task
+	i := 0
+	t.Init(e, "bench", func() {
+		for i < b.N {
+			i++
+			if !t.StallFor(1) {
+				return
+			}
 		}
+		t.End()
 	})
-	b.ResetTimer()
-	e.Run()
-}
-
-// BenchmarkParkUnpark measures the full park/unpark path: a 1-cycle
-// self-rescheduling interferer event guarantees the queue minimum is
-// always <= now+2, so every StallFor(2) schedules a wake event and swaps
-// to the engine and back — two goroutine hand-offs per iteration.
-func BenchmarkParkUnpark(b *testing.B) {
-	b.ReportAllocs()
-	e := NewEngine()
-	n := b.N
-	done := false
-	var tick func()
-	tick = func() {
-		if !done {
-			e.Schedule(1, tick)
-		}
-	}
-	e.Schedule(1, tick)
-	var c *Coroutine
-	c = e.Go("bench", func() {
-		for i := 0; i < n; i++ {
-			c.StallFor(2)
-		}
-		done = true
-	})
+	t.Begin()
 	b.ResetTimer()
 	e.Run()
 }

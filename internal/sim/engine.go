@@ -4,11 +4,9 @@
 // The engine maintains an event queue ordered by (time, seq), where seq
 // is a monotonically increasing tie-breaker, so simulations are
 // bit-reproducible. Simulated processors run as resumable tasks that the
-// run loop re-enters by direct call (see Task); the legacy coroutine
-// model runs each processor as a goroutine handing control back and
-// forth over a channel token (see Coroutine). In either model exactly
-// one thread of control is running at any instant, so simulation state
-// needs no locking and executes deterministically.
+// run loop re-enters by direct call (see Task). Everything runs on the
+// caller's goroutine, so simulation state needs no locking and executes
+// deterministically.
 //
 // The event core is built for throughput: events are typed 32-byte
 // structs in a two-level timing wheel with a 4-ary-heap overflow (no
@@ -51,12 +49,6 @@ type Engine struct {
 	// too: they consume the same (seq, processed) budget as the wake
 	// event they elide, keeping event numbering byte-identical.
 	processed uint64
-
-	// handoffs counts goroutine control transfers performed for
-	// coroutine dispatch. State-machine tasks never increment it, so it
-	// is the regression probe for channel hand-offs reappearing on the
-	// default workload path.
-	handoffs uint64
 
 	// tasks that are currently parked waiting to be woken.
 	blocked int
@@ -179,10 +171,9 @@ func (e *Engine) Step() bool {
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Handoffs returns the number of goroutine control transfers performed
-// for coroutine dispatch so far. A simulation running purely on
-// state-machine tasks reports zero.
-func (e *Engine) Handoffs() uint64 { return e.handoffs }
+// Live reports the number of tasks that have been started on the engine
+// and have not yet finished.
+func (e *Engine) Live() int { return e.live }
 
 // Reset returns the engine to its initial state — time zero, an empty
 // queue, and zeroed (seq, processed) event numbering — so a fully built
@@ -190,9 +181,7 @@ func (e *Engine) Handoffs() uint64 { return e.handoffs }
 // queue's bucket and heap arrays are kept as the event arena for the
 // next run. Reset refuses (returning false, leaving the engine
 // untouched) while the engine is running or while any task is live or
-// blocked: coroutine goroutines still reference engine state and could
-// resume into it, and a parked state machine would be orphaned
-// mid-program.
+// blocked: a parked task would be orphaned mid-program.
 func (e *Engine) Reset() bool {
 	if e.running || e.live != 0 || e.blocked != 0 {
 		return false
@@ -200,7 +189,7 @@ func (e *Engine) Reset() bool {
 	// reset zeroes every used slot, so leftover events (possible after
 	// RunUntil/Step) do not retain callbacks in the arena.
 	e.pq.reset()
-	e.now, e.seq, e.processed, e.handoffs = 0, 0, 0, 0
+	e.now, e.seq, e.processed = 0, 0, 0
 	e.tail = nil
 	return true
 }

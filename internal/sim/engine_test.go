@@ -161,14 +161,40 @@ func TestPropertyEventOrdering(t *testing.T) {
 	}
 }
 
-func TestCoroutineBasicHandoff(t *testing.T) {
+// startTask begins a task that runs steps in order, one resume at a
+// time: a step returns false after it parked (the next resume continues
+// with the following step) and true to fall through to it at once.
+func startTask(e *Engine, name string, steps ...func(t *Task) bool) *Task {
+	t := &Task{}
+	pc := 0
+	t.Init(e, name, func() {
+		for pc < len(steps) {
+			step := steps[pc]
+			pc++
+			if !step(t) {
+				return
+			}
+		}
+		t.End()
+	})
+	t.Begin()
+	return t
+}
+
+// parkForever parks with nothing scheduled to wake the task.
+func parkForever(t *Task) bool {
+	t.Park()
+	return false
+}
+
+func TestTaskStartsAtCurrentTime(t *testing.T) {
 	e := NewEngine()
 	var trace []string
-	c := e.Go("worker", func() {
+	startTask(e, "worker", func(*Task) bool {
 		trace = append(trace, "start")
 		e.Schedule(10, func() {})
+		return true
 	})
-	_ = c
 	e.Schedule(5, func() { trace = append(trace, "event5") })
 	e.Run()
 	if len(trace) != 2 || trace[0] != "start" || trace[1] != "event5" {
@@ -179,45 +205,47 @@ func TestCoroutineBasicHandoff(t *testing.T) {
 	}
 }
 
-func TestCoroutineStallFor(t *testing.T) {
+func TestTaskStallFor(t *testing.T) {
 	e := NewEngine()
 	var wakeTimes []Time
-	var co *Coroutine
-	co = e.Go("sleeper", func() {
-		co.StallFor(7)
+	stall := func(d Time) func(*Task) bool {
+		return func(tk *Task) bool { return tk.StallFor(d) }
+	}
+	record := func(*Task) bool {
 		wakeTimes = append(wakeTimes, e.Now())
-		co.StallFor(3)
-		wakeTimes = append(wakeTimes, e.Now())
-	})
+		return true
+	}
+	startTask(e, "sleeper", stall(7), record, stall(3), record)
 	e.Run()
 	if len(wakeTimes) != 2 || wakeTimes[0] != 7 || wakeTimes[1] != 10 {
 		t.Fatalf("wakeTimes = %v, want [7 10]", wakeTimes)
 	}
 }
 
-func TestCoroutineStallWake(t *testing.T) {
+func TestTaskParkWake(t *testing.T) {
 	e := NewEngine()
-	var co *Coroutine
 	resumed := Time(0)
-	co = e.Go("waiter", func() {
-		co.Stall()
+	tk := startTask(e, "waiter", parkForever, func(*Task) bool {
 		resumed = e.Now()
+		return true
 	})
-	e.Schedule(42, func() { co.Wake() })
+	e.Schedule(42, tk.Wake)
 	e.Run()
 	if resumed != 42 {
 		t.Fatalf("resumed at %d, want 42", resumed)
 	}
 }
 
-func TestCoroutineWakeAt(t *testing.T) {
+func TestTaskWakeAt(t *testing.T) {
 	e := NewEngine()
-	var co *Coroutine
 	resumed := Time(0)
-	co = e.Go("waiter", func() {
-		co.WakeAt(99)
-		co.Stall()
+	startTask(e, "waiter", func(tk *Task) bool {
+		tk.WakeAt(99)
+		tk.Park()
+		return false
+	}, func(*Task) bool {
 		resumed = e.Now()
+		return true
 	})
 	e.Run()
 	if resumed != 99 {
@@ -225,36 +253,40 @@ func TestCoroutineWakeAt(t *testing.T) {
 	}
 }
 
+func TestWakingRunningTaskPanics(t *testing.T) {
+	e := NewEngine()
+	startTask(e, "awake", func(tk *Task) bool {
+		defer func() {
+			if recover() == nil {
+				t.Error("Wake on a task that is not parked did not panic")
+			}
+		}()
+		tk.Wake()
+		return true
+	})
+	e.Run()
+}
+
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine()
-	var co *Coroutine
-	co = e.Go("stuck", func() {
-		co.Stall() // nobody will wake us
-	})
+	startTask(e, "stuck", parkForever) // nobody will wake it
 	defer func() {
 		if recover() == nil {
 			t.Error("Run() did not panic on deadlock")
 		}
-		// Unstick the goroutine so the test process can exit cleanly.
-		go func() { co.Wake() }()
 	}()
 	e.Run()
 }
 
 func TestRunUntilDeadlockDetection(t *testing.T) {
 	e := NewEngine()
-	var co *Coroutine
-	co = e.Go("stuck", func() {
-		co.Stall() // nobody will wake us
-	})
+	startTask(e, "stuck", parkForever)
 	defer func() {
 		if recover() == nil {
 			t.Error("RunUntil() did not panic on deadlock")
 		}
-		// Unstick the goroutine so the test process can exit cleanly.
-		go func() { co.Wake() }()
 	}()
-	// The queue drains (only the start event) with the coroutine still
+	// The queue drains (only the start event) with the task still
 	// blocked; with no pending event, nothing can ever wake it, so the
 	// bounded run must diagnose the deadlock just as Run does.
 	e.RunUntil(100)
@@ -262,35 +294,35 @@ func TestRunUntilDeadlockDetection(t *testing.T) {
 
 func TestStepDeadlockDetection(t *testing.T) {
 	e := NewEngine()
-	var co *Coroutine
-	co = e.Go("stuck", func() {
-		co.Stall() // nobody will wake us
-	})
-	if !e.Step() { // start event: body runs until Stall
+	startTask(e, "stuck", parkForever)
+	if !e.Step() { // start event: the task runs until it parks
 		t.Fatal("Step() found no start event")
 	}
 	defer func() {
 		if recover() == nil {
 			t.Error("Step() did not panic on deadlock")
 		}
-		go func() { co.Wake() }()
 	}()
-	e.Step() // empty queue + blocked coroutine
+	e.Step() // empty queue + blocked task
 }
 
-func TestManyCoroutinesInterleaveDeterministically(t *testing.T) {
+func TestManyTasksInterleaveDeterministically(t *testing.T) {
 	run := func() []string {
 		e := NewEngine()
 		var trace []string
 		for i := 0; i < 8; i++ {
 			i := i
-			var co *Coroutine
-			co = e.Go("p", func() {
-				for k := 0; k < 3; k++ {
-					co.StallFor(Time(1 + (i+k)%4))
-					trace = append(trace, string(rune('a'+i))+string(rune('0'+k)))
-				}
-			})
+			var steps []func(*Task) bool
+			for k := 0; k < 3; k++ {
+				k := k
+				steps = append(steps,
+					func(tk *Task) bool { return tk.StallFor(Time(1 + (i+k)%4)) },
+					func(*Task) bool {
+						trace = append(trace, string(rune('a'+i))+string(rune('0'+k)))
+						return true
+					})
+			}
+			startTask(e, "p", steps...)
 		}
 		e.Run()
 		return trace
@@ -306,21 +338,25 @@ func TestManyCoroutinesInterleaveDeterministically(t *testing.T) {
 	}
 }
 
-func TestCoroutineStalledAndEnded(t *testing.T) {
+func TestTaskStalledAndName(t *testing.T) {
 	e := NewEngine()
-	var co *Coroutine
-	co = e.Go("x", func() {
-		if co.Stalled() {
+	tk := startTask(e, "x", func(tk *Task) bool {
+		if tk.Stalled() {
 			t.Error("Stalled() true while running")
 		}
-		co.StallFor(1)
+		return tk.StallFor(1)
+	})
+	e.Schedule(1, func() {
+		if !tk.Stalled() {
+			t.Error("Stalled() false while parked behind an earlier event")
+		}
 	})
 	e.Run()
-	if !co.Ended() {
-		t.Error("Ended() false after Run")
+	if tk.Stalled() || e.Live() != 0 {
+		t.Errorf("after Run: Stalled() = %v, Live() = %d", tk.Stalled(), e.Live())
 	}
-	if co.Name() != "x" {
-		t.Errorf("Name() = %q", co.Name())
+	if tk.Name() != "x" {
+		t.Errorf("Name() = %q", tk.Name())
 	}
 }
 

@@ -42,7 +42,7 @@ func (h *heap4) push(nev event) {
 }
 
 // pop removes and returns the minimum event. The vacated tail slot is
-// zeroed so the arena does not retain the event's callback or coroutine
+// zeroed so the arena does not retain the event's callback or task
 // beyond its execution.
 func (h *heap4) pop() event {
 	ev := h.ev

@@ -134,7 +134,7 @@ func TestHeap4ArenaReuse(t *testing.T) {
 	}
 
 	// Vacated slots must not retain payload pointers (the arena recycles
-	// slots, it must not pin dead callbacks/coroutines).
+	// slots, it must not pin dead callbacks/tasks).
 	fill(8)
 	drain()
 	spare := h.ev[:cap(h.ev)]

@@ -5,14 +5,13 @@ import "fmt"
 // EngineState is the restorable state of a quiescent engine: the clock,
 // the event sequence counter, and the performance counters. A quiescent
 // engine has no live tasks, no parked tasks, and an empty event queue,
-// so these four words fully determine its future behaviour — restoring
+// so these three words fully determine its future behaviour — restoring
 // them onto another quiescent engine makes that engine continue the
 // simulation with byte-identical (time, seq) event numbering.
 type EngineState struct {
 	Now       Time
 	Seq       uint64
 	Processed uint64
-	Handoffs  uint64
 }
 
 // assertQuiescent panics unless the engine is between runs with nothing
@@ -30,7 +29,7 @@ func (e *Engine) assertQuiescent(op string) {
 // be quiescent (between runs, queue drained).
 func (e *Engine) SnapshotState() EngineState {
 	e.assertQuiescent("SnapshotState")
-	return EngineState{Now: e.now, Seq: e.seq, Processed: e.processed, Handoffs: e.handoffs}
+	return EngineState{Now: e.now, Seq: e.seq, Processed: e.processed}
 }
 
 // RestoreState loads a snapshot onto a quiescent engine, positioning its
@@ -41,6 +40,5 @@ func (e *Engine) RestoreState(st EngineState) {
 	e.now = st.Now
 	e.seq = st.Seq
 	e.processed = st.Processed
-	e.handoffs = st.Handoffs
 	e.tail = nil
 }

@@ -2,22 +2,13 @@ package sim
 
 // Task is the engine's unit of resumable control: something the run
 // loop can hand the simulated instant to and that hands it back by
-// returning. It is the dispatch seam shared by the two execution
-// models:
-//
-//   - State-machine tasks (the default workload path) embed a Task and
-//     set resume to their step-loop re-entry function. Parking is just
-//     Park() + returning out of the resume call; waking is a direct
-//     call back into resume — no goroutines, no channels, no scheduler
-//     hand-off.
-//   - Coroutines (the legacy closure path, see Coroutine) wrap a Task
-//     whose resume transfers control to a dedicated goroutine over a
-//     channel token.
+// returning. A simulated processor embeds a Task and sets resume to its
+// step-loop re-entry function. Parking is just Park() + returning out
+// of the resume call; waking is a direct call back into resume — no
+// goroutines, no channels, no scheduler hand-off.
 //
 // Engine bookkeeping (live/blocked counts, the tail-dispatch gate, the
-// (seq, processed) event budget) lives entirely at the Task level, so
-// both models consume identical event numbering and interleave freely
-// in one simulation.
+// (seq, processed) event budget) lives entirely at the Task level.
 type Task struct {
 	e       *Engine
 	name    string
@@ -37,8 +28,8 @@ func (t *Task) Init(e *Engine, name string, resume func()) {
 }
 
 // Begin registers the task as live and schedules its first resume at
-// the current time, mirroring Engine.Go's start event. End must be
-// called when the task's program completes.
+// the current time. End must be called when the task's program
+// completes.
 func (t *Task) Begin() {
 	t.e.live++
 	t.e.atWake(t.e.now, t)
@@ -51,8 +42,8 @@ func (t *Task) End() {
 }
 
 // Park marks the task as blocked awaiting a Wake. The caller must then
-// return out of its resume invocation: for a state machine, parking is
-// this call plus unwinding, which is what makes the path channel-free.
+// return out of its resume invocation: parking is this call plus
+// unwinding.
 func (t *Task) Park() {
 	t.stalled = true
 	t.e.blocked++
@@ -84,14 +75,21 @@ func (t *Task) WakeAt(at Time) {
 }
 
 // StallFor suspends the task for d cycles. It returns true when the
-// stall completed in place — the fast path described on
-// Coroutine.StallFor: the task is the run loop's tail dispatch and no
-// queued event sorts at or before now+d, so the clock and the elided
-// wake event's (seq, processed) budget are advanced directly and the
-// caller just keeps running. Otherwise the wake is queued, the task is
-// parked, and StallFor returns false: a state-machine caller must
-// unwind (its resume will be re-entered at now+d), while Coroutine
-// additionally parks its goroutine.
+// stall completed in place and the caller just keeps running; false
+// means the wake is queued and the task parked, so the caller must
+// unwind (its resume will be re-entered at now+d).
+//
+// Fast path: when this task is the run loop's tail dispatch (no
+// interrupted engine callback pending beneath it, see Engine.tail) and
+// no queued event sorts before the wake-up would — the queue is empty
+// or holds nothing at or before now+d — no other code can observe the
+// stall, so the engine state is advanced in place: the clock to now+d,
+// plus the seq and processed the elided wake event would have consumed,
+// keeping event numbering byte-identical. Any event at or before now+d
+// — even one tying at exactly now+d, whose earlier seq must win —
+// forces the full park/wake path. The fast path is additionally gated
+// on Run (e.running) because RunUntil and Step must observe the wake
+// event to stop at their boundaries.
 func (t *Task) StallFor(d Time) bool {
 	e := t.e
 	if e.running && e.tail == t && !e.pq.hasEventAtOrBefore(e.now+d) {

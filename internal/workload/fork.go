@@ -39,7 +39,7 @@ const (
 
 // lockProgram builds the variant's program for iters per-processor
 // iterations.
-func (v LockVariant) program(p Params, l constructs.ProgramLock, iters int) Program {
+func (v LockVariant) program(p Params, l constructs.Lock, iters int) Program {
 	switch v {
 	case PlainLock:
 		return &lockLoopProgram{l: l, iters: iters, hold: p.HoldCycles}
@@ -62,7 +62,7 @@ func warmSplit(n int) (warm, rest int) {
 
 // reductionProgram builds the (im)balanced reduction program starting
 // at episode base.
-func reductionProgram(p Params, imbalanced bool, red constructs.ProgramReducer, iters, base int) Program {
+func reductionProgram(p Params, imbalanced bool, red constructs.Reducer, iters, base int) Program {
 	if imbalanced {
 		return &reductionImbalProgram{red: red, iters: iters, procs: p.Procs, base: base}
 	}

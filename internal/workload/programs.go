@@ -6,18 +6,16 @@ import (
 	"coherencesim/internal/sim"
 )
 
-// Program re-exports the machine's state-machine workload interface:
-// a resumable step function dispatched inline by the event loop. The
-// six synthetic programs below are the closure bodies of workload.go
-// compiled to this model; the entry points run them through
-// Machine.RunProgram, which produces byte-identical results to the
-// legacy coroutine path without any goroutine hand-offs.
+// Program re-exports the machine's workload interface: a resumable step
+// function dispatched inline by the event loop. The six synthetic
+// programs below are the loop bodies of the paper's Section 4 workloads;
+// the entry points in workload.go run them through Machine.RunProgram.
 type Program = machine.Program
 
 // lockLoopProgram is LockLoop's body: acquire, hold, release, repeat.
 // Registers: I0 iteration.
 type lockLoopProgram struct {
-	l     constructs.ProgramLock
+	l     constructs.Lock
 	iters int
 	hold  sim.Time
 }
@@ -50,7 +48,7 @@ func (g *lockLoopProgram) Step(p *machine.Proc, f *machine.Frame) machine.OpStat
 // lockLoopPauseProgram is LockLoopRandomPause's body: a bounded
 // pseudo-random pause follows each release. Registers: I0 iteration.
 type lockLoopPauseProgram struct {
-	l     constructs.ProgramLock
+	l     constructs.Lock
 	iters int
 	hold  sim.Time
 }
@@ -88,7 +86,7 @@ func (g *lockLoopPauseProgram) Step(p *machine.Proc, f *machine.Frame) machine.O
 // lockLoopRatioProgram is LockLoopWorkRatio's body: outside work is P
 // times the hold time, within ±10%. Registers: I0 iteration.
 type lockLoopRatioProgram struct {
-	l       constructs.ProgramLock
+	l       constructs.Lock
 	iters   int
 	hold    sim.Time
 	outside int64
@@ -127,7 +125,7 @@ func (g *lockLoopRatioProgram) Step(p *machine.Proc, f *machine.Frame) machine.O
 
 // barrierLoopProgram is BarrierLoop's body. Registers: I0 episode.
 type barrierLoopProgram struct {
-	b     constructs.ProgramBarrier
+	b     constructs.Barrier
 	iters int
 }
 
@@ -144,7 +142,7 @@ func (g *barrierLoopProgram) Step(p *machine.Proc, f *machine.Frame) machine.OpS
 // for continuation phases (warm-fork runs), so local values stay
 // strictly increasing across the phase boundary.
 type reductionLoopProgram struct {
-	red   constructs.ProgramReducer
+	red   constructs.Reducer
 	iters int
 	procs int
 	base  int
@@ -170,7 +168,7 @@ func (g *reductionLoopProgram) Step(p *machine.Proc, f *machine.Frame) machine.O
 // pseudo-random production delay precedes each episode. Registers: I0
 // episode. base offsets the episode index as in reductionLoopProgram.
 type reductionImbalProgram struct {
-	red   constructs.ProgramReducer
+	red   constructs.Reducer
 	iters int
 	procs int
 	base  int

@@ -11,8 +11,8 @@ import (
 // TestLockRunSteadyStateAllocs bounds the allocation cost of one full
 // quick-scale lock run on a pooled machine. With machine construction
 // amortized away by reuse and the protocol data path allocation-free,
-// what remains is per-run scaffolding: the processor coroutines, the
-// lock construct, and result assembly — around 850 objects at this
+// what remains is per-run scaffolding: the lock construct and result
+// assembly — around 850 objects at this
 // scale, where a fresh-machine run costs ~16000. The bound has ~75%
 // headroom; a regression that reintroduces per-operation allocation
 // blows through it immediately (800 iterations x even one object each

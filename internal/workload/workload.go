@@ -147,7 +147,7 @@ func DefaultReductionParams(pr proto.Protocol, procs int) Params {
 }
 
 // newLock builds the lock under test on m.
-func newLock(m *machine.Machine, k LockKind) constructs.ProgramLock {
+func newLock(m *machine.Machine, k LockKind) constructs.Lock {
 	switch k {
 	case Ticket:
 		return constructs.NewTicketLock(m, "lock")
@@ -160,7 +160,7 @@ func newLock(m *machine.Machine, k LockKind) constructs.ProgramLock {
 }
 
 // newBarrier builds the barrier under test on m.
-func newBarrier(m *machine.Machine, k BarrierKind) constructs.ProgramBarrier {
+func newBarrier(m *machine.Machine, k BarrierKind) constructs.Barrier {
 	switch k {
 	case Central:
 		return constructs.NewCentralBarrier(m, "barrier")
@@ -196,7 +196,7 @@ func LockLoop(p Params, kind LockKind) LockResult {
 // machine the caller built (with p.Procs processors) and still owns
 // afterwards — for locks outside LockKind and for callers that inspect
 // the machine once the run is over.
-func LockLoopOn(m *machine.Machine, l constructs.ProgramLock, p Params) LockResult {
+func LockLoopOn(m *machine.Machine, l constructs.Lock, p Params) LockResult {
 	iters := p.Iterations / p.Procs
 	res := m.RunProgram(&lockLoopProgram{l: l, iters: iters, hold: p.HoldCycles})
 	return lockLatency(res, iters*p.Procs, p.HoldCycles)
@@ -288,7 +288,7 @@ func ReductionLoopImbalanced(p Params, kind ReductionKind) ReductionResult {
 	return reductionResult(m.RunProgram(&reductionImbalProgram{red: red, iters: p.Iterations, procs: p.Procs}), p.Iterations)
 }
 
-func newReducer(m *machine.Machine, k ReductionKind) constructs.ProgramReducer {
+func newReducer(m *machine.Machine, k ReductionKind) constructs.Reducer {
 	switch k {
 	case Parallel:
 		return constructs.NewParallelReducer(m, "red", m.NewMagicLock(), m.NewMagicBarrier())
