@@ -421,14 +421,18 @@ var allocCaps = map[string]int64{
 	"MachineEventThroughput": 8,
 	"MachineResetReuse":      8,
 	"MachineSnapshotFork":    16,
-	"SingleLockRun":          2048,
+	// One lock run on a pooled machine is per-run scaffolding only — the
+	// MCS lock's 32 queue nodes and their names, result assembly — since
+	// fences, hand-offs and the classifier allocate nothing per operation
+	// (measured 70; one object per lock release would add 1600).
+	"SingleLockRun": 88,
 	// The traced twins are capped too: span retention shares one target
 	// arena, per-block heat is a value map, and the fixed-cap buffers
-	// allocate once, so the counts are small and stable (≈260 and ≈1790
-	// as of the pooling change — the caps leave headroom for map-growth
-	// jitter, not for a slide back to per-span copying at ~2400/6000).
+	// allocate once, so the counts are small and stable (measured 259 and
+	// 190 — the caps leave ~25 % headroom for map-growth jitter, not for a
+	// slide back to per-span copying at ~2400/6000).
 	"MachineEventThroughputTraced": 512,
-	"SingleLockRunTraced":          2048,
+	"SingleLockRunTraced":          240,
 }
 
 func run(benchtime string) (File, error) {

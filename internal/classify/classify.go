@@ -13,11 +13,18 @@
 //
 // The classifier is driven by hooks from the protocol engine: global write
 // visibility, per-processor references, copy acquisition/loss, and update
-// delivery. It maintains per-(processor, block) shadow state keyed by
-// block number, sized by the working set rather than the address space.
+// delivery. Its state is flat and block-indexed — the machine hands out
+// blocks densely from 0 — with no map on any hook: a global write history
+// per block, and per processor a block -> slot index over a compact array
+// of shadow entries, so memory follows the blocks a processor touched.
+// Delivered-but-unclassified updates are two 16-bit word masks per entry,
+// so a reference to a block with none pending is a load and a compare.
 package classify
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // MissKind is a cache-miss category.
 type MissKind int
@@ -85,7 +92,7 @@ func (k UpdateKind) String() string {
 
 // LossReason says why a processor's cached copy went away; it determines
 // how the next miss on that block is classified.
-type LossReason int
+type LossReason uint8
 
 const (
 	// LossInvalidation: a coherence invalidation (WI write by another proc).
@@ -134,41 +141,55 @@ func (u UpdateCounts) Total() uint64 {
 // Useful returns true-sharing updates (the only useful class).
 func (u UpdateCounts) Useful() uint64 { return u[UpdTrue] }
 
-// pendingUpdate tracks one delivered-but-unclassified update message.
-// It is stored by value in procBlock.pending, so the per-update
-// bookkeeping on the delivery hot path does not allocate.
-type pendingUpdate struct {
-	refdOther bool // receiver referenced another word in the block
+// wordsPerBlock is the number of words the shadow state tracks per block;
+// it equals cache.WordsPerBlock (pinned by a test — this package does not
+// import the cache). The pending-update masks below are sized for it.
+const wordsPerBlock = 16
+
+// checkWord panics on a word index outside the block. Every hook that
+// takes a word calls it: a mask shift by an out-of-range word would
+// otherwise drop the event silently.
+func checkWord(word int) {
+	if uint(word) >= wordsPerBlock {
+		panic(fmt.Sprintf("classify: word %d out of range [0,%d)", word, wordsPerBlock))
+	}
 }
 
-// wordVersion tracks global write history of one word.
-type wordVersion struct {
-	ver    uint64
-	writer int
-}
-
-// blockHistory is the global (cross-processor) write history of a block.
+// blockHistory is the global (cross-processor) write history of a block:
+// per word, a version counter and the last writer.
 type blockHistory struct {
-	words [16]wordVersion
+	ver    [wordsPerBlock]uint64
+	writer [wordsPerBlock]int32
 }
 
 // procBlock is per-(processor, block) shadow state.
 type procBlock struct {
-	everCached bool
-	cached     bool
-	lossReason LossReason
 	// lostVer snapshots the global word versions at the moment the copy
 	// was lost; a later miss compares against current versions.
-	lostVer [16]uint64
-	// pending maps word -> unclassified delivered update.
-	pending map[int]pendingUpdate
+	lostVer [wordsPerBlock]uint64
+	// pend has bit w set while a delivered update to word w awaits
+	// classification; refdOther (a subset of pend) marks those whose
+	// receiver has since referenced another word of the block.
+	pend, refdOther uint16
+	lossReason      LossReason
+	everCached      bool
+}
+
+// procShadow is one processor's shadow state: a block-indexed slot table
+// over a compact array, so memory follows the blocks the processor touched
+// rather than the address space (4 bytes per block below the highest one
+// touched, a full procBlock only per touched block).
+type procShadow struct {
+	slot   []int32 // block -> 1-based index into blocks; 0 = untouched
+	blocks []procBlock
 }
 
 // Classifier accumulates categorized communication for one simulation run.
 type Classifier struct {
-	procs   int
-	history map[uint32]*blockHistory
-	state   []map[uint32]*procBlock // per processor
+	// history is indexed by block number: the machine hands out blocks
+	// densely from 0, so a grow-on-demand slice stands in for a map.
+	history []blockHistory
+	shadow  []procShadow // per processor
 
 	misses  MissCounts
 	updates UpdateCounts
@@ -184,60 +205,54 @@ func New(procs int) *Classifier {
 	if procs <= 0 {
 		panic("classify: procs must be positive")
 	}
-	st := make([]map[uint32]*procBlock, procs)
-	for i := range st {
-		st[i] = make(map[uint32]*procBlock)
-	}
 	return &Classifier{
-		procs:         procs,
-		history:       make(map[uint32]*blockHistory),
-		state:         st,
+		shadow:        make([]procShadow, procs),
 		perProcMisses: make([]MissCounts, procs),
 	}
 }
 
 // Reset clears all accumulated classification state for machine reuse.
-// Shadow-state map entries are kept and zeroed in place (the next run's
-// working set is typically identical), which is order-safe: each entry's
-// reset is independent of every other, so map iteration order cannot
-// influence the result.
+// The slot tables are kept (the next run's working set is typically
+// identical) and the state behind them zeroed.
 func (c *Classifier) Reset() {
-	for _, h := range c.history {
-		h.words = [16]wordVersion{}
-	}
-	for p := range c.state {
-		for _, s := range c.state[p] {
-			s.everCached = false
-			s.cached = false
-			s.lossReason = 0
-			s.lostVer = [16]uint64{}
-			clear(s.pending)
-		}
+	clear(c.history)
+	for p := range c.shadow {
+		clear(c.shadow[p].blocks)
 	}
 	c.misses = MissCounts{}
 	c.updates = UpdateCounts{}
 	c.refs = 0
-	for i := range c.perProcMisses {
-		c.perProcMisses[i] = MissCounts{}
-	}
+	clear(c.perProcMisses)
 }
 
+// extend returns s lengthened with zero values to hold index i.
+func extend[T any](s []T, i int) []T {
+	if i < len(s) {
+		return s
+	}
+	return append(s, make([]T, i+1-len(s))...)
+}
+
+// hist returns block's write history. The pointer is valid until the
+// next hist call.
 func (c *Classifier) hist(block uint32) *blockHistory {
-	h, ok := c.history[block]
-	if !ok {
-		h = &blockHistory{}
-		c.history[block] = h
-	}
-	return h
+	c.history = extend(c.history, int(block))
+	return &c.history[block]
 }
 
+// pb returns p's shadow state for block, assigning a slot on first touch.
+// The pointer is valid until the next pb call for p.
 func (c *Classifier) pb(p int, block uint32) *procBlock {
-	s, ok := c.state[p][block]
-	if !ok {
-		s = &procBlock{pending: make(map[int]pendingUpdate)}
-		c.state[p][block] = s
+	sh := &c.shadow[p]
+	if int(block) < len(sh.slot) {
+		if i := sh.slot[block]; i != 0 {
+			return &sh.blocks[i-1]
+		}
 	}
-	return s
+	sh.slot = extend(sh.slot, int(block))
+	sh.blocks = append(sh.blocks, procBlock{})
+	sh.slot[block] = int32(len(sh.blocks))
+	return &sh.blocks[len(sh.blocks)-1]
 }
 
 // GlobalWrite records that processor p's store to (block, word) became
@@ -249,9 +264,10 @@ func (c *Classifier) pb(p int, block uint32) *procBlock {
 // so that the causing write counts as "written since the copy was lost"
 // and the sharers' re-miss classifies as true/false sharing.
 func (c *Classifier) GlobalWrite(p int, block uint32, word int) {
-	w := &c.hist(block).words[word]
-	w.ver++
-	w.writer = p
+	checkWord(word)
+	h := c.hist(block)
+	h.ver[word]++
+	h.writer[word] = int32(p)
 }
 
 // Reference records that processor p touched (block, word) — load or
@@ -259,64 +275,60 @@ func (c *Classifier) GlobalWrite(p int, block uint32, word int) {
 // becomes a true-sharing (useful) update; pending updates on other words
 // of the block learn that active false sharing is occurring.
 func (c *Classifier) Reference(p int, block uint32, word int) {
+	checkWord(word)
 	c.refs++
 	s := c.pb(p, block)
-	for w, pu := range s.pending {
-		if w == word {
-			c.updates[UpdTrue]++
-			delete(s.pending, w)
-		} else if !pu.refdOther {
-			s.pending[w] = pendingUpdate{refdOther: true}
-		}
+	if s.pend == 0 {
+		return
 	}
+	if bit := uint16(1) << uint(word); s.pend&bit != 0 {
+		c.updates[UpdTrue]++
+		s.pend &^= bit
+		s.refdOther &^= bit
+	}
+	s.refdOther |= s.pend
 }
 
 // Installed records that p acquired a cached copy of block.
 func (c *Classifier) Installed(p int, block uint32) {
-	s := c.pb(p, block)
-	s.everCached = true
-	s.cached = true
+	c.pb(p, block).everCached = true
 }
 
 // LostCopy records that p's copy of block went away for the given reason.
-// Pending updates are resolved here for replacement (and, for LossDrop,
-// by DropDelivered below — LostCopy with LossDrop flushes any remaining
-// other-word pendings as proliferation).
+// Pending updates are resolved here: as replacement updates on eviction,
+// otherwise as useless (LostCopy with LossDrop follows DropDelivered and
+// flushes the remaining other-word pendings).
 func (c *Classifier) LostCopy(p int, block uint32, reason LossReason) {
 	s := c.pb(p, block)
-	s.cached = false
 	s.lossReason = reason
-	h := c.hist(block)
-	for w := range s.lostVer {
-		s.lostVer[w] = h.words[w].ver
+	s.lostVer = c.hist(block).ver
+	if s.pend == 0 {
+		return
 	}
-	for w := range s.pending {
-		switch reason {
-		case LossEviction:
-			c.updates[UpdReplacement]++
-		default:
-			// Invalidation under WI cannot coexist with pending updates;
-			// drop/flush strand pendings, which are useless by definition.
-			c.resolveUseless(s.pending[w])
-		}
-		delete(s.pending, w)
+	if reason == LossEviction {
+		c.updates[UpdReplacement] += uint64(bits.OnesCount16(s.pend))
+	} else {
+		// Invalidation under WI cannot coexist with pending updates;
+		// drop/flush strand pendings, which are useless by definition.
+		c.resolveUseless(s.pend, s.refdOther)
 	}
+	s.pend, s.refdOther = 0, 0
 }
 
-// resolveUseless classifies a lifetime-ended useless update as false
-// sharing if the receiver was actively referencing other words in the
-// block, else as proliferation (the paper's convention).
-func (c *Classifier) resolveUseless(pu pendingUpdate) {
-	if pu.refdOther {
-		c.updates[UpdFalse]++
-	} else {
-		c.updates[UpdProliferation]++
-	}
+// resolveUseless classifies lifetime-ended useless updates (the pend bits
+// in mask) as false sharing where the receiver was actively referencing
+// other words in the block, else as proliferation (the paper's
+// convention).
+func (c *Classifier) resolveUseless(mask, refdOther uint16) {
+	f := bits.OnesCount16(mask & refdOther)
+	c.updates[UpdFalse] += uint64(f)
+	c.updates[UpdProliferation] += uint64(bits.OnesCount16(mask) - f)
 }
 
 // Miss classifies and counts a miss by p on (block, word). Call when the
 // access has been determined to miss in the cache.
 func (c *Classifier) Miss(p int, block uint32, word int) MissKind {
+	checkWord(word)
 	s := c.pb(p, block)
 	var kind MissKind
 	switch {
@@ -328,12 +340,11 @@ func (c *Classifier) Miss(p int, block uint32, word int) MissKind {
 		kind = MissDrop
 	default: // invalidation or flush: sharing-based classification
 		h := c.hist(block)
-		wv := h.words[word]
-		wroteSince := wv.ver > s.lostVer[word]
-		byOther := wv.writer != p
+		wroteSince := h.ver[word] > s.lostVer[word]
+		byOther := int(h.writer[word]) != p
 		if wroteSince && byOther {
 			kind = MissTrue
-		} else if s.lossReason == LossFlush && !c.anyOtherWrite(s, h, p) {
+		} else if s.lossReason == LossFlush && !anyOtherWrite(s, h, p) {
 			// Nothing changed since our own flush: self-induced, count as
 			// eviction-like rather than inventing sharing that isn't there.
 			kind = MissEviction
@@ -348,9 +359,9 @@ func (c *Classifier) Miss(p int, block uint32, word int) MissKind {
 
 // anyOtherWrite reports whether any word of the block was written by a
 // processor other than p since s lost its copy.
-func (c *Classifier) anyOtherWrite(s *procBlock, h *blockHistory, p int) bool {
-	for w := range h.words {
-		if h.words[w].ver > s.lostVer[w] && h.words[w].writer != p {
+func anyOtherWrite(s *procBlock, h *blockHistory, p int) bool {
+	for w := range h.ver {
+		if h.ver[w] > s.lostVer[w] && int(h.writer[w]) != p {
 			return true
 		}
 	}
@@ -367,11 +378,12 @@ func (c *Classifier) Upgrade(p int) {
 // by writer arrived at p's cached copy. A previous pending update to the
 // same word has now been overwritten and is classified useless.
 func (c *Classifier) UpdateDelivered(p int, block uint32, word, writer int) {
+	checkWord(word)
 	s := c.pb(p, block)
-	if old, ok := s.pending[word]; ok {
-		c.resolveUseless(old)
-	}
-	s.pending[word] = pendingUpdate{}
+	bit := uint16(1) << uint(word)
+	c.resolveUseless(s.pend&bit, s.refdOther)
+	s.pend |= bit
+	s.refdOther &^= bit
 }
 
 // DropDelivered records an update that, on arrival at p, pushed the CU
@@ -379,11 +391,12 @@ func (c *Classifier) UpdateDelivered(p int, block uint32, word, writer int) {
 // update is a drop update; the caller must follow with
 // LostCopy(p, block, LossDrop).
 func (c *Classifier) DropDelivered(p int, block uint32, word int) {
+	checkWord(word)
 	s := c.pb(p, block)
-	if old, ok := s.pending[word]; ok {
-		c.resolveUseless(old)
-		delete(s.pending, word)
-	}
+	bit := uint16(1) << uint(word)
+	c.resolveUseless(s.pend&bit, s.refdOther)
+	s.pend &^= bit
+	s.refdOther &^= bit
 	c.updates[UpdDrop]++
 }
 
@@ -396,12 +409,11 @@ func (c *Classifier) StrayUpdate() { c.updates[UpdProliferation]++ }
 // Finish classifies all still-pending updates as termination updates.
 // Call exactly once, at end of simulation.
 func (c *Classifier) Finish() {
-	for p := range c.state {
-		for _, s := range c.state[p] {
-			for w := range s.pending {
-				c.updates[UpdTermination]++
-				delete(s.pending, w)
-			}
+	for p := range c.shadow {
+		blocks := c.shadow[p].blocks
+		for i := range blocks {
+			c.updates[UpdTermination] += uint64(bits.OnesCount16(blocks[i].pend))
+			blocks[i].pend, blocks[i].refdOther = 0, 0
 		}
 	}
 }

@@ -1,8 +1,11 @@
 package classify
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"coherencesim/internal/cache"
 )
 
 func TestKindStrings(t *testing.T) {
@@ -220,6 +223,63 @@ func TestInvalidProcsPanics(t *testing.T) {
 		}
 	}()
 	New(0)
+}
+
+// Every hook that takes a word rejects one outside the block with a
+// classify: panic — with mask-based pending tracking an out-of-range
+// word would otherwise shift to zero and vanish.
+func TestWordOutOfRangePanics(t *testing.T) {
+	hooks := map[string]func(c *Classifier, word int){
+		"GlobalWrite":     func(c *Classifier, w int) { c.GlobalWrite(0, 1, w) },
+		"Reference":       func(c *Classifier, w int) { c.Reference(0, 1, w) },
+		"Miss":            func(c *Classifier, w int) { c.Miss(0, 1, w) },
+		"UpdateDelivered": func(c *Classifier, w int) { c.UpdateDelivered(0, 1, w, 1) },
+		"DropDelivered":   func(c *Classifier, w int) { c.DropDelivered(0, 1, w) },
+	}
+	for name, hook := range hooks {
+		for _, word := range []int{-1, wordsPerBlock, 1 << 20} {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.HasPrefix(msg, "classify: word ") {
+						t.Errorf("%s(word=%d) panicked with %q, want a classify: word message", name, word, msg)
+					}
+				}()
+				hook(New(2), word)
+			}()
+		}
+		hook(New(2), wordsPerBlock-1) // the last word is in range
+	}
+}
+
+func TestWordsPerBlockMatchesCache(t *testing.T) {
+	if wordsPerBlock != cache.WordsPerBlock {
+		t.Fatalf("wordsPerBlock = %d, cache.WordsPerBlock = %d", wordsPerBlock, cache.WordsPerBlock)
+	}
+}
+
+// Hooks on a (processor, block) pair the classifier has already seen
+// allocate nothing: no map, no per-update record.
+func TestHooksOnTouchedBlockDoNotAllocate(t *testing.T) {
+	c := New(4)
+	c.Miss(1, 9, 0)
+	c.Installed(1, 9)
+	c.GlobalWrite(0, 9, 0)
+	allocs := testing.AllocsPerRun(100, func() {
+		c.UpdateDelivered(1, 9, 3, 0)
+		c.Reference(1, 9, 5)
+		c.UpdateDelivered(1, 9, 3, 0)
+		c.Reference(1, 9, 3)
+		c.GlobalWrite(0, 9, 3)
+		c.DropDelivered(1, 9, 4)
+		c.LostCopy(1, 9, LossDrop)
+		c.Miss(1, 9, 3)
+		c.Installed(1, 9)
+		c.LostCopy(1, 9, LossEviction)
+	})
+	if allocs != 0 {
+		t.Fatalf("hooks on a touched block allocate %.0f objects per round, want 0", allocs)
+	}
 }
 
 // Property: every delivered update is eventually classified in exactly one

@@ -2,23 +2,12 @@ package classify
 
 import "fmt"
 
-// procBlockState is the flat copy of one per-(processor, block) shadow
-// entry.
-type procBlockState struct {
-	everCached bool
-	cached     bool
-	lossReason LossReason
-	lostVer    [16]uint64
-	pending    map[int]pendingUpdate
-}
-
 // State is a deep snapshot of a classifier's accumulated state: the
-// global write histories, the per-processor shadow copies, and every
-// category counter. Maps are copied entry-by-entry, so a snapshot
-// shares no mutable storage with its source.
+// global write histories, the per-processor shadow state, and every
+// category counter. It shares no mutable storage with its source.
 type State struct {
-	history map[uint32]blockHistory
-	state   []map[uint32]procBlockState
+	history []blockHistory
+	shadow  []procShadow
 	misses  MissCounts
 	updates UpdateCounts
 	refs    uint64
@@ -28,61 +17,32 @@ type State struct {
 // SnapshotState captures the classifier's accumulated state.
 func (c *Classifier) SnapshotState() State {
 	st := State{
-		history: make(map[uint32]blockHistory, len(c.history)),
-		state:   make([]map[uint32]procBlockState, len(c.state)),
+		history: append([]blockHistory(nil), c.history...),
+		shadow:  make([]procShadow, len(c.shadow)),
 		misses:  c.misses,
 		updates: c.updates,
 		refs:    c.refs,
 		perProc: append([]MissCounts(nil), c.perProcMisses...),
 	}
-	for b, h := range c.history {
-		st.history[b] = *h
-	}
-	for p := range c.state {
-		m := make(map[uint32]procBlockState, len(c.state[p]))
-		for b, pb := range c.state[p] {
-			ps := procBlockState{
-				everCached: pb.everCached,
-				cached:     pb.cached,
-				lossReason: pb.lossReason,
-				lostVer:    pb.lostVer,
-			}
-			if len(pb.pending) > 0 {
-				ps.pending = make(map[int]pendingUpdate, len(pb.pending))
-				for w, pu := range pb.pending {
-					ps.pending[w] = pu
-				}
-			}
-			m[b] = ps
+	for p, sh := range c.shadow {
+		st.shadow[p] = procShadow{
+			slot:   append([]int32(nil), sh.slot...),
+			blocks: append([]procBlock(nil), sh.blocks...),
 		}
-		st.state[p] = m
 	}
 	return st
 }
 
 // RestoreState loads a snapshot into c, replacing all accumulated
 // state. The target must have the snapshot source's processor count.
-// Entries are refilled individually through the classifier's own
-// accessors, so restoration is order-independent and deterministic.
 func (c *Classifier) RestoreState(st State) {
-	if len(st.state) != c.procs {
-		panic(fmt.Sprintf("classify: RestoreState processor count mismatch (%d vs %d)", len(st.state), c.procs))
+	if len(st.shadow) != len(c.shadow) {
+		panic(fmt.Sprintf("classify: RestoreState processor count mismatch (%d vs %d)", len(st.shadow), len(c.shadow)))
 	}
-	c.Reset()
-	for b, h := range st.history {
-		*c.hist(b) = h
-	}
-	for p := range st.state {
-		for b, ps := range st.state[p] {
-			pb := c.pb(p, b)
-			pb.everCached = ps.everCached
-			pb.cached = ps.cached
-			pb.lossReason = ps.lossReason
-			pb.lostVer = ps.lostVer
-			for w, pu := range ps.pending {
-				pb.pending[w] = pu
-			}
-		}
+	c.history = append(c.history[:0], st.history...)
+	for p, sh := range st.shadow {
+		c.shadow[p].slot = append(c.shadow[p].slot[:0], sh.slot...)
+		c.shadow[p].blocks = append(c.shadow[p].blocks[:0], sh.blocks...)
 	}
 	c.misses = st.misses
 	c.updates = st.updates

@@ -97,9 +97,11 @@ func startWorkers(t *testing.T, coord *Coordinator, n int) (workers []*Worker, s
 }
 
 // startFleet attaches one worker per config (Coordinator filled in) and
-// waits for every one to register.
+// waits for every one to register. It may be called again to grow the
+// fleet.
 func startFleet(t *testing.T, coord *Coordinator, cfgs []WorkerConfig) (workers []*Worker, stops []context.CancelFunc) {
 	t.Helper()
+	want := coord.LiveWorkers() + len(cfgs)
 	mux := http.NewServeMux()
 	coord.Mount(mux)
 	ts := httptest.NewServer(mux)
@@ -119,9 +121,9 @@ func startFleet(t *testing.T, coord *Coordinator, cfgs []WorkerConfig) (workers 
 	}
 	// Wait until every worker has registered.
 	deadline := time.Now().Add(5 * time.Second)
-	for coord.LiveWorkers() < len(cfgs) {
+	for coord.LiveWorkers() < want {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d workers registered", coord.LiveWorkers(), len(cfgs))
+			t.Fatalf("only %d/%d workers registered", coord.LiveWorkers(), want)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -339,8 +341,29 @@ func TestStealInterleavingByteIdentity(t *testing.T) {
 				for i := 1; i < workers; i++ {
 					cfgs[i] = WorkerConfig{ID: fmt.Sprintf("fast%d", i), Batch: 8}
 				}
-				fleet, _ := startFleet(t, coord, cfgs)
-				got, err := coord.RunPoints(context.Background(), fig.pts, nil)
+				// The slow worker attaches alone and must hold its batch
+				// before any fast worker polls: whoever polls first gets
+				// the head of the sweep, and fast workers that win that
+				// race can finish it without the slow one ever holding a
+				// tail to steal.
+				fleet, _ := startFleet(t, coord, cfgs[:1])
+				var (
+					got  []experiments.PointResult
+					err  error
+					done = make(chan struct{})
+				)
+				go func() {
+					defer close(done)
+					got, err = coord.RunPoints(context.Background(), fig.pts, nil)
+				}()
+				for deadline := time.Now().Add(5 * time.Second); coord.Stats().Batches == 0; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatal("the slow worker never leased a batch")
+					}
+				}
+				fast, _ := startFleet(t, coord, cfgs[1:])
+				fleet = append(fleet, fast...)
+				<-done
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,0 +1,92 @@
+package machine
+
+import (
+	"testing"
+
+	"coherencesim/internal/proto"
+	"coherencesim/internal/sim"
+)
+
+// These tests pin the zero-allocation property of the synchronization
+// paths above the protocol: a fence that has to wait for acknowledgements
+// and the magic lock/barrier hand-offs reuse their waiter lists and the
+// processors' pre-bound wake callbacks.
+
+// allocsPerRep runs mk(reps) as continuation phases on m and returns the
+// allocations one repetition adds to a phase: a phase of 65 repetitions
+// against a phase of one, so the per-phase constant (result assembly)
+// cancels out. The warm-up is long because simulated time keeps
+// advancing: every event-wheel bucket the wakes can land in has to reach
+// its working capacity, not just the free lists and waiter lists.
+func allocsPerRep(m *Machine, mk func(reps int) Program) float64 {
+	long, short := mk(65), mk(1)
+	for i := 0; i < 400; i++ {
+		m.RunProgram(long)
+	}
+	many := testing.AllocsPerRun(10, func() { m.RunProgram(long) })
+	one := testing.AllocsPerRun(10, func() { m.RunProgram(short) })
+	return (many - one) / 64
+}
+
+func TestBlockedFenceDoesNotAllocate(t *testing.T) {
+	for _, pr := range allProtocols() {
+		m := newM(t, pr, 4)
+		a := m.Alloc("shared", 4, 0)
+		// Every processor reads the word (so a write has sharers to
+		// notify), writes it and fences: the fence outlives the write
+		// buffer and parks on the outstanding acknowledgements.
+		mk := func(reps int) Program {
+			return seq(repeat(reps,
+				func(p *Proc, f *Frame) OpStatus { return p.FRead(a) },
+				func(p *Proc, f *Frame) OpStatus { return p.FWrite(a, uint32(f.I0)) },
+				func(p *Proc, f *Frame) OpStatus { return p.FFence() },
+			))
+		}
+		if got := allocsPerRep(m, mk); got != 0 {
+			t.Errorf("%v: a write+fence round allocates %.2f objects, want 0", pr, got)
+		}
+		var stalled bool
+		for _, ps := range m.RunProgram(mk(1)).PerProc {
+			stalled = stalled || ps.FenceStall > 0
+		}
+		if !stalled {
+			t.Errorf("%v: no fence ever blocked; the test no longer covers the drain-waiter path", pr)
+		}
+	}
+}
+
+func TestMagicBarrierEpisodeDoesNotAllocate(t *testing.T) {
+	m := newM(t, proto.WI, 32)
+	b := m.NewMagicBarrier()
+	mk := func(reps int) Program {
+		return seq(repeat(reps,
+			computeBy(func(p *Proc) sim.Time { return sim.Time(p.ID()) }),
+			func(p *Proc, f *Frame) OpStatus { return b.FWait(p) },
+		))
+	}
+	if got := allocsPerRep(m, mk); got != 0 {
+		t.Errorf("a 32-processor magic barrier episode allocates %.2f objects, want 0", got)
+	}
+}
+
+func TestMagicLockHandOffDoesNotAllocate(t *testing.T) {
+	m := newM(t, proto.WI, 8)
+	l := m.NewMagicLock()
+	mk := func(reps int) Program {
+		return seq(repeat(reps,
+			func(p *Proc, f *Frame) OpStatus { return l.FAcquire(p) },
+			compute(20), // long enough that every release finds waiters queued
+			func(p *Proc, f *Frame) OpStatus { return l.FRelease(p) },
+		))
+	}
+	if got := allocsPerRep(m, mk); got != 0 {
+		t.Errorf("a contended magic lock hand-off allocates %.2f objects, want 0", got)
+	}
+	var waited bool
+	for _, ps := range m.RunProgram(mk(1)).PerProc {
+		waited = waited || ps.SyncWait > 0
+	}
+	if !waited {
+		t.Error("no processor ever queued on the lock; the test no longer covers the hand-off path")
+	}
+}

@@ -103,9 +103,10 @@ func magicReleaseStep(p *Proc, f *Frame) OpStatus {
 		if len(l.queue) == 0 {
 			l.held = false
 		} else {
+			// Pop by shifting down, keeping the queue's storage.
 			next := l.queue[0]
-			l.queue = l.queue[1:]
-			l.m.e.Schedule(0, func() { next.unblock(waitSync) })
+			l.queue = l.queue[:copy(l.queue, l.queue[1:])]
+			l.m.e.Schedule(0, next.syncWake)
 		}
 		p.EndPhase()
 		return OpDone
@@ -177,12 +178,10 @@ func magicBarrierWaitStep(p *Proc, f *Frame) OpStatus {
 		}
 		// Last arrival: release everyone after the fixed cost.
 		b.arrived = 0
-		ws := b.waiters
-		b.waiters = nil
-		for _, w := range ws {
-			w := w
-			b.m.e.Schedule(b.cycles, func() { w.unblock(waitSync) })
+		for _, w := range b.waiters {
+			b.m.e.Schedule(b.cycles, w.syncWake)
 		}
+		b.waiters = b.waiters[:0]
 		f.PC = 2
 		if !p.FCompute(b.cycles) {
 			return OpBlocked

@@ -137,6 +137,7 @@ type Proc struct {
 	fenceDone  func()
 	drainStep  func()
 	spinWake   func()
+	syncWake   func()
 }
 
 func newProc(m *Machine, id int) *Proc {
@@ -183,6 +184,7 @@ func newProc(m *Machine, id int) *Proc {
 		p.drain()
 	}
 	p.spinWake = func() { p.unblock(waitSpin) }
+	p.syncWake = func() { p.unblock(waitSync) }
 	return p
 }
 

@@ -197,11 +197,11 @@ const (
 type pendKind uint8
 
 const (
-	pendNone pendKind = iota
-	pendRead          // read fetching from a dirty/retained owner
-	pendWI            // WI acquisition collecting invalidation acks
-	pendWIOwner       // WI acquisition fetching from the old owner
-	pendDemote        // PU/CU demoting a retained owner, then resuming
+	pendNone    pendKind = iota
+	pendRead             // read fetching from a dirty/retained owner
+	pendWI               // WI acquisition collecting invalidation acks
+	pendWIOwner          // WI acquisition fetching from the old owner
+	pendDemote           // PU/CU demoting a retained owner, then resuming
 )
 
 // pendTx is the home-side transient state of a multi-message directory
@@ -228,9 +228,9 @@ type dir struct {
 	waitq   []msg // requests queued behind the busy entry, FIFO
 }
 
-func (d *dir) has(p uint8) bool  { return d.sharers&(1<<p) != 0 }
-func (d *dir) add(p uint8)       { d.sharers |= 1 << p }
-func (d *dir) remove(p uint8)    { d.sharers &^= 1 << p }
+func (d *dir) has(p uint8) bool         { return d.sharers&(1<<p) != 0 }
+func (d *dir) add(p uint8)              { d.sharers |= 1 << p }
+func (d *dir) remove(p uint8)           { d.sharers &^= 1 << p }
 func (d *dir) othersMask(p uint8) uint8 { return d.sharers &^ (1 << p) }
 
 // procOp is processor p's single in-flight operation. The model mirrors
@@ -238,11 +238,11 @@ func (d *dir) othersMask(p uint8) uint8 { return d.sharers &^ (1 << p) }
 // operation only after the previous one has fully completed (retired and
 // drained of acknowledgements), matching release-consistency fences.
 type procOp struct {
-	active  bool
-	kind    OpKind
-	block   uint8
-	word    uint8
-	val uint8 // write value (assigned at issue)
+	active bool
+	kind   OpKind
+	block  uint8
+	word   uint8
+	val    uint8 // write value (assigned at issue)
 	// Update-protocol acknowledgement accounting (the updTx analogue;
 	// one per processor since operations are serialized per processor).
 	txActive  bool
@@ -266,27 +266,27 @@ type proc struct {
 type msgKind uint8
 
 const (
-	mNone msgKind = iota
-	mReadReq        // requester -> home: read miss (also write-allocate fetch)
-	mReadOwnerFetch // home -> owner: fetch for a read (demote to shared)
-	mReadOwnerData  // owner -> home: data back
-	mReadReply      // home -> requester: block data, install shared
-	mWIReq          // requester -> home: WI ownership request (write/atomic)
-	mInv            // home -> sharer: invalidate
-	mInvAck         // sharer -> home: invalidation acknowledged
-	mWIOwnerFetch   // home -> old owner: fetch and invalidate
-	mWIOwnerData    // owner -> home: data back
-	mGrant          // home -> requester: ownership grant (data optional)
-	mWTReq          // writer -> home: PU/CU write-through (word, value)
-	mUpd            // home -> sharer: update (word, value, writer)
-	mUpdAck         // sharer -> writer: update acknowledged
-	mWTReply        // home -> writer: write-through reply (expected acks)
-	mAtomReq        // requester -> home: PU/CU atomic fetch-add
-	mAtomReply      // home -> requester: old value (+ block for new sharer)
-	mWB             // evictor -> home: dirty write-back (block data)
-	mNote           // node -> home: drop notice / replacement hint / relinquish
-	mDemote         // home -> owner: demote retained block to shared
-	mDemoteData     // owner -> home: demoted data back
+	mNone           msgKind = iota
+	mReadReq                // requester -> home: read miss (also write-allocate fetch)
+	mReadOwnerFetch         // home -> owner: fetch for a read (demote to shared)
+	mReadOwnerData          // owner -> home: data back
+	mReadReply              // home -> requester: block data, install shared
+	mWIReq                  // requester -> home: WI ownership request (write/atomic)
+	mInv                    // home -> sharer: invalidate
+	mInvAck                 // sharer -> home: invalidation acknowledged
+	mWIOwnerFetch           // home -> old owner: fetch and invalidate
+	mWIOwnerData            // owner -> home: data back
+	mGrant                  // home -> requester: ownership grant (data optional)
+	mWTReq                  // writer -> home: PU/CU write-through (word, value)
+	mUpd                    // home -> sharer: update (word, value, writer)
+	mUpdAck                 // sharer -> writer: update acknowledged
+	mWTReply                // home -> writer: write-through reply (expected acks)
+	mAtomReq                // requester -> home: PU/CU atomic fetch-add
+	mAtomReply              // home -> requester: old value (+ block for new sharer)
+	mWB                     // evictor -> home: dirty write-back (block data)
+	mNote                   // node -> home: drop notice / replacement hint / relinquish
+	mDemote                 // home -> owner: demote retained block to shared
+	mDemoteData             // owner -> home: demoted data back
 )
 
 func (k msgKind) String() string {

@@ -6,6 +6,11 @@
 // destination of messages: each node's network interface serializes
 // outgoing and incoming flits, while the interior of the mesh is treated
 // as contention-free pipelined wormhole transmission.
+//
+// Routing distance is the one per-message computation that depends on the
+// topology; New tabulates it for every node pair (n*n bytes), so Send is
+// table lookups, additions and comparisons — no division on the
+// per-message path.
 package mesh
 
 import (
@@ -43,6 +48,8 @@ type Network struct {
 	cfg Config
 	n   int
 	w   int // grid width
+	// hops[src*n+dst] is the switch-traversal count of the route.
+	hops []uint8
 
 	outFree []sim.Time // per-node earliest time the output NI is free
 	inFree  []sim.Time // per-node earliest time the input NI is free
@@ -67,9 +74,13 @@ func (nw *Network) Instrument(msgs, flits *metrics.Counter) {
 	nw.mMsgs, nw.mFlits = msgs, flits
 }
 
+// maxNodes bounds the mesh so a route's hop count fits the hop table's
+// uint8 entries (a 64x64 grid: at most 127 hops).
+const maxNodes = 1 << 12
+
 // New builds an N-node mesh on engine e.
 func New(e *sim.Engine, n int, cfg Config) *Network {
-	if n <= 0 {
+	if n <= 0 || n > maxNodes {
 		panic(fmt.Sprintf("mesh: invalid node count %d", n))
 	}
 	if cfg.FlitBytes <= 0 {
@@ -79,11 +90,20 @@ func New(e *sim.Engine, n int, cfg Config) *Network {
 	for w*w < n {
 		w++
 	}
+	hops := make([]uint8, n*n)
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			if src != dst {
+				hops[src*n+dst] = uint8(abs(src%w-dst%w) + abs(src/w-dst/w) + 1)
+			}
+		}
+	}
 	return &Network{
 		e:        e,
 		cfg:      cfg,
 		n:        n,
 		w:        w,
+		hops:     hops,
 		outFree:  make([]sim.Time, n),
 		inFree:   make([]sim.Time, n),
 		outFlits: make([]uint64, n),
@@ -114,14 +134,7 @@ func (nw *Network) Coord(id int) (x, y int) { return id % nw.w, id / nw.w }
 // Hops returns the number of switch traversals between src and dst under
 // dimension-ordered routing (the Manhattan distance, plus one for the
 // injection switch when src != dst).
-func (nw *Network) Hops(src, dst int) int {
-	if src == dst {
-		return 0
-	}
-	sx, sy := nw.Coord(src)
-	dx, dy := nw.Coord(dst)
-	return abs(sx-dx) + abs(sy-dy) + 1
-}
+func (nw *Network) Hops(src, dst int) int { return int(nw.hops[src*nw.n+dst]) }
 
 // Flits returns the number of flits needed to carry a message of the given
 // byte size (at least one flit).

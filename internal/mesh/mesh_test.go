@@ -45,6 +45,31 @@ func TestHopsManhattan(t *testing.T) {
 	}
 }
 
+// The hop table New builds equals the Manhattan distance between the grid
+// coordinates plus the injection switch, for every pair, on square and
+// ragged grids; the largest mesh allowed still fits the table's entries.
+func TestHopTableMatchesCoordinates(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 8, 32, 64, 200} {
+		nw := New(sim.NewEngine(), n, DefaultConfig())
+		for s := 0; s < n; s++ {
+			sx, sy := nw.Coord(s)
+			for d := 0; d < n; d++ {
+				dx, dy := nw.Coord(d)
+				want := 0
+				if s != d {
+					want = abs(sx-dx) + abs(sy-dy) + 1
+				}
+				if got := nw.Hops(s, d); got != want {
+					t.Fatalf("n=%d: Hops(%d,%d) = %d, want %d", n, s, d, got, want)
+				}
+			}
+		}
+	}
+	if got := New(sim.NewEngine(), maxNodes, DefaultConfig()).Hops(0, maxNodes-1); got != 127 {
+		t.Fatalf("corner to corner of the largest mesh: %d hops, want 127", got)
+	}
+}
+
 func TestFlitCount(t *testing.T) {
 	nw := New(sim.NewEngine(), 4, DefaultConfig())
 	cases := []struct{ bytes, flits int }{
@@ -138,6 +163,7 @@ func TestStatsAccumulate(t *testing.T) {
 func TestInvalidConstruction(t *testing.T) {
 	for _, f := range []func(){
 		func() { New(sim.NewEngine(), 0, DefaultConfig()) },
+		func() { New(sim.NewEngine(), maxNodes+1, DefaultConfig()) },
 		func() { New(sim.NewEngine(), 4, Config{FlitBytes: 0}) },
 	} {
 		func() {

@@ -197,6 +197,10 @@ func (d *dirEntry) sharerCount() int { return bits.OnesCount64(d.sharers) }
 type procState struct {
 	outstanding  int      // writes issued but not fully acknowledged
 	drainWaiters []func() // callbacks awaiting outstanding == 0
+	// drainSpare is the emptied waiter list of the previous drain:
+	// completeOutstanding swaps the two, so a blocked fence appends into
+	// storage it already owns instead of allocating a list per drain.
+	drainSpare []func()
 	// pendingWB holds dirty data evicted/flushed but not yet arrived at
 	// the home, so forwarded requests can still be served.
 	pendingWB map[uint32][]uint32
@@ -337,15 +341,14 @@ func (s *System) Reset(cfg Config) {
 		d.owner = 0
 		d.sharers = 0
 		d.busy = false
-		for i := range d.waitq {
-			d.waitq[i] = nil
-		}
+		clear(d.waitq)
 		d.waitq = d.waitq[:0]
 	}
 	for i := range s.procs {
 		ps := &s.procs[i]
 		ps.outstanding = 0
-		ps.drainWaiters = nil
+		clear(ps.drainWaiters)
+		ps.drainWaiters = ps.drainWaiters[:0]
 		// Frame release order follows map order, which is fine: frames
 		// are interchangeable scratch buffers never read before being
 		// fully overwritten, so free-list order cannot affect behaviour.
@@ -426,8 +429,13 @@ func (s *System) whenFree(d *dirEntry, fn func()) {
 func (s *System) release(d *dirEntry) {
 	d.busy = false
 	for !d.busy && len(d.waitq) > 0 {
+		// Pop by shifting down: queues are a few entries long, and
+		// reslicing from the front would shed capacity until append
+		// reallocates, forever.
 		next := d.waitq[0]
-		d.waitq = d.waitq[1:]
+		n := copy(d.waitq, d.waitq[1:])
+		d.waitq[n] = nil
+		d.waitq = d.waitq[:n]
 		next()
 	}
 }
@@ -463,11 +471,16 @@ func (s *System) completeOutstanding(p int) {
 		panic("proto: outstanding write count went negative")
 	}
 	if ps.outstanding == 0 && len(ps.drainWaiters) > 0 {
+		// Waiters may register new ones (a woken processor can run into
+		// its next fence inline), so they run off a detached list; the
+		// spare is taken, not shared, in case a waiter drains p again.
 		ws := ps.drainWaiters
-		ps.drainWaiters = nil
-		for _, w := range ws {
+		ps.drainWaiters, ps.drainSpare = ps.drainSpare[:0], nil
+		for i, w := range ws {
+			ws[i] = nil
 			w()
 		}
+		ps.drainSpare = ws
 	}
 }
 

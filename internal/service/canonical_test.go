@@ -39,9 +39,9 @@ func TestHashStableAcrossFieldOrderings(t *testing.T) {
 		`{"kind":"experiment","experiment":"fig8","scale":"quick","format":"table","metrics_interval":10000}`,
 		`{"metrics_interval":10000,"format":"table","scale":"quick","experiment":"fig8","kind":"experiment"}`,
 		`{"scale":"quick","kind":"experiment","experiment":"fig8"}`,
-		`{"experiment":"fig8"}`,                       // kind inferred, defaults applied
-		`{"kind":"EXPERIMENT","experiment":"FIG8"}`,   // case-normalized
-		`{"experiment":"fig8","timeout_sec":30}`,      // deadline excluded from the hash
+		`{"experiment":"fig8"}`,                     // kind inferred, defaults applied
+		`{"kind":"EXPERIMENT","experiment":"FIG8"}`, // case-normalized
+		`{"experiment":"fig8","timeout_sec":30}`,    // deadline excluded from the hash
 		`{"experiment":"fig8","kind":"experiment","format":"table"}`,
 	}
 	for i, doc := range variants {
@@ -139,20 +139,20 @@ func TestCanonicalizeWarmFork(t *testing.T) {
 
 func TestCanonicalizeRejections(t *testing.T) {
 	bad := []JobSpec{
-		{},                                     // no kind derivable
-		{Kind: "bogus"},                        // unknown kind
-		{Kind: "experiment"},                   // no experiment name
-		{Experiment: "fig99"},                  // unknown experiment
-		{Experiment: "fig8", Scale: "huge"},    // unknown scale
-		{Experiment: "fig8", Format: "xml"},    // unknown format
+		{},                                       // no kind derivable
+		{Kind: "bogus"},                          // unknown kind
+		{Kind: "experiment"},                     // no experiment name
+		{Experiment: "fig99"},                    // unknown experiment
+		{Experiment: "fig8", Scale: "huge"},      // unknown scale
+		{Experiment: "fig8", Format: "xml"},      // unknown format
 		{Experiment: "ablations", Format: "csv"}, // no CSV form
-		{Run: "mutex"},                         // unknown run kind
-		{Run: "lock", Algo: "spinlock"},        // unknown algorithm
-		{Run: "lock", Protocol: "MESI"},        // unknown protocol
-		{Run: "lock", Procs: 65},               // out of range
-		{Run: "lock", Procs: -1},               // out of range
-		{Run: "lock", Iterations: -5},          // negative iterations
-		{Experiment: "fig8", TimeoutSec: -1},   // negative deadline
+		{Run: "mutex"},                           // unknown run kind
+		{Run: "lock", Algo: "spinlock"},          // unknown algorithm
+		{Run: "lock", Protocol: "MESI"},          // unknown protocol
+		{Run: "lock", Procs: 65},                 // out of range
+		{Run: "lock", Procs: -1},                 // out of range
+		{Run: "lock", Iterations: -5},            // negative iterations
+		{Experiment: "fig8", TimeoutSec: -1},     // negative deadline
 	}
 	for i, s := range bad {
 		if _, err := Canonicalize(s); err == nil {

@@ -137,13 +137,13 @@ func TestSubmitPollCacheHit(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	ts, _ := newTestServer(t, Config{}, stubExec(nil, nil))
 	bad := []string{
-		``,                                   // empty body
-		`{`,                                  // malformed JSON
-		`{"experiment":"fig99"}`,             // unknown experiment
-		`{"kind":"bogus"}`,                   // unknown kind
-		`{"experiment":"fig8","zzz":1}`,      // unknown field
-		`{"run":"lock","protocol":"MESI"}`,   // unknown protocol
-		`{"run":"lock","procs":999}`,         // out of range
+		``,                                 // empty body
+		`{`,                                // malformed JSON
+		`{"experiment":"fig99"}`,           // unknown experiment
+		`{"kind":"bogus"}`,                 // unknown kind
+		`{"experiment":"fig8","zzz":1}`,    // unknown field
+		`{"run":"lock","protocol":"MESI"}`, // unknown protocol
+		`{"run":"lock","procs":999}`,       // out of range
 	}
 	for _, spec := range bad {
 		resp, _ := postJob(t, ts, spec)

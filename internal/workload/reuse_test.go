@@ -10,13 +10,12 @@ import (
 
 // TestLockRunSteadyStateAllocs bounds the allocation cost of one full
 // quick-scale lock run on a pooled machine. With machine construction
-// amortized away by reuse and the protocol data path allocation-free,
-// what remains is per-run scaffolding: the lock construct and result
-// assembly — around 850 objects at this
-// scale, where a fresh-machine run costs ~16000. The bound has ~75%
-// headroom; a regression that reintroduces per-operation allocation
-// blows through it immediately (800 iterations x even one object each
-// would roughly double the figure).
+// amortized away by reuse and the protocol data path, the fences and the
+// classifier allocation-free, what remains is per-run scaffolding: the
+// lock construct and result assembly — 22 objects at this scale, where a
+// fresh-machine run costs ~16000. A regression that reintroduces
+// per-operation allocation blows through the bound immediately (800
+// iterations x even one object each).
 func TestLockRunSteadyStateAllocs(t *testing.T) {
 	prev := machine.SetReuse(true)
 	defer machine.SetReuse(prev)
@@ -24,8 +23,8 @@ func TestLockRunSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		LockLoop(p, MCS) // warm the machine pool and every free list
 	}
-	if avg := testing.AllocsPerRun(5, func() { LockLoop(p, MCS) }); avg > 1500 {
-		t.Fatalf("pooled quick-scale lock run allocates %.0f objects, want <= 1500", avg)
+	if avg := testing.AllocsPerRun(5, func() { LockLoop(p, MCS) }); avg > 40 {
+		t.Fatalf("pooled quick-scale lock run allocates %.0f objects, want <= 40", avg)
 	}
 }
 
