@@ -51,7 +51,7 @@ func run() int {
 		role       = flag.String("role", "serve", "process role: serve (coordinator + API) or worker (joins a coordinator)")
 		join       = flag.String("join", "", "coordinator base URL to join (worker role), e.g. http://host:8377")
 		workerID   = flag.String("worker-id", "", "stable worker identity (default hostname-pid)")
-		parallel   = flag.Int("parallel", 1, "concurrent shard executions per worker")
+		parallel   = flag.Int("parallel", 1, "worker: execution slots — shards leased and run at once")
 		addr       = flag.String("addr", ":8377", "listen address")
 		queue      = flag.Int("queue", 64, "admission bound per priority class; a full queue returns 429")
 		jobs       = flag.Int("jobs", 2, "concurrently executing jobs")
@@ -62,10 +62,7 @@ func run() int {
 		quota      = flag.Int("tenant-quota", 0, "max in-flight jobs per tenant (X-Tenant header); 0 = unlimited")
 		quotas     = flag.String("tenant-quotas", "", "per-tenant overrides, e.g. 'alice=4,bob=8'")
 		hbTimeout  = flag.Duration("heartbeat-timeout", 5*time.Second, "fleet worker heartbeat timeout before shard reassignment")
-		batch      = flag.Int("batch", 0, "serve: max shards per fleet poll round-trip (default 16; 1 = per-point); worker: shards requested per poll (default 8)")
-		steal      = flag.Int("steal-threshold", 0, "min shards a busy worker must hold before an idle worker steals its tail half (default 2; negative disables)")
-		shardDelay = flag.Duration("shard-delay", 0, "worker fault injection: sleep this long before each shard (forces stealing; testing only)")
-		confPath   = flag.String("config", "", "JSON file with the hot-reloadable config subset (tenant_quota, tenant_quotas, fleet_batch, steal_threshold); reapplied on SIGHUP or POST /v1/admin/reload")
+		confPath   = flag.String("config", "", "JSON file with the hot-reloadable config subset (tenant_quota, tenant_quotas); reapplied on SIGHUP or POST /v1/admin/reload")
 		grace      = flag.Duration("grace", 30*time.Second, "graceful-drain window for in-flight jobs on SIGTERM")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty disables")
 		version    = flag.Bool("version", false, "print version information and exit")
@@ -87,7 +84,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "coherenced: -role worker requires -join <coordinator URL>")
 			return 2
 		}
-		return runWorker(*join, *workerID, *parallel, *batch, *shardDelay, logf)
+		return runWorker(*join, *workerID, *parallel, logf)
 	case "serve":
 	default:
 		fmt.Fprintf(os.Stderr, "coherenced: unknown role %q (serve or worker)\n", *role)
@@ -111,8 +108,6 @@ func run() int {
 		TenantQuota:      *quota,
 		TenantQuotas:     tenantQuotas,
 		HeartbeatTimeout: *hbTimeout,
-		FleetBatch:       *batch,
-		FleetSteal:       *steal,
 		ConfigPath:       *confPath,
 		Grace:            *grace,
 		PprofAddr:        *pprofAddr,
@@ -132,17 +127,14 @@ func run() int {
 	return 0
 }
 
-// runWorker joins a coordinator and executes shard batches until
-// SIGTERM.
-func runWorker(join, id string, parallel, batch int, shardDelay time.Duration, logf func(string, ...any)) int {
+// runWorker joins a coordinator and executes shards until SIGTERM.
+func runWorker(join, id string, parallel int, logf func(string, ...any)) int {
 	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer cancel()
 	w := fleet.NewWorker(fleet.WorkerConfig{
 		Coordinator: join,
 		ID:          id,
 		Parallel:    parallel,
-		Batch:       batch,
-		ShardDelay:  shardDelay,
 		Logf:        logf,
 	})
 	logf("coherenced: worker %s joining %s", w.ID(), join)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -36,14 +37,6 @@ type Config struct {
 	// RetryBackoff delays a requeued shard's next lease, doubling per
 	// attempt up to 8x (default 250ms).
 	RetryBackoff time.Duration
-	// Batch caps how many shards one poll round-trip may lease
-	// (default 16; 1 forces per-point dispatch). Hot-reloadable via
-	// SetTuning.
-	Batch int
-	// StealThreshold is the minimum queue a busy worker must hold
-	// before an idle poller may steal the tail half of it (default 2;
-	// negative disables stealing). Hot-reloadable via SetTuning.
-	StealThreshold int
 	// Cache, when non-nil, short-circuits shards whose results are
 	// already stored and receives every fresh result.
 	Cache ShardCache
@@ -66,12 +59,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 250 * time.Millisecond
 	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = 16
-	}
-	if cfg.StealThreshold == 0 {
-		cfg.StealThreshold = 2
-	}
 	return cfg
 }
 
@@ -79,41 +66,38 @@ func (cfg Config) withDefaults() Config {
 type Stats struct {
 	WorkersLive  int
 	Dispatched   uint64 // shard leases handed to workers
-	Batches      uint64 // non-empty poll responses (round-trips saved vs Dispatched)
+	Batches      uint64 // responses that carried a lease (= Dispatched); bench/probes.go reads it until a benchmark-definition PR retires it with its ledger rows
 	Completed    uint64 // shards finished (first result per shard)
 	Reassigned   uint64 // shards requeued after worker death or failure
-	Stolen       uint64 // shards stolen from a busy worker's tail by an idle poller
+	Stolen       uint64 // constant 0 (nothing is leased ahead, so nothing is stolen); bench/probes.go reads it until a benchmark-definition PR retires it with its ledger row
 	DupCompletes uint64 // completions for shards no longer outstanding (no-ops)
 	Failed       uint64 // shards exhausted (failed their job)
 	CacheHits    uint64 // shards answered from the shard cache
 	LocalRuns    uint64 // shards executed by the coordinator's fallback
 }
 
-type workerState struct {
-	id       string
-	lastSeen time.Time
-	queue    []*shard // leased to this worker, lease order (head is executing)
-	reported int      // unstarted depth from the worker's last heartbeat/complete
-	revoked  []string // stolen/elsewhere-completed shard IDs to deliver on next contact
-}
+// localHolder is the lease holder of a shard the coordinator's own
+// fallback is executing; the register handler refuses it as a worker ID.
+const localHolder = ""
 
+// A shard is in exactly one place while its job is live: on the pending
+// FIFO, in the leased map (someone is executing it), or merged into its
+// job's results.
 type shard struct {
 	id        string
 	job       *fleetJob
 	index     int
 	key       string
-	group     string // result-memo group: the key of a warm_fork point, else ""
 	point     experiments.Point
 	attempts  int
 	notBefore time.Time
-	worker    string // current lease ("" while pending)
+	worker    string // lease holder; meaningful only while leased
 }
 
 type fleetJob struct {
 	id        string
 	ctx       context.Context
 	results   []experiments.PointResult
-	done      []bool
 	remaining int
 	err       error
 	finished  chan struct{}
@@ -124,13 +108,12 @@ type fleetJob struct {
 // submission-order assembly of every in-flight decomposed sweep.
 type Coordinator struct {
 	cfg Config
+	now func() time.Time // time.Now; in-package tests substitute a manual clock
 
 	mu      sync.Mutex
-	batch   int // hot-reloadable copies of Config.Batch / StealThreshold
-	steal   int
-	workers map[string]*workerState
-	pending []*shard          // FIFO, subject to per-shard notBefore
-	leased  map[string]*shard // by shard ID
+	workers map[string]time.Time // worker ID -> when it was last heard from
+	pending []*shard             // FIFO, subject to per-shard notBefore
+	leased  map[string]*shard    // by shard ID
 	seq     int
 	notify  chan struct{} // closed and replaced when work arrives
 	closed  bool
@@ -143,41 +126,22 @@ type Coordinator struct {
 
 // NewCoordinator builds a coordinator and starts its heartbeat sweep.
 func NewCoordinator(cfg Config) *Coordinator {
-	cfg = cfg.withDefaults()
-	c := &Coordinator{
-		cfg:     cfg,
-		batch:   cfg.Batch,
-		steal:   cfg.StealThreshold,
-		workers: make(map[string]*workerState),
-		leased:  make(map[string]*shard),
-		notify:  make(chan struct{}),
-		done:    make(chan struct{}),
-	}
+	c := newCoordinator(cfg)
 	go c.sweepLoop()
 	return c
 }
 
-// SetTuning hot-reloads the batch cap and steal threshold. Zero values
-// restore defaults, a negative threshold disables stealing; in-flight
-// leases are untouched — only future polls see the new values.
-func (c *Coordinator) SetTuning(batch, stealThreshold int) {
-	if batch <= 0 {
-		batch = 16
+// newCoordinator is NewCoordinator without the sweep goroutine, for
+// tests that call reapDead themselves.
+func newCoordinator(cfg Config) *Coordinator {
+	return &Coordinator{
+		cfg:     cfg.withDefaults(),
+		now:     time.Now,
+		workers: make(map[string]time.Time),
+		leased:  make(map[string]*shard),
+		notify:  make(chan struct{}),
+		done:    make(chan struct{}),
 	}
-	if stealThreshold == 0 {
-		stealThreshold = 2
-	}
-	c.mu.Lock()
-	c.batch = batch
-	c.steal = stealThreshold
-	c.mu.Unlock()
-}
-
-// Tuning reports the live batch cap and steal threshold.
-func (c *Coordinator) Tuning() (batch, stealThreshold int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.batch, c.steal
 }
 
 // Close stops the heartbeat sweep and releases pollers.
@@ -209,13 +173,13 @@ func (c *Coordinator) wakeLocked() {
 func (c *Coordinator) LiveWorkers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.liveWorkersLocked(time.Now())
+	return c.liveWorkersLocked()
 }
 
-func (c *Coordinator) liveWorkersLocked(now time.Time) int {
-	n := 0
-	for _, w := range c.workers {
-		if now.Sub(w.lastSeen) <= c.cfg.HeartbeatTimeout {
+func (c *Coordinator) liveWorkersLocked() int {
+	now, n := c.now(), 0
+	for _, seen := range c.workers {
+		if now.Sub(seen) <= c.cfg.HeartbeatTimeout {
 			n++
 		}
 	}
@@ -227,12 +191,12 @@ func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	s.WorkersLive = c.liveWorkersLocked(time.Now())
+	s.Batches = s.Dispatched
+	s.WorkersLive = c.liveWorkersLocked()
 	return s
 }
 
-// sweepLoop periodically reaps workers that stopped heartbeating,
-// requeueing their leased shards.
+// sweepLoop periodically reaps workers that stopped heartbeating.
 func (c *Coordinator) sweepLoop() {
 	interval := c.cfg.HeartbeatTimeout / 4
 	if interval < 5*time.Millisecond {
@@ -244,17 +208,20 @@ func (c *Coordinator) sweepLoop() {
 		select {
 		case <-c.done:
 			return
-		case now := <-t.C:
-			c.reapDead(now)
+		case <-t.C:
+			c.reapDead()
 		}
 	}
 }
 
-func (c *Coordinator) reapDead(now time.Time) {
+// reapDead forgets every worker silent for longer than the heartbeat
+// timeout and requeues the shards it was executing.
+func (c *Coordinator) reapDead() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for id, w := range c.workers {
-		if now.Sub(w.lastSeen) <= c.cfg.HeartbeatTimeout {
+	now := c.now()
+	for id, seen := range c.workers {
+		if now.Sub(seen) <= c.cfg.HeartbeatTimeout {
 			continue
 		}
 		delete(c.workers, id)
@@ -273,15 +240,14 @@ func (c *Coordinator) reapDead(now time.Time) {
 
 // requeueLocked puts a shard back on the pending queue with one more
 // attempt consumed and a bounded backoff. Callers hold c.mu and have
-// already removed the shard from any worker queue.
+// already removed the shard from the leased map.
 func (c *Coordinator) requeueLocked(s *shard) {
-	s.worker = ""
 	s.attempts++
 	backoff := c.cfg.RetryBackoff << uint(s.attempts-1)
 	if max := c.cfg.RetryBackoff * 8; backoff > max {
 		backoff = max
 	}
-	s.notBefore = time.Now().Add(backoff)
+	s.notBefore = c.now().Add(backoff)
 	c.pending = append(c.pending, s)
 	c.stats.Reassigned++
 	c.wakeLocked()
@@ -298,7 +264,6 @@ func (c *Coordinator) RunPoints(ctx context.Context, pts []experiments.Point, on
 	job := &fleetJob{
 		ctx:      ctx,
 		results:  make([]experiments.PointResult, len(pts)),
-		done:     make([]bool, len(pts)),
 		finished: make(chan struct{}),
 		onDone:   onDone,
 	}
@@ -313,21 +278,15 @@ func (c *Coordinator) RunPoints(ctx context.Context, pts []experiments.Point, on
 			var r experiments.PointResult
 			if json.Unmarshal(body, &r) == nil {
 				job.results[i] = r
-				job.done[i] = true
 				c.stats.CacheHits++
 				continue
 			}
-		}
-		group := ""
-		if pt.WarmFork {
-			group = key // the worker's memo is keyed by every key field
 		}
 		fresh = append(fresh, &shard{
 			id:    fmt.Sprintf("%s#%d", job.id, i),
 			job:   job,
 			index: i,
 			key:   key,
-			group: group,
 			point: pt,
 		})
 	}
@@ -352,7 +311,9 @@ func (c *Coordinator) RunPoints(ctx context.Context, pts []experiments.Point, on
 		}
 		return job.results, nil
 	case <-ctx.Done():
-		c.abandon(job)
+		c.mu.Lock()
+		c.dropJobLocked(job)
+		c.mu.Unlock()
 		return nil, ctx.Err()
 	}
 }
@@ -366,33 +327,39 @@ func (c *Coordinator) cacheGet(key string) ([]byte, string, bool) {
 	return c.cfg.Cache.Get(key)
 }
 
-// abandon removes a cancelled job's shards from the queues. A late
-// Complete for one of them is ignored (the shard is no longer
-// outstanding).
-func (c *Coordinator) abandon(job *fleetJob) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	kept := c.pending[:0]
-	for _, s := range c.pending {
-		if s.job != job {
-			kept = append(kept, s)
-		}
-	}
-	c.pending = kept
+// dropJobLocked removes a cancelled or failed job's shards from the
+// queue and the lease map; a late completion for one of them is then a
+// counted no-op. Callers hold c.mu.
+func (c *Coordinator) dropJobLocked(job *fleetJob) {
+	c.pending = slices.DeleteFunc(c.pending, func(s *shard) bool { return s.job == job })
 	for sid, s := range c.leased {
 		if s.job == job {
 			delete(c.leased, sid)
 		}
 	}
-	for _, w := range c.workers {
-		kq := w.queue[:0]
-		for _, s := range w.queue {
-			if s.job != job {
-				kq = append(kq, s)
-			}
-		}
-		w.queue = kq
+}
+
+// popPendingLocked removes and returns the first pending shard that ok
+// accepts, or nil. Callers hold c.mu.
+func (c *Coordinator) popPendingLocked(ok func(*shard) bool) *shard {
+	i := slices.IndexFunc(c.pending, ok)
+	if i < 0 {
+		return nil
 	}
+	s := c.pending[i]
+	c.pending = slices.Delete(c.pending, i, i+1)
+	return s
+}
+
+// takeLocked leases the first pending shard that ok accepts to holder.
+// Callers hold c.mu.
+func (c *Coordinator) takeLocked(holder string, ok func(*shard) bool) *shard {
+	s := c.popPendingLocked(ok)
+	if s != nil {
+		s.worker = holder
+		c.leased[s.id] = s
+	}
+	return s
 }
 
 // localFallback executes the job's pending shards on the coordinator
@@ -409,71 +376,68 @@ func (c *Coordinator) localFallback(job *fleetJob) {
 		case <-time.After(10 * time.Millisecond):
 		}
 		for {
-			c.mu.Lock()
-			if c.liveWorkersLocked(time.Now()) > 0 {
-				c.mu.Unlock()
-				break
-			}
 			var s *shard
-			kept := c.pending[:0]
-			for _, p := range c.pending {
-				if s == nil && p.job == job {
-					s = p
-					continue
+			c.mu.Lock()
+			if c.liveWorkersLocked() == 0 {
+				if s = c.takeLocked(localHolder, func(p *shard) bool { return p.job == job }); s != nil {
+					c.stats.LocalRuns++
 				}
-				kept = append(kept, p)
-			}
-			c.pending = kept
-			if s != nil {
-				c.stats.LocalRuns++
 			}
 			c.mu.Unlock()
 			if s == nil {
 				break
 			}
 			res, err := c.memo.run(job.ctx, s.point)
-			if err != nil {
-				c.finishShard(s, nil, err.Error())
-				continue
-			}
 			if job.ctx.Err() != nil {
 				return
 			}
-			c.finishShard(s, &res, "")
+			if err != nil {
+				c.settle(s.id, nil, err.Error())
+			} else {
+				c.settle(s.id, &res, "")
+			}
 		}
 	}
 }
 
-// finishShard records one shard outcome: success assembles the result
-// (first result wins; duplicates from resurrected workers are ignored),
-// failure requeues or — once attempts are exhausted — fails the job.
-func (c *Coordinator) finishShard(s *shard, res *experiments.PointResult, errStr string) {
-	job := s.job
+// settle records one shard outcome. A result is accepted for any shard
+// still outstanding — leased to whoever, or requeued after its worker
+// was presumed dead — because identical points produce identical bytes.
+// Success merges the result into its job; failure requeues the shard
+// or, once attempts are exhausted, fails the job. An outcome for a shard
+// that is no longer outstanding (already merged, or its job cancelled or
+// failed) is a counted no-op: it must not touch merge order, the shard
+// cache, or the completion counters a second time.
+func (c *Coordinator) settle(id string, res *experiments.PointResult, errStr string) {
 	c.mu.Lock()
-	if job.done[s.index] || job.err != nil {
+	s := c.leased[id]
+	if s != nil {
+		delete(c.leased, id)
+	} else if s = c.popPendingLocked(func(p *shard) bool { return p.id == id }); s == nil {
+		c.stats.DupCompletes++
 		c.mu.Unlock()
 		return
 	}
+	job := s.job
 	if errStr != "" {
-		if s.attempts+1 >= c.cfg.MaxAttempts {
-			c.stats.Failed++
-			job.err = fmt.Errorf("shard %s (%s) failed after %d attempts: %s", s.id, s.point.Label, s.attempts+1, errStr)
-			close(job.finished)
+		if s.attempts+1 < c.cfg.MaxAttempts {
+			c.requeueLocked(s)
 			c.mu.Unlock()
-			c.logf("fleet: %v", job.err)
+			c.logf("fleet: shard %s attempt %d failed (%s), requeued", s.id, s.attempts, errStr)
 			return
 		}
-		c.requeueLocked(s)
+		c.stats.Failed++
+		job.err = fmt.Errorf("shard %s (%s) failed after %d attempts: %s", s.id, s.point.Label, s.attempts+1, errStr)
+		c.dropJobLocked(job)
+		close(job.finished)
 		c.mu.Unlock()
-		c.logf("fleet: shard %s attempt %d failed (%s), requeued", s.id, s.attempts, errStr)
+		c.logf("fleet: %v", job.err)
 		return
 	}
 	job.results[s.index] = *res
-	job.done[s.index] = true
 	job.remaining--
 	c.stats.Completed++
 	finished := job.remaining == 0
-	onDone := job.onDone
 	c.mu.Unlock()
 
 	if c.cfg.Cache != nil {
@@ -483,8 +447,8 @@ func (c *Coordinator) finishShard(s *shard, res *experiments.PointResult, errStr
 			_ = c.cfg.Cache.Put(s.key, "done", body)
 		}
 	}
-	if onDone != nil {
-		onDone(s.index, *res)
+	if job.onDone != nil {
+		job.onDone(s.index, *res)
 	}
 	if finished {
 		close(job.finished)
@@ -494,213 +458,55 @@ func (c *Coordinator) finishShard(s *shard, res *experiments.PointResult, errStr
 // register adds (or refreshes) a worker.
 func (c *Coordinator) register(id string) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if w := c.workers[id]; w != nil {
-		w.lastSeen = time.Now()
-	} else {
-		c.workers[id] = &workerState{id: id, lastSeen: time.Now()}
-	}
+	c.workers[id] = c.now()
+	c.mu.Unlock()
 	c.logf("fleet: worker %s registered", id)
 }
 
-// touch refreshes a worker's heartbeat; false means the worker is
+// heartbeat refreshes a worker's liveness; false means the worker is
 // unknown (timed out or never registered) and must re-register.
-func (c *Coordinator) touch(id string) bool {
+func (c *Coordinator) heartbeat(id string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w, ok := c.workers[id]
-	if !ok {
-		return false
+	_, known := c.workers[id]
+	if known {
+		c.workers[id] = c.now()
 	}
-	w.lastSeen = time.Now()
-	return true
+	return known
 }
 
-// heartbeat refreshes a worker, records its self-reported unstarted
-// backlog, and drains its pending revocations.
-func (c *Coordinator) heartbeat(req HeartbeatRequest) (revoked []string, known bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w, ok := c.workers[req.Worker]
-	if !ok {
+// leaseLocked counts a poll or completion as a heartbeat and leases the
+// worker the first eligible pending shard, if there is one. known is
+// false for a worker that must re-register. Callers hold c.mu.
+func (c *Coordinator) leaseLocked(workerID string) (lease *Shard, known bool) {
+	if _, ok := c.workers[workerID]; !ok {
 		return nil, false
 	}
-	w.lastSeen = time.Now()
-	w.reported = req.Queued
-	revoked = w.revoked
-	w.revoked = nil
-	return revoked, true
+	now := c.now()
+	c.workers[workerID] = now
+	s := c.takeLocked(workerID, func(p *shard) bool { return !p.notBefore.After(now) })
+	if s == nil {
+		return nil, true
+	}
+	c.stats.Dispatched++
+	return &Shard{ID: s.id, Key: s.key, Point: s.point}, true
 }
 
-// takePendingLocked leases up to max eligible pending shards to
-// workerID. The first eligible shard anchors the batch and the rest of
-// the batch prefers shards sharing its group — same group = same point
-// = one simulation, answered from that worker's memo for the rest.
-// Callers hold c.mu.
-func (c *Coordinator) takePendingLocked(workerID string, max int, now time.Time) []*shard {
-	var anchor *shard
-	for _, s := range c.pending {
-		if !s.notBefore.After(now) {
-			anchor = s
-			break
-		}
-	}
-	if anchor == nil {
-		return nil
-	}
-	take := map[*shard]bool{anchor: true}
-	n := 1
-	if anchor.group != "" {
-		for _, s := range c.pending {
-			if n >= max {
-				break
-			}
-			if !take[s] && s.group == anchor.group && !s.notBefore.After(now) {
-				take[s] = true
-				n++
-			}
-		}
-	}
-	for _, s := range c.pending {
-		if n >= max {
-			break
-		}
-		if !take[s] && !s.notBefore.After(now) {
-			take[s] = true
-			n++
-		}
-	}
-	batch := make([]*shard, 0, n)
-	kept := c.pending[:0]
-	for _, s := range c.pending {
-		if take[s] {
-			batch = append(batch, s)
-		} else {
-			kept = append(kept, s)
-		}
-	}
-	c.pending = kept
-	w := c.workers[workerID]
-	for _, s := range batch {
-		s.worker = workerID
-		c.leased[s.id] = s
-		if w != nil {
-			w.queue = append(w.queue, s)
-		}
-		c.stats.Dispatched++
-	}
-	return batch
-}
-
-// stealLocked reassigns the tail half of the longest live queue to an
-// idle poller. The head of the victim's queue is what it is executing
-// right now, so the tail is the part it has provably not reached; the
-// victim's self-reported unstarted depth further clamps the cut. The
-// victim learns via the revocation list in the response to its next
-// completion (it completes shard by shard), heartbeat or poll; if it
-// raced ahead anyway, the duplicate completion is a no-op.
-// Callers hold c.mu.
-func (c *Coordinator) stealLocked(thief string, max int, now time.Time) []*shard {
-	if c.steal < 0 {
-		return nil
-	}
-	var victim *workerState
-	for _, w := range c.workers {
-		if w.id == thief || now.Sub(w.lastSeen) > c.cfg.HeartbeatTimeout {
-			continue
-		}
-		if len(w.queue) < c.steal || len(w.queue) < 2 {
-			continue
-		}
-		if victim == nil || len(w.queue) > len(victim.queue) {
-			victim = w
-		}
-	}
-	if victim == nil {
-		return nil
-	}
-	n := len(victim.queue) / 2
-	if victim.reported > 0 && n > victim.reported {
-		n = victim.reported
-	}
-	if n > max {
-		n = max
-	}
-	if n <= 0 {
-		return nil
-	}
-	cut := len(victim.queue) - n
-	stolen := append([]*shard(nil), victim.queue[cut:]...)
-	victim.queue = victim.queue[:cut]
-	if victim.reported >= n {
-		victim.reported -= n
-	} else {
-		victim.reported = 0
-	}
-	thiefW := c.workers[thief]
-	for _, s := range stolen {
-		s.worker = thief
-		victim.revoked = append(victim.revoked, s.id)
-		if thiefW != nil {
-			thiefW.queue = append(thiefW.queue, s)
-		}
-		c.stats.Stolen++
-	}
-	c.logf("fleet: %s stole %d shards from %s (queue was %d)", thief, n, victim.id, cut+n)
-	return stolen
-}
-
-// poll leases up to max shards to the worker, holding the request up to
-// PollWait when the queue is empty. With nothing pending, an idle
-// poller steals from the longest live queue instead of waiting. An
-// empty shard list means an empty poll.
-func (c *Coordinator) poll(workerID string, max int) ([]Shard, []string, bool) {
-	if !c.touch(workerID) {
-		return nil, nil, false
-	}
-	deadline := time.Now().Add(c.cfg.PollWait)
+// poll leases one shard to the worker, holding the request up to
+// PollWait while nothing is eligible. A nil lease is an empty poll.
+func (c *Coordinator) poll(workerID string) (lease *Shard, known bool) {
+	deadline := time.Now().Add(c.cfg.PollWait) // wall time: the wait below is a real timer
 	for {
-		now := time.Now()
 		c.mu.Lock()
-		limit := max
-		if limit <= 0 {
-			limit = 1
-		}
-		if limit > c.batch {
-			limit = c.batch
-		}
-		batch := c.takePendingLocked(workerID, limit, now)
-		if len(batch) == 0 {
-			batch = c.stealLocked(workerID, limit, now)
-		}
-		var revoked []string
-		if w := c.workers[workerID]; w != nil {
-			w.lastSeen = now
-			revoked = w.revoked
-			w.revoked = nil
-			if len(batch) > 0 {
-				// A worker polls when its local queue is drained; the
-				// new batch is its whole unstarted backlog.
-				w.reported = len(batch)
-			}
-		}
-		if len(batch) > 0 {
-			c.stats.Batches++
-			out := make([]Shard, len(batch))
-			for i, s := range batch {
-				out[i] = Shard{ID: s.id, Key: s.key, Point: s.point}
-			}
-			c.mu.Unlock()
-			return out, revoked, true
-		}
+		lease, known = c.leaseLocked(workerID)
 		notify := c.notify
 		c.mu.Unlock()
-		if len(revoked) > 0 {
-			return nil, revoked, true // deliver revocations promptly
+		if lease != nil || !known {
+			return lease, known
 		}
 		remain := time.Until(deadline)
 		if remain <= 0 {
-			return nil, nil, true
+			return nil, true
 		}
 		// Backoff'd shards become eligible without a wake; cap the wait.
 		if remain > 25*time.Millisecond {
@@ -710,89 +516,25 @@ func (c *Coordinator) poll(workerID string, max int) ([]Shard, []string, bool) {
 		case <-notify:
 		case <-time.After(remain):
 		case <-c.done:
-			return nil, nil, true
+			return nil, true
 		}
 	}
 }
 
-// dropFromOwnerLocked removes a completed/cancelled shard from its
-// current lease holder's queue and, when someone other than the holder
-// delivered the result, queues a revocation so the holder skips it.
-// Callers hold c.mu.
-func (c *Coordinator) dropFromOwnerLocked(s *shard, completedBy string) {
-	w := c.workers[s.worker]
-	if w == nil {
-		return
+// complete settles one shard outcome and answers with the slot's next
+// lease: the slot that just finished is by definition free, so the
+// round-trip that delivers a result also fetches the next point. The
+// request is validated before any state changes — a rejected body must
+// leave its shard leased, to be requeued when the worker times out.
+func (c *Coordinator) complete(req CompleteRequest) (*Shard, error) {
+	if req.Error == "" && req.Result == nil {
+		return nil, fmt.Errorf("complete for %s carries neither result nor error", req.Shard)
 	}
-	for i, q := range w.queue {
-		if q == s {
-			w.queue = append(w.queue[:i], w.queue[i+1:]...)
-			break
-		}
-	}
-	if s.worker != completedBy {
-		// A stolen shard finished by its original owner (or the thief
-		// finished before the victim noticed the revocation): the
-		// current holder need not run it.
-		w.revoked = append(w.revoked, s.id)
-	}
-}
-
-// complete records a batch of shard outcomes. Results are accepted for
-// any still-outstanding shard — even from a worker presumed dead whose
-// shard was requeued or stolen — because identical points produce
-// identical bytes. A completion for a shard that is no longer
-// outstanding (already completed by the other party to a steal, or
-// cancelled) is a counted no-op: it must not touch merge order, the
-// shard cache, or the completion counters a second time. The worker's
-// pending revocations ride back on the response.
-func (c *Coordinator) complete(req CompleteRequest) (revoked []string, err error) {
-	type outcome struct {
-		s      *shard
-		res    *experiments.PointResult
-		errStr string
-	}
-	var outs []outcome
+	c.settle(req.Shard, req.Result, req.Error)
 	c.mu.Lock()
-	if w := c.workers[req.Worker]; w != nil {
-		w.lastSeen = time.Now()
-		w.reported = req.Queued
-		revoked = w.revoked
-		w.revoked = nil
-	}
-	for _, sr := range req.Results {
-		s, ok := c.leased[sr.Shard]
-		if ok {
-			delete(c.leased, sr.Shard)
-			c.dropFromOwnerLocked(s, req.Worker)
-		} else {
-			// Maybe it was requeued after a presumed death: pull it from
-			// pending so the late result still counts.
-			kept := c.pending[:0]
-			for _, p := range c.pending {
-				if !ok && p.id == sr.Shard {
-					s, ok = p, true
-					continue
-				}
-				kept = append(kept, p)
-			}
-			c.pending = kept
-		}
-		if !ok {
-			c.stats.DupCompletes++
-			continue
-		}
-		if sr.Error == "" && sr.Result == nil {
-			c.mu.Unlock()
-			return nil, fmt.Errorf("complete for %s carries neither result nor error", sr.Shard)
-		}
-		outs = append(outs, outcome{s, sr.Result, sr.Error})
-	}
-	c.mu.Unlock()
-	for _, o := range outs {
-		c.finishShard(o.s, o.res, o.errStr)
-	}
-	return revoked, nil
+	defer c.mu.Unlock()
+	next, _ := c.leaseLocked(req.Worker)
+	return next, nil
 }
 
 // Mount registers the fleet's REST surface on mux.
@@ -825,7 +567,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if !decodeInto(w, r, &req) {
 		return
 	}
-	if req.ID == "" {
+	if req.ID == localHolder {
 		http.Error(w, "worker id required", http.StatusBadRequest)
 		return
 	}
@@ -837,29 +579,28 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req HeartbeatRequest
+	var req WorkerRequest
 	if !decodeInto(w, r, &req) {
 		return
 	}
-	revoked, known := c.heartbeat(req)
-	if !known {
+	if !c.heartbeat(req.Worker) {
 		http.Error(w, "unknown worker; re-register", http.StatusGone)
 		return
 	}
-	writeJSON(w, HeartbeatResponse{Revoked: revoked})
+	writeJSON(w, struct{}{})
 }
 
 func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
-	var req PollRequest
+	var req WorkerRequest
 	if !decodeInto(w, r, &req) {
 		return
 	}
-	shards, revoked, known := c.poll(req.Worker, req.Max)
+	lease, known := c.poll(req.Worker)
 	if !known {
 		http.Error(w, "unknown worker; re-register", http.StatusGone)
 		return
 	}
-	writeJSON(w, PollResponse{Shards: shards, Revoked: revoked})
+	writeJSON(w, LeaseResponse{Shard: lease})
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
@@ -867,10 +608,10 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if !decodeInto(w, r, &req) {
 		return
 	}
-	revoked, err := c.complete(req)
+	next, err := c.complete(req)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, HeartbeatResponse{Revoked: revoked})
+	writeJSON(w, LeaseResponse{Shard: next})
 }

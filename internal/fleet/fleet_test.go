@@ -1,13 +1,17 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -50,15 +54,26 @@ func baseline(t *testing.T, pts []experiments.Point) []experiments.PointResult {
 type memCache struct {
 	mu   sync.Mutex
 	m    map[string][]byte
-	puts int
+	puts map[string]int // writes per key
 }
 
-func newMemCache() *memCache { return &memCache{m: make(map[string][]byte)} }
+func newMemCache() *memCache {
+	return &memCache{m: make(map[string][]byte), puts: make(map[string]int)}
+}
 
-func (c *memCache) putCount() int {
+func (c *memCache) putCount() (n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.puts
+	for _, k := range c.puts {
+		n += k
+	}
+	return n
+}
+
+func (c *memCache) putsOf(key string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.puts[key]
 }
 
 func (c *memCache) Get(key string) ([]byte, string, bool) {
@@ -72,7 +87,7 @@ func (c *memCache) Put(key, status string, body []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.m[key] = append([]byte(nil), body...)
-	c.puts++
+	c.puts[key]++
 	return nil
 }
 
@@ -131,21 +146,35 @@ func startFleet(t *testing.T, coord *Coordinator, cfgs []WorkerConfig) (workers 
 }
 
 // TestRunPointsMatchesBaselineAcrossWorkerCounts is the fabric's core
-// identity guarantee: any worker count assembles the exact results a
-// single process computes.
+// identity guarantee: any worker count, at one or two slots per worker,
+// assembles the exact results a single process computes — for plain
+// points and for the warm-forked fig8/fig11-class sweeps alike.
 func TestRunPointsMatchesBaselineAcrossWorkerCounts(t *testing.T) {
-	pts := quickPoints(8)
-	want := baseline(t, pts)
-	for _, workers := range []int{1, 2, 4} {
-		coord := NewCoordinator(testConfig(nil))
-		startWorkers(t, coord, workers)
-		got, err := coord.RunPoints(context.Background(), pts, nil)
-		coord.Close()
-		if err != nil {
-			t.Fatalf("%d workers: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%d workers: results differ from single-process baseline", workers)
+	for _, sweep := range []struct {
+		name string
+		pts  []experiments.Point
+	}{{"quick", quickPoints(8)}, {"fig8", fig8Points()}, {"fig11", fig11Points()}} {
+		want := baseline(t, sweep.pts)
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/%dw", sweep.name, workers), func(t *testing.T) {
+				coord := NewCoordinator(testConfig(nil))
+				defer coord.Close()
+				cfgs := make([]WorkerConfig, workers)
+				for i := range cfgs {
+					cfgs[i].Parallel = 1 + i%2
+				}
+				startFleet(t, coord, cfgs)
+				got, err := coord.RunPoints(context.Background(), sweep.pts, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Error("results differ from single-process baseline")
+				}
+				if st := coord.Stats(); st.Dispatched != uint64(len(sweep.pts)) || st.DupCompletes != 0 {
+					t.Errorf("stats = %+v, want %d leases and no duplicate", st, len(sweep.pts))
+				}
+			})
 		}
 	}
 }
@@ -318,164 +347,168 @@ func fig11Points() []experiments.Point {
 	return pts
 }
 
-// TestStealInterleavingByteIdentity pins the tentpole guarantee: a
-// heterogeneous fleet (one slow worker throttled by fault injection,
-// the rest fast) forces the fast workers to steal the slow worker's
-// tail, and the assembled fig8/fig11 sweeps must still match the
-// single-process baseline exactly, result for result. A stolen shard is
-// simulated once: workers complete shard by shard and each response
-// carries their revocations, so every victim drops its stolen tail
-// unexecuted and no completion arrives twice.
-func TestStealInterleavingByteIdentity(t *testing.T) {
-	for _, fig := range []struct {
-		name string
-		pts  []experiments.Point
-	}{{"fig8", fig8Points()}, {"fig11", fig11Points()}} {
-		want := baseline(t, fig.pts)
-		for _, workers := range []int{2, 4} {
-			t.Run(fmt.Sprintf("%s/%dw", fig.name, workers), func(t *testing.T) {
-				coord := NewCoordinator(testConfig(nil))
-				defer coord.Close()
-				cfgs := make([]WorkerConfig, workers)
-				cfgs[0] = WorkerConfig{ID: "slow", Batch: 16, ShardDelay: 25 * time.Millisecond}
-				for i := 1; i < workers; i++ {
-					cfgs[i] = WorkerConfig{ID: fmt.Sprintf("fast%d", i), Batch: 8}
-				}
-				// The slow worker attaches alone and must hold its batch
-				// before any fast worker polls: whoever polls first gets
-				// the head of the sweep, and fast workers that win that
-				// race can finish it without the slow one ever holding a
-				// tail to steal.
-				fleet, _ := startFleet(t, coord, cfgs[:1])
-				var (
-					got  []experiments.PointResult
-					err  error
-					done = make(chan struct{})
-				)
-				go func() {
-					defer close(done)
-					got, err = coord.RunPoints(context.Background(), fig.pts, nil)
-				}()
-				for deadline := time.Now().Add(5 * time.Second); coord.Stats().Batches == 0; time.Sleep(time.Millisecond) {
-					if time.Now().After(deadline) {
-						t.Fatal("the slow worker never leased a batch")
-					}
-				}
-				fast, _ := startFleet(t, coord, cfgs[1:])
-				fleet = append(fleet, fast...)
-				<-done
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Error("stolen-shard sweep differs from single-process baseline")
-				}
-				st := coord.Stats()
-				if st.Stolen == 0 {
-					t.Errorf("no shards stolen from the throttled worker (stats %+v)", st)
-				}
-				if st.DupCompletes != 0 {
-					t.Errorf("%d of %d stolen shards were completed twice", st.DupCompletes, st.Stolen)
-				}
-				// A victim walks past its stolen tail once its current
-				// shard is done, which may be just after the job finished.
-				dropped := func() (n uint64) {
-					for _, w := range fleet {
-						w.mu.Lock()
-						n += uint64(w.dropped)
-						w.mu.Unlock()
-					}
-					return n
-				}
-				for deadline := time.Now().Add(5 * time.Second); dropped() != st.Stolen; time.Sleep(5 * time.Millisecond) {
-					if time.Now().After(deadline) {
-						t.Fatalf("workers dropped %d shards as revoked, want all %d stolen", dropped(), st.Stolen)
-					}
-				}
-			})
+// leaseOne polls until the coordinator leases a shard to the worker.
+func leaseOne(t *testing.T, coord *Coordinator, worker string) Shard {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		lease, known := coord.poll(worker)
+		if !known {
+			t.Fatalf("poll: worker %s unknown", worker)
+		}
+		if lease != nil {
+			return *lease
+		}
+	}
+	t.Fatalf("no shard leased to %s", worker)
+	return Shard{}
+}
+
+// resultOf simulates a leased shard the way a worker would.
+func resultOf(t *testing.T, s Shard) *experiments.PointResult {
+	t.Helper()
+	r, err := experiments.RunPoint(context.Background(), s.Point)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &r
+}
+
+// runAsync starts RunPoints and returns a function that waits for it.
+func runAsync(t *testing.T, coord *Coordinator, ctx context.Context, pts []experiments.Point, onDone func(int, experiments.PointResult)) (wait func() ([]experiments.PointResult, error)) {
+	t.Helper()
+	type outcome struct {
+		res []experiments.PointResult
+		err error
+	}
+	ch := make(chan outcome, 1)
+	go func() {
+		res, err := coord.RunPoints(ctx, pts, onDone)
+		ch <- outcome{res, err}
+	}()
+	return func() ([]experiments.PointResult, error) {
+		t.Helper()
+		select {
+		case o := <-ch:
+			return o.res, o.err
+		case <-time.After(20 * time.Second):
+			t.Fatal("job did not finish")
+			return nil, nil
 		}
 	}
 }
 
-// TestDuplicateCompletionIsNoOp is the forced double-complete
-// regression: a shard completed by a thief and then again by its
-// original owner must count once — once in merge order, once in the
-// store write-through, once in the completion counters — with the
-// second delivery recorded as a duplicate, and the owner must receive a
-// revocation for the shard it lost.
+// manualClock is the coordinator clock of the tests that drive timeouts
+// themselves.
+type manualClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (c *manualClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *manualClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
+// newManualCoordinator builds a coordinator on a manual clock with no
+// sweep goroutine: the test advances time and calls reapDead itself.
+func newManualCoordinator(cfg Config) (*Coordinator, *manualClock) {
+	clk := &manualClock{t: time.Unix(1_000_000, 0)}
+	c := newCoordinator(cfg)
+	c.now = clk.Now
+	return c, clk
+}
+
+// TestCompletionCarriesNextLease pins the lease-queue contract: after
+// one poll, every completion response hands the slot its next shard, so
+// a job of n points costs one poll and n completions, and the response
+// to the last completion is empty.
+func TestCompletionCarriesNextLease(t *testing.T) {
+	pts := quickPoints(5)
+	want := baseline(t, pts)
+	coord := NewCoordinator(testConfig(nil))
+	defer coord.Close()
+	coord.register("w")
+	wait := runAsync(t, coord, context.Background(), pts, nil)
+
+	lease := leaseOne(t, coord, "w")
+	completions := 0
+	for next := &lease; next != nil; completions++ {
+		var err error
+		if next, err = coord.complete(CompleteRequest{Worker: "w", Shard: next.ID, Result: resultOf(t, *next)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("results differ from baseline")
+	}
+	if completions != len(pts) {
+		t.Errorf("%d completions drained the job, want %d", completions, len(pts))
+	}
+	if st := coord.Stats(); st.Dispatched != uint64(len(pts)) || st.Batches != st.Dispatched || st.Stolen != 0 {
+		t.Errorf("stats = %+v, want %d leases", st, len(pts))
+	}
+}
+
+// TestDuplicateCompletionIsNoOp: a worker presumed dead has its
+// leases requeued, yet its late results still count — whether the shard
+// is by then running on another worker or still waiting in the queue —
+// and whoever delivers second is a counted no-op: once in merge order,
+// once in the store write-through, once in the completion counters.
 func TestDuplicateCompletionIsNoOp(t *testing.T) {
 	pts := quickPoints(2)
 	want := baseline(t, pts)
 	cache := newMemCache()
-	coord := NewCoordinator(testConfig(cache))
+	cfg := testConfig(cache)
+	coord, clk := newManualCoordinator(cfg)
 	defer coord.Close()
 	coord.register("orig")
-	coord.register("thief")
+	coord.register("other")
+	wait := runAsync(t, coord, context.Background(), pts, nil)
 
-	done := make(chan struct{})
-	var got []experiments.PointResult
-	var runErr error
-	go func() {
-		defer close(done)
-		got, runErr = coord.RunPoints(context.Background(), pts, nil)
-	}()
-
-	// Lease both shards to the original owner.
-	var shards []Shard
-	deadline := time.Now().Add(5 * time.Second)
-	for len(shards) < len(pts) {
-		if time.Now().After(deadline) {
-			t.Fatalf("leased only %d/%d shards", len(shards), len(pts))
-		}
-		batch, _, ok := coord.poll("orig", len(pts))
-		if !ok {
-			t.Fatal("poll: worker unknown")
-		}
-		shards = append(shards, batch...)
+	held := []Shard{leaseOne(t, coord, "orig"), leaseOne(t, coord, "orig")}
+	// orig goes silent past the timeout; other stays alive.
+	clk.advance(cfg.HeartbeatTimeout + time.Millisecond)
+	if !coord.heartbeat("other") {
+		t.Fatal("heartbeat: other unknown")
 	}
-	results := make([]experiments.PointResult, len(shards))
-	for i, s := range shards {
-		r, err := experiments.RunPoint(context.Background(), s.Point)
-		if err != nil {
+	coord.reapDead()
+	if st := coord.Stats(); st.Reassigned != 2 || st.WorkersLive != 1 {
+		t.Fatalf("after the timeout: %+v, want 2 shards reassigned and 1 live worker", st)
+	}
+	clk.advance(cfg.RetryBackoff)
+	rerun := leaseOne(t, coord, "other")
+	queued := held[0]
+	if queued.ID == rerun.ID {
+		queued = held[1]
+	}
+
+	complete := func(worker string, s Shard) {
+		t.Helper()
+		if _, err := coord.complete(CompleteRequest{Worker: worker, Shard: s.ID, Result: resultOf(t, s)}); err != nil {
 			t.Fatal(err)
 		}
-		results[i] = r
 	}
+	complete("orig", rerun)  // late, for a shard now leased to other: accepted
+	complete("other", rerun) // other finishes it too: the duplicate
+	complete("orig", queued) // late, for a shard still in the queue: accepted
 
-	// The thief (which "stole" shard 0 and raced ahead) completes it
-	// first...
-	if _, err := coord.complete(CompleteRequest{Worker: "thief", Results: []ShardResult{
-		{Shard: shards[0].ID, Result: &results[0]},
-	}}); err != nil {
+	got, err := wait()
+	if err != nil {
 		t.Fatal(err)
-	}
-	// ...so the owner's next heartbeat must revoke that shard.
-	revoked, known := coord.heartbeat(HeartbeatRequest{Worker: "orig", Queued: 1})
-	if !known {
-		t.Fatal("heartbeat: owner unknown")
-	}
-	if len(revoked) != 1 || revoked[0] != shards[0].ID {
-		t.Errorf("owner revocations = %v, want [%s]", revoked, shards[0].ID)
-	}
-	// The owner finished its whole batch before noticing and completes
-	// both shards anyway: shard 0 is a duplicate, shard 1 is fresh.
-	if _, err := coord.complete(CompleteRequest{Worker: "orig", Results: []ShardResult{
-		{Shard: shards[0].ID, Result: &results[0]},
-		{Shard: shards[1].ID, Result: &results[1]},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("job did not finish")
-	}
-	if runErr != nil {
-		t.Fatal(runErr)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("double-completed sweep differs from baseline")
+		t.Error("late-completed sweep differs from baseline")
 	}
 	st := coord.Stats()
 	if st.Completed != uint64(len(pts)) {
@@ -489,99 +522,130 @@ func TestDuplicateCompletionIsNoOp(t *testing.T) {
 	}
 }
 
-// TestPollGroupsWarmForkBatches: with two warm-forked points
-// interleaved A,B,A,B,... a poll batch must contain only one group, so
-// the leased worker simulates exactly one point per batch and answers
-// the rest from its memo.
-func TestPollGroupsWarmForkBatches(t *testing.T) {
-	var pts []experiments.Point
-	for i := 0; i < 8; i++ {
-		pts = append(pts, experiments.Point{
-			Family: experiments.FamilyLock, Kind: i % 2,
-			Procs: 2, Iterations: 64, WarmFork: true,
-			Label: fmt.Sprintf("grp/%d", i),
-		})
-	}
+// TestMalformedCompletionKeepsShardLeased: a completion body carrying
+// neither result nor error is refused with 400 before any state
+// changes, so the shard stays leased and the job still completes when
+// the well-formed result arrives.
+func TestMalformedCompletionKeepsShardLeased(t *testing.T) {
+	pts := quickPoints(1)
+	want := baseline(t, pts)
 	coord := NewCoordinator(testConfig(nil))
 	defer coord.Close()
+	mux := http.NewServeMux()
+	coord.Mount(mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
 	coord.register("w")
+	wait := runAsync(t, coord, context.Background(), pts, nil)
+	lease := leaseOne(t, coord, "w")
 
-	done := make(chan struct{})
-	var runErr error
-	go func() {
-		defer close(done)
-		_, runErr = coord.RunPoints(context.Background(), pts, nil)
-	}()
-
-	deadline := time.Now().Add(5 * time.Second)
-	leased := 0
-	for leased < len(pts) {
-		if time.Now().After(deadline) {
-			t.Fatalf("leased only %d/%d shards", leased, len(pts))
-		}
-		batch, _, ok := coord.poll("w", 4)
-		if !ok {
-			t.Fatal("poll: worker unknown")
-		}
-		if len(batch) == 0 {
-			continue
-		}
-		for _, s := range batch[1:] {
-			if s.Key != batch[0].Key {
-				t.Errorf("batch mixes warm groups: %s vs %s", s.Point.Label, batch[0].Point.Label)
-			}
-		}
-		var results []ShardResult
-		for _, s := range batch {
-			r, err := experiments.RunPoint(context.Background(), s.Point)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rc := r
-			results = append(results, ShardResult{Shard: s.ID, Result: &rc})
-		}
-		if _, err := coord.complete(CompleteRequest{Worker: "w", Results: results}); err != nil {
+	post := func(req CompleteRequest) int {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
 			t.Fatal(err)
 		}
-		leased += len(batch)
+		resp, err := http.Post(ts.URL+"/v1/fleet/complete", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("job did not finish")
+	if code := post(CompleteRequest{Worker: "w", Shard: lease.ID}); code != http.StatusBadRequest {
+		t.Fatalf("malformed completion HTTP %d, want 400", code)
 	}
-	if runErr != nil {
-		t.Fatal(runErr)
+	if code := post(CompleteRequest{Worker: "w", Shard: lease.ID, Result: resultOf(t, lease)}); code != http.StatusOK {
+		t.Fatalf("well-formed completion HTTP %d, want 200", code)
 	}
-	if st := coord.Stats(); st.Batches != 2 {
-		t.Errorf("batches = %d, want 2 (4 shards per round-trip)", st.Batches)
-	}
-}
-
-// TestPerPointDispatchStillIdentical: batch size 1 — one shard per
-// round-trip — remains a supported configuration and produces the same
-// bytes.
-func TestPerPointDispatchStillIdentical(t *testing.T) {
-	pts := fig11Points()[:9]
-	want := baseline(t, pts)
-	coord := NewCoordinator(Config{
-		HeartbeatTimeout: 300 * time.Millisecond,
-		PollWait:         50 * time.Millisecond,
-		RetryBackoff:     10 * time.Millisecond,
-		Batch:            1,
-		StealThreshold:   -1,
-	})
-	defer coord.Close()
-	startFleet(t, coord, []WorkerConfig{{ID: "solo", Batch: 1}})
-	got, err := coord.RunPoints(context.Background(), pts, nil)
+	got, err := wait()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("per-point dispatch differs from baseline")
+		t.Error("results differ from baseline")
 	}
-	if st := coord.Stats(); st.Batches != uint64(len(pts)) {
-		t.Errorf("batches = %d, want %d (batch cap 1 means one shard per poll)", st.Batches, len(pts))
+	if st := coord.Stats(); st.Completed != 1 || st.DupCompletes != 0 {
+		t.Errorf("stats = %+v, want the shard completed once and no duplicate", st)
+	}
+}
+
+// faultTransport is a worker's view of a bad network: every request is
+// delayed, and the first failCompletes completion posts fail outright.
+type faultTransport struct {
+	delay         time.Duration
+	failCompletes atomic.Int32
+	completed     atomic.Int32 // completion posts that got through
+}
+
+func (f *faultTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	select {
+	case <-time.After(f.delay):
+	case <-r.Context().Done():
+		return nil, r.Context().Err()
+	}
+	isComplete := strings.HasSuffix(r.URL.Path, "/complete")
+	if isComplete && f.failCompletes.Add(-1) >= 0 {
+		return nil, errors.New("injected network failure")
+	}
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err == nil && isComplete {
+		f.completed.Add(1)
+	}
+	return resp, err
+}
+
+// TestWorkerRetriesCompletionUntilDelivered: a worker whose completion
+// posts keep failing must keep trying. Its heartbeat goes on reporting
+// it alive, so a result it gave up on would leave the shard leased
+// forever — never requeued, the job never finished.
+func TestWorkerRetriesCompletionUntilDelivered(t *testing.T) {
+	pts := quickPoints(3)
+	want := baseline(t, pts)
+	coord := NewCoordinator(testConfig(nil))
+	defer coord.Close()
+	net := &faultTransport{}
+	net.failCompletes.Store(3)
+	startFleet(t, coord, []WorkerConfig{{ID: "flaky", Client: &http.Client{Transport: net}}})
+	got, err := runAsync(t, coord, context.Background(), pts, nil)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("results differ from baseline")
+	}
+	if st := coord.Stats(); st.Dispatched != uint64(len(pts)) || st.Reassigned != 0 || st.DupCompletes != 0 {
+		t.Errorf("stats = %+v, want every shard leased and delivered exactly once", st)
+	}
+}
+
+// TestSlowWorkerSelfBalances: nothing is leased ahead of execution, so
+// a worker behind a slow link (20 ms per request) simply comes back for
+// work less often than a fast one. The job is byte-identical and the
+// fast worker completes strictly more of it.
+func TestSlowWorkerSelfBalances(t *testing.T) {
+	pts := quickPoints(24)
+	want := baseline(t, pts)
+	coord := NewCoordinator(testConfig(nil))
+	defer coord.Close()
+	slow, fast := &faultTransport{delay: 20 * time.Millisecond}, &faultTransport{}
+	startFleet(t, coord, []WorkerConfig{
+		{ID: "slow", Client: &http.Client{Transport: slow}},
+		{ID: "fast", Client: &http.Client{Transport: fast}},
+	})
+	got, err := runAsync(t, coord, context.Background(), pts, nil)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("heterogeneous-fleet sweep differs from single-process baseline")
+	}
+	ns, nf := slow.completed.Load(), fast.completed.Load()
+	if nf <= ns {
+		t.Errorf("fast worker completed %d shards, slow %d: want strictly more on the fast one", nf, ns)
+	}
+	if st := coord.Stats(); st.Dispatched != uint64(len(pts)) || st.DupCompletes != 0 {
+		t.Errorf("stats = %+v, want %d leases and no duplicate", st, len(pts))
 	}
 }
 

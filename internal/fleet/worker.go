@@ -19,16 +19,9 @@ import (
 type WorkerConfig struct {
 	Coordinator string // coordinator base URL, e.g. http://host:8377
 	ID          string // stable worker identity (default hostname-pid)
-	Parallel    int    // concurrent shard executions within a batch (default 1)
-	// Batch is how many shards each poll requests (default 8; the
-	// coordinator clamps to its own cap). 1 is per-point dispatch.
-	Batch int
-	// ShardDelay injects an artificial pause before every shard
-	// execution: fault injection for steal tests and a stand-in for a
-	// heterogeneous (slow) fleet member in benchmarks.
-	ShardDelay time.Duration
-	Client     *http.Client
-	Logf       func(format string, args ...any)
+	Parallel    int    // execution slots: shards leased and run at once (default 1)
+	Client      *http.Client
+	Logf        func(format string, args ...any)
 }
 
 func (cfg WorkerConfig) withDefaults() WorkerConfig {
@@ -43,35 +36,26 @@ func (cfg WorkerConfig) withDefaults() WorkerConfig {
 	if cfg.Parallel <= 0 {
 		cfg.Parallel = 1
 	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = 8
-	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Timeout: 30 * time.Second}
 	}
 	return cfg
 }
 
-// Worker pulls shard batches from a coordinator and executes them. It
-// owns no listener: registration, polling, completion, and heartbeats
-// are all HTTP requests it initiates, so a worker runs from anywhere
-// that can reach the coordinator. One result memo lives as long as the
-// worker, so a batch stream repeating a warm_fork point simulates it
-// once, not once per shard.
+// Worker leases shards from a coordinator, one per execution slot, and
+// executes them. It owns no listener: registration, polling, completion,
+// and heartbeats are all HTTP requests it initiates, so a worker runs
+// from anywhere that can reach the coordinator. One result memo lives as
+// long as the worker, so a stream repeating a warm_fork point simulates
+// it once, not once per shard.
 type Worker struct {
-	cfg       WorkerConfig
-	heartbeat time.Duration
-	memo      pointMemo
-
-	mu      sync.Mutex
-	queued  int             // unstarted shards in the current batch
-	revoked map[string]bool // coordinator-revoked shard IDs, dropped before execution
-	dropped int             // shards skipped because a revocation arrived first
+	cfg  WorkerConfig
+	memo pointMemo
 }
 
 // NewWorker builds a worker (Run does the work).
 func NewWorker(cfg WorkerConfig) *Worker {
-	return &Worker{cfg: cfg.withDefaults(), heartbeat: time.Second, revoked: make(map[string]bool)}
+	return &Worker{cfg: cfg.withDefaults()}
 }
 
 // maxWarmCheckpoints bounds a lifetime result memo, in points.
@@ -107,53 +91,6 @@ func (w *Worker) logf(format string, args ...any) {
 	}
 }
 
-func (w *Worker) queuedDepth() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.queued
-}
-
-func (w *Worker) setQueued(n int) {
-	w.mu.Lock()
-	w.queued = n
-	w.mu.Unlock()
-}
-
-func (w *Worker) decQueued() {
-	w.mu.Lock()
-	if w.queued > 0 {
-		w.queued--
-	}
-	w.mu.Unlock()
-}
-
-// markRevoked records coordinator revocations for shards this worker
-// still holds; they are skipped when their turn comes.
-func (w *Worker) markRevoked(ids []string) {
-	if len(ids) == 0 {
-		return
-	}
-	w.mu.Lock()
-	for _, id := range ids {
-		w.revoked[id] = true
-	}
-	w.mu.Unlock()
-	w.logf("fleet worker %s: %d shards revoked", w.cfg.ID, len(ids))
-}
-
-// takeRevoked consumes a revocation for id, reporting whether the shard
-// should be skipped.
-func (w *Worker) takeRevoked(id string) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.revoked[id] {
-		delete(w.revoked, id)
-		w.dropped++
-		return true
-	}
-	return false
-}
-
 func (w *Worker) post(ctx context.Context, path string, req, resp any) (int, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -179,24 +116,19 @@ func (w *Worker) post(ctx context.Context, path string, req, resp any) (int, err
 	return httpResp.StatusCode, nil
 }
 
-// register announces the worker, retrying with backoff until it
-// succeeds or ctx ends (the coordinator may simply not be up yet).
-func (w *Worker) register(ctx context.Context) error {
-	backoff := 100 * time.Millisecond
+// retry calls try until it succeeds or ctx ends, sleeping a doubling
+// backoff (50ms up to 2s) between attempts.
+func (w *Worker) retry(ctx context.Context, what string, try func() error) error {
+	backoff := 50 * time.Millisecond
 	for {
-		var resp RegisterResponse
-		_, err := w.post(ctx, "/v1/fleet/register", RegisterRequest{ID: w.cfg.ID}, &resp)
+		err := try()
 		if err == nil {
-			if d, perr := time.ParseDuration(resp.HeartbeatInterval); perr == nil && d > 0 {
-				w.heartbeat = d
-			}
-			w.logf("fleet worker %s: registered with %s (heartbeat %s)", w.cfg.ID, w.cfg.Coordinator, w.heartbeat)
 			return nil
 		}
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		w.logf("fleet worker %s: register failed (%v), retrying in %s", w.cfg.ID, err, backoff)
+		w.logf("fleet worker %s: %s failed (%v), retrying in %s", w.cfg.ID, what, err, backoff)
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
@@ -208,151 +140,129 @@ func (w *Worker) register(ctx context.Context) error {
 	}
 }
 
-// Run registers and then polls/executes/completes batches until ctx
-// ends. A 410 from the coordinator (it forgot us — usually a
-// coordinator restart or a heartbeat gap) triggers transparent
-// re-registration. Completion and heartbeat responses deliver mid-batch
-// revocations, so a straggling worker learns that its tail was stolen
-// before it starts the next shard.
+// register announces the worker, retrying until it succeeds or ctx ends
+// (the coordinator may simply not be up yet), and returns the heartbeat
+// interval the coordinator asks for.
+func (w *Worker) register(ctx context.Context) (time.Duration, error) {
+	var resp RegisterResponse
+	if err := w.retry(ctx, "register", func() error {
+		_, err := w.post(ctx, "/v1/fleet/register", RegisterRequest{ID: w.cfg.ID}, &resp)
+		return err
+	}); err != nil {
+		return 0, err
+	}
+	interval, err := time.ParseDuration(resp.HeartbeatInterval)
+	if err != nil || interval <= 0 {
+		interval = time.Second
+	}
+	w.logf("fleet worker %s: registered with %s (heartbeat %s)", w.cfg.ID, w.cfg.Coordinator, interval)
+	return interval, nil
+}
+
+// Run registers and then leases, executes and completes shards on
+// Parallel independent slots until ctx ends. A 410 from the coordinator
+// (it forgot us — usually a coordinator restart or a heartbeat gap)
+// triggers transparent re-registration.
 func (w *Worker) Run(ctx context.Context) error {
-	if err := w.register(ctx); err != nil {
+	interval, err := w.register(ctx)
+	if err != nil {
 		return err
 	}
-
-	// Heartbeat independently of the batch loop: a long-running shard
-	// must not look like a dead worker.
-	hbCtx, stopHB := context.WithCancel(ctx)
-	defer stopHB()
+	var wg sync.WaitGroup
+	wg.Add(1 + w.cfg.Parallel)
+	// Heartbeat independently of the slots: a long-running shard must
+	// not look like a dead worker.
 	go func() {
-		t := time.NewTicker(w.heartbeat)
+		defer wg.Done()
+		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
 			select {
-			case <-hbCtx.Done():
+			case <-ctx.Done():
 				return
 			case <-t.C:
-				var resp HeartbeatResponse
-				code, err := w.post(hbCtx, "/v1/fleet/heartbeat", HeartbeatRequest{Worker: w.cfg.ID, Queued: w.queuedDepth()}, &resp)
-				if err != nil && code == http.StatusGone {
-					_ = w.register(hbCtx)
-					continue
-				}
-				if err == nil {
-					w.markRevoked(resp.Revoked)
+				if code, _ := w.post(ctx, "/v1/fleet/heartbeat", WorkerRequest{Worker: w.cfg.ID}, nil); code == http.StatusGone {
+					_, _ = w.register(ctx) // fails only when ctx ends
 				}
 			}
 		}
 	}()
-
-	w.batchLoop(ctx)
+	for i := 0; i < w.cfg.Parallel; i++ {
+		go func() {
+			defer wg.Done()
+			w.slotLoop(ctx)
+		}()
+	}
+	wg.Wait()
 	return ctx.Err()
 }
 
-func (w *Worker) batchLoop(ctx context.Context) {
+// slotLoop is one execution slot: poll for a shard, execute it, post
+// the result, and go on executing whatever lease each completion
+// response carries; only an empty response sends the slot back to
+// polling. The slot never holds a shard it is not executing.
+func (w *Worker) slotLoop(ctx context.Context) {
 	for ctx.Err() == nil {
-		var resp PollResponse
-		code, err := w.post(ctx, "/v1/fleet/poll", PollRequest{Worker: w.cfg.ID, Max: w.cfg.Batch}, &resp)
-		if err != nil {
-			if ctx.Err() != nil {
+		s := w.poll(ctx)
+		for s != nil {
+			out, ok := w.execute(ctx, *s)
+			if !ok {
 				return
 			}
-			if code == http.StatusGone {
-				if w.register(ctx) != nil {
-					return
-				}
-				continue
-			}
-			w.logf("fleet worker %s: poll failed: %v", w.cfg.ID, err)
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(500 * time.Millisecond):
-			}
-			continue
+			s = w.complete(ctx, out)
 		}
-		w.markRevoked(resp.Revoked)
-		if len(resp.Shards) == 0 {
-			continue // empty poll; ask again
-		}
-		w.runBatch(ctx, resp.Shards)
 	}
 }
 
-// runBatch executes one leased batch (up to Parallel shards at a time),
-// completing each shard as it finishes: the coordinator sees the queue
-// shrink and the response tells the worker which of its remaining
-// shards were stolen meanwhile. Shards revoked before their turn are
-// dropped; the thief reports them.
-func (w *Worker) runBatch(ctx context.Context, shards []Shard) {
-	w.setQueued(len(shards))
-	defer w.setQueued(0)
-
-	sem := make(chan struct{}, w.cfg.Parallel)
-	var wg sync.WaitGroup
-	for i := range shards {
+// poll long-polls for one shard. Nil is an empty poll, or a failure it
+// has already backed off from; either way the slot polls again.
+func (w *Worker) poll(ctx context.Context) *Shard {
+	var resp LeaseResponse
+	code, err := w.post(ctx, "/v1/fleet/poll", WorkerRequest{Worker: w.cfg.ID}, &resp)
+	switch {
+	case err == nil:
+		return resp.Shard
+	case ctx.Err() != nil:
+	case code == http.StatusGone:
+		_, _ = w.register(ctx) // fails only when ctx ends
+	default:
+		w.logf("fleet worker %s: poll failed: %v", w.cfg.ID, err)
 		select {
-		case sem <- struct{}{}:
 		case <-ctx.Done():
-			break
+		case <-time.After(500 * time.Millisecond):
 		}
-		if ctx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		go func(s Shard) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			w.decQueued()
-			if w.takeRevoked(s.ID) {
-				w.logf("fleet worker %s: shard %s dropped (revoked)", w.cfg.ID, s.ID)
-				return
-			}
-			if r := w.executeShard(ctx, s); r != nil {
-				w.complete(ctx, *r)
-			}
-		}(shards[i])
 	}
-	wg.Wait()
+	return nil
 }
 
-// complete delivers one shard outcome with a few retries — losing it
-// costs a full re-simulation on another worker — and records the
-// revocations the response carries.
-func (w *Worker) complete(ctx context.Context, r ShardResult) {
-	req := CompleteRequest{Worker: w.cfg.ID, Results: []ShardResult{r}, Queued: w.queuedDepth()}
-	for attempt := 0; attempt < 3; attempt++ {
-		var resp HeartbeatResponse
-		if _, err := w.post(ctx, "/v1/fleet/complete", req, &resp); err == nil {
-			w.markRevoked(resp.Revoked)
-			return
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(time.Duration(attempt+1) * 200 * time.Millisecond):
-		}
-	}
-	w.logf("fleet worker %s: failed to deliver the result of shard %s", w.cfg.ID, r.Shard)
+// complete delivers one shard outcome and returns the next lease the
+// response carries, if any. It retries until the coordinator has
+// answered or ctx ends: the heartbeat keeps this worker alive, so a
+// result it gave up on would leave its shard leased and never requeued
+// — and a slot that cannot reach the coordinator cannot lease anything
+// else anyway.
+func (w *Worker) complete(ctx context.Context, out CompleteRequest) *Shard {
+	var resp LeaseResponse
+	_ = w.retry(ctx, "complete of "+out.Shard, func() error {
+		_, err := w.post(ctx, "/v1/fleet/complete", out, &resp)
+		return err
+	}) // fails only when ctx ends, and then the slot exits
+	return resp.Shard
 }
 
-func (w *Worker) executeShard(ctx context.Context, s Shard) *ShardResult {
-	if w.cfg.ShardDelay > 0 {
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-time.After(w.cfg.ShardDelay):
-		}
-	}
-	sr := &ShardResult{Shard: s.ID}
+// execute runs one shard through the worker's memo. ok is false when
+// ctx ended mid-run: such a result is not trustworthy and is not posted.
+func (w *Worker) execute(ctx context.Context, s Shard) (out CompleteRequest, ok bool) {
+	out = CompleteRequest{Worker: w.cfg.ID, Shard: s.ID}
 	res, err := w.memo.run(ctx, s.Point)
+	if ctx.Err() != nil {
+		return out, false
+	}
 	if err != nil {
-		sr.Error = err.Error()
+		out.Error = err.Error()
 	} else {
-		if ctx.Err() != nil {
-			return nil // cancelled mid-run: the result is not trustworthy
-		}
-		sr.Result = &res
+		out.Result = &res
 	}
 	w.logf("fleet worker %s: shard %s (%s) done", w.cfg.ID, s.ID, s.Point.Label)
-	return sr
+	return out, true
 }

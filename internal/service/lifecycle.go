@@ -82,13 +82,6 @@ type Config struct {
 	// worker heartbeat before declaring it dead and reassigning its
 	// shards (default 5s).
 	HeartbeatTimeout time.Duration
-	// FleetBatch caps how many shards one fleet poll round-trip may
-	// lease (default 16; 1 forces per-point dispatch). FleetSteal is
-	// the minimum queue a busy worker must hold before an idle worker
-	// may steal its tail half (default 2; negative disables stealing).
-	// Both are hot-reloadable.
-	FleetBatch int
-	FleetSteal int
 	// ConfigPath, when non-empty, names a JSON file holding the
 	// hot-reloadable subset of this configuration (see ReloadConfig).
 	// It is applied at startup and re-read — without dropping leases,
@@ -140,8 +133,6 @@ func newService(cfg Config, exec ExecFunc) (*Service, error) {
 	}
 	coord := fleet.NewCoordinator(fleet.Config{
 		HeartbeatTimeout: cfg.HeartbeatTimeout,
-		Batch:            cfg.FleetBatch,
-		StealThreshold:   cfg.FleetSteal,
 		Cache:            st,
 		Logf:             cfg.Logf,
 	})
@@ -173,26 +164,22 @@ func newService(cfg Config, exec ExecFunc) (*Service, error) {
 // the -config JSON file and the POST /v1/admin/reload body. Absent
 // fields keep their current values, so a reload is always a delta.
 type ReloadConfig struct {
-	TenantQuota    *int           `json:"tenant_quota,omitempty"`
-	TenantQuotas   map[string]int `json:"tenant_quotas,omitempty"`
-	FleetBatch     *int           `json:"fleet_batch,omitempty"`
-	StealThreshold *int           `json:"steal_threshold,omitempty"`
+	TenantQuota  *int           `json:"tenant_quota,omitempty"`
+	TenantQuotas map[string]int `json:"tenant_quotas,omitempty"`
 }
 
 // ReloadStatus reports the effective configuration after a reload.
 type ReloadStatus struct {
-	Source         string         `json:"source"` // "request" or the config file path
-	TenantQuota    int            `json:"tenant_quota"`
-	TenantQuotas   map[string]int `json:"tenant_quotas,omitempty"`
-	FleetBatch     int            `json:"fleet_batch"`
-	StealThreshold int            `json:"steal_threshold"`
+	Source       string         `json:"source"` // "request" or the config file path
+	TenantQuota  int            `json:"tenant_quota"`
+	TenantQuotas map[string]int `json:"tenant_quotas,omitempty"`
 }
 
 // Reload applies a configuration delta without restarting: tenant
-// quotas swap on the scheduler and batch/steal tuning on the fleet
-// coordinator, while leases, queued jobs, and registered workers are
-// untouched. A nil delta re-reads cfg.ConfigPath (the SIGHUP path); a
-// non-nil one applies directly (the admin-endpoint path).
+// quotas swap on the scheduler, while leases, queued jobs, and
+// registered workers are untouched. A nil delta re-reads cfg.ConfigPath
+// (the SIGHUP path); a non-nil one applies directly (the admin-endpoint
+// path).
 func (s *Service) Reload(rc *ReloadConfig) (ReloadStatus, error) {
 	source := "request"
 	if rc == nil {
@@ -219,23 +206,10 @@ func (s *Service) Reload(rc *ReloadConfig) (ReloadStatus, error) {
 		quotas = rc.TenantQuotas
 	}
 	s.sched.SetQuotas(quota, quotas)
-	batch, steal := s.coord.Tuning()
-	if rc.FleetBatch != nil {
-		batch = *rc.FleetBatch
-	}
-	if rc.StealThreshold != nil {
-		steal = *rc.StealThreshold
-	}
-	s.coord.SetTuning(batch, steal)
-	batch, steal = s.coord.Tuning()
 	quota, quotas = s.sched.Quotas()
 	s.reloads.Add(1)
-	s.logf("coherenced: config reloaded from %s (tenant quota %d, %d overrides, batch %d, steal %d)",
-		source, quota, len(quotas), batch, steal)
-	return ReloadStatus{
-		Source: source, TenantQuota: quota, TenantQuotas: quotas,
-		FleetBatch: batch, StealThreshold: steal,
-	}, nil
+	s.logf("coherenced: config reloaded from %s (tenant quota %d, %d overrides)", source, quota, len(quotas))
+	return ReloadStatus{Source: source, TenantQuota: quota, TenantQuotas: quotas}, nil
 }
 
 // Reloads counts successful configuration reloads (for /metrics).

@@ -13,7 +13,7 @@ import (
 
 // TestAdminReloadDelta: POST /v1/admin/reload applies a partial config
 // without restarting — a tenant over quota is admitted immediately
-// after the quota is raised, and fleet tuning swaps live.
+// after the quota is raised.
 func TestAdminReloadDelta(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
@@ -26,7 +26,7 @@ func TestAdminReloadDelta(t *testing.T) {
 		t.Fatalf("over-quota submit HTTP %d, want 429", resp.StatusCode)
 	}
 
-	body := `{"tenant_quota":2,"fleet_batch":4,"steal_threshold":-1}`
+	body := `{"tenant_quota":2}`
 	resp, err := http.Post(ts.URL+"/v1/admin/reload", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -39,14 +39,11 @@ func TestAdminReloadDelta(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload HTTP %d", resp.StatusCode)
 	}
-	if st.TenantQuota != 2 || st.FleetBatch != 4 || st.StealThreshold != -1 || st.Source != "request" {
+	if st.TenantQuota != 2 || st.Source != "request" {
 		t.Fatalf("reload status = %+v", st)
 	}
 	if quota, _ := svc.Scheduler().Quotas(); quota != 2 {
 		t.Errorf("scheduler quota = %d after reload, want 2", quota)
-	}
-	if batch, steal := svc.Coordinator().Tuning(); batch != 4 || steal != -1 {
-		t.Errorf("coordinator tuning = (%d, %d) after reload, want (4, -1)", batch, steal)
 	}
 
 	// The raised quota takes effect for the very next submission.
@@ -59,17 +56,20 @@ func TestAdminReloadDelta(t *testing.T) {
 		t.Errorf("metrics missing reload counter:\n%s", metrics)
 	}
 
-	// Unknown fields are a client error, not a silent partial apply.
-	resp2, err := http.Post(ts.URL+"/v1/admin/reload", "application/json", strings.NewReader(`{"bogus":1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Errorf("bogus reload HTTP %d, want 400", resp2.StatusCode)
-	}
-	if quota, _ := svc.Scheduler().Quotas(); quota != 2 {
-		t.Errorf("quota changed by rejected reload: %d", quota)
+	// Unknown fields — the removed fleet knobs included — are a client
+	// error, not a silent partial apply.
+	for _, body := range []string{`{"bogus":1}`, `{"tenant_quota":9,"fleet_batch":4}`, `{"tenant_quota":9,"steal_threshold":-1}`} {
+		resp2, err := http.Post(ts.URL+"/v1/admin/reload", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp2.Body.Close()
+		if resp2.StatusCode != http.StatusBadRequest {
+			t.Errorf("reload %s HTTP %d, want 400", body, resp2.StatusCode)
+		}
+		if quota, _ := svc.Scheduler().Quotas(); quota != 2 {
+			t.Errorf("quota changed by rejected reload %s: %d", body, quota)
+		}
 	}
 }
 
@@ -78,7 +78,7 @@ func TestAdminReloadDelta(t *testing.T) {
 // rejected without disturbing the running configuration.
 func TestReloadFromConfigFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "coherenced.json")
-	if err := os.WriteFile(path, []byte(`{"tenant_quota":3,"fleet_batch":2}`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"tenant_quota":3}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var execs atomic.Int32
@@ -87,21 +87,18 @@ func TestReloadFromConfigFile(t *testing.T) {
 	if quota, _ := svc.Scheduler().Quotas(); quota != 3 {
 		t.Fatalf("startup quota = %d, want 3 from config file", quota)
 	}
-	if batch, _ := svc.Coordinator().Tuning(); batch != 2 {
-		t.Fatalf("startup batch = %d, want 2 from config file", batch)
-	}
 	if n := svc.Reloads(); n != 1 {
 		t.Fatalf("startup reloads = %d, want 1", n)
 	}
 
-	if err := os.WriteFile(path, []byte(`{"tenant_quota":5,"steal_threshold":7}`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"tenant_quota":5}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st, err := svc.Reload(nil) // what the SIGHUP handler calls
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Source != path || st.TenantQuota != 5 || st.StealThreshold != 7 || st.FleetBatch != 2 {
+	if st.Source != path || st.TenantQuota != 5 {
 		t.Fatalf("reload status = %+v", st)
 	}
 
@@ -121,15 +118,19 @@ func TestReloadFromConfigFile(t *testing.T) {
 }
 
 // TestStartupRejectsBadConfigFile: a daemon that cannot parse its
-// -config file must refuse to start rather than serve with defaults.
+// -config file must refuse to start rather than serve with defaults —
+// and a file still naming a removed fleet knob is such a file: a knob
+// that no longer exists must fail loudly, not be ignored.
 func TestStartupRejectsBadConfigFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(path, []byte(`{"no_such_field":true}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := newService(Config{ConfigPath: path}, stubExec(nil, nil)); err == nil {
-		t.Fatal("newService accepted a config file with unknown fields")
-	} else if !strings.Contains(err.Error(), "bad.json") {
-		t.Errorf("error %v does not name the config file", err)
+	for _, body := range []string{`{"no_such_field":true}`, `{"fleet_batch":32}`, `{"tenant_quota":2,"steal_threshold":-1}`} {
+		path := filepath.Join(t.TempDir(), "bad.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := newService(Config{ConfigPath: path}, stubExec(nil, nil)); err == nil {
+			t.Errorf("newService accepted the config file %s", body)
+		} else if !strings.Contains(err.Error(), "bad.json") || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("config %s: error %v does not name the config file and the unknown field", body, err)
+		}
 	}
 }

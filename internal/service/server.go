@@ -481,11 +481,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fs := s.coord.Stats()
 		write("coherenced_fleet_workers_live", "Fleet workers heard from within the heartbeat timeout.", "gauge", uint64(fs.WorkersLive))
 		write("coherenced_fleet_shards_dispatched_total", "Shard leases handed to fleet workers.", "counter", fs.Dispatched)
-		write("coherenced_fleet_batches_total", "Non-empty poll responses (shard batches leased).", "counter", fs.Batches)
 		write("coherenced_fleet_shards_completed_total", "Shards completed across the fleet.", "counter", fs.Completed)
 		write("coherenced_fleet_shards_reassigned_total", "Shards requeued after worker death or failure.", "counter", fs.Reassigned)
-		write("coherenced_fleet_shards_stolen_total", "Shards reassigned from a busy worker's tail to an idle worker.", "counter", fs.Stolen)
-		write("coherenced_fleet_shards_duplicate_total", "Duplicate shard completions ignored (steal or reassignment races).", "counter", fs.DupCompletes)
+		write("coherenced_fleet_shards_duplicate_total", "Shard completions ignored because the shard was no longer outstanding (late results after reassignment or cancellation).", "counter", fs.DupCompletes)
 		write("coherenced_fleet_shards_failed_total", "Shards that exhausted their attempts.", "counter", fs.Failed)
 		write("coherenced_fleet_shard_cache_hits_total", "Shards answered from the shard-level result cache.", "counter", fs.CacheHits)
 		write("coherenced_fleet_local_runs_total", "Shards executed by the coordinator's local fallback.", "counter", fs.LocalRuns)
