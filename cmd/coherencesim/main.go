@@ -23,11 +23,12 @@
 //	coherencesim -experiment all -quick -cpuprofile cpu.pprof
 //
 // Metrics are keyed to simulated time, so -metrics-out documents are
-// byte-identical at any -parallel worker count; the nondeterministic
-// wall-clock section is added only with -metrics-wallclock.
+// byte-identical at any -parallel worker count; wall time goes to
+// stderr with -progress.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -54,7 +55,6 @@ type obsOptions struct {
 	metricsOut   string   // JSON metrics report destination
 	metricsCSV   string   // CSV time-series destination
 	interval     sim.Time // sampling interval (simulated cycles)
-	wallclock    bool     // include the nondeterministic wall-clock section
 	timelineOut  string   // Chrome trace-event / Perfetto destination (-run only)
 	traceN       int      // operation-trace ring capacity (-run only)
 	traceOut     string   // operation-trace dump destination (default stderr)
@@ -74,41 +74,50 @@ func (ob obsOptions) breakdownEnabled() bool {
 }
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stderr))
 }
 
-func run() int {
+// run is main without the exit: it parses args, validates them, runs and
+// returns the exit status (0 done, 1 failed, 2 bad usage). Diagnostics go
+// to stderr, one "coherencesim: ..." line per error.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("coherencesim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		experiment = flag.String("experiment", "", "figure to regenerate: fig8..fig16, lockvariants, redvariants, extlocks, contention, apps, ablations, all (see -list)")
-		list       = flag.Bool("list", false, "print every experiment name with a one-line description and exit")
-		version    = flag.Bool("version", false, "print version information and exit")
-		quick      = flag.Bool("quick", false, "reduced iteration counts (~20x faster, same shapes)")
-		format     = flag.String("format", "table", "output format for fig8/fig11/fig14 and traffic figures: table or csv")
-		parallel   = flag.Int("parallel", 0, "simulation worker pool size: 0 = NumCPU, 1 = pure serial")
-		warmfork   = flag.Bool("warmfork", false, "run each sweep point as warm-up and measured rest on one machine and simulate identical points once per invocation (deterministic, but figures differ slightly from the single-phase defaults)")
-		progress   = flag.Bool("progress", false, "report per-job progress (with ETA and sim-cycle throughput) and per-figure wall time on stderr")
-		runKind    = flag.String("run", "", "single run: lock, barrier, or reduction")
-		lockKind   = flag.String("lock", "tk", "lock for -run lock: tk, mcs, ucmcs")
-		barKind    = flag.String("barrier", "db", "barrier for -run barrier: cb, db, tb")
-		redKind    = flag.String("reduction", "sr", "reduction for -run reduction: sr, pr")
-		protoName  = flag.String("protocol", "WI", "protocol: WI, PU, CU")
-		procs      = flag.Int("procs", 32, "processor count (1-64)")
-		iters      = flag.Int("iterations", 0, "override iteration count (0 = paper default)")
+		experiment = fs.String("experiment", "", "figure to regenerate: fig8..fig16, lockvariants, redvariants, extlocks, contention, apps, ablations, all (see -list)")
+		list       = fs.Bool("list", false, "print every experiment name with a one-line description and exit")
+		version    = fs.Bool("version", false, "print version information and exit")
+		quick      = fs.Bool("quick", false, "reduced iteration counts (~20x faster, same shapes)")
+		format     = fs.String("format", "table", "output format for fig8/fig11/fig14 and traffic figures: table or csv")
+		parallel   = fs.Int("parallel", 0, "simulation worker pool size: 0 = NumCPU, 1 = pure serial")
+		warmfork   = fs.Bool("warmfork", false, "run each sweep point as warm-up and measured rest on one machine and simulate identical points once per invocation (deterministic, but figures differ slightly from the single-phase defaults)")
+		progress   = fs.Bool("progress", false, "report per-job progress (with ETA and sim-cycle throughput) and per-figure wall time on stderr")
+		runKind    = fs.String("run", "", "single run: lock, barrier, or reduction")
+		lockKind   = fs.String("lock", "tk", "lock for -run lock: tk, mcs, ucmcs")
+		barKind    = fs.String("barrier", "db", "barrier for -run barrier: cb, db, tb")
+		redKind    = fs.String("reduction", "sr", "reduction for -run reduction: sr, pr")
+		protoName  = fs.String("protocol", "WI", "protocol: WI, PU, CU")
+		procs      = fs.Int("procs", 32, "processor count (1-64)")
+		iters      = fs.Int("iterations", 0, "override iteration count (0 = paper default)")
 
-		metricsOut       = flag.String("metrics-out", "", "write a deterministic JSON metrics report (counters, latency histograms, stall time series) to this file")
-		metricsCSV       = flag.String("metrics-csv", "", "write the sampled counter time series as CSV (one row per run, frame, counter) to this file")
-		metricsInterval  = flag.Uint64("metrics-interval", 10000, "metrics sampling interval in simulated cycles")
-		metricsWallclock = flag.Bool("metrics-wallclock", false, "include the (nondeterministic) wall-clock self-observability section in -metrics-out")
-		breakdown        = flag.Bool("breakdown", false, "print the per-run stall-attribution breakdown (compute, read-miss, write-ownership, invalidation-wait, update-traffic, lock-wait, barrier-wait)")
-		breakdownOut     = flag.String("breakdown-out", "", "write the deterministic JSON breakdown report to this file")
-		traceTxnOut      = flag.String("trace-txn", "", "write a flow-linked Chrome trace-event / Perfetto timeline of coherence transactions and the stalls they release to this file (-run mode)")
-		timelineOut      = flag.String("timeline-out", "", "write a Chrome trace-event / Perfetto timeline of per-processor states to this file (-run mode)")
-		traceN           = flag.Int("trace", 0, "record the last N processor operations in a ring buffer and dump them after the run (-run mode)")
-		traceOut         = flag.String("trace-out", "", "file for the -trace dump (default stderr)")
-		cpuprofile       = flag.String("cpuprofile", "", "write a pprof CPU profile of the simulator itself to this file")
-		memprofile       = flag.String("memprofile", "", "write a pprof heap profile taken after the run to this file")
+		metricsOut      = fs.String("metrics-out", "", "write a deterministic JSON metrics report (counters, latency histograms, stall time series) to this file")
+		metricsCSV      = fs.String("metrics-csv", "", "write the sampled counter time series as CSV (one row per run, frame, counter) to this file")
+		metricsInterval = fs.Uint64("metrics-interval", 10000, "metrics sampling interval in simulated cycles")
+		breakdown       = fs.Bool("breakdown", false, "print the per-run stall-attribution breakdown (compute, read-miss, write-ownership, invalidation-wait, update-traffic, lock-wait, barrier-wait)")
+		breakdownOut    = fs.String("breakdown-out", "", "write the deterministic JSON breakdown report to this file")
+		traceTxnOut     = fs.String("trace-txn", "", "write a flow-linked Chrome trace-event / Perfetto timeline of coherence transactions and the stalls they release to this file (-run mode)")
+		timelineOut     = fs.String("timeline-out", "", "write a Chrome trace-event / Perfetto timeline of per-processor states to this file (-run mode)")
+		traceN          = fs.Int("trace", 0, "record the last N processor operations in a ring buffer and dump them after the run (-run mode)")
+		traceOut        = fs.String("trace-out", "", "file for the -trace dump (default stderr)")
+		cpuprofile      = fs.String("cpuprofile", "", "write a pprof CPU profile of the simulator itself to this file")
+		memprofile      = fs.String("memprofile", "", "write a pprof heap profile taken after the run to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *version {
 		fmt.Println(buildinfo.String("coherencesim"))
@@ -118,16 +127,20 @@ func run() int {
 		printExperimentList(os.Stdout)
 		return 0
 	}
+	if err := checkFlags(fs, *runKind, *procs, *iters); err != nil {
+		fmt.Fprintln(stderr, "coherencesim:", err)
+		return 1
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "coherencesim:", err)
+			fmt.Fprintln(stderr, "coherencesim:", err)
 			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "coherencesim:", err)
+			fmt.Fprintln(stderr, "coherencesim:", err)
 			return 1
 		}
 		defer pprof.StopCPUProfile()
@@ -136,13 +149,13 @@ func run() int {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "coherencesim:", err)
+				fmt.Fprintln(stderr, "coherencesim:", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // materialize the stable live set
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "coherencesim:", err)
+				fmt.Fprintln(stderr, "coherencesim:", err)
 			}
 		}()
 	}
@@ -151,7 +164,6 @@ func run() int {
 		metricsOut:  *metricsOut,
 		metricsCSV:  *metricsCSV,
 		interval:    sim.Time(*metricsInterval),
-		wallclock:   *metricsWallclock,
 		timelineOut: *timelineOut,
 		traceN:      *traceN,
 		traceOut:    *traceOut,
@@ -161,14 +173,14 @@ func run() int {
 		traceTxnOut:  *traceTxnOut,
 	}
 	if ob.metricsEnabled() && ob.interval == 0 {
-		fmt.Fprintln(os.Stderr, "coherencesim: -metrics-interval must be positive")
+		fmt.Fprintln(stderr, "coherencesim: -metrics-interval must be positive")
 		return 1
 	}
 
 	switch {
 	case *runKind != "":
 		if err := singleRun(*runKind, *lockKind, *barKind, *redKind, *protoName, *procs, *iters, ob); err != nil {
-			fmt.Fprintln(os.Stderr, "coherencesim:", err)
+			fmt.Fprintln(stderr, "coherencesim:", err)
 			return 1
 		}
 	case *experiment != "":
@@ -182,14 +194,12 @@ func run() int {
 		o.Runner = runner.New(*parallel)
 		var timings io.Writer
 		if *progress {
-			o.Runner.SetProgress(runner.Printer(os.Stderr))
-			timings = os.Stderr
-			fmt.Fprintf(os.Stderr, "coherencesim: %d simulation workers\n", o.Runner.Workers())
+			o.Runner.SetProgress(runner.Printer(stderr))
+			timings = stderr
+			fmt.Fprintf(stderr, "coherencesim: %d simulation workers\n", o.Runner.Workers())
 		}
-		var phases *metrics.PhaseTimer
 		if ob.metricsEnabled() {
 			o.Metrics = metrics.NewCollector(ob.interval)
-			phases = metrics.NewPhaseTimer()
 		}
 		if ob.breakdown || ob.breakdownOut != "" {
 			o.Breakdown = trace.NewBreakdownCollector()
@@ -201,23 +211,47 @@ func run() int {
 		if *format == "csv" {
 			err = runExperimentsCSV(*experiment, o)
 		} else {
-			err = runExperiments(*experiment, o, timings, phases)
+			err = runExperiments(*experiment, o, timings)
 		}
-		if err == nil {
-			err = writeExperimentMetrics(o, phases, ob)
+		if err == nil && o.Metrics != nil {
+			err = writeReport(o.Metrics.Report(), ob)
 		}
 		if err == nil {
 			err = writeExperimentBreakdown(o, ob)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "coherencesim:", err)
+			fmt.Fprintln(stderr, "coherencesim:", err)
 			return 1
 		}
 	default:
-		flag.Usage()
+		fs.Usage()
 		return 2
 	}
 	return 0
+}
+
+// checkFlags rejects the values the run paths would panic on, divide by
+// zero with, or silently ignore.
+func checkFlags(fs *flag.FlagSet, runKind string, procs, iters int) (err error) {
+	switch {
+	case procs < 1 || procs > 64:
+		return fmt.Errorf("procs %d out of range 1..64", procs)
+	case iters < 0:
+		return fmt.Errorf("iterations %d is negative", iters)
+	case runKind == "lock" && iters > 0 && iters < procs:
+		return fmt.Errorf("iterations %d is fewer than one acquire per processor (procs %d)", iters, procs)
+	case runKind != "":
+		return nil
+	}
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "timeline-out", "trace-txn", "trace", "trace-out":
+			if err == nil {
+				err = fmt.Errorf("-%s applies to -run mode only", f.Name)
+			}
+		}
+	})
+	return err
 }
 
 func parseProtocol(s string) (proto.Protocol, error) {
@@ -230,28 +264,6 @@ func parseProtocol(s string) (proto.Protocol, error) {
 		return proto.CU, nil
 	}
 	return 0, fmt.Errorf("unknown protocol %q (want WI, PU, or CU)", s)
-}
-
-// writeExperimentMetrics exports the collected experiment metrics to the
-// requested files, attaching the wall-clock section only on explicit
-// request so the default document stays deterministic.
-func writeExperimentMetrics(o experiments.Options, phases *metrics.PhaseTimer, ob obsOptions) error {
-	if !ob.metricsEnabled() || o.Metrics == nil {
-		return nil
-	}
-	rep := o.Metrics.Report()
-	if ob.wallclock {
-		pg := o.Runner.Progress()
-		rep.Wallclock = &metrics.Wallclock{
-			Workers:         o.Runner.Workers(),
-			JobsDone:        pg.JobsDone,
-			SimCycles:       pg.SimCycles,
-			WallSeconds:     pg.Elapsed.Seconds(),
-			CyclesPerSecond: pg.CyclesPerSecond(),
-			Phases:          phases.Phases(),
-		}
-	}
-	return writeReport(rep, ob)
 }
 
 // writeExperimentBreakdown prints and/or writes the collected
@@ -338,16 +350,14 @@ func unknownExperiment(name string) error {
 	return fmt.Errorf("unknown experiment %q\n%s", name, strings.TrimRight(b.String(), "\n"))
 }
 
-func runExperiments(name string, o experiments.Options, timings io.Writer, phases *metrics.PhaseTimer) error {
+func runExperiments(name string, o experiments.Options, timings io.Writer) error {
 	timed := func(e experiments.CatalogEntry) {
 		t0 := time.Now()
 		for _, tbl := range e.Tables(o) {
 			fmt.Println(tbl)
 		}
-		elapsed := time.Since(t0)
-		phases.Observe(e.Name, elapsed)
 		if timings != nil {
-			fmt.Fprintf(timings, "coherencesim: %s done in %.2fs\n", e.Name, elapsed.Seconds())
+			fmt.Fprintf(timings, "coherencesim: %s done in %.2fs\n", e.Name, time.Since(t0).Seconds())
 		}
 	}
 	if name == "all" {
@@ -453,6 +463,7 @@ func writeRunOutputs(label, protocol string, res machine.Result, tl *metrics.Tim
 			rep.Protocol = protocol
 			if ob.breakdown {
 				fmt.Print(rep.Table())
+				fmt.Print(res.Breakdown.ProcTable())
 			}
 			if ob.breakdownOut != "" {
 				if err := writeBreakdownJSON(rep, ob.breakdownOut); err != nil {

@@ -46,11 +46,11 @@ func microOptions() experiments.Options {
 func TestRunExperimentsDispatch(t *testing.T) {
 	o := microOptions()
 	for _, id := range []string{"fig8", "fig11", "fig14", "redvariants"} {
-		if err := runExperiments(id, o, nil, nil); err != nil {
+		if err := runExperiments(id, o, nil); err != nil {
 			t.Errorf("%s: %v", id, err)
 		}
 	}
-	if err := runExperiments("nope", o, nil, nil); err == nil {
+	if err := runExperiments("nope", o, nil); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -124,9 +124,6 @@ func TestSingleRunObservability(t *testing.T) {
 	if s.Series == nil || s.Series.Interval != 500 {
 		t.Error("sampled series missing from single-run metrics")
 	}
-	if rep.Wallclock != nil {
-		t.Error("wallclock section present without opt-in")
-	}
 
 	// CSV: header plus at least one series row.
 	csv, err := os.ReadFile(ob.metricsCSV)
@@ -178,19 +175,18 @@ func TestSingleRunObservability(t *testing.T) {
 
 // TestExperimentMetricsExport drives the experiment path end to end:
 // collector wired through Options, report written, deterministic across
-// worker counts, wall-clock section only on request.
+// worker counts.
 func TestExperimentMetricsExport(t *testing.T) {
 	dir := t.TempDir()
-	runOnce := func(workers int, wallclock bool, out string) []byte {
+	runOnce := func(workers int, out string) []byte {
 		o := microOptions()
 		o.Runner = runner.New(workers)
 		o.Metrics = metrics.NewCollector(1000)
-		phases := metrics.NewPhaseTimer()
-		if err := runExperiments("fig8", o, nil, phases); err != nil {
+		if err := runExperiments("fig8", o, nil); err != nil {
 			t.Fatal(err)
 		}
-		ob := obsOptions{metricsOut: filepath.Join(dir, out), interval: 1000, wallclock: wallclock}
-		if err := writeExperimentMetrics(o, phases, ob); err != nil {
+		ob := obsOptions{metricsOut: filepath.Join(dir, out), interval: 1000}
+		if err := writeReport(o.Metrics.Report(), ob); err != nil {
 			t.Fatal(err)
 		}
 		b, err := os.ReadFile(ob.metricsOut)
@@ -199,20 +195,50 @@ func TestExperimentMetricsExport(t *testing.T) {
 		}
 		return b
 	}
-	a := runOnce(1, false, "a.json")
-	b := runOnce(4, false, "b.json")
+	a := runOnce(1, "a.json")
+	b := runOnce(4, "b.json")
 	if string(a) != string(b) {
 		t.Error("experiment metrics differ across worker counts")
 	}
-	w := runOnce(2, true, "w.json")
 	var rep metrics.Report
-	if err := json.Unmarshal(w, &rep); err != nil {
+	if err := json.Unmarshal(a, &rep); err != nil {
 		t.Fatal(err)
-	}
-	if rep.Wallclock == nil || len(rep.Wallclock.Phases) == 0 {
-		t.Error("wallclock section missing after opt-in")
 	}
 	if len(rep.Runs) == 0 {
 		t.Error("no runs collected")
+	}
+}
+
+// TestRunRejectsBadFlags: values the run paths cannot honour are refused
+// up front with one "coherencesim: ..." line and exit status 1 — not a
+// panic from machine.New, a NaN latency, or a silently ignored flag.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, c := range []struct {
+		args, want string
+	}{
+		{"-run lock -procs 65", "procs 65 out of range 1..64"},
+		{"-run lock -procs 0", "procs 0 out of range 1..64"},
+		{"-run barrier -procs -3", "procs -3 out of range 1..64"},
+		{"-run lock -procs 4 -iterations 3", "iterations 3 is fewer than one acquire per processor (procs 4)"},
+		{"-run barrier -procs 4 -iterations -1", "iterations -1 is negative"},
+		{"-experiment fig8 -quick -timeline-out x.json", "-timeline-out applies to -run mode only"},
+		{"-experiment fig8 -quick -trace-txn x.json", "-trace-txn applies to -run mode only"},
+		{"-experiment fig8 -quick -trace 100", "-trace applies to -run mode only"},
+		{"-experiment fig8 -quick -trace-out x.log", "-trace-out applies to -run mode only"},
+	} {
+		var stderr strings.Builder
+		if code := run(strings.Fields(c.args), &stderr); code != 1 {
+			t.Errorf("%s: exit %d, want 1", c.args, code)
+		}
+		if want := "coherencesim: " + c.want + "\n"; stderr.String() != want {
+			t.Errorf("%s: stderr %q, want %q", c.args, stderr.String(), want)
+		}
+	}
+	var stderr strings.Builder
+	if code := run(strings.Fields("-run lock -procs 4 -iterations 4 -breakdown"), &stderr); code != 0 || stderr.Len() != 0 {
+		t.Errorf("smallest valid lock run: exit %d, stderr %q", code, stderr.String())
+	}
+	if code := run([]string{"-no-such-flag"}, &stderr); code != 2 {
+		t.Errorf("unknown flag: exit %d, want 2", code)
 	}
 }

@@ -86,12 +86,8 @@ func NewMachine(cfg Config) *Machine { return machine.New(cfg) }
 // reuse pool — a structurally compatible idle machine reset to cfg when
 // one is available, else a fresh one. Pair with Machine.Release when
 // the run's results have been read; pooled runs are byte-identical to
-// fresh-machine runs. SetMachineReuse toggles pooling globally (it is
-// on by default) and returns the previous setting.
-var (
-	AcquireMachine  = machine.Acquire
-	SetMachineReuse = machine.SetReuse
-)
+// fresh-machine runs.
+var AcquireMachine = machine.Acquire
 
 // DefaultConfig returns the paper's machine parameters for a protocol
 // and processor count.
@@ -130,10 +126,10 @@ const (
 // the original machine onward.
 type MachineSnapshot = machine.Snapshot
 
-// Machine-level forking and warm-forked sweeps. The Warm*Loop drivers
-// split a workload into a warm-up phase (snapshotted once) plus a
-// measured rest phase forked per Run() — the fork facility for callers
-// that want many continuations of one prefix. Sweeps do not use it:
+// Machine-level forking and warm-forked sweeps. WarmLockLoop splits a
+// lock loop into a warm-up phase (snapshotted once) plus a measured
+// rest phase forked per Run() — the fork facility for callers that
+// want many continuations of one prefix. Sweeps do not use it:
 // WarmForkCache (attach one to ExperimentOptions.Forks) runs each point
 // as the same two phases on one machine and memoizes the result per
 // identical point.
@@ -149,12 +145,10 @@ const (
 	WorkRatio   = workload.WorkRatio
 )
 
-// Warm-fork drivers and the sweep-level result memo.
+// The warm-fork driver and the sweep-level result memo.
 var (
-	WarmLockLoop      = workload.WarmLockLoop
-	WarmBarrierLoop   = workload.WarmBarrierLoop
-	WarmReductionLoop = workload.WarmReductionLoop
-	NewWarmForkCache  = experiments.NewWarmForkCache
+	WarmLockLoop     = workload.WarmLockLoop
+	NewWarmForkCache = experiments.NewWarmForkCache
 )
 
 // Synchronization construct interfaces and implementations (Section 2 of

@@ -98,12 +98,6 @@ type Cache struct {
 	watchers   [][]func()
 	watchBlock []uint32
 
-	// versions is block-indexed (grown on demand — the simulated address
-	// space is dense): visibility events on a block must not advance the
-	// version of an unrelated block that happens to share its frame, or
-	// multi-word spin re-read detection would spuriously trigger.
-	versions []uint64
-
 	stats Stats
 
 	// Optional sampled observability counters, shared across all caches
@@ -143,7 +137,7 @@ func New(node, sizeBytes int) *Cache {
 }
 
 // Reset returns the cache to its post-New state (all lines invalid, no
-// watchers, versions zeroed, counters cleared) while keeping every
+// watchers, counters cleared) while keeping every
 // backing array for reuse. Instrumentation is detached; a reusing
 // machine re-attaches its own.
 func (c *Cache) Reset() {
@@ -156,7 +150,6 @@ func (c *Cache) Reset() {
 		c.watchers[i] = ws[:0]
 	}
 	clear(c.watchBlock)
-	clear(c.versions)
 	c.stats = Stats{}
 	c.mHits, c.mMisses, c.now = nil, nil, nil
 }
@@ -171,9 +164,6 @@ func (c *Cache) frameIndex(block uint32) int {
 
 // NumLines returns the number of frames.
 func (c *Cache) NumLines() int { return len(c.lines) }
-
-// Stats returns a copy of the raw counters.
-func (c *Cache) Stats() Stats { return c.stats }
 
 // frame returns the direct-mapped frame for a block. The usual
 // power-of-two frame count indexes with a mask instead of the integer
@@ -291,33 +281,15 @@ func (c *Cache) Watched(block uint32) bool {
 	return len(c.watchers[idx]) > 0 && c.watchBlock[idx] == block
 }
 
-// Version returns the block's visibility-event counter: it advances on
-// every invalidation, update delivery, eviction, or explicit
-// notification. Spin loops that read several words of a block use it to
-// detect that the block changed mid-sequence (and must re-read) before
-// parking on a watcher.
-func (c *Cache) Version(block uint32) uint64 {
-	if int(block) < len(c.versions) {
-		return c.versions[block]
-	}
-	return 0
-}
-
-// fire advances the block's version and invokes (then clears) its
-// watchers. The watcher list and a fire-time scratch copy both keep
-// their backing arrays, so the park/notify cycle of spin compression
-// does not allocate in steady state. Callbacks run from the scratch
+// fire invokes (then clears) the block's watchers. The watcher list and
+// a fire-time scratch copy both keep their backing arrays, so the
+// park/notify cycle of spin compression does not allocate in steady
+// state. Callbacks run from the scratch
 // copy: one may re-register on the same block (appending to the now
 // emptied list) without disturbing the iteration. A callback that fires
 // watchers itself finds fireScratch checked out and allocates a fresh
 // scratch — rare, and the deepest scratch is simply dropped.
 func (c *Cache) fire(block uint32) {
-	if int(block) >= len(c.versions) {
-		grown := make([]uint64, int(block)+64)
-		copy(grown, c.versions)
-		c.versions = grown
-	}
-	c.versions[block]++
 	idx := c.frameIndex(block)
 	ws := c.watchers[idx]
 	if len(ws) == 0 || c.watchBlock[idx] != block {

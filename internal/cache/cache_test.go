@@ -80,8 +80,8 @@ func TestDirectMappedConflictEviction(t *testing.T) {
 	if c.Present(3) {
 		t.Fatal("evicted block still present")
 	}
-	if c.Stats().Evictions != 1 {
-		t.Fatalf("evictions = %d", c.Stats().Evictions)
+	if c.stats.Evictions != 1 {
+		t.Fatalf("evictions = %d", c.stats.Evictions)
 	}
 }
 
@@ -194,14 +194,14 @@ func TestForEachValid(t *testing.T) {
 
 func TestWriteBufferFIFO(t *testing.T) {
 	wb := NewWriteBuffer(4)
-	if !wb.Empty() || wb.Full() || wb.Cap() != 4 {
+	if !wb.Empty() || wb.Full() || len(wb.buf) != 4 {
 		t.Fatal("fresh buffer state wrong")
 	}
 	wb.Push(4, 10)
 	wb.Push(8, 20)
 	wb.Push(4, 30)
-	if wb.Len() != 3 {
-		t.Fatalf("len = %d", wb.Len())
+	if wb.n != 3 {
+		t.Fatalf("len = %d", wb.n)
 	}
 	if h := wb.Head(); h.Addr != 4 || h.Val != 10 {
 		t.Fatalf("head = %+v", h)

@@ -3,16 +3,14 @@ package cache
 import "fmt"
 
 // CacheState is a deep copy of one cache's restorable contents: the
-// line array, the per-block visibility versions, and the raw activity
-// stats. Watchers are deliberately absent — a watcher is a parked
+// line array and the raw activity stats. Watchers are deliberately absent — a watcher is a parked
 // processor's callback, and snapshots are only taken at quiescence,
 // when no processor is parked. watchBlock entries are dead state once
 // their frame's watcher list is empty (Watch overwrites the tag on
 // registration), so they are not copied either.
 type CacheState struct {
-	lines    []Line
-	versions []uint64
-	stats    Stats
+	lines []Line
+	stats Stats
 }
 
 // assertNoWatchers panics if any frame still holds spin watchers; both
@@ -29,9 +27,8 @@ func (c *Cache) assertNoWatchers(op string) {
 func (c *Cache) SnapshotState() CacheState {
 	c.assertNoWatchers("SnapshotState")
 	return CacheState{
-		lines:    append([]Line(nil), c.lines...),
-		versions: append([]uint64(nil), c.versions...),
-		stats:    c.stats,
+		lines: append([]Line(nil), c.lines...),
+		stats: c.stats,
 	}
 }
 
@@ -43,6 +40,5 @@ func (c *Cache) RestoreState(st CacheState) {
 		panic(fmt.Sprintf("cache: RestoreState geometry mismatch (%d frames vs %d)", len(c.lines), len(st.lines)))
 	}
 	copy(c.lines, st.lines)
-	c.versions = append(c.versions[:0], st.versions...)
 	c.stats = st.stats
 }

@@ -29,17 +29,11 @@ func NewWriteBuffer(capacity int) *WriteBuffer {
 	return &WriteBuffer{buf: make([]WBEntry, capacity)}
 }
 
-// Cap returns the capacity.
-func (wb *WriteBuffer) Cap() int { return len(wb.buf) }
-
 // Reset empties the buffer in place for machine reuse.
 func (wb *WriteBuffer) Reset() {
 	wb.head, wb.n = 0, 0
 	wb.draining = false
 }
-
-// Len returns the number of queued entries.
-func (wb *WriteBuffer) Len() int { return wb.n }
 
 // Full reports whether a new write would stall the processor.
 func (wb *WriteBuffer) Full() bool { return wb.n >= len(wb.buf) }

@@ -126,9 +126,6 @@ func (m MissCounts) Total() uint64 {
 // TotalMisses sums only true misses (excludes upgrade transactions).
 func (m MissCounts) TotalMisses() uint64 { return m.Total() - m[MissUpgrade] }
 
-// Useful returns cold + true-sharing misses (the paper's useful classes).
-func (m MissCounts) Useful() uint64 { return m[MissCold] + m[MissTrue] }
-
 // Total sums all update categories.
 func (u UpdateCounts) Total() uint64 {
 	var s uint64
@@ -435,6 +432,3 @@ func (c *Classifier) MissRate() float64 {
 
 // Updates returns the accumulated update-message counts.
 func (c *Classifier) Updates() UpdateCounts { return c.updates }
-
-// ProcMisses returns the per-processor miss counts.
-func (c *Classifier) ProcMisses(p int) MissCounts { return c.perProcMisses[p] }

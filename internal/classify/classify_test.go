@@ -104,7 +104,7 @@ func TestUpgradeCounted(t *testing.T) {
 	if m[MissUpgrade] != 1 || m.TotalMisses() != 0 || m.Total() != 1 {
 		t.Fatalf("counts %v", m)
 	}
-	if c.ProcMisses(1)[MissUpgrade] != 1 {
+	if c.perProcMisses[1][MissUpgrade] != 1 {
 		t.Fatal("per-proc upgrade not counted")
 	}
 }
@@ -205,8 +205,8 @@ func TestCountsHelpers(t *testing.T) {
 	m[MissTrue] = 3
 	m[MissFalse] = 1
 	m[MissUpgrade] = 4
-	if m.Total() != 10 || m.TotalMisses() != 6 || m.Useful() != 5 {
-		t.Fatalf("helpers: total=%d misses=%d useful=%d", m.Total(), m.TotalMisses(), m.Useful())
+	if m.Total() != 10 || m.TotalMisses() != 6 {
+		t.Fatalf("helpers: total=%d misses=%d", m.Total(), m.TotalMisses())
 	}
 	var u UpdateCounts
 	u[UpdTrue] = 7

@@ -39,8 +39,8 @@ func (d *differ) compare() {
 		d.t.Fatalf("step %d (%s): References %d, reference %d", d.step, d.what, got, want)
 	}
 	for p := 0; p < d.procs; p++ {
-		if got, want := d.c.ProcMisses(p), d.ref.perProcMisses[p]; got != want {
-			d.t.Fatalf("step %d (%s): ProcMisses(%d) %v, reference %v", d.step, d.what, p, got, want)
+		if got, want := d.c.perProcMisses[p], d.ref.perProcMisses[p]; got != want {
+			d.t.Fatalf("step %d (%s): perProcMisses[%d] %v, reference %v", d.step, d.what, p, got, want)
 		}
 	}
 }

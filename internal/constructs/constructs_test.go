@@ -307,32 +307,16 @@ func TestSequentialReducerSlotPlacement(t *testing.T) {
 	b := m.NewMagicBarrier()
 	r := NewSequentialReducer(m, "R", b)
 	for i := 0; i < 4; i++ {
-		a := r.SlotAddr(i)
+		a := r.slots[i]
 		if home := m.System().HomeOf(uint32(a / 64)); home != i {
 			t.Errorf("slot %d homed at %d", i, home)
 		}
 		for j := i + 1; j < 4; j++ {
-			if uint32(a/64) == uint32(r.SlotAddr(j)/64) {
+			if uint32(a/64) == uint32(r.slots[j]/64) {
 				t.Errorf("slots %d and %d share a block", i, j)
 			}
 		}
 	}
-}
-
-func TestMCSQnodeOwnerMapping(t *testing.T) {
-	m := machine.New(machine.DefaultConfig(proto.WI, 4))
-	l := NewMCSLock(m, "L", false)
-	for i := 0; i < 4; i++ {
-		if got := l.ownerOf(l.node(i)); got != i {
-			t.Errorf("ownerOf(node(%d)) = %d", i, got)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown qnode did not panic")
-		}
-	}()
-	l.ownerOf(12345)
 }
 
 func TestConstructsDeterministic(t *testing.T) {

@@ -88,7 +88,6 @@ type MCSLock struct {
 	tail            machine.Addr
 	nodes           [64]machine.Addr // per-processor queue node blocks
 	updateConscious bool
-	procs           int
 	lat             *metrics.Histogram
 }
 
@@ -101,7 +100,7 @@ const (
 // NewMCSLock allocates an MCS lock; updateConscious selects the paper's
 // flush-augmented variant.
 func NewMCSLock(m *machine.Machine, name string, updateConscious bool) *MCSLock {
-	l := &MCSLock{updateConscious: updateConscious, procs: m.Procs()}
+	l := &MCSLock{updateConscious: updateConscious}
 	l.lat = m.MetricsHistogram(HistLockAcquire)
 	l.tail = m.Alloc(name+".tail", 4, 0)
 	for i := 0; i < m.Procs(); i++ {
@@ -115,13 +114,3 @@ func NewMCSLock(m *machine.Machine, name string, updateConscious bool) *MCSLock 
 // zero is never a valid node (allocations start at block 0 only for the
 // first allocation, so the tail allocation claims it first).
 func (l *MCSLock) node(id int) machine.Addr { return l.nodes[id] }
-
-// owner maps a queue-node address back to its processor.
-func (l *MCSLock) ownerOf(node machine.Addr) int {
-	for i := 0; i < l.procs; i++ {
-		if l.nodes[i] == node {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("constructs: unknown MCS qnode address %d", node))
-}

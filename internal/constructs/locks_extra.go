@@ -35,16 +35,6 @@ func NewTASLock(m *machine.Machine, name string) *TASLock {
 	}
 }
 
-// SetBackoff adjusts the bounded exponential backoff window. min and max
-// must be positive with min <= max; SetBackoff(1, 1) approximates the
-// naive no-backoff TAS lock.
-func (l *TASLock) SetBackoff(min, max sim.Time) {
-	if min == 0 || max < min {
-		panic("constructs: invalid TAS backoff window")
-	}
-	l.minBackoff, l.maxBackoff = min, max
-}
-
 // FAcquire spins with exponential backoff until the swap wins.
 func (l *TASLock) FAcquire(p *machine.Proc) machine.OpStatus {
 	p.Call(tasAcquireStep, l)
@@ -58,7 +48,7 @@ func (l *TASLock) FRelease(p *machine.Proc) machine.OpStatus {
 
 // tasAcquireStep registers: T0 episode start, I0 doublings applied to
 // the backoff window. The window is minBackoff<<I0 — kept as a count so
-// no register has to be as wide as SetBackoff's sim.Time.
+// no register has to be as wide as the sim.Time bounds.
 func tasAcquireStep(p *machine.Proc, f *machine.Frame) machine.OpStatus {
 	l := f.Obj.(*TASLock)
 	switch f.PC {

@@ -90,7 +90,7 @@ func TestTASFamilyContentionBehaviour(t *testing.T) {
 	}
 	naiveMsgs, naiveCycles := run(func(m *machine.Machine) Lock {
 		l := NewTASLock(m, "L")
-		l.SetBackoff(1, 2)
+		l.minBackoff, l.maxBackoff = 1, 2
 		return l
 	})
 	backoffMsgs, _ := run(func(m *machine.Machine) Lock { return NewTASLock(m, "L") })
@@ -101,17 +101,6 @@ func TestTASFamilyContentionBehaviour(t *testing.T) {
 	if ttasCycles*3 >= naiveCycles*2 {
 		t.Fatalf("TTAS (%d cycles) not clearly faster than naive TAS (%d)", ttasCycles, naiveCycles)
 	}
-}
-
-func TestTASBackoffValidation(t *testing.T) {
-	m := machine.New(machine.DefaultConfig(proto.WI, 2))
-	l := NewTASLock(m, "L")
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid backoff window did not panic")
-		}
-	}()
-	l.SetBackoff(10, 5)
 }
 
 // frozenResults loads testdata/frozen_results.txt: one "case digest" line
@@ -180,7 +169,7 @@ func TestLockStepsMatchImperative(t *testing.T) {
 		{"tas", 0, func(m *machine.Machine) Lock { return NewTASLock(m, "L") }},
 		{"tas-nobackoff", 0, func(m *machine.Machine) Lock {
 			l := NewTASLock(m, "L")
-			l.SetBackoff(1, 1)
+			l.minBackoff, l.maxBackoff = 1, 1
 			return l
 		}},
 		{"ttas", 0, func(m *machine.Machine) Lock { return NewTTASLock(m, "L") }},

@@ -72,6 +72,3 @@ func NewSequentialReducer(m *machine.Machine, name string, barrier Barrier) *Seq
 
 // ResultAddr returns the global cell.
 func (r *SequentialReducer) ResultAddr() machine.Addr { return r.max }
-
-// SlotAddr returns processor id's published-value slot.
-func (r *SequentialReducer) SlotAddr(id int) machine.Addr { return r.slots[id] }

@@ -192,21 +192,6 @@ func (s *LatencySweep) Table() *stats.Table {
 	return t
 }
 
-// Best returns the combo with the lowest latency at machine size p.
-func (s *LatencySweep) Best(p int) string {
-	best, bestV := "", 0.0
-	for _, c := range s.Combos {
-		v, ok := s.Latency[c][p]
-		if !ok {
-			continue
-		}
-		if best == "" || v < bestV {
-			best, bestV = c, v
-		}
-	}
-	return best
-}
-
 // MissBreakdown is a categorized miss-traffic figure at one machine size.
 type MissBreakdown struct {
 	Figure string

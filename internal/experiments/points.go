@@ -28,7 +28,7 @@ const (
 // Point is one independent sweep measurement in serializable form: the
 // complete input of a single simulation, with no closures. A sweep
 // decomposes into Points, each Point runs anywhere — this process's
-// pool, or a fleet worker across the network — and RunPoint rebuilds
+// pool, or a fleet worker across the network — and RunPointForked rebuilds
 // exactly the simulation the in-process sweep closure would have run.
 // The simulator is deterministic, so a Point's content hash (Key)
 // fully addresses its result.
@@ -105,14 +105,6 @@ func (pt Point) params(p workload.Params) workload.Params {
 	p.MetricsInterval = pt.MetricsInterval
 	p.Breakdown = pt.Breakdown
 	return p
-}
-
-// RunPoint executes one point from its serialized form, remembering
-// nothing: a warm_fork point runs its two phases on one machine, and
-// the simulator is deterministic, so the result is byte-identical to
-// one served from a shared in-process memo.
-func RunPoint(ctx context.Context, pt Point) (PointResult, error) {
-	return RunPointForked(ctx, pt, nil)
 }
 
 // RunPointForked executes one point, through forks when the point opts
@@ -209,7 +201,7 @@ func (o Options) runPoints(pts []Point) []PointResult {
 }
 
 // Per-family point constructors. Sweeps build their points through
-// these, and RunPoint executes from the same Point fields, so the
+// these, and RunPointForked executes from the same Point fields, so the
 // decomposed path cannot drift from the in-process one.
 
 func (o Options) lockPoint(kind workload.LockKind, v workload.LockVariant, pr proto.Protocol, procs int) Point {

@@ -30,9 +30,9 @@ func wireDispatcher(t *testing.T) PointDispatcher {
 			if err := json.Unmarshal(wire, &decoded); err != nil {
 				t.Fatal(err)
 			}
-			res, err := RunPoint(context.Background(), decoded)
+			res, err := RunPointForked(context.Background(), decoded, nil)
 			if err != nil {
-				t.Fatalf("RunPoint(%+v): %v", decoded, err)
+				t.Fatalf("RunPointForked(%+v): %v", decoded, err)
 			}
 			back, err := json.Marshal(res)
 			if err != nil {
@@ -113,8 +113,8 @@ func TestDispatcherParityWithCollectors(t *testing.T) {
 }
 
 // TestDispatcherParityWarmFork: warm-forked points run both phases
-// privately on the remote side (RunPoint), which must match the shared
-// in-process memo byte-for-byte.
+// privately on the remote side (RunPointForked without a memo), which
+// must match the shared in-process memo byte-for-byte.
 func TestDispatcherParityWarmFork(t *testing.T) {
 	ol := pointsTiny()
 	ol.Forks = NewWarmForkCache()
@@ -165,10 +165,10 @@ func TestPointKeyStable(t *testing.T) {
 // TestRunPointUnknownFamily: a point this binary cannot execute is a
 // typed error, not a panic — the fleet turns it into a failed shard.
 func TestRunPointUnknownFamily(t *testing.T) {
-	if _, err := RunPoint(context.Background(), Point{Family: "bogus"}); err == nil {
+	if _, err := RunPointForked(context.Background(), Point{Family: "bogus"}, nil); err == nil {
 		t.Error("unknown family did not error")
 	}
-	if _, err := RunPoint(context.Background(), Point{Family: FamilyExtLock, Kind: 99, Iterations: 10}); err == nil {
+	if _, err := RunPointForked(context.Background(), Point{Family: FamilyExtLock, Kind: 99, Iterations: 10}, nil); err == nil {
 		t.Error("out-of-range extlock kind did not error")
 	}
 }

@@ -131,9 +131,9 @@ func TestWarmForkMemoMatchesPrivatePerPoint(t *testing.T) {
 	private.Dispatch = func(pts []Point) []PointResult {
 		out := make([]PointResult, len(pts))
 		for i, pt := range pts {
-			r, err := RunPoint(context.Background(), pt)
+			r, err := RunPointForked(context.Background(), pt, nil)
 			if err != nil {
-				t.Errorf("RunPoint(%s): %v", pt.Label, err)
+				t.Errorf("RunPointForked(%s): %v", pt.Label, err)
 			}
 			out[i] = r
 		}
@@ -180,7 +180,7 @@ func TestWarmForkSingleFlight(t *testing.T) {
 	if n := c.Checkpoints(); n != 1 {
 		t.Errorf("%d callers simulated %d points, want 1", callers, n)
 	}
-	want, err := RunPoint(context.Background(), pt)
+	want, err := RunPointForked(context.Background(), pt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

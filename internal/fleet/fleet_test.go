@@ -41,9 +41,9 @@ func baseline(t *testing.T, pts []experiments.Point) []experiments.PointResult {
 	t.Helper()
 	out := make([]experiments.PointResult, len(pts))
 	for i, pt := range pts {
-		r, err := experiments.RunPoint(context.Background(), pt)
+		r, err := experiments.RunPointForked(context.Background(), pt, nil)
 		if err != nil {
-			t.Fatalf("RunPoint(%v): %v", pt, err)
+			t.Fatalf("RunPointForked(%v): %v", pt, err)
 		}
 		out[i] = r
 	}
@@ -366,7 +366,7 @@ func leaseOne(t *testing.T, coord *Coordinator, worker string) Shard {
 // resultOf simulates a leased shard the way a worker would.
 func resultOf(t *testing.T, s Shard) *experiments.PointResult {
 	t.Helper()
-	r, err := experiments.RunPoint(context.Background(), s.Point)
+	r, err := experiments.RunPointForked(context.Background(), s.Point, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"coherencesim/internal/proto"
 	"coherencesim/internal/sim"
+	"coherencesim/internal/trace"
 )
 
 // These tests pin the zero-allocation property of the synchronization
@@ -88,5 +89,74 @@ func TestMagicLockHandOffDoesNotAllocate(t *testing.T) {
 	}
 	if !waited {
 		t.Error("no processor ever queued on the lock; the test no longer covers the hand-off path")
+	}
+}
+
+// fetchAddLoop is the event-throughput body: n fetch-and-adds per
+// processor on one shared counter. Register I0 counts them.
+type fetchAddLoop struct {
+	ctr Addr
+	n   int
+}
+
+func (g *fetchAddLoop) Step(p *Proc, f *Frame) OpStatus {
+	if f.I0 < g.n {
+		f.I0++
+		return p.FFetchAdd(g.ctr, 1)
+	}
+	return OpDone
+}
+
+// TestPooledRunAllocationCeilings bounds what one whole sweep-point cycle
+// on a pooled 32-processor CU machine allocates — 1 600 fetch-and-adds,
+// ~33 000 events — untraced, with the transaction tracer attached, and
+// forked from a checkpoint. The ceilings are absolute and sit far below
+// one object per simulated operation, so any slide back to per-event or
+// per-span allocation fails here whatever the timing benchmarks say.
+func TestPooledRunAllocationCeilings(t *testing.T) {
+	const procs, perProc = 32, 50
+	prog := &fetchAddLoop{n: perProc}
+	plain := func(cfg Config) {
+		m := Acquire(cfg)
+		prog.ctr = m.Alloc("ctr", 4, 0)
+		m.RunProgram(prog)
+		m.Release()
+	}
+
+	warm := Acquire(DefaultConfig(proto.CU, procs))
+	half := &fetchAddLoop{ctr: warm.Alloc("ctr", 4, 0), n: perProc / 2}
+	warm.RunProgram(half)
+	snap := warm.Snapshot()
+	warm.Release()
+
+	for _, c := range []struct {
+		name  string
+		limit float64
+		cycle func()
+	}{
+		// Measured 2: the allocation-table entry and result assembly.
+		{"acquire, run, release", 8, func() { plain(DefaultConfig(proto.CU, procs)) }},
+		// Measured 259: the tracer itself, its per-processor buffers and
+		// the shared span arena — not one object per span.
+		{"the same with the transaction tracer", 512, func() {
+			cfg := DefaultConfig(proto.CU, procs)
+			cfg.Txn = trace.NewTracer(procs, 0)
+			plain(cfg)
+		}},
+		{"restore a checkpoint and run on", 16, func() {
+			m := Acquire(DefaultConfig(proto.CU, procs))
+			half.ctr = m.Alloc("ctr", 4, 0)
+			m.RestoreFrom(snap)
+			m.RunProgram(half)
+			m.Release()
+		}},
+	} {
+		for i := 0; i < 3; i++ {
+			c.cycle() // grow the pool, free lists, event arena and message pools
+		}
+		if avg := testing.AllocsPerRun(5, c.cycle); avg > c.limit {
+			t.Errorf("%s: %.0f allocations per cycle, ceiling %.0f (%d simulated operations)",
+				c.name, avg, c.limit, procs*perProc)
+		}
 	}
 }

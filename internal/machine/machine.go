@@ -30,9 +30,6 @@ import (
 // Addr is a byte address in the simulated shared segment.
 type Addr = cache.Addr
 
-// WordBytes re-exports the simulated word size.
-const WordBytes = cache.WordBytes
-
 // Config parameterizes a simulated machine.
 type Config struct {
 	Procs       int
@@ -266,9 +263,6 @@ func (m *Machine) protoConfig() proto.Config {
 	}
 }
 
-// Config returns the machine's configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // Reset returns the machine to its post-New state under cfg, reusing
 // every internal structure — engine, mesh, memory arena, caches,
 // directory, pooled protocol objects, processors — so sweeps can run
@@ -316,18 +310,8 @@ func (m *Machine) Reset(cfg Config) bool {
 // Procs returns the processor count.
 func (m *Machine) Procs() int { return m.cfg.Procs }
 
-// Protocol returns the machine's coherence protocol.
-func (m *Machine) Protocol() proto.Protocol { return m.cfg.Protocol }
-
-// Engine exposes the event engine (tests and advanced instrumentation).
-func (m *Machine) Engine() *sim.Engine { return m.e }
-
 // System exposes the coherence system (tests and diagnostics).
 func (m *Machine) System() *proto.System { return m.sys }
-
-// Metrics returns the machine's observability registry (nil when none
-// was configured; the nil registry is a valid no-op sink).
-func (m *Machine) Metrics() *metrics.Registry { return m.cfg.Metrics }
 
 // MetricsHistogram returns a named histogram handle from the machine's
 // registry — a nil no-op handle when observability is off. Constructs
@@ -336,10 +320,6 @@ func (m *Machine) Metrics() *metrics.Registry { return m.cfg.Metrics }
 func (m *Machine) MetricsHistogram(name string) *metrics.Histogram {
 	return m.cfg.Metrics.Histogram(name)
 }
-
-// Timeline returns the machine's timeline recorder (nil when none was
-// configured).
-func (m *Machine) Timeline() *metrics.Timeline { return m.cfg.Timeline }
 
 // Alloc reserves size bytes of shared memory, rounded up to whole cache
 // blocks, and returns the base address. home pins every block of the
@@ -371,16 +351,6 @@ func (m *Machine) Alloc(name string, size, home int) Addr {
 	m.nextBlock += uint32(blocks)
 	m.allocs = append(m.allocs, allocEntry{name, base})
 	return base
-}
-
-// Base returns the address of a named allocation.
-func (m *Machine) Base(name string) Addr {
-	for _, e := range m.allocs {
-		if e.name == name {
-			return e.base
-		}
-	}
-	panic(fmt.Sprintf("machine: unknown allocation %q", name))
 }
 
 // Poke initializes a shared word in memory without simulated time or

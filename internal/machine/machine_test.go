@@ -56,9 +56,6 @@ func TestAllocPlacementAndAlignment(t *testing.T) {
 			t.Errorf("y block %d home = %d", i, m.sys.HomeOf(uint32(b/64)+i))
 		}
 	}
-	if m.Base("x") != a {
-		t.Error("Base lookup wrong")
-	}
 }
 
 func TestAllocErrors(t *testing.T) {
@@ -68,7 +65,6 @@ func TestAllocErrors(t *testing.T) {
 		"dup":  func() { m.Alloc("a", 4, 0) },
 		"size": func() { m.Alloc("b", 0, 0) },
 		"home": func() { m.Alloc("c", 4, 5) },
-		"base": func() { m.Base("nope") },
 	} {
 		f := f
 		func() {
@@ -178,7 +174,9 @@ func TestFenceWaitsForWritesAllProtocols(t *testing.T) {
 			func(p *Proc, f *Frame) OpStatus { return p.FWrite(a, 1) },
 			func(p *Proc, f *Frame) OpStatus { return p.FFence() },
 			do(func(p *Proc, f *Frame) {
-				if p.m.sys.Outstanding(p.id) != 0 || !p.wb.Empty() {
+				drained := false
+				p.m.sys.WhenDrained(p.id, func() { drained = true }) // immediate iff nothing is outstanding
+				if !drained || !p.wb.Empty() {
 					t.Errorf("%v: fence left outstanding state", pr)
 				}
 			}),
@@ -467,23 +465,14 @@ func TestProcAccessors(t *testing.T) {
 	m := newM(t, proto.WI, 3)
 	m.RunProgram(Steps{
 		func(p *Proc, f *Frame) OpStatus {
-			if p.N() != 3 {
-				t.Errorf("N() = %d", p.N())
-			}
-			if p.Machine() != m {
-				t.Error("Machine() wrong")
-			}
 			if p.Rand() == nil {
 				t.Error("Rand() nil")
 			}
 			return compute(0)(p, f) // zero-cost compute is a no-op
 		},
 	})
-	if m.Procs() != 3 || m.Protocol() != proto.WI {
+	if m.Procs() != 3 || m.System() == nil {
 		t.Error("machine accessors wrong")
-	}
-	if m.Engine() == nil || m.System() == nil {
-		t.Error("engine/system accessors nil")
 	}
 }
 

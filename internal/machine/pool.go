@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"sync/atomic"
-
 	"coherencesim/internal/mem"
 	"coherencesim/internal/mesh"
 	"coherencesim/internal/runner"
@@ -15,9 +13,8 @@ import (
 // machines on a keyed free list (runner.Reuse) shared by the sweep's
 // workers, so each worker resets a structurally compatible machine
 // instead of rebuilding one. Reset restores the exact post-New state,
-// so pooled runs are byte-identical to fresh-machine runs; the
-// experiment golden suites verify this with reuse forced both on and
-// off.
+// so pooled runs are byte-identical to fresh-machine runs; the reuse
+// tests here and in internal/workload compare the two.
 
 // poolKey is the structural-compatibility key: exactly the fields
 // Machine.Reset gates on. Protocol, thresholds, ablation switches, and
@@ -41,29 +38,17 @@ func keyOf(cfg Config) poolKey {
 	}
 }
 
-var (
-	pool         = runner.NewReuse[poolKey, *Machine](0)
-	reuseEnabled atomic.Bool
-)
-
-func init() { reuseEnabled.Store(true) }
-
-// SetReuse enables or disables machine pooling globally (tests compare
-// pooled and fresh runs; benchmarks isolate construction cost). It
-// returns the previous setting.
-func SetReuse(enabled bool) bool { return reuseEnabled.Swap(enabled) }
+var pool = runner.NewReuse[poolKey, *Machine](0)
 
 // Acquire returns a machine configured per cfg: a pooled one reset to
 // cfg when a structurally compatible machine is idle, else a fresh one.
 func Acquire(cfg Config) *Machine {
-	if reuseEnabled.Load() {
-		if m, ok := pool.Get(keyOf(cfg)); ok {
-			if m.Reset(cfg) {
-				return m
-			}
-			// Structurally keyed machines always reset unless the engine
-			// was left mid-run; drop such a machine rather than reuse it.
+	if m, ok := pool.Get(keyOf(cfg)); ok {
+		if m.Reset(cfg) {
+			return m
 		}
+		// Structurally keyed machines always reset unless the engine
+		// was left mid-run; drop such a machine rather than reuse it.
 	}
 	return New(cfg)
 }
@@ -71,9 +56,9 @@ func Acquire(cfg Config) *Machine {
 // Release returns a finished machine to the pool for reuse. The caller
 // must be done with the machine and everything reachable from it
 // (results are value copies, so retaining a Result is fine). Releasing
-// nil or releasing with pooling disabled is a no-op.
+// nil is a no-op.
 func (m *Machine) Release() {
-	if m == nil || !reuseEnabled.Load() {
+	if m == nil {
 		return
 	}
 	pool.Put(keyOf(m.cfg), m)

@@ -34,9 +34,9 @@ const (
 type Phase int
 
 const (
-	PhaseNone    Phase = iota
-	PhaseLock          // inside a lock acquire/release
-	PhaseBarrier       // inside a barrier episode
+	_            Phase = iota // the zero value tags nothing
+	PhaseLock                 // inside a lock acquire/release
+	PhaseBarrier              // inside a barrier episode
 )
 
 // timelineName labels a stall interval for the exported timeline.
@@ -76,12 +76,6 @@ type ProcStats struct {
 	Writes  uint64
 	Atomics uint64
 	Flushes uint64
-}
-
-// Total returns all accounted cycles.
-func (s ProcStats) Total() sim.Time {
-	return s.Busy + s.ReadStall + s.WriteStall + s.FenceStall +
-		s.AtomicStall + s.SpinWait + s.SyncWait
 }
 
 // Proc is one simulated processor. It executes a Program: a resumable
@@ -298,20 +292,11 @@ func (p *Proc) stallCategory(r waitReason) (trace.Category, trace.TxnID) {
 // ID returns the processor number (0-based).
 func (p *Proc) ID() int { return p.id }
 
-// N returns the machine's processor count.
-func (p *Proc) N() int { return p.m.cfg.Procs }
-
 // Now returns the current simulated time.
 func (p *Proc) Now() sim.Time { return p.m.e.Now() }
 
 // Rand returns the processor's private deterministic random source.
 func (p *Proc) Rand() *rand.Rand { return p.rng }
-
-// Machine returns the owning machine.
-func (p *Proc) Machine() *Machine { return p.m }
-
-// Stats returns the processor's accumulated time breakdown.
-func (p *Proc) Stats() ProcStats { return p.stats }
 
 // charge adds n cycles of local progress to the pending-cycle
 // accumulator without touching the simulated clock.

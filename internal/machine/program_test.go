@@ -205,8 +205,6 @@ func TestRunProgramPanicsOnStrandedProcessor(t *testing.T) {
 	if m.Reset(cfg) {
 		t.Error("Reset accepted a machine with stranded processors")
 	}
-	prev := SetReuse(true)
-	defer SetReuse(prev)
 	m.Release()
 	if got := Acquire(cfg); got == m {
 		t.Error("Acquire handed out the machine with stranded processors")

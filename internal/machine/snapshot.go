@@ -35,9 +35,6 @@ type Snapshot struct {
 	fork      []forkSnap
 }
 
-// Cycles returns the simulated time at which the snapshot was taken.
-func (s *Snapshot) Cycles() sim.Time { return s.engine.Now }
-
 // procSnap is one processor's durable register state. Everything else a
 // Proc holds is either built-once plumbing (callbacks, task identity)
 // or transient execution state asserted empty at quiescence.

@@ -2,7 +2,6 @@ package mc
 
 import (
 	"fmt"
-	"sort"
 
 	"coherencesim/internal/trace"
 )
@@ -201,25 +200,4 @@ func traceOf(cfg Config, stack []*frame) Trace {
 		t.Actions = append(t.Actions, encodeAction(f.act))
 	}
 	return t
-}
-
-// ExploreMatrix explores every combination in the given axis lists,
-// returning results keyed deterministically in axis order.
-func ExploreMatrix(base Config, procs, blocks []int) ([]*Result, error) {
-	sort.Ints(procs)
-	sort.Ints(blocks)
-	var out []*Result
-	for _, p := range procs {
-		for _, b := range blocks {
-			cfg := base
-			cfg.Procs = p
-			cfg.Blocks = b
-			r, err := Explore(cfg)
-			if err != nil {
-				return out, err
-			}
-			out = append(out, r)
-		}
-	}
-	return out, nil
 }

@@ -94,12 +94,6 @@ type Faults struct {
 	StaleUpdateValue bool
 }
 
-// Any reports whether any fault is enabled.
-func (f Faults) Any() bool {
-	return f.SkipInvAck || f.GrantBeforeAcks || f.SkipDropNotice ||
-		f.PhantomRetention || f.StaleUpdateValue
-}
-
 // Config bounds one exhaustive exploration.
 type Config struct {
 	Protocol    proto.Protocol

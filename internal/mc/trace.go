@@ -16,8 +16,7 @@ import (
 // verbatim as a go test regression fixture (see TestReplay* in
 // trace_test.go for the idiom). The header is the shared trace.Envelope
 // (schema, kind "counterexample", protocol) every simulator-emitted
-// trace document carries; pre-envelope documents (schema 0, no kind)
-// are still accepted by ParseTrace.
+// trace document carries.
 type Trace struct {
 	trace.Envelope
 	Procs            int      `json:"procs"`
@@ -128,23 +127,18 @@ func LoadTrace(path string) (*Trace, error) {
 	return ParseTrace(raw)
 }
 
-// ParseTrace decodes a JSON trace. Schema 0 (documents written before
-// the shared envelope existed) is normalized to the current version.
+// ParseTrace decodes a JSON trace. A document without the envelope's
+// schema field reads as schema 0 and is refused like any other
+// unsupported version.
 func ParseTrace(raw []byte) (*Trace, error) {
 	var t Trace
 	if err := json.Unmarshal(raw, &t); err != nil {
 		return nil, fmt.Errorf("mc: bad trace: %v", err)
 	}
-	switch t.Schema {
-	case 0:
-		t.Schema = trace.TraceSchemaVersion
-	case trace.TraceSchemaVersion:
-	default:
+	if t.Schema != trace.TraceSchemaVersion {
 		return nil, fmt.Errorf("mc: unsupported trace schema %d (this build reads <= %d)", t.Schema, trace.TraceSchemaVersion)
 	}
-	if t.Kind == "" {
-		t.Kind = "counterexample"
-	} else if t.Kind != "counterexample" {
+	if t.Kind != "counterexample" {
 		return nil, fmt.Errorf("mc: trace kind %q is not a counterexample", t.Kind)
 	}
 	return &t, nil

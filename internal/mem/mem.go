@@ -71,9 +71,6 @@ func NewStore(wordsBlock int) *Store {
 	return &Store{wordsBlock: wordsBlock}
 }
 
-// WordsBlock returns the configured block size in words.
-func (st *Store) WordsBlock() int { return st.wordsBlock }
-
 // Block returns the backing storage for a block, growing the arena as
 // needed. The slice is full-capacity-bounded, so appends through it are
 // impossible; mutations are immediate and untimed.
@@ -146,13 +143,6 @@ type Module struct {
 	stats Stats
 }
 
-// NewModule creates the memory module for the given node with its own
-// private Store (convenient for tests; machines share one Store across
-// modules via NewModuleWithStore).
-func NewModule(e *sim.Engine, node int, cfg Config) *Module {
-	return NewModuleWithStore(e, node, cfg, NewStore(cfg.WordsBlock))
-}
-
 // NewModuleWithStore creates a module backed by an existing arena.
 func NewModuleWithStore(e *sim.Engine, node int, cfg Config, st *Store) *Module {
 	if cfg.WordsBlock <= 0 {
@@ -163,12 +153,6 @@ func NewModuleWithStore(e *sim.Engine, node int, cfg Config, st *Store) *Module 
 	}
 	return &Module{e: e, node: node, cfg: cfg, store: st}
 }
-
-// Node returns the owning node id.
-func (m *Module) Node() int { return m.node }
-
-// Store returns the backing arena (shared across a machine's modules).
-func (m *Module) Store() *Store { return m.store }
 
 // Stats returns a copy of the activity counters.
 func (m *Module) Stats() Stats { return m.stats }
@@ -202,22 +186,12 @@ func (m *Module) blockReadCycles() sim.Time {
 // (typically a borrowed frame) and schedules done at the time the last
 // word is available, modeling FIFO module contention. The buffer is
 // filled at issue time — the value delivered is the memory content at
-// the instant the module accepted the request, exactly as the
-// snapshotting ReadBlock behaved.
+// the instant the module accepted the request.
 func (m *Module) ReadBlockInto(block uint32, dst []uint32, done func()) {
 	m.stats.BlockReads++
 	t := m.reserve(m.blockReadCycles())
 	copy(dst, m.Block(block))
 	m.e.At(t, done)
-}
-
-// ReadBlock fetches the 16-word block and schedules done(data) at the
-// time the last word is available. Retained for callers that want an
-// owned snapshot; the protocol hot path uses ReadBlockInto with a
-// borrowed frame instead.
-func (m *Module) ReadBlock(block uint32, done func(data []uint32)) {
-	snapshot := make([]uint32, m.cfg.WordsBlock)
-	m.ReadBlockInto(block, snapshot, func() { done(snapshot) })
 }
 
 // WriteBlock stores a full block (e.g. a write-back) and schedules done at
@@ -261,17 +235,6 @@ func (m *Module) AtomicOp(block uint32, word int, op func(old uint32) (new uint3
 		m.e.At(t, done)
 	}
 	return old, newV
-}
-
-// Atomic performs op on the word in-memory and schedules done(old, new)
-// at completion. Retained for tests; protocol code uses AtomicOp.
-func (m *Module) Atomic(block uint32, word int, op func(old uint32) (new uint32), done func(old, new uint32)) {
-	if done == nil {
-		m.AtomicOp(block, word, op, nil)
-		return
-	}
-	var old, newV uint32
-	old, newV = m.AtomicOp(block, word, op, func() { done(old, newV) })
 }
 
 // Block returns the backing storage for a block. Mutations through the

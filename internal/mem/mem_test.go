@@ -7,11 +7,25 @@ import (
 	"coherencesim/internal/sim"
 )
 
+// newModule builds a module over a private arena (machines share one
+// Store across their modules).
+func newModule(e *sim.Engine) *Module {
+	cfg := DefaultConfig()
+	return NewModuleWithStore(e, 0, cfg, NewStore(cfg.WordsBlock))
+}
+
+// readBlock issues a block read into a fresh buffer and hands it to done
+// at completion.
+func readBlock(m *Module, block uint32, done func(data []uint32)) {
+	buf := make([]uint32, m.cfg.WordsBlock)
+	m.ReadBlockInto(block, buf, func() { done(buf) })
+}
+
 func TestBlockReadLatency(t *testing.T) {
 	e := sim.NewEngine()
-	m := NewModule(e, 0, DefaultConfig())
+	m := newModule(e)
 	var done sim.Time
-	m.ReadBlock(1, func([]uint32) { done = e.Now() })
+	readBlock(m, 1, func([]uint32) { done = e.Now() })
 	e.Run()
 	// DirLookup(4) + FirstWord(20) + 15 more words = 39.
 	if done != 39 {
@@ -21,10 +35,10 @@ func TestBlockReadLatency(t *testing.T) {
 
 func TestContentionSerializesRequests(t *testing.T) {
 	e := sim.NewEngine()
-	m := NewModule(e, 0, DefaultConfig())
+	m := newModule(e)
 	var first, second sim.Time
-	m.ReadBlock(1, func([]uint32) { first = e.Now() })
-	m.ReadBlock(2, func([]uint32) { second = e.Now() })
+	readBlock(m, 1, func([]uint32) { first = e.Now() })
+	readBlock(m, 2, func([]uint32) { second = e.Now() })
 	e.Run()
 	if first != 39 || second != 78 {
 		t.Fatalf("completions %d, %d; want 39, 78", first, second)
@@ -33,7 +47,7 @@ func TestContentionSerializesRequests(t *testing.T) {
 
 func TestWriteWordLatencyAndValue(t *testing.T) {
 	e := sim.NewEngine()
-	m := NewModule(e, 0, DefaultConfig())
+	m := newModule(e)
 	var done sim.Time
 	m.WriteWord(5, 3, 0xdead, func() { done = e.Now() })
 	e.Run()
@@ -47,10 +61,10 @@ func TestWriteWordLatencyAndValue(t *testing.T) {
 
 func TestReadBlockSnapshotsData(t *testing.T) {
 	e := sim.NewEngine()
-	m := NewModule(e, 0, DefaultConfig())
+	m := newModule(e)
 	m.Poke(7, 0, 111)
 	var got []uint32
-	m.ReadBlock(7, func(d []uint32) { got = d })
+	readBlock(m, 7, func(d []uint32) { got = d })
 	// Mutate after the read was issued: the reply must carry the value at
 	// issue time (the module copies at reservation).
 	m.Poke(7, 0, 222)
@@ -62,11 +76,14 @@ func TestReadBlockSnapshotsData(t *testing.T) {
 
 func TestAtomicReadModifyWrite(t *testing.T) {
 	e := sim.NewEngine()
-	m := NewModule(e, 0, DefaultConfig())
+	m := newModule(e)
 	m.Poke(2, 0, 10)
-	var old, newV uint32
-	m.Atomic(2, 0, func(o uint32) uint32 { return o + 5 }, func(o, n uint32) { old, newV = o, n })
+	var done sim.Time
+	old, newV := m.AtomicOp(2, 0, func(o uint32) uint32 { return o + 5 }, func() { done = e.Now() })
 	e.Run()
+	if done != 24 { // 4 + 20
+		t.Fatalf("atomic completed at %d, want 24", done)
+	}
 	if old != 10 || newV != 15 || m.Peek(2, 0) != 15 {
 		t.Fatalf("atomic: old=%d new=%d mem=%d", old, newV, m.Peek(2, 0))
 	}
@@ -74,7 +91,7 @@ func TestAtomicReadModifyWrite(t *testing.T) {
 
 func TestWriteBlockStoresAll(t *testing.T) {
 	e := sim.NewEngine()
-	m := NewModule(e, 0, DefaultConfig())
+	m := newModule(e)
 	data := make([]uint32, 16)
 	for i := range data {
 		data[i] = uint32(i * 3)
@@ -93,7 +110,7 @@ func TestWriteBlockStoresAll(t *testing.T) {
 }
 
 func TestLazyZeroInitialization(t *testing.T) {
-	m := NewModule(sim.NewEngine(), 0, DefaultConfig())
+	m := newModule(sim.NewEngine())
 	for w := 0; w < 16; w++ {
 		if m.Peek(12345, w) != 0 {
 			t.Fatalf("uninitialized word %d nonzero", w)
@@ -102,7 +119,7 @@ func TestLazyZeroInitialization(t *testing.T) {
 }
 
 func TestWordRangeChecked(t *testing.T) {
-	m := NewModule(sim.NewEngine(), 0, DefaultConfig())
+	m := newModule(sim.NewEngine())
 	defer func() {
 		if recover() == nil {
 			t.Error("out-of-range word did not panic")
@@ -113,10 +130,10 @@ func TestWordRangeChecked(t *testing.T) {
 
 func TestStatsCounting(t *testing.T) {
 	e := sim.NewEngine()
-	m := NewModule(e, 0, DefaultConfig())
-	m.ReadBlock(0, func([]uint32) {})
+	m := newModule(e)
+	readBlock(m, 0, func([]uint32) {})
 	m.WriteWord(0, 0, 1, nil)
-	m.Atomic(0, 1, func(o uint32) uint32 { return o }, nil)
+	m.AtomicOp(0, 1, func(o uint32) uint32 { return o }, nil)
 	m.WriteBlock(1, make([]uint32, 16), nil)
 	e.Run()
 	st := m.Stats()
@@ -139,11 +156,11 @@ func TestPropertyFIFOServiceOrder(t *testing.T) {
 			kinds = kinds[:30]
 		}
 		e := sim.NewEngine()
-		m := NewModule(e, 0, DefaultConfig())
+		m := newModule(e)
 		var completions []sim.Time
 		for i, k := range kinds {
 			if k {
-				m.ReadBlock(uint32(i), func([]uint32) { completions = append(completions, e.Now()) })
+				readBlock(m, uint32(i), func([]uint32) { completions = append(completions, e.Now()) })
 			} else {
 				m.WriteWord(uint32(i), 0, uint32(i), func() { completions = append(completions, e.Now()) })
 			}

@@ -122,15 +122,6 @@ func (nw *Network) Reset() {
 	nw.mMsgs, nw.mFlits = nil, nil
 }
 
-// Nodes returns the number of nodes.
-func (nw *Network) Nodes() int { return nw.n }
-
-// Width returns the mesh grid width.
-func (nw *Network) Width() int { return nw.w }
-
-// Coord returns the (x, y) grid coordinate of node id.
-func (nw *Network) Coord(id int) (x, y int) { return id % nw.w, id / nw.w }
-
 // Hops returns the number of switch traversals between src and dst under
 // dimension-ordered routing (the Manhattan distance, plus one for the
 // injection switch when src != dst).

@@ -13,8 +13,8 @@ func TestGridDimensions(t *testing.T) {
 	}
 	for _, c := range cases {
 		nw := New(sim.NewEngine(), c.n, DefaultConfig())
-		if nw.Width() != c.w {
-			t.Errorf("n=%d: width %d, want %d", c.n, nw.Width(), c.w)
+		if nw.w != c.w {
+			t.Errorf("n=%d: width %d, want %d", c.n, nw.w, c.w)
 		}
 	}
 }
@@ -52,9 +52,9 @@ func TestHopTableMatchesCoordinates(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 8, 32, 64, 200} {
 		nw := New(sim.NewEngine(), n, DefaultConfig())
 		for s := 0; s < n; s++ {
-			sx, sy := nw.Coord(s)
+			sx, sy := s%nw.w, s/nw.w
 			for d := 0; d < n; d++ {
-				dx, dy := nw.Coord(d)
+				dx, dy := d%nw.w, d/nw.w
 				want := 0
 				if s != d {
 					want = abs(sx-dx) + abs(sy-dy) + 1

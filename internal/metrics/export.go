@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
 	"coherencesim/internal/sim"
 )
@@ -20,37 +19,16 @@ type Run struct {
 	Metrics *Snapshot `json:"metrics"`
 }
 
-// Phase is one wall-clock phase timing (a figure driver, a CLI stage).
-type Phase struct {
-	Name    string  `json:"name"`
-	Seconds float64 `json:"seconds"`
-}
-
-// Wallclock is the self-observability section of a Report: how long the
-// *simulator* (not the simulated machine) took. It is inherently
-// nondeterministic, so exporters include it only on explicit request,
-// keeping the default document byte-identical across runs and worker
-// counts.
-type Wallclock struct {
-	Workers         int     `json:"workers"`
-	JobsDone        int     `json:"jobs_done"`
-	SimCycles       uint64  `json:"sim_cycles"`
-	WallSeconds     float64 `json:"wall_seconds"`
-	CyclesPerSecond float64 `json:"cycles_per_second"`
-	Phases          []Phase `json:"phases,omitempty"`
-}
-
 // Report is the top-level exported metrics document.
 type Report struct {
-	Version   int        `json:"version"`
-	Interval  uint64     `json:"interval,omitempty"`
-	Runs      []Run      `json:"runs"`
-	Wallclock *Wallclock `json:"wallclock,omitempty"`
+	Version  int    `json:"version"`
+	Interval uint64 `json:"interval,omitempty"`
+	Runs     []Run  `json:"runs"`
 }
 
 // WriteJSON writes the report as indented JSON. encoding/json sorts map
 // keys and the run list is in collection order, so the output is
-// deterministic whenever the Wallclock section is absent.
+// deterministic.
 func (r *Report) WriteJSON(w io.Writer) error {
 	b, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
@@ -118,9 +96,6 @@ func (c *Collector) Interval() sim.Time {
 	return c.interval
 }
 
-// Enabled reports whether snapshots are being collected.
-func (c *Collector) Enabled() bool { return c != nil }
-
 // Add appends one labeled run snapshot. Nil snapshots (runs without a
 // registry) are ignored, as is the call on a nil collector.
 func (c *Collector) Add(label string, s *Snapshot) {
@@ -130,40 +105,7 @@ func (c *Collector) Add(label string, s *Snapshot) {
 	c.runs = append(c.runs, Run{Label: label, Metrics: s})
 }
 
-// Len returns the number of collected runs.
-func (c *Collector) Len() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.runs)
-}
-
 // Report builds the exported document from the collected runs.
 func (c *Collector) Report() *Report {
 	return &Report{Version: ReportVersion, Interval: c.interval, Runs: c.runs}
-}
-
-// PhaseTimer accumulates named wall-clock phase durations for the
-// Wallclock section. A nil *PhaseTimer ignores Observe.
-type PhaseTimer struct {
-	phases []Phase
-}
-
-// NewPhaseTimer builds an empty phase timer.
-func NewPhaseTimer() *PhaseTimer { return &PhaseTimer{} }
-
-// Observe records one named phase duration.
-func (t *PhaseTimer) Observe(name string, d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.phases = append(t.phases, Phase{Name: name, Seconds: d.Seconds()})
-}
-
-// Phases returns the recorded phases in observation order.
-func (t *PhaseTimer) Phases() []Phase {
-	if t == nil {
-		return nil
-	}
-	return t.phases
 }

@@ -53,14 +53,6 @@ func New(interval sim.Time) *Registry {
 	}
 }
 
-// Interval returns the sampler period (0 when series are disabled).
-func (r *Registry) Interval() sim.Time {
-	if r == nil {
-		return 0
-	}
-	return r.interval
-}
-
 // Counter returns (creating if needed) the named counter. Returns nil —
 // a valid no-op handle — on a nil registry.
 func (r *Registry) Counter(name string) *Counter {
@@ -122,17 +114,6 @@ type Counter struct {
 	series []uint64 // cumulative value at each closed frame
 }
 
-// Name returns the counter's registered name.
-func (c *Counter) Name() string { return c.name }
-
-// Value returns the cumulative total.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
 // Add increments the counter by n at simulated time now. Safe on nil.
 // The frame check is inlined so the common case — sampling disabled, or
 // no frame boundary crossed — is a couple of loads on top of the add.
@@ -173,9 +154,6 @@ func BucketUpperBound(i int) uint64 {
 	return 1<<uint(i) - 1
 }
 
-// Name returns the histogram's registered name.
-func (h *Histogram) Name() string { return h.name }
-
 // Observe records one value. Safe on nil.
 func (h *Histogram) Observe(v uint64) {
 	if h == nil {
@@ -192,14 +170,6 @@ func (h *Histogram) Observe(v uint64) {
 	h.buckets[bucketOf(v)]++
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
 // Bucket is one non-empty histogram bucket in export form. Le is the
 // inclusive upper bound of the bucket's value range.
 type Bucket struct {
@@ -214,14 +184,6 @@ type HistogramSnapshot struct {
 	Min     uint64   `json:"min"`
 	Max     uint64   `json:"max"`
 	Buckets []Bucket `json:"buckets,omitempty"`
-}
-
-// Mean returns the average observed value.
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
 }
 
 // SeriesSnapshot is the sampler's serializable state: per-counter

@@ -83,14 +83,6 @@ func (t *Timeline) Len() int {
 	return len(t.slices) + len(t.instants)
 }
 
-// Dropped returns how many events were discarded after the cap filled.
-func (t *Timeline) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped
-}
-
 // Slices returns the recorded intervals in recording order (do not
 // mutate).
 func (t *Timeline) Slices() []TimelineSlice {
@@ -98,15 +90,6 @@ func (t *Timeline) Slices() []TimelineSlice {
 		return nil
 	}
 	return t.slices
-}
-
-// Instants returns the recorded point events in recording order (do not
-// mutate).
-func (t *Timeline) Instants() []TimelineInstant {
-	if t == nil {
-		return nil
-	}
-	return t.instants
 }
 
 // traceEvent is one Chrome trace-event object. Perfetto and

@@ -136,8 +136,8 @@ func TestTimelineLimit(t *testing.T) {
 	if tl.Len() != 2 {
 		t.Errorf("len = %d, want 2", tl.Len())
 	}
-	if tl.Dropped() != 1 {
-		t.Errorf("dropped = %d, want 1", tl.Dropped())
+	if tl.dropped != 1 {
+		t.Errorf("dropped = %d, want 1", tl.dropped)
 	}
 }
 

@@ -90,31 +90,3 @@ func (s *System) DumpBlock(block uint32) BlockDump {
 	}
 	return bd
 }
-
-// DumpBlocks snapshots blocks [0, n).
-func (s *System) DumpBlocks(n uint32) []BlockDump {
-	out := make([]BlockDump, n)
-	for b := uint32(0); b < n; b++ {
-		out[b] = s.DumpBlock(b)
-	}
-	return out
-}
-
-// PendingWriteback reports whether node p has an evicted/flushed dirty
-// copy of block still in flight to the home.
-func (s *System) PendingWriteback(p int, block uint32) bool {
-	_, ok := s.procs[p].pendingWB[block]
-	return ok
-}
-
-// QueuedTransactions returns the total number of transactions waiting on
-// busy directory entries (zero at quiescence).
-func (s *System) QueuedTransactions() int {
-	n := 0
-	for _, d := range s.dir {
-		if d != nil {
-			n += len(d.waitq)
-		}
-	}
-	return n
-}

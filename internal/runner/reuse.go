@@ -13,10 +13,9 @@ import "sync"
 // and it bounds the number of idle objects per key so a sweep over many
 // configurations cannot pin unbounded memory.
 type Reuse[K comparable, T any] struct {
-	mu      sync.Mutex
-	idle    map[K][]T
-	perKey  int
-	dropped uint64
+	mu     sync.Mutex
+	idle   map[K][]T
+	perKey int
 }
 
 // NewReuse builds a pool keeping at most perKey idle objects per key
@@ -58,19 +57,7 @@ func (r *Reuse[K, T]) Put(key K, v T) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.idle[key]) >= r.perKey {
-		r.dropped++
 		return
 	}
 	r.idle[key] = append(r.idle[key], v)
-}
-
-// Dropped reports how many Puts were discarded because their key's idle
-// list was full (diagnostics).
-func (r *Reuse[K, T]) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
 }

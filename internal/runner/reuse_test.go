@@ -39,9 +39,6 @@ func TestReuseBoundsIdlePerKey(t *testing.T) {
 	r.Put("k", 1)
 	r.Put("k", 2)
 	r.Put("k", 3) // over the bound: dropped
-	if d := r.Dropped(); d != 1 {
-		t.Fatalf("Dropped = %d, want 1", d)
-	}
 	n := 0
 	for {
 		if _, ok := r.Get("k"); !ok {
@@ -59,10 +56,7 @@ func TestReuseNilSafe(t *testing.T) {
 	if _, ok := r.Get("a"); ok {
 		t.Fatal("nil pool returned an object")
 	}
-	r.Put("a", 1)
-	if r.Dropped() != 0 {
-		t.Fatal("nil pool counted drops")
-	}
+	r.Put("a", 1) // must not panic
 }
 
 func TestReuseConcurrentAccess(t *testing.T) {

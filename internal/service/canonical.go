@@ -161,13 +161,3 @@ func Hash(c JobSpec) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
-
-// CanonicalHash canonicalizes a raw spec and returns it with its
-// content address.
-func CanonicalHash(s JobSpec) (JobSpec, string, error) {
-	c, err := Canonicalize(s)
-	if err != nil {
-		return c, "", err
-	}
-	return c, Hash(c), nil
-}

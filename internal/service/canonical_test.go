@@ -15,18 +15,18 @@ const (
 )
 
 func TestCanonicalHashGolden(t *testing.T) {
-	_, h, err := CanonicalHash(JobSpec{Kind: "experiment", Experiment: "fig8"})
+	c, err := Canonicalize(JobSpec{Kind: "experiment", Experiment: "fig8"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h != goldenFig8QuickHash {
+	if h := Hash(c); h != goldenFig8QuickHash {
 		t.Errorf("fig8 quick hash = %s, want %s", h, goldenFig8QuickHash)
 	}
-	_, h, err = CanonicalHash(JobSpec{Kind: "run", Run: "lock", Algo: "mcs", Protocol: "cu", Procs: 8, Iterations: 500})
+	c, err = Canonicalize(JobSpec{Kind: "run", Run: "lock", Algo: "mcs", Protocol: "cu", Procs: 8, Iterations: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h != goldenRunLockHash {
+	if h := Hash(c); h != goldenRunLockHash {
 		t.Errorf("run/lock hash = %s, want %s", h, goldenRunLockHash)
 	}
 }
@@ -49,11 +49,11 @@ func TestHashStableAcrossFieldOrderings(t *testing.T) {
 		if err := json.Unmarshal([]byte(doc), &s); err != nil {
 			t.Fatalf("variant %d: %v", i, err)
 		}
-		_, h, err := CanonicalHash(s)
+		c, err := Canonicalize(s)
 		if err != nil {
 			t.Fatalf("variant %d: %v", i, err)
 		}
-		if h != goldenFig8QuickHash {
+		if h := Hash(c); h != goldenFig8QuickHash {
 			t.Errorf("variant %d: hash = %s, want %s", i, h, goldenFig8QuickHash)
 		}
 	}
@@ -68,11 +68,11 @@ func TestHashStableAcrossFieldOrderings(t *testing.T) {
 		if err := json.Unmarshal([]byte(doc), &s); err != nil {
 			t.Fatalf("run variant %d: %v", i, err)
 		}
-		_, h, err := CanonicalHash(s)
+		c, err := Canonicalize(s)
 		if err != nil {
 			t.Fatalf("run variant %d: %v", i, err)
 		}
-		if h != goldenRunLockHash {
+		if h := Hash(c); h != goldenRunLockHash {
 			t.Errorf("run variant %d: hash = %s, want %s", i, h, goldenRunLockHash)
 		}
 	}
@@ -107,14 +107,15 @@ func TestCanonicalizeDefaultsAndClearing(t *testing.T) {
 // specs, and — being omitempty — leave legacy hashes untouched when
 // false.
 func TestCanonicalizeWarmFork(t *testing.T) {
-	plain, plainHash, err := CanonicalHash(JobSpec{Experiment: "fig8"})
+	plain, err := Canonicalize(JobSpec{Experiment: "fig8"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	forked, forkedHash, err := CanonicalHash(JobSpec{Experiment: "fig8", WarmFork: true})
+	forked, err := Canonicalize(JobSpec{Experiment: "fig8", WarmFork: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	plainHash, forkedHash := Hash(plain), Hash(forked)
 	if !forked.WarmFork {
 		t.Error("WarmFork cleared by experiment canonicalization")
 	}

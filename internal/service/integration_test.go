@@ -25,7 +25,7 @@ func startService(t *testing.T, cfg Config, exec ExecFunc) (*httptest.Server, *S
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.Lifecycle().to(StateReady)
+	svc.life.to(StateReady)
 	ts := httptest.NewServer(svc.Handler())
 	var once atomic.Bool
 	stop := func() {

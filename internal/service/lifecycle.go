@@ -224,9 +224,6 @@ func (s *Service) Scheduler() *Scheduler { return s.sched }
 // Coordinator exposes the fleet coordinator (tests, diagnostics).
 func (s *Service) Coordinator() *fleet.Coordinator { return s.coord }
 
-// Lifecycle exposes the lifecycle tracker.
-func (s *Service) Lifecycle() *Lifecycle { return s.life }
-
 func (s *Service) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
 		s.cfg.Logf(format, args...)

@@ -24,7 +24,7 @@ func newTestServer(t *testing.T, cfg Config, exec ExecFunc) (*httptest.Server, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.Lifecycle().to(StateReady)
+	svc.life.to(StateReady)
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -359,11 +359,11 @@ func TestHealthReadyMetrics(t *testing.T) {
 	if resp, _ := getBody(t, ts.URL+"/readyz"); resp.StatusCode != http.StatusOK {
 		t.Errorf("readyz HTTP %d while ready", resp.StatusCode)
 	}
-	svc.Lifecycle().to(StateDraining)
+	svc.life.to(StateDraining)
 	if resp, _ := getBody(t, ts.URL+"/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("readyz HTTP %d while draining, want 503", resp.StatusCode)
 	}
-	svc.Lifecycle().to(StateReady)
+	svc.life.to(StateReady)
 
 	// Run one job, then check the counters surface.
 	_, doc := postJob(t, ts, `{"experiment":"fig8"}`)

@@ -115,9 +115,6 @@ func (e *Engine) exec(ev event) {
 	ev.fn()
 }
 
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return e.pq.len() }
-
 // deadlocked panics with the blocked-task diagnostic. Called only when
 // the queue is empty.
 func (e *Engine) deadlocked() {
@@ -138,36 +135,6 @@ func (e *Engine) Run() {
 	}
 }
 
-// RunUntil executes events with time <= t and then stops, setting the
-// clock to t. Events at exactly t do run. Like Run, it panics if the
-// queue drains entirely while tasks are still blocked — with no pending
-// event, nothing can ever wake them.
-func (e *Engine) RunUntil(t Time) {
-	for e.pq.hasEventAtOrBefore(t) {
-		e.exec(e.pq.pop())
-	}
-	if e.pq.len() == 0 && e.blocked > 0 {
-		e.deadlocked()
-	}
-	if e.now < t {
-		e.now = t
-	}
-}
-
-// Step runs the single earliest event, returning false if none remain.
-// An empty queue with blocked tasks is the same deadlock Run diagnoses,
-// and panics identically.
-func (e *Engine) Step() bool {
-	if e.pq.len() == 0 {
-		if e.blocked > 0 {
-			e.deadlocked()
-		}
-		return false
-	}
-	e.exec(e.pq.pop())
-	return true
-}
-
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
@@ -186,8 +153,8 @@ func (e *Engine) Reset() bool {
 	if e.running || e.live != 0 || e.blocked != 0 {
 		return false
 	}
-	// reset zeroes every used slot, so leftover events (possible after
-	// RunUntil/Step) do not retain callbacks in the arena.
+	// reset zeroes every used slot, so events left behind by a run that
+	// panicked do not retain callbacks in the arena.
 	e.pq.reset()
 	e.now, e.seq, e.processed = 0, 0, 0
 	e.tail = nil

@@ -12,8 +12,8 @@ func TestEngineStartsAtZero(t *testing.T) {
 	if e.Now() != 0 {
 		t.Fatalf("Now() = %d, want 0", e.Now())
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d, want 0", e.Pending())
+	if e.pq.len() != 0 {
+		t.Fatalf("%d events queued, want 0", e.pq.len())
 	}
 }
 
@@ -76,50 +76,6 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		e.At(5, func() {})
 	})
 	e.Run()
-}
-
-func TestRunUntilStopsAtBoundary(t *testing.T) {
-	e := NewEngine()
-	fired := map[Time]bool{}
-	for _, d := range []Time{5, 10, 15} {
-		d := d
-		e.Schedule(d, func() { fired[d] = true })
-	}
-	e.RunUntil(10)
-	if !fired[5] || !fired[10] || fired[15] {
-		t.Fatalf("fired = %v, want events at 5 and 10 only", fired)
-	}
-	if e.Now() != 10 {
-		t.Fatalf("Now() = %d, want 10", e.Now())
-	}
-	e.Run()
-	if !fired[15] {
-		t.Fatal("remaining event did not fire on Run()")
-	}
-}
-
-func TestRunUntilAdvancesClockWithoutEvents(t *testing.T) {
-	e := NewEngine()
-	e.RunUntil(100)
-	if e.Now() != 100 {
-		t.Fatalf("Now() = %d, want 100", e.Now())
-	}
-}
-
-func TestStepSingleEvent(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	e.Schedule(1, func() { n++ })
-	e.Schedule(2, func() { n++ })
-	if !e.Step() || n != 1 {
-		t.Fatalf("after first Step n=%d", n)
-	}
-	if !e.Step() || n != 2 {
-		t.Fatalf("after second Step n=%d", n)
-	}
-	if e.Step() {
-		t.Fatal("Step on empty queue returned true")
-	}
 }
 
 // Property: any multiset of (delay, id) events runs in nondecreasing time
@@ -236,11 +192,13 @@ func TestTaskParkWake(t *testing.T) {
 	}
 }
 
+// A typed wake queued for an absolute time (what StallFor's slow path
+// and Begin schedule) resumes the parked task at exactly that time.
 func TestTaskWakeAt(t *testing.T) {
 	e := NewEngine()
 	resumed := Time(0)
 	startTask(e, "waiter", func(tk *Task) bool {
-		tk.WakeAt(99)
+		e.atWake(99, tk)
 		tk.Park()
 		return false
 	}, func(*Task) bool {
@@ -278,34 +236,6 @@ func TestDeadlockDetection(t *testing.T) {
 	e.Run()
 }
 
-func TestRunUntilDeadlockDetection(t *testing.T) {
-	e := NewEngine()
-	startTask(e, "stuck", parkForever)
-	defer func() {
-		if recover() == nil {
-			t.Error("RunUntil() did not panic on deadlock")
-		}
-	}()
-	// The queue drains (only the start event) with the task still
-	// blocked; with no pending event, nothing can ever wake it, so the
-	// bounded run must diagnose the deadlock just as Run does.
-	e.RunUntil(100)
-}
-
-func TestStepDeadlockDetection(t *testing.T) {
-	e := NewEngine()
-	startTask(e, "stuck", parkForever)
-	if !e.Step() { // start event: the task runs until it parks
-		t.Fatal("Step() found no start event")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Step() did not panic on deadlock")
-		}
-	}()
-	e.Step() // empty queue + blocked task
-}
-
 func TestManyTasksInterleaveDeterministically(t *testing.T) {
 	run := func() []string {
 		e := NewEngine()
@@ -341,22 +271,87 @@ func TestManyTasksInterleaveDeterministically(t *testing.T) {
 func TestTaskStalledAndName(t *testing.T) {
 	e := NewEngine()
 	tk := startTask(e, "x", func(tk *Task) bool {
-		if tk.Stalled() {
-			t.Error("Stalled() true while running")
+		if tk.stalled {
+			t.Error("stalled while running")
 		}
 		return tk.StallFor(1)
 	})
 	e.Schedule(1, func() {
-		if !tk.Stalled() {
-			t.Error("Stalled() false while parked behind an earlier event")
+		if !tk.stalled {
+			t.Error("not stalled while parked behind an earlier event")
 		}
 	})
 	e.Run()
-	if tk.Stalled() || e.Live() != 0 {
-		t.Errorf("after Run: Stalled() = %v, Live() = %d", tk.Stalled(), e.Live())
+	if tk.stalled || e.Live() != 0 {
+		t.Errorf("after Run: stalled = %v, Live() = %d", tk.stalled, e.Live())
 	}
-	if tk.Name() != "x" {
-		t.Errorf("Name() = %q", tk.Name())
+	if tk.name != "x" {
+		t.Errorf("name = %q", tk.name)
+	}
+}
+
+// TestStallForDoesNotAllocate pins the two ways a fixed-length stall
+// completes: in place when nothing else is queued, and by queueing a
+// wake, parking and being resumed when a one-event-per-cycle ticker
+// denies the fast path. Neither may allocate once the queue's buckets
+// have their working capacity (the engine is reset between runs, so
+// every run sweeps the same buckets).
+func TestStallForDoesNotAllocate(t *testing.T) {
+	const stalls = 1000
+	for _, c := range []struct {
+		name   string
+		ticker bool
+		d      Time
+	}{
+		{"fast path", false, 1},
+		{"park and resume", true, 2},
+	} {
+		e := NewEngine()
+		var (
+			tk      Task
+			i       int
+			entries int // times the run loop entered the task
+			done    bool
+			tick    func()
+		)
+		tick = func() {
+			if !done {
+				e.Schedule(1, tick)
+			}
+		}
+		tk.Init(e, "stall", func() {
+			entries++
+			for i < stalls {
+				i++
+				if !tk.StallFor(c.d) {
+					return
+				}
+			}
+			done = true
+			tk.End()
+		})
+		run := func() {
+			if !e.Reset() {
+				t.Fatal("engine not quiescent between runs")
+			}
+			i, entries, done = 0, 0, false
+			if c.ticker {
+				e.Schedule(1, tick)
+			}
+			tk.Begin()
+			e.Run()
+		}
+		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+			t.Errorf("%s: %d stalls allocate %.1f objects, want 0", c.name, stalls, allocs)
+		}
+		// In place, the task is entered once; parked, once more per stall.
+		want := 1
+		if c.ticker {
+			want += stalls
+		}
+		if entries != want {
+			t.Errorf("%s: task entered %d times, want %d; the run no longer covers this path", c.name, entries, want)
+		}
 	}
 }
 
@@ -392,13 +387,13 @@ func TestProcessedCounts(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		e.Schedule(Time(i), func() {})
 	}
-	e.RunUntil(2)
-	if e.Processed() != 3 {
-		t.Fatalf("Processed() = %d after RunUntil(2), want 3", e.Processed())
-	}
-	e.Step()
+	e.Schedule(2, func() {
+		if e.Processed() != 4 { // the events at 0, 1, 2 and this one
+			t.Errorf("Processed() = %d inside the fourth event, want 4", e.Processed())
+		}
+	})
 	e.Run()
-	if e.Processed() != 5 {
-		t.Fatalf("Processed() = %d, want 5", e.Processed())
+	if e.Processed() != 6 {
+		t.Fatalf("Processed() = %d, want 6", e.Processed())
 	}
 }

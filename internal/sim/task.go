@@ -69,11 +69,6 @@ func (t *Task) Wake() {
 	t.resume()
 }
 
-// WakeAt schedules the task to resume at absolute time t.
-func (t *Task) WakeAt(at Time) {
-	t.e.atWake(at, t)
-}
-
 // StallFor suspends the task for d cycles. It returns true when the
 // stall completed in place and the caller just keeps running; false
 // means the wake is queued and the task parked, so the caller must
@@ -87,12 +82,10 @@ func (t *Task) WakeAt(at Time) {
 // plus the seq and processed the elided wake event would have consumed,
 // keeping event numbering byte-identical. Any event at or before now+d
 // — even one tying at exactly now+d, whose earlier seq must win —
-// forces the full park/wake path. The fast path is additionally gated
-// on Run (e.running) because RunUntil and Step must observe the wake
-// event to stop at their boundaries.
+// forces the full park/wake path.
 func (t *Task) StallFor(d Time) bool {
 	e := t.e
-	if e.running && e.tail == t && !e.pq.hasEventAtOrBefore(e.now+d) {
+	if e.tail == t && !e.pq.hasEventAtOrBefore(e.now+d) {
 		e.seq++
 		e.processed++
 		e.now += d
@@ -114,12 +107,3 @@ func (t *Task) resumeEvent() {
 	}
 	t.resume()
 }
-
-// Stalled reports whether the task is currently parked.
-func (t *Task) Stalled() bool { return t.stalled }
-
-// Name returns the task's diagnostic name.
-func (t *Task) Name() string { return t.name }
-
-// Engine returns the engine the task was initialized on.
-func (t *Task) Engine() *Engine { return t.e }

@@ -267,10 +267,10 @@ func (q *eventq) scanL2(cur Time) (Time, bool) {
 
 // hasEventAtOrBefore reports whether any queued event has at <= t. It
 // is the wheel's replacement for minAt comparisons: StallFor's fast
-// path and RunUntil's boundary only ever need this predicate. The
-// common case is two loads against the cached minimum; a cache miss
-// (first query after the current bucket drained) recomputes the exact
-// minimum from the wheel and re-validates the cache.
+// path only ever needs this predicate. The common case is two loads
+// against the cached minimum; a cache miss (first query after the
+// current bucket drained) recomputes the exact minimum from the wheel
+// and re-validates the cache.
 func (q *eventq) hasEventAtOrBefore(t Time) bool {
 	if q.count == 0 {
 		return false

@@ -135,14 +135,6 @@ func Open(dir string, budget int64) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's data directory.
-func (s *Store) Dir() string {
-	if s == nil {
-		return ""
-	}
-	return s.dir
-}
-
 // scan rebuilds the in-memory index from the data directory, repairing
 // the artifacts a crash can leave behind.
 func (s *Store) scan() error {
@@ -395,26 +387,6 @@ func (s *Store) dropLocked(el *list.Element) {
 	s.ll.Remove(el)
 	delete(s.entries, e.key)
 	s.bytes -= e.size
-}
-
-// Len returns the number of live entries.
-func (s *Store) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ll.Len()
-}
-
-// Bytes returns the total stored body bytes.
-func (s *Store) Bytes() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
 }
 
 // Stats snapshots the store's counters and gauges.

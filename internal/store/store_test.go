@@ -191,8 +191,8 @@ func TestScanRecencyFromModTimes(t *testing.T) {
 	// Reopen with a budget that forces one eviction on the next Put:
 	// the oldest mtime must go first.
 	s2 := mustOpen(t, dir, 100)
-	if s2.Len() != 3 {
-		t.Fatalf("len = %d, want 3", s2.Len())
+	if n := s2.Stats().Entries; n != 3 {
+		t.Fatalf("len = %d, want 3", n)
 	}
 	if err := s2.Put("k4", "done", body); err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestReplaceAdjustsBytes(t *testing.T) {
 	if err := s.Put("k", "done", bytes.Repeat([]byte("b"), 10)); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Bytes(); got != 10 {
+	if got := s.Stats().Bytes; got != 10 {
 		t.Errorf("bytes = %d, want 10", got)
 	}
 	_, status, ok := s.Get("k")
@@ -245,7 +245,7 @@ func TestNilStoreIsInert(t *testing.T) {
 	if _, _, ok := s.Get("k"); ok {
 		t.Error("nil Get hit")
 	}
-	if s.Len() != 0 || s.Bytes() != 0 || s.Stats() != (Stats{}) || s.Dir() != "" {
+	if s.Stats() != (Stats{}) {
 		t.Error("nil accessors not zero")
 	}
 }

@@ -85,33 +85,6 @@ func (r *BreakdownReport) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// WriteCSV dumps the breakdown in long form: one row per (run, proc,
-// category) with the cycle count, plus a proc=-1 total row per category.
-func (r *BreakdownReport) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "label,proc,category,cycles"); err != nil {
-		return err
-	}
-	for _, run := range r.Runs {
-		s := run.Breakdown
-		if s == nil {
-			continue
-		}
-		for c, name := range s.Categories {
-			if _, err := fmt.Fprintf(w, "%s,-1,%s,%d\n", run.Label, name, s.Totals[c]); err != nil {
-				return err
-			}
-		}
-		for p, row := range s.PerProc {
-			for c, name := range s.Categories {
-				if _, err := fmt.Fprintf(w, "%s,%d,%s,%d\n", run.Label, p, name, row[c]); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // Table renders the paper-style overhead-breakdown table: one row per
 // run, one column per category, each cell the category's share of total
 // processor-cycles (procs x cycles) in percent. Pure integer inputs and
@@ -204,14 +177,6 @@ func (c *BreakdownCollector) Add(label string, s *BreakdownSnapshot) {
 		return
 	}
 	c.runs = append(c.runs, BreakdownRun{Label: label, Breakdown: s})
-}
-
-// Len returns the number of collected runs.
-func (c *BreakdownCollector) Len() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.runs)
 }
 
 // Report builds the exported document from the collected runs.

@@ -12,9 +12,6 @@ const TraceSchemaVersion = 1
 // transaction timelines (-trace-txn). Keeping the header in one place
 // means every consumer can dispatch on the same three fields instead of
 // each document inventing its own envelope.
-//
-// Schema 0 is accepted on load as an alias for version 1: documents
-// written before the envelope existed carry no schema field.
 type Envelope struct {
 	Schema   int    `json:"schema"`
 	Kind     string `json:"kind,omitempty"`     // counterexample | breakdown | txn-timeline

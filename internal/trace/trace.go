@@ -71,7 +71,6 @@ type Log struct {
 	next   int
 	full   bool
 	total  uint64
-	filter [numKinds]bool // true = suppressed
 }
 
 // NewLog creates a ring buffer holding the last capacity events.
@@ -82,17 +81,9 @@ func NewLog(capacity int) *Log {
 	return &Log{events: make([]Event, capacity)}
 }
 
-// Suppress disables recording of the given kinds (e.g. drop plain reads
-// to extend the window over rarer events).
-func (l *Log) Suppress(kinds ...Kind) {
-	for _, k := range kinds {
-		l.filter[k] = true
-	}
-}
-
 // Record appends an event. Safe to call on a nil Log.
 func (l *Log) Record(t sim.Time, proc int, kind Kind, addr, val uint32) {
-	if l == nil || l.filter[kind] {
+	if l == nil {
 		return
 	}
 	l.events[l.next] = Event{Time: t, Proc: proc, Kind: kind, Addr: addr, Val: val}

@@ -61,17 +61,6 @@ func TestRingWraps(t *testing.T) {
 	}
 }
 
-func TestSuppress(t *testing.T) {
-	l := NewLog(8)
-	l.Suppress(Read, SpinPark)
-	l.Record(1, 0, Read, 0, 0)
-	l.Record(2, 0, Write, 0, 0)
-	l.Record(3, 0, SpinPark, 0, 0)
-	if l.Len() != 1 || l.Events()[0].Kind != Write {
-		t.Fatalf("suppress failed: %+v", l.Events())
-	}
-}
-
 func TestDumpAndFilter(t *testing.T) {
 	l := NewLog(8)
 	l.Record(1, 0, Write, 4, 7)

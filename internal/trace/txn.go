@@ -58,9 +58,9 @@ func (k TxnKind) String() string {
 type FanKind uint8
 
 const (
-	FanNone FanKind = iota
-	FanInv          // invalidations (write-invalidate)
-	FanUpd          // word updates (PU/CU)
+	_      FanKind = iota // the zero value: no fan-out
+	FanInv                // invalidations (write-invalidate)
+	FanUpd                // word updates (PU/CU)
 )
 
 // Category is one bucket of the per-processor overhead breakdown — the

@@ -193,22 +193,16 @@ func TestBreakdownReportRendering(t *testing.T) {
 	if rep.Schema != TraceSchemaVersion || rep.Kind != "breakdown" {
 		t.Fatalf("report envelope wrong: %+v", rep.Envelope)
 	}
-	if coll.Len() != 1 {
-		t.Fatalf("collector kept %d runs, want 1", coll.Len())
+	if len(rep.Runs) != 1 {
+		t.Fatalf("collector kept %d runs, want 1", len(rep.Runs))
 	}
 	tbl := rep.Table()
 	if !strings.Contains(tbl, "runA") || !strings.Contains(tbl, "read-miss") {
 		t.Errorf("table missing run label or category:\n%s", tbl)
 	}
-	var js, csv bytes.Buffer
+	var js bytes.Buffer
 	if err := rep.WriteJSON(&js); err != nil {
 		t.Fatal(err)
-	}
-	if err := rep.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(csv.String(), "runA,-1,read-miss,16") {
-		t.Errorf("CSV missing total row:\n%s", csv.String())
 	}
 }
 
@@ -219,10 +213,7 @@ func TestNilCollector(t *testing.T) {
 	if c.Enabled() {
 		t.Fatal("nil collector claims enabled")
 	}
-	c.Add("x", &BreakdownSnapshot{})
-	if c.Len() != 0 {
-		t.Fatal("nil collector recorded a run")
-	}
+	c.Add("x", &BreakdownSnapshot{}) // must not panic
 }
 
 // TestTxnChromeTraceFlows: the Perfetto export links each attributed

@@ -7,15 +7,15 @@ package workload
 // one machine, reporting cumulative figures over both; they are what a
 // warm_fork sweep point runs.
 //
-// The Warm* constructors are the machine-level fork facility over the
-// same split: they execute the prefix once on a throwaway machine,
-// capture a machine.Snapshot at the phase boundary, and release the
-// machine; each Run() then forks a fresh machine from the checkpoint
-// and executes only the remainder. A single checkpoint serves any
+// WarmLockLoop is the machine-level fork facility over the same split:
+// it executes the prefix once on a throwaway machine, captures a
+// machine.Snapshot at the phase boundary, and releases the machine;
+// each Run() then forks a fresh machine from the checkpoint and
+// executes only the remainder. A single checkpoint serves any
 // number of concurrent Run() calls — the snapshot is never written
-// through — and every forked Run() matches the TwoPhase* runner
-// exactly. No sweep uses them: a checkpoint is only ever shared by the
-// same point, whose whole result is cheaper to remember.
+// through — and every forked Run() matches TwoPhaseLockLoop exactly.
+// No sweep uses it: a checkpoint is only ever shared by the same point,
+// whose whole result is cheaper to remember.
 //
 // A two-phase run is deterministic but not byte-identical to the
 // single-phase equivalent (the phase boundary re-synchronizes all
@@ -25,7 +25,6 @@ package workload
 import (
 	"coherencesim/internal/constructs"
 	"coherencesim/internal/machine"
-	"coherencesim/internal/sim"
 )
 
 // LockVariant selects the lock-loop flavour a two-phase run covers.
@@ -136,70 +135,3 @@ func (w *WarmLock) Run() LockResult {
 	res := m.RunProgram(w.v.program(w.p, l, w.rest))
 	return lockLatency(res, (w.warm+w.rest)*w.p.Procs, w.p.HoldCycles)
 }
-
-// WarmBarrier is a reusable warm-start checkpoint of a barrier loop.
-type WarmBarrier struct {
-	p          Params
-	kind       BarrierKind
-	warm, rest int // episodes
-	snap       *machine.Snapshot
-}
-
-// WarmBarrierLoop executes the warm-up prefix of the (p, kind) barrier
-// loop and captures its checkpoint.
-func WarmBarrierLoop(p Params, kind BarrierKind) *WarmBarrier {
-	warm, rest := warmSplit(p.Iterations)
-	m := p.newMachine()
-	defer m.Release()
-	b := newBarrier(m, kind)
-	m.RunProgram(&barrierLoopProgram{b: b, iters: warm})
-	return &WarmBarrier{p: p, kind: kind, warm: warm, rest: rest, snap: m.Snapshot()}
-}
-
-// Run forks one measurement run from the checkpoint.
-func (w *WarmBarrier) Run() BarrierResult {
-	m := w.p.newMachine()
-	defer m.Release()
-	b := newBarrier(m, w.kind)
-	m.RestoreFrom(w.snap)
-	res := m.RunProgram(&barrierLoopProgram{b: b, iters: w.rest})
-	return barrierResult(res, w.warm+w.rest)
-}
-
-// WarmReduction is a reusable warm-start checkpoint of a reduction
-// loop.
-type WarmReduction struct {
-	p          Params
-	kind       ReductionKind
-	imbalanced bool
-	warm, rest int // episodes
-	snap       *machine.Snapshot
-}
-
-// WarmReductionLoop executes the warm-up prefix of the (p, kind) loop —
-// the imbalanced variant when imbalanced is set — and captures its
-// checkpoint.
-func WarmReductionLoop(p Params, kind ReductionKind, imbalanced bool) *WarmReduction {
-	warm, rest := warmSplit(p.Iterations)
-	m := p.newMachine()
-	defer m.Release()
-	red := newReducer(m, kind)
-	m.RunProgram(reductionProgram(p, imbalanced, red, warm, 0))
-	return &WarmReduction{p: p, kind: kind, imbalanced: imbalanced, warm: warm, rest: rest, snap: m.Snapshot()}
-}
-
-// Run forks one measurement run from the checkpoint.
-func (w *WarmReduction) Run() ReductionResult {
-	m := w.p.newMachine()
-	defer m.Release()
-	red := newReducer(m, w.kind)
-	m.RestoreFrom(w.snap)
-	res := m.RunProgram(reductionProgram(w.p, w.imbalanced, red, w.rest, w.warm))
-	return reductionResult(res, w.warm+w.rest)
-}
-
-// WarmCycles reports the simulated time the checkpoint covers
-// (diagnostics).
-func (w *WarmLock) WarmCycles() sim.Time      { return w.snap.Cycles() }
-func (w *WarmBarrier) WarmCycles() sim.Time   { return w.snap.Cycles() }
-func (w *WarmReduction) WarmCycles() sim.Time { return w.snap.Cycles() }

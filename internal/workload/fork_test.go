@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"coherencesim/internal/machine"
 	"coherencesim/internal/proto"
 )
 
@@ -48,6 +49,25 @@ func TestWarmForkLockMatchesFresh(t *testing.T) {
 	}
 }
 
+// forkAtBoundary runs the warm-up program on one machine, checkpoints it
+// at the phase boundary and runs the rest on a second machine restored
+// from the checkpoint — what WarmLockLoop does for lock loops, spelled
+// out here for the constructs that have no fork driver of their own, so
+// their ForkState capture stays held to the two-phase runners.
+func forkAtBoundary(p Params, build func(m *machine.Machine) (warm, rest Program)) machine.Result {
+	first := p.newMachine()
+	warm, _ := build(first)
+	first.RunProgram(warm)
+	snap := first.Snapshot()
+	first.Release()
+
+	m := p.newMachine()
+	defer m.Release()
+	_, rest := build(m)
+	m.RestoreFrom(snap)
+	return m.RunProgram(rest)
+}
+
 // TestWarmForkBarrierMatchesFresh does the same for every barrier kind.
 func TestWarmForkBarrierMatchesFresh(t *testing.T) {
 	for _, pr := range []proto.Protocol{proto.WI, proto.CU} {
@@ -56,8 +76,12 @@ func TestWarmForkBarrierMatchesFresh(t *testing.T) {
 				label := fmt.Sprintf("%v/P%d/%v", pr, procs, kind)
 				p := observedParams(pr, procs, 200)
 				fresh := TwoPhaseBarrierLoop(p, kind)
-				w := WarmBarrierLoop(p, kind)
-				requireEqualResults(t, label, fresh, w.Run())
+				warm, rest := warmSplit(p.Iterations)
+				res := forkAtBoundary(p, func(m *machine.Machine) (Program, Program) {
+					b := newBarrier(m, kind)
+					return &barrierLoopProgram{b: b, iters: warm}, &barrierLoopProgram{b: b, iters: rest}
+				})
+				requireEqualResults(t, label, fresh, barrierResult(res, warm+rest))
 			}
 		}
 	}
@@ -74,8 +98,12 @@ func TestWarmForkReductionMatchesFresh(t *testing.T) {
 				label := fmt.Sprintf("%v/%v/imbal=%v", pr, kind, imbal)
 				p := observedParams(pr, 8, 200)
 				fresh := TwoPhaseReductionLoop(p, kind, imbal)
-				w := WarmReductionLoop(p, kind, imbal)
-				requireEqualResults(t, label, fresh, w.Run())
+				warm, rest := warmSplit(p.Iterations)
+				res := forkAtBoundary(p, func(m *machine.Machine) (Program, Program) {
+					red := newReducer(m, kind)
+					return reductionProgram(p, imbal, red, warm, 0), reductionProgram(p, imbal, red, rest, warm)
+				})
+				requireEqualResults(t, label, fresh, reductionResult(res, warm+rest))
 			}
 		}
 	}

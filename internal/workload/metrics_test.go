@@ -141,9 +141,6 @@ func TestTimelineRecordsStalls(t *testing.T) {
 	if tl.Len() == 0 {
 		t.Fatal("no timeline events recorded")
 	}
-	if tl.Dropped() != 0 {
-		t.Errorf("unbounded timeline dropped %d events", tl.Dropped())
-	}
 	procsSeen := map[int]bool{}
 	for _, s := range tl.Slices() {
 		if s.Start >= s.End {

@@ -114,6 +114,10 @@ type Params struct {
 	Tune func(*machine.Config)
 }
 
+// acquireMachine is where every run's machine comes from: the shared
+// reuse pool. Only the fresh-versus-pooled identity test reassigns it.
+var acquireMachine = machine.Acquire
+
 // newMachine obtains the machine for a run, applying any tuning hook.
 // Machines come from the shared reuse pool (machine.Acquire); every
 // workload releases its machine once the run's result is assembled.
@@ -128,7 +132,7 @@ func (p Params) newMachine() *machine.Machine {
 	if p.Tune != nil {
 		p.Tune(&cfg)
 	}
-	return machine.Acquire(cfg)
+	return acquireMachine(cfg)
 }
 
 // DefaultLockParams returns the paper's figure 8 parameters.
