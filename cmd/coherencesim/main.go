@@ -28,6 +28,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -42,45 +43,35 @@ import (
 	"coherencesim/internal/experiments"
 	"coherencesim/internal/machine"
 	"coherencesim/internal/metrics"
-	"coherencesim/internal/proto"
 	"coherencesim/internal/runner"
-	"coherencesim/internal/sim"
+	"coherencesim/internal/service"
 	"coherencesim/internal/stats"
 	"coherencesim/internal/trace"
-	"coherencesim/internal/workload"
 )
 
-// obsOptions carries the CLI's observability settings into the run paths.
-type obsOptions struct {
-	metricsOut   string   // JSON metrics report destination
-	metricsCSV   string   // CSV time-series destination
-	interval     sim.Time // sampling interval (simulated cycles)
-	timelineOut  string   // Chrome trace-event / Perfetto destination (-run only)
-	traceN       int      // operation-trace ring capacity (-run only)
-	traceOut     string   // operation-trace dump destination (default stderr)
-	breakdown    bool     // print the stall-attribution breakdown table
-	breakdownOut string   // JSON breakdown report destination
-	traceTxnOut  string   // flow-linked transaction timeline destination (-run only)
-}
-
-// metricsEnabled reports whether any metrics export was requested.
-func (ob obsOptions) metricsEnabled() bool {
-	return ob.metricsOut != "" || ob.metricsCSV != ""
-}
-
-// breakdownEnabled reports whether a transaction tracer must be attached.
-func (ob obsOptions) breakdownEnabled() bool {
-	return ob.breakdown || ob.breakdownOut != "" || ob.traceTxnOut != ""
+// outputs is where the reports a job produces go, beyond the rendered
+// tables on stdout.
+type outputs struct {
+	metricsOut   string // JSON metrics report destination
+	metricsCSV   string // CSV time-series destination
+	breakdown    bool   // print the stall-attribution breakdown table
+	breakdownOut string // JSON breakdown report destination
+	timelineOut  string // Chrome trace-event / Perfetto destination (-run only)
+	traceN       int    // operation-trace ring capacity (-run only)
+	traceOut     string // operation-trace dump destination (default stderr)
+	traceTxnOut  string // flow-linked transaction timeline destination (-run only)
 }
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stderr))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is main without the exit: it parses args, validates them, runs and
-// returns the exit status (0 done, 1 failed, 2 bad usage). Diagnostics go
-// to stderr, one "coherencesim: ..." line per error.
-func run(args []string, stderr io.Writer) int {
+// run is main without the exit: it turns args into a service.JobSpec,
+// canonicalizes it (the one validator), executes it on the executor the
+// daemon and the fleet use, and returns the exit status (0 done, 1
+// failed, 2 bad usage). Results go to stdout, diagnostics to stderr, one
+// "coherencesim: ..." line per error.
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("coherencesim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -118,212 +109,145 @@ func run(args []string, stderr io.Writer) int {
 		}
 		return 2
 	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "coherencesim:", err)
+		return 1
+	}
 
 	if *version {
-		fmt.Println(buildinfo.String("coherencesim"))
+		fmt.Fprintln(stdout, buildinfo.String("coherencesim"))
 		return 0
 	}
 	if *list {
-		printExperimentList(os.Stdout)
+		printExperimentList(stdout)
 		return 0
 	}
-	if err := checkFlags(fs, *runKind, *procs, *iters); err != nil {
-		fmt.Fprintln(stderr, "coherencesim:", err)
-		return 1
+	ob := outputs{
+		metricsOut: *metricsOut, metricsCSV: *metricsCSV,
+		breakdown: *breakdown, breakdownOut: *breakdownOut,
+		timelineOut: *timelineOut, traceN: *traceN, traceOut: *traceOut, traceTxnOut: *traceTxnOut,
+	}
+	wantMetrics := ob.metricsOut != "" || ob.metricsCSV != ""
+	switch {
+	case *runKind == "" && *experiment == "":
+		fs.Usage()
+		return 2
+	case *procs == 0:
+		// A spec spells "the default" as 0; typed on the command line it
+		// is a mistake.
+		return fail(errors.New("procs 0 out of range 1..64"))
+	case wantMetrics && *metricsInterval == 0:
+		return fail(errors.New("-metrics-interval must be positive"))
+	}
+
+	// The flags are one spelling of a service.JobSpec (JSON is the
+	// other); Canonicalize keeps the fields that apply to the kind.
+	spec := service.JobSpec{
+		Kind: "experiment", Experiment: *experiment, Scale: "paper", Format: *format, WarmFork: *warmfork,
+		Run: *runKind, Protocol: *protoName, Procs: *procs, Iterations: *iters,
+		MetricsInterval: *metricsInterval, Breakdown: ob.breakdown || ob.breakdownOut != "",
+	}
+	if *quick {
+		spec.Scale = "quick"
+	}
+	if *runKind != "" {
+		spec.Kind = "run"
+		if algo := map[string]*string{"lock": lockKind, "barrier": barKind, "reduction": redKind}[*runKind]; algo != nil {
+			spec.Algo = *algo
+		}
+	}
+	specs, err := canonicalSpecs(fs, spec)
+	if err != nil {
+		return fail(err)
+	}
+	if !wantMetrics {
+		// Nobody reads the report: interval 0 attaches no registry.
+		for i := range specs {
+			specs[i].MetricsInterval = 0
+		}
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(stderr, "coherencesim:", err)
-			return 1
+			return fail(err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(stderr, "coherencesim:", err)
-			return 1
+			return fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(stderr, "coherencesim:", err)
-				return
-			}
-			defer f.Close()
 			runtime.GC() // materialize the stable live set
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(stderr, "coherencesim:", err)
+			if err := writeFile(*memprofile, pprof.WriteHeapProfile); err != nil {
+				fail(err)
 			}
 		}()
 	}
 
-	ob := obsOptions{
-		metricsOut:  *metricsOut,
-		metricsCSV:  *metricsCSV,
-		interval:    sim.Time(*metricsInterval),
-		timelineOut: *timelineOut,
-		traceN:      *traceN,
-		traceOut:    *traceOut,
-
-		breakdown:    *breakdown,
-		breakdownOut: *breakdownOut,
-		traceTxnOut:  *traceTxnOut,
-	}
-	if ob.metricsEnabled() && ob.interval == 0 {
-		fmt.Fprintln(stderr, "coherencesim: -metrics-interval must be positive")
-		return 1
-	}
-
-	switch {
-	case *runKind != "":
-		if err := singleRun(*runKind, *lockKind, *barKind, *redKind, *protoName, *procs, *iters, ob); err != nil {
-			fmt.Fprintln(stderr, "coherencesim:", err)
-			return 1
-		}
-	case *experiment != "":
-		o := experiments.Defaults()
-		if *quick {
-			o = experiments.Quick()
-		}
-		// Fan each figure's independent simulations across the pool.
-		// Result assembly is deterministic, so stdout is byte-identical
-		// to -parallel 1; all progress reporting goes to stderr.
-		o.Runner = runner.New(*parallel)
-		var timings io.Writer
+	ctx := context.Background()
+	if spec.Kind == "run" {
+		err = singleRun(ctx, specs[0], ob, stdout, stderr)
+	} else {
+		var report func(runner.Snapshot)
 		if *progress {
-			o.Runner.SetProgress(runner.Printer(stderr))
-			timings = stderr
-			fmt.Fprintf(stderr, "coherencesim: %d simulation workers\n", o.Runner.Workers())
+			report = runner.Printer(stderr)
+			workers := *parallel
+			if workers <= 0 {
+				workers = runtime.GOMAXPROCS(0)
+			}
+			fmt.Fprintf(stderr, "coherencesim: %d simulation workers\n", workers)
 		}
-		if ob.metricsEnabled() {
-			o.Metrics = metrics.NewCollector(ob.interval)
-		}
-		if ob.breakdown || ob.breakdownOut != "" {
-			o.Breakdown = trace.NewBreakdownCollector()
-		}
-		if *warmfork {
-			o.Forks = experiments.NewWarmForkCache()
-		}
-		var err error
-		if *format == "csv" {
-			err = runExperimentsCSV(*experiment, o)
-		} else {
-			err = runExperiments(*experiment, o, timings)
-		}
-		if err == nil && o.Metrics != nil {
-			err = writeReport(o.Metrics.Report(), ob)
-		}
-		if err == nil {
-			err = writeExperimentBreakdown(o, ob)
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "coherencesim:", err)
-			return 1
-		}
-	default:
-		fs.Usage()
-		return 2
+		err = runExperiments(ctx, specs, *parallel, report, ob, stdout, stderr)
+	}
+	if err != nil {
+		return fail(err)
 	}
 	return 0
 }
 
-// checkFlags rejects the values the run paths would panic on, divide by
-// zero with, or silently ignore.
-func checkFlags(fs *flag.FlagSet, runKind string, procs, iters int) (err error) {
-	switch {
-	case procs < 1 || procs > 64:
-		return fmt.Errorf("procs %d out of range 1..64", procs)
-	case iters < 0:
-		return fmt.Errorf("iterations %d is negative", iters)
-	case runKind == "lock" && iters > 0 && iters < procs:
-		return fmt.Errorf("iterations %d is fewer than one acquire per processor (procs %d)", iters, procs)
-	case runKind != "":
-		return nil
-	}
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "timeline-out", "trace-txn", "trace", "trace-out":
-			if err == nil {
-				err = fmt.Errorf("-%s applies to -run mode only", f.Name)
+// canonicalSpecs validates the job the flags describe and returns its
+// canonical specs: one, or for -experiment all one per catalog entry in
+// order. Flags that instrument a single machine are refused outside
+// -run mode here, since no spec field carries them.
+func canonicalSpecs(fs *flag.FlagSet, spec service.JobSpec) (specs []service.JobSpec, err error) {
+	names := []string{spec.Experiment}
+	if spec.Kind != "run" {
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "timeline-out", "trace-txn", "trace", "trace-out":
+				if err == nil {
+					err = fmt.Errorf("-%s applies to -run mode only", f.Name)
+				}
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
+		if spec.Experiment == "all" {
+			names = names[:0]
+			for _, e := range experiments.Catalog() {
+				names = append(names, e.Name)
 			}
 		}
-	})
-	return err
-}
-
-func parseProtocol(s string) (proto.Protocol, error) {
-	switch strings.ToUpper(s) {
-	case "WI", "I":
-		return proto.WI, nil
-	case "PU", "U":
-		return proto.PU, nil
-	case "CU", "C":
-		return proto.CU, nil
 	}
-	return 0, fmt.Errorf("unknown protocol %q (want WI, PU, or CU)", s)
-}
-
-// writeExperimentBreakdown prints and/or writes the collected
-// stall-attribution breakdowns after an experiment run.
-func writeExperimentBreakdown(o experiments.Options, ob obsOptions) error {
-	if o.Breakdown == nil {
-		return nil
-	}
-	rep := o.Breakdown.Report()
-	if ob.breakdown {
-		fmt.Print(rep.Table())
-	}
-	if ob.breakdownOut != "" {
-		return writeBreakdownJSON(rep, ob.breakdownOut)
-	}
-	return nil
-}
-
-// writeBreakdownJSON writes one breakdown report as JSON.
-func writeBreakdownJSON(rep *trace.BreakdownReport, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeReport writes the report to the JSON and/or CSV destinations.
-func writeReport(rep *metrics.Report, ob obsOptions) error {
-	if ob.metricsOut != "" {
-		f, err := os.Create(ob.metricsOut)
+	for _, name := range names {
+		spec.Experiment = name
+		c, err := service.Canonicalize(spec)
+		if _, ok := experiments.Lookup(c.Experiment); err != nil && spec.Kind != "run" && !ok {
+			// A bad name gets the valid ones, so nobody has to go hunt.
+			var list strings.Builder
+			printExperimentList(&list)
+			err = fmt.Errorf("%v\n%s", err, strings.TrimRight(list.String(), "\n"))
+		}
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+		specs = append(specs, c)
 	}
-	if ob.metricsCSV != "" {
-		f, err := os.Create(ob.metricsCSV)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return specs, nil
 }
 
 // printExperimentList writes the -list output: every catalog entry with
@@ -341,47 +265,82 @@ func printExperimentList(w io.Writer) {
 	fmt.Fprintln(w, "  all            every experiment above, in order")
 }
 
-// unknownExperiment builds the error for a bad -experiment value; its
-// message carries the full experiment list so the user never has to go
-// hunt for valid names.
-func unknownExperiment(name string) error {
-	var b strings.Builder
-	printExperimentList(&b)
-	return fmt.Errorf("unknown experiment %q\n%s", name, strings.TrimRight(b.String(), "\n"))
+// runExperiments executes the specs in order and prints each one's
+// output, under an "== name ==" header when there are several
+// (-experiment all); their metrics and breakdown runs are concatenated
+// into one report each, and warm-forked sweeps among them share one memo.
+// progress, when non-nil, also turns on the per-figure wall-time lines on
+// stderr.
+func runExperiments(ctx context.Context, specs []service.JobSpec, workers int, progress func(runner.Snapshot), ob outputs, stdout, stderr io.Writer) error {
+	var all *service.JobResult
+	execute := service.BatchExecutor()
+	for _, spec := range specs {
+		if len(specs) > 1 {
+			e, _ := experiments.Lookup(spec.Experiment)
+			fmt.Fprintf(stdout, "== %s (%s) ==\n", e.Name, e.Description)
+		}
+		t0 := time.Now()
+		res, err := execute(ctx, spec, workers, progress)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(stdout, res.Output)
+		if progress != nil {
+			fmt.Fprintf(stderr, "coherencesim: %s done in %.2fs\n", spec.Experiment, time.Since(t0).Seconds())
+		}
+		if all == nil {
+			all = res
+			continue
+		}
+		all.Metrics.Runs = append(all.Metrics.Runs, res.Metrics.Runs...)
+		if all.Breakdown != nil {
+			all.Breakdown.Runs = append(all.Breakdown.Runs, res.Breakdown.Runs...)
+		}
+	}
+	return writeReports(all, ob, stdout)
 }
 
-func runExperiments(name string, o experiments.Options, timings io.Writer) error {
-	timed := func(e experiments.CatalogEntry) {
-		t0 := time.Now()
-		for _, tbl := range e.Tables(o) {
-			fmt.Println(tbl)
-		}
-		if timings != nil {
-			fmt.Fprintf(timings, "coherencesim: %s done in %.2fs\n", e.Name, time.Since(t0).Seconds())
+// writeReports prints and/or writes a result's breakdown and metrics
+// reports to the destinations the flags named.
+func writeReports(res *service.JobResult, ob outputs, stdout io.Writer) error {
+	if ob.breakdown {
+		fmt.Fprint(stdout, res.Breakdown.Table())
+	}
+	for _, out := range []struct {
+		path  string
+		write func(io.Writer) error
+	}{
+		{ob.breakdownOut, res.Breakdown.WriteJSON},
+		{ob.metricsOut, res.Metrics.WriteJSON},
+		{ob.metricsCSV, res.Metrics.WriteCSV},
+	} {
+		if out.path != "" {
+			if err := writeFile(out.path, out.write); err != nil {
+				return err
+			}
 		}
 	}
-	if name == "all" {
-		for _, e := range experiments.Catalog() {
-			fmt.Printf("== %s (%s) ==\n", e.Name, e.Description)
-			timed(e)
-		}
-		return nil
-	}
-	e, ok := experiments.Lookup(name)
-	if !ok {
-		return unknownExperiment(name)
-	}
-	timed(e)
 	return nil
 }
 
-// instrument applies the observability options to a single run's
-// parameters, returning the timeline and trace handles to export after
-// the run (nil when the corresponding flag is off).
-func instrument(p *workload.Params, ob obsOptions) (*metrics.Timeline, *trace.Log, *trace.Tracer) {
-	if ob.metricsEnabled() {
-		p.MetricsInterval = ob.interval
+// writeFile creates path, hands it to write and closes it.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// singleRun executes a kind=run spec with the run-only instruments
+// (timeline, operation trace, transaction timeline) attached to its
+// machine, prints the summary — for locks with the miss-category bars
+// under it — and exports what was asked for.
+func singleRun(ctx context.Context, spec service.JobSpec, ob outputs, stdout, stderr io.Writer) error {
 	var tl *metrics.Timeline
 	var tr *trace.Log
 	var txn *trace.Tracer
@@ -391,43 +350,44 @@ func instrument(p *workload.Params, ob obsOptions) (*metrics.Timeline, *trace.Lo
 	if ob.traceN > 0 {
 		tr = trace.NewLog(ob.traceN)
 	}
-	if ob.breakdownEnabled() {
-		// The CLI builds the tracer itself (rather than via
-		// Params.Breakdown) so it keeps the handle for the flow-linked
-		// transaction timeline export.
-		txn = trace.NewTracer(p.Procs, 0)
+	if ob.traceTxnOut != "" {
+		// Built here rather than by spec.Breakdown so the handle is kept
+		// for the transaction timeline export.
+		txn = trace.NewTracer(spec.Procs, 0)
 	}
-	if tl != nil || tr != nil || txn != nil {
-		prev := p.Tune
-		p.Tune = func(cfg *machine.Config) {
-			cfg.Timeline = tl
-			cfg.Trace = tr
+	res, mres, err := service.ExecuteRun(ctx, spec, func(cfg *machine.Config) {
+		cfg.Timeline, cfg.Trace = tl, tr
+		if txn != nil {
 			cfg.Txn = txn
-			if prev != nil {
-				prev(cfg)
-			}
 		}
+	})
+	if err != nil {
+		return err
 	}
-	return tl, tr, txn
-}
-
-// writeRunOutputs exports a single run's requested observability
-// artifacts: the operation-trace dump, the Perfetto timeline (with trace
-// events folded in as instants when both are enabled), and the metrics
-// report.
-func writeRunOutputs(label, protocol string, res machine.Result, tl *metrics.Timeline, tr *trace.Log, txn *trace.Tracer, ob obsOptions) error {
-	if tr != nil {
-		w := io.Writer(os.Stderr)
-		if ob.traceOut != "" {
-			f, err := os.Create(ob.traceOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
+	if res.Breakdown != nil {
+		res.Breakdown.Protocol = spec.Protocol // one machine, so the envelope can say
+	}
+	fmt.Fprint(stdout, res.Output)
+	if spec.Run == "lock" {
+		labels := []string{"cold", "true", "false", "evict", "drop", "excl"}
+		vals := make([]float64, len(labels))
+		for i := range vals {
+			vals[i] = float64(mres.Misses[i])
 		}
-		fmt.Fprintln(w, tr.Summary())
-		if err := tr.Dump(w, -1); err != nil {
+		fmt.Fprint(stdout, stats.Bars("  miss categories:", labels, vals, 40))
+	}
+
+	if tr != nil {
+		dump := func(w io.Writer) error {
+			fmt.Fprintln(w, tr.Summary())
+			return tr.Dump(w, -1)
+		}
+		if ob.traceOut == "" {
+			err = dump(stderr)
+		} else {
+			err = writeFile(ob.traceOut, dump)
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -443,160 +403,26 @@ func writeRunOutputs(label, protocol string, res machine.Result, tl *metrics.Tim
 				}
 			}
 		}
-		f, err := os.Create(ob.timelineOut)
+		err := writeFile(ob.timelineOut, func(w io.Writer) error {
+			return metrics.WriteChromeTrace(w, tl, len(mres.PerProc))
+		})
 		if err != nil {
-			return err
-		}
-		if err := metrics.WriteChromeTrace(f, tl, len(res.PerProc)); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
 			return err
 		}
 	}
 	if txn != nil {
-		if ob.breakdown || ob.breakdownOut != "" {
-			coll := trace.NewBreakdownCollector()
-			coll.Add(label, res.Breakdown)
-			rep := coll.Report()
-			rep.Protocol = protocol
-			if ob.breakdown {
-				fmt.Print(rep.Table())
-				fmt.Print(res.Breakdown.ProcTable())
-			}
-			if ob.breakdownOut != "" {
-				if err := writeBreakdownJSON(rep, ob.breakdownOut); err != nil {
-					return err
-				}
-			}
-		}
-		if ob.traceTxnOut != "" {
-			f, err := os.Create(ob.traceTxnOut)
-			if err != nil {
-				return err
-			}
-			if err := trace.WriteTxnChromeTrace(f, txn, protocol); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
+		err := writeFile(ob.traceTxnOut, func(w io.Writer) error {
+			return trace.WriteTxnChromeTrace(w, txn, spec.Protocol)
+		})
+		if err != nil {
+			return err
 		}
 	}
-	if ob.metricsEnabled() {
-		coll := metrics.NewCollector(ob.interval)
-		coll.Add(label, res.Metrics)
-		return writeReport(coll.Report(), ob)
-	}
-	return nil
-}
-
-func singleRun(kind, lockKind, barKind, redKind, protoName string, procs, iters int, ob obsOptions) error {
-	pr, err := parseProtocol(protoName)
-	if err != nil {
+	if err := writeReports(res, ob, stdout); err != nil {
 		return err
 	}
-	switch kind {
-	case "lock":
-		var lk workload.LockKind
-		switch strings.ToLower(lockKind) {
-		case "tk", "ticket":
-			lk = workload.Ticket
-		case "mcs":
-			lk = workload.MCS
-		case "uc", "ucmcs":
-			lk = workload.UpdateConsciousMCS
-		default:
-			return fmt.Errorf("unknown lock %q", lockKind)
-		}
-		p := workload.DefaultLockParams(pr, procs)
-		if iters > 0 {
-			p.Iterations = iters
-		}
-		tl, tr, txn := instrument(&p, ob)
-		res := workload.LockLoop(p, lk)
-		fmt.Printf("%v lock, %v, P=%d: %d acquires\n", lk, pr, procs, res.Acquires)
-		fmt.Printf("  avg acquire-release latency: %.1f cycles\n", res.AvgLatency)
-		printTraffic(res.Misses.Total(), res.Updates.Total(), res.Result.Net.Messages)
-		fmt.Print(missBar(res))
-		return writeRunOutputs(fmt.Sprintf("run/lock/%v-%s/P=%d", lk, pr.Short(), procs),
-			pr.String(), res.Result, tl, tr, txn, ob)
-	case "barrier":
-		var bk workload.BarrierKind
-		switch strings.ToLower(barKind) {
-		case "cb", "central":
-			bk = workload.Central
-		case "db", "dissemination":
-			bk = workload.Dissemination
-		case "tb", "tree":
-			bk = workload.Tree
-		default:
-			return fmt.Errorf("unknown barrier %q", barKind)
-		}
-		p := workload.DefaultBarrierParams(pr, procs)
-		if iters > 0 {
-			p.Iterations = iters
-		}
-		tl, tr, txn := instrument(&p, ob)
-		res := workload.BarrierLoop(p, bk)
-		fmt.Printf("%v barrier, %v, P=%d: %d episodes\n", bk, pr, procs, res.Episodes)
-		fmt.Printf("  avg episode latency: %.1f cycles\n", res.AvgLatency)
-		printTraffic(res.Misses.Total(), res.Updates.Total(), res.Net.Messages)
-		return writeRunOutputs(fmt.Sprintf("run/barrier/%v-%s/P=%d", bk, pr.Short(), procs),
-			pr.String(), res.Result, tl, tr, txn, ob)
-	case "reduction":
-		var rk workload.ReductionKind
-		switch strings.ToLower(redKind) {
-		case "sr", "sequential":
-			rk = workload.Sequential
-		case "pr", "parallel":
-			rk = workload.Parallel
-		default:
-			return fmt.Errorf("unknown reduction %q", redKind)
-		}
-		p := workload.DefaultReductionParams(pr, procs)
-		if iters > 0 {
-			p.Iterations = iters
-		}
-		tl, tr, txn := instrument(&p, ob)
-		res := workload.ReductionLoop(p, rk)
-		fmt.Printf("%v reduction, %v, P=%d: %d reductions\n", rk, pr, procs, res.Reductions)
-		fmt.Printf("  avg reduction latency: %.1f cycles\n", res.AvgLatency)
-		printTraffic(res.Misses.Total(), res.Updates.Total(), res.Net.Messages)
-		return writeRunOutputs(fmt.Sprintf("run/reduction/%v-%s/P=%d", rk, pr.Short(), procs),
-			pr.String(), res.Result, tl, tr, txn, ob)
-	default:
-		return fmt.Errorf("unknown run kind %q (want lock, barrier, or reduction)", kind)
+	if ob.breakdown {
+		fmt.Fprint(stdout, mres.Breakdown.ProcTable())
 	}
-}
-
-func printTraffic(misses, updates, messages uint64) {
-	fmt.Printf("  miss/upgrade transactions: %s   update messages: %s   network messages: %s\n",
-		stats.FormatCount(misses), stats.FormatCount(updates), stats.FormatCount(messages))
-}
-
-func missBar(res workload.LockResult) string {
-	m := res.Misses
-	labels := []string{"cold", "true", "false", "evict", "drop", "excl"}
-	vals := make([]float64, len(labels))
-	for i := 0; i < len(labels); i++ {
-		vals[i] = float64(m[i])
-	}
-	return stats.Bars("  miss categories:", labels, vals, 40)
-}
-
-// runExperimentsCSV prints plotting-friendly CSV for the figure
-// experiments that have a CSV form.
-func runExperimentsCSV(name string, o experiments.Options) error {
-	e, ok := experiments.Lookup(name)
-	if !ok {
-		return unknownExperiment(name)
-	}
-	if !e.HasCSV() {
-		return fmt.Errorf("experiment %q has no CSV form", name)
-	}
-	fmt.Print(e.CSV(o))
 	return nil
 }

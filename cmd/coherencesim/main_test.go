@@ -1,113 +1,135 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"coherencesim/internal/experiments"
 	"coherencesim/internal/metrics"
-	"coherencesim/internal/proto"
-	"coherencesim/internal/runner"
+	"coherencesim/internal/service"
 )
 
-func TestParseProtocol(t *testing.T) {
-	cases := map[string]proto.Protocol{
-		"WI": proto.WI, "wi": proto.WI, "i": proto.WI,
-		"PU": proto.PU, "u": proto.PU,
-		"CU": proto.CU, "c": proto.CU,
-	}
-	for s, want := range cases {
-		got, err := parseProtocol(s)
-		if err != nil || got != want {
-			t.Errorf("parseProtocol(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := parseProtocol("bogus"); err == nil {
-		t.Error("bogus protocol accepted")
-	}
+// cli drives run in-process and returns its exit status, stdout and
+// stderr.
+func cli(args ...string) (int, string, string) {
+	var stdout, stderr bytes.Buffer
+	code := run(args, &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
 }
 
-// microOptions keeps CLI driver tests fast; the pool mirrors the
-// -parallel default path the command wires up.
-func microOptions() experiments.Options {
-	return experiments.Options{
-		Procs:             []int{2},
-		TrafficProcs:      4,
-		LockIterations:    80,
-		BarrierEpisodes:   10,
-		ReductionEpisodes: 10,
-		Runner:            runner.New(2),
+// mustCLI is cli for invocations that have to succeed quietly.
+func mustCLI(t *testing.T, args ...string) string {
+	t.Helper()
+	code, stdout, stderr := cli(args...)
+	if code != 0 || stderr != "" {
+		t.Fatalf("%v: exit %d, stderr %q", args, code, stderr)
 	}
+	return stdout
 }
 
 func TestRunExperimentsDispatch(t *testing.T) {
-	o := microOptions()
 	for _, id := range []string{"fig8", "fig11", "fig14", "redvariants"} {
-		if err := runExperiments(id, o, nil); err != nil {
-			t.Errorf("%s: %v", id, err)
+		if out := mustCLI(t, "-experiment", id, "-quick"); out == "" {
+			t.Errorf("%s: no output", id)
 		}
 	}
-	if err := runExperiments("nope", o, nil); err == nil {
-		t.Error("unknown experiment accepted")
+	// A bad name is answered with the valid ones.
+	if _, _, stderr := cli("-experiment", "nope"); !strings.HasPrefix(stderr, "coherencesim: unknown experiment \"nope\"\nexperiments (-experiment NAME):\n  fig8 ") {
+		t.Errorf("-experiment nope: stderr %q", stderr)
+	}
+	if _, _, stderr := cli("-experiment", "fig11", "-quick", "-parallel", "3", "-progress"); !strings.HasPrefix(stderr, "coherencesim: 3 simulation workers\nrunner: 1/") {
+		t.Errorf("-progress: stderr starts %.80q", stderr)
+	}
+	for _, args := range [][]string{
+		{"-experiment", "nope"},
+		{"-experiment", "redvariants", "-format", "csv"},
+		{"-experiment", "all", "-format", "csv"}, // refused before the first figure runs
+	} {
+		if code, stdout, stderr := cli(args...); code != 1 || stdout != "" || !strings.HasPrefix(stderr, "coherencesim: ") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q", args, code, stdout, stderr)
+		}
 	}
 }
 
 func TestSingleRunDispatch(t *testing.T) {
-	cases := []struct {
-		kind, lock, bar, red, protocol string
-	}{
-		{"lock", "tk", "", "", "WI"},
-		{"lock", "mcs", "", "", "CU"},
-		{"lock", "ucmcs", "", "", "PU"},
-		{"barrier", "", "cb", "", "PU"},
-		{"barrier", "", "db", "", "WI"},
-		{"barrier", "", "tb", "", "CU"},
-		{"reduction", "", "", "sr", "PU"},
-		{"reduction", "", "", "pr", "WI"},
-	}
-	for _, c := range cases {
-		if err := singleRun(c.kind, c.lock, c.bar, c.red, c.protocol, 4, 40, obsOptions{}); err != nil {
-			t.Errorf("%+v: %v", c, err)
-		}
-	}
-	for _, c := range []struct {
-		kind, lock, bar, red, protocol string
-	}{
-		{"lock", "bogus", "", "", "WI"},
-		{"barrier", "", "bogus", "", "WI"},
-		{"reduction", "", "", "bogus", "WI"},
-		{"bogus", "", "", "", "WI"},
-		{"lock", "tk", "", "", "bogus"},
+	size := []string{"-procs", "4", "-iterations", "40"}
+	for _, c := range [][]string{
+		{"-run", "lock", "-lock", "tk", "-protocol", "WI"},
+		{"-run", "lock", "-lock", "mcs", "-protocol", "CU"},
+		{"-run", "lock", "-lock", "ucmcs", "-protocol", "PU"},
+		{"-run", "barrier", "-barrier", "cb", "-protocol", "PU"},
+		{"-run", "barrier", "-barrier", "db", "-protocol", "WI"},
+		{"-run", "barrier", "-barrier", "tb", "-protocol", "CU"},
+		{"-run", "reduction", "-reduction", "sr", "-protocol", "PU"},
+		{"-run", "reduction", "-reduction", "pr", "-protocol", "WI"},
 	} {
-		if err := singleRun(c.kind, c.lock, c.bar, c.red, c.protocol, 4, 40, obsOptions{}); err == nil {
-			t.Errorf("%+v: error expected", c)
+		if out := mustCLI(t, append(c, size...)...); !strings.Contains(out, c[1]+", "+c[5]+", P=4: ") {
+			t.Errorf("%v: summary %q", c, out)
 		}
 	}
+	for _, c := range [][]string{
+		{"-run", "lock", "-lock", "bogus"},
+		{"-run", "barrier", "-barrier", "bogus"},
+		{"-run", "reduction", "-reduction", "bogus"},
+		{"-run", "bogus"},
+		{"-run", "lock", "-protocol", "bogus"},
+	} {
+		if code, _, _ := cli(append(c, size...)...); code != 1 {
+			t.Errorf("%v: exit %d, want 1", c, code)
+		}
+	}
+}
+
+// TestRunLockSummary pins the -run lock stdout: the three summary lines
+// every run kind shares, then the miss-category bars only the CLI draws.
+func TestRunLockSummary(t *testing.T) {
+	const want = `MCS lock, CU, P=8: 496 acquires
+  avg acquire-release latency: 48.2 cycles
+  miss/upgrade transactions: 520   update messages: 5904   network messages: 13.9K
+  miss categories:
+ cold  ## 32
+ true   0
+false   0
+evict   0
+ drop  ######################################## 488
+ excl   0
+`
+	if got := mustCLI(t, "-run", "lock", "-lock", "mcs", "-protocol", "CU", "-procs", "8", "-iterations", "500"); got != want {
+		t.Errorf("stdout:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+func fileSHA256(t *testing.T, path string) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // TestSingleRunObservability drives the -run path with every
 // observability output enabled and validates the produced artifacts.
 func TestSingleRunObservability(t *testing.T) {
 	dir := t.TempDir()
-	ob := obsOptions{
-		metricsOut:  filepath.Join(dir, "m.json"),
-		metricsCSV:  filepath.Join(dir, "m.csv"),
-		interval:    500,
-		timelineOut: filepath.Join(dir, "tl.json"),
-		traceN:      200,
-		traceOut:    filepath.Join(dir, "tr.log"),
-	}
-	if err := singleRun("lock", "mcs", "", "", "CU", 4, 200, ob); err != nil {
-		t.Fatal(err)
-	}
+	metricsOut, metricsCSV := filepath.Join(dir, "m.json"), filepath.Join(dir, "m.csv")
+	timelineOut, traceOut, txnOut := filepath.Join(dir, "tl.json"), filepath.Join(dir, "tr.log"), filepath.Join(dir, "txn.json")
+	mustCLI(t, "-run", "lock", "-lock", "mcs", "-protocol", "CU", "-procs", "4", "-iterations", "200",
+		"-metrics-out", metricsOut, "-metrics-csv", metricsCSV, "-metrics-interval", "500",
+		"-timeline-out", timelineOut, "-trace", "200", "-trace-out", traceOut, "-trace-txn", txnOut)
 
 	// Metrics JSON: parses, has the lock-acquire histogram and sampled
 	// series.
 	var rep metrics.Report
-	b, err := os.ReadFile(ob.metricsOut)
+	b, err := os.ReadFile(metricsOut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +148,7 @@ func TestSingleRunObservability(t *testing.T) {
 	}
 
 	// CSV: header plus at least one series row.
-	csv, err := os.ReadFile(ob.metricsCSV)
+	csv, err := os.ReadFile(metricsCSV)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +165,7 @@ func TestSingleRunObservability(t *testing.T) {
 			Tid   int    `json:"tid"`
 		} `json:"traceEvents"`
 	}
-	tb, err := os.ReadFile(ob.timelineOut)
+	tb, err := os.ReadFile(timelineOut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +185,17 @@ func TestSingleRunObservability(t *testing.T) {
 		t.Errorf("timeline has %d slices, %d instants; want both", slices, instants)
 	}
 
+	// Both Chrome-trace documents come out of one event type and one
+	// encoder; these are the bytes the two separate writers produced.
+	if got := fileSHA256(t, timelineOut); got != "7d3559ed46ce9a8f458159830edcf2e7b220074d20ffcd5b8865146ea81db735" {
+		t.Errorf("-timeline-out sha256 = %s", got)
+	}
+	if got := fileSHA256(t, txnOut); got != "a50cedb5e741915a8d6d174f3adfa54ea675584b22917d0a44d1aff1973bc47f" {
+		t.Errorf("-trace-txn sha256 = %s", got)
+	}
+
 	// Trace dump: summary line plus events.
-	tr, err := os.ReadFile(ob.traceOut)
+	tr, err := os.ReadFile(traceOut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,30 +204,77 @@ func TestSingleRunObservability(t *testing.T) {
 	}
 }
 
+// TestCLIMatchesExecute: the CLI is flags in front of service.Execute,
+// so what it prints and writes is the executor's result for the
+// canonical spec, byte for byte.
+func TestCLIMatchesExecute(t *testing.T) {
+	dir := t.TempDir()
+	metricsOut, breakdownOut := filepath.Join(dir, "m.json"), filepath.Join(dir, "b.json")
+	for _, c := range []struct {
+		args string
+		spec service.JobSpec
+	}{
+		{"-experiment fig11 -quick", service.JobSpec{Experiment: "fig11"}},
+		{"-experiment fig11 -quick -format csv", service.JobSpec{Experiment: "fig11", Format: "csv"}},
+		{"-run lock -procs 8 -iterations 400", service.JobSpec{Run: "lock", Procs: 8, Iterations: 400}},
+		{"-run barrier -barrier tree -protocol c -procs 8 -iterations 50", service.JobSpec{Run: "barrier", Algo: "tb", Protocol: "CU", Procs: 8, Iterations: 50}},
+		{"-run reduction -reduction PR -protocol pu -procs 8 -iterations 50", service.JobSpec{Run: "reduction", Algo: "pr", Protocol: "PU", Procs: 8, Iterations: 50}},
+	} {
+		c.spec.Breakdown = true
+		spec, err := service.Canonicalize(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := service.Execute(context.Background(), spec, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stdout := mustCLI(t, append(strings.Fields(c.args), "-parallel", "2", "-metrics-out", metricsOut, "-breakdown-out", breakdownOut)...)
+		if spec.Run == "lock" {
+			// The bars are the CLI's own; TestRunLockSummary pins them.
+			stdout = stdout[:strings.Index(stdout, "  miss categories:")]
+		}
+		if spec.Kind == "run" {
+			// One machine, one protocol: the CLI's envelope names it.
+			want.Breakdown.Protocol = spec.Protocol
+		}
+		if stdout != want.Output {
+			t.Errorf("%s: stdout differs from Execute's Output:\n%s\nwant:\n%s", c.args, stdout, want.Output)
+		}
+		for path, write := range map[string]func(io.Writer) error{
+			metricsOut:   want.Metrics.WriteJSON,
+			breakdownOut: want.Breakdown.WriteJSON,
+		} {
+			var doc bytes.Buffer
+			if err := write(&doc); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, doc.Bytes()) {
+				t.Errorf("%s: %s differs from the executor's report", c.args, filepath.Base(path))
+			}
+		}
+	}
+}
+
 // TestExperimentMetricsExport drives the experiment path end to end:
-// collector wired through Options, report written, deterministic across
-// worker counts.
+// the report is written and is deterministic across worker counts.
 func TestExperimentMetricsExport(t *testing.T) {
 	dir := t.TempDir()
-	runOnce := func(workers int, out string) []byte {
-		o := microOptions()
-		o.Runner = runner.New(workers)
-		o.Metrics = metrics.NewCollector(1000)
-		if err := runExperiments("fig8", o, nil); err != nil {
-			t.Fatal(err)
-		}
-		ob := obsOptions{metricsOut: filepath.Join(dir, out), interval: 1000}
-		if err := writeReport(o.Metrics.Report(), ob); err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(ob.metricsOut)
+	runOnce := func(workers, out string) []byte {
+		path := filepath.Join(dir, out)
+		mustCLI(t, "-experiment", "fig8", "-quick", "-parallel", workers, "-metrics-out", path, "-metrics-interval", "1000")
+		b, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
-	a := runOnce(1, "a.json")
-	b := runOnce(4, "b.json")
+	a := runOnce("1", "a.json")
+	b := runOnce("4", "b.json")
 	if string(a) != string(b) {
 		t.Error("experiment metrics differ across worker counts")
 	}
@@ -204,20 +282,21 @@ func TestExperimentMetricsExport(t *testing.T) {
 	if err := json.Unmarshal(a, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Runs) == 0 {
-		t.Error("no runs collected")
+	if len(rep.Runs) == 0 || rep.Interval != 1000 {
+		t.Errorf("%d runs at interval %d", len(rep.Runs), rep.Interval)
 	}
 }
 
 // TestRunRejectsBadFlags: values the run paths cannot honour are refused
 // up front with one "coherencesim: ..." line and exit status 1 — not a
 // panic from machine.New, a NaN latency, or a silently ignored flag.
+// All but the run-only-flag rows are service.Canonicalize speaking.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, c := range []struct {
 		args, want string
 	}{
-		{"-run lock -procs 65", "procs 65 out of range 1..64"},
 		{"-run lock -procs 0", "procs 0 out of range 1..64"},
+		{"-run lock -procs 65", "procs 65 out of range 1..64"},
 		{"-run barrier -procs -3", "procs -3 out of range 1..64"},
 		{"-run lock -procs 4 -iterations 3", "iterations 3 is fewer than one acquire per processor (procs 4)"},
 		{"-run barrier -procs 4 -iterations -1", "iterations -1 is negative"},
@@ -225,20 +304,21 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-experiment fig8 -quick -trace-txn x.json", "-trace-txn applies to -run mode only"},
 		{"-experiment fig8 -quick -trace 100", "-trace applies to -run mode only"},
 		{"-experiment fig8 -quick -trace-out x.log", "-trace-out applies to -run mode only"},
+		{"-experiment fig8 -quick -metrics-out x.json -metrics-interval 0", "-metrics-interval must be positive"},
 	} {
-		var stderr strings.Builder
-		if code := run(strings.Fields(c.args), &stderr); code != 1 {
-			t.Errorf("%s: exit %d, want 1", c.args, code)
+		code, stdout, stderr := cli(strings.Fields(c.args)...)
+		if code != 1 || stdout != "" {
+			t.Errorf("%s: exit %d, stdout %q, want 1 and none", c.args, code, stdout)
 		}
-		if want := "coherencesim: " + c.want + "\n"; stderr.String() != want {
-			t.Errorf("%s: stderr %q, want %q", c.args, stderr.String(), want)
+		if want := "coherencesim: " + c.want + "\n"; stderr != want {
+			t.Errorf("%s: stderr %q, want %q", c.args, stderr, want)
 		}
 	}
-	var stderr strings.Builder
-	if code := run(strings.Fields("-run lock -procs 4 -iterations 4 -breakdown"), &stderr); code != 0 || stderr.Len() != 0 {
-		t.Errorf("smallest valid lock run: exit %d, stderr %q", code, stderr.String())
-	}
-	if code := run([]string{"-no-such-flag"}, &stderr); code != 2 {
+	mustCLI(t, "-run", "lock", "-procs", "4", "-iterations", "4", "-breakdown") // smallest valid lock run
+	if code, _, _ := cli("-no-such-flag"); code != 2 {
 		t.Errorf("unknown flag: exit %d, want 2", code)
+	}
+	if code, _, _ := cli(); code != 2 {
+		t.Errorf("no mode: exit %d, want 2", code)
 	}
 }

@@ -92,25 +92,32 @@ func (t *Timeline) Slices() []TimelineSlice {
 	return t.slices
 }
 
-// traceEvent is one Chrome trace-event object. Perfetto and
+// ChromeEvent is one Chrome trace-event object; Perfetto and
 // chrome://tracing consume the JSON object format {"traceEvents": [...]}.
 // Simulated cycles map 1:1 to the format's microsecond timestamps.
-type traceEvent struct {
+// Scope belongs to instants, ID and BP to flow events.
+type ChromeEvent struct {
 	Name  string         `json:"name"`
 	Phase string         `json:"ph"`
-	Ts    uint64         `json:"ts"`
-	Dur   *uint64        `json:"dur,omitempty"`
+	Ts    sim.Time       `json:"ts"`
+	Dur   *sim.Time      `json:"dur,omitempty"`
 	Pid   int            `json:"pid"`
 	Tid   int            `json:"tid"`
 	Cat   string         `json:"cat,omitempty"`
 	Scope string         `json:"s,omitempty"`
+	ID    string         `json:"id,omitempty"`
+	BP    string         `json:"bp,omitempty"`
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// traceDoc is the exported document shape.
-type traceDoc struct {
-	TraceEvents     []traceEvent `json:"traceEvents"`
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
+// EncodeChromeTrace writes events as one trace-event document, headed
+// by envelope when the caller has one (nil leaves the field out).
+func EncodeChromeTrace(w io.Writer, envelope any, events []ChromeEvent) error {
+	return json.NewEncoder(w).Encode(struct {
+		Envelope        any           `json:"envelope,omitempty"`
+		TraceEvents     []ChromeEvent `json:"traceEvents"`
+		DisplayTimeUnit string        `json:"displayTimeUnit"`
+	}{envelope, events, "ms"})
 }
 
 // WriteChromeTrace renders the timeline in Chrome trace-event JSON.
@@ -119,14 +126,13 @@ type traceDoc struct {
 // the deterministic recording order; viewers sort by timestamp
 // themselves.
 func WriteChromeTrace(w io.Writer, t *Timeline, procs int) error {
-	doc := traceDoc{DisplayTimeUnit: "ms"}
-	doc.TraceEvents = make([]traceEvent, 0, 2*procs+t.Len())
-	doc.TraceEvents = append(doc.TraceEvents, traceEvent{
+	events := make([]ChromeEvent, 0, 2*procs+t.Len())
+	events = append(events, ChromeEvent{
 		Name: "process_name", Phase: "M", Pid: 0, Tid: 0,
 		Args: map[string]any{"name": "coherencesim"},
 	})
 	for p := 0; p < procs; p++ {
-		doc.TraceEvents = append(doc.TraceEvents, traceEvent{
+		events = append(events, ChromeEvent{
 			Name: "thread_name", Phase: "M", Pid: 0, Tid: p,
 			Args: map[string]any{"name": fmt.Sprintf("proc%d", p)},
 		})
@@ -134,18 +140,17 @@ func WriteChromeTrace(w io.Writer, t *Timeline, procs int) error {
 	if t != nil {
 		for _, s := range t.slices {
 			dur := s.End - s.Start
-			doc.TraceEvents = append(doc.TraceEvents, traceEvent{
+			events = append(events, ChromeEvent{
 				Name: s.Name, Phase: "X", Ts: s.Start, Dur: &dur,
 				Pid: 0, Tid: s.Proc, Cat: "stall",
 			})
 		}
 		for _, i := range t.instants {
-			doc.TraceEvents = append(doc.TraceEvents, traceEvent{
+			events = append(events, ChromeEvent{
 				Name: i.Name, Phase: "i", Ts: i.At,
 				Pid: 0, Tid: i.Proc, Cat: "op", Scope: "t",
 			})
 		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	return EncodeChromeTrace(w, nil, events)
 }

@@ -26,13 +26,15 @@ const (
 	StatusCanceled = "canceled"
 )
 
-// JobSpec is the canonical description of one simulation job. Kind
-// selects between the two request shapes:
+// JobSpec is the description of one simulation job, and the only one:
+// a POST /v1/jobs body is its JSON spelling, coherencesim's flags are
+// its command-line spelling, and Canonicalize then Execute is the one
+// path either takes. Kind selects between the two shapes:
 //
-//   - "experiment": run one catalog experiment (fig8..fig16, ablations,
-//     ...) at quick or paper scale, rendering tables or CSV.
-//   - "run": one (construct, protocol, machine size) simulation, the
-//     API form of the CLI's -run mode.
+//   - "experiment": one catalog experiment (fig8..fig16, ablations, ...)
+//     at quick or paper scale, as tables or CSV (coherencesim -experiment).
+//   - "run": one (construct, protocol, machine size) simulation
+//     (coherencesim -run).
 //
 // Specs are canonicalized before hashing (defaults applied, names
 // normalized, non-applicable fields cleared), so equivalent requests —
@@ -58,17 +60,15 @@ type JobSpec struct {
 
 // JobResult is the deterministic payload of a completed job.
 type JobResult struct {
-	// Output is the rendered experiment output: the same tables (or CSV)
-	// the CLI prints for this spec.
+	// Output is the rendered tables (or CSV, or run summary):
+	// coherencesim prints it to stdout as is.
 	Output string `json:"output"`
-	// Metrics is the deterministic metrics report for the job's runs —
-	// structurally identical to the CLI's -metrics-out document for the
-	// equivalent invocation.
+	// Metrics is the deterministic metrics report for the job's runs;
+	// its WriteJSON is coherencesim's -metrics-out file.
 	Metrics *metrics.Report `json:"metrics,omitempty"`
 	// Breakdown is the deterministic stall-attribution breakdown report
-	// for the job's runs, present only when the spec set Breakdown —
-	// structurally identical to the CLI's -breakdown-out document for
-	// the equivalent invocation.
+	// for the job's runs, present only when the spec set Breakdown; its
+	// WriteJSON is coherencesim's -breakdown-out file.
 	Breakdown *trace.BreakdownReport `json:"breakdown,omitempty"`
 }
 

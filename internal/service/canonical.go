@@ -15,32 +15,8 @@ const (
 	defaultScale           = "quick"
 	defaultFormat          = "table"
 	defaultProcs           = 32
-	defaultMetricsInterval = 10000 // matches the CLI's -metrics-interval default
+	defaultMetricsInterval = 10000
 )
-
-// algoAliases maps every accepted spelling of a run algorithm to its
-// canonical short code, per run kind — the same aliases the CLI's
-// -lock/-barrier/-reduction flags accept.
-var algoAliases = map[string]map[string]string{
-	"lock": {
-		"tk": "tk", "ticket": "tk",
-		"mcs": "mcs",
-		"uc":  "ucmcs", "ucmcs": "ucmcs",
-	},
-	"barrier": {
-		"cb": "cb", "central": "cb",
-		"db": "db", "dissemination": "db",
-		"tb": "tb", "tree": "tb",
-	},
-	"reduction": {
-		"sr": "sr", "sequential": "sr",
-		"pr": "pr", "parallel": "pr",
-	},
-}
-
-// runDefaultAlgo is the algorithm used when a run spec leaves it empty
-// (mirroring the CLI flag defaults).
-var runDefaultAlgo = map[string]string{"lock": "tk", "barrier": "db", "reduction": "sr"}
 
 // Canonicalize validates a job spec and rewrites it into its canonical
 // form: names lower-cased (protocol upper-cased), defaults applied, and
@@ -79,7 +55,7 @@ func Canonicalize(s JobSpec) (JobSpec, error) {
 		}
 		entry, ok := experiments.Lookup(c.Experiment)
 		if !ok {
-			return c, fmt.Errorf("unknown experiment %q (see GET /v1/experiments)", s.Experiment)
+			return c, fmt.Errorf("unknown experiment %q", s.Experiment)
 		}
 		c.Scale = strings.ToLower(s.Scale)
 		switch c.Scale {
@@ -106,28 +82,19 @@ func Canonicalize(s JobSpec) (JobSpec, error) {
 		c.WarmFork = s.WarmFork
 	case "run":
 		c.Run = strings.ToLower(strings.TrimSpace(s.Run))
-		aliases, ok := algoAliases[c.Run]
+		kind, ok := runKinds[c.Run]
 		if !ok {
 			return c, fmt.Errorf("unknown run kind %q (want lock, barrier, or reduction)", s.Run)
 		}
-		algo := strings.ToLower(strings.TrimSpace(s.Algo))
-		if algo == "" {
-			algo = runDefaultAlgo[c.Run]
-		}
-		c.Algo, ok = aliases[algo]
+		c.Algo, ok = kind.algos[strings.ToLower(strings.TrimSpace(s.Algo))]
 		if !ok {
 			return c, fmt.Errorf("unknown %s algorithm %q", c.Run, s.Algo)
 		}
-		switch strings.ToUpper(strings.TrimSpace(s.Protocol)) {
-		case "", "WI", "I":
-			c.Protocol = "WI"
-		case "PU", "U":
-			c.Protocol = "PU"
-		case "CU", "C":
-			c.Protocol = "CU"
-		default:
+		pr, ok := protocols[strings.ToUpper(strings.TrimSpace(s.Protocol))]
+		if !ok {
 			return c, fmt.Errorf("unknown protocol %q (want WI, PU, or CU)", s.Protocol)
 		}
+		c.Protocol = pr.String()
 		c.Procs = s.Procs
 		if c.Procs == 0 {
 			c.Procs = defaultProcs
@@ -135,8 +102,13 @@ func Canonicalize(s JobSpec) (JobSpec, error) {
 		if c.Procs < 1 || c.Procs > 64 {
 			return c, fmt.Errorf("procs %d out of range 1..64", s.Procs)
 		}
-		if s.Iterations < 0 {
-			return c, fmt.Errorf("iterations must be >= 0")
+		switch {
+		case s.Iterations < 0:
+			return c, fmt.Errorf("iterations %d is negative", s.Iterations)
+		case c.Run == "lock" && s.Iterations > 0 && s.Iterations < c.Procs:
+			// The lock loop gives each processor iterations/procs acquires;
+			// none at all leaves no latency to average.
+			return c, fmt.Errorf("iterations %d is fewer than one acquire per processor (procs %d)", s.Iterations, c.Procs)
 		}
 		c.Iterations = s.Iterations
 		c.Format = defaultFormat

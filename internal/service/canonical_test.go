@@ -12,6 +12,10 @@ import (
 const (
 	goldenFig8QuickHash = "a5356a345b4cf677776d7251f5d836cf89a709d021ac01e21cc26f13ea6472cf"
 	goldenRunLockHash   = "969f9581e352587b050a5a3cbac12fa6630a27c9af106c3205022402486be1f2"
+	// goldenRunLockDocHash is the SHA-256 of the job document served for
+	// the goldenRunLockHash spec with breakdown on: documents like it sit
+	// in durable stores, labels included (TestRunDocumentGolden).
+	goldenRunLockDocHash = "701c5077f0388b1d77431865ed1a07cefde17df5a89c0b81d45d25d51169d5eb"
 )
 
 func TestCanonicalHashGolden(t *testing.T) {
@@ -154,10 +158,46 @@ func TestCanonicalizeRejections(t *testing.T) {
 		{Run: "lock", Procs: -1},                 // out of range
 		{Run: "lock", Iterations: -5},            // negative iterations
 		{Experiment: "fig8", TimeoutSec: -1},     // negative deadline
+		{Run: "lock", Iterations: 31},            // no acquire per processor at the default 32
 	}
 	for i, s := range bad {
 		if _, err := Canonicalize(s); err == nil {
 			t.Errorf("spec %d (%+v) accepted, want error", i, s)
+		}
+	}
+	_, err := Canonicalize(JobSpec{Run: "lock", Procs: 32, Iterations: 5})
+	if want := "iterations 5 is fewer than one acquire per processor (procs 32)"; err == nil || err.Error() != want {
+		t.Errorf("starved lock run: error %v, want %q", err, want)
+	}
+	// The bound is the lock loop's alone, and one acquire each is enough.
+	for _, s := range []JobSpec{{Run: "lock", Procs: 4, Iterations: 4}, {Run: "barrier", Procs: 32, Iterations: 5}} {
+		if _, err := Canonicalize(s); err != nil {
+			t.Errorf("spec %+v rejected: %v", s, err)
+		}
+	}
+}
+
+// TestCanonicalizeSpellings: every spelling the -protocol, -lock,
+// -barrier and -reduction flags or a JSON spec may use, in any case.
+func TestCanonicalizeSpellings(t *testing.T) {
+	for _, c := range []struct{ run, algo, protocol, wantAlgo, wantProtocol string }{
+		{"lock", "", "", "tk", "WI"},
+		{"lock", "Ticket", "wi", "tk", "WI"},
+		{"lock", "TK", "i", "tk", "WI"},
+		{"lock", "mcs", "I", "mcs", "WI"},
+		{"lock", "uc", "PU", "ucmcs", "PU"},
+		{"lock", "UCMCS", "pu", "ucmcs", "PU"},
+		{"barrier", "", "u", "db", "PU"},
+		{"barrier", "central", "U", "cb", "PU"},
+		{"barrier", "Dissemination", "CU", "db", "CU"},
+		{"barrier", "tree", "cu", "tb", "CU"},
+		{"reduction", "", "c", "sr", "CU"},
+		{"reduction", "sequential", "C", "sr", "CU"},
+		{"reduction", "Parallel", " wi ", "pr", "WI"},
+	} {
+		got, err := Canonicalize(JobSpec{Run: c.run, Algo: c.algo, Protocol: c.protocol})
+		if err != nil || got.Algo != c.wantAlgo || got.Protocol != c.wantProtocol {
+			t.Errorf("%+v: canonical algo %q protocol %q, err %v", c, got.Algo, got.Protocol, err)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"coherencesim/internal/experiments"
+	"coherencesim/internal/machine"
 	"coherencesim/internal/metrics"
 	"coherencesim/internal/proto"
 	"coherencesim/internal/runner"
@@ -20,23 +21,35 @@ import (
 // tests can substitute stub executors.
 type ExecFunc func(ctx context.Context, spec JobSpec, simWorkers int, progress func(runner.Snapshot)) (*JobResult, error)
 
-// Execute is the production executor: it decodes the canonical spec
-// into experiments.Options (or a single workload run), fans the sweep's
+// Execute is the executor — the daemon's, the fleet coordinator's and
+// coherencesim's: it decodes the canonical spec into
+// experiments.Options (or a single workload run), fans the sweep's
 // simulations onto a context-bound runner pool, and assembles the
 // deterministic result document. Cancellation is observed between
 // simulations — a spec's individual simulation is never interrupted
 // mid-event — and a cancelled job returns ctx.Err() with no result.
 func Execute(ctx context.Context, spec JobSpec, simWorkers int, progress func(runner.Snapshot)) (*JobResult, error) {
-	return executeSpec(ctx, spec, simWorkers, progress, nil)
+	return BatchExecutor()(ctx, spec, simWorkers, progress) // a batch of one
+}
+
+// BatchExecutor returns an Execute for the jobs of one batch (the
+// figures of coherencesim -experiment all): its warm-forked sweeps share
+// one memo, so a point two of them have in common is simulated once.
+func BatchExecutor() ExecFunc {
+	forks := experiments.NewWarmForkCache()
+	return func(ctx context.Context, spec JobSpec, simWorkers int, progress func(runner.Snapshot)) (*JobResult, error) {
+		return executeSpec(ctx, spec, simWorkers, progress, nil, forks)
+	}
 }
 
 // executeSpec is Execute with an optional point dispatcher: when
 // non-nil, decomposable sweeps hand their points to it (the fleet path)
 // instead of the local pool. Everything else — rendering, assembly
-// order, collectors — is shared, so the two paths cannot drift.
-func executeSpec(ctx context.Context, spec JobSpec, simWorkers int, progress func(runner.Snapshot), dispatch experiments.PointDispatcher) (*JobResult, error) {
+// order, collectors, the warm-fork memo — is shared and cannot drift.
+func executeSpec(ctx context.Context, spec JobSpec, simWorkers int, progress func(runner.Snapshot), dispatch experiments.PointDispatcher, forks *experiments.WarmForkCache) (*JobResult, error) {
 	if spec.Kind == "run" {
-		return executeRun(ctx, spec)
+		res, _, err := ExecuteRun(ctx, spec, nil)
+		return res, err
 	}
 	entry, ok := experiments.Lookup(spec.Experiment)
 	if !ok {
@@ -47,16 +60,14 @@ func executeSpec(ctx context.Context, spec JobSpec, simWorkers int, progress fun
 		o = experiments.Quick()
 	}
 	o.Runner = runner.NewWithContext(ctx, simWorkers)
-	if progress != nil {
-		o.Runner.SetProgress(progress)
-	}
+	o.Runner.SetProgress(progress)
 	o.Dispatch = dispatch
 	o.Metrics = metrics.NewCollector(sim.Time(spec.MetricsInterval))
 	if spec.Breakdown {
 		o.Breakdown = trace.NewBreakdownCollector()
 	}
 	if spec.WarmFork {
-		o.Forks = experiments.NewWarmForkCache()
+		o.Forks = forks
 	}
 
 	res := &JobResult{}
@@ -80,90 +91,102 @@ func executeSpec(ctx context.Context, spec JobSpec, simWorkers int, progress fun
 	return res, nil
 }
 
-// executeRun handles kind=run: one (construct, protocol, size)
-// simulation, the API form of the CLI's -run mode, with the same
-// rendered summary lines.
-func executeRun(ctx context.Context, spec JobSpec) (*JobResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var pr proto.Protocol
-	switch spec.Protocol {
-	case "WI":
-		pr = proto.WI
-	case "PU":
-		pr = proto.PU
-	case "CU":
-		pr = proto.CU
-	default:
-		return nil, fmt.Errorf("unknown protocol %q", spec.Protocol)
-	}
-	interval := sim.Time(spec.MetricsInterval)
-	var b strings.Builder
-	coll := metrics.NewCollector(interval)
-	var bcoll *trace.BreakdownCollector
-	if spec.Breakdown {
-		bcoll = trace.NewBreakdownCollector()
-	}
-	label := fmt.Sprintf("run/%s/%s-%s/P=%d", spec.Run, spec.Algo, strings.ToLower(spec.Protocol), spec.Procs)
-
-	switch spec.Run {
-	case "lock":
-		kinds := map[string]workload.LockKind{"tk": workload.Ticket, "mcs": workload.MCS, "ucmcs": workload.UpdateConsciousMCS}
-		p := workload.DefaultLockParams(pr, spec.Procs)
-		if spec.Iterations > 0 {
-			p.Iterations = spec.Iterations
-		}
-		p.MetricsInterval = interval
-		p.Breakdown = spec.Breakdown
-		r := workload.LockLoop(p, kinds[spec.Algo])
-		fmt.Fprintf(&b, "%v lock, %v, P=%d: %d acquires\n", kinds[spec.Algo], pr, spec.Procs, r.Acquires)
-		fmt.Fprintf(&b, "  avg acquire-release latency: %.1f cycles\n", r.AvgLatency)
-		writeTraffic(&b, r.Misses.Total(), r.Updates.Total(), r.Result.Net.Messages)
-		coll.Add(label, r.Result.Metrics)
-		bcoll.Add(label, r.Result.Breakdown)
-	case "barrier":
-		kinds := map[string]workload.BarrierKind{"cb": workload.Central, "db": workload.Dissemination, "tb": workload.Tree}
-		p := workload.DefaultBarrierParams(pr, spec.Procs)
-		if spec.Iterations > 0 {
-			p.Iterations = spec.Iterations
-		}
-		p.MetricsInterval = interval
-		p.Breakdown = spec.Breakdown
-		r := workload.BarrierLoop(p, kinds[spec.Algo])
-		fmt.Fprintf(&b, "%v barrier, %v, P=%d: %d episodes\n", kinds[spec.Algo], pr, spec.Procs, r.Episodes)
-		fmt.Fprintf(&b, "  avg episode latency: %.1f cycles\n", r.AvgLatency)
-		writeTraffic(&b, r.Misses.Total(), r.Updates.Total(), r.Net.Messages)
-		coll.Add(label, r.Result.Metrics)
-		bcoll.Add(label, r.Result.Breakdown)
-	case "reduction":
-		kinds := map[string]workload.ReductionKind{"sr": workload.Sequential, "pr": workload.Parallel}
-		p := workload.DefaultReductionParams(pr, spec.Procs)
-		if spec.Iterations > 0 {
-			p.Iterations = spec.Iterations
-		}
-		p.MetricsInterval = interval
-		p.Breakdown = spec.Breakdown
-		r := workload.ReductionLoop(p, kinds[spec.Algo])
-		fmt.Fprintf(&b, "%v reduction, %v, P=%d: %d reductions\n", kinds[spec.Algo], pr, spec.Procs, r.Reductions)
-		fmt.Fprintf(&b, "  avg reduction latency: %.1f cycles\n", r.AvgLatency)
-		writeTraffic(&b, r.Misses.Total(), r.Updates.Total(), r.Net.Messages)
-		coll.Add(label, r.Result.Metrics)
-		bcoll.Add(label, r.Result.Breakdown)
-	default:
-		return nil, fmt.Errorf("unknown run kind %q", spec.Run)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res := &JobResult{Output: b.String(), Metrics: coll.Report()}
-	if bcoll != nil {
-		res.Breakdown = bcoll.Report()
-	}
-	return res, nil
+// runKind is one row of the kind=run surface: the spellings a construct
+// family accepts for its algorithms (naming none is the default's), how
+// its summary lines word the count and the latency, and the workload
+// that simulates it.
+type runKind struct {
+	algos            map[string]string // accepted spelling -> canonical code
+	counted, latency string
+	params           func(proto.Protocol, int) workload.Params
+	// loop simulates the canonical algo: its paper label, the machine's
+	// result, how many operations were counted, their average latency.
+	loop func(p workload.Params, algo string) (string, machine.Result, int, float64)
 }
 
-func writeTraffic(b *strings.Builder, misses, updates, messages uint64) {
-	fmt.Fprintf(b, "  miss/upgrade transactions: %s   update messages: %s   network messages: %s\n",
-		stats.FormatCount(misses), stats.FormatCount(updates), stats.FormatCount(messages))
+var runKinds = map[string]runKind{
+	"lock": {
+		algos:   map[string]string{"": "tk", "tk": "tk", "ticket": "tk", "mcs": "mcs", "uc": "ucmcs", "ucmcs": "ucmcs"},
+		counted: "acquires", latency: "acquire-release",
+		params: workload.DefaultLockParams,
+		loop: func(p workload.Params, algo string) (string, machine.Result, int, float64) {
+			k := map[string]workload.LockKind{"tk": workload.Ticket, "mcs": workload.MCS, "ucmcs": workload.UpdateConsciousMCS}[algo]
+			r := workload.LockLoop(p, k)
+			return k.String(), r.Result, r.Acquires, r.AvgLatency
+		},
+	},
+	"barrier": {
+		algos:   map[string]string{"": "db", "cb": "cb", "central": "cb", "db": "db", "dissemination": "db", "tb": "tb", "tree": "tb"},
+		counted: "episodes", latency: "episode",
+		params: workload.DefaultBarrierParams,
+		loop: func(p workload.Params, algo string) (string, machine.Result, int, float64) {
+			k := map[string]workload.BarrierKind{"cb": workload.Central, "db": workload.Dissemination, "tb": workload.Tree}[algo]
+			r := workload.BarrierLoop(p, k)
+			return k.String(), r.Result, r.Episodes, r.AvgLatency
+		},
+	},
+	"reduction": {
+		algos:   map[string]string{"": "sr", "sr": "sr", "sequential": "sr", "pr": "pr", "parallel": "pr"},
+		counted: "reductions", latency: "reduction",
+		params: workload.DefaultReductionParams,
+		loop: func(p workload.Params, algo string) (string, machine.Result, int, float64) {
+			k := map[string]workload.ReductionKind{"sr": workload.Sequential, "pr": workload.Parallel}[algo]
+			r := workload.ReductionLoop(p, k)
+			return k.String(), r.Result, r.Reductions, r.AvgLatency
+		},
+	},
+}
+
+// protocols maps every accepted protocol spelling (upper-cased; naming
+// none is WI) to the protocol, whose String is the canonical spelling.
+var protocols = map[string]proto.Protocol{
+	"": proto.WI, "WI": proto.WI, "I": proto.WI,
+	"PU": proto.PU, "U": proto.PU,
+	"CU": proto.CU, "C": proto.CU,
+}
+
+// runLabel names a kind=run simulation in the metrics and breakdown
+// reports: run/<run>/<algo>-<protocol>/P=<n>, canonical spellings.
+func runLabel(spec JobSpec) string {
+	return fmt.Sprintf("run/%s/%s-%s/P=%d", spec.Run, spec.Algo, strings.ToLower(spec.Protocol), spec.Procs)
+}
+
+// ExecuteRun is Execute for a canonical kind=run spec — one (construct,
+// protocol, size) simulation — that also returns the machine's result.
+// tune (nil for the daemon) adjusts the machine configuration first: how
+// coherencesim attaches its run-only instruments to the shared path.
+func ExecuteRun(ctx context.Context, spec JobSpec, tune func(*machine.Config)) (*JobResult, machine.Result, error) {
+	kind, pr := runKinds[spec.Run], protocols[spec.Protocol]
+	if kind.algos[spec.Algo] != spec.Algo || spec.Algo == "" || spec.Protocol != pr.String() {
+		return nil, machine.Result{}, fmt.Errorf("run spec %+v is not canonical", spec)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, machine.Result{}, err
+	}
+	p := kind.params(pr, spec.Procs)
+	if spec.Iterations > 0 {
+		p.Iterations = spec.Iterations
+	}
+	p.MetricsInterval = sim.Time(spec.MetricsInterval)
+	p.Breakdown = spec.Breakdown
+	p.Tune = tune
+	name, r, n, avg := kind.loop(p, spec.Algo)
+	if err := ctx.Err(); err != nil {
+		return nil, machine.Result{}, err
+	}
+
+	label := runLabel(spec)
+	coll := metrics.NewCollector(p.MetricsInterval)
+	coll.Add(label, r.Metrics)
+	res := &JobResult{Metrics: coll.Report()}
+	res.Output = fmt.Sprintf("%s %s, %v, P=%d: %d %s\n  avg %s latency: %.1f cycles\n"+
+		"  miss/upgrade transactions: %s   update messages: %s   network messages: %s\n",
+		name, spec.Run, pr, spec.Procs, n, kind.counted, kind.latency, avg,
+		stats.FormatCount(r.Misses.Total()), stats.FormatCount(r.Updates.Total()), stats.FormatCount(r.Net.Messages))
+	if spec.Breakdown {
+		bcoll := trace.NewBreakdownCollector()
+		bcoll.Add(label, r.Breakdown)
+		res.Breakdown = bcoll.Report()
+	}
+	return res, r, nil
 }

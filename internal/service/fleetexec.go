@@ -27,7 +27,7 @@ func NewFleetExec(base ExecFunc, coord *fleet.Coordinator) ExecFunc {
 			return base(ctx, spec, simWorkers, progress)
 		}
 		session := &fleetSession{ctx: ctx, coord: coord, progress: progress, start: time.Now()}
-		res, err := executeSpec(ctx, spec, simWorkers, progress, session.dispatch)
+		res, err := executeSpec(ctx, spec, simWorkers, progress, session.dispatch, experiments.NewWarmForkCache())
 		if err != nil {
 			return nil, err
 		}

@@ -183,8 +183,7 @@ func (s *Server) doneResult(w http.ResponseWriter, id string) (json.RawMessage, 
 
 // handleBreakdown is GET /v1/jobs/{id}/breakdown: the completed job's
 // stall-attribution breakdown document, replayed byte-identically from
-// the stored result (structurally identical to the CLI's -breakdown-out
-// file for the equivalent invocation).
+// the stored result (JobResult.Breakdown).
 func (s *Server) handleBreakdown(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	result, ok := s.doneResult(w, id)
@@ -368,11 +367,9 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	for _, run := range []string{"lock", "barrier", "reduction"} {
-		algos := make([]string, 0, len(algoAliases[run]))
-		seen := map[string]bool{}
-		for _, canon := range algoAliases[run] {
-			if !seen[canon] {
-				seen[canon] = true
+		var algos []string
+		for spelling, canon := range runKinds[run].algos {
+			if spelling == canon { // a canonical code spells itself
 				algos = append(algos, canon)
 			}
 		}

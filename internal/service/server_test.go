@@ -4,15 +4,19 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"coherencesim/internal/experiments"
 	"coherencesim/internal/runner"
 )
 
@@ -135,7 +139,8 @@ func TestSubmitPollCacheHit(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	ts, _ := newTestServer(t, Config{}, stubExec(nil, nil))
+	dir := t.TempDir()
+	ts, svc := newTestServer(t, Config{DataDir: dir}, stubExec(nil, nil))
 	bad := []string{
 		``,                                 // empty body
 		`{`,                                // malformed JSON
@@ -144,12 +149,21 @@ func TestSubmitValidation(t *testing.T) {
 		`{"experiment":"fig8","zzz":1}`,    // unknown field
 		`{"run":"lock","protocol":"MESI"}`, // unknown protocol
 		`{"run":"lock","procs":999}`,       // out of range
+		// No acquire for any processor: once answered "done" with a NaN
+		// latency, and stored.
+		`{"run":"lock","procs":32,"iterations":5}`,
 	}
 	for _, spec := range bad {
 		resp, _ := postJob(t, ts, spec)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("spec %q: HTTP %d, want 400", spec, resp.StatusCode)
 		}
+	}
+	if c := svc.Scheduler().Counters(); c.Submitted != 0 || c.Queued != 0 || c.Running != 0 {
+		t.Errorf("rejected specs reached the scheduler: %+v", c)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("store directory holds %d entries (%v) after rejections only", len(entries), err)
 	}
 }
 
@@ -406,6 +420,57 @@ func TestRealExecuteQuickRun(t *testing.T) {
 	}
 	if !strings.Contains(res.Output, "lock") || res.Metrics == nil || len(res.Metrics.Runs) != 1 {
 		t.Errorf("run result = %q metrics %v", res.Output, res.Metrics)
+	}
+	// A spec that skipped Canonicalize is refused, not simulated.
+	for _, raw := range []JobSpec{
+		{Kind: "run", Run: "nope", Protocol: "WI", Procs: 4},
+		{Kind: "run", Run: "lock", Protocol: "WI", Procs: 4},
+		{Kind: "run", Run: "lock", Algo: "ticket", Protocol: "WI", Procs: 4},
+		{Kind: "run", Run: "lock", Algo: "tk", Protocol: "wi", Procs: 4},
+	} {
+		if _, err := Execute(context.Background(), raw, 1, nil); err == nil {
+			t.Errorf("non-canonical spec %+v executed", raw)
+		}
+	}
+}
+
+// TestBatchExecutorSharesWarmForks: figure 10 asks for figure 9's points,
+// so on one memo it simulates nothing new, and a batch serves the bytes
+// separate Executes do.
+func TestBatchExecutorSharesWarmForks(t *testing.T) {
+	ctx, forks, batch := context.Background(), experiments.NewWarmForkCache(), BatchExecutor()
+	var simulated []int
+	for _, name := range []string{"fig9", "fig10"} {
+		spec := canonical(t, JobSpec{Experiment: name, WarmFork: true})
+		var docs [3][]byte
+		for i, run := range []ExecFunc{Execute, batch, func(ctx context.Context, spec JobSpec, w int, p func(runner.Snapshot)) (*JobResult, error) {
+			return executeSpec(ctx, spec, w, p, nil, forks)
+		}} {
+			res, err := run(ctx, spec, 2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs[i], _ = json.Marshal(res)
+		}
+		if !bytes.Equal(docs[0], docs[1]) || !bytes.Equal(docs[0], docs[2]) {
+			t.Errorf("%s: a shared memo changed the result", name)
+		}
+		simulated = append(simulated, forks.Checkpoints())
+	}
+	if simulated[0] == 0 || simulated[1] != simulated[0] {
+		t.Errorf("distinct points simulated after fig9, fig10 = %v; fig10 must add none", simulated)
+	}
+}
+
+// TestRunDocumentGolden pins a whole kind=run job document as the daemon
+// serves and stores it: id, canonical spec, summary, metrics report and
+// breakdown report.
+func TestRunDocumentGolden(t *testing.T) {
+	ts, _ := newTestServer(t, Config{}, Execute)
+	_, doc := postJob(t, ts, `{"run":"lock","algo":"mcs","protocol":"cu","procs":8,"iterations":500,"breakdown":true}`)
+	sum := sha256.Sum256(pollDone(t, ts, doc.ID))
+	if got := hex.EncodeToString(sum[:]); got != goldenRunLockDocHash {
+		t.Errorf("run/lock document sha256 = %s, want %s", got, goldenRunLockDocHash)
 	}
 }
 

@@ -1,11 +1,10 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
-	"coherencesim/internal/sim"
+	"coherencesim/internal/metrics"
 )
 
 // This file exports the tracer's retained transaction spans and
@@ -14,39 +13,18 @@ import (
 // transaction that released it, so the UI draws the causal link from a
 // coherence transaction's completion to the processor it woke.
 
-// txnEvent is the trace-event wire shape. Unlike metrics.traceEvent it
-// carries the flow-event fields (id, bp).
-type txnEvent struct {
-	Name  string         `json:"name"`
-	Phase string         `json:"ph"`
-	Ts    sim.Time       `json:"ts"`
-	Dur   *sim.Time      `json:"dur,omitempty"`
-	Pid   int            `json:"pid"`
-	Tid   int            `json:"tid"`
-	Cat   string         `json:"cat,omitempty"`
-	ID    string         `json:"id,omitempty"`
-	BP    string         `json:"bp,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-type txnTraceDoc struct {
-	Envelope        Envelope   `json:"envelope"`
-	TraceEvents     []txnEvent `json:"traceEvents"`
-	DisplayTimeUnit string     `json:"displayTimeUnit"`
-}
-
 // WriteTxnChromeTrace writes the flow-linked transaction timeline for a
 // traced run. Output is deterministic: spans are in completion order,
 // stalls in event order, and flow edges reference transaction IDs.
 func WriteTxnChromeTrace(w io.Writer, t *Tracer, protocol string) error {
 	procs := t.Procs()
-	events := make([]txnEvent, 0, 2*len(t.Spans())+2*len(t.Stalls())+procs+1)
-	events = append(events, txnEvent{
+	events := make([]metrics.ChromeEvent, 0, 2*len(t.Spans())+2*len(t.Stalls())+procs+1)
+	events = append(events, metrics.ChromeEvent{
 		Name: "process_name", Phase: "M", Pid: 0, Tid: 0,
 		Args: map[string]any{"name": "coherencesim transactions"},
 	})
 	for p := 0; p < procs; p++ {
-		events = append(events, txnEvent{
+		events = append(events, metrics.ChromeEvent{
 			Name: "thread_name", Phase: "M", Pid: 0, Tid: p,
 			Args: map[string]any{"name": fmt.Sprintf("proc %d", p)},
 		})
@@ -63,7 +41,7 @@ func WriteTxnChromeTrace(w io.Writer, t *Tracer, protocol string) error {
 	for i := range spans {
 		s := &spans[i]
 		dur := s.End - s.Issue
-		events = append(events, txnEvent{
+		events = append(events, metrics.ChromeEvent{
 			Name: s.Kind.String(), Phase: "X", Ts: s.Issue, Dur: &dur,
 			Pid: 0, Tid: s.Proc, Cat: "txn",
 			Args: map[string]any{
@@ -73,7 +51,7 @@ func WriteTxnChromeTrace(w io.Writer, t *Tracer, protocol string) error {
 		})
 		for _, tg := range s.Targets {
 			d := tg.Acked - tg.Sent
-			events = append(events, txnEvent{
+			events = append(events, metrics.ChromeEvent{
 				Name: s.Fan.fanName(), Phase: "X", Ts: tg.Sent, Dur: &d,
 				Pid: 0, Tid: tg.Target, Cat: "fanout",
 				Args: map[string]any{"txn": uint32(s.ID)},
@@ -83,7 +61,7 @@ func WriteTxnChromeTrace(w io.Writer, t *Tracer, protocol string) error {
 
 	for _, st := range t.Stalls() {
 		d := st.End - st.Start
-		events = append(events, txnEvent{
+		events = append(events, metrics.ChromeEvent{
 			Name: st.Cat.String(), Phase: "X", Ts: st.Start, Dur: &d,
 			Pid: 0, Tid: st.Proc, Cat: "stall",
 		})
@@ -96,17 +74,12 @@ func WriteTxnChromeTrace(w io.Writer, t *Tracer, protocol string) error {
 		}
 		id := fmt.Sprintf("txn-%d", uint32(st.By))
 		events = append(events,
-			txnEvent{Name: "release", Phase: "s", Ts: rel.End, Pid: 0, Tid: rel.Proc, Cat: "flow", ID: id},
-			txnEvent{Name: "release", Phase: "f", BP: "e", Ts: st.End, Pid: 0, Tid: st.Proc, Cat: "flow", ID: id},
+			metrics.ChromeEvent{Name: "release", Phase: "s", Ts: rel.End, Pid: 0, Tid: rel.Proc, Cat: "flow", ID: id},
+			metrics.ChromeEvent{Name: "release", Phase: "f", BP: "e", Ts: st.End, Pid: 0, Tid: st.Proc, Cat: "flow", ID: id},
 		)
 	}
 
-	doc := txnTraceDoc{
-		Envelope:        Envelope{Schema: TraceSchemaVersion, Kind: "txn-timeline", Protocol: protocol},
-		TraceEvents:     events,
-		DisplayTimeUnit: "ms",
-	}
-	return json.NewEncoder(w).Encode(doc)
+	return metrics.EncodeChromeTrace(w, Envelope{Schema: TraceSchemaVersion, Kind: "txn-timeline", Protocol: protocol}, events)
 }
 
 // fanName labels a fan-out leg slice.
