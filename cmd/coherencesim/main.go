@@ -81,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		quick      = fs.Bool("quick", false, "reduced iteration counts (~20x faster, same shapes)")
 		format     = fs.String("format", "table", "output format for fig8/fig11/fig14 and traffic figures: table or csv")
 		parallel   = fs.Int("parallel", 0, "simulation worker pool size: 0 = NumCPU, 1 = pure serial")
-		warmfork   = fs.Bool("warmfork", false, "run each sweep point as warm-up and measured rest on one machine and simulate identical points once per invocation (deterministic, but figures differ slightly from the single-phase defaults)")
+		warmfork   = fs.Bool("warmfork", false, "run each sweep point as two phases on one machine, warm-up and measured rest (deterministic, but figures differ slightly from the single-phase defaults)")
 		progress   = fs.Bool("progress", false, "report per-job progress (with ETA and sim-cycle throughput) and per-figure wall time on stderr")
 		runKind    = fs.String("run", "", "single run: lock, barrier, or reduction")
 		lockKind   = fs.String("lock", "tk", "lock for -run lock: tk, mcs, ucmcs")
@@ -268,9 +268,9 @@ func printExperimentList(w io.Writer) {
 // runExperiments executes the specs in order and prints each one's
 // output, under an "== name ==" header when there are several
 // (-experiment all); their metrics and breakdown runs are concatenated
-// into one report each, and warm-forked sweeps among them share one memo.
-// progress, when non-nil, also turns on the per-figure wall-time lines on
-// stderr.
+// into one report each, and they share one point memo, so a simulation
+// two figures have in common happens once. progress, when non-nil, also
+// turns on the per-figure wall-time lines on stderr.
 func runExperiments(ctx context.Context, specs []service.JobSpec, workers int, progress func(runner.Snapshot), ob outputs, stdout, stderr io.Writer) error {
 	var all *service.JobResult
 	execute := service.BatchExecutor()

@@ -6,12 +6,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"coherencesim/internal/experiments"
 	"coherencesim/internal/metrics"
 	"coherencesim/internal/service"
 )
@@ -204,9 +206,9 @@ func TestSingleRunObservability(t *testing.T) {
 	}
 }
 
-// TestCLIMatchesExecute: the CLI is flags in front of service.Execute,
-// so what it prints and writes is the executor's result for the
-// canonical spec, byte for byte.
+// TestCLIMatchesExecute: the CLI is flags in front of the executor
+// (service.BatchExecutor), so what it prints and writes is the
+// executor's result for the canonical spec, byte for byte.
 func TestCLIMatchesExecute(t *testing.T) {
 	dir := t.TempDir()
 	metricsOut, breakdownOut := filepath.Join(dir, "m.json"), filepath.Join(dir, "b.json")
@@ -225,7 +227,7 @@ func TestCLIMatchesExecute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := service.Execute(context.Background(), spec, 2, nil)
+		want, err := service.BatchExecutor()(context.Background(), spec, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +241,7 @@ func TestCLIMatchesExecute(t *testing.T) {
 			want.Breakdown.Protocol = spec.Protocol
 		}
 		if stdout != want.Output {
-			t.Errorf("%s: stdout differs from Execute's Output:\n%s\nwant:\n%s", c.args, stdout, want.Output)
+			t.Errorf("%s: stdout differs from the executor's Output:\n%s\nwant:\n%s", c.args, stdout, want.Output)
 		}
 		for path, write := range map[string]func(io.Writer) error{
 			metricsOut:   want.Metrics.WriteJSON,
@@ -260,30 +262,81 @@ func TestCLIMatchesExecute(t *testing.T) {
 	}
 }
 
-// TestExperimentMetricsExport drives the experiment path end to end:
-// the report is written and is deterministic across worker counts.
-func TestExperimentMetricsExport(t *testing.T) {
+// TestExperimentsDeterministicAcrossWorkers: what -experiment prints and
+// exports is byte-identical at -parallel 1 and 4 — through the point
+// memo, whose single-flight races must never reach a result — the
+// two-phase fig9 matches its golden, and -experiment all, which shares
+// one memo across its figures, prints exactly what the figures print one
+// invocation each.
+func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 	dir := t.TempDir()
-	runOnce := func(workers, out string) []byte {
-		path := filepath.Join(dir, out)
-		mustCLI(t, "-experiment", "fig8", "-quick", "-parallel", workers, "-metrics-out", path, "-metrics-interval", "1000")
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	a := runOnce("1", "a.json")
-	b := runOnce("4", "b.json")
-	if string(a) != string(b) {
-		t.Error("experiment metrics differ across worker counts")
-	}
-	var rep metrics.Report
-	if err := json.Unmarshal(a, &rep); err != nil {
+	golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "warmfork_fig9_quick.golden"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Runs) == 0 || rep.Interval != 1000 {
-		t.Errorf("%d runs at interval %d", len(rep.Runs), rep.Interval)
+	var all string
+	for _, c := range []struct {
+		args     string
+		interval string // also export the metrics report, sampled at this interval
+		want     string // the committed stdout, if there is one
+	}{
+		{args: "-experiment fig8 -quick", interval: "1000"},
+		{args: "-experiment extlocks -quick"},
+		{args: "-experiment fig9 -quick -warmfork", want: string(golden)},
+		{args: "-experiment all -quick", interval: "10000"},
+	} {
+		isAll := strings.HasPrefix(c.args, "-experiment all ")
+		if isAll && testing.Short() {
+			continue
+		}
+		var stdout [2]string
+		var report [2][]byte
+		for i, workers := range []string{"1", "4"} {
+			args := append(strings.Fields(c.args), "-parallel", workers)
+			path := filepath.Join(dir, "m"+workers+".json")
+			if c.interval != "" {
+				args = append(args, "-metrics-out", path, "-metrics-interval", c.interval)
+			}
+			if stdout[i] = mustCLI(t, args...); stdout[i] == "" {
+				t.Errorf("%s: no output", c.args)
+			}
+			if c.interval != "" {
+				if report[i], err = os.ReadFile(path); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if stdout[0] != stdout[1] {
+			t.Errorf("%s: stdout differs between -parallel 1 and 4", c.args)
+		}
+		if !bytes.Equal(report[0], report[1]) {
+			t.Errorf("%s: metrics report differs between -parallel 1 and 4", c.args)
+		}
+		if c.want != "" && stdout[0] != c.want {
+			t.Errorf("%s: stdout drifted from the golden:\n%s", c.args, stdout[0])
+		}
+		if c.interval != "" {
+			var rep metrics.Report
+			if err := json.Unmarshal(report[0], &rep); err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Runs) == 0 || fmt.Sprint(rep.Interval) != c.interval {
+				t.Errorf("%s: %d runs at interval %d, want some at %s", c.args, len(rep.Runs), rep.Interval, c.interval)
+			}
+		}
+		if isAll {
+			all = stdout[0]
+		}
+	}
+	if testing.Short() {
+		return
+	}
+	var each strings.Builder
+	for _, e := range experiments.Catalog() {
+		fmt.Fprintf(&each, "== %s (%s) ==\n%s", e.Name, e.Description, mustCLI(t, "-experiment", e.Name, "-quick", "-parallel", "2"))
+	}
+	if all != each.String() {
+		t.Error("-experiment all -quick differs from its figures run one invocation each")
 	}
 }
 

@@ -129,10 +129,13 @@ type MachineSnapshot = machine.Snapshot
 // Machine-level forking and warm-forked sweeps. WarmLockLoop splits a
 // lock loop into a warm-up phase (snapshotted once) plus a measured
 // rest phase forked per Run() — the fork facility for callers that
-// want many continuations of one prefix. Sweeps do not use it:
-// WarmForkCache (attach one to ExperimentOptions.Forks) runs each point
-// as the same two phases on one machine and memoizes the result per
-// identical point.
+// want many continuations of one prefix. Sweeps do not use it. A
+// WarmForkCache is the sweep-level point memo: attached to
+// ExperimentOptions.Memo it simulates each distinct point once for as
+// long as the caller keeps it (figures 9 and 10 then cost nothing after
+// figure 8) without changing a byte; attached to ExperimentOptions.Forks
+// it also selects the two-phase run of each point on one machine. With
+// neither set, every point is simulated.
 type (
 	LockVariant   = workload.LockVariant
 	WarmForkCache = experiments.WarmForkCache

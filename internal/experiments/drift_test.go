@@ -19,9 +19,9 @@ func TestQuickCoversDefaults(t *testing.T) {
 	for i := 0; i < dv.NumField(); i++ {
 		name := dv.Type().Field(i).Name
 		switch name {
-		case "Procs", "Runner", "Metrics", "Breakdown", "Forks", "Dispatch":
+		case "Procs", "Runner", "Metrics", "Breakdown", "Memo", "Forks", "Dispatch":
 			// Procs is checked structurally below; Runner, Metrics,
-			// Breakdown, Forks, and Dispatch are execution/observation
+			// Breakdown, Memo, Forks, and Dispatch are execution/observation
 			// policy, not experiment scale.
 			continue
 		}

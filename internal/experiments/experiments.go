@@ -44,12 +44,15 @@ type Options struct {
 	// submission-ordered assembly loops, so the report is byte-identical
 	// at any worker count.
 	Breakdown *trace.BreakdownCollector
-	// Forks, when non-nil, runs every point as two phases on one machine
-	// (warm-up, then the rest) and memoizes results per identical point,
-	// so figures that re-request a point simulate it once. Opt-in:
-	// two-phase figures are deterministic at any worker count but differ
-	// slightly from the default single-phase figures (the phase boundary
-	// re-synchronizes processors), so nil keeps the classic execution.
+	// Memo, when non-nil, remembers every point's result, so a point that
+	// comes round again — in another figure of the triplet, in a later
+	// job of the memo's owner — is simulated once; output never changes.
+	Memo *WarmForkCache
+	// Forks, when non-nil, selects the two-phase run: every point runs as
+	// warm-up, then the rest, on one machine — deterministic at any
+	// worker count but slightly different from the default single-phase
+	// figures (the phase boundary re-synchronizes processors). Forks is
+	// also the memo of such a sweep and takes Memo's place.
 	Forks *WarmForkCache
 	// Dispatch, when non-nil, executes a sweep's decomposed points
 	// instead of the local pool — the fleet coordinator installs one to

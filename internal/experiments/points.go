@@ -107,15 +107,14 @@ func (pt Point) params(p workload.Params) workload.Params {
 	return p
 }
 
-// RunPointForked executes one point, through forks when the point opts
-// in (WarmFork) — the local sweep's and the fleet worker's entry. The
-// memo is keyed by every simulation-shaping field, so a cache that
-// outlives one batch turns each repeated point of a batch stream into a
-// lookup. A nil cache, or a point that did not opt in, simulates
-// unconditionally. Results are byte-identical either way — the memo
-// saves the simulation, never changes its output.
+// RunPointForked executes one point through the caller's result memo —
+// the local sweep's and the fleet worker's entry. The memo is keyed by
+// every simulation-shaping field, so one that outlives a batch turns
+// each repeated point of a job stream into a lookup; nil simulates
+// unconditionally. The memo saves the simulation, never changes its
+// output; one phase or two is the point's own WarmFork field.
 func RunPointForked(ctx context.Context, pt Point, forks *WarmForkCache) (PointResult, error) {
-	if !pt.WarmFork || forks == nil {
+	if forks == nil {
 		return pt.simulate()
 	}
 	return forks.run(ctx, pt, pt.simulate)
@@ -175,11 +174,15 @@ func (pt Point) simulate() (PointResult, error) {
 
 // runPoints executes a decomposed sweep: through the installed
 // dispatcher when one is set (the fleet path), otherwise on the local
-// pool through the batch-shared result memo. Either way results come
-// back in submission order, so assembly is identical.
+// pool through the caller's memo (Forks if set, else Memo). Either way
+// results come back in submission order, so assembly is identical.
 func (o Options) runPoints(pts []Point) []PointResult {
 	if o.Dispatch != nil {
 		return o.Dispatch(pts)
+	}
+	memo := o.Forks
+	if memo == nil {
+		memo = o.Memo
 	}
 	jobs := make([]runner.Job[PointResult], len(pts))
 	for i := range pts {
@@ -189,7 +192,7 @@ func (o Options) runPoints(pts []Point) []PointResult {
 			Run: func() PointResult {
 				// Family and kind are constructed by this package, so a
 				// failure here is a bug in the sweep that built pt.
-				res, err := RunPointForked(o.Runner.Context(), pt, o.Forks)
+				res, err := RunPointForked(o.Runner.Context(), pt, memo)
 				if err != nil {
 					panic(fmt.Sprintf("experiments: point %q: %v", pt.Label, err))
 				}

@@ -3,25 +3,38 @@ package experiments
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 )
 
-// WarmForkCache memoizes the results of warm_fork points across an
-// experiment batch. Many figures rerun the same (construct, protocol,
-// size) simulation — figures 9 and 10 share every lock-traffic point,
-// figure 8's largest size repeats them — and the simulator is
-// deterministic, so with a cache attached (Options.Forks) each distinct
-// point is simulated once, as warm-up and remainder on one machine
-// (workload.TwoPhase*), and every later request returns the stored
-// PointResult. Memoized results share their metrics and breakdown
-// snapshots; consumers treat them as read-only.
+// memoCap bounds a memo, in points: a quick-scale result is 1-7 KB and
+// the largest working set in the tree (bench's service_mix) is 270.
+const memoCap = 512
+
+// WarmForkCache is the point-result memo. The simulator is
+// deterministic, so whoever holds one simulates each distinct point once
+// and answers every later request for it — from another figure of the
+// triplet (figures 9 and 10 share every lock-traffic point, figure 8's
+// largest size repeats them), another job, another shard — with the
+// stored PointResult. The key is the whole Point with Label cleared, so
+// warm_fork, metrics_interval and breakdown variants never alias.
+// Memoized results share their metrics and breakdown snapshots;
+// consumers treat them as read-only.
 //
-// Two-phase runs are deterministic at any worker count but not
-// byte-identical to default single-phase runs (the phase boundary
-// re-synchronizes processors), so the cache is strictly opt-in and
-// golden outputs of the default path are unaffected.
+// A memo belongs to one owner for its lifetime — a Service (all its
+// jobs), a service.BatchExecutor (one coherencesim invocation), a
+// fleet.Worker — and is never process-global: a library caller that sets
+// neither Options.Memo nor Options.Forks simulates everything, which is
+// what the engine benchmarks measure. Past memoCap entries the oldest is
+// evicted; its next request re-simulates to the same bytes.
+//
+// The name dates from when only warm-forked sweeps were memoized; it
+// stays until the benchmark-definition PR (frozen bench/ files use it).
 type WarmForkCache struct {
 	mu      sync.Mutex
 	entries map[Point]*memoEntry // keyed by the point with Label cleared
+	order   []Point              // the keys of entries, oldest first
+
+	hits, misses, servedCycles atomic.Uint64
 }
 
 // memoEntry is one point's slot: res and err are written once by the
@@ -44,7 +57,8 @@ func NewWarmForkCache() *WarmForkCache {
 // cancellation), so an entry exists only for a simulation that runs to
 // completion; a cancelled caller gets the zero result and leaves no
 // entry behind for a later batch sharing the cache. Callers discard
-// partial sweeps, as runner.MapCtx's contract already requires.
+// partial sweeps, as runner.MapCtx's contract already requires. Eviction
+// only unlinks an entry: its builder and waiters still get its result.
 func (c *WarmForkCache) run(ctx context.Context, pt Point, build func() (PointResult, error)) (PointResult, error) {
 	pt.Label = ""
 	c.mu.Lock()
@@ -56,7 +70,12 @@ func (c *WarmForkCache) run(ctx context.Context, pt Point, build func() (PointRe
 		}
 		e = &memoEntry{done: make(chan struct{})}
 		c.entries[pt] = e
+		if c.order = append(c.order, pt); len(c.order) > memoCap {
+			delete(c.entries, c.order[0])
+			c.order = c.order[1:]
+		}
 		c.mu.Unlock()
+		c.misses.Add(1)
 		e.res, e.err = build()
 		close(e.done)
 		return e.res, e.err
@@ -64,14 +83,16 @@ func (c *WarmForkCache) run(ctx context.Context, pt Point, build func() (PointRe
 	c.mu.Unlock()
 	select {
 	case <-e.done:
+		c.hits.Add(1)
+		c.servedCycles.Add(e.res.SimCycles)
 		return e.res, e.err
 	case <-ctx.Done():
 		return PointResult{}, nil
 	}
 }
 
-// Checkpoints reports how many distinct points the cache has simulated
-// or is simulating (diagnostics and tests).
+// Checkpoints reports how many distinct points the memo holds, finished
+// or being simulated.
 func (c *WarmForkCache) Checkpoints() int {
 	if c == nil {
 		return 0
@@ -79,4 +100,10 @@ func (c *WarmForkCache) Checkpoints() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
+}
+
+// Stats reports lifetime counters: requests answered with a stored
+// result, requests that simulated, and the answered ones' cycles.
+func (c *WarmForkCache) Stats() (hits, misses, servedCycles uint64) {
+	return c.hits.Load(), c.misses.Load(), c.servedCycles.Load()
 }

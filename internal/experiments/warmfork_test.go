@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
@@ -274,5 +275,188 @@ func TestWarmForkCancelledBarrierAndReduction(t *testing.T) {
 	}
 	if n := c.Checkpoints(); n != 0 {
 		t.Errorf("cancelled runs left %d entries, want 0", n)
+	}
+}
+
+// pointExperiments are the catalog entries that decompose into points,
+// the ones a memo can serve.
+var pointExperiments = []string{
+	"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
+	"lockvariants", "redvariants", "extlocks",
+}
+
+// TestMemoNeverChangesOutput renders every point-decomposed catalog
+// experiment with both collectors attached: on the plain local path with
+// no memo, and twice through one shared memo, at 1 and 4 workers. The
+// memo may only save simulations: tables and both reports stay
+// byte-identical, and it holds exactly one entry per content address.
+func TestMemoNeverChangesOutput(t *testing.T) {
+	var keys map[string]bool // distinct Point.Key()s of one rendering
+	total := 0
+	render := func(workers int, memo *WarmForkCache, record bool) string {
+		o := Options{
+			Procs: []int{1, 2, 8}, TrafficProcs: 8,
+			LockIterations: 320, BarrierEpisodes: 40, ReductionEpisodes: 40,
+			Runner: runner.New(workers), Memo: memo,
+		}
+		o.Metrics = metrics.NewCollector(2000)
+		o.Breakdown = trace.NewBreakdownCollector()
+		if record {
+			keys = make(map[string]bool)
+			o.Dispatch = func(pts []Point) []PointResult {
+				for _, pt := range pts {
+					keys[pt.Key()] = true
+				}
+				total += len(pts)
+				local := o
+				local.Dispatch = nil
+				return local.runPoints(pts)
+			}
+		}
+		var b bytes.Buffer
+		for _, name := range pointExperiments {
+			e, ok := Lookup(name)
+			if !ok {
+				t.Fatalf("no catalog entry %q", name)
+			}
+			for _, tbl := range e.Tables(o) {
+				fmt.Fprintln(&b, tbl)
+			}
+		}
+		if err := o.Metrics.Report().WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Breakdown.Report().WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	want := render(1, nil, true)
+	if len(keys) == 0 || len(keys) >= total {
+		t.Fatalf("%d distinct keys among %d points; the figure triplets must repeat some", len(keys), total)
+	}
+	for _, workers := range []int{1, 4} {
+		memo := NewWarmForkCache()
+		for pass := 1; pass <= 2; pass++ {
+			if got := render(workers, memo, false); got != want {
+				t.Errorf("%d workers, pass %d through the memo: output differs from the memo-less rendering", workers, pass)
+			}
+			if n := memo.Checkpoints(); n != len(keys) {
+				t.Errorf("%d workers, pass %d: memo holds %d points, want one per distinct key (%d)", workers, pass, n, len(keys))
+			}
+		}
+		if hits, misses, _ := memo.Stats(); int(misses) != len(keys) || int(hits) != 2*total-len(keys) {
+			t.Errorf("%d workers: memo hits %d misses %d, want %d and %d", workers, hits, misses, 2*total-len(keys), len(keys))
+		}
+	}
+}
+
+// doneSpy is a context that reports when someone first asks for its
+// Done channel: a memo waiter does so only once it holds its entry.
+type doneSpy struct {
+	context.Context
+	once  sync.Once
+	asked chan struct{}
+}
+
+func (d *doneSpy) Done() <-chan struct{} {
+	d.once.Do(func() { close(d.asked) })
+	return d.Context.Done()
+}
+
+// TestMemoCapEvictsOldestFirst: the memo never holds more than memoCap
+// points, evicts in insertion order, an evicted point re-simulates to
+// the same bytes, and eviction does not cut off the callers of an entry
+// still being built.
+func TestMemoCapEvictsOldestFirst(t *testing.T) {
+	ctx := context.Background()
+	var pts []Point
+	for iters := 1; len(pts) < 3*memoCap; iters++ {
+		for _, kind := range lockKinds {
+			for _, pr := range protocols {
+				pts = append(pts, Point{Family: FamilyLock, Kind: int(kind), Protocol: pr, Procs: 1, Iterations: iters})
+			}
+		}
+	}
+	pts = pts[:3*memoCap]
+	c := NewWarmForkCache()
+	run := func(pt Point) []byte {
+		res, err := RunPointForked(ctx, pt, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := c.Checkpoints(); n > memoCap {
+			t.Fatalf("memo holds %d points, cap is %d", n, memoCap)
+		}
+		return b
+	}
+	first := make([][]byte, len(pts))
+	for i, pt := range pts {
+		first[i] = run(pt)
+	}
+	misses := func() uint64 { _, m, _ := c.Stats(); return m }
+	if n, m := c.Checkpoints(), misses(); n != memoCap || m != uint64(len(pts)) {
+		t.Fatalf("after %d distinct points: %d held, %d simulated; want %d and all", len(pts), n, m, memoCap)
+	}
+	oldestHeld := len(pts) - memoCap
+	for _, step := range []struct {
+		i    int
+		miss uint64
+		what string
+	}{
+		{oldestHeld, 0, "the oldest point still held"},
+		{0, 1, "an evicted point"},
+		{oldestHeld, 1, "the oldest held point after one more insertion"},
+		{len(pts) - 1, 0, "the newest point"},
+	} {
+		before := misses()
+		if got := run(pts[step.i]); !bytes.Equal(got, first[step.i]) {
+			t.Errorf("%s came back with different bytes", step.what)
+		}
+		if got := misses() - before; got != step.miss {
+			t.Errorf("%s: %d simulations, want %d", step.what, got, step.miss)
+		}
+	}
+
+	// Evict an entry while its builder is running and a waiter holds it.
+	c = NewWarmForkCache()
+	inflight := Point{Family: FamilyBarrier, Procs: 2, Iterations: 4}
+	built := PointResult{Latency: 42}
+	started, release := make(chan struct{}), make(chan struct{})
+	results := make(chan PointResult, 2)
+	go func() {
+		r, _ := c.run(ctx, inflight, func() (PointResult, error) {
+			close(started)
+			<-release
+			return built, nil
+		})
+		results <- r
+	}()
+	<-started
+	spy := &doneSpy{Context: ctx, asked: make(chan struct{})}
+	go func() {
+		r, _ := c.run(spy, inflight, func() (PointResult, error) {
+			t.Error("the waiter became a builder")
+			return PointResult{}, nil
+		})
+		results <- r
+	}()
+	<-spy.asked
+	for _, pt := range pts[:memoCap] {
+		run(pt)
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if r := <-results; !reflect.DeepEqual(r, built) {
+			t.Errorf("caller of an evicted in-flight entry got %+v, want the built result", r)
+		}
+	}
+	// The entry is gone from the map: the next request simulates.
+	if r, err := RunPointForked(ctx, inflight, c); err != nil || reflect.DeepEqual(r, built) {
+		t.Errorf("request after eviction = (%+v, %v), want a fresh simulation", r, err)
 	}
 }

@@ -40,7 +40,10 @@ type Config struct {
 	// Cache, when non-nil, short-circuits shards whose results are
 	// already stored and receives every fresh result.
 	Cache ShardCache
-	Logf  func(format string, args ...any)
+	// Memo is the point memo of the zero-worker fallback: the daemon's,
+	// shared with its local executor, or (nil) the coordinator's own.
+	Memo *experiments.WarmForkCache
+	Logf func(format string, args ...any)
 }
 
 func (cfg Config) withDefaults() Config {
@@ -58,6 +61,9 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 250 * time.Millisecond
+	}
+	if cfg.Memo == nil {
+		cfg.Memo = experiments.NewWarmForkCache()
 	}
 	return cfg
 }
@@ -119,7 +125,6 @@ type Coordinator struct {
 	closed  bool
 
 	stats Stats
-	memo  pointMemo // localFallback's; shared by every job
 
 	done chan struct{}
 }
@@ -255,11 +260,12 @@ func (c *Coordinator) requeueLocked(s *shard) {
 
 // RunPoints decomposes pts into shards and blocks until every result is
 // assembled (in submission order), the context is cancelled, or a shard
-// exhausts its attempts. onDone, when non-nil, observes completions as
-// they land (any order) for progress reporting. Cached points never
-// become shards. When no live workers exist, the calling process
-// executes pending shards itself, so a fleet of zero still terminates —
-// distribution is an acceleration, never a dependency.
+// exhausts its attempts. onDone, when non-nil, observes every result as
+// it lands (any order) for progress reporting, a shard's or the shard
+// cache's (a cached point never becomes a shard). When no live workers
+// exist, the calling process executes pending shards itself, so a fleet
+// of zero still terminates — distribution is an acceleration, never a
+// dependency.
 func (c *Coordinator) RunPoints(ctx context.Context, pts []experiments.Point, onDone func(index int, r experiments.PointResult)) ([]experiments.PointResult, error) {
 	job := &fleetJob{
 		ctx:      ctx,
@@ -272,13 +278,14 @@ func (c *Coordinator) RunPoints(ctx context.Context, pts []experiments.Point, on
 	c.seq++
 	job.id = fmt.Sprintf("j%d", c.seq)
 	var fresh []*shard
+	var cached []int // indices answered from the shard cache
 	for i, pt := range pts {
 		key := pt.Key()
 		if body, status, ok := c.cacheGet(key); ok && status == "done" {
 			var r experiments.PointResult
 			if json.Unmarshal(body, &r) == nil {
 				job.results[i] = r
-				c.stats.CacheHits++
+				cached = append(cached, i)
 				continue
 			}
 		}
@@ -290,14 +297,23 @@ func (c *Coordinator) RunPoints(ctx context.Context, pts []experiments.Point, on
 			point: pt,
 		})
 	}
+	c.stats.CacheHits += uint64(len(cached))
 	job.remaining = len(fresh)
-	if job.remaining == 0 {
-		c.mu.Unlock()
+	if len(fresh) > 0 {
+		c.pending = append(c.pending, fresh...)
+		c.wakeLocked()
+	}
+	c.mu.Unlock()
+
+	// Outside c.mu, like settle's call; no shard writes a cached index.
+	if onDone != nil {
+		for _, i := range cached {
+			onDone(i, job.results[i])
+		}
+	}
+	if len(fresh) == 0 {
 		return job.results, nil
 	}
-	c.pending = append(c.pending, fresh...)
-	c.wakeLocked()
-	c.mu.Unlock()
 
 	go c.localFallback(job)
 
@@ -364,8 +380,8 @@ func (c *Coordinator) takeLocked(holder string, ok func(*shard) bool) *shard {
 
 // localFallback executes the job's pending shards on the coordinator
 // process whenever no live workers exist — at job start, or after every
-// worker died mid-sweep — through the same lifetime memo a worker
-// holds. It exits when the job finishes or is cancelled.
+// worker died mid-sweep — through cfg.Memo. It exits when the job
+// finishes or is cancelled.
 func (c *Coordinator) localFallback(job *fleetJob) {
 	for {
 		select {
@@ -387,7 +403,7 @@ func (c *Coordinator) localFallback(job *fleetJob) {
 			if s == nil {
 				break
 			}
-			res, err := c.memo.run(job.ctx, s.point)
+			res, err := experiments.RunPointForked(job.ctx, s.point, c.cfg.Memo)
 			if job.ctx.Err() != nil {
 				return
 			}

@@ -669,3 +669,54 @@ func TestOnDoneObservesEveryComputedShard(t *testing.T) {
 		t.Errorf("onDone saw %d shards, want %d", len(seen), len(pts))
 	}
 }
+
+// TestOnDoneObservesCacheAnsweredPoints: a point the shard cache answers
+// never becomes a shard, but the caller's progress and cycle accounting
+// must still see it — once, with its result, and outside the
+// coordinator's lock (the callback below takes it).
+func TestOnDoneObservesCacheAnsweredPoints(t *testing.T) {
+	pts := quickPoints(6)
+	want := baseline(t, pts)
+	coord := NewCoordinator(testConfig(newMemCache()))
+	defer coord.Close()
+	if _, err := coord.RunPoints(context.Background(), pts[:3], nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range []struct {
+		name   string
+		cached uint64 // cumulative shard-cache hits after the batch
+	}{
+		{"half cached", 3},
+		{"all cached", 9},
+	} {
+		var mu sync.Mutex
+		seen := make(map[int]int)
+		var cycles uint64
+		_, err := coord.RunPoints(context.Background(), pts, func(i int, r experiments.PointResult) {
+			coord.Stats() // deadlocks if the coordinator calls back under its lock
+			mu.Lock()
+			defer mu.Unlock()
+			seen[i]++
+			cycles += r.SimCycles
+			if !reflect.DeepEqual(r, want[i]) {
+				t.Errorf("%s: onDone(%d) carries a result that differs from the baseline", batch.name, i)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantCycles uint64
+		for i := range pts {
+			wantCycles += want[i].SimCycles
+			if seen[i] != 1 {
+				t.Errorf("%s: onDone saw point %d %d times, want once", batch.name, i, seen[i])
+			}
+		}
+		if cycles != wantCycles {
+			t.Errorf("%s: onDone saw %d simulated cycles, want %d", batch.name, cycles, wantCycles)
+		}
+		if hits := coord.Stats().CacheHits; hits != batch.cached {
+			t.Errorf("%s: %d shard-cache hits, want %d", batch.name, hits, batch.cached)
+		}
+	}
+}

@@ -45,41 +45,17 @@ func (cfg WorkerConfig) withDefaults() WorkerConfig {
 // Worker leases shards from a coordinator, one per execution slot, and
 // executes them. It owns no listener: registration, polling, completion,
 // and heartbeats are all HTTP requests it initiates, so a worker runs
-// from anywhere that can reach the coordinator. One result memo lives as
-// long as the worker, so a stream repeating a warm_fork point simulates
-// it once, not once per shard.
+// from anywhere that can reach the coordinator. One point memo lives as
+// long as the worker, so a point that comes round again — in a later
+// shard, a later job — is simulated once, not once per lease.
 type Worker struct {
 	cfg  WorkerConfig
-	memo pointMemo
+	memo *experiments.WarmForkCache
 }
 
 // NewWorker builds a worker (Run does the work).
 func NewWorker(cfg WorkerConfig) *Worker {
-	return &Worker{cfg: cfg.withDefaults()}
-}
-
-// maxWarmCheckpoints bounds a lifetime result memo, in points.
-const maxWarmCheckpoints = 256
-
-// pointMemo runs shards through a lifetime result memo — one per
-// worker, one for the coordinator's zero-worker fallback. A long stream
-// of distinct points would otherwise pin every result ever computed, so
-// past maxWarmCheckpoints entries the whole memo is dropped; that is
-// safe because the simulator is deterministic: the next repeat
-// re-simulates to the same bytes.
-type pointMemo struct {
-	mu    sync.Mutex
-	forks *experiments.WarmForkCache
-}
-
-func (m *pointMemo) run(ctx context.Context, pt experiments.Point) (experiments.PointResult, error) {
-	m.mu.Lock()
-	if m.forks == nil || m.forks.Checkpoints() > maxWarmCheckpoints {
-		m.forks = experiments.NewWarmForkCache()
-	}
-	forks := m.forks
-	m.mu.Unlock()
-	return experiments.RunPointForked(ctx, pt, forks)
+	return &Worker{cfg: cfg.withDefaults(), memo: experiments.NewWarmForkCache()}
 }
 
 // ID returns the worker's identity.
@@ -254,7 +230,7 @@ func (w *Worker) complete(ctx context.Context, out CompleteRequest) *Shard {
 // ctx ended mid-run: such a result is not trustworthy and is not posted.
 func (w *Worker) execute(ctx context.Context, s Shard) (out CompleteRequest, ok bool) {
 	out = CompleteRequest{Worker: w.cfg.ID, Shard: s.ID}
-	res, err := w.memo.run(ctx, s.Point)
+	res, err := experiments.RunPointForked(ctx, s.Point, w.memo)
 	if ctx.Err() != nil {
 		return out, false
 	}

@@ -28,8 +28,9 @@ const (
 
 // JobSpec is the description of one simulation job, and the only one:
 // a POST /v1/jobs body is its JSON spelling, coherencesim's flags are
-// its command-line spelling, and Canonicalize then Execute is the one
-// path either takes. Kind selects between the two shapes:
+// its command-line spelling, and Canonicalize then the executor
+// (BatchExecutor) is the one path either takes. Kind selects between the
+// two shapes:
 //
 //   - "experiment": one catalog experiment (fig8..fig16, ablations, ...)
 //     at quick or paper scale, as tables or CSV (coherencesim -experiment).
@@ -52,7 +53,7 @@ type JobSpec struct {
 	Iterations      int    `json:"iterations,omitempty"`       // iteration override, 0 = default (kind=run)
 	Scale           string `json:"scale,omitempty"`            // quick | paper (kind=experiment)
 	Format          string `json:"format,omitempty"`           // table | csv (kind=experiment)
-	WarmFork        bool   `json:"warm_fork,omitempty"`        // run sweep points in two phases (warm-up, rest), identical points once (kind=experiment)
+	WarmFork        bool   `json:"warm_fork,omitempty"`        // run sweep points in two phases: warm-up, then the rest (kind=experiment)
 	MetricsInterval uint64 `json:"metrics_interval,omitempty"` // sampling interval in simulated cycles
 	Breakdown       bool   `json:"breakdown,omitempty"`        // collect the stall-attribution breakdown
 	TimeoutSec      int    `json:"timeout_sec,omitempty"`      // per-job deadline; excluded from the hash

@@ -21,32 +21,35 @@ import (
 // tests can substitute stub executors.
 type ExecFunc func(ctx context.Context, spec JobSpec, simWorkers int, progress func(runner.Snapshot)) (*JobResult, error)
 
-// Execute is the executor — the daemon's, the fleet coordinator's and
-// coherencesim's: it decodes the canonical spec into
-// experiments.Options (or a single workload run), fans the sweep's
-// simulations onto a context-bound runner pool, and assembles the
-// deterministic result document. Cancellation is observed between
-// simulations — a spec's individual simulation is never interrupted
-// mid-event — and a cancelled job returns ctx.Err() with no result.
-func Execute(ctx context.Context, spec JobSpec, simWorkers int, progress func(runner.Snapshot)) (*JobResult, error) {
-	return BatchExecutor()(ctx, spec, simWorkers, progress) // a batch of one
+// BatchExecutor returns the executor — the daemon's, the fleet
+// coordinator's and coherencesim's — on a point memo of its own: it
+// decodes a canonical spec into experiments.Options (or a single
+// workload run), fans the sweep's simulations onto a context-bound
+// runner pool, and assembles the deterministic result document.
+// Cancellation is observed between simulations — a spec's individual
+// simulation is never interrupted mid-event — and a cancelled job
+// returns ctx.Err() with no result. The jobs run through one executor
+// are a batch (the figures of coherencesim -experiment all): a
+// simulation two of them have in common — figures 9 and 10 project the
+// same runs — happens once. A warm_fork spec selects only the two-phase
+// run; it is memoized like any other.
+func BatchExecutor() ExecFunc {
+	return memoExecutor(experiments.NewWarmForkCache())
 }
 
-// BatchExecutor returns an Execute for the jobs of one batch (the
-// figures of coherencesim -experiment all): its warm-forked sweeps share
-// one memo, so a point two of them have in common is simulated once.
-func BatchExecutor() ExecFunc {
-	forks := experiments.NewWarmForkCache()
+// memoExecutor is the executor on the caller's memo (a Service's).
+func memoExecutor(memo *experiments.WarmForkCache) ExecFunc {
 	return func(ctx context.Context, spec JobSpec, simWorkers int, progress func(runner.Snapshot)) (*JobResult, error) {
-		return executeSpec(ctx, spec, simWorkers, progress, nil, forks)
+		return executeSpec(ctx, spec, simWorkers, progress, nil, memo)
 	}
 }
 
-// executeSpec is Execute with an optional point dispatcher: when
+// executeSpec is the executor with an optional point dispatcher: when
 // non-nil, decomposable sweeps hand their points to it (the fleet path)
-// instead of the local pool. Everything else — rendering, assembly
-// order, collectors, the warm-fork memo — is shared and cannot drift.
-func executeSpec(ctx context.Context, spec JobSpec, simWorkers int, progress func(runner.Snapshot), dispatch experiments.PointDispatcher, forks *experiments.WarmForkCache) (*JobResult, error) {
+// instead of the local pool and memo. Everything else — rendering,
+// assembly order, collectors — is shared and cannot drift. memo is never
+// nil: a warm_fork spec selects the two-phase run with it.
+func executeSpec(ctx context.Context, spec JobSpec, simWorkers int, progress func(runner.Snapshot), dispatch experiments.PointDispatcher, memo *experiments.WarmForkCache) (*JobResult, error) {
 	if spec.Kind == "run" {
 		res, _, err := ExecuteRun(ctx, spec, nil)
 		return res, err
@@ -66,8 +69,9 @@ func executeSpec(ctx context.Context, spec JobSpec, simWorkers int, progress fun
 	if spec.Breakdown {
 		o.Breakdown = trace.NewBreakdownCollector()
 	}
+	o.Memo = memo
 	if spec.WarmFork {
-		o.Forks = forks
+		o.Forks = memo
 	}
 
 	res := &JobResult{}
@@ -151,7 +155,7 @@ func runLabel(spec JobSpec) string {
 	return fmt.Sprintf("run/%s/%s-%s/P=%d", spec.Run, spec.Algo, strings.ToLower(spec.Protocol), spec.Procs)
 }
 
-// ExecuteRun is Execute for a canonical kind=run spec — one (construct,
+// ExecuteRun is the executor for a canonical kind=run spec — one (construct,
 // protocol, size) simulation — that also returns the machine's result.
 // tune (nil for the daemon) adjusts the machine configuration first: how
 // coherencesim attaches its run-only instruments to the shared path.

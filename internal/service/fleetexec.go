@@ -17,8 +17,10 @@ import (
 // a dispatcher that fans its points across the fleet. The dispatcher
 // returns results in submission order (the coordinator's contract), so
 // the rendered document is byte-identical to base's at any worker count
-// and under any failure interleaving.
-func NewFleetExec(base ExecFunc, coord *fleet.Coordinator) ExecFunc {
+// and under any failure interleaving. A dispatched sweep never consults
+// memo (the shard cache and the workers' memos answer its repeats); it
+// only marks a warm_fork sweep's points.
+func NewFleetExec(base ExecFunc, coord *fleet.Coordinator, memo *experiments.WarmForkCache) ExecFunc {
 	if coord == nil {
 		return base
 	}
@@ -27,7 +29,7 @@ func NewFleetExec(base ExecFunc, coord *fleet.Coordinator) ExecFunc {
 			return base(ctx, spec, simWorkers, progress)
 		}
 		session := &fleetSession{ctx: ctx, coord: coord, progress: progress, start: time.Now()}
-		res, err := executeSpec(ctx, spec, simWorkers, progress, session.dispatch, experiments.NewWarmForkCache())
+		res, err := executeSpec(ctx, spec, simWorkers, progress, session.dispatch, memo)
 		if err != nil {
 			return nil, err
 		}
@@ -71,37 +73,27 @@ func (s *fleetSession) dispatch(pts []experiments.Point) []experiments.PointResu
 		s.mu.Unlock()
 		return make([]experiments.PointResult, len(pts))
 	}
-	// Cached points never reach onDone; account them here so progress
-	// still converges on jobsTotal.
-	s.mu.Lock()
-	if missed := s.jobsTotal - s.jobsDone; missed > 0 {
-		s.jobsDone = s.jobsTotal
-	}
-	s.mu.Unlock()
 	return results
 }
 
-// onDone observes one shard completion (any order) and emits a
+// onDone observes one point's result — a shard completion or an answer
+// from the coordinator's shard cache, in any order — and emits a
 // cumulative progress snapshot, mirroring the local pool's reporting.
 func (s *fleetSession) onDone(index int, r experiments.PointResult) {
-	if s.progress == nil {
-		s.mu.Lock()
-		s.jobsDone++
-		s.simCycles += r.SimCycles
-		s.mu.Unlock()
-		return
-	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.jobsDone++
 	s.simCycles += r.SimCycles
-	snap := runner.Snapshot{
-		JobsDone:  s.jobsDone,
-		JobsTotal: s.jobsTotal,
-		SimCycles: s.simCycles,
-		Elapsed:   time.Since(s.start),
+	if s.progress != nil {
+		// Under the lock, as the pool calls its hook: one at a time and
+		// in order (the scheduler's hook keeps the previous cycle count).
+		s.progress(runner.Snapshot{
+			JobsDone:  s.jobsDone,
+			JobsTotal: s.jobsTotal,
+			SimCycles: s.simCycles,
+			Elapsed:   time.Since(s.start),
+		})
 	}
-	s.mu.Unlock()
-	s.progress(snap)
 }
 
 func (s *fleetSession) err() error {

@@ -7,13 +7,17 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"coherencesim/internal/experiments"
 	"coherencesim/internal/fleet"
 	"coherencesim/internal/runner"
+	"coherencesim/internal/store"
 )
 
 // startService builds a service the test can shut down and rebuild
@@ -217,12 +221,12 @@ func TestFleetExecutionByteIdentity(t *testing.T) {
 	}
 	spec := `{"experiment":"fig14","scale":"quick"}`
 
-	tsA, _, stopA := startService(t, Config{SimWorkers: 4}, Execute)
+	tsA, _, stopA := startService(t, Config{SimWorkers: 4}, nil)
 	_, docA := postJob(t, tsA, spec)
 	baseline := pollDone(t, tsA, docA.ID)
 	stopA()
 
-	tsB, svcB, _ := startService(t, Config{SimWorkers: 4, HeartbeatTimeout: time.Second}, Execute)
+	tsB, svcB, _ := startService(t, Config{SimWorkers: 4, HeartbeatTimeout: time.Second}, nil)
 	for i := 0; i < 2; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		t.Cleanup(cancel)
@@ -244,5 +248,175 @@ func TestFleetExecutionByteIdentity(t *testing.T) {
 	}
 	if st := svcB.Coordinator().Stats(); st.Completed == 0 {
 		t.Error("coordinator reports no completed shards; sweep did not use the fleet")
+	}
+}
+
+// memoCounters scrapes the point-memo rows of /metrics.
+func memoCounters(t *testing.T, ts *httptest.Server) (hits, misses, served, entries uint64) {
+	t.Helper()
+	_, body := getBody(t, ts.URL+"/metrics")
+	row := func(name string) uint64 {
+		for _, line := range strings.Split(string(body), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				n, err := strconv.ParseUint(v, 10, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("/metrics has no %s row", name)
+		return 0
+	}
+	return row("coherenced_point_memo_hits_total"), row("coherenced_point_memo_misses_total"),
+		row("coherenced_point_memo_served_cycles_total"), row("coherenced_point_memo_entries")
+}
+
+// TestDaemonSharesPointsAcrossJobs: figures 8, 9 and 10 are projections
+// of the same 27 simulations, and one daemon runs them once — whether
+// the three jobs arrive one after another or together — while serving
+// each job the document a fresh executor computes alone.
+func TestDaemonSharesPointsAcrossJobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sweeps in -short mode")
+	}
+	family := []string{"fig8", "fig9", "fig10"}
+	body := func(name string) string {
+		return `{"experiment":"` + name + `","scale":"quick","metrics_interval":5000,"breakdown":true}`
+	}
+	want := make(map[string][]byte)
+	for _, name := range family {
+		spec := canonical(t, JobSpec{Experiment: name, MetricsInterval: 5000, Breakdown: true})
+		res, err := execute(context.Background(), spec, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name], _ = json.Marshal(res)
+	}
+	checkDoc := func(name string, doc []byte) {
+		t.Helper()
+		var st JobStatus
+		if err := json.Unmarshal(doc, &st); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(st.Result, want[name]) {
+			t.Errorf("%s: the daemon's result differs from a fresh executor's", name)
+		}
+	}
+	checkMemo := func(order string, ts *httptest.Server, svc *Service) {
+		t.Helper()
+		hits, misses, served, entries := memoCounters(t, ts)
+		if misses != 27 || hits != 18 || entries != 27 || served == 0 {
+			t.Errorf("%s: memo hits %d misses %d entries %d served cycles %d; want 18, 27, 27, > 0", order, hits, misses, entries, served)
+		}
+		if total := svc.Scheduler().Counters().SimCycles; served >= total {
+			t.Errorf("%s: served cycles %d are not a share of the %d cycles served to jobs", order, served, total)
+		}
+	}
+
+	ts, svc, stop := startService(t, Config{Jobs: 2, SimWorkers: 2}, nil)
+	for _, name := range family {
+		_, doc := postJob(t, ts, body(name))
+		checkDoc(name, pollDone(t, ts, doc.ID))
+	}
+	checkMemo("sequential", ts, svc)
+	sequentialCycles := svc.Scheduler().Counters().SimCycles
+	stop()
+
+	ts, svc, stop = startService(t, Config{Jobs: 2, SimWorkers: 2}, nil)
+	ids := make(map[string]string)
+	for _, name := range family {
+		_, doc := postJob(t, ts, body(name))
+		ids[name] = doc.ID
+	}
+	for _, name := range family {
+		checkDoc(name, pollDone(t, ts, ids[name]))
+	}
+	checkMemo("concurrent", ts, svc)
+	if got := svc.Scheduler().Counters().SimCycles; got != sequentialCycles {
+		t.Errorf("cycles served to jobs: %d concurrently, %d sequentially", got, sequentialCycles)
+	}
+	stop()
+
+	// A job cancelled mid-sweep leaves only whole results behind: the
+	// same spec then completes, on what the cancelled one finished.
+	ts, svc, _ = startService(t, Config{Jobs: 2, SimWorkers: 2}, nil)
+	_, doc := postJob(t, ts, body("fig8"))
+	waitRunning(t, svc.Scheduler(), 1)
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+doc.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, live := svc.Scheduler().Get(doc.ID); !live {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("cancelled job never left the in-flight set")
+		}
+	}
+	_, again := postJob(t, ts, body("fig8"))
+	checkDoc("fig8", pollDone(t, ts, again.ID))
+	if _, misses, _, _ := memoCounters(t, ts); misses != 27 {
+		t.Errorf("cancelled + repeated fig8 simulated %d points, want each of the 27 once", misses)
+	}
+}
+
+// TestFleetPathCountsCacheAnsweredPoints: a point the coordinator's
+// shard cache answers is served work like any other — the fleet path's
+// last progress snapshot must count it, points and cycles, as the local
+// path's does.
+func TestFleetPathCountsCacheAnsweredPoints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sweeps in -short mode")
+	}
+	st, err := store.Open(t.TempDir(), 1<<24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := fleet.NewCoordinator(fleet.Config{Cache: st, HeartbeatTimeout: time.Second})
+	defer coord.Close()
+	mux := http.NewServeMux()
+	coord.Mount(mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go fleet.NewWorker(fleet.WorkerConfig{Coordinator: ts.URL, ID: "itest-cache"}).Run(ctx)
+	for deadline := time.Now().Add(5 * time.Second); coord.LiveWorkers() < 1; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("fleet worker never registered")
+		}
+	}
+
+	last := func(exec ExecFunc, name string) runner.Snapshot {
+		t.Helper()
+		var mu sync.Mutex
+		var last runner.Snapshot
+		if _, err := exec(ctx, canonical(t, JobSpec{Experiment: name}), 2, func(sn runner.Snapshot) {
+			mu.Lock()
+			last = sn
+			mu.Unlock()
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return last
+	}
+	local := last(BatchExecutor(), "fig9")
+	fleetExec := NewFleetExec(nil, coord, experiments.NewWarmForkCache())
+	for _, name := range []string{"fig9", "fig10"} { // fig10 asks for fig9's points again
+		got := last(fleetExec, name)
+		if got.JobsDone != local.JobsDone || got.JobsTotal != local.JobsTotal || got.SimCycles != local.SimCycles {
+			t.Errorf("%s on the fleet path ended at %d/%d points, %d cycles; the local path at %d/%d, %d",
+				name, got.JobsDone, got.JobsTotal, got.SimCycles, local.JobsDone, local.JobsTotal, local.SimCycles)
+		}
+	}
+	if stats := coord.Stats(); stats.CacheHits != 9 || stats.Completed != 9 {
+		t.Errorf("shard cache answered %d points and workers %d, want 9 and 9", stats.CacheHits, stats.Completed)
 	}
 }

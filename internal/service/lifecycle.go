@@ -13,6 +13,7 @@ import (
 	"syscall"
 	"time"
 
+	"coherencesim/internal/experiments"
 	"coherencesim/internal/fleet"
 	"coherencesim/internal/store"
 )
@@ -106,14 +107,20 @@ type Service struct {
 	reloads atomic.Uint64
 }
 
-// New builds a service executing jobs on the real simulator. When
-// cfg.DataDir is set, the durable store is opened (and repaired) before
-// serving; when a fleet coordinator is wired in, sweep jobs are
-// decomposed across registered workers.
-func New(cfg Config) (*Service, error) { return newService(cfg, Execute) }
+// New builds a service executing jobs on the real simulator, all through
+// one point memo that lives as long as the service: a point an earlier
+// job simulated (figures 8, 9 and 10 project the same runs) is answered
+// from it. When cfg.DataDir is set, the durable store is opened (and
+// repaired) before serving; when fleet workers are registered, sweep
+// jobs are decomposed across them.
+func New(cfg Config) (*Service, error) { return newService(cfg, nil) }
 
-// newService is the test seam: any ExecFunc.
+// newService is the test seam: any ExecFunc in place of the memo's.
 func newService(cfg Config, exec ExecFunc) (*Service, error) {
+	memo := experiments.NewWarmForkCache()
+	if exec == nil {
+		exec = memoExecutor(memo)
+	}
 	if cfg.Addr == "" {
 		cfg.Addr = ":8377"
 	}
@@ -134,6 +141,7 @@ func newService(cfg Config, exec ExecFunc) (*Service, error) {
 	coord := fleet.NewCoordinator(fleet.Config{
 		HeartbeatTimeout: cfg.HeartbeatTimeout,
 		Cache:            st,
+		Memo:             memo,
 		Logf:             cfg.Logf,
 	})
 	life := NewLifecycle()
@@ -145,9 +153,9 @@ func newService(cfg Config, exec ExecFunc) (*Service, error) {
 		Store:        st,
 		TenantQuota:  cfg.TenantQuota,
 		TenantQuotas: cfg.TenantQuotas,
-	}, NewFleetExec(exec, coord))
+	}, NewFleetExec(exec, coord, memo))
 	svc := &Service{cfg: cfg, sched: sched, life: life, coord: coord}
-	svc.srv = NewServer(sched, life, coord, svc)
+	svc.srv = NewServer(sched, life, coord, svc, memo)
 	if cfg.ConfigPath != "" {
 		// Apply (and validate) the reloadable file before serving: a
 		// config the daemon cannot start with is not one it should

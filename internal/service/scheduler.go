@@ -140,7 +140,7 @@ type Counters struct {
 	Completed uint64
 	Failed    uint64
 	Canceled  uint64
-	SimCycles uint64 // simulated cycles executed on behalf of jobs
+	SimCycles uint64 // simulated cycles served to jobs (simulated or answered from the point memo)
 	Queued    int    // jobs currently waiting in the queues
 	Running   int    // jobs currently executing
 }
@@ -184,7 +184,8 @@ type Scheduler struct {
 }
 
 // NewScheduler builds and starts a scheduler executing jobs with exec
-// (Execute in production; tests substitute stubs).
+// (the Service's memo-bound executor in production; tests substitute
+// stubs).
 func NewScheduler(cfg SchedulerConfig, exec ExecFunc) *Scheduler {
 	cfg = cfg.withDefaults()
 	root, stop := context.WithCancel(context.Background())

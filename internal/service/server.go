@@ -30,14 +30,16 @@ type Server struct {
 	life     *Lifecycle
 	coord    *fleet.Coordinator
 	reloader Reloader
+	memo     *experiments.WarmForkCache
 	mux      *http.ServeMux
 }
 
 // NewServer wires the API routes. A non-nil coordinator mounts the
 // fleet's worker-facing endpoints (/v1/fleet/*) on the same listener;
-// a non-nil reloader mounts POST /v1/admin/reload.
-func NewServer(sched *Scheduler, life *Lifecycle, coord *fleet.Coordinator, reloader Reloader) *Server {
-	s := &Server{sched: sched, life: life, coord: coord, reloader: reloader, mux: http.NewServeMux()}
+// a non-nil reloader mounts POST /v1/admin/reload; memo is the point
+// memo /metrics reports on.
+func NewServer(sched *Scheduler, life *Lifecycle, coord *fleet.Coordinator, reloader Reloader, memo *experiments.WarmForkCache) *Server {
+	s := &Server{sched: sched, life: life, coord: coord, reloader: reloader, memo: memo, mux: http.NewServeMux()}
 	if coord != nil {
 		coord.Mount(s.mux)
 	}
@@ -452,7 +454,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	write("coherenced_jobs_completed_total", "Jobs that finished successfully.", "counter", c.Completed)
 	write("coherenced_jobs_failed_total", "Jobs that finished in error.", "counter", c.Failed)
 	write("coherenced_jobs_canceled_total", "Jobs cancelled before completing.", "counter", c.Canceled)
-	write("coherenced_sim_cycles_total", "Simulated cycles executed on behalf of jobs.", "counter", c.SimCycles)
+	write("coherenced_sim_cycles_total", "Simulated cycles served to jobs (simulated or answered from the point memo).", "counter", c.SimCycles)
 	write("coherenced_jobs_queued", "Jobs currently waiting in the queues.", "gauge", uint64(c.Queued))
 	write("coherenced_jobs_running", "Jobs currently executing.", "gauge", uint64(c.Running))
 	write("coherenced_result_cache_entries", "Entries in the result cache.", "gauge", uint64(s.sched.Cache().Len()))
@@ -462,6 +464,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	write("coherenced_result_cache_evictions_total", "Result-cache evictions.", "counter", evictions)
 	write("coherenced_quota_rejected_total", "Submissions rejected by tenant admission quotas.", "counter", c.QuotaHits)
 	write("coherenced_store_hits_total", "Submissions served from the durable result store.", "counter", c.StoreHits)
+
+	memoHits, memoMisses, memoCycles := s.memo.Stats()
+	write("coherenced_point_memo_hits_total", "Sweep points answered from the daemon's point memo.", "counter", memoHits)
+	write("coherenced_point_memo_misses_total", "Sweep points the daemon simulated (and memoized).", "counter", memoMisses)
+	write("coherenced_point_memo_served_cycles_total", "Simulated cycles of the points answered from the point memo: the share of coherenced_sim_cycles_total that was not re-simulated.", "counter", memoCycles)
+	write("coherenced_point_memo_entries", "Points held by the point memo.", "gauge", uint64(s.memo.Checkpoints()))
 
 	if st := s.sched.Store(); st != nil {
 		ss := st.Stats()

@@ -38,6 +38,12 @@ func newTestServer(t *testing.T, cfg Config, exec ExecFunc) (*httptest.Server, *
 	return ts, svc
 }
 
+// execute runs one spec on a fresh executor: a batch of one, so no memo
+// outlives the call.
+func execute(ctx context.Context, spec JobSpec, simWorkers int, progress func(runner.Snapshot)) (*JobResult, error) {
+	return BatchExecutor()(ctx, spec, simWorkers, progress)
+}
+
 func postJob(t *testing.T, ts *httptest.Server, spec string) (*http.Response, JobStatus) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
@@ -400,7 +406,7 @@ func TestHealthReadyMetrics(t *testing.T) {
 func TestRealExecuteQuickRun(t *testing.T) {
 	spec := canonical(t, JobSpec{Run: "lock", Algo: "mcs", Protocol: "CU", Procs: 4, Iterations: 200})
 	run := func() []byte {
-		res, err := Execute(context.Background(), spec, 2, nil)
+		res, err := execute(context.Background(), spec, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -428,37 +434,49 @@ func TestRealExecuteQuickRun(t *testing.T) {
 		{Kind: "run", Run: "lock", Algo: "ticket", Protocol: "WI", Procs: 4},
 		{Kind: "run", Run: "lock", Algo: "tk", Protocol: "wi", Procs: 4},
 	} {
-		if _, err := Execute(context.Background(), raw, 1, nil); err == nil {
+		if _, err := execute(context.Background(), raw, 1, nil); err == nil {
 			t.Errorf("non-canonical spec %+v executed", raw)
 		}
 	}
 }
 
-// TestBatchExecutorSharesWarmForks: figure 10 asks for figure 9's points,
-// so on one memo it simulates nothing new, and a batch serves the bytes
-// separate Executes do.
-func TestBatchExecutorSharesWarmForks(t *testing.T) {
-	ctx, forks, batch := context.Background(), experiments.NewWarmForkCache(), BatchExecutor()
-	var simulated []int
-	for _, name := range []string{"fig9", "fig10"} {
-		spec := canonical(t, JobSpec{Experiment: name, WarmFork: true})
-		var docs [3][]byte
-		for i, run := range []ExecFunc{Execute, batch, func(ctx context.Context, spec JobSpec, w int, p func(runner.Snapshot)) (*JobResult, error) {
-			return executeSpec(ctx, spec, w, p, nil, forks)
-		}} {
-			res, err := run(ctx, spec, 2, nil)
-			if err != nil {
-				t.Fatal(err)
+// TestBatchExecutorSharesPoints: figures 9 and 10 ask for the P=32
+// points of figure 8 — the lock-traffic points, which are all of figure
+// 9 — so on one memo whichever comes first simulates them and the rest
+// simulate nothing new, plain or warm-forked, and a batch serves the
+// bytes fresh executors do.
+func TestBatchExecutorSharesPoints(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range []struct {
+		warm   bool
+		family []string
+		points int    // distinct points of the family: those of its first figure
+		hits   uint64 // requests the later figures make
+	}{
+		{false, []string{"fig8", "fig9", "fig10"}, 27, 18},
+		{true, []string{"fig9", "fig10"}, 9, 9},
+	} {
+		memo, batch := experiments.NewWarmForkCache(), BatchExecutor()
+		for _, name := range c.family {
+			spec := canonical(t, JobSpec{Experiment: name, WarmFork: c.warm})
+			var docs [3][]byte
+			for i, run := range []ExecFunc{execute, batch, memoExecutor(memo)} {
+				res, err := run(ctx, spec, 2, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				docs[i], _ = json.Marshal(res)
 			}
-			docs[i], _ = json.Marshal(res)
+			if !bytes.Equal(docs[0], docs[1]) || !bytes.Equal(docs[0], docs[2]) {
+				t.Errorf("%s (warm_fork %v): a shared memo changed the result", name, c.warm)
+			}
+			if n := memo.Checkpoints(); n != c.points {
+				t.Errorf("warm_fork %v: %d distinct points simulated after %s, want the %d of %s", c.warm, n, name, c.points, c.family[0])
+			}
 		}
-		if !bytes.Equal(docs[0], docs[1]) || !bytes.Equal(docs[0], docs[2]) {
-			t.Errorf("%s: a shared memo changed the result", name)
+		if hits, misses, served := memo.Stats(); hits != c.hits || misses != uint64(c.points) || served == 0 {
+			t.Errorf("warm_fork %v: memo hits %d misses %d served cycles %d, want %d, %d, > 0", c.warm, hits, misses, served, c.hits, c.points)
 		}
-		simulated = append(simulated, forks.Checkpoints())
-	}
-	if simulated[0] == 0 || simulated[1] != simulated[0] {
-		t.Errorf("distinct points simulated after fig9, fig10 = %v; fig10 must add none", simulated)
 	}
 }
 
@@ -466,7 +484,7 @@ func TestBatchExecutorSharesWarmForks(t *testing.T) {
 // serves and stores it: id, canonical spec, summary, metrics report and
 // breakdown report.
 func TestRunDocumentGolden(t *testing.T) {
-	ts, _ := newTestServer(t, Config{}, Execute)
+	ts, _ := newTestServer(t, Config{}, nil)
 	_, doc := postJob(t, ts, `{"run":"lock","algo":"mcs","protocol":"cu","procs":8,"iterations":500,"breakdown":true}`)
 	sum := sha256.Sum256(pollDone(t, ts, doc.ID))
 	if got := hex.EncodeToString(sum[:]); got != goldenRunLockDocHash {
@@ -479,7 +497,7 @@ func TestRunDocumentGolden(t *testing.T) {
 func TestRealExecuteExperimentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Execute(ctx, canonical(t, JobSpec{Experiment: "fig8"}), 2, nil); err == nil {
-		t.Error("cancelled Execute returned a result")
+	if _, err := execute(ctx, canonical(t, JobSpec{Experiment: "fig8"}), 2, nil); err == nil {
+		t.Error("cancelled executor returned a result")
 	}
 }
