@@ -21,11 +21,11 @@ const memoCap = 512
 // consumers treat them as read-only.
 //
 // A memo belongs to one owner for its lifetime — a Service (all its
-// jobs), a service.BatchExecutor (one coherencesim invocation), a
-// fleet.Worker — and is never process-global: a library caller that sets
-// neither Options.Memo nor Options.Forks simulates everything, which is
-// what the engine benchmarks measure. Past memoCap entries the oldest is
-// evicted; its next request re-simulates to the same bytes.
+// jobs), a service.BatchExecutor (one coherencesim invocation), a bare
+// fleet.Coordinator — and is never process-global: a library caller that
+// sets neither Options.Memo nor Options.Forks simulates everything, which
+// is what the engine benchmarks measure. Past memoCap entries the oldest
+// is evicted; its next request re-simulates to the same bytes.
 //
 // The name dates from when only warm-forked sweeps were memoized; it
 // stays until the benchmark-definition PR (frozen bench/ files use it).
@@ -68,14 +68,8 @@ func (c *WarmForkCache) run(ctx context.Context, pt Point, build func() (PointRe
 			c.mu.Unlock()
 			return PointResult{}, nil
 		}
-		e = &memoEntry{done: make(chan struct{})}
-		c.entries[pt] = e
-		if c.order = append(c.order, pt); len(c.order) > memoCap {
-			delete(c.entries, c.order[0])
-			c.order = c.order[1:]
-		}
+		e = c.addLocked(pt)
 		c.mu.Unlock()
-		c.misses.Add(1)
 		e.res, e.err = build()
 		close(e.done)
 		return e.res, e.err
@@ -88,6 +82,53 @@ func (c *WarmForkCache) run(ctx context.Context, pt Point, build func() (PointRe
 		return e.res, e.err
 	case <-ctx.Done():
 		return PointResult{}, nil
+	}
+}
+
+// addLocked links a new entry for pt, counting the miss and evicting the
+// oldest entry past memoCap. Callers hold c.mu.
+func (c *WarmForkCache) addLocked(pt Point) *memoEntry {
+	e := &memoEntry{done: make(chan struct{})}
+	c.entries[pt] = e
+	if c.order = append(c.order, pt); len(c.order) > memoCap {
+		delete(c.entries, c.order[0])
+		c.order = c.order[1:]
+	}
+	c.misses.Add(1)
+	return e
+}
+
+// Lookup answers pt from a finished entry, counting the hit, and never
+// waits; with Store, the memo of an owner that simulates elsewhere.
+func (c *WarmForkCache) Lookup(pt Point) (PointResult, bool) {
+	pt.Label = ""
+	c.mu.Lock()
+	e := c.entries[pt]
+	c.mu.Unlock()
+	if e != nil {
+		select {
+		case <-e.done:
+			if e.err == nil {
+				c.hits.Add(1)
+				c.servedCycles.Add(e.res.SimCycles)
+				return e.res, true
+			}
+		default:
+		}
+	}
+	return PointResult{}, false
+}
+
+// Store files res as pt's result, counting a miss (someone simulated
+// it); a point already held keeps its entry.
+func (c *WarmForkCache) Store(pt Point, res PointResult) {
+	pt.Label = ""
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.entries[pt] == nil {
+		e := c.addLocked(pt)
+		e.res = res
+		close(e.done)
 	}
 }
 

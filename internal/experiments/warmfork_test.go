@@ -460,3 +460,53 @@ func TestMemoCapEvictsOldestFirst(t *testing.T) {
 		t.Errorf("request after eviction = (%+v, %v), want a fresh simulation", r, err)
 	}
 }
+
+// TestMemoLookupAndStore: the two accessors of an owner that simulates
+// elsewhere. Store files a result once (a held point keeps its entry,
+// labels do not split it), Lookup answers from finished entries only —
+// it does not wait for a simulation in flight — and both count as the
+// single-flight path does: a stored result is a miss, an answer a hit.
+func TestMemoLookupAndStore(t *testing.T) {
+	c := NewWarmForkCache()
+	pt := Point{Family: FamilyLock, Kind: int(workload.Ticket), Protocol: protocols[0], Procs: 2, Iterations: 64, Label: "asked"}
+	want, err := RunPointForked(context.Background(), pt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Lookup(pt); ok {
+		t.Fatal("an empty memo answered")
+	}
+	c.Store(pt, want)
+	pt.Label = "asked again"
+	c.Store(pt, PointResult{}) // held: must not replace the entry
+	got, ok := c.Lookup(pt)
+	if !ok || !reflect.DeepEqual(got, want) {
+		t.Errorf("Lookup after Store: ok %v, equal %v", ok, reflect.DeepEqual(got, want))
+	}
+	if hits, misses, served := c.Stats(); hits != 1 || misses != 1 || served != want.SimCycles || c.Checkpoints() != 1 {
+		t.Errorf("hits %d misses %d served %d entries %d; want 1, 1, %d, 1", hits, misses, served, c.Checkpoints(), want.SimCycles)
+	}
+
+	// A point being simulated is held but not finished.
+	other := pt
+	other.Procs = 4
+	building, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _ = c.run(context.Background(), other, func() (PointResult, error) {
+			close(building)
+			<-release
+			return want, nil
+		})
+	}()
+	<-building
+	if _, ok := c.Lookup(other); ok {
+		t.Error("Lookup answered from an entry still being simulated")
+	}
+	close(release)
+	<-done
+	if _, ok := c.Lookup(other); !ok {
+		t.Error("Lookup missed the entry once its simulation finished")
+	}
+}

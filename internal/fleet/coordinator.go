@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"slices"
 	"sync"
@@ -37,11 +38,12 @@ type Config struct {
 	// RetryBackoff delays a requeued shard's next lease, doubling per
 	// attempt up to 8x (default 250ms).
 	RetryBackoff time.Duration
-	// Cache, when non-nil, short-circuits shards whose results are
-	// already stored and receives every fresh result.
+	// Cache, when non-nil, answers points the memo does not hold (after
+	// a restart, an eviction) and receives every fresh result.
 	Cache ShardCache
-	// Memo is the point memo of the zero-worker fallback: the daemon's,
-	// shared with its local executor, or (nil) the coordinator's own.
+	// Memo answers before anything is leased and keeps every accepted
+	// result: the daemon's, shared with its local executor, or (nil) the
+	// coordinator's own.
 	Memo *experiments.WarmForkCache
 	Logf func(format string, args ...any)
 }
@@ -77,8 +79,9 @@ type Stats struct {
 	Reassigned   uint64 // shards requeued after worker death or failure
 	Stolen       uint64 // constant 0 (nothing is leased ahead, so nothing is stolen); bench/probes.go reads it until a benchmark-definition PR retires it with its ledger row
 	DupCompletes uint64 // completions for shards no longer outstanding (no-ops)
-	Failed       uint64 // shards exhausted (failed their job)
-	CacheHits    uint64 // shards answered from the shard cache
+	Failed       uint64 // shards exhausted (failed every job attached)
+	CacheHits    uint64 // points answered from the shard cache
+	Coalesced    uint64 // points answered without a lease of their own: from the memo, or attached to an outstanding shard
 	LocalRuns    uint64 // shards executed by the coordinator's fallback
 }
 
@@ -86,18 +89,23 @@ type Stats struct {
 // fallback is executing; the register handler refuses it as a worker ID.
 const localHolder = ""
 
-// A shard is in exactly one place while its job is live: on the pending
-// FIFO, in the leased map (someone is executing it), or merged into its
-// job's results.
+// A shard is one distinct point on its way to a result: on the pending
+// FIFO or in the leased map (someone is executing it), and in inflight
+// by key either way. Every slot that asks for the point meanwhile is
+// attached to it, to be filled when it settles.
 type shard struct {
 	id        string
-	job       *fleetJob
-	index     int
 	key       string
 	point     experiments.Point
+	slots     []slot
 	attempts  int
 	notBefore time.Time
 	worker    string // lease holder; meaningful only while leased
+}
+
+type slot struct { // one place in one job's results
+	job   *fleetJob
+	index int
 }
 
 type fleetJob struct {
@@ -116,13 +124,14 @@ type Coordinator struct {
 	cfg Config
 	now func() time.Time // time.Now; in-package tests substitute a manual clock
 
-	mu      sync.Mutex
-	workers map[string]time.Time // worker ID -> when it was last heard from
-	pending []*shard             // FIFO, subject to per-shard notBefore
-	leased  map[string]*shard    // by shard ID
-	seq     int
-	notify  chan struct{} // closed and replaced when work arrives
-	closed  bool
+	mu       sync.Mutex
+	workers  map[string]time.Time // worker ID -> when it was last heard from
+	pending  []*shard             // FIFO, subject to per-shard notBefore
+	leased   map[string]*shard    // by shard ID
+	inflight map[string]*shard    // every pending or leased shard, by point key
+	seq      int
+	notify   chan struct{} // closed and replaced when work arrives
+	closed   bool
 
 	stats Stats
 
@@ -140,12 +149,13 @@ func NewCoordinator(cfg Config) *Coordinator {
 // tests that call reapDead themselves.
 func newCoordinator(cfg Config) *Coordinator {
 	return &Coordinator{
-		cfg:     cfg.withDefaults(),
-		now:     time.Now,
-		workers: make(map[string]time.Time),
-		leased:  make(map[string]*shard),
-		notify:  make(chan struct{}),
-		done:    make(chan struct{}),
+		cfg:      cfg.withDefaults(),
+		now:      time.Now,
+		workers:  make(map[string]time.Time),
+		leased:   make(map[string]*shard),
+		inflight: make(map[string]*shard),
+		notify:   make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 }
 
@@ -258,14 +268,15 @@ func (c *Coordinator) requeueLocked(s *shard) {
 	c.wakeLocked()
 }
 
-// RunPoints decomposes pts into shards and blocks until every result is
-// assembled (in submission order), the context is cancelled, or a shard
-// exhausts its attempts. onDone, when non-nil, observes every result as
-// it lands (any order) for progress reporting, a shard's or the shard
-// cache's (a cached point never becomes a shard). When no live workers
-// exist, the calling process executes pending shards itself, so a fleet
-// of zero still terminates — distribution is an acceleration, never a
-// dependency.
+// RunPoints blocks until every point has a result (returned in
+// submission order), the context is cancelled, or a shard exhausts its
+// attempts. A point is answered by the memo, else the shard cache, else
+// it attaches to the shard already outstanding for its key — this
+// batch's or another job's — and only else gets a shard of its own, so a
+// distinct point crosses the fleet once. onDone, when non-nil, observes
+// every result as it lands (any order), however it was answered. With no
+// live workers the calling process executes pending shards itself:
+// distribution is an acceleration, never a dependency.
 func (c *Coordinator) RunPoints(ctx context.Context, pts []experiments.Point, onDone func(index int, r experiments.PointResult)) ([]experiments.PointResult, error) {
 	job := &fleetJob{
 		ctx:      ctx,
@@ -273,57 +284,76 @@ func (c *Coordinator) RunPoints(ctx context.Context, pts []experiments.Point, on
 		finished: make(chan struct{}),
 		onDone:   onDone,
 	}
+	// Before the lock (the shard cache is a file read): what is known.
+	keys := make([]string, len(pts)) // left empty for a point answered here
+	var answered []int
+	var cacheHits uint64
+	for i, pt := range pts {
+		r, ok := c.cfg.Memo.Lookup(pt)
+		if !ok {
+			keys[i] = pt.Key()
+			if c.cfg.Cache != nil {
+				body, status, hit := c.cfg.Cache.Get(keys[i])
+				if ok = hit && status == "done" && json.Unmarshal(body, &r) == nil; ok {
+					c.cfg.Memo.Store(pt, r)
+					cacheHits++
+				}
+			}
+		}
+		if ok {
+			job.results[i], keys[i] = r, ""
+			answered = append(answered, i)
+		}
+	}
 
 	c.mu.Lock()
 	c.seq++
 	job.id = fmt.Sprintf("j%d", c.seq)
-	var fresh []*shard
-	var cached []int // indices answered from the shard cache
+	fresh := 0
 	for i, pt := range pts {
-		key := pt.Key()
-		if body, status, ok := c.cacheGet(key); ok && status == "done" {
-			var r experiments.PointResult
-			if json.Unmarshal(body, &r) == nil {
-				job.results[i] = r
-				cached = append(cached, i)
-				continue
-			}
+		if keys[i] == "" {
+			continue
 		}
-		fresh = append(fresh, &shard{
-			id:    fmt.Sprintf("%s#%d", job.id, i),
-			job:   job,
-			index: i,
-			key:   key,
-			point: pt,
-		})
+		// settle moves a key from inflight to the memo under c.mu, so
+		// one that was in neither above is in exactly one of them now.
+		if r, ok := c.cfg.Memo.Lookup(pt); ok {
+			job.results[i] = r
+			answered = append(answered, i)
+			continue
+		}
+		s := c.inflight[keys[i]]
+		if s == nil {
+			s = &shard{id: fmt.Sprintf("%s#%d", job.id, i), key: keys[i], point: pt}
+			c.inflight[s.key] = s
+			c.pending = append(c.pending, s)
+			fresh++
+		}
+		s.slots = append(s.slots, slot{job, i})
+		job.remaining++
 	}
-	c.stats.CacheHits += uint64(len(cached))
-	job.remaining = len(fresh)
-	if len(fresh) > 0 {
-		c.pending = append(c.pending, fresh...)
+	c.stats.CacheHits += cacheHits
+	c.stats.Coalesced += uint64(len(pts)-fresh) - cacheHits
+	if fresh > 0 {
 		c.wakeLocked()
 	}
 	c.mu.Unlock()
 
-	// Outside c.mu, like settle's call; no shard writes a cached index.
+	// Outside c.mu, like settle's call; no shard writes an answered index.
 	if onDone != nil {
-		for _, i := range cached {
+		for _, i := range answered {
 			onDone(i, job.results[i])
 		}
 	}
-	if len(fresh) == 0 {
+	if len(answered) == len(pts) {
 		return job.results, nil
 	}
 
 	go c.localFallback(job)
 
 	select {
-	case <-job.finished:
-		c.mu.Lock()
-		err := job.err
-		c.mu.Unlock()
-		if err != nil {
-			return nil, err
+	case <-job.finished: // job.err, if any, was set before the close
+		if job.err != nil {
+			return nil, job.err
 		}
 		return job.results, nil
 	case <-ctx.Done():
@@ -334,25 +364,20 @@ func (c *Coordinator) RunPoints(ctx context.Context, pts []experiments.Point, on
 	}
 }
 
-// cacheGet is a nil-tolerant cache read. Callers may hold c.mu (the
-// store has its own lock and never calls back).
-func (c *Coordinator) cacheGet(key string) ([]byte, string, bool) {
-	if c.cfg.Cache == nil {
-		return nil, "", false
-	}
-	return c.cfg.Cache.Get(key)
-}
-
-// dropJobLocked removes a cancelled or failed job's shards from the
-// queue and the lease map; a late completion for one of them is then a
-// counted no-op. Callers hold c.mu.
+// dropJobLocked detaches a cancelled or failed job from every shard. A
+// shard other jobs are attached to stays where it is, attempts and
+// lease included; one left without a slot goes, and a late completion
+// for it is then a counted no-op. Callers hold c.mu.
 func (c *Coordinator) dropJobLocked(job *fleetJob) {
-	c.pending = slices.DeleteFunc(c.pending, func(s *shard) bool { return s.job == job })
-	for sid, s := range c.leased {
-		if s.job == job {
-			delete(c.leased, sid)
+	orphaned := func(s *shard) bool {
+		s.slots = slices.DeleteFunc(s.slots, func(sl slot) bool { return sl.job == job })
+		if len(s.slots) == 0 {
+			delete(c.inflight, s.key)
 		}
+		return len(s.slots) == 0
 	}
+	c.pending = slices.DeleteFunc(c.pending, orphaned)
+	maps.DeleteFunc(c.leased, func(_ string, s *shard) bool { return orphaned(s) })
 }
 
 // popPendingLocked removes and returns the first pending shard that ok
@@ -378,24 +403,18 @@ func (c *Coordinator) takeLocked(holder string, ok func(*shard) bool) *shard {
 	return s
 }
 
-// localFallback executes the job's pending shards on the coordinator
-// process whenever no live workers exist — at job start, or after every
-// worker died mid-sweep — through cfg.Memo. It exits when the job
-// finishes or is cancelled.
+// localFallback executes pending shards on the coordinator process
+// while job is live and no live workers exist — at job start, or after
+// every worker died mid-sweep. It simulates directly (RunPoints asked
+// the memo before the shard existed), so ctx never cuts a run short and
+// every result is settled: other jobs may be attached to the shard.
 func (c *Coordinator) localFallback(job *fleetJob) {
 	for {
-		select {
-		case <-job.finished:
-			return
-		case <-job.ctx.Done():
-			return
-		case <-time.After(10 * time.Millisecond):
-		}
-		for {
+		for job.ctx.Err() == nil {
 			var s *shard
 			c.mu.Lock()
 			if c.liveWorkersLocked() == 0 {
-				if s = c.takeLocked(localHolder, func(p *shard) bool { return p.job == job }); s != nil {
+				if s = c.takeLocked(localHolder, func(*shard) bool { return true }); s != nil {
 					c.stats.LocalRuns++
 				}
 			}
@@ -403,15 +422,19 @@ func (c *Coordinator) localFallback(job *fleetJob) {
 			if s == nil {
 				break
 			}
-			res, err := experiments.RunPointForked(job.ctx, s.point, c.cfg.Memo)
-			if job.ctx.Err() != nil {
-				return
-			}
+			res, err := experiments.RunPointForked(job.ctx, s.point, nil)
 			if err != nil {
 				c.settle(s.id, nil, err.Error())
 			} else {
 				c.settle(s.id, &res, "")
 			}
+		}
+		select {
+		case <-job.finished:
+			return
+		case <-job.ctx.Done():
+			return
+		case <-time.After(10 * time.Millisecond):
 		}
 	}
 }
@@ -419,11 +442,12 @@ func (c *Coordinator) localFallback(job *fleetJob) {
 // settle records one shard outcome. A result is accepted for any shard
 // still outstanding — leased to whoever, or requeued after its worker
 // was presumed dead — because identical points produce identical bytes.
-// Success merges the result into its job; failure requeues the shard
-// or, once attempts are exhausted, fails the job. An outcome for a shard
-// that is no longer outstanding (already merged, or its job cancelled or
-// failed) is a counted no-op: it must not touch merge order, the shard
-// cache, or the completion counters a second time.
+// Success stores the result in the memo and fills every attached slot;
+// failure requeues the shard or, once attempts are exhausted, fails
+// every attached job and stores nothing, so a resubmission tries again.
+// An outcome for a shard no longer outstanding (settled, or every job
+// attached to it gone) is a counted no-op: it must not touch merge
+// order, the memo, the shard cache or the counters a second time.
 func (c *Coordinator) settle(id string, res *experiments.PointResult, errStr string) {
 	c.mu.Lock()
 	s := c.leased[id]
@@ -434,26 +458,36 @@ func (c *Coordinator) settle(id string, res *experiments.PointResult, errStr str
 		c.mu.Unlock()
 		return
 	}
-	job := s.job
-	if errStr != "" {
-		if s.attempts+1 < c.cfg.MaxAttempts {
-			c.requeueLocked(s)
-			c.mu.Unlock()
-			c.logf("fleet: shard %s attempt %d failed (%s), requeued", s.id, s.attempts, errStr)
-			return
-		}
-		c.stats.Failed++
-		job.err = fmt.Errorf("shard %s (%s) failed after %d attempts: %s", s.id, s.point.Label, s.attempts+1, errStr)
-		c.dropJobLocked(job)
-		close(job.finished)
+	if errStr != "" && s.attempts+1 < c.cfg.MaxAttempts {
+		c.requeueLocked(s)
 		c.mu.Unlock()
-		c.logf("fleet: %v", job.err)
+		c.logf("fleet: shard %s attempt %d failed (%s), requeued", s.id, s.attempts, errStr)
 		return
 	}
-	job.results[s.index] = *res
-	job.remaining--
+	delete(c.inflight, s.key)
+	if errStr != "" {
+		c.stats.Failed++
+		err := fmt.Errorf("shard %s (%s) failed after %d attempts: %s", s.id, s.point.Label, s.attempts+1, errStr)
+		for _, sl := range s.slots {
+			if sl.job.err == nil { // once per job, however many slots it has here
+				sl.job.err = err
+				c.dropJobLocked(sl.job)
+				close(sl.job.finished)
+			}
+		}
+		c.mu.Unlock()
+		c.logf("fleet: %v", err)
+		return
+	}
+	c.cfg.Memo.Store(s.point, *res)
 	c.stats.Completed++
-	finished := job.remaining == 0
+	var finished []*fleetJob
+	for _, sl := range s.slots {
+		sl.job.results[sl.index] = *res
+		if sl.job.remaining--; sl.job.remaining == 0 {
+			finished = append(finished, sl.job)
+		}
+	}
 	c.mu.Unlock()
 
 	if c.cfg.Cache != nil {
@@ -463,10 +497,12 @@ func (c *Coordinator) settle(id string, res *experiments.PointResult, errStr str
 			_ = c.cfg.Cache.Put(s.key, "done", body)
 		}
 	}
-	if job.onDone != nil {
-		job.onDone(s.index, *res)
+	for _, sl := range s.slots {
+		if sl.job.onDone != nil {
+			sl.job.onDone(sl.index, *res)
+		}
 	}
-	if finished {
+	for _, job := range finished {
 		close(job.finished)
 	}
 }
@@ -561,12 +597,16 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("/v1/fleet/complete", c.handleComplete)
 }
 
+// maxRequestBody bounds a worker's request: a completion is 1-7 KB at
+// quick scale, ~350 KB at paper scale with its metrics series.
+const maxRequestBody = 8 << 20
+
 func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v); err != nil {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return false
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,10 +18,11 @@ import (
 
 	"coherencesim/internal/experiments"
 	"coherencesim/internal/proto"
+	"coherencesim/internal/runner"
 )
 
-// quickPoints builds a small but real batch of lock points (the
-// simulations are tiny: 64 total acquires each).
+// quickPoints builds a small but real batch of distinct lock points
+// (the simulations are tiny: some 64 total acquires each).
 func quickPoints(n int) []experiments.Point {
 	var pts []experiments.Point
 	for i := 0; i < n; i++ {
@@ -29,7 +31,7 @@ func quickPoints(n int) []experiments.Point {
 			Kind:       i % 3, // Ticket, MCS, UpdateConsciousMCS
 			Protocol:   proto.Protocol(i % 3),
 			Procs:      1 + i%4,
-			Iterations: 64,
+			Iterations: 64 + 12*(i/12), // kind, protocol and size repeat every 12
 			Label:      fmt.Sprintf("test/pt%d", i),
 		})
 	}
@@ -232,31 +234,34 @@ func TestWorkerDeathMidSweepStillIdentical(t *testing.T) {
 	}
 }
 
-// TestShardCacheShortCircuits: a second identical batch is answered
-// entirely from the shard cache, dispatching nothing.
+// TestShardCacheShortCircuits: a coordinator restarted on the same shard
+// cache answers an identical batch from it, dispatching nothing, and
+// moves what it read into its memo: the batch after that costs no read.
 func TestShardCacheShortCircuits(t *testing.T) {
 	pts := quickPoints(4)
 	cache := newMemCache()
+	before := NewCoordinator(testConfig(cache))
+	defer before.Close()
+	first, err := before.RunPoints(context.Background(), pts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	coord := NewCoordinator(testConfig(cache))
 	defer coord.Close()
-	first, err := coord.RunPoints(context.Background(), pts, nil)
-	if err != nil {
-		t.Fatal(err)
+	for batch, want := range []Stats{{CacheHits: 4}, {CacheHits: 4, Coalesced: 4}} {
+		again, err := coord.RunPoints(context.Background(), pts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, again) {
+			t.Errorf("batch %d: answered results differ from computed results", batch)
+		}
+		if st := coord.Stats(); st != want {
+			t.Errorf("batch %d: stats %+v, want %+v", batch, st, want)
+		}
 	}
-	completedAfterFirst := coord.Stats().Completed
-	second, err := coord.RunPoints(context.Background(), pts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Error("cached results differ from computed results")
-	}
-	st := coord.Stats()
-	if st.Completed != completedAfterFirst {
-		t.Errorf("second batch computed %d shards, want 0", st.Completed-completedAfterFirst)
-	}
-	if st.CacheHits != uint64(len(pts)) {
-		t.Errorf("cache hits = %d, want %d", st.CacheHits, len(pts))
+	if n := cache.putCount(); n != len(pts) {
+		t.Errorf("%d shard-cache writes, want %d: an answered point is not written back", n, len(pts))
 	}
 	// The cached bytes must round-trip to the identical result struct.
 	for _, pt := range pts {
@@ -670,24 +675,27 @@ func TestOnDoneObservesEveryComputedShard(t *testing.T) {
 	}
 }
 
-// TestOnDoneObservesCacheAnsweredPoints: a point the shard cache answers
-// never becomes a shard, but the caller's progress and cycle accounting
+// TestOnDoneObservesCacheAnsweredPoints: a point the shard cache or the
+// memo answers never becomes a shard, but the caller's progress and cycle accounting
 // must still see it — once, with its result, and outside the
 // coordinator's lock (the callback below takes it).
 func TestOnDoneObservesCacheAnsweredPoints(t *testing.T) {
 	pts := quickPoints(6)
 	want := baseline(t, pts)
-	coord := NewCoordinator(testConfig(newMemCache()))
-	defer coord.Close()
-	if _, err := coord.RunPoints(context.Background(), pts[:3], nil); err != nil {
+	cache := newMemCache()
+	before := NewCoordinator(testConfig(cache))
+	defer before.Close()
+	if _, err := before.RunPoints(context.Background(), pts[:3], nil); err != nil {
 		t.Fatal(err)
 	}
+	coord := NewCoordinator(testConfig(cache))
+	defer coord.Close()
 	for _, batch := range []struct {
-		name   string
-		cached uint64 // cumulative shard-cache hits after the batch
+		name             string
+		cached, memoized uint64 // cumulative shard-cache and memo answers after the batch
 	}{
-		{"half cached", 3},
-		{"all cached", 9},
+		{"half cached", 3, 0},
+		{"all memoized", 3, 6},
 	} {
 		var mu sync.Mutex
 		seen := make(map[int]int)
@@ -715,8 +723,183 @@ func TestOnDoneObservesCacheAnsweredPoints(t *testing.T) {
 		if cycles != wantCycles {
 			t.Errorf("%s: onDone saw %d simulated cycles, want %d", batch.name, cycles, wantCycles)
 		}
-		if hits := coord.Stats().CacheHits; hits != batch.cached {
-			t.Errorf("%s: %d shard-cache hits, want %d", batch.name, hits, batch.cached)
+		if st := coord.Stats(); st.CacheHits != batch.cached || st.Coalesced != batch.memoized {
+			t.Errorf("%s: %d shard-cache hits and %d memo answers, want %d and %d", batch.name, st.CacheHits, st.Coalesced, batch.cached, batch.memoized)
 		}
+	}
+}
+
+// TestFiguresCrossTheFleetOnce is the exactly-once claim on the paper's
+// own figures: 8-16 at quick scale ask for 120 points, 48 of them
+// repeats (9/10, 12/13 and 15/16 project the same 32-processor runs,
+// and 8/11/14's largest size repeats them). Through a fresh coordinator
+// and two workers the 72 distinct ones are leased, once each, and the
+// tables are the local pool's byte for byte.
+func TestFiguresCrossTheFleetOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sweeps in -short mode")
+	}
+	render := func(o experiments.Options) string {
+		var b strings.Builder
+		for n := 8; n <= 16; n++ {
+			e, ok := experiments.Lookup(fmt.Sprintf("fig%d", n))
+			if !ok {
+				t.Fatalf("fig%d is not in the catalog", n)
+			}
+			for _, tbl := range e.Tables(o) {
+				fmt.Fprintln(&b, tbl)
+			}
+		}
+		return b.String()
+	}
+	local := experiments.Quick()
+	local.Runner = runner.New(2)
+	local.Memo = experiments.NewWarmForkCache()
+	want := render(local)
+
+	coord := NewCoordinator(testConfig(nil))
+	defer coord.Close()
+	startWorkers(t, coord, 2)
+	points := 0
+	viaFleet := experiments.Quick()
+	viaFleet.Dispatch = func(pts []experiments.Point) []experiments.PointResult {
+		points += len(pts)
+		res, err := coord.RunPoints(context.Background(), pts, nil)
+		if err != nil {
+			t.Error(err)
+			return make([]experiments.PointResult, len(pts))
+		}
+		return res
+	}
+	if got := render(viaFleet); got != want {
+		t.Error("figures 8-16 through the fleet differ from the local pool's")
+	}
+	st := coord.Stats()
+	if points != 120 || st.Dispatched != 72 || st.Completed != 72 || st.Coalesced != 48 || st.DupCompletes != 0 {
+		t.Errorf("%d points: %+v; want 120 points as 72 leases, 72 completions, 48 coalesced, no duplicate", points, st)
+	}
+}
+
+// TestConcurrentJobsLeaseEachKeyOnce: two RunPoints calls over the same
+// points, racing each other through real workers, lease every key once
+// between them and both return the baseline.
+func TestConcurrentJobsLeaseEachKeyOnce(t *testing.T) {
+	pts := quickPoints(12)
+	want := baseline(t, pts)
+	coord := NewCoordinator(testConfig(nil))
+	defer coord.Close()
+	startWorkers(t, coord, 2)
+	waits := []func() ([]experiments.PointResult, error){
+		runAsync(t, coord, context.Background(), pts, nil),
+		runAsync(t, coord, context.Background(), pts, nil),
+	}
+	for i, wait := range waits {
+		got, err := wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("job %d differs from the baseline", i)
+		}
+	}
+	if st := coord.Stats(); st.Dispatched != 12 || st.Completed != 12 || st.Coalesced != 12 || st.DupCompletes != 0 {
+		t.Errorf("stats = %+v, want 12 leases and 12 coalesced points for 24 requested", st)
+	}
+}
+
+// attachTwo submits pts as a first job, waits for its shards, then
+// submits them again as a second job that can only attach. The anchor
+// worker never polls: it keeps the local fallback out.
+func attachTwo(t *testing.T, coord *Coordinator, firstCtx context.Context, pts []experiments.Point) (first, second func() ([]experiments.PointResult, error)) {
+	t.Helper()
+	coord.register("anchor")
+	coord.register("w")
+	attached := func() (n int) {
+		coord.mu.Lock()
+		defer coord.mu.Unlock()
+		for _, s := range coord.inflight {
+			n += len(s.slots)
+		}
+		return n
+	}
+	first = runAsync(t, coord, firstCtx, pts, nil)
+	for attached() < len(pts) {
+		runtime.Gosched()
+	}
+	second = runAsync(t, coord, context.Background(), pts, nil)
+	for attached() < 2*len(pts) {
+		runtime.Gosched()
+	}
+	return first, second
+}
+
+// TestCancelledOwnerHandsItsShardsOn: the job whose submission created
+// the shards is cancelled while one is leased and one still pending; the
+// job attached to them finishes all the same, with the baseline's bytes
+// and no second lease of the shard that was running.
+func TestCancelledOwnerHandsItsShardsOn(t *testing.T) {
+	pts := quickPoints(2)
+	want := baseline(t, pts)
+	coord, _ := newManualCoordinator(testConfig(nil))
+	defer coord.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	first, second := attachTwo(t, coord, ctx, pts)
+	running := leaseOne(t, coord, "w")
+	cancel()
+	if _, err := first(); err != context.Canceled {
+		t.Fatalf("cancelled job: err = %v, want context.Canceled", err)
+	}
+	next, err := coord.complete(CompleteRequest{Worker: "w", Shard: running.ID, Result: resultOf(t, running)})
+	if err != nil || next == nil {
+		t.Fatalf("completing the running shard: next lease %v, err %v; want the pending shard", next, err)
+	}
+	if _, err := coord.complete(CompleteRequest{Worker: "w", Shard: next.ID, Result: resultOf(t, *next)}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := second()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("the attached job's results differ from the baseline")
+	}
+	if st := coord.Stats(); st.Dispatched != 2 || st.Completed != 2 || st.DupCompletes != 0 {
+		t.Errorf("stats = %+v, want each shard leased and completed once", st)
+	}
+}
+
+// TestExhaustedShardFailsEveryAttachedJob: a shard that runs out of
+// attempts fails the job that created it and the job attached to it,
+// and leaves nothing in the memo: the next submission leases it again.
+func TestExhaustedShardFailsEveryAttachedJob(t *testing.T) {
+	pts := quickPoints(1)
+	cfg := testConfig(nil)
+	cfg.MaxAttempts = 2
+	coord, clk := newManualCoordinator(cfg)
+	defer coord.Close()
+	first, second := attachTwo(t, coord, context.Background(), pts)
+	for attempt := 0; attempt < cfg.MaxAttempts; attempt++ {
+		clk.advance(8 * cfg.RetryBackoff)
+		lease := leaseOne(t, coord, "w")
+		if _, err := coord.complete(CompleteRequest{Worker: "w", Shard: lease.ID, Error: "injected"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, wait := range []func() ([]experiments.PointResult, error){first, second} {
+		if _, err := wait(); err == nil || !strings.Contains(err.Error(), "injected") {
+			t.Errorf("job %d: err = %v, want the shard's failure", i, err)
+		}
+	}
+	if st := coord.Stats(); st.Failed != 1 || coord.cfg.Memo.Checkpoints() != 0 {
+		t.Errorf("stats = %+v, memo holds %d points; want one failed shard and an empty memo", st, coord.cfg.Memo.Checkpoints())
+	}
+	third := runAsync(t, coord, context.Background(), pts, nil)
+	lease := leaseOne(t, coord, "w")
+	if _, err := coord.complete(CompleteRequest{Worker: "w", Shard: lease.ID, Result: resultOf(t, lease)}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := third(); err != nil || !reflect.DeepEqual(got, baseline(t, pts)) {
+		t.Errorf("resubmission after the failure: err %v, or results differ from the baseline", err)
 	}
 }

@@ -3,13 +3,13 @@
 // The fabric is coordinator-centric and pull-based: workers own no
 // listener and initiate every exchange over the coordinator's existing
 // REST surface (POST /v1/fleet/*). The coordinator is a plain lease
-// queue: one FIFO of pending shards — each one serializable
+// queue: one FIFO of pending shards — each one distinct serializable
 // experiments.Point — and a map of running leases. A worker registers
 // and runs one loop per execution slot: long-poll for one shard, execute
-// it with experiments.RunPointForked against a worker-lifetime result
-// memo, post the result — and the response to that completion carries
-// the slot's next shard when one is eligible, so a busy fleet costs one
-// HTTP request per point and a leased shard is always a running shard.
+// it with experiments.RunPointForked, post the result — and the response
+// to that completion carries the slot's next shard when one is eligible,
+// so a busy fleet costs one HTTP request per distinct point and a leased
+// shard is always a running shard.
 // Nothing is leased ahead of execution, so a fast worker simply comes
 // back for more sooner than a slow one and there is no unstarted tail
 // to rebalance. The coordinator heartbeat-times-out dead workers,
@@ -20,10 +20,12 @@
 // the only degree of freedom, and it is pinned).
 //
 // Because a Point's content hash fully addresses its result, the
-// coordinator also consults a shard-level cache (conventionally the
-// daemon's durable content-addressed store) before dispatching: a sweep
-// re-run after a restart re-simulates only what the store no longer
-// holds.
+// coordinator owns reuse for the whole fleet: a point is answered from
+// its memo, else from a shard-level cache (conventionally the daemon's
+// durable content-addressed store — a sweep re-run after a restart
+// re-simulates only what the store no longer holds), else attached to
+// the shard already outstanding for the same key, and only else leased.
+// Workers execute; they remember nothing.
 package fleet
 
 import "coherencesim/internal/experiments"

@@ -45,17 +45,16 @@ func (cfg WorkerConfig) withDefaults() WorkerConfig {
 // Worker leases shards from a coordinator, one per execution slot, and
 // executes them. It owns no listener: registration, polling, completion,
 // and heartbeats are all HTTP requests it initiates, so a worker runs
-// from anywhere that can reach the coordinator. One point memo lives as
-// long as the worker, so a point that comes round again — in a later
-// shard, a later job — is simulated once, not once per lease.
+// from anywhere that can reach the coordinator. It executes and keeps
+// nothing: the coordinator owns reuse for the whole fleet and leases a
+// distinct point once.
 type Worker struct {
-	cfg  WorkerConfig
-	memo *experiments.WarmForkCache
+	cfg WorkerConfig
 }
 
 // NewWorker builds a worker (Run does the work).
 func NewWorker(cfg WorkerConfig) *Worker {
-	return &Worker{cfg: cfg.withDefaults(), memo: experiments.NewWarmForkCache()}
+	return &Worker{cfg: cfg.withDefaults()}
 }
 
 // ID returns the worker's identity.
@@ -179,13 +178,8 @@ func (w *Worker) Run(ctx context.Context) error {
 // polling. The slot never holds a shard it is not executing.
 func (w *Worker) slotLoop(ctx context.Context) {
 	for ctx.Err() == nil {
-		s := w.poll(ctx)
-		for s != nil {
-			out, ok := w.execute(ctx, *s)
-			if !ok {
-				return
-			}
-			s = w.complete(ctx, out)
+		for s := w.poll(ctx); s != nil; {
+			s = w.complete(ctx, w.execute(ctx, *s))
 		}
 	}
 }
@@ -226,19 +220,16 @@ func (w *Worker) complete(ctx context.Context, out CompleteRequest) *Shard {
 	return resp.Shard
 }
 
-// execute runs one shard through the worker's memo. ok is false when
-// ctx ended mid-run: such a result is not trustworthy and is not posted.
-func (w *Worker) execute(ctx context.Context, s Shard) (out CompleteRequest, ok bool) {
-	out = CompleteRequest{Worker: w.cfg.ID, Shard: s.ID}
-	res, err := experiments.RunPointForked(ctx, s.Point, w.memo)
-	if ctx.Err() != nil {
-		return out, false
-	}
+// execute simulates one shard, always to the end: if ctx ends meanwhile
+// the worker is stopping, and complete posts nothing under a dead ctx.
+func (w *Worker) execute(ctx context.Context, s Shard) CompleteRequest {
+	out := CompleteRequest{Worker: w.cfg.ID, Shard: s.ID}
+	res, err := experiments.RunPointForked(ctx, s.Point, nil)
 	if err != nil {
 		out.Error = err.Error()
 	} else {
 		out.Result = &res
 	}
 	w.logf("fleet worker %s: shard %s (%s) done", w.cfg.ID, s.ID, s.Point.Label)
-	return out, true
+	return out
 }

@@ -17,9 +17,10 @@ import (
 // a dispatcher that fans its points across the fleet. The dispatcher
 // returns results in submission order (the coordinator's contract), so
 // the rendered document is byte-identical to base's at any worker count
-// and under any failure interleaving. A dispatched sweep never consults
-// memo (the shard cache and the workers' memos answer its repeats); it
-// only marks a warm_fork sweep's points.
+// and under any failure interleaving. A dispatched sweep reuses results
+// through the same memo as a local one — coord is built on it
+// (fleet.Config.Memo) and asks it before it leases anything — so memo is
+// here only to mark a warm_fork sweep's points.
 func NewFleetExec(base ExecFunc, coord *fleet.Coordinator, memo *experiments.WarmForkCache) ExecFunc {
 	if coord == nil {
 		return base

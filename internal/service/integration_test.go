@@ -251,25 +251,28 @@ func TestFleetExecutionByteIdentity(t *testing.T) {
 	}
 }
 
+// metricRow scrapes one unlabelled row of /metrics.
+func metricRow(t *testing.T, ts *httptest.Server, name string) uint64 {
+	t.Helper()
+	_, body := getBody(t, ts.URL+"/metrics")
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("/metrics has no %s row", name)
+	return 0
+}
+
 // memoCounters scrapes the point-memo rows of /metrics.
 func memoCounters(t *testing.T, ts *httptest.Server) (hits, misses, served, entries uint64) {
 	t.Helper()
-	_, body := getBody(t, ts.URL+"/metrics")
-	row := func(name string) uint64 {
-		for _, line := range strings.Split(string(body), "\n") {
-			if v, ok := strings.CutPrefix(line, name+" "); ok {
-				n, err := strconv.ParseUint(v, 10, 64)
-				if err != nil {
-					t.Fatalf("%s: %v", line, err)
-				}
-				return n
-			}
-		}
-		t.Fatalf("/metrics has no %s row", name)
-		return 0
-	}
-	return row("coherenced_point_memo_hits_total"), row("coherenced_point_memo_misses_total"),
-		row("coherenced_point_memo_served_cycles_total"), row("coherenced_point_memo_entries")
+	return metricRow(t, ts, "coherenced_point_memo_hits_total"), metricRow(t, ts, "coherenced_point_memo_misses_total"),
+		metricRow(t, ts, "coherenced_point_memo_served_cycles_total"), metricRow(t, ts, "coherenced_point_memo_entries")
 }
 
 // TestDaemonSharesPointsAcrossJobs: figures 8, 9 and 10 are projections
@@ -367,8 +370,9 @@ func TestDaemonSharesPointsAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestFleetPathCountsCacheAnsweredPoints: a point the coordinator's
-// shard cache answers is served work like any other — the fleet path's
+// TestFleetPathCountsCacheAnsweredPoints: a point the coordinator
+// answers without leasing it — from its memo, or after a restart from
+// the shard cache — is served work like any other: the fleet path's
 // last progress snapshot must count it, points and cycles, as the local
 // path's does.
 func TestFleetPathCountsCacheAnsweredPoints(t *testing.T) {
@@ -379,19 +383,23 @@ func TestFleetPathCountsCacheAnsweredPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := fleet.NewCoordinator(fleet.Config{Cache: st, HeartbeatTimeout: time.Second})
-	defer coord.Close()
-	mux := http.NewServeMux()
-	coord.Mount(mux)
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go fleet.NewWorker(fleet.WorkerConfig{Coordinator: ts.URL, ID: "itest-cache"}).Run(ctx)
-	for deadline := time.Now().Add(5 * time.Second); coord.LiveWorkers() < 1; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("fleet worker never registered")
+	// A coordinator on the shared store with one worker of its own.
+	startFleet := func() *fleet.Coordinator {
+		coord := fleet.NewCoordinator(fleet.Config{Cache: st, HeartbeatTimeout: time.Second})
+		t.Cleanup(coord.Close)
+		mux := http.NewServeMux()
+		coord.Mount(mux)
+		ts := httptest.NewServer(mux)
+		t.Cleanup(ts.Close)
+		go fleet.NewWorker(fleet.WorkerConfig{Coordinator: ts.URL, ID: "itest-cache"}).Run(ctx)
+		for deadline := time.Now().Add(5 * time.Second); coord.LiveWorkers() < 1; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("fleet worker never registered")
+			}
 		}
+		return coord
 	}
 
 	last := func(exec ExecFunc, name string) runner.Snapshot {
@@ -408,15 +416,21 @@ func TestFleetPathCountsCacheAnsweredPoints(t *testing.T) {
 		return last
 	}
 	local := last(BatchExecutor(), "fig9")
-	fleetExec := NewFleetExec(nil, coord, experiments.NewWarmForkCache())
-	for _, name := range []string{"fig9", "fig10"} { // fig10 asks for fig9's points again
-		got := last(fleetExec, name)
+	coord, restarted := startFleet(), startFleet()
+	for _, run := range []struct {
+		coord *fleet.Coordinator
+		name  string
+	}{{coord, "fig9"}, {coord, "fig10"}, {restarted, "fig10"}} { // fig10 asks for fig9's points again
+		got := last(NewFleetExec(nil, run.coord, experiments.NewWarmForkCache()), run.name)
 		if got.JobsDone != local.JobsDone || got.JobsTotal != local.JobsTotal || got.SimCycles != local.SimCycles {
 			t.Errorf("%s on the fleet path ended at %d/%d points, %d cycles; the local path at %d/%d, %d",
-				name, got.JobsDone, got.JobsTotal, got.SimCycles, local.JobsDone, local.JobsTotal, local.SimCycles)
+				run.name, got.JobsDone, got.JobsTotal, got.SimCycles, local.JobsDone, local.JobsTotal, local.SimCycles)
 		}
 	}
-	if stats := coord.Stats(); stats.CacheHits != 9 || stats.Completed != 9 {
-		t.Errorf("shard cache answered %d points and workers %d, want 9 and 9", stats.CacheHits, stats.Completed)
+	if stats := coord.Stats(); stats.Completed != 9 || stats.Coalesced != 9 || stats.CacheHits != 0 {
+		t.Errorf("workers answered %d points, the memo %d, the shard cache %d; want 9, 9 and 0", stats.Completed, stats.Coalesced, stats.CacheHits)
+	}
+	if stats := restarted.Stats(); stats.Completed != 0 || stats.CacheHits != 9 {
+		t.Errorf("after the restart workers answered %d points and the shard cache %d, want 0 and 9", stats.Completed, stats.CacheHits)
 	}
 }

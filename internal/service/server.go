@@ -466,8 +466,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	write("coherenced_store_hits_total", "Submissions served from the durable result store.", "counter", c.StoreHits)
 
 	memoHits, memoMisses, memoCycles := s.memo.Stats()
-	write("coherenced_point_memo_hits_total", "Sweep points answered from the daemon's point memo.", "counter", memoHits)
-	write("coherenced_point_memo_misses_total", "Sweep points the daemon simulated (and memoized).", "counter", memoMisses)
+	write("coherenced_point_memo_hits_total", "Sweep points answered from the daemon's point memo, on the local path or before the fleet leased them.", "counter", memoHits)
+	write("coherenced_point_memo_misses_total", "Sweep points the daemon or a fleet worker simulated (and the daemon memoized).", "counter", memoMisses)
 	write("coherenced_point_memo_served_cycles_total", "Simulated cycles of the points answered from the point memo: the share of coherenced_sim_cycles_total that was not re-simulated.", "counter", memoCycles)
 	write("coherenced_point_memo_entries", "Points held by the point memo.", "gauge", uint64(s.memo.Checkpoints()))
 
@@ -490,7 +490,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		write("coherenced_fleet_shards_reassigned_total", "Shards requeued after worker death or failure.", "counter", fs.Reassigned)
 		write("coherenced_fleet_shards_duplicate_total", "Shard completions ignored because the shard was no longer outstanding (late results after reassignment or cancellation).", "counter", fs.DupCompletes)
 		write("coherenced_fleet_shards_failed_total", "Shards that exhausted their attempts.", "counter", fs.Failed)
-		write("coherenced_fleet_shard_cache_hits_total", "Shards answered from the shard-level result cache.", "counter", fs.CacheHits)
+		write("coherenced_fleet_shard_cache_hits_total", "Points answered from the shard-level result cache.", "counter", fs.CacheHits)
+		write("coherenced_fleet_points_coalesced_total", "Dispatched points answered without a lease of their own: from the point memo, or attached to a shard already outstanding for the same point.", "counter", fs.Coalesced)
 		write("coherenced_fleet_local_runs_total", "Shards executed by the coordinator's local fallback.", "counter", fs.LocalRuns)
 	}
 
