@@ -1,8 +1,10 @@
 package coherencesim
 
 import (
+	"bytes"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"testing"
 
@@ -125,5 +127,30 @@ func TestGoldenPrint(t *testing.T) {
 		fmt.Printf("lock/%v: %d\n", pr, goldenLock(pr))
 		fmt.Printf("barrier/%v: %d\n", pr, goldenBarrier(pr))
 		fmt.Printf("fetchadd/%v: %d\n", pr, goldenFetchAdd(pr))
+	}
+}
+
+// The two examples written with the Steps builder print simulated
+// cycles, misses and update counts; `go run` of each must reproduce its
+// committed output byte for byte.
+func TestExamplesReproduceGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles and runs the examples in -short mode")
+	}
+	for golden, args := range map[string][]string{
+		"example_quickstart.golden": {"run", "./examples/quickstart"},
+		"example_stencil_p8.golden": {"run", "./examples/stencil", "-procs", "8"},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := exec.Command("go", args...).Output()
+		if err != nil {
+			t.Fatalf("go %v: %v", args, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("go %v differs from testdata/%s:\n%s", args, golden, got)
+		}
 	}
 }

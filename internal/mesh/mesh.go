@@ -15,6 +15,7 @@ package mesh
 
 import (
 	"fmt"
+	"math/bits"
 
 	"coherencesim/internal/metrics"
 	"coherencesim/internal/sim"
@@ -49,7 +50,8 @@ type Network struct {
 	n   int
 	w   int // grid width
 	// hops[src*n+dst] is the switch-traversal count of the route.
-	hops []uint8
+	hops      []uint8
+	flitShift int // log2(FlitBytes) if a power of two (the paper's 2), else -1
 
 	outFree []sim.Time // per-node earliest time the output NI is free
 	inFree  []sim.Time // per-node earliest time the input NI is free
@@ -98,16 +100,21 @@ func New(e *sim.Engine, n int, cfg Config) *Network {
 			}
 		}
 	}
+	flitShift := -1
+	if cfg.FlitBytes&(cfg.FlitBytes-1) == 0 {
+		flitShift = bits.TrailingZeros(uint(cfg.FlitBytes))
+	}
 	return &Network{
-		e:        e,
-		cfg:      cfg,
-		n:        n,
-		w:        w,
-		hops:     hops,
-		outFree:  make([]sim.Time, n),
-		inFree:   make([]sim.Time, n),
-		outFlits: make([]uint64, n),
-		inFlits:  make([]uint64, n),
+		e:         e,
+		cfg:       cfg,
+		n:         n,
+		w:         w,
+		hops:      hops,
+		flitShift: flitShift,
+		outFree:   make([]sim.Time, n),
+		inFree:    make([]sim.Time, n),
+		outFlits:  make([]uint64, n),
+		inFlits:   make([]uint64, n),
 	}
 }
 
@@ -130,7 +137,12 @@ func (nw *Network) Hops(src, dst int) int { return int(nw.hops[src*nw.n+dst]) }
 // Flits returns the number of flits needed to carry a message of the given
 // byte size (at least one flit).
 func (nw *Network) Flits(bytes int) int {
-	f := (bytes + nw.cfg.FlitBytes - 1) / nw.cfg.FlitBytes
+	f := bytes + nw.cfg.FlitBytes - 1
+	if nw.flitShift >= 0 {
+		f >>= nw.flitShift
+	} else {
+		f /= nw.cfg.FlitBytes
+	}
 	if f < 1 {
 		f = 1
 	}
@@ -138,20 +150,30 @@ func (nw *Network) Flits(bytes int) int {
 }
 
 // Send injects a message of the given size from src to dst and schedules
-// deliver to run when the tail flit has drained into the destination NI.
-// Timing: the source NI serializes the flits (contention with other
-// outgoing messages), the header then pipelines through the mesh at
-// SwitchDelay per hop, and the destination NI serializes arrival
-// (contention with other incoming messages). The returned time is the
-// delivery instant (when deliver runs) — the transaction tracer uses it
-// to bound per-hop and fan-out spans without a second lookup.
+// deliver to run at the instant it returns: Book's for a message that
+// crosses the mesh, LocalDelay from now for a loopback. The transaction
+// tracer uses that time to bound per-hop and fan-out spans.
 func (nw *Network) Send(src, dst, bytes int, deliver func()) sim.Time {
-	now := nw.e.Now()
 	if src == dst {
 		nw.stats.Loopback++
 		nw.e.Schedule(nw.cfg.LocalDelay, deliver)
-		return now + nw.cfg.LocalDelay
+		return nw.e.Now() + nw.cfg.LocalDelay
 	}
+	done := nw.Book(src, dst, bytes)
+	nw.e.At(done, deliver)
+	return done
+}
+
+// Book passes a message from src to dst (src != dst) through the mesh,
+// scheduling nothing, and returns the instant its tail flit has drained
+// into the destination NI. Timing: the source NI serializes the flits
+// (contention with other outgoing messages), the header pipelines through
+// the mesh at SwitchDelay per hop, and the destination NI serializes
+// arrival (contention with other incoming messages) — so arrivals at one
+// destination strictly increase in booking order, which is what lets
+// proto count an acknowledgement without delivering it.
+func (nw *Network) Book(src, dst, bytes int) sim.Time {
+	now := nw.e.Now()
 	flits := sim.Time(nw.Flits(bytes))
 	hops := sim.Time(nw.Hops(src, dst))
 
@@ -172,8 +194,6 @@ func (nw *Network) Send(src, dst, bytes int, deliver func()) sim.Time {
 		nw.mMsgs.Add(now, 1)
 		nw.mFlits.Add(now, uint64(flits))
 	}
-
-	nw.e.At(done, deliver)
 	return done
 }
 

@@ -1,9 +1,12 @@
 package mesh
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"coherencesim/internal/metrics"
 	"coherencesim/internal/sim"
 )
 
@@ -283,5 +286,97 @@ func TestNodeFlitsAndHotspot(t *testing.T) {
 	node, flits := nw.Hotspot()
 	if node != 0 || flits != 44 {
 		t.Fatalf("hotspot = node %d (%d flits), want node 0 (44)", node, flits)
+	}
+}
+
+// Book followed by Engine.At is Send: over random traffic — loopbacks,
+// repeated destinations, bursts at one instant — both deliver every
+// message at the same time and leave the same Stats, per-node flit
+// counts, hotspot and sampled counter series.
+func TestBookThenAtEqualsSend(t *testing.T) {
+	type op struct {
+		at              sim.Time
+		src, dst, bytes int
+	}
+	const nodes = 16
+	sizes := []int{8, 16, 72, 0, 3}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]op, 200)
+		now := sim.Time(0)
+		for i := range ops {
+			now += sim.Time(rng.Intn(4)) // 0: a burst at one instant
+			ops[i] = op{now, rng.Intn(nodes), rng.Intn(nodes), sizes[rng.Intn(len(sizes))]}
+			if rng.Intn(3) == 0 {
+				ops[i].dst = 5 // a hot destination interface
+			}
+		}
+		run := func(book bool) ([]sim.Time, *Network, *metrics.Snapshot) {
+			e := sim.NewEngine()
+			nw := New(e, nodes, DefaultConfig())
+			reg := metrics.New(64)
+			nw.Instrument(reg.Counter("net.msgs"), reg.Counter("net.flits"))
+			promised := make([]sim.Time, len(ops))
+			delivered := make([]sim.Time, len(ops))
+			for i, o := range ops {
+				i, o := i, o
+				deliver := func() { delivered[i] = e.Now() }
+				e.At(o.at, func() {
+					if book && o.src != o.dst {
+						promised[i] = nw.Book(o.src, o.dst, o.bytes)
+						e.At(promised[i], deliver)
+					} else {
+						promised[i] = nw.Send(o.src, o.dst, o.bytes, deliver)
+					}
+				})
+			}
+			e.Run()
+			for i := range ops {
+				if promised[i] != delivered[i] {
+					t.Fatalf("seed %d op %d: returned time %d, delivered at %d", seed, i, promised[i], delivered[i])
+				}
+			}
+			return delivered, nw, reg.Snapshot(e.Now())
+		}
+		sent, a, seriesA := run(false)
+		booked, b, seriesB := run(true)
+		if !reflect.DeepEqual(sent, booked) {
+			t.Fatalf("seed %d: delivery times differ\nSend    %v\nBook+At %v", seed, sent, booked)
+		}
+		if a.Stats() != b.Stats() {
+			t.Fatalf("seed %d: Stats %+v (Send) vs %+v (Book+At)", seed, a.Stats(), b.Stats())
+		}
+		for n := 0; n < nodes; n++ {
+			ao, ai := a.NodeFlits(n)
+			bo, bi := b.NodeFlits(n)
+			if ao != bo || ai != bi {
+				t.Fatalf("seed %d node %d: flits out/in %d/%d (Send) vs %d/%d (Book+At)", seed, n, ao, ai, bo, bi)
+			}
+		}
+		if !reflect.DeepEqual(seriesA, seriesB) {
+			t.Fatalf("seed %d: sampled counters differ:\n%+v\n%+v", seed, seriesA, seriesB)
+		}
+	}
+}
+
+// Flits shifts for a power-of-two datapath and divides otherwise; both
+// bodies are ceil(bytes/width) with a floor of one flit.
+func TestFlitsShiftAndDivideAgree(t *testing.T) {
+	for _, width := range []int{1, 2, 3, 4, 6, 8, 16} {
+		cfg := DefaultConfig()
+		cfg.FlitBytes = width
+		nw := New(sim.NewEngine(), 4, cfg)
+		if pow2 := width&(width-1) == 0; (nw.flitShift >= 0) != pow2 {
+			t.Fatalf("width %d: flitShift %d", width, nw.flitShift)
+		}
+		for bytes := -3; bytes <= 200; bytes++ {
+			want := (bytes + width - 1) / width
+			if want < 1 {
+				want = 1
+			}
+			if got := nw.Flits(bytes); got != want {
+				t.Fatalf("width %d: Flits(%d) = %d, want %d", width, bytes, got, want)
+			}
+		}
 	}
 }

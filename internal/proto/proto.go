@@ -451,6 +451,43 @@ func (s *System) sendT(txn trace.TxnID, src, dst, bytes int, deliver func()) sim
 	return at
 }
 
+// ackFan is the sending side of one multicast's acknowledgement
+// collection. An ack that is not the last of its multicast to be sent
+// cannot complete the collection — its handler would bump a count and
+// fail a check — so it is no event: it books its passage through the
+// mesh and the caller counts it at once. The collector's interface
+// delivers in sending order, so the last ack sent is the last to arrive
+// and the only one queued (DESIGN.md, "Booked acknowledgements").
+type ackFan struct {
+	left   int      // mesh-crossing acks not yet sent
+	booked sim.Time // arrival of the latest booked one
+}
+
+// sendFanAck sends one ack of f's multicast from src to the collector at
+// dst and reports its arrival and whether it was queued (with deliver)
+// or booked. The arrival order is asserted: a mesh model that breaks
+// destination FIFO must fail loudly, not complete collections early.
+func (s *System) sendFanAck(f *ackFan, txn trace.TxnID, src, dst int, deliver func()) (at sim.Time, queued bool) {
+	s.ctr.Acks++
+	if src == dst {
+		// Loopback (WI, a sharer on the home node) bypasses the
+		// interface FIFO: always queued, never one of f.
+		return s.sendT(txn, src, dst, szAck, deliver), true
+	}
+	if f.left--; f.left == 0 {
+		if at = s.sendT(txn, src, dst, szAck, deliver); at <= f.booked {
+			panic("proto: final acknowledgement arrives before a booked one")
+		}
+		return at, true
+	}
+	s.e.Elide()
+	f.booked = s.nw.Book(src, dst, szAck)
+	if s.tr != nil && txn != 0 {
+		s.tr.Hop(txn, s.nw.Flits(szAck))
+	}
+	return f.booked, false
+}
+
 // addOutstanding notes n not-yet-complete write components for p.
 func (s *System) addOutstanding(p, n int) {
 	s.procs[p].outstanding += n

@@ -12,7 +12,9 @@ import (
 // A store writes through the cache to the home node. The home updates
 // memory, multicasts the new word to the other sharers, and tells the
 // writer how many acknowledgements to expect; sharers acknowledge
-// directly to the writer. The writer's write-buffer entry retires when
+// directly to the writer — booked through the mesh and counted at once,
+// except the last one sent, which is the queued event that can complete
+// the transaction (ackFan). The writer's write-buffer entry retires when
 // the home's reply arrives; the acknowledgements drain in the background
 // and are awaited only at release points (release consistency).
 //
@@ -35,6 +37,7 @@ type updTx struct {
 	p        int
 	expected int
 	got      int
+	acks     ackFan // armed by the home before its multicast
 	replied  bool
 	finished bool
 	txn      trace.TxnID // owning transaction (0 = untraced)
@@ -305,6 +308,7 @@ func (m *wrMsg) wrote() {
 	if s.tr != nil && m.txn != 0 && len(others) > 0 {
 		s.tr.Fanout(m.txn, trace.FanUpd, len(others), s.e.Now())
 	}
+	tx.acks = ackFan{left: len(others)}
 	for _, q := range others {
 		s.ctr.UpdatesSent++
 		um := s.newUpdMsg(q, block, word, v, p, tx)
@@ -391,8 +395,10 @@ func (s *System) deliverUpdate(q int, block uint32, word int, v uint32, writer i
 // sendAck sends a sharer acknowledgement to the transaction's writer,
 // closing the per-target fan-out span.
 func (s *System) sendAck(from int, tx *updTx, sentAt sim.Time) {
-	s.ctr.Acks++
-	at := s.sendT(tx.txn, from, tx.p, szAck, tx.ackFn)
+	at, queued := s.sendFanAck(&tx.acks, tx.txn, from, tx.p, tx.ackFn)
+	if !queued {
+		tx.got++ // tx.ack, minus a check that cannot pass
+	}
 	if s.tr != nil && tx.txn != 0 {
 		s.tr.TargetAck(tx.txn, from, sentAt, at)
 	}
@@ -550,6 +556,7 @@ func (m *atomMsg) wrote() {
 	if s.tr != nil && m.txn != 0 && len(others) > 0 {
 		s.tr.Fanout(m.txn, trace.FanUpd, len(others), s.e.Now())
 	}
+	m.tx.acks = ackFan{left: len(others)}
 	for _, q := range others {
 		s.ctr.UpdatesSent++
 		um := s.newUpdMsg(q, m.block, m.word, m.newV, m.p, m.tx)

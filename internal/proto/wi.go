@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"math/bits"
+
 	"coherencesim/internal/cache"
 	"coherencesim/internal/classify"
 	"coherencesim/internal/sim"
@@ -15,7 +17,10 @@ import (
 // Writes: under release consistency the processor has already buffered
 // the store; this transaction obtains an exclusive copy (upgrading a
 // shared copy or fetching the block), with the home sending invalidations
-// and collecting acknowledgements before granting ownership. The write
+// and collecting acknowledgements before granting ownership (the acks
+// that cross the mesh are booked and counted at once, except the last
+// one sent — ackFan; a sharer on the home node acks through the loopback,
+// outside the interface FIFO, and stays a queued event). The write
 // retires when the grant arrives, at which point all invalidations have
 // been acknowledged, so WI writes never leave residual outstanding state.
 //
@@ -30,7 +35,8 @@ type wiOp struct {
 	p        int
 	word     int
 	owner    int
-	pending  int // invalidation acks still outstanding
+	pending  int    // invalidation acks still outstanding
+	acks     ackFan // the mesh-crossing ones among them
 	block    uint32
 	txn      trace.TxnID
 	v        uint32 // store value
@@ -204,6 +210,8 @@ func (op *wiOp) locked() {
 			s.tr.Fanout(op.txn, trace.FanInv, len(others), s.e.Now())
 		}
 		op.pending = len(others)
+		// The home's own copy acks by loopback, not across the mesh.
+		op.acks = ackFan{left: bits.OnesCount64(d.sharers &^ (1<<uint(op.p) | 1<<uint(home)))}
 		op.haveData = !op.needData
 		if op.needData {
 			op.data = s.store.BorrowFrame()
@@ -350,8 +358,10 @@ func (m *invMsg) deliver() {
 		s.cl.LostCopy(q, block, classify.LossInvalidation)
 		s.caches[q].Invalidate(block)
 	}
-	s.ctr.Acks++
-	at := s.sendT(op.txn, q, s.HomeOf(block), szAck, op.ackFn)
+	at, queued := s.sendFanAck(&op.acks, op.txn, q, s.HomeOf(block), op.ackFn)
+	if !queued {
+		op.pending-- // op.ack, minus a maybeGrant that cannot fire
+	}
 	if s.tr != nil && op.txn != 0 {
 		s.tr.TargetAck(op.txn, q, sentAt, at)
 	}

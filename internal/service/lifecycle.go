@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -185,26 +186,30 @@ type ReloadStatus struct {
 
 // Reload applies a configuration delta without restarting: tenant
 // quotas swap on the scheduler, while leases, queued jobs, and
-// registered workers are untouched. A nil delta re-reads cfg.ConfigPath
-// (the SIGHUP path); a non-nil one applies directly (the admin-endpoint
-// path).
-func (s *Service) Reload(rc *ReloadConfig) (ReloadStatus, error) {
+// registered workers are untouched. An empty delta re-reads
+// cfg.ConfigPath (the SIGHUP path); otherwise delta is the JSON itself
+// (the admin-endpoint path). Either way it must be one ReloadConfig
+// object and nothing else, or nothing is applied.
+func (s *Service) Reload(delta []byte) (ReloadStatus, error) {
 	source := "request"
-	if rc == nil {
+	if len(delta) == 0 {
 		if s.cfg.ConfigPath == "" {
 			return ReloadStatus{}, fmt.Errorf("no -config file to reload")
 		}
 		source = s.cfg.ConfigPath
-		b, err := os.ReadFile(s.cfg.ConfigPath)
-		if err != nil {
+		var err error
+		if delta, err = os.ReadFile(s.cfg.ConfigPath); err != nil {
 			return ReloadStatus{}, err
 		}
-		rc = &ReloadConfig{}
-		dec := json.NewDecoder(bytes.NewReader(b))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(rc); err != nil {
-			return ReloadStatus{}, fmt.Errorf("parse %s: %w", s.cfg.ConfigPath, err)
-		}
+	}
+	rc := &ReloadConfig{}
+	dec := json.NewDecoder(bytes.NewReader(delta))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(rc); err != nil {
+		return ReloadStatus{}, fmt.Errorf("parse %s: %w", source, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return ReloadStatus{}, fmt.Errorf("parse %s: data after the config object", source)
 	}
 	quota, quotas := s.sched.Quotas()
 	if rc.TenantQuota != nil {

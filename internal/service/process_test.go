@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net"
 	"net/http"
@@ -14,6 +15,19 @@ import (
 	"testing"
 	"time"
 )
+
+// buildDaemon compiles cmd/coherenced into the test's temp directory.
+func buildDaemon(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds and runs coherenced in -short mode")
+	}
+	bin := filepath.Join(t.TempDir(), "coherenced")
+	if out, err := exec.Command("go", "build", "-o", bin, "coherencesim/cmd/coherenced").CombinedOutput(); err != nil {
+		t.Fatalf("go build coherenced: %v\n%s", err, out)
+	}
+	return bin
+}
 
 // startProcess runs one coherenced process until the test ends.
 func startProcess(t *testing.T, bin string, args ...string) *exec.Cmd {
@@ -64,6 +78,19 @@ func serve(t *testing.T, bin string, args ...string) (ts *httptest.Server, stop 
 	}
 }
 
+// postRaw submits spec and returns the X-Cache header and the body as
+// served, undecoded: a replayed document is compared byte for byte.
+func postRaw(t *testing.T, ts *httptest.Server, spec string) (xcache string, body []byte) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ = io.ReadAll(resp.Body)
+	return resp.Header.Get("X-Cache"), body
+}
+
 // join starts worker processes of the given widths and waits until the
 // coordinator counts them all live.
 func join(t *testing.T, bin string, ts *httptest.Server, parallel ...int) []*exec.Cmd {
@@ -85,13 +112,7 @@ func join(t *testing.T, bin string, ts *httptest.Server, parallel ...int) []*exe
 // its workers over loopback HTTP — and requires every document they
 // assemble to byte-equal the one a lone daemon computes.
 func TestFleetProcesses(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs coherenced in -short mode")
-	}
-	bin := filepath.Join(t.TempDir(), "coherenced")
-	if out, err := exec.Command("go", "build", "-o", bin, "coherencesim/cmd/coherenced").CombinedOutput(); err != nil {
-		t.Fatalf("go build coherenced: %v\n%s", err, out)
-	}
+	bin := buildDaemon(t)
 	spec := func(name string) string { return `{"experiment":"` + name + `","scale":"quick"}` }
 	run := func(t *testing.T, ts *httptest.Server, name string) []byte {
 		t.Helper()
@@ -130,14 +151,8 @@ func TestFleetProcesses(t *testing.T) {
 		stop()
 
 		ts, stop = serve(t, bin, "-data-dir", dir)
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec("fig8")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.Header.Get("X-Cache") != "hit" || !bytes.Equal(got, want["fig8"]) {
-			t.Errorf("re-POST after the restart: X-Cache %q, body equal %v; want the stored document", resp.Header.Get("X-Cache"), bytes.Equal(got, want["fig8"]))
+		if xcache, got := postRaw(t, ts, spec("fig8")); xcache != "hit" || !bytes.Equal(got, want["fig8"]) {
+			t.Errorf("re-POST after the restart: X-Cache %q, body equal %v; want the stored document", xcache, bytes.Equal(got, want["fig8"]))
 		}
 		if n := metricRow(t, ts, "coherenced_store_hits_total"); n != 1 {
 			t.Errorf("store hits after the restart = %d, want 1", n)
@@ -174,4 +189,64 @@ func TestFleetProcesses(t *testing.T) {
 		}
 		stop()
 	})
+}
+
+// TestDaemonProcess drives one real coherenced end to end: a quick
+// figure computed once and replayed byte-identically from the cache, the
+// breakdown and hot-block views of a job that collected them (404 for one
+// that did not), the counters on /metrics, a live config reload, and a
+// SIGTERM drain that exits 0. (That its reports equal the CLI's is
+// cmd/coherencesim's TestCLIMatchesExecute.)
+func TestDaemonProcess(t *testing.T) {
+	ts, stop := serve(t, buildDaemon(t), "-jobs", "2")
+	if resp, body := getBody(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"coherenced"`)) {
+		t.Fatalf("/healthz: HTTP %d %s", resp.StatusCode, body)
+	}
+
+	const spec = `{"experiment":"fig8","scale":"quick"}`
+	resp, doc := postJob(t, ts, spec)
+	if resp.StatusCode != http.StatusAccepted || resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("first submit: HTTP %d, X-Cache %q; want 202, miss", resp.StatusCode, resp.Header.Get("X-Cache"))
+	}
+	want := pollDone(t, ts, doc.ID)
+	if xcache, got := postRaw(t, ts, spec); xcache != "hit" || !bytes.Equal(got, want) {
+		t.Errorf("re-POST: X-Cache %q, body equal %v; want the finished document from the cache", xcache, bytes.Equal(got, want))
+	}
+	if n := metricRow(t, ts, "coherenced_jobs_cache_hits_total"); n != 1 {
+		t.Errorf("coherenced_jobs_cache_hits_total = %d, want 1", n)
+	}
+	if resp, _ := getBody(t, ts.URL+"/v1/jobs/"+doc.ID+"/breakdown"); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("breakdown of a job that collected none: HTTP %d, want 404", resp.StatusCode)
+	}
+
+	_, bdoc := postJob(t, ts, `{"experiment":"fig8","scale":"quick","breakdown":true}`)
+	pollDone(t, ts, bdoc.ID)
+	for path, field := range map[string]string{"/breakdown": "runs", "/hotblocks?n=5": "blocks"} {
+		resp, body := getBody(t, ts.URL+"/v1/jobs/"+bdoc.ID+path)
+		var view map[string]json.RawMessage
+		if err := json.Unmarshal(body, &view); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d, %v: %s", path, resp.StatusCode, err, body)
+		}
+		var rows []json.RawMessage
+		if err := json.Unmarshal(view[field], &rows); err != nil || len(rows) == 0 {
+			t.Errorf("%s: no %q rows in %s", path, field, body)
+		}
+	}
+	if n := metricRow(t, ts, "coherenced_txn_latency_cycles_count"); n == 0 {
+		t.Error("coherenced_txn_latency_cycles_count is 0 after a breakdown job")
+	}
+
+	reload, err := http.Post(ts.URL+"/v1/admin/reload", "application/json", strings.NewReader(`{"tenant_quota":4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st ReloadStatus
+	if err := json.NewDecoder(reload.Body).Decode(&st); err != nil || st.TenantQuota != 4 {
+		t.Errorf("reload answered %+v (%v), want tenant_quota 4", st, err)
+	}
+	reload.Body.Close()
+	if n := metricRow(t, ts, "coherenced_config_reloads_total"); n != 1 {
+		t.Errorf("coherenced_config_reloads_total = %d, want 1", n)
+	}
+	stop()
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -133,4 +135,96 @@ func TestStartupRejectsBadConfigFile(t *testing.T) {
 			t.Errorf("config %s: error %v does not name the config file and the unknown field", body, err)
 		}
 	}
+}
+
+// FuzzReloadBody: whatever bytes arrive as a configuration delta —
+// POSTed to /v1/admin/reload or found in the -config file on SIGHUP —
+// are either refused (4xx, an error) with the live quotas and the reload
+// count untouched, or applied as exactly the keys they name: a key the
+// body does not name keeps its value, and both entry points agree.
+func FuzzReloadBody(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		path := filepath.Join(t.TempDir(), "coherenced.json")
+		if err := os.WriteFile(path, []byte(`{}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		quota0, quotas0 := 7, map[string]int{"alice": 2}
+		svc, err := newService(Config{TenantQuota: quota0, TenantQuotas: quotas0, ConfigPath: path}, stubExec(nil, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			svc.Scheduler().Close()
+			svc.Coordinator().Close()
+		})
+		if err := os.WriteFile(path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		rec := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/admin/reload", bytes.NewReader(body)))
+		quota, quotas := svc.Scheduler().Quotas()
+		switch {
+		case rec.Code >= 400 && rec.Code < 500:
+			if quota != quota0 || !reflect.DeepEqual(quotas, quotas0) || svc.Reloads() != 1 {
+				t.Fatalf("HTTP %d changed the live config: quota %d, overrides %v, %d reloads", rec.Code, quota, quotas, svc.Reloads())
+			}
+		case rec.Code == http.StatusOK:
+			var named map[string]json.RawMessage
+			if err := json.Unmarshal(body, &named); err != nil {
+				t.Fatalf("HTTP 200 for a body that is not one JSON object: %v", err)
+			}
+			// Field names match case-insensitively, so one field can be
+			// named twice; a null names nothing.
+			var quotaVals, quotasVals []json.RawMessage
+			for key, raw := range named {
+				switch {
+				case string(raw) == "null":
+				case strings.EqualFold(key, "tenant_quota"):
+					quotaVals = append(quotaVals, raw)
+				case strings.EqualFold(key, "tenant_quotas"):
+					quotasVals = append(quotasVals, raw)
+				default:
+					t.Fatalf("HTTP 200 for a body naming unknown key %q", key)
+				}
+			}
+			wantQuota, wantQuotas := quota0, quotas0
+			if len(quotaVals) == 1 {
+				if err := json.Unmarshal(quotaVals[0], &wantQuota); err != nil {
+					t.Fatalf("HTTP 200 for tenant_quota %s: %v", quotaVals[0], err)
+				}
+			}
+			if len(quotasVals) == 1 {
+				wantQuotas = map[string]int{}
+				if err := json.Unmarshal(quotasVals[0], &wantQuotas); err != nil {
+					t.Fatalf("HTTP 200 for tenant_quotas %s: %v", quotasVals[0], err)
+				}
+			}
+			if len(quotaVals) <= 1 && quota != wantQuota {
+				t.Fatalf("live tenant_quota %d, want %d", quota, wantQuota)
+			}
+			if len(quotasVals) <= 1 && !reflect.DeepEqual(quotas, wantQuotas) {
+				t.Fatalf("live tenant_quotas %v, want %v", quotas, wantQuotas)
+			}
+			var st ReloadStatus
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || st.TenantQuota != quota || len(st.TenantQuotas) != len(quotas) {
+				t.Fatalf("answered %s (%v) with quota %d, overrides %v live", rec.Body, err, quota, quotas)
+			}
+			if svc.Reloads() != 2 {
+				t.Fatalf("%d reloads counted after one accepted delta", svc.Reloads())
+			}
+		default:
+			t.Fatalf("HTTP %d", rec.Code)
+		}
+
+		// The same bytes as the -config file, from the same start.
+		svc.Scheduler().SetQuotas(quota0, quotas0)
+		_, err = svc.Reload(nil)
+		if (err == nil) != (rec.Code == http.StatusOK) {
+			t.Fatalf("the request path answered HTTP %d, the file path %v", rec.Code, err)
+		}
+		if fq, fqs := svc.Scheduler().Quotas(); fq != quota || !reflect.DeepEqual(fqs, quotas) {
+			t.Fatalf("file path left quota %d, overrides %v; request path %d, %v", fq, fqs, quota, quotas)
+		}
+	})
 }

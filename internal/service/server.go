@@ -20,7 +20,7 @@ import (
 // Reloader applies hot configuration deltas (Service implements it;
 // the server exposes it as POST /v1/admin/reload).
 type Reloader interface {
-	Reload(*ReloadConfig) (ReloadStatus, error)
+	Reload(delta []byte) (ReloadStatus, error)
 	Reloads() uint64
 }
 
@@ -399,17 +399,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	var rc *ReloadConfig
-	if len(bytes.TrimSpace(body)) > 0 {
-		rc = &ReloadConfig{}
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(rc); err != nil {
-			writeError(w, http.StatusBadRequest, "decoding reload config: %v", err)
-			return
-		}
-	}
-	st, err := s.reloader.Reload(rc)
+	st, err := s.reloader.Reload(bytes.TrimSpace(body))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reload: %v", err)
 		return

@@ -45,9 +45,10 @@ type Engine struct {
 	running bool
 
 	// processed counts events executed, for simulator performance
-	// reporting. Stalls short-circuited by the StallFor fast path count
-	// too: they consume the same (seq, processed) budget as the wake
-	// event they elide, keeping event numbering byte-identical.
+	// reporting. Stalls short-circuited by the StallFor fast path and
+	// events accounted by Elide count too: they consume the same (seq,
+	// processed) budget as the event they stand for, keeping event
+	// numbering byte-identical.
 	processed uint64
 
 	// tasks that are currently parked waiting to be woken.
@@ -89,6 +90,15 @@ func (e *Engine) At(t Time, fn func()) {
 	}
 	e.seq++
 	e.pq.push(event{at: t, seq: e.seq, fn: fn})
+}
+
+// Elide stands for an event the caller has proved unobservable (its
+// handler would only bump a count the caller bumps itself): nothing is
+// queued, but the seq and processed it would have consumed are consumed
+// now, so every other event keeps its (time, seq) position.
+func (e *Engine) Elide() {
+	e.seq++
+	e.processed++
 }
 
 // atWake schedules a typed wake-up (or first start) of task at absolute

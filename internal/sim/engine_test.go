@@ -397,3 +397,52 @@ func TestProcessedCounts(t *testing.T) {
 		t.Fatalf("Processed() = %d, want 6", e.Processed())
 	}
 }
+
+// Elide stands for a no-op that was scheduled and ran: it consumes the
+// seq and processed that event would have, so later events keep their
+// numbering, and it leaves the clock, the queue and the tail dispatch
+// alone — a task that elides can still stall in place.
+func TestElideMatchesScheduledNoOp(t *testing.T) {
+	run := func(elide bool) (seq, processed uint64, order []int) {
+		e := NewEngine()
+		e.Schedule(5, func() { order = append(order, 1) })
+		if elide {
+			e.Elide()
+		} else {
+			e.Schedule(3, func() {})
+		}
+		e.Schedule(5, func() { order = append(order, 2) })
+		e.Run()
+		return e.seq, e.processed, order
+	}
+	seqA, procA, orderA := run(false)
+	seqB, procB, orderB := run(true)
+	if seqA != 3 || procA != 3 || seqB != seqA || procB != procA {
+		t.Fatalf("scheduled no-op: seq %d processed %d; elided: seq %d processed %d; want 3, 3 twice", seqA, procA, seqB, procB)
+	}
+	if len(orderB) != 2 || orderB[0] != orderA[0] || orderB[1] != orderA[1] {
+		t.Fatalf("event order %v with the no-op elided, %v with it scheduled", orderB, orderA)
+	}
+
+	e := NewEngine()
+	e.Schedule(40, func() {})
+	var task Task
+	stalledInPlace := false
+	task.Init(e, "elider", func() {
+		now, queued, seq, processed := e.now, e.pq.len(), e.seq, e.processed
+		e.Elide()
+		if e.now != now || e.pq.len() != queued || e.tail != &task {
+			t.Errorf("Elide moved now %d→%d, queue %d→%d or the tail", now, e.now, queued, e.pq.len())
+		}
+		if e.seq != seq+1 || e.processed != processed+1 {
+			t.Errorf("Elide: seq %d→%d, processed %d→%d, want +1 each", seq, e.seq, processed, e.processed)
+		}
+		stalledInPlace = task.StallFor(10)
+		task.End()
+	})
+	task.Begin()
+	e.Run()
+	if !stalledInPlace {
+		t.Fatal("StallFor parked after Elide: the tail dispatch was disturbed")
+	}
+}
