@@ -76,13 +76,13 @@ func TestBreakdownMachineReuseIsByteIdentical(t *testing.T) {
 	}
 
 	cfg := DefaultConfig(CU, 8)
-	cfg.Txn = trace.NewTracer(cfg.Procs, 0)
+	cfg.Txn = trace.NewTracer(cfg.Procs, 0).StoreRecords()
 	m := NewMachine(cfg)
 	freshJS, freshChrome := run(m, cfg.Txn)
 
 	// Same machine, reset with a fresh tracer: the pooled sweep-point path.
 	cfg2 := DefaultConfig(CU, 8)
-	cfg2.Txn = trace.NewTracer(cfg2.Procs, 0)
+	cfg2.Txn = trace.NewTracer(cfg2.Procs, 0).StoreRecords()
 	if !m.Reset(cfg2) {
 		t.Fatal("machine Reset refused")
 	}
@@ -90,7 +90,7 @@ func TestBreakdownMachineReuseIsByteIdentical(t *testing.T) {
 
 	// And a brand-new machine for the fresh-vs-pooled comparison.
 	cfg3 := DefaultConfig(CU, 8)
-	cfg3.Txn = trace.NewTracer(cfg3.Procs, 0)
+	cfg3.Txn = trace.NewTracer(cfg3.Procs, 0).StoreRecords()
 	againJS, againChrome := run(NewMachine(cfg3), cfg3.Txn)
 
 	if reusedJS != freshJS {
@@ -101,6 +101,64 @@ func TestBreakdownMachineReuseIsByteIdentical(t *testing.T) {
 	}
 	if againJS != freshJS || againChrome != freshChrome {
 		t.Error("second fresh machine differs from first")
+	}
+}
+
+// TestBreakdownIndependentOfStorage: a tracer that stores spans and
+// stalls and the one a breakdown point gets, which only counts them,
+// export byte-equal breakdowns — dropped counts included — on
+// quick-scale 32-processor runs long enough to overflow both caps. Only
+// the storing tracer has a timeline to write.
+func TestBreakdownIndependentOfStorage(t *testing.T) {
+	q := QuickScale()
+	var dropped uint64
+	for _, pr := range []Protocol{WI, PU, CU} {
+		lock, bar, red := DefaultLockParams(pr, 32), DefaultBarrierParams(pr, 32), DefaultReductionParams(pr, 32)
+		lock.Iterations, bar.Iterations, red.Iterations = q.LockIterations, q.BarrierEpisodes, q.ReductionEpisodes
+		for _, c := range []struct {
+			name string
+			p    WorkloadParams
+			run  func(WorkloadParams) Result
+		}{
+			{"lock/MCS", lock, func(p WorkloadParams) Result { return LockLoop(p, MCS).Result }},
+			{"barrier/tree", bar, func(p WorkloadParams) Result { return BarrierLoop(p, Tree).Result }},
+			{"reduction/sequential", red, func(p WorkloadParams) Result { return ReductionLoop(p, Sequential).Result }},
+		} {
+			label := c.name + "/" + pr.Short() + "/P=32"
+			render := func(s *trace.BreakdownSnapshot) string {
+				coll := trace.NewBreakdownCollector()
+				coll.Add(label, s)
+				var js bytes.Buffer
+				if err := coll.Report().WriteJSON(&js); err != nil {
+					t.Fatal(err)
+				}
+				return js.String()
+			}
+			var counting, storing *trace.Tracer
+			p := c.p
+			p.Breakdown = true
+			p.Tune = func(cfg *Config) { counting = cfg.Txn }
+			res := c.run(p)
+			want := render(res.Breakdown)
+			p.Tune = func(cfg *Config) {
+				storing = trace.NewTracer(cfg.Procs, 0).StoreRecords()
+				cfg.Txn = storing
+			}
+			if got := render(c.run(p).Breakdown); got != want {
+				t.Errorf("%s: storing tracer's breakdown differs\n%s", label, firstDiff(want, got))
+			}
+			dropped += res.Breakdown.Dropped.Spans
+			var tl bytes.Buffer
+			if err := trace.WriteTxnChromeTrace(&tl, counting, pr.String()); err == nil || tl.Len() != 0 {
+				t.Errorf("%s: timeline of a counting tracer: err %v, %d bytes; want an error and nothing", label, err, tl.Len())
+			}
+			if err := trace.WriteTxnChromeTrace(&tl, storing, pr.String()); err != nil || len(storing.Spans()) == 0 {
+				t.Errorf("%s: timeline of the storing tracer: err %v, %d spans", label, err, len(storing.Spans()))
+			}
+		}
+	}
+	if dropped == 0 {
+		t.Error("no run overflowed the span cap; the test no longer covers counting past it")
 	}
 }
 

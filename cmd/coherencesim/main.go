@@ -352,8 +352,9 @@ func singleRun(ctx context.Context, spec service.JobSpec, ob outputs, stdout, st
 	}
 	if ob.traceTxnOut != "" {
 		// Built here rather than by spec.Breakdown so the handle is kept
-		// for the transaction timeline export.
-		txn = trace.NewTracer(spec.Procs, 0)
+		// for the transaction timeline export, the one reader of stored
+		// spans and stalls.
+		txn = trace.NewTracer(spec.Procs, 0).StoreRecords()
 	}
 	res, mres, err := service.ExecuteRun(ctx, spec, func(cfg *machine.Config) {
 		cfg.Timeline, cfg.Trace = tl, tr

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
 
 	"coherencesim/internal/proto"
@@ -107,12 +108,27 @@ func (g *fetchAddLoop) Step(p *Proc, f *Frame) OpStatus {
 	return OpDone
 }
 
+// bytesPerRun is the heap a call of f allocates, averaged over runs
+// calls on one processor as testing.AllocsPerRun counts objects.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
 // TestPooledRunAllocationCeilings bounds what one whole sweep-point cycle
 // on a pooled 32-processor CU machine allocates — 1 600 fetch-and-adds,
 // ~33 000 events — untraced, with the transaction tracer attached, and
-// forked from a checkpoint. The ceilings are absolute and sit far below
-// one object per simulated operation, so any slide back to per-event or
-// per-span allocation fails here whatever the timing benchmarks say.
+// forked from a checkpoint, in objects and in bytes. The ceilings are
+// absolute and sit far below one object per simulated operation, so any
+// slide back to per-event or per-span allocation, or to span and stall
+// buffers that a breakdown point never reads, fails here whatever the
+// timing benchmarks say.
 func TestPooledRunAllocationCeilings(t *testing.T) {
 	const procs, perProc = 32, 50
 	prog := &fetchAddLoop{n: perProc}
@@ -130,20 +146,24 @@ func TestPooledRunAllocationCeilings(t *testing.T) {
 	warm.Release()
 
 	for _, c := range []struct {
-		name  string
-		limit float64
-		cycle func()
+		name         string
+		limit, bytes float64
+		cycle        func()
 	}{
-		// Measured 2: the allocation-table entry and result assembly.
-		{"acquire, run, release", 8, func() { plain(DefaultConfig(proto.CU, procs)) }},
-		// Measured 259: the tracer itself, its per-processor buffers and
-		// the shared span arena — not one object per span.
-		{"the same with the transaction tracer", 512, func() {
+		// Measured 2 objects, 3 088 bytes: the allocation-table entry and
+		// result assembly.
+		{"acquire, run, release", 8, 6200, func() { plain(DefaultConfig(proto.CU, procs)) }},
+		// Measured 36 objects, 28 952 bytes: the tracer, its
+		// per-processor rows, live-ring growth, a slab of records per 16
+		// transactions in flight and the snapshot. Storing the spans and
+		// stalls that only the timeline reads cost 4.2 MB here.
+		{"the same with the transaction tracer", 72, 58000, func() {
 			cfg := DefaultConfig(proto.CU, procs)
 			cfg.Txn = trace.NewTracer(procs, 0)
 			plain(cfg)
 		}},
-		{"restore a checkpoint and run on", 16, func() {
+		// Measured 2 objects, 3 088 bytes, as the plain cycle.
+		{"restore a checkpoint and run on", 16, 6200, func() {
 			m := Acquire(DefaultConfig(proto.CU, procs))
 			half.ctr = m.Alloc("ctr", 4, 0)
 			m.RestoreFrom(snap)
@@ -157,6 +177,10 @@ func TestPooledRunAllocationCeilings(t *testing.T) {
 		if avg := testing.AllocsPerRun(5, c.cycle); avg > c.limit {
 			t.Errorf("%s: %.0f allocations per cycle, ceiling %.0f (%d simulated operations)",
 				c.name, avg, c.limit, procs*perProc)
+		}
+		if avg := bytesPerRun(5, c.cycle); avg > c.bytes {
+			t.Errorf("%s: %.0f bytes allocated per cycle, ceiling %.0f (%d simulated operations)",
+				c.name, avg, c.bytes, procs*perProc)
 		}
 	}
 }

@@ -306,7 +306,7 @@ func (m *wrMsg) wrote() {
 	}
 	s.mUpdFan.Observe(uint64(len(others)))
 	if s.tr != nil && m.txn != 0 && len(others) > 0 {
-		s.tr.Fanout(m.txn, trace.FanUpd, len(others), s.e.Now())
+		s.tr.Fanout(m.txn, trace.FanUpd, s.e.Now())
 	}
 	tx.acks = ackFan{left: len(others)}
 	for _, q := range others {
@@ -554,7 +554,7 @@ func (m *atomMsg) wrote() {
 	others := s.sharerList(d, m.p)
 	s.mUpdFan.Observe(uint64(len(others)))
 	if s.tr != nil && m.txn != 0 && len(others) > 0 {
-		s.tr.Fanout(m.txn, trace.FanUpd, len(others), s.e.Now())
+		s.tr.Fanout(m.txn, trace.FanUpd, s.e.Now())
 	}
 	m.tx.acks = ackFan{left: len(others)}
 	for _, q := range others {

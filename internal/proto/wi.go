@@ -207,7 +207,7 @@ func (op *wiOp) locked() {
 		others := s.sharerList(d, op.p)
 		s.mInvFan.Observe(uint64(len(others)))
 		if s.tr != nil && op.txn != 0 && len(others) > 0 {
-			s.tr.Fanout(op.txn, trace.FanInv, len(others), s.e.Now())
+			s.tr.Fanout(op.txn, trace.FanInv, s.e.Now())
 		}
 		op.pending = len(others)
 		// The home's own copy acks by loopback, not across the mesh.

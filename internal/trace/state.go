@@ -4,26 +4,27 @@ import "fmt"
 
 // TracerState is a deep copy of a tracer's accumulated contents. It can
 // only be taken at quiescence — no transaction in flight — so the live
-// map and the record free list (pure scratch) are not part of it.
+// ring and the record free list (pure scratch) are not part of it.
 type TracerState struct {
-	nextID        TxnID
-	spans         []TxnSpan
-	stalls        []StallRec
-	spanCap       int
-	stallCap      int
-	droppedSpans  uint64
-	droppedStalls uint64
-	agg           [][numCategories]uint64
-	lastRel       []ReleaseInfo
-	kindCount     [numTxnKinds]uint64
-	kindCycles    [numTxnKinds]uint64
-	latCount      uint64
-	latSum        uint64
-	latBkt        [latencyBuckets]uint64
-	blocks        map[uint32]blockAgg
-	hops          uint64
-	flits         uint64
-	ackDrain      uint64
+	nextID     TxnID
+	store      bool
+	spans      []TxnSpan
+	stalls     []StallRec
+	spanCap    int
+	stallCap   int
+	spanN      uint64
+	stallN     uint64
+	agg        [][numCategories]uint64
+	lastRel    []ReleaseInfo
+	kindCount  [numTxnKinds]uint64
+	kindCycles [numTxnKinds]uint64
+	latCount   uint64
+	latSum     uint64
+	latBkt     [latencyBuckets]uint64
+	blocks     []blockAgg
+	hops       uint64
+	flits      uint64
+	ackDrain   uint64
 }
 
 // SnapshotState captures the tracer's accumulated contents. Nil-safe: a
@@ -32,43 +33,41 @@ func (t *Tracer) SnapshotState() *TracerState {
 	if t == nil {
 		return nil
 	}
-	if len(t.live) != 0 {
-		panic(fmt.Sprintf("trace: SnapshotState with %d live transactions", len(t.live)))
+	if t.nlive != 0 {
+		panic(fmt.Sprintf("trace: SnapshotState with %d live transactions", t.nlive))
 	}
 	st := &TracerState{
-		nextID:        t.nextID,
-		spans:         make([]TxnSpan, len(t.spans)),
-		stalls:        append([]StallRec(nil), t.stalls...),
-		spanCap:       t.spanCap,
-		stallCap:      t.stallCap,
-		droppedSpans:  t.droppedSpans,
-		droppedStalls: t.droppedStalls,
-		agg:           append([][numCategories]uint64(nil), t.agg...),
-		lastRel:       append([]ReleaseInfo(nil), t.lastRel...),
-		kindCount:     t.kindCount,
-		kindCycles:    t.kindCycles,
-		latCount:      t.latCount,
-		latSum:        t.latSum,
-		latBkt:        t.latBkt,
-		blocks:        make(map[uint32]blockAgg, len(t.blocks)),
-		hops:          t.hops,
-		flits:         t.flits,
-		ackDrain:      t.ackDrain,
+		nextID:     t.nextID,
+		store:      t.store,
+		spans:      make([]TxnSpan, len(t.spans)),
+		stalls:     append([]StallRec(nil), t.stalls...),
+		spanCap:    t.spanCap,
+		stallCap:   t.stallCap,
+		spanN:      t.spanN,
+		stallN:     t.stallN,
+		agg:        append([][numCategories]uint64(nil), t.agg...),
+		lastRel:    append([]ReleaseInfo(nil), t.lastRel...),
+		kindCount:  t.kindCount,
+		kindCycles: t.kindCycles,
+		latCount:   t.latCount,
+		latSum:     t.latSum,
+		latBkt:     t.latBkt,
+		blocks:     append([]blockAgg(nil), t.blocks...),
+		hops:       t.hops,
+		flits:      t.flits,
+		ackDrain:   t.ackDrain,
 	}
 	for i, s := range t.spans {
 		s.Targets = append([]TargetSpan(nil), s.Targets...)
 		st.spans[i] = s
-	}
-	for b, a := range t.blocks {
-		st.blocks[b] = a
 	}
 	return st
 }
 
 // RestoreState loads a snapshot into t, replacing all accumulated
 // contents. The target must be built for the snapshot source's
-// processor count and span limit (so retention capping continues
-// identically) and must have no live transactions.
+// processor count, span limit and storage (so retention capping
+// continues identically) and must have no live transactions.
 func (t *Tracer) RestoreState(st *TracerState) {
 	if t == nil {
 		if st != nil {
@@ -79,15 +78,15 @@ func (t *Tracer) RestoreState(st *TracerState) {
 	if st == nil {
 		panic("trace: RestoreState with nil state on a live tracer")
 	}
-	if len(t.live) != 0 {
-		panic(fmt.Sprintf("trace: RestoreState with %d live transactions", len(t.live)))
+	if t.nlive != 0 {
+		panic(fmt.Sprintf("trace: RestoreState with %d live transactions", t.nlive))
 	}
 	if len(t.agg) != len(st.agg) {
 		panic(fmt.Sprintf("trace: RestoreState processor count mismatch (%d vs %d)", len(t.agg), len(st.agg)))
 	}
-	if t.spanCap != st.spanCap || t.stallCap != st.stallCap {
-		panic(fmt.Sprintf("trace: RestoreState span-limit mismatch (%d/%d vs %d/%d)",
-			t.spanCap, t.stallCap, st.spanCap, st.stallCap))
+	if t.spanCap != st.spanCap || t.stallCap != st.stallCap || t.store != st.store {
+		panic(fmt.Sprintf("trace: RestoreState span-limit or storage mismatch (%d/%d/%v vs %d/%d/%v)",
+			t.spanCap, t.stallCap, t.store, st.spanCap, st.stallCap, st.store))
 	}
 	t.nextID = st.nextID
 	t.spans = t.spans[:0]
@@ -96,8 +95,8 @@ func (t *Tracer) RestoreState(st *TracerState) {
 		t.spans = append(t.spans, s)
 	}
 	t.stalls = append(t.stalls[:0], st.stalls...)
-	t.droppedSpans = st.droppedSpans
-	t.droppedStalls = st.droppedStalls
+	t.spanN = st.spanN
+	t.stallN = st.stallN
 	copy(t.agg, st.agg)
 	copy(t.lastRel, st.lastRel)
 	t.kindCount = st.kindCount
@@ -105,10 +104,7 @@ func (t *Tracer) RestoreState(st *TracerState) {
 	t.latCount = st.latCount
 	t.latSum = st.latSum
 	t.latBkt = st.latBkt
-	clear(t.blocks)
-	for b, a := range st.blocks {
-		t.blocks[b] = a
-	}
+	t.blocks = append(t.blocks[:0], st.blocks...)
 	t.hops = st.hops
 	t.flits = st.flits
 	t.ackDrain = st.ackDrain

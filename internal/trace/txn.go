@@ -159,7 +159,8 @@ type ReleaseInfo struct {
 
 // txnRec is the live (in-flight) record of a transaction.
 type txnRec struct {
-	span TxnSpan
+	span    TxnSpan
+	targets int // fan-out legs acked; span.Targets holds them only when storing
 }
 
 // latencyBuckets is the power-of-two bucket count of the transaction
@@ -170,22 +171,30 @@ const latencyBuckets = 28
 // machine run. It is single-threaded like the simulation itself.
 type Tracer struct {
 	nextID TxnID
-	live   map[TxnID]*txnRec
-	free   []*txnRec
+	// live is a power-of-two ring of the in-flight records indexed by
+	// id & (len-1). Begin doubles it whenever the new ID's slot is taken,
+	// so a slot holds at most one live record, and a lookup that finds
+	// another ID there (retired or never issued) is a miss.
+	live  []*txnRec
+	nlive int
+	free  []*txnRec
 
+	// store turns on span and stall storage (StoreRecords). Without it
+	// completed spans and stall intervals are only counted against the
+	// caps, so Dropped reads the same either way.
+	store    bool
 	spans    []TxnSpan
 	spanCap  int
+	spanN    uint64 // completed spans, stored or not
 	stalls   []StallRec
 	stallCap int
+	stallN   uint64 // attributed stall intervals, stored or not
 
 	// targetArena backs every retained span's Targets slice: one shared
 	// append-only buffer instead of one fresh copy per span. Retained
 	// slices are taken with a full slice expression, so later arena
 	// growth can never overwrite them.
 	targetArena []TargetSpan
-
-	droppedSpans  uint64
-	droppedStalls uint64
 
 	agg     [][numCategories]uint64 // [proc][category] cycles
 	lastRel []ReleaseInfo           // [proc]
@@ -197,7 +206,7 @@ type Tracer struct {
 	latSum   uint64
 	latBkt   [latencyBuckets]uint64
 
-	blocks map[uint32]blockAgg
+	blocks []blockAgg // indexed by block number: allocations are dense from 0
 
 	hops     uint64
 	flits    uint64
@@ -214,21 +223,43 @@ type blockAgg struct {
 const DefaultSpanLimit = 4096
 
 // NewTracer builds a tracer for a machine of the given processor count.
-// limit caps the retained completed-transaction spans (and, at 4x, the
-// retained stall records) available to the timeline exporter; the
-// aggregate breakdown always covers every transaction regardless.
+// It keeps the aggregates Snapshot exports and stores no spans or
+// stalls; StoreRecords opts in for the timeline exporter. limit caps the
+// counted completed-transaction spans (and, at 4x, the stall records)
+// that the timeline would hold; the aggregate breakdown always covers
+// every transaction regardless.
 func NewTracer(procs, limit int) *Tracer {
 	if limit <= 0 {
 		limit = DefaultSpanLimit
 	}
 	return &Tracer{
-		live:     make(map[TxnID]*txnRec, 64),
+		live:     make([]*txnRec, 64),
 		spanCap:  limit,
 		stallCap: 4 * limit,
 		agg:      make([][numCategories]uint64, procs),
 		lastRel:  make([]ReleaseInfo, procs),
-		blocks:   make(map[uint32]blockAgg, 64),
 	}
+}
+
+// StoreRecords turns on span and stall storage — what WriteTxnChromeTrace
+// exports — and returns t. Call it before the run.
+func (t *Tracer) StoreRecords() *Tracer {
+	t.store = true
+	return t
+}
+
+// slot is id's index in the live ring.
+func (t *Tracer) slot(id TxnID) int { return int(uint32(id) & uint32(len(t.live)-1)) }
+
+// rec returns id's live record, nil for 0, retired and never-issued IDs.
+func (t *Tracer) rec(id TxnID) *txnRec {
+	if t == nil || id == 0 {
+		return nil
+	}
+	if r := t.live[t.slot(id)]; r != nil && r.span.ID == id {
+		return r
+	}
+	return nil
 }
 
 // Begin opens a transaction issued by proc against block at time now and
@@ -239,34 +270,41 @@ func (t *Tracer) Begin(proc int, kind TxnKind, block uint32, now sim.Time) TxnID
 	}
 	t.nextID++
 	id := t.nextID
-	var r *txnRec
-	if n := len(t.free); n > 0 {
-		r = t.free[n-1]
-		t.free = t.free[:n-1]
-	} else {
-		r = &txnRec{}
+	for t.live[t.slot(id)] != nil {
+		// Live IDs are distinct modulo the ring size, so also modulo
+		// twice it: rehashing cannot collide.
+		old := t.live
+		t.live = make([]*txnRec, 2*len(old))
+		for _, r := range old {
+			if r != nil {
+				t.live[t.slot(r.span.ID)] = r
+			}
+		}
+	}
+	if len(t.free) == 0 {
+		slab := make([]txnRec, 16) // one allocation per 16 records in flight
+		for i := range slab {
+			t.free = append(t.free, &slab[i])
+		}
+	}
+	r := t.free[len(t.free)-1]
+	t.free = t.free[:len(t.free)-1]
+	if t.store && r.span.Targets == nil {
 		// Size the fan-out buffer for the worst case (every other
 		// processor acks) up front: one allocation per record lifetime
 		// instead of log2(procs) doublings under TargetAck.
-		fanCap := len(t.lastRel) - 1
-		if fanCap < 4 {
-			fanCap = 4
-		}
-		r.span.Targets = make([]TargetSpan, 0, fanCap)
+		r.span.Targets = make([]TargetSpan, 0, max(len(t.lastRel)-1, 4))
 	}
-	targets := r.span.Targets[:0]
-	r.span = TxnSpan{ID: id, Proc: proc, Kind: kind, Block: block, Issue: now, Targets: targets}
-	t.live[id] = r
+	*r = txnRec{span: TxnSpan{ID: id, Proc: proc, Kind: kind, Block: block, Issue: now, Targets: r.span.Targets[:0]}}
+	t.live[t.slot(id)] = r
+	t.nlive++
 	return id
 }
 
 // HomeArrive records the transaction's first arrival at its home node.
 // Later arrivals (directory-retry re-entries) keep the first timestamp.
 func (t *Tracer) HomeArrive(id TxnID, now sim.Time) {
-	if t == nil || id == 0 {
-		return
-	}
-	if r := t.live[id]; r != nil && r.span.HomeArrive == 0 {
+	if r := t.rec(id); r != nil && r.span.HomeArrive == 0 {
 		r.span.HomeArrive = now
 	}
 }
@@ -274,35 +312,28 @@ func (t *Tracer) HomeArrive(id TxnID, now sim.Time) {
 // DirStart records the directory beginning service (after any busy-wait
 // in the entry's queue); the last service attempt wins.
 func (t *Tracer) DirStart(id TxnID, now sim.Time) {
-	if t == nil || id == 0 {
-		return
-	}
-	if r := t.live[id]; r != nil {
+	if r := t.rec(id); r != nil {
 		r.span.DirStart = now
 	}
 }
 
 // Fanout records the directory dispatching an invalidation or update
-// fan-out to the given number of targets.
-func (t *Tracer) Fanout(id TxnID, fan FanKind, targets int, now sim.Time) {
-	if t == nil || id == 0 {
-		return
-	}
-	if r := t.live[id]; r != nil {
+// fan-out; the per-leg detail arrives via TargetAck.
+func (t *Tracer) Fanout(id TxnID, fan FanKind, now sim.Time) {
+	if r := t.rec(id); r != nil {
 		r.span.Fan = fan
 		r.span.FanoutAt = now
-		_ = targets // per-leg detail arrives via TargetAck
 	}
 }
 
 // TargetAck records one per-target fan-out leg: the message left the
 // home at sent and its ack arrived back at acked.
 func (t *Tracer) TargetAck(id TxnID, target int, sent, acked sim.Time) {
-	if t == nil || id == 0 {
-		return
-	}
-	if r := t.live[id]; r != nil {
-		r.span.Targets = append(r.span.Targets, TargetSpan{Target: target, Sent: sent, Acked: acked})
+	if r := t.rec(id); r != nil {
+		r.targets++
+		if t.store {
+			r.span.Targets = append(r.span.Targets, TargetSpan{Target: target, Sent: sent, Acked: acked})
+		}
 	}
 }
 
@@ -313,7 +344,7 @@ func (t *Tracer) Hop(id TxnID, flits int) {
 	}
 	t.hops++
 	t.flits += uint64(flits)
-	if r := t.live[id]; r != nil {
+	if r := t.rec(id); r != nil {
 		r.span.Hops++
 		r.span.Flits += uint64(flits)
 	}
@@ -333,26 +364,30 @@ func (t *Tracer) fold(r *txnRec, end sim.Time) {
 		b = latencyBuckets - 1
 	}
 	t.latBkt[b]++
-	ba := t.blocks[r.span.Block]
+	if n := int(r.span.Block) + 1; n > len(t.blocks) {
+		t.blocks = append(t.blocks, make([]blockAgg, n-len(t.blocks))...)
+	}
+	ba := &t.blocks[r.span.Block]
 	ba.txns++
 	ba.cycles += lat
-	t.blocks[r.span.Block] = ba
 }
 
 // release marks the transaction as the most recent releaser for proc.
 func (t *Tracer) release(proc int, r *txnRec) {
 	if proc >= 0 && proc < len(t.lastRel) {
 		t.lastRel[proc] = ReleaseInfo{
-			ID: r.span.ID, Kind: r.span.Kind, Fan: r.span.Fan, Targets: len(r.span.Targets),
+			ID: r.span.ID, Kind: r.span.Kind, Fan: r.span.Fan, Targets: r.targets,
 		}
 	}
 }
 
-// retain moves a finished record to the exported span buffer (bounded)
-// and recycles it.
-func (t *Tracer) retain(id TxnID, r *txnRec) {
-	delete(t.live, id)
-	if len(t.spans) < t.spanCap {
+// retain takes a finished record off the live ring, counts its span —
+// storing it when the tracer stores, up to the cap — and recycles it.
+func (t *Tracer) retain(r *txnRec) {
+	t.live[t.slot(r.span.ID)] = nil
+	t.nlive--
+	t.spanN++
+	if t.store && len(t.spans) < t.spanCap {
 		if t.spans == nil {
 			// The cap is fixed, so pay the whole buffer once instead of
 			// log2(cap) doubling reallocations on the hot path.
@@ -366,8 +401,6 @@ func (t *Tracer) retain(id TxnID, r *txnRec) {
 			s.Targets = t.targetArena[start:len(t.targetArena):len(t.targetArena)]
 		}
 		t.spans = append(t.spans, s)
-	} else {
-		t.droppedSpans++
 	}
 	t.free = append(t.free, r)
 }
@@ -375,10 +408,7 @@ func (t *Tracer) retain(id TxnID, r *txnRec) {
 // End completes a transaction whose requester-visible finish and final
 // completion coincide (reads, WI ownership, writebacks).
 func (t *Tracer) End(id TxnID, now sim.Time) {
-	if t == nil || id == 0 {
-		return
-	}
-	r := t.live[id]
+	r := t.rec(id)
 	if r == nil {
 		return
 	}
@@ -386,17 +416,14 @@ func (t *Tracer) End(id TxnID, now sim.Time) {
 	r.span.End = now
 	t.fold(r, now)
 	t.release(r.span.Proc, r)
-	t.retain(id, r)
+	t.retain(r)
 }
 
 // Retired records the requester-visible completion of an update-family
 // transaction (the write retires; acks may still be in flight). The
 // record stays live until AcksDrained.
 func (t *Tracer) Retired(id TxnID, now sim.Time) {
-	if t == nil || id == 0 {
-		return
-	}
-	r := t.live[id]
+	r := t.rec(id)
 	if r == nil {
 		return
 	}
@@ -408,10 +435,7 @@ func (t *Tracer) Retired(id TxnID, now sim.Time) {
 // AcksDrained finally completes an update-family transaction once every
 // outstanding ack has come home (what a fence waits for).
 func (t *Tracer) AcksDrained(id TxnID, now sim.Time) {
-	if t == nil || id == 0 {
-		return
-	}
-	r := t.live[id]
+	r := t.rec(id)
 	if r == nil {
 		return
 	}
@@ -420,17 +444,14 @@ func (t *Tracer) AcksDrained(id TxnID, now sim.Time) {
 		t.ackDrain += uint64(now - r.span.Retired)
 	}
 	t.release(r.span.Proc, r)
-	t.retain(id, r)
+	t.retain(r)
 }
 
 // CacheTouch notes that the transaction just mutated proc's cache (an
 // invalidation landed, an update was applied), so a spin wake on proc is
 // attributed to it.
 func (t *Tracer) CacheTouch(proc int, id TxnID) {
-	if t == nil || id == 0 {
-		return
-	}
-	if r := t.live[id]; r != nil {
+	if r := t.rec(id); r != nil {
 		t.release(proc, r)
 	}
 }
@@ -453,13 +474,12 @@ func (t *Tracer) AddStall(proc int, cat Category, from, to sim.Time, by TxnID) {
 	if proc >= 0 && proc < len(t.agg) {
 		t.agg[proc][cat] += uint64(to - from)
 	}
-	if len(t.stalls) < t.stallCap {
+	t.stallN++
+	if t.store && len(t.stalls) < t.stallCap {
 		if t.stalls == nil {
 			t.stalls = make([]StallRec, 0, t.stallCap)
 		}
 		t.stalls = append(t.stalls, StallRec{Proc: proc, Cat: cat, Start: from, End: to, By: by})
-	} else {
-		t.droppedStalls++
 	}
 }
 
@@ -472,7 +492,7 @@ func (t *Tracer) AddCompute(proc int, busy sim.Time) {
 }
 
 // Spans returns the retained completed-transaction spans in completion
-// order (bounded by the tracer's limit).
+// order (bounded by the tracer's limit; none unless StoreRecords).
 func (t *Tracer) Spans() []TxnSpan {
 	if t == nil {
 		return nil
@@ -500,8 +520,8 @@ func (t *Tracer) Procs() int {
 const hotBlockLimit = 32
 
 // Snapshot folds the tracer into the exported breakdown document for a
-// run that simulated the given cycle count. Deterministic: map
-// iteration is replaced by an explicit sort.
+// run that simulated the given cycle count. Deterministic: the hot-block
+// list is sorted by a total order.
 func (t *Tracer) Snapshot(cycles sim.Time) *BreakdownSnapshot {
 	if t == nil {
 		return nil
@@ -516,7 +536,7 @@ func (t *Tracer) Snapshot(cycles sim.Time) *BreakdownSnapshot {
 		Hops:       t.hops,
 		Flits:      t.flits,
 		AckDrain:   t.ackDrain,
-		Dropped:    DroppedCounts{Spans: t.droppedSpans, Stalls: t.droppedStalls},
+		Dropped:    DroppedCounts{Spans: over(t.spanN, t.spanCap), Stalls: over(t.stallN, t.stallCap)},
 	}
 	rows := make([]uint64, procs*int(numCategories)) // one backing array for every per-proc row
 	for p := 0; p < procs; p++ {
@@ -547,11 +567,13 @@ func (t *Tracer) Snapshot(cycles sim.Time) *BreakdownSnapshot {
 		}
 		s.Latency.Buckets = append(s.Latency.Buckets, LatencyBucket{Le: bucketLe(b), N: t.latBkt[b]})
 	}
-	if len(t.blocks) > 0 {
-		hot := make([]HotBlock, 0, len(t.blocks))
-		for b, a := range t.blocks {
-			hot = append(hot, HotBlock{Block: b, Txns: a.txns, Cycles: a.cycles})
+	hot := make([]HotBlock, 0, len(t.blocks))
+	for b, a := range t.blocks {
+		if a.txns > 0 {
+			hot = append(hot, HotBlock{Block: uint32(b), Txns: a.txns, Cycles: a.cycles})
 		}
+	}
+	if len(hot) > 0 {
 		sort.Slice(hot, func(i, j int) bool {
 			if hot[i].Cycles != hot[j].Cycles {
 				return hot[i].Cycles > hot[j].Cycles
@@ -567,6 +589,14 @@ func (t *Tracer) Snapshot(cycles sim.Time) *BreakdownSnapshot {
 		s.HotBlocks = hot
 	}
 	return s
+}
+
+// over is how far a count of n records runs past limit.
+func over(n uint64, limit int) uint64 {
+	if n > uint64(limit) {
+		return n - uint64(limit)
+	}
+	return 0
 }
 
 // bucketLe is the inclusive upper bound of latency bucket b (2^b - 1

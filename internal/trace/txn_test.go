@@ -18,7 +18,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	}
 	tr.HomeArrive(1, 10)
 	tr.DirStart(1, 10)
-	tr.Fanout(1, FanInv, 3, 10)
+	tr.Fanout(1, FanInv, 10)
 	tr.TargetAck(1, 2, 10, 20)
 	tr.Hop(1, 4)
 	tr.End(1, 20)
@@ -54,7 +54,7 @@ func TestTxnZeroIsNoOp(t *testing.T) {
 // TestTxnLifecycleSnapshot drives one read and one invalidating write
 // through the full lifecycle and checks the folded snapshot.
 func TestTxnLifecycleSnapshot(t *testing.T) {
-	tr := NewTracer(2, 8)
+	tr := NewTracer(2, 8).StoreRecords()
 
 	// proc 0: read of block 7, issue@10 end@40 (latency 30).
 	rd := tr.Begin(0, TxnRead, 7, 10)
@@ -70,7 +70,7 @@ func TestTxnLifecycleSnapshot(t *testing.T) {
 	wr := tr.Begin(1, TxnWrite, 7, 50)
 	tr.HomeArrive(wr, 55)
 	tr.DirStart(wr, 58)
-	tr.Fanout(wr, FanInv, 2, 60)
+	tr.Fanout(wr, FanInv, 60)
 	tr.TargetAck(wr, 0, 60, 75)
 	tr.TargetAck(wr, 1, 60, 80)
 	tr.End(wr, 90)
@@ -119,9 +119,9 @@ func TestTxnLifecycleSnapshot(t *testing.T) {
 // requester-visible latency, AcksDrained completes the span and charges
 // the drain window.
 func TestRetireThenDrain(t *testing.T) {
-	tr := NewTracer(1, 8)
+	tr := NewTracer(1, 8).StoreRecords()
 	id := tr.Begin(0, TxnWriteThrough, 3, 100)
-	tr.Fanout(id, FanUpd, 1, 105)
+	tr.Fanout(id, FanUpd, 105)
 	tr.Retired(id, 110)
 	if rel := tr.LastRelease(0); rel.ID != id {
 		t.Fatalf("Retired did not mark the releaser: %+v", rel)
@@ -142,22 +142,81 @@ func TestRetireThenDrain(t *testing.T) {
 }
 
 // TestSpanRetentionCap: the aggregate breakdown must keep counting after
-// the retained-span buffer fills; dropped counts are reported.
+// the retained-span buffer fills; dropped counts are reported, and read
+// the same whether or not the tracer stores the records.
 func TestSpanRetentionCap(t *testing.T) {
-	tr := NewTracer(1, 2)
-	for i := 0; i < 5; i++ {
-		id := tr.Begin(0, TxnRead, uint32(i), sim.Time(i*10))
-		tr.End(id, sim.Time(i*10+4))
+	for _, tr := range []*Tracer{NewTracer(1, 2).StoreRecords(), NewTracer(1, 2)} {
+		for i := 0; i < 5; i++ {
+			id := tr.Begin(0, TxnRead, uint32(i), sim.Time(i*10))
+			tr.End(id, sim.Time(i*10+4))
+		}
+		for i := 0; i < 9; i++ {
+			tr.AddStall(0, CatReadMiss, sim.Time(i), sim.Time(i+1), 0)
+		}
+		s := tr.Snapshot(100)
+		if want := map[bool]int{true: 2, false: 0}[tr.store]; len(tr.Spans()) != want || len(tr.Stalls()) != 4*want {
+			t.Errorf("store %v: retained %d spans and %d stalls, want %d and %d",
+				tr.store, len(tr.Spans()), len(tr.Stalls()), want, 4*want)
+		}
+		if s.Dropped != (DroppedCounts{Spans: 3, Stalls: 1}) {
+			t.Errorf("store %v: dropped %+v, want 3 spans and 1 stall", tr.store, s.Dropped)
+		}
+		if s.Latency.Count != 5 {
+			t.Errorf("store %v: aggregate covered %d txns, want all 5", tr.store, s.Latency.Count)
+		}
 	}
-	s := tr.Snapshot(100)
-	if len(tr.Spans()) != 2 {
-		t.Errorf("retained %d spans, want cap 2", len(tr.Spans()))
+}
+
+// TestTxnChromeTraceRefusesNonStoringTracer: a tracer without storage
+// has nothing to export, and the writer says so instead of writing an
+// empty timeline.
+func TestTxnChromeTraceRefusesNonStoringTracer(t *testing.T) {
+	tr := NewTracer(2, 8)
+	id := tr.Begin(0, TxnRead, 1, 0)
+	tr.End(id, 16)
+	var buf bytes.Buffer
+	if err := WriteTxnChromeTrace(&buf, tr, "WI"); err == nil || buf.Len() != 0 {
+		t.Fatalf("non-storing tracer: err %v, %d bytes written; want an error and nothing", err, buf.Len())
 	}
-	if s.Dropped.Spans != 3 {
-		t.Errorf("dropped %d spans, want 3", s.Dropped.Spans)
+	if err := WriteTxnChromeTrace(&buf, nil, "WI"); err == nil {
+		t.Fatal("nil tracer: no error")
 	}
-	if s.Latency.Count != 5 {
-		t.Errorf("aggregate covered %d txns, want all 5", s.Latency.Count)
+}
+
+// TestLiveRingGrowsBehindLongLivedTxn: a transaction that stays live
+// while the ring wraps forces Begin to double the ring, and a late hook
+// on an ID whose slot has since been reused by a later transaction is a
+// no-op for both.
+func TestLiveRingGrowsBehindLongLivedTxn(t *testing.T) {
+	tr := NewTracer(2, 0)
+	size := len(tr.live)
+	upd := tr.Begin(0, TxnWriteThrough, 0, 1)
+	reused := tr.Begin(1, TxnRead, 1, 2)
+	tr.End(reused, 3)
+	for i := 0; i < size; i++ { // ID size+1 finds upd in its slot
+		tr.End(tr.Begin(1, TxnRead, 1, 4), 5)
+	}
+	if len(tr.live) != 2*size {
+		t.Fatalf("ring has %d slots behind one long-lived txn, want %d", len(tr.live), 2*size)
+	}
+	tr.Retired(upd, 600)
+	tr.AcksDrained(upd, 620)
+	for tr.nextID+1 != reused+TxnID(len(tr.live)) {
+		tr.End(tr.Begin(1, TxnRead, 1, 630), 640)
+	}
+	late := tr.Begin(1, TxnRead, 1, 650)
+	if tr.slot(late) != tr.slot(reused) || len(tr.live) != 2*size {
+		t.Fatalf("txn %d lands in slot %d of %d, not retired txn %d's slot %d",
+			late, tr.slot(late), len(tr.live), reused, tr.slot(reused))
+	}
+	tr.Hop(reused, 7)
+	tr.End(reused, 900)
+	if r := tr.rec(late); r.span.Hops != 0 || tr.hops != 1 || tr.nlive != 1 {
+		t.Fatalf("late hooks on retired txn %d touched live txn %d (%d hops, %d live)", reused, late, r.span.Hops, tr.nlive)
+	}
+	tr.End(late, 660)
+	if s := tr.Snapshot(700); tr.nlive != 0 || s.AckDrain != 20 || s.Latency.Count != uint64(late) {
+		t.Fatalf("not every txn completed once: %d live, %+v", tr.nlive, s)
 	}
 }
 
@@ -219,9 +278,9 @@ func TestNilCollector(t *testing.T) {
 // TestTxnChromeTraceFlows: the Perfetto export links each attributed
 // stall back to its releasing transaction with a flow event pair.
 func TestTxnChromeTraceFlows(t *testing.T) {
-	tr := NewTracer(2, 8)
+	tr := NewTracer(2, 8).StoreRecords()
 	id := tr.Begin(0, TxnWrite, 5, 10)
-	tr.Fanout(id, FanInv, 1, 15)
+	tr.Fanout(id, FanInv, 15)
 	tr.TargetAck(id, 1, 15, 25)
 	tr.End(id, 30)
 	tr.AddStall(1, CatInvalidationWait, 12, 30, id)

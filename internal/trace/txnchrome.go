@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -15,8 +16,13 @@ import (
 
 // WriteTxnChromeTrace writes the flow-linked transaction timeline for a
 // traced run. Output is deterministic: spans are in completion order,
-// stalls in event order, and flow edges reference transaction IDs.
+// stalls in event order, and flow edges reference transaction IDs. The
+// tracer must have been built with StoreRecords; any other is refused
+// rather than written as an empty timeline.
 func WriteTxnChromeTrace(w io.Writer, t *Tracer, protocol string) error {
+	if t == nil || !t.store {
+		return errors.New("trace: transaction timeline needs a tracer that stores records (StoreRecords)")
+	}
 	procs := t.Procs()
 	events := make([]metrics.ChromeEvent, 0, 2*len(t.Spans())+2*len(t.Stalls())+procs+1)
 	events = append(events, metrics.ChromeEvent{

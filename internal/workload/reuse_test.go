@@ -2,6 +2,7 @@ package workload
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"coherencesim/internal/machine"
@@ -27,25 +28,44 @@ func TestLockRunSteadyStateAllocs(t *testing.T) {
 
 	// The same at the paper's machine size, plain and with the stall
 	// breakdown on: 32 queue nodes and their names, result assembly and —
-	// traced — the tracer with its fixed buffers (measured 70 and 190).
-	// One object per lock release would add 1600 to either.
+	// traced — the tracer and its snapshot (measured 70 and 106 objects,
+	// 4 608 and 22 984 bytes). One object per lock release would add 1600
+	// to either; the span and stall buffers a breakdown point never reads
+	// would add 2.1 MB to the traced run.
 	if raceDetector {
 		return // fmt's printer pool leaks there; the P = 8 bound above has the headroom
 	}
 	p = DefaultLockParams(proto.CU, 32)
 	p.Iterations = 1600
 	for _, c := range []struct {
-		breakdown bool
-		limit     float64
-	}{{false, 88}, {true, 240}} {
+		breakdown    bool
+		limit, bytes float64
+	}{{false, 88, 9300}, {true, 212, 46000}} {
 		p.Breakdown = c.breakdown
+		run := func() { LockLoop(p, MCS) }
 		for i := 0; i < 2; i++ {
-			LockLoop(p, MCS)
+			run()
 		}
-		if avg := testing.AllocsPerRun(5, func() { LockLoop(p, MCS) }); avg > c.limit {
+		if avg := testing.AllocsPerRun(5, run); avg > c.limit {
 			t.Errorf("pooled 32-processor lock run (breakdown %v) allocates %.0f objects, want <= %.0f", c.breakdown, avg, c.limit)
 		}
+		if avg := bytesPerRun(5, run); avg > c.bytes {
+			t.Errorf("pooled 32-processor lock run (breakdown %v) allocates %.0f bytes, want <= %.0f", c.breakdown, avg, c.bytes)
+		}
 	}
+}
+
+// bytesPerRun is the heap a call of f allocates, averaged over runs
+// calls on one processor as testing.AllocsPerRun counts objects.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // TestWorkloadsIdenticalWithAndWithoutReuse pins the sweep-level
