@@ -47,12 +47,18 @@ type Point struct {
 	Label string `json:"label,omitempty"`
 }
 
+// Unlabeled returns pt with Label cleared: everything that shapes its
+// simulation, the key of a point memo.
+func (pt Point) Unlabeled() Point {
+	pt.Label = ""
+	return pt
+}
+
 // Key returns the point's content address: the hex SHA-256 of its
 // canonical JSON (Label cleared) in a versioned namespace. Two points
 // with equal keys produce byte-identical results.
 func (pt Point) Key() string {
-	pt.Label = ""
-	b, err := json.Marshal(pt)
+	b, err := json.Marshal(pt.Unlabeled())
 	if err != nil { // a Point is pure data; Marshal cannot fail
 		panic(err)
 	}
@@ -117,7 +123,7 @@ func RunPointForked(ctx context.Context, pt Point, forks *WarmForkCache) (PointR
 	if forks == nil {
 		return pt.simulate()
 	}
-	return forks.run(ctx, pt, pt.simulate)
+	return forks.Do(ctx, pt.Unlabeled(), pt.simulate)
 }
 
 // simulate runs pt's simulation: the family's single-phase loop, or its

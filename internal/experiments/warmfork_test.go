@@ -12,6 +12,7 @@ import (
 
 	"coherencesim/internal/metrics"
 	"coherencesim/internal/runner"
+	"coherencesim/internal/store"
 	"coherencesim/internal/trace"
 	"coherencesim/internal/workload"
 )
@@ -239,7 +240,7 @@ func TestWarmForkCancelledWaiter(t *testing.T) {
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
-		c.run(context.Background(), pt, func() (PointResult, error) {
+		c.Do(context.Background(), pt, func() (PointResult, error) {
 			close(started)
 			<-release
 			return built, nil
@@ -250,13 +251,13 @@ func TestWarmForkCancelledWaiter(t *testing.T) {
 		t.Error("second caller became builder")
 		return PointResult{}, nil
 	}
-	if got, err := c.run(cancelledCtx(), pt, noBuild); err != nil || !reflect.DeepEqual(got, PointResult{}) {
+	if got, err := c.Do(cancelledCtx(), pt, noBuild); err != nil || !reflect.DeepEqual(got, PointResult{}) {
 		t.Errorf("cancelled waiter = (%+v, %v), want the zero result", got, err)
 	}
 	close(release)
 	<-finished
 	// The original simulation completes and is visible to later callers.
-	if got, err := c.run(context.Background(), pt, noBuild); err != nil || !reflect.DeepEqual(got, built) {
+	if got, err := c.Do(context.Background(), pt, noBuild); err != nil || !reflect.DeepEqual(got, built) {
 		t.Errorf("run after build = (%+v, %v), want the built result", got, err)
 	}
 }
@@ -345,8 +346,8 @@ func TestMemoNeverChangesOutput(t *testing.T) {
 				t.Errorf("%d workers, pass %d: memo holds %d points, want one per distinct key (%d)", workers, pass, n, len(keys))
 			}
 		}
-		if hits, misses, _ := memo.Stats(); int(misses) != len(keys) || int(hits) != 2*total-len(keys) {
-			t.Errorf("%d workers: memo hits %d misses %d, want %d and %d", workers, hits, misses, 2*total-len(keys), len(keys))
+		if ms := memo.Stats(); int(ms.Builds) != len(keys) || int(ms.Hits) != 2*total-len(keys) {
+			t.Errorf("%d workers: memo hits %d builds %d, want %d and %d", workers, ms.Hits, ms.Builds, 2*total-len(keys), len(keys))
 		}
 	}
 }
@@ -364,11 +365,11 @@ func (d *doneSpy) Done() <-chan struct{} {
 	return d.Context.Done()
 }
 
-// TestMemoCapEvictsOldestFirst: the memo never holds more than memoCap
-// points, evicts in insertion order, an evicted point re-simulates to
-// the same bytes, and eviction does not cut off the callers of an entry
-// still being built.
-func TestMemoCapEvictsOldestFirst(t *testing.T) {
+// TestMemoCapEvictsLeastRecentlyUsed: the memo never holds more than
+// memoCap finished points, evicts the least recently used, an evicted
+// point re-simulates to the same bytes, and a simulation in flight is
+// never evicted: its callers get the result, and the memo keeps it.
+func TestMemoCapEvictsLeastRecentlyUsed(t *testing.T) {
 	ctx := context.Background()
 	var pts []Point
 	for iters := 1; len(pts) < 3*memoCap; iters++ {
@@ -389,8 +390,8 @@ func TestMemoCapEvictsOldestFirst(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := c.Checkpoints(); n > memoCap {
-			t.Fatalf("memo holds %d points, cap is %d", n, memoCap)
+		if held := c.Stats().Weight; held > memoCap {
+			t.Fatalf("memo holds %d points, cap is %d", held, memoCap)
 		}
 		return b
 	}
@@ -398,38 +399,40 @@ func TestMemoCapEvictsOldestFirst(t *testing.T) {
 	for i, pt := range pts {
 		first[i] = run(pt)
 	}
-	misses := func() uint64 { _, m, _ := c.Stats(); return m }
-	if n, m := c.Checkpoints(), misses(); n != memoCap || m != uint64(len(pts)) {
-		t.Fatalf("after %d distinct points: %d held, %d simulated; want %d and all", len(pts), n, m, memoCap)
+	builds := func() uint64 { return c.Stats().Builds }
+	if n, b := c.Checkpoints(), builds(); n != memoCap || b != uint64(len(pts)) {
+		t.Fatalf("after %d distinct points: %d held, %d simulated; want %d and all", len(pts), n, b, memoCap)
 	}
 	oldestHeld := len(pts) - memoCap
 	for _, step := range []struct {
-		i    int
-		miss uint64
-		what string
+		i     int
+		build uint64
+		what  string
 	}{
-		{oldestHeld, 0, "the oldest point still held"},
+		{oldestHeld, 0, "the oldest point still held (now the most recently used)"},
 		{0, 1, "an evicted point"},
-		{oldestHeld, 1, "the oldest held point after one more insertion"},
+		{oldestHeld, 0, "the point used just before that insertion"},
+		{oldestHeld + 1, 1, "the least recently used point, which that insertion evicted"},
 		{len(pts) - 1, 0, "the newest point"},
 	} {
-		before := misses()
+		before := builds()
 		if got := run(pts[step.i]); !bytes.Equal(got, first[step.i]) {
 			t.Errorf("%s came back with different bytes", step.what)
 		}
-		if got := misses() - before; got != step.miss {
-			t.Errorf("%s: %d simulations, want %d", step.what, got, step.miss)
+		if got := builds() - before; got != step.build {
+			t.Errorf("%s: %d simulations, want %d", step.what, got, step.build)
 		}
 	}
 
-	// Evict an entry while its builder is running and a waiter holds it.
+	// Fill the memo past its cap while a build is running and a waiter
+	// holds it.
 	c = NewWarmForkCache()
 	inflight := Point{Family: FamilyBarrier, Procs: 2, Iterations: 4}
 	built := PointResult{Latency: 42}
 	started, release := make(chan struct{}), make(chan struct{})
 	results := make(chan PointResult, 2)
 	go func() {
-		r, _ := c.run(ctx, inflight, func() (PointResult, error) {
+		r, _ := c.Do(ctx, inflight, func() (PointResult, error) {
 			close(started)
 			<-release
 			return built, nil
@@ -439,7 +442,7 @@ func TestMemoCapEvictsOldestFirst(t *testing.T) {
 	<-started
 	spy := &doneSpy{Context: ctx, asked: make(chan struct{})}
 	go func() {
-		r, _ := c.run(spy, inflight, func() (PointResult, error) {
+		r, _ := c.Do(spy, inflight, func() (PointResult, error) {
 			t.Error("the waiter became a builder")
 			return PointResult{}, nil
 		})
@@ -452,61 +455,101 @@ func TestMemoCapEvictsOldestFirst(t *testing.T) {
 	close(release)
 	for i := 0; i < 2; i++ {
 		if r := <-results; !reflect.DeepEqual(r, built) {
-			t.Errorf("caller of an evicted in-flight entry got %+v, want the built result", r)
+			t.Errorf("caller of the in-flight build got %+v, want the built result", r)
 		}
 	}
-	// The entry is gone from the map: the next request simulates.
-	if r, err := RunPointForked(ctx, inflight, c); err != nil || reflect.DeepEqual(r, built) {
-		t.Errorf("request after eviction = (%+v, %v), want a fresh simulation", r, err)
+	// The finished build is the most recent entry: the next request is a hit.
+	before := builds()
+	if r, err := RunPointForked(ctx, inflight, c); err != nil || !reflect.DeepEqual(r, built) || builds() != before {
+		t.Errorf("request after the build = (%+v, %v) with %d simulations, want the built result and none", r, err, builds()-before)
 	}
 }
 
-// TestMemoLookupAndStore: the two accessors of an owner that simulates
-// elsewhere. Store files a result once (a held point keeps its entry,
-// labels do not split it), Lookup answers from finished entries only —
-// it does not wait for a simulation in flight — and both count as the
-// single-flight path does: a stored result is a miss, an answer a hit.
-func TestMemoLookupAndStore(t *testing.T) {
-	c := NewWarmForkCache()
+// TestMemoGetPeekPut: the accessors of an owner that simulates elsewhere
+// (the fleet coordinator), over a durable layer. Put files a result and
+// writes it through; Get answers from memory, else loads from the
+// durable layer into memory; Peek answers from memory alone. None of
+// them waits for a simulation in flight, and the single-flight path
+// never touches the durable layer. A filed result is a build, an answer
+// from memory a hit, one from the durable layer a load; the unlabeled
+// point is the key, so labels do not split an entry.
+func TestMemoGetPeekPut(t *testing.T) {
+	var loads, saves int
+	disk := map[Point]PointResult{}
+	c := NewPointMemo(store.Durable[Point, PointResult]{
+		Load: func(pt Point) (PointResult, bool) {
+			loads++
+			r, ok := disk[pt]
+			return r, ok
+		},
+		Save: func(pt Point, r PointResult) {
+			saves++
+			disk[pt] = r
+		},
+	})
 	pt := Point{Family: FamilyLock, Kind: int(workload.Ticket), Protocol: protocols[0], Procs: 2, Iterations: 64, Label: "asked"}
 	want, err := RunPointForked(context.Background(), pt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Lookup(pt); ok {
+	if _, ok, _ := c.Get(pt.Unlabeled()); ok {
 		t.Fatal("an empty memo answered")
 	}
-	c.Store(pt, want)
-	pt.Label = "asked again"
-	c.Store(pt, PointResult{}) // held: must not replace the entry
-	got, ok := c.Lookup(pt)
-	if !ok || !reflect.DeepEqual(got, want) {
-		t.Errorf("Lookup after Store: ok %v, equal %v", ok, reflect.DeepEqual(got, want))
+	c.Put(pt.Unlabeled(), want)
+	if saves != 1 || !reflect.DeepEqual(disk[pt.Unlabeled()], want) {
+		t.Errorf("Put wrote %d times through; want once", saves)
 	}
-	if hits, misses, served := c.Stats(); hits != 1 || misses != 1 || served != want.SimCycles || c.Checkpoints() != 1 {
-		t.Errorf("hits %d misses %d served %d entries %d; want 1, 1, %d, 1", hits, misses, served, c.Checkpoints(), want.SimCycles)
+	pt.Label = "asked again"
+	got, ok, loaded := c.Get(pt.Unlabeled())
+	if !ok || loaded || !reflect.DeepEqual(got, want) {
+		t.Errorf("Get after Put: ok %v loaded %v equal %v; want an answer from memory", ok, loaded, reflect.DeepEqual(got, want))
+	}
+	if ms := c.Stats(); ms.Hits != 1 || ms.Builds != 1 || ms.Loads != 0 || ms.Saved != want.SimCycles || ms.Entries != 1 {
+		t.Errorf("stats %+v; want 1 hit, 1 build, no load, %d saved cycles, 1 entry", ms, want.SimCycles)
 	}
 
-	// A point being simulated is held but not finished.
-	other := pt
+	// A result only the durable layer holds (a restart) loads into memory.
+	stored := pt.Unlabeled()
+	stored.Procs = 3
+	disk[stored] = want
+	if _, ok := c.Peek(stored); ok {
+		t.Error("Peek read the durable layer")
+	}
+	if got, ok, loaded := c.Get(stored); !ok || !loaded || !reflect.DeepEqual(got, want) {
+		t.Errorf("Get of a stored point: ok %v loaded %v; want it loaded", ok, loaded)
+	}
+	if _, ok := c.Peek(stored); !ok {
+		t.Error("a loaded point is not in memory")
+	}
+	if ms := c.Stats(); ms.Builds != 1 || ms.Loads != 1 || saves != 1 {
+		t.Errorf("stats %+v after %d writes; a loaded point is neither a build nor written back", ms, saves)
+	}
+
+	// A point being simulated is held but not finished, and the
+	// single-flight path never reads or writes the durable layer.
+	other := pt.Unlabeled()
 	other.Procs = 4
+	loadsBefore := loads
 	building, release := make(chan struct{}), make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _ = c.run(context.Background(), other, func() (PointResult, error) {
+		_, _ = c.Do(context.Background(), other, func() (PointResult, error) {
 			close(building)
 			<-release
 			return want, nil
 		})
 	}()
 	<-building
-	if _, ok := c.Lookup(other); ok {
-		t.Error("Lookup answered from an entry still being simulated")
+	if _, ok := c.Peek(other); ok {
+		t.Error("Peek answered from an entry still being simulated")
 	}
 	close(release)
 	<-done
-	if _, ok := c.Lookup(other); !ok {
-		t.Error("Lookup missed the entry once its simulation finished")
+	if _, ok := c.Peek(other); !ok {
+		t.Error("Peek missed the entry once its simulation finished")
+	}
+	if loads != loadsBefore || saves != 1 {
+		t.Errorf("the single-flight path read the durable layer %d times and wrote it %d times", loads-loadsBefore, saves-1)
 	}
 }

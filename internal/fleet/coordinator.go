@@ -13,16 +13,6 @@ import (
 	"coherencesim/internal/experiments"
 )
 
-// ShardCache is the coordinator's shard-level result cache: completed
-// point results keyed by the point's content address. *store.Store
-// satisfies it, layering shard results into the same durable store as
-// whole-job documents (both key spaces are SHA-256 hex in disjoint
-// preimage namespaces).
-type ShardCache interface {
-	Get(key string) (body []byte, status string, ok bool)
-	Put(key, status string, body []byte) error
-}
-
 // Config tunes the coordinator.
 type Config struct {
 	// HeartbeatTimeout is how long a worker may go silent before its
@@ -38,12 +28,11 @@ type Config struct {
 	// RetryBackoff delays a requeued shard's next lease, doubling per
 	// attempt up to 8x (default 250ms).
 	RetryBackoff time.Duration
-	// Cache, when non-nil, answers points the memo does not hold (after
-	// a restart, an eviction) and receives every fresh result.
-	Cache ShardCache
 	// Memo answers before anything is leased and keeps every accepted
 	// result: the daemon's, shared with its local executor, or (nil) the
-	// coordinator's own.
+	// coordinator's own. Its durable layer, if any (the daemon's store),
+	// answers points memory does not hold — after a restart, an eviction
+	// — and receives every accepted result.
 	Memo *experiments.WarmForkCache
 	Logf func(format string, args ...any)
 }
@@ -80,7 +69,7 @@ type Stats struct {
 	Stolen       uint64 // constant 0 (nothing is leased ahead, so nothing is stolen); bench/probes.go reads it until a benchmark-definition PR retires it with its ledger row
 	DupCompletes uint64 // completions for shards no longer outstanding (no-ops)
 	Failed       uint64 // shards exhausted (failed every job attached)
-	CacheHits    uint64 // points answered from the shard cache
+	CacheHits    uint64 // points answered from the memo's durable layer
 	Coalesced    uint64 // points answered without a lease of their own: from the memo, or attached to an outstanding shard
 	LocalRuns    uint64 // shards executed by the coordinator's fallback
 }
@@ -113,7 +102,7 @@ type fleetJob struct {
 	ctx       context.Context
 	results   []experiments.PointResult
 	remaining int
-	err       error
+	err       error // why the job ended early: a shard's failure, or ctx's
 	finished  chan struct{}
 	onDone    func(index int, r experiments.PointResult)
 }
@@ -270,8 +259,8 @@ func (c *Coordinator) requeueLocked(s *shard) {
 
 // RunPoints blocks until every point has a result (returned in
 // submission order), the context is cancelled, or a shard exhausts its
-// attempts. A point is answered by the memo, else the shard cache, else
-// it attaches to the shard already outstanding for its key — this
+// attempts. A point is answered by the memo (memory, else its durable
+// layer), else it attaches to the shard already outstanding for its key — this
 // batch's or another job's — and only else gets a shard of its own, so a
 // distinct point crosses the fleet once. onDone, when non-nil, observes
 // every result as it lands (any order), however it was answered. With no
@@ -284,25 +273,20 @@ func (c *Coordinator) RunPoints(ctx context.Context, pts []experiments.Point, on
 		finished: make(chan struct{}),
 		onDone:   onDone,
 	}
-	// Before the lock (the shard cache is a file read): what is known.
+	// Before the lock (the durable layer is a file read): what is known.
 	keys := make([]string, len(pts)) // left empty for a point answered here
 	var answered []int
 	var cacheHits uint64
 	for i, pt := range pts {
-		r, ok := c.cfg.Memo.Lookup(pt)
-		if !ok {
-			keys[i] = pt.Key()
-			if c.cfg.Cache != nil {
-				body, status, hit := c.cfg.Cache.Get(keys[i])
-				if ok = hit && status == "done" && json.Unmarshal(body, &r) == nil; ok {
-					c.cfg.Memo.Store(pt, r)
-					cacheHits++
-				}
-			}
+		r, ok, loaded := c.cfg.Memo.Get(pt.Unlabeled())
+		if loaded {
+			cacheHits++
 		}
 		if ok {
-			job.results[i], keys[i] = r, ""
+			job.results[i] = r
 			answered = append(answered, i)
+		} else {
+			keys[i] = pt.Key()
 		}
 	}
 
@@ -314,9 +298,9 @@ func (c *Coordinator) RunPoints(ctx context.Context, pts []experiments.Point, on
 		if keys[i] == "" {
 			continue
 		}
-		// settle moves a key from inflight to the memo under c.mu, so
-		// one that was in neither above is in exactly one of them now.
-		if r, ok := c.cfg.Memo.Lookup(pt); ok {
+		// settle files a result in the memo before the key leaves
+		// inflight, so one that was in neither above is in one now.
+		if r, ok := c.cfg.Memo.Peek(pt.Unlabeled()); ok {
 			job.results[i] = r
 			answered = append(answered, i)
 			continue
@@ -358,6 +342,7 @@ func (c *Coordinator) RunPoints(ctx context.Context, pts []experiments.Point, on
 		return job.results, nil
 	case <-ctx.Done():
 		c.mu.Lock()
+		job.err = ctx.Err()
 		c.dropJobLocked(job)
 		c.mu.Unlock()
 		return nil, ctx.Err()
@@ -442,12 +427,12 @@ func (c *Coordinator) localFallback(job *fleetJob) {
 // settle records one shard outcome. A result is accepted for any shard
 // still outstanding — leased to whoever, or requeued after its worker
 // was presumed dead — because identical points produce identical bytes.
-// Success stores the result in the memo and fills every attached slot;
-// failure requeues the shard or, once attempts are exhausted, fails
-// every attached job and stores nothing, so a resubmission tries again.
-// An outcome for a shard no longer outstanding (settled, or every job
-// attached to it gone) is a counted no-op: it must not touch merge
-// order, the memo, the shard cache or the counters a second time.
+// Success files the result in the memo (and its durable layer) and fills
+// every attached slot; failure requeues the shard or, once attempts are
+// exhausted, fails every attached job and stores nothing, so a
+// resubmission tries again. An outcome for a shard no longer outstanding
+// (settled, or every job attached to it gone) is a counted no-op: it
+// must not touch merge order, the memo or the counters a second time.
 func (c *Coordinator) settle(id string, res *experiments.PointResult, errStr string) {
 	c.mu.Lock()
 	s := c.leased[id]
@@ -464,8 +449,8 @@ func (c *Coordinator) settle(id string, res *experiments.PointResult, errStr str
 		c.logf("fleet: shard %s attempt %d failed (%s), requeued", s.id, s.attempts, errStr)
 		return
 	}
-	delete(c.inflight, s.key)
 	if errStr != "" {
+		delete(c.inflight, s.key)
 		c.stats.Failed++
 		err := fmt.Errorf("shard %s (%s) failed after %d attempts: %s", s.id, s.point.Label, s.attempts+1, errStr)
 		for _, sl := range s.slots {
@@ -479,10 +464,24 @@ func (c *Coordinator) settle(id string, res *experiments.PointResult, errStr str
 		c.logf("fleet: %v", err)
 		return
 	}
-	c.cfg.Memo.Store(s.point, *res)
+	c.mu.Unlock()
+
+	// Out of both queues, s is this call's alone: another outcome for it
+	// is a no-op. It stays in flight by key while the memo files the
+	// result — a store write, outside c.mu — so a request for the point
+	// meanwhile attaches to it instead of leasing it again.
+	c.cfg.Memo.Put(s.point.Unlabeled(), *res)
+
+	c.mu.Lock()
+	delete(c.inflight, s.key)
 	c.stats.Completed++
+	var filled []slot
 	var finished []*fleetJob
 	for _, sl := range s.slots {
+		if sl.job.err != nil {
+			continue // failed or cancelled while the result was filed
+		}
+		filled = append(filled, sl)
 		sl.job.results[sl.index] = *res
 		if sl.job.remaining--; sl.job.remaining == 0 {
 			finished = append(finished, sl.job)
@@ -490,14 +489,7 @@ func (c *Coordinator) settle(id string, res *experiments.PointResult, errStr str
 	}
 	c.mu.Unlock()
 
-	if c.cfg.Cache != nil {
-		if body, err := json.Marshal(res); err == nil {
-			// A failed disk write degrades future cache hits, not this
-			// job's correctness.
-			_ = c.cfg.Cache.Put(s.key, "done", body)
-		}
-	}
-	for _, sl := range s.slots {
+	for _, sl := range filled {
 		if sl.job.onDone != nil {
 			sl.job.onDone(sl.index, *res)
 		}

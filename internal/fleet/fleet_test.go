@@ -19,6 +19,7 @@ import (
 	"coherencesim/internal/experiments"
 	"coherencesim/internal/proto"
 	"coherencesim/internal/runner"
+	"coherencesim/internal/store"
 )
 
 // quickPoints builds a small but real batch of distinct lock points
@@ -52,7 +53,9 @@ func baseline(t *testing.T, pts []experiments.Point) []experiments.PointResult {
 	return out
 }
 
-// memCache is an in-memory ShardCache for tests.
+// memCache is an in-memory durable layer for a memo, counting writes:
+// a result is kept as its JSON under the point's content address, as
+// experiments.PointStore keeps it.
 type memCache struct {
 	mu   sync.Mutex
 	m    map[string][]byte
@@ -78,29 +81,39 @@ func (c *memCache) putsOf(key string) int {
 	return c.puts[key]
 }
 
-func (c *memCache) Get(key string) ([]byte, string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b, ok := c.m[key]
-	return b, "done", ok
+func (c *memCache) durable() store.Durable[experiments.Point, experiments.PointResult] {
+	return store.Durable[experiments.Point, experiments.PointResult]{
+		Load: func(pt experiments.Point) (r experiments.PointResult, ok bool) {
+			c.mu.Lock()
+			b, ok := c.m[pt.Key()]
+			c.mu.Unlock()
+			return r, ok && json.Unmarshal(b, &r) == nil
+		},
+		Save: func(pt experiments.Point, r experiments.PointResult) {
+			b, err := json.Marshal(r)
+			if err != nil {
+				panic(err) // a PointResult is plain data
+			}
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			c.m[pt.Key()] = b
+			c.puts[pt.Key()]++
+		},
+	}
 }
 
-func (c *memCache) Put(key, status string, body []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[key] = append([]byte(nil), body...)
-	c.puts[key]++
-	return nil
-}
-
-func testConfig(cache ShardCache) Config {
+// testConfig is a fast-timing config on a fresh memo over durable.
+func testConfig(durable store.Durable[experiments.Point, experiments.PointResult]) Config {
 	return Config{
 		HeartbeatTimeout: 300 * time.Millisecond,
 		PollWait:         50 * time.Millisecond,
 		RetryBackoff:     10 * time.Millisecond,
-		Cache:            cache,
+		Memo:             experiments.NewPointMemo(durable),
 	}
 }
+
+// noStore is a memo with no durable layer.
+var noStore store.Durable[experiments.Point, experiments.PointResult]
 
 // startWorkers attaches n workers to the coordinator over real HTTP and
 // returns a stop function per worker.
@@ -159,7 +172,7 @@ func TestRunPointsMatchesBaselineAcrossWorkerCounts(t *testing.T) {
 		want := baseline(t, sweep.pts)
 		for _, workers := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/%dw", sweep.name, workers), func(t *testing.T) {
-				coord := NewCoordinator(testConfig(nil))
+				coord := NewCoordinator(testConfig(noStore))
 				defer coord.Close()
 				cfgs := make([]WorkerConfig, workers)
 				for i := range cfgs {
@@ -186,7 +199,7 @@ func TestRunPointsMatchesBaselineAcrossWorkerCounts(t *testing.T) {
 func TestLocalFallbackWithZeroWorkers(t *testing.T) {
 	pts := quickPoints(4)
 	want := baseline(t, pts)
-	coord := NewCoordinator(testConfig(nil))
+	coord := NewCoordinator(testConfig(noStore))
 	defer coord.Close()
 	got, err := coord.RunPoints(context.Background(), pts, nil)
 	if err != nil {
@@ -206,7 +219,7 @@ func TestLocalFallbackWithZeroWorkers(t *testing.T) {
 func TestWorkerDeathMidSweepStillIdentical(t *testing.T) {
 	pts := quickPoints(12)
 	want := baseline(t, pts)
-	coord := NewCoordinator(testConfig(nil))
+	coord := NewCoordinator(testConfig(noStore))
 	defer coord.Close()
 	_, stops := startWorkers(t, coord, 2)
 
@@ -234,19 +247,24 @@ func TestWorkerDeathMidSweepStillIdentical(t *testing.T) {
 	}
 }
 
-// TestShardCacheShortCircuits: a coordinator restarted on the same shard
-// cache answers an identical batch from it, dispatching nothing, and
-// moves what it read into its memo: the batch after that costs no read.
-func TestShardCacheShortCircuits(t *testing.T) {
+// TestRestartedCoordinatorAnswersFromStore: a coordinator restarted on
+// the same store (experiments.PointStore) answers an identical batch from
+// it, leasing nothing, with the bytes it computed before; it moves what
+// it read into its memo, so the batch after that costs no read, and
+// writes nothing back.
+func TestRestartedCoordinatorAnswersFromStore(t *testing.T) {
 	pts := quickPoints(4)
-	cache := newMemCache()
-	before := NewCoordinator(testConfig(cache))
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := NewCoordinator(testConfig(experiments.PointStore(st)))
 	defer before.Close()
 	first, err := before.RunPoints(context.Background(), pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := NewCoordinator(testConfig(cache))
+	coord := NewCoordinator(testConfig(experiments.PointStore(st)))
 	defer coord.Close()
 	for batch, want := range []Stats{{CacheHits: 4}, {CacheHits: 4, Coalesced: 4}} {
 		again, err := coord.RunPoints(context.Background(), pts, nil)
@@ -260,14 +278,17 @@ func TestShardCacheShortCircuits(t *testing.T) {
 			t.Errorf("batch %d: stats %+v, want %+v", batch, st, want)
 		}
 	}
-	if n := cache.putCount(); n != len(pts) {
-		t.Errorf("%d shard-cache writes, want %d: an answered point is not written back", n, len(pts))
+	if ss := st.Stats(); ss.Writes != uint64(len(pts)) || ss.Hits != uint64(len(pts)) {
+		t.Errorf("%d store writes and %d reads, want %d each: an answered point is neither written back nor read twice", ss.Writes, ss.Hits, len(pts))
 	}
-	// The cached bytes must round-trip to the identical result struct.
+	if ms := coord.cfg.Memo.Stats(); ms.Builds != 0 || ms.Loads != uint64(len(pts)) {
+		t.Errorf("the restarted memo counts %d points simulated and %d loaded, want 0 and %d", ms.Builds, ms.Loads, len(pts))
+	}
+	// The stored bytes must round-trip to the identical result struct.
 	for _, pt := range pts {
-		body, _, ok := cache.Get(pt.Key())
+		body, _, ok := st.Get(pt.Key())
 		if !ok {
-			t.Fatalf("no cache entry for %s", pt.Label)
+			t.Fatalf("no store entry for %s", pt.Label)
 		}
 		var r experiments.PointResult
 		if err := json.Unmarshal(body, &r); err != nil {
@@ -286,7 +307,7 @@ func TestShardCacheShortCircuits(t *testing.T) {
 // TestBadShardFailsJobAfterMaxAttempts: a point no executor can run
 // exhausts its attempts and fails the job instead of spinning forever.
 func TestBadShardFailsJobAfterMaxAttempts(t *testing.T) {
-	coord := NewCoordinator(testConfig(nil))
+	coord := NewCoordinator(testConfig(noStore))
 	defer coord.Close()
 	bad := []experiments.Point{{Family: "no-such-family", Label: "bad"}}
 	_, err := coord.RunPoints(context.Background(), bad, nil)
@@ -301,7 +322,7 @@ func TestBadShardFailsJobAfterMaxAttempts(t *testing.T) {
 // TestRunPointsCancellation: cancelling the job context returns
 // promptly with the context error.
 func TestRunPointsCancellation(t *testing.T) {
-	coord := NewCoordinator(testConfig(nil))
+	coord := NewCoordinator(testConfig(noStore))
 	defer coord.Close()
 	// No workers and a paused local fallback window: cancel immediately.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -437,7 +458,7 @@ func newManualCoordinator(cfg Config) (*Coordinator, *manualClock) {
 func TestCompletionCarriesNextLease(t *testing.T) {
 	pts := quickPoints(5)
 	want := baseline(t, pts)
-	coord := NewCoordinator(testConfig(nil))
+	coord := NewCoordinator(testConfig(noStore))
 	defer coord.Close()
 	coord.register("w")
 	wait := runAsync(t, coord, context.Background(), pts, nil)
@@ -474,7 +495,7 @@ func TestDuplicateCompletionIsNoOp(t *testing.T) {
 	pts := quickPoints(2)
 	want := baseline(t, pts)
 	cache := newMemCache()
-	cfg := testConfig(cache)
+	cfg := testConfig(cache.durable())
 	coord, clk := newManualCoordinator(cfg)
 	defer coord.Close()
 	coord.register("orig")
@@ -534,7 +555,7 @@ func TestDuplicateCompletionIsNoOp(t *testing.T) {
 func TestMalformedCompletionKeepsShardLeased(t *testing.T) {
 	pts := quickPoints(1)
 	want := baseline(t, pts)
-	coord := NewCoordinator(testConfig(nil))
+	coord := NewCoordinator(testConfig(noStore))
 	defer coord.Close()
 	mux := http.NewServeMux()
 	coord.Mount(mux)
@@ -607,7 +628,7 @@ func (f *faultTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 func TestWorkerRetriesCompletionUntilDelivered(t *testing.T) {
 	pts := quickPoints(3)
 	want := baseline(t, pts)
-	coord := NewCoordinator(testConfig(nil))
+	coord := NewCoordinator(testConfig(noStore))
 	defer coord.Close()
 	net := &faultTransport{}
 	net.failCompletes.Store(3)
@@ -631,7 +652,7 @@ func TestWorkerRetriesCompletionUntilDelivered(t *testing.T) {
 func TestSlowWorkerSelfBalances(t *testing.T) {
 	pts := quickPoints(24)
 	want := baseline(t, pts)
-	coord := NewCoordinator(testConfig(nil))
+	coord := NewCoordinator(testConfig(noStore))
 	defer coord.Close()
 	slow, fast := &faultTransport{delay: 20 * time.Millisecond}, &faultTransport{}
 	startFleet(t, coord, []WorkerConfig{
@@ -658,7 +679,7 @@ func TestSlowWorkerSelfBalances(t *testing.T) {
 // per fresh shard with the final result.
 func TestOnDoneObservesEveryComputedShard(t *testing.T) {
 	pts := quickPoints(5)
-	coord := NewCoordinator(testConfig(nil))
+	coord := NewCoordinator(testConfig(noStore))
 	defer coord.Close()
 	var mu sync.Mutex
 	seen := make(map[int]bool)
@@ -675,14 +696,14 @@ func TestOnDoneObservesEveryComputedShard(t *testing.T) {
 	}
 }
 
-// TestOnDoneObservesCacheAnsweredPoints: a point the shard cache or the
-// memo answers never becomes a shard, but the caller's progress and cycle accounting
+// TestOnDoneObservesCacheAnsweredPoints: a point the memo's durable
+// layer or its memory answers never becomes a shard, but the caller's progress and cycle accounting
 // must still see it — once, with its result, and outside the
 // coordinator's lock (the callback below takes it).
 func TestOnDoneObservesCacheAnsweredPoints(t *testing.T) {
 	pts := quickPoints(6)
 	want := baseline(t, pts)
-	cache := newMemCache()
+	cache := newMemCache().durable()
 	before := NewCoordinator(testConfig(cache))
 	defer before.Close()
 	if _, err := before.RunPoints(context.Background(), pts[:3], nil); err != nil {
@@ -692,7 +713,7 @@ func TestOnDoneObservesCacheAnsweredPoints(t *testing.T) {
 	defer coord.Close()
 	for _, batch := range []struct {
 		name             string
-		cached, memoized uint64 // cumulative shard-cache and memo answers after the batch
+		cached, memoized uint64 // cumulative durable-layer and memory answers after the batch
 	}{
 		{"half cached", 3, 0},
 		{"all memoized", 3, 6},
@@ -724,7 +745,7 @@ func TestOnDoneObservesCacheAnsweredPoints(t *testing.T) {
 			t.Errorf("%s: onDone saw %d simulated cycles, want %d", batch.name, cycles, wantCycles)
 		}
 		if st := coord.Stats(); st.CacheHits != batch.cached || st.Coalesced != batch.memoized {
-			t.Errorf("%s: %d shard-cache hits and %d memo answers, want %d and %d", batch.name, st.CacheHits, st.Coalesced, batch.cached, batch.memoized)
+			t.Errorf("%s: %d durable-layer hits and %d memo answers, want %d and %d", batch.name, st.CacheHits, st.Coalesced, batch.cached, batch.memoized)
 		}
 	}
 }
@@ -757,7 +778,7 @@ func TestFiguresCrossTheFleetOnce(t *testing.T) {
 	local.Memo = experiments.NewWarmForkCache()
 	want := render(local)
 
-	coord := NewCoordinator(testConfig(nil))
+	coord := NewCoordinator(testConfig(noStore))
 	defer coord.Close()
 	startWorkers(t, coord, 2)
 	points := 0
@@ -786,7 +807,7 @@ func TestFiguresCrossTheFleetOnce(t *testing.T) {
 func TestConcurrentJobsLeaseEachKeyOnce(t *testing.T) {
 	pts := quickPoints(12)
 	want := baseline(t, pts)
-	coord := NewCoordinator(testConfig(nil))
+	coord := NewCoordinator(testConfig(noStore))
 	defer coord.Close()
 	startWorkers(t, coord, 2)
 	waits := []func() ([]experiments.PointResult, error){
@@ -840,7 +861,7 @@ func attachTwo(t *testing.T, coord *Coordinator, firstCtx context.Context, pts [
 func TestCancelledOwnerHandsItsShardsOn(t *testing.T) {
 	pts := quickPoints(2)
 	want := baseline(t, pts)
-	coord, _ := newManualCoordinator(testConfig(nil))
+	coord, _ := newManualCoordinator(testConfig(noStore))
 	defer coord.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -874,7 +895,7 @@ func TestCancelledOwnerHandsItsShardsOn(t *testing.T) {
 // and leaves nothing in the memo: the next submission leases it again.
 func TestExhaustedShardFailsEveryAttachedJob(t *testing.T) {
 	pts := quickPoints(1)
-	cfg := testConfig(nil)
+	cfg := testConfig(noStore)
 	cfg.MaxAttempts = 2
 	coord, clk := newManualCoordinator(cfg)
 	defer coord.Close()

@@ -75,9 +75,14 @@ func (s *schedule) fatalf(format string, args ...any) {
 }
 
 // beat advances the clock and heartbeats everyone but the silent worker.
+// The anchor is heard from in the same critical section as the advance:
+// otherwise a step past the timeout leaves an instant with no live
+// worker, in which the job's local-fallback goroutine takes a shard.
 func (s *schedule) beat(d time.Duration, silent *simWorker) {
+	s.c.mu.Lock()
 	s.clk.advance(d)
-	s.c.heartbeat("anchor")
+	s.c.workers["anchor"] = s.clk.Now()
+	s.c.mu.Unlock()
 	for _, w := range s.workers {
 		if w != silent {
 			s.c.heartbeat(w.id)
@@ -302,7 +307,7 @@ func (s *schedule) check() {
 	for key := range s.results {
 		puts := s.cache.putsOf(key)
 		if puts > 1 {
-			s.fatalf("key %s written to the shard cache %d times", key, puts)
+			s.fatalf("key %s written to the store %d times", key, puts)
 		}
 		completed += uint64(puts)
 	}
@@ -328,7 +333,7 @@ func runSchedule(t *testing.T, seed int64, distinct []experiments.Point, want []
 		HeartbeatTimeout: time.Second,
 		PollWait:         time.Nanosecond, // an empty poll returns at once
 		RetryBackoff:     time.Millisecond,
-		Cache:            s.cache,
+		Memo:             experiments.NewPointMemo(s.cache.durable()),
 	}
 	s.c, s.clk = newManualCoordinator(s.cfg)
 	defer s.c.Close()

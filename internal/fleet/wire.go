@@ -21,9 +21,9 @@
 //
 // Because a Point's content hash fully addresses its result, the
 // coordinator owns reuse for the whole fleet: a point is answered from
-// its memo, else from a shard-level cache (conventionally the daemon's
-// durable content-addressed store — a sweep re-run after a restart
-// re-simulates only what the store no longer holds), else attached to
+// its memo — memory, then the memo's durable layer (conventionally the
+// daemon's content-addressed store, so a sweep re-run after a restart
+// re-simulates only what the store no longer holds) — else attached to
 // the shard already outstanding for the same key, and only else leased.
 // Workers execute; they remember nothing.
 package fleet

@@ -78,7 +78,7 @@ func (s *fleetSession) dispatch(pts []experiments.Point) []experiments.PointResu
 }
 
 // onDone observes one point's result — a shard completion or an answer
-// from the coordinator's shard cache, in any order — and emits a
+// from the coordinator's memo, in any order — and emits a
 // cumulative progress snapshot, mirroring the local pool's reporting.
 func (s *fleetSession) onDone(index int, r experiments.PointResult) {
 	s.mu.Lock()

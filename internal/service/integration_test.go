@@ -372,9 +372,10 @@ func TestDaemonSharesPointsAcrossJobs(t *testing.T) {
 
 // TestFleetPathCountsCacheAnsweredPoints: a point the coordinator
 // answers without leasing it — from its memo, or after a restart from
-// the shard cache — is served work like any other: the fleet path's
+// the memo's store — is served work like any other: the fleet path's
 // last progress snapshot must count it, points and cycles, as the local
-// path's does.
+// path's does. A point the store answered was not simulated, so the
+// restarted memo counts no miss for it.
 func TestFleetPathCountsCacheAnsweredPoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sweeps in -short mode")
@@ -386,8 +387,9 @@ func TestFleetPathCountsCacheAnsweredPoints(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// A coordinator on the shared store with one worker of its own.
-	startFleet := func() *fleet.Coordinator {
-		coord := fleet.NewCoordinator(fleet.Config{Cache: st, HeartbeatTimeout: time.Second})
+	startFleet := func() (*fleet.Coordinator, *experiments.WarmForkCache) {
+		memo := experiments.NewPointMemo(experiments.PointStore(st))
+		coord := fleet.NewCoordinator(fleet.Config{Memo: memo, HeartbeatTimeout: time.Second})
 		t.Cleanup(coord.Close)
 		mux := http.NewServeMux()
 		coord.Mount(mux)
@@ -399,7 +401,7 @@ func TestFleetPathCountsCacheAnsweredPoints(t *testing.T) {
 				t.Fatal("fleet worker never registered")
 			}
 		}
-		return coord
+		return coord, memo
 	}
 
 	last := func(exec ExecFunc, name string) runner.Snapshot {
@@ -416,7 +418,8 @@ func TestFleetPathCountsCacheAnsweredPoints(t *testing.T) {
 		return last
 	}
 	local := last(BatchExecutor(), "fig9")
-	coord, restarted := startFleet(), startFleet()
+	coord, _ := startFleet()
+	restarted, restartedMemo := startFleet()
 	for _, run := range []struct {
 		coord *fleet.Coordinator
 		name  string
@@ -428,9 +431,12 @@ func TestFleetPathCountsCacheAnsweredPoints(t *testing.T) {
 		}
 	}
 	if stats := coord.Stats(); stats.Completed != 9 || stats.Coalesced != 9 || stats.CacheHits != 0 {
-		t.Errorf("workers answered %d points, the memo %d, the shard cache %d; want 9, 9 and 0", stats.Completed, stats.Coalesced, stats.CacheHits)
+		t.Errorf("workers answered %d points, the memo %d, the store %d; want 9, 9 and 0", stats.Completed, stats.Coalesced, stats.CacheHits)
 	}
 	if stats := restarted.Stats(); stats.Completed != 0 || stats.CacheHits != 9 {
-		t.Errorf("after the restart workers answered %d points and the shard cache %d, want 0 and 9", stats.Completed, stats.CacheHits)
+		t.Errorf("after the restart workers answered %d points and the store %d, want 0 and 9", stats.Completed, stats.CacheHits)
+	}
+	if ms := restartedMemo.Stats(); ms.Builds != 0 || ms.Loads != 9 {
+		t.Errorf("after the restart the memo counts %d points simulated and %d loaded, want 0 and 9", ms.Builds, ms.Loads)
 	}
 }

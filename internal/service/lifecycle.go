@@ -67,11 +67,11 @@ type Config struct {
 	SimWorkers int           // per-job simulation pool width (0 = GOMAXPROCS)
 	CacheBytes int64         // in-memory result cache body-byte budget (default 256 MiB)
 	Grace      time.Duration // drain grace period (default 30s)
-	// DataDir, when non-empty, layers a durable content-addressed result
-	// store under the in-memory cache: finished documents are written
-	// one file per canonical spec hash, and identical specs replay
-	// byte-identical across daemon restarts. Empty keeps results purely
-	// in memory.
+	// DataDir, when non-empty, is the durable layer under the job cache
+	// and the point memo: finished documents and fleet-simulated points
+	// are written one file per content address, and identical specs
+	// replay byte-identical across daemon restarts. Empty keeps results
+	// purely in memory.
 	DataDir    string
 	StoreBytes int64 // durable store byte budget (default 1 GiB, used with DataDir)
 	// TenantQuota bounds in-flight admitted jobs per tenant (X-Tenant
@@ -118,10 +118,6 @@ func New(cfg Config) (*Service, error) { return newService(cfg, nil) }
 
 // newService is the test seam: any ExecFunc in place of the memo's.
 func newService(cfg Config, exec ExecFunc) (*Service, error) {
-	memo := experiments.NewWarmForkCache()
-	if exec == nil {
-		exec = memoExecutor(memo)
-	}
 	if cfg.Addr == "" {
 		cfg.Addr = ":8377"
 	}
@@ -139,9 +135,12 @@ func newService(cfg Config, exec ExecFunc) (*Service, error) {
 			return nil, fmt.Errorf("open result store: %w", err)
 		}
 	}
+	memo := experiments.NewPointMemo(experiments.PointStore(st))
+	if exec == nil {
+		exec = memoExecutor(memo)
+	}
 	coord := fleet.NewCoordinator(fleet.Config{
 		HeartbeatTimeout: cfg.HeartbeatTimeout,
-		Cache:            st,
 		Memo:             memo,
 		Logf:             cfg.Logf,
 	})

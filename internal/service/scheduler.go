@@ -40,11 +40,10 @@ type SchedulerConfig struct {
 	Jobs       int   // concurrently executing jobs (default 2)
 	SimWorkers int   // per-job simulation pool width (default GOMAXPROCS)
 	CacheBytes int64 // in-memory result cache budget in body bytes (default 256 MiB)
-	// Store, when non-nil, is the durable content-addressed result store
-	// layered under the in-memory cache: completed (StatusDone) job
-	// documents are written through to it, and submissions that miss the
-	// in-memory cache are served from disk — byte-identical across
-	// daemon restarts.
+	// Store, when non-nil, is the durable layer of the result cache:
+	// completed (StatusDone) job documents are written through to it, and
+	// lookups that miss memory are served from disk — byte-identical
+	// across daemon restarts.
 	Store *store.Store
 	// TenantQuota bounds the number of in-flight (queued or running)
 	// jobs any single tenant may hold; 0 disables the quota. Tenants are
@@ -128,6 +127,35 @@ func (t *task) terminalBody() []byte {
 	return t.body
 }
 
+// jobDoc is a terminal job document as the result cache holds it.
+type jobDoc struct {
+	status string
+	body   []byte
+}
+
+// newResults is the result cache: store.Chain at job granularity,
+// terminal documents by job id, bounded in memory by body bytes (a few
+// paper-scale sweeps outweigh thousands of quick ones) over st. A hit
+// replays the first response's bytes. Failed and cancelled documents are
+// held so their status stays readable, but only completed ones are
+// written through to st: a deadline or a cancellation describes one
+// submission, not the spec, and must not shadow a later success.
+func newResults(maxBytes int64, st *store.Store) *store.Chain[string, jobDoc] {
+	var durable store.Durable[string, jobDoc]
+	if st != nil {
+		durable.Load = func(id string) (jobDoc, bool) {
+			body, status, ok := st.Get(id)
+			return jobDoc{status, body}, ok
+		}
+		durable.Save = func(id string, d jobDoc) {
+			if d.status == StatusDone {
+				_ = st.Put(id, d.status, d.body) // a failed write costs durability; memory still serves it
+			}
+		}
+	}
+	return store.NewChain(maxBytes, func(d jobDoc) int64 { return int64(len(d.body)) }, nil, durable)
+}
+
 // Counters is a point-in-time snapshot of the scheduler's lifetime
 // counters and gauges, rendered by the /metrics endpoint.
 type Counters struct {
@@ -150,9 +178,9 @@ type Counters struct {
 // always preferred over paper-scale ones, so a burst of heavy sweeps
 // cannot starve interactive requests.
 type Scheduler struct {
-	cfg   SchedulerConfig
-	cache *Cache
-	exec  ExecFunc
+	cfg     SchedulerConfig
+	results *store.Chain[string, jobDoc] // terminal documents: memory, then the store
+	exec    ExecFunc
 
 	root context.Context // parent of every job context
 	stop context.CancelFunc
@@ -162,8 +190,6 @@ type Scheduler struct {
 
 	workerWG sync.WaitGroup // worker goroutines
 	jobWG    sync.WaitGroup // admitted, not-yet-terminal jobs
-
-	store *store.Store // durable layer under the in-memory cache (nil = off)
 
 	mu        sync.Mutex
 	inflight  map[string]*task // id -> queued or running job
@@ -191,11 +217,10 @@ func NewScheduler(cfg SchedulerConfig, exec ExecFunc) *Scheduler {
 	root, stop := context.WithCancel(context.Background())
 	s := &Scheduler{
 		cfg:       cfg,
-		cache:     NewCache(cfg.CacheBytes),
+		results:   newResults(cfg.CacheBytes, cfg.Store),
 		exec:      exec,
 		root:      root,
 		stop:      stop,
-		store:     cfg.Store,
 		quick:     make(chan *task, cfg.QueueDepth),
 		paper:     make(chan *task, cfg.QueueDepth),
 		inflight:  make(map[string]*task),
@@ -208,25 +233,16 @@ func NewScheduler(cfg SchedulerConfig, exec ExecFunc) *Scheduler {
 	return s
 }
 
-// Cache exposes the in-memory result cache (the server reads terminal
-// documents from it).
-func (s *Scheduler) Cache() *Cache { return s.cache }
-
-// Store exposes the durable result store (nil when disabled).
-func (s *Scheduler) Store() *store.Store { return s.store }
-
-// Lookup finds the terminal document for id across the cache layers:
-// in-memory first, then the durable store. A disk hit re-warms the
-// in-memory cache so subsequent reads stay off the disk.
-func (s *Scheduler) Lookup(id string) (body []byte, status string, ok bool) {
-	if body, status, ok = s.cache.Get(id); ok {
-		return body, status, true
+// Find returns the job with this id: its task while it is queued or
+// running, and its terminal document once it has one — the task's or,
+// after it left, the result cache's (memory, then the store, whose hit
+// re-warms memory).
+func (s *Scheduler) Find(id string) (t *task, body []byte, ok bool) {
+	if t, ok = s.Get(id); ok {
+		return t, t.terminalBody(), true
 	}
-	if body, status, ok = s.store.Get(id); ok {
-		s.cache.Put(id, status, body)
-		return body, status, true
-	}
-	return nil, "", false
+	d, ok, _ := s.results.Get(id)
+	return nil, d.body, ok
 }
 
 // queueFor picks the priority class: everything except paper-scale
@@ -247,6 +263,16 @@ func (s *Scheduler) queueFor(spec JobSpec) chan *task {
 func (s *Scheduler) Submit(spec JobSpec, tenant string) (*task, []byte, Admission, error) {
 	id := Hash(spec)
 	s.mu.Lock()
+	_, live := s.inflight[id]
+	s.mu.Unlock()
+	var doc jobDoc
+	var found, loaded bool
+	if !live {
+		// Outside s.mu: a store read must not hold up every Submit, Get
+		// and Cancel.
+		doc, found, loaded = s.results.Get(id)
+	}
+	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		return nil, nil, 0, ErrDraining
@@ -255,15 +281,17 @@ func (s *Scheduler) Submit(spec JobSpec, tenant string) (*task, []byte, Admissio
 		s.deduped.Add(1)
 		return t, nil, Deduped, nil
 	}
-	if body, status, ok := s.cache.Get(id); ok && status == StatusDone {
-		s.cacheHits.Add(1)
-		return nil, body, CacheHit, nil
+	if !found {
+		// It may have finished since the look above: finalize files the
+		// document before the job leaves inflight.
+		doc, found = s.results.Peek(id)
 	}
-	if body, status, ok := s.store.Get(id); ok && status == StatusDone {
-		s.cache.Put(id, status, body)
+	if found && doc.status == StatusDone {
 		s.cacheHits.Add(1)
-		s.storeHits.Add(1)
-		return nil, body, CacheHit, nil
+		if loaded {
+			s.storeHits.Add(1)
+		}
+		return nil, doc.body, CacheHit, nil
 	}
 	if q := s.cfg.quotaFor(tenant); q > 0 && s.perTenant[tenant] >= q {
 		s.quotaHits.Add(1)
@@ -310,8 +338,7 @@ func (s *Scheduler) Quotas() (int, map[string]int) {
 	return s.cfg.TenantQuota, m
 }
 
-// Get returns the queued or running job with this id. Terminal jobs
-// are found in the cache instead.
+// Get returns the queued or running job with this id (see Find).
 func (s *Scheduler) Get(id string) (*task, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -482,16 +509,7 @@ func (s *Scheduler) finalize(t *task, res *JobResult, err error) {
 	case StatusCanceled:
 		s.canceled.Add(1)
 	}
-	s.cache.Put(t.id, status, body)
-	// Only completed results are written through to the durable store: a
-	// deadline or cancellation describes this submission, not the spec,
-	// and must not shadow a future successful run across restarts.
-	if status == StatusDone {
-		// A failed disk write degrades durability, not correctness: the
-		// in-memory cache still serves the result for this process's
-		// lifetime.
-		_ = s.store.Put(t.id, status, body)
-	}
+	s.results.Put(t.id, jobDoc{status, body})
 	s.mu.Lock()
 	delete(s.inflight, t.id)
 	if s.perTenant[t.tenant] > 1 {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"coherencesim/internal/runner"
+	"coherencesim/internal/store"
 )
 
 // stubExec returns an ExecFunc that counts executions and, when block
@@ -123,6 +124,63 @@ func TestDedupRunsSimulationExactlyOnce(t *testing.T) {
 	}
 	if got := execs.Load(); got != 1 {
 		t.Errorf("cache hit re-ran the simulation (%d executions)", got)
+	}
+}
+
+// TestSubmitReadsStoreOutsideLock: a Submit whose durable read is slow
+// holds up nobody else. While it is blocked in the store, a GET of an
+// in-flight job and a Submit of another spec both complete.
+func TestSubmitReadsStoreOutsideLock(t *testing.T) {
+	block := make(chan struct{})
+	defer close(block)
+	s := NewScheduler(SchedulerConfig{Jobs: 1, QueueDepth: 4}, stubExec(nil, block))
+	defer s.Close()
+	running := canonical(t, JobSpec{Experiment: "fig8"})
+	slow := canonical(t, JobSpec{Experiment: "fig11"})
+	other := canonical(t, JobSpec{Experiment: "fig14"})
+	loading, release := make(chan struct{}), make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	defer releaseOnce() // before s.Close, which waits for the lock
+	weigh := func(jobDoc) int64 { return 1 }
+	s.results = store.NewChain(1<<20, weigh, nil, store.Durable[string, jobDoc]{
+		Load: func(id string) (jobDoc, bool) {
+			if id == Hash(slow) {
+				close(loading)
+				<-release
+			}
+			return jobDoc{}, false
+		},
+	})
+
+	live, _, _, err := s.Submit(running, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, s, 1)
+	slowDone := make(chan error, 1)
+	go func() {
+		_, _, _, err := s.Submit(slow, "")
+		slowDone <- err
+	}()
+	<-loading
+	others := make(chan struct{})
+	go func() {
+		defer close(others)
+		if _, ok := s.Get(live.id); !ok {
+			t.Error("GET lost the in-flight job")
+		}
+		if _, _, adm, err := s.Submit(other, ""); err != nil || adm != Admitted {
+			t.Errorf("Submit of another spec = %v admission %v, want admitted", err, adm)
+		}
+	}()
+	select {
+	case <-others:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a GET and a Submit waited for another Submit's store read")
+	}
+	releaseOnce()
+	if err := <-slowDone; err != nil {
+		t.Errorf("the slow Submit: %v", err)
 	}
 }
 

@@ -138,19 +138,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // jobs replay the stored document byte-identically.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if t, ok := s.sched.Get(id); ok {
-		if body := t.terminalBody(); body != nil {
-			writeRaw(w, http.StatusOK, body)
-			return
-		}
-		writeJSON(w, http.StatusOK, t.Status())
-		return
-	}
-	if body, _, ok := s.sched.Lookup(id); ok {
+	switch t, body, ok := s.sched.Find(id); {
+	case body != nil:
 		writeRaw(w, http.StatusOK, body)
-		return
+	case ok:
+		writeJSON(w, http.StatusOK, t.Status())
+	default:
+		writeError(w, http.StatusNotFound, "unknown job %q", id)
 	}
-	writeError(w, http.StatusNotFound, "unknown job %q", id)
 }
 
 // doneResult loads the stored terminal document for id and returns its
@@ -158,12 +153,8 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 // returns ok=false: 404 for an unknown job, 409 while the job is still
 // queued or running or when it finished without a result.
 func (s *Server) doneResult(w http.ResponseWriter, id string) (json.RawMessage, bool) {
-	var body []byte
-	if t, ok := s.sched.Get(id); ok {
-		body = t.terminalBody()
-	} else if b, _, ok := s.sched.Lookup(id); ok {
-		body = b
-	} else {
+	_, body, ok := s.sched.Find(id)
+	if !ok {
 		writeError(w, http.StatusNotFound, "unknown job %q", id)
 		return nil, false
 	}
@@ -280,7 +271,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, t.Status())
 		return
 	}
-	if _, _, ok := s.sched.Lookup(id); ok {
+	if _, body, _ := s.sched.Find(id); body != nil {
 		writeError(w, http.StatusConflict, "job %q already finished", id)
 		return
 	}
@@ -297,13 +288,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	t, live := s.sched.Get(id)
-	if !live {
-		body, _, ok := s.sched.Lookup(id)
-		if !ok {
-			writeError(w, http.StatusNotFound, "unknown job %q", id)
-			return
-		}
+	t, body, ok := s.sched.Find(id)
+	if !ok {
+		writeError(w, http.StatusNotFound, "unknown job %q", id)
+		return
+	}
+	if t == nil {
 		sseHeaders(w)
 		writeSSERaw(w, "status", body)
 		flusher.Flush()
@@ -432,7 +422,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // exposition format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	c := s.sched.Counters()
-	hits, misses, evictions := s.sched.Cache().Stats()
+	rs := s.sched.results.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	write := func(name, help, kind string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", name, help, name, kind, name, v)
@@ -447,21 +437,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	write("coherenced_sim_cycles_total", "Simulated cycles served to jobs (simulated or answered from the point memo).", "counter", c.SimCycles)
 	write("coherenced_jobs_queued", "Jobs currently waiting in the queues.", "gauge", uint64(c.Queued))
 	write("coherenced_jobs_running", "Jobs currently executing.", "gauge", uint64(c.Running))
-	write("coherenced_result_cache_entries", "Entries in the result cache.", "gauge", uint64(s.sched.Cache().Len()))
-	write("coherenced_result_cache_bytes", "Body bytes held by the in-memory result cache.", "gauge", uint64(s.sched.Cache().Bytes()))
-	write("coherenced_result_cache_lookup_hits_total", "Result-cache lookup hits.", "counter", hits)
-	write("coherenced_result_cache_lookup_misses_total", "Result-cache lookup misses.", "counter", misses)
-	write("coherenced_result_cache_evictions_total", "Result-cache evictions.", "counter", evictions)
+	write("coherenced_result_cache_entries", "Entries in the result cache.", "gauge", uint64(rs.Entries))
+	write("coherenced_result_cache_bytes", "Body bytes held by the in-memory result cache.", "gauge", uint64(rs.Weight))
+	write("coherenced_result_cache_lookup_hits_total", "Result-cache lookup hits.", "counter", rs.Hits)
+	write("coherenced_result_cache_lookup_misses_total", "Result-cache lookup misses.", "counter", rs.Misses)
+	write("coherenced_result_cache_evictions_total", "Result-cache evictions.", "counter", rs.Evictions)
 	write("coherenced_quota_rejected_total", "Submissions rejected by tenant admission quotas.", "counter", c.QuotaHits)
 	write("coherenced_store_hits_total", "Submissions served from the durable result store.", "counter", c.StoreHits)
 
-	memoHits, memoMisses, memoCycles := s.memo.Stats()
-	write("coherenced_point_memo_hits_total", "Sweep points answered from the daemon's point memo, on the local path or before the fleet leased them.", "counter", memoHits)
-	write("coherenced_point_memo_misses_total", "Sweep points the daemon or a fleet worker simulated (and the daemon memoized).", "counter", memoMisses)
-	write("coherenced_point_memo_served_cycles_total", "Simulated cycles of the points answered from the point memo: the share of coherenced_sim_cycles_total that was not re-simulated.", "counter", memoCycles)
-	write("coherenced_point_memo_entries", "Points held by the point memo.", "gauge", uint64(s.memo.Checkpoints()))
+	ms := s.memo.Stats()
+	write("coherenced_point_memo_hits_total", "Sweep points answered from the daemon's point memo, on the local path or before the fleet leased them.", "counter", ms.Hits)
+	write("coherenced_point_memo_misses_total", "Sweep points the daemon or a fleet worker simulated (and the daemon memoized).", "counter", ms.Builds)
+	write("coherenced_point_memo_served_cycles_total", "Simulated cycles of the points answered from the point memo: the share of coherenced_sim_cycles_total that was not re-simulated.", "counter", ms.Saved)
+	write("coherenced_point_memo_entries", "Points held by the point memo.", "gauge", uint64(ms.Entries))
 
-	if st := s.sched.Store(); st != nil {
+	if st := s.sched.cfg.Store; st != nil {
 		ss := st.Stats()
 		write("coherenced_store_entries", "Entries in the durable result store.", "gauge", uint64(ss.Entries))
 		write("coherenced_store_bytes", "Body bytes held by the durable result store.", "gauge", uint64(ss.Bytes))
@@ -480,7 +470,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		write("coherenced_fleet_shards_reassigned_total", "Shards requeued after worker death or failure.", "counter", fs.Reassigned)
 		write("coherenced_fleet_shards_duplicate_total", "Shard completions ignored because the shard was no longer outstanding (late results after reassignment or cancellation).", "counter", fs.DupCompletes)
 		write("coherenced_fleet_shards_failed_total", "Shards that exhausted their attempts.", "counter", fs.Failed)
-		write("coherenced_fleet_shard_cache_hits_total", "Points answered from the shard-level result cache.", "counter", fs.CacheHits)
+		write("coherenced_fleet_shard_cache_hits_total", "Points answered from the durable result store instead of a lease.", "counter", fs.CacheHits)
 		write("coherenced_fleet_points_coalesced_total", "Dispatched points answered without a lease of their own: from the point memo, or attached to a shard already outstanding for the same point.", "counter", fs.Coalesced)
 		write("coherenced_fleet_local_runs_total", "Shards executed by the coordinator's local fallback.", "counter", fs.LocalRuns)
 	}

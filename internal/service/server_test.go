@@ -474,8 +474,8 @@ func TestBatchExecutorSharesPoints(t *testing.T) {
 				t.Errorf("warm_fork %v: %d distinct points simulated after %s, want the %d of %s", c.warm, n, name, c.points, c.family[0])
 			}
 		}
-		if hits, misses, served := memo.Stats(); hits != c.hits || misses != uint64(c.points) || served == 0 {
-			t.Errorf("warm_fork %v: memo hits %d misses %d served cycles %d, want %d, %d, > 0", c.warm, hits, misses, served, c.hits, c.points)
+		if ms := memo.Stats(); ms.Hits != c.hits || ms.Builds != uint64(c.points) || ms.Saved == 0 {
+			t.Errorf("warm_fork %v: memo hits %d builds %d served cycles %d, want %d, %d, > 0", c.warm, ms.Hits, ms.Builds, ms.Saved, c.hits, c.points)
 		}
 	}
 }

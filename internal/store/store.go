@@ -1,7 +1,8 @@
-// Package store is coherenced's durable content-addressed result
-// store: the on-disk layer under the in-memory result cache, so a
-// completed job's document survives daemon restarts and identical
-// specs replay byte-identical forever.
+// Package store holds coherenced's content-addressed results: Chain,
+// the bounded, single-flight memory layer the point memo and the job
+// cache are instances of, and Store, the durable layer under both, so a
+// completed job's document survives daemon restarts and identical specs
+// replay byte-identical forever.
 //
 // Layout is deliberately boring — one file per key under a flat data
 // directory, where the key is the canonical spec's content address (a
@@ -28,7 +29,6 @@
 package store
 
 import (
-	"container/list"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -98,20 +98,12 @@ type Stats struct {
 // safe for concurrent use. A nil *Store ignores Put and misses Get, so
 // callers can thread one unconditionally.
 type Store struct {
-	dir    string
-	budget int64 // max total body bytes; <= 0 means unbounded
+	dir string
 
-	mu      sync.Mutex
-	ll      *list.List // front = most recently used
-	entries map[string]*list.Element
+	mu    sync.Mutex
+	index lru[string, struct{}] // bounded by the budget in body bytes (headers excluded)
 
 	hits, misses, writes, evictions, repairs uint64
-	bytes                                    int64
-}
-
-type entry struct {
-	key  string
-	size int64 // body bytes (excludes header)
 }
 
 // Open opens (creating if needed) the store rooted at dir, bounded to
@@ -123,12 +115,11 @@ func Open(dir string, budget int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating data dir: %w", err)
 	}
-	s := &Store{
-		dir:     dir,
-		budget:  budget,
-		ll:      list.New(),
-		entries: make(map[string]*list.Element),
-	}
+	s := &Store{dir: dir}
+	s.index = newLRU(budget, func(key string, _ struct{}) {
+		os.Remove(s.path(key))
+		s.evictions++
+	})
 	if err := s.scan(); err != nil {
 		return nil, err
 	}
@@ -174,7 +165,7 @@ func (s *Store) scan() error {
 		}
 		live = append(live, found{key: name, size: size, mtime: info.ModTime().UnixNano()})
 	}
-	// Oldest first, so PushFront leaves the most recent at the front.
+	// Oldest first, so the most recent ends up most recently used.
 	sort.Slice(live, func(i, j int) bool {
 		if live[i].mtime != live[j].mtime {
 			return live[i].mtime < live[j].mtime
@@ -182,10 +173,8 @@ func (s *Store) scan() error {
 		return live[i].key < live[j].key
 	})
 	for _, f := range live {
-		s.entries[f.key] = s.ll.PushFront(&entry{key: f.key, size: f.size})
-		s.bytes += f.size
+		s.index.put(f.key, struct{}{}, f.size)
 	}
-	s.evictOver()
 	return nil
 }
 
@@ -285,8 +274,7 @@ func (s *Store) Get(key string) (body []byte, status string, ok bool) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if !ok {
+	if _, ok := s.index.get(key); !ok {
 		s.misses++
 		return nil, "", false
 	}
@@ -295,13 +283,12 @@ func (s *Store) Get(key string) (body []byte, status string, ok bool) {
 		// The index said live but the bytes disagree (external
 		// truncation/corruption): quarantine and forget it.
 		s.quarantine(s.path(key))
-		s.dropLocked(el)
+		s.index.remove(key)
 		s.misses++
 		return nil, "", false
 	}
 	name, _ := statusName(st)
 	s.hits++
-	s.ll.MoveToFront(el)
 	return body, name, true
 }
 
@@ -331,17 +318,8 @@ func (s *Store) Put(key, status string, body []byte) error {
 		os.Remove(tmp)
 		return fmt.Errorf("store: committing %s: %w", key, err)
 	}
-	if el, ok := s.entries[key]; ok {
-		e := el.Value.(*entry)
-		s.bytes += int64(len(body)) - e.size
-		e.size = int64(len(body))
-		s.ll.MoveToFront(el)
-	} else {
-		s.entries[key] = s.ll.PushFront(&entry{key: key, size: int64(len(body))})
-		s.bytes += int64(len(body))
-	}
+	s.index.put(key, struct{}{}, int64(len(body)))
 	s.writes++
-	s.evictOver()
 	return nil
 }
 
@@ -365,30 +343,6 @@ func writeFileSync(path string, chunks ...[]byte) error {
 	return f.Close()
 }
 
-// evictOver removes least recently used entries while the store is over
-// its byte budget, always keeping at least one entry (a single result
-// larger than the whole budget is still worth serving).
-func (s *Store) evictOver() {
-	if s.budget <= 0 {
-		return
-	}
-	for s.bytes > s.budget && s.ll.Len() > 1 {
-		last := s.ll.Back()
-		os.Remove(s.path(last.Value.(*entry).key))
-		s.dropLocked(last)
-		s.evictions++
-	}
-}
-
-// dropLocked removes an entry from the in-memory index (file handling
-// is the caller's).
-func (s *Store) dropLocked(el *list.Element) {
-	e := el.Value.(*entry)
-	s.ll.Remove(el)
-	delete(s.entries, e.key)
-	s.bytes -= e.size
-}
-
 // Stats snapshots the store's counters and gauges.
 func (s *Store) Stats() Stats {
 	if s == nil {
@@ -397,8 +351,8 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Entries:   s.ll.Len(),
-		Bytes:     s.bytes,
+		Entries:   len(s.index.m),
+		Bytes:     s.index.weight,
 		Hits:      s.hits,
 		Misses:    s.misses,
 		Writes:    s.writes,
