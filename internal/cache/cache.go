@@ -83,10 +83,17 @@ type Stats struct {
 }
 
 // Cache is one node's direct-mapped data cache.
+//
+// The per-frame arrays (lines, watchers, watchBlock) reach only the run's
+// high-water frame: blocks are allocated densely from 0, so a frame at or
+// beyond their length is Invalid and unwatched. Invariant: every slot in
+// [len, cap) is zero, except that a watcher list keeps its empty backing
+// array, so regrowing within capacity is a reslice.
 type Cache struct {
-	node  int
-	lines []Line
-	mask  uint32 // len(lines)-1 when a power of two, else 0 (use modulo)
+	node   int
+	frames int // geometry: frame count
+	lines  []Line
+	mask   uint32 // frames-1 when a power of two, else 0 (use modulo)
 
 	// watchers is frame-indexed: a watcher is only ever registered on a
 	// block the registering processor just accessed, so the watched block
@@ -124,32 +131,24 @@ func New(node, sizeBytes int) *Cache {
 		panic(fmt.Sprintf("cache: invalid size %d", sizeBytes))
 	}
 	n := sizeBytes / BlockBytes
-	c := &Cache{
-		node:       node,
-		lines:      make([]Line, n),
-		watchers:   make([][]func(), n),
-		watchBlock: make([]uint32, n),
-	}
+	c := &Cache{node: node, frames: n}
 	if n > 1 && n&(n-1) == 0 {
 		c.mask = uint32(n - 1)
 	}
 	return c
 }
 
-// Reset returns the cache to its post-New state (all lines invalid, no
-// watchers, counters cleared) while keeping every
-// backing array for reuse. Instrumentation is detached; a reusing
-// machine re-attaches its own.
+// Reset returns the cache to its post-New state, clearing only the
+// frames the last run touched and keeping every backing array for reuse.
+// Instrumentation is detached; a reusing machine re-attaches its own.
 func (c *Cache) Reset() {
 	clear(c.lines)
-	for i := range c.watchers {
-		ws := c.watchers[i]
-		for j := range ws {
-			ws[j] = nil
-		}
+	for i, ws := range c.watchers {
+		clear(ws)
 		c.watchers[i] = ws[:0]
 	}
 	clear(c.watchBlock)
+	c.lines, c.watchers, c.watchBlock = c.lines[:0], c.watchers[:0], c.watchBlock[:0]
 	c.stats = Stats{}
 	c.mHits, c.mMisses, c.now = nil, nil, nil
 }
@@ -159,25 +158,41 @@ func (c *Cache) frameIndex(block uint32) int {
 	if c.mask != 0 {
 		return int(block & c.mask)
 	}
-	return int(block) % len(c.lines)
+	return int(block) % c.frames
 }
 
-// NumLines returns the number of frames.
-func (c *Cache) NumLines() int { return len(c.lines) }
+// NumLines returns the number of frames the geometry provides.
+func (c *Cache) NumLines() int { return c.frames }
 
-// frame returns the direct-mapped frame for a block. The usual
-// power-of-two frame count indexes with a mask instead of the integer
-// division a modulo costs on this hot path.
-func (c *Cache) frame(block uint32) *Line {
-	return &c.lines[c.frameIndex(block)]
+// grow extends the per-frame arrays to cover frame idx.
+func (c *Cache) grow(idx int) {
+	n := idx + 1
+	c.lines = growTo(c.lines, n, c.frames)
+	c.watchers = growTo(c.watchers, n, c.frames)
+	c.watchBlock = growTo(c.watchBlock, n, c.frames)
+}
+
+// growTo returns s at length n > len(s): a reslice within capacity, else
+// its whole capacity (retained slots included) copied into a doubled
+// array no larger than limit.
+func growTo[T any](s []T, n, limit int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	ns := make([]T, n, min(max(n, 2*cap(s)), limit))
+	copy(ns, s[:cap(s)])
+	return ns
 }
 
 // Lookup returns the line holding block, or nil on miss. It does not
 // count hit/miss statistics; callers decide what constitutes an access.
+// A frame beyond the high-water mark is Invalid; that comparison is
+// also the bounds check, so the hot path pays no extra branch.
 func (c *Cache) Lookup(block uint32) *Line {
-	ln := c.frame(block)
-	if ln.State != Invalid && ln.Block == block {
-		return ln
+	if idx := c.frameIndex(block); uint(idx) < uint(len(c.lines)) {
+		if ln := &c.lines[idx]; ln.State != Invalid && ln.Block == block {
+			return ln
+		}
 	}
 	return nil
 }
@@ -203,9 +218,9 @@ func (c *Cache) CountMiss() {
 // Victim returns a copy of the line that Install(block) would evict, and
 // whether there is such a conflicting valid line.
 func (c *Cache) Victim(block uint32) (Line, bool) {
-	ln := c.frame(block)
-	if ln.State != Invalid && ln.Block != block {
-		return *ln, true
+	idx := c.frameIndex(block)
+	if uint(idx) < uint(len(c.lines)) && c.lines[idx].State != Invalid && c.lines[idx].Block != block {
+		return c.lines[idx], true
 	}
 	return Line{}, false
 }
@@ -215,11 +230,15 @@ func (c *Cache) Victim(block uint32) (Line, bool) {
 // occupied the frame). The evicted block's watchers fire: from the
 // spinner's perspective a replacement is a visibility event.
 func (c *Cache) Install(block uint32, data []uint32, state State) (victim Line, evicted bool) {
-	ln := c.frame(block)
+	idx := c.frameIndex(block)
+	if idx >= len(c.lines) {
+		c.grow(idx)
+	}
+	ln := &c.lines[idx]
 	if ln.State != Invalid && ln.Block != block {
 		victim, evicted = *ln, true
 		c.stats.Evictions++
-		c.fire(ln.Block)
+		c.FireWatchers(ln.Block)
 	}
 	ln.Block = block
 	ln.State = state
@@ -233,16 +252,11 @@ func (c *Cache) Install(block uint32, data []uint32, state State) (victim Line, 
 // CU self-invalidation) and wakes watchers. It reports whether a valid
 // copy was present and returns a copy of the line for write-back needs.
 func (c *Cache) Invalidate(block uint32) (old Line, was bool) {
-	ln := c.Lookup(block)
-	if ln == nil {
-		return Line{}, false
+	if old, was = c.Flush(block); was {
+		c.stats.Invalidates++
+		c.FireWatchers(block)
 	}
-	old = *ln
-	ln.State = Invalid
-	ln.Dirty = false
-	c.stats.Invalidates++
-	c.fire(block)
-	return old, true
+	return old, was
 }
 
 // ApplyUpdate writes an externally produced value for one word into the
@@ -255,7 +269,7 @@ func (c *Cache) ApplyUpdate(block uint32, word int, v uint32) bool {
 	}
 	ln.Data[word] = v
 	c.stats.UpdatesIn++
-	c.fire(block)
+	c.FireWatchers(block)
 	return true
 }
 
@@ -263,6 +277,9 @@ func (c *Cache) ApplyUpdate(block uint32, word int, v uint32) bool {
 // invalidated, updated, or evicted. Used for spin-wait compression.
 func (c *Cache) Watch(block uint32, fn func()) {
 	idx := c.frameIndex(block)
+	if idx >= len(c.watchers) {
+		c.grow(idx)
+	}
 	if len(c.watchers[idx]) > 0 && c.watchBlock[idx] != block {
 		// Cannot happen: watchers only register on the frame's current
 		// occupant, and occupancy changes fire-and-clear the list.
@@ -278,43 +295,35 @@ func (c *Cache) Watch(block uint32, fn func()) {
 // competitive-update counter of a watched block does not accumulate.
 func (c *Cache) Watched(block uint32) bool {
 	idx := c.frameIndex(block)
-	return len(c.watchers[idx]) > 0 && c.watchBlock[idx] == block
+	return uint(idx) < uint(len(c.watchers)) && len(c.watchers[idx]) > 0 && c.watchBlock[idx] == block
 }
 
-// fire invokes (then clears) the block's watchers. The watcher list and
-// a fire-time scratch copy both keep their backing arrays, so the
-// park/notify cycle of spin compression does not allocate in steady
-// state. Callbacks run from the scratch
-// copy: one may re-register on the same block (appending to the now
-// emptied list) without disturbing the iteration. A callback that fires
-// watchers itself finds fireScratch checked out and allocates a fresh
-// scratch — rare, and the deepest scratch is simply dropped.
-func (c *Cache) fire(block uint32) {
-	idx := c.frameIndex(block)
-	ws := c.watchers[idx]
-	if len(ws) == 0 || c.watchBlock[idx] != block {
+// FireWatchers invokes (then clears) the block's watchers. Install,
+// Invalidate and ApplyUpdate call it; protocol code calls it for
+// visibility changes those do not cover (e.g. an atomic operation's
+// reply refreshing a word). The watcher list and a fire-time scratch
+// copy both keep their backing arrays, so the park/notify cycle of spin
+// compression does not allocate in steady state. Callbacks run from the
+// scratch copy: one may re-register on the same block (appending to the
+// now emptied list) without disturbing the iteration. A callback that
+// fires watchers itself finds fireScratch checked out and allocates a
+// fresh scratch — rare, and the deepest scratch is simply dropped.
+func (c *Cache) FireWatchers(block uint32) {
+	if !c.Watched(block) {
 		return
 	}
-	scratch := c.fireScratch
+	idx := c.frameIndex(block)
+	ws := c.watchers[idx]
+	scratch := append(c.fireScratch[:0], ws...)
 	c.fireScratch = nil
-	scratch = append(scratch[:0], ws...)
-	for i := range ws {
-		ws[i] = nil
-	}
+	clear(ws)
 	c.watchers[idx] = ws[:0]
 	for _, fn := range scratch {
 		fn()
 	}
-	for i := range scratch {
-		scratch[i] = nil
-	}
+	clear(scratch)
 	c.fireScratch = scratch[:0]
 }
-
-// FireWatchers exposes watcher notification for protocol code that
-// changes visibility in ways not covered by the methods above (e.g. an
-// atomic operation's reply refreshing a word).
-func (c *Cache) FireWatchers(block uint32) { c.fire(block) }
 
 // Flush drops the block from the cache *without* firing watchers (the
 // flushing processor is acting on its own line; there is nothing new to

@@ -314,3 +314,129 @@ func TestPropertyDirectMappedInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// checkHighWater asserts the high-water invariant: the three per-frame
+// arrays share one length, every slot in [len, cap) is zero, and every
+// watcher list there is empty.
+func checkHighWater(t *testing.T, c *Cache) {
+	t.Helper()
+	n := len(c.lines)
+	if len(c.watchers) != n || len(c.watchBlock) != n {
+		t.Fatalf("per-frame lengths differ: lines %d, watchers %d, watchBlock %d", n, len(c.watchers), len(c.watchBlock))
+	}
+	if n > c.frames || cap(c.lines) > c.frames {
+		t.Fatalf("%d frames (cap %d) exceed the geometry's %d", n, cap(c.lines), c.frames)
+	}
+	for i, ln := range c.lines[n:cap(c.lines)] {
+		if ln != (Line{}) {
+			t.Fatalf("spare frame %d is %+v, want zero", n+i, ln)
+		}
+	}
+	for i, b := range c.watchBlock[n:cap(c.watchBlock)] {
+		if b != 0 {
+			t.Fatalf("spare watchBlock %d is %d, want 0", n+i, b)
+		}
+	}
+	for i, ws := range c.watchers[n:cap(c.watchers)] {
+		if len(ws) != 0 {
+			t.Fatalf("spare watcher list %d holds %d callbacks", n+i, len(ws))
+		}
+	}
+}
+
+// TestFramesGrowToHighWater pins the high-water layout: a new cache has
+// no frames, Install and Watch grow to the frame they touch, a frame
+// beyond the mark reads Invalid and unwatched, Reset truncates to 0 with
+// the spare slots zero and the watcher lists' backing arrays kept, and
+// regrowth within capacity allocates nothing.
+func TestFramesGrowToHighWater(t *testing.T) {
+	c := New(0, 64*1024)
+	if len(c.lines) != 0 || c.NumLines() != 1024 {
+		t.Fatalf("new cache: %d frames held, NumLines %d; want 0, 1024", len(c.lines), c.NumLines())
+	}
+	data := make([]uint32, WordsPerBlock)
+	if c.Lookup(7) != nil || c.Watched(7) || c.Present(1030) {
+		t.Fatal("an untouched frame reads valid or watched")
+	}
+	if _, ok := c.Victim(7); ok {
+		t.Fatal("an untouched frame has a victim")
+	}
+	c.FireWatchers(7) // no frames: a no-op, not a panic
+
+	c.Install(5, data, Shared)
+	if len(c.lines) != 6 {
+		t.Fatalf("Install of frame 5 left %d frames, want 6", len(c.lines))
+	}
+	c.Watch(9, func() {})
+	if len(c.lines) != 10 || !c.Watched(9) {
+		t.Fatalf("Watch of frame 9: %d frames, watched %v", len(c.lines), c.Watched(9))
+	}
+	checkHighWater(t, c)
+
+	// A run that wraps: blocks past the geometry evict and reach every frame.
+	woken := 0
+	for b := uint32(0); b < 2048+17; b++ {
+		c.Install(b, data, Exclusive)
+		c.Watch(b, func() { woken++ })
+	}
+	if len(c.lines) != 1024 {
+		t.Fatalf("wrapping run left %d frames, want 1024", len(c.lines))
+	}
+	if woken == 0 {
+		t.Fatal("no eviction fired a watcher")
+	}
+	checkHighWater(t, c)
+	watcherCaps := make([]int, len(c.watchers))
+	for i, ws := range c.watchers {
+		watcherCaps[i] = cap(ws)
+	}
+
+	c.Reset()
+	if len(c.lines) != 0 || cap(c.lines) != 1024 {
+		t.Fatalf("Reset: %d frames, cap %d; want 0, 1024", len(c.lines), cap(c.lines))
+	}
+	checkHighWater(t, c)
+	for i, ws := range c.watchers[:cap(c.watchers)] {
+		if cap(ws) != watcherCaps[i] {
+			t.Fatalf("Reset dropped watcher list %d's backing array (cap %d, was %d)", i, cap(ws), watcherCaps[i])
+		}
+	}
+	if c.Lookup(3) != nil || c.Watched(3) {
+		t.Fatal("a frame past the reset mark reads valid or watched")
+	}
+
+	fn := func() {}
+	if a := testing.AllocsPerRun(20, func() {
+		for b := uint32(0); b < 1100; b += 7 {
+			c.Install(b, data, Shared)
+			c.Watch(b, fn)
+		}
+		c.Reset()
+	}); a != 0 {
+		t.Fatalf("regrowth within capacity allocates %.1f objects, want 0", a)
+	}
+	checkHighWater(t, c)
+}
+
+// TestSnapshotCopiesTouchedPrefix pins that a snapshot holds only the
+// frames the run reached and restores onto a reset cache only.
+func TestSnapshotCopiesTouchedPrefix(t *testing.T) {
+	src := New(0, 64*1024)
+	data := []uint32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+	src.Install(3, data, Exclusive)
+	st := src.SnapshotState()
+	if len(st.lines) != 4 {
+		t.Fatalf("snapshot holds %d frames, want 4", len(st.lines))
+	}
+	dst := New(1, 64*1024)
+	dst.RestoreState(st)
+	if ln := dst.Lookup(3); ln == nil || ln.Data != src.Lookup(3).Data || ln.State != Exclusive {
+		t.Fatal("restored cache lost the snapshot's line")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RestoreState onto a touched cache did not panic")
+		}
+	}()
+	dst.RestoreState(st)
+}

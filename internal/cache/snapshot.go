@@ -3,42 +3,44 @@ package cache
 import "fmt"
 
 // CacheState is a deep copy of one cache's restorable contents: the
-// line array and the raw activity stats. Watchers are deliberately absent — a watcher is a parked
+// touched prefix of the line array, the geometry and the raw activity
+// stats. Watchers are deliberately absent — a watcher is a parked
 // processor's callback, and snapshots are only taken at quiescence,
 // when no processor is parked. watchBlock entries are dead state once
 // their frame's watcher list is empty (Watch overwrites the tag on
 // registration), so they are not copied either.
 type CacheState struct {
-	lines []Line
-	stats Stats
+	frames int
+	lines  []Line
+	stats  Stats
 }
 
-// assertNoWatchers panics if any frame still holds spin watchers; both
-// snapshot and restore require the watcher-free quiescent state.
-func (c *Cache) assertNoWatchers(op string) {
-	for i := range c.watchers {
-		if len(c.watchers[i]) != 0 {
-			panic(fmt.Sprintf("cache: %s with live watchers on frame %d", op, i))
+// SnapshotState captures the cache's restorable contents. It requires
+// the watcher-free quiescent state.
+func (c *Cache) SnapshotState() CacheState {
+	for i, ws := range c.watchers {
+		if len(ws) != 0 {
+			panic(fmt.Sprintf("cache: SnapshotState with live watchers on frame %d", i))
 		}
 	}
-}
-
-// SnapshotState captures the cache's restorable contents.
-func (c *Cache) SnapshotState() CacheState {
-	c.assertNoWatchers("SnapshotState")
 	return CacheState{
-		lines: append([]Line(nil), c.lines...),
-		stats: c.stats,
+		frames: c.frames,
+		lines:  append([]Line(nil), c.lines...),
+		stats:  c.stats,
 	}
 }
 
 // RestoreState loads a snapshot into c. The target must have the same
-// geometry (frame count) as the snapshot's source and no live watchers.
+// geometry (frame count) as the snapshot's source and be freshly built
+// or Reset (no frames touched yet), so it is grown to the snapshot's.
 func (c *Cache) RestoreState(st CacheState) {
-	c.assertNoWatchers("RestoreState")
-	if len(c.lines) != len(st.lines) {
-		panic(fmt.Sprintf("cache: RestoreState geometry mismatch (%d frames vs %d)", len(c.lines), len(st.lines)))
+	if c.frames != st.frames || len(c.lines) != 0 {
+		panic(fmt.Sprintf("cache: RestoreState of %d frames onto %d with %d touched; want equal geometry, none touched",
+			st.frames, c.frames, len(c.lines)))
 	}
-	copy(c.lines, st.lines)
+	if n := len(st.lines); n > 0 {
+		c.grow(n - 1)
+		copy(c.lines, st.lines)
+	}
 	c.stats = st.stats
 }

@@ -209,12 +209,12 @@ func New(procs int) *Classifier {
 }
 
 // Reset clears all accumulated classification state for machine reuse.
-// The slot tables are kept (the next run's working set is typically
-// identical) and the state behind them zeroed.
+// It truncates the tables, keeping capacity: extend and pb zero what they
+// regrow into, so a reset costs nothing per block an earlier run touched.
 func (c *Classifier) Reset() {
-	clear(c.history)
-	for p := range c.shadow {
-		clear(c.shadow[p].blocks)
+	c.history = c.history[:0]
+	for p, sh := range c.shadow {
+		c.shadow[p] = procShadow{slot: sh.slot[:0], blocks: sh.blocks[:0]}
 	}
 	c.misses = MissCounts{}
 	c.updates = UpdateCounts{}
@@ -222,12 +222,14 @@ func (c *Classifier) Reset() {
 	clear(c.perProcMisses)
 }
 
-// extend returns s lengthened with zero values to hold index i.
+// extend returns s lengthened with zero values to hold index i, one at a
+// time: that never allocates within capacity (a made slice does under -race).
 func extend[T any](s []T, i int) []T {
-	if i < len(s) {
-		return s
+	var zero T
+	for len(s) <= i {
+		s = append(s, zero)
 	}
-	return append(s, make([]T, i+1-len(s))...)
+	return s
 }
 
 // hist returns block's write history. The pointer is valid until the

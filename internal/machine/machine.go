@@ -137,6 +137,7 @@ type Machine struct {
 	// allocated) interleave by block number.
 	nextBlock uint32
 	blockHome []int8
+	homeFn    func(uint32) int // m.homeOf, bound once so Reset allocates nothing
 	allocs    []allocEntry
 
 	procs []*Proc
@@ -233,6 +234,7 @@ func New(cfg Config) *Machine {
 		cfg: cfg,
 		met: newMachMetrics(cfg.Metrics),
 	}
+	m.homeFn = m.homeOf
 	m.sys = proto.NewSystem(m.e, cfg.Procs, m.protoConfig(), m.cl)
 	return m
 }
@@ -259,7 +261,7 @@ func (m *Machine) protoConfig() proto.Config {
 		Mem:              m.cfg.Mem,
 		Metrics:          m.cfg.Metrics,
 		Txn:              m.cfg.Txn,
-		HomeOf:           m.homeOf,
+		HomeOf:           m.homeFn,
 	}
 }
 

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -127,4 +129,159 @@ func TestAcquireRecyclesMachine(t *testing.T) {
 	}
 	sameResult(t, "pooled", fresh, reuseWorkload(m2))
 	m2.Release()
+}
+
+// randOp is one operation of a generated program.
+type randOp struct {
+	kind uint8 // 0 read, 1 write, 2 fetch-add, 3 fetch-store, 4 cas, 5 flush, 6 fence, 7 compute
+	a    Addr
+	v    uint32
+}
+
+// randProgram runs, per phase, each processor's generated operations
+// and then a counting barrier that every processor spins on.
+type randProgram struct {
+	ops   [][][]randOp // phase -> processor -> operations
+	bar   []Addr       // one counter per phase
+	procs uint32
+}
+
+func (g *randProgram) Step(p *Proc, f *Frame) OpStatus {
+	for {
+		switch f.PC {
+		case 0: // f.I1 is the phase, f.I0 the next operation
+			ops := g.ops[f.I1][p.ID()]
+			if f.I0 == len(ops) {
+				f.PC = 1
+				continue
+			}
+			o := ops[f.I0]
+			f.I0++
+			switch o.kind {
+			case 0:
+				return p.FRead(o.a)
+			case 1:
+				return p.FWrite(o.a, o.v)
+			case 2:
+				return p.FFetchAdd(o.a, o.v)
+			case 3:
+				return p.FFetchStore(o.a, o.v)
+			case 4:
+				return p.FCompareSwap(o.a, o.v, o.v+1)
+			case 5:
+				return p.FFlush(o.a)
+			case 6:
+				return p.FFence()
+			default:
+				if !p.FCompute(sim.Time(o.v)) {
+					return OpBlocked
+				}
+			}
+		case 1:
+			f.PC = 2
+			return p.FFetchAdd(g.bar[f.I1], 1)
+		case 2:
+			f.PC = 3
+			return p.FSpinUntilEqual(g.bar[f.I1], g.procs)
+		default:
+			f.I0, f.PC = 0, 0
+			if f.I1++; f.I1 == len(g.ops) {
+				return OpDone
+			}
+		}
+	}
+}
+
+// randWorkload allocates randomly sized regions on m (one of them past
+// the 64 KB cache when large, swept whole by one processor so frames
+// wrap, evict and fill), pokes initial values, and runs a seeded random
+// program over them.
+func randWorkload(m *Machine, seed int64, large bool) Result {
+	rng := rand.New(rand.NewSource(seed))
+	procs := m.Procs()
+	var regions []Addr
+	var sizes []int
+	for i, n := 0, 1+rng.Intn(4); i < n; i++ {
+		size := 4 * (1 + rng.Intn(64))
+		if large && i == 0 {
+			size = 64*1024 + 4*rng.Intn(8192)
+		}
+		regions = append(regions, m.Alloc(fmt.Sprintf("r%d", i), size, rng.Intn(procs+1)-1))
+		sizes = append(sizes, size)
+	}
+	g := &randProgram{procs: uint32(procs)}
+	phases := 2
+	for ph := 0; ph < phases; ph++ {
+		g.bar = append(g.bar, m.Alloc(fmt.Sprintf("bar%d", ph), 4, ph%procs))
+	}
+	addr := func() Addr {
+		r := rng.Intn(len(regions))
+		return regions[r] + Addr(4*rng.Intn(sizes[r]/4))
+	}
+	for i := 0; i < 8; i++ {
+		m.Poke(addr(), rng.Uint32())
+	}
+	nops := 40
+	if large {
+		nops = 150
+	}
+	g.ops = make([][][]randOp, phases)
+	for ph := range g.ops {
+		g.ops[ph] = make([][]randOp, procs)
+		for p := range g.ops[ph] {
+			ops := make([]randOp, nops)
+			for i := range ops {
+				ops[i] = randOp{kind: uint8(rng.Intn(8)), a: addr(), v: uint32(rng.Intn(16))}
+			}
+			g.ops[ph][p] = ops
+		}
+	}
+	if large {
+		// One processor reads every block of the large region, so its
+		// cache reaches every frame and wraps past the geometry.
+		p := rng.Intn(procs)
+		for a := regions[0]; a < regions[0]+Addr(sizes[0]); a += 64 {
+			g.ops[0][p] = append(g.ops[0][p], randOp{kind: 0, a: a})
+		}
+	}
+	return m.RunProgram(g)
+}
+
+// TestResetMatchesFreshRandom is the reuse contract under generated
+// programs: one machine, reset between runs that alternate large
+// (frames wrap and fill) and small footprints across all three
+// protocols, returns exactly what a machine fresh from New returns.
+func TestResetMatchesFreshRandom(t *testing.T) {
+	const procs = 8
+	m := New(DefaultConfig(proto.WI, procs))
+	for i := 0; i < 18; i++ {
+		pr := allProtocols()[i%3]
+		large := i%2 == 0
+		seed := int64(1000 + i)
+		cfg := DefaultConfig(pr, procs)
+		if i > 0 && !m.Reset(cfg) {
+			t.Fatalf("run %d: Reset refused", i)
+		}
+		label := fmt.Sprintf("run %d %v large=%v", i, pr, large)
+		sameResult(t, label, randWorkload(New(cfg), seed, large), randWorkload(m, seed, large))
+	}
+}
+
+// TestFreshMachineHeap pins that a 32-processor machine holds no cache
+// frames before a run touches them, and that resetting an untouched
+// machine neither grows a cache nor allocates.
+func TestFreshMachineHeap(t *testing.T) {
+	cfg := DefaultConfig(proto.PU, 32)
+	var m *Machine
+	if b := bytesPerRun(1, func() { m = New(cfg) }); b >= 1<<20 {
+		t.Errorf("a fresh 32-processor machine allocates %.2f MiB, want < 1 MiB", b/(1<<20))
+	}
+	if a := testing.AllocsPerRun(10, func() { m.Reset(cfg) }); a != 0 {
+		t.Errorf("resetting an untouched machine allocates %.1f objects, want 0", a)
+	}
+	for i := 0; i < cfg.Procs; i++ {
+		if c := m.System().Cache(i); c.Lookup(0) != nil || c.Present(1) {
+			t.Fatalf("cache %d holds a line after Reset", i)
+		}
+	}
 }

@@ -83,24 +83,16 @@ func (st *Store) Block(block uint32) []uint32 {
 	return st.words[lo:hi:hi]
 }
 
-// ensure grows the arena to at least hi words. The arena never shrinks,
-// so any spare capacity is still in its original zeroed state and can be
-// resliced into directly.
+// ensure grows the arena to at least hi words. Spare capacity is always
+// zero (Reset clears before it truncates), so it can be resliced into
+// directly.
 func (st *Store) ensure(hi int) {
-	if hi <= cap(st.words) {
-		st.words = st.words[:hi]
-		return
+	if hi > cap(st.words) {
+		nw := make([]uint32, len(st.words), max(hi, 2*cap(st.words), 1024))
+		copy(nw, st.words)
+		st.words = nw
 	}
-	newCap := cap(st.words) * 2
-	if newCap < hi {
-		newCap = hi
-	}
-	if newCap < 1024 {
-		newCap = 1024
-	}
-	nw := make([]uint32, hi, newCap)
-	copy(nw, st.words)
-	st.words = nw
+	st.words = st.words[:hi]
 }
 
 // BorrowFrame returns a block-sized scratch buffer from the free list
@@ -124,10 +116,12 @@ func (st *Store) ReleaseFrame(f []uint32) {
 	}
 }
 
-// Reset zeroes the arena contents for a fresh run while keeping the
-// arena and the frame free list for reuse.
+// Reset zeroes the words the last run reached and truncates the arena,
+// keeping its capacity and the frame free list for reuse, so a reset
+// costs what the last run touched, not the longest run before it.
 func (st *Store) Reset() {
 	clear(st.words)
+	st.words = st.words[:0]
 }
 
 // Module is one node's memory bank: the timing/contention model layered
@@ -167,11 +161,7 @@ func (m *Module) Reset() {
 // reserve books the module for dur cycles starting no earlier than now and
 // returns the completion time.
 func (m *Module) reserve(dur sim.Time) sim.Time {
-	start := m.e.Now()
-	if m.nextFree > start {
-		start = m.nextFree
-	}
-	done := start + dur
+	done := max(m.e.Now(), m.nextFree) + dur
 	m.nextFree = done
 	m.stats.BusyCycles += uint64(dur)
 	return done

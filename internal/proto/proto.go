@@ -334,15 +334,10 @@ func (s *System) Reset(cfg Config) {
 	s.tr = cfg.Txn
 	s.ctr = Counters{}
 	for _, d := range s.dir {
-		if d == nil {
-			continue
+		if d != nil {
+			clear(d.waitq)
+			*d = dirEntry{state: dirUncached, waitq: d.waitq[:0]}
 		}
-		d.state = dirUncached
-		d.owner = 0
-		d.sharers = 0
-		d.busy = false
-		clear(d.waitq)
-		d.waitq = d.waitq[:0]
 	}
 	for i := range s.procs {
 		ps := &s.procs[i]
