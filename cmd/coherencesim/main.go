@@ -345,7 +345,7 @@ func singleRun(ctx context.Context, spec service.JobSpec, ob outputs, stdout, st
 	var tr *trace.Log
 	var txn *trace.Tracer
 	if ob.timelineOut != "" {
-		tl = metrics.NewTimeline(0)
+		tl = metrics.NewTimeline()
 	}
 	if ob.traceN > 0 {
 		tr = trace.NewLog(ob.traceN)

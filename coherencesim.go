@@ -118,12 +118,14 @@ const (
 	OpCalled  = machine.OpCalled
 )
 
-// MachineSnapshot is a deep, immutable copy of a quiescent machine
-// taken by Machine.Snapshot after a RunProgram phase; RestoreFrom on a
-// freshly built (never-run) structurally identical machine resumes the
-// simulation from that point. Many machines may fork from one snapshot
-// concurrently — restored continuations are byte-identical to running
-// the original machine onward.
+// MachineSnapshot is a deep, immutable copy of a quiescent machine's
+// simulation state taken by Machine.Snapshot after a RunProgram phase;
+// RestoreFrom on a freshly built (never-run) structurally identical
+// machine resumes the simulation from that point. Many machines may fork
+// from one snapshot concurrently — restored continuations are
+// byte-identical to running the original machine onward. Both ends of a
+// fork must be unobserved: Snapshot and RestoreFrom panic when Metrics,
+// Timeline, Txn or Trace is attached.
 type MachineSnapshot = machine.Snapshot
 
 // Machine-level forking and warm-forked sweeps. WarmLockLoop splits a
@@ -380,10 +382,9 @@ func NewMetricsRegistry(interval uint64) *MetricsRegistry {
 	return metrics.New(interval)
 }
 
-// NewMetricsTimeline builds a timeline recorder holding at most limit
-// events (<= 0 for unbounded).
-func NewMetricsTimeline(limit int) *MetricsTimeline {
-	return metrics.NewTimeline(limit)
+// NewMetricsTimeline builds an empty, unbounded timeline recorder.
+func NewMetricsTimeline() *MetricsTimeline {
+	return metrics.NewTimeline()
 }
 
 // NewMetricsCollector builds a snapshot collector whose runs sample at

@@ -282,7 +282,7 @@ func TestSpinPollTimelineSlices(t *testing.T) {
 	for _, pr := range allProtocols() {
 		cfg := DefaultConfig(pr, 2)
 		cfg.SpinPollCycles = 10
-		tl := metrics.NewTimeline(0)
+		tl := metrics.NewTimeline()
 		cfg.Timeline = tl
 		m := New(cfg)
 		flag := m.Alloc("flag", 4, 0)

@@ -71,7 +71,12 @@ func (g *eqvProg) Step(p *Proc, f *Frame) OpStatus {
 
 func buildEqv(t *testing.T, protocol proto.Protocol, procs int) (*Machine, *eqvProg) {
 	t.Helper()
-	m := New(DefaultConfig(protocol, procs))
+	return buildEqvOn(DefaultConfig(protocol, procs))
+}
+
+// buildEqvOn is buildEqv on an explicit configuration.
+func buildEqvOn(cfg Config) (*Machine, *eqvProg) {
+	m := New(cfg)
 	g := &eqvProg{
 		data: m.Alloc("data", 64, 0),
 		ctr:  m.Alloc("ctr", 4, 0),

@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"coherencesim/internal/classify"
-	"coherencesim/internal/metrics"
 	"coherencesim/internal/proto"
 	"coherencesim/internal/sim"
-	"coherencesim/internal/trace"
 )
 
 // Snapshot is a deep copy of a machine's complete simulation state at
@@ -16,7 +14,12 @@ import (
 // are immutable once taken — RestoreFrom never writes through one — so
 // a single snapshot can seed any number of concurrent forks.
 //
-// workload.Warm*Loop uses this to run a warm-up phase once, snapshot,
+// A snapshot holds the simulation only. The observers a Config can
+// attach (Metrics, Timeline, Txn, Trace) are refused on both ends of a
+// fork: no caller forks an observed machine, and a two-phase run keeps
+// its observers by continuing on one machine instead.
+//
+// workload.WarmLockLoop uses this to run a warm-up phase once, snapshot,
 // and fork any number of measurement runs from the checkpoint. Sweeps
 // do not: they memoize whole point results instead.
 type Snapshot struct {
@@ -27,10 +30,6 @@ type Snapshot struct {
 	engine    sim.EngineState
 	cl        classify.State
 	sys       *proto.SystemState
-	met       *metrics.RegistryState
-	tl        *metrics.TimelineState
-	txn       *trace.TracerState
-	txnBusy   []sim.Time
 	procs     []procSnap
 	fork      []forkSnap
 }
@@ -40,7 +39,6 @@ type Snapshot struct {
 // or transient execution state asserted empty at quiescence.
 type procSnap struct {
 	stats    ProcStats
-	relBy    trace.ReleaseInfo
 	rngDraws uint64
 	opDone   bool
 	opVal    uint32
@@ -77,7 +75,6 @@ func (p *Proc) snapshotState() procSnap {
 	p.assertQuiescent("Snapshot")
 	return procSnap{
 		stats:    p.stats,
-		relBy:    p.relBy,
 		rngDraws: p.rngSrc.draws,
 		opDone:   p.opDone,
 		opVal:    p.opVal,
@@ -92,7 +89,6 @@ func (p *Proc) snapshotState() procSnap {
 func (p *Proc) restoreState(st *procSnap) {
 	p.assertQuiescent("RestoreFrom")
 	p.stats = st.stats
-	p.relBy = st.relBy
 	p.opDone = st.opDone
 	p.opVal = st.opVal
 	p.ret = st.ret
@@ -103,17 +99,33 @@ func (p *Proc) restoreState(st *procSnap) {
 	p.rngSrc.draws = st.rngDraws
 }
 
-// Snapshot captures the machine's complete state. The machine must have
-// completed at least one RunProgram phase (snapshots are taken between
-// phases, at quiescence). Machines with an operation trace log attached
-// cannot be snapshotted (the ring is not captured).
+// assertUnobserved panics, naming the observer, if the machine has one
+// attached: a fork carries the simulation, not what watches it.
+func (m *Machine) assertUnobserved(op string) {
+	var name string
+	switch {
+	case m.cfg.Metrics != nil:
+		name = "Metrics"
+	case m.cfg.Timeline != nil:
+		name = "Timeline"
+	case m.cfg.Txn != nil:
+		name = "Txn"
+	case m.cfg.Trace != nil:
+		name = "Trace"
+	default:
+		return
+	}
+	panic(fmt.Sprintf("machine: %s with Config.%s attached; forks carry no observers", op, name))
+}
+
+// Snapshot captures the machine's complete simulation state. The machine
+// must have completed at least one RunProgram phase (snapshots are taken
+// between phases, at quiescence) and have no observer attached.
 func (m *Machine) Snapshot() *Snapshot {
 	if !m.ran {
 		panic("machine: Snapshot before any run; execute the warm-up phase first")
 	}
-	if m.cfg.Trace != nil {
-		panic("machine: Snapshot with an operation trace log attached is unsupported")
-	}
+	m.assertUnobserved("Snapshot")
 	s := &Snapshot{
 		cfg:       m.cfg,
 		nextBlock: m.nextBlock,
@@ -122,10 +134,6 @@ func (m *Machine) Snapshot() *Snapshot {
 		engine:    m.e.SnapshotState(),
 		cl:        m.cl.SnapshotState(),
 		sys:       m.sys.SnapshotState(),
-		met:       m.cfg.Metrics.SnapshotState(),
-		tl:        m.cfg.Timeline.SnapshotState(),
-		txn:       m.cfg.Txn.SnapshotState(),
-		txnBusy:   append([]sim.Time(nil), m.txnBusy...),
 		procs:     make([]procSnap, len(m.procs)),
 		fork:      make([]forkSnap, len(m.forkState)),
 	}
@@ -140,17 +148,17 @@ func (m *Machine) Snapshot() *Snapshot {
 
 // RestoreFrom loads a snapshot into m, which must be freshly built (or
 // Reset) with the snapshot source's structural configuration, the same
-// behavioural parameters, the same observability shape, the same
-// allocation table, and the same constructs registered in the same
-// order — i.e. the caller reruns the builder code that produced the
-// source, then restores. After RestoreFrom the machine is mid-run:
-// RunProgram continues the simulation from the captured point. The
-// snapshot itself is never written through, so concurrent forks may
-// share one.
+// behavioural parameters, no observer attached, the same allocation
+// table, and the same constructs registered in the same order — i.e.
+// the caller reruns the builder code that produced the source, then
+// restores. After RestoreFrom the machine is mid-run: RunProgram
+// continues the simulation from the captured point. The snapshot itself
+// is never written through, so concurrent forks may share one.
 func (m *Machine) RestoreFrom(s *Snapshot) {
 	if m.ran {
 		panic("machine: RestoreFrom on a machine that already ran; Reset it first")
 	}
+	m.assertUnobserved("RestoreFrom")
 	if keyOf(m.cfg) != keyOf(s.cfg) {
 		panic("machine: RestoreFrom structural config mismatch")
 	}
@@ -159,13 +167,6 @@ func (m *Machine) RestoreFrom(s *Snapshot) {
 		m.cfg.SpinPollCycles != s.cfg.SpinPollCycles ||
 		m.cfg.MagicSyncCycles != s.cfg.MagicSyncCycles {
 		panic("machine: RestoreFrom behavioural config mismatch")
-	}
-	if (m.cfg.Metrics == nil) != (s.met == nil) || (m.cfg.Timeline == nil) != (s.tl == nil) ||
-		(m.cfg.Txn == nil) != (s.txn == nil) {
-		panic("machine: RestoreFrom observability shape mismatch")
-	}
-	if m.cfg.Trace != nil {
-		panic("machine: RestoreFrom with an operation trace log attached is unsupported")
 	}
 	if m.nextBlock != s.nextBlock || len(m.allocs) != len(s.allocs) {
 		panic(fmt.Sprintf("machine: RestoreFrom allocation table mismatch (%d/%d blocks, %d/%d allocs)",
@@ -195,10 +196,6 @@ func (m *Machine) RestoreFrom(s *Snapshot) {
 	m.e.RestoreState(s.engine)
 	m.cl.RestoreState(s.cl)
 	m.sys.RestoreState(s.sys)
-	m.cfg.Metrics.RestoreState(s.met)
-	m.cfg.Timeline.RestoreState(s.tl)
-	m.cfg.Txn.RestoreState(s.txn)
-	m.txnBusy = append(m.txnBusy[:0], s.txnBusy...)
 	for i, p := range m.procs {
 		p.restoreState(&s.procs[i])
 	}

@@ -1,10 +1,14 @@
 package machine
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"coherencesim/internal/metrics"
 	"coherencesim/internal/proto"
+	"coherencesim/internal/trace"
 )
 
 // TestRunProgramContinuationExtendsRun checks the multi-phase contract:
@@ -54,28 +58,70 @@ func TestSnapshotForkMatchesContinuation(t *testing.T) {
 }
 
 // TestSnapshotGuards covers the misuse panics: snapshotting before any
-// run, and restoring onto a machine that already ran or was built
-// differently.
+// run, restoring onto a machine that already ran or was built
+// differently, and forking with any observer attached to the snapshot
+// source or the restore target. Each panic must say what it refused.
+// The same fork with no observer attached is
+// TestSnapshotForkMatchesContinuation, on every protocol.
 func TestSnapshotGuards(t *testing.T) {
-	expectPanic := func(name string, f func()) {
+	expectPanic := func(t *testing.T, want string, f func()) {
+		t.Helper()
 		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
+			r := recover()
+			if r == nil {
+				t.Fatalf("did not panic; want a panic naming %q", want)
+			}
+			if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+				t.Fatalf("panic %q does not name %q", msg, want)
 			}
 		}()
 		f()
 	}
-	m, _ := buildEqv(t, proto.WI, 2)
-	expectPanic("Snapshot before run", func() { m.Snapshot() })
+	warmSnapshot := func(cfg Config) *Snapshot {
+		src, g := buildEqvOn(cfg)
+		src.RunProgram(g)
+		return src.Snapshot()
+	}
 
-	src, g := buildEqv(t, proto.WI, 2)
-	src.RunProgram(g)
-	snap := src.Snapshot()
-	dst, g2 := buildEqv(t, proto.WI, 2)
-	dst.RunProgram(g2)
-	expectPanic("RestoreFrom after run", func() { dst.RestoreFrom(snap) })
+	t.Run("misuse", func(t *testing.T) {
+		m, _ := buildEqv(t, proto.WI, 2)
+		expectPanic(t, "before any run", func() { m.Snapshot() })
 
-	mismatched := New(DefaultConfig(proto.WI, 2))
-	mismatched.Alloc("other", 4, 0)
-	expectPanic("RestoreFrom with mismatched allocations", func() { mismatched.RestoreFrom(snap) })
+		snap := warmSnapshot(DefaultConfig(proto.WI, 2))
+		dst, g := buildEqv(t, proto.WI, 2)
+		dst.RunProgram(g)
+		expectPanic(t, "already ran", func() { dst.RestoreFrom(snap) })
+
+		mismatched := New(DefaultConfig(proto.WI, 2))
+		mismatched.Alloc("other", 4, 0)
+		expectPanic(t, "allocation table mismatch", func() { mismatched.RestoreFrom(snap) })
+	})
+
+	observers := []struct {
+		name   string
+		attach func(*Config)
+	}{
+		{"Metrics", func(c *Config) { c.Metrics = metrics.New(100) }},
+		{"Timeline", func(c *Config) { c.Timeline = metrics.NewTimeline() }},
+		{"Txn", func(c *Config) { c.Txn = trace.NewTracer(c.Procs, 0) }},
+		{"Trace", func(c *Config) { c.Trace = trace.NewLog(64) }},
+	}
+	for _, protocol := range []proto.Protocol{proto.WI, proto.PU, proto.CU} {
+		plain := DefaultConfig(protocol, 2)
+		for _, o := range observers {
+			observed := plain
+			o.attach(&observed)
+			want := "Config." + o.name
+			t.Run(protocol.String()+"/source/"+o.name, func(t *testing.T) {
+				src, g := buildEqvOn(observed)
+				src.RunProgram(g)
+				expectPanic(t, want, func() { src.Snapshot() })
+			})
+			t.Run(protocol.String()+"/target/"+o.name, func(t *testing.T) {
+				snap := warmSnapshot(plain)
+				dst, _ := buildEqvOn(observed)
+				expectPanic(t, want, func() { dst.RestoreFrom(snap) })
+			})
+		}
+	}
 }

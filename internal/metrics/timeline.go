@@ -19,8 +19,6 @@ import (
 type Timeline struct {
 	slices   []TimelineSlice
 	instants []TimelineInstant
-	limit    int
-	dropped  uint64
 }
 
 // TimelineSlice is one closed per-processor interval.
@@ -38,26 +36,14 @@ type TimelineInstant struct {
 	At   sim.Time
 }
 
-// NewTimeline builds a timeline holding at most limit events in total
-// (slices plus instants); limit <= 0 means unbounded. Once full, further
-// events are counted as dropped rather than recorded, bounding memory on
-// very long runs.
-func NewTimeline(limit int) *Timeline {
-	return &Timeline{limit: limit}
-}
-
-// full reports whether the event cap is exhausted.
-func (t *Timeline) full() bool {
-	return t.limit > 0 && len(t.slices)+len(t.instants) >= t.limit
+// NewTimeline builds an empty, unbounded timeline.
+func NewTimeline() *Timeline {
+	return &Timeline{}
 }
 
 // AddSlice records one interval [start, end) on proc. Safe on nil.
 func (t *Timeline) AddSlice(proc int, name string, start, end sim.Time) {
 	if t == nil {
-		return
-	}
-	if t.full() {
-		t.dropped++
 		return
 	}
 	t.slices = append(t.slices, TimelineSlice{Proc: proc, Name: name, Start: start, End: end})
@@ -66,10 +52,6 @@ func (t *Timeline) AddSlice(proc int, name string, start, end sim.Time) {
 // AddInstant records one point event on proc. Safe on nil.
 func (t *Timeline) AddInstant(proc int, name string, at sim.Time) {
 	if t == nil {
-		return
-	}
-	if t.full() {
-		t.dropped++
 		return
 	}
 	t.instants = append(t.instants, TimelineInstant{Proc: proc, Name: name, At: at})

@@ -34,7 +34,7 @@ func exportTimeline(t *testing.T, tl *Timeline, procs int) []chromeEvent {
 }
 
 func TestChromeTraceStructure(t *testing.T) {
-	tl := NewTimeline(0)
+	tl := NewTimeline()
 	tl.AddSlice(0, "read-stall", 10, 30)
 	tl.AddSlice(1, "spin-wait", 5, 50)
 	tl.AddSlice(0, "spin-wait", 40, 45)
@@ -87,7 +87,7 @@ func TestChromeTraceStructure(t *testing.T) {
 // sequentially, so this holds by construction; the test guards the
 // exporter against reordering or merging tracks.
 func TestChromeTraceSlicesNestPerProc(t *testing.T) {
-	tl := NewTimeline(0)
+	tl := NewTimeline()
 	// proc 0: disjoint slices; proc 1: nested slices.
 	tl.AddSlice(0, "a", 0, 10)
 	tl.AddSlice(0, "b", 10, 25)
@@ -128,21 +128,8 @@ func TestChromeTraceSlicesNestPerProc(t *testing.T) {
 	}
 }
 
-func TestTimelineLimit(t *testing.T) {
-	tl := NewTimeline(2)
-	tl.AddSlice(0, "a", 0, 1)
-	tl.AddInstant(0, "b", 2)
-	tl.AddSlice(0, "c", 3, 4) // over the cap
-	if tl.Len() != 2 {
-		t.Errorf("len = %d, want 2", tl.Len())
-	}
-	if tl.dropped != 1 {
-		t.Errorf("dropped = %d, want 1", tl.dropped)
-	}
-}
-
 func TestChromeTraceEmptyTimeline(t *testing.T) {
-	events := exportTimeline(t, NewTimeline(0), 1)
+	events := exportTimeline(t, NewTimeline(), 1)
 	for _, e := range events {
 		if e.Phase != "M" {
 			t.Errorf("empty timeline exported non-metadata event %+v", e)

@@ -375,7 +375,6 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, doc)
 }
 
-// handleHealthz reports liveness and build identity.
 // handleReload is POST /v1/admin/reload: apply a hot configuration
 // delta. An empty body re-reads the daemon's -config file (the HTTP
 // twin of SIGHUP); a JSON body applies the carried fields directly.
@@ -397,6 +396,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
+// handleHealthz reports liveness and build identity.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{
 		"status":   "ok",

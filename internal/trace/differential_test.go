@@ -18,7 +18,6 @@ const hookOpBytes = 4
 type hookDiffer struct {
 	t      testing.TB
 	procs  int
-	limit  int
 	store  bool
 	tr     *Tracer
 	ref    *refTracer
@@ -27,22 +26,20 @@ type hookDiffer struct {
 	step   int
 	what   string
 
-	// Coverage: the widest ring seen, hooks that found another live
-	// transaction in their ID's slot, and forks taken.
-	maxRing, aliased, forks int
+	// Coverage: the widest ring seen and hooks that found another live
+	// transaction in their ID's slot.
+	maxRing, aliased int
 }
 
 func newHookDiffer(t testing.TB, procs, limit int, store bool) *hookDiffer {
-	d := &hookDiffer{t: t, procs: procs, limit: limit, store: store, ref: newRefTracer(procs, limit), now: 1}
-	d.tr = d.fresh()
-	return d
-}
-
-func (d *hookDiffer) fresh() *Tracer {
-	if d.store {
-		return NewTracer(d.procs, d.limit).StoreRecords()
+	d := &hookDiffer{
+		t: t, procs: procs, store: store, now: 1,
+		tr: NewTracer(procs, limit), ref: newRefTracer(procs, limit),
 	}
-	return NewTracer(d.procs, d.limit)
+	if store {
+		d.tr.StoreRecords()
+	}
+	return d
 }
 
 // compare checks everything a caller can read off the two tracers.
@@ -108,7 +105,7 @@ func (d *hookDiffer) apply(op [hookOpBytes]byte) {
 	if r := d.tr.live[d.tr.slot(id)]; id != 0 && r != nil && r.span.ID != id {
 		d.aliased++
 	}
-	switch op[0] % 13 {
+	switch op[0] % 12 {
 	case 0, 1:
 		kind, block, p := TxnKind(arg%uint8(numTxnKinds)), uint32(op[1]%48), int(arg>>3)%d.procs
 		d.what = fmt.Sprintf("Begin(%d,%v,%d)", p, kind, block)
@@ -162,16 +159,6 @@ func (d *hookDiffer) apply(op [hookOpBytes]byte) {
 		d.ref.AddStall(proc, cat, d.now-back, d.now, id)
 		d.tr.AddCompute(proc, sim.Time(arg&7))
 		d.ref.AddCompute(proc, sim.Time(arg&7))
-	case 12:
-		// At quiescence, carry on in a fresh tracer restored from a
-		// snapshot, as a warm fork does.
-		d.what = "fork"
-		if d.tr.nlive == 0 {
-			st := d.tr.SnapshotState()
-			d.tr = d.fresh()
-			d.tr.RestoreState(st)
-			d.forks++
-		}
 	}
 	d.step++
 	d.compare()
@@ -192,7 +179,7 @@ var hookShapes = []struct{ procs, limit int }{{1, 2}, {2, 8}, {8, 0}, {32, 3}}
 // ring tracer, storing and not, and the map-based reference, comparing
 // every export after every step.
 func TestTracerMatchesReference(t *testing.T) {
-	var maxRing, aliased, forks int
+	var maxRing, aliased int
 	for _, sh := range hookShapes {
 		for _, store := range []bool{true, false} {
 			for seed := int64(1); seed <= 3; seed++ {
@@ -202,13 +189,13 @@ func TestTracerMatchesReference(t *testing.T) {
 					rng.Read(stream)
 					d := newHookDiffer(t, sh.procs, sh.limit, store)
 					d.run(stream)
-					maxRing, aliased, forks = max(maxRing, d.maxRing), aliased+d.aliased, forks+d.forks
+					maxRing, aliased = max(maxRing, d.maxRing), aliased+d.aliased
 				})
 			}
 		}
 	}
-	if maxRing <= 64 || aliased == 0 || forks == 0 {
-		t.Errorf("streams no longer cover the ring: widest %d slots, %d aliased hooks, %d forks", maxRing, aliased, forks)
+	if maxRing <= 64 || aliased == 0 {
+		t.Errorf("streams no longer cover the ring: widest %d slots, %d aliased hooks", maxRing, aliased)
 	}
 }
 

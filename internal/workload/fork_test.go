@@ -10,8 +10,8 @@ import (
 	"coherencesim/internal/proto"
 )
 
-// requireEqualResults compares two results (including metrics snapshots,
-// breakdowns, and per-processor stats) field for field.
+// requireEqualResults compares two results (including per-processor
+// stats) field for field.
 func requireEqualResults(t *testing.T, label string, fresh, forked any) {
 	t.Helper()
 	if !reflect.DeepEqual(fresh, forked) {
@@ -19,13 +19,11 @@ func requireEqualResults(t *testing.T, label string, fresh, forked any) {
 	}
 }
 
-// observedParams enables every observability sink so the comparison
-// covers metrics series, histograms, and stall-attribution breakdowns.
-func observedParams(pr proto.Protocol, procs, iters int) Params {
-	return Params{
-		Procs: procs, Protocol: pr, Iterations: iters, HoldCycles: 50,
-		MetricsInterval: 5000, Breakdown: true,
-	}
+// forkParams are the parameters every fork test runs on. They attach no
+// observer: a fork carries the simulation only, and machine.Snapshot
+// refuses a machine with metrics or a breakdown attached.
+func forkParams(pr proto.Protocol, procs, iters int) Params {
+	return Params{Procs: procs, Protocol: pr, Iterations: iters, HoldCycles: 50}
 }
 
 // TestWarmForkLockMatchesFresh forks every lock kind and variant from a
@@ -39,7 +37,7 @@ func TestWarmForkLockMatchesFresh(t *testing.T) {
 			for _, kind := range []LockKind{Ticket, MCS, UpdateConsciousMCS} {
 				for _, v := range []LockVariant{PlainLock, RandomPause, WorkRatio} {
 					label := fmt.Sprintf("%v/P%d/%v/variant%d", pr, procs, kind, v)
-					p := observedParams(pr, procs, 1600)
+					p := forkParams(pr, procs, 1600)
 					fresh := TwoPhaseLockLoop(p, kind, v)
 					w := WarmLockLoop(p, kind, v)
 					requireEqualResults(t, label, fresh, w.Run())
@@ -74,7 +72,7 @@ func TestWarmForkBarrierMatchesFresh(t *testing.T) {
 		for _, procs := range []int{4, 16} {
 			for _, kind := range []BarrierKind{Central, Dissemination, Tree} {
 				label := fmt.Sprintf("%v/P%d/%v", pr, procs, kind)
-				p := observedParams(pr, procs, 200)
+				p := forkParams(pr, procs, 200)
 				fresh := TwoPhaseBarrierLoop(p, kind)
 				warm, rest := warmSplit(p.Iterations)
 				res := forkAtBoundary(p, func(m *machine.Machine) (Program, Program) {
@@ -96,7 +94,7 @@ func TestWarmForkReductionMatchesFresh(t *testing.T) {
 		for _, kind := range []ReductionKind{Sequential, Parallel} {
 			for _, imbal := range []bool{false, true} {
 				label := fmt.Sprintf("%v/%v/imbal=%v", pr, kind, imbal)
-				p := observedParams(pr, 8, 200)
+				p := forkParams(pr, 8, 200)
 				fresh := TwoPhaseReductionLoop(p, kind, imbal)
 				warm, rest := warmSplit(p.Iterations)
 				res := forkAtBoundary(p, func(m *machine.Machine) (Program, Program) {
@@ -113,7 +111,7 @@ func TestWarmForkReductionMatchesFresh(t *testing.T) {
 // from a single shared checkpoint: the snapshot must be read-only under
 // RestoreFrom, so every fork reports the identical result.
 func TestWarmForkConcurrentRuns(t *testing.T) {
-	p := observedParams(proto.CU, 8, 1600)
+	p := forkParams(proto.CU, 8, 1600)
 	w := WarmLockLoop(p, MCS, RandomPause)
 	want := w.Run()
 	const forks = 8

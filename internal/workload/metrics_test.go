@@ -133,7 +133,7 @@ func TestReductionHistogram(t *testing.T) {
 // per-processor stall slices whose bounds are ordered and within the
 // run.
 func TestTimelineRecordsStalls(t *testing.T) {
-	tl := metrics.NewTimeline(0)
+	tl := metrics.NewTimeline()
 	p := DefaultLockParams(proto.WI, 4)
 	p.Iterations = 200
 	p.Tune = func(cfg *machine.Config) { cfg.Timeline = tl }
