@@ -6,11 +6,10 @@
 // stale copy observes exactly the staleness the coherence protocol
 // permits. Lines also carry the competitive-update counter.
 //
-// The package additionally provides a one-shot watcher mechanism used for
-// spin-wait compression: a simulated processor spinning on a location
-// parks and is woken when a coherence event (update, invalidation, drop)
-// touches the watched block — the only moments at which the spun-on value
-// can change.
+// The package additionally provides a one-shot watcher used for spin-wait
+// compression: a simulated processor spinning on a location parks and is
+// woken when a coherence event (update, invalidation, drop) touches the
+// watched block — the only moments at which the spun-on value can change.
 package cache
 
 import (
@@ -84,26 +83,23 @@ type Stats struct {
 
 // Cache is one node's direct-mapped data cache.
 //
-// The per-frame arrays (lines, watchers, watchBlock) reach only the run's
-// high-water frame: blocks are allocated densely from 0, so a frame at or
-// beyond their length is Invalid and unwatched. Invariant: every slot in
-// [len, cap) is zero, except that a watcher list keeps its empty backing
-// array, so regrowing within capacity is a reslice.
+// The frame array reaches only the run's high-water frame: blocks are
+// allocated densely from 0, so a frame at or beyond its length is
+// Invalid. Invariant: every slot in [len, cap) is zero, so regrowing
+// within capacity is a reslice.
 type Cache struct {
 	node   int
 	frames int // geometry: frame count
 	lines  []Line
 	mask   uint32 // frames-1 when a power of two, else 0 (use modulo)
 
-	// watchers is frame-indexed: a watcher is only ever registered on a
-	// block the registering processor just accessed, so the watched block
-	// occupies its frame at registration time, and every occupancy change
-	// (install, invalidate) fires and clears the frame's list. watchBlock
-	// records which block the frame's watchers belong to, so events on a
-	// later occupant of the same frame cannot wake them (a flushed
-	// block's watchers could otherwise linger — flush does not fire).
-	watchers   [][]func()
-	watchBlock []uint32
+	// wfn is the one watcher, on block wblock. Only the cache's own
+	// processor watches, and it stays parked until the watcher fires, so
+	// there is never a second. Keying on the block, not the frame, keeps
+	// events on a later occupant of the frame from waking it (a flushed
+	// block's watcher lingers — flush does not fire).
+	wfn    func()
+	wblock uint32
 
 	stats Stats
 
@@ -112,9 +108,6 @@ type Cache struct {
 	mHits   *metrics.Counter
 	mMisses *metrics.Counter
 	now     func() sim.Time
-
-	// fireScratch recycles the callback snapshot fire iterates over.
-	fireScratch []func()
 }
 
 // Instrument attaches sampled hit/miss metric counters and a simulated
@@ -143,12 +136,8 @@ func New(node, sizeBytes int) *Cache {
 // Instrumentation is detached; a reusing machine re-attaches its own.
 func (c *Cache) Reset() {
 	clear(c.lines)
-	for i, ws := range c.watchers {
-		clear(ws)
-		c.watchers[i] = ws[:0]
-	}
-	clear(c.watchBlock)
-	c.lines, c.watchers, c.watchBlock = c.lines[:0], c.watchers[:0], c.watchBlock[:0]
+	c.lines = c.lines[:0]
+	c.wfn, c.wblock = nil, 0
 	c.stats = Stats{}
 	c.mHits, c.mMisses, c.now = nil, nil, nil
 }
@@ -164,24 +153,17 @@ func (c *Cache) frameIndex(block uint32) int {
 // NumLines returns the number of frames the geometry provides.
 func (c *Cache) NumLines() int { return c.frames }
 
-// grow extends the per-frame arrays to cover frame idx.
+// grow extends the frame array to cover frame idx: a reslice within
+// capacity, else a copy into a doubled array no larger than the geometry.
 func (c *Cache) grow(idx int) {
 	n := idx + 1
-	c.lines = growTo(c.lines, n, c.frames)
-	c.watchers = growTo(c.watchers, n, c.frames)
-	c.watchBlock = growTo(c.watchBlock, n, c.frames)
-}
-
-// growTo returns s at length n > len(s): a reslice within capacity, else
-// its whole capacity (retained slots included) copied into a doubled
-// array no larger than limit.
-func growTo[T any](s []T, n, limit int) []T {
-	if n <= cap(s) {
-		return s[:n]
+	if n <= cap(c.lines) {
+		c.lines = c.lines[:n]
+		return
 	}
-	ns := make([]T, n, min(max(n, 2*cap(s)), limit))
-	copy(ns, s[:cap(s)])
-	return ns
+	ns := make([]Line, n, min(max(n, 2*cap(c.lines)), c.frames))
+	copy(ns, c.lines)
+	c.lines = ns
 }
 
 // Lookup returns the line holding block, or nil on miss. It does not
@@ -274,55 +256,31 @@ func (c *Cache) ApplyUpdate(block uint32, word int, v uint32) bool {
 }
 
 // Watch registers a one-shot callback invoked the next time block is
-// invalidated, updated, or evicted. Used for spin-wait compression.
+// invalidated, updated, or evicted. Used for spin-wait compression; a
+// cache holds one watcher at a time, and a second Watch panics.
 func (c *Cache) Watch(block uint32, fn func()) {
-	idx := c.frameIndex(block)
-	if idx >= len(c.watchers) {
-		c.grow(idx)
+	if c.wfn != nil {
+		panic(fmt.Sprintf("cache %d: Watch of block %d while block %d is watched", c.node, block, c.wblock))
 	}
-	if len(c.watchers[idx]) > 0 && c.watchBlock[idx] != block {
-		// Cannot happen: watchers only register on the frame's current
-		// occupant, and occupancy changes fire-and-clear the list.
-		panic(fmt.Sprintf("cache: frame %d watched for block %d and %d simultaneously", idx, c.watchBlock[idx], block))
-	}
-	c.watchBlock[idx] = block
-	c.watchers[idx] = append(c.watchers[idx], fn)
+	c.wfn, c.wblock = fn, block
 }
 
 // Watched reports whether a spinner is parked on the block. A watched
 // block is being continuously referenced by the (compressed) spin loop,
 // which protocol code must treat as reference activity — e.g. the
 // competitive-update counter of a watched block does not accumulate.
-func (c *Cache) Watched(block uint32) bool {
-	idx := c.frameIndex(block)
-	return uint(idx) < uint(len(c.watchers)) && len(c.watchers[idx]) > 0 && c.watchBlock[idx] == block
-}
+func (c *Cache) Watched(block uint32) bool { return c.wfn != nil && c.wblock == block }
 
-// FireWatchers invokes (then clears) the block's watchers. Install,
+// FireWatchers invokes (then clears) the block's watcher. Install,
 // Invalidate and ApplyUpdate call it; protocol code calls it for
 // visibility changes those do not cover (e.g. an atomic operation's
-// reply refreshing a word). The watcher list and a fire-time scratch
-// copy both keep their backing arrays, so the park/notify cycle of spin
-// compression does not allocate in steady state. Callbacks run from the
-// scratch copy: one may re-register on the same block (appending to the
-// now emptied list) without disturbing the iteration. A callback that
-// fires watchers itself finds fireScratch checked out and allocates a
-// fresh scratch — rare, and the deepest scratch is simply dropped.
+// reply refreshing a word). The watcher is cleared before it runs, so
+// it may watch again.
 func (c *Cache) FireWatchers(block uint32) {
-	if !c.Watched(block) {
-		return
-	}
-	idx := c.frameIndex(block)
-	ws := c.watchers[idx]
-	scratch := append(c.fireScratch[:0], ws...)
-	c.fireScratch = nil
-	clear(ws)
-	c.watchers[idx] = ws[:0]
-	for _, fn := range scratch {
+	if fn := c.wfn; fn != nil && c.wblock == block {
+		c.wfn = nil
 		fn()
 	}
-	clear(scratch)
-	c.fireScratch = scratch[:0]
 }
 
 // Flush drops the block from the cache *without* firing watchers (the

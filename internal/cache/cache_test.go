@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -105,19 +106,56 @@ func TestInvalidateFiresWatchers(t *testing.T) {
 	c.Install(9, make([]uint32, WordsPerBlock), Shared)
 	woken := 0
 	c.Watch(9, func() { woken++ })
-	c.Watch(9, func() { woken++ })
 	old, was := c.Invalidate(9)
 	if !was || old.Block != 9 {
 		t.Fatalf("invalidate returned %+v %v", old, was)
 	}
-	if woken != 2 {
-		t.Fatalf("woken = %d, want 2", woken)
+	if woken != 1 || c.Watched(9) {
+		t.Fatalf("woken = %d, watched %v after the fire; want 1, false", woken, c.Watched(9))
 	}
 	// watchers are one-shot
 	c.Install(9, make([]uint32, WordsPerBlock), Shared)
 	c.Invalidate(9)
-	if woken != 2 {
-		t.Fatal("watchers fired twice")
+	if woken != 1 {
+		t.Fatal("watcher fired twice")
+	}
+}
+
+// TestSecondWatchPanics pins one watcher per cache: its processor is
+// parked until the watcher fires, so a second Watch is a bug, and the
+// panic names both blocks.
+func TestSecondWatchPanics(t *testing.T) {
+	c := New(3, 64*1024)
+	c.Watch(9, func() {})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "block 9") || !strings.Contains(msg, "block 12") {
+			t.Fatalf("second Watch panicked with %q; want both blocks named", msg)
+		}
+	}()
+	c.Watch(12, func() {})
+}
+
+// TestFlushedWatcherKeysOnBlock: a watcher whose block was flushed (a
+// silent drop) still fires on a later update of that block, and never on
+// another block that takes the frame meanwhile.
+func TestFlushedWatcherKeysOnBlock(t *testing.T) {
+	c := New(0, 64*1024) // 1024 frames: blocks 6 and 1030 share one
+	data := make([]uint32, WordsPerBlock)
+	c.Install(6, data, Shared)
+	woken := 0
+	c.Watch(6, func() { woken++ })
+	c.Flush(6)
+	c.Install(6+1024, data, Shared)
+	c.ApplyUpdate(6+1024, 0, 1)
+	c.Invalidate(6 + 1024)
+	if woken != 0 || !c.Watched(6) || c.Watched(6+1024) {
+		t.Fatalf("another occupant of the frame woke the watcher (woken %d, watched %v/%v)", woken, c.Watched(6), c.Watched(6+1024))
+	}
+	c.Install(6, data, Shared)
+	c.ApplyUpdate(6, 0, 1)
+	if woken != 1 || c.Watched(6) {
+		t.Fatalf("update of the flushed, reinstalled block: woken %d, watched %v; want 1, false", woken, c.Watched(6))
 	}
 }
 
@@ -315,15 +353,11 @@ func TestPropertyDirectMappedInvariant(t *testing.T) {
 	}
 }
 
-// checkHighWater asserts the high-water invariant: the three per-frame
-// arrays share one length, every slot in [len, cap) is zero, and every
-// watcher list there is empty.
+// checkHighWater asserts the high-water invariant: the frame array is
+// within the geometry and every slot in [len, cap) is zero.
 func checkHighWater(t *testing.T, c *Cache) {
 	t.Helper()
 	n := len(c.lines)
-	if len(c.watchers) != n || len(c.watchBlock) != n {
-		t.Fatalf("per-frame lengths differ: lines %d, watchers %d, watchBlock %d", n, len(c.watchers), len(c.watchBlock))
-	}
 	if n > c.frames || cap(c.lines) > c.frames {
 		t.Fatalf("%d frames (cap %d) exceed the geometry's %d", n, cap(c.lines), c.frames)
 	}
@@ -332,23 +366,12 @@ func checkHighWater(t *testing.T, c *Cache) {
 			t.Fatalf("spare frame %d is %+v, want zero", n+i, ln)
 		}
 	}
-	for i, b := range c.watchBlock[n:cap(c.watchBlock)] {
-		if b != 0 {
-			t.Fatalf("spare watchBlock %d is %d, want 0", n+i, b)
-		}
-	}
-	for i, ws := range c.watchers[n:cap(c.watchers)] {
-		if len(ws) != 0 {
-			t.Fatalf("spare watcher list %d holds %d callbacks", n+i, len(ws))
-		}
-	}
 }
 
 // TestFramesGrowToHighWater pins the high-water layout: a new cache has
-// no frames, Install and Watch grow to the frame they touch, a frame
-// beyond the mark reads Invalid and unwatched, Reset truncates to 0 with
-// the spare slots zero and the watcher lists' backing arrays kept, and
-// regrowth within capacity allocates nothing.
+// no frames, Install grows to the frame it touches, a frame beyond the
+// mark reads Invalid, Reset truncates to 0 with the spare slots zero and
+// drops the watcher, and regrowth within capacity allocates nothing.
 func TestFramesGrowToHighWater(t *testing.T) {
 	c := New(0, 64*1024)
 	if len(c.lines) != 0 || c.NumLines() != 1024 {
@@ -367,49 +390,30 @@ func TestFramesGrowToHighWater(t *testing.T) {
 	if len(c.lines) != 6 {
 		t.Fatalf("Install of frame 5 left %d frames, want 6", len(c.lines))
 	}
-	c.Watch(9, func() {})
-	if len(c.lines) != 10 || !c.Watched(9) {
-		t.Fatalf("Watch of frame 9: %d frames, watched %v", len(c.lines), c.Watched(9))
-	}
 	checkHighWater(t, c)
 
 	// A run that wraps: blocks past the geometry evict and reach every frame.
-	woken := 0
 	for b := uint32(0); b < 2048+17; b++ {
 		c.Install(b, data, Exclusive)
-		c.Watch(b, func() { woken++ })
 	}
 	if len(c.lines) != 1024 {
 		t.Fatalf("wrapping run left %d frames, want 1024", len(c.lines))
 	}
-	if woken == 0 {
-		t.Fatal("no eviction fired a watcher")
-	}
 	checkHighWater(t, c)
-	watcherCaps := make([]int, len(c.watchers))
-	for i, ws := range c.watchers {
-		watcherCaps[i] = cap(ws)
-	}
 
+	c.Watch(3, func() {})
 	c.Reset()
 	if len(c.lines) != 0 || cap(c.lines) != 1024 {
 		t.Fatalf("Reset: %d frames, cap %d; want 0, 1024", len(c.lines), cap(c.lines))
 	}
 	checkHighWater(t, c)
-	for i, ws := range c.watchers[:cap(c.watchers)] {
-		if cap(ws) != watcherCaps[i] {
-			t.Fatalf("Reset dropped watcher list %d's backing array (cap %d, was %d)", i, cap(ws), watcherCaps[i])
-		}
-	}
 	if c.Lookup(3) != nil || c.Watched(3) {
 		t.Fatal("a frame past the reset mark reads valid or watched")
 	}
 
-	fn := func() {}
 	if a := testing.AllocsPerRun(20, func() {
 		for b := uint32(0); b < 1100; b += 7 {
 			c.Install(b, data, Shared)
-			c.Watch(b, fn)
 		}
 		c.Reset()
 	}); a != 0 {

@@ -4,11 +4,9 @@ import "fmt"
 
 // CacheState is a deep copy of one cache's restorable contents: the
 // touched prefix of the line array, the geometry and the raw activity
-// stats. Watchers are deliberately absent — a watcher is a parked
-// processor's callback, and snapshots are only taken at quiescence,
-// when no processor is parked. watchBlock entries are dead state once
-// their frame's watcher list is empty (Watch overwrites the tag on
-// registration), so they are not copied either.
+// stats. The watcher is deliberately absent — it is a parked processor's
+// callback, and snapshots are only taken at quiescence, when no
+// processor is parked.
 type CacheState struct {
 	frames int
 	lines  []Line
@@ -18,10 +16,8 @@ type CacheState struct {
 // SnapshotState captures the cache's restorable contents. It requires
 // the watcher-free quiescent state.
 func (c *Cache) SnapshotState() CacheState {
-	for i, ws := range c.watchers {
-		if len(ws) != 0 {
-			panic(fmt.Sprintf("cache: SnapshotState with live watchers on frame %d", i))
-		}
+	if c.wfn != nil {
+		panic(fmt.Sprintf("cache: SnapshotState with a live watcher on block %d", c.wblock))
 	}
 	return CacheState{
 		frames: c.frames,

@@ -101,8 +101,8 @@ type Proc struct {
 
 	wb      *cache.WriteBuffer
 	waiting waitReason
-	rng     *rand.Rand
-	rngSrc  *countingSource
+	rng     *rand.Rand      // built by the first Rand call
+	rngSrc  *countingSource // rng's source; nil with rng
 	stats   ProcStats
 
 	// phase is the synchronization-phase tag stack (see Phase); relBy is
@@ -135,14 +135,11 @@ type Proc struct {
 }
 
 func newProc(m *Machine, id int) *Proc {
-	src := &countingSource{src: rand.NewSource(procSeed(id)).(rand.Source64)}
 	p := &Proc{
-		m:      m,
-		id:     id,
-		name:   fmt.Sprintf("proc%d", id),
-		wb:     cache.NewWriteBuffer(m.cfg.WBEntries),
-		rng:    rand.New(src),
-		rngSrc: src,
+		m:    m,
+		id:   id,
+		name: fmt.Sprintf("proc%d", id),
+		wb:   cache.NewWriteBuffer(m.cfg.WBEntries),
 	}
 	p.fp = -1
 	p.resumeFn = p.resume
@@ -210,7 +207,7 @@ func (s *countingSource) Seed(seed int64) { s.draws = 0; s.src.Seed(seed) }
 func (p *Proc) reset() {
 	p.wb.Reset()
 	p.waiting = waitNone
-	if p.rngSrc.draws != 0 {
+	if p.rngDraws() != 0 {
 		// Reseeding costs several hundred cycles of generator setup;
 		// skip it when the stream was never consumed (most workloads
 		// draw no random numbers), which is behaviourally identical.
@@ -295,8 +292,25 @@ func (p *Proc) ID() int { return p.id }
 // Now returns the current simulated time.
 func (p *Proc) Now() sim.Time { return p.m.e.Now() }
 
-// Rand returns the processor's private deterministic random source.
-func (p *Proc) Rand() *rand.Rand { return p.rng }
+// Rand returns the processor's private deterministic random source. It
+// is built on first use: a 4.9 KB generator that most programs, which
+// draw nothing, never pay for.
+func (p *Proc) Rand() *rand.Rand {
+	if p.rng == nil {
+		p.rngSrc = &countingSource{src: rand.NewSource(procSeed(p.id)).(rand.Source64)}
+		p.rng = rand.New(p.rngSrc)
+	}
+	return p.rng
+}
+
+// rngDraws is how far the random stream has advanced; an unbuilt source
+// has drawn nothing.
+func (p *Proc) rngDraws() uint64 {
+	if p.rngSrc == nil {
+		return 0
+	}
+	return p.rngSrc.draws
+}
 
 // charge adds n cycles of local progress to the pending-cycle
 // accumulator without touching the simulated clock.

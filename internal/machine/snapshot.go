@@ -75,7 +75,7 @@ func (p *Proc) snapshotState() procSnap {
 	p.assertQuiescent("Snapshot")
 	return procSnap{
 		stats:    p.stats,
-		rngDraws: p.rngSrc.draws,
+		rngDraws: p.rngDraws(),
 		opDone:   p.opDone,
 		opVal:    p.opVal,
 		ret:      p.ret,
@@ -85,14 +85,17 @@ func (p *Proc) snapshotState() procSnap {
 // restoreState loads a processor snapshot. The random stream is
 // repositioned by reseeding and discarding the captured number of
 // source draws, so a fork's stream continues exactly where the captured
-// run's left off.
+// run's left off; a stream at zero draws on both sides is left alone.
 func (p *Proc) restoreState(st *procSnap) {
 	p.assertQuiescent("RestoreFrom")
 	p.stats = st.stats
 	p.opDone = st.opDone
 	p.opVal = st.opVal
 	p.ret = st.ret
-	p.rng.Seed(procSeed(p.id))
+	if st.rngDraws == 0 && p.rngDraws() == 0 {
+		return
+	}
+	p.Rand().Seed(procSeed(p.id))
 	for i := uint64(0); i < st.rngDraws; i++ {
 		p.rngSrc.src.Uint64()
 	}

@@ -71,9 +71,11 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // writeRaw writes pre-marshaled JSON verbatim — the cached-result path,
-// where byte-identical replay is the point.
+// where byte-identical replay is the point. The length is declared, so a
+// stored document is not chunk-encoded.
 func writeRaw(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
 	w.Write(body)
 }

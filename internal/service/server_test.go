@@ -144,6 +144,36 @@ func TestSubmitPollCacheHit(t *testing.T) {
 	}
 }
 
+// TestReplayCarriesContentLength: a replayed document declares its
+// length instead of arriving chunk-encoded — at 32 KB, far past the size
+// up to which net/http would compute the length itself — and its bytes
+// are the stored document's.
+func TestReplayCarriesContentLength(t *testing.T) {
+	big := strings.Repeat("a table row of a figure\n", 32<<10/24)
+	ts, _ := newTestServer(t, Config{}, func(context.Context, JobSpec, int, func(runner.Snapshot)) (*JobResult, error) {
+		return &JobResult{Output: big}, nil
+	})
+	spec := `{"experiment":"fig8","scale":"quick"}`
+	_, doc := postJob(t, ts, spec)
+	first := pollDone(t, ts, doc.ID)
+
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.Header.Get("X-Cache") != "hit" || len(body) < 32<<10 {
+		t.Fatalf("resubmit X-Cache %q, %d bytes; want a hit of at least 32 KB", resp.Header.Get("X-Cache"), len(body))
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("replay Content-Length %d, Transfer-Encoding %v; want %d, none", resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+	if !bytes.Equal(body, first) {
+		t.Error("replayed bytes differ from the stored document")
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	dir := t.TempDir()
 	ts, svc := newTestServer(t, Config{DataDir: dir}, stubExec(nil, nil))

@@ -1,21 +1,21 @@
 // Package sim provides the deterministic discrete-event simulation engine
 // that underlies the multiprocessor model.
 //
-// The engine maintains an event queue ordered by (time, seq), where seq
-// is a monotonically increasing tie-breaker, so simulations are
-// bit-reproducible. Simulated processors run as resumable tasks that the
-// run loop re-enters by direct call (see Task). Everything runs on the
-// caller's goroutine, so simulation state needs no locking and executes
+// The engine runs queued callbacks in time order, same-time callbacks in
+// the order they were scheduled, so simulations are bit-reproducible.
+// Simulated processors run as resumable tasks that the run loop
+// re-enters by direct call (see Task). Everything runs on the caller's
+// goroutine, so simulation state needs no locking and executes
 // deterministically.
 //
-// The event core is built for throughput: events are typed 32-byte
-// structs in a two-level timing wheel with a 4-ary-heap overflow (no
-// interface boxing, no per-event allocation in steady state — see
-// eventq and heap4), task wake-ups are a dedicated event kind carrying
-// the task pointer instead of a heap-allocated closure, and
-// fixed-length stalls bypass the queue entirely when no earlier event
-// could observe them (see Task.StallFor). DESIGN.md ("Engine internals
-// & performance") documents why none of these paths can reorder events.
+// The event core is built for throughput: a queued event is a time and
+// a callback in one slot arena linked into a two-level timing wheel,
+// with a 4-ary-heap overflow (no interface boxing, no per-event
+// allocation in steady state — see eventq and heap4); a task wake-up is
+// the task's own callback, bound once in Task.Init, and fixed-length
+// stalls bypass the queue entirely when no earlier event could observe
+// them (see Task.StallFor). DESIGN.md ("Engine internals & performance")
+// documents why none of these paths can reorder events.
 package sim
 
 import "fmt"
@@ -23,32 +23,15 @@ import "fmt"
 // Time is simulated time in processor cycles.
 type Time = uint64
 
-// event is a typed queue entry executed by the engine without interface
-// boxing. Exactly one payload field is set: task for the hot
-// fixed-shape edges (task start and wake-up, which would otherwise each
-// heap-allocate a closure), fn for callers whose callbacks genuinely
-// carry state. Keeping the struct at 32 bytes (two per cache line)
-// matters: the queue moves events by value.
-type event struct {
-	at   Time
-	seq  uint64
-	task *Task  // wake/start target, nil for closure events
-	fn   func() // closure callback, nil for task events
-}
-
-// Engine is a discrete-event simulator. The zero value is not usable;
-// create one with NewEngine.
+// Engine is a discrete-event simulator; create one with NewEngine.
 type Engine struct {
 	pq      eventq
 	now     Time
-	seq     uint64
 	running bool
 
 	// processed counts events executed, for simulator performance
 	// reporting. Stalls short-circuited by the StallFor fast path and
-	// events accounted by Elide count too: they consume the same (seq,
-	// processed) budget as the event they stand for, keeping event
-	// numbering byte-identical.
+	// events accounted by Elide count too, as the event they stand for.
 	processed uint64
 
 	// tasks that are currently parked waiting to be woken.
@@ -58,20 +41,15 @@ type Engine struct {
 
 	// tail is the task the run loop dispatched directly with no engine
 	// callback frame pending beneath it — the only situation in which
-	// StallFor's in-place fast path is sound. It is cleared when a
-	// closure event runs (arbitrary code may follow a nested dispatch)
-	// and when a task is woken from inside another frame, so any task
-	// with interrupted work beneath it always takes the full
-	// park/unpark path.
+	// StallFor's in-place fast path is sound. The run loop clears it
+	// before every event and a task's wake callback sets it; a task woken
+	// from inside another frame clears it, so any task with interrupted
+	// work beneath it always takes the full park/unpark path.
 	tail *Task
 }
 
 // NewEngine returns an empty engine at time 0.
-func NewEngine() *Engine {
-	e := &Engine{}
-	e.pq.init()
-	return e
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -88,42 +66,14 @@ func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d in the past (now %d)", t, e.now))
 	}
-	e.seq++
-	e.pq.push(event{at: t, seq: e.seq, fn: fn})
+	e.pq.push(t, fn)
 }
 
 // Elide stands for an event the caller has proved unobservable (its
 // handler would only bump a count the caller bumps itself): nothing is
-// queued, but the seq and processed it would have consumed are consumed
-// now, so every other event keeps its (time, seq) position.
-func (e *Engine) Elide() {
-	e.seq++
-	e.processed++
-}
-
-// atWake schedules a typed wake-up (or first start) of task at absolute
-// time t, avoiding the closure a func() event would allocate.
-func (e *Engine) atWake(t Time, task *Task) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d in the past (now %d)", t, e.now))
-	}
-	e.seq++
-	e.pq.push(event{at: t, seq: e.seq, task: task})
-}
-
-// exec runs one popped event.
-func (e *Engine) exec(ev event) {
-	e.now = ev.at
-	e.processed++
-	if ev.task != nil {
-		e.tail = ev.task
-		ev.task.resumeEvent()
-		e.tail = nil
-		return
-	}
-	e.tail = nil
-	ev.fn()
-}
+// queued, but it is counted as processed now, as the event would have
+// been.
+func (e *Engine) Elide() { e.processed++ }
 
 // deadlocked panics with the blocked-task diagnostic. Called only when
 // the queue is empty.
@@ -138,7 +88,11 @@ func (e *Engine) Run() {
 	e.running = true
 	defer func() { e.running = false }()
 	for e.pq.len() > 0 {
-		e.exec(e.pq.pop())
+		at, fn := e.pq.pop()
+		e.now = at
+		e.processed++
+		e.tail = nil
+		fn()
 	}
 	if e.blocked > 0 {
 		e.deadlocked()
@@ -153,10 +107,9 @@ func (e *Engine) Processed() uint64 { return e.processed }
 func (e *Engine) Live() int { return e.live }
 
 // Reset returns the engine to its initial state — time zero, an empty
-// queue, and zeroed (seq, processed) event numbering — so a fully built
-// simulation can be rerun without constructing a new engine. The
-// queue's bucket and heap arrays are kept as the event arena for the
-// next run. Reset refuses (returning false, leaving the engine
+// queue, and a zero processed count — so a fully built simulation can be
+// rerun without constructing a new engine. The queue's slot arena and
+// heap array are kept for the next run. Reset refuses (returning false, leaving the engine
 // untouched) while the engine is running or while any task is live or
 // blocked: a parked task would be orphaned mid-program.
 func (e *Engine) Reset() bool {
@@ -166,7 +119,7 @@ func (e *Engine) Reset() bool {
 	// reset zeroes every used slot, so events left behind by a run that
 	// panicked do not retain callbacks in the arena.
 	e.pq.reset()
-	e.now, e.seq, e.processed = 0, 0, 0
+	e.now, e.processed = 0, 0
 	e.tail = nil
 	return true
 }

@@ -192,13 +192,14 @@ func TestTaskParkWake(t *testing.T) {
 	}
 }
 
-// A typed wake queued for an absolute time (what StallFor's slow path
-// and Begin schedule) resumes the parked task at exactly that time.
+// The task's wake callback queued for an absolute time (what StallFor's
+// slow path and Begin schedule) resumes the parked task at exactly that
+// time.
 func TestTaskWakeAt(t *testing.T) {
 	e := NewEngine()
 	resumed := Time(0)
 	startTask(e, "waiter", func(tk *Task) bool {
-		e.atWake(99, tk)
+		e.At(99, tk.wake)
 		tk.Park()
 		return false
 	}, func(*Task) bool {
@@ -398,12 +399,12 @@ func TestProcessedCounts(t *testing.T) {
 	}
 }
 
-// Elide stands for a no-op that was scheduled and ran: it consumes the
-// seq and processed that event would have, so later events keep their
-// numbering, and it leaves the clock, the queue and the tail dispatch
-// alone — a task that elides can still stall in place.
+// Elide stands for a no-op that was scheduled and ran: it counts as the
+// event would have, and it leaves the clock, the queue, the order of
+// other events and the tail dispatch alone — a task that elides can
+// still stall in place.
 func TestElideMatchesScheduledNoOp(t *testing.T) {
-	run := func(elide bool) (seq, processed uint64, order []int) {
+	run := func(elide bool) (processed uint64, order []int) {
 		e := NewEngine()
 		e.Schedule(5, func() { order = append(order, 1) })
 		if elide {
@@ -413,12 +414,12 @@ func TestElideMatchesScheduledNoOp(t *testing.T) {
 		}
 		e.Schedule(5, func() { order = append(order, 2) })
 		e.Run()
-		return e.seq, e.processed, order
+		return e.processed, order
 	}
-	seqA, procA, orderA := run(false)
-	seqB, procB, orderB := run(true)
-	if seqA != 3 || procA != 3 || seqB != seqA || procB != procA {
-		t.Fatalf("scheduled no-op: seq %d processed %d; elided: seq %d processed %d; want 3, 3 twice", seqA, procA, seqB, procB)
+	procA, orderA := run(false)
+	procB, orderB := run(true)
+	if procA != 3 || procB != procA {
+		t.Fatalf("scheduled no-op: processed %d; elided: processed %d; want 3 twice", procA, procB)
 	}
 	if len(orderB) != 2 || orderB[0] != orderA[0] || orderB[1] != orderA[1] {
 		t.Fatalf("event order %v with the no-op elided, %v with it scheduled", orderB, orderA)
@@ -429,13 +430,13 @@ func TestElideMatchesScheduledNoOp(t *testing.T) {
 	var task Task
 	stalledInPlace := false
 	task.Init(e, "elider", func() {
-		now, queued, seq, processed := e.now, e.pq.len(), e.seq, e.processed
+		now, queued, processed := e.now, e.pq.len(), e.processed
 		e.Elide()
 		if e.now != now || e.pq.len() != queued || e.tail != &task {
 			t.Errorf("Elide moved now %d→%d, queue %d→%d or the tail", now, e.now, queued, e.pq.len())
 		}
-		if e.seq != seq+1 || e.processed != processed+1 {
-			t.Errorf("Elide: seq %d→%d, processed %d→%d, want +1 each", seq, e.seq, processed, e.processed)
+		if e.processed != processed+1 {
+			t.Errorf("Elide: processed %d→%d, want +1", processed, e.processed)
 		}
 		stalledInPlace = task.StallFor(10)
 		task.End()

@@ -1,7 +1,7 @@
 package sim
 
-// heap4 is a 4-ary min-heap of typed events ordered by (at, seq). It
-// replaces container/heap on the engine's hottest path: events are
+// heap4 is a 4-ary min-heap of typed events ordered by (at, seq): the
+// timing wheel's overflow for events beyond its horizon. Events are
 // stored by value in one backing array, so pushing and popping never box
 // through interface{} and never allocate in steady state — the array's
 // spare capacity acts as the event arena, and vacated slots are recycled
@@ -15,6 +15,14 @@ package sim
 // keeps the loops free of calls.
 type heap4 struct {
 	ev []event
+}
+
+// event is a heap entry. Unlike the wheel's FIFO buckets, the heap needs
+// seq, the push count, to keep same-time events in push order.
+type event struct {
+	at  Time
+	seq uint64
+	fn  func()
 }
 
 // len returns the number of queued events.
@@ -42,8 +50,8 @@ func (h *heap4) push(nev event) {
 }
 
 // pop removes and returns the minimum event. The vacated tail slot is
-// zeroed so the arena does not retain the event's callback or task
-// beyond its execution.
+// zeroed so the arena does not retain the event's callback beyond its
+// execution.
 func (h *heap4) pop() event {
 	ev := h.ev
 	root := ev[0]

@@ -134,12 +134,12 @@ func TestHeap4ArenaReuse(t *testing.T) {
 	}
 
 	// Vacated slots must not retain payload pointers (the arena recycles
-	// slots, it must not pin dead callbacks/tasks).
+	// slots, it must not pin dead callbacks).
 	fill(8)
 	drain()
 	spare := h.ev[:cap(h.ev)]
 	for i := range spare {
-		if spare[i].fn != nil || spare[i].task != nil {
+		if spare[i].fn != nil {
 			t.Fatalf("vacated arena slot %d retains payload %+v", i, spare[i])
 		}
 	}

@@ -2,15 +2,13 @@ package sim
 
 import "fmt"
 
-// EngineState is the restorable state of a quiescent engine: the clock,
-// the event sequence counter, and the performance counters. A quiescent
-// engine has no live tasks, no parked tasks, and an empty event queue,
-// so these three words fully determine its future behaviour — restoring
-// them onto another quiescent engine makes that engine continue the
-// simulation with byte-identical (time, seq) event numbering.
+// EngineState is the restorable state of a quiescent engine: the clock
+// and the processed-event count. A quiescent engine has no live tasks,
+// no parked tasks, and an empty event queue, so these two words fully
+// determine its future behaviour — restoring them onto another quiescent
+// engine makes that engine continue the simulation byte-identically.
 type EngineState struct {
 	Now       Time
-	Seq       uint64
 	Processed uint64
 }
 
@@ -29,16 +27,14 @@ func (e *Engine) assertQuiescent(op string) {
 // be quiescent (between runs, queue drained).
 func (e *Engine) SnapshotState() EngineState {
 	e.assertQuiescent("SnapshotState")
-	return EngineState{Now: e.now, Seq: e.seq, Processed: e.processed}
+	return EngineState{Now: e.now, Processed: e.processed}
 }
 
 // RestoreState loads a snapshot onto a quiescent engine, positioning its
-// clock and sequence counter so subsequently scheduled events continue
-// the captured run's numbering exactly.
+// clock and event count where the captured run left them.
 func (e *Engine) RestoreState(st EngineState) {
 	e.assertQuiescent("RestoreState")
 	e.now = st.Now
-	e.seq = st.Seq
 	e.processed = st.Processed
 	e.tail = nil
 }

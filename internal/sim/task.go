@@ -8,11 +8,12 @@ package sim
 // goroutines, no channels, no scheduler hand-off.
 //
 // Engine bookkeeping (live/blocked counts, the tail-dispatch gate, the
-// (seq, processed) event budget) lives entirely at the Task level.
+// processed-event budget) lives entirely at the Task level.
 type Task struct {
 	e       *Engine
 	name    string
 	resume  func()
+	wake    func() // the queued start or wake-up, bound once
 	stalled bool
 }
 
@@ -20,11 +21,26 @@ type Task struct {
 // by the engine — always from engine context — each time the task is
 // started or woken; it must return once the task parks or completes.
 // Init may be called again to re-arm a pooled task after Engine.Reset.
+// The task must not be copied after Init: its queued callback holds its
+// address.
 func (t *Task) Init(e *Engine, name string, resume func()) {
 	t.e = e
 	t.name = name
 	t.resume = resume
 	t.stalled = false
+	if t.wake == nil {
+		// The run loop's direct dispatch of the task: its first start
+		// (not parked) or a scheduled wake-up (parked). The run loop
+		// cleared tail; this task is now the tail dispatch.
+		t.wake = func() {
+			t.e.tail = t
+			if t.stalled {
+				t.stalled = false
+				t.e.blocked--
+			}
+			t.resume()
+		}
+	}
 }
 
 // Begin registers the task as live and schedules its first resume at
@@ -32,7 +48,7 @@ func (t *Task) Init(e *Engine, name string, resume func()) {
 // completes.
 func (t *Task) Begin() {
 	t.e.live++
-	t.e.atWake(t.e.now, t)
+	t.e.At(t.e.now, t.wake)
 }
 
 // End unregisters a live task. After End the task may be re-armed with
@@ -79,31 +95,18 @@ func (t *Task) Wake() {
 // no queued event sorts before the wake-up would — the queue is empty
 // or holds nothing at or before now+d — no other code can observe the
 // stall, so the engine state is advanced in place: the clock to now+d,
-// plus the seq and processed the elided wake event would have consumed,
-// keeping event numbering byte-identical. Any event at or before now+d
-// — even one tying at exactly now+d, whose earlier seq must win —
-// forces the full park/wake path.
+// plus the processed count the elided wake event would have added,
+// keeping event counts byte-identical. Any event at or before now+d —
+// even one tying at exactly now+d, which was queued first and must run
+// first — forces the full park/wake path.
 func (t *Task) StallFor(d Time) bool {
 	e := t.e
 	if e.tail == t && !e.pq.hasEventAtOrBefore(e.now+d) {
-		e.seq++
 		e.processed++
 		e.now += d
 		return true
 	}
-	e.atWake(e.now+d, t)
+	e.At(e.now+d, t.wake)
 	t.Park()
 	return false
-}
-
-// resumeEvent runs the task's queued event from the engine run loop:
-// the first start (not parked) or a scheduled wake-up (parked). The
-// run loop has already made the task the tail dispatch, so no tail
-// fix-up is needed here.
-func (t *Task) resumeEvent() {
-	if t.stalled {
-		t.stalled = false
-		t.e.blocked--
-	}
-	t.resume()
 }

@@ -3,13 +3,14 @@ package sim
 import "math/bits"
 
 // eventq is the engine's event queue: a two-level timing wheel with a
-// heap overflow, ordered exactly by (at, seq) like the heap4 it grew out
-// of, but with O(1) amortized push and pop for the near-future events
-// that dominate simulation workloads (protocol hops, memory latencies,
-// short stalls). Profiles of the lock/barrier workloads showed the
-// 4-ary heap's pop — sift-downs over a queue that sustains hundreds of
-// in-flight events — costing more than the simulated work itself; the
-// wheel replaces those sift-downs with bucket appends and bitmap scans.
+// heap overflow, popping events in exactly the (time, push order) order
+// of the heap4 it grew out of, but with O(1) amortized push and pop for
+// the near-future events that dominate simulation workloads (protocol
+// hops, memory latencies, short stalls). Profiles of the lock/barrier
+// workloads showed the 4-ary heap's pop — sift-downs over a queue that
+// sustains hundreds of in-flight events — costing more than the
+// simulated work itself; the wheel replaces those sift-downs with bucket
+// links and bitmap scans.
 //
 // Structure:
 //
@@ -20,32 +21,25 @@ import "math/bits"
 //     cycles out). A level-2 bucket mixes times within its chunk.
 //   - Events beyond the level-2 horizon go to an overflow heap4.
 //
-// Ordering argument (why pops reproduce heap order bit-for-bit): seq is
-// assigned monotonically at push, and simulated time only advances, so
-// within any single bucket the append order is seq order provided every
-// event *migrating* down a level arrives before any event is *pushed*
-// directly into that bucket. Both migrations happen exactly when the
-// consumption cursor crosses a horizon — overflow drains into level 2
-// the first time its chunk enters the level-2 window, and a level-2
-// bucket cascades into level 1 when its chunk becomes current — which
-// is strictly before any direct push can target that bucket (a direct
-// push requires the horizon to have passed already). Cascading
-// distributes a level-2 bucket over the level-1 buckets in slice order,
-// which is stable, so same-time events keep their seq order. Level-1
-// buckets therefore hold same-time events in increasing seq, and the
-// wheel pops buckets in time order — exactly the heap's (at, seq).
+// A bucket is a head/tail pair of indexes into one slot arena shared by
+// both levels, so retained storage is the peak number of events in
+// flight, not every bucket's own high-water mark. A popped slot goes on
+// a LIFO free list and is the next one pushed, while still in cache.
+//
+// Ordering argument (why pops reproduce heap order bit-for-bit): simulated
+// time only advances, so within any single bucket the link order is push
+// order provided every event *migrating* down a level arrives before any
+// event is *pushed* directly into that bucket. Both migrations happen
+// exactly when the consumption cursor crosses a horizon — overflow
+// drains into level 2 the first time its chunk enters the level-2
+// window, and a level-2 bucket cascades into level 1 when its chunk
+// becomes current — which is strictly before any direct push can target
+// that bucket (a direct push requires the horizon to have passed
+// already). The overflow heap breaks time ties by a push counter, and
+// cascading relinks a level-2 bucket into level 1 in list order, so
+// same-time events keep their push order throughout.
 type eventq struct {
 	count int
-
-	// single holds the queue's only event while hasOne: chains that keep
-	// exactly one event in flight (a memory access completing before the
-	// next issues, a lone processor stalling) never touch the wheel at
-	// all — push stores here, pop returns it and repositions the cursor
-	// to the popped time. A second push demotes the held event into the
-	// wheel through the normal routing, which preserves (at, seq) order
-	// because the held event always has the smaller seq.
-	single event
-	hasOne bool
 
 	// minCache is the earliest queued time, valid while minOK. It keeps
 	// the StallFor fast-path check (called on every simulated memory
@@ -58,14 +52,29 @@ type eventq struct {
 
 	l1base Time // start of the current chunk (multiple of wheelSize)
 	l1cur  int  // current level-1 bucket index (l1base+l1cur <= next event time)
-	l1pos  int  // consumption cursor within the current level-1 bucket
-	l1     [wheelSize][]event
-	l1bits [wheelSize / 64]uint64
+	l1, l2 level
 
-	l2     [l2Size][]event
-	l2bits [l2Size / 64]uint64
+	// slots is the arena every bucket links into; slots[0] is the nil
+	// index. free heads the list of recycled slots, chained through next.
+	slots []slot
+	free  int32
 
 	overflow heap4
+	seq      uint64 // overflow push counter: the heap's tie-breaker
+}
+
+// slot is one queued event in a bucket's list.
+type slot struct {
+	at   Time
+	fn   func()
+	next int32
+}
+
+// level is one ring of wheel buckets with its occupancy bitmap. A
+// bucket's head and tail are meaningful only while its bit is set.
+type level struct {
+	head, tail [wheelSize]int32
+	bits       [wheelSize / 64]uint64
 }
 
 const (
@@ -79,104 +88,79 @@ const (
 // chunkOf returns t's level-2 chunk number.
 func chunkOf(t Time) Time { return t >> wheelBits }
 
-// init carves every bucket's initial capacity out of one contiguous
-// slab, so a fresh engine reaches the zero-allocation steady state
-// immediately instead of paying one allocation per bucket as simulated
-// time first sweeps the wheel. Buckets that outgrow the slab reallocate
-// individually and keep the larger capacity across resets.
-func (q *eventq) init() {
-	const bcap = 8
-	slab := make([]event, (wheelSize+l2Size)*bcap)
-	for i := range q.l1 {
-		q.l1[i] = slab[:0:bcap]
-		slab = slab[bcap:]
-	}
-	for i := range q.l2 {
-		q.l2[i] = slab[:0:bcap]
-		slab = slab[bcap:]
-	}
-}
-
 func (q *eventq) len() int { return q.count }
 
-// push inserts ev, routing by distance from the current chunk. The
-// caller guarantees ev.at is not in the past.
-func (q *eventq) push(ev event) {
+// push queues fn at time at. The caller guarantees at is not in the past.
+func (q *eventq) push(at Time, fn func()) {
 	if q.count == 0 {
-		q.minCache, q.minOK = ev.at, true
-		q.count = 1
-		q.single, q.hasOne = ev, true
-		return
-	}
-	if q.hasOne {
-		held := q.single
-		q.single, q.hasOne = event{}, false
-		q.route(held)
-	}
-	if q.minOK && ev.at < q.minCache {
-		q.minCache = ev.at
+		q.minCache, q.minOK = at, true
+	} else if q.minOK && at < q.minCache {
+		q.minCache = at
 	}
 	q.count++
-	q.route(ev)
-}
-
-// route files ev into the wheel level (or overflow heap) its distance
-// from the current chunk selects.
-func (q *eventq) route(ev event) {
-	c := chunkOf(ev.at)
-	cur := chunkOf(q.l1base)
+	c, cur := chunkOf(at), chunkOf(q.l1base)
 	switch {
 	case c == cur:
-		i := int(ev.at) & wheelMask
-		q.l1[i] = append(q.l1[i], ev)
-		q.l1bits[i>>6] |= 1 << uint(i&63)
+		q.link(&q.l1, int(at)&wheelMask, q.alloc(at, fn))
 	case c-cur < l2Size:
-		i := int(c) & l2Mask
-		q.l2[i] = append(q.l2[i], ev)
-		q.l2bits[i>>6] |= 1 << uint(i&63)
+		q.link(&q.l2, int(c)&l2Mask, q.alloc(at, fn))
 	default:
-		q.overflow.push(ev)
+		q.seq++
+		q.overflow.push(event{at: at, seq: q.seq, fn: fn})
 	}
 }
 
-// pop removes and returns the earliest (at, seq) event. The caller
-// guarantees the queue is non-empty. Consumed slots are zeroed so the
-// bucket arenas do not retain callbacks or tasks.
-func (q *eventq) pop() event {
-	if q.hasOne {
-		ev := q.single
-		q.single, q.hasOne = event{}, false
-		q.count = 0
-		q.minOK = false
-		// Reposition the cursor to the popped time so later pushes keep
-		// routing into level 1. Every bucket is empty, so pointing the
-		// cursor anywhere is sound; the popped time is what keeps the
-		// wheel's "current chunk" tracking simulated time.
-		q.l1base = chunkOf(ev.at) << wheelBits
-		q.l1cur = int(ev.at) & wheelMask
-		q.l1pos = 0
-		return ev
+// alloc takes a slot for (at, fn), recycling the most recently freed one.
+func (q *eventq) alloc(at Time, fn func()) int32 {
+	s := q.free
+	if s == 0 {
+		if len(q.slots) == 0 {
+			q.slots = append(q.slots, slot{}) // the nil index
+		}
+		q.slots = append(q.slots, slot{at: at, fn: fn})
+		return int32(len(q.slots) - 1)
 	}
-	b := q.l1[q.l1cur]
-	if q.l1pos >= len(b) {
+	q.free = q.slots[s].next
+	q.slots[s] = slot{at: at, fn: fn}
+	return s
+}
+
+// link appends slot s to bucket i of lv. A list ends at its tail, so
+// the tail's next is never read.
+func (q *eventq) link(lv *level, i int, s int32) {
+	if w, b := &lv.bits[i>>6], uint64(1)<<uint(i&63); *w&b == 0 {
+		*w |= b
+		lv.head[i] = s
+	} else {
+		q.slots[lv.tail[i]].next = s
+	}
+	lv.tail[i] = s
+}
+
+// pop removes and returns the earliest event. The caller guarantees the
+// queue is non-empty. The slot is freed with its callback cleared, so
+// the arena does not retain it.
+func (q *eventq) pop() (Time, func()) {
+	i := q.l1cur
+	if q.l1.bits[i>>6]&(1<<uint(i&63)) == 0 {
 		q.advance()
-		b = q.l1[q.l1cur]
+		i = q.l1cur
 	}
-	ev := b[q.l1pos]
-	b[q.l1pos] = event{}
-	q.l1pos++
+	s := q.l1.head[i]
+	sl := &q.slots[s]
+	at, fn, next := sl.at, sl.fn, sl.next
+	sl.fn, sl.next = nil, q.free
+	q.free = s
 	q.count--
-	if q.l1pos == len(b) {
-		// Bucket drained: recycle it eagerly so emptiness checks and
-		// same-time re-pushes see a clean slate.
-		q.l1[q.l1cur] = b[:0]
-		q.l1pos = 0
-		q.l1bits[q.l1cur>>6] &^= 1 << uint(q.l1cur&63)
+	if s == q.l1.tail[i] {
+		// Bucket drained; a same-time push relinks it from empty.
+		q.l1.bits[i>>6] &^= 1 << uint(i&63)
 		q.minOK = false
 	} else {
-		q.minCache, q.minOK = q.l1base+Time(q.l1cur), true
+		q.l1.head[i] = next
+		q.minCache, q.minOK = at, true
 	}
-	return ev
+	return at, fn
 }
 
 // advance moves the consumption cursor to the next non-empty level-1
@@ -202,27 +186,27 @@ func (q *eventq) advance() {
 	// buckets before any direct push can target those buckets.
 	for q.overflow.len() > 0 && chunkOf(q.overflow.minAt())-next < l2Size {
 		ev := q.overflow.pop()
-		i := int(chunkOf(ev.at)) & l2Mask
-		q.l2[i] = append(q.l2[i], ev)
-		q.l2bits[i>>6] |= 1 << uint(i&63)
+		q.link(&q.l2, int(chunkOf(ev.at))&l2Mask, q.alloc(ev.at, ev.fn))
 	}
 	// Cascade the new current chunk's level-2 bucket into level 1.
 	q.l1base = next << wheelBits
 	li := int(next) & l2Mask
-	b2 := q.l2[li]
-	for k, ev := range b2 {
-		i := int(ev.at) & wheelMask
-		q.l1[i] = append(q.l1[i], ev)
-		q.l1bits[i>>6] |= 1 << uint(i&63)
-		b2[k] = event{}
+	if q.l2.bits[li>>6]&(1<<uint(li&63)) != 0 {
+		q.l2.bits[li>>6] &^= 1 << uint(li&63)
+		for s, end := q.l2.head[li], q.l2.tail[li]; ; {
+			next := q.slots[s].next
+			q.link(&q.l1, int(q.slots[s].at)&wheelMask, s)
+			if s == end {
+				break
+			}
+			s = next
+		}
 	}
-	q.l2[li] = b2[:0]
-	q.l2bits[li>>6] &^= 1 << uint(li&63)
 	i, ok := q.scanL1(0)
 	if !ok {
 		panic("sim: event queue corrupted: advance found no event")
 	}
-	q.l1cur, q.l1pos = i, 0
+	q.l1cur = i
 }
 
 // scanL1 returns the first non-empty level-1 bucket at or after index
@@ -232,7 +216,7 @@ func (q *eventq) scanL1(from int) (int, bool) {
 		return 0, false
 	}
 	w := from >> 6
-	word := q.l1bits[w] &^ (1<<uint(from&63) - 1)
+	word := q.l1.bits[w] &^ (1<<uint(from&63) - 1)
 	for {
 		if word != 0 {
 			return w<<6 + bits.TrailingZeros64(word), true
@@ -241,7 +225,7 @@ func (q *eventq) scanL1(from int) (int, bool) {
 		if w >= wheelSize/64 {
 			return 0, false
 		}
-		word = q.l1bits[w]
+		word = q.l1.bits[w]
 	}
 }
 
@@ -252,7 +236,7 @@ func (q *eventq) scanL1(from int) (int, bool) {
 func (q *eventq) scanL2(cur Time) (Time, bool) {
 	start := int(cur+1) & l2Mask
 	w, bit := start>>6, uint(start&63)
-	word := q.l2bits[w] &^ (1<<bit - 1)
+	word := q.l2.bits[w] &^ (1<<bit - 1)
 	for i := 0; i < l2Size/64+1; i++ {
 		if word != 0 {
 			idx := (w&(l2Size/64-1))<<6 + bits.TrailingZeros64(word)
@@ -260,7 +244,7 @@ func (q *eventq) scanL2(cur Time) (Time, bool) {
 			return cur + 1 + dist, true
 		}
 		w++
-		word = q.l2bits[w&(l2Size/64-1)]
+		word = q.l2.bits[w&(l2Size/64-1)]
 	}
 	return 0, false
 }
@@ -292,52 +276,30 @@ func (q *eventq) refreshMin() Time {
 // computeMin finds the earliest queued time by scanning the wheel. The
 // caller guarantees count > 0. Level-1 bucket times are their index;
 // the nearest level-2 bucket mixes times within its chunk and must be
-// scanned; the overflow heap only matters when both wheels are empty
+// walked; the overflow heap only matters when both wheels are empty
 // (every level-2 window chunk precedes every overflow event).
 func (q *eventq) computeMin() Time {
-	if q.hasOne {
-		return q.single.at
-	}
 	if i, ok := q.scanL1(q.l1cur); ok {
 		return q.l1base + Time(i)
 	}
 	if next, ok := q.scanL2(chunkOf(q.l1base)); ok {
-		min := Time(0)
-		for k, ev := range q.l2[int(next)&l2Mask] {
-			if k == 0 || ev.at < min {
-				min = ev.at
-			}
+		li := int(next) & l2Mask
+		s := q.l2.head[li]
+		m := q.slots[s].at
+		for s != q.l2.tail[li] {
+			s = q.slots[s].next
+			m = min(m, q.slots[s].at)
 		}
-		return min
+		return m
 	}
 	return q.overflow.minAt()
 }
 
-// reset empties the queue, zeroing every used slot so the bucket arenas
-// retain no callbacks, and rewinds the cursors to time zero. Bucket
-// capacities are kept for the next run.
+// reset empties the queue, clearing every slot so the arena retains no
+// callbacks, and rewinds the cursors to time zero. The arena's and the
+// overflow heap's capacities are kept for the next run.
 func (q *eventq) reset() {
-	for i := range q.l1 {
-		clearEvents(q.l1[i])
-		q.l1[i] = q.l1[i][:0]
-	}
-	for i := range q.l2 {
-		clearEvents(q.l2[i])
-		q.l2[i] = q.l2[i][:0]
-	}
-	q.l1bits = [wheelSize / 64]uint64{}
-	q.l2bits = [l2Size / 64]uint64{}
-	for q.overflow.len() > 0 {
-		q.overflow.pop()
-	}
-	q.count = 0
-	q.single, q.hasOne = event{}, false
-	q.l1base, q.l1cur, q.l1pos = 0, 0, 0
-	q.minCache, q.minOK = 0, false
-}
-
-func clearEvents(ev []event) {
-	for i := range ev {
-		ev[i] = event{}
-	}
+	clear(q.slots)
+	clear(q.overflow.ev)
+	*q = eventq{slots: q.slots[:0], overflow: heap4{ev: q.overflow.ev[:0]}}
 }

@@ -96,3 +96,41 @@ func TestWorkloadsIdenticalWithAndWithoutReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestRandomPauseOnReusedMachine: a processor builds its random source
+// on first use, so a pooled machine arrives with it unbuilt (the last
+// run drew nothing) or advanced (it drew). A random-pause run on either
+// — and a plain run after one that drew — matches a fresh machine.
+func TestRandomPauseOnReusedMachine(t *testing.T) {
+	p := Params{Procs: 7, Protocol: proto.PU, Iterations: 280, HoldCycles: 50}
+	var used []*machine.Machine
+	track := func(acquire func(machine.Config) *machine.Machine) func(machine.Config) *machine.Machine {
+		return func(cfg machine.Config) *machine.Machine {
+			m := acquire(cfg)
+			used = append(used, m)
+			return m
+		}
+	}
+	defer func() { acquireMachine = machine.Acquire }()
+
+	// Fresh machines, released to the pool in this order: the plain
+	// run's, which never drew, is the next one handed out.
+	acquireMachine = track(machine.New)
+	freshPause, freshPlain := LockLoopRandomPause(p, MCS), LockLoop(p, MCS)
+	acquireMachine = track(machine.Acquire)
+	for i, c := range []struct {
+		name          string
+		fresh, pooled LockResult
+	}{
+		{"random pause after a run that drew nothing", freshPause, LockLoopRandomPause(p, MCS)},
+		{"random pause after a run that drew", freshPause, LockLoopRandomPause(p, MCS)},
+		{"plain run after a run that drew", freshPlain, LockLoop(p, MCS)},
+	} {
+		if used[2+i] != used[1] {
+			t.Fatalf("%s: ran on another machine than the plain fresh run's", c.name)
+		}
+		if !reflect.DeepEqual(c.fresh, c.pooled) {
+			t.Errorf("%s: diverged from a fresh machine:\nfresh:  %+v\npooled: %+v", c.name, c.fresh.Result, c.pooled.Result)
+		}
+	}
+}
