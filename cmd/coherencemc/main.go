@@ -126,7 +126,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		blocks    = fs.String("blocks", "1,2", "comma list of block counts (1-2)")
 		words     = fs.Int("words", 1, "words per block (1-2)")
 		depth     = fs.Int("depth", 0, "operations per processor (0 = auto: 2 at 2 procs, 1 beyond)")
-		threshold = fs.Int("cu-threshold", 4, "competitive-update counter threshold")
+		threshold = fs.Int("cu-threshold", 4, "competitive-update counter threshold (1-255)")
 		maxStates = fs.Int("max-states", 0, "abort beyond this many states (0 = unlimited)")
 		opSet     = fs.String("ops", "", "restrict issue alphabet (comma list of read,write,atomic,flush)")
 		faultList = fs.String("fault", "", "inject protocol faults (checker self-test)")
@@ -143,8 +143,12 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 
 	protos, err := parseProtocols(*protocols)
-	if err == nil && *opSet != "" {
-		_, err = parseOps(*opSet)
+	var ops []mc.OpKind
+	if err == nil {
+		ops, err = parseOps(*opSet)
+	}
+	if err == nil && (*threshold < 1 || *threshold > 255) {
+		err = fmt.Errorf("cu-threshold %d out of range [1,255]", *threshold)
 	}
 	var procList, blockList []int
 	if err == nil {
@@ -161,7 +165,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintln(stderr, "coherencemc:", err)
 		return 2
 	}
-	ops, _ := parseOps(*opSet)
 
 	var rep report
 	violated := false
@@ -255,18 +258,11 @@ func parseOps(s string) ([]mc.OpKind, error) {
 	}
 	var out []mc.OpKind
 	for _, tok := range strings.Split(s, ",") {
-		switch strings.TrimSpace(tok) {
-		case "read":
-			out = append(out, mc.OpRead)
-		case "write":
-			out = append(out, mc.OpWrite)
-		case "atomic":
-			out = append(out, mc.OpAtomic)
-		case "flush":
-			out = append(out, mc.OpFlush)
-		default:
-			return nil, fmt.Errorf("unknown op kind %q", tok)
+		k, err := mc.ParseOpKind(strings.TrimSpace(tok))
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, k)
 	}
 	return out, nil
 }

@@ -101,14 +101,21 @@ func TestBaselineRegressionFails(t *testing.T) {
 	}
 }
 
+// TestBadFlagsExitTwo: every flag value the checker cannot honour exits
+// 2 before exploring anything — a CU threshold outside 1..255 included,
+// which would otherwise wrap or fall back to the default.
 func TestBadFlagsExitTwo(t *testing.T) {
-	if code, _, _ := capture(t, "-protocol", "XX"); code != 2 {
-		t.Fatal("bad protocol accepted")
-	}
-	if code, _, _ := capture(t, "-procs", "9"); code != 2 {
-		t.Fatal("out-of-range procs accepted")
-	}
-	if code, _, _ := capture(t, "-fault", "nonsense"); code != 2 {
-		t.Fatal("unknown fault accepted")
+	for _, args := range [][]string{
+		{"-protocol", "XX"},
+		{"-procs", "9"},
+		{"-fault", "nonsense"},
+		{"-ops", "read,jump"},
+		{"-cu-threshold", "0"},
+		{"-cu-threshold", "256"},
+		{"-cu-threshold", "-1"},
+	} {
+		if code, out, _ := capture(t, args...); code != 2 {
+			t.Errorf("%v: exit %d, want 2\n%s", args, code, out)
+		}
 	}
 }

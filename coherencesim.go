@@ -118,26 +118,24 @@ const (
 	OpCalled  = machine.OpCalled
 )
 
-// MachineSnapshot is a deep, immutable copy of a quiescent machine's
-// simulation state taken by Machine.Snapshot after a RunProgram phase;
-// RestoreFrom on a freshly built (never-run) structurally identical
-// machine resumes the simulation from that point. Many machines may fork
-// from one snapshot concurrently — restored continuations are
-// byte-identical to running the original machine onward. Both ends of a
-// fork must be unobserved: Snapshot and RestoreFrom panic when Metrics,
-// Timeline, Txn or Trace is attached.
+// MachineSnapshot records a machine after a RunProgram phase as the
+// configuration, allocation table, programs and between-phase Pokes that
+// got it there; RestoreFrom on a never-run machine built the same way
+// replays them, and the simulation's determinism makes the continuation
+// byte-identical to running the original machine onward. Many machines
+// may fork from one snapshot concurrently. A replayed prefix runs under
+// the target's observers. A construct belongs to the machine it was
+// built on, so Snapshot refuses a machine with one.
 type MachineSnapshot = machine.Snapshot
 
-// Machine-level forking and warm-forked sweeps. WarmLockLoop splits a
-// lock loop into a warm-up phase (snapshotted once) plus a measured
-// rest phase forked per Run() — the fork facility for callers that
-// want many continuations of one prefix. Sweeps do not use it. A
-// WarmForkCache is the sweep-level point memo: attached to
-// ExperimentOptions.Memo it simulates each distinct point once for as
-// long as the caller keeps it (figures 9 and 10 then cost nothing after
-// figure 8) without changing a byte; attached to ExperimentOptions.Forks
-// it also selects the two-phase run of each point on one machine. With
-// neither set, every point is simulated.
+// Two-phase lock loops and the point memo. WarmLockLoop records a lock
+// loop's two-phase recipe; its Run executes the warm-up and the measured
+// rest on one machine. A WarmForkCache is the sweep-level point memo:
+// attached to ExperimentOptions.Memo it simulates each distinct point
+// once for as long as the caller keeps it (figures 9 and 10 then cost
+// nothing after figure 8) without changing a byte; attached to
+// ExperimentOptions.Forks it also selects the two-phase run of each
+// point on one machine. With neither set, every point is simulated.
 type (
 	LockVariant   = workload.LockVariant
 	WarmForkCache = experiments.WarmForkCache
@@ -150,7 +148,7 @@ const (
 	WorkRatio   = workload.WorkRatio
 )
 
-// The warm-fork driver and the sweep-level result memo.
+// The two-phase lock-loop recipe and the sweep-level result memo.
 var (
 	WarmLockLoop     = workload.WarmLockLoop
 	NewWarmForkCache = experiments.NewWarmForkCache

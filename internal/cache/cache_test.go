@@ -421,26 +421,3 @@ func TestFramesGrowToHighWater(t *testing.T) {
 	}
 	checkHighWater(t, c)
 }
-
-// TestSnapshotCopiesTouchedPrefix pins that a snapshot holds only the
-// frames the run reached and restores onto a reset cache only.
-func TestSnapshotCopiesTouchedPrefix(t *testing.T) {
-	src := New(0, 64*1024)
-	data := []uint32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
-	src.Install(3, data, Exclusive)
-	st := src.SnapshotState()
-	if len(st.lines) != 4 {
-		t.Fatalf("snapshot holds %d frames, want 4", len(st.lines))
-	}
-	dst := New(1, 64*1024)
-	dst.RestoreState(st)
-	if ln := dst.Lookup(3); ln == nil || ln.Data != src.Lookup(3).Data || ln.State != Exclusive {
-		t.Fatal("restored cache lost the snapshot's line")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RestoreState onto a touched cache did not panic")
-		}
-	}()
-	dst.RestoreState(st)
-}

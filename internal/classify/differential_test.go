@@ -114,39 +114,13 @@ func (d *differ) apply(op [diffOpBytes]byte) {
 	d.compare()
 }
 
-// run feeds the whole stream. A third of the way in, both classifiers are
-// snapshotted, mutated by the next sixth of the stream, and restored — the
-// flat one into a fresh Classifier when fresh is set, as a warm fork does
-// — and must stand at the snapshot's counts again; two thirds in, both are
-// Reset. The remainder runs on the restored/reset state, so shadow state
-// that survived either wrongly shows up as a later divergence.
-func (d *differ) run(stream []byte, fresh bool) {
+// run feeds the whole stream. Two thirds of the way in, both classifiers
+// are Reset; the remainder runs on the reset state, so shadow state that
+// survived the reset wrongly shows up as a later divergence.
+func (d *differ) run(stream []byte) {
 	n := len(stream) / diffOpBytes
-	snapAt, restoreAt, resetAt := n/3, n/3+n/6, 2*n/3
-	var (
-		snap    State
-		refSnap refState
-	)
 	for i := 0; i < n; i++ {
-		if i == snapAt {
-			snap, refSnap = d.c.SnapshotState(), d.ref.SnapshotState()
-		}
-		if i == restoreAt {
-			d.what = "RestoreState"
-			if fresh {
-				d.c = New(d.procs)
-			}
-			d.c.RestoreState(snap)
-			d.ref.RestoreState(refSnap)
-			d.compare()
-			if got := d.c.Misses(); got != snap.misses {
-				d.t.Fatalf("step %d: restored Misses %v, snapshot held %v", d.step, got, snap.misses)
-			}
-			if got := d.c.Updates(); got != snap.updates {
-				d.t.Fatalf("step %d: restored Updates %v, snapshot held %v", d.step, got, snap.updates)
-			}
-		}
-		if i == resetAt {
+		if i == 2*n/3 {
 			d.what = "Reset"
 			d.c.Reset()
 			d.ref.Reset()
@@ -169,8 +143,7 @@ var diffShapes = []struct{ procs, nblocks int }{
 
 // TestClassifierMatchesReference runs seeded random hook streams through
 // the flat classifier and the map-based reference, comparing every count
-// after every step, across a snapshot/mutate/restore round trip, a Reset,
-// and Finish.
+// after every step, across a Reset and Finish.
 func TestClassifierMatchesReference(t *testing.T) {
 	for _, sh := range diffShapes {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -178,21 +151,21 @@ func TestClassifierMatchesReference(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed*1000 + int64(sh.procs)*64 + int64(sh.nblocks)))
 				stream := make([]byte, 3000*diffOpBytes)
 				rng.Read(stream)
-				newDiffer(t, sh.procs, sh.nblocks).run(stream, seed%2 == 0)
+				newDiffer(t, sh.procs, sh.nblocks).run(stream)
 			})
 		}
 	}
 }
 
 // FuzzClassifierAgainstReference is the same driver under the native
-// fuzzer: the first byte picks the shape and the restore target, the rest
-// is the hook stream. The seed corpus is committed under testdata/fuzz.
+// fuzzer: the first byte picks the shape, the rest is the hook stream.
+// The seed corpus is committed under testdata/fuzz.
 func FuzzClassifierAgainstReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		sh := diffShapes[int(data[0])%len(diffShapes)]
-		newDiffer(t, sh.procs, sh.nblocks).run(data[1:], data[0]&0x80 != 0)
+		newDiffer(t, sh.procs, sh.nblocks).run(data[1:])
 	})
 }

@@ -1,10 +1,9 @@
 package classify
 
-import "fmt"
-
 // This file is the map-based classifier that internal/classify shipped
 // before the shadow state was flattened, kept unchanged apart from the
-// ref- prefix on its type names. It is the oracle of
+// ref- prefix on its type names and the loss of its snapshot methods,
+// which went when the flat classifier's did. It is the oracle of
 // TestClassifierMatchesReference and FuzzClassifierAgainstReference: the
 // flat form must compute the same counts on every hook stream.
 
@@ -278,92 +277,4 @@ func (c *refClassifier) Finish() {
 			}
 		}
 	}
-}
-
-// refProcBlockState is the flat copy of one per-(processor, block) shadow
-// entry.
-type refProcBlockState struct {
-	everCached bool
-	cached     bool
-	lossReason LossReason
-	lostVer    [16]uint64
-	pending    map[int]refPendingUpdate
-}
-
-// refState is a deep snapshot of a classifier's accumulated state: the
-// global write histories, the per-processor shadow copies, and every
-// category counter. Maps are copied entry-by-entry, so a snapshot
-// shares no mutable storage with its source.
-type refState struct {
-	history map[uint32]refBlockHistory
-	state   []map[uint32]refProcBlockState
-	misses  MissCounts
-	updates UpdateCounts
-	refs    uint64
-	perProc []MissCounts
-}
-
-// SnapshotState captures the classifier's accumulated state.
-func (c *refClassifier) SnapshotState() refState {
-	st := refState{
-		history: make(map[uint32]refBlockHistory, len(c.history)),
-		state:   make([]map[uint32]refProcBlockState, len(c.state)),
-		misses:  c.misses,
-		updates: c.updates,
-		refs:    c.refs,
-		perProc: append([]MissCounts(nil), c.perProcMisses...),
-	}
-	for b, h := range c.history {
-		st.history[b] = *h
-	}
-	for p := range c.state {
-		m := make(map[uint32]refProcBlockState, len(c.state[p]))
-		for b, pb := range c.state[p] {
-			ps := refProcBlockState{
-				everCached: pb.everCached,
-				cached:     pb.cached,
-				lossReason: pb.lossReason,
-				lostVer:    pb.lostVer,
-			}
-			if len(pb.pending) > 0 {
-				ps.pending = make(map[int]refPendingUpdate, len(pb.pending))
-				for w, pu := range pb.pending {
-					ps.pending[w] = pu
-				}
-			}
-			m[b] = ps
-		}
-		st.state[p] = m
-	}
-	return st
-}
-
-// RestoreState loads a snapshot into c, replacing all accumulated
-// state. The target must have the snapshot source's processor count.
-// Entries are refilled individually through the classifier's own
-// accessors, so restoration is order-independent and deterministic.
-func (c *refClassifier) RestoreState(st refState) {
-	if len(st.state) != c.procs {
-		panic(fmt.Sprintf("classify: RestoreState processor count mismatch (%d vs %d)", len(st.state), c.procs))
-	}
-	c.Reset()
-	for b, h := range st.history {
-		*c.hist(b) = h
-	}
-	for p := range st.state {
-		for b, ps := range st.state[p] {
-			pb := c.pb(p, b)
-			pb.everCached = ps.everCached
-			pb.cached = ps.cached
-			pb.lossReason = ps.lossReason
-			pb.lostVer = ps.lostVer
-			for w, pu := range ps.pending {
-				pb.pending[w] = pu
-			}
-		}
-	}
-	c.misses = st.misses
-	c.updates = st.updates
-	c.refs = st.refs
-	copy(c.perProcMisses, st.perProc)
 }

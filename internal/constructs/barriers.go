@@ -22,6 +22,7 @@ type CentralBarrier struct {
 
 // NewCentralBarrier allocates a centralized barrier for all processors.
 func NewCentralBarrier(m *machine.Machine, name string) *CentralBarrier {
+	m.MarkConstruct(name)
 	b := &CentralBarrier{
 		count: m.Alloc(name+".count", 4, 0),
 		sense: m.Alloc(name+".sense", 4, 0),
@@ -32,7 +33,6 @@ func NewCentralBarrier(m *machine.Machine, name string) *CentralBarrier {
 	for i := range b.localSense {
 		b.localSense[i] = 1
 	}
-	m.RegisterForkState(name, b)
 	return b
 }
 
@@ -55,6 +55,7 @@ type DisseminationBarrier struct {
 
 // NewDisseminationBarrier allocates a dissemination barrier.
 func NewDisseminationBarrier(m *machine.Machine, name string) *DisseminationBarrier {
+	m.MarkConstruct(name)
 	b := &DisseminationBarrier{procs: m.Procs(), rounds: ceilLog2(m.Procs())}
 	b.lat = m.MetricsHistogram(HistBarrierEpisode)
 	for i := 0; i < m.Procs(); i++ {
@@ -64,7 +65,6 @@ func NewDisseminationBarrier(m *machine.Machine, name string) *DisseminationBarr
 	for i := range b.sense {
 		b.sense[i] = 1
 	}
-	m.RegisterForkState(name, b)
 	return b
 }
 
@@ -98,6 +98,7 @@ type TreeBarrier struct {
 // NewTreeBarrier allocates a tree barrier and initializes the arrival
 // flags (childnotready := havechild).
 func NewTreeBarrier(m *machine.Machine, name string) *TreeBarrier {
+	m.MarkConstruct(name)
 	b := &TreeBarrier{procs: m.Procs()}
 	b.lat = m.MetricsHistogram(HistBarrierEpisode)
 	b.globalSense = m.Alloc(name+".gsense", 4, 0)
@@ -113,7 +114,6 @@ func NewTreeBarrier(m *machine.Machine, name string) *TreeBarrier {
 	for i := range b.sense {
 		b.sense[i] = 1
 	}
-	m.RegisterForkState(name, b)
 	return b
 }
 

@@ -2,6 +2,7 @@ package constructs
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"coherencesim/internal/machine"
@@ -316,6 +317,35 @@ func TestSequentialReducerSlotPlacement(t *testing.T) {
 				t.Errorf("slots %d and %d share a block", i, j)
 			}
 		}
+	}
+}
+
+// TestConstructsRefuseSnapshot builds each construct on a machine of its
+// own and checks that Snapshot then refuses the machine, naming the
+// construct: a replayed program would drive the source's construct.
+func TestConstructsRefuseSnapshot(t *testing.T) {
+	for name, build := range map[string]func(*machine.Machine){
+		"ticket":        func(m *machine.Machine) { NewTicketLock(m, "ticket") },
+		"mcs":           func(m *machine.Machine) { NewMCSLock(m, "mcs", false) },
+		"tas":           func(m *machine.Machine) { NewTASLock(m, "tas") },
+		"ttas":          func(m *machine.Machine) { NewTTASLock(m, "ttas") },
+		"central":       func(m *machine.Machine) { NewCentralBarrier(m, "central") },
+		"dissemination": func(m *machine.Machine) { NewDisseminationBarrier(m, "dissemination") },
+		"tree":          func(m *machine.Machine) { NewTreeBarrier(m, "tree") },
+		"parallel":      func(m *machine.Machine) { NewParallelReducer(m, "parallel", nil, nil) },
+		"sequential":    func(m *machine.Machine) { NewSequentialReducer(m, "sequential", nil) },
+	} {
+		m := machine.New(machine.DefaultConfig(proto.WI, 4))
+		build(m)
+		m.RunProgram(seq([]stage{compute(1)}))
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, fmt.Sprintf("construct %q", name)) {
+					t.Errorf("%s: Snapshot panicked with %q, want a refusal naming the construct", name, msg)
+				}
+			}()
+			m.Snapshot()
+		}()
 	}
 }
 

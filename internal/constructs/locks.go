@@ -66,14 +66,13 @@ type TicketLock struct {
 
 // NewTicketLock allocates a ticket lock. name must be unique per machine.
 func NewTicketLock(m *machine.Machine, name string) *TicketLock {
-	l := &TicketLock{
+	m.MarkConstruct(name)
+	return &TicketLock{
 		ticket:  m.Alloc(name+".ticket", 4, 0),
 		now:     m.Alloc(name+".now", 4, 0),
 		backoff: 50, // roughly one critical section per ticket ahead
 		lat:     m.MetricsHistogram(HistLockAcquire),
 	}
-	m.RegisterForkState(name, l)
-	return l
 }
 
 // MCSLock is the list-based queue lock of figure 2 (Mellor-Crummey &
@@ -100,6 +99,7 @@ const (
 // NewMCSLock allocates an MCS lock; updateConscious selects the paper's
 // flush-augmented variant.
 func NewMCSLock(m *machine.Machine, name string, updateConscious bool) *MCSLock {
+	m.MarkConstruct(name)
 	l := &MCSLock{updateConscious: updateConscious}
 	l.lat = m.MetricsHistogram(HistLockAcquire)
 	l.tail = m.Alloc(name+".tail", 4, 0)

@@ -27,6 +27,7 @@ type TASLock struct {
 
 // NewTASLock allocates a test-and-set lock.
 func NewTASLock(m *machine.Machine, name string) *TASLock {
+	m.MarkConstruct(name)
 	return &TASLock{
 		word:       m.Alloc(name+".tas", 4, 0),
 		minBackoff: 8,
@@ -115,6 +116,7 @@ type TTASLock struct {
 
 // NewTTASLock allocates a test-and-test-and-set lock.
 func NewTTASLock(m *machine.Machine, name string) *TTASLock {
+	m.MarkConstruct(name)
 	return &TTASLock{
 		word: m.Alloc(name+".ttas", 4, 0),
 		lat:  m.MetricsHistogram(HistLockAcquire),

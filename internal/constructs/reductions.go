@@ -35,6 +35,7 @@ type ParallelReducer struct {
 
 // NewParallelReducer allocates the global cell at node 0.
 func NewParallelReducer(m *machine.Machine, name string, lock Lock, barrier Barrier) *ParallelReducer {
+	m.MarkConstruct(name)
 	return &ParallelReducer{
 		max:     m.Alloc(name+".max", 4, 0),
 		lock:    lock,
@@ -61,6 +62,7 @@ type SequentialReducer struct {
 
 // NewSequentialReducer allocates the global cell and per-processor slots.
 func NewSequentialReducer(m *machine.Machine, name string, barrier Barrier) *SequentialReducer {
+	m.MarkConstruct(name)
 	r := &SequentialReducer{barrier: barrier, procs: m.Procs()}
 	r.lat = m.MetricsHistogram(HistReduction)
 	r.max = m.Alloc(name+".max", 4, 0)

@@ -69,14 +69,12 @@ func TestWarmForkSweepDeterministicAcrossWorkers(t *testing.T) {
 
 // TestWarmForkMatchesFreshTwoPhase pins the memo's semantics to the
 // workload layer's: a figure point produced through the cache equals
-// the two-phase runner's result and the checkpoint API's forked run
-// (which the workload tests prove equal each other).
+// the two-phase runner's result.
 func TestWarmForkMatchesFreshTwoPhase(t *testing.T) {
 	o := warmForkOptions(0)
 	p := workload.DefaultLockParams(protocols[2], 8)
 	p.Iterations = o.LockIterations
 	fresh := workload.TwoPhaseLockLoop(p, workload.MCS, workload.PlainLock)
-	forked := workload.WarmLockLoop(p, workload.MCS, workload.PlainLock).Run()
 	pt := o.lockPoint(workload.MCS, workload.PlainLock, protocols[2], 8)
 	cached, err := RunPointForked(context.Background(), pt, o.Forks)
 	if err != nil {
@@ -84,9 +82,6 @@ func TestWarmForkMatchesFreshTwoPhase(t *testing.T) {
 	}
 	if want := pointResult(fresh.Result, fresh.AvgLatency); !reflect.DeepEqual(want, cached) {
 		t.Errorf("memoized point differs from the two-phase runner\nfresh:  %+v\ncached: %+v", want, cached)
-	}
-	if want := pointResult(forked.Result, forked.AvgLatency); !reflect.DeepEqual(want, cached) {
-		t.Errorf("memoized point differs from the forked checkpoint run\nforked: %+v\ncached: %+v", want, cached)
 	}
 }
 

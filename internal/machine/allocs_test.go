@@ -124,8 +124,9 @@ func bytesPerRun(runs int, f func()) float64 {
 // TestPooledRunAllocationCeilings bounds what one whole sweep-point cycle
 // on a pooled 32-processor CU machine allocates — 1 600 fetch-and-adds,
 // ~33 000 events — untraced, with the transaction tracer attached, and
-// forked from a checkpoint, in objects and in bytes. The ceilings are
-// absolute and sit far below one object per simulated operation, so any
+// forked from a checkpoint (which replays the first half), in objects
+// and in bytes. The ceilings are absolute and sit far below one object
+// per simulated operation, so any
 // slide back to per-event or per-span allocation, or to span and stall
 // buffers that a breakdown point never reads, fails here whatever the
 // timing benchmarks say.
@@ -162,10 +163,12 @@ func TestPooledRunAllocationCeilings(t *testing.T) {
 			cfg.Txn = trace.NewTracer(procs, 0)
 			plain(cfg)
 		}},
-		// Measured 2 objects, 3 088 bytes, as the plain cycle.
+		// Measured 1 object, 3 072 bytes, as the plain cycle: the
+		// replayed prefix assembles no Result. The fork allocates the
+		// same table entry, so half.ctr is the address it needs.
 		{"restore a checkpoint and run on", 16, 6200, func() {
 			m := Acquire(DefaultConfig(proto.CU, procs))
-			half.ctr = m.Alloc("ctr", 4, 0)
+			m.Alloc("ctr", 4, 0)
 			m.RestoreFrom(snap)
 			m.RunProgram(half)
 			m.Release()

@@ -143,41 +143,19 @@ type Machine struct {
 	procs []*Proc
 	ran   bool
 
-	// forkState is the ordered registry of construct objects carrying
-	// mutable Go-side run state (ticket stubs, barrier sense flags, ...)
-	// that must travel with machine snapshots. Constructors register
-	// here, so identical builder code yields an identical registry and
-	// RestoreFrom can pair source and target entries by position.
-	forkState []namedForkState
+	// replay is what the machine did after it was built, in order: each
+	// RunProgram phase and each Poke made after the first phase. It is
+	// the prefix a Snapshot records and RestoreFrom replays.
+	replay []replayStep
+
+	// construct names the first construct built on the machine; Snapshot
+	// refuses a machine with one (see MarkConstruct).
+	construct string
 
 	// txnBusy records the per-processor busy cycles already folded into
-	// the transaction tracer, so collect can feed the tracer deltas and
-	// a continuation phase's collect does not double-count the prefix.
+	// the transaction tracer, so runPhase can feed the tracer deltas and
+	// a continuation phase does not double-count the prefix.
 	txnBusy []sim.Time
-}
-
-// ForkState is implemented by construct objects that hold mutable
-// Go-side state a machine snapshot must carry (state living outside the
-// simulated memory image). SnapshotState returns a self-contained copy;
-// RestoreState loads one into a freshly built twin of the object.
-type ForkState interface {
-	SnapshotState() any
-	RestoreState(st any)
-}
-
-// namedForkState tags a registered ForkState with the identity under
-// which snapshot and restore pair it.
-type namedForkState struct {
-	name string
-	fs   ForkState
-}
-
-// RegisterForkState records fs in the machine's fork-state registry.
-// Constructors of stateful constructs call it; registration order must
-// be deterministic for a given builder (it is, since builders run
-// sequentially), because RestoreFrom pairs entries by position.
-func (m *Machine) RegisterForkState(name string, fs ForkState) {
-	m.forkState = append(m.forkState, namedForkState{name: name, fs: fs})
 }
 
 // allocEntry records one named allocation. Allocations number in the
@@ -299,10 +277,9 @@ func (m *Machine) Reset(cfg Config) bool {
 		p.reset()
 	}
 	m.ran = false
-	for i := range m.forkState {
-		m.forkState[i] = namedForkState{}
-	}
-	m.forkState = m.forkState[:0]
+	clear(m.replay)
+	m.replay = m.replay[:0]
+	m.construct = ""
 	for i := range m.txnBusy {
 		m.txnBusy[i] = 0
 	}
@@ -321,6 +298,17 @@ func (m *Machine) System() *proto.System { return m.sys }
 // are enabled.
 func (m *Machine) MetricsHistogram(name string) *metrics.Histogram {
 	return m.cfg.Metrics.Histogram(name)
+}
+
+// MarkConstruct records that the construct named name was built on m.
+// Every construct constructor calls it: a construct keeps addresses,
+// run state and metric handles outside the processors' Frames, so a
+// program over it cannot be replayed on another machine, and Snapshot
+// refuses m. Reset clears the mark.
+func (m *Machine) MarkConstruct(name string) {
+	if m.construct == "" {
+		m.construct = name
+	}
 }
 
 // Alloc reserves size bytes of shared memory, rounded up to whole cache
@@ -356,8 +344,12 @@ func (m *Machine) Alloc(name string, size, home int) Addr {
 }
 
 // Poke initializes a shared word in memory without simulated time or
-// traffic. Use only while no RunProgram phase is executing.
+// traffic. Use only while no RunProgram phase is executing. A Poke
+// between phases is recorded with them, so a fork replays it in order.
 func (m *Machine) Poke(a Addr, v uint32) {
+	if m.ran {
+		m.replay = append(m.replay, replayStep{addr: a, val: v})
+	}
 	block, word := cache.BlockOf(a), cache.WordOf(a)
 	m.sys.Memory(m.sys.HomeOf(block)).Poke(block, word, v)
 }
@@ -388,9 +380,9 @@ func (m *Machine) ensureProcs() {
 // RunProgram may be called again after it returns: a second call is a
 // continuation phase that extends the same simulation — caches stay
 // warm, the clock and event numbering continue, and the returned Result
-// is cumulative. Snapshot/RestoreFrom rely on this to fork measurement
-// phases off a captured warm-up phase. The fork-time cache flush
-// applies to the first phase only.
+// is cumulative. The fork-time cache flush applies to the first phase
+// only. The machine records each phase's program, so Snapshot can
+// capture the prefix and RestoreFrom replay it on another machine.
 //
 // A step that returns OpBlocked without having parked the processor or
 // scheduled its wake (for one, ignoring FCompute's result) strands it:
@@ -398,10 +390,19 @@ func (m *Machine) ensureProcs() {
 // Program, and RunProgram panics rather than return a truncated Result;
 // the machine then refuses Reset, so the pool drops it.
 func (m *Machine) RunProgram(prog Program) Result {
+	m.runPhase(prog)
+	return m.result()
+}
+
+// runPhase is RunProgram without the Result: it records and runs one
+// phase, finalizes its classification and feeds the transaction tracer.
+// RestoreFrom replays a prefix through it.
+func (m *Machine) runPhase(prog Program) {
 	if !m.ran {
 		m.ran = true
 		m.sys.FlushAll(0)
 	}
+	m.replay = append(m.replay, replayStep{prog: prog})
 	m.ensureProcs()
 	for _, p := range m.procs {
 		p.startProgram(prog)
@@ -410,23 +411,24 @@ func (m *Machine) RunProgram(prog Program) Result {
 	if n := m.e.Live(); n != 0 {
 		panic(fmt.Sprintf("machine: run ended with %d processor(s) unfinished: a step returned OpBlocked without parking", n))
 	}
-	return m.collect()
-}
-
-// collect finalizes classification and assembles the run summary.
-func (m *Machine) collect() Result {
 	m.cl.Finish()
 	if len(m.txnBusy) != len(m.procs) {
 		m.txnBusy = make([]sim.Time, len(m.procs))
 	}
+	for i, p := range m.procs {
+		// Feed the tracer only the busy cycles accrued since the last
+		// phase, so a continuation phase's cumulative ProcStats are not
+		// double-counted.
+		m.cfg.Txn.AddCompute(i, p.stats.Busy-m.txnBusy[i])
+		m.txnBusy[i] = p.stats.Busy
+	}
+}
+
+// result assembles the run summary.
+func (m *Machine) result() Result {
 	per := make([]ProcStats, len(m.procs))
 	for i, p := range m.procs {
 		per[i] = p.stats
-		// Feed the tracer only the busy cycles accrued since the last
-		// collect, so a continuation phase's cumulative ProcStats are
-		// not double-counted.
-		m.cfg.Txn.AddCompute(i, p.stats.Busy-m.txnBusy[i])
-		m.txnBusy[i] = p.stats.Busy
 	}
 	return Result{
 		Cycles:     m.e.Now(),

@@ -20,29 +20,8 @@ type MagicLock struct {
 
 // NewMagicLock creates a zero-traffic lock on m.
 func (m *Machine) NewMagicLock() *MagicLock {
-	l := &MagicLock{m: m, cycles: m.cfg.MagicSyncCycles}
-	m.RegisterForkState("magic.lock", l)
-	return l
-}
-
-// magicLockState is the lock's snapshot payload.
-type magicLockState struct{ held bool }
-
-// SnapshotState implements ForkState. The waiter queue holds suspended
-// processors and is only non-empty mid-run, so it is asserted empty.
-func (l *MagicLock) SnapshotState() any {
-	if len(l.queue) != 0 {
-		panic("machine: MagicLock snapshot with queued waiters")
-	}
-	return magicLockState{held: l.held}
-}
-
-// RestoreState implements ForkState.
-func (l *MagicLock) RestoreState(st any) {
-	if len(l.queue) != 0 {
-		panic("machine: MagicLock restore with queued waiters")
-	}
-	l.held = st.(magicLockState).held
+	m.MarkConstruct("magic lock")
+	return &MagicLock{m: m, cycles: m.cfg.MagicSyncCycles}
 }
 
 // FAcquire obtains the lock, queueing FIFO behind the current holder.
@@ -128,29 +107,8 @@ type MagicBarrier struct {
 // NewMagicBarrier creates a zero-traffic barrier for all of m's
 // processors.
 func (m *Machine) NewMagicBarrier() *MagicBarrier {
-	b := &MagicBarrier{m: m, n: m.cfg.Procs, cycles: m.cfg.MagicSyncCycles}
-	m.RegisterForkState("magic.barrier", b)
-	return b
-}
-
-// magicBarrierState is the barrier's snapshot payload.
-type magicBarrierState struct{ arrived int }
-
-// SnapshotState implements ForkState. Parked waiters only exist mid-
-// episode, so the waiter list is asserted empty.
-func (b *MagicBarrier) SnapshotState() any {
-	if len(b.waiters) != 0 {
-		panic("machine: MagicBarrier snapshot with parked waiters")
-	}
-	return magicBarrierState{arrived: b.arrived}
-}
-
-// RestoreState implements ForkState.
-func (b *MagicBarrier) RestoreState(st any) {
-	if len(b.waiters) != 0 {
-		panic("machine: MagicBarrier restore with parked waiters")
-	}
-	b.arrived = st.(magicBarrierState).arrived
+	m.MarkConstruct("magic barrier")
+	return &MagicBarrier{m: m, n: m.cfg.Procs, cycles: m.cfg.MagicSyncCycles}
 }
 
 // FWait blocks until all processors have arrived. Like any barrier under

@@ -101,8 +101,8 @@ type Proc struct {
 
 	wb      *cache.WriteBuffer
 	waiting waitReason
-	rng     *rand.Rand      // built by the first Rand call
-	rngSrc  *countingSource // rng's source; nil with rng
+	rng     *rand.Rand // built by the first Rand call
+	rngUsed bool       // Rand was called since the last reset
 	stats   ProcStats
 
 	// phase is the synchronization-phase tag stack (see Phase); relBy is
@@ -184,34 +184,18 @@ func newProc(m *Machine, id int) *Proc {
 // random stream is identical to a fresh one's.
 func procSeed(id int) int64 { return int64(id)*2654435761 + 12345 }
 
-// countingSource wraps a processor's random source and counts state
-// advances. Machine snapshots record each processor's stream position;
-// restore reproduces it by reseeding and discarding the same number of
-// draws, so a forked run's random stream continues exactly where the
-// captured run's left off. rand.Rand buffers nothing for Int63n-style
-// draws, so source draws fully determine the visible stream.
-type countingSource struct {
-	src   rand.Source64
-	draws uint64
-}
-
-func (s *countingSource) Int63() int64 { s.draws++; return s.src.Int63() }
-
-func (s *countingSource) Uint64() uint64 { s.draws++; return s.src.Uint64() }
-
-func (s *countingSource) Seed(seed int64) { s.draws = 0; s.src.Seed(seed) }
-
 // reset returns the processor to its post-newProc state for machine
 // reuse. The once-built callbacks and write buffer are kept; only the
 // mutable run state is cleared.
 func (p *Proc) reset() {
 	p.wb.Reset()
 	p.waiting = waitNone
-	if p.rngDraws() != 0 {
+	if p.rngUsed {
 		// Reseeding costs several hundred cycles of generator setup;
-		// skip it when the stream was never consumed (most workloads
+		// skip it when the stream was never handed out (most workloads
 		// draw no random numbers), which is behaviourally identical.
 		p.rng.Seed(procSeed(p.id))
+		p.rngUsed = false
 	}
 	p.stats = ProcStats{}
 	p.pending = 0
@@ -294,22 +278,15 @@ func (p *Proc) Now() sim.Time { return p.m.e.Now() }
 
 // Rand returns the processor's private deterministic random source. It
 // is built on first use: a 4.9 KB generator that most programs, which
-// draw nothing, never pay for.
+// draw nothing, never pay for. Draw through Rand each time rather than
+// keeping the source: reset reseeds only a source handed out since the
+// last reset.
 func (p *Proc) Rand() *rand.Rand {
 	if p.rng == nil {
-		p.rngSrc = &countingSource{src: rand.NewSource(procSeed(p.id)).(rand.Source64)}
-		p.rng = rand.New(p.rngSrc)
+		p.rng = rand.New(rand.NewSource(procSeed(p.id)))
 	}
+	p.rngUsed = true
 	return p.rng
-}
-
-// rngDraws is how far the random stream has advanced; an unbuilt source
-// has drawn nothing.
-func (p *Proc) rngDraws() uint64 {
-	if p.rngSrc == nil {
-		return 0
-	}
-	return p.rngSrc.draws
 }
 
 // charge adds n cycles of local progress to the pending-cycle

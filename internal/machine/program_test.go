@@ -77,13 +77,17 @@ func buildEqv(t *testing.T, protocol proto.Protocol, procs int) (*Machine, *eqvP
 // buildEqvOn is buildEqv on an explicit configuration.
 func buildEqvOn(cfg Config) (*Machine, *eqvProg) {
 	m := New(cfg)
-	g := &eqvProg{
+	return m, allocEqv(m)
+}
+
+// allocEqv allocates an eqvProg's shared data on m.
+func allocEqv(m *Machine) *eqvProg {
+	return &eqvProg{
 		data: m.Alloc("data", 64, 0),
 		ctr:  m.Alloc("ctr", 4, 0),
 		flag: m.Alloc("flag", 4, 0),
 		n:    20,
 	}
-	return m, g
 }
 
 // frozenResults loads testdata/frozen_results.txt: one "case digest" line

@@ -44,44 +44,24 @@ func (s Schedule) String() string {
 	return out
 }
 
-// runModelSchedule executes a schedule sequentially on the model:
-// each operation issues and then every message drains in deterministic
-// (src, dst)-ascending order before the next issues. Returns the final
-// state and the observed read/atomic results.
-func runModelSchedule(cfg Config, sched Schedule) (*state, *observer, error) {
-	st := newState(cfg)
-	obs := &observer{}
-	for i, op := range sched {
-		x := &stepCtx{cfg: cfg, st: st, obs: obs}
-		x.apply(action{issue: true, p: uint8(op.P), kind: op.Kind, block: uint8(op.Block), word: uint8(op.Word)})
-		if x.err != "" {
-			return nil, nil, fmt.Errorf("op %d (%v): %s", i, op, x.err)
-		}
-		for st.inFlight(cfg) > 0 {
-			delivered := false
-			for s := 0; s < cfg.Procs && !delivered; s++ {
-				for d := 0; d < cfg.Procs && !delivered; d++ {
-					if len(st.chans[s][d]) > 0 {
-						x.deliver(uint8(s), uint8(d))
-						delivered = true
-					}
+// modelStep issues op on the model and then drains every message in
+// deterministic (src, dst)-ascending order, so the operation completes
+// before the next one issues. It returns the model's error, or "".
+func modelStep(cfg Config, st *state, obs *observer, op ScheduleOp) string {
+	x := &stepCtx{cfg: cfg, st: st, obs: obs}
+	x.apply(action{issue: true, p: uint8(op.P), kind: op.Kind, block: uint8(op.Block), word: uint8(op.Word)})
+drain:
+	for x.err == "" && st.inFlight(cfg) > 0 {
+		for s := 0; s < cfg.Procs; s++ {
+			for d := 0; d < cfg.Procs; d++ {
+				if len(st.chans[s][d]) > 0 {
+					x.deliver(uint8(s), uint8(d))
+					continue drain
 				}
 			}
-			if x.err != "" {
-				return nil, nil, fmt.Errorf("op %d (%v) drain: %s", i, op, x.err)
-			}
-		}
-		if !st.quiescent(cfg) {
-			return nil, nil, fmt.Errorf("op %d (%v): drained but not quiescent", i, op)
-		}
-		if why := checkEvery(cfg, st); why != "" {
-			return nil, nil, fmt.Errorf("op %d (%v): %s", i, op, why)
-		}
-		if why := checkQuiescent(cfg, st); why != "" {
-			return nil, nil, fmt.Errorf("op %d (%v): %s", i, op, why)
 		}
 	}
-	return st, obs, nil
+	return x.err
 }
 
 // liveRunner drives a real proto.System one sequential operation at a
@@ -244,22 +224,8 @@ func RunConformance(cfg Config, scheds []Schedule) (int, error) {
 		st := newState(cfg)
 		obs := &observer{}
 		for j, op := range sched {
-			// Model side: issue, then deterministic drain.
-			x := &stepCtx{cfg: cfg, st: st, obs: obs}
-			x.apply(action{issue: true, p: uint8(op.P), kind: op.Kind, block: uint8(op.Block), word: uint8(op.Word)})
-			for x.err == "" && st.inFlight(cfg) > 0 {
-				delivered := false
-				for s := 0; s < cfg.Procs && !delivered; s++ {
-					for d := 0; d < cfg.Procs && !delivered; d++ {
-						if len(st.chans[s][d]) > 0 {
-							x.deliver(uint8(s), uint8(d))
-							delivered = true
-						}
-					}
-				}
-			}
-			if x.err != "" {
-				return i, fmt.Errorf("schedule %d (%v) op %d: model error: %s", i, sched, j, x.err)
+			if why := modelStep(cfg, st, obs, op); why != "" {
+				return i, fmt.Errorf("schedule %d (%v) op %d: model error: %s", i, sched, j, why)
 			}
 			// Live side: same operation, engine drained.
 			if err := runner.step(op); err != nil {

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"fmt"
 	"testing"
 
 	"coherencesim/internal/proto"
@@ -103,6 +104,30 @@ func TestConformanceHandWritten(t *testing.T) {
 			}
 		})
 	}
+}
+
+// runModelSchedule executes a schedule sequentially on the model,
+// checking after each operation that the model is quiescent and every
+// invariant holds. Returns the final state and the observed read/atomic
+// results.
+func runModelSchedule(cfg Config, sched Schedule) (*state, *observer, error) {
+	st := newState(cfg)
+	obs := &observer{}
+	for i, op := range sched {
+		if why := modelStep(cfg, st, obs, op); why != "" {
+			return nil, nil, fmt.Errorf("op %d (%v): %s", i, op, why)
+		}
+		if !st.quiescent(cfg) {
+			return nil, nil, fmt.Errorf("op %d (%v): drained but not quiescent", i, op)
+		}
+		if why := checkEvery(cfg, st); why != "" {
+			return nil, nil, fmt.Errorf("op %d (%v): %s", i, op, why)
+		}
+		if why := checkQuiescent(cfg, st); why != "" {
+			return nil, nil, fmt.Errorf("op %d (%v): %s", i, op, why)
+		}
+	}
+	return st, obs, nil
 }
 
 // TestModelScheduleExpectations pins concrete model outcomes for the

@@ -91,17 +91,30 @@ func TestExploreThreeProcs(t *testing.T) {
 
 // seededFaults enumerates every injected fault with the protocol it
 // applies to and the violation kind it must produce.
-var seededFaults = []struct {
+type seededFault struct {
 	name  string
 	proto proto.Protocol
 	set   func(*Faults)
 	kinds []ViolationKind // acceptable detections
-}{
+}
+
+var seededFaults = []seededFault{
 	{"skip-inv-ack", proto.WI, func(f *Faults) { f.SkipInvAck = true }, []ViolationKind{VDeadlock}},
 	{"grant-before-acks", proto.WI, func(f *Faults) { f.GrantBeforeAcks = true }, []ViolationKind{VInvariant}},
 	{"skip-drop-notice", proto.CU, func(f *Faults) { f.SkipDropNotice = true }, []ViolationKind{VQuiescent}},
 	{"phantom-retention", proto.PU, func(f *Faults) { f.PhantomRetention = true }, []ViolationKind{VInvariant, VQuiescent}},
 	{"stale-update-value", proto.PU, func(f *Faults) { f.StaleUpdateValue = true }, []ViolationKind{VQuiescent, VInvariant}},
+}
+
+// config is the configuration the fault is explored under.
+func (tc seededFault) config() Config {
+	cfg := DefaultConfig(tc.proto)
+	cfg.Procs = 3 // faults on sharer fan-out need a third party
+	if tc.proto == proto.CU {
+		cfg.CUThreshold = 1 // reach the drop edge within budget
+	}
+	tc.set(&cfg.Faults)
+	return cfg
 }
 
 // TestSeededFaultsProduceCounterexamples is the checker's self-test:
@@ -113,13 +126,7 @@ func TestSeededFaultsProduceCounterexamples(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			cfg := DefaultConfig(tc.proto)
-			cfg.Procs = 3 // faults on sharer fan-out need a third party
-			if tc.proto == proto.CU {
-				cfg.CUThreshold = 1 // reach the drop edge within budget
-			}
-			tc.set(&cfg.Faults)
-			res, err := Explore(cfg)
+			res, err := Explore(tc.config())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,6 +201,33 @@ func TestFaithfulReplayRoundTrip(t *testing.T) {
 	if _, err := Replay(bad); err == nil {
 		t.Fatal("garbage action accepted")
 	}
+	// Processors, blocks and channels past the configuration are guard
+	// violations, not index panics.
+	for _, as := range []string{"p9 read b0.w0", "p1 read b1.w0", "9>0", "0>3"} {
+		bad.Actions = []string{as}
+		v, err := Replay(bad)
+		if err != nil || v == nil || v.Kind != VInternal {
+			t.Errorf("action %q: violation %v, err %v; want an internal (guard) violation", as, v, err)
+		}
+	}
+}
+
+// FuzzReplayTrace is the trace decoder's fuzz target: ParseTrace and then
+// Replay on arbitrary bytes must return, never panic. The seeds are the
+// seeded faults' counterexamples.
+func FuzzReplayTrace(f *testing.F) {
+	for _, tc := range seededFaults {
+		res, err := Explore(tc.config())
+		if err != nil || len(res.Violations) == 0 {
+			f.Fatalf("fault %s: no counterexample to seed with (err %v)", tc.name, err)
+		}
+		f.Add(res.Violations[0].Trace.JSON())
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if tr, err := ParseTrace(raw); err == nil {
+			Replay(tr)
+		}
+	})
 }
 
 // TestTraceJSONRoundTrip pins the serialization format.

@@ -72,6 +72,17 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("OpKind(%d)", uint8(k))
 }
 
+// ParseOpKind inverts OpKind.String: it is how traces, their op sets and
+// the -ops flag name an operation.
+func ParseOpKind(s string) (OpKind, error) {
+	for k := OpRead; k <= OpFlush; k++ {
+		if k.String() == s {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("mc: unknown op kind %q", s)
+}
+
 // Faults selects deliberate protocol bugs for checker self-tests: each
 // produces a counterexample the invariant suite must catch. The zero
 // value is the faithful model.

@@ -96,8 +96,7 @@ func (x *stepCtx) errf(format string, args ...interface{}) {
 // apply runs one action, validating its guard (for trace replay).
 func (x *stepCtx) apply(a action) {
 	if a.issue {
-		pr := &x.st.procs[a.p]
-		if int(a.p) >= x.cfg.Procs || pr.op.active || int(pr.issued) >= x.cfg.OpsPerProc {
+		if int(a.p) >= x.cfg.Procs || x.st.procs[a.p].op.active || int(x.st.procs[a.p].issued) >= x.cfg.OpsPerProc {
 			x.errf("issue action not enabled: %v", a)
 			return
 		}

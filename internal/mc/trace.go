@@ -48,18 +48,11 @@ func parseAction(s string) (action, error) {
 			return a, fmt.Errorf("mc: bad issue action %q: %v", s, err)
 		}
 		a.issue = true
-		switch kind {
-		case "read":
-			a.kind = OpRead
-		case "write":
-			a.kind = OpWrite
-		case "atomic":
-			a.kind = OpAtomic
-		case "flush":
-			a.kind = OpFlush
-		default:
-			return a, fmt.Errorf("mc: bad op kind in action %q", s)
+		k, err := ParseOpKind(kind)
+		if err != nil {
+			return a, fmt.Errorf("mc: bad issue action %q: %v", s, err)
 		}
+		a.kind = k
 		return a, nil
 	}
 	if _, err := fmt.Sscanf(s, "%d>%d", &a.src, &a.dst); err != nil {
@@ -99,18 +92,11 @@ func (t *Trace) ConfigOf() (Config, error) {
 		Faults:           t.Faults,
 	}
 	for _, name := range t.OpSet {
-		switch name {
-		case "read":
-			cfg.OpSet = append(cfg.OpSet, OpRead)
-		case "write":
-			cfg.OpSet = append(cfg.OpSet, OpWrite)
-		case "atomic":
-			cfg.OpSet = append(cfg.OpSet, OpAtomic)
-		case "flush":
-			cfg.OpSet = append(cfg.OpSet, OpFlush)
-		default:
-			return Config{}, fmt.Errorf("mc: unknown op kind %q in trace", name)
+		k, err := ParseOpKind(name)
+		if err != nil {
+			return Config{}, err
 		}
+		cfg.OpSet = append(cfg.OpSet, k)
 	}
 	if cfg.CUThreshold == 0 {
 		cfg.CUThreshold = 4

@@ -188,11 +188,10 @@ func TestFinalAckOvertakingBookedOnePanics(t *testing.T) {
 	ts := newTest(t, PU, 8)
 	s := ts.s
 	f := ackFan{left: 2}
-	idle := s.nw.SnapshotState()
 	if _, queued := s.sendFanAck(&f, 0, 7, 0, nil); queued || f.booked == 0 {
 		t.Fatalf("first of two acks: queued=%v booked=%d, want it booked", queued, f.booked)
 	}
-	s.nw.RestoreState(idle)
+	s.nw.Reset() // rewind the interfaces to the idle machine's
 	defer func() {
 		if r, _ := recover().(string); !strings.Contains(r, "final acknowledgement arrives before a booked one") {
 			t.Fatalf("recovered %q, want the arrival-order panic", r)

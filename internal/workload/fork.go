@@ -1,31 +1,23 @@
 package workload
 
-// Two-phase runs and warm-start checkpoints. A synthetic run splits
-// naturally into a warm-up prefix (cold caches, directory filling, the
-// constructs' steady state forming) and a measurement-bearing
-// remainder. The TwoPhase* runners execute both phases back to back on
-// one machine, reporting cumulative figures over both; they are what a
-// warm_fork sweep point runs.
+// Two-phase runs. A synthetic run splits naturally into a warm-up
+// prefix (cold caches, directory filling, the constructs' steady state
+// forming) and a measurement-bearing remainder. The TwoPhase* runners
+// execute both phases back to back on one machine, reporting cumulative
+// figures over both; they are what a warm_fork sweep point runs.
 //
-// WarmLockLoop is the machine-level fork facility over the same split:
-// it executes the prefix once on a throwaway machine, captures a
-// machine.Snapshot at the phase boundary, and releases the machine;
-// each Run() then forks a fresh machine from the checkpoint and
-// executes only the remainder. A single checkpoint serves any
-// number of concurrent Run() calls — the snapshot is never written
-// through — and every forked Run() matches TwoPhaseLockLoop exactly.
-// No sweep uses it: a checkpoint is only ever shared by the same point,
-// whose whole result is cheaper to remember.
+// WarmLockLoop is the same split as a reusable value whose Run is
+// TwoPhaseLockLoop. It does not fork a machine.Snapshot: a fork replays
+// its source's programs, and a lock program drives a lock object built
+// on the source machine, which no other machine may run (Snapshot
+// refuses a machine a construct was built on).
 //
 // A two-phase run is deterministic but not byte-identical to the
 // single-phase equivalent (the phase boundary re-synchronizes all
 // processors and finalizes in-flight classification), so it is strictly
 // opt-in and default runs are untouched.
 
-import (
-	"coherencesim/internal/constructs"
-	"coherencesim/internal/machine"
-)
+import "coherencesim/internal/constructs"
 
 // LockVariant selects the lock-loop flavour a two-phase run covers.
 type LockVariant int
@@ -105,33 +97,20 @@ func TwoPhaseReductionLoop(p Params, kind ReductionKind, imbalanced bool) Reduct
 	return reductionResult(res, warm+rest)
 }
 
-// WarmLock is a reusable warm-start checkpoint of a lock loop.
+// WarmLock is a lock loop's two-phase recipe: the (p, kind, v) it runs.
 type WarmLock struct {
-	p          Params
-	kind       LockKind
-	v          LockVariant
-	warm, rest int // per-processor iterations
-	snap       *machine.Snapshot
+	p    Params
+	kind LockKind
+	v    LockVariant
 }
 
-// WarmLockLoop executes the warm-up prefix of the (p, kind, v) lock
-// loop and captures its checkpoint.
+// WarmLockLoop records the (p, kind, v) lock loop's two-phase recipe.
 func WarmLockLoop(p Params, kind LockKind, v LockVariant) *WarmLock {
-	warm, rest := warmSplit(p.Iterations / p.Procs)
-	m := p.newMachine()
-	defer m.Release()
-	l := newLock(m, kind)
-	m.RunProgram(v.program(p, l, warm))
-	return &WarmLock{p: p, kind: kind, v: v, warm: warm, rest: rest, snap: m.Snapshot()}
+	return &WarmLock{p: p, kind: kind, v: v}
 }
 
-// Run forks one measurement run from the checkpoint, returning the
-// cumulative result over both phases.
+// Run executes the recipe on a fresh machine, returning the cumulative
+// result over both phases.
 func (w *WarmLock) Run() LockResult {
-	m := w.p.newMachine()
-	defer m.Release()
-	l := newLock(m, w.kind)
-	m.RestoreFrom(w.snap)
-	res := m.RunProgram(w.v.program(w.p, l, w.rest))
-	return lockLatency(res, (w.warm+w.rest)*w.p.Procs, w.p.HoldCycles)
+	return TwoPhaseLockLoop(w.p, w.kind, w.v)
 }
