@@ -208,24 +208,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// modeOnly names the flags only one mode reads, by that mode's spec kind.
+var modeOnly = map[string]string{
+	"timeline-out": "run", "trace-txn": "run", "trace": "run", "trace-out": "run",
+	"procs": "run", "protocol": "run", "iterations": "run",
+	"lock": "run", "barrier": "run", "reduction": "run",
+	"quick": "experiment", "format": "experiment", "parallel": "experiment", "progress": "experiment",
+}
+
 // canonicalSpecs validates the job the flags describe and returns its
 // canonical specs: one, or for -experiment all one per catalog entry in
-// order. Flags that instrument a single machine are refused outside
-// -run mode here, since no spec field carries them.
+// order. A flag set for the other mode is refused here rather than
+// silently ignored.
 func canonicalSpecs(fs *flag.FlagSet, spec service.JobSpec) (specs []service.JobSpec, err error) {
+	fs.Visit(func(f *flag.Flag) {
+		if mode := modeOnly[f.Name]; err == nil && mode != "" && mode != spec.Kind {
+			err = fmt.Errorf("-%s applies to -%s mode only", f.Name, mode)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
 	names := []string{spec.Experiment}
 	if spec.Kind != "run" {
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "timeline-out", "trace-txn", "trace", "trace-out":
-				if err == nil {
-					err = fmt.Errorf("-%s applies to -run mode only", f.Name)
-				}
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
 		if spec.Experiment == "all" {
 			names = names[:0]
 			for _, e := range experiments.Catalog() {

@@ -216,8 +216,8 @@ func TestCLIMatchesExecute(t *testing.T) {
 		args string
 		spec service.JobSpec
 	}{
-		{"-experiment fig11 -quick", service.JobSpec{Experiment: "fig11"}},
-		{"-experiment fig11 -quick -format csv", service.JobSpec{Experiment: "fig11", Format: "csv"}},
+		{"-experiment fig11 -quick -parallel 2", service.JobSpec{Experiment: "fig11"}},
+		{"-experiment fig11 -quick -parallel 2 -format csv", service.JobSpec{Experiment: "fig11", Format: "csv"}},
 		{"-run lock -procs 8 -iterations 400", service.JobSpec{Run: "lock", Procs: 8, Iterations: 400}},
 		{"-run barrier -barrier tree -protocol c -procs 8 -iterations 50", service.JobSpec{Run: "barrier", Algo: "tb", Protocol: "CU", Procs: 8, Iterations: 50}},
 		{"-run reduction -reduction PR -protocol pu -procs 8 -iterations 50", service.JobSpec{Run: "reduction", Algo: "pr", Protocol: "PU", Procs: 8, Iterations: 50}},
@@ -231,7 +231,7 @@ func TestCLIMatchesExecute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stdout := mustCLI(t, append(strings.Fields(c.args), "-parallel", "2", "-metrics-out", metricsOut, "-breakdown-out", breakdownOut)...)
+		stdout := mustCLI(t, append(strings.Fields(c.args), "-metrics-out", metricsOut, "-breakdown-out", breakdownOut)...)
 		if spec.Run == "lock" {
 			// The bars are the CLI's own; TestRunLockSummary pins them.
 			stdout = stdout[:strings.Index(stdout, "  miss categories:")]
@@ -343,7 +343,7 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 // TestRunRejectsBadFlags: values the run paths cannot honour are refused
 // up front with one "coherencesim: ..." line and exit status 1 — not a
 // panic from machine.New, a NaN latency, or a silently ignored flag.
-// All but the run-only-flag rows are service.Canonicalize speaking.
+// All but the one-mode-flag rows are service.Canonicalize speaking.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, c := range []struct {
 		args, want string
@@ -357,6 +357,16 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-experiment fig8 -quick -trace-txn x.json", "-trace-txn applies to -run mode only"},
 		{"-experiment fig8 -quick -trace 100", "-trace applies to -run mode only"},
 		{"-experiment fig8 -quick -trace-out x.log", "-trace-out applies to -run mode only"},
+		{"-experiment fig9 -quick -procs 8", "-procs applies to -run mode only"},
+		{"-experiment fig9 -quick -protocol PU", "-protocol applies to -run mode only"},
+		{"-experiment fig9 -quick -iterations 64", "-iterations applies to -run mode only"},
+		{"-experiment fig8 -lock mcs", "-lock applies to -run mode only"},
+		{"-experiment fig11 -barrier db", "-barrier applies to -run mode only"},
+		{"-experiment fig14 -reduction pr", "-reduction applies to -run mode only"},
+		{"-run lock -quick", "-quick applies to -experiment mode only"},
+		{"-run lock -format csv", "-format applies to -experiment mode only"},
+		{"-run lock -parallel 2", "-parallel applies to -experiment mode only"},
+		{"-run barrier -progress", "-progress applies to -experiment mode only"},
 		{"-experiment fig8 -quick -metrics-out x.json -metrics-interval 0", "-metrics-interval must be positive"},
 	} {
 		code, stdout, stderr := cli(strings.Fields(c.args)...)

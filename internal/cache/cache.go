@@ -83,13 +83,17 @@ type Stats struct {
 
 // Cache is one node's direct-mapped data cache.
 //
-// The frame array reaches only the run's high-water frame: blocks are
-// allocated densely from 0, so a frame at or beyond its length is
-// Invalid. Invariant: every slot in [len, cap) is zero, so regrowing
-// within capacity is a reslice.
+// A frame names its line through a slot table: slot[frame] indexes the
+// compact lines array, which holds one line per frame the run installed
+// into after lines[0], a sentinel that stays Invalid, so an unused
+// frame's slot (0) reads as a miss. The slot table reaches only the
+// run's high-water frame: blocks are allocated densely from 0, so a
+// frame at or beyond its length is Invalid. Invariant: both arrays are
+// zero in [len, cap), so regrowing within capacity is a reslice.
 type Cache struct {
 	node   int
 	frames int // geometry: frame count
+	slot   []int32
 	lines  []Line
 	mask   uint32 // frames-1 when a power of two, else 0 (use modulo)
 
@@ -135,8 +139,10 @@ func New(node, sizeBytes int) *Cache {
 // frames the last run touched and keeping every backing array for reuse.
 // Instrumentation is detached; a reusing machine re-attaches its own.
 func (c *Cache) Reset() {
+	clear(c.slot)
+	c.slot = c.slot[:0]
 	clear(c.lines)
-	c.lines = c.lines[:0]
+	c.lines = c.lines[:min(len(c.lines), 1)]
 	c.wfn, c.wblock = nil, 0
 	c.stats = Stats{}
 	c.mHits, c.mMisses, c.now = nil, nil, nil
@@ -153,26 +159,25 @@ func (c *Cache) frameIndex(block uint32) int {
 // NumLines returns the number of frames the geometry provides.
 func (c *Cache) NumLines() int { return c.frames }
 
-// grow extends the frame array to cover frame idx: a reslice within
-// capacity, else a copy into a doubled array no larger than the geometry.
-func (c *Cache) grow(idx int) {
-	n := idx + 1
-	if n <= cap(c.lines) {
-		c.lines = c.lines[:n]
-		return
+// growTo returns s lengthened to n: a reslice within capacity, else a
+// copy into a doubled array no larger than limit.
+func growTo[T any](s []T, n, limit int) []T {
+	if n > cap(s) {
+		ns := make([]T, len(s), min(max(n, 2*cap(s)), limit))
+		copy(ns, s)
+		s = ns
 	}
-	ns := make([]Line, n, min(max(n, 2*cap(c.lines)), c.frames))
-	copy(ns, c.lines)
-	c.lines = ns
+	return s[:n]
 }
 
 // Lookup returns the line holding block, or nil on miss. It does not
 // count hit/miss statistics; callers decide what constitutes an access.
 // A frame beyond the high-water mark is Invalid; that comparison is
-// also the bounds check, so the hot path pays no extra branch.
+// also the bounds check, and an uninstalled frame names the Invalid
+// sentinel, so the hot path pays no extra branch.
 func (c *Cache) Lookup(block uint32) *Line {
-	if idx := c.frameIndex(block); uint(idx) < uint(len(c.lines)) {
-		if ln := &c.lines[idx]; ln.State != Invalid && ln.Block == block {
+	if idx := c.frameIndex(block); uint(idx) < uint(len(c.slot)) {
+		if ln := &c.lines[c.slot[idx]]; ln.State != Invalid && ln.Block == block {
 			return ln
 		}
 	}
@@ -200,9 +205,10 @@ func (c *Cache) CountMiss() {
 // Victim returns a copy of the line that Install(block) would evict, and
 // whether there is such a conflicting valid line.
 func (c *Cache) Victim(block uint32) (Line, bool) {
-	idx := c.frameIndex(block)
-	if uint(idx) < uint(len(c.lines)) && c.lines[idx].State != Invalid && c.lines[idx].Block != block {
-		return c.lines[idx], true
+	if idx := c.frameIndex(block); uint(idx) < uint(len(c.slot)) {
+		if ln := &c.lines[c.slot[idx]]; ln.State != Invalid && ln.Block != block {
+			return *ln, true
+		}
 	}
 	return Line{}, false
 }
@@ -213,10 +219,16 @@ func (c *Cache) Victim(block uint32) (Line, bool) {
 // spinner's perspective a replacement is a visibility event.
 func (c *Cache) Install(block uint32, data []uint32, state State) (victim Line, evicted bool) {
 	idx := c.frameIndex(block)
-	if idx >= len(c.lines) {
-		c.grow(idx)
+	if idx >= len(c.slot) {
+		c.slot = growTo(c.slot, idx+1, c.frames)
 	}
-	ln := &c.lines[idx]
+	s := c.slot[idx]
+	if s == 0 { // the frame's first line, after the sentinel
+		s = int32(max(len(c.lines), 1))
+		c.lines = growTo(c.lines, int(s)+1, c.frames+1)
+		c.slot[idx] = s
+	}
+	ln := &c.lines[s]
 	if ln.State != Invalid && ln.Block != block {
 		victim, evicted = *ln, true
 		c.stats.Evictions++
@@ -297,11 +309,12 @@ func (c *Cache) Flush(block uint32) (old Line, was bool) {
 	return old, true
 }
 
-// ForEachValid calls fn for every valid line (used by whole-cache flush).
+// ForEachValid calls fn for every valid line in frame order (used by
+// whole-cache flush, whose order reaches the output).
 func (c *Cache) ForEachValid(fn func(ln *Line)) {
-	for i := range c.lines {
-		if c.lines[i].State != Invalid {
-			fn(&c.lines[i])
+	for _, s := range c.slot {
+		if ln := &c.lines[s]; ln.State != Invalid {
+			fn(ln)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"os/exec"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -22,6 +23,22 @@ func TestAddressHelpers(t *testing.T) {
 	}
 	if BlockBase(3) != 192 {
 		t.Errorf("BlockBase(3) = %d", BlockBase(3))
+	}
+}
+
+// TestLookupInlines guards the hot path: every simulated reference calls
+// Lookup, and a version that stopped inlining cost 3–5 % single-core CPU
+// on the lock, barrier and reduction figures.
+func TestLookupInlines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the compiler in -short mode")
+	}
+	out, err := exec.Command("go", "build", "-gcflags=-m", ".").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build -gcflags=-m: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "can inline (*Cache).Lookup\n") {
+		t.Errorf("(*Cache).Lookup no longer inlines; the compiler said:\n%s", out)
 	}
 }
 
@@ -353,29 +370,50 @@ func TestPropertyDirectMappedInvariant(t *testing.T) {
 	}
 }
 
-// checkHighWater asserts the high-water invariant: the frame array is
-// within the geometry and every slot in [len, cap) is zero.
+// checkHighWater asserts the frame table's invariants: the slot table is
+// within the geometry, lines holds the zero sentinel plus exactly one
+// line per installed frame, each named by one slot, and both arrays are
+// zero in [len, cap).
 func checkHighWater(t *testing.T, c *Cache) {
 	t.Helper()
-	n := len(c.lines)
-	if n > c.frames || cap(c.lines) > c.frames {
-		t.Fatalf("%d frames (cap %d) exceed the geometry's %d", n, cap(c.lines), c.frames)
+	if len(c.slot) > c.frames || cap(c.slot) > c.frames || cap(c.lines) > c.frames+1 {
+		t.Fatalf("%d slots (cap %d), lines cap %d exceed the geometry's %d frames", len(c.slot), cap(c.slot), cap(c.lines), c.frames)
 	}
-	for i, ln := range c.lines[n:cap(c.lines)] {
+	named := make([]bool, len(c.lines))
+	for f, s := range c.slot {
+		if s != 0 && named[s] {
+			t.Fatalf("frame %d names line %d, which another frame names", f, s)
+		}
+		named[s] = true
+	}
+	for i, ln := range c.lines {
+		if i == 0 && ln != (Line{}) || i > 0 && !named[i] {
+			t.Fatalf("line %d (%+v) is neither the zero sentinel nor named by a frame", i, ln)
+		}
+	}
+	for i, s := range c.slot[len(c.slot):cap(c.slot)] {
+		if s != 0 {
+			t.Fatalf("spare slot %d is %d, want zero", len(c.slot)+i, s)
+		}
+	}
+	for i, ln := range c.lines[len(c.lines):cap(c.lines)] {
 		if ln != (Line{}) {
-			t.Fatalf("spare frame %d is %+v, want zero", n+i, ln)
+			t.Fatalf("spare line %d is %+v, want zero", len(c.lines)+i, ln)
 		}
 	}
 }
 
-// TestFramesGrowToHighWater pins the high-water layout: a new cache has
-// no frames, Install grows to the frame it touches, a frame beyond the
-// mark reads Invalid, Reset truncates to 0 with the spare slots zero and
-// drops the watcher, and regrowth within capacity allocates nothing.
+// TestFramesGrowToHighWater pins the frame table: a new cache holds no
+// slots or lines, Install grows the slot table to the frame it touches
+// and appends one line per newly used frame, a frame beyond the mark or
+// never installed reads Invalid, Reset truncates the slots to 0 and the
+// lines to the sentinel with the spare entries zero, keeps both
+// capacities and drops the watcher, and regrowth within capacity
+// allocates nothing.
 func TestFramesGrowToHighWater(t *testing.T) {
 	c := New(0, 64*1024)
-	if len(c.lines) != 0 || c.NumLines() != 1024 {
-		t.Fatalf("new cache: %d frames held, NumLines %d; want 0, 1024", len(c.lines), c.NumLines())
+	if len(c.slot) != 0 || len(c.lines) != 0 || c.NumLines() != 1024 {
+		t.Fatalf("new cache: %d slots, %d lines, NumLines %d; want 0, 0, 1024", len(c.slot), len(c.lines), c.NumLines())
 	}
 	data := make([]uint32, WordsPerBlock)
 	if c.Lookup(7) != nil || c.Watched(7) || c.Present(1030) {
@@ -387,8 +425,24 @@ func TestFramesGrowToHighWater(t *testing.T) {
 	c.FireWatchers(7) // no frames: a no-op, not a panic
 
 	c.Install(5, data, Shared)
-	if len(c.lines) != 6 {
-		t.Fatalf("Install of frame 5 left %d frames, want 6", len(c.lines))
+	if len(c.slot) != 6 || len(c.lines) != 2 {
+		t.Fatalf("Install of frame 5 left %d slots, %d lines; want 6, 2 (the sentinel and frame 5's)", len(c.slot), len(c.lines))
+	}
+	if c.Lookup(2) != nil || c.Present(2+1024) {
+		t.Fatal("a frame below the mark that was never installed reads valid")
+	}
+	if _, ok := c.Victim(2); ok {
+		t.Fatal("a never-installed frame has a victim")
+	}
+	checkHighWater(t, c)
+
+	// A sparse run: one block per 64 frames spans the table but stores 17
+	// lines, 16 new and frame 5's.
+	for b := uint32(0); b < 1024; b += 64 {
+		c.Install(b, data, Shared)
+	}
+	if len(c.slot) != 961 || len(c.lines) != 18 {
+		t.Fatalf("sparse run left %d slots, %d lines; want 961, 18", len(c.slot), len(c.lines))
 	}
 	checkHighWater(t, c)
 
@@ -396,15 +450,15 @@ func TestFramesGrowToHighWater(t *testing.T) {
 	for b := uint32(0); b < 2048+17; b++ {
 		c.Install(b, data, Exclusive)
 	}
-	if len(c.lines) != 1024 {
-		t.Fatalf("wrapping run left %d frames, want 1024", len(c.lines))
+	if len(c.slot) != 1024 || len(c.lines) != 1025 {
+		t.Fatalf("wrapping run left %d slots, %d lines; want 1024, 1025", len(c.slot), len(c.lines))
 	}
 	checkHighWater(t, c)
 
 	c.Watch(3, func() {})
 	c.Reset()
-	if len(c.lines) != 0 || cap(c.lines) != 1024 {
-		t.Fatalf("Reset: %d frames, cap %d; want 0, 1024", len(c.lines), cap(c.lines))
+	if len(c.slot) != 0 || cap(c.slot) != 1024 || len(c.lines) != 1 || cap(c.lines) != 1025 {
+		t.Fatalf("Reset: %d slots (cap %d), %d lines (cap %d); want 0 (1024), 1 (1025)", len(c.slot), cap(c.slot), len(c.lines), cap(c.lines))
 	}
 	checkHighWater(t, c)
 	if c.Lookup(3) != nil || c.Watched(3) {
