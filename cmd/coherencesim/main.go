@@ -361,11 +361,14 @@ func singleRun(ctx context.Context, spec service.JobSpec, ob outputs, stdout, st
 		// spans and stalls.
 		txn = trace.NewTracer(spec.Procs, 0).StoreRecords()
 	}
-	res, mres, err := service.ExecuteRun(ctx, spec, func(cfg *machine.Config) {
+	tune := func(cfg *machine.Config) {
 		cfg.Timeline, cfg.Trace = tl, tr
 		if txn != nil {
 			cfg.Txn = txn
 		}
+	}
+	res, mres, err := service.ExecuteRun(ctx, spec, func(pt experiments.Point) (experiments.PointResult, error) {
+		return pt.Simulate(tune)
 	})
 	if err != nil {
 		return err
@@ -410,7 +413,7 @@ func singleRun(ctx context.Context, spec service.JobSpec, ob outputs, stdout, st
 			}
 		}
 		err := writeFile(ob.timelineOut, func(w io.Writer) error {
-			return metrics.WriteChromeTrace(w, tl, len(mres.PerProc))
+			return metrics.WriteChromeTrace(w, tl, spec.Procs)
 		})
 		if err != nil {
 			return err

@@ -60,8 +60,15 @@ func TestRunExperimentsDispatch(t *testing.T) {
 	}
 }
 
+// TestSingleRunDispatch pins the stdout of one -run per algorithm,
+// each under a header naming its arguments, to a golden.
 func TestSingleRunDispatch(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "single_runs_p4.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	size := []string{"-procs", "4", "-iterations", "40"}
+	var got strings.Builder
 	for _, c := range [][]string{
 		{"-run", "lock", "-lock", "tk", "-protocol", "WI"},
 		{"-run", "lock", "-lock", "mcs", "-protocol", "CU"},
@@ -72,9 +79,11 @@ func TestSingleRunDispatch(t *testing.T) {
 		{"-run", "reduction", "-reduction", "sr", "-protocol", "PU"},
 		{"-run", "reduction", "-reduction", "pr", "-protocol", "WI"},
 	} {
-		if out := mustCLI(t, append(c, size...)...); !strings.Contains(out, c[1]+", "+c[5]+", P=4: ") {
-			t.Errorf("%v: summary %q", c, out)
-		}
+		args := append(c, size...)
+		fmt.Fprintf(&got, "== %s\n%s", strings.Join(args, " "), mustCLI(t, args...))
+	}
+	if got.String() != string(want) {
+		t.Errorf("stdout drifted from testdata/single_runs_p4.golden:\n%s", got.String())
 	}
 	for _, c := range [][]string{
 		{"-run", "lock", "-lock", "bogus"},
@@ -265,14 +274,17 @@ func TestCLIMatchesExecute(t *testing.T) {
 // TestExperimentsDeterministicAcrossWorkers: what -experiment prints and
 // exports is byte-identical at -parallel 1 and 4 — through the point
 // memo, whose single-flight races must never reach a result — the
-// two-phase fig9 matches its golden, and -experiment all, which shares
-// one memo across its figures, prints exactly what the figures print one
-// invocation each.
+// two-phase fig9 and -experiment all match their goldens, and all, which
+// shares one memo across its figures, prints exactly what the figures
+// print one invocation each.
 func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 	dir := t.TempDir()
-	golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "warmfork_fig9_quick.golden"))
-	if err != nil {
-		t.Fatal(err)
+	golden := func(name string) string {
+		b, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
 	}
 	var all string
 	for _, c := range []struct {
@@ -281,9 +293,9 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 		want     string // the committed stdout, if there is one
 	}{
 		{args: "-experiment fig8 -quick", interval: "1000"},
-		{args: "-experiment extlocks -quick"},
-		{args: "-experiment fig9 -quick -warmfork", want: string(golden)},
-		{args: "-experiment all -quick", interval: "10000"},
+		{args: "-experiment extlocks -quick", interval: "1000"},
+		{args: "-experiment fig9 -quick -warmfork", want: golden("warmfork_fig9_quick.golden")},
+		{args: "-experiment all -quick", interval: "10000", want: golden("all_quick.golden")},
 	} {
 		isAll := strings.HasPrefix(c.args, "-experiment all ")
 		if isAll && testing.Short() {
@@ -301,6 +313,7 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 				t.Errorf("%s: no output", c.args)
 			}
 			if c.interval != "" {
+				var err error
 				if report[i], err = os.ReadFile(path); err != nil {
 					t.Fatal(err)
 				}

@@ -138,8 +138,11 @@ func TestExamplesReproduceGoldens(t *testing.T) {
 		t.Skip("compiles and runs the examples in -short mode")
 	}
 	for golden, args := range map[string][]string{
-		"example_quickstart.golden": {"run", "./examples/quickstart"},
-		"example_stencil_p8.golden": {"run", "./examples/stencil", "-procs", "8"},
+		"example_quickstart.golden":       {"run", "./examples/quickstart"},
+		"example_stencil_p8.golden":       {"run", "./examples/stencil", "-procs", "8"},
+		"example_appbench.golden":         {"run", "./examples/appbench"},
+		"example_globalmax.golden":        {"run", "./examples/globalmax"},
+		"example_lockadvisor_a640.golden": {"run", "./examples/lockadvisor", "-acquires", "640"},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", golden))
 		if err != nil {

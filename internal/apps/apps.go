@@ -20,7 +20,6 @@ package apps
 import (
 	"fmt"
 
-	"coherencesim/internal/constructs"
 	"coherencesim/internal/machine"
 	"coherencesim/internal/proto"
 	"coherencesim/internal/sim"
@@ -63,32 +62,6 @@ func currentValue(m *machine.Machine, a machine.Addr) uint32 {
 	return v
 }
 
-// buildLock constructs the chosen lock kind on m.
-func buildLock(m *machine.Machine, k workload.LockKind, name string) constructs.Lock {
-	switch k {
-	case workload.Ticket:
-		return constructs.NewTicketLock(m, name)
-	case workload.MCS:
-		return constructs.NewMCSLock(m, name, false)
-	case workload.UpdateConsciousMCS:
-		return constructs.NewMCSLock(m, name, true)
-	}
-	panic("apps: unknown lock kind")
-}
-
-// buildBarrier constructs the chosen barrier kind on m.
-func buildBarrier(m *machine.Machine, k workload.BarrierKind, name string) constructs.Barrier {
-	switch k {
-	case workload.Central:
-		return constructs.NewCentralBarrier(m, name)
-	case workload.Dissemination:
-		return constructs.NewDisseminationBarrier(m, name)
-	case workload.Tree:
-		return constructs.NewTreeBarrier(m, name)
-	}
-	panic("apps: unknown barrier kind")
-}
-
 // WorkQueueParams configures the shared-queue kernel.
 type WorkQueueParams struct {
 	Protocol proto.Protocol
@@ -104,7 +77,7 @@ type WorkQueueParams struct {
 func WorkQueue(p WorkQueueParams) Result {
 	m := machine.Acquire(machine.DefaultConfig(p.Protocol, p.Procs))
 	defer m.Release()
-	l := buildLock(m, p.Lock, "qlock")
+	l := workload.NewLock(m, p.Lock)
 	cursor := m.Alloc("cursor", 4, 0)
 	// done[t] counts executions of task t (one block per counter group
 	// of 16 tasks; contention on these is part of the workload).
@@ -142,7 +115,7 @@ type JacobiParams struct {
 func Jacobi(p JacobiParams) Result {
 	m := machine.Acquire(machine.DefaultConfig(p.Protocol, p.Procs))
 	defer m.Release()
-	b := buildBarrier(m, p.Barrier, "jb")
+	b := workload.NewBarrier(m, p.Barrier)
 	strips := make([]machine.Addr, p.Procs)
 	for i := range strips {
 		strips[i] = m.Alloc(fmt.Sprintf("strip%d", i), p.CellsPerProc*4, i)
@@ -204,15 +177,7 @@ type NBodyParams struct {
 func NBodyMax(p NBodyParams) Result {
 	m := machine.Acquire(machine.DefaultConfig(p.Protocol, p.Procs))
 	defer m.Release()
-	var red constructs.Reducer
-	switch p.Reduction {
-	case workload.Parallel:
-		red = constructs.NewParallelReducer(m, "red", m.NewMagicLock(), m.NewMagicBarrier())
-	case workload.Sequential:
-		red = constructs.NewSequentialReducer(m, "red", m.NewMagicBarrier())
-	default:
-		panic("apps: unknown reduction kind")
-	}
+	red := workload.NewReducer(m, p.Reduction)
 	gate := m.NewMagicBarrier()
 
 	prog := &nbodyProgram{

@@ -5,7 +5,6 @@ import (
 
 	"coherencesim/internal/apps"
 	"coherencesim/internal/proto"
-	"coherencesim/internal/runner"
 	"coherencesim/internal/stats"
 	"coherencesim/internal/workload"
 )
@@ -53,77 +52,90 @@ func newAppComparison(app string, procs int) *AppComparison {
 	}
 }
 
-// appSweep fans an application kernel's (construct, protocol) runs
-// through the pool and records them in submission order, keeping the
-// incremental winner computation identical to the serial path.
-func appSweep[K fmt.Stringer](o Options, app string, kinds []K,
-	run func(kind K, pr proto.Protocol) apps.Result) *AppComparison {
-	a := newAppComparison(app, o.TrafficProcs)
-	type key struct {
-		name, alg string
-		pr        proto.Protocol
+// The application kernels, a FamilyApp point's Kind. The point's
+// Variant is the kernel's construct kind and Iterations its task, sweep
+// or step count.
+const (
+	appWorkQueue = iota
+	appJacobi
+	appNBody
+)
+
+// appKernels names each kernel and says how many construct kinds it
+// can build.
+var appKernels = []struct {
+	name     string
+	variants int
+}{
+	appWorkQueue: {"workqueue", len(extLockKinds)},
+	appJacobi:    {"jacobi", len(barrierKinds)},
+	appNBody:     {"nbodymax", len(reductionKinds)},
+}
+
+// runApp simulates a FamilyApp point: the kernel runs to completion and
+// checks its own answer, and Latency is cycles per task, sweep or step.
+func (pt Point) runApp() (PointResult, error) {
+	var r apps.Result
+	switch pt.Kind {
+	case appWorkQueue:
+		r = apps.WorkQueue(apps.WorkQueueParams{
+			Protocol: pt.Protocol, Procs: pt.Procs, Lock: workload.LockKind(pt.Variant),
+			Tasks: pt.Iterations, TaskWork: 50,
+		})
+	case appJacobi:
+		r = apps.Jacobi(apps.JacobiParams{
+			Protocol: pt.Protocol, Procs: pt.Procs, Barrier: workload.BarrierKind(pt.Variant),
+			Sweeps: pt.Iterations, CellsPerProc: 16,
+		})
+	case appNBody:
+		r = apps.NBodyMax(apps.NBodyParams{
+			Protocol: pt.Protocol, Procs: pt.Procs, Reduction: workload.ReductionKind(pt.Variant),
+			Steps: pt.Iterations, BodyWork: 100,
+		})
 	}
-	var keys []key
-	var jobs []runner.Job[apps.Result]
+	if !r.Correct {
+		return PointResult{}, fmt.Errorf("%s computed a wrong answer", r.App)
+	}
+	return pointResult(r.Result, r.CyclesPerOp, r.Work), nil
+}
+
+// appSweep runs one point per (construct, protocol) of an application
+// kernel at the traffic machine size and records them in submission
+// order, so the incremental winner computation matches the serial path.
+func appSweep[K interface {
+	~int
+	fmt.Stringer
+}](o Options, kernel int, kinds []K, iterations int) *AppComparison {
+	app := appKernels[kernel].name
+	a := newAppComparison(app, o.TrafficProcs)
+	var pts []Point
 	for _, kind := range kinds {
 		for _, pr := range protocols {
-			keys = append(keys, key{comboName(kind, pr), kind.String(), pr})
-			jobs = append(jobs, runner.Job[apps.Result]{
+			pts = append(pts, Point{
+				Family: FamilyApp, Kind: kernel, Variant: int(kind),
+				Protocol: pr, Procs: o.TrafficProcs, Iterations: iterations,
 				Label: fmt.Sprintf("apps/%s/%v-%s", app, kind, pr.Short()),
-				Run:   func() apps.Result { return run(kind, pr) },
 			})
 		}
 	}
-	for i, r := range runner.Map(o.Runner, jobs) {
-		if !r.Correct {
-			panic(fmt.Sprintf("experiments: %s %s incorrect", app, keys[i].name))
-		}
-		a.record(keys[i].name, keys[i].pr, keys[i].alg, r.CyclesPerOp)
+	for i, r := range o.runPoints(pts) {
+		kind, pr := kinds[i/len(protocols)], protocols[i%len(protocols)]
+		a.record(comboName(kind, pr), pr, kind.String(), r.Latency)
 	}
 	return a
 }
 
 // CompareWorkQueue sweeps the lock choices for the work-queue kernel.
 func CompareWorkQueue(o Options) *AppComparison {
-	tasks := o.LockIterations / 10
-	if tasks < 32 {
-		tasks = 32
-	}
-	return appSweep(o, "workqueue", lockKinds,
-		func(lk workload.LockKind, pr proto.Protocol) apps.Result {
-			return apps.WorkQueue(apps.WorkQueueParams{
-				Protocol: pr, Procs: o.TrafficProcs, Lock: lk,
-				Tasks: tasks, TaskWork: 50,
-			})
-		})
+	return appSweep(o, appWorkQueue, lockKinds, max(o.LockIterations/10, 32))
 }
 
 // CompareJacobi sweeps the barrier choices for the Jacobi kernel.
 func CompareJacobi(o Options) *AppComparison {
-	sweeps := o.BarrierEpisodes / 10
-	if sweeps < 20 {
-		sweeps = 20
-	}
-	return appSweep(o, "jacobi", barrierKinds,
-		func(bk workload.BarrierKind, pr proto.Protocol) apps.Result {
-			return apps.Jacobi(apps.JacobiParams{
-				Protocol: pr, Procs: o.TrafficProcs, Barrier: bk,
-				Sweeps: sweeps, CellsPerProc: 16,
-			})
-		})
+	return appSweep(o, appJacobi, barrierKinds, max(o.BarrierEpisodes/10, 20))
 }
 
 // CompareNBody sweeps the reduction strategies for the n-body kernel.
 func CompareNBody(o Options) *AppComparison {
-	steps := o.ReductionEpisodes / 10
-	if steps < 20 {
-		steps = 20
-	}
-	return appSweep(o, "nbodymax", reductionKinds,
-		func(rk workload.ReductionKind, pr proto.Protocol) apps.Result {
-			return apps.NBodyMax(apps.NBodyParams{
-				Protocol: pr, Procs: o.TrafficProcs, Reduction: rk,
-				Steps: steps, BodyWork: 100,
-			})
-		})
+	return appSweep(o, appNBody, reductionKinds, max(o.ReductionEpisodes/10, 20))
 }

@@ -58,9 +58,9 @@ type Options struct {
 	// instead of the local pool — the fleet coordinator installs one to
 	// fan points across registered workers. Results return in submission
 	// order (runner.Map's contract), so rendered output is byte-identical
-	// to the local path at any worker count. Experiments that do not
-	// decompose into points (apps, ablations, contention studies) ignore
-	// it and run on the local Runner as always.
+	// to the local path at any worker count. The ablations and the
+	// contention study do not decompose into points; they ignore it and
+	// run on the local Runner as always.
 	Dispatch PointDispatcher
 }
 
@@ -91,8 +91,11 @@ var protocols = []proto.Protocol{proto.WI, proto.PU, proto.CU}
 
 // The construct sets every sweep and traffic breakdown iterates over.
 // Sweep and traffic paths share these slices so the two cannot drift.
+// extLockKinds is the full Mellor-Crummey & Scott suite: the two naive
+// spin locks, then the paper's three.
 var (
 	lockKinds      = []workload.LockKind{workload.Ticket, workload.MCS, workload.UpdateConsciousMCS}
+	extLockKinds   = []workload.LockKind{workload.TAS, workload.TTAS, workload.Ticket, workload.MCS, workload.UpdateConsciousMCS}
 	barrierKinds   = []workload.BarrierKind{workload.Central, workload.Dissemination, workload.Tree}
 	reductionKinds = []workload.ReductionKind{workload.Sequential, workload.Parallel}
 )
@@ -249,10 +252,10 @@ func (b *UpdateBreakdown) Table() *stats.Table {
 	return t
 }
 
-// lockSweep runs a lock latency sweep for every combo under body
+// lockSweep runs an acquire-release latency sweep over kinds under body
 // variant v.
-func lockSweep(o Options, figure, metric string, v workload.LockVariant) *LatencySweep {
-	return latencySweep(o, figure, metric, lockKinds,
+func lockSweep(o Options, figure string, kinds []workload.LockKind, v workload.LockVariant) *LatencySweep {
+	return latencySweep(o, figure, "avg acquire-release latency (cycles)", kinds,
 		func(kind workload.LockKind, pr proto.Protocol, procs int) Point {
 			return o.lockPoint(kind, v, pr, procs)
 		})
@@ -261,7 +264,17 @@ func lockSweep(o Options, figure, metric string, v workload.LockVariant) *Latenc
 // Figure8 reproduces the lock latency sweep: average acquire-release
 // latency (cycles) for each lock/protocol combination and machine size.
 func Figure8(o Options) *LatencySweep {
-	return lockSweep(o, "Figure 8", "avg acquire-release latency (cycles)", workload.PlainLock)
+	return lockSweep(o, "Figure 8", lockKinds, workload.PlainLock)
+}
+
+// ExtendedLockSweep extends figure 8 with the two other classic spin
+// locks from the Mellor-Crummey & Scott suite (test-and-set with
+// exponential backoff, and test-and-test-and-set), measuring all five
+// algorithms under all three protocols — the comparison the paper's
+// Section 2.1 references when justifying its ticket/MCS selection. Its
+// tk, MCS and uc points are figure 8's.
+func ExtendedLockSweep(o Options) *LatencySweep {
+	return lockSweep(o, "Extended lock sweep", extLockKinds, workload.PlainLock)
 }
 
 // lockTraffic runs the traffic-size lock workload for every combo,
@@ -354,15 +367,13 @@ func Figure16(o Options) *UpdateBreakdown {
 // LockVariantRandomPause reproduces the Section 4.1 low-contention
 // variant (bounded pseudo-random pause after each release).
 func LockVariantRandomPause(o Options) *LatencySweep {
-	return lockSweep(o, "Locks, random-pause variant",
-		"avg acquire-release latency (cycles)", workload.RandomPause)
+	return lockSweep(o, "Locks, random-pause variant", lockKinds, workload.RandomPause)
 }
 
 // LockVariantWorkRatio reproduces the Section 4.1 controlled-contention
 // variant (outside/inside work ratio = P ± 10%).
 func LockVariantWorkRatio(o Options) *LatencySweep {
-	return lockSweep(o, "Locks, work-ratio variant",
-		"avg acquire-release latency (cycles)", workload.WorkRatio)
+	return lockSweep(o, "Locks, work-ratio variant", lockKinds, workload.WorkRatio)
 }
 
 // ReductionVariantImbalanced reproduces the Section 4.3 load-imbalance

@@ -22,7 +22,7 @@ const (
 	FamilyLock      = "lock"      // Kind = workload.LockKind, Variant = workload.LockVariant
 	FamilyBarrier   = "barrier"   // Kind = workload.BarrierKind
 	FamilyReduction = "reduction" // Kind = workload.ReductionKind, Variant 1 = imbalanced
-	FamilyExtLock   = "extlock"   // Kind = index into extendedAlgos
+	FamilyApp       = "app"       // Kind = application kernel, Variant = its construct's kind
 )
 
 // Point is one independent sweep measurement in serializable form: the
@@ -62,23 +62,27 @@ func (pt Point) Key() string {
 	if err != nil { // a Point is pure data; Marshal cannot fail
 		panic(err)
 	}
-	sum := sha256.Sum256(append([]byte("point:v1:"), b...))
+	sum := sha256.Sum256(append([]byte("point:v2:"), b...))
 	return hex.EncodeToString(sum[:])
 }
 
 // PointResult is the serializable outcome of one Point: the figure
-// metric plus everything the sweep assembly loops feed to collectors.
-// All fields are pure data and survive a JSON round trip byte-for-byte
+// metric, the counts a kind=run summary prints, and everything the
+// sweep assembly loops feed to collectors. All fields are pure data and survive a JSON round trip byte-for-byte
 // on re-marshal, which is what keeps fleet-assembled documents
 // byte-identical to single-process ones.
 type PointResult struct {
-	Latency   float64                  `json:"latency"`
-	Misses    classify.MissCounts      `json:"misses"`
-	Updates   classify.UpdateCounts    `json:"updates"`
-	SimCycles uint64                   `json:"sim_cycles"`
-	SimEvents uint64                   `json:"sim_events,omitempty"`
-	Metrics   *metrics.Snapshot        `json:"metrics,omitempty"`
-	Breakdown *trace.BreakdownSnapshot `json:"breakdown,omitempty"`
+	Latency float64 `json:"latency"`
+	// Ops is how many operations Latency averages over (acquires,
+	// episodes, reductions, an app kernel's tasks, sweeps or steps).
+	Ops         int                      `json:"ops,omitempty"`
+	Misses      classify.MissCounts      `json:"misses"`
+	Updates     classify.UpdateCounts    `json:"updates"`
+	NetMessages uint64                   `json:"net_messages,omitempty"`
+	SimCycles   uint64                   `json:"sim_cycles"`
+	SimEvents   uint64                   `json:"sim_events,omitempty"`
+	Metrics     *metrics.Snapshot        `json:"metrics,omitempty"`
+	Breakdown   *trace.BreakdownSnapshot `json:"breakdown,omitempty"`
 }
 
 // SimulatedCycles implements runner.CycleReporter so locally executed
@@ -90,27 +94,87 @@ func (r PointResult) SimulatedCycles() uint64 { return r.SimCycles }
 // fleet coordinator installs one to fan points across workers.
 type PointDispatcher func(pts []Point) []PointResult
 
-// pointResult projects a machine result + figure metric into the
-// serializable form.
-func pointResult(res machine.Result, latency float64) PointResult {
+// pointResult projects a machine result + figure metric over ops
+// operations into the serializable form.
+func pointResult(res machine.Result, latency float64, ops int) PointResult {
 	return PointResult{
-		Latency:   latency,
-		Misses:    res.Misses,
-		Updates:   res.Updates,
-		SimCycles: res.SimulatedCycles(),
-		SimEvents: res.SimEvents,
-		Metrics:   res.Metrics,
-		Breakdown: res.Breakdown,
+		Latency:     latency,
+		Ops:         ops,
+		Misses:      res.Misses,
+		Updates:     res.Updates,
+		NetMessages: res.Net.Messages,
+		SimCycles:   res.SimulatedCycles(),
+		SimEvents:   res.SimEvents,
+		Metrics:     res.Metrics,
+		Breakdown:   res.Breakdown,
 	}
 }
 
-// params applies the point's run-shaping fields over the family's
-// default parameters.
-func (pt Point) params(p workload.Params) workload.Params {
+// params applies the point's run-shaping fields and the caller's tuning
+// hook over the family's default parameters.
+func (pt Point) params(p workload.Params, tune func(*machine.Config)) workload.Params {
 	p.Iterations = pt.Iterations
 	p.MetricsInterval = pt.MetricsInterval
 	p.Breakdown = pt.Breakdown
+	p.Tune = tune
 	return p
+}
+
+// Construct returns the paper label of the construct a lock, barrier or
+// reduction point exercises (tk, MCS, db, sr, ...), or "?" when its
+// family has no such kind.
+func (pt Point) Construct() string {
+	switch pt.Family {
+	case FamilyLock:
+		return workload.LockKind(pt.Kind).String()
+	case FamilyBarrier:
+		return workload.BarrierKind(pt.Kind).String()
+	case FamilyReduction:
+		return workload.ReductionKind(pt.Kind).String()
+	}
+	return "?"
+}
+
+// validate rejects a point no sweep builds. A fleet worker decodes its
+// points from the network, so everything that selects or sizes the
+// simulation is checked before a workload sees it: an unknown kind
+// panics in the construct builders, a machine panics outside 1..64
+// processors, and too few iterations average over nothing, a NaN latency
+// that JSON cannot carry.
+func (pt Point) validate() error {
+	variants, minIters := 1, 1
+	switch pt.Family {
+	case FamilyLock:
+		// Plain, random-pause, work-ratio; each processor acquires
+		// Iterations/Procs times.
+		variants, minIters = 3, pt.Procs
+	case FamilyBarrier:
+	case FamilyReduction:
+		variants = 2 // balanced, imbalanced
+	case FamilyApp:
+		if pt.Kind < 0 || pt.Kind >= len(appKernels) {
+			return fmt.Errorf("app kind %d out of range", pt.Kind)
+		}
+		variants = appKernels[pt.Kind].variants
+		if pt.MetricsInterval != 0 || pt.Breakdown || pt.WarmFork {
+			return fmt.Errorf("an app point takes no metrics, breakdown or warm fork")
+		}
+	default:
+		return fmt.Errorf("unknown point family %q", pt.Family)
+	}
+	switch {
+	case pt.Family != FamilyApp && pt.Construct() == "?":
+		return fmt.Errorf("%s kind %d out of range", pt.Family, pt.Kind)
+	case pt.Variant < 0 || pt.Variant >= variants:
+		return fmt.Errorf("%s variant %d out of range", pt.Family, pt.Variant)
+	case pt.Procs < 1 || pt.Procs > 64:
+		return fmt.Errorf("procs %d out of range 1..64", pt.Procs)
+	case pt.Protocol < proto.WI || pt.Protocol > proto.CU:
+		return fmt.Errorf("protocol %d out of range", pt.Protocol)
+	case pt.Iterations < minIters: // procs are in range by now
+		return fmt.Errorf("%s iterations %d, want at least %d", pt.Family, pt.Iterations, minIters)
+	}
+	return nil
 }
 
 // RunPointForked executes one point through the caller's result memo —
@@ -120,18 +184,25 @@ func (pt Point) params(p workload.Params) workload.Params {
 // unconditionally. The memo saves the simulation, never changes its
 // output; one phase or two is the point's own WarmFork field.
 func RunPointForked(ctx context.Context, pt Point, forks *WarmForkCache) (PointResult, error) {
+	run := func() (PointResult, error) { return pt.Simulate(nil) }
 	if forks == nil {
-		return pt.simulate()
+		return run()
 	}
-	return forks.Do(ctx, pt.Unlabeled(), pt.simulate)
+	return forks.Do(ctx, pt.Unlabeled(), run)
 }
 
-// simulate runs pt's simulation: the family's single-phase loop, or its
-// two-phase twin when the point is warm-forked.
-func (pt Point) simulate() (PointResult, error) {
+// Simulate runs pt's simulation once, outside any memo: the family's
+// single-phase loop, or its two-phase twin when the point is
+// warm-forked. tune, if set, adjusts the machine configuration first:
+// how a caller attaches instruments a Point does not describe (a
+// timeline, an operation trace) to the very simulation the point names.
+func (pt Point) Simulate(tune func(*machine.Config)) (PointResult, error) {
+	if err := pt.validate(); err != nil {
+		return PointResult{}, err
+	}
 	switch pt.Family {
 	case FamilyLock:
-		p := pt.params(workload.DefaultLockParams(pt.Protocol, pt.Procs))
+		p := pt.params(workload.DefaultLockParams(pt.Protocol, pt.Procs), tune)
 		kind, v := workload.LockKind(pt.Kind), workload.LockVariant(pt.Variant)
 		var r workload.LockResult
 		switch {
@@ -144,18 +215,18 @@ func (pt Point) simulate() (PointResult, error) {
 		default:
 			r = workload.LockLoop(p, kind)
 		}
-		return pointResult(r.Result, r.AvgLatency), nil
+		return pointResult(r.Result, r.AvgLatency, r.Acquires), nil
 	case FamilyBarrier:
-		p := pt.params(workload.DefaultBarrierParams(pt.Protocol, pt.Procs))
+		p := pt.params(workload.DefaultBarrierParams(pt.Protocol, pt.Procs), tune)
 		kind := workload.BarrierKind(pt.Kind)
 		loop := workload.BarrierLoop
 		if pt.WarmFork {
 			loop = workload.TwoPhaseBarrierLoop
 		}
 		r := loop(p, kind)
-		return pointResult(r.Result, r.AvgLatency), nil
+		return pointResult(r.Result, r.AvgLatency, r.Episodes), nil
 	case FamilyReduction:
-		p := pt.params(workload.DefaultReductionParams(pt.Protocol, pt.Procs))
+		p := pt.params(workload.DefaultReductionParams(pt.Protocol, pt.Procs), tune)
 		kind, imbalanced := workload.ReductionKind(pt.Kind), pt.Variant == 1
 		var r workload.ReductionResult
 		switch {
@@ -166,15 +237,9 @@ func (pt Point) simulate() (PointResult, error) {
 		default:
 			r = workload.ReductionLoop(p, kind)
 		}
-		return pointResult(r.Result, r.AvgLatency), nil
-	case FamilyExtLock:
-		if pt.Kind < 0 || pt.Kind >= len(extendedAlgos) {
-			return PointResult{}, fmt.Errorf("extlock kind %d out of range", pt.Kind)
-		}
-		r := runExtLock(extAlgo(pt.Kind), pt.Protocol, pt.Procs, pt.Iterations)
-		return pointResult(r.Result, r.AvgLatency), nil
-	default:
-		return PointResult{}, fmt.Errorf("unknown point family %q", pt.Family)
+		return pointResult(r.Result, r.AvgLatency, r.Reductions), nil
+	default: // FamilyApp, the one family left that validate admits
+		return pt.runApp()
 	}
 }
 
@@ -241,15 +306,5 @@ func (o Options) reductionPoint(kind workload.ReductionKind, imbalanced bool, pr
 		Protocol: pr, Procs: procs, Iterations: o.ReductionEpisodes,
 		MetricsInterval: o.Metrics.Interval(), Breakdown: o.Breakdown.Enabled(),
 		WarmFork: o.Forks != nil,
-	}
-}
-
-// extLockPoint carries no metrics/warm-fork fields: the extended sweep
-// has always run the bare lock loop (no registry attached), and the
-// point form preserves that byte-for-byte.
-func (o Options) extLockPoint(algoIndex int, pr proto.Protocol, procs int) Point {
-	return Point{
-		Family: FamilyExtLock, Kind: algoIndex,
-		Protocol: pr, Procs: procs, Iterations: o.LockIterations,
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -61,21 +63,27 @@ func pointsTiny() Options {
 // level: a sweep whose points travel over the (simulated) wire renders
 // byte-identically to the in-process sweep.
 func TestDispatcherParity(t *testing.T) {
+	sweep := func(run func(Options) *LatencySweep) func(Options) string {
+		return func(o Options) string { return run(o).Table().String() }
+	}
 	figures := []struct {
-		name string
-		run  func(Options) *LatencySweep
+		name  string
+		table func(Options) string
 	}{
-		{"Figure8", Figure8},
-		{"Figure11", Figure11},
-		{"Figure14", Figure14},
-		{"ExtendedLockSweep", ExtendedLockSweep},
+		{"Figure8", sweep(Figure8)},
+		{"Figure11", sweep(Figure11)},
+		{"Figure14", sweep(Figure14)},
+		{"ExtendedLockSweep", sweep(ExtendedLockSweep)},
+		{"Apps", func(o Options) string {
+			return fmt.Sprint(CompareWorkQueue(o).Table(), CompareJacobi(o).Table(), CompareNBody(o).Table())
+		}},
 	}
 	for _, fig := range figures {
 		t.Run(fig.name, func(t *testing.T) {
-			local := fig.run(pointsTiny()).Table().String()
+			local := fig.table(pointsTiny())
 			od := pointsTiny()
 			od.Dispatch = wireDispatcher(t)
-			dispatched := fig.run(od).Table().String()
+			dispatched := fig.table(od)
 			if dispatched != local {
 				t.Errorf("dispatched table differs from local:\nlocal:\n%s\ndispatched:\n%s", local, dispatched)
 			}
@@ -162,14 +170,35 @@ func TestPointKeyStable(t *testing.T) {
 	}
 }
 
-// TestRunPointUnknownFamily: a point this binary cannot execute is a
-// typed error, not a panic — the fleet turns it into a failed shard.
+// malformedPoints are points no sweep builds. Each of the first nine
+// was an unknown family, panicked, ran under a second key, or averaged
+// to a NaN latency before Point validated its fields; the app points
+// name a kernel or construct that does not exist, or a warm fork no
+// kernel has.
+var malformedPoints = []Point{
+	{Family: "bogus", Procs: 2, Iterations: 10},
+	{Family: FamilyLock, Kind: 9, Procs: 2, Iterations: 10},
+	{Family: FamilyBarrier, Kind: 9, Procs: 2, Iterations: 10},
+	{Family: FamilyReduction, Kind: 9, Procs: 2, Iterations: 10},
+	{Family: FamilyLock, Procs: 0, Iterations: 10},
+	{Family: FamilyLock, Variant: 7, Procs: 2, Iterations: 10},
+	{Family: FamilyLock, Protocol: 7, Procs: 2, Iterations: 10},
+	{Family: FamilyLock, Procs: 4, Iterations: 3},
+	{Family: FamilyBarrier, Procs: 2, Iterations: 0},
+	{Family: FamilyApp, Kind: 9, Procs: 2, Iterations: 10},
+	{Family: FamilyApp, Kind: appNBody, Variant: 2, Procs: 2, Iterations: 10},
+	{Family: FamilyApp, Kind: appJacobi, Procs: 2, Iterations: 10, WarmFork: true},
+}
+
+// TestRunPointUnknownFamily: a point this binary cannot execute — an
+// unknown family, or a kind, variant, size, protocol or iteration count
+// out of range — is a typed error, not a panic: the fleet turns it into
+// a failed shard.
 func TestRunPointUnknownFamily(t *testing.T) {
-	if _, err := RunPointForked(context.Background(), Point{Family: "bogus"}, nil); err == nil {
-		t.Error("unknown family did not error")
-	}
-	if _, err := RunPointForked(context.Background(), Point{Family: FamilyExtLock, Kind: 99, Iterations: 10}, nil); err == nil {
-		t.Error("out-of-range extlock kind did not error")
+	for _, pt := range malformedPoints {
+		if _, err := RunPointForked(context.Background(), pt, nil); err == nil {
+			t.Errorf("%+v did not error", pt)
+		}
 	}
 }
 
@@ -186,7 +215,52 @@ func TestRunPointsLocalFailsLoudly(t *testing.T) {
 	}()
 	o := Options{}
 	o.runPoints([]Point{{
-		Family: FamilyExtLock, Kind: len(extendedAlgos), Protocol: proto.WI, Procs: 2,
+		Family: FamilyLock, Kind: 9, Protocol: proto.WI, Procs: 2,
 		Iterations: 10, Label: "Extended lock sweep/bogus-i/P=2",
 	}})
+}
+
+// FuzzPoint decodes arbitrary bytes into a Point, as a fleet worker
+// does a shard's. A point that validates and is small enough to run
+// here must simulate without panicking to a finite latency and a
+// result that marshals; any other point must be refused with an error.
+func FuzzPoint(f *testing.F) {
+	seeds := append([]Point{
+		{Family: FamilyLock, Kind: int(workload.TAS), Variant: int(workload.RandomPause), Protocol: proto.PU, Procs: 4, Iterations: 16, WarmFork: true},
+		{Family: FamilyBarrier, Kind: int(workload.Tree), Protocol: proto.CU, Procs: 3, Iterations: 5, MetricsInterval: 100, Breakdown: true},
+		{Family: FamilyReduction, Kind: int(workload.Parallel), Variant: 1, Protocol: proto.WI, Procs: 2, Iterations: 4},
+		{Family: FamilyApp, Kind: appJacobi, Variant: int(workload.Dissemination), Protocol: proto.CU, Procs: 4, Iterations: 3},
+	}, malformedPoints...)
+	for _, pt := range seeds {
+		b, err := json.Marshal(pt)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var pt Point
+		if json.Unmarshal(b, &pt) != nil {
+			return
+		}
+		if pt.validate() != nil {
+			if _, err := RunPointForked(context.Background(), pt, nil); err == nil {
+				t.Fatalf("%+v: invalid point ran", pt)
+			}
+			return
+		}
+		if pt.Iterations > 512/pt.Procs {
+			return // valid, but too long to run here
+		}
+		res, err := RunPointForked(context.Background(), pt, nil)
+		if err != nil {
+			t.Fatalf("%+v: %v", pt, err)
+		}
+		if math.IsNaN(res.Latency) || math.IsInf(res.Latency, 0) {
+			t.Fatalf("%+v: latency %v", pt, res.Latency)
+		}
+		if _, err := json.Marshal(res); err != nil {
+			t.Fatalf("%+v: result does not marshal: %v", pt, err)
+		}
+	})
 }

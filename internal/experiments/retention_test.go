@@ -60,7 +60,9 @@ func TestPooledMachineCacheStorage(t *testing.T) {
 // storage follows the peak number of events in flight, at most 128 KiB,
 // not a high-water mark per wheel bucket.
 func TestPooledMachineEventStorage(t *testing.T) {
-	runExtLock(0, proto.PU, 32, Quick().LockIterations)
+	p := workload.DefaultLockParams(proto.PU, 32)
+	p.Iterations = Quick().LockIterations
+	workload.LockLoop(p, workload.TAS)
 	m := machine.Acquire(machine.DefaultConfig(proto.PU, 32)) // the machine the point released
 	defer m.Release()
 	if b := eventStorage(m); b == 0 || b > 128<<10 {

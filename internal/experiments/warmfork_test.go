@@ -80,7 +80,7 @@ func TestWarmForkMatchesFreshTwoPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := pointResult(fresh.Result, fresh.AvgLatency); !reflect.DeepEqual(want, cached) {
+	if want := pointResult(fresh.Result, fresh.AvgLatency, fresh.Acquires); !reflect.DeepEqual(want, cached) {
 		t.Errorf("memoized point differs from the two-phase runner\nfresh:  %+v\ncached: %+v", want, cached)
 	}
 }
@@ -278,7 +278,7 @@ func TestWarmForkCancelledBarrierAndReduction(t *testing.T) {
 // the ones a memo can serve.
 var pointExperiments = []string{
 	"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-	"lockvariants", "redvariants", "extlocks",
+	"lockvariants", "redvariants", "extlocks", "apps",
 }
 
 // TestMemoNeverChangesOutput renders every point-decomposed catalog

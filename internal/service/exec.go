@@ -3,10 +3,10 @@ package service
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"coherencesim/internal/experiments"
-	"coherencesim/internal/machine"
 	"coherencesim/internal/metrics"
 	"coherencesim/internal/proto"
 	"coherencesim/internal/runner"
@@ -51,7 +51,12 @@ func memoExecutor(memo *experiments.WarmForkCache) ExecFunc {
 // nil: a warm_fork spec selects the two-phase run with it.
 func executeSpec(ctx context.Context, spec JobSpec, simWorkers int, progress func(runner.Snapshot), dispatch experiments.PointDispatcher, memo *experiments.WarmForkCache) (*JobResult, error) {
 	if spec.Kind == "run" {
-		res, _, err := ExecuteRun(ctx, spec, nil)
+		res, _, err := ExecuteRun(ctx, spec, func(pt experiments.Point) (experiments.PointResult, error) {
+			if dispatch != nil {
+				return dispatch([]experiments.Point{pt})[0], nil
+			}
+			return experiments.RunPointForked(ctx, pt, memo)
+		})
 		return res, err
 	}
 	entry, ok := experiments.Lookup(spec.Experiment)
@@ -96,48 +101,31 @@ func executeSpec(ctx context.Context, spec JobSpec, simWorkers int, progress fun
 }
 
 // runKind is one row of the kind=run surface: the spellings a construct
-// family accepts for its algorithms (naming none is the default's), how
-// its summary lines word the count and the latency, and the workload
-// that simulates it.
+// family accepts for its algorithms (naming none is the default's), their
+// canonical codes in the order of the family's point kinds, and how its
+// summary lines word the count and the latency. A run's name is its
+// point family.
 type runKind struct {
 	algos            map[string]string // accepted spelling -> canonical code
+	codes            []string          // experiments.Point.Kind -> canonical code
 	counted, latency string
-	params           func(proto.Protocol, int) workload.Params
-	// loop simulates the canonical algo: its paper label, the machine's
-	// result, how many operations were counted, their average latency.
-	loop func(p workload.Params, algo string) (string, machine.Result, int, float64)
 }
 
 var runKinds = map[string]runKind{
-	"lock": {
+	experiments.FamilyLock: {
 		algos:   map[string]string{"": "tk", "tk": "tk", "ticket": "tk", "mcs": "mcs", "uc": "ucmcs", "ucmcs": "ucmcs"},
+		codes:   []string{workload.Ticket: "tk", workload.MCS: "mcs", workload.UpdateConsciousMCS: "ucmcs"},
 		counted: "acquires", latency: "acquire-release",
-		params: workload.DefaultLockParams,
-		loop: func(p workload.Params, algo string) (string, machine.Result, int, float64) {
-			k := map[string]workload.LockKind{"tk": workload.Ticket, "mcs": workload.MCS, "ucmcs": workload.UpdateConsciousMCS}[algo]
-			r := workload.LockLoop(p, k)
-			return k.String(), r.Result, r.Acquires, r.AvgLatency
-		},
 	},
-	"barrier": {
+	experiments.FamilyBarrier: {
 		algos:   map[string]string{"": "db", "cb": "cb", "central": "cb", "db": "db", "dissemination": "db", "tb": "tb", "tree": "tb"},
+		codes:   []string{workload.Central: "cb", workload.Dissemination: "db", workload.Tree: "tb"},
 		counted: "episodes", latency: "episode",
-		params: workload.DefaultBarrierParams,
-		loop: func(p workload.Params, algo string) (string, machine.Result, int, float64) {
-			k := map[string]workload.BarrierKind{"cb": workload.Central, "db": workload.Dissemination, "tb": workload.Tree}[algo]
-			r := workload.BarrierLoop(p, k)
-			return k.String(), r.Result, r.Episodes, r.AvgLatency
-		},
 	},
-	"reduction": {
+	experiments.FamilyReduction: {
 		algos:   map[string]string{"": "sr", "sr": "sr", "sequential": "sr", "pr": "pr", "parallel": "pr"},
+		codes:   []string{workload.Sequential: "sr", workload.Parallel: "pr"},
 		counted: "reductions", latency: "reduction",
-		params: workload.DefaultReductionParams,
-		loop: func(p workload.Params, algo string) (string, machine.Result, int, float64) {
-			k := map[string]workload.ReductionKind{"sr": workload.Sequential, "pr": workload.Parallel}[algo]
-			r := workload.ReductionLoop(p, k)
-			return k.String(), r.Result, r.Reductions, r.AvgLatency
-		},
 	},
 }
 
@@ -149,47 +137,56 @@ var protocols = map[string]proto.Protocol{
 	"CU": proto.CU, "C": proto.CU,
 }
 
-// runLabel names a kind=run simulation in the metrics and breakdown
-// reports: run/<run>/<algo>-<protocol>/P=<n>, canonical spellings.
-func runLabel(spec JobSpec) string {
-	return fmt.Sprintf("run/%s/%s-%s/P=%d", spec.Run, spec.Algo, strings.ToLower(spec.Protocol), spec.Procs)
+// runPoint is the one point a canonical kind=run spec simulates; no
+// iteration count is the paper's. Its label names it in the metrics and
+// breakdown reports: run/<run>/<algo>-<protocol>/P=<n>, canonical
+// spellings.
+func runPoint(spec JobSpec) (experiments.Point, error) {
+	k, pr := slices.Index(runKinds[spec.Run].codes, spec.Algo), protocols[spec.Protocol]
+	if k < 0 || spec.Protocol != pr.String() {
+		return experiments.Point{}, fmt.Errorf("run spec %+v is not canonical", spec)
+	}
+	iterations := spec.Iterations
+	if iterations == 0 {
+		o := experiments.Defaults()
+		iterations = map[string]int{"lock": o.LockIterations, "barrier": o.BarrierEpisodes, "reduction": o.ReductionEpisodes}[spec.Run]
+	}
+	return experiments.Point{
+		Family: spec.Run, Kind: k, Protocol: pr, Procs: spec.Procs, Iterations: iterations,
+		MetricsInterval: sim.Time(spec.MetricsInterval), Breakdown: spec.Breakdown,
+		Label: fmt.Sprintf("run/%s/%s-%s/P=%d", spec.Run, spec.Algo, strings.ToLower(spec.Protocol), spec.Procs),
+	}, nil
 }
 
-// ExecuteRun is the executor for a canonical kind=run spec — one (construct,
-// protocol, size) simulation — that also returns the machine's result.
-// tune (nil for the daemon) adjusts the machine configuration first: how
-// coherencesim attaches its run-only instruments to the shared path.
-func ExecuteRun(ctx context.Context, spec JobSpec, tune func(*machine.Config)) (*JobResult, machine.Result, error) {
-	kind, pr := runKinds[spec.Run], protocols[spec.Protocol]
-	if kind.algos[spec.Algo] != spec.Algo || spec.Algo == "" || spec.Protocol != pr.String() {
-		return nil, machine.Result{}, fmt.Errorf("run spec %+v is not canonical", spec)
+// ExecuteRun is the executor for a canonical kind=run spec — one
+// (construct, protocol, size) simulation — that also returns the
+// point's result. simulate runs the spec's point: the daemon's executor
+// runs it the way a sweep runs its points, coherencesim as a local
+// simulation with its run-only instruments attached.
+func ExecuteRun(ctx context.Context, spec JobSpec, simulate func(experiments.Point) (experiments.PointResult, error)) (*JobResult, experiments.PointResult, error) {
+	pt, err := runPoint(spec)
+	if err != nil {
+		return nil, experiments.PointResult{}, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, machine.Result{}, err
+	r, err := simulate(pt)
+	if err == nil {
+		err = ctx.Err() // a cancelled run may have assembled zero values
 	}
-	p := kind.params(pr, spec.Procs)
-	if spec.Iterations > 0 {
-		p.Iterations = spec.Iterations
-	}
-	p.MetricsInterval = sim.Time(spec.MetricsInterval)
-	p.Breakdown = spec.Breakdown
-	p.Tune = tune
-	name, r, n, avg := kind.loop(p, spec.Algo)
-	if err := ctx.Err(); err != nil {
-		return nil, machine.Result{}, err
+	if err != nil {
+		return nil, r, err
 	}
 
-	label := runLabel(spec)
-	coll := metrics.NewCollector(p.MetricsInterval)
-	coll.Add(label, r.Metrics)
+	kind := runKinds[spec.Run]
+	coll := metrics.NewCollector(pt.MetricsInterval)
+	coll.Add(pt.Label, r.Metrics)
 	res := &JobResult{Metrics: coll.Report()}
-	res.Output = fmt.Sprintf("%s %s, %v, P=%d: %d %s\n  avg %s latency: %.1f cycles\n"+
+	res.Output = fmt.Sprintf("%s %s, %s, P=%d: %d %s\n  avg %s latency: %.1f cycles\n"+
 		"  miss/upgrade transactions: %s   update messages: %s   network messages: %s\n",
-		name, spec.Run, pr, spec.Procs, n, kind.counted, kind.latency, avg,
-		stats.FormatCount(r.Misses.Total()), stats.FormatCount(r.Updates.Total()), stats.FormatCount(r.Net.Messages))
+		pt.Construct(), spec.Run, spec.Protocol, spec.Procs, r.Ops, kind.counted, kind.latency, r.Latency,
+		stats.FormatCount(r.Misses.Total()), stats.FormatCount(r.Updates.Total()), stats.FormatCount(r.NetMessages))
 	if spec.Breakdown {
 		bcoll := trace.NewBreakdownCollector()
-		bcoll.Add(label, r.Breakdown)
+		bcoll.Add(pt.Label, r.Breakdown)
 		res.Breakdown = bcoll.Report()
 	}
 	return res, r, nil

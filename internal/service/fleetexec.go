@@ -26,7 +26,7 @@ func NewFleetExec(base ExecFunc, coord *fleet.Coordinator, memo *experiments.War
 		return base
 	}
 	return func(ctx context.Context, spec JobSpec, simWorkers int, progress func(runner.Snapshot)) (*JobResult, error) {
-		if spec.Kind == "run" || coord.LiveWorkers() == 0 {
+		if coord.LiveWorkers() == 0 {
 			return base(ctx, spec, simWorkers, progress)
 		}
 		session := &fleetSession{ctx: ctx, coord: coord, progress: progress, start: time.Now()}

@@ -212,18 +212,26 @@ func TestQuotaReleasedOnCompletion(t *testing.T) {
 	}
 }
 
-// TestFleetExecutionByteIdentity runs a real sweep twice — once purely
+// TestFleetExecutionByteIdentity runs real jobs twice — once purely
 // in-process, once fanned across two fleet workers joined over HTTP —
 // and requires the terminal job documents to be byte-identical.
 func TestFleetExecutionByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sweep in -short mode")
 	}
-	spec := `{"experiment":"fig14","scale":"quick"}`
+	// A sweep, the app kernels and a kind=run job: each is points.
+	specs := []string{
+		`{"experiment":"fig14","scale":"quick"}`,
+		`{"experiment":"apps","scale":"quick"}`,
+		`{"run":"lock","algo":"mcs","protocol":"CU","procs":8,"iterations":400,"breakdown":true}`,
+	}
 
 	tsA, _, stopA := startService(t, Config{SimWorkers: 4}, nil)
-	_, docA := postJob(t, tsA, spec)
-	baseline := pollDone(t, tsA, docA.ID)
+	var baseline [][]byte
+	for _, spec := range specs {
+		_, docA := postJob(t, tsA, spec)
+		baseline = append(baseline, pollDone(t, tsA, docA.ID))
+	}
 	stopA()
 
 	tsB, svcB, _ := startService(t, Config{SimWorkers: 4, HeartbeatTimeout: time.Second}, nil)
@@ -241,13 +249,15 @@ func TestFleetExecutionByteIdentity(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	_, docB := postJob(t, tsB, spec)
-	fanned := pollDone(t, tsB, docB.ID)
-	if !bytes.Equal(baseline, fanned) {
-		t.Error("fleet-executed document differs from in-process document")
-	}
-	if st := svcB.Coordinator().Stats(); st.Completed == 0 {
-		t.Error("coordinator reports no completed shards; sweep did not use the fleet")
+	for i, spec := range specs {
+		before := svcB.Coordinator().Stats().Completed
+		_, docB := postJob(t, tsB, spec)
+		if fanned := pollDone(t, tsB, docB.ID); !bytes.Equal(baseline[i], fanned) {
+			t.Errorf("%s: fleet-executed document differs from in-process document", spec)
+		}
+		if svcB.Coordinator().Stats().Completed == before {
+			t.Errorf("%s: coordinator completed no shards; the job did not use the fleet", spec)
+		}
 	}
 }
 

@@ -472,23 +472,26 @@ func TestRealExecuteQuickRun(t *testing.T) {
 
 // TestBatchExecutorSharesPoints: figures 9 and 10 ask for the P=32
 // points of figure 8 — the lock-traffic points, which are all of figure
-// 9 — so on one memo whichever comes first simulates them and the rest
-// simulate nothing new, plain or warm-forked, and a batch serves the
-// bytes fresh executors do.
+// 9 — and so does a kind=run job of the same size, so on one memo
+// whichever comes first simulates them and the rest simulate nothing
+// new, plain or warm-forked, and a batch serves the bytes fresh
+// executors do.
 func TestBatchExecutorSharesPoints(t *testing.T) {
 	ctx := context.Background()
+	mcs := JobSpec{Run: "lock", Algo: "mcs", Protocol: "CU", Iterations: experiments.Quick().LockIterations}
 	for _, c := range []struct {
 		warm   bool
-		family []string
+		family []JobSpec
 		points int    // distinct points of the family: those of its first figure
-		hits   uint64 // requests the later figures make
+		hits   uint64 // requests the later jobs make
 	}{
-		{false, []string{"fig8", "fig9", "fig10"}, 27, 18},
-		{true, []string{"fig9", "fig10"}, 9, 9},
+		{false, []JobSpec{{Experiment: "fig8"}, {Experiment: "fig9"}, {Experiment: "fig10"}, mcs}, 27, 19},
+		{true, []JobSpec{{Experiment: "fig9"}, {Experiment: "fig10"}}, 9, 9},
 	} {
 		memo, batch := experiments.NewWarmForkCache(), BatchExecutor()
-		for _, name := range c.family {
-			spec := canonical(t, JobSpec{Experiment: name, WarmFork: c.warm})
+		for _, job := range c.family {
+			job.WarmFork = c.warm
+			spec, name := canonical(t, job), job.Experiment+job.Run
 			var docs [3][]byte
 			for i, run := range []ExecFunc{execute, batch, memoExecutor(memo)} {
 				res, err := run(ctx, spec, 2, nil)
@@ -501,7 +504,7 @@ func TestBatchExecutorSharesPoints(t *testing.T) {
 				t.Errorf("%s (warm_fork %v): a shared memo changed the result", name, c.warm)
 			}
 			if n := memo.Checkpoints(); n != c.points {
-				t.Errorf("warm_fork %v: %d distinct points simulated after %s, want the %d of %s", c.warm, n, name, c.points, c.family[0])
+				t.Errorf("warm_fork %v: %d distinct points simulated after %s, want the %d of %s", c.warm, n, name, c.points, c.family[0].Experiment)
 			}
 		}
 		if ms := memo.Stats(); ms.Hits != c.hits || ms.Builds != uint64(c.points) || ms.Saved == 0 {

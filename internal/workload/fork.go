@@ -66,7 +66,7 @@ func TwoPhaseLockLoop(p Params, kind LockKind, v LockVariant) LockResult {
 	warm, rest := warmSplit(p.Iterations / p.Procs)
 	m := p.newMachine()
 	defer m.Release()
-	l := newLock(m, kind)
+	l := NewLock(m, kind)
 	m.RunProgram(v.program(p, l, warm))
 	res := m.RunProgram(v.program(p, l, rest))
 	return lockLatency(res, (warm+rest)*p.Procs, p.HoldCycles)
@@ -78,7 +78,7 @@ func TwoPhaseBarrierLoop(p Params, kind BarrierKind) BarrierResult {
 	warm, rest := warmSplit(p.Iterations)
 	m := p.newMachine()
 	defer m.Release()
-	b := newBarrier(m, kind)
+	b := NewBarrier(m, kind)
 	m.RunProgram(&barrierLoopProgram{b: b, iters: warm})
 	res := m.RunProgram(&barrierLoopProgram{b: b, iters: rest})
 	return barrierResult(res, warm+rest)
@@ -91,7 +91,7 @@ func TwoPhaseReductionLoop(p Params, kind ReductionKind, imbalanced bool) Reduct
 	warm, rest := warmSplit(p.Iterations)
 	m := p.newMachine()
 	defer m.Release()
-	red := newReducer(m, kind)
+	red := NewReducer(m, kind)
 	m.RunProgram(reductionProgram(p, imbalanced, red, warm, 0))
 	res := m.RunProgram(reductionProgram(p, imbalanced, red, rest, warm))
 	return reductionResult(res, warm+rest)

@@ -27,13 +27,16 @@ import (
 	"coherencesim/internal/trace"
 )
 
-// LockKind selects the lock implementation (paper labels: tk, MCS, uc).
+// LockKind selects the lock implementation (paper labels: tk, MCS, uc;
+// then test-and-set with backoff, tas, and test-and-test-and-set, ttas).
 type LockKind int
 
 const (
 	Ticket LockKind = iota
 	MCS
 	UpdateConsciousMCS
+	TAS
+	TTAS
 )
 
 func (k LockKind) String() string {
@@ -44,6 +47,10 @@ func (k LockKind) String() string {
 		return "MCS"
 	case UpdateConsciousMCS:
 		return "uc"
+	case TAS:
+		return "tas"
+	case TTAS:
+		return "ttas"
 	}
 	return "?"
 }
@@ -150,8 +157,9 @@ func DefaultReductionParams(pr proto.Protocol, procs int) Params {
 	return Params{Procs: procs, Protocol: pr, Iterations: 5000}
 }
 
-// newLock builds the lock under test on m.
-func newLock(m *machine.Machine, k LockKind) constructs.Lock {
+// NewLock builds a lock of kind k on m: the one table from LockKind to
+// a lock, for the synthetic loops and the application kernels alike.
+func NewLock(m *machine.Machine, k LockKind) constructs.Lock {
 	switch k {
 	case Ticket:
 		return constructs.NewTicketLock(m, "lock")
@@ -159,12 +167,16 @@ func newLock(m *machine.Machine, k LockKind) constructs.Lock {
 		return constructs.NewMCSLock(m, "lock", false)
 	case UpdateConsciousMCS:
 		return constructs.NewMCSLock(m, "lock", true)
+	case TAS:
+		return constructs.NewTASLock(m, "lock")
+	case TTAS:
+		return constructs.NewTTASLock(m, "lock")
 	}
 	panic("workload: unknown lock kind")
 }
 
-// newBarrier builds the barrier under test on m.
-func newBarrier(m *machine.Machine, k BarrierKind) constructs.Barrier {
+// NewBarrier builds a barrier of kind k on m.
+func NewBarrier(m *machine.Machine, k BarrierKind) constructs.Barrier {
 	switch k {
 	case Central:
 		return constructs.NewCentralBarrier(m, "barrier")
@@ -193,13 +205,12 @@ func lockLatency(res machine.Result, acquires int, hold sim.Time) LockResult {
 func LockLoop(p Params, kind LockKind) LockResult {
 	m := p.newMachine()
 	defer m.Release()
-	return LockLoopOn(m, newLock(m, kind), p)
+	return LockLoopOn(m, NewLock(m, kind), p)
 }
 
-// LockLoopOn runs the lock synthetic program over an arbitrary lock on a
-// machine the caller built (with p.Procs processors) and still owns
-// afterwards — for locks outside LockKind and for callers that inspect
-// the machine once the run is over.
+// LockLoopOn runs the lock synthetic program over a lock on a machine
+// the caller built (with p.Procs processors) and still owns afterwards —
+// for callers that inspect the machine once the run is over.
 func LockLoopOn(m *machine.Machine, l constructs.Lock, p Params) LockResult {
 	iters := p.Iterations / p.Procs
 	res := m.RunProgram(&lockLoopProgram{l: l, iters: iters, hold: p.HoldCycles})
@@ -212,7 +223,7 @@ func LockLoopOn(m *machine.Machine, l constructs.Lock, p Params) LockResult {
 func LockLoopRandomPause(p Params, kind LockKind) LockResult {
 	m := p.newMachine()
 	defer m.Release()
-	l := newLock(m, kind)
+	l := NewLock(m, kind)
 	iters := p.Iterations / p.Procs
 	res := m.RunProgram(&lockLoopPauseProgram{l: l, iters: iters, hold: p.HoldCycles})
 	return lockLatency(res, iters*p.Procs, p.HoldCycles)
@@ -223,7 +234,7 @@ func LockLoopRandomPause(p Params, kind LockKind) LockResult {
 func LockLoopWorkRatio(p Params, kind LockKind) LockResult {
 	m := p.newMachine()
 	defer m.Release()
-	l := newLock(m, kind)
+	l := NewLock(m, kind)
 	iters := p.Iterations / p.Procs
 	res := m.RunProgram(&lockLoopRatioProgram{
 		l: l, iters: iters, hold: p.HoldCycles,
@@ -248,7 +259,7 @@ func barrierResult(res machine.Result, episodes int) BarrierResult {
 func BarrierLoop(p Params, kind BarrierKind) BarrierResult {
 	m := p.newMachine()
 	defer m.Release()
-	b := newBarrier(m, kind)
+	b := NewBarrier(m, kind)
 	return barrierResult(m.RunProgram(&barrierLoopProgram{b: b, iters: p.Iterations}), p.Iterations)
 }
 
@@ -278,7 +289,7 @@ func localValue(ep, id, procs int) uint32 {
 func ReductionLoop(p Params, kind ReductionKind) ReductionResult {
 	m := p.newMachine()
 	defer m.Release()
-	red := newReducer(m, kind)
+	red := NewReducer(m, kind)
 	return reductionResult(m.RunProgram(&reductionLoopProgram{red: red, iters: p.Iterations, procs: p.Procs}), p.Iterations)
 }
 
@@ -288,11 +299,13 @@ func ReductionLoop(p Params, kind ReductionKind) ReductionResult {
 func ReductionLoopImbalanced(p Params, kind ReductionKind) ReductionResult {
 	m := p.newMachine()
 	defer m.Release()
-	red := newReducer(m, kind)
+	red := NewReducer(m, kind)
 	return reductionResult(m.RunProgram(&reductionImbalProgram{red: red, iters: p.Iterations, procs: p.Procs}), p.Iterations)
 }
 
-func newReducer(m *machine.Machine, k ReductionKind) constructs.Reducer {
+// NewReducer builds a reducer of kind k on m over zero-traffic magic
+// synchronization.
+func NewReducer(m *machine.Machine, k ReductionKind) constructs.Reducer {
 	switch k {
 	case Parallel:
 		return constructs.NewParallelReducer(m, "red", m.NewMagicLock(), m.NewMagicBarrier())
