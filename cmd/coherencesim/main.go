@@ -81,7 +81,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		quick      = fs.Bool("quick", false, "reduced iteration counts (~20x faster, same shapes)")
 		format     = fs.String("format", "table", "output format for fig8/fig11/fig14 and traffic figures: table or csv")
 		parallel   = fs.Int("parallel", 0, "simulation worker pool size: 0 = NumCPU, 1 = pure serial")
-		warmfork   = fs.Bool("warmfork", false, "run each sweep point as two phases on one machine, warm-up and measured rest (deterministic, but figures differ slightly from the single-phase defaults)")
 		progress   = fs.Bool("progress", false, "report per-job progress (with ETA and sim-cycle throughput) and per-figure wall time on stderr")
 		runKind    = fs.String("run", "", "single run: lock, barrier, or reduction")
 		lockKind   = fs.String("lock", "tk", "lock for -run lock: tk, mcs, ucmcs")
@@ -143,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// The flags are one spelling of a service.JobSpec (JSON is the
 	// other); Canonicalize keeps the fields that apply to the kind.
 	spec := service.JobSpec{
-		Kind: "experiment", Experiment: *experiment, Scale: "paper", Format: *format, WarmFork: *warmfork,
+		Kind: "experiment", Experiment: *experiment, Scale: "paper", Format: *format,
 		Run: *runKind, Protocol: *protoName, Procs: *procs, Iterations: *iters,
 		MetricsInterval: *metricsInterval, Breakdown: ob.breakdown || ob.breakdownOut != "",
 	}

@@ -294,7 +294,6 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 	}{
 		{args: "-experiment fig8 -quick", interval: "1000"},
 		{args: "-experiment extlocks -quick", interval: "1000"},
-		{args: "-experiment fig9 -quick -warmfork", want: golden("warmfork_fig9_quick.golden")},
 		{args: "-experiment all -quick", interval: "10000", want: golden("all_quick.golden")},
 	} {
 		isAll := strings.HasPrefix(c.args, "-experiment all ")

@@ -118,42 +118,6 @@ const (
 	OpCalled  = machine.OpCalled
 )
 
-// MachineSnapshot records a machine after a RunProgram phase as the
-// configuration, allocation table, programs and between-phase Pokes that
-// got it there; RestoreFrom on a never-run machine built the same way
-// replays them, and the simulation's determinism makes the continuation
-// byte-identical to running the original machine onward. Many machines
-// may fork from one snapshot concurrently. A replayed prefix runs under
-// the target's observers. A construct belongs to the machine it was
-// built on, so Snapshot refuses a machine with one.
-type MachineSnapshot = machine.Snapshot
-
-// Two-phase lock loops and the point memo. WarmLockLoop records a lock
-// loop's two-phase recipe; its Run executes the warm-up and the measured
-// rest on one machine. A WarmForkCache is the sweep-level point memo:
-// attached to ExperimentOptions.Memo it simulates each distinct point
-// once for as long as the caller keeps it (figures 9 and 10 then cost
-// nothing after figure 8) without changing a byte; attached to
-// ExperimentOptions.Forks it also selects the two-phase run of each
-// point on one machine. With neither set, every point is simulated.
-type (
-	LockVariant   = workload.LockVariant
-	WarmForkCache = experiments.WarmForkCache
-)
-
-// Lock-loop body variants accepted by WarmLockLoop.
-const (
-	PlainLock   = workload.PlainLock
-	RandomPause = workload.RandomPause
-	WorkRatio   = workload.WorkRatio
-)
-
-// The two-phase lock-loop recipe and the sweep-level result memo.
-var (
-	WarmLockLoop     = workload.WarmLockLoop
-	NewWarmForkCache = experiments.NewWarmForkCache
-)
-
 // Synchronization construct interfaces and implementations (Section 2 of
 // the paper). MagicLock and MagicBarrier are the zero-traffic primitives
 // used to isolate reduction communication.

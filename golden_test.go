@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"coherencesim/internal/experiments"
 	"coherencesim/internal/runner"
 )
 
@@ -96,11 +97,11 @@ func TestGoldenFetchAddChain(t *testing.T) {
 	}
 }
 
-// TestGoldenWarmForkFigure9 pins the two-phase (-warmfork) output, which
-// is part of every warm_fork service document's content hash. The file
-// is the stdout of `coherencesim -experiment fig9 -quick -warmfork`,
-// generated when sweeps still forked from warm-up checkpoints: the
-// result memo must reproduce those bytes at any worker count.
+// TestGoldenWarmForkFigure9 pins the two-phase run's bytes: figure 9 at
+// quick scale with every point run as warm-up, then the rest, on one
+// machine. The file was generated when sweeps still forked from warm-up
+// checkpoints; the point memo must reproduce those bytes at any worker
+// count.
 func TestGoldenWarmForkFigure9(t *testing.T) {
 	path := filepath.Join("testdata", "warmfork_fig9_quick.golden")
 	want, err := os.ReadFile(path)
@@ -108,10 +109,10 @@ func TestGoldenWarmForkFigure9(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		o := QuickScale()
-		o.Forks = NewWarmForkCache()
-		o.Runner = NewRunnerPool(workers)
-		if got := fmt.Sprintln(Figure9(o).Table()); got != string(want) {
+		o := experiments.Quick()
+		o.Forks = experiments.NewPointMemo(experiments.PointStore(nil))
+		o.Runner = runner.New(workers)
+		if got := fmt.Sprintln(experiments.Figure9(o).Table()); got != string(want) {
 			t.Errorf("%d workers: warm-forked figure 9 drifted from %s\n%s\ngot:\n%s", workers, path, firstDiff(string(want), got), got)
 		}
 	}

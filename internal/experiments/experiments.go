@@ -47,13 +47,14 @@ type Options struct {
 	// Memo, when non-nil, remembers every point's result, so a point that
 	// comes round again — in another figure of the triplet, in a later
 	// job of the memo's owner — is simulated once; output never changes.
-	Memo *WarmForkCache
+	Memo *PointMemo
 	// Forks, when non-nil, selects the two-phase run: every point runs as
 	// warm-up, then the rest, on one machine — deterministic at any
 	// worker count but slightly different from the default single-phase
 	// figures (the phase boundary re-synchronizes processors). Forks is
-	// also the memo of such a sweep and takes Memo's place.
-	Forks *WarmForkCache
+	// also the memo of such a sweep and takes Memo's place. Only the
+	// frozen bench/ harness sets it; no command or job spec does.
+	Forks *PointMemo
 	// Dispatch, when non-nil, executes a sweep's decomposed points
 	// instead of the local pool — the fleet coordinator installs one to
 	// fan points across registered workers. Results return in submission

@@ -183,7 +183,7 @@ func (pt Point) validate() error {
 // each repeated point of a job stream into a lookup; nil simulates
 // unconditionally. The memo saves the simulation, never changes its
 // output; one phase or two is the point's own WarmFork field.
-func RunPointForked(ctx context.Context, pt Point, forks *WarmForkCache) (PointResult, error) {
+func RunPointForked(ctx context.Context, pt Point, forks *PointMemo) (PointResult, error) {
 	run := func() (PointResult, error) { return pt.Simulate(nil) }
 	if forks == nil {
 		return run()

@@ -125,10 +125,10 @@ func TestDispatcherParityWithCollectors(t *testing.T) {
 // must match the shared in-process memo byte-for-byte.
 func TestDispatcherParityWarmFork(t *testing.T) {
 	ol := pointsTiny()
-	ol.Forks = NewWarmForkCache()
+	ol.Forks = NewPointMemo(PointStore(nil))
 	local := Figure11(ol).Table().String()
 	od := pointsTiny()
-	od.Forks = NewWarmForkCache()
+	od.Forks = NewPointMemo(PointStore(nil))
 	od.Dispatch = wireDispatcher(t)
 	dispatched := Figure11(od).Table().String()
 	if dispatched != local {

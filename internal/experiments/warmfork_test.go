@@ -24,7 +24,7 @@ func warmForkOptions(workers int) Options {
 		LockIterations:    320,
 		BarrierEpisodes:   40,
 		ReductionEpisodes: 40,
-		Forks:             NewWarmForkCache(),
+		Forks:             NewPointMemo(PointStore(nil)),
 	}
 	if workers > 0 {
 		o.Runner = runner.New(workers)
@@ -118,13 +118,13 @@ func TestWarmForkMemoMatchesPrivatePerPoint(t *testing.T) {
 		return tables, buf.String(), o.Breakdown.Report().Table()
 	}
 	shared := Quick()
-	shared.Forks = NewWarmForkCache()
+	shared.Forks = NewPointMemo(PointStore(nil))
 	st, sm, sb := render(shared)
 	if n, runs := shared.Forks.Checkpoints(), strings.Count(sm, `"label"`); n >= runs {
 		t.Errorf("memo simulated %d points for %d collected runs; figures 8-10 must repeat some", n, runs)
 	}
 	private := Quick()
-	private.Forks = NewWarmForkCache() // marks the points warm_fork; Dispatch bypasses it
+	private.Forks = NewPointMemo(PointStore(nil)) // marks the points warm_fork; Dispatch bypasses it
 	private.Dispatch = func(pts []Point) []PointResult {
 		out := make([]PointResult, len(pts))
 		for i, pt := range pts {
@@ -154,7 +154,7 @@ func TestWarmForkMemoMatchesPrivatePerPoint(t *testing.T) {
 // TestWarmForkSingleFlight: concurrent requests for one point elect one
 // simulation; every caller gets the identical result.
 func TestWarmForkSingleFlight(t *testing.T) {
-	c := NewWarmForkCache()
+	c := NewPointMemo(PointStore(nil))
 	pt := Point{Family: FamilyLock, Kind: int(workload.MCS), Protocol: protocols[2], Procs: 8,
 		Iterations: 640, MetricsInterval: 2000, Breakdown: true, WarmFork: true}
 	const callers = 8
@@ -199,7 +199,7 @@ func cancelledCtx() context.Context {
 // simulation and leaves no entry behind — a later caller with a live
 // context simulates the point itself.
 func TestWarmForkCancelledBeforeBuild(t *testing.T) {
-	c := NewWarmForkCache()
+	c := NewPointMemo(PointStore(nil))
 	pt := Point{Family: FamilyLock, Kind: int(workload.Ticket), Procs: 2, Iterations: 64, WarmFork: true}
 	got, err := RunPointForked(cancelledCtx(), pt, c)
 	if err != nil || !reflect.DeepEqual(got, PointResult{}) {
@@ -217,7 +217,7 @@ func TestWarmForkCancelledBeforeBuild(t *testing.T) {
 		t.Errorf("rebuild left %d entries, want 1", n)
 	}
 	// And the rebuilt entry matches one built with no history.
-	want, _ := RunPointForked(context.Background(), pt, NewWarmForkCache())
+	want, _ := RunPointForked(context.Background(), pt, NewPointMemo(PointStore(nil)))
 	if !reflect.DeepEqual(fresh, want) {
 		t.Error("rebuilt result differs from a clean cache's")
 	}
@@ -227,7 +227,7 @@ func TestWarmForkCancelledBeforeBuild(t *testing.T) {
 // in-flight simulation returns early when its own context is cancelled,
 // without disturbing the builder.
 func TestWarmForkCancelledWaiter(t *testing.T) {
-	c := NewWarmForkCache()
+	c := NewPointMemo(PointStore(nil))
 	pt := Point{Family: FamilyLock, Procs: 2, Iterations: 64, WarmFork: true}
 	built := PointResult{Latency: 42}
 	started := make(chan struct{})
@@ -260,7 +260,7 @@ func TestWarmForkCancelledWaiter(t *testing.T) {
 // TestWarmForkCancelledBarrierAndReduction covers the cancellation path
 // for the remaining two families.
 func TestWarmForkCancelledBarrierAndReduction(t *testing.T) {
-	c := NewWarmForkCache()
+	c := NewPointMemo(PointStore(nil))
 	for _, pt := range []Point{
 		{Family: FamilyBarrier, Kind: int(workload.Central), Procs: 2, Iterations: 8, WarmFork: true},
 		{Family: FamilyReduction, Kind: int(workload.Sequential), Variant: 1, Procs: 2, Iterations: 8, WarmFork: true},
@@ -289,7 +289,7 @@ var pointExperiments = []string{
 func TestMemoNeverChangesOutput(t *testing.T) {
 	var keys map[string]bool // distinct Point.Key()s of one rendering
 	total := 0
-	render := func(workers int, memo *WarmForkCache, record bool) string {
+	render := func(workers int, memo *PointMemo, record bool) string {
 		o := Options{
 			Procs: []int{1, 2, 8}, TrafficProcs: 8,
 			LockIterations: 320, BarrierEpisodes: 40, ReductionEpisodes: 40,
@@ -332,7 +332,7 @@ func TestMemoNeverChangesOutput(t *testing.T) {
 		t.Fatalf("%d distinct keys among %d points; the figure triplets must repeat some", len(keys), total)
 	}
 	for _, workers := range []int{1, 4} {
-		memo := NewWarmForkCache()
+		memo := NewPointMemo(PointStore(nil))
 		for pass := 1; pass <= 2; pass++ {
 			if got := render(workers, memo, false); got != want {
 				t.Errorf("%d workers, pass %d through the memo: output differs from the memo-less rendering", workers, pass)
@@ -375,7 +375,7 @@ func TestMemoCapEvictsLeastRecentlyUsed(t *testing.T) {
 		}
 	}
 	pts = pts[:3*memoCap]
-	c := NewWarmForkCache()
+	c := NewPointMemo(PointStore(nil))
 	run := func(pt Point) []byte {
 		res, err := RunPointForked(ctx, pt, c)
 		if err != nil {
@@ -421,7 +421,7 @@ func TestMemoCapEvictsLeastRecentlyUsed(t *testing.T) {
 
 	// Fill the memo past its cap while a build is running and a waiter
 	// holds it.
-	c = NewWarmForkCache()
+	c = NewPointMemo(PointStore(nil))
 	inflight := Point{Family: FamilyBarrier, Procs: 2, Iterations: 4}
 	built := PointResult{Latency: 42}
 	started, release := make(chan struct{}), make(chan struct{})

@@ -33,7 +33,7 @@ type Config struct {
 	// coordinator's own. Its durable layer, if any (the daemon's store),
 	// answers points memory does not hold — after a restart, an eviction
 	// — and receives every accepted result.
-	Memo *experiments.WarmForkCache
+	Memo *experiments.PointMemo
 	Logf func(format string, args ...any)
 }
 
@@ -54,7 +54,7 @@ func (cfg Config) withDefaults() Config {
 		cfg.RetryBackoff = 250 * time.Millisecond
 	}
 	if cfg.Memo == nil {
-		cfg.Memo = experiments.NewWarmForkCache()
+		cfg.Memo = experiments.NewPointMemo(experiments.PointStore(nil))
 	}
 	return cfg
 }

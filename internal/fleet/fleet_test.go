@@ -335,8 +335,8 @@ func TestRunPointsCancellation(t *testing.T) {
 
 // fig8Points is a scaled-down fig8-class sweep: the full lock-latency
 // grid (3 lock kinds x 3 protocols x 3 sizes), warm-forked like the
-// service's warm_fork jobs, with iteration counts small enough for a
-// test.
+// two-phase sweeps workers still receive, with iteration counts small
+// enough for a test.
 func fig8Points() []experiments.Point {
 	var pts []experiments.Point
 	for kind := 0; kind < 3; kind++ {
@@ -775,7 +775,7 @@ func TestFiguresCrossTheFleetOnce(t *testing.T) {
 	}
 	local := experiments.Quick()
 	local.Runner = runner.New(2)
-	local.Memo = experiments.NewWarmForkCache()
+	local.Memo = experiments.NewPointMemo(experiments.PointStore(nil))
 	want := render(local)
 
 	coord := NewCoordinator(testConfig(noStore))

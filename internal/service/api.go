@@ -53,7 +53,6 @@ type JobSpec struct {
 	Iterations      int    `json:"iterations,omitempty"`       // iteration override, 0 = default (kind=run)
 	Scale           string `json:"scale,omitempty"`            // quick | paper (kind=experiment)
 	Format          string `json:"format,omitempty"`           // table | csv (kind=experiment)
-	WarmFork        bool   `json:"warm_fork,omitempty"`        // run sweep points in two phases: warm-up, then the rest (kind=experiment)
 	MetricsInterval uint64 `json:"metrics_interval,omitempty"` // sampling interval in simulated cycles
 	Breakdown       bool   `json:"breakdown,omitempty"`        // collect the stall-attribution breakdown
 	TimeoutSec      int    `json:"timeout_sec,omitempty"`      // per-job deadline; excluded from the hash

@@ -77,9 +77,6 @@ func Canonicalize(s JobSpec) (JobSpec, error) {
 		default:
 			return c, fmt.Errorf("unknown format %q (want table or csv)", s.Format)
 		}
-		// Warm-forked sweeps are deterministic but differ from single-phase
-		// ones, so the flag is part of the job's identity (and hash).
-		c.WarmFork = s.WarmFork
 	case "run":
 		c.Run = strings.ToLower(strings.TrimSpace(s.Run))
 		kind, ok := runKinds[c.Run]

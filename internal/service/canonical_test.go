@@ -2,6 +2,9 @@ package service
 
 import (
 	"encoding/json"
+	"io"
+	"net/http"
+	"strings"
 	"testing"
 )
 
@@ -105,40 +108,31 @@ func TestCanonicalizeDefaultsAndClearing(t *testing.T) {
 	}
 }
 
-// TestCanonicalizeWarmFork: the warm-fork flag is experiment-only state
-// that changes the produced figures, so it must survive experiment
-// canonicalization (and split the hash space), be cleared for run
-// specs, and — being omitempty — leave legacy hashes untouched when
-// false.
-func TestCanonicalizeWarmFork(t *testing.T) {
+// TestWarmForkRefused: a job spec no longer selects the two-phase run,
+// so warm_fork is an unknown field and the request is refused before it
+// reaches the scheduler, while every document stored without it keeps
+// its content address.
+func TestWarmForkRefused(t *testing.T) {
+	ts, svc := newTestServer(t, Config{}, stubExec(nil, nil))
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"experiment":"fig8","warm_fork":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `unknown field \"warm_fork\"`) {
+		t.Errorf("warm_fork spec: HTTP %d %s, want 400 naming the unknown field", resp.StatusCode, body)
+	}
+	if c := svc.Scheduler().Counters(); c.Submitted != 0 {
+		t.Errorf("a refused spec reached the scheduler: %+v", c)
+	}
+
 	plain, err := Canonicalize(JobSpec{Experiment: "fig8"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	forked, err := Canonicalize(JobSpec{Experiment: "fig8", WarmFork: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plainHash, forkedHash := Hash(plain), Hash(forked)
-	if !forked.WarmFork {
-		t.Error("WarmFork cleared by experiment canonicalization")
-	}
-	if plainHash == forkedHash {
-		t.Error("warm-forked spec hashes identically to the plain spec; forked results would alias cached plain ones")
-	}
-	if plain.WarmFork {
-		t.Error("plain spec canonicalized with WarmFork set")
-	}
-	if plainHash != goldenFig8QuickHash {
-		t.Errorf("plain fig8 hash = %s, want golden %s (warm_fork must be omitempty)", plainHash, goldenFig8QuickHash)
-	}
-
-	c, err := Canonicalize(JobSpec{Run: "lock", WarmFork: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.WarmFork {
-		t.Error("run spec kept WarmFork; run kind has no sweep to fork")
+	if h := Hash(plain); h != goldenFig8QuickHash {
+		t.Errorf("plain fig8 hash = %s, want golden %s", h, goldenFig8QuickHash)
 	}
 }
 

@@ -31,25 +31,24 @@ type ExecFunc func(ctx context.Context, spec JobSpec, simWorkers int, progress f
 // returns ctx.Err() with no result. The jobs run through one executor
 // are a batch (the figures of coherencesim -experiment all): a
 // simulation two of them have in common — figures 9 and 10 project the
-// same runs — happens once. A warm_fork spec selects only the two-phase
-// run; it is memoized like any other.
+// same runs — happens once.
 func BatchExecutor() ExecFunc {
-	return memoExecutor(experiments.NewWarmForkCache())
+	return memoExecutor(experiments.NewPointMemo(experiments.PointStore(nil)))
 }
 
 // memoExecutor is the executor on the caller's memo (a Service's).
-func memoExecutor(memo *experiments.WarmForkCache) ExecFunc {
+func memoExecutor(memo *experiments.PointMemo) ExecFunc {
 	return func(ctx context.Context, spec JobSpec, simWorkers int, progress func(runner.Snapshot)) (*JobResult, error) {
 		return executeSpec(ctx, spec, simWorkers, progress, nil, memo)
 	}
 }
 
-// executeSpec is the executor with an optional point dispatcher: when
-// non-nil, decomposable sweeps hand their points to it (the fleet path)
-// instead of the local pool and memo. Everything else — rendering,
-// assembly order, collectors — is shared and cannot drift. memo is never
-// nil: a warm_fork spec selects the two-phase run with it.
-func executeSpec(ctx context.Context, spec JobSpec, simWorkers int, progress func(runner.Snapshot), dispatch experiments.PointDispatcher, memo *experiments.WarmForkCache) (*JobResult, error) {
+// executeSpec is the executor with a point dispatcher or a memo: when
+// dispatch is non-nil, decomposable sweeps hand their points to it (the
+// fleet path) and memo is never read; otherwise they run on the local
+// pool through memo. Everything else — rendering, assembly order,
+// collectors — is shared and cannot drift.
+func executeSpec(ctx context.Context, spec JobSpec, simWorkers int, progress func(runner.Snapshot), dispatch experiments.PointDispatcher, memo *experiments.PointMemo) (*JobResult, error) {
 	if spec.Kind == "run" {
 		res, _, err := ExecuteRun(ctx, spec, func(pt experiments.Point) (experiments.PointResult, error) {
 			if dispatch != nil {
@@ -75,9 +74,6 @@ func executeSpec(ctx context.Context, spec JobSpec, simWorkers int, progress fun
 		o.Breakdown = trace.NewBreakdownCollector()
 	}
 	o.Memo = memo
-	if spec.WarmFork {
-		o.Forks = memo
-	}
 
 	res := &JobResult{}
 	if spec.Format == "csv" {

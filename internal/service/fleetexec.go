@@ -18,10 +18,9 @@ import (
 // returns results in submission order (the coordinator's contract), so
 // the rendered document is byte-identical to base's at any worker count
 // and under any failure interleaving. A dispatched sweep reuses results
-// through the same memo as a local one — coord is built on it
-// (fleet.Config.Memo) and asks it before it leases anything — so memo is
-// here only to mark a warm_fork sweep's points.
-func NewFleetExec(base ExecFunc, coord *fleet.Coordinator, memo *experiments.WarmForkCache) ExecFunc {
+// through the same memo as a local one: coord is built on it
+// (fleet.Config.Memo) and asks it before it leases anything.
+func NewFleetExec(base ExecFunc, coord *fleet.Coordinator) ExecFunc {
 	if coord == nil {
 		return base
 	}
@@ -30,7 +29,7 @@ func NewFleetExec(base ExecFunc, coord *fleet.Coordinator, memo *experiments.War
 			return base(ctx, spec, simWorkers, progress)
 		}
 		session := &fleetSession{ctx: ctx, coord: coord, progress: progress, start: time.Now()}
-		res, err := executeSpec(ctx, spec, simWorkers, progress, session.dispatch, memo)
+		res, err := executeSpec(ctx, spec, simWorkers, progress, session.dispatch, nil)
 		if err != nil {
 			return nil, err
 		}

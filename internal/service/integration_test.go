@@ -397,7 +397,7 @@ func TestFleetPathCountsCacheAnsweredPoints(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// A coordinator on the shared store with one worker of its own.
-	startFleet := func() (*fleet.Coordinator, *experiments.WarmForkCache) {
+	startFleet := func() (*fleet.Coordinator, *experiments.PointMemo) {
 		memo := experiments.NewPointMemo(experiments.PointStore(st))
 		coord := fleet.NewCoordinator(fleet.Config{Memo: memo, HeartbeatTimeout: time.Second})
 		t.Cleanup(coord.Close)
@@ -434,7 +434,7 @@ func TestFleetPathCountsCacheAnsweredPoints(t *testing.T) {
 		coord *fleet.Coordinator
 		name  string
 	}{{coord, "fig9"}, {coord, "fig10"}, {restarted, "fig10"}} { // fig10 asks for fig9's points again
-		got := last(NewFleetExec(nil, run.coord, experiments.NewWarmForkCache()), run.name)
+		got := last(NewFleetExec(nil, run.coord), run.name)
 		if got.JobsDone != local.JobsDone || got.JobsTotal != local.JobsTotal || got.SimCycles != local.SimCycles {
 			t.Errorf("%s on the fleet path ended at %d/%d points, %d cycles; the local path at %d/%d, %d",
 				run.name, got.JobsDone, got.JobsTotal, got.SimCycles, local.JobsDone, local.JobsTotal, local.SimCycles)

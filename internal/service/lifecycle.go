@@ -153,7 +153,7 @@ func newService(cfg Config, exec ExecFunc) (*Service, error) {
 		Store:        st,
 		TenantQuota:  cfg.TenantQuota,
 		TenantQuotas: cfg.TenantQuotas,
-	}, NewFleetExec(exec, coord, memo))
+	}, NewFleetExec(exec, coord))
 	svc := &Service{cfg: cfg, sched: sched, life: life, coord: coord}
 	svc.srv = NewServer(sched, life, coord, svc, memo)
 	if cfg.ConfigPath != "" {

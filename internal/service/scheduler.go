@@ -255,13 +255,14 @@ func (s *Scheduler) queueFor(spec JobSpec) chan *task {
 }
 
 // Submit admits one canonical spec (callers must Canonicalize first)
-// on behalf of tenant. Exactly one of the returns is meaningful per
+// on behalf of tenant and returns the spec's content address, which
+// names the job. Of the other returns exactly one is meaningful per
 // admission class: the live task for Admitted/Deduped, the stored
 // document for CacheHit. A cache hit is served from memory when
 // possible and from the durable store otherwise, so identical specs
 // replay byte-identical across daemon restarts.
-func (s *Scheduler) Submit(spec JobSpec, tenant string) (*task, []byte, Admission, error) {
-	id := Hash(spec)
+func (s *Scheduler) Submit(spec JobSpec, tenant string) (id string, t *task, cached []byte, adm Admission, err error) {
+	id = Hash(spec)
 	s.mu.Lock()
 	_, live := s.inflight[id]
 	s.mu.Unlock()
@@ -275,11 +276,11 @@ func (s *Scheduler) Submit(spec JobSpec, tenant string) (*task, []byte, Admissio
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		return nil, nil, 0, ErrDraining
+		return id, nil, nil, 0, ErrDraining
 	}
-	if t, ok := s.inflight[id]; ok {
+	if t = s.inflight[id]; t != nil {
 		s.deduped.Add(1)
-		return t, nil, Deduped, nil
+		return id, t, nil, Deduped, nil
 	}
 	if !found {
 		// It may have finished since the look above: finalize files the
@@ -291,25 +292,25 @@ func (s *Scheduler) Submit(spec JobSpec, tenant string) (*task, []byte, Admissio
 		if loaded {
 			s.storeHits.Add(1)
 		}
-		return nil, doc.body, CacheHit, nil
+		return id, nil, doc.body, CacheHit, nil
 	}
 	if q := s.cfg.quotaFor(tenant); q > 0 && s.perTenant[tenant] >= q {
 		s.quotaHits.Add(1)
-		return nil, nil, 0, ErrQuotaExceeded
+		return id, nil, nil, 0, ErrQuotaExceeded
 	}
-	t := newTask(id, spec)
+	t = newTask(id, spec)
 	t.tenant = tenant
 	select {
 	case s.queueFor(spec) <- t:
 	default:
 		s.rejected.Add(1)
-		return nil, nil, 0, ErrQueueFull
+		return id, nil, nil, 0, ErrQueueFull
 	}
 	s.inflight[id] = t
 	s.perTenant[tenant]++
 	s.jobWG.Add(1)
 	s.submitted.Add(1)
-	return t, nil, Admitted, nil
+	return id, t, nil, Admitted, nil
 }
 
 // SetQuotas hot-swaps the tenant admission quotas (0 = unlimited; the

@@ -72,7 +72,7 @@ func TestDedupRunsSimulationExactlyOnce(t *testing.T) {
 	for i := 0; i < submitters; i++ {
 		go func(i int) {
 			defer wg.Done()
-			tk, _, adm, err := s.Submit(spec, "")
+			_, tk, _, adm, err := s.Submit(spec, "")
 			if err != nil {
 				t.Errorf("submitter %d: %v", i, err)
 				return
@@ -111,7 +111,7 @@ func TestDedupRunsSimulationExactlyOnce(t *testing.T) {
 
 	// After completion the spec is a cache hit carrying the stored
 	// terminal document.
-	_, body, adm, err := s.Submit(spec, "")
+	_, _, body, adm, err := s.Submit(spec, "")
 	if err != nil || adm != CacheHit {
 		t.Fatalf("resubmit = %v admission %v, want cache hit", err, adm)
 	}
@@ -152,14 +152,14 @@ func TestSubmitReadsStoreOutsideLock(t *testing.T) {
 		},
 	})
 
-	live, _, _, err := s.Submit(running, "")
+	_, live, _, _, err := s.Submit(running, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, s, 1)
 	slowDone := make(chan error, 1)
 	go func() {
-		_, _, _, err := s.Submit(slow, "")
+		_, _, _, _, err := s.Submit(slow, "")
 		slowDone <- err
 	}()
 	<-loading
@@ -169,7 +169,7 @@ func TestSubmitReadsStoreOutsideLock(t *testing.T) {
 		if _, ok := s.Get(live.id); !ok {
 			t.Error("GET lost the in-flight job")
 		}
-		if _, _, adm, err := s.Submit(other, ""); err != nil || adm != Admitted {
+		if _, _, _, adm, err := s.Submit(other, ""); err != nil || adm != Admitted {
 			t.Errorf("Submit of another spec = %v admission %v, want admitted", err, adm)
 		}
 	}()
@@ -190,16 +190,16 @@ func TestQueueFullRejection(t *testing.T) {
 	defer func() { close(block); s.Close() }()
 
 	// First job occupies the single worker...
-	if _, _, _, err := s.Submit(canonical(t, JobSpec{Experiment: "fig8"}), ""); err != nil {
+	if _, _, _, _, err := s.Submit(canonical(t, JobSpec{Experiment: "fig8"}), ""); err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, s, 1)
 	// ...second fills the queue...
-	if _, _, _, err := s.Submit(canonical(t, JobSpec{Experiment: "fig11"}), ""); err != nil {
+	if _, _, _, _, err := s.Submit(canonical(t, JobSpec{Experiment: "fig11"}), ""); err != nil {
 		t.Fatal(err)
 	}
 	// ...third must be refused.
-	if _, _, _, err := s.Submit(canonical(t, JobSpec{Experiment: "fig14"}), ""); err != ErrQueueFull {
+	if _, _, _, _, err := s.Submit(canonical(t, JobSpec{Experiment: "fig14"}), ""); err != ErrQueueFull {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
 	if s.Counters().Rejected != 1 {
@@ -216,12 +216,12 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Jobs: 1, QueueDepth: 4}, stubExec(nil, block))
 	defer s.Close()
 
-	running, _, _, err := s.Submit(canonical(t, JobSpec{Experiment: "fig8"}), "")
+	_, running, _, _, err := s.Submit(canonical(t, JobSpec{Experiment: "fig8"}), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, s, 1)
-	queued, _, _, err := s.Submit(canonical(t, JobSpec{Experiment: "fig11"}), "")
+	_, queued, _, _, err := s.Submit(canonical(t, JobSpec{Experiment: "fig11"}), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 		t.Errorf("running job status = %s, want canceled", st)
 	}
 	// A cancelled result must never satisfy later identical requests.
-	_, _, adm, err := s.Submit(canonical(t, JobSpec{Experiment: "fig11"}), "")
+	_, _, _, adm, err := s.Submit(canonical(t, JobSpec{Experiment: "fig11"}), "")
 	if err != nil || adm == CacheHit {
 		t.Errorf("resubmit after cancel = admission %v err %v, want fresh admission", adm, err)
 	}
@@ -256,7 +256,7 @@ func TestJobDeadline(t *testing.T) {
 	defer close(block)
 	s := NewScheduler(SchedulerConfig{Jobs: 1}, stubExec(nil, block))
 	defer s.Close()
-	tk, _, _, err := s.Submit(canonical(t, JobSpec{Experiment: "fig8", TimeoutSec: 1}), "")
+	_, tk, _, _, err := s.Submit(canonical(t, JobSpec{Experiment: "fig8", TimeoutSec: 1}), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestJobDeadline(t *testing.T) {
 func TestDrainFinishesInFlightJobs(t *testing.T) {
 	// Fast executor: drain should complete cleanly within grace.
 	s := NewScheduler(SchedulerConfig{Jobs: 2}, stubExec(nil, nil))
-	tk, _, _, err := s.Submit(canonical(t, JobSpec{Experiment: "fig8"}), "")
+	_, tk, _, _, err := s.Submit(canonical(t, JobSpec{Experiment: "fig8"}), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestDrainFinishesInFlightJobs(t *testing.T) {
 		t.Errorf("job status after clean drain = %s, want done", st)
 	}
 	// Draining scheduler refuses new work.
-	if _, _, _, err := s.Submit(canonical(t, JobSpec{Experiment: "fig11"}), ""); err != ErrDraining {
+	if _, _, _, _, err := s.Submit(canonical(t, JobSpec{Experiment: "fig11"}), ""); err != ErrDraining {
 		t.Errorf("submit while draining = %v, want ErrDraining", err)
 	}
 }
@@ -302,12 +302,12 @@ func TestDrainCancelsStragglers(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
 	s := NewScheduler(SchedulerConfig{Jobs: 1, QueueDepth: 4}, stubExec(nil, block))
-	running, _, _, err := s.Submit(canonical(t, JobSpec{Experiment: "fig8"}), "")
+	_, running, _, _, err := s.Submit(canonical(t, JobSpec{Experiment: "fig8"}), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, s, 1)
-	queued, _, _, err := s.Submit(canonical(t, JobSpec{Experiment: "fig11"}), "")
+	_, queued, _, _, err := s.Submit(canonical(t, JobSpec{Experiment: "fig11"}), "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ type Server struct {
 	life     *Lifecycle
 	coord    *fleet.Coordinator
 	reloader Reloader
-	memo     *experiments.WarmForkCache
+	memo     *experiments.PointMemo
 	mux      *http.ServeMux
 }
 
@@ -38,7 +38,7 @@ type Server struct {
 // fleet's worker-facing endpoints (/v1/fleet/*) on the same listener;
 // a non-nil reloader mounts POST /v1/admin/reload; memo is the point
 // memo /metrics reports on.
-func NewServer(sched *Scheduler, life *Lifecycle, coord *fleet.Coordinator, reloader Reloader, memo *experiments.WarmForkCache) *Server {
+func NewServer(sched *Scheduler, life *Lifecycle, coord *fleet.Coordinator, reloader Reloader, memo *experiments.PointMemo) *Server {
 	s := &Server{sched: sched, life: life, coord: coord, reloader: reloader, memo: memo, mux: http.NewServeMux()}
 	if coord != nil {
 		coord.Mount(s.mux)
@@ -99,7 +99,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid job spec: %v", err)
 		return
 	}
-	t, cached, adm, err := s.sched.Submit(spec, r.Header.Get("X-Tenant"))
+	id, t, cached, adm, err := s.sched.Submit(spec, r.Header.Get("X-Tenant"))
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", strconv.Itoa(s.sched.RetryAfter()))
@@ -117,7 +117,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	w.Header().Set("Location", "/v1/jobs/"+Hash(spec))
+	w.Header().Set("Location", "/v1/jobs/"+id)
 	switch adm {
 	case CacheHit:
 		w.Header().Set("X-Cache", "hit")

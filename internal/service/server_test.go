@@ -474,42 +474,31 @@ func TestRealExecuteQuickRun(t *testing.T) {
 // points of figure 8 — the lock-traffic points, which are all of figure
 // 9 — and so does a kind=run job of the same size, so on one memo
 // whichever comes first simulates them and the rest simulate nothing
-// new, plain or warm-forked, and a batch serves the bytes fresh
-// executors do.
+// new, and a batch serves the bytes fresh executors do.
 func TestBatchExecutorSharesPoints(t *testing.T) {
 	ctx := context.Background()
 	mcs := JobSpec{Run: "lock", Algo: "mcs", Protocol: "CU", Iterations: experiments.Quick().LockIterations}
-	for _, c := range []struct {
-		warm   bool
-		family []JobSpec
-		points int    // distinct points of the family: those of its first figure
-		hits   uint64 // requests the later jobs make
-	}{
-		{false, []JobSpec{{Experiment: "fig8"}, {Experiment: "fig9"}, {Experiment: "fig10"}, mcs}, 27, 19},
-		{true, []JobSpec{{Experiment: "fig9"}, {Experiment: "fig10"}}, 9, 9},
-	} {
-		memo, batch := experiments.NewWarmForkCache(), BatchExecutor()
-		for _, job := range c.family {
-			job.WarmFork = c.warm
-			spec, name := canonical(t, job), job.Experiment+job.Run
-			var docs [3][]byte
-			for i, run := range []ExecFunc{execute, batch, memoExecutor(memo)} {
-				res, err := run(ctx, spec, 2, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				docs[i], _ = json.Marshal(res)
+	const points, hits = 27, 19 // figure 8's distinct points; requests the later jobs make
+	memo, batch := experiments.NewPointMemo(experiments.PointStore(nil)), BatchExecutor()
+	for _, job := range []JobSpec{{Experiment: "fig8"}, {Experiment: "fig9"}, {Experiment: "fig10"}, mcs} {
+		spec, name := canonical(t, job), job.Experiment+job.Run
+		var docs [3][]byte
+		for i, run := range []ExecFunc{execute, batch, memoExecutor(memo)} {
+			res, err := run(ctx, spec, 2, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !bytes.Equal(docs[0], docs[1]) || !bytes.Equal(docs[0], docs[2]) {
-				t.Errorf("%s (warm_fork %v): a shared memo changed the result", name, c.warm)
-			}
-			if n := memo.Checkpoints(); n != c.points {
-				t.Errorf("warm_fork %v: %d distinct points simulated after %s, want the %d of %s", c.warm, n, name, c.points, c.family[0].Experiment)
-			}
+			docs[i], _ = json.Marshal(res)
 		}
-		if ms := memo.Stats(); ms.Hits != c.hits || ms.Builds != uint64(c.points) || ms.Saved == 0 {
-			t.Errorf("warm_fork %v: memo hits %d builds %d served cycles %d, want %d, %d, > 0", c.warm, ms.Hits, ms.Builds, ms.Saved, c.hits, c.points)
+		if !bytes.Equal(docs[0], docs[1]) || !bytes.Equal(docs[0], docs[2]) {
+			t.Errorf("%s: a shared memo changed the result", name)
 		}
+		if n := memo.Stats().Entries; n != points {
+			t.Errorf("%d distinct points simulated after %s, want the %d of fig8", n, name, points)
+		}
+	}
+	if ms := memo.Stats(); ms.Hits != hits || ms.Builds != points || ms.Saved == 0 {
+		t.Errorf("memo hits %d builds %d served cycles %d, want %d, %d, > 0", ms.Hits, ms.Builds, ms.Saved, hits, points)
 	}
 }
 

@@ -4,7 +4,8 @@ package workload
 // prefix (cold caches, directory filling, the constructs' steady state
 // forming) and a measurement-bearing remainder. The TwoPhase* runners
 // execute both phases back to back on one machine, reporting cumulative
-// figures over both; they are what a warm_fork sweep point runs.
+// figures over both; they are what a point with WarmFork set runs, and
+// only the frozen bench/ harness sets it (experiments.Options.Forks).
 //
 // WarmLockLoop is the same split as a reusable value whose Run is
 // TwoPhaseLockLoop. It does not fork a machine.Snapshot: a fork replays

@@ -9,9 +9,12 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -150,14 +153,48 @@ func declaredBy(info *types.Info, decl ast.Decl) []guardDecl {
 	return out
 }
 
-func TestNoUnreferencedInternalAPI(t *testing.T) {
+// guardIdent is one exported identifier declared under internal/: a
+// package-level function, type, constant or variable, a method, or a
+// field of a package-level struct type.
+type guardIdent struct {
+	name  string // "pkg.Name", or "pkg.Type.Name" for a method or field
+	pos   token.Position
+	field bool            // struct fields are out of TestNoUnreferencedInternalAPI's scope
+	iface bool            // a method its type needs to satisfy an interface
+	users map[string]bool // import paths of the packages whose non-test files reference it
+}
+
+// guard is the module's type-checked source, loaded once per test binary
+// for every guard that reads it.
+var guard struct {
+	once   sync.Once
+	root   string
+	idents []guardIdent
+	err    error
+}
+
+// guardIdents returns the repository root and every exported identifier
+// under internal/ in declaration order, with who references it.
+func guardIdents(t *testing.T) (string, []guardIdent) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("type-checks the whole module from source")
 	}
-	root, err := filepath.Abs(".")
-	if err != nil {
-		t.Fatal(err)
+	guard.once.Do(func() {
+		guard.root, guard.err = filepath.Abs(".")
+		if guard.err == nil {
+			guard.idents, guard.err = loadGuardIdents(guard.root)
+		}
+	})
+	if guard.err != nil {
+		t.Fatal(guard.err)
 	}
+	return guard.root, guard.idents
+}
+
+// loadGuardIdents type-checks every package under root, bench/ included,
+// and lists the exported identifiers of those under internal/.
+func loadGuardIdents(root string) ([]guardIdent, error) {
 	// The source importer reads build.Default; without cgo it picks the
 	// pure-Go files of net and os/user instead of running the cgo tool.
 	cgo := build.Default.CgoEnabled
@@ -175,7 +212,7 @@ func TestNoUnreferencedInternalAPI(t *testing.T) {
 		},
 		pkgs: make(map[string]*guardPkg),
 	}
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
@@ -194,17 +231,18 @@ func TestNoUnreferencedInternalAPI(t *testing.T) {
 		return err
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	for _, want := range []string{"/bench", "/cmd/coherencesim", "/cmd/coherenced", "/examples/quickstart", ""} {
 		if l.pkgs[guardModule+want] == nil {
-			t.Fatalf("package %s%s was not loaded; the walk no longer covers every root", guardModule, want)
+			return nil, fmt.Errorf("package %s%s was not loaded; the walk no longer covers every root", guardModule, want)
 		}
 	}
 
 	// Every use of an object outside its own declaration (and, for a
-	// type, outside its own methods) marks it referenced.
-	used := make(map[types.Object]bool)
+	// type, outside its own methods) marks it referenced by the using
+	// package.
+	users := make(map[types.Object]map[string]bool)
 	for _, p := range l.pkgs {
 		for _, f := range p.files {
 			for _, decl := range f.Decls {
@@ -219,7 +257,10 @@ func TestNoUnreferencedInternalAPI(t *testing.T) {
 					if id, ok := n.(*ast.Ident); ok {
 						if obj := l.info.Uses[id]; obj != nil {
 							if obj = originOf(obj); !owners[obj] {
-								used[obj] = true
+								if users[obj] == nil {
+									users[obj] = make(map[string]bool)
+								}
+								users[obj][p.path] = true
 							}
 						}
 					}
@@ -262,7 +303,7 @@ func TestNoUnreferencedInternalAPI(t *testing.T) {
 	} {
 		pkg, err := l.std.Import(path)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		addIfaces(pkg, only...)
 	}
@@ -283,12 +324,7 @@ func TestNoUnreferencedInternalAPI(t *testing.T) {
 		return false
 	}
 
-	type finding struct {
-		pos  token.Position
-		name string
-	}
-	var findings []finding
-	declared := make(map[string]bool)
+	var idents []guardIdent
 	for _, p := range l.pkgs {
 		if !strings.HasPrefix(p.path, guardModule+"/internal/") {
 			continue
@@ -304,19 +340,59 @@ func TestNoUnreferencedInternalAPI(t *testing.T) {
 					if gd.recv != nil {
 						name = p.types.Name() + "." + gd.recv.Name() + "." + gd.id.Name
 					}
-					declared[name] = true
-					_, allowed := unreferencedAllowed[name]
-					switch referenced := used[obj] || (gd.recv != nil && satisfiesInterface(gd.recv, gd.id.Name)); {
-					case referenced && allowed:
-						t.Errorf("allowlist entry %s is referenced by non-test code (or satisfies an interface); remove it", name)
-					case !referenced && !allowed:
-						findings = append(findings, finding{fset.Position(gd.id.Pos()), name})
+					idents = append(idents, guardIdent{
+						name:  name,
+						pos:   fset.Position(gd.id.Pos()),
+						iface: gd.recv != nil && satisfiesInterface(gd.recv, gd.id.Name),
+						users: users[obj],
+					})
+					if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+						if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+							for i := 0; i < st.NumFields(); i++ {
+								if fld := st.Field(i); fld.Exported() {
+									idents = append(idents, guardIdent{
+										name:  name + "." + fld.Name(),
+										pos:   fset.Position(fld.Pos()),
+										field: true,
+										users: users[fld],
+									})
+								}
+							}
+						}
 					}
 				}
 			}
 		}
 	}
+	sort.Slice(idents, func(i, j int) bool {
+		a, b := idents[i].pos, idents[j].pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
+		}
+		return a.Offset < b.Offset
+	})
+	return idents, nil
+}
 
+func TestNoUnreferencedInternalAPI(t *testing.T) {
+	root, idents := guardIdents(t)
+	declared := make(map[string]bool)
+	findings := 0
+	for _, id := range idents {
+		if id.field {
+			continue
+		}
+		declared[id.name] = true
+		_, allowed := unreferencedAllowed[id.name]
+		switch referenced := len(id.users) > 0 || id.iface; {
+		case referenced && allowed:
+			t.Errorf("allowlist entry %s is referenced by non-test code (or satisfies an interface); remove it", id.name)
+		case !referenced && !allowed:
+			rel, _ := filepath.Rel(root, id.pos.Filename)
+			t.Errorf("%s:%d %s has no non-test reference", filepath.ToSlash(rel), id.pos.Line, id.name)
+			findings++
+		}
+	}
 	if len(unreferencedAllowed) > guardMaxAllowed {
 		t.Errorf("allowlist has %d entries, the cap is %d", len(unreferencedAllowed), guardMaxAllowed)
 	}
@@ -325,18 +401,128 @@ func TestNoUnreferencedInternalAPI(t *testing.T) {
 			t.Errorf("allowlist entry %s is not declared under internal/ any more; remove it", name)
 		}
 	}
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i].pos, findings[j].pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Line < b.Line
-	})
-	for _, f := range findings {
-		rel, _ := filepath.Rel(root, f.pos.Filename)
-		t.Errorf("%s:%d %s has no non-test reference", filepath.ToSlash(rel), f.pos.Line, f.name)
+	if findings > 0 {
+		t.Errorf("%d exported identifiers under internal/ are unreferenced: delete each with the tests that existed only for it", findings)
 	}
-	if len(findings) > 0 {
-		t.Errorf("%d exported identifiers under internal/ are unreferenced: delete each with the tests that existed only for it", len(findings))
+}
+
+// benchOnly is the frozen surface: every exported identifier under
+// internal/ (methods and struct fields included) that no package but
+// bench/ references. bench/ is a frozen harness that only a
+// benchmark-definition change may edit, so it keeps alive whatever it
+// imports; listing that here makes growing the set a decision.
+// TestBenchOnlySurface fails when an identifier becomes bench-only
+// without an entry here, or when an entry gains another caller or is no
+// longer declared.
+var benchOnly = map[string]string{
+	// The two-phase fork facility. The benchmark-definition change that
+	// retires it deletes exactly these, with the ledger rows that read
+	// them.
+	"machine.Machine.Snapshot":          "machine.snapshot_us: records a machine after its first phase",
+	"machine.Machine.RestoreFrom":       "machine.restore_us and machine.fork_run_ns_per_event: replays a snapshot",
+	"workload.WarmLockLoop":             "workload.warm_split_overhead_frac: the two-phase lock recipe",
+	"workload.WarmLock.Run":             "workload.warm_split_overhead_frac: runs the recipe",
+	"experiments.WarmForkCache":         "the memo's old name, in the probes' and warmfork_stream's signatures",
+	"experiments.NewWarmForkCache":      "the memo's old constructor, for experiments.point_warm_*_us and warmfork_stream",
+	"experiments.PointMemo.Checkpoints": "experiments.warm_checkpoints and warm_reuse_ratio",
+	"fleet.Stats.Stolen":                "fleet.stolen, a constant 0 since nothing is leased ahead",
+
+	// Measurement hooks bench/ legitimately uses.
+	"cache.Cache.NumLines":        "cache.install_evict_ns: picks two blocks that conflict on one frame",
+	"mc.DefaultConfig":            "mc.states and mc.states_per_s: the default protocol matrix",
+	"runner.Pool.Progress":        "sim_cycles_per_s: the pool's simulated-cycle counter around a round",
+	"service.Service.Handler":     "service_mix: mounts the daemon's API on a test listener",
+	"service.Service.Scheduler":   "service_mix: stops the daemon before its restart",
+	"service.Service.Coordinator": "service_mix: stops the daemon before its restart",
+	"service.Scheduler.Close":     "service_mix: stops the daemon's job runners before its restart",
+}
+
+// benchPkg is the import path of the frozen harness.
+const benchPkg = guardModule + "/bench"
+
+// benchOnlyDiff compares the bench-only identifiers among idents with
+// listed. It returns one problem per line and, when there are any, the
+// map literal that would make listed exact.
+func benchOnlyDiff(idents []guardIdent, listed map[string]string) (problems []string, replacement string) {
+	found := make(map[string]bool)
+	for _, id := range idents {
+		if id.iface || len(id.users) != 1 || !id.users[benchPkg] {
+			continue
+		}
+		found[id.name] = true
+		if _, ok := listed[id.name]; !ok {
+			problems = append(problems, fmt.Sprintf("%s is referenced only from bench/ and is not listed in benchOnly", id.name))
+		}
+	}
+	declared := make(map[string]bool)
+	for _, id := range idents {
+		declared[id.name] = true
+	}
+	names := make([]string, 0, len(listed))
+	for name := range listed {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		switch {
+		case !declared[name]:
+			problems = append(problems, fmt.Sprintf("benchOnly entry %s is not declared under internal/ any more; remove it", name))
+		case !found[name]:
+			problems = append(problems, fmt.Sprintf("benchOnly entry %s is referenced outside bench/ (or by nothing); remove it", name))
+		}
+	}
+	if len(problems) == 0 {
+		return nil, ""
+	}
+	var b strings.Builder
+	b.WriteString("var benchOnly = map[string]string{\n")
+	for _, id := range idents {
+		if found[id.name] {
+			why, ok := listed[id.name]
+			if !ok {
+				why = "TODO: what bench/ needs it for"
+			}
+			fmt.Fprintf(&b, "\t%q: %q,\n", id.name, why)
+		}
+	}
+	b.WriteString("}\n")
+	return problems, b.String()
+}
+
+func TestBenchOnlySurface(t *testing.T) {
+	_, idents := guardIdents(t)
+	problems, replacement := benchOnlyDiff(idents, benchOnly)
+	for _, p := range problems {
+		t.Error(p)
+	}
+	if len(problems) > 0 {
+		t.Errorf("the bench-only surface changed; the exact list is\n%s", replacement)
+	}
+}
+
+// TestBenchOnlySurfaceCatchesDrift plants the three kinds of drift in the
+// loaded module: a new bench-only identifier, a listed one that gains
+// another caller, and a listed one that is no longer declared.
+func TestBenchOnlySurfaceCatchesDrift(t *testing.T) {
+	_, idents := guardIdents(t)
+	planted := append(slices.Clone(idents), guardIdent{name: "workload.Planted", users: map[string]bool{benchPkg: true}})
+	for i, id := range planted {
+		if id.name == "mc.DefaultConfig" {
+			planted[i].users = map[string]bool{benchPkg: true, guardModule + "/cmd/coherencemc": true}
+		}
+	}
+	listed := maps.Clone(benchOnly)
+	listed["workload.Gone"] = "deleted since"
+	problems, replacement := benchOnlyDiff(planted, listed)
+	for _, want := range []string{"workload.Planted is referenced only from bench/", "mc.DefaultConfig is referenced outside bench/", "workload.Gone is not declared"} {
+		if !slices.ContainsFunc(problems, func(p string) bool { return strings.Contains(p, want) }) {
+			t.Errorf("no problem reports %q; got %q", want, problems)
+		}
+	}
+	if len(problems) != 3 {
+		t.Errorf("%d problems, want 3: %q", len(problems), problems)
+	}
+	if !strings.Contains(replacement, `"workload.Planted": "TODO`) || strings.Contains(replacement, "mc.DefaultConfig") || strings.Contains(replacement, "workload.Gone") {
+		t.Errorf("replacement map is not the exact list:\n%s", replacement)
 	}
 }
