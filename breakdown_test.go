@@ -2,8 +2,10 @@ package coherencesim
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"coherencesim/internal/trace"
@@ -69,7 +71,7 @@ func TestBreakdownMachineReuseIsByteIdentical(t *testing.T) {
 	run := func(m *Machine, tr *trace.Tracer) (string, string) {
 		js, _ := tracedFetchAddRun(t, m)
 		var chrome bytes.Buffer
-		if err := trace.WriteTxnChromeTrace(&chrome, tr, "CU"); err != nil {
+		if err := WriteTimeline(&chrome, tr, nil, "CU"); err != nil {
 			t.Fatal(err)
 		}
 		return js, chrome.String()
@@ -141,7 +143,7 @@ func TestBreakdownIndependentOfStorage(t *testing.T) {
 			res := c.run(p)
 			want := render(res.Breakdown)
 			p.Tune = func(cfg *Config) {
-				storing = trace.NewTracer(cfg.Procs, 0).StoreRecords()
+				storing = NewTimelineTracer(cfg.Procs)
 				cfg.Txn = storing
 			}
 			if got := render(c.run(p).Breakdown); got != want {
@@ -149,16 +151,94 @@ func TestBreakdownIndependentOfStorage(t *testing.T) {
 			}
 			dropped += res.Breakdown.Dropped.Spans
 			var tl bytes.Buffer
-			if err := trace.WriteTxnChromeTrace(&tl, counting, pr.String()); err == nil || tl.Len() != 0 {
+			if err := WriteTimeline(&tl, counting, nil, pr.String()); err == nil || tl.Len() != 0 {
 				t.Errorf("%s: timeline of a counting tracer: err %v, %d bytes; want an error and nothing", label, err, tl.Len())
 			}
-			if err := trace.WriteTxnChromeTrace(&tl, storing, pr.String()); err != nil || len(storing.Spans()) == 0 {
+			if err := WriteTimeline(&tl, storing, nil, pr.String()); err != nil || len(storing.Spans()) == 0 {
 				t.Errorf("%s: timeline of the storing tracer: err %v, %d spans", label, err, len(storing.Spans()))
 			}
 		}
 	}
 	if dropped == 0 {
 		t.Error("no run overflowed the span cap; the test no longer covers counting past it")
+	}
+}
+
+// TestTimelineHoldsEveryStall: a timeline keeps every stall, past the
+// 4 x DefaultSpanLimit stalls a breakdown's dropped count runs against.
+// On every protocol, for a lock (read, write, fence, atomic and spin
+// stalls) and a reduction over magic synchronization (sync waits), the
+// stall slices of the written document sum, per processor and wait
+// reason, to that processor's ProcStats totals; each lies inside the
+// run, on a known processor.
+func TestTimelineHoldsEveryStall(t *testing.T) {
+	const procs = 16
+	for _, pr := range []Protocol{WI, PU, CU} {
+		lock, red := DefaultLockParams(pr, procs), DefaultReductionParams(pr, procs)
+		lock.Iterations, red.Iterations = 3200, 480
+		for _, c := range []struct {
+			name string
+			p    WorkloadParams
+			run  func(WorkloadParams) Result
+		}{
+			{"lock/MCS", lock, func(p WorkloadParams) Result { return LockLoop(p, MCS).Result }},
+			{"reduction/parallel", red, func(p WorkloadParams) Result { return ReductionLoop(p, Parallel).Result }},
+		} {
+			var tr *TxnTracer
+			p := c.p
+			p.Tune = func(cfg *Config) {
+				tr = NewTimelineTracer(cfg.Procs)
+				cfg.Txn = tr
+			}
+			res := c.run(p)
+			var buf bytes.Buffer
+			if err := WriteTimeline(&buf, tr, nil, pr.String()); err != nil {
+				t.Fatal(err)
+			}
+			var doc struct {
+				TraceEvents []struct {
+					Ts, Dur uint64
+					Tid     int
+					Cat     string
+					Args    struct{ Reason string }
+				}
+			}
+			if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]map[string]uint64, procs)
+			for i := range got {
+				got[i] = map[string]uint64{}
+			}
+			stalls := 0
+			for _, e := range doc.TraceEvents {
+				if e.Cat != "stall" {
+					continue
+				}
+				stalls++
+				if e.Dur == 0 || e.Ts+e.Dur > uint64(res.Cycles) || e.Tid < 0 || e.Tid >= procs {
+					t.Fatalf("%v %s: stall %+v is empty, past the run's %d cycles or on no processor", pr, c.name, e, res.Cycles)
+				}
+				got[e.Tid][e.Args.Reason] += e.Dur
+			}
+			if stalls <= 4*trace.DefaultSpanLimit {
+				t.Errorf("%v %s: %d stalls; the run no longer passes the stall cap", pr, c.name, stalls)
+			}
+			for i, ps := range res.PerProc {
+				want := map[string]uint64{
+					"read-stall": uint64(ps.ReadStall), "write-stall": uint64(ps.WriteStall), "fence-stall": uint64(ps.FenceStall),
+					"atomic-stall": uint64(ps.AtomicStall), "spin-wait": uint64(ps.SpinWait), "sync-wait": uint64(ps.SyncWait),
+				}
+				for reason, d := range want {
+					if d == 0 {
+						delete(want, reason)
+					}
+				}
+				if !reflect.DeepEqual(got[i], want) {
+					t.Errorf("%v %s: proc %d stall cycles by reason %v, ProcStats %v", pr, c.name, i, got[i], want)
+				}
+			}
+		}
 	}
 }
 

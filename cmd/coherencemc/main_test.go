@@ -110,6 +110,8 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"-procs", "9"},
 		{"-fault", "nonsense"},
 		{"-ops", "read,jump"},
+		{"-ops", "read,read"},
+		{"-max-states", "-5"},
 		{"-cu-threshold", "0"},
 		{"-cu-threshold", "256"},
 		{"-cu-threshold", "-1"},

@@ -18,9 +18,13 @@
 //
 //	coherencesim -experiment fig8 -quick -metrics-out m.json
 //	coherencesim -experiment fig8 -quick -metrics-csv series.csv
-//	coherencesim -run lock -timeline-out timeline.json   # Perfetto
+//	coherencesim -run lock -timeline-out tl.json -trace 2000   # Perfetto
 //	coherencesim -run lock -trace 2000 -trace-out ops.log
 //	coherencesim -experiment all -quick -cpuprofile cpu.pprof
+//
+// The Perfetto timeline holds every processor stall, the coherence
+// transactions that released them and, with -trace, the traced
+// atomics, fences, flushes and spin wake-ups.
 //
 // Metrics are keyed to simulated time, so -metrics-out documents are
 // byte-identical at any -parallel worker count; wall time goes to
@@ -42,7 +46,6 @@ import (
 	"coherencesim/internal/buildinfo"
 	"coherencesim/internal/experiments"
 	"coherencesim/internal/machine"
-	"coherencesim/internal/metrics"
 	"coherencesim/internal/runner"
 	"coherencesim/internal/service"
 	"coherencesim/internal/stats"
@@ -59,7 +62,6 @@ type outputs struct {
 	timelineOut  string // Chrome trace-event / Perfetto destination (-run only)
 	traceN       int    // operation-trace ring capacity (-run only)
 	traceOut     string // operation-trace dump destination (default stderr)
-	traceTxnOut  string // flow-linked transaction timeline destination (-run only)
 }
 
 func main() {
@@ -95,10 +97,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		metricsInterval = fs.Uint64("metrics-interval", 10000, "metrics sampling interval in simulated cycles")
 		breakdown       = fs.Bool("breakdown", false, "print the per-run stall-attribution breakdown (compute, read-miss, write-ownership, invalidation-wait, update-traffic, lock-wait, barrier-wait)")
 		breakdownOut    = fs.String("breakdown-out", "", "write the deterministic JSON breakdown report to this file")
-		traceTxnOut     = fs.String("trace-txn", "", "write a flow-linked Chrome trace-event / Perfetto timeline of coherence transactions and the stalls they release to this file (-run mode)")
-		timelineOut     = fs.String("timeline-out", "", "write a Chrome trace-event / Perfetto timeline of per-processor states to this file (-run mode)")
+		timelineOut     = fs.String("timeline-out", "", "write a Chrome trace-event / Perfetto timeline of every processor stall, the coherence transactions that released them and, with -trace, the traced atomics, fences, flushes and spin wake-ups to this file (-run mode)")
 		traceN          = fs.Int("trace", 0, "record the last N processor operations in a ring buffer and dump them after the run (-run mode)")
-		traceOut        = fs.String("trace-out", "", "file for the -trace dump (default stderr)")
+		traceOut        = fs.String("trace-out", "", "file for the -trace dump (default stderr; needs -trace)")
 		cpuprofile      = fs.String("cpuprofile", "", "write a pprof CPU profile of the simulator itself to this file")
 		memprofile      = fs.String("memprofile", "", "write a pprof heap profile taken after the run to this file")
 	)
@@ -124,7 +125,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ob := outputs{
 		metricsOut: *metricsOut, metricsCSV: *metricsCSV,
 		breakdown: *breakdown, breakdownOut: *breakdownOut,
-		timelineOut: *timelineOut, traceN: *traceN, traceOut: *traceOut, traceTxnOut: *traceTxnOut,
+		timelineOut: *timelineOut, traceN: *traceN, traceOut: *traceOut,
 	}
 	wantMetrics := ob.metricsOut != "" || ob.metricsCSV != ""
 	switch {
@@ -156,8 +157,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	specs, err := canonicalSpecs(fs, spec)
-	if err != nil {
+	switch {
+	case err != nil:
 		return fail(err)
+	case ob.traceN < 0:
+		return fail(fmt.Errorf("-trace %d is negative", ob.traceN))
+	case ob.traceOut != "" && ob.traceN == 0:
+		return fail(errors.New("-trace-out needs -trace N"))
 	}
 	if !wantMetrics {
 		// Nobody reads the report: interval 0 attaches no registry.
@@ -209,7 +215,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // modeOnly names the flags only one mode reads, by that mode's spec kind.
 var modeOnly = map[string]string{
-	"timeline-out": "run", "trace-txn": "run", "trace": "run", "trace-out": "run",
+	"timeline-out": "run", "trace": "run", "trace-out": "run",
 	"procs": "run", "protocol": "run", "iterations": "run",
 	"lock": "run", "barrier": "run", "reduction": "run",
 	"quick": "experiment", "format": "experiment", "parallel": "experiment", "progress": "experiment",
@@ -341,27 +347,22 @@ func writeFile(path string, write func(io.Writer) error) error {
 }
 
 // singleRun executes a kind=run spec with the run-only instruments
-// (timeline, operation trace, transaction timeline) attached to its
-// machine, prints the summary — for locks with the miss-category bars
-// under it — and exports what was asked for.
+// (operation trace, timeline tracer) attached to its machine, prints the
+// summary — for locks with the miss-category bars under it — and
+// exports what was asked for.
 func singleRun(ctx context.Context, spec service.JobSpec, ob outputs, stdout, stderr io.Writer) error {
-	var tl *metrics.Timeline
 	var tr *trace.Log
 	var txn *trace.Tracer
-	if ob.timelineOut != "" {
-		tl = metrics.NewTimeline()
-	}
 	if ob.traceN > 0 {
 		tr = trace.NewLog(ob.traceN)
 	}
-	if ob.traceTxnOut != "" {
+	if ob.timelineOut != "" {
 		// Built here rather than by spec.Breakdown so the handle is kept
-		// for the transaction timeline export, the one reader of stored
-		// spans and stalls.
+		// for the timeline, the one reader of stored spans and stalls.
 		txn = trace.NewTracer(spec.Procs, 0).StoreRecords()
 	}
 	tune := func(cfg *machine.Config) {
-		cfg.Timeline, cfg.Trace = tl, tr
+		cfg.Trace = tr
 		if txn != nil {
 			cfg.Txn = txn
 		}
@@ -399,28 +400,9 @@ func singleRun(ctx context.Context, spec service.JobSpec, ob outputs, stdout, st
 			return err
 		}
 	}
-	if tl != nil {
-		if tr != nil {
-			// Fold the buffered operation trace into the timeline as
-			// point events, so Perfetto shows atomics/fences/flushes and
-			// spin wake-ups against the stall intervals.
-			for _, e := range tr.Events() {
-				switch e.Kind {
-				case trace.Atomic, trace.Fence, trace.Flush, trace.SpinWake:
-					tl.AddInstant(e.Proc, e.Kind.String(), e.Time)
-				}
-			}
-		}
-		err := writeFile(ob.timelineOut, func(w io.Writer) error {
-			return metrics.WriteChromeTrace(w, tl, spec.Procs)
-		})
-		if err != nil {
-			return err
-		}
-	}
 	if txn != nil {
-		err := writeFile(ob.traceTxnOut, func(w io.Writer) error {
-			return trace.WriteTxnChromeTrace(w, txn, spec.Protocol)
+		err := writeFile(ob.timelineOut, func(w io.Writer) error {
+			return trace.WriteTimeline(w, txn, tr, spec.Protocol)
 		})
 		if err != nil {
 			return err

@@ -132,10 +132,10 @@ func fileSHA256(t *testing.T, path string) string {
 func TestSingleRunObservability(t *testing.T) {
 	dir := t.TempDir()
 	metricsOut, metricsCSV := filepath.Join(dir, "m.json"), filepath.Join(dir, "m.csv")
-	timelineOut, traceOut, txnOut := filepath.Join(dir, "tl.json"), filepath.Join(dir, "tr.log"), filepath.Join(dir, "txn.json")
+	timelineOut, traceOut := filepath.Join(dir, "tl.json"), filepath.Join(dir, "tr.log")
 	mustCLI(t, "-run", "lock", "-lock", "mcs", "-protocol", "CU", "-procs", "4", "-iterations", "200",
 		"-metrics-out", metricsOut, "-metrics-csv", metricsCSV, "-metrics-interval", "500",
-		"-timeline-out", timelineOut, "-trace", "200", "-trace-out", traceOut, "-trace-txn", txnOut)
+		"-timeline-out", timelineOut, "-trace", "200", "-trace-out", traceOut)
 
 	// Metrics JSON: parses, has the lock-acquire histogram and sampled
 	// series.
@@ -168,12 +168,19 @@ func TestSingleRunObservability(t *testing.T) {
 		t.Errorf("unexpected CSV shape: %d lines, header %q", len(lines), lines[0])
 	}
 
-	// Timeline: Chrome trace-event JSON with per-processor slices and
-	// folded trace instants.
+	// Timeline: Chrome trace-event JSON whose stall slices and folded
+	// trace instants are, in order, the ones testdata/timeline_mcs_cu_p4.golden
+	// lists ("X tid ts dur reason", "i tid ts name"), with transaction
+	// spans, fan-out legs and flow arrows besides.
 	var doc struct {
 		TraceEvents []struct {
-			Phase string `json:"ph"`
-			Tid   int    `json:"tid"`
+			Name  string                  `json:"name"`
+			Phase string                  `json:"ph"`
+			Ts    uint64                  `json:"ts"`
+			Dur   uint64                  `json:"dur"`
+			Tid   int                     `json:"tid"`
+			Cat   string                  `json:"cat"`
+			Args  struct{ Reason string } `json:"args"`
 		} `json:"traceEvents"`
 	}
 	tb, err := os.ReadFile(timelineOut)
@@ -183,26 +190,33 @@ func TestSingleRunObservability(t *testing.T) {
 	if err := json.Unmarshal(tb, &doc); err != nil {
 		t.Fatalf("timeline JSON does not parse: %v", err)
 	}
-	var slices, instants int
+	var got strings.Builder
+	cats := map[string]int{}
 	for _, e := range doc.TraceEvents {
-		switch e.Phase {
-		case "X":
-			slices++
-		case "i":
-			instants++
+		cats[e.Cat]++
+		switch {
+		case e.Cat == "stall":
+			fmt.Fprintf(&got, "X %d %d %d %s\n", e.Tid, e.Ts, e.Dur, e.Args.Reason)
+		case e.Phase == "i":
+			fmt.Fprintf(&got, "i %d %d %s\n", e.Tid, e.Ts, e.Name)
 		}
 	}
-	if slices == 0 || instants == 0 {
-		t.Errorf("timeline has %d slices, %d instants; want both", slices, instants)
+	want, err := os.ReadFile(filepath.Join("testdata", "timeline_mcs_cu_p4.golden"))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Both Chrome-trace documents come out of one event type and one
-	// encoder; these are the bytes the two separate writers produced.
-	if got := fileSHA256(t, timelineOut); got != "7d3559ed46ce9a8f458159830edcf2e7b220074d20ffcd5b8865146ea81db735" {
+	if g, w := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n"); got.String() != string(want) {
+		i := 0
+		for i < len(g)-1 && i < len(w)-1 && g[i] == w[i] {
+			i++
+		}
+		t.Errorf("timeline stalls and instants: %d lines, golden %d; line %d is %q, golden %q", len(g)-1, len(w)-1, i+1, g[i], w[i])
+	}
+	if cats["txn"] == 0 || cats["fanout"] == 0 || cats["flow"] == 0 {
+		t.Errorf("timeline has %d spans, %d fan-out legs, %d flow events; want all three", cats["txn"], cats["fanout"], cats["flow"])
+	}
+	if got := fileSHA256(t, timelineOut); got != "a011d48349cb8bddb6851110133c4551090fe734fc97d683b8879558dcd1bdc9" {
 		t.Errorf("-timeline-out sha256 = %s", got)
-	}
-	if got := fileSHA256(t, txnOut); got != "a50cedb5e741915a8d6d174f3adfa54ea675584b22917d0a44d1aff1973bc47f" {
-		t.Errorf("-trace-txn sha256 = %s", got)
 	}
 
 	// Trace dump: summary line plus events.
@@ -366,7 +380,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-run lock -procs 4 -iterations 3", "iterations 3 is fewer than one acquire per processor (procs 4)"},
 		{"-run barrier -procs 4 -iterations -1", "iterations -1 is negative"},
 		{"-experiment fig8 -quick -timeline-out x.json", "-timeline-out applies to -run mode only"},
-		{"-experiment fig8 -quick -trace-txn x.json", "-trace-txn applies to -run mode only"},
 		{"-experiment fig8 -quick -trace 100", "-trace applies to -run mode only"},
 		{"-experiment fig8 -quick -trace-out x.log", "-trace-out applies to -run mode only"},
 		{"-experiment fig9 -quick -procs 8", "-procs applies to -run mode only"},
@@ -380,6 +393,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-run lock -parallel 2", "-parallel applies to -experiment mode only"},
 		{"-run barrier -progress", "-progress applies to -experiment mode only"},
 		{"-experiment fig8 -quick -metrics-out x.json -metrics-interval 0", "-metrics-interval must be positive"},
+		{"-run lock -procs 4 -trace-out x.log", "-trace-out needs -trace N"},
+		{"-run lock -procs 4 -trace -3", "-trace -3 is negative"},
 	} {
 		code, stdout, stderr := cli(strings.Fields(c.args)...)
 		if code != 1 || stdout != "" {

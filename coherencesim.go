@@ -315,25 +315,33 @@ var (
 	AnalyzeLockContentions = experiments.AnalyzeLockContentions
 )
 
-// Trace support: attach a TraceLog to Config.Trace to record every
-// processor-level operation.
-type TraceLog = trace.Log
+// Trace support: a TraceLog on Config.Trace records every processor
+// operation; a NewTimelineTracer on Config.Txn keeps what WriteTimeline
+// writes as Perfetto JSON (every stall with its reason and releasing
+// transaction, and the log's atomics, fences, flushes, spin wake-ups).
+type (
+	TraceLog  = trace.Log
+	TxnTracer = trace.Tracer
+)
 
 // NewTraceLog creates an operation trace ring buffer.
 func NewTraceLog(capacity int) *TraceLog { return trace.NewLog(capacity) }
+
+// NewTimelineTracer builds a tracer that keeps what WriteTimeline writes.
+func NewTimelineTracer(procs int) *TxnTracer { return trace.NewTracer(procs, 0).StoreRecords() }
+
+// WriteTimeline writes a timeline tracer's run; the log may be nil.
+var WriteTimeline = trace.WriteTimeline
 
 // Observability layer: attach a MetricsRegistry to Config.Metrics to
 // collect named counters, latency/fan-out histograms, and (with a
 // positive sampling interval) per-interval time series, all keyed to
 // simulated time; the run's MetricsSnapshot comes back in
-// Result.Metrics. Attach a MetricsTimeline to Config.Timeline to record
-// per-processor state intervals for Chrome trace-event / Perfetto
-// export. MetricsCollector assembles labeled snapshots into a
+// Result.Metrics. MetricsCollector assembles labeled snapshots into a
 // MetricsReport for JSON/CSV export.
 type (
 	MetricsRegistry  = metrics.Registry
 	MetricsSnapshot  = metrics.Snapshot
-	MetricsTimeline  = metrics.Timeline
 	MetricsCollector = metrics.Collector
 	MetricsReport    = metrics.Report
 )
@@ -344,20 +352,11 @@ func NewMetricsRegistry(interval uint64) *MetricsRegistry {
 	return metrics.New(interval)
 }
 
-// NewMetricsTimeline builds an empty, unbounded timeline recorder.
-func NewMetricsTimeline() *MetricsTimeline {
-	return metrics.NewTimeline()
-}
-
 // NewMetricsCollector builds a snapshot collector whose runs sample at
 // the given interval.
 func NewMetricsCollector(interval uint64) *MetricsCollector {
 	return metrics.NewCollector(interval)
 }
-
-// WriteChromeTrace renders a timeline as Chrome trace-event JSON that
-// chrome://tracing and Perfetto load directly.
-var WriteChromeTrace = metrics.WriteChromeTrace
 
 // Histogram names the built-in constructs record latency under.
 const (

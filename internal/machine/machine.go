@@ -60,16 +60,14 @@ type Config struct {
 	// The machine threads the registry through the coherence system,
 	// caches, and mesh; RunProgram folds the snapshot into Result.Metrics.
 	Metrics *metrics.Registry
-	// Timeline, when non-nil, records per-processor state intervals
-	// (stalls, spins, sync waits) for Chrome trace-event / Perfetto
-	// export.
-	Timeline *metrics.Timeline
 	// Txn, when non-nil, traces every coherence transaction end to end
 	// (issue, directory serialization, fan-out, acknowledgements) and
 	// attributes processor stall intervals to the transaction that
 	// released them. Keyed purely to simulated time: enabling it never
 	// perturbs the simulation, and Result.Breakdown is byte-identical at
-	// any experiment worker count and across machine reuse.
+	// any experiment worker count and across machine reuse. A tracer
+	// built with StoreRecords also keeps the spans and stalls that
+	// trace.WriteTimeline exports for Perfetto.
 	Txn  *trace.Tracer
 	Mesh mesh.Config
 	Mem  mem.Config

@@ -4,9 +4,9 @@ import (
 	"testing"
 	"testing/quick"
 
-	"coherencesim/internal/metrics"
 	"coherencesim/internal/proto"
 	"coherencesim/internal/sim"
+	"coherencesim/internal/trace"
 )
 
 func newM(t *testing.T, pr proto.Protocol, procs int) *Machine {
@@ -275,15 +275,14 @@ func TestSpinUntilSeesRemoteWrite(t *testing.T) {
 }
 
 // TestSpinPollTimelineSlices pins the uncompressed-spin observability
-// fix: with SpinPollCycles > 0 each polling interval must appear on the
-// timeline as a "spin-wait" slice, and the slice durations must sum to
-// exactly the spinner's ProcStats.SpinWait.
+// fix: with SpinPollCycles > 0 each polling interval must reach the
+// timeline tracer as a "spin-wait" stall, and the stall durations must
+// sum to exactly the spinner's ProcStats.SpinWait.
 func TestSpinPollTimelineSlices(t *testing.T) {
 	for _, pr := range allProtocols() {
 		cfg := DefaultConfig(pr, 2)
 		cfg.SpinPollCycles = 10
-		tl := metrics.NewTimeline()
-		cfg.Timeline = tl
+		cfg.Txn = trace.NewTracer(cfg.Procs, 0).StoreRecords()
 		m := New(cfg)
 		flag := m.Alloc("flag", 4, 0)
 		var wroteAt sim.Time
@@ -292,22 +291,22 @@ func TestSpinPollTimelineSlices(t *testing.T) {
 			{func(p *Proc, f *Frame) OpStatus { return p.FSpinUntilEqual(flag, 1) }},
 		})
 		var slices, total sim.Time
-		for _, s := range tl.Slices() {
-			if s.Proc != 1 || s.Name != "spin-wait" {
+		for _, s := range cfg.Txn.Stalls() {
+			if s.Proc != 1 || s.Reason != "spin-wait" {
 				continue
 			}
 			slices++
 			if s.End != s.Start+cfg.SpinPollCycles {
-				t.Errorf("%v: spin-wait slice [%d,%d) is not one %d-cycle poll",
+				t.Errorf("%v: spin-wait stall [%d,%d) is not one %d-cycle poll",
 					pr, s.Start, s.End, cfg.SpinPollCycles)
 			}
 			total += s.End - s.Start
 		}
 		if slices == 0 {
-			t.Errorf("%v: no spin-wait timeline slices recorded under polling model", pr)
+			t.Errorf("%v: no spin-wait stalls traced under polling model", pr)
 		}
 		if want := res.PerProc[1].SpinWait; total != want {
-			t.Errorf("%v: spin-wait slices cover %d cycles, ProcStats.SpinWait = %d", pr, total, want)
+			t.Errorf("%v: spin-wait stalls cover %d cycles, ProcStats.SpinWait = %d", pr, total, want)
 		}
 	}
 }

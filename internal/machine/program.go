@@ -184,7 +184,7 @@ func (p *Proc) block(r waitReason) OpStatus {
 }
 
 // wakeAccounting charges a completed stall to its stall category, the
-// metrics, the timeline and the transaction tracer.
+// metrics and the transaction tracer.
 func (p *Proc) wakeAccounting(r waitReason) {
 	t0 := p.blockT0
 	now := p.m.e.Now()
@@ -204,12 +204,9 @@ func (p *Proc) wakeAccounting(r waitReason) {
 		p.stats.SyncWait += dt
 	}
 	p.m.met.stall[r].Add(now, dt)
-	if dt > 0 {
-		p.m.cfg.Timeline.AddSlice(p.id, r.timelineName(), t0, now)
-		if tr := p.m.cfg.Txn; tr != nil {
-			cat, by := p.stallCategory(r)
-			tr.AddStall(p.id, cat, t0, now, by)
-		}
+	if tr := p.m.cfg.Txn; tr != nil && dt > 0 {
+		cat, by := p.stallCategory(r)
+		tr.AddStall(p.id, cat, r.timelineName(), t0, now, by)
 	}
 }
 
@@ -478,7 +475,7 @@ func spinStep(p *Proc, f *Frame) OpStatus {
 			}
 			if poll := p.m.cfg.SpinPollCycles; poll > 0 {
 				// Uncompressed polling loop (ablation): charge the
-				// interval now, record its timeline slice at PC 2.
+				// interval now, trace its stall at PC 2.
 				f.T0 = p.m.e.Now()
 				p.stats.SpinWait += poll
 				p.m.met.stall[waitSpin].Add(f.T0, poll)
@@ -496,10 +493,8 @@ func spinStep(p *Proc, f *Frame) OpStatus {
 			f.PC = 3
 			return p.block(waitSpin)
 		case 2: // poll interval elapsed
-			now := p.m.e.Now()
-			p.m.cfg.Timeline.AddSlice(p.id, waitSpin.timelineName(), f.T0, now)
 			if tr := p.m.cfg.Txn; tr != nil {
-				tr.AddStall(p.id, p.phaseCategory(), f.T0, now, 0)
+				tr.AddStall(p.id, p.phaseCategory(), waitSpin.timelineName(), f.T0, p.m.e.Now(), 0)
 			}
 			f.PC = 0
 		case 3: // woken by a coherence event on the watched block

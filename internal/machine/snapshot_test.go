@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
@@ -126,13 +127,20 @@ func TestSnapshotGuards(t *testing.T) {
 			return func(r Result) any { return r.Metrics }
 		}},
 		{"Timeline", func(c *Config) func(Result) any {
-			tl := metrics.NewTimeline()
-			c.Timeline = tl
-			return func(Result) any { return tl.Slices() }
+			tr, log := trace.NewTracer(c.Procs, 0).StoreRecords(), trace.NewLog(1<<12)
+			c.Txn, c.Trace = tr, log
+			return func(Result) any {
+				var doc bytes.Buffer
+				if err := trace.WriteTimeline(&doc, tr, log, c.Protocol.String()); err != nil {
+					panic(err)
+				}
+				return doc.String()
+			}
 		}},
 		{"Txn", func(c *Config) func(Result) any {
-			c.Txn = trace.NewTracer(c.Procs, 0)
-			return func(r Result) any { return r.Breakdown }
+			tr := trace.NewTracer(c.Procs, 0).StoreRecords()
+			c.Txn = tr
+			return func(r Result) any { return []any{r.Breakdown, tr.Stalls()} }
 		}},
 		{"Trace", func(c *Config) func(Result) any {
 			log := trace.NewLog(1 << 12)

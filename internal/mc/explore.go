@@ -124,57 +124,66 @@ func Explore(cfg Config) (*Result, error) {
 
 		// Push a provisional frame so traceOf sees the full schedule.
 		stack = append(stack, &frame{st: child, act: a, key: key})
-		if x.err != "" {
-			record(VInternal, x.err)
-			if len(res.Violations) >= maxViolations {
-				return res, nil
-			}
-			stack = stack[:len(stack)-1]
-			continue
-		}
-		if _, seen := visited[key]; seen {
-			if _, cycle := onPath[key]; cycle {
-				record(VLivelock, "state revisits itself along the schedule (protocol can cycle forever)")
-				if len(res.Violations) >= maxViolations {
-					return res, nil
-				}
-			}
-			stack = stack[:len(stack)-1]
-			continue
-		}
-		visited[key] = struct{}{}
-		res.States++
-		if cfg.MaxStates > 0 && res.States > cfg.MaxStates {
-			return nil, fmt.Errorf("mc: exploration exceeded MaxStates=%d (state space too large for the configured bounds)", cfg.MaxStates)
-		}
-		if d := len(stack) - 1; d > res.MaxDepth {
-			res.MaxDepth = d
-		}
-
-		if why := checkEvery(cfg, child); why != "" {
-			record(VInvariant, why)
-			if len(res.Violations) >= maxViolations {
-				return res, nil
-			}
-			stack = stack[:len(stack)-1]
-			continue
-		}
-		if child.quiescent(cfg) {
-			res.Quiescent++
-			if why := checkQuiescent(cfg, child); why != "" {
-				record(VQuiescent, why)
-				if len(res.Violations) >= maxViolations {
-					return res, nil
+		// A handler error is reported whatever state it left; only a
+		// clean step is deduplicated and counted.
+		if x.err == "" {
+			if _, seen := visited[key]; seen {
+				if _, cycle := onPath[key]; cycle {
+					record(VLivelock, "state revisits itself along the schedule (protocol can cycle forever)")
+					if len(res.Violations) >= maxViolations {
+						return res, nil
+					}
 				}
 				stack = stack[:len(stack)-1]
 				continue
 			}
+			visited[key] = struct{}{}
+			res.States++
+			if cfg.MaxStates > 0 && res.States > cfg.MaxStates {
+				return nil, fmt.Errorf("mc: exploration exceeded MaxStates=%d (state space too large for the configured bounds)", cfg.MaxStates)
+			}
+			if d := len(stack) - 1; d > res.MaxDepth {
+				res.MaxDepth = d
+			}
+		}
+
+		kind, why, quiescent := x.verdict()
+		if quiescent {
+			res.Quiescent++
+		}
+		if kind != "" {
+			record(kind, why)
+			if len(res.Violations) >= maxViolations {
+				return res, nil
+			}
+			stack = stack[:len(stack)-1]
+			continue
 		}
 		top = stack[len(stack)-1]
 		top.acts = enabledActions(cfg, child)
 		onPath[top.key] = len(stack) - 1
 	}
 	return res, nil
+}
+
+// verdict is the check Explore and Replay both run after an action, in
+// one order: the handler's internal error, then the every-state
+// invariants, then, when the state is quiescent, the stable-state ones.
+// quiescent reports that last condition for Explore's count.
+func (x *stepCtx) verdict() (kind ViolationKind, why string, quiescent bool) {
+	if x.err != "" {
+		return VInternal, x.err, false
+	}
+	if why := checkEvery(x.cfg, x.st); why != "" {
+		return VInvariant, why, false
+	}
+	if !x.st.quiescent(x.cfg) {
+		return "", "", false
+	}
+	if why := checkQuiescent(x.cfg, x.st); why != "" {
+		return VQuiescent, why, true
+	}
+	return "", "", true
 }
 
 // traceOf serializes the schedule along the current DFS stack.

@@ -278,3 +278,24 @@ func TestExploreMaxStates(t *testing.T) {
 		t.Fatal("MaxStates=10 exploration succeeded; want explicit abort")
 	}
 }
+
+// TestValidateRejects: Validate, which Explore, Trace.ConfigOf and
+// RunConformance all call, refuses an op set that repeats a kind (its
+// duplicate actions would inflate the transition count) or names an
+// unknown one, and a negative MaxStates (which would read as unlimited).
+func TestValidateRejects(t *testing.T) {
+	for _, c := range []struct {
+		edit func(*Config)
+		want string
+	}{
+		{func(c *Config) { c.OpSet = []OpKind{OpRead, OpRead} }, "op kind read repeated"},
+		{func(c *Config) { c.OpSet = []OpKind{OpFlush + 1} }, "unknown op kind OpKind(4)"},
+		{func(c *Config) { c.MaxStates = -5 }, "max states -5 is negative"},
+	} {
+		cfg := DefaultConfig(proto.WI)
+		c.edit(&cfg)
+		if _, err := Explore(cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Explore error %v, want %q", err, c.want)
+		}
+	}
+}

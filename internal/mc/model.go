@@ -124,7 +124,8 @@ type Config struct {
 	MaxStates int
 }
 
-// Validate checks the bounds.
+// Validate checks the bounds, and that OpSet names known kinds, each
+// at most once.
 func (c Config) Validate() error {
 	switch {
 	case c.Procs < 2 || c.Procs > MaxProcs:
@@ -137,6 +138,18 @@ func (c Config) Validate() error {
 		return fmt.Errorf("mc: ops per proc %d out of range [1,%d]", c.OpsPerProc, MaxOps)
 	case c.CUThreshold < 1:
 		return fmt.Errorf("mc: CU threshold must be >= 1")
+	case c.MaxStates < 0:
+		return fmt.Errorf("mc: max states %d is negative", c.MaxStates)
+	}
+	var kinds uint8
+	for _, k := range c.OpSet {
+		switch {
+		case k > OpFlush:
+			return fmt.Errorf("mc: unknown op kind %v", k)
+		case kinds&(1<<k) != 0:
+			return fmt.Errorf("mc: op kind %v repeated", k)
+		}
+		kinds |= 1 << k
 	}
 	switch c.Protocol {
 	case proto.WI, proto.PU, proto.CU:

@@ -158,23 +158,10 @@ func Replay(t *Trace) (*Violation, error) {
 		}
 		x := &stepCtx{cfg: cfg, st: st}
 		x.apply(a)
-		prefix := Trace{
-			Envelope: t.Envelope,
-			Procs:    t.Procs, Blocks: t.Blocks, Words: t.Words,
-			OpsPerProc: t.OpsPerProc, CUThreshold: t.CUThreshold,
-			DisableRetention: t.DisableRetention, OpSet: t.OpSet, Faults: t.Faults,
-			Actions: t.Actions[:i+1],
-		}
-		if x.err != "" {
-			return &Violation{Kind: VInternal, Detail: x.err, Trace: prefix}, nil
-		}
-		if why := checkEvery(cfg, st); why != "" {
-			return &Violation{Kind: VInvariant, Detail: why, Trace: prefix}, nil
-		}
-		if st.quiescent(cfg) {
-			if why := checkQuiescent(cfg, st); why != "" {
-				return &Violation{Kind: VQuiescent, Detail: why, Trace: prefix}, nil
-			}
+		prefix := *t
+		prefix.Actions = t.Actions[:i+1]
+		if kind, why, _ := x.verdict(); kind != "" {
+			return &Violation{Kind: kind, Detail: why, Trace: prefix}, nil
 		}
 		key := string(encode(cfg, st, nil))
 		if _, dup := seen[key]; dup {

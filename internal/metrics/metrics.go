@@ -1,8 +1,7 @@
 // Package metrics is the simulator's deterministic observability layer:
 // a registry of named counters and log-bucketed histograms, an interval
 // sampler that turns counter deltas into simulated-time series, and
-// exporters (JSON documents, CSV time-series dumps, and Chrome
-// trace-event timelines for Perfetto).
+// exporters (JSON documents and CSV time-series dumps).
 //
 // Everything in this package is keyed to *simulated* time. A Registry
 // belongs to exactly one Machine (one engine, driven by one goroutine),

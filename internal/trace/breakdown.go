@@ -54,8 +54,10 @@ type HotBlock struct {
 	Cycles uint64 `json:"cycles"`
 }
 
-// DroppedCounts reports span/stall records beyond the retention cap
-// (the aggregate breakdown still covers them).
+// DroppedCounts reports the spans past the tracer's limit and the
+// stalls past 4x it (the aggregate breakdown still covers them). A
+// storing tracer keeps every stall all the same; the stall count stays
+// so a breakdown reads the same whether its tracer stores or counts.
 type DroppedCounts struct {
 	Spans  uint64 `json:"spans,omitempty"`
 	Stalls uint64 `json:"stalls,omitempty"`

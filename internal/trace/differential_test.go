@@ -155,8 +155,8 @@ func (d *hookDiffer) apply(op [hookOpBytes]byte) {
 	case 11:
 		cat := Category(arg % uint8(CatIdle))
 		d.what = fmt.Sprintf("AddStall(%d,%v,-%d,%d)+AddCompute", proc, cat, back, id)
-		d.tr.AddStall(proc, cat, d.now-back, d.now, id)
-		d.ref.AddStall(proc, cat, d.now-back, d.now, id)
+		d.tr.AddStall(proc, cat, cat.String(), d.now-back, d.now, id)
+		d.ref.AddStall(proc, cat, cat.String(), d.now-back, d.now, id)
 		d.tr.AddCompute(proc, sim.Time(arg&7))
 		d.ref.AddCompute(proc, sim.Time(arg&7))
 	}

@@ -9,9 +9,9 @@ const TraceSchemaVersion = 1
 // simulator emits: the model checker's replayable counterexample traces
 // (cmd/coherencemc -replay), the transaction-breakdown reports
 // (-breakdown-out, GET /v1/jobs/{id}/breakdown), and the flow-linked
-// transaction timelines (-trace-txn). Keeping the header in one place
-// means every consumer can dispatch on the same three fields instead of
-// each document inventing its own envelope.
+// timelines (-timeline-out). Keeping the header in one place means every
+// consumer can dispatch on the same three fields instead of each
+// document inventing its own envelope.
 type Envelope struct {
 	Schema   int    `json:"schema"`
 	Kind     string `json:"kind,omitempty"`     // counterexample | breakdown | txn-timeline

@@ -9,8 +9,9 @@ import (
 
 // This file is the map-based transaction tracer that internal/trace
 // shipped before the live table became a ring and the block heat map a
-// slice, kept unchanged apart from the ref- prefix on its names and the
-// unused fan-out target count. It always stores spans and stalls. It is
+// slice, kept unchanged apart from the ref- prefix on its names, the
+// unused fan-out target count, and stalls past the cap, which it now
+// keeps as the live tracer does. It always stores spans and stalls. It is
 // the oracle of TestTracerMatchesReference and FuzzTracerHooks: the ring
 // tracer must export the same breakdown and releasers on every hook
 // stream, and, when storing, the same spans and stalls.
@@ -241,19 +242,15 @@ func (t *refTracer) LastRelease(proc int) ReleaseInfo {
 	return t.lastRel[proc]
 }
 
-func (t *refTracer) AddStall(proc int, cat Category, from, to sim.Time, by TxnID) {
+func (t *refTracer) AddStall(proc int, cat Category, reason string, from, to sim.Time, by TxnID) {
 	if to <= from {
 		return
 	}
 	if proc >= 0 && proc < len(t.agg) {
 		t.agg[proc][cat] += uint64(to - from)
 	}
-	if len(t.stalls) < t.stallCap {
-		if t.stalls == nil {
-			t.stalls = make([]StallRec, 0, t.stallCap)
-		}
-		t.stalls = append(t.stalls, StallRec{Proc: proc, Cat: cat, Start: from, End: to, By: by})
-	} else {
+	t.stalls = append(t.stalls, StallRec{Proc: proc, Cat: cat, Reason: reason, Start: from, End: to, By: by})
+	if len(t.stalls) > t.stallCap {
 		t.droppedStalls++
 	}
 }

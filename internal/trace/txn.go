@@ -141,11 +141,12 @@ type TxnSpan struct {
 
 // StallRec is one attributed processor stall interval.
 type StallRec struct {
-	Proc  int
-	Cat   Category
-	Start sim.Time
-	End   sim.Time
-	By    TxnID // transaction that released the stall (0 = none known)
+	Proc   int
+	Cat    Category
+	Reason string // what the processor waited for: "read-stall", "spin-wait", ...
+	Start  sim.Time
+	End    sim.Time
+	By     TxnID // transaction that released the stall (0 = none known)
 }
 
 // ReleaseInfo describes the transaction that most recently completed
@@ -179,9 +180,9 @@ type Tracer struct {
 	nlive int
 	free  []*txnRec
 
-	// store turns on span and stall storage (StoreRecords). Without it
-	// completed spans and stall intervals are only counted against the
-	// caps, so Dropped reads the same either way.
+	// store turns on span and stall storage (StoreRecords): spans up to
+	// spanCap, every stall. Either way both are counted against their
+	// caps, so Dropped reads the same whether the tracer stores or not.
 	store    bool
 	spans    []TxnSpan
 	spanCap  int
@@ -218,16 +219,16 @@ type blockAgg struct {
 	cycles uint64
 }
 
-// DefaultSpanLimit caps the retained-span and stall buffers when
-// NewTracer is called with limit <= 0.
+// DefaultSpanLimit is the span limit NewTracer uses when called with
+// limit <= 0.
 const DefaultSpanLimit = 4096
 
 // NewTracer builds a tracer for a machine of the given processor count.
 // It keeps the aggregates Snapshot exports and stores no spans or
-// stalls; StoreRecords opts in for the timeline exporter. limit caps the
-// counted completed-transaction spans (and, at 4x, the stall records)
-// that the timeline would hold; the aggregate breakdown always covers
-// every transaction regardless.
+// stalls; StoreRecords opts in for the timeline writer. limit caps the
+// completed-transaction spans a storing tracer keeps, and Dropped counts
+// the spans past it and the stalls past 4x it; the aggregate breakdown
+// always covers every transaction regardless.
 func NewTracer(procs, limit int) *Tracer {
 	if limit <= 0 {
 		limit = DefaultSpanLimit
@@ -241,8 +242,9 @@ func NewTracer(procs, limit int) *Tracer {
 	}
 }
 
-// StoreRecords turns on span and stall storage — what WriteTxnChromeTrace
-// exports — and returns t. Call it before the run.
+// StoreRecords turns on span and stall storage — what WriteTimeline
+// exports — and returns t. Call it before the run. Spans are kept up to
+// the limit, stalls all of them.
 func (t *Tracer) StoreRecords() *Tracer {
 	t.store = true
 	return t
@@ -465,9 +467,10 @@ func (t *Tracer) LastRelease(proc int) ReleaseInfo {
 	return t.lastRel[proc]
 }
 
-// AddStall attributes one processor stall interval to a category, with
-// the releasing transaction (if known) for flow-linking.
-func (t *Tracer) AddStall(proc int, cat Category, from, to sim.Time, by TxnID) {
+// AddStall attributes one processor stall interval, named by reason, to
+// a category, with the releasing transaction (if known) for
+// flow-linking.
+func (t *Tracer) AddStall(proc int, cat Category, reason string, from, to sim.Time, by TxnID) {
 	if t == nil || to <= from {
 		return
 	}
@@ -475,11 +478,8 @@ func (t *Tracer) AddStall(proc int, cat Category, from, to sim.Time, by TxnID) {
 		t.agg[proc][cat] += uint64(to - from)
 	}
 	t.stallN++
-	if t.store && len(t.stalls) < t.stallCap {
-		if t.stalls == nil {
-			t.stalls = make([]StallRec, 0, t.stallCap)
-		}
-		t.stalls = append(t.stalls, StallRec{Proc: proc, Cat: cat, Start: from, End: to, By: by})
+	if t.store {
+		t.stalls = append(t.stalls, StallRec{Proc: proc, Cat: cat, Reason: reason, Start: from, End: to, By: by})
 	}
 }
 
@@ -500,7 +500,8 @@ func (t *Tracer) Spans() []TxnSpan {
 	return t.spans
 }
 
-// Stalls returns the retained attributed stall records in event order.
+// Stalls returns every attributed stall record in event order (none
+// unless StoreRecords).
 func (t *Tracer) Stalls() []StallRec {
 	if t == nil {
 		return nil

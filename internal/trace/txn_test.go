@@ -25,7 +25,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	tr.Retired(1, 20)
 	tr.AcksDrained(1, 30)
 	tr.CacheTouch(0, 1)
-	tr.AddStall(0, CatReadMiss, 10, 20, 1)
+	tr.AddStall(0, CatReadMiss, "read-stall", 10, 20, 1)
 	tr.AddCompute(0, 100)
 	if tr.LastRelease(0) != (ReleaseInfo{}) {
 		t.Fatal("nil LastRelease not zero")
@@ -76,8 +76,8 @@ func TestTxnLifecycleSnapshot(t *testing.T) {
 	tr.End(wr, 90)
 
 	tr.AddCompute(0, 25)
-	tr.AddStall(0, CatReadMiss, 10, 40, rd)
-	tr.AddStall(1, CatInvalidationWait, 50, 90, wr)
+	tr.AddStall(0, CatReadMiss, "read-stall", 10, 40, rd)
+	tr.AddStall(1, CatInvalidationWait, "fence-stall", 50, 90, wr)
 
 	spans := tr.Spans()
 	if len(spans) != 2 {
@@ -143,7 +143,8 @@ func TestRetireThenDrain(t *testing.T) {
 
 // TestSpanRetentionCap: the aggregate breakdown must keep counting after
 // the retained-span buffer fills; dropped counts are reported, and read
-// the same whether or not the tracer stores the records.
+// the same whether or not the tracer stores the records. A storing
+// tracer keeps every stall: the stall cap only sets the dropped count.
 func TestSpanRetentionCap(t *testing.T) {
 	for _, tr := range []*Tracer{NewTracer(1, 2).StoreRecords(), NewTracer(1, 2)} {
 		for i := 0; i < 5; i++ {
@@ -151,12 +152,16 @@ func TestSpanRetentionCap(t *testing.T) {
 			tr.End(id, sim.Time(i*10+4))
 		}
 		for i := 0; i < 9; i++ {
-			tr.AddStall(0, CatReadMiss, sim.Time(i), sim.Time(i+1), 0)
+			tr.AddStall(0, CatReadMiss, "read-stall", sim.Time(i), sim.Time(i+1), 0)
 		}
 		s := tr.Snapshot(100)
-		if want := map[bool]int{true: 2, false: 0}[tr.store]; len(tr.Spans()) != want || len(tr.Stalls()) != 4*want {
+		wantSpans, wantStalls := 0, 0
+		if tr.store {
+			wantSpans, wantStalls = 2, 9
+		}
+		if len(tr.Spans()) != wantSpans || len(tr.Stalls()) != wantStalls {
 			t.Errorf("store %v: retained %d spans and %d stalls, want %d and %d",
-				tr.store, len(tr.Spans()), len(tr.Stalls()), want, 4*want)
+				tr.store, len(tr.Spans()), len(tr.Stalls()), wantSpans, wantStalls)
 		}
 		if s.Dropped != (DroppedCounts{Spans: 3, Stalls: 1}) {
 			t.Errorf("store %v: dropped %+v, want 3 spans and 1 stall", tr.store, s.Dropped)
@@ -168,17 +173,17 @@ func TestSpanRetentionCap(t *testing.T) {
 }
 
 // TestTxnChromeTraceRefusesNonStoringTracer: a tracer without storage
-// has nothing to export, and the writer says so instead of writing an
+// has nothing to export, and WriteTimeline says so instead of writing an
 // empty timeline.
 func TestTxnChromeTraceRefusesNonStoringTracer(t *testing.T) {
 	tr := NewTracer(2, 8)
 	id := tr.Begin(0, TxnRead, 1, 0)
 	tr.End(id, 16)
 	var buf bytes.Buffer
-	if err := WriteTxnChromeTrace(&buf, tr, "WI"); err == nil || buf.Len() != 0 {
+	if err := WriteTimeline(&buf, tr, nil, "WI"); err == nil || buf.Len() != 0 {
 		t.Fatalf("non-storing tracer: err %v, %d bytes written; want an error and nothing", err, buf.Len())
 	}
-	if err := WriteTxnChromeTrace(&buf, nil, "WI"); err == nil {
+	if err := WriteTimeline(&buf, nil, nil, "WI"); err == nil {
 		t.Fatal("nil tracer: no error")
 	}
 }
@@ -243,7 +248,7 @@ func TestBreakdownReportRendering(t *testing.T) {
 	tr := NewTracer(1, 8)
 	id := tr.Begin(0, TxnRead, 1, 0)
 	tr.End(id, 16)
-	tr.AddStall(0, CatReadMiss, 0, 16, id)
+	tr.AddStall(0, CatReadMiss, "read-stall", 0, 16, id)
 
 	coll := NewBreakdownCollector()
 	coll.Add("runA", tr.Snapshot(32))
@@ -283,10 +288,10 @@ func TestTxnChromeTraceFlows(t *testing.T) {
 	tr.Fanout(id, FanInv, 15)
 	tr.TargetAck(id, 1, 15, 25)
 	tr.End(id, 30)
-	tr.AddStall(1, CatInvalidationWait, 12, 30, id)
+	tr.AddStall(1, CatInvalidationWait, "fence-stall", 12, 30, id)
 
 	var buf bytes.Buffer
-	if err := WriteTxnChromeTrace(&buf, tr, "WI"); err != nil {
+	if err := WriteTimeline(&buf, tr, nil, "WI"); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

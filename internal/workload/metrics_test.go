@@ -4,8 +4,9 @@ import (
 	"testing"
 
 	"coherencesim/internal/machine"
-	"coherencesim/internal/metrics"
 	"coherencesim/internal/proto"
+	"coherencesim/internal/sim"
+	"coherencesim/internal/trace"
 )
 
 // TestMetricsMatchProcStats cross-checks the metrics layer against the
@@ -129,32 +130,50 @@ func TestReductionHistogram(t *testing.T) {
 	}
 }
 
-// TestTimelineRecordsStalls: a machine with a timeline attached emits
-// per-processor stall slices whose bounds are ordered and within the
-// run.
+// TestTimelineRecordsStalls: a machine with a storing tracer attached
+// records per-processor stalls whose bounds are ordered and within the
+// run, on every processor, and whose durations sum per wait reason to
+// the processor's ProcStats totals.
 func TestTimelineRecordsStalls(t *testing.T) {
-	tl := metrics.NewTimeline()
+	var tr *trace.Tracer
 	p := DefaultLockParams(proto.WI, 4)
 	p.Iterations = 200
-	p.Tune = func(cfg *machine.Config) { cfg.Timeline = tl }
-	res := LockLoop(p, Ticket)
-	if tl.Len() == 0 {
-		t.Fatal("no timeline events recorded")
+	p.Tune = func(cfg *machine.Config) {
+		tr = trace.NewTracer(cfg.Procs, 0).StoreRecords()
+		cfg.Txn = tr
 	}
-	procsSeen := map[int]bool{}
-	for _, s := range tl.Slices() {
+	res := LockLoop(p, Ticket)
+	if len(tr.Stalls()) == 0 {
+		t.Fatal("no stalls recorded")
+	}
+	got := make([]machine.ProcStats, 4)
+	for _, s := range tr.Stalls() {
 		if s.Start >= s.End {
-			t.Fatalf("empty or inverted slice %+v", s)
+			t.Fatalf("empty or inverted stall %+v", s)
 		}
 		if s.End > res.Cycles {
-			t.Fatalf("slice %+v ends after the run (%d cycles)", s, res.Cycles)
+			t.Fatalf("stall %+v ends after the run (%d cycles)", s, res.Cycles)
 		}
 		if s.Proc < 0 || s.Proc >= 4 {
-			t.Fatalf("slice %+v on unknown processor", s)
+			t.Fatalf("stall %+v on unknown processor", s)
 		}
-		procsSeen[s.Proc] = true
+		field := map[string]*sim.Time{
+			"read-stall": &got[s.Proc].ReadStall, "write-stall": &got[s.Proc].WriteStall,
+			"fence-stall": &got[s.Proc].FenceStall, "atomic-stall": &got[s.Proc].AtomicStall,
+			"spin-wait": &got[s.Proc].SpinWait, "sync-wait": &got[s.Proc].SyncWait,
+		}[s.Reason]
+		if field == nil {
+			t.Fatalf("stall %+v has an unknown reason", s)
+		}
+		*field += s.End - s.Start
 	}
-	if len(procsSeen) != 4 {
-		t.Errorf("stall slices on %d processors, want all 4", len(procsSeen))
+	for i, ps := range res.PerProc {
+		if got[i] == (machine.ProcStats{}) {
+			t.Errorf("proc %d: no stalls recorded", i)
+		}
+		got[i].Busy, got[i].Reads, got[i].Writes, got[i].Atomics, got[i].Flushes = ps.Busy, ps.Reads, ps.Writes, ps.Atomics, ps.Flushes
+		if got[i] != ps {
+			t.Errorf("proc %d: stalls sum to %+v, ProcStats %+v", i, got[i], ps)
+		}
 	}
 }
