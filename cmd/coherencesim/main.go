@@ -165,6 +165,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case ob.traceOut != "" && ob.traceN == 0:
 		return fail(errors.New("-trace-out needs -trace N"))
 	}
+	// Canonicalize clears both collector fields of an experiment that
+	// feeds no collector; a report flag would then write an empty report.
+	if name := uncollected(fs, specs); name != "" {
+		fmt.Fprintf(stderr, "coherencesim: -%s: experiment %s records no metrics or breakdown runs\n", name, *experiment)
+		return 2
+	}
 	if !wantMetrics {
 		// Nobody reads the report: interval 0 attaches no registry.
 		for i := range specs {
@@ -260,6 +266,25 @@ func canonicalSpecs(fs *flag.FlagSet, spec service.JobSpec) (specs []service.Job
 	return specs, nil
 }
 
+// uncollected returns the first collector flag set when no spec keeps a
+// collector, or "".
+func uncollected(fs *flag.FlagSet, specs []service.JobSpec) (name string) {
+	for _, c := range specs {
+		if c.MetricsInterval != 0 || c.Breakdown {
+			return ""
+		}
+	}
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "metrics-out", "metrics-csv", "breakdown", "breakdown-out":
+			if name == "" {
+				name = f.Name
+			}
+		}
+	})
+	return name
+}
+
 // printExperimentList writes the -list output: every catalog entry with
 // its one-line description (the same catalog the serving API exposes at
 // GET /v1/experiments).
@@ -303,7 +328,7 @@ func runExperiments(ctx context.Context, specs []service.JobSpec, workers int, p
 			continue
 		}
 		all.Metrics.Runs = append(all.Metrics.Runs, res.Metrics.Runs...)
-		if all.Breakdown != nil {
+		if all.Breakdown != nil && res.Breakdown != nil { // an uncollected experiment has none
 			all.Breakdown.Runs = append(all.Breakdown.Runs, res.Breakdown.Runs...)
 		}
 	}

@@ -290,7 +290,8 @@ func TestCLIMatchesExecute(t *testing.T) {
 // memo, whose single-flight races must never reach a result — the
 // two-phase fig9 and -experiment all match their goldens, and all, which
 // shares one memo across its figures, prints exactly what the figures
-// print one invocation each.
+// print one invocation each. all also exports the breakdown report,
+// which the experiments that record no runs leave to the rest.
 func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 	dir := t.TempDir()
 	golden := func(name string) string {
@@ -315,12 +316,16 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 			continue
 		}
 		var stdout [2]string
-		var report [2][]byte
+		var report, breakdown [2][]byte
 		for i, workers := range []string{"1", "4"} {
 			args := append(strings.Fields(c.args), "-parallel", workers)
 			path := filepath.Join(dir, "m"+workers+".json")
 			if c.interval != "" {
 				args = append(args, "-metrics-out", path, "-metrics-interval", c.interval)
+			}
+			bpath := filepath.Join(dir, "b"+workers+".json")
+			if isAll {
+				args = append(args, "-breakdown-out", bpath)
 			}
 			if stdout[i] = mustCLI(t, args...); stdout[i] == "" {
 				t.Errorf("%s: no output", c.args)
@@ -331,6 +336,15 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if isAll {
+				var err error
+				if breakdown[i], err = os.ReadFile(bpath); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if !bytes.Equal(breakdown[0], breakdown[1]) || isAll && !bytes.Contains(breakdown[0], []byte("Extended lock sweep/uc-c/P=32")) {
+			t.Errorf("%s: breakdown report differs between -parallel 1 and 4, or misses the last collected figure", c.args)
 		}
 		if stdout[0] != stdout[1] {
 			t.Errorf("%s: stdout differs between -parallel 1 and 4", c.args)
@@ -369,7 +383,8 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 // TestRunRejectsBadFlags: values the run paths cannot honour are refused
 // up front with one "coherencesim: ..." line and exit status 1 — not a
 // panic from machine.New, a NaN latency, or a silently ignored flag.
-// All but the one-mode-flag rows are service.Canonicalize speaking.
+// All but the one-mode-flag rows are service.Canonicalize speaking. A
+// report flag no experiment it names would fill exits 2, bad usage.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, c := range []struct {
 		args, want string
@@ -405,6 +420,21 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		}
 	}
 	mustCLI(t, "-run", "lock", "-procs", "4", "-iterations", "4", "-breakdown") // smallest valid lock run
+	// A report flag on experiments that record no runs is bad usage: the
+	// report would be empty.
+	for _, c := range []struct{ args, want string }{
+		{"-experiment ablations -quick -metrics-out m.json -breakdown-out b.json", "-breakdown-out: experiment ablations records no metrics or breakdown runs"},
+		{"-experiment contention -quick -breakdown", "-breakdown: experiment contention records no metrics or breakdown runs"},
+		{"-experiment apps -quick -metrics-csv m.csv", "-metrics-csv: experiment apps records no metrics or breakdown runs"},
+	} {
+		code, stdout, stderr := cli(strings.Fields(c.args)...)
+		if code != 2 || stdout != "" {
+			t.Errorf("%s: exit %d, stdout %q, want 2 and none", c.args, code, stdout)
+		}
+		if want := "coherencesim: " + c.want + "\n"; stderr != want {
+			t.Errorf("%s: stderr %q, want %q", c.args, stderr, want)
+		}
+	}
 	if code, _, _ := cli("-no-such-flag"); code != 2 {
 		t.Errorf("unknown flag: exit %d, want 2", code)
 	}

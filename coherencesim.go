@@ -239,13 +239,30 @@ const (
 
 // Workload drivers.
 var (
-	LockLoop                = workload.LockLoop
-	LockLoopRandomPause     = workload.LockLoopRandomPause
-	LockLoopWorkRatio       = workload.LockLoopWorkRatio
-	BarrierLoop             = workload.BarrierLoop
-	ReductionLoop           = workload.ReductionLoop
-	ReductionLoopImbalanced = workload.ReductionLoopImbalanced
+	LockLoop      = workload.LockLoop
+	BarrierLoop   = workload.BarrierLoop
+	ReductionLoop = workload.ReductionLoop
 )
+
+// LockLoopRandomPause is the Section 4.1 low-contention lock loop: after
+// each release a processor waits a bounded pseudo-random time (up to
+// four hold times) before trying again.
+func LockLoopRandomPause(p WorkloadParams, kind LockKind) LockResult {
+	return workload.RunLockLoop(p, kind, workload.RandomPause)
+}
+
+// LockLoopWorkRatio is the Section 4.1 controlled lock loop: the work
+// outside the critical section is P times the work inside, within ±10%.
+func LockLoopWorkRatio(p WorkloadParams, kind LockKind) LockResult {
+	return workload.RunLockLoop(p, kind, workload.WorkRatio)
+}
+
+// ReductionLoopImbalanced is the Section 4.3 load-imbalance reduction
+// loop: processors spend a pseudo-random time producing their local
+// value.
+func ReductionLoopImbalanced(p WorkloadParams, kind ReductionKind) ReductionResult {
+	return workload.RunReductionLoop(p, kind, true)
+}
 
 // Default workload parameter builders (paper scales).
 var (

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"coherencesim/internal/classify"
-	"coherencesim/internal/machine"
 	"coherencesim/internal/proto"
-	"coherencesim/internal/runner"
 	"coherencesim/internal/stats"
 	"coherencesim/internal/workload"
 )
@@ -25,7 +23,7 @@ type CUThresholdAblation struct {
 }
 
 // AblateCUThreshold sweeps the CU threshold on the MCS lock workload at
-// the traffic machine size, one pool job per threshold.
+// the traffic machine size, one point per threshold.
 func AblateCUThreshold(o Options, thresholds []uint8) *CUThresholdAblation {
 	a := &CUThresholdAblation{
 		Thresholds: thresholds,
@@ -33,22 +31,15 @@ func AblateCUThreshold(o Options, thresholds []uint8) *CUThresholdAblation {
 		Updates:    make(map[uint8]uint64),
 		DropMisses: make(map[uint8]uint64),
 	}
-	jobs := make([]runner.Job[workload.LockResult], len(thresholds))
+	pts := make([]Point, len(thresholds))
 	for i, th := range thresholds {
-		th := th
-		jobs[i] = runner.Job[workload.LockResult]{
-			Label: fmt.Sprintf("ablation/cu-threshold/thr=%d", th),
-			Run: func() workload.LockResult {
-				p := workload.DefaultLockParams(proto.CU, o.TrafficProcs)
-				p.Iterations = o.LockIterations
-				p.Tune = func(c *machine.Config) { c.CUThreshold = th }
-				return workload.LockLoop(p, workload.MCS)
-			},
-		}
+		pts[i] = o.local().lockPoint(workload.MCS, workload.PlainLock, proto.CU, o.TrafficProcs)
+		pts[i].CUThreshold = th
+		pts[i].Label = fmt.Sprintf("ablation/cu-threshold/thr=%d", th)
 	}
-	for i, res := range runner.Map(o.Runner, jobs) {
+	for i, res := range o.local().runPoints(pts) {
 		th := thresholds[i]
-		a.Latency[th] = res.AvgLatency
+		a.Latency[th] = res.Latency
 		a.Updates[th] = res.Updates.Total()
 		a.DropMisses[th] = res.Misses[classify.MissDrop]
 	}
@@ -82,78 +73,24 @@ type RetentionAblation struct {
 }
 
 // AblatePURetention measures the retention optimization on the access
-// pattern it targets: fork/join-style data that is private to one
-// processor during computation and read by others only at the end.
-// With retention the first write-through converts the block to locally
-// writable and every later store is free; without it (and under the
-// write-through protocol generally) every store travels to the home.
-// Once any other processor caches a block, retention is dead for that
-// block under PU — copies are never dropped — which is why truly
-// shared data sees no benefit.
+// pattern it targets, the retention family's private-phase rewrites
+// (workload.PrivateRewriteLoop), over 40 phases at the traffic machine
+// size.
 func AblatePURetention(o Options) *RetentionAblation {
-	const (
-		phases        = 40
-		rewritesPhase = 16 // one store per word of the private block
-	)
-	procs := o.TrafficProcs
-	run := func(disable bool) machine.Result {
-		cfg := machine.DefaultConfig(proto.PU, procs)
-		cfg.DisableRetention = disable
-		m := machine.Acquire(cfg)
-		defer m.Release()
-		own := make([]machine.Addr, procs)
-		for i := range own {
-			own[i] = m.Alloc(fmt.Sprintf("priv%d", i), 64, i)
-		}
-		return m.RunProgram(&privateRewriteProgram{
-			own: own, b: m.NewMagicBarrier(), phases: phases, rewrites: rewritesPhase,
-		})
-	}
-	pair := runner.Map(o.Runner, []runner.Job[machine.Result]{
-		{Label: "ablation/retention/on", Run: func() machine.Result { return run(false) }},
-		{Label: "ablation/retention/off", Run: func() machine.Result { return run(true) }},
-	})
-	on, off := pair[0], pair[1]
+	on := Point{Family: FamilyRetention, Protocol: proto.PU, Procs: o.TrafficProcs, Iterations: 40}
+	off := on
+	on.Label = "ablation/retention/on"
+	off.NoRetention, off.Label = true, "ablation/retention/off"
+	pair := o.local().runPoints([]Point{on, off})
 	return &RetentionAblation{
-		Workload:        fmt.Sprintf("private-phase rewrites, PU, P=%d", procs),
-		LatencyOn:       float64(on.Cycles) / phases,
-		LatencyOff:      float64(off.Cycles) / phases,
-		UpdatesOn:       on.Updates.Total(),
-		UpdatesOff:      off.Updates.Total(),
-		WriteThroughOn:  on.Counters.WriteThrough,
-		WriteThroughOff: off.Counters.WriteThrough,
+		Workload:        fmt.Sprintf("private-phase rewrites, PU, P=%d", o.TrafficProcs),
+		LatencyOn:       pair[0].Latency,
+		LatencyOff:      pair[1].Latency,
+		UpdatesOn:       pair[0].Updates.Total(),
+		UpdatesOff:      pair[1].Updates.Total(),
+		WriteThroughOn:  pair[0].WriteThroughs,
+		WriteThroughOff: pair[1].WriteThroughs,
 	}
-}
-
-// privateRewriteProgram is AblatePURetention's body: every phase each
-// processor rewrites all words of its own block, then all cross a magic
-// barrier; at the join a neighbour consumes the privately built result.
-// Registers: I0 phase, I1 word.
-type privateRewriteProgram struct {
-	own              []machine.Addr
-	b                *machine.MagicBarrier
-	phases, rewrites int
-}
-
-func (g *privateRewriteProgram) Step(p *machine.Proc, f *machine.Frame) machine.OpStatus {
-	switch f.PC {
-	case 0:
-		id := p.ID()
-		if f.I0 >= g.phases {
-			f.PC = 1
-			return p.FRead(g.own[(id+1)%len(g.own)])
-		}
-		if w := f.I1; w < g.rewrites {
-			f.I1++
-			return p.FWrite(g.own[id]+machine.Addr(4*w), uint32(f.I0*100+w))
-		}
-		f.I0++
-		f.I1 = 0
-		return g.b.FWait(p)
-	case 1:
-		return machine.OpDone
-	}
-	panic("experiments: privateRewriteProgram bad pc")
 }
 
 // Table renders the retention comparison.
@@ -181,29 +118,25 @@ type SpinModelAblation struct {
 	MessagesWatch, MessagesPoll uint64
 }
 
-// AblateSpinModel runs the ticket lock workload under both spin models.
+// AblateSpinModel runs the ticket lock workload under both spin models:
+// compressed, and polling every 2 cycles.
 func AblateSpinModel(o Options, pr proto.Protocol) *SpinModelAblation {
-	run := func(poll uint64) workload.LockResult {
-		p := workload.DefaultLockParams(pr, o.TrafficProcs)
-		p.Iterations = o.LockIterations
-		p.Tune = func(c *machine.Config) { c.SpinPollCycles = poll }
-		return workload.LockLoop(p, workload.Ticket)
-	}
-	pair := runner.Map(o.Runner, []runner.Job[workload.LockResult]{
-		{Label: fmt.Sprintf("ablation/spin/%v/compressed", pr), Run: func() workload.LockResult { return run(0) }},
-		{Label: fmt.Sprintf("ablation/spin/%v/polling", pr), Run: func() workload.LockResult { return run(2) }},
-	})
+	watch := o.local().lockPoint(workload.Ticket, workload.PlainLock, pr, o.TrafficProcs)
+	poll := watch
+	watch.Label = fmt.Sprintf("ablation/spin/%v/compressed", pr)
+	poll.SpinPoll, poll.Label = 2, fmt.Sprintf("ablation/spin/%v/polling", pr)
+	pair := o.local().runPoints([]Point{watch, poll})
 	w, pl := pair[0], pair[1]
 	return &SpinModelAblation{
 		Workload:      fmt.Sprintf("ticket lock, %v, P=%d", pr, o.TrafficProcs),
-		LatencyWatch:  w.AvgLatency,
-		LatencyPoll:   pl.AvgLatency,
+		LatencyWatch:  w.Latency,
+		LatencyPoll:   pl.Latency,
 		MissesWatch:   w.Misses.TotalMisses(),
 		MissesPoll:    pl.Misses.TotalMisses(),
 		UpdatesWatch:  w.Updates.Total(),
 		UpdatesPoll:   pl.Updates.Total(),
-		MessagesWatch: w.Net.Messages,
-		MessagesPoll:  pl.Net.Messages,
+		MessagesWatch: w.NetMessages,
+		MessagesPoll:  pl.NetMessages,
 	}
 }
 

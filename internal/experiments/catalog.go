@@ -10,11 +10,14 @@ import (
 // CLI's -experiment flag and the service API, a one-line description,
 // and the renderers that actually run it. Tables is always present; CSV
 // is nil for experiments without a plotting-friendly CSV form.
+// Uncollected marks an experiment that feeds neither Options.Metrics nor
+// Options.Breakdown: its reports would hold no runs.
 type CatalogEntry struct {
 	Name        string
 	Description string
 	Tables      func(Options) []fmt.Stringer
 	CSV         func(Options) string
+	Uncollected bool
 }
 
 // HasCSV reports whether the experiment has a CSV form.
@@ -109,6 +112,7 @@ func Catalog() []CatalogEntry {
 		{
 			Name:        "contention",
 			Description: "per-node traffic concentration of the centralized lock",
+			Uncollected: true,
 			Tables: func(o Options) []fmt.Stringer {
 				var out []fmt.Stringer
 				for _, r := range AnalyzeLockContentions(o, []proto.Protocol{proto.PU, proto.WI}) {
@@ -120,6 +124,7 @@ func Catalog() []CatalogEntry {
 		{
 			Name:        "apps",
 			Description: "application kernels: best construct per protocol",
+			Uncollected: true,
 			Tables: func(o Options) []fmt.Stringer {
 				return []fmt.Stringer{
 					CompareWorkQueue(o).Table(),
@@ -131,6 +136,7 @@ func Catalog() []CatalogEntry {
 		{
 			Name:        "ablations",
 			Description: "DESIGN.md ablation studies",
+			Uncollected: true,
 			Tables: func(o Options) []fmt.Stringer {
 				return []fmt.Stringer{
 					AblateCUThreshold(o, []uint8{1, 2, 4, 8, 16}).Table(),

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"coherencesim/internal/constructs"
-	"coherencesim/internal/machine"
 	"coherencesim/internal/proto"
-	"coherencesim/internal/runner"
 	"coherencesim/internal/stats"
 	"coherencesim/internal/workload"
 )
@@ -20,7 +17,6 @@ import (
 // at the lock's home node.
 type ContentionReport struct {
 	Workload    string
-	Cycles      uint64
 	HotNode     int
 	HotFlits    uint64
 	MeanFlits   float64
@@ -30,78 +26,50 @@ type ContentionReport struct {
 	TopNodes []int
 }
 
-// SimulatedCycles reports the underlying run's simulated time (the
-// runner pool's CycleReporter).
-func (r *ContentionReport) SimulatedCycles() uint64 { return r.Cycles }
-
 // AnalyzeLockContentions runs the contention analysis for several
-// protocols, one pool job each, returning the reports in input order.
+// protocols, one point each, returning the reports in input order: the
+// ticket-lock loop at the traffic machine size, and where its traffic
+// concentrates. The lock lives at node 0, so the hotspot lands there;
+// the ratio against the mean shows how centralized the construct's
+// communication is.
 func AnalyzeLockContentions(o Options, prs []proto.Protocol) []*ContentionReport {
-	jobs := make([]runner.Job[*ContentionReport], len(prs))
+	pts := make([]Point, len(prs))
 	for i, pr := range prs {
-		pr := pr
-		jobs[i] = runner.Job[*ContentionReport]{
-			Label: fmt.Sprintf("contention/%v/P=%d", pr, o.TrafficProcs),
-			Run:   func() *ContentionReport { return AnalyzeLockContention(o, pr) },
-		}
+		pts[i] = o.local().lockPoint(workload.Ticket, workload.PlainLock, pr, o.TrafficProcs)
+		pts[i].NodeLoad = true
+		pts[i].Label = fmt.Sprintf("contention/%v/P=%d", pr, o.TrafficProcs)
 	}
-	return runner.Map(o.Runner, jobs)
+	out := make([]*ContentionReport, len(prs))
+	for i, res := range o.local().runPoints(pts) {
+		out[i] = contentionReport(fmt.Sprintf("ticket lock, %v, P=%d", prs[i], o.TrafficProcs), res)
+	}
+	return out
 }
 
-// AnalyzeLockContention runs the ticket-lock loop and reports where the
-// machine's traffic concentrates. The lock lives at node 0, so the
-// hotspot lands there; the ratio against the mean shows how centralized
-// the construct's communication is.
+// AnalyzeLockContention is AnalyzeLockContentions for one protocol.
 func AnalyzeLockContention(o Options, pr proto.Protocol) *ContentionReport {
-	procs := o.TrafficProcs
-	p := workload.DefaultLockParams(pr, procs)
-	p.Iterations = o.LockIterations
-	// The run's machine is built here, not by workload.LockLoop, because
-	// the per-node counters are read off it after the run.
-	m := machine.Acquire(machine.DefaultConfig(pr, procs))
-	defer m.Release()
-	res := workload.LockLoopOn(m, constructs.NewTicketLock(m, "lock"), p)
+	return AnalyzeLockContentions(o, []proto.Protocol{pr})[0]
+}
 
-	nw := m.System().Network()
-	flits := make([]uint64, procs)
-	var flitSum uint64
-	for i := 0; i < procs; i++ {
-		out, in := nw.NodeFlits(i)
-		flits[i] = out + in
-		flitSum += flits[i]
-	}
-	hot, hotFlits := nw.Hotspot()
-
-	var memSum uint64
-	var hotMem uint64
-	for i := 0; i < procs; i++ {
-		busy := m.System().Memory(i).Stats().BusyCycles
-		memSum += busy
-		if i == hot {
-			hotMem = busy
+// contentionReport summarizes a node-load point's per-node loads.
+func contentionReport(workload string, res PointResult) *ContentionReport {
+	r, nodes := &ContentionReport{Workload: workload}, res.Nodes
+	var flitSum, memSum uint64
+	order := make([]int, len(nodes))
+	for i, n := range nodes {
+		order[i] = i
+		flitSum += n.Flits
+		memSum += n.MemBusy
+		if n.Flits > r.HotFlits {
+			r.HotNode, r.HotFlits = i, n.Flits
 		}
 	}
-
-	order := make([]int, procs)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return flits[order[a]] > flits[order[b]] })
-	top := order
-	if len(top) > 3 {
-		top = top[:3]
-	}
-
-	return &ContentionReport{
-		Workload:    fmt.Sprintf("ticket lock, %v, P=%d", pr, procs),
-		Cycles:      res.Cycles,
-		HotNode:     hot,
-		HotFlits:    hotFlits,
-		MeanFlits:   float64(flitSum) / float64(procs),
-		HotMemBusy:  hotMem,
-		MeanMemBusy: float64(memSum) / float64(procs),
-		TopNodes:    append([]int(nil), top...),
-	}
+	r.HotMemBusy = nodes[r.HotNode].MemBusy
+	r.MeanFlits = float64(flitSum) / float64(len(nodes))
+	r.MeanMemBusy = float64(memSum) / float64(len(nodes))
+	sort.Slice(order, func(a, b int) bool { return nodes[order[a]].Flits > nodes[order[b]].Flits })
+	r.TopNodes = order[:min(len(order), 3)]
+	return r
 }
 
 // Table renders the report.

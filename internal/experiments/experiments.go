@@ -60,8 +60,8 @@ type Options struct {
 	// fan points across registered workers. Results return in submission
 	// order (runner.Map's contract), so rendered output is byte-identical
 	// to the local path at any worker count. The ablations and the
-	// contention study do not decompose into points; they ignore it and
-	// run on the local Runner as always.
+	// contention study are points too, but they bypass the dispatcher
+	// and the memos and run on the local Runner (Options.local).
 	Dispatch PointDispatcher
 }
 

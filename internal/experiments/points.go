@@ -23,7 +23,13 @@ const (
 	FamilyBarrier   = "barrier"   // Kind = workload.BarrierKind
 	FamilyReduction = "reduction" // Kind = workload.ReductionKind, Variant 1 = imbalanced
 	FamilyApp       = "app"       // Kind = application kernel, Variant = its construct's kind
+	FamilyRetention = "retention" // workload.PrivateRewriteLoop; Iterations = phases
 )
+
+// maxSpinPoll bounds Point.SpinPoll: far above the 2 cycles the spin
+// ablation polls at, and far below an interval whose wake-up time could
+// overflow the clock.
+const maxSpinPoll = 1000
 
 // Point is one independent sweep measurement in serializable form: the
 // complete input of a single simulation, with no closures. A sweep
@@ -42,6 +48,14 @@ type Point struct {
 	MetricsInterval sim.Time       `json:"metrics_interval,omitempty"`
 	Breakdown       bool           `json:"breakdown,omitempty"`
 	WarmFork        bool           `json:"warm_fork,omitempty"`
+	// The run-shaping fields change the simulated machine; each is
+	// omitted at its default, so a point without them keeps its key.
+	CUThreshold uint8    `json:"cu_threshold,omitempty"` // CU's competitive-update threshold; 0 = the paper's 4
+	SpinPoll    sim.Time `json:"spin_poll,omitempty"`    // explicit polling every SpinPoll cycles; 0 = compressed spins
+	NoRetention bool     `json:"no_retention,omitempty"` // turn off PU's private-block retention
+	// NodeLoad asks for each node's NI flits and memory busy cycles in
+	// PointResult.Nodes. Like Breakdown it reads counters only.
+	NodeLoad bool `json:"node_load,omitempty"`
 	// Label is the figure's diagnostic job label. It does not shape the
 	// simulation and is excluded from Key.
 	Label string `json:"label,omitempty"`
@@ -83,6 +97,10 @@ type PointResult struct {
 	SimEvents   uint64                   `json:"sim_events,omitempty"`
 	Metrics     *metrics.Snapshot        `json:"metrics,omitempty"`
 	Breakdown   *trace.BreakdownSnapshot `json:"breakdown,omitempty"`
+	Nodes       []machine.NodeLoad       `json:"nodes,omitempty"`
+	// WriteThroughs counts the run's write-through transactions; only
+	// the retention family reports it.
+	WriteThroughs uint64 `json:"write_throughs,omitempty"`
 }
 
 // SimulatedCycles implements runner.CycleReporter so locally executed
@@ -107,16 +125,28 @@ func pointResult(res machine.Result, latency float64, ops int) PointResult {
 		SimEvents:   res.SimEvents,
 		Metrics:     res.Metrics,
 		Breakdown:   res.Breakdown,
+		Nodes:       res.Nodes,
 	}
 }
 
-// params applies the point's run-shaping fields and the caller's tuning
-// hook over the family's default parameters.
+// params applies the point's fields over the family's default
+// parameters: its run-shaping fields first, then the caller's tuning
+// hook.
 func (pt Point) params(p workload.Params, tune func(*machine.Config)) workload.Params {
 	p.Iterations = pt.Iterations
 	p.MetricsInterval = pt.MetricsInterval
 	p.Breakdown = pt.Breakdown
-	p.Tune = tune
+	p.NodeLoad = pt.NodeLoad
+	p.Tune = func(c *machine.Config) {
+		if pt.CUThreshold != 0 {
+			c.CUThreshold = pt.CUThreshold
+		}
+		c.SpinPollCycles = pt.SpinPoll
+		c.DisableRetention = pt.NoRetention
+		if tune != nil {
+			tune(c)
+		}
+	}
 	return p
 }
 
@@ -139,8 +169,9 @@ func (pt Point) Construct() string {
 // points from the network, so everything that selects or sizes the
 // simulation is checked before a workload sees it: an unknown kind
 // panics in the construct builders, a machine panics outside 1..64
-// processors, and too few iterations average over nothing, a NaN latency
-// that JSON cannot carry.
+// processors, too few iterations average over nothing, a NaN latency
+// that JSON cannot carry, and a machine setting its protocol never
+// reads would run under a second key.
 func (pt Point) validate() error {
 	variants, minIters := 1, 1
 	switch pt.Family {
@@ -151,19 +182,24 @@ func (pt Point) validate() error {
 	case FamilyBarrier:
 	case FamilyReduction:
 		variants = 2 // balanced, imbalanced
+	case FamilyRetention:
+		if pt.Kind != 0 || pt.WarmFork {
+			return fmt.Errorf("a retention point has kind 0 and no warm fork")
+		}
 	case FamilyApp:
 		if pt.Kind < 0 || pt.Kind >= len(appKernels) {
 			return fmt.Errorf("app kind %d out of range", pt.Kind)
 		}
 		variants = appKernels[pt.Kind].variants
-		if pt.MetricsInterval != 0 || pt.Breakdown || pt.WarmFork {
-			return fmt.Errorf("an app point takes no metrics, breakdown or warm fork")
+		if pt != (Point{Family: pt.Family, Kind: pt.Kind, Variant: pt.Variant, Protocol: pt.Protocol,
+			Procs: pt.Procs, Iterations: pt.Iterations, Label: pt.Label}) {
+			return fmt.Errorf("an app point takes no metrics, breakdown, warm fork, node load or machine setting")
 		}
 	default:
 		return fmt.Errorf("unknown point family %q", pt.Family)
 	}
 	switch {
-	case pt.Family != FamilyApp && pt.Construct() == "?":
+	case pt.Family != FamilyApp && pt.Family != FamilyRetention && pt.Construct() == "?":
 		return fmt.Errorf("%s kind %d out of range", pt.Family, pt.Kind)
 	case pt.Variant < 0 || pt.Variant >= variants:
 		return fmt.Errorf("%s variant %d out of range", pt.Family, pt.Variant)
@@ -173,6 +209,12 @@ func (pt Point) validate() error {
 		return fmt.Errorf("protocol %d out of range", pt.Protocol)
 	case pt.Iterations < minIters: // procs are in range by now
 		return fmt.Errorf("%s iterations %d, want at least %d", pt.Family, pt.Iterations, minIters)
+	case pt.CUThreshold != 0 && pt.Protocol != proto.CU:
+		return fmt.Errorf("a CU threshold on a %v point", pt.Protocol)
+	case pt.NoRetention && pt.Protocol != proto.PU:
+		return fmt.Errorf("retention off on a %v point", pt.Protocol)
+	case pt.SpinPoll > maxSpinPoll:
+		return fmt.Errorf("spin poll %d above %d cycles", pt.SpinPoll, maxSpinPoll)
 	}
 	return nil
 }
@@ -193,9 +235,10 @@ func RunPointForked(ctx context.Context, pt Point, forks *PointMemo) (PointResul
 
 // Simulate runs pt's simulation once, outside any memo: the family's
 // single-phase loop, or its two-phase twin when the point is
-// warm-forked. tune, if set, adjusts the machine configuration first:
-// how a caller attaches instruments a Point does not describe (a
-// timeline, an operation trace) to the very simulation the point names.
+// warm-forked. tune, if set, adjusts the machine configuration after
+// the point's own run-shaping fields: how a caller attaches instruments
+// a Point does not describe (a timeline, an operation trace) to the
+// very simulation the point names.
 func (pt Point) Simulate(tune func(*machine.Config)) (PointResult, error) {
 	if err := pt.validate(); err != nil {
 		return PointResult{}, err
@@ -203,41 +246,33 @@ func (pt Point) Simulate(tune func(*machine.Config)) (PointResult, error) {
 	switch pt.Family {
 	case FamilyLock:
 		p := pt.params(workload.DefaultLockParams(pt.Protocol, pt.Procs), tune)
-		kind, v := workload.LockKind(pt.Kind), workload.LockVariant(pt.Variant)
-		var r workload.LockResult
-		switch {
-		case pt.WarmFork:
-			r = workload.TwoPhaseLockLoop(p, kind, v)
-		case v == workload.RandomPause:
-			r = workload.LockLoopRandomPause(p, kind)
-		case v == workload.WorkRatio:
-			r = workload.LockLoopWorkRatio(p, kind)
-		default:
-			r = workload.LockLoop(p, kind)
+		loop := workload.RunLockLoop
+		if pt.WarmFork {
+			loop = workload.TwoPhaseLockLoop
 		}
+		r := loop(p, workload.LockKind(pt.Kind), workload.LockVariant(pt.Variant))
 		return pointResult(r.Result, r.AvgLatency, r.Acquires), nil
 	case FamilyBarrier:
 		p := pt.params(workload.DefaultBarrierParams(pt.Protocol, pt.Procs), tune)
-		kind := workload.BarrierKind(pt.Kind)
 		loop := workload.BarrierLoop
 		if pt.WarmFork {
 			loop = workload.TwoPhaseBarrierLoop
 		}
-		r := loop(p, kind)
+		r := loop(p, workload.BarrierKind(pt.Kind))
 		return pointResult(r.Result, r.AvgLatency, r.Episodes), nil
 	case FamilyReduction:
 		p := pt.params(workload.DefaultReductionParams(pt.Protocol, pt.Procs), tune)
-		kind, imbalanced := workload.ReductionKind(pt.Kind), pt.Variant == 1
-		var r workload.ReductionResult
-		switch {
-		case pt.WarmFork:
-			r = workload.TwoPhaseReductionLoop(p, kind, imbalanced)
-		case imbalanced:
-			r = workload.ReductionLoopImbalanced(p, kind)
-		default:
-			r = workload.ReductionLoop(p, kind)
+		loop := workload.RunReductionLoop
+		if pt.WarmFork {
+			loop = workload.TwoPhaseReductionLoop
 		}
+		r := loop(p, workload.ReductionKind(pt.Kind), pt.Variant == 1)
 		return pointResult(r.Result, r.AvgLatency, r.Reductions), nil
+	case FamilyRetention:
+		r := workload.PrivateRewriteLoop(pt.params(workload.Params{Procs: pt.Procs, Protocol: pt.Protocol}, tune))
+		res := pointResult(r.Result, r.AvgLatency, r.Episodes)
+		res.WriteThroughs = r.Counters.WriteThrough
+		return res, nil
 	default: // FamilyApp, the one family left that validate admits
 		return pt.runApp()
 	}
@@ -272,6 +307,13 @@ func (o Options) runPoints(pts []Point) []PointResult {
 		}
 	}
 	return runner.Map(o.Runner, jobs)
+}
+
+// local is o without collectors, memos or dispatcher: the ablations and
+// the contention study simulate their points on the local pool only.
+func (o Options) local() Options {
+	o.Metrics, o.Breakdown, o.Memo, o.Forks, o.Dispatch = nil, nil, nil, nil, nil
+	return o
 }
 
 // Per-family point constructors. Sweeps build their points through

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -160,6 +161,11 @@ func TestPointKeyStable(t *testing.T) {
 		{Family: FamilyLock, Kind: base.Kind, Protocol: base.Protocol, Procs: base.Procs, Iterations: base.Iterations, Breakdown: true},
 		{Family: FamilyLock, Kind: base.Kind, Protocol: base.Protocol, Procs: base.Procs, Iterations: base.Iterations, WarmFork: true},
 		{Family: FamilyLock, Kind: base.Kind, Protocol: base.Protocol, Procs: base.Procs, Iterations: base.Iterations, MetricsInterval: 500},
+		{Family: FamilyLock, Kind: base.Kind, Protocol: base.Protocol, Procs: base.Procs, Iterations: base.Iterations, CUThreshold: 2},
+		{Family: FamilyLock, Kind: base.Kind, Protocol: base.Protocol, Procs: base.Procs, Iterations: base.Iterations, SpinPoll: 2},
+		{Family: FamilyLock, Kind: base.Kind, Protocol: base.Protocol, Procs: base.Procs, Iterations: base.Iterations, NodeLoad: true},
+		{Family: FamilyRetention, Protocol: proto.PU, Procs: base.Procs, Iterations: base.Iterations},
+		{Family: FamilyRetention, Protocol: proto.PU, Procs: base.Procs, Iterations: base.Iterations, NoRetention: true},
 	}
 	for _, pt := range vary {
 		k := pt.Key()
@@ -170,11 +176,62 @@ func TestPointKeyStable(t *testing.T) {
 	}
 }
 
+// TestParentPointsPinned pins the key and the result JSON of one point
+// per family and variant, and of one carrying every older optional
+// field, as they were before Point gained its run-shaping fields, the
+// retention family and the node-load request: a field omitted at its
+// default leaves every earlier key, and every result stored under it,
+// valid in the point:v2: namespace.
+func TestParentPointsPinned(t *testing.T) {
+	for _, c := range []struct {
+		pt          Point
+		key, result string
+	}{
+		{Point{Family: FamilyLock, Kind: int(workload.MCS), Protocol: proto.CU, Procs: 4, Iterations: 64},
+			"2f6e06956d517b8164a088951c5fd2b6cfb9d802e3862736d6a66adc58c910b1", "72819e9d532867ffdb2641c02beaa6554e40837dabcf02ac45204f62cb6eeaa5"},
+		{Point{Family: FamilyLock, Kind: int(workload.Ticket), Variant: int(workload.RandomPause), Protocol: proto.PU, Procs: 4, Iterations: 64},
+			"35b73c8da1221b60b8c69f8402a57af7a8e9db7addfbb75af9334ebf7bd684c3", "5f38ba348e9a84fdb703648398badd4a1aab3d4046c8c95fa901a39561bf91ac"},
+		{Point{Family: FamilyLock, Kind: int(workload.TTAS), Variant: int(workload.WorkRatio), Protocol: proto.WI, Procs: 4, Iterations: 64},
+			"412d3e1664ada74a6f7a29f4e2d38e20d9d4bf58a7a6500caa26e99eeba14752", "97ee5114b766b7ad27f5f3b73f61a1bc3a934e3fe7be70241efbee36ff4a3d38"},
+		{Point{Family: FamilyBarrier, Kind: int(workload.Dissemination), Protocol: proto.CU, Procs: 4, Iterations: 16},
+			"1a7c1842d75b2e5df16b5454c798e66cfd7e396619a6d0d80bb9090f05ea50ae", "d302cbae8c07f8ff847bb5e35154067f1ff52b89716d89422b2f08431721411e"},
+		{Point{Family: FamilyReduction, Kind: int(workload.Sequential), Protocol: proto.PU, Procs: 4, Iterations: 16},
+			"60bd59da2128d33eb16bb2face607855b3de6a11784cb9af2852f5ec8b783ab3", "75b7232afbd43593d4fbc622b4e209dc7ff35f5f841fd1b8df9d7df449db4211"},
+		{Point{Family: FamilyReduction, Kind: int(workload.Parallel), Variant: 1, Protocol: proto.WI, Procs: 4, Iterations: 16},
+			"c3f6f06c747b0a4d2e95e7ec9f5b70129fadb37773d2224f2329868fa8ed64a6", "34cedf23f05a4f738e456d0aee631fe1b8a316361abee82e471b57ff69f70816"},
+		{Point{Family: FamilyApp, Kind: appWorkQueue, Variant: int(workload.UpdateConsciousMCS), Protocol: proto.CU, Procs: 4, Iterations: 32},
+			"44def161b4cca97e338819f510c56b5d9df5fc9839bd51251067c67cb06d977e", "b0212bc1514c1c62218bc7924479f2c8f99683dd8f91493bce27197fb2c18101"},
+		{Point{Family: FamilyApp, Kind: appJacobi, Variant: int(workload.Tree), Protocol: proto.PU, Procs: 4, Iterations: 4},
+			"edfb4674d5a9428ef509e84b584655811fa0e85a8ad4957d59f13f14bac88fb4", "f9b1dcf08c81252949efbff1ee7f81ae9eb53dbc196698ea91ef379ac5feb248"},
+		{Point{Family: FamilyApp, Kind: appNBody, Variant: int(workload.Parallel), Protocol: proto.WI, Procs: 4, Iterations: 4},
+			"40de2f1d31716a4489f792c540ae60295fd38763e26a9650c98e35238cffec39", "1d4a7cb027599640d6fa43559991e27dec9e54dd2f0224481b153f4bc311cd64"},
+		{Point{Family: FamilyBarrier, Kind: int(workload.Central), Protocol: proto.PU, Procs: 4, Iterations: 16, WarmFork: true, MetricsInterval: 100, Breakdown: true},
+			"6044c167c5c180040d469e489662fa82d9bad4a42ca221004fae1f0139ff403e", "dde975d16a88298cc7a31620aca3835d273f5cf729730795c47f295dcd1abbae"},
+	} {
+		if k := c.pt.Key(); k != c.key {
+			t.Errorf("%+v: key %s, pinned %s", c.pt, k, c.key)
+		}
+		res, err := c.pt.Simulate(nil)
+		if err != nil {
+			t.Fatalf("%+v: %v", c.pt, err)
+		}
+		doc, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(doc)); sum != c.result {
+			t.Errorf("%+v: result JSON sha256 %s, pinned %s", c.pt, sum, c.result)
+		}
+	}
+}
+
 // malformedPoints are points no sweep builds. Each of the first nine
 // was an unknown family, panicked, ran under a second key, or averaged
 // to a NaN latency before Point validated its fields; the app points
-// name a kernel or construct that does not exist, or a warm fork no
-// kernel has.
+// name a kernel or construct that does not exist, or a warm fork or
+// machine setting no kernel has; the rest set a machine field their
+// protocol never reads, poll past maxSpinPoll, or give the retention
+// family a kind or a warm fork it does not have.
 var malformedPoints = []Point{
 	{Family: "bogus", Procs: 2, Iterations: 10},
 	{Family: FamilyLock, Kind: 9, Procs: 2, Iterations: 10},
@@ -188,6 +245,12 @@ var malformedPoints = []Point{
 	{Family: FamilyApp, Kind: 9, Procs: 2, Iterations: 10},
 	{Family: FamilyApp, Kind: appNBody, Variant: 2, Procs: 2, Iterations: 10},
 	{Family: FamilyApp, Kind: appJacobi, Procs: 2, Iterations: 10, WarmFork: true},
+	{Family: FamilyApp, Kind: appWorkQueue, Protocol: proto.CU, Procs: 2, Iterations: 10, CUThreshold: 2},
+	{Family: FamilyLock, Protocol: proto.PU, Procs: 2, Iterations: 10, CUThreshold: 2},
+	{Family: FamilyLock, Protocol: proto.CU, Procs: 2, Iterations: 10, NoRetention: true},
+	{Family: FamilyLock, Procs: 2, Iterations: 10, SpinPoll: maxSpinPoll + 1},
+	{Family: FamilyRetention, Kind: 1, Protocol: proto.PU, Procs: 2, Iterations: 10},
+	{Family: FamilyRetention, Protocol: proto.PU, Procs: 2, Iterations: 10, WarmFork: true},
 }
 
 // TestRunPointUnknownFamily: a point this binary cannot execute — an
@@ -230,6 +293,10 @@ func FuzzPoint(f *testing.F) {
 		{Family: FamilyBarrier, Kind: int(workload.Tree), Protocol: proto.CU, Procs: 3, Iterations: 5, MetricsInterval: 100, Breakdown: true},
 		{Family: FamilyReduction, Kind: int(workload.Parallel), Variant: 1, Protocol: proto.WI, Procs: 2, Iterations: 4},
 		{Family: FamilyApp, Kind: appJacobi, Variant: int(workload.Dissemination), Protocol: proto.CU, Procs: 4, Iterations: 3},
+		{Family: FamilyLock, Kind: int(workload.MCS), Protocol: proto.CU, Procs: 4, Iterations: 16, CUThreshold: 1},
+		{Family: FamilyLock, Kind: int(workload.Ticket), Protocol: proto.WI, Procs: 4, Iterations: 16, SpinPoll: 2},
+		{Family: FamilyLock, Kind: int(workload.Ticket), Protocol: proto.PU, Procs: 4, Iterations: 16, NodeLoad: true},
+		{Family: FamilyRetention, Protocol: proto.PU, Procs: 3, Iterations: 4, NoRetention: true, NodeLoad: true},
 	}, malformedPoints...)
 	for _, pt := range seeds {
 		b, err := json.Marshal(pt)
@@ -258,6 +325,9 @@ func FuzzPoint(f *testing.F) {
 		}
 		if math.IsNaN(res.Latency) || math.IsInf(res.Latency, 0) {
 			t.Fatalf("%+v: latency %v", pt, res.Latency)
+		}
+		if pt.NodeLoad != (len(res.Nodes) == pt.Procs) {
+			t.Fatalf("%+v: %d node loads", pt, len(res.Nodes))
 		}
 		if _, err := json.Marshal(res); err != nil {
 			t.Fatalf("%+v: result does not marshal: %v", pt, err)

@@ -112,6 +112,28 @@ type Result struct {
 	// Breakdown is the stall-attribution breakdown of the run, non-nil
 	// only when Config.Txn was set.
 	Breakdown *trace.BreakdownSnapshot
+	// Nodes is each node's load, non-nil only when the caller read
+	// NodeLoads into it (omitted when nil, so earlier digests hold).
+	Nodes []NodeLoad `json:",omitempty"`
+}
+
+// NodeLoad is one node's share of a run's resource contention: the
+// flits its network interface injected and received (loopback
+// deliveries do not count) and its memory module's busy cycles.
+type NodeLoad struct {
+	Flits   uint64 `json:"flits"`
+	MemBusy uint64 `json:"mem_busy"`
+}
+
+// NodeLoads reports every node's load accumulated so far.
+func (m *Machine) NodeLoads() []NodeLoad {
+	nw := m.sys.Network()
+	out := make([]NodeLoad, m.cfg.Procs)
+	for i := range out {
+		o, in := nw.NodeFlits(i)
+		out[i] = NodeLoad{Flits: o + in, MemBusy: m.sys.Memory(i).Stats().BusyCycles}
+	}
+	return out
 }
 
 // SimulatedCycles reports the run's simulated execution time for

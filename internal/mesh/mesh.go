@@ -204,17 +204,6 @@ func (nw *Network) NodeFlits(id int) (out, in uint64) {
 	return nw.outFlits[id], nw.inFlits[id]
 }
 
-// Hotspot returns the node with the highest combined interface flit
-// count and that count.
-func (nw *Network) Hotspot() (node int, flits uint64) {
-	for i := 0; i < nw.n; i++ {
-		if f := nw.outFlits[i] + nw.inFlits[i]; f > flits {
-			node, flits = i, f
-		}
-	}
-	return node, flits
-}
-
 // Stats returns a copy of the accumulated traffic counters.
 func (nw *Network) Stats() Stats { return nw.stats }
 

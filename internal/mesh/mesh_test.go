@@ -264,7 +264,7 @@ func TestPropertySamePairFIFOUnderCrossTraffic(t *testing.T) {
 	}
 }
 
-func TestNodeFlitsAndHotspot(t *testing.T) {
+func TestNodeFlits(t *testing.T) {
 	e := sim.NewEngine()
 	nw := New(e, 16, DefaultConfig())
 	nw.Send(0, 5, 8, func() {})  // 4 flits
@@ -283,16 +283,12 @@ func TestNodeFlitsAndHotspot(t *testing.T) {
 	if o, i := nw.NodeFlits(2); o != 0 || i != 0 {
 		t.Fatalf("loopback counted: %d %d", o, i)
 	}
-	node, flits := nw.Hotspot()
-	if node != 0 || flits != 44 {
-		t.Fatalf("hotspot = node %d (%d flits), want node 0 (44)", node, flits)
-	}
 }
 
 // Book followed by Engine.At is Send: over random traffic — loopbacks,
 // repeated destinations, bursts at one instant — both deliver every
 // message at the same time and leave the same Stats, per-node flit
-// counts, hotspot and sampled counter series.
+// counts and sampled counter series.
 func TestBookThenAtEqualsSend(t *testing.T) {
 	type op struct {
 		at              sim.Time

@@ -77,6 +77,9 @@ func Canonicalize(s JobSpec) (JobSpec, error) {
 		default:
 			return c, fmt.Errorf("unknown format %q (want table or csv)", s.Format)
 		}
+		if entry.Uncollected {
+			c.MetricsInterval, c.Breakdown = 0, false
+		}
 	case "run":
 		c.Run = strings.ToLower(strings.TrimSpace(s.Run))
 		kind, ok := runKinds[c.Run]

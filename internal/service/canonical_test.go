@@ -106,6 +106,17 @@ func TestCanonicalizeDefaultsAndClearing(t *testing.T) {
 	if c != want {
 		t.Errorf("canonical = %+v, want %+v", c, want)
 	}
+
+	// An experiment that feeds no collector: its report fields are
+	// cleared, so asking for a breakdown names the same job.
+	c, err = Canonicalize(JobSpec{Experiment: "ablations", Breakdown: true, MetricsInterval: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = JobSpec{Kind: "experiment", Experiment: "ablations", Scale: "quick", Format: "table"}
+	if plain, _ := Canonicalize(JobSpec{Experiment: "ablations"}); c != want || plain != want {
+		t.Errorf("canonical = %+v and %+v, want %+v", c, plain, want)
+	}
 }
 
 // TestWarmForkRefused: a job spec no longer selects the two-phase run,

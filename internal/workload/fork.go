@@ -18,47 +18,10 @@ package workload
 // processors and finalizes in-flight classification), so it is strictly
 // opt-in and default runs are untouched.
 
-import "coherencesim/internal/constructs"
-
-// LockVariant selects the lock-loop flavour a two-phase run covers.
-type LockVariant int
-
-const (
-	PlainLock   LockVariant = iota // LockLoop
-	RandomPause                    // LockLoopRandomPause
-	WorkRatio                      // LockLoopWorkRatio
-)
-
-// lockProgram builds the variant's program for iters per-processor
-// iterations.
-func (v LockVariant) program(p Params, l constructs.Lock, iters int) Program {
-	switch v {
-	case PlainLock:
-		return &lockLoopProgram{l: l, iters: iters, hold: p.HoldCycles}
-	case RandomPause:
-		return &lockLoopPauseProgram{l: l, iters: iters, hold: p.HoldCycles}
-	case WorkRatio:
-		return &lockLoopRatioProgram{
-			l: l, iters: iters, hold: p.HoldCycles,
-			outside: int64(p.HoldCycles) * int64(p.Procs),
-		}
-	}
-	panic("workload: unknown lock variant")
-}
-
 // warmSplit divides a count into the warmed prefix and the remainder.
 func warmSplit(n int) (warm, rest int) {
 	warm = n / 2
 	return warm, n - warm
-}
-
-// reductionProgram builds the (im)balanced reduction program starting
-// at episode base.
-func reductionProgram(p Params, imbalanced bool, red constructs.Reducer, iters, base int) Program {
-	if imbalanced {
-		return &reductionImbalProgram{red: red, iters: iters, procs: p.Procs, base: base}
-	}
-	return &reductionLoopProgram{red: red, iters: iters, procs: p.Procs, base: base}
 }
 
 // TwoPhaseLockLoop runs the (p, kind, v) lock loop as warm-up and
@@ -69,7 +32,7 @@ func TwoPhaseLockLoop(p Params, kind LockKind, v LockVariant) LockResult {
 	defer m.Release()
 	l := NewLock(m, kind)
 	m.RunProgram(v.program(p, l, warm))
-	res := m.RunProgram(v.program(p, l, rest))
+	res := p.run(m, v.program(p, l, rest))
 	return lockLatency(res, (warm+rest)*p.Procs, p.HoldCycles)
 }
 
@@ -81,7 +44,7 @@ func TwoPhaseBarrierLoop(p Params, kind BarrierKind) BarrierResult {
 	defer m.Release()
 	b := NewBarrier(m, kind)
 	m.RunProgram(&barrierLoopProgram{b: b, iters: warm})
-	res := m.RunProgram(&barrierLoopProgram{b: b, iters: rest})
+	res := p.run(m, &barrierLoopProgram{b: b, iters: rest})
 	return barrierResult(res, warm+rest)
 }
 
@@ -94,7 +57,7 @@ func TwoPhaseReductionLoop(p Params, kind ReductionKind, imbalanced bool) Reduct
 	defer m.Release()
 	red := NewReducer(m, kind)
 	m.RunProgram(reductionProgram(p, imbalanced, red, warm, 0))
-	res := m.RunProgram(reductionProgram(p, imbalanced, red, rest, warm))
+	res := p.run(m, reductionProgram(p, imbalanced, red, rest, warm))
 	return reductionResult(res, warm+rest)
 }
 

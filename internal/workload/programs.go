@@ -7,10 +7,46 @@ import (
 )
 
 // Program re-exports the machine's workload interface: a resumable step
-// function dispatched inline by the event loop. The six synthetic
-// programs below are the loop bodies of the paper's Section 4 workloads;
-// the entry points in workload.go run them through Machine.RunProgram.
+// function dispatched inline by the event loop. The synthetic programs
+// below are the loop bodies of the paper's Section 4 workloads and of
+// the retention ablation; the entry points in workload.go run them
+// through Machine.RunProgram.
 type Program = machine.Program
+
+// LockVariant selects the lock-loop flavour.
+type LockVariant int
+
+const (
+	PlainLock   LockVariant = iota
+	RandomPause             // a bounded pseudo-random pause after each release
+	WorkRatio               // P times the hold time (± 10%) of work outside
+)
+
+// program builds the variant's body for iters per-processor iterations:
+// the one table from a lock variant to its program.
+func (v LockVariant) program(p Params, l constructs.Lock, iters int) Program {
+	switch v {
+	case PlainLock:
+		return &lockLoopProgram{l: l, iters: iters, hold: p.HoldCycles}
+	case RandomPause:
+		return &lockLoopPauseProgram{l: l, iters: iters, hold: p.HoldCycles}
+	case WorkRatio:
+		return &lockLoopRatioProgram{
+			l: l, iters: iters, hold: p.HoldCycles,
+			outside: int64(p.HoldCycles) * int64(p.Procs),
+		}
+	}
+	panic("workload: unknown lock variant")
+}
+
+// reductionProgram builds the (im)balanced reduction body for iters
+// episodes starting at episode base.
+func reductionProgram(p Params, imbalanced bool, red constructs.Reducer, iters, base int) Program {
+	if imbalanced {
+		return &reductionImbalProgram{red: red, iters: iters, procs: p.Procs, base: base}
+	}
+	return &reductionLoopProgram{red: red, iters: iters, procs: p.Procs, base: base}
+}
 
 // lockLoopProgram is LockLoop's body: acquire, hold, release, repeat.
 // Registers: I0 iteration.
@@ -45,7 +81,7 @@ func (g *lockLoopProgram) Step(p *machine.Proc, f *machine.Frame) machine.OpStat
 	}
 }
 
-// lockLoopPauseProgram is LockLoopRandomPause's body: a bounded
+// lockLoopPauseProgram is RandomPause's body: a bounded
 // pseudo-random pause follows each release. Registers: I0 iteration.
 type lockLoopPauseProgram struct {
 	l     constructs.Lock
@@ -83,7 +119,7 @@ func (g *lockLoopPauseProgram) Step(p *machine.Proc, f *machine.Frame) machine.O
 	}
 }
 
-// lockLoopRatioProgram is LockLoopWorkRatio's body: outside work is P
+// lockLoopRatioProgram is WorkRatio's body: outside work is P
 // times the hold time, within ±10%. Registers: I0 iteration.
 type lockLoopRatioProgram struct {
 	l       constructs.Lock
@@ -164,7 +200,7 @@ func (g *reductionLoopProgram) Step(p *machine.Proc, f *machine.Frame) machine.O
 	panic("workload: reductionLoopProgram bad pc")
 }
 
-// reductionImbalProgram is ReductionLoopImbalanced's body: a
+// reductionImbalProgram is the imbalanced RunReductionLoop's body: a
 // pseudo-random production delay precedes each episode. Registers: I0
 // episode. base offsets the episode index as in reductionLoopProgram.
 type reductionImbalProgram struct {
@@ -194,4 +230,38 @@ func (g *reductionImbalProgram) Step(p *machine.Proc, f *machine.Frame) machine.
 		return p.FRead(g.red.ResultAddr())
 	}
 	panic("workload: reductionImbalProgram bad pc")
+}
+
+// privateRewriteProgram is PrivateRewriteLoop's body: every phase each
+// processor rewrites all words of its own block, then all cross a magic
+// barrier; at the join a neighbour consumes the privately built result.
+// Registers: I0 phase, I1 word.
+type privateRewriteProgram struct {
+	own    []machine.Addr
+	b      *machine.MagicBarrier
+	phases int
+}
+
+// rewritesPerPhase is one store per word of a 64-byte private block.
+const rewritesPerPhase = 16
+
+func (g *privateRewriteProgram) Step(p *machine.Proc, f *machine.Frame) machine.OpStatus {
+	switch f.PC {
+	case 0:
+		id := p.ID()
+		if f.I0 >= g.phases {
+			f.PC = 1
+			return p.FRead(g.own[(id+1)%len(g.own)])
+		}
+		if w := f.I1; w < rewritesPerPhase {
+			f.I1++
+			return p.FWrite(g.own[id]+machine.Addr(4*w), uint32(f.I0*100+w))
+		}
+		f.I0++
+		f.I1 = 0
+		return g.b.FWait(p)
+	case 1:
+		return machine.OpDone
+	}
+	panic("workload: privateRewriteProgram bad pc")
 }

@@ -116,14 +116,14 @@ func TestRandomPauseOnReusedMachine(t *testing.T) {
 	// Fresh machines, released to the pool in this order: the plain
 	// run's, which never drew, is the next one handed out.
 	acquireMachine = track(machine.New)
-	freshPause, freshPlain := LockLoopRandomPause(p, MCS), LockLoop(p, MCS)
+	freshPause, freshPlain := RunLockLoop(p, MCS, RandomPause), LockLoop(p, MCS)
 	acquireMachine = track(machine.Acquire)
 	for i, c := range []struct {
 		name          string
 		fresh, pooled LockResult
 	}{
-		{"random pause after a run that drew nothing", freshPause, LockLoopRandomPause(p, MCS)},
-		{"random pause after a run that drew", freshPause, LockLoopRandomPause(p, MCS)},
+		{"random pause after a run that drew nothing", freshPause, RunLockLoop(p, MCS, RandomPause)},
+		{"random pause after a run that drew", freshPause, RunLockLoop(p, MCS, RandomPause)},
 		{"plain run after a run that drew", freshPlain, LockLoop(p, MCS)},
 	} {
 		if used[2+i] != used[1] {

@@ -1,24 +1,26 @@
 // Package workload implements the paper's synthetic programs (Section 4):
 //
-//   - LockLoop: each processor acquires a lock, holds it 50 cycles, and
-//     releases, in a tight loop executed Iterations/P times (paper:
-//     32000 total acquires);
-//   - LockLoopRandomPause: the low-contention variant that wastes a
-//     bounded pseudo-random time after each release;
-//   - LockLoopWorkRatio: the controlled variant where the work outside
-//     the critical section is P times the work inside (± 10%);
+//   - RunLockLoop: each processor acquires a lock, holds it 50 cycles,
+//     and releases, in a tight loop executed Iterations/P times (paper:
+//     32000 total acquires); the RandomPause variant wastes a bounded
+//     pseudo-random time after each release (low contention), the
+//     WorkRatio one works P times the hold time (± 10%) outside;
 //   - BarrierLoop: processors cross a barrier in a tight loop (paper:
 //     5000 episodes);
-//   - ReductionLoop: each processor executes reductions in a tight loop
-//     (paper: 5000), with the zero-traffic magic lock/barrier so the
-//     reduction's own communication is isolated;
-//   - ReductionLoopImbalanced: the load-imbalance variant.
+//   - RunReductionLoop: each processor executes reductions in a tight
+//     loop (paper: 5000), with the zero-traffic magic lock/barrier so
+//     the reduction's own communication is isolated, optionally with
+//     load imbalance;
+//   - PrivateRewriteLoop: the fork/join access pattern PU's private-block
+//     retention targets (the retention ablation).
 //
 // Each workload builds its own fresh Machine, runs, and reports the
 // metrics the paper plots.
 package workload
 
 import (
+	"fmt"
+
 	"coherencesim/internal/constructs"
 	"coherencesim/internal/machine"
 	"coherencesim/internal/metrics"
@@ -115,9 +117,11 @@ type Params struct {
 	// Result.Breakdown. Like metrics, tracing is keyed purely to
 	// simulated time and never changes the simulated outcome.
 	Breakdown bool
-	// Tune, if set, adjusts the machine configuration before
-	// construction (ablation studies: CU threshold, retention, spin
-	// polling, network parameters).
+	// NodeLoad reads each node's network-interface flits and memory busy
+	// cycles off the machine after the run into Result.Nodes (the
+	// contention study). Reading counters never changes the outcome.
+	NodeLoad bool
+	// Tune, if set, adjusts the machine configuration before construction.
 	Tune func(*machine.Config)
 }
 
@@ -140,6 +144,16 @@ func (p Params) newMachine() *machine.Machine {
 		p.Tune(&cfg)
 	}
 	return acquireMachine(cfg)
+}
+
+// run executes prog on m, the run's machine, and adds the per-node
+// loads when p asks for them.
+func (p Params) run(m *machine.Machine, prog Program) machine.Result {
+	res := m.RunProgram(prog)
+	if p.NodeLoad {
+		res.Nodes = m.NodeLoads()
+	}
+	return res
 }
 
 // DefaultLockParams returns the paper's figure 8 parameters.
@@ -201,47 +215,17 @@ func lockLatency(res machine.Result, acquires int, hold sim.Time) LockResult {
 	return LockResult{Result: res, Acquires: acquires, AvgLatency: avg}
 }
 
+// RunLockLoop runs the paper's lock synthetic program in variant v.
+func RunLockLoop(p Params, kind LockKind, v LockVariant) LockResult {
+	m := p.newMachine()
+	defer m.Release()
+	iters := p.Iterations / p.Procs
+	res := p.run(m, v.program(p, NewLock(m, kind), iters))
+	return lockLatency(res, iters*p.Procs, p.HoldCycles)
+}
+
 // LockLoop runs the paper's lock synthetic program.
-func LockLoop(p Params, kind LockKind) LockResult {
-	m := p.newMachine()
-	defer m.Release()
-	return LockLoopOn(m, NewLock(m, kind), p)
-}
-
-// LockLoopOn runs the lock synthetic program over a lock on a machine
-// the caller built (with p.Procs processors) and still owns afterwards —
-// for callers that inspect the machine once the run is over.
-func LockLoopOn(m *machine.Machine, l constructs.Lock, p Params) LockResult {
-	iters := p.Iterations / p.Procs
-	res := m.RunProgram(&lockLoopProgram{l: l, iters: iters, hold: p.HoldCycles})
-	return lockLatency(res, iters*p.Procs, p.HoldCycles)
-}
-
-// LockLoopRandomPause is the low-contention variant: after each release
-// the processor wastes a bounded pseudo-random time (up to four hold
-// times) before trying again.
-func LockLoopRandomPause(p Params, kind LockKind) LockResult {
-	m := p.newMachine()
-	defer m.Release()
-	l := NewLock(m, kind)
-	iters := p.Iterations / p.Procs
-	res := m.RunProgram(&lockLoopPauseProgram{l: l, iters: iters, hold: p.HoldCycles})
-	return lockLatency(res, iters*p.Procs, p.HoldCycles)
-}
-
-// LockLoopWorkRatio is the controlled variant: the work outside the
-// critical section is P times the work inside, within ±10%.
-func LockLoopWorkRatio(p Params, kind LockKind) LockResult {
-	m := p.newMachine()
-	defer m.Release()
-	l := NewLock(m, kind)
-	iters := p.Iterations / p.Procs
-	res := m.RunProgram(&lockLoopRatioProgram{
-		l: l, iters: iters, hold: p.HoldCycles,
-		outside: int64(p.HoldCycles) * int64(p.Procs),
-	})
-	return lockLatency(res, iters*p.Procs, p.HoldCycles)
-}
+func LockLoop(p Params, kind LockKind) LockResult { return RunLockLoop(p, kind, PlainLock) }
 
 // BarrierResult reports a barrier-loop run. AvgLatency is execution time
 // divided by the episode count.
@@ -260,7 +244,28 @@ func BarrierLoop(p Params, kind BarrierKind) BarrierResult {
 	m := p.newMachine()
 	defer m.Release()
 	b := NewBarrier(m, kind)
-	return barrierResult(m.RunProgram(&barrierLoopProgram{b: b, iters: p.Iterations}), p.Iterations)
+	return barrierResult(p.run(m, &barrierLoopProgram{b: b, iters: p.Iterations}), p.Iterations)
+}
+
+// PrivateRewriteLoop runs the access pattern PU's private-block
+// retention targets: fork/join-style data that is private to one
+// processor during computation and read by others only at the end.
+// Each of Iterations phases ends at a magic barrier, so the result is
+// a BarrierResult over the phases. With retention the first
+// write-through converts the block to locally writable and every later
+// store is free; without it (and under the write-through protocol
+// generally) every store travels to the home. Once any other processor
+// caches a block, retention is dead for that block under PU — copies
+// are never dropped — which is why truly shared data sees no benefit.
+func PrivateRewriteLoop(p Params) BarrierResult {
+	m := p.newMachine()
+	defer m.Release()
+	own := make([]machine.Addr, p.Procs)
+	for i := range own {
+		own[i] = m.Alloc(fmt.Sprintf("priv%d", i), 64, i)
+	}
+	prog := &privateRewriteProgram{own: own, b: m.NewMagicBarrier(), phases: p.Iterations}
+	return barrierResult(p.run(m, prog), p.Iterations)
 }
 
 // ReductionResult reports a reduction-loop run. AvgLatency is execution
@@ -282,25 +287,20 @@ func localValue(ep, id, procs int) uint32 {
 	return uint32(ep)*uint32(2*procs) + uint32((id*7+ep)%procs)
 }
 
-// ReductionLoop runs the paper's reduction synthetic program: Iterations
+// RunReductionLoop runs the paper's reduction synthetic program: Iterations
 // tightly synchronized reductions using zero-traffic magic sync. After
 // each reduction every processor reads the global result (the figures'
-// "code that uses max").
-func ReductionLoop(p Params, kind ReductionKind) ReductionResult {
+// "code that uses max"). imbalanced selects the load-imbalance variant.
+func RunReductionLoop(p Params, kind ReductionKind, imbalanced bool) ReductionResult {
 	m := p.newMachine()
 	defer m.Release()
-	red := NewReducer(m, kind)
-	return reductionResult(m.RunProgram(&reductionLoopProgram{red: red, iters: p.Iterations, procs: p.Procs}), p.Iterations)
+	res := p.run(m, reductionProgram(p, imbalanced, NewReducer(m, kind), p.Iterations, 0))
+	return reductionResult(res, p.Iterations)
 }
 
-// ReductionLoopImbalanced is the load-imbalance variant: processors
-// spend a pseudo-random time producing their local value, reducing lock
-// contention in the parallel strategy.
-func ReductionLoopImbalanced(p Params, kind ReductionKind) ReductionResult {
-	m := p.newMachine()
-	defer m.Release()
-	red := NewReducer(m, kind)
-	return reductionResult(m.RunProgram(&reductionImbalProgram{red: red, iters: p.Iterations, procs: p.Procs}), p.Iterations)
+// ReductionLoop runs the paper's reduction synthetic program.
+func ReductionLoop(p Params, kind ReductionKind) ReductionResult {
+	return RunReductionLoop(p, kind, false)
 }
 
 // NewReducer builds a reducer of kind k on m over zero-traffic magic

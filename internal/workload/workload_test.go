@@ -47,8 +47,8 @@ func TestLockLoopAllCombos(t *testing.T) {
 
 func TestLockLoopVariants(t *testing.T) {
 	for _, k := range []LockKind{Ticket, MCS} {
-		r1 := LockLoopRandomPause(small(DefaultLockParams(proto.WI, 4), 80), k)
-		r2 := LockLoopWorkRatio(small(DefaultLockParams(proto.WI, 4), 80), k)
+		r1 := RunLockLoop(small(DefaultLockParams(proto.WI, 4), 80), k, RandomPause)
+		r2 := RunLockLoop(small(DefaultLockParams(proto.WI, 4), 80), k, WorkRatio)
 		if r1.Acquires != 80 || r2.Acquires != 80 {
 			t.Fatalf("variant acquires %d, %d", r1.Acquires, r2.Acquires)
 		}
@@ -86,7 +86,7 @@ func TestReductionLoopAllCombos(t *testing.T) {
 			}
 			// Magic sync: no lock/barrier traffic, so all misses come
 			// from the reduction data itself; at minimum the run works.
-			res2 := ReductionLoopImbalanced(small(DefaultReductionParams(pr, 4), 40), k)
+			res2 := RunReductionLoop(small(DefaultReductionParams(pr, 4), 40), k, true)
 			if res2.Reductions != 40 {
 				t.Fatalf("%v/%v: imbalanced run broken", pr, k)
 			}
