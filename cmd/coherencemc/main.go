@@ -8,16 +8,17 @@
 //	coherencemc -protocol WI -procs 2 -blocks 1   # one configuration
 //	coherencemc -protocol WI,PU,CU -procs 2,3 -blocks 1,2 -depth 2
 //	coherencemc -json report.json                 # machine-readable report
-//	coherencemc -baseline mc_baseline.json        # fail on state-count regression
+//	coherencemc -baseline mc_baseline.json        # fail on any change to the counts
 //	coherencemc -replay trace.json                # re-execute a counterexample
 //	coherencemc -fault skip-inv-ack -protocol WI  # checker self-test demo
 //
 // Exit status: 0 on a clean exhaustive run, 1 on any invariant violation
-// or baseline regression, 2 on usage/configuration errors. Violations
+// or baseline mismatch, 2 on usage/configuration errors. Violations
 // print (and with -json, serialize) replayable counterexample traces.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -131,7 +132,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		opSet     = fs.String("ops", "", "restrict issue alphabet (comma list of read,write,atomic,flush)")
 		faultList = fs.String("fault", "", "inject protocol faults (checker self-test)")
 		jsonOut   = fs.String("json", "", "write the JSON report to this file")
-		baseline  = fs.String("baseline", "", "compare state counts against this committed report")
+		baseline  = fs.String("baseline", "", "fail where a configuration's report differs from this committed one (ms aside)")
 		replay    = fs.String("replay", "", "replay a counterexample trace instead of exploring")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -235,12 +236,12 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 
 	if *baseline != "" {
-		regressed, err := compareBaseline(&rep, *baseline, stdout)
+		changed, err := compareBaseline(&rep, *baseline, stdout)
 		if err != nil {
 			fmt.Fprintln(stderr, "coherencemc:", err)
 			return 2
 		}
-		if regressed {
+		if changed {
 			return 1
 		}
 	}
@@ -267,9 +268,11 @@ func parseOps(s string) ([]mc.OpKind, error) {
 	return out, nil
 }
 
-// compareBaseline fails configurations whose reachable-state count fell
-// below the committed baseline: the model silently exploring less space
-// is as dangerous as a violation (coverage regression).
+// compareBaseline fails every configuration whose entry differs from the
+// committed baseline's in any field but ms, in either direction: a model
+// silently exploring less space is a coverage regression, and one
+// exploring more (or counting another edge) has changed without saying
+// so. Configurations the baseline lacks are not compared.
 func compareBaseline(rep *report, path string, stdout *os.File) (bool, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -279,23 +282,28 @@ func compareBaseline(rep *report, path string, stdout *os.File) (bool, error) {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return false, fmt.Errorf("bad baseline %s: %v", path, err)
 	}
-	baseBy := make(map[string]int, len(base.Entries))
-	for i := range base.Entries {
-		baseBy[base.Entries[i].key()] = base.Entries[i].States
+	// A reportEntry always marshals, so both Marshal errors are dropped.
+	baseBy := make(map[string][]byte, len(base.Entries))
+	for _, e := range base.Entries {
+		e.Millis = 0
+		baseBy[e.key()], _ = json.Marshal(e)
 	}
-	regressed := false
-	for i := range rep.Entries {
-		e := &rep.Entries[i]
+	changed := false
+	for _, e := range rep.Entries {
 		want, ok := baseBy[e.key()]
 		if !ok {
-			continue // new configuration, no baseline yet
+			continue
 		}
-		if e.States < want {
-			regressed = true
-			fmt.Fprintf(stdout, "REGRESSION: %s explores %d states, baseline %d\n", e.key(), e.States, want)
+		e.Millis = 0
+		if got, _ := json.Marshal(e); !bytes.Equal(got, want) {
+			changed = true
+			fmt.Fprintf(stdout, "BASELINE MISMATCH: %s\n    got      %s\n    baseline %s\n", e.key(), got, want)
 		}
 	}
-	return regressed, nil
+	if changed {
+		fmt.Fprintf(stdout, "if the change is intended, regenerate the baseline: coherencemc -json %s\n", path)
+	}
+	return changed, nil
 }
 
 // runReplay re-executes a committed counterexample trace.

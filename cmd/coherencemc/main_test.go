@@ -79,25 +79,44 @@ func TestSeededFaultExitsNonZeroAndTraceReplays(t *testing.T) {
 	}
 }
 
+// TestBaselineRegressionFails: the baseline check fails a configuration
+// whose entry moved in any field but ms, in either direction, and names
+// the regeneration command; a baseline that differs only in ms passes.
 func TestBaselineRegressionFails(t *testing.T) {
 	dir := t.TempDir()
-	report := filepath.Join(dir, "report.json")
-	if code, out, _ := capture(t, "-protocol", "WI", "-procs", "2", "-blocks", "1", "-json", report); code != 0 {
+	args := []string{"-protocol", "WI", "-procs", "2", "-blocks", "1"}
+	reportPath := filepath.Join(dir, "report.json")
+	if code, out, _ := capture(t, append(args, "-json", reportPath)...); code != 0 {
 		t.Fatalf("baseline generation failed (%d):\n%s", code, out)
 	}
-	// Inflate the baseline's state count: the same run must now regress.
-	raw, err := os.ReadFile(report)
+	raw, err := os.ReadFile(reportPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inflated := strings.Replace(string(raw), `"states": `, `"states": 9`, 1)
-	baseline := filepath.Join(dir, "baseline.json")
-	if err := os.WriteFile(baseline, []byte(inflated), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, out, _ := capture(t, "-protocol", "WI", "-procs", "2", "-blocks", "1", "-baseline", baseline)
-	if code != 1 || !strings.Contains(out, "REGRESSION") {
-		t.Fatalf("exit %d, out:\n%s", code, out)
+	for _, tc := range []struct {
+		name string
+		edit func(*reportEntry)
+		want int
+	}{
+		{"inflated states", func(e *reportEntry) { e.States += 9 }, 1},
+		{"deflated states", func(e *reportEntry) { e.States-- }, 1},
+		{"transitions only", func(e *reportEntry) { e.Transitions++ }, 1},
+		{"ms only", func(e *reportEntry) { e.Millis += 1000 }, 0},
+	} {
+		var base report
+		if err := json.Unmarshal(raw, &base); err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(&base.Entries[0])
+		edited, _ := json.Marshal(&base)
+		baseline := filepath.Join(dir, "baseline.json")
+		if err := os.WriteFile(baseline, edited, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, out, _ := capture(t, append(args, "-baseline", baseline)...)
+		if mismatch := strings.Contains(out, "BASELINE MISMATCH") && strings.Contains(out, "-json "+baseline); code != tc.want || mismatch != (tc.want == 1) {
+			t.Errorf("%s: exit %d, want %d; out:\n%s", tc.name, code, tc.want, out)
+		}
 	}
 }
 

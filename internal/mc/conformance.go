@@ -2,6 +2,7 @@ package mc
 
 import (
 	"fmt"
+	"slices"
 
 	"coherencesim/internal/cache"
 	"coherencesim/internal/classify"
@@ -44,24 +45,25 @@ func (s Schedule) String() string {
 	return out
 }
 
-// modelStep issues op on the model and then drains every message in
-// deterministic (src, dst)-ascending order, so the operation completes
-// before the next one issues. It returns the model's error, or "".
-func modelStep(cfg Config, st *state, obs *observer, op ScheduleOp) string {
-	x := &stepCtx{cfg: cfg, st: st, obs: obs}
-	x.apply(action{issue: true, p: uint8(op.P), kind: op.Kind, block: uint8(op.Block), word: uint8(op.Word)})
-drain:
-	for x.err == "" && st.inFlight(cfg) > 0 {
-		for s := 0; s < cfg.Procs; s++ {
-			for d := 0; d < cfg.Procs; d++ {
-				if len(st.chans[s][d]) > 0 {
-					x.deliver(uint8(s), uint8(d))
-					continue drain
-				}
-			}
+// modelStep issues op on the model and then drains it through the
+// walker's interface: it applies the first enabled delivery, in
+// (src, dst)-ascending order, until none is left, so the operation
+// completes before the next one issues. It returns the drained state and
+// the model's error, or "".
+func modelStep(m protoModel, st *state, op ScheduleOp) (*state, string) {
+	a := action{issue: true, p: uint8(op.P), kind: op.Kind, block: uint8(op.Block), word: uint8(op.Word)}
+	for {
+		var why string
+		if st, why = m.apply(st, a); why != "" {
+			return st, why
 		}
+		acts := m.enabled(st)
+		i := slices.IndexFunc(acts, func(a action) bool { return !a.issue })
+		if i < 0 {
+			return st, ""
+		}
+		a = acts[i]
 	}
-	return x.err
 }
 
 // liveRunner drives a real proto.System one sequential operation at a
@@ -182,35 +184,12 @@ func compareStable(cfg Config, st *state, s *proto.System) string {
 	return ""
 }
 
-// compareObs cross-checks observed read/atomic results.
-func compareObs(model, impl *observer) string {
-	if len(model.readVals) != len(impl.readVals) {
-		return fmt.Sprintf("read count model=%d impl=%d", len(model.readVals), len(impl.readVals))
-	}
-	for i := range model.readVals {
-		if model.readVals[i] != impl.readVals[i] {
-			return fmt.Sprintf("read %d returned impl=%d model=%d", i, impl.readVals[i], model.readVals[i])
-		}
-	}
-	if len(model.atomOlds) != len(impl.atomOlds) {
-		return fmt.Sprintf("atomic count model=%d impl=%d", len(model.atomOlds), len(impl.atomOlds))
-	}
-	for i := range model.atomOlds {
-		if model.atomOlds[i] != impl.atomOlds[i] {
-			return fmt.Sprintf("atomic %d returned impl=%d model=%d", i, impl.atomOlds[i], model.atomOlds[i])
-		}
-	}
-	return ""
-}
-
 // RunConformance replays every schedule through both the model and the
 // live implementation, comparing stable states after each operation.
 // Returns the number of schedules checked; the error identifies the
 // first diverging schedule.
 func RunConformance(cfg Config, scheds []Schedule) (int, error) {
-	if cfg.CUThreshold == 0 {
-		cfg.CUThreshold = 4
-	}
+	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}
@@ -221,10 +200,11 @@ func RunConformance(cfg Config, scheds []Schedule) (int, error) {
 				return i, err
 			}
 		}
-		st := newState(cfg)
-		obs := &observer{}
+		st, obs := newState(cfg), &observer{}
+		m := protoModel{cfg: cfg, obs: obs}
 		for j, op := range sched {
-			if why := modelStep(cfg, st, obs, op); why != "" {
+			var why string
+			if st, why = modelStep(m, st, op); why != "" {
 				return i, fmt.Errorf("schedule %d (%v) op %d: model error: %s", i, sched, j, why)
 			}
 			// Live side: same operation, engine drained.
@@ -235,8 +215,9 @@ func RunConformance(cfg Config, scheds []Schedule) (int, error) {
 				return i, fmt.Errorf("schedule %d (%v) op %d (%v): %s", i, sched, j, op, why)
 			}
 		}
-		if why := compareObs(obs, &runner.obs); why != "" {
-			return i, fmt.Errorf("schedule %d (%v): %s", i, sched, why)
+		if !slices.Equal(obs.readVals, runner.obs.readVals) || !slices.Equal(obs.atomOlds, runner.obs.atomOlds) {
+			return i, fmt.Errorf("schedule %d (%v): reads returned impl=%v model=%v, atomics impl=%v model=%v",
+				i, sched, runner.obs.readVals, obs.readVals, runner.obs.atomOlds, obs.atomOlds)
 		}
 		if errs := runner.s.CheckCoherence(); len(errs) > 0 {
 			return i, fmt.Errorf("schedule %d (%v): impl coherence check: %v", i, sched, errs[0])
@@ -246,25 +227,16 @@ func RunConformance(cfg Config, scheds []Schedule) (int, error) {
 }
 
 // GenerateSchedules enumerates sequential schedules over the config's
-// operation alphabet: every length-1 and length-2 schedule, then
-// length-3 schedules strided deterministically until at least target
-// schedules exist. Exhaustive short prefixes catch pairwise
-// interactions; the strided tail adds three-op chains (e.g. populate,
-// race, verify) without exploding the count.
+// operation alphabet (the issues the model enables in its initial
+// state): every length-1 and length-2 schedule, then length-3 schedules
+// strided deterministically until at least target schedules exist.
+// Exhaustive short prefixes catch pairwise interactions; the strided
+// tail adds three-op chains (e.g. populate, race, verify) without
+// exploding the count.
 func GenerateSchedules(cfg Config, target int) []Schedule {
 	var alphabet []ScheduleOp
-	for p := 0; p < cfg.Procs; p++ {
-		for _, k := range cfg.opSet() {
-			for b := 0; b < cfg.Blocks; b++ {
-				if k == OpFlush {
-					alphabet = append(alphabet, ScheduleOp{P: p, Kind: k, Block: b})
-					continue
-				}
-				for w := 0; w < cfg.Words; w++ {
-					alphabet = append(alphabet, ScheduleOp{P: p, Kind: k, Block: b, Word: w})
-				}
-			}
-		}
+	for _, a := range (protoModel{cfg: cfg}).enabled(newState(cfg)) {
+		alphabet = append(alphabet, ScheduleOp{P: int(a.p), Kind: a.kind, Block: int(a.block), Word: int(a.word)})
 	}
 	n := len(alphabet)
 	var out []Schedule

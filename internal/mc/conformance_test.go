@@ -111,10 +111,11 @@ func TestConformanceHandWritten(t *testing.T) {
 // invariant holds. Returns the final state and the observed read/atomic
 // results.
 func runModelSchedule(cfg Config, sched Schedule) (*state, *observer, error) {
-	st := newState(cfg)
-	obs := &observer{}
+	st, obs := newState(cfg), &observer{}
+	m := protoModel{cfg: cfg, obs: obs}
 	for i, op := range sched {
-		if why := modelStep(cfg, st, obs, op); why != "" {
+		var why string
+		if st, why = modelStep(m, st, op); why != "" {
 			return nil, nil, fmt.Errorf("op %d (%v): %s", i, op, why)
 		}
 		if !st.quiescent(cfg) {

@@ -18,10 +18,11 @@ func appendMsg(buf []byte, m *msg) []byte {
 	return append(buf, m.data[:]...)
 }
 
-// encode appends the canonical encoding of st (under cfg's bounds) to
-// buf and returns it. Only configured processors/blocks/words are
-// walked; out-of-range array slots are always zero.
-func encode(cfg Config, st *state, buf []byte) []byte {
+// encode appends the canonical encoding of st (under the model's
+// bounds) to buf and returns it. Only configured processors/blocks/words
+// are walked; out-of-range array slots are always zero.
+func (m protoModel) encode(st *state, buf []byte) []byte {
+	cfg := m.cfg
 	for p := 0; p < cfg.Procs; p++ {
 		pr := &st.procs[p]
 		op := &pr.op

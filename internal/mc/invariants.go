@@ -18,7 +18,27 @@ import (
 //     residue); and
 //   - deadlock is diagnosed on terminal states (no enabled action) that
 //     still carry unfinished work, livelock on cycles reachable along
-//     the search path (explore.go).
+//     the search path (walk.go).
+
+// check is the model's verdict on a newly reached state, in one order:
+// the every-state invariants, then, when st is quiescent, the
+// stable-state ones, then, when terminal, the deadlock diagnosis.
+func (m protoModel) check(st *state, terminal bool) (kind ViolationKind, why string, quiescent bool) {
+	if why := checkEvery(m.cfg, st); why != "" {
+		return VInvariant, why, false
+	}
+	if quiescent = st.quiescent(m.cfg); quiescent {
+		if why := checkQuiescent(m.cfg, st); why != "" {
+			return VQuiescent, why, true
+		}
+	}
+	if terminal {
+		if why := checkDeadlock(m.cfg, st); why != "" {
+			return VDeadlock, why, quiescent
+		}
+	}
+	return "", "", quiescent
+}
 
 // checkEvery returns a description of the first every-state invariant
 // violation in st, or "".

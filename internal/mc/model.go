@@ -25,6 +25,10 @@
 // quiescent-state invariant suite (the model analogue of
 // proto.CheckCoherence) whenever no message is in flight.
 //
+// The search, dedup, livelock check and replay (walk.go) are
+// protocol-free: they see the protocols only through the four methods
+// of the walker's model — enabled, apply, encode and check.
+//
 // A conformance driver (conformance.go) replays operation schedules
 // through the live proto.System and cross-checks the resulting stable
 // states against the model, so the model cannot silently drift from the
@@ -159,24 +163,18 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// DefaultConfig returns the smoke-slice bounds for a protocol.
-func DefaultConfig(p proto.Protocol) Config {
-	return Config{
-		Protocol:    p,
-		Procs:       2,
-		Blocks:      1,
-		Words:       1,
-		OpsPerProc:  2,
-		CUThreshold: 4,
+// withDefaults reads a zero CUThreshold as the paper's threshold of 4.
+// Explore, Trace.ConfigOf and RunConformance apply it before Validate.
+func (c Config) withDefaults() Config {
+	if c.CUThreshold == 0 {
+		c.CUThreshold = 4
 	}
+	return c
 }
 
-// opSet returns the effective issue alphabet kinds.
-func (c Config) opSet() []OpKind {
-	if len(c.OpSet) == 0 {
-		return []OpKind{OpRead, OpWrite, OpAtomic, OpFlush}
-	}
-	return c.OpSet
+// DefaultConfig returns the smoke-slice bounds for a protocol.
+func DefaultConfig(p proto.Protocol) Config {
+	return Config{Protocol: p, Procs: 2, Blocks: 1, Words: 1, OpsPerProc: 2}.withDefaults()
 }
 
 // homeOf mirrors proto.DefaultConfig's block-interleaved home mapping.
@@ -391,26 +389,17 @@ func (st *state) clone() *state {
 // send appends m to the (src,dst) channel.
 func (st *state) send(m msg) { st.chans[m.src][m.dst] = append(st.chans[m.src][m.dst], m) }
 
-// inFlight counts all queued messages.
-func (st *state) inFlight(cfg Config) int {
-	n := 0
-	for s := 0; s < cfg.Procs; s++ {
-		for d := 0; d < cfg.Procs; d++ {
-			n += len(st.chans[s][d])
-		}
-	}
-	return n
-}
-
 // quiescent reports whether no message is in flight and no operation is
 // pending — the stable states on which the full invariant suite runs.
 func (st *state) quiescent(cfg Config) bool {
-	if st.inFlight(cfg) > 0 {
-		return false
-	}
 	for p := 0; p < cfg.Procs; p++ {
 		if st.procs[p].op.active {
 			return false
+		}
+		for d := 0; d < cfg.Procs; d++ {
+			if len(st.chans[p][d]) > 0 {
+				return false
+			}
 		}
 	}
 	return true

@@ -26,27 +26,21 @@ type action struct {
 	src, dst    uint8  // deliver: channel
 }
 
-func (a action) String() string {
-	if a.issue {
-		if a.kind == OpFlush {
-			return fmt.Sprintf("issue p%d %v b%d", a.p, a.kind, a.block)
-		}
-		return fmt.Sprintf("issue p%d %v b%d.w%d", a.p, a.kind, a.block, a.word)
-	}
-	return fmt.Sprintf("deliver %d->%d", a.src, a.dst)
-}
-
-// enabledActions enumerates the actions enabled in st, in a fixed
+// enabled enumerates the actions enabled in st, in a fixed
 // deterministic order: issues (processor-, kind-, block-, word-major),
 // then deliveries (src-, dst-major).
-func enabledActions(cfg Config, st *state) []action {
+func (m protoModel) enabled(st *state) []action {
+	cfg, kinds := m.cfg, m.cfg.OpSet
+	if len(kinds) == 0 {
+		kinds = []OpKind{OpRead, OpWrite, OpAtomic, OpFlush}
+	}
 	var acts []action
 	for p := 0; p < cfg.Procs; p++ {
 		pr := &st.procs[p]
 		if pr.op.active || int(pr.issued) >= cfg.OpsPerProc {
 			continue
 		}
-		for _, k := range cfg.opSet() {
+		for _, k := range kinds {
 			for b := 0; b < cfg.Blocks; b++ {
 				if k == OpFlush {
 					acts = append(acts, action{issue: true, p: uint8(p), kind: k, block: uint8(b)})
@@ -68,16 +62,13 @@ func enabledActions(cfg Config, st *state) []action {
 	return acts
 }
 
-// stepCtx applies one action to a state, collecting any model-internal
-// error (the analogue of an implementation panic) instead of crashing,
-// so fault-injected variants surface cleanly as violations.
+// stepCtx applies one action of the model to a state, collecting any
+// model-internal error (the analogue of an implementation panic) instead
+// of crashing, so fault-injected variants surface cleanly as violations.
 type stepCtx struct {
-	cfg Config
+	protoModel
 	st  *state
 	err string
-	// obs, when non-nil, receives observation callbacks the sequential
-	// conformance runner uses (values returned by reads and atomics).
-	obs *observer
 }
 
 // observer collects the architectural results of operations — what the
@@ -93,25 +84,23 @@ func (x *stepCtx) errf(format string, args ...interface{}) {
 	}
 }
 
-// apply runs one action, validating its guard (for trace replay).
-func (x *stepCtx) apply(a action) {
-	if a.issue {
-		if int(a.p) >= x.cfg.Procs || x.st.procs[a.p].op.active || int(x.st.procs[a.p].issued) >= x.cfg.OpsPerProc {
-			x.errf("issue action not enabled: %v", a)
-			return
-		}
-		if int(a.block) >= x.cfg.Blocks || int(a.word) >= x.cfg.Words {
-			x.errf("issue action out of bounds: %v", a)
-			return
-		}
+// apply runs one action on a copy of st, validating its guard first (a
+// replayed trace may name any action).
+func (m protoModel) apply(st *state, a action) (*state, string) {
+	x := &stepCtx{protoModel: m, st: st.clone()}
+	switch {
+	case a.issue && (int(a.p) >= x.cfg.Procs || x.st.procs[a.p].op.active || int(x.st.procs[a.p].issued) >= x.cfg.OpsPerProc):
+		x.errf("issue action not enabled: %v", a)
+	case a.issue && (int(a.block) >= x.cfg.Blocks || int(a.word) >= x.cfg.Words):
+		x.errf("issue action out of bounds: %v", a)
+	case a.issue:
 		x.issue(a.p, a.kind, a.block, a.word)
-		return
-	}
-	if int(a.src) >= x.cfg.Procs || int(a.dst) >= x.cfg.Procs || len(x.st.chans[a.src][a.dst]) == 0 {
+	case int(a.src) >= x.cfg.Procs || int(a.dst) >= x.cfg.Procs || len(x.st.chans[a.src][a.dst]) == 0:
 		x.errf("deliver action not enabled: %v", a)
-		return
+	default:
+		x.deliver(a.src, a.dst)
 	}
-	x.deliver(a.src, a.dst)
+	return x.st, x.err
 }
 
 // clearLine invalidates a line, zeroing every field so canonically equal

@@ -13,10 +13,10 @@ import (
 // Trace is a compact, replayable counterexample: the configuration plus
 // the exact action schedule from the initial state to the violation.
 // It serializes as JSON so a failing coherencemc run can be committed
-// verbatim as a go test regression fixture (see TestReplay* in
-// trace_test.go for the idiom). The header is the shared trace.Envelope
-// (schema, kind "counterexample", protocol) every simulator-emitted
-// trace document carries.
+// verbatim as a go test regression fixture (TestSeededFaults* shows the
+// idiom). The header is the shared trace.Envelope (schema, kind
+// "counterexample", protocol) every simulator-emitted trace document
+// carries.
 type Trace struct {
 	trace.Envelope
 	Procs            int      `json:"procs"`
@@ -30,16 +30,16 @@ type Trace struct {
 	Actions          []string `json:"actions"`
 }
 
-// encodeAction renders one action in the trace's compact text form:
+// String renders an action in the trace's compact text form:
 // "p2 write b1.w0" for issues, "3>1" for deliveries.
-func encodeAction(a action) string {
+func (a action) String() string {
 	if a.issue {
 		return fmt.Sprintf("p%d %s b%d.w%d", a.p, a.kind, a.block, a.word)
 	}
 	return fmt.Sprintf("%d>%d", a.src, a.dst)
 }
 
-// parseAction inverts encodeAction.
+// parseAction inverts action.String.
 func parseAction(s string) (action, error) {
 	var a action
 	if strings.HasPrefix(s, "p") {
@@ -63,13 +63,10 @@ func parseAction(s string) (action, error) {
 
 // parseProtocol maps a trace's protocol name back to the proto constant.
 func parseProtocol(s string) (proto.Protocol, error) {
-	switch s {
-	case "WI":
-		return proto.WI, nil
-	case "PU":
-		return proto.PU, nil
-	case "CU":
-		return proto.CU, nil
+	for _, p := range []proto.Protocol{proto.WI, proto.PU, proto.CU} {
+		if p.String() == s {
+			return p, nil
+		}
 	}
 	return 0, fmt.Errorf("mc: unknown protocol %q", s)
 }
@@ -98,9 +95,7 @@ func (t *Trace) ConfigOf() (Config, error) {
 		}
 		cfg.OpSet = append(cfg.OpSet, k)
 	}
-	if cfg.CUThreshold == 0 {
-		cfg.CUThreshold = 4
-	}
+	cfg = cfg.withDefaults()
 	return cfg, cfg.Validate()
 }
 
@@ -139,43 +134,28 @@ func (t *Trace) JSON() []byte {
 	return append(raw, '\n')
 }
 
-// Replay re-executes a trace action by action, validating each guard
-// and re-checking every invariant along the way. It returns the first
-// violation encountered (the regression the trace witnesses), or nil if
-// the schedule completes cleanly — which, for a committed counterexample,
-// means the bug it caught has been fixed (or the model has drifted).
+// Replay re-executes a trace through the walker's replay (walk.go),
+// which validates each guard and re-checks every invariant along the
+// way. It returns the first violation encountered (the regression the
+// trace witnesses), or nil if the schedule completes cleanly — which,
+// for a committed counterexample, means the bug it caught has been fixed
+// (or the model has drifted).
 func Replay(t *Trace) (*Violation, error) {
 	cfg, err := t.ConfigOf()
 	if err != nil {
 		return nil, err
 	}
-	st := newState(cfg)
-	seen := map[string]struct{}{string(encode(cfg, st, nil)): {}}
+	sched := make([]action, len(t.Actions))
 	for i, as := range t.Actions {
-		a, err := parseAction(as)
-		if err != nil {
+		if sched[i], err = parseAction(as); err != nil {
 			return nil, err
 		}
-		x := &stepCtx{cfg: cfg, st: st}
-		x.apply(a)
-		prefix := *t
-		prefix.Actions = t.Actions[:i+1]
-		if kind, why, _ := x.verdict(); kind != "" {
-			return &Violation{Kind: kind, Detail: why, Trace: prefix}, nil
-		}
-		key := string(encode(cfg, st, nil))
-		if _, dup := seen[key]; dup {
-			// A livelock trace ends by re-entering an earlier state.
-			return &Violation{Kind: VLivelock, Detail: "schedule revisits an earlier state", Trace: prefix}, nil
-		}
-		seen[key] = struct{}{}
 	}
-	// A deadlock trace ends at a terminal state; diagnose it the same
-	// way the explorer does.
-	if len(enabledActions(cfg, st)) == 0 {
-		if why := checkDeadlock(cfg, st); why != "" {
-			return &Violation{Kind: VDeadlock, Detail: why, Trace: *t}, nil
-		}
+	f := replay[*state, action](protoModel{cfg: cfg}, newState(cfg), sched)
+	if f == nil {
+		return nil, nil
 	}
-	return nil, nil
+	prefix := *t
+	prefix.Actions = t.Actions[:len(f.path)]
+	return &Violation{Kind: f.kind, Detail: f.why, Trace: prefix}, nil
 }

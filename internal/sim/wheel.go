@@ -266,8 +266,9 @@ func (q *eventq) hasEventAtOrBefore(t Time) bool {
 }
 
 // refreshMin recomputes and re-validates the cached minimum (the
-// hasEventAtOrBefore slow path, kept out of line so the predicate
-// itself inlines into StallFor).
+// hasEventAtOrBefore slow path). The compiler inlines it (cost 68) into
+// hasEventAtOrBefore, which at cost 88 is over the budget of 80 and so
+// is called, not inlined, from StallFor (go build -gcflags=-m=2).
 func (q *eventq) refreshMin() Time {
 	q.minCache, q.minOK = q.computeMin(), true
 	return q.minCache
