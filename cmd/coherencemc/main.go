@@ -64,16 +64,11 @@ func (e *reportEntry) key() string {
 func parseProtocols(s string) ([]proto.Protocol, error) {
 	var out []proto.Protocol
 	for _, tok := range strings.Split(s, ",") {
-		switch strings.ToUpper(strings.TrimSpace(tok)) {
-		case "WI":
-			out = append(out, proto.WI)
-		case "PU":
-			out = append(out, proto.PU)
-		case "CU":
-			out = append(out, proto.CU)
-		default:
+		p, err := proto.ParseProtocol(strings.ToUpper(strings.TrimSpace(tok)))
+		if err != nil {
 			return nil, fmt.Errorf("unknown protocol %q", tok)
 		}
+		out = append(out, p)
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 
 	"coherencesim/internal/cache"
@@ -17,8 +18,9 @@ import (
 // lines, memory, and the values reads/atomics returned) after every
 // operation. Schedules are sequential — one operation completes before
 // the next issues — so both sides process exactly one transaction at a
-// time and their stable states must agree field for field; any
-// divergence means the model has drifted from the code it vouches for.
+// time and their pictures of each block (proto.BlockDump) must be equal;
+// any divergence means the model has drifted from the code it vouches
+// for.
 
 // ScheduleOp is one operation of a sequential conformance schedule.
 type ScheduleOp struct {
@@ -132,52 +134,24 @@ func (r *liveRunner) step(op ScheduleOp) error {
 }
 
 // compareStable cross-checks the model state against the live system at
-// quiescence, returning a description of the first divergence or "".
+// quiescence: each block's picture, as DumpBlock takes it of the system
+// and the model's dump builds it, must be the same. It returns a
+// description of the first divergence, or "".
 func compareStable(cfg Config, st *state, s *proto.System) string {
 	for b := 0; b < cfg.Blocks; b++ {
-		bd := s.DumpBlock(uint32(b))
-		d := &st.dirs[b]
-		wantDir := map[dState]proto.DirState{dUncached: proto.DirUncached, dShared: proto.DirShared, dOwned: proto.DirOwned}[d.state]
-		if bd.Dir.State != wantDir {
-			return fmt.Sprintf("block %d: dir state impl=%v model=%v", b, bd.Dir.State, wantDir)
+		impl, model := s.DumpBlock(uint32(b)), st.dump(cfg, b)
+		if impl.Dir == nil {
+			impl.Dir = &proto.DirDump{} // the live home never saw the block
 		}
-		if bd.Dir.Busy || bd.Dir.Queued != 0 {
-			return fmt.Sprintf("block %d: impl dir busy/queued at quiescence", b)
+		if *impl.Dir != *model.Dir {
+			return fmt.Sprintf("block %d: directory impl=%+v model=%+v", b, *impl.Dir, *model.Dir)
 		}
-		if d.state == dOwned && bd.Dir.Owner != int(d.owner) {
-			return fmt.Sprintf("block %d: owner impl=p%d model=p%d", b, bd.Dir.Owner, d.owner)
+		if !slices.Equal(impl.Memory, model.Memory) {
+			return fmt.Sprintf("block %d: memory impl=%v model=%v", b, impl.Memory, model.Memory)
 		}
-		if uint8(bd.Dir.Sharers) != d.sharers || bd.Dir.Sharers>>uint(cfg.Procs) != 0 {
-			return fmt.Sprintf("block %d: sharers impl=%#x model=%#x", b, bd.Dir.Sharers, d.sharers)
-		}
-		for w := 0; w < cfg.Words; w++ {
-			if uint8(bd.Memory[w]) != st.mem[b][w] || bd.Memory[w] >= 64 {
-				return fmt.Sprintf("block %d word %d: memory impl=%d model=%d", b, w, bd.Memory[w], st.mem[b][w])
-			}
-		}
-		for p := 0; p < cfg.Procs; p++ {
-			ld := bd.Lines[p]
-			ln := &st.lines[p][b]
-			if ld.Present != (ln.state != lInvalid) {
-				return fmt.Sprintf("block %d p%d: present impl=%v model=%v", b, p, ld.Present, ln.state != lInvalid)
-			}
-			if !ld.Present {
-				continue
-			}
-			wantState := map[lineState]cache.State{lShared: cache.Shared, lExclusive: cache.Exclusive}[ln.state]
-			if ld.State != wantState {
-				return fmt.Sprintf("block %d p%d: line state impl=%v model=%v", b, p, ld.State, wantState)
-			}
-			if ld.Dirty != ln.dirty {
-				return fmt.Sprintf("block %d p%d: dirty impl=%v model=%v", b, p, ld.Dirty, ln.dirty)
-			}
-			if ld.Counter != ln.ctr {
-				return fmt.Sprintf("block %d p%d: CU counter impl=%d model=%d", b, p, ld.Counter, ln.ctr)
-			}
-			for w := 0; w < cfg.Words; w++ {
-				if uint8(ld.Data[w]) != ln.data[w] || ld.Data[w] >= 64 {
-					return fmt.Sprintf("block %d p%d word %d: data impl=%d model=%d", b, p, w, ld.Data[w], ln.data[w])
-				}
+		for p := range model.Lines {
+			if !reflect.DeepEqual(impl.Lines[p], model.Lines[p]) {
+				return fmt.Sprintf("block %d p%d: line impl=%+v model=%+v", b, p, impl.Lines[p], model.Lines[p])
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"coherencesim/internal/cache"
 	"coherencesim/internal/proto"
 )
 
@@ -148,10 +149,10 @@ func TestModelScheduleExpectations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.lines[1][0].state != lInvalid {
+	if st.lines[1][0].state != cache.Invalid {
 		t.Error("CU copy survived the threshold")
 	}
-	if st.dirs[0].has(1) {
+	if st.dirs[0].Has(1) {
 		t.Error("home still lists the dropped sharer")
 	}
 
@@ -165,9 +166,9 @@ func TestModelScheduleExpectations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.lines[0][0].state != lExclusive || st.dirs[0].state != dOwned || st.dirs[0].owner != 0 {
+	if st.lines[0][0].state != cache.Exclusive || st.dirs[0].State != proto.DirOwned || st.dirs[0].Owner != 0 {
 		t.Errorf("PU retention did not take: line=%v dir=%v owner=%d",
-			st.lines[0][0].state, st.dirs[0].state, st.dirs[0].owner)
+			st.lines[0][0].state, st.dirs[0].State, st.dirs[0].Owner)
 	}
 
 	// WI invalidation: a write invalidates the other sharer.
@@ -179,10 +180,10 @@ func TestModelScheduleExpectations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.lines[1][0].state != lInvalid {
+	if st.lines[1][0].state != cache.Invalid {
 		t.Error("WI write left the other sharer's copy valid")
 	}
-	if st.lines[0][0].state != lExclusive || !st.lines[0][0].dirty {
+	if st.lines[0][0].state != cache.Exclusive || !st.lines[0][0].dirty {
 		t.Error("WI writer did not end exclusive+dirty")
 	}
 }

@@ -68,7 +68,7 @@ func (m protoModel) encode(st *state, buf []byte) []byte {
 		if d.pend.hasData {
 			pdata = 1
 		}
-		buf = append(buf, byte(d.state), d.owner, d.sharers, busy,
+		buf = append(buf, byte(d.State), byte(d.Owner), byte(d.Sharers), busy,
 			byte(d.pend.kind), d.pend.req, d.pend.word, d.pend.acks, pdata)
 		buf = append(buf, d.pend.data[:]...)
 		buf = appendMsg(buf, &d.pend.resume)

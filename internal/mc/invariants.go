@@ -3,6 +3,7 @@ package mc
 import (
 	"fmt"
 
+	"coherencesim/internal/cache"
 	"coherencesim/internal/proto"
 )
 
@@ -13,9 +14,9 @@ import (
 //     protocol-specific line discipline, data-value containment,
 //     directory structural sanity);
 //   - quiescent invariants hold whenever no message is in flight and no
-//     operation is pending — the model analogue of proto.CheckCoherence
-//     (copies match memory, sharer sets are exact, no transient
-//     residue); and
+//     operation is pending: proto.CheckBlock, the check behind
+//     proto.CheckCoherence, on each block's picture (copies match
+//     memory, sharer sets are exact, no transient residue); and
 //   - deadlock is diagnosed on terminal states (no enabled action) that
 //     still carry unfinished work, livelock on cycles reachable along
 //     the search path (walk.go).
@@ -49,13 +50,13 @@ func checkEvery(cfg Config, st *state) string {
 		for p := 0; p < cfg.Procs; p++ {
 			ln := &st.lines[p][b]
 			switch ln.state {
-			case lInvalid:
+			case cache.Invalid:
 				continue
-			case lExclusive:
+			case cache.Exclusive:
 				exclusives = append(exclusives, p)
 			}
 			holders = append(holders, p)
-			if ln.dirty && ln.state != lExclusive {
+			if ln.dirty && ln.state != cache.Exclusive {
 				return fmt.Sprintf("block %d: dirty non-exclusive copy at p%d", b, p)
 			}
 			switch cfg.Protocol {
@@ -85,12 +86,12 @@ func checkEvery(cfg Config, st *state) string {
 			if cfg.Protocol == proto.CU {
 				return fmt.Sprintf("block %d: exclusive copy at p%d under CU (never retains)", b, e)
 			}
-			if d.state != dOwned || int(d.owner) != e {
+			if d.State != proto.DirOwned || int(d.Owner) != e {
 				return fmt.Sprintf("block %d: exclusive copy at p%d but directory does not record p%d as owner", b, e, e)
 			}
 		}
 		if cfg.Protocol == proto.CU {
-			if d.state == dOwned {
+			if d.State == proto.DirOwned {
 				return fmt.Sprintf("block %d: directory owned under CU", b)
 			}
 			for p := 0; p < cfg.Procs; p++ {
@@ -100,14 +101,14 @@ func checkEvery(cfg Config, st *state) string {
 			}
 		}
 		// Directory structural sanity.
-		if int(d.owner) >= cfg.Procs {
-			return fmt.Sprintf("block %d: directory owner p%d out of range", b, d.owner)
+		if int(d.Owner) >= cfg.Procs {
+			return fmt.Sprintf("block %d: directory owner p%d out of range", b, d.Owner)
 		}
-		if d.sharers>>uint(cfg.Procs) != 0 {
-			return fmt.Sprintf("block %d: sharer bitmap %#x names nonexistent nodes", b, d.sharers)
+		if d.Sharers>>uint(cfg.Procs) != 0 {
+			return fmt.Sprintf("block %d: sharer bitmap %#x names nonexistent nodes", b, d.Sharers)
 		}
-		if d.state == dOwned && d.sharers != 0 {
-			return fmt.Sprintf("block %d: owned directory entry with sharer bitmap %#x", b, d.sharers)
+		if d.State == proto.DirOwned && d.Sharers != 0 {
+			return fmt.Sprintf("block %d: owned directory entry with sharer bitmap %#x", b, d.Sharers)
 		}
 		if !d.busy && (len(d.waitq) > 0 || d.pend.kind != pendNone) {
 			return fmt.Sprintf("block %d: idle directory entry with queued/pending transactions", b)
@@ -178,89 +179,55 @@ func checkMsgValues(cfg Config, st *state, m *msg) string {
 	return ""
 }
 
-// checkQuiescent returns a description of the first quiescent-state
-// invariant violation, or "". Call only when st.quiescent(cfg).
+// checkQuiescent returns the first quiescent-state invariant
+// violation, or "": proto.CheckBlock, the check proto.CheckCoherence
+// runs on a live system, on each block's picture. Call only when
+// st.quiescent(cfg).
 func checkQuiescent(cfg Config, st *state) string {
 	for b := 0; b < cfg.Blocks; b++ {
-		d := &st.dirs[b]
-		if d.busy || len(d.waitq) > 0 {
-			return fmt.Sprintf("block %d: directory busy/queued at quiescence", b)
-		}
-		holders := uint8(0)
-		for p := 0; p < cfg.Procs; p++ {
-			if st.lines[p][b].state != lInvalid {
-				holders |= 1 << p
-			}
-		}
-		switch d.state {
-		case dUncached:
-			if d.sharers != 0 || holders != 0 {
-				return fmt.Sprintf("block %d: uncached at home but cached at nodes %#x (sharers %#x)", b, holders, d.sharers)
-			}
-		case dShared:
-			if d.sharers != holders {
-				return fmt.Sprintf("block %d: directory sharers %#x != actual holders %#x", b, d.sharers, holders)
-			}
-			if d.sharers == 0 {
-				return fmt.Sprintf("block %d: shared directory entry with no sharers", b)
-			}
-		case dOwned:
-			if holders != 1<<d.owner {
-				return fmt.Sprintf("block %d: owned by p%d but cached at nodes %#x", b, d.owner, holders)
-			}
-			if st.lines[d.owner][b].state != lExclusive {
-				return fmt.Sprintf("block %d: owner p%d holds a non-exclusive copy", b, d.owner)
-			}
-		}
-		// Every non-owned copy must match memory word for word.
-		for p := 0; p < cfg.Procs; p++ {
-			ln := &st.lines[p][b]
-			if ln.state != lShared {
-				continue
-			}
-			for w := 0; w < cfg.Words; w++ {
-				if ln.data[w] != st.mem[b][w] {
-					return fmt.Sprintf("block %d word %d: p%d caches %d but memory holds %d", b, w, p, ln.data[w], st.mem[b][w])
-				}
-			}
-		}
-	}
-	for p := 0; p < cfg.Procs; p++ {
-		pr := &st.procs[p]
-		for b := 0; b < cfg.Blocks; b++ {
-			if pr.pwbValid[b] {
-				return fmt.Sprintf("p%d block %d: pending write-back with nothing in flight", p, b)
-			}
-			if pr.cancelled[b] > 0 {
-				return fmt.Sprintf("p%d block %d: dangling write-back cancellation", p, b)
-			}
+		if errs := proto.CheckBlock(st.dump(cfg, b)); len(errs) > 0 {
+			return errs[0].Error()
 		}
 	}
 	return ""
 }
 
+// dump pictures block b of st as proto.DumpBlock pictures a live
+// system's: words widen to a whole block, and a node without a copy
+// shows no data.
+func (st *state) dump(cfg Config, b int) proto.BlockDump {
+	d := &st.dirs[b]
+	dd := proto.DirDump{DirRecord: d.DirRecord, Busy: d.busy, Queued: len(d.waitq)}
+	bd := proto.BlockDump{Block: uint32(b), Dir: &dd, Memory: widen(st.mem[b]), Lines: make([]proto.LineDump, cfg.Procs)}
+	for p := range bd.Lines {
+		ld, ln, pr := &bd.Lines[p], &st.lines[p][b], &st.procs[p]
+		if ln.state != cache.Invalid {
+			ld.State, ld.Dirty, ld.Counter, ld.Data = ln.state, ln.dirty, ln.ctr, widen(ln.data)
+		}
+		ld.PendingWB, ld.CancelledWB = pr.pwbValid[b], int(pr.cancelled[b])
+	}
+	return bd
+}
+
+// widen returns a block's words as proto stores them.
+func widen(words [MaxWords]uint8) []uint32 {
+	out := make([]uint32, cache.WordsPerBlock)
+	for w, v := range words {
+		out[w] = uint32(v)
+	}
+	return out
+}
+
 // checkDeadlock diagnoses a terminal state (no enabled action) that
 // still carries unfinished work. With every issue budget spent and no
-// message deliverable, all transactions must have fully completed.
+// message deliverable, all transactions must have fully completed. Only
+// an operation in flight needs checking here: a terminal state with none
+// is quiescent, and the quiescent check has already refused a busy or
+// queued directory entry and any write-back residue.
 func checkDeadlock(cfg Config, st *state) string {
 	for p := 0; p < cfg.Procs; p++ {
 		if st.procs[p].op.active {
 			return fmt.Sprintf("deadlock: p%d's %v never completes", p, st.procs[p].op.kind)
-		}
-	}
-	for b := 0; b < cfg.Blocks; b++ {
-		if st.dirs[b].busy {
-			return fmt.Sprintf("deadlock: block %d directory entry busy forever", b)
-		}
-		if len(st.dirs[b].waitq) > 0 {
-			return fmt.Sprintf("deadlock: block %d has transactions queued forever", b)
-		}
-	}
-	for p := 0; p < cfg.Procs; p++ {
-		for b := 0; b < cfg.Blocks; b++ {
-			if st.procs[p].pwbValid[b] || st.procs[p].cancelled[b] > 0 {
-				return fmt.Sprintf("deadlock: p%d block %d write-back bookkeeping never drains", p, b)
-			}
 		}
 	}
 	return ""

@@ -22,8 +22,11 @@
 // with canonical state encoding for deduplication — checks the
 // single-writer, directory-consistency, data-value containment, and
 // deadlock/livelock invariants on every reachable state, and the full
-// quiescent-state invariant suite (the model analogue of
-// proto.CheckCoherence) whenever no message is in flight.
+// quiescent-state invariant suite (proto.CheckBlock, the check behind
+// proto.CheckCoherence) whenever no message is in flight. The handlers
+// make their directory decisions through the transitions of
+// proto.DirRecord, which the model's directory embeds as the
+// implementation's does.
 //
 // The search, dedup, livelock check and replay (walk.go) are
 // protocol-free: they see the protocols only through the four methods
@@ -39,6 +42,7 @@ package mc
 import (
 	"fmt"
 
+	"coherencesim/internal/cache"
 	"coherencesim/internal/proto"
 )
 
@@ -180,34 +184,16 @@ func DefaultConfig(p proto.Protocol) Config {
 // homeOf mirrors proto.DefaultConfig's block-interleaved home mapping.
 func (c Config) homeOf(block uint8) uint8 { return uint8(int(block) % c.Procs) }
 
-// lineState is a model cache line's coherence state.
-type lineState uint8
-
-const (
-	lInvalid lineState = iota
-	lShared
-	lExclusive
-)
-
 // line is one node's copy of one block. The model's caches hold every
 // block without conflict (configurations are far below real capacity),
 // so there are no conflict evictions; flushes cover the write-back and
 // relinquish paths.
 type line struct {
-	state lineState
+	state cache.State
 	dirty bool
 	ctr   uint8
 	data  [MaxWords]uint8
 }
-
-// dState is the model directory state, mirroring proto's dirState.
-type dState uint8
-
-const (
-	dUncached dState = iota
-	dShared
-	dOwned
-)
 
 // pendKind tags the transaction a busy directory entry is carrying.
 type pendKind uint8
@@ -233,21 +219,15 @@ type pendTx struct {
 	resume  msg // pendDemote: the request to re-dispatch afterwards
 }
 
-// dir is one block's directory entry, including the busy/wait-queue
-// serialization of the implementation.
+// dir is one block's directory entry: proto's record, whose transitions
+// the handlers share with the implementation, and the implementation's
+// busy/wait-queue serialization.
 type dir struct {
-	state   dState
-	owner   uint8
-	sharers uint8 // bitmap over procs
-	busy    bool
-	pend    pendTx
-	waitq   []msg // requests queued behind the busy entry, FIFO
+	proto.DirRecord
+	busy  bool
+	pend  pendTx
+	waitq []msg // requests queued behind the busy entry, FIFO
 }
-
-func (d *dir) has(p uint8) bool         { return d.sharers&(1<<p) != 0 }
-func (d *dir) add(p uint8)              { d.sharers |= 1 << p }
-func (d *dir) remove(p uint8)           { d.sharers &^= 1 << p }
-func (d *dir) othersMask(p uint8) uint8 { return d.sharers &^ (1 << p) }
 
 // procOp is processor p's single in-flight operation. The model mirrors
 // the test/workload harness discipline: a processor issues its next

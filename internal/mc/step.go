@@ -4,17 +4,20 @@ import (
 	"fmt"
 	"math/bits"
 
+	"coherencesim/internal/cache"
 	"coherencesim/internal/proto"
 )
 
 // This file is the model's transition function: the guarded actions.
 // Every handler mirrors one event handler in internal/proto (the file
 // and function are named in comments), executing atomically over the
-// model state. Memory latency collapses into the action — sound because
-// the implementation holds the directory entry busy across a memory
-// access, so no other transaction for the block can observe the window;
-// what the model deliberately keeps is per-(src,dst) channel FIFO, the
-// only ordering property the implementation's correctness arguments use.
+// model state; a directory decision is a call to the same
+// proto.DirRecord transition the handler makes. Memory latency collapses
+// into the action — sound because the implementation holds the directory
+// entry busy across a memory access, so no other transaction for the
+// block can observe the window; what the model deliberately keeps is
+// per-(src,dst) channel FIFO, the only ordering property the
+// implementation's correctness arguments use.
 
 // action is one guarded action: an operation issue or the delivery of
 // the head message of a channel.
@@ -139,7 +142,7 @@ func (x *stepCtx) issue(p uint8, kind OpKind, block, word uint8) {
 	switch kind {
 	case OpRead: // proto.(*System).Read
 		ln := &st.lines[p][block]
-		if ln.state != lInvalid {
+		if ln.state != cache.Invalid {
 			ln.ctr = 0 // a reference resets the CU counter
 			x.observeRead(ln.data[word])
 			x.complete(p)
@@ -159,7 +162,7 @@ func (x *stepCtx) issue(p uint8, kind OpKind, block, word uint8) {
 		}
 		// update.go updWrite: write-allocate fetch on a miss, then the
 		// local write-through path.
-		if st.lines[p][block].state == lInvalid {
+		if st.lines[p][block].state == cache.Invalid {
 			st.send(msg{kind: mReadReq, src: p, dst: home, block: block, word: word})
 			return
 		}
@@ -174,7 +177,7 @@ func (x *stepCtx) issue(p uint8, kind OpKind, block, word uint8) {
 		// update.go updAtomic: executes at the home memory.
 		op.txActive = true
 		var aux uint8
-		if st.lines[p][block].state == lInvalid {
+		if st.lines[p][block].state == cache.Invalid {
 			aux = auxNeedData
 		}
 		st.send(msg{kind: mAtomReq, src: p, dst: home, block: block, word: word, aux: aux})
@@ -182,13 +185,13 @@ func (x *stepCtx) issue(p uint8, kind OpKind, block, word uint8) {
 	case OpFlush: // api.go FlushBlock
 		pr.issued++
 		ln := &st.lines[p][block]
-		if ln.state == lInvalid {
+		if ln.state == cache.Invalid {
 			x.complete(p)
 			return
 		}
 		old := *ln
 		clearLine(ln)
-		if old.dirty || old.state == lExclusive {
+		if old.dirty || old.state == cache.Exclusive {
 			// proto.sendWriteback: data parks in pendingWB until the home
 			// consumes the write-back (or a forwarded request cancels it).
 			pr.pwbValid[block] = true
@@ -223,7 +226,7 @@ func (x *stepCtx) observeAtomic(old uint8) {
 func (x *stepCtx) wiStart(p uint8) {
 	st := x.st
 	op := &st.procs[p].op
-	if st.lines[p][op.block].state == lExclusive {
+	if st.lines[p][op.block].state == cache.Exclusive {
 		x.wiPerform(p)
 		return
 	}
@@ -236,7 +239,7 @@ func (x *stepCtx) wiPerform(p uint8) {
 	st := x.st
 	op := st.procs[p].op
 	ln := &st.lines[p][op.block]
-	if ln.state != lExclusive {
+	if ln.state != cache.Exclusive {
 		x.errf("p%d performing on non-exclusive line (block %d)", p, op.block)
 		return
 	}
@@ -263,9 +266,9 @@ func (x *stepCtx) updLocal(p uint8) {
 	st := x.st
 	op := &st.procs[p].op
 	ln := &st.lines[p][op.block]
-	if ln.state != lInvalid {
+	if ln.state != cache.Invalid {
 		ln.ctr = 0
-		if ln.state == lExclusive {
+		if ln.state == cache.Exclusive {
 			ln.data[op.word] = op.val
 			ln.dirty = true
 			x.complete(p)
@@ -342,13 +345,13 @@ func (x *stepCtx) dispatchHome(m msg) {
 	case mWIReq:
 		x.homeWIReq(m)
 	case mWTReq:
-		if d.state == dOwned {
+		if d.State == proto.DirOwned {
 			x.startDemote(m)
 			return
 		}
 		x.homeWriteThrough(m)
 	case mAtomReq:
-		if d.state == dOwned {
+		if d.State == proto.DirOwned {
 			x.startDemote(m)
 			return
 		}
@@ -381,10 +384,10 @@ func (x *stepCtx) release(block uint8) {
 func (x *stepCtx) takeOwnerData(owner, block uint8, demote bool) ([MaxWords]uint8, bool) {
 	st := x.st
 	ln := &st.lines[owner][block]
-	if ln.state != lInvalid {
+	if ln.state != cache.Invalid {
 		data := ln.data
 		if demote {
-			ln.state = lShared
+			ln.state = cache.Shared
 			ln.dirty = false
 		} else {
 			clearLine(ln)
@@ -408,19 +411,16 @@ func (x *stepCtx) takeOwnerData(owner, block uint8, demote bool) ([MaxWords]uint
 func (x *stepCtx) homeRead(m msg) {
 	st := x.st
 	d := &st.dirs[m.block]
-	switch d.state {
-	case dUncached, dShared:
+	if d.State != proto.DirOwned {
 		// Memory read + reply booking collapse into this action; the
 		// entry's busy window has no observable interior.
-		reply := msg{kind: mReadReply, src: m.dst, dst: m.src, block: m.block, word: m.word, hasData: true, data: st.mem[m.block]}
-		d.state = dShared
-		d.add(m.src)
-		st.send(reply)
-	case dOwned:
-		d.busy = true
-		d.pend = pendTx{kind: pendRead, req: m.src, word: m.word}
-		st.send(msg{kind: mReadOwnerFetch, src: m.dst, dst: d.owner, block: m.block})
+		d.Share(int(m.src))
+		st.send(msg{kind: mReadReply, src: m.dst, dst: m.src, block: m.block, word: m.word, hasData: true, data: st.mem[m.block]})
+		return
 	}
+	d.busy = true
+	d.pend = pendTx{kind: pendRead, req: m.src, word: m.word}
+	st.send(msg{kind: mReadOwnerFetch, src: m.dst, dst: uint8(d.Owner), block: m.block})
 }
 
 // readOwnerFetch mirrors readMsg.ownerFetch: demote the owner to Shared
@@ -443,12 +443,8 @@ func (x *stepCtx) readOwnerData(m msg) {
 		return
 	}
 	st.mem[m.block] = m.data
-	d.state = dShared
-	d.sharers = 0
-	if st.lines[m.src][m.block].state != lInvalid {
-		d.add(m.src)
-	}
-	d.add(d.pend.req)
+	d.Demote(int(m.src), st.lines[m.src][m.block].state != cache.Invalid)
+	d.Share(int(d.pend.req))
 	st.send(msg{kind: mReadReply, src: m.dst, dst: d.pend.req, block: m.block, word: d.pend.word, hasData: true, data: m.data})
 	x.release(m.block)
 }
@@ -461,8 +457,8 @@ func (x *stepCtx) readReply(m msg) {
 	st := x.st
 	p := m.dst
 	ln := &st.lines[p][m.block]
-	if ln.state == lInvalid {
-		*ln = line{state: lShared, data: m.data}
+	if ln.state == cache.Invalid {
+		*ln = line{state: cache.Shared, data: m.data}
 	}
 	ln.ctr = 0
 	op := &st.procs[p].op
@@ -487,65 +483,33 @@ func (x *stepCtx) readReply(m msg) {
 func (x *stepCtx) homeWIReq(m msg) {
 	st := x.st
 	d := &st.dirs[m.block]
-	p := m.src
-	home := m.dst
-	switch d.state {
-	case dUncached:
-		d.state = dOwned
-		d.owner = p
-		d.sharers = 0
-		st.send(msg{kind: mGrant, src: home, dst: p, block: m.block, hasData: true, data: st.mem[m.block]})
-
-	case dShared:
-		needData := !d.has(p)
-		others := d.othersMask(p)
-		if others == 0 {
-			// The no-other-sharers upgrade grants immediately.
-			grant := msg{kind: mGrant, src: home, dst: p, block: m.block}
-			if needData {
-				grant.hasData = true
-				grant.data = st.mem[m.block]
-			}
-			d.state = dOwned
-			d.owner = p
-			d.sharers = 0
-			st.send(grant)
-			return
-		}
-		if x.cfg.Faults.GrantBeforeAcks {
-			// FAULT: grant while invalidations are still in flight.
-			for q := uint8(0); q < uint8(x.cfg.Procs); q++ {
-				if others&(1<<q) != 0 {
-					st.send(msg{kind: mInv, src: home, dst: q, block: m.block})
-				}
-			}
-			grant := msg{kind: mGrant, src: home, dst: p, block: m.block}
-			if needData {
-				grant.hasData = true
-				grant.data = st.mem[m.block]
-			}
-			d.state = dOwned
-			d.owner = p
-			d.sharers = 0
-			st.send(grant)
-			return
-		}
+	p, home := m.src, m.dst
+	if d.State == proto.DirOwned {
 		d.busy = true
-		d.pend = pendTx{kind: pendWI, req: p, acks: uint8(bits.OnesCount8(others)), hasData: needData}
-		if needData {
-			d.pend.data = st.mem[m.block]
-		}
+		d.pend = pendTx{kind: pendWIOwner, req: p}
+		st.send(msg{kind: mWIOwnerFetch, src: home, dst: uint8(d.Owner), block: m.block})
+		return
+	}
+	// An upgrade (the requester's own shared copy) needs no data.
+	grant := msg{kind: mGrant, src: home, dst: p, block: m.block}
+	if !d.Has(int(p)) {
+		grant.hasData, grant.data = true, st.mem[m.block]
+	}
+	if others := d.Sharers &^ (1 << p); others != 0 {
 		for q := uint8(0); q < uint8(x.cfg.Procs); q++ {
 			if others&(1<<q) != 0 {
 				st.send(msg{kind: mInv, src: home, dst: q, block: m.block})
 			}
 		}
-
-	case dOwned:
-		d.busy = true
-		d.pend = pendTx{kind: pendWIOwner, req: p}
-		st.send(msg{kind: mWIOwnerFetch, src: home, dst: d.owner, block: m.block})
+		// The faulty home grants while the invalidations are in flight.
+		if !x.cfg.Faults.GrantBeforeAcks {
+			d.busy = true
+			d.pend = pendTx{kind: pendWI, req: p, acks: uint8(bits.OnesCount64(others)), hasData: grant.hasData, data: grant.data}
+			return
+		}
 	}
+	d.Grant(int(p))
+	st.send(grant)
 }
 
 // invalidate mirrors invMsg.deliver: drop the copy and acknowledge to
@@ -554,7 +518,7 @@ func (x *stepCtx) invalidate(m msg) {
 	st := x.st
 	q := m.dst
 	ln := &st.lines[q][m.block]
-	if ln.state != lInvalid {
+	if ln.state != cache.Invalid {
 		clearLine(ln)
 	}
 	if x.cfg.Faults.SkipInvAck && int(q) == x.cfg.Procs-1 {
@@ -578,11 +542,8 @@ func (x *stepCtx) invAck(m msg) {
 	if d.pend.acks > 0 {
 		return
 	}
-	grant := msg{kind: mGrant, src: m.dst, dst: d.pend.req, block: m.block, hasData: d.pend.hasData, data: d.pend.data}
-	d.state = dOwned
-	d.owner = d.pend.req
-	d.sharers = 0
-	st.send(grant)
+	st.send(msg{kind: mGrant, src: m.dst, dst: d.pend.req, block: m.block, hasData: d.pend.hasData, data: d.pend.data})
+	d.Grant(int(d.pend.req))
 	x.release(m.block)
 }
 
@@ -606,11 +567,8 @@ func (x *stepCtx) wiOwnerData(m msg) {
 		return
 	}
 	st.mem[m.block] = m.data
-	grant := msg{kind: mGrant, src: m.dst, dst: d.pend.req, block: m.block, hasData: true, data: m.data}
-	d.state = dOwned
-	d.owner = d.pend.req
-	d.sharers = 0
-	st.send(grant)
+	st.send(msg{kind: mGrant, src: m.dst, dst: d.pend.req, block: m.block, hasData: true, data: m.data})
+	d.Grant(int(d.pend.req))
 	x.release(m.block)
 }
 
@@ -626,13 +584,13 @@ func (x *stepCtx) granted(m msg) {
 	}
 	ln := &st.lines[p][m.block]
 	switch {
-	case ln.state != lInvalid:
-		ln.state = lExclusive
+	case ln.state != cache.Invalid:
+		ln.state = cache.Exclusive
 		if m.hasData {
 			ln.data = m.data
 		}
 	case m.hasData:
-		*ln = line{state: lExclusive, data: m.data}
+		*ln = line{state: cache.Exclusive, data: m.data}
 	default:
 		// Upgrade grant raced with losing the line: retry from scratch.
 		// Unreachable without conflict evictions; kept to mirror wi.go.
@@ -649,7 +607,7 @@ func (x *stepCtx) startDemote(m msg) {
 	d := &st.dirs[m.block]
 	d.busy = true
 	d.pend = pendTx{kind: pendDemote, resume: m}
-	st.send(msg{kind: mDemote, src: m.dst, dst: d.owner, block: m.block})
+	st.send(msg{kind: mDemote, src: m.dst, dst: uint8(d.Owner), block: m.block})
 }
 
 // demote mirrors demoteOwner's owner-side closure.
@@ -673,14 +631,7 @@ func (x *stepCtx) demoteData(m msg) {
 	}
 	resume := d.pend.resume
 	st.mem[m.block] = m.data
-	d.state = dShared
-	d.sharers = 0
-	if st.lines[m.src][m.block].state != lInvalid {
-		d.add(m.src)
-	}
-	if d.sharers == 0 {
-		d.state = dUncached
-	}
+	d.Demote(int(m.src), st.lines[m.src][m.block].state != cache.Invalid)
 	x.release(m.block)
 	x.dispatchHome(resume)
 }
@@ -694,18 +645,16 @@ func (x *stepCtx) homeWriteThrough(m msg) {
 	home := m.dst
 	old := st.mem[m.block][m.word]
 	st.mem[m.block][m.word] = m.val
-	others := d.othersMask(p)
+	others := d.Sharers &^ (1 << p)
 	if cfg.Protocol == proto.PU && !cfg.DisableRetention &&
 		(others == 0 || cfg.Faults.PhantomRetention) &&
-		d.state == dShared && d.has(p) {
-		if ln := &st.lines[p][m.block]; ln.state == lShared {
+		d.State == proto.DirShared && d.Has(int(p)) {
+		if ln := &st.lines[p][m.block]; ln.state == cache.Shared {
 			// Retention: the line takes the written value at the decision
 			// instant and stays clean (it matches memory).
-			ln.state = lExclusive
+			ln.state = cache.Exclusive
 			ln.data[m.word] = m.val
-			d.state = dOwned
-			d.owner = p
-			d.sharers = 0
+			d.Grant(int(p))
 		}
 	}
 	uv := m.val
@@ -717,7 +666,7 @@ func (x *stepCtx) homeWriteThrough(m msg) {
 			st.send(msg{kind: mUpd, src: home, dst: q, block: m.block, word: m.word, val: uv, aux: p})
 		}
 	}
-	st.send(msg{kind: mWTReply, src: home, dst: p, block: m.block, word: m.word, val: m.val, aux: uint8(bits.OnesCount8(others))})
+	st.send(msg{kind: mWTReply, src: home, dst: p, block: m.block, word: m.word, val: m.val, aux: uint8(bits.OnesCount64(others))})
 }
 
 // update mirrors deliverUpdate: plain application under PU,
@@ -729,7 +678,7 @@ func (x *stepCtx) update(m msg) {
 	writer := m.aux
 	ack := msg{kind: mUpdAck, src: q, dst: writer, block: m.block}
 	ln := &st.lines[q][m.block]
-	if ln.state == lInvalid || ln.state == lExclusive {
+	if ln.state == cache.Invalid || ln.state == cache.Exclusive {
 		st.send(ack)
 		return
 	}
@@ -770,7 +719,7 @@ func (x *stepCtx) wtReply(m msg) {
 		x.errf("write-through reply at p%d with no write in flight", p)
 		return
 	}
-	if ln := &st.lines[p][m.block]; ln.state == lShared {
+	if ln := &st.lines[p][m.block]; ln.state == cache.Shared {
 		ln.data[m.word] = m.val
 	}
 	op.txReplied = true
@@ -790,7 +739,7 @@ func (x *stepCtx) homeAtomic(m msg) {
 	nv := old + 1
 	st.recordValue(m.block, m.word, nv)
 	st.mem[m.block][m.word] = nv
-	others := d.othersMask(p)
+	others := d.Sharers &^ (1 << p)
 	uv := nv
 	if cfg.Faults.StaleUpdateValue {
 		uv = old
@@ -801,15 +750,12 @@ func (x *stepCtx) homeAtomic(m msg) {
 		}
 	}
 	reply := msg{kind: mAtomReply, src: home, dst: p, block: m.block, word: m.word,
-		val: old, val2: nv, aux: uint8(bits.OnesCount8(others))}
+		val: old, val2: nv, aux: uint8(bits.OnesCount64(others))}
 	if m.aux&auxNeedData != 0 {
 		// The requester becomes a sharer; the reply carries the block.
 		reply.hasData = true
 		reply.data = st.mem[m.block]
-		d.add(p)
-		if d.state == dUncached {
-			d.state = dShared
-		}
+		d.Share(int(p))
 	}
 	st.send(reply)
 }
@@ -825,11 +771,11 @@ func (x *stepCtx) atomReply(m msg) {
 		return
 	}
 	if m.hasData {
-		if ln := &st.lines[p][m.block]; ln.state == lInvalid {
-			*ln = line{state: lShared, data: m.data}
+		if ln := &st.lines[p][m.block]; ln.state == cache.Invalid {
+			*ln = line{state: cache.Shared, data: m.data}
 		}
 	}
-	if ln := &st.lines[p][m.block]; ln.state != lInvalid {
+	if ln := &st.lines[p][m.block]; ln.state != cache.Invalid {
 		ln.data[m.word] = m.val2
 		ln.ctr = 0
 	}
@@ -853,34 +799,17 @@ func (x *stepCtx) homeWriteback(m msg) {
 	st.mem[m.block] = m.data
 	pr.pwbValid[m.block] = false
 	pr.pwbData[m.block] = [MaxWords]uint8{}
-	d := &st.dirs[m.block]
-	if d.state == dOwned && d.owner == p {
-		d.state = dUncached
-		d.sharers = 0
-	} else {
-		d.remove(p)
-		if d.sharers == 0 && d.state == dShared {
-			d.state = dUncached
-		}
-	}
+	st.dirs[m.block].Relinquish(int(p))
 }
 
 // note mirrors noteMsg.deliver: a clean-flush relinquish or a
 // replacement-hint / CU drop notice. Notes do not serialize on busy
 // entries (they never touch in-flight transaction state).
 func (x *stepCtx) note(m msg) {
-	st := x.st
-	d := &st.dirs[m.block]
-	p := m.src
+	d := &x.st.dirs[m.block]
 	if m.aux == auxNoteRelinquish {
-		if d.state == dOwned && d.owner == p {
-			d.state = dUncached
-			d.sharers = 0
-			return
-		}
+		d.Relinquish(int(m.src))
+		return
 	}
-	d.remove(p)
-	if d.sharers == 0 && d.state == dShared {
-		d.state = dUncached
-	}
+	d.Drop(int(m.src))
 }

@@ -61,20 +61,10 @@ func parseAction(s string) (action, error) {
 	return a, nil
 }
 
-// parseProtocol maps a trace's protocol name back to the proto constant.
-func parseProtocol(s string) (proto.Protocol, error) {
-	for _, p := range []proto.Protocol{proto.WI, proto.PU, proto.CU} {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("mc: unknown protocol %q", s)
-}
-
 // Config reconstructs the exploration configuration a trace was
 // recorded under.
 func (t *Trace) ConfigOf() (Config, error) {
-	p, err := parseProtocol(t.Protocol)
+	p, err := proto.ParseProtocol(t.Protocol)
 	if err != nil {
 		return Config{}, err
 	}

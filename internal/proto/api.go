@@ -99,16 +99,14 @@ func (m *readMsg) locked() {
 		s.tr.DirStart(m.txn, s.e.Now())
 	}
 	d := s.entry(m.block)
-	switch d.state {
-	case dirUncached, dirShared:
-		d.busy = true
+	d.busy = true
+	if d.State != DirOwned {
 		m.data = s.store.BorrowFrame()
 		s.mems[s.HomeOf(m.block)].ReadBlockInto(m.block, m.data, m.gotFn)
-	case dirOwned:
-		d.busy = true
-		m.owner = d.owner
-		s.sendT(m.txn, s.HomeOf(m.block), m.owner, szControl, m.ownerFetchFn)
+		return
 	}
+	m.owner = d.Owner
+	s.sendT(m.txn, s.HomeOf(m.block), m.owner, szControl, m.ownerFetchFn)
 }
 
 // got books the data reply once memory has produced the block. The reply
@@ -117,8 +115,7 @@ func (m *readMsg) locked() {
 func (m *readMsg) got() {
 	s := m.s
 	d := s.entry(m.block)
-	d.state = dirShared
-	d.add(m.p)
+	d.Share(m.p)
 	s.sendT(m.txn, s.HomeOf(m.block), m.p, szData, m.installFn)
 	s.release(d)
 }
@@ -141,12 +138,8 @@ func (m *readMsg) ownerBack() {
 func (m *readMsg) ownerWrote() {
 	s := m.s
 	d := s.entry(m.block)
-	d.state = dirShared
-	d.sharers = 0
-	if s.caches[m.owner].Present(m.block) {
-		d.add(m.owner)
-	}
-	d.add(m.p)
+	d.Demote(m.owner, s.caches[m.owner].Present(m.block))
+	d.Share(m.p)
 	s.sendT(m.txn, s.HomeOf(m.block), m.p, szData, m.installFn)
 	s.release(d)
 }
@@ -222,18 +215,6 @@ func (s *System) FlushBlock(p int, a cache.Addr, done func()) {
 		s.sendNote(p, block, true /* relinquish */)
 	}
 	done()
-}
-
-// homeRelinquish removes p's registration for block at the home (clean
-// flush notice).
-func (s *System) homeRelinquish(p int, block uint32) {
-	d := s.entry(block)
-	if d.state == dirOwned && d.owner == p {
-		d.state = dirUncached
-		d.sharers = 0
-		return
-	}
-	s.homeDropSharer(p, block)
 }
 
 // takeOwnerData extracts the current data for block from the owning node:

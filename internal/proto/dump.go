@@ -2,13 +2,19 @@ package proto
 
 import "coherencesim/internal/cache"
 
-// This file exports a small read-only introspection surface over the
-// protocol state — directory entries, cache lines, memory words, and
-// in-flight bookkeeping — for the model checker's conformance driver
-// (internal/mc) and for debugging tools. It performs no mutation and no
-// simulation; call it only from outside engine context or at quiescence.
+// This file holds the directory policy the protocols and the model
+// checker (internal/mc) share, and the block picture both check for
+// coherence. DirRecord is one block's directory record with its five
+// transitions: proto's directory entries and mc's model directory embed
+// it, so each directory decision is written once. BlockDump is the
+// global picture of one block — directory, memory and every node's copy
+// and write-back bookkeeping — which DumpBlock takes of a live system
+// and mc builds from a model state; CheckBlock (invariants.go) judges
+// either, and mc's conformance driver compares the two. Nothing here
+// simulates; call DumpBlock only from outside engine context or at
+// quiescence.
 
-// DirState is the exported mirror of the home directory state.
+// DirState is the home directory state of one block.
 type DirState int
 
 const (
@@ -32,61 +38,113 @@ func (d DirState) String() string {
 	return "?"
 }
 
-// DirDump is one block's directory record.
-type DirDump struct {
+// DirRecord is the full-map directory record of one block. Owner is
+// meaningful only when State is DirOwned; the transitions leave a stale
+// one behind otherwise.
+type DirRecord struct {
 	State   DirState
-	Owner   int    // meaningful only when State == DirOwned
+	Owner   int
 	Sharers uint64 // bitmap over nodes
-	Busy    bool   // a transaction holds the entry
-	Queued  int    // transactions waiting on the entry
 }
 
-// LineDump is one node's cached copy of a block.
+// Has reports whether node p is a recorded sharer.
+func (r *DirRecord) Has(p int) bool { return r.Sharers&(1<<uint(p)) != 0 }
+
+// Share records p as a sharer of an uncached or shared block.
+func (r *DirRecord) Share(p int) {
+	r.Sharers |= 1 << uint(p)
+	if r.State == DirUncached {
+		r.State = DirShared
+	}
+}
+
+// Grant makes p the block's only holder, as its owner.
+func (r *DirRecord) Grant(p int) {
+	r.State, r.Owner, r.Sharers = DirOwned, p, 0
+}
+
+// Demote rebuilds the record after the owner's data came back home:
+// shared, with the owner a sharer iff it kept a copy, uncached if that
+// leaves none.
+func (r *DirRecord) Demote(owner int, kept bool) {
+	r.State, r.Sharers = DirShared, 0
+	if kept {
+		r.Share(owner)
+	}
+	if r.Sharers == 0 {
+		r.State = DirUncached
+	}
+}
+
+// Drop removes p's registration (a replacement hint or a CU drop
+// notice); a shared block whose last sharer leaves is uncached.
+func (r *DirRecord) Drop(p int) {
+	r.Sharers &^= 1 << uint(p)
+	if r.Sharers == 0 && r.State == DirShared {
+		r.State = DirUncached
+	}
+}
+
+// Relinquish handles p giving up its copy with a write-back or a flush:
+// the owner leaves the block uncached, anyone else drops.
+func (r *DirRecord) Relinquish(p int) {
+	if r.State == DirOwned && r.Owner == p {
+		r.State, r.Sharers = DirUncached, 0
+		return
+	}
+	r.Drop(p)
+}
+
+// DirDump is one block's directory entry: its record and its
+// serialization state.
+type DirDump struct {
+	DirRecord
+	Busy   bool // a transaction holds the entry
+	Queued int  // transactions waiting on the entry
+}
+
+// LineDump is one node's view of a block: its cached copy (State
+// cache.Invalid when it holds none) and its write-back of the block
+// still in flight, if any.
 type LineDump struct {
-	Present bool
 	State   cache.State
 	Dirty   bool
 	Counter uint8
-	Data    []uint32
+	Data    []uint32 // nil without a copy
+	// PendingWB: dirty data sent home and not yet consumed there.
+	PendingWB bool
+	// CancelledWB: write-backs a forwarded request superseded, each
+	// still to be discarded on arrival.
+	CancelledWB int
 }
 
 // BlockDump is the global coherence picture of one block: its directory
-// entry, the memory image at its home, and every node's cached copy.
+// entry (nil when the home never created one), the memory image at its
+// home, and every node's view.
 type BlockDump struct {
 	Block  uint32
-	Dir    DirDump
+	Dir    *DirDump
 	Memory []uint32
 	Lines  []LineDump // indexed by node
 }
 
-// DumpBlock snapshots one block's directory, memory, and cache state.
+// DumpBlock snapshots one block's directory, memory, cache and
+// write-back state.
 // The returned slices are fresh copies safe to retain.
 func (s *System) DumpBlock(block uint32) BlockDump {
 	bd := BlockDump{Block: block, Lines: make([]LineDump, len(s.caches))}
 	if d := s.dirEntryAt(block); d != nil {
-		bd.Dir = DirDump{
-			State:   DirState(d.state),
-			Owner:   d.owner,
-			Sharers: d.sharers,
-			Busy:    d.busy,
-			Queued:  len(d.waitq),
-		}
-		if bd.Dir.State != DirOwned {
-			bd.Dir.Owner = 0
-		}
+		bd.Dir = &DirDump{DirRecord: d.DirRecord, Busy: d.busy, Queued: len(d.waitq)}
 	}
-	mem := s.mems[s.HomeOf(block)].Block(block)
-	bd.Memory = append([]uint32(nil), mem...)
+	bd.Memory = append([]uint32(nil), s.mems[s.HomeOf(block)].Block(block)...)
 	for p, c := range s.caches {
+		ld := &bd.Lines[p]
 		if ln := c.Lookup(block); ln != nil {
-			bd.Lines[p] = LineDump{
-				Present: true,
-				State:   ln.State,
-				Dirty:   ln.Dirty,
-				Counter: ln.Counter,
-				Data:    append([]uint32(nil), ln.Data[:]...),
-			}
+			ld.State, ld.Dirty, ld.Counter = ln.State, ln.Dirty, ln.Counter
+			ld.Data = append([]uint32(nil), ln.Data[:]...)
 		}
+		_, ld.PendingWB = s.procs[p].pendingWB[block]
+		ld.CancelledWB = s.procs[p].cancelledWB[block]
 	}
 	return bd
 }

@@ -2,145 +2,145 @@ package proto
 
 import (
 	"fmt"
+	"slices"
 
 	"coherencesim/internal/cache"
 )
 
-// CheckCoherence validates the protocol's global invariants. It is meant
-// to be called at quiescence (no in-flight transactions: engine drained
-// and all write buffers empty); some invariants are necessarily violated
-// transiently while messages are in flight. It returns every violation
-// found, or nil if the system is coherent.
-//
-// Invariants checked, per block that any directory entry or cache knows:
-//
-//  1. At most one cache holds the block Exclusive, and then no other
-//     cache holds it at all.
-//  2. If a cache holds the block Exclusive, the directory is in the
-//     owned state with that cache's node as owner.
-//  3. If the directory is in the owned state, the owner caches the block
-//     (or a write-back is pending).
-//  4. Every node recorded as a sharer holds a valid copy, and every node
-//     holding a valid copy is recorded (owner or sharer).
-//  5. Every non-dirty cached copy's words match memory exactly; for an
-//     owned block, only the owner may diverge from memory.
-//  6. No directory entry is busy and no transaction is queued.
+// CheckCoherence validates the protocol's global invariants: CheckBlock
+// on the DumpBlock of every block any directory entry or cache knows, in
+// ascending block order. It is meant to be called at quiescence (no
+// in-flight transactions: engine drained and all write buffers empty);
+// some invariants are necessarily violated transiently while messages
+// are in flight. It returns every violation found, or nil if the system
+// is coherent.
 //
 // The checker is O(blocks x nodes) and intended for tests and debugging,
 // not for per-event use.
 func (s *System) CheckCoherence() []error {
-	var errs []error
-	report := func(format string, args ...interface{}) {
-		errs = append(errs, fmt.Errorf(format, args...))
-	}
-
-	// Gather every block any cache holds, merged with directory entries.
-	blocks := make(map[uint32]bool)
-	for _, c := range s.caches {
-		c.ForEachValid(func(ln *cache.Line) { blocks[ln.Block] = true })
-	}
+	var blocks []uint32
 	for b, d := range s.dir {
 		if d != nil {
-			blocks[uint32(b)] = true
+			blocks = append(blocks, uint32(b))
+		}
+	}
+	for _, c := range s.caches {
+		c.ForEachValid(func(ln *cache.Line) { blocks = append(blocks, ln.Block) })
+	}
+	slices.Sort(blocks)
+	var errs []error
+	for _, b := range slices.Compact(blocks) {
+		errs = append(errs, CheckBlock(s.DumpBlock(b))...)
+	}
+	return errs
+}
+
+// CheckBlock returns every violation of the quiescent invariants in one
+// block's picture, in a fixed order, nodes ascending:
+//
+//  1. At most one node holds the block Exclusive, and then no other node
+//     holds it at all.
+//  2. A node holding the block Exclusive is the directory's owner.
+//  3. The directory entry exists if any node holds the block, and it is
+//     neither busy nor queued.
+//  4. An owned block is held by its owner alone, Exclusive.
+//  5. An uncached block has no sharers and a shared one has some; the
+//     sharers are exactly the nodes holding a copy.
+//  6. Every copy but an owner's matches memory word for word.
+//  7. No node has a write-back of the block pending or cancelled.
+func CheckBlock(bd BlockDump) []error {
+	var errs []error
+	report := func(format string, args ...any) {
+		errs = append(errs, fmt.Errorf("block %d"+format, append([]any{bd.Block}, args...)...))
+	}
+	var holders, exclusive []int
+	for q, ln := range bd.Lines {
+		if ln.State != cache.Invalid {
+			holders = append(holders, q)
+			if ln.State == cache.Exclusive {
+				exclusive = append(exclusive, q)
+			}
+		}
+	}
+	d := bd.Dir
+	if len(exclusive) > 1 {
+		report(": %d exclusive copies (nodes %v)", len(exclusive), exclusive)
+	}
+	if len(exclusive) == 1 && len(holders) > 1 {
+		report(": exclusive at node %d alongside %d other copies", exclusive[0], len(holders)-1)
+	}
+	if len(exclusive) == 1 && (d == nil || d.State != DirOwned || d.Owner != exclusive[0]) {
+		report(": exclusive at node %d but directory %s", exclusive[0], dirString(d))
+	}
+
+	if d == nil && len(holders) > 0 {
+		report(": cached at %d node(s) with no directory entry", len(holders))
+	}
+	if d != nil && (d.Busy || d.Queued > 0) {
+		report(": directory busy=%v queued=%d at quiescence", d.Busy, d.Queued)
+	}
+	owner := -1
+	switch {
+	case d != nil && d.State == DirOwned:
+		owner = d.Owner
+		switch bd.Lines[owner].State {
+		case cache.Invalid:
+			report(": owned by node %d which holds no copy", owner)
+		case cache.Shared:
+			report(": owned by node %d which holds a shared copy", owner)
+		}
+		for _, q := range holders {
+			if q != owner {
+				report(": owned by %d but node %d also caches it", owner, q)
+			}
+		}
+	case d != nil:
+		if d.State == DirUncached && d.Sharers != 0 {
+			report(": uncached directory entry with sharers %#x", d.Sharers)
+		}
+		if d.State == DirShared && d.Sharers == 0 {
+			report(": shared directory entry with no sharers")
+		}
+		for q, ln := range bd.Lines {
+			switch held := ln.State != cache.Invalid; {
+			case d.Has(q) && !held:
+				report(": directory lists node %d as sharer without a copy", q)
+			case held && !d.Has(q):
+				report(": node %d caches the block but is not a recorded sharer", q)
+			}
 		}
 	}
 
-	for b := range blocks {
-		d := s.dirEntryAt(b)
-		home := s.HomeOf(b)
-		memData := s.mems[home].Block(b)
-
-		var exclusive []int
-		holders := make(map[int]*cache.Line)
-		for q, c := range s.caches {
-			if ln := c.Lookup(b); ln != nil {
-				holders[q] = ln
-				if ln.State == cache.Exclusive {
-					exclusive = append(exclusive, q)
-				}
+	for _, q := range holders {
+		if q == owner {
+			continue // the owner may legitimately diverge from memory
+		}
+		for w, v := range bd.Lines[q].Data {
+			if v != bd.Memory[w] {
+				report(" word %d: node %d has %d, memory has %d", w, q, v, bd.Memory[w])
+				break
 			}
 		}
-
-		// (1) single-writer.
-		if len(exclusive) > 1 {
-			report("block %d: %d exclusive copies (nodes %v)", b, len(exclusive), exclusive)
+	}
+	for q, ln := range bd.Lines {
+		if ln.PendingWB {
+			report(": node %d has a pending write-back at quiescence", q)
 		}
-		if len(exclusive) == 1 && len(holders) > 1 {
-			report("block %d: exclusive at node %d alongside %d other copies",
-				b, exclusive[0], len(holders)-1)
-		}
-
-		// (2) exclusive copy implies owned directory state.
-		if len(exclusive) == 1 {
-			if d == nil || d.state != dirOwned || d.owner != exclusive[0] {
-				report("block %d: exclusive at node %d but directory %s", b, exclusive[0], dirString(d))
-			}
-		}
-
-		if d != nil {
-			// (6) quiescence.
-			if d.busy || len(d.waitq) > 0 {
-				report("block %d: directory busy=%v queued=%d at quiescence", b, d.busy, len(d.waitq))
-			}
-			switch d.state {
-			case dirOwned:
-				// (3) owner holds the block or has a write-back pending.
-				if _, ok := holders[d.owner]; !ok {
-					if _, wb := s.procs[d.owner].pendingWB[b]; !wb {
-						report("block %d: owned by node %d which holds no copy", b, d.owner)
-					}
-				}
-				for q := range holders {
-					if q != d.owner {
-						report("block %d: owned by %d but node %d also caches it", b, d.owner, q)
-					}
-				}
-			case dirShared, dirUncached:
-				// (4) sharer list and holders agree.
-				for q := 0; q < len(s.caches); q++ {
-					if d.has(q) && holders[q] == nil {
-						report("block %d: directory lists node %d as sharer without a copy", b, q)
-					}
-				}
-				for q := range holders {
-					if !d.has(q) {
-						report("block %d: node %d caches the block but is not a recorded sharer", b, q)
-					}
-				}
-			}
-		} else if len(holders) > 0 {
-			report("block %d: cached at %d node(s) with no directory entry", b, len(holders))
-		}
-
-		// (5) value coherence: clean copies match memory.
-		for q, ln := range holders {
-			owner := d != nil && d.state == dirOwned && d.owner == q
-			if owner {
-				continue // the owner may legitimately diverge from memory
-			}
-			for w := range ln.Data {
-				if ln.Data[w] != memData[w] {
-					report("block %d word %d: node %d has %d, memory has %d",
-						b, w, q, ln.Data[w], memData[w])
-					break
-				}
-			}
+		if ln.CancelledWB > 0 {
+			report(": node %d has %d dangling write-back cancellation(s)", q, ln.CancelledWB)
 		}
 	}
 	return errs
 }
 
-func dirString(d *dirEntry) string {
-	if d == nil {
+func dirString(d *DirDump) string {
+	switch {
+	case d == nil:
 		return "absent"
+	case d.State == DirShared:
+		return fmt.Sprintf("shared(%b)", d.Sharers)
+	case d.State == DirOwned:
+		return fmt.Sprintf("owned(%d)", d.Owner)
 	}
-	switch d.state {
-	case dirUncached:
-		return "uncached"
-	case dirShared:
-		return fmt.Sprintf("shared(%b)", d.sharers)
-	case dirOwned:
-		return fmt.Sprintf("owned(%d)", d.owner)
-	}
-	return "?"
+	return d.State.String()
 }

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"coherencesim/internal/cache"
@@ -106,21 +107,49 @@ func TestCheckerDetectsPlantedViolations(t *testing.T) {
 	}
 }
 
+// TestCheckerOrderIsDeterministic plants violations in two blocks and
+// requires every call to report them identically: blocks ascending, and
+// within a block the nodes ascending.
+func TestCheckerOrderIsDeterministic(t *testing.T) {
+	ts := newTest(t, WI, 4)
+	ts.script().read(0, 64, nil).read(1, 128, nil).run()
+	for _, b := range []uint32{2, 1} {
+		for _, q := range []int{3, 2} {
+			ts.s.Cache(q).Install(b, append([]uint32(nil), ts.s.Memory(ts.s.HomeOf(b)).Block(b)...), cache.Shared)
+		}
+	}
+	ts.s.Cache(0).Lookup(1).Data[0] = 7
+	want := []string{
+		"block 1: node 2 caches the block but is not a recorded sharer",
+		"block 1: node 3 caches the block but is not a recorded sharer",
+		"block 1 word 0: node 0 has 7, memory has 0",
+		"block 2: node 2 caches the block but is not a recorded sharer",
+		"block 2: node 3 caches the block but is not a recorded sharer",
+	}
+	for i := 0; i < 20; i++ {
+		var got []string
+		for _, err := range ts.s.CheckCoherence() {
+			got = append(got, err.Error())
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("call %d reported\n%q\nwant\n%q", i, got, want)
+		}
+	}
+}
+
 func TestDirStringForms(t *testing.T) {
 	if dirString(nil) != "absent" {
 		t.Error("nil directory string")
 	}
-	d := &dirEntry{}
+	d := &DirDump{}
 	if dirString(d) != "uncached" {
 		t.Error("uncached string")
 	}
-	d.state = dirShared
-	d.add(2)
+	d.Share(2)
 	if dirString(d) != "shared(100)" {
 		t.Errorf("shared string = %s", dirString(d))
 	}
-	d.state = dirOwned
-	d.owner = 3
+	d.Grant(3)
 	if dirString(d) != "owned(3)" {
 		t.Errorf("owned string = %s", dirString(d))
 	}

@@ -98,6 +98,47 @@ func TestCheckerMutationHardening(t *testing.T) {
 			},
 			want: "no directory entry",
 		},
+		{
+			name:  "uncached-with-sharer",
+			build: func(t *testing.T) *testSystem { ts := newTest(t, PU, 4); ts.script().read(2, 64, nil).run(); return ts },
+			corrupt: func(ts *testSystem) {
+				ts.s.dirEntryAt(1).State = DirUncached // node 2 still recorded and caching
+			},
+			want: "uncached directory entry with sharers",
+		},
+		{
+			name:  "shared-without-sharers",
+			build: func(t *testing.T) *testSystem { ts := newTest(t, PU, 4); ts.script().read(2, 64, nil).run(); return ts },
+			corrupt: func(ts *testSystem) {
+				ts.s.Cache(2).Invalidate(1)
+				ts.s.dirEntryAt(1).Sharers = 0 // shared, but nobody
+			},
+			want: "shared directory entry with no sharers",
+		},
+		{
+			name:  "owner-holds-shared",
+			build: func(t *testing.T) *testSystem { ts := newTest(t, WI, 4); ts.script().write(0, 64, 9).run(); return ts },
+			corrupt: func(ts *testSystem) {
+				ts.s.Cache(0).Lookup(1).State = cache.Shared // directory still says owned(0)
+			},
+			want: "holds a shared copy",
+		},
+		{
+			name:  "pending-writeback-at-quiescence",
+			build: func(t *testing.T) *testSystem { ts := newTest(t, WI, 4); ts.script().write(0, 64, 9).run(); return ts },
+			corrupt: func(ts *testSystem) {
+				ts.s.procs[3].pendingWB[1] = make([]uint32, cache.WordsPerBlock)
+			},
+			want: "pending write-back",
+		},
+		{
+			name:  "dangling-cancelled-writeback",
+			build: func(t *testing.T) *testSystem { ts := newTest(t, WI, 4); ts.script().write(0, 64, 9).run(); return ts },
+			corrupt: func(ts *testSystem) {
+				ts.s.procs[2].cancelledWB[1] = 1
+			},
+			want: "dangling write-back cancellation",
+		},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -66,6 +66,16 @@ func (p Protocol) String() string {
 	return fmt.Sprintf("Protocol(%d)", int(p))
 }
 
+// ParseProtocol inverts Protocol.String.
+func ParseProtocol(s string) (Protocol, error) {
+	for p := WI; p <= CU; p++ {
+		if p.String() == s {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("proto: unknown protocol %q", s)
+}
+
 // Short returns the paper's one-letter protocol tag ("i", "u", "c").
 func (p Protocol) Short() string {
 	switch p {
@@ -170,28 +180,13 @@ type Counters struct {
 	WriteThrough uint64 // write-through update requests to homes
 }
 
-// dirState is the home directory state of one block.
-type dirState int
-
-const (
-	dirUncached dirState = iota
-	dirShared            // one or more clean copies (all protocols)
-	dirOwned             // WI dirty-exclusive or PU retained-private
-)
-
-// dirEntry is the full-map directory record for one block.
+// dirEntry is one block's directory entry: the shared record and the
+// entry's serialization of the block's transactions.
 type dirEntry struct {
-	state   dirState
-	owner   int
-	sharers uint64 // bitmap over nodes
-	busy    bool
-	waitq   []func()
+	DirRecord
+	busy  bool
+	waitq []func()
 }
-
-func (d *dirEntry) has(p int) bool   { return d.sharers&(1<<uint(p)) != 0 }
-func (d *dirEntry) add(p int)        { d.sharers |= 1 << uint(p) }
-func (d *dirEntry) remove(p int)     { d.sharers &^= 1 << uint(p) }
-func (d *dirEntry) sharerCount() int { return bits.OnesCount64(d.sharers) }
 
 // procState is per-node transient protocol state.
 type procState struct {
@@ -269,7 +264,7 @@ type System struct {
 // callback, before any other directory operation can run.
 func (s *System) sharerList(d *dirEntry, except int) []int {
 	out := s.sharerScratch[:0]
-	m := d.sharers &^ (1 << uint(except))
+	m := d.Sharers &^ (1 << uint(except))
 	for m != 0 {
 		out = append(out, bits.TrailingZeros64(m))
 		m &= m - 1
@@ -336,7 +331,7 @@ func (s *System) Reset(cfg Config) {
 	for _, d := range s.dir {
 		if d != nil {
 			clear(d.waitq)
-			*d = dirEntry{state: dirUncached, waitq: d.waitq[:0]}
+			*d = dirEntry{waitq: d.waitq[:0]}
 		}
 	}
 	for i := range s.procs {
@@ -627,18 +622,9 @@ func (s *System) homeWriteback(p int, block uint32, data []uint32) {
 		}
 		return
 	}
-	d := s.entry(block)
 	s.mems[s.HomeOf(block)].WriteBlock(block, data, nil)
 	delete(s.procs[p].pendingWB, block)
-	if d.state == dirOwned && d.owner == p {
-		d.state = dirUncached
-		d.sharers = 0
-	} else {
-		d.remove(p)
-		if d.sharers == 0 && d.state == dirShared {
-			d.state = dirUncached
-		}
-	}
+	s.entry(block).Relinquish(p)
 }
 
 // sendNote sends a pooled control notice home: a replacement hint / CU
@@ -671,20 +657,10 @@ func (m *noteMsg) deliver() {
 	m.next = s.noteFree
 	s.noteFree = m
 	if relinquish {
-		s.homeRelinquish(p, block)
+		s.entry(block).Relinquish(p)
 		return
 	}
-	s.homeDropSharer(p, block)
-}
-
-// homeDropSharer removes p from a block's sharer set (replacement hint or
-// CU drop notice).
-func (s *System) homeDropSharer(p int, block uint32) {
-	d := s.entry(block)
-	d.remove(p)
-	if d.sharers == 0 && d.state == dirShared {
-		d.state = dirUncached
-	}
+	s.entry(block).Drop(p)
 }
 
 // FlushAll silently empties p's cache and fixes the directory, modeling
@@ -699,16 +675,7 @@ func (s *System) FlushAll(p int) {
 		if old.Dirty {
 			s.mems[s.HomeOf(b)].WriteBlock(b, old.Data[:], nil)
 		}
-		d := s.entry(b)
-		if d.state == dirOwned && d.owner == p {
-			d.state = dirUncached
-			d.sharers = 0
-		} else {
-			d.remove(p)
-			if d.sharers == 0 && d.state == dirShared {
-				d.state = dirUncached
-			}
-		}
+		s.entry(b).Relinquish(p)
 	}
 	s.flushScratch = blocks[:0]
 }

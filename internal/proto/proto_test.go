@@ -17,6 +17,19 @@ func TestProtocolStrings(t *testing.T) {
 	}
 }
 
+func TestParseProtocolInvertsString(t *testing.T) {
+	for _, pr := range allProtocols() {
+		if got, err := ParseProtocol(pr.String()); err != nil || got != pr {
+			t.Errorf("ParseProtocol(%q) = %v, %v", pr.String(), got, err)
+		}
+	}
+	for _, bad := range []string{"", "wi", "MESI", Protocol(9).String()} {
+		if _, err := ParseProtocol(bad); err == nil {
+			t.Errorf("ParseProtocol(%q) accepted", bad)
+		}
+	}
+}
+
 func TestReadReturnsMemoryValueAllProtocols(t *testing.T) {
 	for _, pr := range allProtocols() {
 		ts := newTest(t, pr, 4)

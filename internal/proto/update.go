@@ -232,7 +232,7 @@ func (m *wrMsg) req() {
 		d.waitq = append(d.waitq, m.reqFn)
 		return
 	}
-	if d.state == dirOwned {
+	if d.State == DirOwned {
 		s.demoteOwner(d, m.block, m.reqFn)
 		return
 	}
@@ -249,19 +249,12 @@ func (m *wrMsg) req() {
 func (s *System) demoteOwner(d *dirEntry, block uint32, then func()) {
 	d.busy = true
 	home := s.HomeOf(block)
-	owner := d.owner
+	owner := d.Owner
 	s.send(home, owner, szControl, func() {
 		data := s.takeOwnerData(owner, block, true /* demote */)
 		s.send(owner, home, szData, func() {
 			s.mems[home].WriteBlock(block, data, func() {
-				d.state = dirShared
-				d.sharers = 0
-				if s.caches[owner].Present(block) {
-					d.add(owner)
-				}
-				if d.sharers == 0 {
-					d.state = dirUncached
-				}
+				d.Demote(owner, s.caches[owner].Present(block))
 				s.release(d)
 				then()
 			})
@@ -289,7 +282,7 @@ func (m *wrMsg) wrote() {
 	// behaving consistently under racing requests from other nodes.
 	if s.cfg.Protocol == PU && !s.cfg.DisableRetention &&
 		len(others) == 0 && !d.busy &&
-		d.state == dirShared && d.has(p) {
+		d.State == DirShared && d.Has(p) {
 		if ln := s.caches[p].Lookup(block); ln != nil && ln.State == cache.Shared {
 			// The grant is this write's serialization point: the
 			// line takes the written value here (it matches memory,
@@ -298,9 +291,7 @@ func (m *wrMsg) wrote() {
 			ln.State = cache.Exclusive
 			ln.Data[word] = v
 			s.caches[p].FireWatchers(block)
-			d.state = dirOwned
-			d.owner = p
-			d.sharers = 0
+			d.Grant(p)
 			s.ctr.Retentions++
 		}
 	}
@@ -533,7 +524,7 @@ func (m *atomMsg) home() {
 func (m *atomMsg) locked() {
 	s := m.s
 	d := s.entry(m.block)
-	if d.state == dirOwned {
+	if d.State == DirOwned {
 		s.demoteOwner(d, m.block, m.homeFn)
 		return
 	}
@@ -569,10 +560,7 @@ func (m *atomMsg) wrote() {
 		// The requester becomes a sharer; the reply carries the block.
 		m.data = s.store.BorrowFrame()
 		copy(m.data, s.mems[home].Block(m.block))
-		d.add(m.p)
-		if d.state == dirUncached {
-			d.state = dirShared
-		}
+		d.Share(m.p)
 		size = szData
 	}
 	s.sendT(m.txn, home, m.p, size, m.replyFn)

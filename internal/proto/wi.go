@@ -196,14 +196,14 @@ func (op *wiOp) locked() {
 	home := s.HomeOf(op.block)
 	d.busy = true
 
-	switch d.state {
-	case dirUncached:
+	switch d.State {
+	case DirUncached:
 		op.needData = true
 		op.data = s.store.BorrowFrame()
 		s.mems[home].ReadBlockInto(op.block, op.data, op.fetchedFn)
 
-	case dirShared:
-		op.needData = !d.has(op.p)
+	case DirShared:
+		op.needData = !d.Has(op.p)
 		others := s.sharerList(d, op.p)
 		s.mInvFan.Observe(uint64(len(others)))
 		if s.tr != nil && op.txn != 0 && len(others) > 0 {
@@ -211,7 +211,7 @@ func (op *wiOp) locked() {
 		}
 		op.pending = len(others)
 		// The home's own copy acks by loopback, not across the mesh.
-		op.acks = ackFan{left: bits.OnesCount64(d.sharers &^ (1<<uint(op.p) | 1<<uint(home)))}
+		op.acks = ackFan{left: bits.OnesCount64(d.Sharers &^ (1<<uint(op.p) | 1<<uint(home)))}
 		op.haveData = !op.needData
 		if op.needData {
 			op.data = s.store.BorrowFrame()
@@ -225,8 +225,8 @@ func (op *wiOp) locked() {
 		}
 		op.maybeGrant() // covers the no-other-sharers upgrade
 
-	case dirOwned:
-		op.owner = d.owner
+	case DirOwned:
+		op.owner = d.Owner
 		s.sendT(op.txn, home, op.owner, szControl, op.ownerFetchFn)
 	}
 }
@@ -258,9 +258,7 @@ func (op *wiOp) maybeGrant() {
 func (op *wiOp) grant() {
 	s := op.s
 	d := s.entry(op.block)
-	d.state = dirOwned
-	d.owner = op.p
-	d.sharers = 0
+	d.Grant(op.p)
 	size := szControl
 	if op.data != nil {
 		size = szData
