@@ -91,19 +91,8 @@ func parseFaults(s string) (mc.Faults, error) {
 		return f, nil
 	}
 	for _, tok := range strings.Split(s, ",") {
-		switch strings.TrimSpace(tok) {
-		case "skip-inv-ack":
-			f.SkipInvAck = true
-		case "grant-before-acks":
-			f.GrantBeforeAcks = true
-		case "skip-drop-notice":
-			f.SkipDropNotice = true
-		case "phantom-retention":
-			f.PhantomRetention = true
-		case "stale-update-value":
-			f.StaleUpdateValue = true
-		default:
-			return f, fmt.Errorf("unknown fault %q (skip-inv-ack, grant-before-acks, skip-drop-notice, phantom-retention, stale-update-value)", tok)
+		if !f.Set(strings.TrimSpace(tok)) {
+			return f, fmt.Errorf("unknown fault %q (%s)", tok, strings.Join(proto.FaultNames(), ", "))
 		}
 	}
 	return f, nil
@@ -125,7 +114,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		threshold = fs.Int("cu-threshold", 4, "competitive-update counter threshold (1-255)")
 		maxStates = fs.Int("max-states", 0, "abort beyond this many states (0 = unlimited)")
 		opSet     = fs.String("ops", "", "restrict issue alphabet (comma list of read,write,atomic,flush)")
-		faultList = fs.String("fault", "", "inject protocol faults (checker self-test)")
+		faultList = fs.String("fault", "", "inject protocol faults, a comma list of "+strings.Join(proto.FaultNames(), ",")+" (checker self-test)")
 		jsonOut   = fs.String("json", "", "write the JSON report to this file")
 		baseline  = fs.String("baseline", "", "fail where a configuration's report differs from this committed one (ms aside)")
 		replay    = fs.String("replay", "", "replay a counterexample trace instead of exploring")

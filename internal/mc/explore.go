@@ -30,28 +30,21 @@ type Result struct {
 	Violations []*Violation
 }
 
-// protoModel is the directory protocols under cfg as the walker's model
-// (walk.go): its states are *state and its actions issues and
-// deliveries. obs, when set, receives what reads and atomics return.
-type protoModel struct {
-	cfg Config
-	obs *observer
-}
-
 // Explore runs bounded exhaustive reachability from the initial state
-// under cfg: the walk of walk.go over protoModel, which checks the
-// invariants on every distinct state and stops at the first violation,
-// returned with a replayable trace. Because actions in this model always
-// consume either issue budget or a message — and every handler sends at
-// most a bounded number of messages per consumed one — a livelock
-// indicates a protocol that can regenerate its own work, which the
-// faithful model never does.
+// under cfg: the walk of walk.go over the live protocols (live.go),
+// which checks the invariants on every distinct state and stops at the
+// first violation, returned with a replayable trace. Because actions
+// always consume either issue budget or a message — and every handler
+// sends at most a bounded number of messages per consumed one — a
+// livelock indicates a protocol that can regenerate its own work, which
+// the faithful protocols never do.
 func Explore(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ws, f, err := walk[*state, action](protoModel{cfg: cfg}, newState(cfg), cfg.MaxStates)
+	m := newLiveModel(cfg)
+	ws, f, err := walk[*node, action](m, m.root, cfg.MaxStates)
 	if err != nil {
 		return nil, err
 	}

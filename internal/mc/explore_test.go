@@ -39,19 +39,31 @@ func TestExploreSmoke(t *testing.T) {
 
 // TestExploreTwoBlocks widens the smoke slice to two blocks and two
 // words so cross-block races (write-back vs read, per-word updates) are
-// in scope.
+// in scope, and pins the two configurations the baseline matrix leaves
+// out: PU without retention, and CU at threshold 2, where the drop edge
+// is taken (at threshold 4 it never is within two operations).
 func TestExploreTwoBlocks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-block exploration is not short")
 	}
-	for _, p := range allProtocols() {
-		p := p
-		t.Run(p.String(), func(t *testing.T) {
+	twoBlocks := func(c *Config) { c.Blocks, c.Words = 2, 2 }
+	for _, tc := range []struct {
+		name                                  string
+		protocol                              proto.Protocol
+		edit                                  func(*Config)
+		states, transitions, quiescent, depth int
+	}{
+		{"WI", proto.WI, twoBlocks, 165966, 323326, 11552, 18},
+		{"PU", proto.PU, twoBlocks, 418585, 850358, 11659, 28},
+		{"CU", proto.CU, twoBlocks, 477620, 960924, 17816, 28},
+		{"PU-no-retention", proto.PU, func(c *Config) { c.DisableRetention = true }, 4397, 8967, 181, 23},
+		{"CU-threshold-2", proto.CU, func(c *Config) { c.CUThreshold = 2 }, 7669, 15371, 335, 28},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			cfg := DefaultConfig(p)
-			cfg.Blocks = 2
-			cfg.Words = 2
-			cfg.OpsPerProc = 2
+			cfg := DefaultConfig(tc.protocol)
+			tc.edit(&cfg)
 			res, err := Explore(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -59,8 +71,10 @@ func TestExploreTwoBlocks(t *testing.T) {
 			for _, v := range res.Violations {
 				t.Errorf("violation: %v\ntrace:\n%s", v, v.Trace.JSON())
 			}
-			t.Logf("%v: %d states, %d transitions, %d quiescent",
-				p, res.States, res.Transitions, res.Quiescent)
+			got := [4]int{res.States, res.Transitions, res.Quiescent, res.MaxDepth}
+			if want := [4]int{tc.states, tc.transitions, tc.quiescent, tc.depth}; got != want {
+				t.Errorf("states/transitions/quiescent/max_depth = %v, want %v", got, want)
+			}
 		})
 	}
 }
@@ -279,8 +293,8 @@ func TestExploreMaxStates(t *testing.T) {
 	}
 }
 
-// TestValidateRejects: Validate, which Explore, Trace.ConfigOf and
-// RunConformance all call, refuses an op set that repeats a kind (its
+// TestValidateRejects: Validate, which Explore and Trace.ConfigOf both
+// call, refuses an op set that repeats a kind (its
 // duplicate actions would inflate the transition count) or names an
 // unknown one, and a negative MaxStates (which would read as unlimited).
 func TestValidateRejects(t *testing.T) {

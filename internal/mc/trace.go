@@ -128,8 +128,8 @@ func (t *Trace) JSON() []byte {
 // which validates each guard and re-checks every invariant along the
 // way. It returns the first violation encountered (the regression the
 // trace witnesses), or nil if the schedule completes cleanly — which,
-// for a committed counterexample, means the bug it caught has been fixed
-// (or the model has drifted).
+// for a committed counterexample, means the bug it caught has been
+// fixed.
 func Replay(t *Trace) (*Violation, error) {
 	cfg, err := t.ConfigOf()
 	if err != nil {
@@ -141,7 +141,8 @@ func Replay(t *Trace) (*Violation, error) {
 			return nil, err
 		}
 	}
-	f := replay[*state, action](protoModel{cfg: cfg}, newState(cfg), sched)
+	m := newLiveModel(cfg)
+	f := replay[*node, action](m, m.root, sched)
 	if f == nil {
 		return nil, nil
 	}

@@ -7,7 +7,7 @@ import "fmt"
 // livelock detection, the MaxStates abort, violation recording and
 // schedule replay. Everything it knows about a system sits behind the
 // four methods of model; the directory protocols implement them
-// (protoModel), and so does a toy counter model in the tests. This file
+// (liveModel), and so does a toy counter model in the tests. This file
 // imports only the standard library.
 
 // ViolationKind classifies what an exploration found.

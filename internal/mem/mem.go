@@ -197,15 +197,18 @@ func (m *Module) WriteBlock(block uint32, data []uint32, done func()) {
 }
 
 // WriteWord performs a single-word update (write-through traffic under the
-// update-based protocols) and schedules done at completion.
-func (m *Module) WriteWord(block uint32, word int, v uint32, done func()) {
+// update-based protocols), schedules done at completion and returns the
+// value it overwrote.
+func (m *Module) WriteWord(block uint32, word int, v uint32, done func()) (old uint32) {
 	m.checkWord(word)
 	m.stats.WordWrites++
 	t := m.reserve(m.cfg.DirLookup + m.cfg.FirstWord)
-	m.Block(block)[word] = v
+	data := m.Block(block)
+	old, data[word] = data[word], v
 	if done != nil {
 		m.e.At(t, done)
 	}
+	return old
 }
 
 // AtomicOp performs op on the word in-memory (the update-based protocols

@@ -27,7 +27,7 @@ func (s *System) Read(p int, a cache.Addr, done func(v uint32)) {
 	if s.tr != nil {
 		m.txn = s.tr.Begin(p, trace.TxnRead, block, s.e.Now())
 	}
-	s.sendT(m.txn, p, s.HomeOf(block), szControl, m.homeFn)
+	s.sendT(m.txn, &m.hdr, szControl, m.homeFn)
 }
 
 // homeRead starts read-miss servicing for callers already at the home
@@ -50,6 +50,7 @@ type readMsg struct {
 	block uint32
 	txn   trace.TxnID
 	data  []uint32 // borrowed frame
+	hdr   Msg      // the request's header
 	done  func(uint32)
 	next  *readMsg
 
@@ -78,6 +79,7 @@ func (s *System) newReadMsg(p int, block uint32, word int, done func(uint32)) *r
 		m.next = nil
 	}
 	m.p, m.block, m.word, m.done = p, block, word, done
+	m.hdr = Msg{Kind: MsgReadReq, Src: uint8(p), Dst: uint8(s.HomeOf(block)), Block: block, Word: uint8(word)}
 	m.txn = 0
 	return m
 }
@@ -87,7 +89,7 @@ func (m *readMsg) home() {
 	if s := m.s; s.tr != nil {
 		s.tr.HomeArrive(m.txn, s.e.Now())
 	}
-	m.s.whenFree(m.s.entry(m.block), m.lockedFn)
+	m.s.whenFree(m.s.entry(m.block), &m.hdr, m.lockedFn)
 }
 
 // locked services the read at the home once the entry is free. The
@@ -106,26 +108,20 @@ func (m *readMsg) locked() {
 		return
 	}
 	m.owner = d.Owner
-	s.sendT(m.txn, s.HomeOf(m.block), m.owner, szControl, m.ownerFetchFn)
+	s.sendT(m.txn, &Msg{Kind: MsgReadFetch, Src: uint8(s.HomeOf(m.block)), Dst: uint8(m.owner), Block: m.block, Word: uint8(m.word), Aux: uint8(m.p)}, szControl, m.ownerFetchFn)
 }
 
 // got books the data reply once memory has produced the block. The reply
 // is booked before releasing the entry: a queued invalidating
 // transaction must not reach the requester first (mesh FIFO).
-func (m *readMsg) got() {
-	s := m.s
-	d := s.entry(m.block)
-	d.Share(m.p)
-	s.sendT(m.txn, s.HomeOf(m.block), m.p, szData, m.installFn)
-	s.release(d)
-}
+func (m *readMsg) got() { m.reply(m.s.entry(m.block)) }
 
 // ownerFetch runs at the owning node: take its data (demoting the line
 // to Shared) and forward it home.
 func (m *readMsg) ownerFetch() {
 	s := m.s
 	m.data = s.takeOwnerData(m.owner, m.block, true /* demote to shared */)
-	s.sendT(m.txn, m.owner, s.HomeOf(m.block), szData, m.ownerBackFn)
+	s.sendT(m.txn, &Msg{Kind: MsgReadData, Src: uint8(m.owner), Dst: uint8(s.HomeOf(m.block)), Block: m.block, Word: uint8(m.word), Aux: uint8(m.p), Data: m.data}, szData, m.ownerBackFn)
 }
 
 // ownerBack refreshes memory with the owner's data.
@@ -139,8 +135,14 @@ func (m *readMsg) ownerWrote() {
 	s := m.s
 	d := s.entry(m.block)
 	d.Demote(m.owner, s.caches[m.owner].Present(m.block))
+	m.reply(d)
+}
+
+// reply books the data reply and then releases the entry.
+func (m *readMsg) reply(d *dirEntry) {
+	s := m.s
 	d.Share(m.p)
-	s.sendT(m.txn, s.HomeOf(m.block), m.p, szData, m.installFn)
+	s.sendT(m.txn, &Msg{Kind: MsgReadReply, Src: uint8(s.HomeOf(m.block)), Dst: uint8(m.p), Block: m.block, Word: uint8(m.word), Data: m.data}, szData, m.installFn)
 	s.release(d)
 }
 

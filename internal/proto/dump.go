@@ -2,15 +2,13 @@ package proto
 
 import "coherencesim/internal/cache"
 
-// This file holds the directory policy the protocols and the model
-// checker (internal/mc) share, and the block picture both check for
-// coherence. DirRecord is one block's directory record with its five
-// transitions: proto's directory entries and mc's model directory embed
-// it, so each directory decision is written once. BlockDump is the
-// global picture of one block — directory, memory and every node's copy
-// and write-back bookkeeping — which DumpBlock takes of a live system
-// and mc builds from a model state; CheckBlock (invariants.go) judges
-// either, and mc's conformance driver compares the two. Nothing here
+// This file holds the directory policy and the block picture the
+// protocols are checked on. DirRecord is one block's directory record
+// with its five transitions, so each directory decision is written
+// once. BlockDump is the global picture of one block — directory,
+// memory and every node's copy and write-back bookkeeping — which
+// DumpBlock takes of a live system; CheckBlock (invariants.go) judges
+// it, and the model checker (internal/mc) encodes it. Nothing here
 // simulates; call DumpBlock only from outside engine context or at
 // quiescence.
 

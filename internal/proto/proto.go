@@ -186,6 +186,9 @@ type dirEntry struct {
 	DirRecord
 	busy  bool
 	waitq []func()
+	// waitH holds the queued requests' headers on the choice network
+	// alone (an Explorer's); the mesh keeps none.
+	waitH []Msg
 }
 
 // procState is per-node transient protocol state.
@@ -211,6 +214,7 @@ type procState struct {
 type System struct {
 	e      *sim.Engine
 	nw     *mesh.Network
+	ch     *choiceNet // non-nil on an Explorer: messages take it, not nw
 	store  *mem.Store // block arena + payload frame free list, shared by all modules
 	mems   []*mem.Module
 	caches []*cache.Cache
@@ -331,7 +335,7 @@ func (s *System) Reset(cfg Config) {
 	for _, d := range s.dir {
 		if d != nil {
 			clear(d.waitq)
-			*d = dirEntry{waitq: d.waitq[:0]}
+			*d = dirEntry{waitq: d.waitq[:0], waitH: d.waitH[:0]}
 		}
 	}
 	for i := range s.procs {
@@ -398,10 +402,14 @@ func (s *System) dirEntryAt(block uint32) *dirEntry {
 }
 
 // whenFree runs fn when the directory entry is not busy, queueing it
-// behind in-flight transactions otherwise. fn must re-examine all state.
-func (s *System) whenFree(d *dirEntry, fn func()) {
+// behind in-flight transactions otherwise. fn must re-examine all state;
+// h is the request's header.
+func (s *System) whenFree(d *dirEntry, h *Msg, fn func()) {
 	if d.busy {
 		d.waitq = append(d.waitq, fn)
+		if s.ch != nil {
+			d.waitH = append(d.waitH, *h)
+		}
 		return
 	}
 	fn()
@@ -420,21 +428,28 @@ func (s *System) release(d *dirEntry) {
 		n := copy(d.waitq, d.waitq[1:])
 		d.waitq[n] = nil
 		d.waitq = d.waitq[:n]
+		if s.ch != nil {
+			d.waitH = d.waitH[:copy(d.waitH, d.waitH[1:])]
+		}
 		next()
 	}
 }
 
-// send is a convenience wrapper over the mesh, returning the delivery
-// instant.
-func (s *System) send(src, dst, bytes int, deliver func()) sim.Time {
-	return s.nw.Send(src, dst, bytes, deliver)
+// send sends the message h heads over the mesh, returning the delivery
+// instant; on the choice network it queues, and the instant is now.
+func (s *System) send(h *Msg, bytes int, deliver func()) sim.Time {
+	if s.ch != nil {
+		s.ch.send(h, deliver)
+		return s.e.Now()
+	}
+	return s.nw.Send(int(h.Src), int(h.Dst), bytes, deliver)
 }
 
 // sendT sends on behalf of a traced transaction, accounting the hop's
 // flit payload against it. With tracing off (or an untraced message) it
 // is exactly send.
-func (s *System) sendT(txn trace.TxnID, src, dst, bytes int, deliver func()) sim.Time {
-	at := s.nw.Send(src, dst, bytes, deliver)
+func (s *System) sendT(txn trace.TxnID, h *Msg, bytes int, deliver func()) sim.Time {
+	at := s.send(h, bytes, deliver)
 	if s.tr != nil && txn != 0 {
 		s.tr.Hop(txn, s.nw.Flits(bytes))
 	}
@@ -447,10 +462,16 @@ func (s *System) sendT(txn trace.TxnID, src, dst, bytes int, deliver func()) sim
 // fail a check — so it is no event: it books its passage through the
 // mesh and the caller counts it at once. The collector's interface
 // delivers in sending order, so the last ack sent is the last to arrive
-// and the only one queued (DESIGN.md, "Booked acknowledgements").
+// and the only one queued (DESIGN.md, "Booked acknowledgements"). The
+// choice network has no sending order to rely on, so there every ack is
+// queued.
 type ackFan struct {
 	left   int      // mesh-crossing acks not yet sent
 	booked sim.Time // arrival of the latest booked one
+	// The acks' header, less their ends.
+	kind  MsgKind
+	aux   uint8
+	block uint32
 }
 
 // sendFanAck sends one ack of f's multicast from src to the collector at
@@ -459,13 +480,16 @@ type ackFan struct {
 // destination FIFO must fail loudly, not complete collections early.
 func (s *System) sendFanAck(f *ackFan, txn trace.TxnID, src, dst int, deliver func()) (at sim.Time, queued bool) {
 	s.ctr.Acks++
-	if src == dst {
-		// Loopback (WI, a sharer on the home node) bypasses the
-		// interface FIFO: always queued, never one of f.
-		return s.sendT(txn, src, dst, szAck, deliver), true
+	// Loopback (WI, a sharer on the home node) bypasses the interface
+	// FIFO, and the choice network keeps no sending order: either way
+	// the ack is queued, never one of f's booked ones.
+	queue := src == dst || s.ch != nil
+	if !queue {
+		f.left--
 	}
-	if f.left--; f.left == 0 {
-		if at = s.sendT(txn, src, dst, szAck, deliver); at <= f.booked {
+	if queue || f.left == 0 {
+		h := Msg{Kind: f.kind, Src: uint8(src), Dst: uint8(dst), Block: f.block, Aux: f.aux}
+		if at = s.sendT(txn, &h, szAck, deliver); !queue && at <= f.booked {
 			panic("proto: final acknowledgement arrives before a booked one")
 		}
 		return at, true
@@ -564,11 +588,12 @@ func (s *System) sendWriteback(p int, block uint32, src []uint32) {
 		m.next = nil
 	}
 	m.p, m.block, m.data = p, block, data
+	m.hdr = Msg{Kind: MsgWB, Src: uint8(p), Dst: uint8(s.HomeOf(block)), Block: block, Data: data}
 	m.txn = 0
 	if s.tr != nil {
 		m.txn = s.tr.Begin(p, trace.TxnWriteback, block, s.e.Now())
 	}
-	s.sendT(m.txn, p, s.HomeOf(block), szData, m.arriveFn)
+	s.sendT(m.txn, &m.hdr, szData, m.arriveFn)
 }
 
 // wbMsg carries one dirty write-back home. Processing serializes behind
@@ -581,6 +606,7 @@ type wbMsg struct {
 	p        int
 	block    uint32
 	data     []uint32 // borrowed frame, also registered in pendingWB
+	hdr      Msg      // the write-back's header
 	txn      trace.TxnID
 	next     *wbMsg
 	arriveFn func() // delivery at the home: serialize on the entry
@@ -591,12 +617,12 @@ func (m *wbMsg) arrive() {
 	if s := m.s; s.tr != nil {
 		s.tr.HomeArrive(m.txn, s.e.Now())
 	}
-	m.s.whenFree(m.s.entry(m.block), m.lockedFn)
+	m.s.whenFree(m.s.entry(m.block), &m.hdr, m.lockedFn)
 }
 
 func (m *wbMsg) locked() {
 	s, p, block, data, txn := m.s, m.p, m.block, m.data, m.txn
-	m.data = nil
+	m.data, m.hdr.Data = nil, nil
 	m.txn = 0
 	m.next = s.wbFree
 	s.wbFree = m
@@ -639,7 +665,11 @@ func (s *System) sendNote(p int, block uint32, relinquish bool) {
 		m.next = nil
 	}
 	m.p, m.block, m.relinquish = p, block, relinquish
-	s.send(p, s.HomeOf(block), szControl, m.fn)
+	h := Msg{Kind: MsgNote, Src: uint8(p), Dst: uint8(s.HomeOf(block)), Block: block}
+	if relinquish {
+		h.Aux = 1
+	}
+	s.send(&h, szControl, m.fn)
 }
 
 // noteMsg is a pooled sharer-set maintenance notice.

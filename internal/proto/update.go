@@ -111,7 +111,7 @@ func (s *System) updWrite(p int, a cache.Addr, v uint32, retire func()) {
 		if s.tr != nil {
 			m.txn = s.tr.Begin(p, trace.TxnWriteThrough, block, s.e.Now())
 		}
-		s.sendT(m.txn, p, s.HomeOf(block), szControl, m.missFn)
+		s.sendT(m.txn, &Msg{Kind: MsgReadReq, Src: uint8(p), Dst: uint8(s.HomeOf(block)), Block: block, Word: uint8(word)}, szControl, m.missFn)
 		return
 	}
 	c.CountHit()
@@ -133,6 +133,8 @@ type wrMsg struct {
 	expected int
 	block    uint32
 	v        uint32
+	old      uint32 // the value v overwrote at the home
+	hdr      Msg    // the write-through's header
 	txn      trace.TxnID
 	tx       *updTx
 	retire   func()
@@ -216,7 +218,8 @@ func (m *wrMsg) local() {
 	}
 	m.tx = newUpdTx(s, p)
 	m.tx.txn = m.txn
-	s.sendT(m.txn, p, s.HomeOf(block), szWord, m.reqFn)
+	m.hdr = Msg{Kind: MsgWTReq, Src: uint8(p), Dst: uint8(s.HomeOf(block)), Block: block, Word: uint8(word), Val: v}
+	s.sendT(m.txn, &m.hdr, szWord, m.reqFn)
 }
 
 // req serializes the write-through at the directory: it waits out a
@@ -229,30 +232,30 @@ func (m *wrMsg) req() {
 	}
 	d := s.entry(m.block)
 	if d.busy {
-		d.waitq = append(d.waitq, m.reqFn)
+		s.whenFree(d, &m.hdr, m.reqFn)
 		return
 	}
 	if d.State == DirOwned {
-		s.demoteOwner(d, m.block, m.reqFn)
+		s.demoteOwner(d, m.block, m.p, m.reqFn)
 		return
 	}
 	if s.tr != nil {
 		s.tr.DirStart(m.txn, s.e.Now())
 	}
-	s.mems[s.HomeOf(m.block)].WriteWord(m.block, m.word, m.v, m.wroteFn)
+	m.old = s.mems[s.HomeOf(m.block)].WriteWord(m.block, m.word, m.v, m.wroteFn)
 }
 
 // demoteOwner fetches a retained-private block back from its owner,
-// refreshes memory, downgrades the owner to Shared, and then continues.
-// This path is rare (another node touching a retained block); it keeps
-// plain closures rather than a pooled object.
-func (s *System) demoteOwner(d *dirEntry, block uint32, then func()) {
+// refreshes memory, downgrades the owner to Shared, and then continues
+// requester p's transaction. This path is rare (another node touching a
+// retained block); it keeps plain closures rather than a pooled object.
+func (s *System) demoteOwner(d *dirEntry, block uint32, p int, then func()) {
 	d.busy = true
 	home := s.HomeOf(block)
 	owner := d.Owner
-	s.send(home, owner, szControl, func() {
+	s.send(&Msg{Kind: MsgDemote, Src: uint8(home), Dst: uint8(owner), Block: block, Aux: uint8(p)}, szControl, func() {
 		data := s.takeOwnerData(owner, block, true /* demote */)
-		s.send(owner, home, szData, func() {
+		s.send(&Msg{Kind: MsgDemoteData, Src: uint8(owner), Dst: uint8(home), Block: block, Aux: uint8(p), Data: data}, szData, func() {
 			s.mems[home].WriteBlock(block, data, func() {
 				d.Demote(owner, s.caches[owner].Present(block))
 				s.release(d)
@@ -280,8 +283,9 @@ func (m *wrMsg) wrote() {
 	// another store before the reply retires this one, so the early
 	// line-state change is unobservable except through the protocol
 	// behaving consistently under racing requests from other nodes.
+	// FAULT (explorer only): phantom retention skips the sole-sharer test.
 	if s.cfg.Protocol == PU && !s.cfg.DisableRetention &&
-		len(others) == 0 && !d.busy &&
+		(len(others) == 0 || s.ch != nil && s.ch.faults.PhantomRetention) && !d.busy &&
 		d.State == DirShared && d.Has(p) {
 		if ln := s.caches[p].Lookup(block); ln != nil && ln.State == cache.Shared {
 			// The grant is this write's serialization point: the
@@ -299,15 +303,9 @@ func (m *wrMsg) wrote() {
 	if s.tr != nil && m.txn != 0 && len(others) > 0 {
 		s.tr.Fanout(m.txn, trace.FanUpd, s.e.Now())
 	}
-	tx.acks = ackFan{left: len(others)}
-	for _, q := range others {
-		s.ctr.UpdatesSent++
-		um := s.newUpdMsg(q, block, word, v, p, tx)
-		um.sentAt = s.e.Now()
-		s.sendT(m.txn, home, q, szWord, um.fn)
-	}
+	s.multicast(m.txn, tx, others, block, word, v, m.old)
 	m.expected = len(others)
-	s.sendT(m.txn, home, p, szControl, m.replyFn)
+	s.sendT(m.txn, &Msg{Kind: MsgWTReply, Src: uint8(home), Dst: uint8(p), Block: block, Word: uint8(word), Val: v, Aux: uint8(m.expected)}, szControl, m.replyFn)
 }
 
 // reply runs at the writer: it applies the serialized value, accounts
@@ -395,6 +393,20 @@ func (s *System) sendAck(from int, tx *updTx, sentAt sim.Time) {
 	}
 }
 
+// multicast sends the update of (block, word) to v, which overwrote old,
+// to others on behalf of tx's writer, arming tx's ack collection first.
+func (s *System) multicast(txn trace.TxnID, tx *updTx, others []int, block uint32, word int, v, old uint32) {
+	home := s.HomeOf(block)
+	tx.acks = ackFan{left: len(others), kind: MsgUpdAck, block: block}
+	for _, q := range others {
+		s.ctr.UpdatesSent++
+		um := s.newUpdMsg(tx)
+		um.h = Msg{Kind: MsgUpd, Src: uint8(home), Dst: uint8(q), Block: block, Word: uint8(word), Aux: uint8(tx.p), Val: v, Val2: old}
+		um.sentAt = s.e.Now()
+		s.sendT(txn, &um.h, szWord, um.fn)
+	}
+}
+
 // updMsg carries one update delivery to a sharer. Messages recycle
 // through a free list on System, each with a delivery closure built
 // once for the object's lifetime, so the per-sharer multicast — the
@@ -404,18 +416,14 @@ func (s *System) sendAck(from int, tx *updTx, sentAt sim.Time) {
 // deliveries triggered from within deliverUpdate may reuse it.
 type updMsg struct {
 	s      *System
-	q      int
-	writer int
-	block  uint32
-	v      uint32
-	word   int
+	h      Msg      // the update; its value is what the network delivers
 	sentAt sim.Time // fan-out dispatch time (trace per-target span start)
 	tx     *updTx
 	next   *updMsg
 	fn     func()
 }
 
-func (s *System) newUpdMsg(q int, block uint32, word int, v uint32, writer int, tx *updTx) *updMsg {
+func (s *System) newUpdMsg(tx *updTx) *updMsg {
 	m := s.updFree
 	if m == nil {
 		m = &updMsg{s: s}
@@ -423,17 +431,18 @@ func (s *System) newUpdMsg(q int, block uint32, word int, v uint32, writer int, 
 	} else {
 		s.updFree = m.next
 	}
-	m.q, m.block, m.word, m.v, m.writer, m.tx = q, block, word, v, writer, tx
+	m.tx = tx
 	return m
 }
 
 func (m *updMsg) deliver() {
 	s := m.s
-	q, block, word, v, writer, tx, sentAt := m.q, m.block, m.word, m.v, m.writer, m.tx, m.sentAt
+	h, tx, sentAt := &m.h, m.tx, m.sentAt
+	q, block, word, v, writer := h.Dst, h.Block, h.Word, h.Val, h.Aux
 	m.tx = nil
 	m.next = s.updFree
 	s.updFree = m
-	s.deliverUpdate(q, block, word, v, writer, tx, sentAt)
+	s.deliverUpdate(int(q), block, int(word), v, int(writer), tx, sentAt)
 }
 
 // updAtomic executes an atomic op at the home memory under PU/CU. The
@@ -460,7 +469,11 @@ func (s *System) updAtomic(p int, a cache.Addr, kind AtomicKind, op1, op2 uint32
 		m.txn = s.tr.Begin(p, trace.TxnAtomic, block, s.e.Now())
 		m.tx.txn = m.txn
 	}
-	s.sendT(m.txn, p, s.HomeOf(block), szWord, m.homeFn)
+	m.hdr = Msg{Kind: MsgAtomReq, Src: uint8(p), Dst: uint8(s.HomeOf(block)), Block: block, Word: uint8(word)}
+	if needData {
+		m.hdr.Aux = 1
+	}
+	s.sendT(m.txn, &m.hdr, szWord, m.homeFn)
 }
 
 // atomMsg carries one update-protocol atomic along its message chain —
@@ -481,6 +494,7 @@ type atomMsg struct {
 	kind     AtomicKind
 	needData bool
 	data     []uint32 // borrowed frame (new-sharer reply), released at reply
+	hdr      Msg      // the request's header
 	tx       *updTx
 	done     func(uint32)
 	next     *atomMsg
@@ -516,7 +530,7 @@ func (m *atomMsg) home() {
 	if s := m.s; s.tr != nil {
 		s.tr.HomeArrive(m.txn, s.e.Now())
 	}
-	m.s.whenFree(m.s.entry(m.block), m.lockFn)
+	m.s.whenFree(m.s.entry(m.block), &m.hdr, m.lockFn)
 }
 
 // locked demotes a private owner (re-entering home afterwards, which
@@ -525,13 +539,21 @@ func (m *atomMsg) locked() {
 	s := m.s
 	d := s.entry(m.block)
 	if d.State == DirOwned {
-		s.demoteOwner(d, m.block, m.homeFn)
+		s.demoteOwner(d, m.block, m.p, m.homeFn)
 		return
 	}
 	if s.tr != nil {
 		s.tr.DirStart(m.txn, s.e.Now())
 	}
-	m.old, m.newV = s.mems[s.HomeOf(m.block)].AtomicOp(m.block, m.word, m.opFn, m.wroteFn)
+	home := s.mems[s.HomeOf(m.block)]
+	m.old, m.newV = home.AtomicOp(m.block, m.word, m.opFn, m.wroteFn)
+	if m.needData {
+		// A new sharer's block is the image this operation left: another
+		// request the entry dispatched behind it may write memory before
+		// wrote runs.
+		m.data = s.store.BorrowFrame()
+		copy(m.data, home.Block(m.block))
+	}
 }
 
 // wrote runs once memory has performed the read-modify-write: multicast
@@ -547,23 +569,16 @@ func (m *atomMsg) wrote() {
 	if s.tr != nil && m.txn != 0 && len(others) > 0 {
 		s.tr.Fanout(m.txn, trace.FanUpd, s.e.Now())
 	}
-	m.tx.acks = ackFan{left: len(others)}
-	for _, q := range others {
-		s.ctr.UpdatesSent++
-		um := s.newUpdMsg(q, m.block, m.word, m.newV, m.p, m.tx)
-		um.sentAt = s.e.Now()
-		s.sendT(m.txn, home, q, szWord, um.fn)
-	}
+	s.multicast(m.txn, m.tx, others, m.block, m.word, m.newV, m.old)
 	m.expected = len(others)
 	size := szWord
 	if m.needData {
 		// The requester becomes a sharer; the reply carries the block.
-		m.data = s.store.BorrowFrame()
-		copy(m.data, s.mems[home].Block(m.block))
 		d.Share(m.p)
 		size = szData
 	}
-	s.sendT(m.txn, home, m.p, size, m.replyFn)
+	s.sendT(m.txn, &Msg{Kind: MsgAtomReply, Src: uint8(home), Dst: uint8(m.p), Block: m.block, Word: uint8(m.word),
+		Val: m.old, Val2: m.newV, Aux: uint8(m.expected), Data: m.data}, size, m.replyFn)
 }
 
 // reply runs at the requester: install the block if it was fetched,

@@ -46,6 +46,7 @@ type wiOp struct {
 	needData bool
 	haveData bool
 	data     []uint32     // borrowed frame (fetched block), released at grant
+	hdr      Msg          // the ownership request's header
 	retire   func()       // store completion
 	done     func(uint32) // atomic completion
 	next     *wiOp
@@ -138,7 +139,8 @@ func (op *wiOp) start() {
 		}
 		op.txn = s.tr.Begin(op.p, kind, op.block, s.e.Now())
 	}
-	s.sendT(op.txn, op.p, s.HomeOf(op.block), szControl, op.homeFn)
+	op.hdr = Msg{Kind: MsgWIReq, Src: uint8(op.p), Dst: uint8(s.HomeOf(op.block)), Block: op.block}
+	s.sendT(op.txn, &op.hdr, szControl, op.homeFn)
 }
 
 // perform runs the deferred store or atomic on the now-exclusive line.
@@ -180,7 +182,7 @@ func (op *wiOp) home() {
 	if s := op.s; s.tr != nil {
 		s.tr.HomeArrive(op.txn, s.e.Now())
 	}
-	op.s.whenFree(op.s.entry(op.block), op.lockedFn)
+	op.s.whenFree(op.s.entry(op.block), &op.hdr, op.lockedFn)
 }
 
 // locked services the ownership request once the entry is free. Exactly
@@ -211,23 +213,33 @@ func (op *wiOp) locked() {
 		}
 		op.pending = len(others)
 		// The home's own copy acks by loopback, not across the mesh.
-		op.acks = ackFan{left: bits.OnesCount64(d.Sharers &^ (1<<uint(op.p) | 1<<uint(home)))}
+		op.acks = ackFan{left: bits.OnesCount64(d.Sharers &^ (1<<uint(op.p) | 1<<uint(home))),
+			kind: MsgInvAck, aux: uint8(op.p), block: op.block}
 		op.haveData = !op.needData
 		if op.needData {
 			op.data = s.store.BorrowFrame()
 			s.mems[home].ReadBlockInto(op.block, op.data, op.fetchedFn)
 		}
+		// FAULT (explorer only): grant with the invalidations in flight;
+		// they then answer nobody, so none touches the recycled op.
+		early := s.ch != nil && s.ch.faults.GrantBeforeAcks
 		for _, q := range others {
 			s.ctr.Invals++
 			m := s.newInvMsg(q, op)
 			m.sentAt = s.e.Now()
-			s.sendT(op.txn, home, q, szControl, m.fn)
+			s.sendT(op.txn, &Msg{Kind: MsgInv, Src: uint8(home), Dst: uint8(q), Block: op.block, Aux: uint8(op.p)}, szControl, m.fn)
+			if early {
+				m.op = nil
+			}
+		}
+		if early {
+			op.pending = 0
 		}
 		op.maybeGrant() // covers the no-other-sharers upgrade
 
 	case DirOwned:
 		op.owner = d.Owner
-		s.sendT(op.txn, home, op.owner, szControl, op.ownerFetchFn)
+		s.sendT(op.txn, &Msg{Kind: MsgWIFetch, Src: uint8(home), Dst: uint8(op.owner), Block: op.block, Aux: uint8(op.p)}, szControl, op.ownerFetchFn)
 	}
 }
 
@@ -263,7 +275,7 @@ func (op *wiOp) grant() {
 	if op.data != nil {
 		size = szData
 	}
-	s.sendT(op.txn, s.HomeOf(op.block), op.p, size, op.grantFn)
+	s.sendT(op.txn, &Msg{Kind: MsgGrant, Src: uint8(s.HomeOf(op.block)), Dst: uint8(op.p), Block: op.block, Data: op.data}, size, op.grantFn)
 	s.release(d)
 }
 
@@ -272,7 +284,7 @@ func (op *wiOp) grant() {
 func (op *wiOp) ownerFetch() {
 	s := op.s
 	op.data = s.takeOwnerData(op.owner, op.block, false /* invalidate */)
-	s.sendT(op.txn, op.owner, s.HomeOf(op.block), szData, op.ownerBackFn)
+	s.sendT(op.txn, &Msg{Kind: MsgWIData, Src: uint8(op.owner), Dst: uint8(s.HomeOf(op.block)), Block: op.block, Aux: uint8(op.p), Data: op.data}, szData, op.ownerBackFn)
 }
 
 // ownerBack refreshes memory with the old owner's data.
@@ -355,6 +367,9 @@ func (m *invMsg) deliver() {
 		}
 		s.cl.LostCopy(q, block, classify.LossInvalidation)
 		s.caches[q].Invalidate(block)
+	}
+	if op == nil {
+		return // a grant-before-acks fault's invalidation
 	}
 	at, queued := s.sendFanAck(&op.acks, op.txn, q, s.HomeOf(block), op.ackFn)
 	if !queued {

@@ -38,10 +38,7 @@ import (
 // unreferencedAllowed is the allowlist, at most 15 entries. Each is
 // "pkg.Name" or "pkg.Type.Method" with the test that needs it; an entry
 // that is referenced after all, or no longer declared, fails the guard.
-var unreferencedAllowed = map[string]string{
-	"mc.RunConformance":    "the model-vs-live-system oracle: mc.TestConformanceBulk, TestConformanceCUThreshold and TestConformanceHandWritten replay schedules through both",
-	"mc.GenerateSchedules": "feeds the oracle above in mc.TestConformanceBulk and TestConformanceCUThreshold",
-}
+var unreferencedAllowed = map[string]string{}
 
 const (
 	guardModule     = "coherencesim"
