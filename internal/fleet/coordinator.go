@@ -3,10 +3,9 @@ package fleet
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"maps"
+	"errors"
 	"net/http"
-	"slices"
+	"runtime"
 	"sync"
 	"time"
 
@@ -18,16 +17,6 @@ type Config struct {
 	// HeartbeatTimeout is how long a worker may go silent before its
 	// leased shards are reassigned (default 5s).
 	HeartbeatTimeout time.Duration
-	// PollWait is how long an empty poll is held open (default 1s; must
-	// stay under HeartbeatTimeout so an idle worker's polls keep it
-	// alive).
-	PollWait time.Duration
-	// MaxAttempts bounds executions per shard before the owning job
-	// fails (default 3).
-	MaxAttempts int
-	// RetryBackoff delays a requeued shard's next lease, doubling per
-	// attempt up to 8x (default 250ms).
-	RetryBackoff time.Duration
 	// Memo answers before anything is leased and keeps every accepted
 	// result: the daemon's, shared with its local executor, or (nil) the
 	// coordinator's own. Its durable layer, if any (the daemon's store),
@@ -35,28 +24,6 @@ type Config struct {
 	// — and receives every accepted result.
 	Memo *experiments.PointMemo
 	Logf func(format string, args ...any)
-}
-
-func (cfg Config) withDefaults() Config {
-	if cfg.HeartbeatTimeout <= 0 {
-		cfg.HeartbeatTimeout = 5 * time.Second
-	}
-	if cfg.PollWait <= 0 {
-		cfg.PollWait = time.Second
-	}
-	if cfg.PollWait > cfg.HeartbeatTimeout/2 {
-		cfg.PollWait = cfg.HeartbeatTimeout / 2
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 250 * time.Millisecond
-	}
-	if cfg.Memo == nil {
-		cfg.Memo = experiments.NewPointMemo(experiments.PointStore(nil))
-	}
-	return cfg
 }
 
 // Stats is a snapshot of the coordinator's counters for /metrics.
@@ -71,190 +38,147 @@ type Stats struct {
 	Failed       uint64 // shards exhausted (failed every job attached)
 	CacheHits    uint64 // points answered from the memo's durable layer
 	Coalesced    uint64 // points answered without a lease of their own: from the memo, or attached to an outstanding shard
-	LocalRuns    uint64 // shards executed by the coordinator's fallback
+	LocalRuns    uint64 // shards executed by the coordinator itself while no worker was live
 }
 
-// localHolder is the lease holder of a shard the coordinator's own
-// fallback is executing; the register handler refuses it as a worker ID.
-const localHolder = ""
-
-// A shard is one distinct point on its way to a result: on the pending
-// FIFO or in the leased map (someone is executing it), and in inflight
-// by key either way. Every slot that asks for the point meanwhile is
-// attached to it, to be filled when it settles.
-type shard struct {
-	id        string
-	key       string
-	point     experiments.Point
-	slots     []slot
-	attempts  int
-	notBefore time.Time
-	worker    string // lease holder; meaningful only while leased
-}
-
-type slot struct { // one place in one job's results
-	job   *fleetJob
-	index int
-}
-
-type fleetJob struct {
-	id        string
-	ctx       context.Context
-	results   []experiments.PointResult
-	remaining int
-	err       error // why the job ended early: a shard's failure, or ctx's
-	finished  chan struct{}
-	onDone    func(index int, r experiments.PointResult)
-}
-
-// Coordinator owns the shard queue, the worker registry, and the
-// submission-order assembly of every in-flight decomposed sweep.
+// Coordinator is the lease queue's shell: it owns the lock, the HTTP
+// handlers, the long-poll wake-ups, the reaper ticker and the local
+// runners, and carries out what each transition of the queue returns.
 type Coordinator struct {
 	cfg Config
-	now func() time.Time // time.Now; in-package tests substitute a manual clock
 
-	mu       sync.Mutex
-	workers  map[string]time.Time // worker ID -> when it was last heard from
-	pending  []*shard             // FIFO, subject to per-shard notBefore
-	leased   map[string]*shard    // by shard ID
-	inflight map[string]*shard    // every pending or leased shard, by point key
-	seq      int
-	notify   chan struct{} // closed and replaced when work arrives
-	closed   bool
+	mu     sync.Mutex
+	q      *leaseQueue
+	notify chan struct{} // closed and replaced when work arrives
+	local  int           // local runners executing shards
+	closed bool
 
-	stats Stats
-
-	done chan struct{}
+	done    chan struct{}
+	running sync.WaitGroup // the reaper and the local runners
 }
 
-// NewCoordinator builds a coordinator and starts its heartbeat sweep.
+// caller is the RunPoints call a job reports to.
+type caller struct {
+	finished chan struct{} // closed once the job has ended
+	onDone   func(index int, r experiments.PointResult)
+}
+
+// NewCoordinator builds a coordinator and starts its reaper.
 func NewCoordinator(cfg Config) *Coordinator {
-	c := newCoordinator(cfg)
-	go c.sweepLoop()
+	if cfg.HeartbeatTimeout <= 0 {
+		cfg.HeartbeatTimeout = 5 * time.Second
+	}
+	if cfg.Memo == nil {
+		cfg.Memo = experiments.NewPointMemo(experiments.PointStore(nil))
+	}
+	c := &Coordinator{
+		cfg:    cfg,
+		q:      newLeaseQueue(cfg.HeartbeatTimeout),
+		notify: make(chan struct{}),
+		done:   make(chan struct{}),
+	}
+	c.running.Add(1)
+	go func() { // the reaper
+		defer c.running.Done()
+		t := time.NewTicker(max(cfg.HeartbeatTimeout/4, 5*time.Millisecond))
+		defer t.Stop()
+		for {
+			select {
+			case <-c.done:
+				return
+			case <-t.C:
+				c.do(c.q.reap)
+			}
+		}
+	}()
 	return c
 }
 
-// newCoordinator is NewCoordinator without the sweep goroutine, for
-// tests that call reapDead themselves.
-func newCoordinator(cfg Config) *Coordinator {
-	return &Coordinator{
-		cfg:      cfg.withDefaults(),
-		now:      time.Now,
-		workers:  make(map[string]time.Time),
-		leased:   make(map[string]*shard),
-		inflight: make(map[string]*shard),
-		notify:   make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-}
-
-// Close stops the heartbeat sweep and releases pollers.
+// Close stops the reaper and the local runners (each finishes the shard
+// it is executing), releases pollers and waits for them all.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
+	if !c.closed {
+		c.closed = true
+		close(c.done)
 	}
-	c.closed = true
 	c.mu.Unlock()
-	close(c.done)
-}
-
-func (c *Coordinator) logf(format string, args ...any) {
-	if c.cfg.Logf != nil {
-		c.cfg.Logf(format, args...)
-	}
-}
-
-// wake releases every long-poller to re-examine the queue. Callers hold
-// c.mu.
-func (c *Coordinator) wakeLocked() {
-	close(c.notify)
-	c.notify = make(chan struct{})
+	c.running.Wait()
 }
 
 // LiveWorkers counts workers heard from within the heartbeat timeout.
-func (c *Coordinator) LiveWorkers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.liveWorkersLocked()
-}
-
-func (c *Coordinator) liveWorkersLocked() int {
-	now, n := c.now(), 0
-	for _, seen := range c.workers {
-		if now.Sub(seen) <= c.cfg.HeartbeatTimeout {
-			n++
-		}
-	}
-	return n
-}
+func (c *Coordinator) LiveWorkers() int { return c.Stats().WorkersLive }
 
 // Stats snapshots the counters.
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := c.stats
-	s.Batches = s.Dispatched
-	s.WorkersLive = c.liveWorkersLocked()
+	s := c.q.stats
+	s.Batches, s.WorkersLive = s.Dispatched, c.q.live(time.Now())
 	return s
 }
 
-// sweepLoop periodically reaps workers that stopped heartbeating.
-func (c *Coordinator) sweepLoop() {
-	interval := c.cfg.HeartbeatTimeout / 4
-	if interval < 5*time.Millisecond {
-		interval = 5 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.done:
-			return
-		case <-t.C:
-			c.reapDead()
-		}
-	}
-}
-
-// reapDead forgets every worker silent for longer than the heartbeat
-// timeout and requeues the shards it was executing.
-func (c *Coordinator) reapDead() {
+// do runs one transition of the queue under c.mu and carries out what
+// it returns: under the lock it wakes pollers and starts local runners;
+// after it, it logs, files an accepted result in the memo and reports
+// to the callers, whose code may take the lock itself.
+func (c *Coordinator) do(transition func(now time.Time) effects) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.now()
-	for id, seen := range c.workers {
-		if now.Sub(seen) <= c.cfg.HeartbeatTimeout {
-			continue
+	now := time.Now()
+	eff := transition(now)
+	if eff.wake {
+		close(c.notify)
+		c.notify = make(chan struct{})
+	}
+	for !c.closed && c.local < runtime.GOMAXPROCS(0) {
+		s := c.q.takeLocal(now)
+		if s == nil {
+			break
 		}
-		delete(c.workers, id)
-		requeued := 0
-		for sid, s := range c.leased {
-			if s.worker != id {
-				continue
-			}
-			delete(c.leased, sid)
-			c.requeueLocked(s)
-			requeued++
+		c.local++
+		c.running.Add(1)
+		go c.runLocal(s)
+	}
+	c.mu.Unlock()
+	for _, n := range eff.notes {
+		if c.cfg.Logf != nil {
+			c.cfg.Logf("%s", n)
 		}
-		c.logf("fleet: worker %s timed out, requeued %d shards", id, requeued)
+	}
+	if s := eff.put; s != nil {
+		// Out of both queues, s is this call's alone: another outcome for
+		// it is a no-op. It stays in flight by key while the memo files
+		// the result — a store write, outside c.mu — so a request for the
+		// point meanwhile attaches to it instead of leasing it again.
+		c.cfg.Memo.Put(s.point.Unlabeled(), eff.result)
+		c.do(func(time.Time) effects { return c.q.filed(s, eff.result) })
+	}
+	for _, sl := range eff.filled {
+		if onDone := sl.job.caller.onDone; onDone != nil {
+			onDone(sl.index, sl.job.results[sl.index])
+		}
+	}
+	for _, j := range eff.ended {
+		close(j.caller.finished)
 	}
 }
 
-// requeueLocked puts a shard back on the pending queue with one more
-// attempt consumed and a bounded backoff. Callers hold c.mu and have
-// already removed the shard from the leased map.
-func (c *Coordinator) requeueLocked(s *shard) {
-	s.attempts++
-	backoff := c.cfg.RetryBackoff << uint(s.attempts-1)
-	if max := c.cfg.RetryBackoff * 8; backoff > max {
-		backoff = max
+// runLocal executes one shard on the coordinator process, taken while
+// no worker was live — up to GOMAXPROCS at once, so distribution is an
+// acceleration, never a dependency. It simulates directly (RunPoints
+// asked the memo before the shard existed) and to the end: other jobs
+// may be attached to the shard. Settling it starts the next.
+func (c *Coordinator) runLocal(s *shard) {
+	defer c.running.Done()
+	res, err := s.point.Simulate(nil)
+	errStr := ""
+	if err != nil {
+		errStr = err.Error()
 	}
-	s.notBefore = c.now().Add(backoff)
-	c.pending = append(c.pending, s)
-	c.stats.Reassigned++
-	c.wakeLocked()
+	c.do(func(now time.Time) effects {
+		c.local--
+		return c.q.settle(s.id, &res, errStr, now)
+	})
 }
 
 // RunPoints blocks until every point has a result (returned in
@@ -264,18 +188,14 @@ func (c *Coordinator) requeueLocked(s *shard) {
 // batch's or another job's — and only else gets a shard of its own, so a
 // distinct point crosses the fleet once. onDone, when non-nil, observes
 // every result as it lands (any order), however it was answered. With no
-// live workers the calling process executes pending shards itself:
-// distribution is an acceleration, never a dependency.
+// live workers the coordinator executes pending shards itself.
 func (c *Coordinator) RunPoints(ctx context.Context, pts []experiments.Point, onDone func(index int, r experiments.PointResult)) ([]experiments.PointResult, error) {
-	job := &fleetJob{
-		ctx:      ctx,
-		results:  make([]experiments.PointResult, len(pts)),
-		finished: make(chan struct{}),
-		onDone:   onDone,
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
+	j := &job{results: make([]experiments.PointResult, len(pts)), caller: caller{make(chan struct{}), onDone}}
 	// Before the lock (the durable layer is a file read): what is known.
 	keys := make([]string, len(pts)) // left empty for a point answered here
-	var answered []int
 	var cacheHits uint64
 	for i, pt := range pts {
 		r, ok, loaded := c.cfg.Memo.Get(pt.Unlabeled())
@@ -283,383 +203,137 @@ func (c *Coordinator) RunPoints(ctx context.Context, pts []experiments.Point, on
 			cacheHits++
 		}
 		if ok {
-			job.results[i] = r
-			answered = append(answered, i)
+			j.results[i] = r
 		} else {
 			keys[i] = pt.Key()
 		}
 	}
-
-	c.mu.Lock()
-	c.seq++
-	job.id = fmt.Sprintf("j%d", c.seq)
-	fresh := 0
-	for i, pt := range pts {
-		if keys[i] == "" {
-			continue
+	c.do(func(time.Time) effects {
+		for i, pt := range pts {
+			// Filing puts a result in the memo before its key leaves
+			// inflight, so one that was in neither above is in one now.
+			if r, ok := c.cfg.Memo.Peek(pt.Unlabeled()); keys[i] != "" && ok {
+				j.results[i], keys[i] = r, ""
+			}
 		}
-		// settle files a result in the memo before the key leaves
-		// inflight, so one that was in neither above is in one now.
-		if r, ok := c.cfg.Memo.Peek(pt.Unlabeled()); ok {
-			job.results[i] = r
-			answered = append(answered, i)
-			continue
-		}
-		s := c.inflight[keys[i]]
-		if s == nil {
-			s = &shard{id: fmt.Sprintf("%s#%d", job.id, i), key: keys[i], point: pt}
-			c.inflight[s.key] = s
-			c.pending = append(c.pending, s)
-			fresh++
-		}
-		s.slots = append(s.slots, slot{job, i})
-		job.remaining++
-	}
-	c.stats.CacheHits += cacheHits
-	c.stats.Coalesced += uint64(len(pts)-fresh) - cacheHits
-	if fresh > 0 {
-		c.wakeLocked()
-	}
-	c.mu.Unlock()
-
-	// Outside c.mu, like settle's call; no shard writes an answered index.
-	if onDone != nil {
-		for _, i := range answered {
-			onDone(i, job.results[i])
-		}
-	}
-	if len(answered) == len(pts) {
-		return job.results, nil
-	}
-
-	go c.localFallback(job)
-
+		return c.q.submit(j, pts, keys, cacheHits)
+	})
 	select {
-	case <-job.finished: // job.err, if any, was set before the close
-		if job.err != nil {
-			return nil, job.err
+	case <-j.caller.finished: // j.err, if any, was set before the close
+		if j.err != nil {
+			return nil, j.err
 		}
-		return job.results, nil
+		return j.results, nil
 	case <-ctx.Done():
 		c.mu.Lock()
-		job.err = ctx.Err()
-		c.dropJobLocked(job)
+		c.q.drop(j, ctx.Err())
 		c.mu.Unlock()
 		return nil, ctx.Err()
 	}
 }
 
-// dropJobLocked detaches a cancelled or failed job from every shard. A
-// shard other jobs are attached to stays where it is, attempts and
-// lease included; one left without a slot goes, and a late completion
-// for it is then a counted no-op. Callers hold c.mu.
-func (c *Coordinator) dropJobLocked(job *fleetJob) {
-	orphaned := func(s *shard) bool {
-		s.slots = slices.DeleteFunc(s.slots, func(sl slot) bool { return sl.job == job })
-		if len(s.slots) == 0 {
-			delete(c.inflight, s.key)
-		}
-		return len(s.slots) == 0
-	}
-	c.pending = slices.DeleteFunc(c.pending, orphaned)
-	maps.DeleteFunc(c.leased, func(_ string, s *shard) bool { return orphaned(s) })
-}
+const pollWait = time.Second // how long an empty poll is held open, at most half the heartbeat timeout
 
-// popPendingLocked removes and returns the first pending shard that ok
-// accepts, or nil. Callers hold c.mu.
-func (c *Coordinator) popPendingLocked(ok func(*shard) bool) *shard {
-	i := slices.IndexFunc(c.pending, ok)
-	if i < 0 {
-		return nil
-	}
-	s := c.pending[i]
-	c.pending = slices.Delete(c.pending, i, i+1)
-	return s
-}
-
-// takeLocked leases the first pending shard that ok accepts to holder.
-// Callers hold c.mu.
-func (c *Coordinator) takeLocked(holder string, ok func(*shard) bool) *shard {
-	s := c.popPendingLocked(ok)
-	if s != nil {
-		s.worker = holder
-		c.leased[s.id] = s
-	}
-	return s
-}
-
-// localFallback executes pending shards on the coordinator process
-// while job is live and no live workers exist — at job start, or after
-// every worker died mid-sweep. It simulates directly (RunPoints asked
-// the memo before the shard existed), so ctx never cuts a run short and
-// every result is settled: other jobs may be attached to the shard.
-func (c *Coordinator) localFallback(job *fleetJob) {
-	for {
-		for job.ctx.Err() == nil {
-			var s *shard
-			c.mu.Lock()
-			if c.liveWorkersLocked() == 0 {
-				if s = c.takeLocked(localHolder, func(*shard) bool { return true }); s != nil {
-					c.stats.LocalRuns++
-				}
-			}
-			c.mu.Unlock()
-			if s == nil {
-				break
-			}
-			res, err := experiments.RunPointForked(job.ctx, s.point, nil)
-			if err != nil {
-				c.settle(s.id, nil, err.Error())
-			} else {
-				c.settle(s.id, &res, "")
-			}
-		}
-		select {
-		case <-job.finished:
-			return
-		case <-job.ctx.Done():
-			return
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-}
-
-// settle records one shard outcome. A result is accepted for any shard
-// still outstanding — leased to whoever, or requeued after its worker
-// was presumed dead — because identical points produce identical bytes.
-// Success files the result in the memo (and its durable layer) and fills
-// every attached slot; failure requeues the shard or, once attempts are
-// exhausted, fails every attached job and stores nothing, so a
-// resubmission tries again. An outcome for a shard no longer outstanding
-// (settled, or every job attached to it gone) is a counted no-op: it
-// must not touch merge order, the memo or the counters a second time.
-func (c *Coordinator) settle(id string, res *experiments.PointResult, errStr string) {
-	c.mu.Lock()
-	s := c.leased[id]
-	if s != nil {
-		delete(c.leased, id)
-	} else if s = c.popPendingLocked(func(p *shard) bool { return p.id == id }); s == nil {
-		c.stats.DupCompletes++
-		c.mu.Unlock()
-		return
-	}
-	if errStr != "" && s.attempts+1 < c.cfg.MaxAttempts {
-		c.requeueLocked(s)
-		c.mu.Unlock()
-		c.logf("fleet: shard %s attempt %d failed (%s), requeued", s.id, s.attempts, errStr)
-		return
-	}
-	if errStr != "" {
-		delete(c.inflight, s.key)
-		c.stats.Failed++
-		err := fmt.Errorf("shard %s (%s) failed after %d attempts: %s", s.id, s.point.Label, s.attempts+1, errStr)
-		for _, sl := range s.slots {
-			if sl.job.err == nil { // once per job, however many slots it has here
-				sl.job.err = err
-				c.dropJobLocked(sl.job)
-				close(sl.job.finished)
-			}
-		}
-		c.mu.Unlock()
-		c.logf("fleet: %v", err)
-		return
-	}
-	c.mu.Unlock()
-
-	// Out of both queues, s is this call's alone: another outcome for it
-	// is a no-op. It stays in flight by key while the memo files the
-	// result — a store write, outside c.mu — so a request for the point
-	// meanwhile attaches to it instead of leasing it again.
-	c.cfg.Memo.Put(s.point.Unlabeled(), *res)
-
-	c.mu.Lock()
-	delete(c.inflight, s.key)
-	c.stats.Completed++
-	var filled []slot
-	var finished []*fleetJob
-	for _, sl := range s.slots {
-		if sl.job.err != nil {
-			continue // failed or cancelled while the result was filed
-		}
-		filled = append(filled, sl)
-		sl.job.results[sl.index] = *res
-		if sl.job.remaining--; sl.job.remaining == 0 {
-			finished = append(finished, sl.job)
-		}
-	}
-	c.mu.Unlock()
-
-	for _, sl := range filled {
-		if sl.job.onDone != nil {
-			sl.job.onDone(sl.index, *res)
-		}
-	}
-	for _, job := range finished {
-		close(job.finished)
-	}
-}
-
-// register adds (or refreshes) a worker.
-func (c *Coordinator) register(id string) {
-	c.mu.Lock()
-	c.workers[id] = c.now()
-	c.mu.Unlock()
-	c.logf("fleet: worker %s registered", id)
-}
-
-// heartbeat refreshes a worker's liveness; false means the worker is
-// unknown (timed out or never registered) and must re-register.
-func (c *Coordinator) heartbeat(id string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, known := c.workers[id]
-	if known {
-		c.workers[id] = c.now()
-	}
-	return known
-}
-
-// leaseLocked counts a poll or completion as a heartbeat and leases the
-// worker the first eligible pending shard, if there is one. known is
-// false for a worker that must re-register. Callers hold c.mu.
-func (c *Coordinator) leaseLocked(workerID string) (lease *Shard, known bool) {
-	if _, ok := c.workers[workerID]; !ok {
-		return nil, false
-	}
-	now := c.now()
-	c.workers[workerID] = now
-	s := c.takeLocked(workerID, func(p *shard) bool { return !p.notBefore.After(now) })
-	if s == nil {
-		return nil, true
-	}
-	c.stats.Dispatched++
-	return &Shard{ID: s.id, Key: s.key, Point: s.point}, true
-}
-
-// poll leases one shard to the worker, holding the request up to
-// PollWait while nothing is eligible. A nil lease is an empty poll.
-func (c *Coordinator) poll(workerID string) (lease *Shard, known bool) {
-	deadline := time.Now().Add(c.cfg.PollWait) // wall time: the wait below is a real timer
+// poll leases one shard to a worker's slot, holding the request up to
+// pollWait while nothing is eligible. A nil lease is an empty poll.
+func (c *Coordinator) poll(h holder) (lease *Shard, known bool) {
+	deadline := time.Now().Add(min(pollWait, c.cfg.HeartbeatTimeout/2))
 	for {
 		c.mu.Lock()
-		lease, known = c.leaseLocked(workerID)
+		lease, known = c.q.lease(h, time.Now())
 		notify := c.notify
 		c.mu.Unlock()
-		if lease != nil || !known {
+		remain := time.Until(deadline)
+		if lease != nil || !known || remain <= 0 {
 			return lease, known
 		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return nil, true
-		}
 		// Backoff'd shards become eligible without a wake; cap the wait.
-		if remain > 25*time.Millisecond {
-			remain = 25 * time.Millisecond
-		}
 		select {
 		case <-notify:
-		case <-time.After(remain):
+		case <-time.After(min(remain, 25*time.Millisecond)):
 		case <-c.done:
 			return nil, true
 		}
 	}
 }
 
-// complete settles one shard outcome and answers with the slot's next
-// lease: the slot that just finished is by definition free, so the
-// round-trip that delivers a result also fetches the next point. The
-// request is validated before any state changes — a rejected body must
-// leave its shard leased, to be requeued when the worker times out.
-func (c *Coordinator) complete(req CompleteRequest) (*Shard, error) {
-	if req.Error == "" && req.Result == nil {
-		return nil, fmt.Errorf("complete for %s carries neither result nor error", req.Shard)
-	}
-	c.settle(req.Shard, req.Result, req.Error)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	next, _ := c.leaseLocked(req.Worker)
-	return next, nil
+// complete settles one outcome and answers with the slot's next lease.
+func (c *Coordinator) complete(req CompleteRequest) (next *Shard, err error) {
+	c.do(func(now time.Time) (eff effects) {
+		next, eff, err = c.q.complete(req, now)
+		return eff
+	})
+	return next, err
 }
 
 // Mount registers the fleet's REST surface on mux.
 func (c *Coordinator) Mount(mux *http.ServeMux) {
-	mux.HandleFunc("/v1/fleet/register", c.handleRegister)
-	mux.HandleFunc("/v1/fleet/heartbeat", c.handleHeartbeat)
-	mux.HandleFunc("/v1/fleet/poll", c.handlePoll)
-	mux.HandleFunc("/v1/fleet/complete", c.handleComplete)
+	mux.HandleFunc("/v1/fleet/register", serve(c.handleRegister))
+	mux.HandleFunc("/v1/fleet/heartbeat", serve(c.handleHeartbeat))
+	mux.HandleFunc("/v1/fleet/poll", serve(c.handlePoll))
+	mux.HandleFunc("/v1/fleet/complete", serve(c.handleComplete))
 }
 
 // maxRequestBody bounds a worker's request: a completion is 1-7 KB at
 // quick scale, ~350 KB at paper scale with its metrics series.
 const maxRequestBody = 8 << 20
 
-func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return false
+// errGone answers a worker the coordinator does not know: it must
+// register again.
+var errGone = errors.New("unknown worker; re-register")
+
+// serve decodes a worker's request into a Req and answers with what
+// handle returns, or with its error: 410 for errGone, else 400.
+func serve[Req any](handle func(Req) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if r.Method != http.MethodPost {
+			http.Error(w, "POST required", http.StatusMethodNotAllowed)
+			return
+		}
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil {
+			http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+		resp, err := handle(req)
+		switch {
+		case errors.Is(err, errGone):
+			http.Error(w, err.Error(), http.StatusGone)
+		case err != nil:
+			http.Error(w, err.Error(), http.StatusBadRequest)
+		default:
+			w.Header().Set("Content-Type", "application/json")
+			_ = json.NewEncoder(w).Encode(resp)
+		}
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return false
-	}
-	return true
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+func (c *Coordinator) handleRegister(req RegisterRequest) (any, error) {
+	if req.ID == "" {
+		return nil, errors.New("worker id required")
+	}
+	c.do(func(now time.Time) effects { return c.q.register(req.ID, now) })
+	return RegisterResponse{ID: req.ID, HeartbeatInterval: (c.cfg.HeartbeatTimeout / 3).String()}, nil
 }
 
-func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req RegisterRequest
-	if !decodeInto(w, r, &req) {
-		return
+func (c *Coordinator) handleHeartbeat(req WorkerRequest) (any, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.q.heartbeat(req.Worker, time.Now()) {
+		return nil, errGone
 	}
-	if req.ID == localHolder {
-		http.Error(w, "worker id required", http.StatusBadRequest)
-		return
-	}
-	c.register(req.ID)
-	writeJSON(w, RegisterResponse{
-		ID:                req.ID,
-		HeartbeatInterval: (c.cfg.HeartbeatTimeout / 3).String(),
-	})
+	return struct{}{}, nil
 }
 
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req WorkerRequest
-	if !decodeInto(w, r, &req) {
-		return
-	}
-	if !c.heartbeat(req.Worker) {
-		http.Error(w, "unknown worker; re-register", http.StatusGone)
-		return
-	}
-	writeJSON(w, struct{}{})
-}
-
-func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
-	var req WorkerRequest
-	if !decodeInto(w, r, &req) {
-		return
-	}
-	lease, known := c.poll(req.Worker)
+func (c *Coordinator) handlePoll(req WorkerRequest) (any, error) {
+	lease, known := c.poll(holder{req.Worker, req.Slot})
 	if !known {
-		http.Error(w, "unknown worker; re-register", http.StatusGone)
-		return
+		return nil, errGone
 	}
-	writeJSON(w, LeaseResponse{Shard: lease})
+	return LeaseResponse{Shard: lease}, nil
 }
 
-func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
-	var req CompleteRequest
-	if !decodeInto(w, r, &req) {
-		return
-	}
+func (c *Coordinator) handleComplete(req CompleteRequest) (any, error) {
 	next, err := c.complete(req)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, LeaseResponse{Shard: next})
+	return LeaseResponse{Shard: next}, err
 }

@@ -106,8 +106,6 @@ func (c *memCache) durable() store.Durable[experiments.Point, experiments.PointR
 func testConfig(durable store.Durable[experiments.Point, experiments.PointResult]) Config {
 	return Config{
 		HeartbeatTimeout: 300 * time.Millisecond,
-		PollWait:         50 * time.Millisecond,
-		RetryBackoff:     10 * time.Millisecond,
 		Memo:             experiments.NewPointMemo(durable),
 	}
 }
@@ -210,6 +208,41 @@ func TestLocalFallbackWithZeroWorkers(t *testing.T) {
 	}
 	if st := coord.Stats(); st.LocalRuns == 0 {
 		t.Error("no local runs recorded despite zero workers")
+	}
+}
+
+// TestLocalRunnersAsWideAsGOMAXPROCS: with no live worker the
+// coordinator executes pending shards GOMAXPROCS at a time, not one by
+// one, and counts every one of them as a local run.
+func TestLocalRunnersAsWideAsGOMAXPROCS(t *testing.T) {
+	width := runtime.GOMAXPROCS(0)
+	var pts []experiments.Point
+	for i := 0; i < 2*width; i++ { // some 15 ms each
+		pts = append(pts, experiments.Point{Family: experiments.FamilyLock, Kind: 1, Procs: 4, Iterations: 4096 + 4*i, Label: fmt.Sprintf("wide/%d", i)})
+	}
+	want := baseline(t, pts)
+	coord := NewCoordinator(testConfig(noStore))
+	defer coord.Close()
+	wait := runAsync(t, coord, context.Background(), pts, nil)
+	// The runners start in the critical section that queues the shards,
+	// and none stops before the queue is empty.
+	for submitted, running := false, 0; !submitted; runtime.Gosched() {
+		coord.mu.Lock()
+		submitted, running = coord.q.seq == 1, coord.local
+		coord.mu.Unlock()
+		if submitted && running != width {
+			t.Errorf("%d local runners for %d pending shards, want GOMAXPROCS = %d", running, len(pts), width)
+		}
+	}
+	got, err := wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("local results differ from baseline")
+	}
+	if st := coord.Stats(); st.LocalRuns != uint64(len(pts)) {
+		t.Errorf("%d local runs, want %d", st.LocalRuns, len(pts))
 	}
 }
 
@@ -324,7 +357,8 @@ func TestBadShardFailsJobAfterMaxAttempts(t *testing.T) {
 func TestRunPointsCancellation(t *testing.T) {
 	coord := NewCoordinator(testConfig(noStore))
 	defer coord.Close()
-	// No workers and a paused local fallback window: cancel immediately.
+	// No workers: the local runners take the shards, and the job is
+	// cancelled before either can finish.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := coord.RunPoints(ctx, quickPoints(2), nil)
@@ -373,19 +407,19 @@ func fig11Points() []experiments.Point {
 	return pts
 }
 
-// leaseOne polls until the coordinator leases a shard to the worker.
-func leaseOne(t *testing.T, coord *Coordinator, worker string) Shard {
+// leaseOne polls until the coordinator leases a shard to the slot.
+func leaseOne(t *testing.T, coord *Coordinator, h holder) Shard {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
-		lease, known := coord.poll(worker)
+		lease, known := coord.poll(h)
 		if !known {
-			t.Fatalf("poll: worker %s unknown", worker)
+			t.Fatalf("poll: worker %s unknown", h.worker)
 		}
 		if lease != nil {
 			return *lease
 		}
 	}
-	t.Fatalf("no shard leased to %s", worker)
+	t.Fatalf("no shard leased to %v", h)
 	return Shard{}
 }
 
@@ -423,32 +457,23 @@ func runAsync(t *testing.T, coord *Coordinator, ctx context.Context, pts []exper
 	}
 }
 
-// manualClock is the coordinator clock of the tests that drive timeouts
-// themselves.
-type manualClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *manualClock) Now() time.Time {
+// register announces a worker the test drives by hand.
+func register(c *Coordinator, id string) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *manualClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
+	c.q.register(id, time.Now())
 	c.mu.Unlock()
 }
 
-// newManualCoordinator builds a coordinator on a manual clock with no
-// sweep goroutine: the test advances time and calls reapDead itself.
-func newManualCoordinator(cfg Config) (*Coordinator, *manualClock) {
-	clk := &manualClock{t: time.Unix(1_000_000, 0)}
-	c := newCoordinator(cfg)
-	c.now = clk.Now
-	return c, clk
+// leaseAt leases a shard to h at a time of the test's choosing.
+func leaseAt(t *testing.T, c *Coordinator, h holder, at time.Time) Shard {
+	t.Helper()
+	c.mu.Lock()
+	lease, known := c.q.lease(h, at)
+	c.mu.Unlock()
+	if lease == nil {
+		t.Fatalf("no shard leased to %v at +%s (worker known: %v)", h, time.Until(at).Round(time.Millisecond), known)
+	}
+	return *lease
 }
 
 // TestCompletionCarriesNextLease pins the lease-queue contract: after
@@ -460,10 +485,10 @@ func TestCompletionCarriesNextLease(t *testing.T) {
 	want := baseline(t, pts)
 	coord := NewCoordinator(testConfig(noStore))
 	defer coord.Close()
-	coord.register("w")
+	register(coord, "w")
 	wait := runAsync(t, coord, context.Background(), pts, nil)
 
-	lease := leaseOne(t, coord, "w")
+	lease := leaseOne(t, coord, holder{"w", 0})
 	completions := 0
 	for next := &lease; next != nil; completions++ {
 		var err error
@@ -496,24 +521,26 @@ func TestDuplicateCompletionIsNoOp(t *testing.T) {
 	want := baseline(t, pts)
 	cache := newMemCache()
 	cfg := testConfig(cache.durable())
-	coord, clk := newManualCoordinator(cfg)
+	cfg.HeartbeatTimeout = time.Minute // nobody times out but by the test's clock
+	coord := NewCoordinator(cfg)
 	defer coord.Close()
-	coord.register("orig")
-	coord.register("other")
+	register(coord, "orig")
+	register(coord, "other")
 	wait := runAsync(t, coord, context.Background(), pts, nil)
 
-	held := []Shard{leaseOne(t, coord, "orig"), leaseOne(t, coord, "orig")}
+	held := []Shard{leaseOne(t, coord, holder{"orig", 0}), leaseOne(t, coord, holder{"orig", 1})}
 	// orig goes silent past the timeout; other stays alive.
-	clk.advance(cfg.HeartbeatTimeout + time.Millisecond)
-	if !coord.heartbeat("other") {
-		t.Fatal("heartbeat: other unknown")
-	}
-	coord.reapDead()
+	late := time.Now().Add(cfg.HeartbeatTimeout + time.Millisecond)
+	coord.do(func(time.Time) effects {
+		if !coord.q.heartbeat("other", late) {
+			t.Error("heartbeat: other unknown")
+		}
+		return coord.q.reap(late)
+	})
 	if st := coord.Stats(); st.Reassigned != 2 || st.WorkersLive != 1 {
 		t.Fatalf("after the timeout: %+v, want 2 shards reassigned and 1 live worker", st)
 	}
-	clk.advance(cfg.RetryBackoff)
-	rerun := leaseOne(t, coord, "other")
+	rerun := leaseAt(t, coord, holder{"other", 0}, late.Add(retryBackoff))
 	queued := held[0]
 	if queued.ID == rerun.ID {
 		queued = held[1]
@@ -561,9 +588,9 @@ func TestMalformedCompletionKeepsShardLeased(t *testing.T) {
 	coord.Mount(mux)
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
-	coord.register("w")
+	register(coord, "w")
 	wait := runAsync(t, coord, context.Background(), pts, nil)
-	lease := leaseOne(t, coord, "w")
+	lease := leaseOne(t, coord, holder{"w", 0})
 
 	post := func(req CompleteRequest) int {
 		t.Helper()
@@ -828,17 +855,20 @@ func TestConcurrentJobsLeaseEachKeyOnce(t *testing.T) {
 	}
 }
 
-// attachTwo submits pts as a first job, waits for its shards, then
-// submits them again as a second job that can only attach. The anchor
-// worker never polls: it keeps the local fallback out.
-func attachTwo(t *testing.T, coord *Coordinator, firstCtx context.Context, pts []experiments.Point) (first, second func() ([]experiments.PointResult, error)) {
+// attachTwo builds a coordinator with one hand-driven worker w, live
+// for the whole test, submits pts as a first job, waits for its shards,
+// then submits them again as a second job that can only attach.
+func attachTwo(t *testing.T, firstCtx context.Context, pts []experiments.Point) (coord *Coordinator, first, second func() ([]experiments.PointResult, error)) {
 	t.Helper()
-	coord.register("anchor")
-	coord.register("w")
+	cfg := testConfig(noStore)
+	cfg.HeartbeatTimeout = time.Minute
+	coord = NewCoordinator(cfg)
+	t.Cleanup(coord.Close)
+	register(coord, "w")
 	attached := func() (n int) {
 		coord.mu.Lock()
 		defer coord.mu.Unlock()
-		for _, s := range coord.inflight {
+		for _, s := range coord.q.inflight {
 			n += len(s.slots)
 		}
 		return n
@@ -851,7 +881,7 @@ func attachTwo(t *testing.T, coord *Coordinator, firstCtx context.Context, pts [
 	for attached() < 2*len(pts) {
 		runtime.Gosched()
 	}
-	return first, second
+	return coord, first, second
 }
 
 // TestCancelledOwnerHandsItsShardsOn: the job whose submission created
@@ -861,12 +891,10 @@ func attachTwo(t *testing.T, coord *Coordinator, firstCtx context.Context, pts [
 func TestCancelledOwnerHandsItsShardsOn(t *testing.T) {
 	pts := quickPoints(2)
 	want := baseline(t, pts)
-	coord, _ := newManualCoordinator(testConfig(noStore))
-	defer coord.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	first, second := attachTwo(t, coord, ctx, pts)
-	running := leaseOne(t, coord, "w")
+	coord, first, second := attachTwo(t, ctx, pts)
+	running := leaseOne(t, coord, holder{"w", 0})
 	cancel()
 	if _, err := first(); err != context.Canceled {
 		t.Fatalf("cancelled job: err = %v, want context.Canceled", err)
@@ -895,14 +923,9 @@ func TestCancelledOwnerHandsItsShardsOn(t *testing.T) {
 // and leaves nothing in the memo: the next submission leases it again.
 func TestExhaustedShardFailsEveryAttachedJob(t *testing.T) {
 	pts := quickPoints(1)
-	cfg := testConfig(noStore)
-	cfg.MaxAttempts = 2
-	coord, clk := newManualCoordinator(cfg)
-	defer coord.Close()
-	first, second := attachTwo(t, coord, context.Background(), pts)
-	for attempt := 0; attempt < cfg.MaxAttempts; attempt++ {
-		clk.advance(8 * cfg.RetryBackoff)
-		lease := leaseOne(t, coord, "w")
+	coord, first, second := attachTwo(t, context.Background(), pts)
+	for attempt := 0; attempt < maxAttempts; attempt++ {
+		lease := leaseAt(t, coord, holder{"w", 0}, time.Now().Add(8*retryBackoff)) // past any backoff
 		if _, err := coord.complete(CompleteRequest{Worker: "w", Shard: lease.ID, Error: "injected"}); err != nil {
 			t.Fatal(err)
 		}
@@ -916,7 +939,7 @@ func TestExhaustedShardFailsEveryAttachedJob(t *testing.T) {
 		t.Errorf("stats = %+v, memo holds %d points; want one failed shard and an empty memo", st, coord.cfg.Memo.Checkpoints())
 	}
 	third := runAsync(t, coord, context.Background(), pts, nil)
-	lease := leaseOne(t, coord, "w")
+	lease := leaseOne(t, coord, holder{"w", 0})
 	if _, err := coord.complete(CompleteRequest{Worker: "w", Shard: lease.ID, Result: resultOf(t, lease)}); err != nil {
 		t.Fatal(err)
 	}

@@ -18,36 +18,36 @@ import (
 
 // fuzzRig is a coordinator in mid-sweep for one foreign body to hit: job
 // j1 asks for two points, the first of them twice, so shard j1#0 (two
-// slots, leased to worker w) and shard j1#1 (pending) are outstanding.
-// Worker anchor only heartbeats; the clock never moves.
+// slots, leased to worker w's slot 0) and shard j1#1 (pending) are
+// outstanding. w stays live for the whole body: the heartbeat timeout
+// is a minute.
 type fuzzRig struct {
 	c   *Coordinator
-	job *fleetJob
+	job *job
 }
 
 func newFuzzRig(t *testing.T) *fuzzRig {
 	t.Helper()
-	c, _ := newManualCoordinator(Config{PollWait: time.Nanosecond})
+	c := NewCoordinator(Config{HeartbeatTimeout: time.Minute})
 	t.Cleanup(c.Close)
-	c.register("anchor")
-	c.register("w")
+	register(c, "w")
 	pts := quickPoints(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	wait := runAsync(t, c, ctx, append(pts, pts[0]), nil)
 	t.Cleanup(func() {
 		cancel()
-		wait() // the job's fallback goroutine ends with it
+		wait()
 	})
 	r := &fuzzRig{c: c}
 	for r.job == nil {
 		runtime.Gosched()
 		c.mu.Lock()
-		if len(c.pending) == 2 {
-			r.job = c.pending[0].slots[0].job
+		if len(c.q.pending) == 2 {
+			r.job = c.q.pending[0].slots[0].job
 		}
 		c.mu.Unlock()
 	}
-	if lease := leaseOne(t, c, "w"); lease.ID != "j1#0" {
+	if lease := leaseAt(t, c, holder{"w", 0}, time.Now()); lease.ID != "j1#0" {
 		t.Fatalf("rig leased %s first, want j1#0", lease.ID)
 	}
 	return r
@@ -59,18 +59,18 @@ func (r *fuzzRig) state() string {
 	r.c.mu.Lock()
 	defer r.c.mu.Unlock()
 	var lines []string
-	for i, s := range r.c.pending {
+	for i, s := range r.c.q.pending {
 		lines = append(lines, fmt.Sprintf("pending[%d] %s attempts %d slots %v", i, s.id, s.attempts, s.slots))
 	}
-	for id, s := range r.c.leased {
-		lines = append(lines, fmt.Sprintf("leased %s to %q attempts %d slots %v", id, s.worker, s.attempts, s.slots))
+	for i, s := range r.c.q.leased {
+		lines = append(lines, fmt.Sprintf("leased[%d] %s to %v attempts %d slots %v", i, s.id, s.holder, s.attempts, s.slots))
 	}
-	for key, s := range r.c.inflight {
+	for key, s := range r.c.q.inflight {
 		lines = append(lines, fmt.Sprintf("inflight %s is %s", key, s.id))
 	}
 	slices.Sort(lines)
 	return fmt.Sprintf("%s\nstats %+v\nmemo %d\njob remaining %d err %v results %+v",
-		strings.Join(lines, "\n"), r.c.stats, r.c.cfg.Memo.Checkpoints(), r.job.remaining, r.job.err, r.job.results)
+		strings.Join(lines, "\n"), r.c.q.stats, r.c.cfg.Memo.Checkpoints(), r.job.remaining, r.job.err, r.job.results)
 }
 
 // outstanding counts pending and leased shards and checks the in-flight
@@ -79,9 +79,9 @@ func (r *fuzzRig) outstanding(t *testing.T) int {
 	t.Helper()
 	r.c.mu.Lock()
 	defer r.c.mu.Unlock()
-	n := len(r.c.pending) + len(r.c.leased)
-	if len(r.c.inflight) != n {
-		t.Fatalf("%d keys in flight for %d outstanding shards", len(r.c.inflight), n)
+	n := len(r.c.q.pending) + len(r.c.q.leased)
+	if len(r.c.q.inflight) != n {
+		t.Fatalf("%d keys in flight for %d outstanding shards", len(r.c.q.inflight), n)
 	}
 	return n
 }
@@ -90,7 +90,7 @@ func (r *fuzzRig) outstanding(t *testing.T) int {
 func (r *fuzzRig) counters() Stats {
 	r.c.mu.Lock()
 	defer r.c.mu.Unlock()
-	return r.c.stats
+	return r.c.q.stats
 }
 
 func post(h http.HandlerFunc, path string, body []byte) int {
@@ -117,7 +117,7 @@ func FuzzCompleteBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		r := newFuzzRig(t)
 		before, was, st0 := r.state(), r.outstanding(t), r.counters()
-		code := post(r.c.handleComplete, "/v1/fleet/complete", body)
+		code := post(serve(r.c.handleComplete), "/v1/fleet/complete", body)
 		st := r.counters()
 		switch {
 		case code >= 400 && code < 500:
@@ -145,7 +145,7 @@ func FuzzPollBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		r := newFuzzRig(t)
 		before, was, st0 := r.state(), r.outstanding(t), r.counters()
-		code := post(r.c.handlePoll, "/v1/fleet/poll", body)
+		code := post(serve(r.c.handlePoll), "/v1/fleet/poll", body)
 		st := r.counters()
 		switch {
 		case code >= 400 && code < 500:
@@ -170,7 +170,7 @@ func TestOversizedBodyRefused(t *testing.T) {
 	r := newFuzzRig(t)
 	before := r.state()
 	body := []byte(`{"worker":"w","shard":"j1#0","error":"` + strings.Repeat("x", maxRequestBody) + `"}`)
-	if code := post(r.c.handleComplete, "/v1/fleet/complete", body); code != http.StatusBadRequest {
+	if code := post(serve(r.c.handleComplete), "/v1/fleet/complete", body); code != http.StatusBadRequest {
 		t.Fatalf("oversized completion HTTP %d, want 400", code)
 	}
 	if after := r.state(); after != before {

@@ -3,21 +3,25 @@
 // The fabric is coordinator-centric and pull-based: workers own no
 // listener and initiate every exchange over the coordinator's existing
 // REST surface (POST /v1/fleet/*). The coordinator is a plain lease
-// queue: one FIFO of pending shards — each one distinct serializable
-// experiments.Point — and a map of running leases. A worker registers
-// and runs one loop per execution slot: long-poll for one shard, execute
-// it with experiments.RunPointForked, post the result — and the response
-// to that completion carries the slot's next shard when one is eligible,
-// so a busy fleet costs one HTTP request per distinct point and a leased
-// shard is always a running shard.
+// queue — one FIFO of pending shards, each one distinct serializable
+// experiments.Point, and the running leases, each held by one execution
+// slot of one worker — kept by a clock-free state machine (queue.go)
+// behind a thin shell that owns the lock, the handlers and the timers.
+// A worker registers and runs one loop per slot: long-poll for one
+// shard, execute it with experiments.RunPointForked, post the result —
+// and the response to that completion carries the slot's next shard
+// when one is eligible, so a busy fleet costs one HTTP request per
+// distinct point and a leased shard is always a running shard.
 // Nothing is leased ahead of execution, so a fast worker simply comes
 // back for more sooner than a slow one and there is no unstarted tail
 // to rebalance. The coordinator heartbeat-times-out dead workers,
-// requeues their shards with bounded backoff, and assembles results
-// strictly in submission order, so a document produced by any number of
-// workers under any failure interleaving is byte-identical to the
-// single-process one (the simulator is deterministic; assembly order is
-// the only degree of freedom, and it is pinned).
+// requeues their shards with bounded backoff, hands a slot back a lease
+// whose response was lost, runs shards itself (GOMAXPROCS at a time)
+// while no worker is live, and assembles results strictly in submission
+// order, so a document produced by any number of workers under any
+// failure interleaving is byte-identical to the single-process one (the
+// simulator is deterministic; assembly order is the only degree of
+// freedom, and it is pinned).
 //
 // Because a Point's content hash fully addresses its result, the
 // coordinator owns reuse for the whole fleet: a point is answered from
@@ -48,6 +52,7 @@ type RegisterResponse struct {
 // the request until a shard is eligible or its poll window lapses).
 type WorkerRequest struct {
 	Worker string `json:"worker"`
+	Slot   int    `json:"slot,omitempty"` // the polling execution slot
 }
 
 // Shard is one leased unit of work.
@@ -68,6 +73,7 @@ type LeaseResponse struct {
 // Error is set. It is answered with a LeaseResponse.
 type CompleteRequest struct {
 	Worker string                   `json:"worker"`
+	Slot   int                      `json:"slot,omitempty"`
 	Shard  string                   `json:"shard"`
 	Result *experiments.PointResult `json:"result,omitempty"`
 	Error  string                   `json:"error,omitempty"`

@@ -165,7 +165,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	for i := 0; i < w.cfg.Parallel; i++ {
 		go func() {
 			defer wg.Done()
-			w.slotLoop(ctx)
+			w.slotLoop(ctx, i)
 		}()
 	}
 	wg.Wait()
@@ -176,33 +176,26 @@ func (w *Worker) Run(ctx context.Context) error {
 // the result, and go on executing whatever lease each completion
 // response carries; only an empty response sends the slot back to
 // polling. The slot never holds a shard it is not executing.
-func (w *Worker) slotLoop(ctx context.Context) {
+func (w *Worker) slotLoop(ctx context.Context, slot int) {
 	for ctx.Err() == nil {
-		for s := w.poll(ctx); s != nil; {
-			s = w.complete(ctx, w.execute(ctx, *s))
+		for s := w.poll(ctx, slot); s != nil; {
+			s = w.complete(ctx, w.execute(ctx, slot, *s))
 		}
 	}
 }
 
-// poll long-polls for one shard. Nil is an empty poll, or a failure it
-// has already backed off from; either way the slot polls again.
-func (w *Worker) poll(ctx context.Context) *Shard {
+// poll long-polls for one shard, retrying (and re-registering after a
+// 410) until the coordinator answers or ctx ends. Nil is an empty poll.
+func (w *Worker) poll(ctx context.Context, slot int) *Shard {
 	var resp LeaseResponse
-	code, err := w.post(ctx, "/v1/fleet/poll", WorkerRequest{Worker: w.cfg.ID}, &resp)
-	switch {
-	case err == nil:
-		return resp.Shard
-	case ctx.Err() != nil:
-	case code == http.StatusGone:
-		_, _ = w.register(ctx) // fails only when ctx ends
-	default:
-		w.logf("fleet worker %s: poll failed: %v", w.cfg.ID, err)
-		select {
-		case <-ctx.Done():
-		case <-time.After(500 * time.Millisecond):
+	_ = w.retry(ctx, "poll", func() error {
+		code, err := w.post(ctx, "/v1/fleet/poll", WorkerRequest{Worker: w.cfg.ID, Slot: slot}, &resp)
+		if code == http.StatusGone {
+			_, _ = w.register(ctx) // fails only when ctx ends
 		}
-	}
-	return nil
+		return err
+	}) // fails only when ctx ends, and then the slot exits
+	return resp.Shard
 }
 
 // complete delivers one shard outcome and returns the next lease the
@@ -222,8 +215,8 @@ func (w *Worker) complete(ctx context.Context, out CompleteRequest) *Shard {
 
 // execute simulates one shard, always to the end: if ctx ends meanwhile
 // the worker is stopping, and complete posts nothing under a dead ctx.
-func (w *Worker) execute(ctx context.Context, s Shard) CompleteRequest {
-	out := CompleteRequest{Worker: w.cfg.ID, Shard: s.ID}
+func (w *Worker) execute(ctx context.Context, slot int, s Shard) CompleteRequest {
+	out := CompleteRequest{Worker: w.cfg.ID, Slot: slot, Shard: s.ID}
 	res, err := experiments.RunPointForked(ctx, s.Point, nil)
 	if err != nil {
 		out.Error = err.Error()

@@ -4,12 +4,13 @@ import (
 	"fmt"
 
 	"coherencesim/internal/trace"
+	"coherencesim/internal/walk"
 )
 
 // Violation is one counterexample: the schedule of actions from the
 // initial state to the violating state.
 type Violation struct {
-	Kind   ViolationKind
+	Kind   walk.Kind
 	Detail string
 	Trace  Trace
 }
@@ -31,7 +32,7 @@ type Result struct {
 }
 
 // Explore runs bounded exhaustive reachability from the initial state
-// under cfg: the walk of walk.go over the live protocols (live.go),
+// under cfg: the walk package's search over the live protocols (live.go),
 // which checks the invariants on every distinct state and stops at the
 // first violation, returned with a replayable trace. Because actions
 // always consume either issue budget or a message — and every handler
@@ -44,14 +45,14 @@ func Explore(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	m := newLiveModel(cfg)
-	ws, f, err := walk[*node, action](m, m.root, cfg.MaxStates)
+	ws, f, err := walk.Search(m.model(), m.root, cfg.MaxStates)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Config: cfg, States: ws.states, Transitions: ws.transitions,
-		Quiescent: ws.quiescent, Terminal: ws.terminal, MaxDepth: ws.maxDepth}
+	res := &Result{Config: cfg, States: ws.States, Transitions: ws.Transitions,
+		Quiescent: ws.Quiescent, Terminal: ws.Terminal, MaxDepth: ws.MaxDepth}
 	if f != nil {
-		res.Violations = []*Violation{{Kind: f.kind, Detail: f.why, Trace: traceOf(cfg, f.path)}}
+		res.Violations = []*Violation{{Kind: f.Kind, Detail: f.Why, Trace: traceOf(cfg, f.Path)}}
 	}
 	return res, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"coherencesim/internal/proto"
+	"coherencesim/internal/walk"
 )
 
 func allProtocols() []proto.Protocol { return []proto.Protocol{proto.WI, proto.PU, proto.CU} }
@@ -109,15 +110,15 @@ type seededFault struct {
 	name  string
 	proto proto.Protocol
 	set   func(*Faults)
-	kinds []ViolationKind // acceptable detections
+	kinds []walk.Kind // acceptable detections
 }
 
 var seededFaults = []seededFault{
-	{"skip-inv-ack", proto.WI, func(f *Faults) { f.SkipInvAck = true }, []ViolationKind{VDeadlock}},
-	{"grant-before-acks", proto.WI, func(f *Faults) { f.GrantBeforeAcks = true }, []ViolationKind{VInvariant}},
-	{"skip-drop-notice", proto.CU, func(f *Faults) { f.SkipDropNotice = true }, []ViolationKind{VQuiescent}},
-	{"phantom-retention", proto.PU, func(f *Faults) { f.PhantomRetention = true }, []ViolationKind{VInvariant, VQuiescent}},
-	{"stale-update-value", proto.PU, func(f *Faults) { f.StaleUpdateValue = true }, []ViolationKind{VQuiescent, VInvariant}},
+	{"skip-inv-ack", proto.WI, func(f *Faults) { f.SkipInvAck = true }, []walk.Kind{walk.Deadlock}},
+	{"grant-before-acks", proto.WI, func(f *Faults) { f.GrantBeforeAcks = true }, []walk.Kind{walk.Invariant}},
+	{"skip-drop-notice", proto.CU, func(f *Faults) { f.SkipDropNotice = true }, []walk.Kind{walk.Quiescent}},
+	{"phantom-retention", proto.PU, func(f *Faults) { f.PhantomRetention = true }, []walk.Kind{walk.Invariant, walk.Quiescent}},
+	{"stale-update-value", proto.PU, func(f *Faults) { f.StaleUpdateValue = true }, []walk.Kind{walk.Quiescent, walk.Invariant}},
 }
 
 // config is the configuration the fault is explored under.
@@ -177,7 +178,7 @@ func TestSeededFaultsProduceCounterexamples(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cv != nil && cv.Kind != VInternal {
+			if cv != nil && cv.Kind != walk.Internal {
 				t.Fatalf("faithful model fails the %s schedule too: %v", tc.name, cv)
 			}
 		})
@@ -220,7 +221,7 @@ func TestFaithfulReplayRoundTrip(t *testing.T) {
 	for _, as := range []string{"p9 read b0.w0", "p1 read b1.w0", "9>0", "0>3"} {
 		bad.Actions = []string{as}
 		v, err := Replay(bad)
-		if err != nil || v == nil || v.Kind != VInternal {
+		if err != nil || v == nil || v.Kind != walk.Internal {
 			t.Errorf("action %q: violation %v, err %v; want an internal (guard) violation", as, v, err)
 		}
 	}

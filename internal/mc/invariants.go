@@ -5,6 +5,7 @@ import (
 
 	"coherencesim/internal/cache"
 	"coherencesim/internal/proto"
+	"coherencesim/internal/walk"
 )
 
 // The invariant suite, stratified by when each property must hold:
@@ -19,19 +20,19 @@ import (
 //     no transient residue); and
 //   - deadlock is diagnosed on terminal states (no enabled action) that
 //     still carry unfinished work, livelock on cycles reachable along
-//     the search path (walk.go).
+//     the search path (walk.Search).
 
 // check is the model's verdict on a newly reached state, in one
 // order: the every-state invariants, then, when s is quiescent, the
 // stable-state ones, then, when terminal, the deadlock diagnosis.
-func (m *liveModel) check(s *node, terminal bool) (kind ViolationKind, why string, quiescent bool) {
+func (m *liveModel) check(s *node, terminal bool) (kind walk.Kind, why string, quiescent bool) {
 	m.goTo(s)
 	if why := m.checkEvery(); why != "" {
-		return VInvariant, why, false
+		return walk.Invariant, why, false
 	}
 	if quiescent = m.quiescent(); quiescent {
 		if errs := m.x.CheckCoherence(); len(errs) > 0 {
-			return VQuiescent, errs[0].Error(), true
+			return walk.Quiescent, errs[0].Error(), true
 		}
 	}
 	if terminal {
@@ -41,7 +42,7 @@ func (m *liveModel) check(s *node, terminal bool) (kind ViolationKind, why strin
 		// already refused any residue.
 		for p := 0; p < m.cfg.Procs; p++ {
 			if pr := &m.procs[p]; pr.active {
-				return VDeadlock, fmt.Sprintf("deadlock: p%d's %v never completes", p, pr.kind), quiescent
+				return walk.Deadlock, fmt.Sprintf("deadlock: p%d's %v never completes", p, pr.kind), quiescent
 			}
 		}
 	}

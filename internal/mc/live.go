@@ -5,6 +5,7 @@ import (
 
 	"coherencesim/internal/cache"
 	"coherencesim/internal/proto"
+	"coherencesim/internal/walk"
 )
 
 // The protocols as the walker's model: one live proto.Explorer, the
@@ -60,6 +61,11 @@ type liveModel struct {
 	dumps  [MaxBlocks]proto.BlockDump
 	dumped *node
 	path   []action
+}
+
+// model is m as the walker sees it.
+func (m *liveModel) model() walk.Model[*node, action] {
+	return walk.Model[*node, action]{Enabled: m.enabled, Apply: m.apply, Encode: m.encode, Check: m.check}
 }
 
 func newLiveModel(cfg Config) *liveModel {
@@ -139,7 +145,7 @@ func (m *liveModel) enabled(s *node) []action {
 }
 
 // apply runs a from s, validating its guard first (a replayed trace may
-// name any action). A panic in the protocols is the VInternal verdict,
+// name any action). A panic in the protocols is the walk.Internal verdict,
 // and the explorer is reset.
 func (m *liveModel) apply(s *node, a action) (next *node, why string) {
 	defer func() {

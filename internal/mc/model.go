@@ -25,9 +25,9 @@
 // quiescent-state invariant suite (proto.CheckBlock, the check behind
 // proto.CheckCoherence) whenever no message is in flight.
 //
-// A state is the schedule that reaches it. The walker (walk.go) is
+// A state is the schedule that reaches it. The walker (package walk) is
 // protocol-free: it sees the protocols only through the four methods of
-// its model — enabled, apply, encode and check — which live.go
+// its Model — Enabled, Apply, Encode and Check — which live.go
 // implements over one explorer, resetting it and replaying a schedule
 // whenever the search backtracks. Violations serialize as compact JSON
 // traces (trace.go) that replay deterministically as go test

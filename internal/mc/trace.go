@@ -8,6 +8,7 @@ import (
 
 	"coherencesim/internal/proto"
 	"coherencesim/internal/trace"
+	"coherencesim/internal/walk"
 )
 
 // Trace is a compact, replayable counterexample: the configuration plus
@@ -124,7 +125,7 @@ func (t *Trace) JSON() []byte {
 	return append(raw, '\n')
 }
 
-// Replay re-executes a trace through the walker's replay (walk.go),
+// Replay re-executes a trace through walk.Replay,
 // which validates each guard and re-checks every invariant along the
 // way. It returns the first violation encountered (the regression the
 // trace witnesses), or nil if the schedule completes cleanly — which,
@@ -142,11 +143,11 @@ func Replay(t *Trace) (*Violation, error) {
 		}
 	}
 	m := newLiveModel(cfg)
-	f := replay[*node, action](m, m.root, sched)
+	f := walk.Replay(m.model(), m.root, sched)
 	if f == nil {
 		return nil, nil
 	}
 	prefix := *t
-	prefix.Actions = t.Actions[:len(f.path)]
-	return &Violation{Kind: f.kind, Detail: f.why, Trace: prefix}, nil
+	prefix.Actions = t.Actions[:len(f.Path)]
+	return &Violation{Kind: f.Kind, Detail: f.Why, Trace: prefix}, nil
 }

@@ -474,7 +474,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		write("coherenced_fleet_shards_failed_total", "Shards that exhausted their attempts.", "counter", fs.Failed)
 		write("coherenced_fleet_shard_cache_hits_total", "Points answered from the durable result store instead of a lease.", "counter", fs.CacheHits)
 		write("coherenced_fleet_points_coalesced_total", "Dispatched points answered without a lease of their own: from the point memo, or attached to a shard already outstanding for the same point.", "counter", fs.Coalesced)
-		write("coherenced_fleet_local_runs_total", "Shards executed by the coordinator's local fallback.", "counter", fs.LocalRuns)
+		write("coherenced_fleet_local_runs_total", "Shards the coordinator executed itself, up to GOMAXPROCS at a time, while no fleet worker was live.", "counter", fs.LocalRuns)
 	}
 
 	if s.reloader != nil {
