@@ -4,8 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"coherencesim/internal/runner"
@@ -79,29 +80,17 @@ func (c SchedulerConfig) quotaFor(tenant string) int {
 
 // task is one submitted job's lifetime state.
 type task struct {
-	id        string
-	spec      JobSpec
-	tenant    string
-	submitted time.Time
-	events    *broadcaster
-	done      chan struct{} // closed at terminal state
+	id     string
+	spec   JobSpec
+	tenant string
+	events *broadcaster
+	done   chan struct{} // closed at terminal state
 
-	mu     sync.Mutex
+	mu     *sync.Mutex // the scheduler's lock; it guards the fields below
 	status string
 	errMsg string
 	body   []byte             // marshaled terminal JobStatus document
 	cancel context.CancelFunc // set while running
-}
-
-func newTask(id string, spec JobSpec) *task {
-	return &task{
-		id:        id,
-		spec:      spec,
-		submitted: time.Now(),
-		events:    newBroadcaster(),
-		done:      make(chan struct{}),
-		status:    StatusQueued,
-	}
 }
 
 func isTerminal(status string) bool {
@@ -117,13 +106,10 @@ func (t *task) Status() JobStatus {
 }
 
 // terminalBody returns the marshaled terminal document, or nil while
-// the job is still queued or running.
+// the job is still queued or running (finalize sets both at once).
 func (t *task) terminalBody() []byte {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !isTerminal(t.status) {
-		return nil
-	}
 	return t.body
 }
 
@@ -140,7 +126,7 @@ type jobDoc struct {
 // held so their status stays readable, but only completed ones are
 // written through to st: a deadline or a cancellation describes one
 // submission, not the spec, and must not shadow a later success.
-func newResults(maxBytes int64, st *store.Store) *store.Chain[string, jobDoc] {
+func newResults(maxBytes int64, st docStore) *store.Chain[string, jobDoc] {
 	var durable store.Durable[string, jobDoc]
 	if st != nil {
 		durable.Load = func(id string) (jobDoc, bool) {
@@ -156,6 +142,13 @@ func newResults(maxBytes int64, st *store.Store) *store.Chain[string, jobDoc] {
 	return store.NewChain(maxBytes, func(d jobDoc) int64 { return int64(len(d.body)) }, nil, durable)
 }
 
+// docStore is the result cache's durable layer: the daemon's
+// *store.Store, whose methods treat a nil store as empty.
+type docStore interface {
+	Get(id string) (body []byte, status string, ok bool)
+	Put(id, status string, body []byte) error
+}
+
 // Counters is a point-in-time snapshot of the scheduler's lifetime
 // counters and gauges, rendered by the /metrics endpoint.
 type Counters struct {
@@ -169,41 +162,41 @@ type Counters struct {
 	Failed    uint64
 	Canceled  uint64
 	SimCycles uint64 // simulated cycles served to jobs (simulated or answered from the point memo)
-	Queued    int    // jobs currently waiting in the queues
+	Queued    int    // jobs currently pending
 	Running   int    // jobs currently executing
 }
 
-// Scheduler owns job admission, ordering, execution, and teardown. Two
-// priority classes keep the service responsive: quick-scale jobs are
-// always preferred over paper-scale ones, so a burst of heavy sweeps
-// cannot starve interactive requests.
+// Scheduler owns job admission, ordering, execution, and teardown. Its
+// state is plain data under one mutex: two pending FIFOs of at most
+// QueueDepth jobs each, quick-scale (and single-run) jobs and
+// paper-scale sweeps; the in-flight set and per-tenant counts; the
+// draining flag; the lifetime counters and the transaction-latency
+// histogram. A free worker always takes the oldest quick job before any
+// paper job, so a burst of heavy sweeps cannot starve interactive
+// requests (a running sweep is never preempted). Cancelling a queued job
+// takes it off its list at once, freeing its slot.
 type Scheduler struct {
 	cfg     SchedulerConfig
 	results *store.Chain[string, jobDoc] // terminal documents: memory, then the store
 	exec    ExecFunc
 
-	root context.Context // parent of every job context
+	root context.Context // parent of every job context; cancelled when the scheduler stops
 	stop context.CancelFunc
 
-	quick chan *task // priority class: quick-scale (and single-run) jobs
-	paper chan *task // paper-scale jobs
+	workers sync.WaitGroup
 
-	workerWG sync.WaitGroup // worker goroutines
-	jobWG    sync.WaitGroup // admitted, not-yet-terminal jobs
-
-	mu        sync.Mutex
-	inflight  map[string]*task // id -> queued or running job
-	perTenant map[string]int   // tenant -> in-flight job count
-	draining  bool
-
-	submitted, deduped, cacheHits, storeHits, rejected, quotaHits atomic.Uint64
-	completed, failed, canceled, simCycles                        atomic.Uint64
-	running                                                       atomic.Int64
+	mu           sync.Mutex
+	changed      sync.Cond        // on mu: a job was queued, nothing is in flight, or the scheduler stopped
+	quick, paper []*task          // pending jobs by priority class, oldest first
+	inflight     map[string]*task // id -> pending or running job
+	perTenant    map[string]int   // tenant -> in-flight job count
+	draining     bool
+	cut          bool     // the grace period expired with jobs in flight
+	c            Counters // lifetime counters and the running gauge; Queued is derived
 
 	// Cumulative transaction-latency histogram folded from completed
 	// breakdown jobs, rendered by /metrics. Cache hits do not refold:
 	// the simulation behind them ran (and was counted) exactly once.
-	latMu    sync.Mutex
 	latBkt   [trace.LatencyBucketCount]uint64
 	latSum   uint64
 	latCount uint64
@@ -211,8 +204,19 @@ type Scheduler struct {
 
 // NewScheduler builds and starts a scheduler executing jobs with exec
 // (the Service's memo-bound executor in production; tests substitute
-// stubs).
+// stubs) on cfg.Jobs workers.
 func NewScheduler(cfg SchedulerConfig, exec ExecFunc) *Scheduler {
+	s := newScheduler(cfg, exec)
+	s.workers.Add(s.cfg.Jobs)
+	for range s.cfg.Jobs {
+		go s.worker()
+	}
+	return s
+}
+
+// newScheduler builds a scheduler that starts no goroutine: its jobs
+// run only as its caller takes and finalizes them.
+func newScheduler(cfg SchedulerConfig, exec ExecFunc) *Scheduler {
 	cfg = cfg.withDefaults()
 	root, stop := context.WithCancel(context.Background())
 	s := &Scheduler{
@@ -221,15 +225,10 @@ func NewScheduler(cfg SchedulerConfig, exec ExecFunc) *Scheduler {
 		exec:      exec,
 		root:      root,
 		stop:      stop,
-		quick:     make(chan *task, cfg.QueueDepth),
-		paper:     make(chan *task, cfg.QueueDepth),
 		inflight:  make(map[string]*task),
 		perTenant: make(map[string]int),
 	}
-	s.workerWG.Add(cfg.Jobs)
-	for i := 0; i < cfg.Jobs; i++ {
-		go s.worker()
-	}
+	s.changed.L = &s.mu
 	return s
 }
 
@@ -246,12 +245,12 @@ func (s *Scheduler) Find(id string) (t *task, body []byte, ok bool) {
 }
 
 // queueFor picks the priority class: everything except paper-scale
-// experiment sweeps goes on the quick queue.
-func (s *Scheduler) queueFor(spec JobSpec) chan *task {
+// experiment sweeps goes on the quick list.
+func (s *Scheduler) queueFor(spec JobSpec) *[]*task {
 	if spec.Kind == "experiment" && spec.Scale == "paper" {
-		return s.paper
+		return &s.paper
 	}
-	return s.quick
+	return &s.quick
 }
 
 // Submit admits one canonical spec (callers must Canonicalize first)
@@ -279,7 +278,7 @@ func (s *Scheduler) Submit(spec JobSpec, tenant string) (id string, t *task, cac
 		return id, nil, nil, 0, ErrDraining
 	}
 	if t = s.inflight[id]; t != nil {
-		s.deduped.Add(1)
+		s.c.Deduped++
 		return id, t, nil, Deduped, nil
 	}
 	if !found {
@@ -288,28 +287,27 @@ func (s *Scheduler) Submit(spec JobSpec, tenant string) (id string, t *task, cac
 		doc, found = s.results.Peek(id)
 	}
 	if found && doc.status == StatusDone {
-		s.cacheHits.Add(1)
+		s.c.CacheHits++
 		if loaded {
-			s.storeHits.Add(1)
+			s.c.StoreHits++
 		}
 		return id, nil, doc.body, CacheHit, nil
 	}
 	if q := s.cfg.quotaFor(tenant); q > 0 && s.perTenant[tenant] >= q {
-		s.quotaHits.Add(1)
+		s.c.QuotaHits++
 		return id, nil, nil, 0, ErrQuotaExceeded
 	}
-	t = newTask(id, spec)
-	t.tenant = tenant
-	select {
-	case s.queueFor(spec) <- t:
-	default:
-		s.rejected.Add(1)
+	q := s.queueFor(spec)
+	if len(*q) >= s.cfg.QueueDepth {
+		s.c.Rejected++
 		return id, nil, nil, 0, ErrQueueFull
 	}
+	t = &task{id: id, spec: spec, tenant: tenant, events: newBroadcaster(), done: make(chan struct{}), mu: &s.mu, status: StatusQueued}
+	*q = append(*q, t)
 	s.inflight[id] = t
 	s.perTenant[tenant]++
-	s.jobWG.Add(1)
-	s.submitted.Add(1)
+	s.c.Submitted++
+	s.changed.Broadcast()
 	return id, t, nil, Admitted, nil
 }
 
@@ -318,25 +316,16 @@ func (s *Scheduler) Submit(spec JobSpec, tenant string) (id string, t *task, cac
 // submissions only — jobs already admitted are never evicted, so a
 // reload never drops work.
 func (s *Scheduler) SetQuotas(quota int, quotas map[string]int) {
-	m := make(map[string]int, len(quotas))
-	for k, v := range quotas {
-		m[k] = v
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cfg.TenantQuota = quota
-	s.cfg.TenantQuotas = m
+	s.cfg.TenantQuota, s.cfg.TenantQuotas = quota, maps.Clone(quotas)
 }
 
 // Quotas reports the live tenant admission quotas (copy).
 func (s *Scheduler) Quotas() (int, map[string]int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := make(map[string]int, len(s.cfg.TenantQuotas))
-	for k, v := range s.cfg.TenantQuotas {
-		m[k] = v
-	}
-	return s.cfg.TenantQuota, m
+	return s.cfg.TenantQuota, maps.Clone(s.cfg.TenantQuotas)
 }
 
 // Get returns the queued or running job with this id (see Find).
@@ -347,102 +336,104 @@ func (s *Scheduler) Get(id string) (*task, bool) {
 	return t, ok
 }
 
-// Cancel cancels a queued or running job. It returns false when no
+// Cancel cancels a queued or running job: a queued one leaves its list
+// and is finalized at once, a running one has its context cancelled
+// and is finalized when its executor returns. It returns false when no
 // such job is in flight (it may have already finished).
 func (s *Scheduler) Cancel(id string) (*task, bool) {
-	t, ok := s.Get(id)
-	if !ok {
-		return nil, false
+	s.mu.Lock()
+	t, ok := s.inflight[id]
+	queued := ok && s.unqueue(t)
+	if ok && !queued && t.cancel != nil {
+		t.cancel()
 	}
-	t.mu.Lock()
-	if t.status == StatusQueued {
-		t.mu.Unlock()
-		// Finalize immediately; the worker that later drains the queue
-		// entry sees the terminal state and skips it.
+	s.mu.Unlock()
+	if queued {
 		s.finalize(t, nil, context.Canceled)
-		return t, true
 	}
-	cancel := t.cancel
-	t.mu.Unlock()
-	if cancel != nil {
-		cancel()
+	return t, ok
+}
+
+// unqueue takes t off its pending list; false when t is not on it.
+// Called with s.mu held.
+func (s *Scheduler) unqueue(t *task) bool {
+	q := s.queueFor(t.spec)
+	i := slices.Index(*q, t)
+	if i >= 0 {
+		*q = slices.Delete(*q, i, i+1)
 	}
-	return t, true
+	return i >= 0
 }
 
 // RetryAfter estimates (in whole seconds, >= 1) when a rejected client
-// should retry, scaled by the current queue depth.
+// should retry, scaled by the number of pending jobs.
 func (s *Scheduler) RetryAfter() int {
-	depth := len(s.quick) + len(s.paper)
-	if depth < 1 {
-		return 1
-	}
-	return depth
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return max(1, len(s.quick)+len(s.paper))
 }
 
-// Counters snapshots the scheduler's lifetime counters.
+// Counters snapshots the scheduler's lifetime counters and gauges.
 func (s *Scheduler) Counters() Counters {
-	return Counters{
-		Submitted: s.submitted.Load(),
-		Deduped:   s.deduped.Load(),
-		CacheHits: s.cacheHits.Load(),
-		StoreHits: s.storeHits.Load(),
-		Rejected:  s.rejected.Load(),
-		QuotaHits: s.quotaHits.Load(),
-		Completed: s.completed.Load(),
-		Failed:    s.failed.Load(),
-		Canceled:  s.canceled.Load(),
-		SimCycles: s.simCycles.Load(),
-		Queued:    len(s.quick) + len(s.paper),
-		Running:   int(s.running.Load()),
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c := s.c
+	c.Queued = len(s.quick) + len(s.paper)
+	return c
 }
 
-// worker executes jobs, always draining the quick queue before taking
-// paper-scale work.
+// worker runs jobs until the scheduler stops.
 func (s *Scheduler) worker() {
-	defer s.workerWG.Done()
-	for {
-		select {
-		case t := <-s.quick:
-			s.run(t)
-		default:
-			select {
-			case t := <-s.quick:
-				s.run(t)
-			case t := <-s.paper:
-				s.run(t)
-			case <-s.root.Done():
-				return
-			}
+	defer s.workers.Done()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.root.Err() == nil {
+		t, ctx := s.take()
+		if t == nil {
+			s.changed.Wait()
+			continue
 		}
+		s.mu.Unlock()
+		s.run(ctx, t)
+		s.mu.Lock()
 	}
 }
 
-// run executes one dequeued job under its own cancellable (and
-// optionally deadlined) context.
-func (s *Scheduler) run(t *task) {
-	t.mu.Lock()
-	if t.status != StatusQueued {
-		// Cancelled while queued; already finalized.
-		t.mu.Unlock()
-		return
+// take starts the oldest pending quick job, else the oldest paper job,
+// under its own cancellable (and optionally deadlined) context. It
+// returns nil when nothing is pending or the scheduler has stopped.
+// Called with s.mu held.
+func (s *Scheduler) take() (*task, context.Context) {
+	q := &s.quick
+	if len(*q) == 0 {
+		q = &s.paper
 	}
-	ctx, cancel := context.WithCancel(s.root)
-	if t.spec.TimeoutSec > 0 {
-		ctx, cancel = context.WithTimeout(s.root, time.Duration(t.spec.TimeoutSec)*time.Second)
+	if len(*q) == 0 || s.root.Err() != nil {
+		return nil, nil
+	}
+	t := (*q)[0]
+	*q = slices.Delete(*q, 0, 1)
+	var ctx context.Context
+	if d := time.Duration(t.spec.TimeoutSec) * time.Second; d > 0 {
+		ctx, t.cancel = context.WithTimeout(s.root, d)
+	} else {
+		ctx, t.cancel = context.WithCancel(s.root)
 	}
 	t.status = StatusRunning
-	t.cancel = cancel
-	t.mu.Unlock()
-	s.running.Add(1)
-	t.events.publish(Event{Type: "status", Data: t.Status()})
+	s.c.Running++
+	return t, ctx
+}
 
+// run executes one taken job and finalizes it.
+func (s *Scheduler) run(ctx context.Context, t *task) {
+	t.events.publish(Event{Type: "status", Data: t.Status()})
 	// The progress hook runs serially under the job pool's lock, so the
 	// previous-cycles accumulator needs no further synchronization.
 	var prevCycles uint64
 	progress := func(sn runner.Snapshot) {
-		s.simCycles.Add(sn.SimCycles - prevCycles)
+		s.mu.Lock()
+		s.c.SimCycles += sn.SimCycles - prevCycles
+		s.mu.Unlock()
 		prevCycles = sn.SimCycles
 		t.events.publish(Event{Type: "progress", Data: ProgressEvent{
 			JobsDone:  sn.JobsDone,
@@ -453,14 +444,14 @@ func (s *Scheduler) run(t *task) {
 		}})
 	}
 	res, err := s.exec(ctx, t.spec, s.cfg.SimWorkers, progress)
-	cancel()
-	s.running.Add(-1)
 	s.finalize(t, res, err)
 }
 
-// finalize moves a job to its terminal state exactly once: builds and
-// stores the immutable terminal document, updates counters, releases
-// waiters, and removes the job from the in-flight set.
+// finalize moves a job to its terminal state. Its caller owns the job
+// — it took it off a pending list, or ran it — so every job is
+// finalized exactly once. It files the immutable terminal document in
+// the result cache, then updates the counters and removes the job from
+// the in-flight set, and releases its waiters.
 func (s *Scheduler) finalize(t *task, res *JobResult, err error) {
 	status, msg := StatusDone, ""
 	var raw json.RawMessage
@@ -486,49 +477,45 @@ func (s *Scheduler) finalize(t *task, res *JobResult, err error) {
 		status = StatusFailed
 		body, _ = json.Marshal(doc)
 	}
+	// Filed (and written through, outside the lock) before the job
+	// leaves inflight, so Submit finds one or the other.
+	s.results.Put(t.id, jobDoc{status, body})
 
-	t.mu.Lock()
-	if isTerminal(t.status) {
-		// Lost a finalize race (e.g. two concurrent cancels).
-		t.mu.Unlock()
-		return
+	s.mu.Lock()
+	if t.cancel != nil {
+		t.cancel()
+		s.c.Running--
 	}
-	t.status = status
-	t.errMsg = doc.Error
-	t.body = body
-	t.cancel = nil
-	t.mu.Unlock()
-
+	t.status, t.errMsg, t.body, t.cancel = status, doc.Error, body, nil
 	switch status {
 	case StatusDone:
-		s.completed.Add(1)
+		s.c.Completed++
 		if res != nil && res.Breakdown != nil {
 			s.foldLatency(res.Breakdown)
 		}
 	case StatusFailed:
-		s.failed.Add(1)
+		s.c.Failed++
 	case StatusCanceled:
-		s.canceled.Add(1)
+		s.c.Canceled++
 	}
-	s.results.Put(t.id, jobDoc{status, body})
-	s.mu.Lock()
 	delete(s.inflight, t.id)
 	if s.perTenant[t.tenant] > 1 {
 		s.perTenant[t.tenant]--
 	} else {
 		delete(s.perTenant, t.tenant)
 	}
+	if len(s.inflight) == 0 {
+		s.changed.Broadcast()
+	}
 	s.mu.Unlock()
 	t.events.close()
 	close(t.done)
-	s.jobWG.Done()
 }
 
 // foldLatency accumulates a completed job's per-run transaction-latency
-// histograms into the scheduler's cumulative histogram.
+// histograms into the scheduler's cumulative histogram. Called with
+// s.mu held.
 func (s *Scheduler) foldLatency(rep *trace.BreakdownReport) {
-	s.latMu.Lock()
-	defer s.latMu.Unlock()
 	for _, run := range rep.Runs {
 		if run.Breakdown == nil {
 			continue
@@ -547,53 +534,52 @@ func (s *Scheduler) foldLatency(rep *trace.BreakdownReport) {
 // TxnLatency snapshots the cumulative transaction-latency histogram
 // (non-cumulative per-bucket counts, indexed like trace.BucketEdges).
 func (s *Scheduler) TxnLatency() (bkt [trace.LatencyBucketCount]uint64, sum, count uint64) {
-	s.latMu.Lock()
-	defer s.latMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.latBkt, s.latSum, s.latCount
 }
 
-// Drain is the SIGTERM path: stop admitting, give in-flight jobs grace
-// to finish, then cancel whatever remains and stop the workers. Safe to
-// call once; returns true when every job finished within the grace
-// period (false means stragglers were cancelled).
+// Drain is the SIGTERM path, in three steps: stop admitting
+// (beginDrain); give the jobs in flight grace to finish; on expiry,
+// cancel the running jobs and finalize the pending ones as cancelled
+// (expire). It returns once nothing is in flight and the workers have
+// stopped: true when every job finished within the grace period, false
+// when stragglers were cancelled.
 func (s *Scheduler) Drain(grace time.Duration) bool {
+	s.beginDrain()
+	timer := time.AfterFunc(grace, s.expire)
 	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
-
-	finished := make(chan struct{})
-	go func() {
-		s.jobWG.Wait()
-		close(finished)
-	}()
-	clean := true
-	timer := time.NewTimer(grace)
-	defer timer.Stop()
-	select {
-	case <-finished:
-	case <-timer.C:
-		clean = false
-		s.stop()
-		s.sweepQueues()
-		<-finished
+	for len(s.inflight) > 0 {
+		s.changed.Wait()
 	}
+	timer.Stop()
+	clean := !s.cut
 	s.stop()
-	s.workerWG.Wait()
+	s.changed.Broadcast()
+	s.mu.Unlock()
+	s.workers.Wait()
 	return clean
 }
 
-// sweepQueues finalizes still-queued jobs as cancelled once the root
-// context is stopped, so Drain never waits on work no worker will take.
-func (s *Scheduler) sweepQueues() {
-	for {
-		select {
-		case t := <-s.quick:
-			s.finalize(t, nil, context.Canceled)
-		case t := <-s.paper:
-			s.finalize(t, nil, context.Canceled)
-		default:
-			return
-		}
+// beginDrain stops admitting: every later Submit gets ErrDraining.
+func (s *Scheduler) beginDrain() {
+	s.mu.Lock()
+	s.draining = true
+	s.mu.Unlock()
+}
+
+// expire ends the grace period: it stops the scheduler, which cancels
+// every running job's context and lets no job start, and finalizes every
+// pending job as cancelled.
+func (s *Scheduler) expire() {
+	s.mu.Lock()
+	pending := slices.Concat(s.quick, s.paper)
+	s.quick, s.paper = nil, nil
+	s.cut = len(s.inflight) > 0
+	s.stop()
+	s.mu.Unlock()
+	for _, t := range pending {
+		s.finalize(t, nil, context.Canceled)
 	}
 }
 

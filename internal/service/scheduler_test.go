@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -318,5 +320,89 @@ func TestDrainCancelsStragglers(t *testing.T) {
 		if st := tk.Status().Status; st != StatusCanceled {
 			t.Errorf("straggler status = %s, want canceled", st)
 		}
+	}
+}
+
+// TestCancelledQueuedJobFreesItsSlot: with one execution slot and a
+// queue of one per class, cancelling the queued jobs gives their slots
+// back at once. The queued gauge reads 0, Retry-After falls back to 1,
+// and the next submissions are admitted; Retry-After then counts the
+// live pending jobs, not the cancelled ones.
+func TestCancelledQueuedJobFreesItsSlot(t *testing.T) {
+	block := make(chan struct{})
+	defer close(block)
+	ts, svc := newTestServer(t, Config{Jobs: 1, QueueDepth: 1}, stubExec(nil, block))
+	s := svc.Scheduler()
+	post := func(spec string, want int) *http.Response {
+		t.Helper()
+		resp, _ := postJob(t, ts, spec)
+		if resp.StatusCode != want {
+			t.Fatalf("POST %s: HTTP %d, want %d", spec, resp.StatusCode, want)
+		}
+		return resp
+	}
+	post(`{"experiment":"fig8"}`, http.StatusAccepted)
+	waitRunning(t, s, 1)
+	quick, paper := canonical(t, JobSpec{Experiment: "fig11"}), canonical(t, JobSpec{Experiment: "fig8", Scale: "paper"})
+	post(`{"experiment":"fig11"}`, http.StatusAccepted)
+	post(`{"experiment":"fig8","scale":"paper"}`, http.StatusAccepted)
+	for _, spec := range []JobSpec{quick, paper} {
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+Hash(spec), nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("cancel of a queued job: HTTP %d, want 200", resp.StatusCode)
+		}
+	}
+	if q := metricRow(t, ts, "coherenced_jobs_queued"); q != 0 {
+		t.Errorf("coherenced_jobs_queued = %d after cancelling every queued job, want 0", q)
+	}
+	if ra := s.RetryAfter(); ra != 1 {
+		t.Errorf("RetryAfter = %d with nothing queued, want 1", ra)
+	}
+	post(`{"experiment":"fig14"}`, http.StatusAccepted)
+	post(`{"experiment":"fig9","scale":"paper"}`, http.StatusAccepted)
+	if ra := post(`{"experiment":"fig16"}`, http.StatusTooManyRequests).Header.Get("Retry-After"); ra != "2" {
+		t.Errorf("Retry-After = %q with two jobs queued, want 2", ra)
+	}
+	if q := metricRow(t, ts, "coherenced_jobs_queued"); q != 2 {
+		t.Errorf("coherenced_jobs_queued = %d, want 2", q)
+	}
+}
+
+// TestQuickJobsRunAheadOfPaperJobs: with one execution slot busy, a
+// paper job queued before a quick one still starts after it.
+func TestQuickJobsRunAheadOfPaperJobs(t *testing.T) {
+	block := make(chan struct{})
+	var mu sync.Mutex
+	var started []string
+	exec := func(ctx context.Context, spec JobSpec, simWorkers int, progress func(runner.Snapshot)) (*JobResult, error) {
+		mu.Lock()
+		started = append(started, spec.Experiment+"/"+spec.Scale)
+		mu.Unlock()
+		if spec.Experiment == "fig8" && spec.Scale == "quick" {
+			<-block
+		}
+		return &JobResult{}, nil
+	}
+	s := NewScheduler(SchedulerConfig{Jobs: 1}, exec)
+	defer s.Close()
+	for i, spec := range []JobSpec{{Experiment: "fig8"}, {Experiment: "fig8", Scale: "paper"}, {Experiment: "fig11"}} {
+		if _, _, _, _, err := s.Submit(canonical(t, spec), ""); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			waitRunning(t, s, 1) // the blocker holds the slot
+		}
+	}
+	close(block)
+	if !s.Drain(5 * time.Second) {
+		t.Fatal("drain cancelled a job")
+	}
+	if want := []string{"fig8/quick", "fig11/quick", "fig8/paper"}; !slices.Equal(started, want) {
+		t.Errorf("jobs started in the order %v, want %v", started, want)
 	}
 }
