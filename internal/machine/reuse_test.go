@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"coherencesim/internal/proto"
@@ -129,6 +130,69 @@ func TestAcquireRecyclesMachine(t *testing.T) {
 	}
 	sameResult(t, "pooled", fresh, reuseWorkload(m2))
 	m2.Release()
+}
+
+// The free list itself, on shapes no configuration has (procs < 0) and
+// machines that are never reset.
+func testShape(n int) poolKey { return poolKey{procs: -1 - n} }
+
+func TestPoolTakesMostRecentlyReleased(t *testing.T) {
+	k := testShape(0)
+	a, b := &Machine{}, &Machine{}
+	put(k, a)
+	put(k, b)
+	if m := take(k); m != b {
+		t.Fatal("take did not return the most recently released machine")
+	}
+	if m := take(k); m != a {
+		t.Fatal("take did not return the earlier machine second")
+	}
+	if m := take(k); m != nil {
+		t.Fatal("a drained shape returned a machine")
+	}
+}
+
+func TestPoolShapesAreIndependent(t *testing.T) {
+	a := &Machine{}
+	put(testShape(1), a)
+	if m := take(testShape(2)); m != nil {
+		t.Fatal("a machine leaked across shapes")
+	}
+	if m := take(testShape(1)); m != a {
+		t.Fatal("the released machine was lost")
+	}
+}
+
+func TestPoolBoundsIdlePerShape(t *testing.T) {
+	k := testShape(3)
+	for i := 0; i <= idlePerShape; i++ {
+		put(k, &Machine{}) // the last one is over the bound: dropped
+	}
+	n := 0
+	for take(k) != nil {
+		n++
+	}
+	if n != idlePerShape {
+		t.Fatalf("pool held %d idle machines of one shape, bound is %d", n, idlePerShape)
+	}
+}
+
+func TestPoolConcurrentAccess(t *testing.T) {
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(k poolKey) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if m := take(k); m != nil {
+					put(k, m)
+				} else {
+					put(k, &Machine{})
+				}
+			}
+		}(testShape(4 + w%3))
+	}
+	wg.Wait()
 }
 
 // randOp is one operation of a generated program.

@@ -21,13 +21,13 @@ import (
 // whatever the home node sends itself arrive after all mesh traffic.
 func withLocalDelay(d sim.Time) testOpt { return func(c *Config) { c.Mesh.LocalDelay = d } }
 
-// countQueuedAcks makes the next write-through/atomic transaction and the
+// countQueuedAcks makes the next write-through/atomic operation and the
 // next WI acquisition count the ack events that reach their handlers, by
 // seeding the free lists with objects whose cached ack closure counts.
 func countQueuedAcks(s *System, n *int) {
-	tx := &updTx{s: s}
-	tx.ackFn = func() { *n++; tx.ack() }
-	s.txFree = tx
+	u := s.newUpdOp(0, 0, 0)
+	u.ackFn = func() { *n++; u.ack() }
+	u.recycle()
 	op := s.newWiOp(0, 0, 0)
 	op.ackFn = func() { *n++; op.ack() }
 	op.recycle()
@@ -106,7 +106,7 @@ func TestUpdateAcksBookedFenceReleaseTimes(t *testing.T) {
 			if got := released - issued; got != c.release {
 				t.Errorf("fence released %d cycles after issue, want %d", got, c.release)
 			}
-			if got := s.txFree.acks.booked - issued; got != c.booked {
+			if got := s.updOpFree.acks.booked - issued; got != c.booked {
 				t.Errorf("last booked ack arrives %d cycles after issue, want %d", got, c.booked)
 			}
 			if queued != 1 {

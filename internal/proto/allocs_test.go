@@ -60,19 +60,46 @@ func TestWriteAndAtomicSteadyStateZeroAllocs(t *testing.T) {
 			ts := newTest(t, pr, 4)
 			retire := func() {}
 			atDone := func(uint32) {}
+			flDone := func() {}
 			v := uint32(0)
-			iter := func() {
-				v++
-				ts.s.Write(1, 0, v, retire)
-				ts.e.Run()
-				ts.s.Atomic(2, 0, FetchAdd, 1, 0, atDone)
+			// Each input is one write by node 1 and one atomic by node 2
+			// on block 0, each run to quiescence. The miss input flushes
+			// the issuer's copy first, so under PU/CU the write is a
+			// write-allocate miss and the atomic's reply carries the
+			// block.
+			op := func(flush bool, p int, do func()) {
+				if flush {
+					ts.s.FlushBlock(p, 0, flDone)
+					ts.e.Run()
+					if ts.s.Cache(p).Present(0) {
+						t.Fatalf("%v: node %d still caches block 0 after its flush", pr, p)
+					}
+				}
+				do()
 				ts.e.Run()
 			}
-			for i := 0; i < 3; i++ {
-				iter()
+			inputs := []struct {
+				name  string
+				flush bool
+			}{{"hit", false}}
+			if pr != WI {
+				inputs = append(inputs, struct {
+					name  string
+					flush bool
+				}{"miss", true})
 			}
-			if avg := testing.AllocsPerRun(100, iter); avg != 0 {
-				t.Fatalf("%v: write/atomic path allocates %.2f objects/op, want 0", pr, avg)
+			for _, in := range inputs {
+				iter := func() {
+					v++
+					op(in.flush, 1, func() { ts.s.Write(1, 0, v, retire) })
+					op(in.flush, 2, func() { ts.s.Atomic(2, 0, FetchAdd, 1, 0, atDone) })
+				}
+				for i := 0; i < 3; i++ {
+					iter()
+				}
+				if avg := testing.AllocsPerRun(100, iter); avg != 0 {
+					t.Fatalf("%v: %s write/atomic path allocates %.2f objects/op, want 0", pr, in.name, avg)
+				}
 			}
 		})
 	}

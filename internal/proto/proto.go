@@ -246,20 +246,18 @@ type System struct {
 
 	// Free lists of pooled transaction/message objects. Each object
 	// carries its stage continuations built once for its lifetime, so the
-	// steady-state protocol paths allocate nothing: updMsg update
-	// deliveries, wrMsg write-throughs, updTx completion trackers, rdMsg
-	// read misses, atMsg update-protocol atomics, wiOp WI ownership
+	// steady-state protocol paths allocate nothing: updOp PU/CU
+	// write-throughs and atomics (with their ack collection), updMsg
+	// update deliveries, readMsg read misses, wiOp WI ownership
 	// acquisitions, invMsg WI invalidations, noteMsg drop/replacement/
 	// relinquish notices, wbMsg dirty write-backs.
-	updFree  *updMsg
-	wrFree   *wrMsg
-	txFree   *updTx
-	rdFree   *readMsg
-	atFree   *atomMsg
-	wiFree   *wiOp
-	invFree  *invMsg
-	noteFree *noteMsg
-	wbFree   *wbMsg
+	updOpFree *updOp
+	updFree   *updMsg
+	rdFree    *readMsg
+	wiFree    *wiOp
+	invFree   *invMsg
+	noteFree  *noteMsg
+	wbFree    *wbMsg
 }
 
 // sharerList returns the sharers of d other than except, in ascending

@@ -16,7 +16,9 @@ import (
 // except the last one sent, which is the queued event that can complete
 // the transaction (ackFan). The writer's write-buffer entry retires when
 // the home's reply arrives; the acknowledgements drain in the background
-// and are awaited only at release points (release consistency).
+// and are awaited only at release points (release consistency). An
+// atomic is the same home transaction with a read-modify-write in place
+// of the memory write.
 //
 // PU additionally implements the paper's retention optimization: if the
 // home sees an update for a block cached only by the writer, the reply
@@ -29,70 +31,75 @@ import (
 // self-invalidates (the "drop"); the node then asks the home to stop
 // sending it updates.
 
-// updTx tracks one write-through (or atomic) transaction's completion:
-// the home's reply carries the expected acknowledgement count, and
-// sharers acknowledge directly.
-type updTx struct {
+// updOp is one PU/CU write-through or atomic. It carries the operation
+// along its fixed chain — a store's optional write-allocate fetch (miss,
+// fetch), then local, home, locked, wrote, reply — and collects the
+// sharers' acknowledgements, with the stage continuations built once per
+// pooled object, so the per-operation chain does not allocate in steady
+// state. The op lives until the reply and every expected acknowledgement
+// have arrived: check recycles it then, when no in-flight message can
+// still reference it. (A store to a retained-private line never leaves
+// the writer and recycles in local.) Completion callbacks run from
+// copies of its fields, so operations they issue may reuse the op.
+type updOp struct {
 	s        *System
 	p        int
-	expected int
-	got      int
-	acks     ackFan // armed by the home before its multicast
+	word     int
+	expected int    // acks to collect, known once the home multicasts
+	got      int    // acks arrived or booked
+	acks     ackFan // the multicast's mesh-crossing acks
+	block    uint32
+	v        uint32 // store value; an atomic's new value once performed
+	old      uint32 // the value v overwrote at the home
+	op1, op2 uint32 // atomic operands
+	txn      trace.TxnID
+	kind     AtomicKind
+	isAtomic bool
+	needData bool // atomic by a non-sharer: the reply carries the block
 	replied  bool
-	finished bool
-	txn      trace.TxnID // owning transaction (0 = untraced)
-	ackFn    func()      // cached t.ack closure, shared by every ack message
-	next     *updTx      // free list link (see newUpdTx)
+	data     []uint32     // borrowed frame (new-sharer reply), released at reply
+	hdr      Msg          // the request's header
+	retire   func()       // store completion
+	done     func(uint32) // atomic completion
+	next     *updOp
+
+	missFn   func()              // at the home: fetch the block shared
+	fetchFn  func(uint32)        // write-allocate fetch delivered
+	homeFn   func()              // serialize at the directory; also the post-demote re-entry
+	lockedFn func()              // entry free: demote a private owner or perform
+	opFn     func(uint32) uint32 // an atomic's read-modify-write
+	wroteFn  func()              // memory op complete: multicast + reply
+	replyFn  func()              // at the requester: apply, retire
+	ackFn    func()              // one queued sharer acknowledgement
 }
 
-// newUpdTx takes a transaction from the System's free list, or builds
-// one (with its ack closure) on first use. A transaction is recycled by
-// check() the moment it finishes: at that point the reply and every
-// expected acknowledgement have arrived, so no in-flight message can
-// still reference it.
-func newUpdTx(s *System, p int) *updTx {
-	s.addOutstanding(p, 1)
-	t := s.txFree
-	if t == nil {
-		t = &updTx{s: s}
-		t.ackFn = t.ack
+func (s *System) newUpdOp(p int, block uint32, word int) *updOp {
+	op := s.updOpFree
+	if op == nil {
+		op = &updOp{s: s}
+		op.missFn = op.miss
+		op.fetchFn = func(uint32) { op.local() }
+		op.homeFn = op.home
+		op.lockedFn = op.locked
+		op.opFn = func(old uint32) uint32 { return op.kind.apply(old, op.op1, op.op2) }
+		op.wroteFn = op.wrote
+		op.replyFn = op.reply
+		op.ackFn = op.ack
 	} else {
-		s.txFree = t.next
-		t.next = nil
+		s.updOpFree = op.next
+		op.next = nil
 	}
-	t.p = p
-	t.expected = -1
-	t.got = 0
-	t.replied = false
-	t.finished = false
-	t.txn = 0
-	return t
+	op.p, op.block, op.word = p, block, word
+	op.expected, op.got = 0, 0
+	op.isAtomic, op.needData, op.replied = false, false, false
+	op.txn = 0
+	return op
 }
 
-func (t *updTx) ack() {
-	t.got++
-	t.check()
-}
-
-func (t *updTx) reply(expected int) {
-	t.expected = expected
-	t.replied = true
-	t.check()
-}
-
-func (t *updTx) check() {
-	if !t.finished && t.replied && t.got == t.expected {
-		t.finished = true
-		// Final completion is recorded before drain waiters can fire, so
-		// a fence stall released by this transaction attributes to it.
-		if t.s.tr != nil {
-			t.s.tr.AcksDrained(t.txn, t.s.e.Now())
-		}
-		t.txn = 0
-		t.s.completeOutstanding(t.p)
-		t.next = t.s.txFree
-		t.s.txFree = t
-	}
+func (op *updOp) recycle() {
+	op.retire, op.done, op.data = nil, nil, nil
+	op.next = op.s.updOpFree
+	op.s.updOpFree = op
 }
 
 // updWrite drains one write-buffer entry under PU/CU. The caches are
@@ -103,78 +110,56 @@ func (t *updTx) check() {
 func (s *System) updWrite(p int, a cache.Addr, v uint32, retire func()) {
 	block, word := cache.BlockOf(a), cache.WordOf(a)
 	c := s.caches[p]
-	m := s.newWrMsg(p, block, word, v, retire)
+	op := s.newUpdOp(p, block, word)
+	op.v, op.retire = v, retire
 	if c.Lookup(block) == nil {
 		c.CountMiss()
 		s.cl.Miss(p, block, word)
 		s.ctr.WriteMisses++
 		if s.tr != nil {
-			m.txn = s.tr.Begin(p, trace.TxnWriteThrough, block, s.e.Now())
+			op.txn = s.tr.Begin(p, trace.TxnWriteThrough, block, s.e.Now())
 		}
-		s.sendT(m.txn, &Msg{Kind: MsgReadReq, Src: uint8(p), Dst: uint8(s.HomeOf(block)), Block: block, Word: uint8(word)}, szControl, m.missFn)
+		s.sendT(op.txn, &Msg{Kind: MsgReadReq, Src: uint8(p), Dst: uint8(s.HomeOf(block)), Block: block, Word: uint8(word)}, szControl, op.missFn)
 		return
 	}
 	c.CountHit()
-	m.local()
+	op.local()
 }
 
-// wrMsg carries one write-through transaction along its fixed message
-// chain — optional write-allocate fetch, request to the home, directory
-// serialization, memory write, reply to the writer — with the stage
-// continuations built once per pooled object, so the per-write closure
-// chain does not allocate in steady state. The object is recycled when
-// the write completes locally (retention) or when the reply retires it;
-// its fields are copied out (and references cleared) first, so writes
-// triggered from within the completion handler may reuse it.
-type wrMsg struct {
-	s        *System
-	p        int
-	word     int
-	expected int
-	block    uint32
-	v        uint32
-	old      uint32 // the value v overwrote at the home
-	hdr      Msg    // the write-through's header
-	txn      trace.TxnID
-	tx       *updTx
-	retire   func()
-	next     *wrMsg
-	missFn   func()       // miss: fetch the block shared, then continue locally
-	fetchFn  func(uint32) // write-allocate fetch delivered
-	reqFn    func()       // req: serialize at the home directory
-	wroteFn  func()       // wrote: memory write done, multicast + reply
-	replyFn  func()       // reply: apply at writer, retire
-}
-
-func (s *System) newWrMsg(p int, block uint32, word int, v uint32, retire func()) *wrMsg {
-	m := s.wrFree
-	if m == nil {
-		m = &wrMsg{s: s}
-		m.missFn = m.miss
-		m.fetchFn = func(uint32) { m.local() }
-		m.reqFn = m.req
-		m.wroteFn = m.wrote
-		m.replyFn = m.reply
+// updAtomic executes an atomic op at the home memory under PU/CU. The
+// requester becomes (or remains) a sharer of the block: if it does not
+// cache the block, the reply carries the post-operation block data and
+// installs it — so the next processor's atomic on the same word updates
+// this copy, as in the paper's description of fetch_and_add.
+func (s *System) updAtomic(p int, a cache.Addr, kind AtomicKind, op1, op2 uint32, done func(old uint32)) {
+	block, word := cache.BlockOf(a), cache.WordOf(a)
+	c := s.caches[p]
+	op := s.newUpdOp(p, block, word)
+	op.isAtomic = true
+	op.kind, op.op1, op.op2, op.done = kind, op1, op2, done
+	op.needData = c.Lookup(block) == nil
+	if op.needData {
+		c.CountMiss()
+		s.cl.Miss(p, block, word)
 	} else {
-		s.wrFree = m.next
-		m.next = nil
+		c.CountHit()
 	}
-	m.p, m.block, m.word, m.v, m.retire = p, block, word, v, retire
-	m.txn = 0
-	return m
-}
-
-func (m *wrMsg) recycle() {
-	m.tx, m.retire = nil, nil
-	m.next = m.s.wrFree
-	m.s.wrFree = m
+	s.addOutstanding(p, 1)
+	if s.tr != nil {
+		op.txn = s.tr.Begin(p, trace.TxnAtomic, block, s.e.Now())
+	}
+	op.hdr = Msg{Kind: MsgAtomReq, Src: uint8(p), Dst: uint8(s.HomeOf(block)), Block: block, Word: uint8(word)}
+	if op.needData {
+		op.hdr.Aux = 1
+	}
+	s.sendT(op.txn, &op.hdr, szWord, op.homeFn)
 }
 
 // miss runs at the home for a write-allocate miss: fetch the block
 // shared first; the delivered value re-enters the local write-through
 // path at the writer.
-func (m *wrMsg) miss() {
-	m.s.homeRead(m.p, m.block, m.word, m.fetchFn)
+func (op *updOp) miss() {
+	op.s.homeRead(op.p, op.block, op.word, op.fetchFn)
 }
 
 // local issues the write-through for a store whose block is (or was,
@@ -188,9 +173,9 @@ func (m *wrMsg) miss() {
 // and therefore arrives in serialization order) applies the value; until
 // the write-buffer entry retires on that reply, the processor's own
 // loads are satisfied by write-buffer forwarding.
-func (m *wrMsg) local() {
-	s := m.s
-	p, block, word, v := m.p, m.block, m.word, m.v
+func (op *updOp) local() {
+	s := op.s
+	p, block, word, v := op.p, op.block, op.word, op.v
 	c := s.caches[p]
 	s.cl.Reference(p, block, word)
 	if ln := c.Lookup(block); ln != nil {
@@ -199,8 +184,8 @@ func (m *wrMsg) local() {
 			// Retained-private block (PU): the write is entirely local.
 			// (A miss-path transaction that raced into retention ends
 			// here; the common hit never opened one.)
-			retire, txn := m.retire, m.txn
-			m.recycle()
+			retire, txn := op.retire, op.txn
+			op.recycle()
 			ln.Data[word] = v
 			ln.Dirty = true
 			s.cl.GlobalWrite(p, block, word)
@@ -213,36 +198,50 @@ func (m *wrMsg) local() {
 		}
 	}
 	s.ctr.WriteThrough++
-	if s.tr != nil && m.txn == 0 {
-		m.txn = s.tr.Begin(p, trace.TxnWriteThrough, block, s.e.Now())
+	if s.tr != nil && op.txn == 0 {
+		op.txn = s.tr.Begin(p, trace.TxnWriteThrough, block, s.e.Now())
 	}
-	m.tx = newUpdTx(s, p)
-	m.tx.txn = m.txn
-	m.hdr = Msg{Kind: MsgWTReq, Src: uint8(p), Dst: uint8(s.HomeOf(block)), Block: block, Word: uint8(word), Val: v}
-	s.sendT(m.txn, &m.hdr, szWord, m.reqFn)
+	s.addOutstanding(p, 1)
+	op.hdr = Msg{Kind: MsgWTReq, Src: uint8(p), Dst: uint8(s.HomeOf(block)), Block: block, Word: uint8(word), Val: v}
+	s.sendT(op.txn, &op.hdr, szWord, op.homeFn)
 }
 
-// req serializes the write-through at the directory: it waits out a
-// busy entry and demotes a retained-private owner, re-examining all
-// state on each retry (reqFn re-enters here).
-func (m *wrMsg) req() {
-	s := m.s
-	if s.tr != nil {
-		s.tr.HomeArrive(m.txn, s.e.Now()) // set-if-zero: retries keep the first arrival
+// home serializes the operation at the directory, waiting out a busy
+// entry. A post-demote re-entry keeps its original home-arrival time
+// (set-if-zero).
+func (op *updOp) home() {
+	if s := op.s; s.tr != nil {
+		s.tr.HomeArrive(op.txn, s.e.Now())
 	}
-	d := s.entry(m.block)
-	if d.busy {
-		s.whenFree(d, &m.hdr, m.reqFn)
-		return
-	}
+	op.s.whenFree(op.s.entry(op.block), &op.hdr, op.lockedFn)
+}
+
+// locked demotes a retained-private owner (re-entering home afterwards,
+// which re-examines all state) or performs the memory write or the
+// read-modify-write.
+func (op *updOp) locked() {
+	s := op.s
+	d := s.entry(op.block)
 	if d.State == DirOwned {
-		s.demoteOwner(d, m.block, m.p, m.reqFn)
+		s.demoteOwner(d, op.block, op.p, op.homeFn)
 		return
 	}
 	if s.tr != nil {
-		s.tr.DirStart(m.txn, s.e.Now())
+		s.tr.DirStart(op.txn, s.e.Now())
 	}
-	m.old = s.mems[s.HomeOf(m.block)].WriteWord(m.block, m.word, m.v, m.wroteFn)
+	home := s.mems[s.HomeOf(op.block)]
+	if !op.isAtomic {
+		op.old = home.WriteWord(op.block, op.word, op.v, op.wroteFn)
+		return
+	}
+	op.old, op.v = home.AtomicOp(op.block, op.word, op.opFn, op.wroteFn)
+	if op.needData {
+		// A new sharer's block is the image this operation left: another
+		// request the entry dispatched behind it may write memory before
+		// wrote runs.
+		op.data = s.store.BorrowFrame()
+		copy(op.data, home.Block(op.block))
+	}
 }
 
 // demoteOwner fetches a retained-private block back from its owner,
@@ -267,11 +266,13 @@ func (s *System) demoteOwner(d *dirEntry, block uint32, p int, then func()) {
 	})
 }
 
-// wrote applies a write-through at the home once memory has taken the
-// word: update multicast and reply (with PU retention decision).
-func (m *wrMsg) wrote() {
-	s := m.s
-	p, block, word, v, tx := m.p, m.block, m.word, m.v, m.tx
+// wrote runs at the home once memory has performed the operation: the
+// PU retention decision (stores), the update multicast to the other
+// sharers, which arms the ack collection, and the reply — a new
+// sharer's atomic reply carries the whole block.
+func (op *updOp) wrote() {
+	s := op.s
+	p, block, word, v := op.p, op.block, op.word, op.v
 	d := s.entry(block)
 	home := s.HomeOf(block)
 	s.cl.GlobalWrite(p, block, word)
@@ -284,7 +285,7 @@ func (m *wrMsg) wrote() {
 	// line-state change is unobservable except through the protocol
 	// behaving consistently under racing requests from other nodes.
 	// FAULT (explorer only): phantom retention skips the sole-sharer test.
-	if s.cfg.Protocol == PU && !s.cfg.DisableRetention &&
+	if !op.isAtomic && s.cfg.Protocol == PU && !s.cfg.DisableRetention &&
 		(len(others) == 0 || s.ch != nil && s.ch.faults.PhantomRetention) && !d.busy &&
 		d.State == DirShared && d.Has(p) {
 		if ln := s.caches[p].Lookup(block); ln != nil && ln.State == cache.Shared {
@@ -300,48 +301,106 @@ func (m *wrMsg) wrote() {
 		}
 	}
 	s.mUpdFan.Observe(uint64(len(others)))
-	if s.tr != nil && m.txn != 0 && len(others) > 0 {
-		s.tr.Fanout(m.txn, trace.FanUpd, s.e.Now())
+	if s.tr != nil && op.txn != 0 && len(others) > 0 {
+		s.tr.Fanout(op.txn, trace.FanUpd, s.e.Now())
 	}
-	s.multicast(m.txn, tx, others, block, word, v, m.old)
-	m.expected = len(others)
-	s.sendT(m.txn, &Msg{Kind: MsgWTReply, Src: uint8(home), Dst: uint8(p), Block: block, Word: uint8(word), Val: v, Aux: uint8(m.expected)}, szControl, m.replyFn)
+	op.acks = ackFan{left: len(others), kind: MsgUpdAck, block: block}
+	for _, q := range others {
+		s.ctr.UpdatesSent++
+		um := s.newUpdMsg(op)
+		um.h = Msg{Kind: MsgUpd, Src: uint8(home), Dst: uint8(q), Block: block, Word: uint8(word), Aux: uint8(p), Val: v, Val2: op.old}
+		um.sentAt = s.e.Now()
+		s.sendT(op.txn, &um.h, szWord, um.fn)
+	}
+	op.expected = len(others)
+	r := Msg{Kind: MsgWTReply, Src: uint8(home), Dst: uint8(p), Block: block, Word: uint8(word), Val: v, Aux: uint8(op.expected)}
+	size := szControl
+	if op.isAtomic {
+		r.Kind, r.Val, r.Val2, r.Data = MsgAtomReply, op.old, v, op.data
+		size = szWord
+		if op.needData {
+			// The requester becomes a sharer; the reply carries the block.
+			d.Share(p)
+			size = szData
+		}
+	}
+	s.sendT(op.txn, &r, size, op.replyFn)
 }
 
-// reply runs at the writer: it applies the serialized value, accounts
-// the acknowledgement expectation, and retires the write-buffer entry.
-// The transaction's requester-visible retirement is recorded before
-// tx.reply — a zero-ack transaction drains (and may release a fence)
-// synchronously inside that call.
-func (m *wrMsg) reply() {
-	s := m.s
-	p, block, word, v := m.p, m.block, m.word, m.v
-	tx, retire, expected, txn := m.tx, m.retire, m.expected, m.txn
-	m.recycle()
-	// Apply the serialized value to the writer's own copy (see local:
-	// the reply is FIFO-ordered with other writers' update messages on
-	// the home-to-writer channel).
-	if ln := s.caches[p].Lookup(block); ln != nil && ln.State != cache.Exclusive {
-		ln.Data[word] = v
-		s.caches[p].FireWatchers(block)
+// reply runs at the requester: a store applies the serialized value to
+// its own copy (see local: the reply is FIFO-ordered with other writers'
+// update messages on the home-to-writer channel); an atomic installs a
+// fetched block and applies its new value. The requester-visible
+// retirement is recorded before the op counts as replied — with every
+// ack in, it drains (and may release a fence) synchronously in check —
+// and the completion callback runs last.
+func (op *updOp) reply() {
+	s := op.s
+	p, block, word, v := op.p, op.block, op.word, op.v
+	c := s.caches[p]
+	if !op.isAtomic {
+		if ln := c.Lookup(block); ln != nil && ln.State != cache.Exclusive {
+			ln.Data[word] = v
+			c.FireWatchers(block)
+		}
+	} else {
+		if op.data != nil {
+			s.install(p, block, op.data, cache.Shared)
+			s.store.ReleaseFrame(op.data)
+			op.data = nil
+		}
+		if ln := c.Lookup(block); ln != nil {
+			ln.Data[word] = v
+			ln.Counter = 0
+			c.FireWatchers(block)
+		}
+		s.cl.Reference(p, block, word)
 	}
 	if s.tr != nil {
-		s.tr.Retired(txn, s.e.Now())
+		s.tr.Retired(op.txn, s.e.Now())
 	}
-	tx.reply(expected)
-	retire()
+	isAtomic, retire, done, old := op.isAtomic, op.retire, op.done, op.old
+	op.replied = true
+	op.check()
+	if isAtomic {
+		done(old)
+	} else {
+		retire()
+	}
+}
+
+// ack counts one queued sharer acknowledgement.
+func (op *updOp) ack() {
+	op.got++
+	op.check()
+}
+
+// check finishes the op once its reply and every expected ack are in.
+// Final completion is recorded before drain waiters can fire, so a
+// fence stall released by this operation attributes to it; the op
+// recycles after them, so operations they issue cannot reuse it early.
+func (op *updOp) check() {
+	if !op.replied || op.got != op.expected {
+		return
+	}
+	s := op.s
+	if s.tr != nil {
+		s.tr.AcksDrained(op.txn, s.e.Now())
+	}
+	s.completeOutstanding(op.p)
+	op.recycle()
 }
 
 // deliverUpdate applies an update message at sharer q: plain application
 // under PU, counter-gated application or self-invalidation under CU.
 // Every recipient acknowledges to the writer.
-func (s *System) deliverUpdate(q int, block uint32, word int, v uint32, writer int, tx *updTx, sentAt sim.Time) {
+func (s *System) deliverUpdate(q int, block uint32, word int, v uint32, writer int, op *updOp, sentAt sim.Time) {
 	c := s.caches[q]
 	ln := c.Lookup(block)
 	if ln == nil {
 		// Stale sharer: our drop notice / replacement hint is in flight.
 		s.cl.StrayUpdate()
-		s.sendAck(q, tx, sentAt)
+		s.sendAck(q, op, sentAt)
 		return
 	}
 	if ln.State == cache.Exclusive {
@@ -349,7 +408,7 @@ func (s *System) deliverUpdate(q int, block uint32, word int, v uint32, writer i
 		// serialized: the owner's value is newer, so the update is
 		// stale and must not be applied.
 		s.cl.StrayUpdate()
-		s.sendAck(q, tx, sentAt)
+		s.sendAck(q, op, sentAt)
 		return
 	}
 	if s.cfg.Protocol == CU {
@@ -362,48 +421,34 @@ func (s *System) deliverUpdate(q int, block uint32, word int, v uint32, writer i
 		ln.Counter++
 		if ln.Counter >= s.cfg.CUThreshold {
 			if s.tr != nil {
-				s.tr.CacheTouch(q, tx.txn)
+				s.tr.CacheTouch(q, op.txn)
 			}
 			s.cl.DropDelivered(q, block, word)
 			s.cl.LostCopy(q, block, classify.LossDrop)
 			c.Invalidate(block) // wakes spinners, who will re-miss (drop miss)
 			s.ctr.DropNotices++
 			s.sendNote(q, block, false /* drop notice */)
-			s.sendAck(q, tx, sentAt)
+			s.sendAck(q, op, sentAt)
 			return
 		}
 	}
 	if s.tr != nil {
-		s.tr.CacheTouch(q, tx.txn)
+		s.tr.CacheTouch(q, op.txn)
 	}
 	s.cl.UpdateDelivered(q, block, word, writer)
 	c.ApplyUpdate(block, word, v) // wakes spinners
-	s.sendAck(q, tx, sentAt)
+	s.sendAck(q, op, sentAt)
 }
 
-// sendAck sends a sharer acknowledgement to the transaction's writer,
+// sendAck sends a sharer acknowledgement to the operation's requester,
 // closing the per-target fan-out span.
-func (s *System) sendAck(from int, tx *updTx, sentAt sim.Time) {
-	at, queued := s.sendFanAck(&tx.acks, tx.txn, from, tx.p, tx.ackFn)
+func (s *System) sendAck(from int, op *updOp, sentAt sim.Time) {
+	at, queued := s.sendFanAck(&op.acks, op.txn, from, op.p, op.ackFn)
 	if !queued {
-		tx.got++ // tx.ack, minus a check that cannot pass
+		op.got++ // op.ack, minus a check that cannot pass
 	}
-	if s.tr != nil && tx.txn != 0 {
-		s.tr.TargetAck(tx.txn, from, sentAt, at)
-	}
-}
-
-// multicast sends the update of (block, word) to v, which overwrote old,
-// to others on behalf of tx's writer, arming tx's ack collection first.
-func (s *System) multicast(txn trace.TxnID, tx *updTx, others []int, block uint32, word int, v, old uint32) {
-	home := s.HomeOf(block)
-	tx.acks = ackFan{left: len(others), kind: MsgUpdAck, block: block}
-	for _, q := range others {
-		s.ctr.UpdatesSent++
-		um := s.newUpdMsg(tx)
-		um.h = Msg{Kind: MsgUpd, Src: uint8(home), Dst: uint8(q), Block: block, Word: uint8(word), Aux: uint8(tx.p), Val: v, Val2: old}
-		um.sentAt = s.e.Now()
-		s.sendT(txn, &um.h, szWord, um.fn)
+	if s.tr != nil && op.txn != 0 {
+		s.tr.TargetAck(op.txn, from, sentAt, at)
 	}
 }
 
@@ -418,12 +463,12 @@ type updMsg struct {
 	s      *System
 	h      Msg      // the update; its value is what the network delivers
 	sentAt sim.Time // fan-out dispatch time (trace per-target span start)
-	tx     *updTx
+	op     *updOp
 	next   *updMsg
 	fn     func()
 }
 
-func (s *System) newUpdMsg(tx *updTx) *updMsg {
+func (s *System) newUpdMsg(op *updOp) *updMsg {
 	m := s.updFree
 	if m == nil {
 		m = &updMsg{s: s}
@@ -431,181 +476,16 @@ func (s *System) newUpdMsg(tx *updTx) *updMsg {
 	} else {
 		s.updFree = m.next
 	}
-	m.tx = tx
+	m.op = op
 	return m
 }
 
 func (m *updMsg) deliver() {
 	s := m.s
-	h, tx, sentAt := &m.h, m.tx, m.sentAt
+	h, op, sentAt := &m.h, m.op, m.sentAt
 	q, block, word, v, writer := h.Dst, h.Block, h.Word, h.Val, h.Aux
-	m.tx = nil
+	m.op = nil
 	m.next = s.updFree
 	s.updFree = m
-	s.deliverUpdate(int(q), block, int(word), v, int(writer), tx, sentAt)
-}
-
-// updAtomic executes an atomic op at the home memory under PU/CU. The
-// requester becomes (or remains) a sharer of the block: if it does not
-// cache the block, the reply carries the post-operation block data and
-// installs it — so the next processor's atomic on the same word updates
-// this copy, as in the paper's description of fetch_and_add.
-func (s *System) updAtomic(p int, a cache.Addr, kind AtomicKind, op1, op2 uint32, done func(old uint32)) {
-	block, word := cache.BlockOf(a), cache.WordOf(a)
-	c := s.caches[p]
-	needData := c.Lookup(block) == nil
-	if needData {
-		c.CountMiss()
-		s.cl.Miss(p, block, word)
-	} else {
-		c.CountHit()
-	}
-	m := s.newAtomMsg(p, block, word)
-	m.kind, m.op1, m.op2 = kind, op1, op2
-	m.needData = needData
-	m.tx = newUpdTx(s, p)
-	m.done = done
-	if s.tr != nil {
-		m.txn = s.tr.Begin(p, trace.TxnAtomic, block, s.e.Now())
-		m.tx.txn = m.txn
-	}
-	m.hdr = Msg{Kind: MsgAtomReq, Src: uint8(p), Dst: uint8(s.HomeOf(block)), Block: block, Word: uint8(word)}
-	if needData {
-		m.hdr.Aux = 1
-	}
-	s.sendT(m.txn, &m.hdr, szWord, m.homeFn)
-}
-
-// atomMsg carries one update-protocol atomic along its message chain —
-// request to the home, directory serialization (demoting a private owner
-// first), the read-modify-write at memory, update multicast, reply to
-// the requester — with stage continuations built once per pooled object.
-// A block payload for a new sharer travels in a borrowed frame.
-type atomMsg struct {
-	s        *System
-	p        int
-	word     int
-	expected int
-	block    uint32
-	op1, op2 uint32
-	old      uint32
-	newV     uint32
-	txn      trace.TxnID
-	kind     AtomicKind
-	needData bool
-	data     []uint32 // borrowed frame (new-sharer reply), released at reply
-	hdr      Msg      // the request's header
-	tx       *updTx
-	done     func(uint32)
-	next     *atomMsg
-
-	homeFn  func()              // serialize at the directory; also the post-demote re-entry
-	lockFn  func()              // entry free: demote owner or execute
-	opFn    func(uint32) uint32 // the read-modify-write function
-	wroteFn func()              // memory op complete: multicast + reply
-	replyFn func()              // at the requester: install/apply, finish
-}
-
-func (s *System) newAtomMsg(p int, block uint32, word int) *atomMsg {
-	m := s.atFree
-	if m == nil {
-		m = &atomMsg{s: s}
-		m.homeFn = m.home
-		m.lockFn = m.locked
-		m.opFn = func(old uint32) uint32 { return m.kind.apply(old, m.op1, m.op2) }
-		m.wroteFn = m.wrote
-		m.replyFn = m.reply
-	} else {
-		s.atFree = m.next
-		m.next = nil
-	}
-	m.p, m.block, m.word = p, block, word
-	m.txn = 0
-	return m
-}
-
-// home serializes the atomic at the directory. A post-demote re-entry
-// keeps its original home-arrival time (set-if-zero).
-func (m *atomMsg) home() {
-	if s := m.s; s.tr != nil {
-		s.tr.HomeArrive(m.txn, s.e.Now())
-	}
-	m.s.whenFree(m.s.entry(m.block), &m.hdr, m.lockFn)
-}
-
-// locked demotes a private owner (re-entering home afterwards, which
-// re-examines all state) or executes the operation.
-func (m *atomMsg) locked() {
-	s := m.s
-	d := s.entry(m.block)
-	if d.State == DirOwned {
-		s.demoteOwner(d, m.block, m.p, m.homeFn)
-		return
-	}
-	if s.tr != nil {
-		s.tr.DirStart(m.txn, s.e.Now())
-	}
-	home := s.mems[s.HomeOf(m.block)]
-	m.old, m.newV = home.AtomicOp(m.block, m.word, m.opFn, m.wroteFn)
-	if m.needData {
-		// A new sharer's block is the image this operation left: another
-		// request the entry dispatched behind it may write memory before
-		// wrote runs.
-		m.data = s.store.BorrowFrame()
-		copy(m.data, home.Block(m.block))
-	}
-}
-
-// wrote runs once memory has performed the read-modify-write: multicast
-// the new value to the other sharers and reply to the requester (with
-// the whole block when it is a new sharer).
-func (m *atomMsg) wrote() {
-	s := m.s
-	d := s.entry(m.block)
-	home := s.HomeOf(m.block)
-	s.cl.GlobalWrite(m.p, m.block, m.word)
-	others := s.sharerList(d, m.p)
-	s.mUpdFan.Observe(uint64(len(others)))
-	if s.tr != nil && m.txn != 0 && len(others) > 0 {
-		s.tr.Fanout(m.txn, trace.FanUpd, s.e.Now())
-	}
-	s.multicast(m.txn, m.tx, others, m.block, m.word, m.newV, m.old)
-	m.expected = len(others)
-	size := szWord
-	if m.needData {
-		// The requester becomes a sharer; the reply carries the block.
-		d.Share(m.p)
-		size = szData
-	}
-	s.sendT(m.txn, &Msg{Kind: MsgAtomReply, Src: uint8(home), Dst: uint8(m.p), Block: m.block, Word: uint8(m.word),
-		Val: m.old, Val2: m.newV, Aux: uint8(m.expected), Data: m.data}, size, m.replyFn)
-}
-
-// reply runs at the requester: install the block if it was fetched,
-// apply the new value to the cached copy, and finish the transaction.
-// The message recycles before the callbacks run (fields copied first).
-func (m *atomMsg) reply() {
-	s := m.s
-	p, block, word, newV, old := m.p, m.block, m.word, m.newV, m.old
-	data, tx, done, expected, txn := m.data, m.tx, m.done, m.expected, m.txn
-	m.data, m.tx, m.done = nil, nil, nil
-	m.next = s.atFree
-	s.atFree = m
-	if data != nil {
-		s.install(p, block, data, cache.Shared)
-		s.store.ReleaseFrame(data)
-	}
-	if ln := s.caches[p].Lookup(block); ln != nil {
-		ln.Data[word] = newV
-		ln.Counter = 0
-		s.caches[p].FireWatchers(block)
-	}
-	s.cl.Reference(p, block, word)
-	// Retire the span before tx.reply: with zero expected acks the
-	// reply drains synchronously and fires AcksDrained immediately.
-	if s.tr != nil {
-		s.tr.Retired(txn, s.e.Now())
-	}
-	tx.reply(expected)
-	done(old)
+	s.deliverUpdate(int(q), block, int(word), v, int(writer), op, sentAt)
 }

@@ -108,30 +108,46 @@ func TestCUThresholdConfigurable(t *testing.T) {
 }
 
 func TestAckBeforeReplyCompletes(t *testing.T) {
-	// The updTx state machine must complete regardless of ack/reply
-	// arrival order; exercise the accounting directly.
-	s := &System{procs: make([]procState, 1)}
-	tx := newUpdTx(s, 0)
-	if s.procs[0].outstanding != 1 {
-		t.Fatal("outstanding not registered")
+	// An update-protocol operation must finish — outstanding back to 0,
+	// the op back on its free list — in either arrival order of its
+	// reply and its acks; drive the accounting directly.
+	s := newTest(t, PU, 2).s
+	start := func(expected int) *updOp {
+		op := s.newUpdOp(0, 0, 0)
+		op.retire = func() {}
+		s.addOutstanding(0, 1)
+		op.expected = expected // as the home's multicast records it
+		return op
 	}
-	tx.ack() // ack first
-	tx.ack()
-	tx.reply(2) // then the reply saying two acks were expected
+	recycled := func(op *updOp) bool {
+		for o := s.updOpFree; o != nil; o = o.next {
+			if o == op {
+				return true
+			}
+		}
+		return false
+	}
+	op := start(2)
+	op.ack() // acks first
+	op.ack()
+	if s.procs[0].outstanding != 1 || recycled(op) {
+		t.Fatal("finished before the reply")
+	}
+	op.reply() // then the reply
 	if s.procs[0].outstanding != 0 {
 		t.Fatalf("outstanding = %d after acks+reply", s.procs[0].outstanding)
 	}
-	if !tx.finished {
-		t.Fatal("transaction not finished")
+	if !recycled(op) {
+		t.Fatal("op not back on its free list after acks+reply")
 	}
 	// And in reply-first order.
-	tx2 := newUpdTx(s, 0)
-	tx2.reply(1)
-	if tx2.finished {
-		t.Fatal("finished before ack")
+	op2 := start(1)
+	op2.reply()
+	if s.procs[0].outstanding != 1 || recycled(op2) {
+		t.Fatal("finished before the ack")
 	}
-	tx2.ack()
-	if !tx2.finished || s.procs[0].outstanding != 0 {
+	op2.ack()
+	if s.procs[0].outstanding != 0 || !recycled(op2) {
 		t.Fatal("reply-then-ack order broken")
 	}
 }

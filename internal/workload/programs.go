@@ -22,38 +22,42 @@ const (
 	WorkRatio               // P times the hold time (± 10%) of work outside
 )
 
-// program builds the variant's body for iters per-processor iterations:
-// the one table from a lock variant to its program.
+// program builds the variant's body for iters per-processor iterations.
 func (v LockVariant) program(p Params, l constructs.Lock, iters int) Program {
-	switch v {
-	case PlainLock:
-		return &lockLoopProgram{l: l, iters: iters, hold: p.HoldCycles}
-	case RandomPause:
-		return &lockLoopPauseProgram{l: l, iters: iters, hold: p.HoldCycles}
-	case WorkRatio:
-		return &lockLoopRatioProgram{
-			l: l, iters: iters, hold: p.HoldCycles,
-			outside: int64(p.HoldCycles) * int64(p.Procs),
-		}
+	if v < PlainLock || v > WorkRatio {
+		panic("workload: unknown lock variant")
 	}
-	panic("workload: unknown lock variant")
+	return &lockLoopProgram{l: l, iters: iters, hold: p.HoldCycles, variant: v, procs: p.Procs}
 }
 
 // reductionProgram builds the (im)balanced reduction body for iters
 // episodes starting at episode base.
 func reductionProgram(p Params, imbalanced bool, red constructs.Reducer, iters, base int) Program {
-	if imbalanced {
-		return &reductionImbalProgram{red: red, iters: iters, procs: p.Procs, base: base}
-	}
-	return &reductionLoopProgram{red: red, iters: iters, procs: p.Procs, base: base}
+	return &reductionLoopProgram{red: red, iters: iters, procs: p.Procs, base: base, imbalanced: imbalanced}
 }
 
-// lockLoopProgram is LockLoop's body: acquire, hold, release, repeat.
-// Registers: I0 iteration.
+// lockLoopProgram is the lock loops' body: acquire, hold, release, then
+// the variant's pause, repeat. Registers: I0 iteration.
 type lockLoopProgram struct {
-	l     constructs.Lock
-	iters int
-	hold  sim.Time
+	l       constructs.Lock
+	iters   int
+	hold    sim.Time
+	variant LockVariant
+	procs   int
+}
+
+// pause is the work outside the lock after each release: none for
+// PlainLock (no random number drawn), a bounded pseudo-random pause for
+// RandomPause, P times the hold time within ±10% for WorkRatio.
+func (g *lockLoopProgram) pause(p *machine.Proc) sim.Time {
+	switch g.variant {
+	case RandomPause:
+		return sim.Time(p.Rand().Int63n(int64(4*g.hold) + 1))
+	case WorkRatio:
+		outside := int64(g.hold) * int64(g.procs)
+		return sim.Time(outside + p.Rand().Int63n(outside/5+1) - outside/10)
+	}
+	return 0
 }
 
 func (g *lockLoopProgram) Step(p *machine.Proc, f *machine.Frame) machine.OpStatus {
@@ -72,89 +76,16 @@ func (g *lockLoopProgram) Step(p *machine.Proc, f *machine.Frame) machine.OpStat
 			}
 			fallthrough
 		case 2:
+			f.PC = 3
+			return g.l.FRelease(p)
+		case 3:
 			f.I0++
 			f.PC = 0
-			return g.l.FRelease(p)
+			if !p.FCompute(g.pause(p)) {
+				return machine.OpBlocked
+			}
 		default:
 			panic("workload: lockLoopProgram bad pc")
-		}
-	}
-}
-
-// lockLoopPauseProgram is RandomPause's body: a bounded
-// pseudo-random pause follows each release. Registers: I0 iteration.
-type lockLoopPauseProgram struct {
-	l     constructs.Lock
-	iters int
-	hold  sim.Time
-}
-
-func (g *lockLoopPauseProgram) Step(p *machine.Proc, f *machine.Frame) machine.OpStatus {
-	for {
-		switch f.PC {
-		case 0:
-			if f.I0 >= g.iters {
-				return machine.OpDone
-			}
-			f.PC = 1
-			return g.l.FAcquire(p)
-		case 1:
-			f.PC = 2
-			if !p.FCompute(g.hold) {
-				return machine.OpBlocked
-			}
-			fallthrough
-		case 2:
-			f.PC = 3
-			return g.l.FRelease(p)
-		case 3:
-			f.I0++
-			f.PC = 0
-			if !p.FCompute(sim.Time(p.Rand().Int63n(int64(4*g.hold) + 1))) {
-				return machine.OpBlocked
-			}
-		default:
-			panic("workload: lockLoopPauseProgram bad pc")
-		}
-	}
-}
-
-// lockLoopRatioProgram is WorkRatio's body: outside work is P
-// times the hold time, within ±10%. Registers: I0 iteration.
-type lockLoopRatioProgram struct {
-	l       constructs.Lock
-	iters   int
-	hold    sim.Time
-	outside int64
-}
-
-func (g *lockLoopRatioProgram) Step(p *machine.Proc, f *machine.Frame) machine.OpStatus {
-	for {
-		switch f.PC {
-		case 0:
-			if f.I0 >= g.iters {
-				return machine.OpDone
-			}
-			f.PC = 1
-			return g.l.FAcquire(p)
-		case 1:
-			f.PC = 2
-			if !p.FCompute(g.hold) {
-				return machine.OpBlocked
-			}
-			fallthrough
-		case 2:
-			f.PC = 3
-			return g.l.FRelease(p)
-		case 3:
-			f.I0++
-			f.PC = 0
-			jitter := p.Rand().Int63n(g.outside/5+1) - g.outside/10
-			if !p.FCompute(sim.Time(g.outside + jitter)) {
-				return machine.OpBlocked
-			}
-		default:
-			panic("workload: lockLoopRatioProgram bad pc")
 		}
 	}
 }
@@ -174,14 +105,16 @@ func (g *barrierLoopProgram) Step(p *machine.Proc, f *machine.Frame) machine.OpS
 }
 
 // reductionLoopProgram is ReductionLoop's body: reduce, then read the
-// global result. Registers: I0 episode. base offsets the episode index
-// for continuation phases (warm-fork runs), so local values stay
+// global result; when imbalanced, a pseudo-random production delay
+// precedes each episode. Registers: I0 episode. base offsets the episode
+// index for continuation phases (warm-fork runs), so local values stay
 // strictly increasing across the phase boundary.
 type reductionLoopProgram struct {
-	red   constructs.Reducer
-	iters int
-	procs int
-	base  int
+	red        constructs.Reducer
+	iters      int
+	procs      int
+	base       int
+	imbalanced bool
 }
 
 func (g *reductionLoopProgram) Step(p *machine.Proc, f *machine.Frame) machine.OpStatus {
@@ -191,45 +124,19 @@ func (g *reductionLoopProgram) Step(p *machine.Proc, f *machine.Frame) machine.O
 			return machine.OpDone
 		}
 		f.PC = 1
-		return g.red.FReduce(p, localValue(g.base+f.I0, p.ID(), g.procs))
-	case 1: // the figures' "code that uses max"
-		f.I0++
-		f.PC = 0
-		return p.FRead(g.red.ResultAddr())
-	}
-	panic("workload: reductionLoopProgram bad pc")
-}
-
-// reductionImbalProgram is the imbalanced RunReductionLoop's body: a
-// pseudo-random production delay precedes each episode. Registers: I0
-// episode. base offsets the episode index as in reductionLoopProgram.
-type reductionImbalProgram struct {
-	red   constructs.Reducer
-	iters int
-	procs int
-	base  int
-}
-
-func (g *reductionImbalProgram) Step(p *machine.Proc, f *machine.Frame) machine.OpStatus {
-	switch f.PC {
-	case 0:
-		if f.I0 >= g.iters {
-			return machine.OpDone
-		}
-		f.PC = 1
-		if !p.FCompute(sim.Time(p.Rand().Int63n(400) + 1)) {
+		if g.imbalanced && !p.FCompute(sim.Time(p.Rand().Int63n(400)+1)) {
 			return machine.OpBlocked
 		}
 		fallthrough
 	case 1:
 		f.PC = 2
 		return g.red.FReduce(p, localValue(g.base+f.I0, p.ID(), g.procs))
-	case 2:
+	case 2: // the figures' "code that uses max"
 		f.I0++
 		f.PC = 0
 		return p.FRead(g.red.ResultAddr())
 	}
-	panic("workload: reductionImbalProgram bad pc")
+	panic("workload: reductionLoopProgram bad pc")
 }
 
 // privateRewriteProgram is PrivateRewriteLoop's body: every phase each

@@ -99,7 +99,7 @@ func (l *guardLoader) Import(path string) (*types.Package, error) {
 }
 
 // originOf maps a method or field of an instantiated generic type back
-// to its declaration, so a call through runner.Reuse[K, V] counts as a
+// to its declaration, so a call through an instantiation counts as a
 // reference to the method as written.
 func originOf(obj types.Object) types.Object {
 	switch o := obj.(type) {
