@@ -15,9 +15,9 @@ import (
 //     protocol-specific line discipline, data-value containment,
 //     directory structural sanity);
 //   - quiescent invariants hold whenever no message is in flight and no
-//     operation is pending: proto.CheckCoherence, proto.CheckBlock on
-//     each block's picture (copies match memory, sharer sets are exact,
-//     no transient residue); and
+//     operation is pending: proto.CheckBlock on each block's picture
+//     (copies match memory, sharer sets are exact, no transient
+//     residue); and
 //   - deadlock is diagnosed on terminal states (no enabled action) that
 //     still carry unfinished work, livelock on cycles reachable along
 //     the search path (walk.Search).
@@ -31,8 +31,13 @@ func (m *liveModel) check(s *node, terminal bool) (kind walk.Kind, why string, q
 		return walk.Invariant, why, false
 	}
 	if quiescent = m.quiescent(); quiescent {
-		if errs := m.x.CheckCoherence(); len(errs) > 0 {
-			return walk.Quiescent, errs[0].Error(), true
+		// Every block the system knows is one of the configuration's,
+		// and a block it does not know breaks no quiescent invariant, so
+		// this is CheckCoherence's verdict on the pictures already taken.
+		for b := 0; b < m.cfg.Blocks; b++ {
+			if errs := proto.CheckBlock(*m.dump(b)); len(errs) > 0 {
+				return walk.Quiescent, errs[0].Error(), true
+			}
 		}
 	}
 	if terminal {
@@ -55,7 +60,7 @@ func (m *liveModel) checkEvery() string {
 	cfg := m.cfg
 	for b := 0; b < cfg.Blocks; b++ {
 		bd := m.dump(b)
-		d := bd.Dir
+		d := dirOf(bd)
 		var holders, exclusives []int
 		for p := range bd.Lines {
 			ln := &bd.Lines[p]

@@ -250,14 +250,20 @@ func (m *liveModel) legal(block uint32, word int, v uint32) bool {
 func (m *liveModel) dump(b int) *proto.BlockDump {
 	if m.dumped != m.at {
 		for i := 0; i < m.cfg.Blocks; i++ {
-			m.dumps[i] = m.x.DumpBlock(uint32(i))
-			if m.dumps[i].Dir == nil {
-				m.dumps[i].Dir = &proto.DirDump{} // the home never saw the block
-			}
+			m.x.DumpBlock(uint32(i), &m.dumps[i])
 		}
 		m.dumped = m.at
 	}
 	return &m.dumps[b]
+}
+
+// dirOf returns a picture's directory record, a zero one for a block
+// the home never saw.
+func dirOf(bd *proto.BlockDump) proto.DirDump {
+	if bd.Dir == nil {
+		return proto.DirDump{}
+	}
+	return *bd.Dir
 }
 
 // quiescent reports whether no message is in flight and no operation is
@@ -292,7 +298,7 @@ func (m *liveModel) encode(s *node, buf []byte) []byte {
 	}
 	for b := 0; b < cfg.Blocks; b++ {
 		bd := m.dump(b)
-		d := bd.Dir
+		d := dirOf(bd)
 		buf = append(buf, byte(d.State), byte(d.Owner), byte(d.Sharers), flag(d.Busy))
 		buf = m.appendMsgs(buf, m.x.Waiting(uint32(b)))
 		buf = appendWords(buf, bd.Memory, cfg.Words)

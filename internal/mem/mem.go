@@ -50,17 +50,18 @@ type Stats struct {
 // wordsBlock]; the arena grows on demand (the simulated address space is
 // dense — the machine allocator hands out blocks contiguously from 0).
 //
-// The Store also manages a free list of block-sized frames. Frames are
-// the payload buffers of coherence messages and cache installs: a
-// protocol transaction borrows a frame, fills it completely, carries it
-// through the message chain, and the final consumer releases it.
-// Because every borrower overwrites the frame in full before any read,
-// frames are never zeroed on release, and free-list order cannot affect
-// simulated behaviour.
+// The Store also lends block-sized frames. Frames are the payload
+// buffers of coherence messages and cache installs: a protocol
+// transaction borrows a frame, fills it completely, carries it through
+// the message chain, and the final consumer releases it. Reset takes
+// back every frame lent, the ones still in flight too. Because every
+// borrower overwrites the frame in full before any read, frames are
+// never zeroed, and free-list order cannot affect simulated behaviour.
 type Store struct {
 	wordsBlock int
 	words      []uint32
-	frames     [][]uint32
+	frames     [][]uint32 // every frame made, lent or not
+	free       [][]uint32
 }
 
 // NewStore creates an empty arena for blocks of wordsBlock words.
@@ -97,31 +98,35 @@ func (st *Store) ensure(hi int) {
 
 // BorrowFrame returns a block-sized scratch buffer from the free list
 // (allocating only when the list is empty). The caller must overwrite it
-// completely before reading and hand it back with ReleaseFrame.
+// completely before reading and hand it back with ReleaseFrame, or leave
+// it to Reset.
 func (st *Store) BorrowFrame() []uint32 {
-	if n := len(st.frames); n > 0 {
-		f := st.frames[n-1]
-		st.frames[n-1] = nil
-		st.frames = st.frames[:n-1]
+	if n := len(st.free); n > 0 {
+		f := st.free[n-1]
+		st.free = st.free[:n-1]
 		return f
 	}
-	return make([]uint32, st.wordsBlock)
+	f := make([]uint32, st.wordsBlock)
+	st.frames = append(st.frames, f)
+	return f
 }
 
 // ReleaseFrame returns a borrowed frame to the free list. Releasing nil
 // is a no-op so callers need not guard optional payloads.
 func (st *Store) ReleaseFrame(f []uint32) {
 	if f != nil {
-		st.frames = append(st.frames, f)
+		st.free = append(st.free, f)
 	}
 }
 
 // Reset zeroes the words the last run reached and truncates the arena,
-// keeping its capacity and the frame free list for reuse, so a reset
-// costs what the last run touched, not the longest run before it.
+// keeping its capacity, and takes back every frame lent, so a reset
+// costs what the last run touched, not the longest run before it, and
+// a frame a run left in flight serves the next one.
 func (st *Store) Reset() {
 	clear(st.words)
 	st.words = st.words[:0]
+	st.free = append(st.free[:0], st.frames...)
 }
 
 // Module is one node's memory bank: the timing/contention model layered

@@ -180,3 +180,39 @@ func TestPropertyFIFOServiceOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestResetTakesBackLentFrames: Reset takes back every frame lent since
+// the last one, released or still out, exactly once: the next k borrows
+// allocate nothing and hand out k distinct frames of the first round,
+// and the one after them is new.
+func TestResetTakesBackLentFrames(t *testing.T) {
+	const k = 6
+	st := NewStore(DefaultConfig().WordsBlock)
+	lent := map[*uint32]bool{}
+	var round [k][]uint32
+	for i := range round {
+		round[i] = st.BorrowFrame()
+		lent[&round[i][0]] = true
+	}
+	for i := 0; i < k; i += 2 {
+		st.ReleaseFrame(round[i]) // half come back before the reset, half stay out
+	}
+	if a := testing.AllocsPerRun(5, func() {
+		st.Reset()
+		for i := range round {
+			round[i] = st.BorrowFrame()
+		}
+	}); a != 0 {
+		t.Fatalf("borrowing after Reset allocates %.1f objects, want 0", a)
+	}
+	seen := map[*uint32]bool{}
+	for _, f := range round {
+		if !lent[&f[0]] || seen[&f[0]] {
+			t.Fatalf("Reset handed out a frame it never lent or one twice")
+		}
+		seen[&f[0]] = true
+	}
+	if f := st.BorrowFrame(); lent[&f[0]] {
+		t.Fatal("a frame handed out twice after Reset")
+	}
+}

@@ -23,15 +23,18 @@ func withLocalDelay(d sim.Time) testOpt { return func(c *Config) { c.Mesh.LocalD
 
 // countQueuedAcks makes the next write-through/atomic operation and the
 // next WI acquisition count the ack events that reach their handlers, by
-// seeding the free lists with objects whose cached ack closure counts.
+// seeding the pools with objects whose cached ack closure counts.
 func countQueuedAcks(s *System, n *int) {
 	u := s.newUpdOp(0, 0, 0)
 	u.ackFn = func() { *n++; u.ack() }
-	u.recycle()
+	s.updOps.put(u)
 	op := s.newWiOp(0, 0, 0)
 	op.ackFn = func() { *n++; op.ack() }
-	op.recycle()
+	s.wiOps.put(op)
 }
+
+// lastPut returns the object most recently taken back by p.
+func lastPut[T any](p *pool[T]) *T { return p.free[len(p.free)-1] }
 
 func TestUpdateAcksBookedFenceReleaseTimes(t *testing.T) {
 	cases := []struct {
@@ -106,7 +109,7 @@ func TestUpdateAcksBookedFenceReleaseTimes(t *testing.T) {
 			if got := released - issued; got != c.release {
 				t.Errorf("fence released %d cycles after issue, want %d", got, c.release)
 			}
-			if got := s.updOpFree.acks.booked - issued; got != c.booked {
+			if got := lastPut(&s.updOps).acks.booked - issued; got != c.booked {
 				t.Errorf("last booked ack arrives %d cycles after issue, want %d", got, c.booked)
 			}
 			if queued != 1 {
@@ -161,7 +164,7 @@ func TestWIAcksBookedGrantTimes(t *testing.T) {
 			if got := granted - issued; got != c.grant {
 				t.Errorf("ownership granted %d cycles after issue, want %d", got, c.grant)
 			}
-			if got := s.wiFree.acks.booked - issued; got != 26 {
+			if got := lastPut(&s.wiOps).acks.booked - issued; got != 26 {
 				t.Errorf("booked ack arrives %d cycles after issue, want 26", got)
 			}
 			if queued != 2 {

@@ -52,8 +52,11 @@ type readMsg struct {
 	data  []uint32 // borrowed frame
 	hdr   Msg      // the request's header
 	done  func(uint32)
-	next  *readMsg
+	readStages
+}
 
+// readStages are a readMsg's stage continuations.
+type readStages struct {
 	homeFn       func() // at the home: serialize on the directory entry
 	lockedFn     func() // entry free: fetch from memory or the owner
 	gotFn        func() // memory read complete: book reply, release entry
@@ -64,23 +67,13 @@ type readMsg struct {
 }
 
 func (s *System) newReadMsg(p int, block uint32, word int, done func(uint32)) *readMsg {
-	m := s.rdFree
-	if m == nil {
-		m = &readMsg{s: s}
-		m.homeFn = m.home
-		m.lockedFn = m.locked
-		m.gotFn = m.got
-		m.ownerFetchFn = m.ownerFetch
-		m.ownerBackFn = m.ownerBack
-		m.ownerWroteFn = m.ownerWrote
-		m.installFn = m.install
-	} else {
-		s.rdFree = m.next
-		m.next = nil
+	m, fresh := s.reads.get()
+	*m = readMsg{s: s, p: p, block: block, word: word, done: done, readStages: m.readStages,
+		hdr: Msg{Kind: MsgReadReq, Src: uint8(p), Dst: uint8(s.HomeOf(block)), Block: block, Word: uint8(word)}}
+	if fresh {
+		m.readStages = readStages{homeFn: m.home, lockedFn: m.locked, gotFn: m.got,
+			ownerFetchFn: m.ownerFetch, ownerBackFn: m.ownerBack, ownerWroteFn: m.ownerWrote, installFn: m.install}
 	}
-	m.p, m.block, m.word, m.done = p, block, word, done
-	m.hdr = Msg{Kind: MsgReadReq, Src: uint8(p), Dst: uint8(s.HomeOf(block)), Block: block, Word: uint8(word)}
-	m.txn = 0
 	return m
 }
 
@@ -154,10 +147,7 @@ func (m *readMsg) reply(d *dirEntry) {
 func (m *readMsg) install() {
 	s := m.s
 	p, block, word, data, done, txn := m.p, m.block, m.word, m.data, m.done, m.txn
-	m.data, m.done = nil, nil
-	m.txn = 0
-	m.next = s.rdFree
-	s.rdFree = m
+	s.reads.put(m)
 	ln := s.install(p, block, data, cache.Shared)
 	s.store.ReleaseFrame(data)
 	ln.Counter = 0

@@ -164,7 +164,8 @@ func NewExplorer(n int, cfg Config, f Faults) *Explorer {
 }
 
 // Reset returns the explorer to its initial state. Messages in flight
-// are abandoned with the pooled objects they reference.
+// are dropped, and the pooled objects and frames they held come back
+// for the next schedule, which builds none of them again.
 func (x *Explorer) Reset() {
 	if !x.e.Reset() {
 		panic("proto: explorer engine refused reset")

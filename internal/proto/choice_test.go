@@ -116,7 +116,9 @@ func TestAtomicReplyBlockIsItsOwnImage(t *testing.T) {
 	for len(x.Queue(0, 0)) > 0 {
 		x.Deliver(0, 0)
 	}
-	if d := x.DumpBlock(0).Dir; d.State != DirOwned || d.Owner != 0 {
+	var bd BlockDump
+	x.DumpBlock(0, &bd)
+	if d := bd.Dir; d.State != DirOwned || d.Owner != 0 {
 		t.Fatalf("directory %+v, want owned by node 0", *d)
 	}
 	x.Atomic(0, 0, FetchAdd, 1, 0, func(uint32) {})

@@ -124,25 +124,32 @@ type BlockDump struct {
 	Dir    *DirDump
 	Memory []uint32
 	Lines  []LineDump // indexed by node
+	// The storage Dir and the copies' Data point into.
+	dir   DirDump
+	words []uint32
 }
 
-// DumpBlock snapshots one block's directory, memory, cache and
-// write-back state.
-// The returned slices are fresh copies safe to retain.
-func (s *System) DumpBlock(block uint32) BlockDump {
-	bd := BlockDump{Block: block, Lines: make([]LineDump, len(s.caches))}
+// DumpBlock fills bd with one block's directory, memory, cache and
+// write-back state, reusing the storage of bd's last picture: the
+// picture's slices and Dir are bd's own, valid until its next fill.
+func (s *System) DumpBlock(block uint32, bd *BlockDump) {
+	n, wb := len(s.caches), len(cache.Line{}.Data)
+	bd.Block, bd.Dir = block, nil
 	if d := s.dirEntryAt(block); d != nil {
-		bd.Dir = &DirDump{DirRecord: d.DirRecord, Busy: d.busy, Queued: len(d.waitq)}
+		bd.dir = DirDump{DirRecord: d.DirRecord, Busy: d.busy, Queued: len(d.waitq)}
+		bd.Dir = &bd.dir
 	}
-	bd.Memory = append([]uint32(nil), s.mems[s.HomeOf(block)].Block(block)...)
+	bd.Memory = append(bd.Memory[:0], s.mems[s.HomeOf(block)].Block(block)...)
+	bd.Lines = append(bd.Lines[:0], make([]LineDump, n)...)
+	bd.words = append(bd.words[:0], make([]uint32, n*wb)...)
 	for p, c := range s.caches {
 		ld := &bd.Lines[p]
 		if ln := c.Lookup(block); ln != nil {
 			ld.State, ld.Dirty, ld.Counter = ln.State, ln.Dirty, ln.Counter
-			ld.Data = append([]uint32(nil), ln.Data[:]...)
+			ld.Data = bd.words[p*wb : (p+1)*wb : (p+1)*wb]
+			copy(ld.Data, ln.Data[:])
 		}
 		_, ld.PendingWB = s.procs[p].pendingWB[block]
 		ld.CancelledWB = s.procs[p].cancelledWB[block]
 	}
-	return bd
 }

@@ -29,8 +29,10 @@ func (s *System) CheckCoherence() []error {
 	}
 	slices.Sort(blocks)
 	var errs []error
+	var bd BlockDump
 	for _, b := range slices.Compact(blocks) {
-		errs = append(errs, CheckBlock(s.DumpBlock(b))...)
+		s.DumpBlock(b, &bd)
+		errs = append(errs, CheckBlock(bd)...)
 	}
 	return errs
 }

@@ -244,21 +244,51 @@ type System struct {
 	// flushScratch backs FlushAll's block enumeration.
 	flushScratch []uint32
 
-	// Free lists of pooled transaction/message objects. Each object
-	// carries its stage continuations built once for its lifetime, so the
-	// steady-state protocol paths allocate nothing: updOp PU/CU
-	// write-throughs and atomics (with their ack collection), updMsg
-	// update deliveries, readMsg read misses, wiOp WI ownership
-	// acquisitions, invMsg WI invalidations, noteMsg drop/replacement/
-	// relinquish notices, wbMsg dirty write-backs.
-	updOpFree *updOp
-	updFree   *updMsg
-	rdFree    *readMsg
-	wiFree    *wiOp
-	invFree   *invMsg
-	noteFree  *noteMsg
-	wbFree    *wbMsg
+	// Pools of transaction/message objects, each carrying its stage
+	// continuations built once for its lifetime, so the steady-state
+	// protocol paths allocate nothing: updOp PU/CU write-throughs and
+	// atomics (with their ack collection), updMsg update deliveries,
+	// readMsg read misses, wiOp WI ownership acquisitions, invMsg WI
+	// invalidations, noteMsg drop/replacement/relinquish notices, wbMsg
+	// dirty write-backs.
+	updOps pool[updOp]
+	upds   pool[updMsg]
+	reads  pool[readMsg]
+	wiOps  pool[wiOp]
+	invs   pool[invMsg]
+	notes  pool[noteMsg]
+	wbs    pool[wbMsg]
 }
+
+// pool lends objects of one kind. It keeps every object it has made,
+// and reset takes them all back, the ones still in flight too, so a
+// reset system never builds an object twice. A taken-back object still
+// holds its last transaction's fields — a frame, callbacks, acks — so
+// whoever gets one overwrites every field but its continuations before
+// the transaction reads any.
+type pool[T any] struct {
+	all  []*T // every object made, lent or not
+	free []*T
+}
+
+// get lends an object, reporting whether it is new: its continuations
+// are then still to be built.
+func (p *pool[T]) get() (x *T, fresh bool) {
+	if n := len(p.free); n > 0 {
+		x = p.free[n-1]
+		p.free = p.free[:n-1]
+		return x, false
+	}
+	x = new(T)
+	p.all = append(p.all, x)
+	return x, true
+}
+
+// put takes x back once its transaction is done with it.
+func (p *pool[T]) put(x *T) { p.free = append(p.free, x) }
+
+// reset takes back every object lent.
+func (p *pool[T]) reset() { p.free = append(p.free[:0], p.all...) }
 
 // sharerList returns the sharers of d other than except, in ascending
 // node order. The slice aliases a scratch buffer on s and is valid only
@@ -322,7 +352,9 @@ func (s *System) instrument() {
 // machine layer can reuse a fully constructed system across runs. The
 // node count, cache geometry, and memory block size are fixed at
 // construction (machine.Reset gates on them); protocol selection,
-// thresholds, and observability may change freely between runs.
+// thresholds, and observability may change freely between runs. Every
+// pooled object and frame the last run lent comes back, in flight or
+// not.
 func (s *System) Reset(cfg Config) {
 	if cfg.HomeOf == nil {
 		panic("proto: Config.HomeOf is required")
@@ -341,15 +373,16 @@ func (s *System) Reset(cfg Config) {
 		ps.outstanding = 0
 		clear(ps.drainWaiters)
 		ps.drainWaiters = ps.drainWaiters[:0]
-		// Frame release order follows map order, which is fine: frames
-		// are interchangeable scratch buffers never read before being
-		// fully overwritten, so free-list order cannot affect behaviour.
-		for b, data := range ps.pendingWB {
-			s.store.ReleaseFrame(data)
-			delete(ps.pendingWB, b)
-		}
+		clear(ps.pendingWB) // the frames come back with store.Reset
 		clear(ps.cancelledWB)
 	}
+	s.updOps.reset()
+	s.upds.reset()
+	s.reads.reset()
+	s.wiOps.reset()
+	s.invs.reset()
+	s.notes.reset()
+	s.wbs.reset()
 	s.store.Reset()
 	for i := range s.caches {
 		s.mems[i].Reset()
@@ -576,18 +609,13 @@ func (s *System) sendWriteback(p int, block uint32, src []uint32) {
 	data := s.store.BorrowFrame()
 	copy(data, src)
 	s.procs[p].pendingWB[block] = data
-	m := s.wbFree
-	if m == nil {
-		m = &wbMsg{s: s}
+	m, fresh := s.wbs.get()
+	*m = wbMsg{s: s, p: p, block: block, data: data, arriveFn: m.arriveFn, lockedFn: m.lockedFn,
+		hdr: Msg{Kind: MsgWB, Src: uint8(p), Dst: uint8(s.HomeOf(block)), Block: block, Data: data}}
+	if fresh {
 		m.arriveFn = m.arrive
 		m.lockedFn = m.locked
-	} else {
-		s.wbFree = m.next
-		m.next = nil
 	}
-	m.p, m.block, m.data = p, block, data
-	m.hdr = Msg{Kind: MsgWB, Src: uint8(p), Dst: uint8(s.HomeOf(block)), Block: block, Data: data}
-	m.txn = 0
 	if s.tr != nil {
 		m.txn = s.tr.Begin(p, trace.TxnWriteback, block, s.e.Now())
 	}
@@ -606,7 +634,6 @@ type wbMsg struct {
 	data     []uint32 // borrowed frame, also registered in pendingWB
 	hdr      Msg      // the write-back's header
 	txn      trace.TxnID
-	next     *wbMsg
 	arriveFn func() // delivery at the home: serialize on the entry
 	lockedFn func() // entry free: apply or discard
 }
@@ -620,10 +647,7 @@ func (m *wbMsg) arrive() {
 
 func (m *wbMsg) locked() {
 	s, p, block, data, txn := m.s, m.p, m.block, m.data, m.txn
-	m.data, m.hdr.Data = nil, nil
-	m.txn = 0
-	m.next = s.wbFree
-	s.wbFree = m
+	s.wbs.put(m)
 	if s.tr != nil {
 		s.tr.DirStart(txn, s.e.Now())
 	}
@@ -654,15 +678,11 @@ func (s *System) homeWriteback(p int, block uint32, data []uint32) {
 // sendNote sends a pooled control notice home: a replacement hint / CU
 // drop notice (relinquish false) or a clean-flush relinquish.
 func (s *System) sendNote(p int, block uint32, relinquish bool) {
-	m := s.noteFree
-	if m == nil {
-		m = &noteMsg{s: s}
+	m, fresh := s.notes.get()
+	*m = noteMsg{s: s, p: p, block: block, relinquish: relinquish, fn: m.fn}
+	if fresh {
 		m.fn = m.deliver
-	} else {
-		s.noteFree = m.next
-		m.next = nil
 	}
-	m.p, m.block, m.relinquish = p, block, relinquish
 	h := Msg{Kind: MsgNote, Src: uint8(p), Dst: uint8(s.HomeOf(block)), Block: block}
 	if relinquish {
 		h.Aux = 1
@@ -676,14 +696,12 @@ type noteMsg struct {
 	p          int
 	block      uint32
 	relinquish bool
-	next       *noteMsg
 	fn         func()
 }
 
 func (m *noteMsg) deliver() {
 	s, p, block, relinquish := m.s, m.p, m.block, m.relinquish
-	m.next = s.noteFree
-	s.noteFree = m
+	s.notes.put(m)
 	if relinquish {
 		s.entry(block).Relinquish(p)
 		return

@@ -61,8 +61,11 @@ type updOp struct {
 	hdr      Msg          // the request's header
 	retire   func()       // store completion
 	done     func(uint32) // atomic completion
-	next     *updOp
+	updStages
+}
 
+// updStages are an updOp's stage continuations.
+type updStages struct {
 	missFn   func()              // at the home: fetch the block shared
 	fetchFn  func(uint32)        // write-allocate fetch delivered
 	homeFn   func()              // serialize at the directory; also the post-demote re-entry
@@ -74,32 +77,14 @@ type updOp struct {
 }
 
 func (s *System) newUpdOp(p int, block uint32, word int) *updOp {
-	op := s.updOpFree
-	if op == nil {
-		op = &updOp{s: s}
-		op.missFn = op.miss
-		op.fetchFn = func(uint32) { op.local() }
-		op.homeFn = op.home
-		op.lockedFn = op.locked
-		op.opFn = func(old uint32) uint32 { return op.kind.apply(old, op.op1, op.op2) }
-		op.wroteFn = op.wrote
-		op.replyFn = op.reply
-		op.ackFn = op.ack
-	} else {
-		s.updOpFree = op.next
-		op.next = nil
+	op, fresh := s.updOps.get()
+	*op = updOp{s: s, p: p, block: block, word: word, updStages: op.updStages}
+	if fresh {
+		op.updStages = updStages{missFn: op.miss, fetchFn: func(uint32) { op.local() }, homeFn: op.home,
+			lockedFn: op.locked, opFn: func(old uint32) uint32 { return op.kind.apply(old, op.op1, op.op2) },
+			wroteFn: op.wrote, replyFn: op.reply, ackFn: op.ack}
 	}
-	op.p, op.block, op.word = p, block, word
-	op.expected, op.got = 0, 0
-	op.isAtomic, op.needData, op.replied = false, false, false
-	op.txn = 0
 	return op
-}
-
-func (op *updOp) recycle() {
-	op.retire, op.done, op.data = nil, nil, nil
-	op.next = op.s.updOpFree
-	op.s.updOpFree = op
 }
 
 // updWrite drains one write-buffer entry under PU/CU. The caches are
@@ -185,7 +170,7 @@ func (op *updOp) local() {
 			// (A miss-path transaction that raced into retention ends
 			// here; the common hit never opened one.)
 			retire, txn := op.retire, op.txn
-			op.recycle()
+			s.updOps.put(op)
 			ln.Data[word] = v
 			ln.Dirty = true
 			s.cl.GlobalWrite(p, block, word)
@@ -388,7 +373,7 @@ func (op *updOp) check() {
 		s.tr.AcksDrained(op.txn, s.e.Now())
 	}
 	s.completeOutstanding(op.p)
-	op.recycle()
+	s.updOps.put(op)
 }
 
 // deliverUpdate applies an update message at sharer q: plain application
@@ -453,30 +438,26 @@ func (s *System) sendAck(from int, op *updOp, sentAt sim.Time) {
 }
 
 // updMsg carries one update delivery to a sharer. Messages recycle
-// through a free list on System, each with a delivery closure built
-// once for the object's lifetime, so the per-sharer multicast — the
-// dominant residual allocation in update-protocol runs — stops
-// allocating in steady state. The object is returned to the free list
-// before deliverUpdate runs (its fields are copied out first), so
-// deliveries triggered from within deliverUpdate may reuse it.
+// through a pool on System, each with a delivery closure built once for
+// the object's lifetime, so the per-sharer multicast — the dominant
+// residual allocation in update-protocol runs — stops allocating in
+// steady state. The object goes back to the pool before deliverUpdate
+// runs (its fields are copied out first), so deliveries triggered from
+// within deliverUpdate may reuse it.
 type updMsg struct {
 	s      *System
 	h      Msg      // the update; its value is what the network delivers
 	sentAt sim.Time // fan-out dispatch time (trace per-target span start)
 	op     *updOp
-	next   *updMsg
 	fn     func()
 }
 
 func (s *System) newUpdMsg(op *updOp) *updMsg {
-	m := s.updFree
-	if m == nil {
-		m = &updMsg{s: s}
+	m, fresh := s.upds.get()
+	*m = updMsg{s: s, op: op, fn: m.fn}
+	if fresh {
 		m.fn = m.deliver
-	} else {
-		s.updFree = m.next
 	}
-	m.op = op
 	return m
 }
 
@@ -484,8 +465,6 @@ func (m *updMsg) deliver() {
 	s := m.s
 	h, op, sentAt := &m.h, m.op, m.sentAt
 	q, block, word, v, writer := h.Dst, h.Block, h.Word, h.Val, h.Aux
-	m.op = nil
-	m.next = s.updFree
-	s.updFree = m
+	s.upds.put(m)
 	s.deliverUpdate(int(q), block, int(word), v, int(writer), op, sentAt)
 }

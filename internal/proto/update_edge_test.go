@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"slices"
 	"testing"
 
 	"coherencesim/internal/cache"
@@ -109,7 +110,7 @@ func TestCUThresholdConfigurable(t *testing.T) {
 
 func TestAckBeforeReplyCompletes(t *testing.T) {
 	// An update-protocol operation must finish — outstanding back to 0,
-	// the op back on its free list — in either arrival order of its
+	// the op back in its pool — in either arrival order of its
 	// reply and its acks; drive the accounting directly.
 	s := newTest(t, PU, 2).s
 	start := func(expected int) *updOp {
@@ -119,14 +120,7 @@ func TestAckBeforeReplyCompletes(t *testing.T) {
 		op.expected = expected // as the home's multicast records it
 		return op
 	}
-	recycled := func(op *updOp) bool {
-		for o := s.updOpFree; o != nil; o = o.next {
-			if o == op {
-				return true
-			}
-		}
-		return false
-	}
+	recycled := func(op *updOp) bool { return slices.Contains(s.updOps.free, op) }
 	op := start(2)
 	op.ack() // acks first
 	op.ack()
@@ -138,7 +132,7 @@ func TestAckBeforeReplyCompletes(t *testing.T) {
 		t.Fatalf("outstanding = %d after acks+reply", s.procs[0].outstanding)
 	}
 	if !recycled(op) {
-		t.Fatal("op not back on its free list after acks+reply")
+		t.Fatal("op not back in its pool after acks+reply")
 	}
 	// And in reply-first order.
 	op2 := start(1)

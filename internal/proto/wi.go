@@ -49,8 +49,11 @@ type wiOp struct {
 	hdr      Msg          // the ownership request's header
 	retire   func()       // store completion
 	done     func(uint32) // atomic completion
-	next     *wiOp
+	wiStages
+}
 
+// wiStages are a wiOp's stage continuations.
+type wiStages struct {
 	homeFn       func() // at the home: serialize on the directory entry
 	lockedFn     func() // entry free: fetch/invalidate per directory state
 	fetchedFn    func() // memory read complete
@@ -62,33 +65,13 @@ type wiOp struct {
 }
 
 func (s *System) newWiOp(p int, block uint32, word int) *wiOp {
-	op := s.wiFree
-	if op == nil {
-		op = &wiOp{s: s}
-		op.homeFn = op.home
-		op.lockedFn = op.locked
-		op.fetchedFn = op.fetched
-		op.ackFn = op.ack
-		op.ownerFetchFn = op.ownerFetch
-		op.ownerBackFn = op.ownerBack
-		op.ownerWroteFn = op.ownerWrote
-		op.grantFn = op.granted
-	} else {
-		s.wiFree = op.next
-		op.next = nil
+	op, fresh := s.wiOps.get()
+	*op = wiOp{s: s, p: p, block: block, word: word, wiStages: op.wiStages}
+	if fresh {
+		op.wiStages = wiStages{homeFn: op.home, lockedFn: op.locked, fetchedFn: op.fetched, ackFn: op.ack,
+			ownerFetchFn: op.ownerFetch, ownerBackFn: op.ownerBack, ownerWroteFn: op.ownerWrote, grantFn: op.granted}
 	}
-	op.p, op.block, op.word = p, block, word
-	op.pending = 0
-	op.needData, op.haveData = false, false
-	op.isAtomic = false
-	op.txn = 0
 	return op
-}
-
-func (op *wiOp) recycle() {
-	op.retire, op.done, op.data = nil, nil, nil
-	op.next = op.s.wiFree
-	op.s.wiFree = op
 }
 
 // wiWrite drains one write-buffer entry under WI.
@@ -151,7 +134,7 @@ func (op *wiOp) perform(ln *cache.Line) {
 	s, p, block, word, txn := op.s, op.p, op.block, op.word, op.txn
 	if op.isAtomic {
 		kind, op1, op2, done := op.kind, op.op1, op.op2, op.done
-		op.recycle()
+		s.wiOps.put(op)
 		old := ln.Data[word]
 		ln.Data[word] = kind.apply(old, op1, op2)
 		ln.Dirty = true
@@ -165,7 +148,7 @@ func (op *wiOp) perform(ln *cache.Line) {
 		return
 	}
 	v, retire := op.v, op.retire
-	op.recycle()
+	s.wiOps.put(op)
 	ln.Data[word] = v
 	ln.Dirty = true
 	s.cl.Reference(p, block, word)
@@ -339,28 +322,21 @@ type invMsg struct {
 	block  uint32
 	sentAt sim.Time // fan-out dispatch time (trace per-target span start)
 	op     *wiOp
-	next   *invMsg
 	fn     func()
 }
 
 func (s *System) newInvMsg(q int, op *wiOp) *invMsg {
-	m := s.invFree
-	if m == nil {
-		m = &invMsg{s: s}
+	m, fresh := s.invs.get()
+	*m = invMsg{s: s, q: q, block: op.block, op: op, fn: m.fn}
+	if fresh {
 		m.fn = m.deliver
-	} else {
-		s.invFree = m.next
-		m.next = nil
 	}
-	m.q, m.block, m.op = q, op.block, op
 	return m
 }
 
 func (m *invMsg) deliver() {
 	s, q, block, op, sentAt := m.s, m.q, m.block, m.op, m.sentAt
-	m.op = nil
-	m.next = s.invFree
-	s.invFree = m
+	s.invs.put(m)
 	if s.caches[q].Present(block) {
 		if s.tr != nil {
 			s.tr.CacheTouch(q, op.txn)
