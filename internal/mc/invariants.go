@@ -61,16 +61,16 @@ func (m *liveModel) checkEvery() string {
 	for b := 0; b < cfg.Blocks; b++ {
 		bd := m.dump(b)
 		d := dirOf(bd)
-		var holders, exclusives []int
+		holders, exclusives, e := 0, 0, 0 // e: the exclusive holder, when exclusives == 1
 		for p := range bd.Lines {
 			ln := &bd.Lines[p]
 			switch ln.State {
 			case cache.Invalid:
 				continue
 			case cache.Exclusive:
-				exclusives = append(exclusives, p)
+				exclusives, e = exclusives+1, p
 			}
-			holders = append(holders, p)
+			holders++
 			if ln.Dirty && ln.State != cache.Exclusive {
 				return fmt.Sprintf("block %d: dirty non-exclusive copy at p%d", b, p)
 			}
@@ -90,13 +90,12 @@ func (m *liveModel) checkEvery() string {
 				}
 			}
 		}
-		if len(exclusives) > 1 {
-			return fmt.Sprintf("block %d: %d exclusive copies (single-writer violated)", b, len(exclusives))
+		if exclusives > 1 {
+			return fmt.Sprintf("block %d: %d exclusive copies (single-writer violated)", b, exclusives)
 		}
-		if len(exclusives) == 1 {
-			e := exclusives[0]
-			if len(holders) > 1 {
-				return fmt.Sprintf("block %d: exclusive copy at p%d alongside %d other copies", b, e, len(holders)-1)
+		if exclusives == 1 {
+			if holders > 1 {
+				return fmt.Sprintf("block %d: exclusive copy at p%d alongside %d other copies", b, e, holders-1)
 			}
 			if cfg.Protocol == proto.CU {
 				return fmt.Sprintf("block %d: exclusive copy at p%d under CU (never retains)", b, e)

@@ -187,12 +187,13 @@ func (m *liveModel) step(a action) string {
 			pr.got++
 		}
 		m.x.Deliver(src, dst)
-	}
-	// An update-protocol atomic's result exists once the home has
-	// computed it, which is when its reply leaves.
-	for src := 0; src < cfg.Procs; src++ {
-		for dst := 0; dst < cfg.Procs; dst++ {
-			for _, h := range m.x.Queue(src, dst) {
+		// An update-protocol atomic's result exists once the home has
+		// computed it, which is when its reply leaves. Every message a
+		// delivery leads to, memory completions included, leaves from
+		// the node it was delivered to, and an issue sends only
+		// requests, so dst's outgoing channels hold every new reply.
+		for q := 0; q < cfg.Procs; q++ {
+			for _, h := range m.x.Queue(dst, q) {
 				if h.Kind == proto.MsgAtomReply {
 					m.record(h.Block, int(h.Word), h.Val2)
 				}

@@ -99,6 +99,19 @@ func TestCheckerMutationHardening(t *testing.T) {
 			want: "no directory entry",
 		},
 		{
+			name: "cached-without-directory-after-reset",
+			build: func(t *testing.T) *testSystem {
+				ts := newTest(t, WI, 4)
+				ts.script().read(0, 40*cache.BlockBytes, nil).run()
+				ts.s.Reset(ts.s.cfg) // a reset system knows block 40 no more than a fresh one
+				return ts
+			},
+			corrupt: func(ts *testSystem) {
+				ts.s.Cache(2).Install(40, make([]uint32, cache.WordsPerBlock), cache.Shared)
+			},
+			want: "no directory entry",
+		},
+		{
 			name:  "uncached-with-sharer",
 			build: func(t *testing.T) *testSystem { ts := newTest(t, PU, 4); ts.script().read(2, 64, nil).run(); return ts },
 			corrupt: func(ts *testSystem) {

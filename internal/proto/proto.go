@@ -250,7 +250,9 @@ type System struct {
 	// atomics (with their ack collection), updMsg update deliveries,
 	// readMsg read misses, wiOp WI ownership acquisitions, invMsg WI
 	// invalidations, noteMsg drop/replacement/relinquish notices, wbMsg
-	// dirty write-backs.
+	// dirty write-backs; dirs lends the directory entries, which a
+	// block keeps until Reset.
+	dirs   pool[dirEntry]
 	updOps pool[updOp]
 	upds   pool[updMsg]
 	reads  pool[readMsg]
@@ -362,12 +364,7 @@ func (s *System) Reset(cfg Config) {
 	s.cfg = cfg
 	s.tr = cfg.Txn
 	s.ctr = Counters{}
-	for _, d := range s.dir {
-		if d != nil {
-			clear(d.waitq)
-			*d = dirEntry{waitq: d.waitq[:0], waitH: d.waitH[:0]}
-		}
-	}
+	clear(s.dir) // the entries come back with dirs.reset
 	for i := range s.procs {
 		ps := &s.procs[i]
 		ps.outstanding = 0
@@ -376,6 +373,7 @@ func (s *System) Reset(cfg Config) {
 		clear(ps.pendingWB) // the frames come back with store.Reset
 		clear(ps.cancelledWB)
 	}
+	s.dirs.reset()
 	s.updOps.reset()
 	s.upds.reset()
 	s.reads.reset()
@@ -418,7 +416,9 @@ func (s *System) entry(block uint32) *dirEntry {
 	}
 	d := s.dir[block]
 	if d == nil {
-		d = &dirEntry{}
+		d, _ = s.dirs.get()
+		clear(d.waitq)
+		*d = dirEntry{waitq: d.waitq[:0], waitH: d.waitH[:0]}
 		s.dir[block] = d
 	}
 	return d

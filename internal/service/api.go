@@ -1,6 +1,8 @@
-// Package service is coherenced's serving layer: a versioned REST/SSE
-// API over the simulator, backed by a content-addressed result cache, a
-// bounded priority job scheduler, and a graceful-drain lifecycle.
+// Package service is coherenced's serving layer: one Service serving a
+// versioned REST/SSE API over the simulator, backed by a
+// content-addressed result cache and a bounded priority job scheduler,
+// with a graceful-drain lifecycle. Each job is one record under the
+// scheduler's lock; its event stream reads that record.
 //
 // Every job is described by a canonical JobSpec. Because the simulator
 // is deterministic — a spec's result is byte-identical at any worker
@@ -114,7 +116,10 @@ type ExperimentList struct {
 }
 
 // ProgressEvent is the SSE payload streamed on /v1/jobs/{id}/events
-// while a job's sweep is running: one snapshot per finished simulation.
+// while a job's sweep is running: the newest snapshot, taken as a
+// simulation finishes. A stream writes the newest one each time it
+// wakes, so snapshots a reader was too slow for are skipped, never
+// queued.
 type ProgressEvent struct {
 	JobsDone  int    `json:"jobs_done"`
 	JobsTotal int    `json:"jobs_total"`

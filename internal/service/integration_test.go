@@ -29,7 +29,7 @@ func startService(t *testing.T, cfg Config, exec ExecFunc) (*httptest.Server, *S
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.life.to(StateReady)
+	svc.to(StateReady)
 	ts := httptest.NewServer(svc.Handler())
 	var once atomic.Bool
 	stop := func() {

@@ -47,18 +47,6 @@ func (s State) String() string {
 	return "unknown"
 }
 
-// Lifecycle tracks the service state for readiness reporting.
-type Lifecycle struct{ state atomic.Int32 }
-
-// NewLifecycle starts in StateStarting.
-func NewLifecycle() *Lifecycle { return &Lifecycle{} }
-
-// State returns the current state.
-func (l *Lifecycle) State() State { return State(l.state.Load()) }
-
-// to moves to a new state.
-func (l *Lifecycle) to(s State) { l.state.Store(int32(s)) }
-
 // Config assembles a Service.
 type Config struct {
 	Addr       string        // listen address (default :8377)
@@ -97,16 +85,21 @@ type Config struct {
 	Logf      func(format string, args ...any)
 }
 
-// Service is the assembled daemon: scheduler + API server + lifecycle
-// + fleet coordinator.
+// Service is the assembled daemon: the scheduler, the fleet
+// coordinator and the point memo they share, the API routes over them,
+// and the readiness state.
 type Service struct {
 	cfg     Config
 	sched   *Scheduler
-	life    *Lifecycle
 	coord   *fleet.Coordinator
-	srv     *Server
+	memo    *experiments.PointMemo // reported on by /metrics
+	mux     *http.ServeMux
+	state   atomic.Int32 // a State
 	reloads atomic.Uint64
 }
+
+// to moves the service to a new lifecycle state.
+func (s *Service) to(st State) { s.state.Store(int32(st)) }
 
 // New builds a service executing jobs on the real simulator, all through
 // one point memo that lives as long as the service: a point an earlier
@@ -144,7 +137,6 @@ func newService(cfg Config, exec ExecFunc) (*Service, error) {
 		Memo:             memo,
 		Logf:             cfg.Logf,
 	})
-	life := NewLifecycle()
 	sched := NewScheduler(SchedulerConfig{
 		QueueDepth:   cfg.QueueDepth,
 		Jobs:         cfg.Jobs,
@@ -154,8 +146,8 @@ func newService(cfg Config, exec ExecFunc) (*Service, error) {
 		TenantQuota:  cfg.TenantQuota,
 		TenantQuotas: cfg.TenantQuotas,
 	}, NewFleetExec(exec, coord))
-	svc := &Service{cfg: cfg, sched: sched, life: life, coord: coord}
-	svc.srv = NewServer(sched, life, coord, svc, memo)
+	svc := &Service{cfg: cfg, sched: sched, coord: coord, memo: memo}
+	svc.routes()
 	if cfg.ConfigPath != "" {
 		// Apply (and validate) the reloadable file before serving: a
 		// config the daemon cannot start with is not one it should
@@ -228,7 +220,7 @@ func (s *Service) Reload(delta []byte) (ReloadStatus, error) {
 func (s *Service) Reloads() uint64 { return s.reloads.Load() }
 
 // Handler returns the API handler (httptest servers mount this).
-func (s *Service) Handler() http.Handler { return s.srv.Handler() }
+func (s *Service) Handler() http.Handler { return s.mux }
 
 // Scheduler exposes the scheduler (tests, diagnostics).
 func (s *Service) Scheduler() *Scheduler { return s.sched }
@@ -271,10 +263,10 @@ func (s *Service) Run(stop <-chan os.Signal) error {
 		defer pprofSrv.Close()
 		s.logf("coherenced: pprof on http://%s/debug/pprof/", pln.Addr())
 	}
-	httpSrv := &http.Server{Handler: s.srv.Handler()}
+	httpSrv := &http.Server{Handler: s.mux}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-	s.life.to(StateReady)
+	s.to(StateReady)
 	s.logf("coherenced: serving on %s", ln.Addr())
 
 serving:
@@ -294,12 +286,12 @@ serving:
 			s.logf("coherenced: received %v, draining (grace %s)", sig, s.cfg.Grace)
 			break serving
 		case err := <-serveErr:
-			s.life.to(StateStopped)
+			s.to(StateStopped)
 			return err
 		}
 	}
 
-	s.life.to(StateDraining)
+	s.to(StateDraining)
 	if s.sched.Drain(s.cfg.Grace) {
 		s.logf("coherenced: all jobs finished within grace period")
 	} else {
@@ -311,7 +303,7 @@ serving:
 		return err
 	}
 	s.coord.Close()
-	s.life.to(StateStopped)
+	s.to(StateStopped)
 	s.logf("coherenced: stopped")
 	return nil
 }

@@ -83,14 +83,24 @@ type task struct {
 	id     string
 	spec   JobSpec
 	tenant string
-	events *broadcaster
 	done   chan struct{} // closed at terminal state
 
-	mu     *sync.Mutex // the scheduler's lock; it guards the fields below
-	status string
-	errMsg string
-	body   []byte             // marshaled terminal JobStatus document
-	cancel context.CancelFunc // set while running
+	mu       *sync.Mutex // the scheduler's lock; it guards the fields below
+	status   string
+	errMsg   string
+	progress ProgressEvent      // the newest snapshot; zero before the first
+	body     []byte             // marshaled terminal JobStatus document
+	cancel   context.CancelFunc // set while running
+	// changed is closed, and replaced, whenever status, progress or body
+	// changes: an event stream waits on it, then re-reads the task.
+	changed chan struct{}
+}
+
+// wake tells every waiting event stream that t changed. Called with
+// t.mu held.
+func (t *task) wake() {
+	close(t.changed)
+	t.changed = make(chan struct{})
 }
 
 func isTerminal(status string) bool {
@@ -100,9 +110,8 @@ func isTerminal(status string) bool {
 // Status returns the job's current API document. For terminal jobs the
 // stored body is authoritative instead (byte-identical reads).
 func (t *task) Status() JobStatus {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return JobStatus{ID: t.id, Status: t.status, Spec: t.spec, Error: t.errMsg}
+	doc, _, _, _ := t.watch()
+	return doc
 }
 
 // terminalBody returns the marshaled terminal document, or nil while
@@ -111,6 +120,15 @@ func (t *task) terminalBody() []byte {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.body
+}
+
+// watch reads what an event stream shows of t: its status document,
+// its newest progress, its terminal document (nil while it is queued or
+// running), and the channel closed at its next change.
+func (t *task) watch() (doc JobStatus, progress ProgressEvent, body []byte, changed <-chan struct{}) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return JobStatus{ID: t.id, Status: t.status, Spec: t.spec, Error: t.errMsg}, t.progress, t.body, t.changed
 }
 
 // jobDoc is a terminal job document as the result cache holds it.
@@ -302,7 +320,7 @@ func (s *Scheduler) Submit(spec JobSpec, tenant string) (id string, t *task, cac
 		s.c.Rejected++
 		return id, nil, nil, 0, ErrQueueFull
 	}
-	t = &task{id: id, spec: spec, tenant: tenant, events: newBroadcaster(), done: make(chan struct{}), mu: &s.mu, status: StatusQueued}
+	t = &task{id: id, spec: spec, tenant: tenant, done: make(chan struct{}), mu: &s.mu, status: StatusQueued, changed: make(chan struct{})}
 	*q = append(*q, t)
 	s.inflight[id] = t
 	s.perTenant[tenant]++
@@ -420,28 +438,29 @@ func (s *Scheduler) take() (*task, context.Context) {
 		ctx, t.cancel = context.WithCancel(s.root)
 	}
 	t.status = StatusRunning
+	t.wake()
 	s.c.Running++
 	return t, ctx
 }
 
 // run executes one taken job and finalizes it.
 func (s *Scheduler) run(ctx context.Context, t *task) {
-	t.events.publish(Event{Type: "status", Data: t.Status()})
 	// The progress hook runs serially under the job pool's lock, so the
 	// previous-cycles accumulator needs no further synchronization.
 	var prevCycles uint64
 	progress := func(sn runner.Snapshot) {
 		s.mu.Lock()
+		defer s.mu.Unlock()
 		s.c.SimCycles += sn.SimCycles - prevCycles
-		s.mu.Unlock()
 		prevCycles = sn.SimCycles
-		t.events.publish(Event{Type: "progress", Data: ProgressEvent{
+		t.progress = ProgressEvent{
 			JobsDone:  sn.JobsDone,
 			JobsTotal: sn.JobsTotal,
 			SimCycles: sn.SimCycles,
 			ETAMillis: sn.ETA().Milliseconds(),
 			Label:     sn.Label,
-		}})
+		}
+		t.wake()
 	}
 	res, err := s.exec(ctx, t.spec, s.cfg.SimWorkers, progress)
 	s.finalize(t, res, err)
@@ -487,6 +506,7 @@ func (s *Scheduler) finalize(t *task, res *JobResult, err error) {
 		s.c.Running--
 	}
 	t.status, t.errMsg, t.body, t.cancel = status, doc.Error, body, nil
+	t.wake()
 	switch status {
 	case StatusDone:
 		s.c.Completed++
@@ -508,7 +528,6 @@ func (s *Scheduler) finalize(t *task, res *JobResult, err error) {
 		s.changed.Broadcast()
 	}
 	s.mu.Unlock()
-	t.events.close()
 	close(t.done)
 }
 

@@ -13,36 +13,15 @@ import (
 
 	"coherencesim/internal/buildinfo"
 	"coherencesim/internal/experiments"
-	"coherencesim/internal/fleet"
 	"coherencesim/internal/trace"
 )
 
-// Reloader applies hot configuration deltas (Service implements it;
-// the server exposes it as POST /v1/admin/reload).
-type Reloader interface {
-	Reload(delta []byte) (ReloadStatus, error)
-	Reloads() uint64
-}
-
-// Server routes the versioned REST/SSE API onto the scheduler.
-type Server struct {
-	sched    *Scheduler
-	life     *Lifecycle
-	coord    *fleet.Coordinator
-	reloader Reloader
-	memo     *experiments.PointMemo
-	mux      *http.ServeMux
-}
-
-// NewServer wires the API routes. A non-nil coordinator mounts the
-// fleet's worker-facing endpoints (/v1/fleet/*) on the same listener;
-// a non-nil reloader mounts POST /v1/admin/reload; memo is the point
-// memo /metrics reports on.
-func NewServer(sched *Scheduler, life *Lifecycle, coord *fleet.Coordinator, reloader Reloader, memo *experiments.PointMemo) *Server {
-	s := &Server{sched: sched, life: life, coord: coord, reloader: reloader, memo: memo, mux: http.NewServeMux()}
-	if coord != nil {
-		coord.Mount(s.mux)
-	}
+// routes mounts the API on s.mux: the fleet's worker-facing endpoints
+// (/v1/fleet/*) and the job, admin and health routes share the one
+// listener.
+func (s *Service) routes() {
+	s.mux = http.NewServeMux()
+	s.coord.Mount(s.mux)
 	s.mux.HandleFunc("POST /v1/admin/reload", s.handleReload)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
@@ -54,11 +33,7 @@ func NewServer(sched *Scheduler, life *Lifecycle, coord *fleet.Coordinator, relo
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	return s
 }
-
-// Handler returns the service's root handler.
-func (s *Server) Handler() http.Handler { return s.mux }
 
 // writeJSON marshals v as the response body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -86,7 +61,7 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 
 // handleSubmit is POST /v1/jobs: canonicalize, then admit, dedup, or
 // serve from the content-addressed cache.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var raw JobSpec
 	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
 	dec.DisallowUnknownFields()
@@ -138,7 +113,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // handleGet is GET /v1/jobs/{id}: live jobs report their state; terminal
 // jobs replay the stored document byte-identically.
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
+func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	switch t, body, ok := s.sched.Find(id); {
 	case body != nil:
@@ -154,7 +129,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 // result payload. On any failure it writes the API error itself and
 // returns ok=false: 404 for an unknown job, 409 while the job is still
 // queued or running or when it finished without a result.
-func (s *Server) doneResult(w http.ResponseWriter, id string) (json.RawMessage, bool) {
+func (s *Service) doneResult(w http.ResponseWriter, id string) (json.RawMessage, bool) {
 	_, body, ok := s.sched.Find(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown job %q", id)
@@ -179,7 +154,7 @@ func (s *Server) doneResult(w http.ResponseWriter, id string) (json.RawMessage, 
 // handleBreakdown is GET /v1/jobs/{id}/breakdown: the completed job's
 // stall-attribution breakdown document, replayed byte-identically from
 // the stored result (JobResult.Breakdown).
-func (s *Server) handleBreakdown(w http.ResponseWriter, r *http.Request) {
+func (s *Service) handleBreakdown(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	result, ok := s.doneResult(w, id)
 	if !ok {
@@ -204,7 +179,7 @@ func (s *Server) handleBreakdown(w http.ResponseWriter, r *http.Request) {
 // handleHotBlocks is GET /v1/jobs/{id}/hotblocks?n=10: the completed
 // job's hottest coherence blocks, merged across its breakdown runs and
 // ranked by attributed transaction cycles.
-func (s *Server) handleHotBlocks(w http.ResponseWriter, r *http.Request) {
+func (s *Service) handleHotBlocks(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	n := 10
 	if q := r.URL.Query().Get("n"); q != "" {
@@ -263,7 +238,7 @@ func (s *Server) handleHotBlocks(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCancel is DELETE /v1/jobs/{id}.
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
+func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if t, ok := s.sched.Cancel(id); ok {
 		if body := t.terminalBody(); body != nil {
@@ -281,9 +256,12 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEvents is GET /v1/jobs/{id}/events: a server-sent-event stream
-// of the job's status transitions and per-simulation progress
-// snapshots, ending with the terminal document.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+// of the job's status transitions and progress snapshots, ending with
+// the terminal document. Each time the job changes the stream writes
+// its status, if that moved, then its newest progress, so a slow reader
+// skips snapshots instead of stalling anything and a late one sees the
+// current progress at once.
+func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	flusher, canFlush := w.(http.Flusher)
 	if !canFlush {
@@ -295,35 +273,32 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
-	if t == nil {
-		sseHeaders(w)
-		writeSSERaw(w, "status", body)
-		flusher.Flush()
-		return
-	}
-	ch, unsub := t.events.subscribe()
-	defer unsub()
 	sseHeaders(w)
-	writeSSE(w, "status", t.Status())
-	flusher.Flush()
-	for {
+	var sentStatus string
+	var sentProgress ProgressEvent
+	for t != nil {
+		doc, progress, final, changed := t.watch()
+		if final != nil {
+			body = final
+			break
+		}
+		if doc.Status != sentStatus {
+			writeSSE(w, "status", doc)
+			sentStatus = doc.Status
+		}
+		if progress != sentProgress {
+			writeSSE(w, "progress", progress)
+			sentProgress = progress
+		}
+		flusher.Flush()
 		select {
-		case e, ok := <-ch:
-			if !ok {
-				// Terminal: the stored document is authoritative and can
-				// never be dropped the way buffered events can.
-				if body := t.terminalBody(); body != nil {
-					writeSSERaw(w, "status", body)
-					flusher.Flush()
-				}
-				return
-			}
-			writeSSE(w, e.Type, e.Data)
-			flusher.Flush()
+		case <-changed:
 		case <-r.Context().Done():
 			return
 		}
 	}
+	writeSSERaw(w, "status", body)
+	flusher.Flush()
 }
 
 func sseHeaders(w http.ResponseWriter) {
@@ -347,7 +322,7 @@ func writeSSERaw(w io.Writer, event string, data []byte) {
 
 // handleExperiments is GET /v1/experiments: everything the service can
 // run, straight from the experiments catalog the CLI renders from.
-func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
+func (s *Service) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	doc := ExperimentList{Scales: []string{"quick", "paper"}}
 	for _, e := range experiments.Catalog() {
 		formats := []string{"table"}
@@ -380,17 +355,13 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 // handleReload is POST /v1/admin/reload: apply a hot configuration
 // delta. An empty body re-reads the daemon's -config file (the HTTP
 // twin of SIGHUP); a JSON body applies the carried fields directly.
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if s.reloader == nil {
-		writeError(w, http.StatusNotImplemented, "hot reload unavailable")
-		return
-	}
+func (s *Service) handleReload(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	st, err := s.reloader.Reload(bytes.TrimSpace(body))
+	st, err := s.Reload(bytes.TrimSpace(body))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reload: %v", err)
 		return
@@ -399,7 +370,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz reports liveness and build identity.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{
 		"status":   "ok",
 		"service":  "coherenced",
@@ -411,8 +382,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleReadyz reports readiness: 503 once draining starts, so load
 // balancers stop routing before the listener goes away.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	st := s.life.State()
+func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	st := State(s.state.Load())
 	if st == StateReady {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 		return
@@ -422,7 +393,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics renders the service counters in Prometheus text
 // exposition format.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	c := s.sched.Counters()
 	rs := s.sched.results.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -464,22 +435,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		write("coherenced_store_corrupt_repaired_total", "Corrupt or half-written store entries quarantined.", "counter", ss.Repairs)
 	}
 
-	if s.coord != nil {
-		fs := s.coord.Stats()
-		write("coherenced_fleet_workers_live", "Fleet workers heard from within the heartbeat timeout.", "gauge", uint64(fs.WorkersLive))
-		write("coherenced_fleet_shards_dispatched_total", "Shard leases handed to fleet workers.", "counter", fs.Dispatched)
-		write("coherenced_fleet_shards_completed_total", "Shards completed across the fleet.", "counter", fs.Completed)
-		write("coherenced_fleet_shards_reassigned_total", "Shards requeued after worker death or failure.", "counter", fs.Reassigned)
-		write("coherenced_fleet_shards_duplicate_total", "Shard completions ignored because the shard was no longer outstanding (late results after reassignment or cancellation).", "counter", fs.DupCompletes)
-		write("coherenced_fleet_shards_failed_total", "Shards that exhausted their attempts.", "counter", fs.Failed)
-		write("coherenced_fleet_shard_cache_hits_total", "Points answered from the durable result store instead of a lease.", "counter", fs.CacheHits)
-		write("coherenced_fleet_points_coalesced_total", "Dispatched points answered without a lease of their own: from the point memo, or attached to a shard already outstanding for the same point.", "counter", fs.Coalesced)
-		write("coherenced_fleet_local_runs_total", "Shards the coordinator executed itself, up to GOMAXPROCS at a time, while no fleet worker was live.", "counter", fs.LocalRuns)
-	}
+	fs := s.coord.Stats()
+	write("coherenced_fleet_workers_live", "Fleet workers heard from within the heartbeat timeout.", "gauge", uint64(fs.WorkersLive))
+	write("coherenced_fleet_shards_dispatched_total", "Shard leases handed to fleet workers.", "counter", fs.Dispatched)
+	write("coherenced_fleet_shards_completed_total", "Shards completed across the fleet.", "counter", fs.Completed)
+	write("coherenced_fleet_shards_reassigned_total", "Shards requeued after worker death or failure.", "counter", fs.Reassigned)
+	write("coherenced_fleet_shards_duplicate_total", "Shard completions ignored because the shard was no longer outstanding (late results after reassignment or cancellation).", "counter", fs.DupCompletes)
+	write("coherenced_fleet_shards_failed_total", "Shards that exhausted their attempts.", "counter", fs.Failed)
+	write("coherenced_fleet_shard_cache_hits_total", "Points answered from the durable result store instead of a lease.", "counter", fs.CacheHits)
+	write("coherenced_fleet_points_coalesced_total", "Dispatched points answered without a lease of their own: from the point memo, or attached to a shard already outstanding for the same point.", "counter", fs.Coalesced)
+	write("coherenced_fleet_local_runs_total", "Shards the coordinator executed itself, up to GOMAXPROCS at a time, while no fleet worker was live.", "counter", fs.LocalRuns)
 
-	if s.reloader != nil {
-		write("coherenced_config_reloads_total", "Successful hot configuration reloads (SIGHUP or admin endpoint).", "counter", s.reloader.Reloads())
-	}
+	write("coherenced_config_reloads_total", "Successful hot configuration reloads (SIGHUP or admin endpoint).", "counter", s.Reloads())
 
 	bkt, sum, count := s.sched.TxnLatency()
 	fmt.Fprintf(w, "# HELP coherenced_txn_latency_cycles Coherence-transaction latency (simulated cycles) from completed breakdown jobs.\n")

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,7 +29,7 @@ func newTestServer(t *testing.T, cfg Config, exec ExecFunc) (*httptest.Server, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.life.to(StateReady)
+	svc.to(StateReady)
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -366,6 +367,133 @@ func TestEventsStream(t *testing.T) {
 	}
 }
 
+// sseEvent is one event of a server-sent-event stream.
+type sseEvent struct{ event, data string }
+
+// readSSE parses a stream's events onto a channel, closed when the
+// stream ends.
+func readSSE(r io.Reader) <-chan sseEvent {
+	ch := make(chan sseEvent)
+	go func() {
+		defer close(ch)
+		scanner := bufio.NewScanner(r)
+		scanner.Buffer(make([]byte, 1<<20), 1<<20)
+		var event string
+		for scanner.Scan() {
+			line := scanner.Text()
+			switch {
+			case strings.HasPrefix(line, "event: "):
+				event = strings.TrimPrefix(line, "event: ")
+			case strings.HasPrefix(line, "data: "):
+				ch <- sseEvent{event, strings.TrimPrefix(line, "data: ")}
+			}
+		}
+	}()
+	return ch
+}
+
+// TestEventsLateSubscriberSeesProgress: a stream opened after the job
+// published progress shows that progress at once, before the job's
+// next step.
+func TestEventsLateSubscriberSeesProgress(t *testing.T) {
+	published, release := make(chan struct{}), make(chan struct{})
+	exec := func(ctx context.Context, spec JobSpec, simWorkers int, progress func(runner.Snapshot)) (*JobResult, error) {
+		progress(runner.Snapshot{JobsDone: 1, JobsTotal: 2, SimCycles: 1000, Label: "half"})
+		close(published)
+		<-release
+		progress(runner.Snapshot{JobsDone: 2, JobsTotal: 2, SimCycles: 2000, Label: "full"})
+		return &JobResult{Output: "done"}, nil
+	}
+	ts, _ := newTestServer(t, Config{Jobs: 1}, exec)
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unblock) // before the scheduler's Close, which waits for the job
+	_, doc := postJob(t, ts, `{"experiment":"fig8"}`)
+	<-published
+
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + doc.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	events := readSSE(resp.Body)
+	timeout := time.After(5 * time.Second)
+	for seen := false; !seen; {
+		select {
+		case e, ok := <-events:
+			if !ok {
+				t.Fatal("stream ended before any progress")
+			}
+			if e.event != "progress" {
+				continue
+			}
+			var p ProgressEvent
+			if err := json.Unmarshal([]byte(e.data), &p); err != nil {
+				t.Fatal(err)
+			}
+			if p.JobsDone != 1 || p.Label != "half" {
+				t.Fatalf("first progress = %+v, want the published half", p)
+			}
+			seen = true
+		case <-timeout:
+			t.Fatal("no progress event while the job waits on its next step")
+		}
+	}
+	unblock()
+	var last sseEvent
+	for e := range events {
+		last = e
+	}
+	var final JobStatus
+	if err := json.Unmarshal([]byte(last.data), &final); err != nil || last.event != "status" || final.Status != StatusDone {
+		t.Fatalf("stream ended with %s %q, want the done document", last.event, last.data)
+	}
+}
+
+// TestEventsSlowSubscriberNeverBlocksJob: a subscriber that reads
+// nothing while the job publishes 100 snapshots holds the job up not at
+// all, then reads strictly increasing progress and the terminal
+// document.
+func TestEventsSlowSubscriberNeverBlocksJob(t *testing.T) {
+	subscribed := make(chan struct{})
+	exec := func(ctx context.Context, spec JobSpec, simWorkers int, progress func(runner.Snapshot)) (*JobResult, error) {
+		<-subscribed
+		for i := 1; i <= 100; i++ {
+			progress(runner.Snapshot{JobsDone: i, JobsTotal: 100, SimCycles: uint64(i) * 1000})
+		}
+		return &JobResult{Output: "done"}, nil
+	}
+	ts, _ := newTestServer(t, Config{Jobs: 1}, exec)
+	_, doc := postJob(t, ts, `{"experiment":"fig8"}`)
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + doc.ID + "/events")
+	if err != nil {
+		close(subscribed)
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	close(subscribed)
+	final := pollDone(t, ts, doc.ID) // the subscriber has read nothing yet
+
+	prev := 0
+	var last sseEvent
+	for e := range readSSE(resp.Body) {
+		if e.event == "progress" {
+			var p ProgressEvent
+			if err := json.Unmarshal([]byte(e.data), &p); err != nil {
+				t.Fatal(err)
+			}
+			if p.JobsDone <= prev {
+				t.Fatalf("jobs_done %d after %d: progress must strictly increase", p.JobsDone, prev)
+			}
+			prev = p.JobsDone
+		}
+		last = e
+	}
+	if last.event != "status" || last.data != string(final) {
+		t.Fatalf("stream ended with %s %q, want the terminal document %s", last.event, last.data, final)
+	}
+}
+
 func TestExperimentsListing(t *testing.T) {
 	ts, _ := newTestServer(t, Config{}, stubExec(nil, nil))
 	resp, body := getBody(t, ts.URL+"/v1/experiments")
@@ -409,11 +537,11 @@ func TestHealthReadyMetrics(t *testing.T) {
 	if resp, _ := getBody(t, ts.URL+"/readyz"); resp.StatusCode != http.StatusOK {
 		t.Errorf("readyz HTTP %d while ready", resp.StatusCode)
 	}
-	svc.life.to(StateDraining)
+	svc.to(StateDraining)
 	if resp, _ := getBody(t, ts.URL+"/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("readyz HTTP %d while draining, want 503", resp.StatusCode)
 	}
-	svc.life.to(StateReady)
+	svc.to(StateReady)
 
 	// Run one job, then check the counters surface.
 	_, doc := postJob(t, ts, `{"experiment":"fig8"}`)
