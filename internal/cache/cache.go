@@ -253,18 +253,12 @@ func (c *Cache) Invalidate(block uint32) (old Line, was bool) {
 	return old, was
 }
 
-// ApplyUpdate writes an externally produced value for one word into the
-// cached copy (update-protocol delivery) and wakes watchers. It reports
-// whether the block was present.
-func (c *Cache) ApplyUpdate(block uint32, word int, v uint32) bool {
-	ln := c.Lookup(block)
-	if ln == nil {
-		return false
-	}
+// ApplyUpdate writes an externally produced value for one word into ln,
+// a line Lookup returned (update-protocol delivery), and wakes watchers.
+func (c *Cache) ApplyUpdate(ln *Line, word int, v uint32) {
 	ln.Data[word] = v
 	c.stats.UpdatesIn++
-	c.FireWatchers(block)
-	return true
+	c.FireWatchers(ln.Block)
 }
 
 // Watch registers a one-shot callback invoked the next time block is

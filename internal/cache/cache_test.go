@@ -164,13 +164,13 @@ func TestFlushedWatcherKeysOnBlock(t *testing.T) {
 	c.Watch(6, func() { woken++ })
 	c.Flush(6)
 	c.Install(6+1024, data, Shared)
-	c.ApplyUpdate(6+1024, 0, 1)
+	c.ApplyUpdate(c.Lookup(6+1024), 0, 1)
 	c.Invalidate(6 + 1024)
 	if woken != 0 || !c.Watched(6) || c.Watched(6+1024) {
 		t.Fatalf("another occupant of the frame woke the watcher (woken %d, watched %v/%v)", woken, c.Watched(6), c.Watched(6+1024))
 	}
 	c.Install(6, data, Shared)
-	c.ApplyUpdate(6, 0, 1)
+	c.ApplyUpdate(c.Lookup(6), 0, 1)
 	if woken != 1 || c.Watched(6) {
 		t.Fatalf("update of the flushed, reinstalled block: woken %d, watched %v; want 1, false", woken, c.Watched(6))
 	}
@@ -181,14 +181,9 @@ func TestApplyUpdateChangesWordAndWakes(t *testing.T) {
 	c.Install(4, make([]uint32, WordsPerBlock), Shared)
 	woken := false
 	c.Watch(4, func() { woken = true })
-	if !c.ApplyUpdate(4, 2, 77) {
-		t.Fatal("ApplyUpdate on present block returned false")
-	}
-	if c.Lookup(4).Data[2] != 77 || !woken {
-		t.Fatalf("data %d woken %v", c.Lookup(4).Data[2], woken)
-	}
-	if c.ApplyUpdate(5, 0, 1) {
-		t.Fatal("ApplyUpdate on absent block returned true")
+	c.ApplyUpdate(c.Lookup(4), 2, 77)
+	if c.Lookup(4).Data[2] != 77 || !woken || c.stats.UpdatesIn != 1 {
+		t.Fatalf("data %d woken %v updates in %d", c.Lookup(4).Data[2], woken, c.stats.UpdatesIn)
 	}
 }
 

@@ -149,8 +149,12 @@ func (d *frameDiffer) apply(op [frameOpBytes]byte) {
 	case 7:
 		w, v := int(arg)%WordsPerBlock, uint32(d.step)
 		d.what = fmt.Sprintf("ApplyUpdate(%d,%d,%d)", b, w, v)
-		if got, want := d.c.ApplyUpdate(b, w, v), d.ref.ApplyUpdate(b, w, v); got != want {
-			d.fail("%v, reference %v", got, want)
+		ln, want := d.c.Lookup(b), d.ref.ApplyUpdate(b, w, v)
+		if got := ln != nil; got != want {
+			d.fail("present %v, reference %v", got, want)
+		}
+		if ln != nil {
+			d.c.ApplyUpdate(ln, w, v)
 		}
 	case 8:
 		if d.c.wfn == nil {

@@ -61,6 +61,17 @@ type liveModel struct {
 	dumps  [MaxBlocks]proto.BlockDump
 	dumped *node
 	path   []action
+	// calls are each processor's completion callbacks, bound once so
+	// that an issue builds none.
+	calls [MaxProcs]liveCalls
+}
+
+// liveCalls are one processor's completion callbacks: an operation
+// retires (a read's or an atomic's done, a store's retire, a flush's
+// done), then waits for its acknowledgements to drain.
+type liveCalls struct {
+	retired, drained func()
+	read, atomic     func(uint32)
 }
 
 // model is m as the walker sees it.
@@ -73,6 +84,17 @@ func newLiveModel(cfg Config) *liveModel {
 	pc.CUThreshold = cfg.CUThreshold
 	pc.DisableRetention = cfg.DisableRetention
 	m := &liveModel{cfg: cfg, x: proto.NewExplorer(cfg.Procs, pc, cfg.Faults), root: &node{}}
+	for p := range m.calls[:cfg.Procs] {
+		c := &m.calls[p]
+		c.drained = func() { m.procs[p] = liveProc{issued: m.procs[p].issued} }
+		c.retired = func() { m.x.WhenDrained(p, c.drained) }
+		c.read = func(uint32) { c.retired() }
+		c.atomic = func(old uint32) {
+			pr := &m.procs[p]
+			m.record(uint32(pr.block), int(pr.word), old+1)
+			c.retired()
+		}
+	}
 	m.reset()
 	return m
 }
@@ -209,23 +231,18 @@ func (m *liveModel) issue(a action) {
 	p, pr := int(a.p), &m.procs[a.p]
 	*pr = liveProc{active: true, kind: a.kind, block: a.block, word: a.word, issued: pr.issued + 1}
 	addr := cache.Addr(uint32(a.block)*cache.BlockBytes + uint32(a.word)*cache.WordBytes)
-	retired := func() {
-		m.x.WhenDrained(p, func() { m.procs[p] = liveProc{issued: m.procs[p].issued} })
-	}
+	c := &m.calls[p]
 	switch a.kind {
 	case OpRead:
-		m.x.Read(p, addr, func(uint32) { retired() })
+		m.x.Read(p, addr, c.read)
 	case OpWrite:
 		pr.val = writeValue(m.cfg, a.p, pr.issued-1)
 		m.record(uint32(a.block), int(a.word), uint32(pr.val))
-		m.x.Write(p, addr, uint32(pr.val), retired)
+		m.x.Write(p, addr, uint32(pr.val), c.retired)
 	case OpAtomic:
-		m.x.Atomic(p, addr, proto.FetchAdd, 1, 0, func(old uint32) {
-			m.record(uint32(a.block), int(a.word), old+1)
-			retired()
-		})
+		m.x.Atomic(p, addr, proto.FetchAdd, 1, 0, c.atomic)
 	case OpFlush:
-		m.x.FlushBlock(p, addr, retired)
+		m.x.FlushBlock(p, addr, c.retired)
 	}
 	m.x.Drain()
 }

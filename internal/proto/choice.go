@@ -121,29 +121,32 @@ type choiceNet struct {
 	n      int
 	hdrs   [][]Msg
 	fns    [][]func()
+	cur    Msg // the header whose delivery is running
 	faults Faults
 }
 
+// send queues a copy of h: a sender may reuse its header.
 func (c *choiceNet) send(h *Msg, fn func()) {
-	switch h.Kind {
+	m := *h
+	switch m.Kind {
 	case MsgInvAck:
-		if c.faults.SkipInvAck && int(h.Src) == c.n-1 {
+		if c.faults.SkipInvAck && int(m.Src) == c.n-1 {
 			return
 		}
 	case MsgNote:
-		if c.faults.SkipDropNotice && h.Aux == 0 {
+		if c.faults.SkipDropNotice && m.Aux == 0 {
 			return
 		}
 	case MsgUpd:
-		// The handler reads the value from the header, so a rewrite
-		// here is what arrives.
+		// The handler reads the value from the header it is delivered
+		// with (choiceNet.cur), so a rewrite here is what arrives.
 		if c.faults.StaleUpdateValue {
-			h.Val = h.Val2
+			m.Val = m.Val2
 		}
-		h.Val2 = 0
+		m.Val2 = 0
 	}
-	i := int(h.Src)*c.n + int(h.Dst)
-	c.hdrs[i] = append(c.hdrs[i], *h)
+	i := int(m.Src)*c.n + int(m.Dst)
+	c.hdrs[i] = append(c.hdrs[i], m)
 	c.fns[i] = append(c.fns[i], fn)
 }
 
@@ -197,6 +200,7 @@ func (x *Explorer) Deliver(src, dst int) {
 	i := src*x.ch.n + dst
 	hs, fns := x.ch.hdrs[i], x.ch.fns[i]
 	fn := fns[0]
+	x.ch.cur = hs[0]
 	// Shift down, keeping the storage; the handler may send on this
 	// very channel.
 	copy(hs, hs[1:])

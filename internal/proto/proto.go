@@ -247,14 +247,13 @@ type System struct {
 	// Pools of transaction/message objects, each carrying its stage
 	// continuations built once for its lifetime, so the steady-state
 	// protocol paths allocate nothing: updOp PU/CU write-throughs and
-	// atomics (with their ack collection), updMsg update deliveries,
-	// readMsg read misses, wiOp WI ownership acquisitions, invMsg WI
+	// atomics (with their update multicast and ack collection), readMsg
+	// read misses, wiOp WI ownership acquisitions, invMsg WI
 	// invalidations, noteMsg drop/replacement/relinquish notices, wbMsg
 	// dirty write-backs; dirs lends the directory entries, which a
 	// block keeps until Reset.
 	dirs   pool[dirEntry]
 	updOps pool[updOp]
-	upds   pool[updMsg]
 	reads  pool[readMsg]
 	wiOps  pool[wiOp]
 	invs   pool[invMsg]
@@ -375,7 +374,6 @@ func (s *System) Reset(cfg Config) {
 	}
 	s.dirs.reset()
 	s.updOps.reset()
-	s.upds.reset()
 	s.reads.reset()
 	s.wiOps.reset()
 	s.invs.reset()

@@ -33,21 +33,25 @@ import (
 
 // updOp is one PU/CU write-through or atomic. It carries the operation
 // along its fixed chain — a store's optional write-allocate fetch (miss,
-// fetch), then local, home, locked, wrote, reply — and collects the
-// sharers' acknowledgements, with the stage continuations built once per
-// pooled object, so the per-operation chain does not allocate in steady
-// state. The op lives until the reply and every expected acknowledgement
-// have arrived: check recycles it then, when no in-flight message can
-// still reference it. (A store to a retained-private line never leaves
-// the writer and recycles in local.) Completion callbacks run from
-// copies of its fields, so operations they issue may reuse the op.
+// fetch), then local, home, locked, wrote, the sharers' updates, reply —
+// and collects the sharers' acknowledgements, with the stage
+// continuations built once per pooled object, so the per-operation chain
+// does not allocate in steady state. The op lives until the reply and
+// every expected acknowledgement have arrived, so past every update
+// delivery, each of which sends one: check recycles it then. (A store to
+// a retained-private line never leaves the writer and recycles in
+// local.) Completion callbacks run from copies of its fields, so
+// operations they issue may reuse the op.
 type updOp struct {
 	s        *System
 	p        int
 	word     int
-	expected int    // acks to collect, known once the home multicasts
-	got      int    // acks arrived or booked
-	acks     ackFan // the multicast's mesh-crossing acks
+	expected int        // acks to collect, known once the home multicasts
+	got      int        // acks arrived or booked
+	acks     ackFan     // the multicast's mesh-crossing acks
+	fan      []sim.Time // the multicast's deliveries, arrival<<8 | sharer, in the order they run
+	next     int        // fan's next delivery
+	fanAt    sim.Time   // when the multicast left the home
 	block    uint32
 	v        uint32 // store value; an atomic's new value once performed
 	old      uint32 // the value v overwrote at the home
@@ -72,17 +76,18 @@ type updStages struct {
 	lockedFn func()              // entry free: demote a private owner or perform
 	opFn     func(uint32) uint32 // an atomic's read-modify-write
 	wroteFn  func()              // memory op complete: multicast + reply
+	updFn    func()              // one sharer's update delivered
 	replyFn  func()              // at the requester: apply, retire
 	ackFn    func()              // one queued sharer acknowledgement
 }
 
 func (s *System) newUpdOp(p int, block uint32, word int) *updOp {
 	op, fresh := s.updOps.get()
-	*op = updOp{s: s, p: p, block: block, word: word, updStages: op.updStages}
+	*op = updOp{s: s, p: p, block: block, word: word, fan: op.fan[:0], updStages: op.updStages}
 	if fresh {
 		op.updStages = updStages{missFn: op.miss, fetchFn: func(uint32) { op.local() }, homeFn: op.home,
 			lockedFn: op.locked, opFn: func(old uint32) uint32 { return op.kind.apply(old, op.op1, op.op2) },
-			wroteFn: op.wrote, replyFn: op.reply, ackFn: op.ack}
+			wroteFn: op.wrote, updFn: op.update, replyFn: op.reply, ackFn: op.ack}
 	}
 	return op
 }
@@ -290,12 +295,21 @@ func (op *updOp) wrote() {
 		s.tr.Fanout(op.txn, trace.FanUpd, s.e.Now())
 	}
 	op.acks = ackFan{left: len(others), kind: MsgUpdAck, block: block}
+	op.fanAt = s.e.Now()
+	h := Msg{Kind: MsgUpd, Src: uint8(home), Block: block, Word: uint8(word), Aux: uint8(p), Val: v, Val2: op.old}
 	for _, q := range others {
 		s.ctr.UpdatesSent++
-		um := s.newUpdMsg(op)
-		um.h = Msg{Kind: MsgUpd, Src: uint8(home), Dst: uint8(q), Block: block, Word: uint8(word), Aux: uint8(p), Val: v, Val2: op.old}
-		um.sentAt = s.e.Now()
-		s.sendT(op.txn, &um.h, szWord, um.fn)
+		h.Dst = uint8(q)
+		// The engine runs events in time order and equal times in the
+		// order they were scheduled, here ascending sharers: sorted by
+		// (arrival, sharer), fan[k] is the k-th delivery to run.
+		f := s.sendT(op.txn, &h, szWord, op.updFn)<<8 | sim.Time(q)
+		i := len(op.fan)
+		op.fan = append(op.fan, f)
+		for ; i > 0 && op.fan[i-1] > f; i-- {
+			op.fan[i] = op.fan[i-1]
+		}
+		op.fan[i] = f
 	}
 	op.expected = len(others)
 	r := Msg{Kind: MsgWTReply, Src: uint8(home), Dst: uint8(p), Block: block, Word: uint8(word), Val: v, Aux: uint8(op.expected)}
@@ -310,6 +324,20 @@ func (op *updOp) wrote() {
 		}
 	}
 	s.sendT(op.txn, &r, size, op.replyFn)
+}
+
+// update runs the multicast's next delivery. The choice network
+// delivers in the explorer's order, so there the sharer and the value
+// come from the header being delivered, which a stale-value fault
+// rewrites.
+func (op *updOp) update() {
+	s, f := op.s, op.fan[op.next]
+	op.next++
+	q, v := int(f&0xff), op.v
+	if s.ch != nil {
+		q, v = int(s.ch.cur.Dst), s.ch.cur.Val
+	}
+	s.deliverUpdate(q, op, v)
 }
 
 // reply runs at the requester: a store applies the serialized value to
@@ -376,16 +404,17 @@ func (op *updOp) check() {
 	s.updOps.put(op)
 }
 
-// deliverUpdate applies an update message at sharer q: plain application
-// under PU, counter-gated application or self-invalidation under CU.
-// Every recipient acknowledges to the writer.
-func (s *System) deliverUpdate(q int, block uint32, word int, v uint32, writer int, op *updOp, sentAt sim.Time) {
+// deliverUpdate applies op's update of value v at sharer q: plain
+// application under PU, counter-gated application or self-invalidation
+// under CU. Every recipient acknowledges to the writer.
+func (s *System) deliverUpdate(q int, op *updOp, v uint32) {
+	block, word := op.block, op.word
 	c := s.caches[q]
 	ln := c.Lookup(block)
 	if ln == nil {
 		// Stale sharer: our drop notice / replacement hint is in flight.
 		s.cl.StrayUpdate()
-		s.sendAck(q, op, sentAt)
+		s.sendAck(q, op)
 		return
 	}
 	if ln.State == cache.Exclusive {
@@ -393,7 +422,7 @@ func (s *System) deliverUpdate(q int, block uint32, word int, v uint32, writer i
 		// serialized: the owner's value is newer, so the update is
 		// stale and must not be applied.
 		s.cl.StrayUpdate()
-		s.sendAck(q, op, sentAt)
+		s.sendAck(q, op)
 		return
 	}
 	if s.cfg.Protocol == CU {
@@ -413,58 +442,26 @@ func (s *System) deliverUpdate(q int, block uint32, word int, v uint32, writer i
 			c.Invalidate(block) // wakes spinners, who will re-miss (drop miss)
 			s.ctr.DropNotices++
 			s.sendNote(q, block, false /* drop notice */)
-			s.sendAck(q, op, sentAt)
+			s.sendAck(q, op)
 			return
 		}
 	}
 	if s.tr != nil {
 		s.tr.CacheTouch(q, op.txn)
 	}
-	s.cl.UpdateDelivered(q, block, word, writer)
-	c.ApplyUpdate(block, word, v) // wakes spinners
-	s.sendAck(q, op, sentAt)
+	s.cl.UpdateDelivered(q, block, word, op.p)
+	c.ApplyUpdate(ln, word, v) // wakes spinners
+	s.sendAck(q, op)
 }
 
 // sendAck sends a sharer acknowledgement to the operation's requester,
 // closing the per-target fan-out span.
-func (s *System) sendAck(from int, op *updOp, sentAt sim.Time) {
+func (s *System) sendAck(from int, op *updOp) {
 	at, queued := s.sendFanAck(&op.acks, op.txn, from, op.p, op.ackFn)
 	if !queued {
 		op.got++ // op.ack, minus a check that cannot pass
 	}
 	if s.tr != nil && op.txn != 0 {
-		s.tr.TargetAck(op.txn, from, sentAt, at)
+		s.tr.TargetAck(op.txn, from, op.fanAt, at)
 	}
-}
-
-// updMsg carries one update delivery to a sharer. Messages recycle
-// through a pool on System, each with a delivery closure built once for
-// the object's lifetime, so the per-sharer multicast — the dominant
-// residual allocation in update-protocol runs — stops allocating in
-// steady state. The object goes back to the pool before deliverUpdate
-// runs (its fields are copied out first), so deliveries triggered from
-// within deliverUpdate may reuse it.
-type updMsg struct {
-	s      *System
-	h      Msg      // the update; its value is what the network delivers
-	sentAt sim.Time // fan-out dispatch time (trace per-target span start)
-	op     *updOp
-	fn     func()
-}
-
-func (s *System) newUpdMsg(op *updOp) *updMsg {
-	m, fresh := s.upds.get()
-	*m = updMsg{s: s, op: op, fn: m.fn}
-	if fresh {
-		m.fn = m.deliver
-	}
-	return m
-}
-
-func (m *updMsg) deliver() {
-	s := m.s
-	h, op, sentAt := &m.h, m.op, m.sentAt
-	q, block, word, v, writer := h.Dst, h.Block, h.Word, h.Val, h.Aux
-	s.upds.put(m)
-	s.deliverUpdate(int(q), block, int(word), v, int(writer), op, sentAt)
 }

@@ -83,7 +83,6 @@ type task struct {
 	id     string
 	spec   JobSpec
 	tenant string
-	done   chan struct{} // closed at terminal state
 
 	mu       *sync.Mutex // the scheduler's lock; it guards the fields below
 	status   string
@@ -320,7 +319,7 @@ func (s *Scheduler) Submit(spec JobSpec, tenant string) (id string, t *task, cac
 		s.c.Rejected++
 		return id, nil, nil, 0, ErrQueueFull
 	}
-	t = &task{id: id, spec: spec, tenant: tenant, done: make(chan struct{}), mu: &s.mu, status: StatusQueued, changed: make(chan struct{})}
+	t = &task{id: id, spec: spec, tenant: tenant, mu: &s.mu, status: StatusQueued, changed: make(chan struct{})}
 	*q = append(*q, t)
 	s.inflight[id] = t
 	s.perTenant[tenant]++
@@ -528,7 +527,6 @@ func (s *Scheduler) finalize(t *task, res *JobResult, err error) {
 		s.changed.Broadcast()
 	}
 	s.mu.Unlock()
-	close(t.done)
 }
 
 // foldLatency accumulates a completed job's per-run transaction-latency

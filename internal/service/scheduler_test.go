@@ -56,6 +56,28 @@ func waitRunning(t *testing.T, s *Scheduler, n int) {
 	}
 }
 
+// terminal reports whether tk reaches its terminal document within
+// wait, waking on each of its changes; with wait 0 it only looks.
+func terminal(tk *task, wait time.Duration) bool {
+	var timeout <-chan time.Time
+	for {
+		_, _, body, changed := tk.watch()
+		switch {
+		case body != nil:
+			return true
+		case wait == 0:
+			return false
+		case timeout == nil:
+			timeout = time.After(wait)
+		}
+		select {
+		case <-changed:
+		case <-timeout:
+			return false
+		}
+	}
+}
+
 // TestDedupRunsSimulationExactlyOnce is the singleflight guarantee:
 // identical specs submitted concurrently share one execution, and every
 // waiter sees the same result.
@@ -106,7 +128,9 @@ func TestDedupRunsSimulationExactlyOnce(t *testing.T) {
 	if admitted != 1 || deduped != submitters-1 {
 		t.Errorf("admissions = %d admitted / %d deduped, want 1 / %d", admitted, deduped, submitters-1)
 	}
-	<-shared.done
+	if !terminal(shared, 5*time.Second) {
+		t.Fatal("the shared job never finished")
+	}
 	if got := execs.Load(); got != 1 {
 		t.Errorf("simulation executed %d times, want exactly 1", got)
 	}
@@ -232,7 +256,9 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	if _, ok := s.Cancel(queued.id); !ok {
 		t.Fatal("queued job not found for cancel")
 	}
-	<-queued.done
+	if !terminal(queued, 5*time.Second) {
+		t.Fatal("the cancelled queued job never finished")
+	}
 	if st := queued.Status().Status; st != StatusCanceled {
 		t.Errorf("queued job status = %s, want canceled", st)
 	}
@@ -242,7 +268,9 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	if _, ok := s.Cancel(running.id); !ok {
 		t.Fatal("running job not found for cancel")
 	}
-	<-running.done
+	if !terminal(running, 5*time.Second) {
+		t.Fatal("the cancelled running job never finished")
+	}
 	if st := running.Status().Status; st != StatusCanceled {
 		t.Errorf("running job status = %s, want canceled", st)
 	}
@@ -262,9 +290,7 @@ func TestJobDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-tk.done:
-	case <-time.After(5 * time.Second):
+	if !terminal(tk, 5*time.Second) {
 		t.Fatal("deadline never fired")
 	}
 	st := tk.Status()
@@ -286,9 +312,7 @@ func TestDrainFinishesInFlightJobs(t *testing.T) {
 	if !s.Drain(5 * time.Second) {
 		t.Error("drain reported stragglers for a fast job")
 	}
-	select {
-	case <-tk.done:
-	default:
+	if !terminal(tk, 0) {
 		t.Error("job not terminal after drain")
 	}
 	if st := tk.Status().Status; st != StatusDone {

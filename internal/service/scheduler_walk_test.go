@@ -406,15 +406,11 @@ func swClass(spec uint8) int {
 }
 
 // settle records the jobs step a finalized, each of which must carry
-// the status end; a second finalization would have closed done twice.
+// the status end; a second finalization would count twice, which check
+// finds in the lifetime counters.
 func (m *swModel) settle(a swAct, end string) {
 	for _, j := range m.jobs {
-		select {
-		case <-j.t.done:
-		default:
-			continue
-		}
-		if j.finished {
+		if j.finished || !terminal(j.t, 0) {
 			continue
 		}
 		j.finished = true
