@@ -109,7 +109,7 @@ func TestUpdateAcksBookedFenceReleaseTimes(t *testing.T) {
 			if got := released - issued; got != c.release {
 				t.Errorf("fence released %d cycles after issue, want %d", got, c.release)
 			}
-			if got := lastPut(&s.updOps).acks.booked - issued; got != c.booked {
+			if got := lastPut(&s.updOps).booked - issued; got != c.booked {
 				t.Errorf("last booked ack arrives %d cycles after issue, want %d", got, c.booked)
 			}
 			if queued != 1 {
@@ -164,7 +164,7 @@ func TestWIAcksBookedGrantTimes(t *testing.T) {
 			if got := granted - issued; got != c.grant {
 				t.Errorf("ownership granted %d cycles after issue, want %d", got, c.grant)
 			}
-			if got := lastPut(&s.wiOps).acks.booked - issued; got != 26 {
+			if got := lastPut(&s.wiOps).booked - issued; got != 26 {
 				t.Errorf("booked ack arrives %d cycles after issue, want 26", got)
 			}
 			if queued != 2 {
@@ -186,13 +186,13 @@ func TestWIAcksBookedGrantTimes(t *testing.T) {
 // Booking leans on the destination interface delivering in sending
 // order. A mesh that forgets a booking (here: its interface occupancy
 // rewound) would let the queued ack overtake a booked one and complete
-// the collection early; sendFanAck must refuse instead.
+// the collection early; sendAck must refuse instead.
 func TestFinalAckOvertakingBookedOnePanics(t *testing.T) {
 	ts := newTest(t, PU, 8)
 	s := ts.s
-	f := ackFan{left: 2}
-	if _, queued := s.sendFanAck(&f, 0, 7, 0, nil); queued || f.booked == 0 {
-		t.Fatalf("first of two acks: queued=%v booked=%d, want it booked", queued, f.booked)
+	f := multicast{unacked: 2, left: 2}
+	if f.sendAck(s, 0, 7, nil); f.unacked != 1 || f.booked == 0 {
+		t.Fatalf("first of two acks: %d left to count, booked=%d, want it booked and counted", f.unacked, f.booked)
 	}
 	s.nw.Reset() // rewind the interfaces to the idle machine's
 	defer func() {
@@ -200,6 +200,6 @@ func TestFinalAckOvertakingBookedOnePanics(t *testing.T) {
 			t.Fatalf("recovered %q, want the arrival-order panic", r)
 		}
 	}()
-	s.sendFanAck(&f, 0, 1, 0, func() {})
+	f.sendAck(s, 0, 1, func() {})
 	t.Fatal("an ack arriving before a booked one was accepted")
 }

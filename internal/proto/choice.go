@@ -163,6 +163,9 @@ type Explorer struct {
 func NewExplorer(n int, cfg Config, f Faults) *Explorer {
 	s := NewSystem(sim.NewEngine(), n, cfg, classify.New(n))
 	s.ch = &choiceNet{n: n, hdrs: make([][]Msg, n*n), fns: make([][]func(), n*n), faults: f}
+	// The grant-before-acks fault's invalidations answer no op: theirs
+	// is granted, and may be reused, before they arrive.
+	s.strayInvFn = func() { s.invalidateCopy(int(s.ch.cur.Dst), s.ch.cur.Block, 0) }
 	return &Explorer{s}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"coherencesim/internal/cache"
+	"coherencesim/internal/trace"
 )
 
 // Tests of the explore-only choice network: every message waits on its
@@ -136,5 +137,30 @@ func TestAtomicReplyBlockIsItsOwnImage(t *testing.T) {
 	settle(x)
 	if errs := x.CheckCoherence(); len(errs) > 0 {
 		t.Fatal(errs[0])
+	}
+}
+
+// TestTracedGrantBeforeAcks: under the grant-before-acks fault the
+// invalidations outlive their op, so they must not reach for it — not
+// even for the tracer, which a traced explorer consults on every
+// invalidation that finds a copy.
+func TestTracedGrantBeforeAcks(t *testing.T) {
+	const n = 4
+	cfg := DefaultConfig(WI, n)
+	cfg.Txn = trace.NewTracer(n, 0)
+	x := NewExplorer(n, cfg, Faults{GrantBeforeAcks: true})
+	for p := 0; p < n; p++ {
+		x.Read(p, 0, func(uint32) {})
+		settle(x)
+	}
+	x.Write(1, 0, 7, func() {})
+	settle(x)
+	for p := 0; p < n; p++ {
+		if p != 1 && x.Cache(p).Present(0) {
+			t.Errorf("node %d still caches block 0", p)
+		}
+	}
+	if len(x.wiOps.free) != len(x.wiOps.all) {
+		t.Errorf("%d of %d WI ops back in the pool", len(x.wiOps.free), len(x.wiOps.all))
 	}
 }

@@ -11,12 +11,12 @@ import (
 	"coherencesim/internal/sim"
 )
 
-// An update multicast keeps one record, its updOp: each delivery finds
-// its sharer in the op's fan table on the mesh, and in the header being
-// delivered on the choice network. These tests multicast to sharers
-// whose arrivals do not follow sharer order and check that each sharer
-// gets its update, with the right value, at the instant the mesh booked
-// for it.
+// A multicast, of invalidations under WI or of updates under PU, keeps
+// one record in its op: each delivery finds its sharer in the op's fan
+// table on the mesh, and in the header being delivered on the choice
+// network. These tests multicast to sharers whose arrivals do not follow
+// sharer order and check that each sharer loses its copy, or gets its
+// update with the right value, at the instant the mesh booked for it.
 
 // withMesh replaces the network parameters.
 func withMesh(m mesh.Config) testOpt { return func(c *Config) { c.Mesh = m } }
@@ -31,38 +31,50 @@ func sharedByAll(ts *testSystem, n int, b cache.Addr) {
 	sc.run()
 }
 
-// TestUpdateMulticastOutOfSharerOrder: 16 nodes on a 4x4 grid share
-// block 5, whose home is node 5; node 0 stores to it (or swaps into it).
-// A word message is one flit and a switch costs 4 cycles, so distance,
-// not the home's interface, orders the arrivals: node 3, three steps
-// from the home, lands after node 4, sent after it but one step away,
-// and together with node 8; the home's own copy loops back first though
-// it is sent fifth; and node 6, next to the home, lands last because
-// the test booked its input interface up front. The expected instants
-// come from a second network booked with the same messages.
-func TestUpdateMulticastOutOfSharerOrder(t *testing.T) {
+// TestMulticastOutOfSharerOrder: 16 nodes on a 4x4 grid share block 5,
+// whose home is node 5; node 0 stores to it (or swaps into it). An
+// invalidation or a word message is one flit and a switch costs 4
+// cycles, so distance, not the home's interface, orders the arrivals:
+// node 3, three steps from the home, lands after node 4, sent after it
+// but one step away, and together with node 8; the home's own copy
+// loops back first though it is sent fifth; and node 6, next to the
+// home, lands last because the test booked its input interface up
+// front. The expected instants come from a second network booked with
+// the same messages.
+func TestMulticastOutOfSharerOrder(t *testing.T) {
 	const n, block, writer, home, far, booked = 16, 5, 0, 5, 3, 6
 	addr := cache.Addr(block * cache.BlockBytes)
 	mcfg := mesh.Config{FlitBytes: 16, SwitchDelay: 4, LocalDelay: 1}
-	for _, atomic := range []bool{false, true} {
-		t.Run(fmt.Sprintf("atomic=%v", atomic), func(t *testing.T) {
-			ts := newTest(t, PU, n, withMesh(mcfg))
+	for _, tc := range []struct {
+		pr     Protocol
+		atomic bool
+	}{{PU, false}, {PU, true}, {WI, false}, {WI, true}} {
+		pr, atomic := tc.pr, tc.atomic
+		t.Run(fmt.Sprintf("%v/atomic=%v", pr, atomic), func(t *testing.T) {
+			ts := newTest(t, pr, n, withMesh(mcfg))
 			s := ts.s
 			sharedByAll(ts, n, addr)
 			at := make([]sim.Time, n)
 			val := make([]uint32, n)
-			var order []int // sharers in the order their updates ran
+			var order []int // sharers in the order their deliveries ran
 			for q := 0; q < n; q++ {
 				if q == writer {
 					continue
 				}
 				c := s.Cache(q)
 				c.Watch(block, func() {
-					at[q], val[q] = ts.e.Now(), c.Lookup(block).Data[0]
+					at[q] = ts.e.Now()
+					if ln := c.Lookup(block); ln != nil {
+						val[q] = ln.Data[0]
+					}
 					order = append(order, q)
 				})
 			}
 			const want = 7
+			wantVal, size := uint32(want), szWord
+			if pr == WI {
+				wantVal, size = 0, szControl // an invalidated copy is gone
+			}
 			var issued sim.Time
 			completions, drains := 0, 0
 			ts.e.Schedule(0, func() {
@@ -76,35 +88,43 @@ func TestUpdateMulticastOutOfSharerOrder(t *testing.T) {
 				}
 			})
 			ts.e.Run()
-			op := lastPut(&s.updOps)
+			var fanAt sim.Time
+			if pr == WI {
+				fanAt = lastPut(&s.wiOps).fanAt
+			} else {
+				fanAt = lastPut(&s.updOps).fanAt
+			}
 
 			// The same bookings on an idle network of the same shape.
 			e := sim.NewEngine()
 			nw := mesh.New(e, n, mcfg)
 			expect := make([]sim.Time, n)
 			e.At(issued, func() { nw.Book(n-1, booked, 16*200) })
-			e.At(op.fanAt, func() {
+			e.At(fanAt, func() {
 				for q := 0; q < n; q++ {
 					if q != writer {
-						expect[q] = nw.Send(home, q, szWord, func() {})
+						expect[q] = nw.Send(home, q, size, func() {})
 					}
 				}
 			})
 			e.Run()
 
 			for q := 0; q < n; q++ {
-				if q != writer && (at[q] != expect[q] || val[q] != want) {
-					t.Errorf("node %d got %d at T+%d, want %d at T+%d", q, val[q], at[q]-issued, want, expect[q]-issued)
+				if q != writer && (at[q] != expect[q] || val[q] != wantVal) {
+					t.Errorf("node %d got %d at T+%d, want %d at T+%d", q, val[q], at[q]-issued, wantVal, expect[q]-issued)
+				}
+				if q != writer && pr == WI && s.Cache(q).Present(block) {
+					t.Errorf("node %d still caches block %d", q, block)
 				}
 			}
-			// Updates landing together run in the order they were sent.
+			// Deliveries landing together run in the order they were sent.
 			wantOrder := slices.Clone(order)
 			slices.SortFunc(wantOrder, func(a, b int) int { return cmp.Or(cmp.Compare(expect[a], expect[b]), a-b) })
 			if !slices.Equal(order, wantOrder) {
-				t.Errorf("updates ran in the order %v, want %v", order, wantOrder)
+				t.Errorf("deliveries ran in the order %v, want %v", order, wantOrder)
 			}
-			// The premises: the arrivals are out of sharer order as
-			// described, and at least two land together.
+			// The premises: the arrivals are out of sharer order as described,
+			// and at least two land together.
 			last, first := 0, 0
 			tie := false
 			for q := 1; q < n; q++ {
@@ -124,8 +144,9 @@ func TestUpdateMulticastOutOfSharerOrder(t *testing.T) {
 			if completions != 1 || drains != 1 {
 				t.Errorf("completed %d times, drained %d times, want once each", completions, drains)
 			}
-			if len(s.updOps.free) != len(s.updOps.all) {
-				t.Errorf("%d of %d update ops back in the pool", len(s.updOps.free), len(s.updOps.all))
+			if len(s.updOps.free) != len(s.updOps.all) || len(s.wiOps.free) != len(s.wiOps.all) {
+				t.Errorf("%d of %d update ops and %d of %d WI ops back in their pools",
+					len(s.updOps.free), len(s.updOps.all), len(s.wiOps.free), len(s.wiOps.all))
 			}
 			if errs := s.CheckCoherence(); len(errs) != 0 {
 				t.Errorf("incoherent: %v", errs)
@@ -134,16 +155,25 @@ func TestUpdateMulticastOutOfSharerOrder(t *testing.T) {
 	}
 }
 
-// TestExplorerUpdatesDeliveredInReverse: on the choice network the same
-// multicast's updates are delivered highest sharer first; each reaches
-// only its own sharer, with the value its header carries — the written
-// one, or under the stale-value fault the one it overwrote.
-func TestExplorerUpdatesDeliveredInReverse(t *testing.T) {
+// TestExplorerMulticastDeliveredInReverse: on the choice network the
+// same multicast's deliveries run highest sharer first. An update
+// reaches only its own sharer, with the value its header carries — the
+// written one, or under the stale-value fault the one it overwrote. An
+// invalidation removes only its own sharer's copy and acknowledges the
+// home, or, under the grant-before-acks fault, nobody.
+func TestExplorerMulticastDeliveredInReverse(t *testing.T) {
 	const n, block, writer, home = 16, 5, 0, 5
 	addr := cache.Addr(block * cache.BlockBytes)
-	for _, stale := range []bool{false, true} {
-		t.Run(fmt.Sprintf("stale=%v", stale), func(t *testing.T) {
-			x := NewExplorer(n, DefaultConfig(PU, n), Faults{StaleUpdateValue: stale})
+	for _, c := range []struct {
+		pr    Protocol
+		fault string
+	}{{PU, "none"}, {PU, "stale-update-value"}, {WI, "none"}, {WI, "grant-before-acks"}} {
+		t.Run(fmt.Sprintf("%v/%s", c.pr, c.fault), func(t *testing.T) {
+			var f Faults
+			if c.fault != "none" && !f.Set(c.fault) {
+				t.Fatalf("no fault %q", c.fault)
+			}
+			x := NewExplorer(n, DefaultConfig(c.pr, n), f)
 			x.Write(1, addr, 3, func() {})
 			settle(x)
 			for p := 0; p < n; p++ {
@@ -153,59 +183,86 @@ func TestExplorerUpdatesDeliveredInReverse(t *testing.T) {
 			completions, drains := 0, 0
 			x.Write(writer, addr, 7, func() { completions++; x.WhenDrained(writer, func() { drains++ }) })
 			x.Deliver(writer, home) // the home multicasts
-			want := uint32(7)
-			if stale {
+			kind, want := MsgUpd, uint32(7)
+			if f.StaleUpdateValue {
 				want = 3
 			}
-			word := func(q int) uint32 { return x.Cache(q).Lookup(block).Data[0] }
+			if c.pr == WI {
+				kind = MsgInv
+			}
 			for q := n - 1; q >= 0; q-- {
 				if q == writer {
 					continue
 				}
-				if h := x.Queue(home, q); len(h) != 1 || h[0].Kind != MsgUpd {
-					t.Fatalf("channel %d>%d holds %+v, want the update", home, q, h)
+				if h := x.Queue(home, q); len(h) != 1 || h[0].Kind != kind {
+					t.Fatalf("channel %d>%d holds %+v, want one %v", home, q, h, kind)
 				}
 				x.Deliver(home, q)
 				for r := 1; r < n; r++ {
-					if got, w := word(r), uint32(3); r >= q && got != want || r < q && got != w {
-						t.Fatalf("after delivering to node %d, node %d holds %d", q, r, got)
+					ln := x.Cache(r).Lookup(block)
+					switch {
+					case c.pr == WI && (ln == nil) != (r >= q):
+						t.Fatalf("after delivering to node %d, node %d caches the block: %v", q, r, ln != nil)
+					case c.pr != WI && (r >= q && ln.Data[0] != want || r < q && ln.Data[0] != 3):
+						t.Fatalf("after delivering to node %d, node %d holds %d", q, r, ln.Data[0])
 					}
+				}
+				acks := len(inFlight(x, MsgInvAck))
+				if c.pr == WI && !f.GrantBeforeAcks && acks != n-q || f.GrantBeforeAcks && acks != 0 {
+					t.Fatalf("after delivering to node %d, %d invalidation acks in flight", q, acks)
 				}
 			}
 			settle(x)
 			if completions != 1 || drains != 1 {
 				t.Errorf("completed %d times, drained %d times, want once each", completions, drains)
 			}
-			if len(x.updOps.free) != len(x.updOps.all) {
-				t.Errorf("%d of %d update ops back in the pool", len(x.updOps.free), len(x.updOps.all))
+			if len(x.updOps.free) != len(x.updOps.all) || len(x.wiOps.free) != len(x.wiOps.all) {
+				t.Errorf("%d of %d update ops and %d of %d WI ops back in their pools",
+					len(x.updOps.free), len(x.updOps.all), len(x.wiOps.free), len(x.wiOps.all))
 			}
 		})
 	}
 }
 
-// TestUpdateMulticastZeroAllocs: a 31-sharer multicast, by a store and
-// by an atomic, allocates nothing once its op's fan table has grown.
-func TestUpdateMulticastZeroAllocs(t *testing.T) {
+// TestMulticastZeroAllocs: a 31-sharer multicast allocates nothing once
+// its op's fan table has grown: updates by a store and by an atomic, and
+// invalidations by a store after every node has read the block again.
+func TestMulticastZeroAllocs(t *testing.T) {
 	const n = 32
-	ts := newTest(t, PU, n)
-	sharedByAll(ts, n, 0)
-	retire, atDone := func() {}, func(uint32) {}
+	retire, atDone, rdDone := func() {}, func(uint32) {}, func(uint32) {}
 	v := uint32(0)
-	iter := func() {
-		v++
-		ts.s.Write(1, 0, v, retire)
-		ts.e.Run()
-		ts.s.Atomic(2, 0, FetchAdd, 1, 0, atDone)
-		ts.e.Run()
-	}
-	for i := 0; i < 3; i++ {
-		iter()
-	}
-	sent := ts.s.Counters().UpdatesSent
-	if avg := testing.AllocsPerRun(100, iter); avg != 0 {
-		t.Fatalf("31-sharer write + atomic allocates %.2f objects/op, want 0", avg)
-	}
-	if got := ts.s.Counters().UpdatesSent - sent; got != 101*2*31 {
-		t.Fatalf("%d updates sent over 101 iterations, want %d", got, 101*2*31)
+	for _, pr := range []Protocol{PU, WI} {
+		ts := newTest(t, pr, n)
+		sharedByAll(ts, n, 0)
+		iter := func() {
+			v++
+			ts.s.Write(1, 0, v, retire)
+			ts.e.Run()
+			ts.s.Atomic(2, 0, FetchAdd, 1, 0, atDone)
+			ts.e.Run()
+		}
+		sent, per := func() uint64 { return ts.s.Counters().UpdatesSent }, uint64(2*31)
+		if pr == WI {
+			iter = func() {
+				for p := 0; p < n; p++ {
+					ts.s.Read(p, 0, rdDone)
+				}
+				ts.e.Run()
+				v++
+				ts.s.Write(1, 0, v, retire)
+				ts.e.Run()
+			}
+			sent, per = func() uint64 { return ts.s.Counters().Invals }, 31
+		}
+		for i := 0; i < 3; i++ {
+			iter()
+		}
+		before := sent()
+		if avg := testing.AllocsPerRun(100, iter); avg != 0 {
+			t.Fatalf("%v: 31-sharer multicasts allocate %.2f objects/op, want 0", pr, avg)
+		}
+		if got := sent() - before; got != 101*per {
+			t.Fatalf("%v: %d deliveries over 101 iterations, want %d", pr, got, 101*per)
+		}
 	}
 }

@@ -247,18 +247,19 @@ type System struct {
 	// Pools of transaction/message objects, each carrying its stage
 	// continuations built once for its lifetime, so the steady-state
 	// protocol paths allocate nothing: updOp PU/CU write-throughs and
-	// atomics (with their update multicast and ack collection), readMsg
-	// read misses, wiOp WI ownership acquisitions, invMsg WI
-	// invalidations, noteMsg drop/replacement/relinquish notices, wbMsg
+	// atomics (with a retained block's demotion), wiOp WI ownership
+	// acquisitions, each with its multicast and ack collection, readMsg
+	// read misses, noteMsg drop/replacement/relinquish notices, wbMsg
 	// dirty write-backs; dirs lends the directory entries, which a
 	// block keeps until Reset.
 	dirs   pool[dirEntry]
 	updOps pool[updOp]
 	reads  pool[readMsg]
 	wiOps  pool[wiOp]
-	invs   pool[invMsg]
 	notes  pool[noteMsg]
 	wbs    pool[wbMsg]
+	// strayInvFn delivers an invalidation that answers no op (NewExplorer).
+	strayInvFn func()
 }
 
 // pool lends objects of one kind. It keeps every object it has made,
@@ -376,7 +377,6 @@ func (s *System) Reset(cfg Config) {
 	s.updOps.reset()
 	s.reads.reset()
 	s.wiOps.reset()
-	s.invs.reset()
 	s.notes.reset()
 	s.wbs.reset()
 	s.store.Reset()
@@ -485,50 +485,88 @@ func (s *System) sendT(txn trace.TxnID, h *Msg, bytes int, deliver func()) sim.T
 	return at
 }
 
-// ackFan is the sending side of one multicast's acknowledgement
-// collection. An ack that is not the last of its multicast to be sent
-// cannot complete the collection — its handler would bump a count and
-// fail a check — so it is no event: it books its passage through the
-// mesh and the caller counts it at once. The collector's interface
-// delivers in sending order, so the last ack sent is the last to arrive
-// and the only one queued (DESIGN.md, "Booked acknowledgements"). The
-// choice network has no sending order to rely on, so there every ack is
-// queued.
-type ackFan struct {
-	left   int      // mesh-crossing acks not yet sent
-	booked sim.Time // arrival of the latest booked one
-	// The acks' header, less their ends.
-	kind  MsgKind
-	aux   uint8
-	block uint32
+// multicast is one home-to-sharers multicast, of invalidations (wiOp) or
+// updates (updOp), and the collection of its acks. Its deliveries are
+// pushed in ascending sharer order and the engine runs equal times in
+// push order, so sorted by (arrival, sharer) fan[k] is the k-th delivery
+// to run; the op outlives them all, each sending an ack it awaits. An
+// ack that is not the last one sent cannot complete the collection, so
+// it is no event: it books its passage and counts at once (DESIGN.md,
+// "Booked acknowledgements"). The choice network has no delivery or
+// sending order to rely on: there the sharer is the header being
+// delivered, and every ack is queued.
+type multicast struct {
+	fan     []sim.Time // deliveries, arrival<<8 | sharer, in the order they run
+	next    int        // fan's next delivery
+	fanAt   sim.Time   // when the multicast left the home
+	unacked int        // acks not yet counted in
+	left    int        // mesh-crossing acks not yet sent
+	booked  sim.Time   // arrival of the latest booked one
+	ackHdr  Msg        // the acks' header, less their source
 }
 
-// sendFanAck sends one ack of f's multicast from src to the collector at
-// dst and reports its arrival and whether it was queued (with deliver)
-// or booked. The arrival order is asserted: a mesh model that breaks
-// destination FIFO must fail loudly, not complete collections early.
-func (s *System) sendFanAck(f *ackFan, txn trace.TxnID, src, dst int, deliver func()) (at sim.Time, queued bool) {
-	s.ctr.Acks++
-	// Loopback (WI, a sharer on the home node) bypasses the interface
-	// FIFO, and the choice network keeps no sending order: either way
-	// the ack is queued, never one of f's booked ones.
-	queue := src == dst || s.ch != nil
-	if !queue {
-		f.left--
+// fanOut sends h to each of others, which ascend, with deliver, and
+// arms the collection of their acks, headed ack. It starts the table
+// afresh: a retried WI acquisition multicasts again from the same op.
+func (m *multicast) fanOut(s *System, txn trace.TxnID, h *Msg, bytes int, others []int, deliver func(), ack Msg) {
+	m.fan, m.next, m.fanAt = m.fan[:0], 0, s.e.Now()
+	m.unacked, m.left, m.booked, m.ackHdr = len(others), 0, 0, ack
+	for _, q := range others {
+		if q != int(ack.Dst) { // a sharer on the collector's node acks by loopback
+			m.left++
+		}
+		h.Dst = uint8(q)
+		f := s.sendT(txn, h, bytes, deliver)<<8 | sim.Time(q)
+		i := len(m.fan)
+		m.fan = append(m.fan, f)
+		for ; i > 0 && m.fan[i-1] > f; i-- {
+			m.fan[i] = m.fan[i-1]
+		}
+		m.fan[i] = f
 	}
-	if queue || f.left == 0 {
-		h := Msg{Kind: f.kind, Src: uint8(src), Dst: uint8(dst), Block: f.block, Aux: f.aux}
-		if at = s.sendT(txn, &h, szAck, deliver); !queue && at <= f.booked {
+}
+
+// take returns the sharer of the delivery that is running.
+func (m *multicast) take(s *System) int {
+	if s.ch != nil {
+		return int(s.ch.cur.Dst)
+	}
+	f := m.fan[m.next]
+	m.next++
+	return int(f & 0xff)
+}
+
+// sendAck sends sharer from's acknowledgement to the collector: queued,
+// with deliver, when it is the last one sent across the mesh, loops
+// back or travels the choice network; booked and counted in at once
+// otherwise. The arrival order is asserted: a mesh model that breaks
+// destination FIFO must fail loudly, not complete collections early.
+func (m *multicast) sendAck(s *System, txn trace.TxnID, from int, deliver func()) {
+	s.ctr.Acks++
+	to := int(m.ackHdr.Dst)
+	queue := from == to || s.ch != nil
+	if !queue {
+		m.left--
+	}
+	var at sim.Time
+	if queue || m.left == 0 {
+		h := m.ackHdr
+		h.Src = uint8(from)
+		if at = s.sendT(txn, &h, szAck, deliver); !queue && at <= m.booked {
 			panic("proto: final acknowledgement arrives before a booked one")
 		}
-		return at, true
+	} else {
+		s.e.Elide()
+		at = s.nw.Book(from, to, szAck)
+		m.booked = at
+		m.unacked--
+		if s.tr != nil && txn != 0 {
+			s.tr.Hop(txn, s.nw.Flits(szAck))
+		}
 	}
-	s.e.Elide()
-	f.booked = s.nw.Book(src, dst, szAck)
 	if s.tr != nil && txn != 0 {
-		s.tr.Hop(txn, s.nw.Flits(szAck))
+		s.tr.TargetAck(txn, from, m.fanAt, at)
 	}
-	return f.booked, false
 }
 
 // addOutstanding notes n not-yet-complete write components for p.

@@ -3,7 +3,6 @@ package proto
 import (
 	"coherencesim/internal/cache"
 	"coherencesim/internal/classify"
-	"coherencesim/internal/sim"
 	"coherencesim/internal/trace"
 )
 
@@ -14,11 +13,11 @@ import (
 // writer how many acknowledgements to expect; sharers acknowledge
 // directly to the writer — booked through the mesh and counted at once,
 // except the last one sent, which is the queued event that can complete
-// the transaction (ackFan). The writer's write-buffer entry retires when
-// the home's reply arrives; the acknowledgements drain in the background
-// and are awaited only at release points (release consistency). An
-// atomic is the same home transaction with a read-modify-write in place
-// of the memory write.
+// the transaction (multicast). The writer's write-buffer entry retires
+// when the home's reply arrives; the acknowledgements drain in the
+// background and are awaited only at release points (release
+// consistency). An atomic is the same home transaction with a
+// read-modify-write in place of the memory write.
 //
 // PU additionally implements the paper's retention optimization: if the
 // home sees an update for a block cached only by the writer, the reply
@@ -33,25 +32,20 @@ import (
 
 // updOp is one PU/CU write-through or atomic. It carries the operation
 // along its fixed chain — a store's optional write-allocate fetch (miss,
-// fetch), then local, home, locked, wrote, the sharers' updates, reply —
-// and collects the sharers' acknowledgements, with the stage
-// continuations built once per pooled object, so the per-operation chain
-// does not allocate in steady state. The op lives until the reply and
-// every expected acknowledgement have arrived, so past every update
-// delivery, each of which sends one: check recycles it then. (A store to
-// a retained-private line never leaves the writer and recycles in
-// local.) Completion callbacks run from copies of its fields, so
+// fetch), then local, home, locked (by way of demote, demoted and rehome
+// when another node retains the block), wrote, the sharers' updates,
+// reply — and collects the sharers' acknowledgements, with the
+// stage continuations built once per pooled object, so the per-operation
+// chain does not allocate in steady state. The op lives until the reply
+// and every acknowledgement have arrived: check recycles it then. (A
+// store to a retained-private line never leaves the writer and recycles
+// in local.) Completion callbacks run from copies of its fields, so
 // operations they issue may reuse the op.
 type updOp struct {
 	s        *System
 	p        int
 	word     int
-	expected int        // acks to collect, known once the home multicasts
-	got      int        // acks arrived or booked
-	acks     ackFan     // the multicast's mesh-crossing acks
-	fan      []sim.Time // the multicast's deliveries, arrival<<8 | sharer, in the order they run
-	next     int        // fan's next delivery
-	fanAt    sim.Time   // when the multicast left the home
+	owner    int // the retained-private owner being demoted
 	block    uint32
 	v        uint32 // store value; an atomic's new value once performed
 	old      uint32 // the value v overwrote at the home
@@ -61,10 +55,11 @@ type updOp struct {
 	isAtomic bool
 	needData bool // atomic by a non-sharer: the reply carries the block
 	replied  bool
-	data     []uint32     // borrowed frame (new-sharer reply), released at reply
+	data     []uint32     // borrowed frame: a new sharer's reply block, or a demoted one
 	hdr      Msg          // the request's header
 	retire   func()       // store completion
 	done     func(uint32) // atomic completion
+	multicast
 	updStages
 }
 
@@ -72,21 +67,25 @@ type updOp struct {
 type updStages struct {
 	missFn   func()              // at the home: fetch the block shared
 	fetchFn  func(uint32)        // write-allocate fetch delivered
-	homeFn   func()              // serialize at the directory; also the post-demote re-entry
+	homeFn   func()              // serialize at the directory
 	lockedFn func()              // entry free: demote a private owner or perform
+	demoteFn func()              // at the owner: downgrade, send the block home
+	backFn   func()              // demoted block at the home: refresh memory
+	rehomeFn func()              // memory refreshed: record the demotion, re-enter home
 	opFn     func(uint32) uint32 // an atomic's read-modify-write
 	wroteFn  func()              // memory op complete: multicast + reply
 	updFn    func()              // one sharer's update delivered
 	replyFn  func()              // at the requester: apply, retire
-	ackFn    func()              // one queued sharer acknowledgement
+	ackFn    func()              // one queued sharer acknowledgement arrived
 }
 
 func (s *System) newUpdOp(p int, block uint32, word int) *updOp {
 	op, fresh := s.updOps.get()
-	*op = updOp{s: s, p: p, block: block, word: word, fan: op.fan[:0], updStages: op.updStages}
+	*op = updOp{s: s, p: p, block: block, word: word, multicast: multicast{fan: op.fan}, updStages: op.updStages}
 	if fresh {
 		op.updStages = updStages{missFn: op.miss, fetchFn: func(uint32) { op.local() }, homeFn: op.home,
 			lockedFn: op.locked, opFn: func(old uint32) uint32 { return op.kind.apply(old, op.op1, op.op2) },
+			demoteFn: op.demote, backFn: op.demoted, rehomeFn: op.rehome,
 			wroteFn: op.wrote, updFn: op.update, replyFn: op.reply, ackFn: op.ack}
 	}
 	return op
@@ -213,7 +212,9 @@ func (op *updOp) locked() {
 	s := op.s
 	d := s.entry(op.block)
 	if d.State == DirOwned {
-		s.demoteOwner(d, op.block, op.p, op.homeFn)
+		d.busy = true
+		op.owner = d.Owner
+		s.send(&Msg{Kind: MsgDemote, Src: uint8(s.HomeOf(op.block)), Dst: uint8(op.owner), Block: op.block, Aux: uint8(op.p)}, szControl, op.demoteFn)
 		return
 	}
 	if s.tr != nil {
@@ -234,26 +235,29 @@ func (op *updOp) locked() {
 	}
 }
 
-// demoteOwner fetches a retained-private block back from its owner,
-// refreshes memory, downgrades the owner to Shared, and then continues
-// requester p's transaction. This path is rare (another node touching a
-// retained block); it keeps plain closures rather than a pooled object.
-func (s *System) demoteOwner(d *dirEntry, block uint32, p int, then func()) {
-	d.busy = true
-	home := s.HomeOf(block)
-	owner := d.Owner
-	s.send(&Msg{Kind: MsgDemote, Src: uint8(home), Dst: uint8(owner), Block: block, Aux: uint8(p)}, szControl, func() {
-		data := s.takeOwnerData(owner, block, true /* demote */)
-		s.send(&Msg{Kind: MsgDemoteData, Src: uint8(owner), Dst: uint8(home), Block: block, Aux: uint8(p), Data: data}, szData, func() {
-			s.mems[home].WriteBlock(block, data, func() {
-				d.Demote(owner, s.caches[owner].Present(block))
-				s.release(d)
-				then()
-			})
-			// WriteBlock consumed the data at call time.
-			s.store.ReleaseFrame(data)
-		})
-	})
+// demote runs at the retained-private owner: its line goes Shared, and
+// the block travels home.
+func (op *updOp) demote() {
+	s := op.s
+	op.data = s.takeOwnerData(op.owner, op.block, true /* demote */)
+	s.send(&Msg{Kind: MsgDemoteData, Src: uint8(op.owner), Dst: uint8(s.HomeOf(op.block)), Block: op.block, Aux: uint8(op.p), Data: op.data}, szData, op.backFn)
+}
+
+// demoted refreshes memory with the block, which the write consumes.
+func (op *updOp) demoted() {
+	s := op.s
+	s.mems[s.HomeOf(op.block)].WriteBlock(op.block, op.data, op.rehomeFn)
+	s.store.ReleaseFrame(op.data)
+	op.data = nil
+}
+
+// rehome records the demotion and serializes the operation again.
+func (op *updOp) rehome() {
+	s := op.s
+	d := s.entry(op.block)
+	d.Demote(op.owner, s.caches[op.owner].Present(op.block))
+	s.release(d)
+	op.home()
 }
 
 // wrote runs at the home once memory has performed the operation: the
@@ -294,25 +298,10 @@ func (op *updOp) wrote() {
 	if s.tr != nil && op.txn != 0 && len(others) > 0 {
 		s.tr.Fanout(op.txn, trace.FanUpd, s.e.Now())
 	}
-	op.acks = ackFan{left: len(others), kind: MsgUpdAck, block: block}
-	op.fanAt = s.e.Now()
+	s.ctr.UpdatesSent += uint64(len(others))
 	h := Msg{Kind: MsgUpd, Src: uint8(home), Block: block, Word: uint8(word), Aux: uint8(p), Val: v, Val2: op.old}
-	for _, q := range others {
-		s.ctr.UpdatesSent++
-		h.Dst = uint8(q)
-		// The engine runs events in time order and equal times in the
-		// order they were scheduled, here ascending sharers: sorted by
-		// (arrival, sharer), fan[k] is the k-th delivery to run.
-		f := s.sendT(op.txn, &h, szWord, op.updFn)<<8 | sim.Time(q)
-		i := len(op.fan)
-		op.fan = append(op.fan, f)
-		for ; i > 0 && op.fan[i-1] > f; i-- {
-			op.fan[i] = op.fan[i-1]
-		}
-		op.fan[i] = f
-	}
-	op.expected = len(others)
-	r := Msg{Kind: MsgWTReply, Src: uint8(home), Dst: uint8(p), Block: block, Word: uint8(word), Val: v, Aux: uint8(op.expected)}
+	op.fanOut(s, op.txn, &h, szWord, others, op.updFn, Msg{Kind: MsgUpdAck, Dst: uint8(p), Block: block})
+	r := Msg{Kind: MsgWTReply, Src: uint8(home), Dst: uint8(p), Block: block, Word: uint8(word), Val: v, Aux: uint8(len(others))}
 	size := szControl
 	if op.isAtomic {
 		r.Kind, r.Val, r.Val2, r.Data = MsgAtomReply, op.old, v, op.data
@@ -326,18 +315,15 @@ func (op *updOp) wrote() {
 	s.sendT(op.txn, &r, size, op.replyFn)
 }
 
-// update runs the multicast's next delivery. The choice network
-// delivers in the explorer's order, so there the sharer and the value
-// come from the header being delivered, which a stale-value fault
-// rewrites.
+// update runs the multicast's next delivery. On the choice network the
+// value comes from the header being delivered, which a stale-value
+// fault rewrites.
 func (op *updOp) update() {
-	s, f := op.s, op.fan[op.next]
-	op.next++
-	q, v := int(f&0xff), op.v
+	s, v := op.s, op.v
 	if s.ch != nil {
-		q, v = int(s.ch.cur.Dst), s.ch.cur.Val
+		v = s.ch.cur.Val
 	}
-	s.deliverUpdate(q, op, v)
+	s.deliverUpdate(op.take(s), op, v)
 }
 
 // reply runs at the requester: a store applies the serialized value to
@@ -382,9 +368,9 @@ func (op *updOp) reply() {
 	}
 }
 
-// ack counts one queued sharer acknowledgement.
+// ack counts in one queued sharer acknowledgement.
 func (op *updOp) ack() {
-	op.got++
+	op.unacked--
 	op.check()
 }
 
@@ -393,7 +379,7 @@ func (op *updOp) ack() {
 // fence stall released by this operation attributes to it; the op
 // recycles after them, so operations they issue cannot reuse it early.
 func (op *updOp) check() {
-	if !op.replied || op.got != op.expected {
+	if !op.replied || op.unacked != 0 {
 		return
 	}
 	s := op.s
@@ -414,7 +400,7 @@ func (s *System) deliverUpdate(q int, op *updOp, v uint32) {
 	if ln == nil {
 		// Stale sharer: our drop notice / replacement hint is in flight.
 		s.cl.StrayUpdate()
-		s.sendAck(q, op)
+		op.sendAck(s, op.txn, q, op.ackFn)
 		return
 	}
 	if ln.State == cache.Exclusive {
@@ -422,7 +408,7 @@ func (s *System) deliverUpdate(q int, op *updOp, v uint32) {
 		// serialized: the owner's value is newer, so the update is
 		// stale and must not be applied.
 		s.cl.StrayUpdate()
-		s.sendAck(q, op)
+		op.sendAck(s, op.txn, q, op.ackFn)
 		return
 	}
 	if s.cfg.Protocol == CU {
@@ -442,7 +428,7 @@ func (s *System) deliverUpdate(q int, op *updOp, v uint32) {
 			c.Invalidate(block) // wakes spinners, who will re-miss (drop miss)
 			s.ctr.DropNotices++
 			s.sendNote(q, block, false /* drop notice */)
-			s.sendAck(q, op)
+			op.sendAck(s, op.txn, q, op.ackFn)
 			return
 		}
 	}
@@ -451,17 +437,5 @@ func (s *System) deliverUpdate(q int, op *updOp, v uint32) {
 	}
 	s.cl.UpdateDelivered(q, block, word, op.p)
 	c.ApplyUpdate(ln, word, v) // wakes spinners
-	s.sendAck(q, op)
-}
-
-// sendAck sends a sharer acknowledgement to the operation's requester,
-// closing the per-target fan-out span.
-func (s *System) sendAck(from int, op *updOp) {
-	at, queued := s.sendFanAck(&op.acks, op.txn, from, op.p, op.ackFn)
-	if !queued {
-		op.got++ // op.ack, minus a check that cannot pass
-	}
-	if s.tr != nil && op.txn != 0 {
-		s.tr.TargetAck(op.txn, from, op.fanAt, at)
-	}
+	op.sendAck(s, op.txn, q, op.ackFn)
 }

@@ -117,7 +117,7 @@ func TestAckBeforeReplyCompletes(t *testing.T) {
 		op := s.newUpdOp(0, 0, 0)
 		op.retire = func() {}
 		s.addOutstanding(0, 1)
-		op.expected = expected // as the home's multicast records it
+		op.unacked = expected // as the home's multicast records it
 		return op
 	}
 	recycled := func(op *updOp) bool { return slices.Contains(s.updOps.free, op) }

@@ -1,11 +1,8 @@
 package proto
 
 import (
-	"math/bits"
-
 	"coherencesim/internal/cache"
 	"coherencesim/internal/classify"
-	"coherencesim/internal/sim"
 	"coherencesim/internal/trace"
 )
 
@@ -16,18 +13,15 @@ import (
 //
 // Writes: under release consistency the processor has already buffered
 // the store; this transaction obtains an exclusive copy (upgrading a
-// shared copy or fetching the block), with the home sending invalidations
-// and collecting acknowledgements before granting ownership (the acks
-// that cross the mesh are booked and counted at once, except the last
-// one sent — ackFan; a sharer on the home node acks through the loopback,
-// outside the interface FIFO, and stays a queued event). The write
-// retires when the grant arrives, at which point all invalidations have
-// been acknowledged, so WI writes never leave residual outstanding state.
+// shared copy or fetching the block), with the home multicasting
+// invalidations and collecting their acknowledgements before granting
+// ownership (multicast). The write retires when the grant arrives, at
+// which point all invalidations have been acknowledged, so WI writes
+// never leave residual outstanding state.
 //
 // Each acquisition runs as one pooled wiOp object carrying its stage
-// continuations, built once per object, so the per-write transaction
-// chain does not allocate in steady state. Invalidation deliveries are
-// separate pooled invMsg objects (several are in flight per wiOp).
+// continuations, built once per object, and its multicast, so the
+// per-write transaction chain does not allocate in steady state.
 
 // wiOp is one exclusive-copy acquisition (store or atomic) under WI.
 type wiOp struct {
@@ -35,8 +29,6 @@ type wiOp struct {
 	p        int
 	word     int
 	owner    int
-	pending  int    // invalidation acks still outstanding
-	acks     ackFan // the mesh-crossing ones among them
 	block    uint32
 	txn      trace.TxnID
 	v        uint32 // store value
@@ -49,6 +41,7 @@ type wiOp struct {
 	hdr      Msg          // the ownership request's header
 	retire   func()       // store completion
 	done     func(uint32) // atomic completion
+	multicast
 	wiStages
 }
 
@@ -57,7 +50,8 @@ type wiStages struct {
 	homeFn       func() // at the home: serialize on the directory entry
 	lockedFn     func() // entry free: fetch/invalidate per directory state
 	fetchedFn    func() // memory read complete
-	ackFn        func() // one invalidation acknowledged
+	invFn        func() // one sharer's invalidation delivered
+	ackFn        func() // one queued invalidation ack arrived
 	ownerFetchFn func() // at the old owner: extract data, forward home
 	ownerBackFn  func() // data back at the home: refresh memory
 	ownerWroteFn func() // memory refreshed: grant
@@ -66,10 +60,11 @@ type wiStages struct {
 
 func (s *System) newWiOp(p int, block uint32, word int) *wiOp {
 	op, fresh := s.wiOps.get()
-	*op = wiOp{s: s, p: p, block: block, word: word, wiStages: op.wiStages}
+	*op = wiOp{s: s, p: p, block: block, word: word, multicast: multicast{fan: op.fan}, wiStages: op.wiStages}
 	if fresh {
-		op.wiStages = wiStages{homeFn: op.home, lockedFn: op.locked, fetchedFn: op.fetched, ackFn: op.ack,
-			ownerFetchFn: op.ownerFetch, ownerBackFn: op.ownerBack, ownerWroteFn: op.ownerWrote, grantFn: op.granted}
+		op.wiStages = wiStages{homeFn: op.home, lockedFn: op.locked, fetchedFn: op.fetched, invFn: op.invalidate,
+			ackFn: op.ack, ownerFetchFn: op.ownerFetch, ownerBackFn: op.ownerBack, ownerWroteFn: op.ownerWrote,
+			grantFn: op.granted}
 	}
 	return op
 }
@@ -194,29 +189,20 @@ func (op *wiOp) locked() {
 		if s.tr != nil && op.txn != 0 && len(others) > 0 {
 			s.tr.Fanout(op.txn, trace.FanInv, s.e.Now())
 		}
-		op.pending = len(others)
-		// The home's own copy acks by loopback, not across the mesh.
-		op.acks = ackFan{left: bits.OnesCount64(d.Sharers &^ (1<<uint(op.p) | 1<<uint(home))),
-			kind: MsgInvAck, aux: uint8(op.p), block: op.block}
 		op.haveData = !op.needData
 		if op.needData {
 			op.data = s.store.BorrowFrame()
 			s.mems[home].ReadBlockInto(op.block, op.data, op.fetchedFn)
 		}
-		// FAULT (explorer only): grant with the invalidations in flight;
-		// they then answer nobody, so none touches the recycled op.
-		early := s.ch != nil && s.ch.faults.GrantBeforeAcks
-		for _, q := range others {
-			s.ctr.Invals++
-			m := s.newInvMsg(q, op)
-			m.sentAt = s.e.Now()
-			s.sendT(op.txn, &Msg{Kind: MsgInv, Src: uint8(home), Dst: uint8(q), Block: op.block, Aux: uint8(op.p)}, szControl, m.fn)
-			if early {
-				m.op = nil
-			}
-		}
-		if early {
-			op.pending = 0
+		s.ctr.Invals += uint64(len(others))
+		h := Msg{Kind: MsgInv, Src: uint8(home), Block: op.block, Aux: uint8(op.p)}
+		ack := Msg{Kind: MsgInvAck, Dst: uint8(home), Block: op.block, Aux: uint8(op.p)}
+		if s.ch != nil && s.ch.faults.GrantBeforeAcks {
+			// FAULT (explorer only): grant with the invalidations in flight.
+			op.fanOut(s, op.txn, &h, szControl, others, s.strayInvFn, ack)
+			op.unacked = 0
+		} else {
+			op.fanOut(s, op.txn, &h, szControl, others, op.invFn, ack)
 		}
 		op.maybeGrant() // covers the no-other-sharers upgrade
 
@@ -232,16 +218,36 @@ func (op *wiOp) fetched() {
 	op.maybeGrant()
 }
 
-// ack retires one invalidation acknowledgement.
+// invalidate runs the multicast's next delivery: the sharer drops its
+// copy and acknowledges to the home.
+func (op *wiOp) invalidate() {
+	q := op.take(op.s)
+	op.s.invalidateCopy(q, op.block, op.txn)
+	op.sendAck(op.s, op.txn, q, op.ackFn)
+}
+
+// invalidateCopy removes q's copy of block, if it still has one, for
+// transaction txn's invalidation (0: one that answers no op).
+func (s *System) invalidateCopy(q int, block uint32, txn trace.TxnID) {
+	if s.caches[q].Present(block) {
+		if s.tr != nil && txn != 0 {
+			s.tr.CacheTouch(q, txn)
+		}
+		s.cl.LostCopy(q, block, classify.LossInvalidation)
+		s.caches[q].Invalidate(block)
+	}
+}
+
+// ack counts in one queued invalidation acknowledgement.
 func (op *wiOp) ack() {
-	op.pending--
+	op.unacked--
 	op.maybeGrant()
 }
 
 // maybeGrant books the ownership grant once all acknowledgements are in
 // and any needed data has arrived.
 func (op *wiOp) maybeGrant() {
-	if op.pending == 0 && op.haveData {
+	if op.unacked == 0 && op.haveData {
 		op.grant()
 	}
 }
@@ -304,54 +310,9 @@ func (op *wiOp) granted() {
 		op.data = nil
 	default:
 		// Upgrade grant raced with losing the line: retry from scratch.
-		op.pending = 0
 		op.needData, op.haveData = false, false
 		op.start()
 		return
 	}
 	op.perform(ln)
-}
-
-// invMsg is one pooled invalidation delivery; several are in flight per
-// wiOp during a multicast. It recycles before the invalidation applies
-// (fields copied out first) — the invalidation wakes watchers, which can
-// start new WI transactions that multicast invalidations of their own.
-type invMsg struct {
-	s      *System
-	q      int
-	block  uint32
-	sentAt sim.Time // fan-out dispatch time (trace per-target span start)
-	op     *wiOp
-	fn     func()
-}
-
-func (s *System) newInvMsg(q int, op *wiOp) *invMsg {
-	m, fresh := s.invs.get()
-	*m = invMsg{s: s, q: q, block: op.block, op: op, fn: m.fn}
-	if fresh {
-		m.fn = m.deliver
-	}
-	return m
-}
-
-func (m *invMsg) deliver() {
-	s, q, block, op, sentAt := m.s, m.q, m.block, m.op, m.sentAt
-	s.invs.put(m)
-	if s.caches[q].Present(block) {
-		if s.tr != nil {
-			s.tr.CacheTouch(q, op.txn)
-		}
-		s.cl.LostCopy(q, block, classify.LossInvalidation)
-		s.caches[q].Invalidate(block)
-	}
-	if op == nil {
-		return // a grant-before-acks fault's invalidation
-	}
-	at, queued := s.sendFanAck(&op.acks, op.txn, q, s.HomeOf(block), op.ackFn)
-	if !queued {
-		op.pending-- // op.ack, minus a maybeGrant that cannot fire
-	}
-	if s.tr != nil && op.txn != 0 {
-		s.tr.TargetAck(op.txn, q, sentAt, at)
-	}
 }
