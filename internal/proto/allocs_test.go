@@ -104,39 +104,3 @@ func TestWriteAndAtomicSteadyStateZeroAllocs(t *testing.T) {
 		})
 	}
 }
-
-// TestRetainedBlockDemoteZeroAllocs: a PU block retained by one node and
-// demoted by another's atomic runs its demotion on the atomic's pooled
-// op. Each iteration node 2 flushes its copy, node 1 writes twice — the
-// home grants it retention — and node 2's fetch-and-add demotes node 1.
-func TestRetainedBlockDemoteZeroAllocs(t *testing.T) {
-	ts := newTest(t, PU, 4)
-	s := ts.s
-	retire, atDone, flDone := func() {}, func(uint32) {}, func() {}
-	ts.script().read(1, 0, nil).read(2, 0, nil).run()
-	v := uint32(0)
-	iter := func() {
-		s.FlushBlock(2, 0, flDone)
-		ts.e.Run()
-		for i := 0; i < 2; i++ {
-			v++
-			s.Write(1, 0, v, retire)
-			ts.e.Run()
-		}
-		s.Atomic(2, 0, FetchAdd, 1, 0, atDone)
-		ts.e.Run()
-	}
-	for i := 0; i < 3; i++ {
-		iter()
-	}
-	before := s.Counters().Retentions
-	if avg := testing.AllocsPerRun(100, iter); avg != 0 {
-		t.Fatalf("retain and demote allocates %.2f objects/op, want 0", avg)
-	}
-	if got := s.Counters().Retentions - before; got != 101 {
-		t.Fatalf("%d retentions over 101 iterations, want 101", got)
-	}
-	if errs := s.CheckCoherence(); len(errs) != 0 {
-		t.Fatalf("incoherent: %v", errs)
-	}
-}

@@ -38,56 +38,36 @@ func (s *System) homeRead(p int, block uint32, word int, done func(uint32)) {
 }
 
 // readMsg carries one read-miss transaction along its message chain —
-// request to the home, directory serialization, memory or owner fetch,
-// data reply, install at the requester — with the stage continuations
-// built once per pooled object. The block payload travels in a borrowed
-// frame released when the requester has installed it.
+// request to the home, directory serialization, memory fetch or owner
+// recall, data reply, install at the requester — with the stage
+// continuations built once per pooled object. The block payload travels
+// in a borrowed frame released when the requester has installed it.
 type readMsg struct {
-	s     *System
-	p     int
-	word  int
-	owner int
-	block uint32
-	txn   trace.TxnID
-	data  []uint32 // borrowed frame
-	hdr   Msg      // the request's header
-	done  func(uint32)
+	request
+	done func(uint32)
 	readStages
 }
 
-// readStages are a readMsg's stage continuations.
+// readStages are a readMsg's own stage continuations.
 type readStages struct {
-	homeFn       func() // at the home: serialize on the directory entry
-	lockedFn     func() // entry free: fetch from memory or the owner
-	gotFn        func() // memory read complete: book reply, release entry
-	ownerFetchFn func() // at the owner: extract data, forward home
-	ownerBackFn  func() // data back at the home: refresh memory
-	ownerWroteFn func() // memory refreshed: book reply, release entry
-	installFn    func() // at the requester: install and deliver
+	gotFn      func() // memory read complete: book reply, release entry
+	recalledFn func() // the owner's block in memory: demote, book reply
+	installFn  func() // at the requester: install and deliver
 }
 
 func (s *System) newReadMsg(p int, block uint32, word int, done func(uint32)) *readMsg {
 	m, fresh := s.reads.get()
-	*m = readMsg{s: s, p: p, block: block, word: word, done: done, readStages: m.readStages,
-		hdr: Msg{Kind: MsgReadReq, Src: uint8(p), Dst: uint8(s.HomeOf(block)), Block: block, Word: uint8(word)}}
+	*m = readMsg{request: m.renew(s, p, block, word), done: done, readStages: m.readStages}
 	if fresh {
-		m.readStages = readStages{homeFn: m.home, lockedFn: m.locked, gotFn: m.got,
-			ownerFetchFn: m.ownerFetch, ownerBackFn: m.ownerBack, ownerWroteFn: m.ownerWrote, installFn: m.install}
+		m.bind(m.locked)
+		m.readStages = readStages{gotFn: m.got, recalledFn: m.recalled, installFn: m.install}
 	}
+	m.hdr = Msg{Kind: MsgReadReq, Src: uint8(p), Dst: uint8(s.HomeOf(block)), Block: block, Word: uint8(word)}
 	return m
 }
 
-// home serializes the read request through the block's directory entry.
-func (m *readMsg) home() {
-	if s := m.s; s.tr != nil {
-		s.tr.HomeArrive(m.txn, s.e.Now())
-	}
-	m.s.whenFree(m.s.entry(m.block), &m.hdr, m.lockedFn)
-}
-
-// locked services the read at the home once the entry is free. The
-// snapshot semantics match the former ReadBlock closure chain exactly:
-// the frame is filled at memory-issue time.
+// locked services the read at the home once the entry is free: the
+// frame is filled at memory-issue time.
 func (m *readMsg) locked() {
 	s := m.s
 	if s.tr != nil {
@@ -95,13 +75,12 @@ func (m *readMsg) locked() {
 	}
 	d := s.entry(m.block)
 	d.busy = true
-	if d.State != DirOwned {
-		m.data = s.store.BorrowFrame()
-		s.mems[s.HomeOf(m.block)].ReadBlockInto(m.block, m.data, m.gotFn)
+	if d.State == DirOwned {
+		m.recall(d, MsgReadFetch, MsgReadData, m.txn, m.recalledFn)
 		return
 	}
-	m.owner = d.Owner
-	s.sendT(m.txn, &Msg{Kind: MsgReadFetch, Src: uint8(s.HomeOf(m.block)), Dst: uint8(m.owner), Block: m.block, Word: uint8(m.word), Aux: uint8(m.p)}, szControl, m.ownerFetchFn)
+	m.data = s.store.BorrowFrame()
+	s.mems[s.HomeOf(m.block)].ReadBlockInto(m.block, m.data, m.gotFn)
 }
 
 // got books the data reply once memory has produced the block. The reply
@@ -109,22 +88,8 @@ func (m *readMsg) locked() {
 // transaction must not reach the requester first (mesh FIFO).
 func (m *readMsg) got() { m.reply(m.s.entry(m.block)) }
 
-// ownerFetch runs at the owning node: take its data (demoting the line
-// to Shared) and forward it home.
-func (m *readMsg) ownerFetch() {
-	s := m.s
-	m.data = s.takeOwnerData(m.owner, m.block, true /* demote to shared */)
-	s.sendT(m.txn, &Msg{Kind: MsgReadData, Src: uint8(m.owner), Dst: uint8(s.HomeOf(m.block)), Block: m.block, Word: uint8(m.word), Aux: uint8(m.p), Data: m.data}, szData, m.ownerBackFn)
-}
-
-// ownerBack refreshes memory with the owner's data.
-func (m *readMsg) ownerBack() {
-	s := m.s
-	s.mems[s.HomeOf(m.block)].WriteBlock(m.block, m.data, m.ownerWroteFn)
-}
-
-// ownerWrote rebuilds the sharer set and books the data reply.
-func (m *readMsg) ownerWrote() {
+// recalled rebuilds the sharer set and books the data reply.
+func (m *readMsg) recalled() {
 	s := m.s
 	d := s.entry(m.block)
 	d.Demote(m.owner, s.caches[m.owner].Present(m.block))

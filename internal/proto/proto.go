@@ -430,6 +430,82 @@ func (s *System) dirEntryAt(block uint32) *dirEntry {
 	return nil
 }
 
+// request is what every transaction the home serializes carries — a
+// read, a WI acquisition, a PU/CU write-through or atomic, a write-back
+// — and its two steps, each written once: home waits out a busy
+// directory entry, recall fetches the block from the node that holds it
+// exclusively. Embedders keep steps across reuse (renew), building them
+// on a fresh object only (bind), so neither step allocates.
+type request struct {
+	s     *System
+	p     int
+	word  int
+	owner int // the node a recall fetches from
+	block uint32
+	txn   trace.TxnID
+	data  []uint32 // borrowed frame: the block the transaction carries
+	hdr   Msg      // the request's header
+	// A recall's data message, the transaction its hops are charged to,
+	// and its continuation once memory holds the block.
+	dataKind MsgKind
+	charge   trace.TxnID
+	then     func()
+	steps
+}
+
+// steps are a request's continuations.
+type steps struct {
+	homeFn    func() // at the home: serialize on the directory entry
+	lockedFn  func() // entry free: the transaction's own service
+	atOwnerFn func() // a recall at the owner: give the block up, send it home
+	atHomeFn  func() // the recalled block at the home: refresh memory
+}
+
+// renew returns r's value for p's new transaction on word of block,
+// keeping its steps.
+func (r *request) renew(s *System, p int, block uint32, word int) request {
+	return request{s: s, p: p, block: block, word: word, steps: r.steps}
+}
+
+// bind builds a fresh object's steps, with locked as its service.
+func (r *request) bind(locked func()) {
+	r.steps = steps{homeFn: r.home, lockedFn: locked, atOwnerFn: r.atOwner, atHomeFn: r.atHome}
+}
+
+// home serializes the transaction at the block's directory entry. A
+// re-entry keeps its first home-arrival time (set-if-zero).
+func (r *request) home() {
+	s := r.s
+	if s.tr != nil {
+		s.tr.HomeArrive(r.txn, s.e.Now())
+	}
+	s.whenFree(s.entry(r.block), &r.hdr, r.lockedFn)
+}
+
+// recall fetches the block from d.Owner: the home sends it fetch, with
+// the requester in Aux; the owner gives its data up — a WI fetch
+// invalidates its line, a read fetch or a demotion demotes it — and
+// sends it home as data; memory takes it, and then runs. The hops are
+// charged to charge (0: to none).
+func (r *request) recall(d *dirEntry, fetch, data MsgKind, charge trace.TxnID, then func()) {
+	s := r.s
+	r.owner, r.dataKind, r.charge, r.then = d.Owner, data, charge, then
+	s.sendT(charge, &Msg{Kind: fetch, Src: uint8(s.HomeOf(r.block)), Dst: uint8(r.owner), Block: r.block, Word: uint8(r.word), Aux: uint8(r.p)}, szControl, r.atOwnerFn)
+}
+
+// atOwner runs a recall at the owner.
+func (r *request) atOwner() {
+	s := r.s
+	r.data = s.takeOwnerData(r.owner, r.block, r.dataKind != MsgWIData)
+	s.sendT(r.charge, &Msg{Kind: r.dataKind, Src: uint8(r.owner), Dst: uint8(s.HomeOf(r.block)), Block: r.block, Word: uint8(r.word), Aux: uint8(r.p), Data: r.data}, szData, r.atHomeFn)
+}
+
+// atHome refreshes memory with the recalled block.
+func (r *request) atHome() {
+	s := r.s
+	s.mems[s.HomeOf(r.block)].WriteBlock(r.block, r.data, r.then)
+}
+
 // whenFree runs fn when the directory entry is not busy, queueing it
 // behind in-flight transactions otherwise. fn must re-examine all state;
 // h is the request's header.
@@ -646,40 +722,25 @@ func (s *System) sendWriteback(p int, block uint32, src []uint32) {
 	copy(data, src)
 	s.procs[p].pendingWB[block] = data
 	m, fresh := s.wbs.get()
-	*m = wbMsg{s: s, p: p, block: block, data: data, arriveFn: m.arriveFn, lockedFn: m.lockedFn,
-		hdr: Msg{Kind: MsgWB, Src: uint8(p), Dst: uint8(s.HomeOf(block)), Block: block, Data: data}}
+	*m = wbMsg{m.renew(s, p, block, 0)}
 	if fresh {
-		m.arriveFn = m.arrive
-		m.lockedFn = m.locked
+		m.bind(m.locked)
 	}
+	m.data = data
+	m.hdr = Msg{Kind: MsgWB, Src: uint8(p), Dst: uint8(s.HomeOf(block)), Block: block, Data: data}
 	if s.tr != nil {
 		m.txn = s.tr.Begin(p, trace.TxnWriteback, block, s.e.Now())
 	}
-	s.sendT(m.txn, &m.hdr, szData, m.arriveFn)
+	s.sendT(m.txn, &m.hdr, szData, m.homeFn)
 }
 
-// wbMsg carries one dirty write-back home. Processing serializes behind
-// any in-flight transaction for the block: a fetch already on its way to
+// wbMsg carries one dirty write-back home, its data a borrowed frame
+// also registered in pendingWB. Processing serializes behind any
+// in-flight transaction for the block: a fetch already on its way to
 // the evicting node must find (and cancel) the pending write-back buffer
 // before the home consumes the write-back message. The frame is released
 // when the home has consumed (or discarded) the data.
-type wbMsg struct {
-	s        *System
-	p        int
-	block    uint32
-	data     []uint32 // borrowed frame, also registered in pendingWB
-	hdr      Msg      // the write-back's header
-	txn      trace.TxnID
-	arriveFn func() // delivery at the home: serialize on the entry
-	lockedFn func() // entry free: apply or discard
-}
-
-func (m *wbMsg) arrive() {
-	if s := m.s; s.tr != nil {
-		s.tr.HomeArrive(m.txn, s.e.Now())
-	}
-	m.s.whenFree(m.s.entry(m.block), &m.hdr, m.lockedFn)
-}
+type wbMsg struct{ request }
 
 func (m *wbMsg) locked() {
 	s, p, block, data, txn := m.s, m.p, m.block, m.data, m.txn

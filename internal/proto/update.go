@@ -32,46 +32,36 @@ import (
 
 // updOp is one PU/CU write-through or atomic. It carries the operation
 // along its fixed chain — a store's optional write-allocate fetch (miss,
-// fetch), then local, home, locked (by way of demote, demoted and rehome
-// when another node retains the block), wrote, the sharers' updates,
-// reply — and collects the sharers' acknowledgements, with the
-// stage continuations built once per pooled object, so the per-operation
+// fetch), then local, home, locked (by way of a recall and rehome when
+// another node retains the block), wrote, the sharers' updates, reply —
+// and collects the sharers' acknowledgements, with the stage
+// continuations built once per pooled object, so the per-operation
 // chain does not allocate in steady state. The op lives until the reply
 // and every acknowledgement have arrived: check recycles it then. (A
 // store to a retained-private line never leaves the writer and recycles
 // in local.) Completion callbacks run from copies of its fields, so
-// operations they issue may reuse the op.
+// operations they issue may reuse the op. Its data is a borrowed frame:
+// a new sharer's reply block, or a demoted one.
 type updOp struct {
-	s        *System
-	p        int
-	word     int
-	owner    int // the retained-private owner being demoted
-	block    uint32
+	request
 	v        uint32 // store value; an atomic's new value once performed
 	old      uint32 // the value v overwrote at the home
 	op1, op2 uint32 // atomic operands
-	txn      trace.TxnID
 	kind     AtomicKind
 	isAtomic bool
 	needData bool // atomic by a non-sharer: the reply carries the block
 	replied  bool
-	data     []uint32     // borrowed frame: a new sharer's reply block, or a demoted one
-	hdr      Msg          // the request's header
 	retire   func()       // store completion
 	done     func(uint32) // atomic completion
 	multicast
 	updStages
 }
 
-// updStages are an updOp's stage continuations.
+// updStages are an updOp's own stage continuations.
 type updStages struct {
 	missFn   func()              // at the home: fetch the block shared
 	fetchFn  func(uint32)        // write-allocate fetch delivered
-	homeFn   func()              // serialize at the directory
-	lockedFn func()              // entry free: demote a private owner or perform
-	demoteFn func()              // at the owner: downgrade, send the block home
-	backFn   func()              // demoted block at the home: refresh memory
-	rehomeFn func()              // memory refreshed: record the demotion, re-enter home
+	rehomeFn func()              // demoted block in memory: record the demotion, re-enter home
 	opFn     func(uint32) uint32 // an atomic's read-modify-write
 	wroteFn  func()              // memory op complete: multicast + reply
 	updFn    func()              // one sharer's update delivered
@@ -81,11 +71,11 @@ type updStages struct {
 
 func (s *System) newUpdOp(p int, block uint32, word int) *updOp {
 	op, fresh := s.updOps.get()
-	*op = updOp{s: s, p: p, block: block, word: word, multicast: multicast{fan: op.fan}, updStages: op.updStages}
+	*op = updOp{request: op.renew(s, p, block, word), multicast: multicast{fan: op.fan}, updStages: op.updStages}
 	if fresh {
-		op.updStages = updStages{missFn: op.miss, fetchFn: func(uint32) { op.local() }, homeFn: op.home,
-			lockedFn: op.locked, opFn: func(old uint32) uint32 { return op.kind.apply(old, op.op1, op.op2) },
-			demoteFn: op.demote, backFn: op.demoted, rehomeFn: op.rehome,
+		op.bind(op.locked)
+		op.updStages = updStages{missFn: op.miss, fetchFn: func(uint32) { op.local() }, rehomeFn: op.rehome,
+			opFn:    func(old uint32) uint32 { return op.kind.apply(old, op.op1, op.op2) },
 			wroteFn: op.wrote, updFn: op.update, replyFn: op.reply, ackFn: op.ack}
 	}
 	return op
@@ -195,16 +185,6 @@ func (op *updOp) local() {
 	s.sendT(op.txn, &op.hdr, szWord, op.homeFn)
 }
 
-// home serializes the operation at the directory, waiting out a busy
-// entry. A post-demote re-entry keeps its original home-arrival time
-// (set-if-zero).
-func (op *updOp) home() {
-	if s := op.s; s.tr != nil {
-		s.tr.HomeArrive(op.txn, s.e.Now())
-	}
-	op.s.whenFree(op.s.entry(op.block), &op.hdr, op.lockedFn)
-}
-
 // locked demotes a retained-private owner (re-entering home afterwards,
 // which re-examines all state) or performs the memory write or the
 // read-modify-write.
@@ -212,9 +192,9 @@ func (op *updOp) locked() {
 	s := op.s
 	d := s.entry(op.block)
 	if d.State == DirOwned {
+		// The demotion's hops are charged to no transaction.
 		d.busy = true
-		op.owner = d.Owner
-		s.send(&Msg{Kind: MsgDemote, Src: uint8(s.HomeOf(op.block)), Dst: uint8(op.owner), Block: op.block, Aux: uint8(op.p)}, szControl, op.demoteFn)
+		op.recall(d, MsgDemote, MsgDemoteData, 0, op.rehomeFn)
 		return
 	}
 	if s.tr != nil {
@@ -235,25 +215,12 @@ func (op *updOp) locked() {
 	}
 }
 
-// demote runs at the retained-private owner: its line goes Shared, and
-// the block travels home.
-func (op *updOp) demote() {
-	s := op.s
-	op.data = s.takeOwnerData(op.owner, op.block, true /* demote */)
-	s.send(&Msg{Kind: MsgDemoteData, Src: uint8(op.owner), Dst: uint8(s.HomeOf(op.block)), Block: op.block, Aux: uint8(op.p), Data: op.data}, szData, op.backFn)
-}
-
-// demoted refreshes memory with the block, which the write consumes.
-func (op *updOp) demoted() {
-	s := op.s
-	s.mems[s.HomeOf(op.block)].WriteBlock(op.block, op.data, op.rehomeFn)
-	s.store.ReleaseFrame(op.data)
-	op.data = nil
-}
-
-// rehome records the demotion and serializes the operation again.
+// rehome releases the demoted block's frame, which memory has taken,
+// records the demotion and serializes the operation again.
 func (op *updOp) rehome() {
 	s := op.s
+	s.store.ReleaseFrame(op.data)
+	op.data = nil
 	d := s.entry(op.block)
 	d.Demote(op.owner, s.caches[op.owner].Present(op.block))
 	s.release(d)

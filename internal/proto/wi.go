@@ -9,7 +9,7 @@ import (
 // This file implements the write-invalidate protocol's write and atomic
 // paths. Reads are shared with the update protocols (api.go): the only
 // protocol-specific read behaviour — servicing a dirty-owned block — is
-// identical in structure to fetching a PU retained-private block.
+// the same code as fetching a PU retained-private block (request.recall).
 //
 // Writes: under release consistency the processor has already buffered
 // the store; this transaction obtains an exclusive copy (upgrading a
@@ -25,46 +25,33 @@ import (
 
 // wiOp is one exclusive-copy acquisition (store or atomic) under WI.
 type wiOp struct {
-	s        *System
-	p        int
-	word     int
-	owner    int
-	block    uint32
-	txn      trace.TxnID
+	request
 	v        uint32 // store value
 	op1, op2 uint32 // atomic operands
 	kind     AtomicKind
 	isAtomic bool
 	needData bool
 	haveData bool
-	data     []uint32     // borrowed frame (fetched block), released at grant
-	hdr      Msg          // the ownership request's header
 	retire   func()       // store completion
 	done     func(uint32) // atomic completion
 	multicast
 	wiStages
 }
 
-// wiStages are a wiOp's stage continuations.
+// wiStages are a wiOp's own stage continuations.
 type wiStages struct {
-	homeFn       func() // at the home: serialize on the directory entry
-	lockedFn     func() // entry free: fetch/invalidate per directory state
-	fetchedFn    func() // memory read complete
-	invFn        func() // one sharer's invalidation delivered
-	ackFn        func() // one queued invalidation ack arrived
-	ownerFetchFn func() // at the old owner: extract data, forward home
-	ownerBackFn  func() // data back at the home: refresh memory
-	ownerWroteFn func() // memory refreshed: grant
-	grantFn      func() // at the requester: take ownership, perform
+	fetchedFn func() // memory read or owner recall complete
+	invFn     func() // one sharer's invalidation delivered
+	ackFn     func() // one queued invalidation ack arrived
+	grantFn   func() // at the requester: take ownership, perform
 }
 
 func (s *System) newWiOp(p int, block uint32, word int) *wiOp {
 	op, fresh := s.wiOps.get()
-	*op = wiOp{s: s, p: p, block: block, word: word, multicast: multicast{fan: op.fan}, wiStages: op.wiStages}
+	*op = wiOp{request: op.renew(s, p, block, word), multicast: multicast{fan: op.fan}, wiStages: op.wiStages}
 	if fresh {
-		op.wiStages = wiStages{homeFn: op.home, lockedFn: op.locked, fetchedFn: op.fetched, invFn: op.invalidate,
-			ackFn: op.ack, ownerFetchFn: op.ownerFetch, ownerBackFn: op.ownerBack, ownerWroteFn: op.ownerWrote,
-			grantFn: op.granted}
+		op.bind(op.locked)
+		op.wiStages = wiStages{fetchedFn: op.fetched, invFn: op.invalidate, ackFn: op.ack, grantFn: op.granted}
 	}
 	return op
 }
@@ -127,22 +114,11 @@ func (op *wiOp) start() {
 // operations), its fields copied to locals first.
 func (op *wiOp) perform(ln *cache.Line) {
 	s, p, block, word, txn := op.s, op.p, op.block, op.word, op.txn
-	if op.isAtomic {
-		kind, op1, op2, done := op.kind, op.op1, op.op2, op.done
-		s.wiOps.put(op)
-		old := ln.Data[word]
-		ln.Data[word] = kind.apply(old, op1, op2)
-		ln.Dirty = true
-		s.cl.Reference(p, block, word)
-		s.cl.GlobalWrite(p, block, word)
-		if s.tr != nil {
-			s.tr.End(txn, s.e.Now())
-		}
-		s.caches[p].FireWatchers(block)
-		done(old)
-		return
+	isAtomic, v, retire, done := op.isAtomic, op.v, op.retire, op.done
+	old := ln.Data[word]
+	if isAtomic {
+		v = op.kind.apply(old, op.op1, op.op2)
 	}
-	v, retire := op.v, op.retire
 	s.wiOps.put(op)
 	ln.Data[word] = v
 	ln.Dirty = true
@@ -152,15 +128,11 @@ func (op *wiOp) perform(ln *cache.Line) {
 		s.tr.End(txn, s.e.Now())
 	}
 	s.caches[p].FireWatchers(block)
-	retire()
-}
-
-// home serializes the ownership request through the directory.
-func (op *wiOp) home() {
-	if s := op.s; s.tr != nil {
-		s.tr.HomeArrive(op.txn, s.e.Now())
+	if isAtomic {
+		done(old)
+	} else {
+		retire()
 	}
-	op.s.whenFree(op.s.entry(op.block), &op.hdr, op.lockedFn)
 }
 
 // locked services the ownership request once the entry is free. Exactly
@@ -207,12 +179,12 @@ func (op *wiOp) locked() {
 		op.maybeGrant() // covers the no-other-sharers upgrade
 
 	case DirOwned:
-		op.owner = d.Owner
-		s.sendT(op.txn, &Msg{Kind: MsgWIFetch, Src: uint8(home), Dst: uint8(op.owner), Block: op.block, Aux: uint8(op.p)}, szControl, op.ownerFetchFn)
+		op.recall(d, MsgWIFetch, MsgWIData, op.txn, op.fetchedFn)
 	}
 }
 
-// fetched marks the memory data available.
+// fetched marks the block available: read from memory, or recalled
+// from the old owner (no invalidations then, so it grants).
 func (op *wiOp) fetched() {
 	op.haveData = true
 	op.maybeGrant()
@@ -266,26 +238,6 @@ func (op *wiOp) grant() {
 	}
 	s.sendT(op.txn, &Msg{Kind: MsgGrant, Src: uint8(s.HomeOf(op.block)), Dst: uint8(op.p), Block: op.block, Data: op.data}, size, op.grantFn)
 	s.release(d)
-}
-
-// ownerFetch runs at the old owner: take its data (invalidating the
-// line) and forward it home.
-func (op *wiOp) ownerFetch() {
-	s := op.s
-	op.data = s.takeOwnerData(op.owner, op.block, false /* invalidate */)
-	s.sendT(op.txn, &Msg{Kind: MsgWIData, Src: uint8(op.owner), Dst: uint8(s.HomeOf(op.block)), Block: op.block, Aux: uint8(op.p), Data: op.data}, szData, op.ownerBackFn)
-}
-
-// ownerBack refreshes memory with the old owner's data.
-func (op *wiOp) ownerBack() {
-	s := op.s
-	s.mems[s.HomeOf(op.block)].WriteBlock(op.block, op.data, op.ownerWroteFn)
-}
-
-// ownerWrote grants ownership with the fetched data.
-func (op *wiOp) ownerWrote() {
-	op.haveData = true
-	op.grant()
 }
 
 // granted applies ownership at the requester and runs the deferred
