@@ -135,9 +135,10 @@ func (m *liveModel) checkEvery() string {
 			}
 		}
 	}
-	// Cancellation accounting: every cancelled write-back must still be
-	// in flight, on its channel home or queued at the directory, to
-	// absorb its cancellation.
+	// Cancellation accounting: a node lists each write-back until the
+	// home consumes it, so every cancelled one it lists must still be in
+	// flight, on its channel home or queued at the directory. A consumed
+	// write-back left on the list fails here.
 	for b := 0; b < cfg.Blocks; b++ {
 		home := m.x.HomeOf(uint32(b))
 		for p, ln := range m.dump(b).Lines {

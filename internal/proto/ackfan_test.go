@@ -25,10 +25,10 @@ func withLocalDelay(d sim.Time) testOpt { return func(c *Config) { c.Mesh.LocalD
 // next WI acquisition count the ack events that reach their handlers, by
 // seeding the pools with objects whose cached ack closure counts.
 func countQueuedAcks(s *System, n *int) {
-	u := s.newUpdOp(0, 0, 0)
+	u := s.newUpdOp(0, 0, 0, access{})
 	u.ackFn = func() { *n++; u.ack() }
 	s.updOps.put(u)
-	op := s.newWiOp(0, 0, 0)
+	op := s.newWiOp(0, 0, 0, access{})
 	op.ackFn = func() { *n++; op.ack() }
 	s.wiOps.put(op)
 }

@@ -101,7 +101,7 @@ func (m *readMsg) reply(d *dirEntry) {
 	s := m.s
 	d.Share(m.p)
 	s.sendT(m.txn, &Msg{Kind: MsgReadReply, Src: uint8(s.HomeOf(m.block)), Dst: uint8(m.p), Block: m.block, Word: uint8(m.word), Data: m.data}, szData, m.installFn)
-	s.release(d)
+	d.release()
 }
 
 // install runs at the requester: install the block, deliver the value.
@@ -129,12 +129,12 @@ func (m *readMsg) install() {
 // acknowledgements under the update protocols — is tracked separately via
 // Outstanding/WhenDrained for release-consistency fences.
 func (s *System) Write(p int, a cache.Addr, v uint32, retire func()) {
-	switch s.cfg.Protocol {
-	case WI:
-		s.wiWrite(p, a, v, retire)
-	default:
-		s.updWrite(p, a, v, retire)
+	acc := access{v: v, retire: retire}
+	if s.cfg.Protocol == WI {
+		s.wiAccess(p, a, acc)
+		return
 	}
+	s.updWrite(p, a, acc)
 }
 
 // Atomic executes an atomic read-modify-write at address a and schedules
@@ -143,12 +143,33 @@ func (s *System) Write(p int, a cache.Addr, v uint32, retire func()) {
 // memory, which multicasts the new value to sharers.
 func (s *System) Atomic(p int, a cache.Addr, kind AtomicKind, op1, op2 uint32, done func(old uint32)) {
 	s.ctr.Atomics++
-	switch s.cfg.Protocol {
-	case WI:
-		s.wiAtomic(p, a, kind, op1, op2, done)
-	default:
-		s.updAtomic(p, a, kind, op1, op2, done)
+	acc := access{kind: kind, op1: op1, op2: op2, isAtomic: true, done: done}
+	if s.cfg.Protocol == WI {
+		s.wiAccess(p, a, acc)
+		return
 	}
+	s.updAtomic(p, a, acc)
+}
+
+// access is one store or atomic as its processor issued it: the value
+// or the operation, and the completion to run.
+type access struct {
+	v        uint32 // store value
+	op1, op2 uint32 // atomic operands
+	kind     AtomicKind
+	isAtomic bool
+	retire   func()       // store completion
+	done     func(uint32) // atomic completion
+}
+
+// complete runs the access's completion; an atomic's gets old, the
+// value it overwrote.
+func (a *access) complete(old uint32) {
+	if a.isAtomic {
+		a.done(old)
+		return
+	}
+	a.retire()
 }
 
 // FlushBlock performs a user-level block flush of a's block from p's
@@ -176,11 +197,10 @@ func (s *System) FlushBlock(p int, a cache.Addr, done func()) {
 
 // takeOwnerData extracts the current data for block from the owning node:
 // its live cache line, or — if the line was just evicted/flushed and the
-// write-back is still in flight — the pending write-back buffer, in which
-// case the in-flight write-back is cancelled (the caller is about to
-// refresh memory itself). When demote is true a live line is downgraded
-// to Shared; when false it is invalidated (write-invalidate ownership
-// transfer). The returned slice is a borrowed frame the caller's
+// write-back is still in flight — that write-back's data, in which case
+// the write-back is cancelled (the caller is about to refresh memory
+// itself). When demote is true a live line is downgraded to Shared;
+// when false it is invalidated (write-invalidate ownership transfer). The returned slice is a borrowed frame the caller's
 // transaction must release once consumed.
 func (s *System) takeOwnerData(owner int, block uint32, demote bool) []uint32 {
 	if ln := s.caches[owner].Lookup(block); ln != nil {
@@ -195,15 +215,16 @@ func (s *System) takeOwnerData(owner int, block uint32, demote bool) []uint32 {
 		}
 		return data
 	}
-	if data, ok := s.procs[owner].pendingWB[block]; ok {
-		// Supersede the in-flight write-back: we are servicing it now.
-		// The pending frame stays with the in-flight wbMsg, which will
-		// release it on (discarded) arrival; copy into a fresh frame.
-		delete(s.procs[owner].pendingWB, block)
-		s.procs[owner].cancelledWB[block]++
-		out := s.store.BorrowFrame()
-		copy(out, data)
-		return out
+	for _, m := range s.procs[owner].wbs {
+		if m.block == block && !m.cancelled {
+			// Supersede the in-flight write-back: we are servicing it
+			// now. Its frame stays with it, released on its (discarded)
+			// arrival; copy into a fresh frame.
+			m.cancelled = true
+			out := s.store.BorrowFrame()
+			copy(out, m.data)
+			return out
+		}
 	}
 	panic("proto: owner holds neither line nor pending write-back")
 }

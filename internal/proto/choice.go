@@ -156,6 +156,7 @@ func (c *choiceNet) send(h *Msg, fn func()) {
 // flight and queued at the directory.
 type Explorer struct {
 	*System
+	waiting []Msg // Waiting's result
 }
 
 // NewExplorer builds n nodes under cfg on the choice network, with the
@@ -166,7 +167,7 @@ func NewExplorer(n int, cfg Config, f Faults) *Explorer {
 	// The grant-before-acks fault's invalidations answer no op: theirs
 	// is granted, and may be reused, before they arrive.
 	s.strayInvFn = func() { s.invalidateCopy(int(s.ch.cur.Dst), s.ch.cur.Block, 0) }
-	return &Explorer{s}
+	return &Explorer{System: s}
 }
 
 // Reset returns the explorer to its initial state. Messages in flight
@@ -189,12 +190,16 @@ func (x *Explorer) Reset() {
 func (x *Explorer) Queue(src, dst int) []Msg { return x.ch.hdrs[src*x.ch.n+dst] }
 
 // Waiting returns the headers of the requests queued at block's
-// directory entry, oldest first.
+// directory entry, oldest first. The slice is valid until the next
+// call.
 func (x *Explorer) Waiting(block uint32) []Msg {
+	x.waiting = x.waiting[:0]
 	if d := x.dirEntryAt(block); d != nil {
-		return d.waitH
+		for _, r := range d.waitq {
+			x.waiting = append(x.waiting, r.hdr)
+		}
 	}
-	return nil
+	return x.waiting
 }
 
 // Deliver runs the oldest message from src to dst, and then every

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"reflect"
 	"testing"
 
 	"coherencesim/internal/cache"
@@ -162,5 +163,48 @@ func TestTracedGrantBeforeAcks(t *testing.T) {
 	}
 	if len(x.wiOps.free) != len(x.wiOps.all) {
 		t.Errorf("%d of %d WI ops back in the pool", len(x.wiOps.free), len(x.wiOps.all))
+	}
+}
+
+// TestExplorerWritebackOvertaken follows a write-back that a recall
+// overtakes, step by step: node 1 owns block 0 (homed on node 0) and
+// flushes it while the home's fetch for node 2's read is on its way.
+// The fetch serves the data from the write-back and cancels it; the
+// write-back then waits at the busy entry and is discarded once the
+// recalled data has refreshed memory.
+func TestExplorerWritebackOvertaken(t *testing.T) {
+	x := newChoice(WI, 3)
+	x.Write(1, 0, 7, func() {})
+	settle(x)
+	x.Read(2, 0, func(uint32) {})
+	x.Deliver(2, 0) // the home sends node 1 a fetch
+	var bd BlockDump
+	step := func(after string, pending bool, cancelled int) {
+		t.Helper()
+		x.DumpBlock(0, &bd)
+		if ln := bd.Lines[1]; ln.PendingWB != pending || ln.CancelledWB != cancelled {
+			t.Fatalf("after %s: node 1 PendingWB %v, CancelledWB %d; want %v, %d",
+				after, ln.PendingWB, ln.CancelledWB, pending, cancelled)
+		}
+	}
+	x.FlushBlock(1, 0, func() {})
+	step("the flush", true, 0)
+	x.Deliver(0, 1)
+	step("the fetch", false, 1)
+	x.Deliver(1, 0)
+	step("the write-back's arrival", false, 1)
+	want := Msg{Kind: MsgWB, Src: 1, Data: make([]uint32, cache.WordsPerBlock)}
+	want.Data[0] = 7
+	if w := x.Waiting(0); len(w) != 1 || !reflect.DeepEqual(w[0], want) {
+		t.Fatalf("waiting at the entry: %+v, want only %+v", w, want)
+	}
+	x.Deliver(1, 0)
+	step("the data", false, 0)
+	if bd.Memory[0] != 7 {
+		t.Fatalf("memory word 0 is %d, want 7", bd.Memory[0])
+	}
+	settle(x) // the read reply: node 2's copy is the one the directory lists
+	if errs := x.CheckCoherence(); len(errs) != 0 {
+		t.Fatalf("incoherent: %v", errs)
 	}
 }

@@ -102,17 +102,18 @@ type DirDump struct {
 }
 
 // LineDump is one node's view of a block: its cached copy (State
-// cache.Invalid when it holds none) and its write-back of the block
-// still in flight, if any.
+// cache.Invalid when it holds none) and its write-backs of the block
+// still in flight, read off the node's list of them.
 type LineDump struct {
 	State   cache.State
 	Dirty   bool
 	Counter uint8
 	Data    []uint32 // nil without a copy
-	// PendingWB: dirty data sent home and not yet consumed there.
+	// PendingWB: a write-back in flight whose data the home is still
+	// to write.
 	PendingWB bool
-	// CancelledWB: write-backs a forwarded request superseded, each
-	// still to be discarded on arrival.
+	// CancelledWB: write-backs in flight whose data a recall served
+	// instead, each to be discarded on arrival.
 	CancelledWB int
 }
 
@@ -149,7 +150,12 @@ func (s *System) DumpBlock(block uint32, bd *BlockDump) {
 			ld.Data = bd.words[p*wb : (p+1)*wb : (p+1)*wb]
 			copy(ld.Data, ln.Data[:])
 		}
-		_, ld.PendingWB = s.procs[p].pendingWB[block]
-		ld.CancelledWB = s.procs[p].cancelledWB[block]
+		for _, m := range s.procs[p].wbs {
+			if m.block == block && m.cancelled {
+				ld.CancelledWB++
+			} else if m.block == block {
+				ld.PendingWB = true
+			}
+		}
 	}
 }

@@ -85,7 +85,7 @@ func TestCheckerMutationHardening(t *testing.T) {
 			build: func(t *testing.T) *testSystem { ts := newTest(t, CU, 4); ts.script().read(1, 64, nil).run(); return ts },
 			corrupt: func(ts *testSystem) {
 				d := ts.s.dirEntryAt(1)
-				d.waitq = append(d.waitq, func() {})
+				d.waitq = append(d.waitq, &request{})
 			},
 			want: "queued=1",
 		},
@@ -140,7 +140,7 @@ func TestCheckerMutationHardening(t *testing.T) {
 			name:  "pending-writeback-at-quiescence",
 			build: func(t *testing.T) *testSystem { ts := newTest(t, WI, 4); ts.script().write(0, 64, 9).run(); return ts },
 			corrupt: func(ts *testSystem) {
-				ts.s.procs[3].pendingWB[1] = make([]uint32, cache.WordsPerBlock)
+				ts.s.procs[3].wbs = append(ts.s.procs[3].wbs, &wbMsg{request: request{block: 1}})
 			},
 			want: "pending write-back",
 		},
@@ -148,7 +148,7 @@ func TestCheckerMutationHardening(t *testing.T) {
 			name:  "dangling-cancelled-writeback",
 			build: func(t *testing.T) *testSystem { ts := newTest(t, WI, 4); ts.script().write(0, 64, 9).run(); return ts },
 			corrupt: func(ts *testSystem) {
-				ts.s.procs[2].cancelledWB[1] = 1
+				ts.s.procs[2].wbs = append(ts.s.procs[2].wbs, &wbMsg{request: request{block: 1}, cancelled: true})
 			},
 			want: "dangling write-back cancellation",
 		},

@@ -32,6 +32,7 @@ package proto
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"coherencesim/internal/cache"
 	"coherencesim/internal/classify"
@@ -185,10 +186,7 @@ type Counters struct {
 type dirEntry struct {
 	DirRecord
 	busy  bool
-	waitq []func()
-	// waitH holds the queued requests' headers on the choice network
-	// alone (an Explorer's); the mesh keeps none.
-	waitH []Msg
+	waitq []*request // requests waiting out busy, oldest first
 }
 
 // procState is per-node transient protocol state.
@@ -199,15 +197,9 @@ type procState struct {
 	// completeOutstanding swaps the two, so a blocked fence appends into
 	// storage it already owns instead of allocating a list per drain.
 	drainSpare []func()
-	// pendingWB holds dirty data evicted/flushed but not yet arrived at
-	// the home, so forwarded requests can still be served.
-	pendingWB map[uint32][]uint32
-	// cancelledWB counts write-backs that were superseded by a forwarded
-	// request before reaching the home; each arrival consumes one count
-	// and is ignored. (A counter, not a flag: the node can re-acquire
-	// and re-evict the block while an earlier cancelled write-back is
-	// still in flight.)
-	cancelledWB map[uint32]int
+	// wbs are the node's write-backs sent and not yet consumed at their
+	// homes, oldest first, so a recall can still be served from one.
+	wbs []*wbMsg
 }
 
 // System is the coherence engine for one simulated machine.
@@ -328,8 +320,6 @@ func NewSystem(e *sim.Engine, n int, cfg Config, cl *classify.Classifier) *Syste
 	for i := 0; i < n; i++ {
 		s.mems[i] = mem.NewModuleWithStore(e, i, cfg.Mem, s.store)
 		s.caches[i] = cache.New(i, cfg.CacheBytes)
-		s.procs[i].pendingWB = make(map[uint32][]uint32)
-		s.procs[i].cancelledWB = make(map[uint32]int)
 	}
 	s.instrument()
 	return s
@@ -370,8 +360,8 @@ func (s *System) Reset(cfg Config) {
 		ps.outstanding = 0
 		clear(ps.drainWaiters)
 		ps.drainWaiters = ps.drainWaiters[:0]
-		clear(ps.pendingWB) // the frames come back with store.Reset
-		clear(ps.cancelledWB)
+		clear(ps.wbs) // the records come back with wbs.reset
+		ps.wbs = ps.wbs[:0]
 	}
 	s.dirs.reset()
 	s.updOps.reset()
@@ -416,7 +406,7 @@ func (s *System) entry(block uint32) *dirEntry {
 	if d == nil {
 		d, _ = s.dirs.get()
 		clear(d.waitq)
-		*d = dirEntry{waitq: d.waitq[:0], waitH: d.waitH[:0]}
+		*d = dirEntry{waitq: d.waitq[:0]}
 		s.dir[block] = d
 	}
 	return d
@@ -472,14 +462,20 @@ func (r *request) bind(locked func()) {
 	r.steps = steps{homeFn: r.home, lockedFn: locked, atOwnerFn: r.atOwner, atHomeFn: r.atHome}
 }
 
-// home serializes the transaction at the block's directory entry. A
-// re-entry keeps its first home-arrival time (set-if-zero).
+// home serializes the transaction at the block's directory entry: its
+// service runs now if the entry is free, and from release, in arrival
+// order, otherwise — so it must re-examine all state. A re-entry keeps
+// its first home-arrival time (set-if-zero).
 func (r *request) home() {
 	s := r.s
 	if s.tr != nil {
 		s.tr.HomeArrive(r.txn, s.e.Now())
 	}
-	s.whenFree(s.entry(r.block), &r.hdr, r.lockedFn)
+	if d := s.entry(r.block); d.busy {
+		d.waitq = append(d.waitq, r)
+		return
+	}
+	r.lockedFn()
 }
 
 // recall fetches the block from d.Owner: the home sends it fetch, with
@@ -506,24 +502,10 @@ func (r *request) atHome() {
 	s.mems[s.HomeOf(r.block)].WriteBlock(r.block, r.data, r.then)
 }
 
-// whenFree runs fn when the directory entry is not busy, queueing it
-// behind in-flight transactions otherwise. fn must re-examine all state;
-// h is the request's header.
-func (s *System) whenFree(d *dirEntry, h *Msg, fn func()) {
-	if d.busy {
-		d.waitq = append(d.waitq, fn)
-		if s.ch != nil {
-			d.waitH = append(d.waitH, *h)
-		}
-		return
-	}
-	fn()
-}
-
-// release clears busy and dispatches queued transactions until one takes
-// the entry busy again (transactions that never set busy, such as plain
+// release clears busy and serves queued requests until one takes the
+// entry busy again (requests that never set busy, such as plain
 // write-through updates, drain in FIFO order).
-func (s *System) release(d *dirEntry) {
+func (d *dirEntry) release() {
 	d.busy = false
 	for !d.busy && len(d.waitq) > 0 {
 		// Pop by shifting down: queues are a few entries long, and
@@ -533,10 +515,7 @@ func (s *System) release(d *dirEntry) {
 		n := copy(d.waitq, d.waitq[1:])
 		d.waitq[n] = nil
 		d.waitq = d.waitq[:n]
-		if s.ch != nil {
-			d.waitH = d.waitH[:copy(d.waitH, d.waitH[1:])]
-		}
-		next()
+		next.lockedFn()
 	}
 }
 
@@ -713,63 +692,57 @@ func (s *System) evictVictim(p int, v cache.Line) {
 	s.sendNote(p, v.Block, false)
 }
 
-// sendWriteback books a dirty/owned line's data into a pending
-// write-back buffer (a borrowed frame, so forwarded requests can still
-// be served while the message is in flight) and sends it home.
+// sendWriteback copies a dirty/owned line's data into a borrowed frame,
+// lists the write-back among p's in flight, so a recall can still be
+// served from it, and sends it home.
 func (s *System) sendWriteback(p int, block uint32, src []uint32) {
 	s.ctr.Writebacks++
-	data := s.store.BorrowFrame()
-	copy(data, src)
-	s.procs[p].pendingWB[block] = data
 	m, fresh := s.wbs.get()
-	*m = wbMsg{m.renew(s, p, block, 0)}
+	*m = wbMsg{request: m.renew(s, p, block, 0)}
 	if fresh {
 		m.bind(m.locked)
 	}
-	m.data = data
-	m.hdr = Msg{Kind: MsgWB, Src: uint8(p), Dst: uint8(s.HomeOf(block)), Block: block, Data: data}
+	m.data = s.store.BorrowFrame()
+	copy(m.data, src)
+	s.procs[p].wbs = append(s.procs[p].wbs, m)
+	m.hdr = Msg{Kind: MsgWB, Src: uint8(p), Dst: uint8(s.HomeOf(block)), Block: block, Data: m.data}
 	if s.tr != nil {
 		m.txn = s.tr.Begin(p, trace.TxnWriteback, block, s.e.Now())
 	}
 	s.sendT(m.txn, &m.hdr, szData, m.homeFn)
 }
 
-// wbMsg carries one dirty write-back home, its data a borrowed frame
-// also registered in pendingWB. Processing serializes behind any
-// in-flight transaction for the block: a fetch already on its way to
-// the evicting node must find (and cancel) the pending write-back buffer
-// before the home consumes the write-back message. The frame is released
-// when the home has consumed (or discarded) the data.
-type wbMsg struct{ request }
+// wbMsg carries one dirty write-back home, its data a borrowed frame;
+// it stays on its node's list (procState.wbs) until the home consumes
+// it. Processing serializes behind any in-flight transaction for the
+// block: a recall already on its way to the evicting node must find the
+// write-back there, take its data and cancel it, before the home
+// consumes it. The frame is released when the home has consumed (or
+// discarded) the data.
+type wbMsg struct {
+	request
+	cancelled bool // a recall served the data: the home discards it
+}
 
+// locked takes the write-back off its node's list and, unless a recall
+// cancelled it, writes memory and relinquishes the node's copy.
 func (m *wbMsg) locked() {
-	s, p, block, data, txn := m.s, m.p, m.block, m.data, m.txn
+	s, p, block, data, txn, cancelled := m.s, m.p, m.block, m.data, m.txn, m.cancelled
+	ps := &s.procs[p]
+	i := slices.Index(ps.wbs, m)
+	ps.wbs = slices.Delete(ps.wbs, i, i+1)
 	s.wbs.put(m)
 	if s.tr != nil {
 		s.tr.DirStart(txn, s.e.Now())
 	}
-	s.homeWriteback(p, block, data)
+	if !cancelled {
+		s.mems[s.HomeOf(block)].WriteBlock(block, data, nil)
+		s.entry(block).Relinquish(p)
+	}
 	s.store.ReleaseFrame(data)
 	if s.tr != nil {
 		s.tr.End(txn, s.e.Now())
 	}
-}
-
-// homeWriteback applies dirty evicted/flushed data at the home. The data
-// slice is consumed before returning; the caller owns (and releases) it.
-func (s *System) homeWriteback(p int, block uint32, data []uint32) {
-	if n := s.procs[p].cancelledWB[block]; n > 0 {
-		// A forwarded request already consumed this write-back.
-		if n == 1 {
-			delete(s.procs[p].cancelledWB, block)
-		} else {
-			s.procs[p].cancelledWB[block] = n - 1
-		}
-		return
-	}
-	s.mems[s.HomeOf(block)].WriteBlock(block, data, nil)
-	delete(s.procs[p].pendingWB, block)
-	s.entry(block).Relinquish(p)
 }
 
 // sendNote sends a pooled control notice home: a replacement hint / CU

@@ -44,15 +44,10 @@ import (
 // a new sharer's reply block, or a demoted one.
 type updOp struct {
 	request
-	v        uint32 // store value; an atomic's new value once performed
+	access          // v is an atomic's new value once performed
 	old      uint32 // the value v overwrote at the home
-	op1, op2 uint32 // atomic operands
-	kind     AtomicKind
-	isAtomic bool
-	needData bool // atomic by a non-sharer: the reply carries the block
+	needData bool   // atomic by a non-sharer: the reply carries the block
 	replied  bool
-	retire   func()       // store completion
-	done     func(uint32) // atomic completion
 	multicast
 	updStages
 }
@@ -69,9 +64,9 @@ type updStages struct {
 	ackFn    func()              // one queued sharer acknowledgement arrived
 }
 
-func (s *System) newUpdOp(p int, block uint32, word int) *updOp {
+func (s *System) newUpdOp(p int, block uint32, word int, acc access) *updOp {
 	op, fresh := s.updOps.get()
-	*op = updOp{request: op.renew(s, p, block, word), multicast: multicast{fan: op.fan}, updStages: op.updStages}
+	*op = updOp{request: op.renew(s, p, block, word), access: acc, multicast: multicast{fan: op.fan}, updStages: op.updStages}
 	if fresh {
 		op.bind(op.locked)
 		op.updStages = updStages{missFn: op.miss, fetchFn: func(uint32) { op.local() }, rehomeFn: op.rehome,
@@ -86,11 +81,10 @@ func (s *System) newUpdOp(p int, block uint32, word int) *updOp {
 // a write miss first fetches the block shared, making the writer a
 // sharer that will receive others' updates — the behaviour behind the
 // paper's MCS-under-PU traffic explosion.
-func (s *System) updWrite(p int, a cache.Addr, v uint32, retire func()) {
+func (s *System) updWrite(p int, a cache.Addr, acc access) {
 	block, word := cache.BlockOf(a), cache.WordOf(a)
 	c := s.caches[p]
-	op := s.newUpdOp(p, block, word)
-	op.v, op.retire = v, retire
+	op := s.newUpdOp(p, block, word, acc)
 	if c.Lookup(block) == nil {
 		c.CountMiss()
 		s.cl.Miss(p, block, word)
@@ -110,12 +104,10 @@ func (s *System) updWrite(p int, a cache.Addr, v uint32, retire func()) {
 // cache the block, the reply carries the post-operation block data and
 // installs it — so the next processor's atomic on the same word updates
 // this copy, as in the paper's description of fetch_and_add.
-func (s *System) updAtomic(p int, a cache.Addr, kind AtomicKind, op1, op2 uint32, done func(old uint32)) {
+func (s *System) updAtomic(p int, a cache.Addr, acc access) {
 	block, word := cache.BlockOf(a), cache.WordOf(a)
 	c := s.caches[p]
-	op := s.newUpdOp(p, block, word)
-	op.isAtomic = true
-	op.kind, op.op1, op.op2, op.done = kind, op1, op2, done
+	op := s.newUpdOp(p, block, word, acc)
 	op.needData = c.Lookup(block) == nil
 	if op.needData {
 		c.CountMiss()
@@ -223,7 +215,7 @@ func (op *updOp) rehome() {
 	op.data = nil
 	d := s.entry(op.block)
 	d.Demote(op.owner, s.caches[op.owner].Present(op.block))
-	s.release(d)
+	d.release()
 	op.home()
 }
 
@@ -325,14 +317,10 @@ func (op *updOp) reply() {
 	if s.tr != nil {
 		s.tr.Retired(op.txn, s.e.Now())
 	}
-	isAtomic, retire, done, old := op.isAtomic, op.retire, op.done, op.old
+	a, old := op.access, op.old
 	op.replied = true
 	op.check()
-	if isAtomic {
-		done(old)
-	} else {
-		retire()
-	}
+	a.complete(old)
 }
 
 // ack counts in one queued sharer acknowledgement.

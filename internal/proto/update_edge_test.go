@@ -114,7 +114,7 @@ func TestAckBeforeReplyCompletes(t *testing.T) {
 	// reply and its acks; drive the accounting directly.
 	s := newTest(t, PU, 2).s
 	start := func(expected int) *updOp {
-		op := s.newUpdOp(0, 0, 0)
+		op := s.newUpdOp(0, 0, 0, access{})
 		op.retire = func() {}
 		s.addOutstanding(0, 1)
 		op.unacked = expected // as the home's multicast records it

@@ -26,14 +26,9 @@ import (
 // wiOp is one exclusive-copy acquisition (store or atomic) under WI.
 type wiOp struct {
 	request
-	v        uint32 // store value
-	op1, op2 uint32 // atomic operands
-	kind     AtomicKind
-	isAtomic bool
+	access
 	needData bool
 	haveData bool
-	retire   func()       // store completion
-	done     func(uint32) // atomic completion
 	multicast
 	wiStages
 }
@@ -46,9 +41,9 @@ type wiStages struct {
 	grantFn   func() // at the requester: take ownership, perform
 }
 
-func (s *System) newWiOp(p int, block uint32, word int) *wiOp {
+func (s *System) newWiOp(p int, block uint32, word int, acc access) *wiOp {
 	op, fresh := s.wiOps.get()
-	*op = wiOp{request: op.renew(s, p, block, word), multicast: multicast{fan: op.fan}, wiStages: op.wiStages}
+	*op = wiOp{request: op.renew(s, p, block, word), access: acc, multicast: multicast{fan: op.fan}, wiStages: op.wiStages}
 	if fresh {
 		op.bind(op.locked)
 		op.wiStages = wiStages{fetchedFn: op.fetched, invFn: op.invalidate, ackFn: op.ack, grantFn: op.granted}
@@ -56,22 +51,10 @@ func (s *System) newWiOp(p int, block uint32, word int) *wiOp {
 	return op
 }
 
-// wiWrite drains one write-buffer entry under WI.
-func (s *System) wiWrite(p int, a cache.Addr, v uint32, retire func()) {
-	op := s.newWiOp(p, cache.BlockOf(a), cache.WordOf(a))
-	op.v = v
-	op.retire = retire
-	op.start()
-}
-
-// wiAtomic executes an atomic op in the cache controller on an exclusive
-// copy.
-func (s *System) wiAtomic(p int, a cache.Addr, kind AtomicKind, op1, op2 uint32, done func(old uint32)) {
-	op := s.newWiOp(p, cache.BlockOf(a), cache.WordOf(a))
-	op.isAtomic = true
-	op.kind, op.op1, op.op2 = kind, op1, op2
-	op.done = done
-	op.start()
+// wiAccess drains one write-buffer entry, or executes an atomic in the
+// cache controller, on an exclusive copy.
+func (s *System) wiAccess(p int, a cache.Addr, acc access) {
+	s.newWiOp(p, cache.BlockOf(a), cache.WordOf(a), acc).start()
 }
 
 // start obtains an exclusive copy of the block in p's cache, classifying
@@ -113,11 +96,10 @@ func (op *wiOp) start() {
 // watchers fire, which can resume other processors that issue new
 // operations), its fields copied to locals first.
 func (op *wiOp) perform(ln *cache.Line) {
-	s, p, block, word, txn := op.s, op.p, op.block, op.word, op.txn
-	isAtomic, v, retire, done := op.isAtomic, op.v, op.retire, op.done
-	old := ln.Data[word]
-	if isAtomic {
-		v = op.kind.apply(old, op.op1, op.op2)
+	s, p, block, word, txn, a := op.s, op.p, op.block, op.word, op.txn, op.access
+	old, v := ln.Data[word], a.v
+	if a.isAtomic {
+		v = a.kind.apply(old, a.op1, a.op2)
 	}
 	s.wiOps.put(op)
 	ln.Data[word] = v
@@ -128,11 +110,7 @@ func (op *wiOp) perform(ln *cache.Line) {
 		s.tr.End(txn, s.e.Now())
 	}
 	s.caches[p].FireWatchers(block)
-	if isAtomic {
-		done(old)
-	} else {
-		retire()
-	}
+	a.complete(old)
 }
 
 // locked services the ownership request once the entry is free. Exactly
@@ -237,7 +215,7 @@ func (op *wiOp) grant() {
 		size = szData
 	}
 	s.sendT(op.txn, &Msg{Kind: MsgGrant, Src: uint8(s.HomeOf(op.block)), Dst: uint8(op.p), Block: op.block, Data: op.data}, size, op.grantFn)
-	s.release(d)
+	d.release()
 }
 
 // granted applies ownership at the requester and runs the deferred
