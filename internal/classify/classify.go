@@ -193,8 +193,6 @@ type Classifier struct {
 	// refs counts shared-data references; the paper computes the miss
 	// rate solely with respect to shared references (Section 3.2).
 	refs uint64
-	// PerProcMisses supports debugging and per-construct analysis.
-	perProcMisses []MissCounts
 }
 
 // New creates a classifier for the given processor count.
@@ -202,10 +200,7 @@ func New(procs int) *Classifier {
 	if procs <= 0 {
 		panic("classify: procs must be positive")
 	}
-	return &Classifier{
-		shadow:        make([]procShadow, procs),
-		perProcMisses: make([]MissCounts, procs),
-	}
+	return &Classifier{shadow: make([]procShadow, procs)}
 }
 
 // Reset clears all accumulated classification state for machine reuse.
@@ -219,7 +214,6 @@ func (c *Classifier) Reset() {
 	c.misses = MissCounts{}
 	c.updates = UpdateCounts{}
 	c.refs = 0
-	clear(c.perProcMisses)
 }
 
 // extend returns s lengthened with zero values to hold index i, one at a
@@ -352,7 +346,6 @@ func (c *Classifier) Miss(p int, block uint32, word int) MissKind {
 		}
 	}
 	c.misses[kind]++
-	c.perProcMisses[p][kind]++
 	return kind
 }
 
@@ -368,9 +361,8 @@ func anyOtherWrite(s *procBlock, h *blockHistory, p int) bool {
 }
 
 // Upgrade counts an exclusive-request (ownership upgrade) transaction.
-func (c *Classifier) Upgrade(p int) {
+func (c *Classifier) Upgrade() {
 	c.misses[MissUpgrade]++
-	c.perProcMisses[p][MissUpgrade]++
 }
 
 // UpdateDelivered records that an update message for (block, word) written

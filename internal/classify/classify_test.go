@@ -99,13 +99,10 @@ func TestFlushMissWithoutWriteIsEvictionLike(t *testing.T) {
 
 func TestUpgradeCounted(t *testing.T) {
 	c := New(2)
-	c.Upgrade(1)
+	c.Upgrade()
 	m := c.Misses()
 	if m[MissUpgrade] != 1 || m.TotalMisses() != 0 || m.Total() != 1 {
 		t.Fatalf("counts %v", m)
-	}
-	if c.perProcMisses[1][MissUpgrade] != 1 {
-		t.Fatal("per-proc upgrade not counted")
 	}
 }
 
@@ -349,7 +346,7 @@ func TestPropertyMissTotality(t *testing.T) {
 			case 3:
 				c.LostCopy(p, b, LossReason(int(s.Word)%4))
 			case 4:
-				c.Upgrade(p)
+				c.Upgrade()
 			}
 		}
 		return c.Misses().TotalMisses() == misses
@@ -377,7 +374,7 @@ func TestReferencesAndMissRate(t *testing.T) {
 		t.Fatalf("miss rate = %f, want 0.25", got)
 	}
 	// Upgrades do not count as misses for the rate.
-	c.Upgrade(0)
+	c.Upgrade()
 	if got := c.MissRate(); got != 0.25 {
 		t.Fatalf("miss rate after upgrade = %f, want 0.25", got)
 	}

@@ -38,11 +38,6 @@ func (d *differ) compare() {
 	if got, want := d.c.References(), d.ref.refs; got != want {
 		d.t.Fatalf("step %d (%s): References %d, reference %d", d.step, d.what, got, want)
 	}
-	for p := 0; p < d.procs; p++ {
-		if got, want := d.c.perProcMisses[p], d.ref.perProcMisses[p]; got != want {
-			d.t.Fatalf("step %d (%s): perProcMisses[%d] %v, reference %v", d.step, d.what, p, got, want)
-		}
-	}
 }
 
 // apply decodes one operation and issues its hooks to both classifiers.
@@ -101,9 +96,9 @@ func (d *differ) apply(op [diffOpBytes]byte) {
 		d.ref.Installed(p, b)
 	case 11:
 		if op[3]&1 == 0 {
-			d.what = fmt.Sprintf("Upgrade(%d)", p)
-			d.c.Upgrade(p)
-			d.ref.Upgrade(p)
+			d.what = "Upgrade"
+			d.c.Upgrade()
+			d.ref.Upgrade()
 		} else {
 			d.what = "StrayUpdate"
 			d.c.StrayUpdate()

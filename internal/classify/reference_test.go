@@ -48,8 +48,6 @@ type refClassifier struct {
 	// refs counts shared-data references; the paper computes the miss
 	// rate solely with respect to shared references (Section 3.2).
 	refs uint64
-	// PerProcMisses supports debugging and per-construct analysis.
-	perProcMisses []MissCounts
 }
 
 // New creates a classifier for the given processor count.
@@ -62,10 +60,9 @@ func newRefClassifier(procs int) *refClassifier {
 		st[i] = make(map[uint32]*refProcBlock)
 	}
 	return &refClassifier{
-		procs:         procs,
-		history:       make(map[uint32]*refBlockHistory),
-		state:         st,
-		perProcMisses: make([]MissCounts, procs),
+		procs:   procs,
+		history: make(map[uint32]*refBlockHistory),
+		state:   st,
 	}
 }
 
@@ -90,9 +87,6 @@ func (c *refClassifier) Reset() {
 	c.misses = MissCounts{}
 	c.updates = UpdateCounts{}
 	c.refs = 0
-	for i := range c.perProcMisses {
-		c.perProcMisses[i] = MissCounts{}
-	}
 }
 
 func (c *refClassifier) hist(block uint32) *refBlockHistory {
@@ -215,7 +209,6 @@ func (c *refClassifier) Miss(p int, block uint32, word int) MissKind {
 		}
 	}
 	c.misses[kind]++
-	c.perProcMisses[p][kind]++
 	return kind
 }
 
@@ -231,9 +224,8 @@ func (c *refClassifier) anyOtherWrite(s *refProcBlock, h *refBlockHistory, p int
 }
 
 // Upgrade counts an exclusive-request (ownership upgrade) transaction.
-func (c *refClassifier) Upgrade(p int) {
+func (c *refClassifier) Upgrade() {
 	c.misses[MissUpgrade]++
-	c.perProcMisses[p][MissUpgrade]++
 }
 
 // UpdateDelivered records that an update message for (block, word) written

@@ -275,9 +275,7 @@ func (m *Machine) protoConfig() proto.Config {
 // indistinguishable from a fresh one: allocations, Pokes, and
 // RunProgram produce byte-identical results.
 func (m *Machine) Reset(cfg Config) bool {
-	if cfg.Procs != m.cfg.Procs || cfg.CacheBytes != m.cfg.CacheBytes ||
-		cfg.WBEntries != m.cfg.WBEntries || cfg.Mesh != m.cfg.Mesh ||
-		cfg.Mem != m.cfg.Mem {
+	if keyOf(cfg) != keyOf(m.cfg) {
 		return false
 	}
 	if !m.e.Reset() {

@@ -17,8 +17,8 @@ import (
 // so pooled runs are byte-identical to fresh-machine runs; the reuse
 // tests here and in internal/workload compare the two.
 
-// poolKey is the structural-compatibility key: exactly the fields
-// Machine.Reset gates on. Protocol, thresholds, ablation switches, and
+// poolKey is the structural-compatibility key, the one Machine.Reset
+// gates on. Protocol, thresholds, ablation switches, and
 // observability sinks are reset-mutable and deliberately excluded, so
 // e.g. a WI point can reuse a machine that last ran PU.
 type poolKey struct {

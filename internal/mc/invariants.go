@@ -3,39 +3,39 @@ package mc
 import (
 	"fmt"
 
-	"coherencesim/internal/cache"
 	"coherencesim/internal/proto"
 	"coherencesim/internal/walk"
 )
 
-// The invariant suite, stratified by when each property must hold:
-//
-//   - every-state invariants hold on every reachable state, including
-//     mid-transaction (single-writer, dirty-implies-exclusive,
-//     protocol-specific line discipline, data-value containment,
-//     directory structural sanity);
-//   - quiescent invariants hold whenever no message is in flight and no
-//     operation is pending: proto.CheckBlock on each block's picture
-//     (copies match memory, sharer sets are exact, no transient
-//     residue); and
-//   - deadlock is diagnosed on terminal states (no enabled action) that
-//     still carry unfinished work, livelock on cycles reachable along
-//     the search path (walk.Search).
+// The invariant suite. The coherence rules on a block's picture are
+// proto.System.CheckBlock's, in its two strata: every-state and
+// quiescent. The checker adds only what needs the walk's own history
+// or the choice network: data-value containment and the count of
+// cancelled write-backs still in flight, both every-state, and the
+// deadlock verdict on terminal states (no enabled action) that still
+// carry unfinished work; walk.Search finds livelock, a cycle along the
+// search path.
 
 // check is the model's verdict on a newly reached state, in one
 // order: the every-state invariants, then, when s is quiescent, the
 // stable-state ones, then, when terminal, the deadlock diagnosis.
 func (m *liveModel) check(s *node, terminal bool) (kind walk.Kind, why string, quiescent bool) {
 	m.goTo(s)
-	if why := m.checkEvery(); why != "" {
+	// Every block the system knows is one of the configuration's, and a
+	// block it does not know breaks no invariant, so these are
+	// CheckCoherence's verdicts on the pictures already taken.
+	for b := 0; b < m.cfg.Blocks; b++ {
+		if errs := m.x.CheckBlock(m.dump(b), false); len(errs) > 0 {
+			return walk.Invariant, errs[0].Error(), false
+		}
+	}
+	if why := m.checkValues(); why != "" {
 		return walk.Invariant, why, false
 	}
 	if quiescent = m.quiescent(); quiescent {
-		// Every block the system knows is one of the configuration's,
-		// and a block it does not know breaks no quiescent invariant, so
-		// this is CheckCoherence's verdict on the pictures already taken.
+		// The every-state rules passed above: what fails here is quiescent.
 		for b := 0; b < m.cfg.Blocks; b++ {
-			if errs := proto.CheckBlock(*m.dump(b)); len(errs) > 0 {
+			if errs := m.x.CheckBlock(m.dump(b), true); len(errs) > 0 {
 				return walk.Quiescent, errs[0].Error(), true
 			}
 		}
@@ -54,71 +54,24 @@ func (m *liveModel) check(s *node, terminal bool) (kind walk.Kind, why string, q
 	return "", "", quiescent
 }
 
-// checkEvery returns a description of the first every-state invariant
-// violation, or "".
-func (m *liveModel) checkEvery() string {
+// checkValues returns a description of the first every-state violation
+// that needs the walk's own history or the choice network, or "": a
+// value that never legitimately existed, cached, in memory or in
+// flight, or a cancelled write-back no longer in flight.
+func (m *liveModel) checkValues() string {
 	cfg := m.cfg
 	for b := 0; b < cfg.Blocks; b++ {
 		bd := m.dump(b)
-		d := dirOf(bd)
-		holders, exclusives, e := 0, 0, 0 // e: the exclusive holder, when exclusives == 1
 		for p := range bd.Lines {
 			ln := &bd.Lines[p]
-			switch ln.State {
-			case cache.Invalid:
+			if ln.Data == nil {
 				continue
-			case cache.Exclusive:
-				exclusives, e = exclusives+1, p
-			}
-			holders++
-			if ln.Dirty && ln.State != cache.Exclusive {
-				return fmt.Sprintf("block %d: dirty non-exclusive copy at p%d", b, p)
-			}
-			switch cfg.Protocol {
-			case proto.CU:
-				if ln.Counter >= cfg.CUThreshold {
-					return fmt.Sprintf("block %d: p%d counter %d at/above threshold %d", b, p, ln.Counter, cfg.CUThreshold)
-				}
-			default:
-				if ln.Counter != 0 {
-					return fmt.Sprintf("block %d: nonzero update counter at p%d under %v", b, p, cfg.Protocol)
-				}
 			}
 			for w := 0; w < cfg.Words; w++ {
 				if !m.legal(uint32(b), w, ln.Data[w]) {
 					return fmt.Sprintf("block %d word %d: p%d caches value %d that never legitimately existed", b, w, p, ln.Data[w])
 				}
 			}
-		}
-		if exclusives > 1 {
-			return fmt.Sprintf("block %d: %d exclusive copies (single-writer violated)", b, exclusives)
-		}
-		if exclusives == 1 {
-			if holders > 1 {
-				return fmt.Sprintf("block %d: exclusive copy at p%d alongside %d other copies", b, e, holders-1)
-			}
-			if cfg.Protocol == proto.CU {
-				return fmt.Sprintf("block %d: exclusive copy at p%d under CU (never retains)", b, e)
-			}
-			if d.State != proto.DirOwned || d.Owner != e {
-				return fmt.Sprintf("block %d: exclusive copy at p%d but directory does not record p%d as owner", b, e, e)
-			}
-		}
-		if cfg.Protocol == proto.CU && d.State == proto.DirOwned {
-			return fmt.Sprintf("block %d: directory owned under CU", b)
-		}
-		// Directory structural sanity.
-		if d.Owner >= cfg.Procs {
-			return fmt.Sprintf("block %d: directory owner p%d out of range", b, d.Owner)
-		}
-		if d.Sharers>>uint(cfg.Procs) != 0 {
-			return fmt.Sprintf("block %d: sharer bitmap %#x names nonexistent nodes", b, d.Sharers)
-		}
-		if d.State == proto.DirOwned && d.Sharers != 0 {
-			return fmt.Sprintf("block %d: owned directory entry with sharer bitmap %#x", b, d.Sharers)
-		}
-		if !d.Busy && d.Queued > 0 {
-			return fmt.Sprintf("block %d: idle directory entry with queued transactions", b)
 		}
 		for w := 0; w < cfg.Words; w++ {
 			if !m.legal(uint32(b), w, bd.Memory[w]) {

@@ -275,15 +275,6 @@ func (m *liveModel) dump(b int) *proto.BlockDump {
 	return &m.dumps[b]
 }
 
-// dirOf returns a picture's directory record, a zero one for a block
-// the home never saw.
-func dirOf(bd *proto.BlockDump) proto.DirDump {
-	if bd.Dir == nil {
-		return proto.DirDump{}
-	}
-	return *bd.Dir
-}
-
 // quiescent reports whether no message is in flight and no operation is
 // pending — the stable states on which the full invariant suite runs.
 func (m *liveModel) quiescent() bool {
@@ -316,7 +307,10 @@ func (m *liveModel) encode(s *node, buf []byte) []byte {
 	}
 	for b := 0; b < cfg.Blocks; b++ {
 		bd := m.dump(b)
-		d := dirOf(bd)
+		var d proto.DirDump // zero for a block the home never saw
+		if bd.Dir != nil {
+			d = *bd.Dir
+		}
 		buf = append(buf, byte(d.State), byte(d.Owner), byte(d.Sharers), flag(d.Busy))
 		buf = m.appendMsgs(buf, m.x.Waiting(uint32(b)))
 		buf = appendWords(buf, bd.Memory, cfg.Words)

@@ -19,11 +19,15 @@
 // interleavings are a superset of what any timing of the real mesh can
 // produce; every acknowledgement of a multicast is its own delivery.
 // Bounded exhaustive reachability over this space — with a canonical
-// encoding of the live system for deduplication — checks the
-// single-writer, directory-consistency, data-value containment, and
-// deadlock/livelock invariants on every reachable state, and the full
-// quiescent-state invariant suite (proto.CheckBlock, the check behind
-// proto.CheckCoherence) whenever no message is in flight.
+// encoding of the live system for deduplication — judges every state by
+// proto's coherence rules, stated once in proto.System.CheckBlock in
+// two strata (the check behind proto.CheckCoherence): the every-state
+// stratum (single writer, ownership, dirty-implies-exclusive, the
+// counter discipline, directory shape) on every reachable state, and
+// both strata whenever no message is in flight. The checker adds only
+// what needs its own history or the choice network: data-value
+// containment, the count of cancelled write-backs still in flight, and
+// the deadlock/livelock verdicts.
 //
 // A state is the schedule that reaches it. The walker (package walk) is
 // protocol-free: it sees the protocols only through the four methods of

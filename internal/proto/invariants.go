@@ -2,18 +2,17 @@ package proto
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"coherencesim/internal/cache"
 )
 
-// CheckCoherence validates the protocol's global invariants: CheckBlock
-// on the DumpBlock of every block any directory entry or cache knows, in
-// ascending block order. It is meant to be called at quiescence (no
-// in-flight transactions: engine drained and all write buffers empty);
-// some invariants are necessarily violated transiently while messages
-// are in flight. It returns every violation found, or nil if the system
-// is coherent.
+// CheckCoherence validates the protocol's global invariants: CheckBlock,
+// both strata, on the DumpBlock of every block any directory entry or
+// cache knows, in ascending block order. It is meant to be called at
+// quiescence (engine drained and all write buffers empty). It returns
+// every violation found, or nil if the system is coherent.
 //
 // The checker is O(blocks x nodes) and intended for tests and debugging,
 // not for per-event use.
@@ -32,51 +31,94 @@ func (s *System) CheckCoherence() []error {
 	var bd BlockDump
 	for _, b := range slices.Compact(blocks) {
 		s.DumpBlock(b, &bd)
-		errs = append(errs, CheckBlock(bd)...)
+		errs = append(errs, s.CheckBlock(&bd, true)...)
 	}
 	return errs
 }
 
-// CheckBlock returns every violation of the quiescent invariants in one
-// block's picture, in a fixed order, nodes ascending:
+// CheckBlock is the one statement of the coherence rules. It returns
+// every violation in one block's picture, in a fixed order, nodes
+// ascending: of the every-state stratum, which holds mid-transaction
+// too, and when quiescent (no message in flight, no operation pending)
+// of the quiescent stratum as well. Every state:
 //
-//  1. At most one node holds the block Exclusive, and then no other node
-//     holds it at all.
-//  2. A node holding the block Exclusive is the directory's owner.
-//  3. The directory entry exists if any node holds the block, and it is
-//     neither busy nor queued.
-//  4. An owned block is held by its owner alone, Exclusive.
-//  5. An uncached block has no sharers and a shared one has some; the
+//  1. At most one copy is Exclusive, and then it is the only copy.
+//  2. An Exclusive holder is the directory's owner.
+//  3. Only an Exclusive copy is dirty.
+//  4. Under CU, counters stay below the threshold, no copy is Exclusive
+//     and no entry is owned; under WI and PU, every counter is 0.
+//  5. Owner and sharer bits name real nodes; an owned entry has no
+//     sharer bits; an idle entry queues nothing.
+//
+// Quiescent only:
+//
+//  6. A held block has a directory entry, neither busy nor queued.
+//  7. An owned block is held by its owner alone, Exclusive.
+//  8. An uncached entry has no sharers and a shared one has some; the
 //     sharers are exactly the nodes holding a copy.
-//  6. Every copy but an owner's matches memory word for word.
-//  7. No node has a write-back of the block pending or cancelled.
-func CheckBlock(bd BlockDump) []error {
+//  9. Every copy but an owner's matches memory word for word.
+//  10. No node has a write-back of the block pending or cancelled.
+func (s *System) CheckBlock(bd *BlockDump, quiescent bool) []error {
 	var errs []error
 	report := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf("block %d"+format, append([]any{bd.Block}, args...)...))
 	}
-	var holders, exclusive []int
-	for q, ln := range bd.Lines {
-		if ln.State != cache.Invalid {
-			holders = append(holders, q)
-			if ln.State == cache.Exclusive {
-				exclusive = append(exclusive, q)
-			}
+	cu, n, d := s.cfg.Protocol == CU, len(s.caches), bd.Dir
+	var holders, excl uint64 // bitmaps over nodes
+	for q := range bd.Lines {
+		ln := &bd.Lines[q]
+		if ln.State == cache.Invalid {
+			continue
+		}
+		holders |= 1 << uint(q)
+		if ln.State == cache.Exclusive {
+			excl |= 1 << uint(q)
+		} else if ln.Dirty {
+			report(": dirty non-exclusive copy at node %d", q)
+		}
+		switch {
+		case cu && ln.Counter >= s.cfg.CUThreshold:
+			report(": node %d counter %d at or above the CU threshold %d", q, ln.Counter, s.cfg.CUThreshold)
+		case !cu && ln.Counter != 0:
+			report(": node %d has update counter %d under %v", q, ln.Counter, s.cfg.Protocol)
 		}
 	}
-	d := bd.Dir
-	if len(exclusive) > 1 {
-		report(": %d exclusive copies (nodes %v)", len(exclusive), exclusive)
+	e, nx := bits.TrailingZeros64(excl), bits.OnesCount64(excl) // e: the lowest Exclusive holder
+	if nx > 1 {
+		report(": %d exclusive copies (nodes %b)", nx, excl)
 	}
-	if len(exclusive) == 1 && len(holders) > 1 {
-		report(": exclusive at node %d alongside %d other copies", exclusive[0], len(holders)-1)
+	if nx == 1 && holders != excl {
+		report(": exclusive at node %d alongside %d other copies", e, bits.OnesCount64(holders)-1)
 	}
-	if len(exclusive) == 1 && (d == nil || d.State != DirOwned || d.Owner != exclusive[0]) {
-		report(": exclusive at node %d but directory %s", exclusive[0], dirString(d))
+	if nx == 1 && (d == nil || d.State != DirOwned || d.Owner != e) {
+		report(": exclusive at node %d but directory %s", e, dirString(d))
+	}
+	if cu && nx > 0 {
+		report(": exclusive at node %d under CU, which never retains", e)
+	}
+	if d != nil {
+		if cu && d.State == DirOwned {
+			report(": directory owned under CU")
+		}
+		if d.Owner < 0 || d.Owner >= n {
+			report(": directory owner %d names no node", d.Owner)
+		}
+		if d.Sharers>>uint(n) != 0 {
+			report(": sharer bits %#x name nodes beyond %d", d.Sharers, n-1)
+		}
+		if d.State == DirOwned && d.Sharers != 0 {
+			report(": owned directory entry with sharer bits %#x", d.Sharers)
+		}
+		if !d.Busy && d.Queued > 0 {
+			report(": idle directory entry queues %d", d.Queued)
+		}
+	}
+	if !quiescent {
+		return errs
 	}
 
-	if d == nil && len(holders) > 0 {
-		report(": cached at %d node(s) with no directory entry", len(holders))
+	if d == nil && holders != 0 {
+		report(": cached at %d node(s) with no directory entry", bits.OnesCount64(holders))
 	}
 	if d != nil && (d.Busy || d.Queued > 0) {
 		report(": directory busy=%v queued=%d at quiescence", d.Busy, d.Queued)
@@ -85,14 +127,13 @@ func CheckBlock(bd BlockDump) []error {
 	switch {
 	case d != nil && d.State == DirOwned:
 		owner = d.Owner
-		switch bd.Lines[owner].State {
-		case cache.Invalid:
+		if o := uint64(1) << uint(owner); holders&o == 0 {
 			report(": owned by node %d which holds no copy", owner)
-		case cache.Shared:
+		} else if excl&o == 0 {
 			report(": owned by node %d which holds a shared copy", owner)
 		}
-		for _, q := range holders {
-			if q != owner {
+		for q := range bd.Lines {
+			if q != owner && holders&(1<<uint(q)) != 0 {
 				report(": owned by %d but node %d also caches it", owner, q)
 			}
 		}
@@ -103,8 +144,8 @@ func CheckBlock(bd BlockDump) []error {
 		if d.State == DirShared && d.Sharers == 0 {
 			report(": shared directory entry with no sharers")
 		}
-		for q, ln := range bd.Lines {
-			switch held := ln.State != cache.Invalid; {
+		for q := range bd.Lines {
+			switch held := holders&(1<<uint(q)) != 0; {
 			case d.Has(q) && !held:
 				report(": directory lists node %d as sharer without a copy", q)
 			case held && !d.Has(q):
@@ -113,7 +154,7 @@ func CheckBlock(bd BlockDump) []error {
 		}
 	}
 
-	for _, q := range holders {
+	for q := range bd.Lines {
 		if q == owner {
 			continue // the owner may legitimately diverge from memory
 		}
@@ -124,7 +165,8 @@ func CheckBlock(bd BlockDump) []error {
 			}
 		}
 	}
-	for q, ln := range bd.Lines {
+	for q := range bd.Lines {
+		ln := &bd.Lines[q]
 		if ln.PendingWB {
 			report(": node %d has a pending write-back at quiescence", q)
 		}

@@ -152,6 +152,71 @@ func TestCheckerMutationHardening(t *testing.T) {
 			},
 			want: "dangling write-back cancellation",
 		},
+		{
+			name:  "dirty-shared",
+			build: func(t *testing.T) *testSystem { ts := newTest(t, PU, 4); ts.script().read(2, 64, nil).run(); return ts },
+			corrupt: func(ts *testSystem) {
+				ts.s.Cache(2).Lookup(1).Dirty = true
+			},
+			want: "dirty non-exclusive copy at node 2",
+		},
+		{
+			name:  "cu-counter-at-threshold",
+			build: func(t *testing.T) *testSystem { ts := newTest(t, CU, 4); ts.script().read(2, 64, nil).run(); return ts },
+			corrupt: func(ts *testSystem) {
+				ts.s.Cache(2).Lookup(1).Counter = ts.s.cfg.CUThreshold
+			},
+			want: "at or above the CU threshold",
+		},
+		{
+			name:  "counter-under-pu",
+			build: func(t *testing.T) *testSystem { ts := newTest(t, PU, 4); ts.script().read(2, 64, nil).run(); return ts },
+			corrupt: func(ts *testSystem) {
+				ts.s.Cache(2).Lookup(1).Counter = 1
+			},
+			want: "update counter 1 under PU",
+		},
+		{
+			name:  "exclusive-under-cu",
+			build: func(t *testing.T) *testSystem { ts := newTest(t, CU, 4); ts.script().read(2, 64, nil).run(); return ts },
+			corrupt: func(ts *testSystem) {
+				ts.s.Cache(2).Lookup(1).State = cache.Exclusive
+			},
+			want: "under CU, which never retains",
+		},
+		{
+			name:  "owned-with-sharers",
+			build: func(t *testing.T) *testSystem { ts := newTest(t, WI, 4); ts.script().write(0, 64, 9).run(); return ts },
+			corrupt: func(ts *testSystem) {
+				ts.s.dirEntryAt(1).Sharers = 1 << 2
+			},
+			want: "owned directory entry with sharer bits",
+		},
+		{
+			name:  "owner-names-no-node",
+			build: func(t *testing.T) *testSystem { ts := newTest(t, WI, 4); ts.script().write(0, 64, 9).run(); return ts },
+			corrupt: func(ts *testSystem) {
+				ts.s.dirEntryAt(1).Owner = 4
+			},
+			want: "directory owner 4 names no node",
+		},
+		{
+			name:  "sharer-beyond-nodes",
+			build: func(t *testing.T) *testSystem { ts := newTest(t, PU, 4); ts.script().read(2, 64, nil).run(); return ts },
+			corrupt: func(ts *testSystem) {
+				ts.s.dirEntryAt(1).Sharers |= 1 << 4
+			},
+			want: "name nodes beyond 3",
+		},
+		{
+			name:  "idle-entry-queues",
+			build: func(t *testing.T) *testSystem { ts := newTest(t, PU, 4); ts.script().read(2, 64, nil).run(); return ts },
+			corrupt: func(ts *testSystem) {
+				d := ts.s.dirEntryAt(1)
+				d.waitq = append(d.waitq, &request{})
+			},
+			want: "idle directory entry queues 1",
+		},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -72,7 +72,7 @@ func (op *wiOp) start() {
 		}
 		// Shared copy: exclusive-request (upgrade) transaction.
 		c.CountHit()
-		s.cl.Upgrade(op.p)
+		s.cl.Upgrade()
 		s.ctr.Upgrades++
 	} else {
 		c.CountMiss()

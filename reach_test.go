@@ -40,8 +40,8 @@ import (
 // that is referenced after all, or no longer declared, fails the guard.
 var unreferencedAllowed = map[string]string{
 	// The model checker judges the pictures it already holds
-	// (proto.CheckBlock); the integration tests check whole machines,
-	// whose directory entries only proto can enumerate.
+	// (proto.System.CheckBlock); the integration tests check whole
+	// machines, whose directory entries only proto can enumerate.
 	"proto.System.CheckCoherence": "integration_test.go: TestParallelHistogram, TestIterativeSolver, TestProducerConsumerPipeline, TestAllConstructsOneProgram",
 }
 
