@@ -365,10 +365,10 @@ func (c *Classifier) Upgrade() {
 	c.misses[MissUpgrade]++
 }
 
-// UpdateDelivered records that an update message for (block, word) written
-// by writer arrived at p's cached copy. A previous pending update to the
-// same word has now been overwritten and is classified useless.
-func (c *Classifier) UpdateDelivered(p int, block uint32, word, writer int) {
+// UpdateDelivered records that an update message for (block, word)
+// arrived at p's cached copy. A previous pending update to the same word
+// has now been overwritten and is classified useless.
+func (c *Classifier) UpdateDelivered(p int, block uint32, word int) {
 	checkWord(word)
 	s := c.pb(p, block)
 	bit := uint16(1) << uint(word)

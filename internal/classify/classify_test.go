@@ -109,7 +109,7 @@ func TestUpgradeCounted(t *testing.T) {
 func TestUsefulUpdateOnReference(t *testing.T) {
 	c := New(2)
 	c.Installed(1, 3)
-	c.UpdateDelivered(1, 3, 4, 0)
+	c.UpdateDelivered(1, 3, 4)
 	c.Reference(1, 3, 4)
 	u := c.Updates()
 	if u[UpdTrue] != 1 || u.Total() != 1 {
@@ -120,8 +120,8 @@ func TestUsefulUpdateOnReference(t *testing.T) {
 func TestProliferationOnOverwrite(t *testing.T) {
 	c := New(2)
 	c.Installed(1, 3)
-	c.UpdateDelivered(1, 3, 4, 0)
-	c.UpdateDelivered(1, 3, 4, 0) // overwrites unreferenced update
+	c.UpdateDelivered(1, 3, 4)
+	c.UpdateDelivered(1, 3, 4) // overwrites unreferenced update
 	u := c.Updates()
 	if u[UpdProliferation] != 1 {
 		t.Fatalf("updates %v, want 1 proliferation", u)
@@ -131,9 +131,9 @@ func TestProliferationOnOverwrite(t *testing.T) {
 func TestFalseSharingUpdateOnOverwriteWithOtherWordActivity(t *testing.T) {
 	c := New(2)
 	c.Installed(1, 3)
-	c.UpdateDelivered(1, 3, 4, 0)
+	c.UpdateDelivered(1, 3, 4)
 	c.Reference(1, 3, 9) // receiver touches another word in the block
-	c.UpdateDelivered(1, 3, 4, 0)
+	c.UpdateDelivered(1, 3, 4)
 	u := c.Updates()
 	if u[UpdFalse] != 1 {
 		t.Fatalf("updates %v, want 1 false-sharing update", u)
@@ -143,7 +143,7 @@ func TestFalseSharingUpdateOnOverwriteWithOtherWordActivity(t *testing.T) {
 func TestReplacementUpdate(t *testing.T) {
 	c := New(2)
 	c.Installed(1, 3)
-	c.UpdateDelivered(1, 3, 4, 0)
+	c.UpdateDelivered(1, 3, 4)
 	c.LostCopy(1, 3, LossEviction)
 	u := c.Updates()
 	if u[UpdReplacement] != 1 {
@@ -154,7 +154,7 @@ func TestReplacementUpdate(t *testing.T) {
 func TestTerminationUpdate(t *testing.T) {
 	c := New(2)
 	c.Installed(1, 3)
-	c.UpdateDelivered(1, 3, 4, 0)
+	c.UpdateDelivered(1, 3, 4)
 	c.Finish()
 	u := c.Updates()
 	if u[UpdTermination] != 1 {
@@ -166,9 +166,9 @@ func TestDropUpdateSequence(t *testing.T) {
 	c := New(2)
 	c.Installed(1, 3)
 	// Three unreferenced updates, fourth triggers the drop.
-	c.UpdateDelivered(1, 3, 4, 0)
-	c.UpdateDelivered(1, 3, 4, 0)
-	c.UpdateDelivered(1, 3, 4, 0)
+	c.UpdateDelivered(1, 3, 4)
+	c.UpdateDelivered(1, 3, 4)
+	c.UpdateDelivered(1, 3, 4)
 	c.DropDelivered(1, 3, 4)
 	c.LostCopy(1, 3, LossDrop)
 	u := c.Updates()
@@ -186,9 +186,9 @@ func TestDropUpdateSequence(t *testing.T) {
 func TestUpdateThenReferenceThenOverwriteCountsOnce(t *testing.T) {
 	c := New(2)
 	c.Installed(1, 3)
-	c.UpdateDelivered(1, 3, 4, 0)
+	c.UpdateDelivered(1, 3, 4)
 	c.Reference(1, 3, 4) // classified useful immediately
-	c.UpdateDelivered(1, 3, 4, 0)
+	c.UpdateDelivered(1, 3, 4)
 	c.Finish()
 	u := c.Updates()
 	if u[UpdTrue] != 1 || u[UpdTermination] != 1 || u.Total() != 2 {
@@ -230,7 +230,7 @@ func TestWordOutOfRangePanics(t *testing.T) {
 		"GlobalWrite":     func(c *Classifier, w int) { c.GlobalWrite(0, 1, w) },
 		"Reference":       func(c *Classifier, w int) { c.Reference(0, 1, w) },
 		"Miss":            func(c *Classifier, w int) { c.Miss(0, 1, w) },
-		"UpdateDelivered": func(c *Classifier, w int) { c.UpdateDelivered(0, 1, w, 1) },
+		"UpdateDelivered": func(c *Classifier, w int) { c.UpdateDelivered(0, 1, w) },
 		"DropDelivered":   func(c *Classifier, w int) { c.DropDelivered(0, 1, w) },
 	}
 	for name, hook := range hooks {
@@ -263,9 +263,9 @@ func TestHooksOnTouchedBlockDoNotAllocate(t *testing.T) {
 	c.Installed(1, 9)
 	c.GlobalWrite(0, 9, 0)
 	allocs := testing.AllocsPerRun(100, func() {
-		c.UpdateDelivered(1, 9, 3, 0)
+		c.UpdateDelivered(1, 9, 3)
 		c.Reference(1, 9, 5)
-		c.UpdateDelivered(1, 9, 3, 0)
+		c.UpdateDelivered(1, 9, 3)
 		c.Reference(1, 9, 3)
 		c.GlobalWrite(0, 9, 3)
 		c.DropDelivered(1, 9, 4)
@@ -296,7 +296,7 @@ func TestPropertyUpdateConservation(t *testing.T) {
 			w := int(o.Word % 16)
 			switch o.Kind % 4 {
 			case 0:
-				c.UpdateDelivered(1, 0, w, 0)
+				c.UpdateDelivered(1, 0, w)
 				delivered++
 			case 1:
 				c.Reference(1, 0, w)

@@ -81,9 +81,9 @@ func (d *differ) apply(op [diffOpBytes]byte) {
 		d.c.LostCopy(p, b, reason)
 		d.ref.LostCopy(p, b, reason)
 	case 6, 7, 8:
-		d.what = fmt.Sprintf("UpdateDelivered(%d,%d,%d,%d)", p, b, w, other)
-		d.c.UpdateDelivered(p, b, w, other)
-		d.ref.UpdateDelivered(p, b, w, other)
+		d.what = fmt.Sprintf("UpdateDelivered(%d,%d,%d)", p, b, w)
+		d.c.UpdateDelivered(p, b, w)
+		d.ref.UpdateDelivered(p, b, w)
 	case 9:
 		d.what = fmt.Sprintf("DropDelivered+LostCopy(%d,%d,%d)", p, b, w)
 		d.c.DropDelivered(p, b, w)

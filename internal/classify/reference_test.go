@@ -228,10 +228,10 @@ func (c *refClassifier) Upgrade() {
 	c.misses[MissUpgrade]++
 }
 
-// UpdateDelivered records that an update message for (block, word) written
-// by writer arrived at p's cached copy. A previous pending update to the
-// same word has now been overwritten and is classified useless.
-func (c *refClassifier) UpdateDelivered(p int, block uint32, word, writer int) {
+// UpdateDelivered records that an update message for (block, word)
+// arrived at p's cached copy. A previous pending update to the same word
+// has now been overwritten and is classified useless.
+func (c *refClassifier) UpdateDelivered(p int, block uint32, word int) {
 	s := c.pb(p, block)
 	if old, ok := s.pending[word]; ok {
 		c.resolveUseless(old)

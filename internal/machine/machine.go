@@ -19,7 +19,6 @@ import (
 
 	"coherencesim/internal/cache"
 	"coherencesim/internal/classify"
-	"coherencesim/internal/mem"
 	"coherencesim/internal/mesh"
 	"coherencesim/internal/metrics"
 	"coherencesim/internal/proto"
@@ -30,61 +29,43 @@ import (
 // Addr is a byte address in the simulated shared segment.
 type Addr = cache.Addr
 
-// Config parameterizes a simulated machine.
+// Config parameterizes a simulated machine: the coherence system's
+// parameters (proto.Config, embedded, so its fields are the machine's)
+// and the three the processors alone read. The embedded observers are
+// the machine's too. RunProgram folds Metrics' snapshot into
+// Result.Metrics, and Txn's stall attribution (each processor stall
+// charged to the transaction that released it) into Result.Breakdown; a
+// tracer built with StoreRecords also keeps the spans and stalls that
+// trace.WriteTimeline exports. Both are keyed purely to simulated time,
+// so enabling either never perturbs the simulation, and their reports
+// are byte-identical at any experiment worker count and across machine
+// reuse.
 type Config struct {
-	Procs       int
-	Protocol    proto.Protocol
-	CUThreshold uint8 // competitive-update threshold (paper: 4)
-	CacheBytes  int   // per-node cache size (paper: 64 KB)
-	WBEntries   int   // write-buffer entries (paper: 4)
-	// MagicSyncCycles is the fixed latency charged by the zero-traffic
-	// lock and barrier used in the reduction experiments.
-	MagicSyncCycles sim.Time
+	proto.Config
+	Procs int
 	// SpinPollCycles selects the spin-wait model: 0 (default) compresses
 	// spins — the processor parks and is woken by coherence events on
 	// the watched block; a positive value instead re-reads every that
 	// many cycles, modeling an explicit uncompressed polling loop
 	// (ablation studies; both models generate identical traffic).
 	SpinPollCycles sim.Time
-	// DisableRetention turns off PU's private-block retention
-	// optimization (ablation studies).
-	DisableRetention bool
 	// Trace, when non-nil, records every processor-level operation into
 	// the given ring buffer for post-mortem inspection.
 	Trace *trace.Log
-	// Metrics, when non-nil, collects the run's observability data —
-	// named counters, latency/fan-out histograms, and (when the registry
-	// has a sampling interval) per-interval time series — all keyed to
-	// simulated time, so enabling it never perturbs the simulation and
-	// its snapshot is byte-identical at any experiment worker count.
-	// The machine threads the registry through the coherence system,
-	// caches, and mesh; RunProgram folds the snapshot into Result.Metrics.
-	Metrics *metrics.Registry
-	// Txn, when non-nil, traces every coherence transaction end to end
-	// (issue, directory serialization, fan-out, acknowledgements) and
-	// attributes processor stall intervals to the transaction that
-	// released them. Keyed purely to simulated time: enabling it never
-	// perturbs the simulation, and Result.Breakdown is byte-identical at
-	// any experiment worker count and across machine reuse. A tracer
-	// built with StoreRecords also keeps the spans and stalls that
-	// trace.WriteTimeline exports for Perfetto.
-	Txn  *trace.Tracer
-	Mesh mesh.Config
-	Mem  mem.Config
 }
+
+// The paper's fixed machine parameters.
+const (
+	// wbEntries is each processor's write-buffer depth.
+	wbEntries = 4
+	// magicSyncLatency is the fixed latency charged by the zero-traffic
+	// lock and barrier used in the reduction experiments.
+	magicSyncLatency sim.Time = 2
+)
 
 // DefaultConfig returns the paper's machine parameters.
 func DefaultConfig(protocol proto.Protocol, procs int) Config {
-	return Config{
-		Procs:           procs,
-		Protocol:        protocol,
-		CUThreshold:     4,
-		CacheBytes:      64 * 1024,
-		WBEntries:       4,
-		MagicSyncCycles: 2,
-		Mesh:            mesh.DefaultConfig(),
-		Mem:             mem.DefaultConfig(),
-	}
+	return Config{Config: proto.DefaultConfig(protocol), Procs: procs}
 }
 
 // Result summarizes one simulation run.
@@ -157,7 +138,6 @@ type Machine struct {
 	// allocated) interleave by block number.
 	nextBlock uint32
 	blockHome []int8
-	homeFn    func(uint32) int // m.homeOf, bound once so Reset allocates nothing
 	allocs    []allocEntry
 
 	procs []*Proc
@@ -223,17 +203,13 @@ func New(cfg Config) *Machine {
 	if cfg.Procs <= 0 || cfg.Procs > 64 {
 		panic(fmt.Sprintf("machine: Procs %d out of range [1,64]", cfg.Procs))
 	}
-	if cfg.WBEntries <= 0 {
-		panic("machine: WBEntries must be positive")
-	}
 	m := &Machine{
 		e:   sim.NewEngine(),
 		cl:  classify.New(cfg.Procs),
 		cfg: cfg,
 		met: newMachMetrics(cfg.Metrics),
 	}
-	m.homeFn = m.homeOf
-	m.sys = proto.NewSystem(m.e, cfg.Procs, m.protoConfig(), m.cl)
+	m.sys = proto.NewSystem(m.e, cfg.Procs, cfg.Config, m.cl, m.homeOf)
 	return m
 }
 
@@ -247,29 +223,13 @@ func (m *Machine) homeOf(block uint32) int {
 	return int(block) % m.cfg.Procs
 }
 
-// protoConfig derives the coherence system's configuration from the
-// machine's current one (also used when Reset re-arms the system).
-func (m *Machine) protoConfig() proto.Config {
-	return proto.Config{
-		Protocol:         m.cfg.Protocol,
-		CUThreshold:      m.cfg.CUThreshold,
-		CacheBytes:       m.cfg.CacheBytes,
-		DisableRetention: m.cfg.DisableRetention,
-		Mesh:             m.cfg.Mesh,
-		Mem:              m.cfg.Mem,
-		Metrics:          m.cfg.Metrics,
-		Txn:              m.cfg.Txn,
-		HomeOf:           m.homeFn,
-	}
-}
-
 // Reset returns the machine to its post-New state under cfg, reusing
 // every internal structure — engine, mesh, memory arena, caches,
 // directory, pooled protocol objects, processors — so sweeps can run
 // many points without reconstructing a machine. It reports false (and
 // changes nothing) when cfg is structurally incompatible with the
-// machine as built: the processor count, cache and write-buffer
-// geometry, mesh, and memory parameters are fixed at construction.
+// machine as built: the processor count, cache size, mesh, and memory
+// parameters are fixed at construction.
 // Protocol selection, thresholds, ablation switches, and observability
 // sinks may change freely between runs. A reset machine is
 // indistinguishable from a fresh one: allocations, Pokes, and
@@ -290,7 +250,7 @@ func (m *Machine) Reset(cfg Config) bool {
 		m.allocs[i] = allocEntry{}
 	}
 	m.allocs = m.allocs[:0]
-	m.sys.Reset(m.protoConfig())
+	m.sys.Reset(cfg.Config)
 	for _, p := range m.procs {
 		p.reset()
 	}
@@ -390,17 +350,16 @@ func (m *Machine) ensureProcs() {
 }
 
 // RunProgram executes prog on every simulated processor to completion
-// and returns the run summary. Following the paper's fork-time
-// optimization, processor 0's cache is flushed before the parallel
-// phase (caches are cold in a fresh Machine, so this matters only for
-// machines that Poke through a processor; it is kept for fidelity).
+// and returns the run summary. The paper's fork-time flush of the
+// parent's cache holds by construction: initialization writes memory
+// through Poke, never a cache, so every cache — processor 0's included —
+// is empty when the first phase starts.
 //
 // RunProgram may be called again after it returns: a second call is a
 // continuation phase that extends the same simulation — caches stay
 // warm, the clock and event numbering continue, and the returned Result
-// is cumulative. The fork-time cache flush applies to the first phase
-// only. The machine records each phase's program, so Snapshot can
-// capture the prefix and RestoreFrom replay it on another machine.
+// is cumulative. The machine records each phase's program, so Snapshot
+// can capture the prefix and RestoreFrom replay it on another machine.
 //
 // A step that returns OpBlocked without having parked the processor or
 // scheduled its wake (for one, ignoring FCompute's result) strands it:
@@ -416,10 +375,7 @@ func (m *Machine) RunProgram(prog Program) Result {
 // phase, finalizes its classification and feeds the transaction tracer.
 // RestoreFrom replays a prefix through it.
 func (m *Machine) runPhase(prog Program) {
-	if !m.ran {
-		m.ran = true
-		m.sys.FlushAll(0)
-	}
+	m.ran = true
 	m.replay = append(m.replay, replayStep{prog: prog})
 	m.ensureProcs()
 	for _, p := range m.procs {

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -22,7 +23,6 @@ func TestConfigValidation(t *testing.T) {
 	for _, bad := range []Config{
 		{Procs: 0},
 		{Procs: 65},
-		{Procs: 4, WBEntries: 0},
 	} {
 		bad := bad
 		func() {
@@ -33,6 +33,28 @@ func TestConfigValidation(t *testing.T) {
 			}()
 			New(bad)
 		}()
+	}
+}
+
+// TestConfigDeclaresEachParameterOnce: Config embeds proto.Config, so a
+// field declared on Config under a proto.Config field's name would
+// silently shadow the promoted one, and New and Reset would hand the
+// coherence system a value the caller never set.
+func TestConfigDeclaresEachParameterOnce(t *testing.T) {
+	pt, mt := reflect.TypeOf(proto.Config{}), reflect.TypeOf(Config{})
+	embedded := false
+	for i := 0; i < mt.NumField(); i++ {
+		f := mt.Field(i)
+		if f.Anonymous && f.Type == pt {
+			embedded = true
+			continue
+		}
+		if _, ok := pt.FieldByName(f.Name); ok {
+			t.Errorf("Config.%s shadows proto.Config.%s", f.Name, f.Name)
+		}
+	}
+	if !embedded {
+		t.Error("Config does not embed proto.Config")
 	}
 }
 

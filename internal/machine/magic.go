@@ -1,7 +1,5 @@
 package machine
 
-import "coherencesim/internal/sim"
-
 // MagicLock is the paper's zero-traffic lock (Section 4.3): it serializes
 // critical sections with FIFO fairness at a fixed cycle cost and without
 // generating any coherence or network activity. The reduction experiments
@@ -12,16 +10,15 @@ import "coherencesim/internal/sim"
 // property of the data writes being released, not of the lock's own
 // communication.
 type MagicLock struct {
-	m      *Machine
-	held   bool
-	queue  []*Proc
-	cycles sim.Time
+	m     *Machine
+	held  bool
+	queue []*Proc
 }
 
 // NewMagicLock creates a zero-traffic lock on m.
 func (m *Machine) NewMagicLock() *MagicLock {
 	m.MarkConstruct("magic lock")
-	return &MagicLock{m: m, cycles: m.cfg.MagicSyncCycles}
+	return &MagicLock{m: m}
 }
 
 // FAcquire obtains the lock, queueing FIFO behind the current holder.
@@ -42,7 +39,7 @@ func magicAcquireStep(p *Proc, f *Frame) OpStatus {
 	case 0:
 		p.BeginPhase(PhaseLock)
 		f.PC = 1
-		if !p.FCompute(l.cycles) {
+		if !p.FCompute(magicSyncLatency) {
 			return OpBlocked
 		}
 		fallthrough
@@ -74,7 +71,7 @@ func magicReleaseStep(p *Proc, f *Frame) OpStatus {
 		return p.FFence() // release consistency: holder's write acks
 	case 1:
 		f.PC = 2
-		if !p.FCompute(l.cycles) {
+		if !p.FCompute(magicSyncLatency) {
 			return OpBlocked
 		}
 		fallthrough
@@ -101,14 +98,13 @@ type MagicBarrier struct {
 	n       int
 	arrived int
 	waiters []*Proc
-	cycles  sim.Time
 }
 
 // NewMagicBarrier creates a zero-traffic barrier for all of m's
 // processors.
 func (m *Machine) NewMagicBarrier() *MagicBarrier {
 	m.MarkConstruct("magic barrier")
-	return &MagicBarrier{m: m, n: m.cfg.Procs, cycles: m.cfg.MagicSyncCycles}
+	return &MagicBarrier{m: m, n: m.cfg.Procs}
 }
 
 // FWait blocks until all processors have arrived. Like any barrier under
@@ -137,11 +133,11 @@ func magicBarrierWaitStep(p *Proc, f *Frame) OpStatus {
 		// Last arrival: release everyone after the fixed cost.
 		b.arrived = 0
 		for _, w := range b.waiters {
-			b.m.e.Schedule(b.cycles, w.syncWake)
+			b.m.e.Schedule(magicSyncLatency, w.syncWake)
 		}
 		b.waiters = b.waiters[:0]
 		f.PC = 2
-		if !p.FCompute(b.cycles) {
+		if !p.FCompute(magicSyncLatency) {
 			return OpBlocked
 		}
 		fallthrough

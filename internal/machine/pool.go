@@ -24,7 +24,6 @@ import (
 type poolKey struct {
 	procs      int
 	cacheBytes int
-	wbEntries  int
 	mesh       mesh.Config
 	mem        mem.Config
 }
@@ -33,7 +32,6 @@ func keyOf(cfg Config) poolKey {
 	return poolKey{
 		procs:      cfg.Procs,
 		cacheBytes: cfg.CacheBytes,
-		wbEntries:  cfg.WBEntries,
 		mesh:       cfg.Mesh,
 		mem:        cfg.Mem,
 	}

@@ -120,14 +120,13 @@ type Proc struct {
 	pending sim.Time
 
 	// One-shot completion state for the single in-flight blocking
-	// operation (read, atomic, flush, or fence — a processor issues at
+	// operation (read, atomic, or fence — a processor issues at
 	// most one at a time). The callbacks are allocated once here so the
 	// per-operation hot path is free of closure allocations.
 	opDone     bool
 	opVal      uint32
 	readDone   func(uint32)
 	atomicDone func(uint32)
-	flushDone  func()
 	fenceDone  func()
 	drainStep  func()
 	spinWake   func()
@@ -139,7 +138,7 @@ func newProc(m *Machine, id int) *Proc {
 		m:    m,
 		id:   id,
 		name: fmt.Sprintf("proc%d", id),
-		wb:   cache.NewWriteBuffer(m.cfg.WBEntries),
+		wb:   cache.NewWriteBuffer(wbEntries),
 	}
 	p.fp = -1
 	p.resumeFn = p.resume
@@ -153,10 +152,6 @@ func newProc(m *Machine, id int) *Proc {
 		p.opVal = old
 		p.opDone = true
 		p.unblock(waitAtomic)
-	}
-	p.flushDone = func() {
-		p.opDone = true
-		p.unblock(waitRead)
 	}
 	p.fenceDone = func() {
 		p.opDone = true

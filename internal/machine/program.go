@@ -393,14 +393,7 @@ func flushStep(p *Proc, f *Frame) OpStatus {
 		if !p.wb.Empty() {
 			return p.block(waitFlushWB)
 		}
-		p.opDone = false
-		p.m.sys.FlushBlock(p.id, f.A0, p.flushDone)
-		if !p.opDone {
-			f.PC = 2
-			return p.block(waitRead)
-		}
-		fallthrough
-	case 2:
+		p.m.sys.FlushBlock(p.id, f.A0)
 		p.m.cfg.Trace.Record(p.Now(), p.id, trace.Flush, uint32(f.A0), 0)
 		return OpDone
 	}

@@ -82,7 +82,6 @@ func TestResetStructuralGate(t *testing.T) {
 	for name, mut := range map[string]func(*Config){
 		"procs":      func(c *Config) { c.Procs = 8 },
 		"cachebytes": func(c *Config) { c.CacheBytes *= 2 },
-		"wbentries":  func(c *Config) { c.WBEntries++ },
 		"mesh":       func(c *Config) { c.Mesh.SwitchDelay++ },
 		"mem":        func(c *Config) { c.Mem.FirstWord++ },
 	} {

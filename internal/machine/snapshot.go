@@ -69,8 +69,7 @@ func (m *Machine) RestoreFrom(s *Snapshot) {
 	}
 	if m.cfg.Protocol != s.cfg.Protocol || m.cfg.CUThreshold != s.cfg.CUThreshold ||
 		m.cfg.DisableRetention != s.cfg.DisableRetention ||
-		m.cfg.SpinPollCycles != s.cfg.SpinPollCycles ||
-		m.cfg.MagicSyncCycles != s.cfg.MagicSyncCycles {
+		m.cfg.SpinPollCycles != s.cfg.SpinPollCycles {
 		panic("machine: RestoreFrom behavioural config mismatch")
 	}
 	if len(m.blockHome) != len(s.blockHome) || len(m.allocs) != len(s.allocs) {

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -138,49 +139,82 @@ func (tc seededFault) config() Config {
 // TestSeededFaultsProduceCounterexamples is the checker's self-test:
 // each deliberately broken protocol variant must yield a counterexample,
 // and the emitted trace must replay (through the same broken variant) to
-// the same violation — while the faithful model replays it cleanly.
+// the same violation — while the faithful model replays it cleanly. The
+// same holds with the issue alphabet restricted to reads and writes, and
+// the trace then carries that op set through its JSON form.
 func TestSeededFaultsProduceCounterexamples(t *testing.T) {
 	for _, tc := range seededFaults {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			res, err := Explore(tc.config())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Violations) == 0 {
-				t.Fatalf("fault %s produced no counterexample over %d states", tc.name, res.States)
-			}
-			v := res.Violations[0]
-			if v.Kind != tc.kind || len(v.Trace.Actions) != tc.steps {
-				t.Fatalf("fault %s detected as %v after %d actions (%s), want %v after %d",
-					tc.name, v.Kind, len(v.Trace.Actions), v.Detail, tc.kind, tc.steps)
-			}
-
-			// The trace must replay to a violation under the same faults.
-			rv, err := Replay(&v.Trace)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rv == nil {
-				t.Fatalf("counterexample for %s replays cleanly", tc.name)
-			}
-
-			// The faithful model must NOT fail on the same schedule — the
-			// bug is in the fault, not the schedule. (Deadlock traces are
-			// exempt: dropping the fault changes message flow, so the
-			// schedule may no longer be executable; guard-validation only.)
-			clean := v.Trace
-			clean.Faults = Faults{}
-			cv, err := Replay(&clean)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cv != nil && cv.Kind != walk.Internal {
-				t.Fatalf("faithful model fails the %s schedule too: %v", tc.name, cv)
-			}
+			tc.check(t, tc.config())
+			t.Run("ops=read,write", func(t *testing.T) {
+				cfg := tc.config()
+				cfg.OpSet = []OpKind{OpRead, OpWrite}
+				tr := tc.check(t, cfg)
+				if !slices.Equal(tr.OpSet, []string{"read", "write"}) {
+					t.Fatalf("trace op_set %q, want [read write]", tr.OpSet)
+				}
+				back, err := ParseTrace(tr.JSON())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := back.ConfigOf()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got.OpSet, cfg.OpSet) {
+					t.Fatalf("trace decodes to op set %v, want %v", got.OpSet, cfg.OpSet)
+				}
+				if rv, err := Replay(back); err != nil || rv == nil || rv.Kind != tc.kind {
+					t.Fatalf("decoded counterexample replays to %v (err %v), want a %v violation", rv, err, tc.kind)
+				}
+			})
 		})
 	}
+}
+
+// check explores cfg, requires the fault's pinned kind and schedule
+// length, replays the counterexample under the fault and, without it,
+// requires the faithful model not to fail; it returns the trace.
+func (tc seededFault) check(t *testing.T, cfg Config) Trace {
+	t.Helper()
+	res, err := Explore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Violations) == 0 {
+		t.Fatalf("fault %s produced no counterexample over %d states", tc.name, res.States)
+	}
+	v := res.Violations[0]
+	if v.Kind != tc.kind || len(v.Trace.Actions) != tc.steps {
+		t.Fatalf("fault %s detected as %v after %d actions (%s), want %v after %d",
+			tc.name, v.Kind, len(v.Trace.Actions), v.Detail, tc.kind, tc.steps)
+	}
+
+	// The trace must replay to a violation under the same faults.
+	rv, err := Replay(&v.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rv == nil {
+		t.Fatalf("counterexample for %s replays cleanly", tc.name)
+	}
+
+	// The faithful model must NOT fail on the same schedule — the
+	// bug is in the fault, not the schedule. (Deadlock traces are
+	// exempt: dropping the fault changes message flow, so the
+	// schedule may no longer be executable; guard-validation only.)
+	clean := v.Trace
+	clean.Faults = Faults{}
+	cv, err := Replay(&clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cv != nil && cv.Kind != walk.Internal {
+		t.Fatalf("faithful model fails the %s schedule too: %v", tc.name, cv)
+	}
+	return v.Trace
 }
 
 // TestFaithfulReplayRoundTrip: an explored violation-free config's

@@ -68,7 +68,7 @@ type liveModel struct {
 
 // liveCalls are one processor's completion callbacks: an operation
 // retires (a read's or an atomic's done, a store's retire, a flush's
-// done), then waits for its acknowledgements to drain.
+// return), then waits for its acknowledgements to drain.
 type liveCalls struct {
 	retired, drained func()
 	read, atomic     func(uint32)
@@ -80,7 +80,7 @@ func (m *liveModel) model() walk.Model[*node, action] {
 }
 
 func newLiveModel(cfg Config) *liveModel {
-	pc := proto.DefaultConfig(cfg.Protocol, cfg.Procs)
+	pc := proto.DefaultConfig(cfg.Protocol)
 	pc.CUThreshold = cfg.CUThreshold
 	pc.DisableRetention = cfg.DisableRetention
 	m := &liveModel{cfg: cfg, x: proto.NewExplorer(cfg.Procs, pc, cfg.Faults), root: &node{}}
@@ -242,7 +242,8 @@ func (m *liveModel) issue(a action) {
 	case OpAtomic:
 		m.x.Atomic(p, addr, proto.FetchAdd, 1, 0, c.atomic)
 	case OpFlush:
-		m.x.FlushBlock(p, addr, c.retired)
+		m.x.FlushBlock(p, addr)
+		c.retired()
 	}
 	m.x.Drain()
 }

@@ -31,7 +31,6 @@ func TestBlockFetchInstallZeroAllocs(t *testing.T) {
 		t.Run(fmt.Sprint(pr), func(t *testing.T) {
 			ts := newTest(t, pr, 4)
 			rdDone := func(uint32) {}
-			flDone := func() {}
 			// One remote read miss (block 0 is homed at node 0, the
 			// requester is node 1) followed by a flush, so the next
 			// iteration misses again: the full fetch/install/writeback
@@ -39,7 +38,7 @@ func TestBlockFetchInstallZeroAllocs(t *testing.T) {
 			iter := func() {
 				ts.s.Read(1, 0, rdDone)
 				ts.e.Run()
-				ts.s.FlushBlock(1, 0, flDone)
+				ts.s.FlushBlock(1, 0)
 				ts.e.Run()
 			}
 			// Warm pools: transaction objects, payload frames, mesh
@@ -60,7 +59,6 @@ func TestWriteAndAtomicSteadyStateZeroAllocs(t *testing.T) {
 			ts := newTest(t, pr, 4)
 			retire := func() {}
 			atDone := func(uint32) {}
-			flDone := func() {}
 			v := uint32(0)
 			// Each input is one write by node 1 and one atomic by node 2
 			// on block 0, each run to quiescence. The miss input flushes
@@ -69,7 +67,7 @@ func TestWriteAndAtomicSteadyStateZeroAllocs(t *testing.T) {
 			// block.
 			op := func(flush bool, p int, do func()) {
 				if flush {
-					ts.s.FlushBlock(p, 0, flDone)
+					ts.s.FlushBlock(p, 0)
 					ts.e.Run()
 					if ts.s.Cache(p).Present(0) {
 						t.Fatalf("%v: node %d still caches block 0 after its flush", pr, p)

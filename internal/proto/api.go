@@ -174,15 +174,13 @@ func (a *access) complete(old uint32) {
 
 // FlushBlock performs a user-level block flush of a's block from p's
 // cache (the PowerPC-style instruction the update-conscious MCS lock
-// uses). The local invalidation is immediate; the directory notification
-// (with data write-back if the copy was dirty) proceeds asynchronously.
-// done() is scheduled after the local action.
-func (s *System) FlushBlock(p int, a cache.Addr, done func()) {
+// uses). The local invalidation is done when FlushBlock returns; the
+// directory notification (with data write-back if the copy was dirty)
+// proceeds asynchronously.
+func (s *System) FlushBlock(p int, a cache.Addr) {
 	block := cache.BlockOf(a)
-	c := s.caches[p]
-	old, was := c.Flush(block)
+	old, was := s.caches[p].Flush(block)
 	if !was {
-		done()
 		return
 	}
 	s.ctr.Flushes++
@@ -192,7 +190,6 @@ func (s *System) FlushBlock(p int, a cache.Addr, done func()) {
 	} else {
 		s.sendNote(p, block, true /* relinquish */)
 	}
-	done()
 }
 
 // takeOwnerData extracts the current data for block from the owning node:

@@ -160,9 +160,9 @@ type Explorer struct {
 }
 
 // NewExplorer builds n nodes under cfg on the choice network, with the
-// given faults.
+// given faults; blocks interleave across the nodes by block number.
 func NewExplorer(n int, cfg Config, f Faults) *Explorer {
-	s := NewSystem(sim.NewEngine(), n, cfg, classify.New(n))
+	s := NewSystem(sim.NewEngine(), n, cfg, classify.New(n), func(block uint32) int { return int(block) % n })
 	s.ch = &choiceNet{n: n, hdrs: make([][]Msg, n*n), fns: make([][]func(), n*n), faults: f}
 	// The grant-before-acks fault's invalidations answer no op: theirs
 	// is granted, and may be reused, before they arrive.

@@ -12,7 +12,7 @@ import (
 // (src, dst) FIFO until the test delivers it.
 
 func newChoice(protocol Protocol, n int) *Explorer {
-	return NewExplorer(n, DefaultConfig(protocol, n), Faults{})
+	return NewExplorer(n, DefaultConfig(protocol), Faults{})
 }
 
 // settle delivers channel heads in (src, dst) order until nothing is in
@@ -147,7 +147,7 @@ func TestAtomicReplyBlockIsItsOwnImage(t *testing.T) {
 // invalidation that finds a copy.
 func TestTracedGrantBeforeAcks(t *testing.T) {
 	const n = 4
-	cfg := DefaultConfig(WI, n)
+	cfg := DefaultConfig(WI)
 	cfg.Txn = trace.NewTracer(n, 0)
 	x := NewExplorer(n, cfg, Faults{GrantBeforeAcks: true})
 	for p := 0; p < n; p++ {
@@ -187,7 +187,7 @@ func TestExplorerWritebackOvertaken(t *testing.T) {
 				after, ln.PendingWB, ln.CancelledWB, pending, cancelled)
 		}
 	}
-	x.FlushBlock(1, 0, func() {})
+	x.FlushBlock(1, 0)
 	step("the flush", true, 0)
 	x.Deliver(0, 1)
 	step("the fetch", false, 1)

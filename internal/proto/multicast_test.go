@@ -173,7 +173,7 @@ func TestExplorerMulticastDeliveredInReverse(t *testing.T) {
 			if c.fault != "none" && !f.Set(c.fault) {
 				t.Fatalf("no fault %q", c.fault)
 			}
-			x := NewExplorer(n, DefaultConfig(c.pr, n), f)
+			x := NewExplorer(n, DefaultConfig(c.pr), f)
 			x.Write(1, addr, 3, func() {})
 			settle(x)
 			for p := 0; p < n; p++ {

@@ -185,6 +185,18 @@ func TestCheckerMutationHardening(t *testing.T) {
 			want: "under CU, which never retains",
 		},
 		{
+			name:  "owned-under-cu",
+			build: func(t *testing.T) *testSystem { ts := newTest(t, CU, 4); ts.script().read(2, 64, nil).run(); return ts },
+			corrupt: func(ts *testSystem) {
+				// The entry names an owner no Exclusive line backs: CU
+				// never grants ownership, so the entry alone is wrong.
+				ts.s.Cache(2).Invalidate(1)
+				d := ts.s.dirEntryAt(1)
+				d.State, d.Owner, d.Sharers = DirOwned, 2, 0
+			},
+			want: "directory owned under CU",
+		},
+		{
 			name:  "owned-with-sharers",
 			build: func(t *testing.T) *testSystem { ts := newTest(t, WI, 4); ts.script().write(0, 64, 9).run(); return ts },
 			corrupt: func(ts *testSystem) {

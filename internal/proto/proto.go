@@ -136,8 +136,6 @@ type Config struct {
 	DisableRetention bool
 	Mesh             mesh.Config
 	Mem              mem.Config
-	// HomeOf maps a block number to its home node. Required.
-	HomeOf func(block uint32) int
 	// Metrics, when non-nil, receives protocol-level observability:
 	// invalidation/update fan-out histograms and sampled network and
 	// cache counters. Keyed entirely to simulated time, so enabling it
@@ -152,16 +150,15 @@ type Config struct {
 	Txn *trace.Tracer
 }
 
-// DefaultConfig returns the paper's machine parameters for the given
-// protocol and processor count, with block-interleaved homes.
-func DefaultConfig(p Protocol, procs int) Config {
+// DefaultConfig returns the paper's coherence parameters for the given
+// protocol.
+func DefaultConfig(p Protocol) Config {
 	return Config{
 		Protocol:    p,
 		CUThreshold: 4,
 		CacheBytes:  64 * 1024,
 		Mesh:        mesh.DefaultConfig(),
 		Mem:         mem.DefaultConfig(),
-		HomeOf:      func(block uint32) int { return int(block) % procs },
 	}
 }
 
@@ -219,6 +216,9 @@ type System struct {
 	dir []*dirEntry
 	cl  *classify.Classifier
 	cfg Config
+	// homeOf maps a block number to its home node (NewSystem's
+	// placement, kept across Reset).
+	homeOf func(block uint32) int
 
 	// tr is the optional transaction tracer (nil = tracing off; every
 	// hook is gated on this single pointer check).
@@ -233,8 +233,6 @@ type System struct {
 	// sharerScratch backs sharerList so enumerating a directory entry's
 	// sharers does not allocate; see sharerList for the aliasing rule.
 	sharerScratch [64]int
-	// flushScratch backs FlushAll's block enumeration.
-	flushScratch []uint32
 
 	// Pools of transaction/message objects, each carrying its stage
 	// continuations built once for its lifetime, so the steady-state
@@ -298,10 +296,11 @@ func (s *System) sharerList(d *dirEntry, except int) []int {
 	return out
 }
 
-// NewSystem assembles the coherence system for n nodes.
-func NewSystem(e *sim.Engine, n int, cfg Config, cl *classify.Classifier) *System {
-	if cfg.HomeOf == nil {
-		panic("proto: Config.HomeOf is required")
+// NewSystem assembles the coherence system for n nodes, homing each
+// block at the node homeOf names.
+func NewSystem(e *sim.Engine, n int, cfg Config, cl *classify.Classifier, homeOf func(block uint32) int) *System {
+	if homeOf == nil {
+		panic("proto: NewSystem needs a home mapping")
 	}
 	if n <= 0 || n > 64 {
 		panic(fmt.Sprintf("proto: node count %d out of range [1,64]", n))
@@ -315,6 +314,7 @@ func NewSystem(e *sim.Engine, n int, cfg Config, cl *classify.Classifier) *Syste
 		procs:  make([]procState, n),
 		cl:     cl,
 		cfg:    cfg,
+		homeOf: homeOf,
 		tr:     cfg.Txn,
 	}
 	for i := 0; i < n; i++ {
@@ -344,13 +344,10 @@ func (s *System) instrument() {
 // machine layer can reuse a fully constructed system across runs. The
 // node count, cache geometry, and memory block size are fixed at
 // construction (machine.Reset gates on them); protocol selection,
-// thresholds, and observability may change freely between runs. Every
-// pooled object and frame the last run lent comes back, in flight or
-// not.
+// thresholds, and observability may change freely between runs; the
+// home mapping stays NewSystem's. Every pooled object and frame the last
+// run lent comes back, in flight or not.
 func (s *System) Reset(cfg Config) {
-	if cfg.HomeOf == nil {
-		panic("proto: Config.HomeOf is required")
-	}
 	s.cfg = cfg
 	s.tr = cfg.Txn
 	s.ctr = Counters{}
@@ -393,7 +390,7 @@ func (s *System) Network() *mesh.Network { return s.nw }
 func (s *System) Counters() Counters { return s.ctr }
 
 // HomeOf returns the home node of a block.
-func (s *System) HomeOf(block uint32) int { return s.cfg.HomeOf(block) }
+func (s *System) HomeOf(block uint32) int { return s.homeOf(block) }
 
 // entry returns (creating if needed) the directory entry for block.
 func (s *System) entry(block uint32) *dirEntry {
@@ -777,21 +774,4 @@ func (m *noteMsg) deliver() {
 		return
 	}
 	s.entry(block).Drop(p)
-}
-
-// FlushAll silently empties p's cache and fixes the directory, modeling
-// the paper's fork-time flush of the parent's cache. It is untimed and
-// generates no traffic; call it only before the timed region.
-func (s *System) FlushAll(p int) {
-	c := s.caches[p]
-	blocks := s.flushScratch[:0]
-	c.ForEachValid(func(ln *cache.Line) { blocks = append(blocks, ln.Block) })
-	for _, b := range blocks {
-		old, _ := c.Flush(b)
-		if old.Dirty {
-			s.mems[s.HomeOf(b)].WriteBlock(b, old.Data[:], nil)
-		}
-		s.entry(b).Relinquish(p)
-	}
-	s.flushScratch = blocks[:0]
 }

@@ -428,27 +428,6 @@ func TestWatcherWakesOnRemoteWrite(t *testing.T) {
 	}
 }
 
-func TestFlushAllSilent(t *testing.T) {
-	ts := newTest(t, PU, 2)
-	ts.script().
-		read(0, 64, nil).
-		write(0, 64, 5).
-		run()
-	msgsBefore := ts.s.Network().Stats().Messages
-	ts.s.FlushAll(0)
-	if ts.s.Cache(0).Present(1) {
-		t.Fatal("FlushAll left block cached")
-	}
-	if ts.s.Network().Stats().Messages != msgsBefore {
-		t.Fatal("FlushAll generated traffic")
-	}
-	// Writes after FlushAll must not update node 0.
-	ts.script().write(1, 64, 6).run()
-	if ts.s.Counters().UpdatesSent != 0 {
-		t.Fatal("stale sharer survived FlushAll")
-	}
-}
-
 func TestDeterministicRuns(t *testing.T) {
 	runOnce := func() (sim.Time, Counters, classify.MissCounts, classify.UpdateCounts) {
 		ts := newTest(t, CU, 8)
@@ -476,10 +455,10 @@ func TestConfigValidation(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("missing HomeOf did not panic")
+				t.Error("missing home mapping did not panic")
 			}
 		}()
-		NewSystem(e, 2, Config{CacheBytes: 64 * 1024}, cl)
+		NewSystem(e, 2, DefaultConfig(WI), cl, nil)
 	}()
 	func() {
 		defer func() {
@@ -487,6 +466,6 @@ func TestConfigValidation(t *testing.T) {
 				t.Error("65 nodes did not panic")
 			}
 		}()
-		NewSystem(e, 65, DefaultConfig(WI, 65), cl)
+		NewSystem(e, 65, DefaultConfig(WI), cl, func(uint32) int { return 0 })
 	}()
 }

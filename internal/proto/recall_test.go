@@ -28,8 +28,8 @@ type recallShape struct {
 // allocates only what the protocol does.
 func recallShapes() []recallShape {
 	v := uint32(0)
-	retire, rdDone, atDone, flDone := func() {}, func(uint32) {}, func(uint32) {}, func() {}
-	flush := func(ts *testSystem, p int) { ts.s.FlushBlock(p, 0, flDone); ts.e.Run() }
+	retire, rdDone, atDone := func() {}, func(uint32) {}, func(uint32) {}
+	flush := func(ts *testSystem, p int) { ts.s.FlushBlock(p, 0); ts.e.Run() }
 	write := func(ts *testSystem, p int) { v++; ts.s.Write(p, 0, v, retire); ts.e.Run() }
 	read := func(ts *testSystem, p int) { ts.s.Read(p, 0, rdDone); ts.e.Run() }
 	// Node 2 drops its copy and node 1 writes twice: under WI node 1
@@ -41,7 +41,7 @@ func recallShapes() []recallShape {
 	racesFlush := func(ts *testSystem) {
 		ownedBy1(ts)
 		ts.s.Read(2, 0, rdDone)
-		ts.s.FlushBlock(1, 0, flDone)
+		ts.s.FlushBlock(1, 0)
 		ts.e.Run()
 	}
 	return []recallShape{

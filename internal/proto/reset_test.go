@@ -15,7 +15,7 @@ import (
 func TestResetMidFlightLeavesNoTrace(t *testing.T) {
 	const n = 4 // block b's home is node b
 	type step func(x *Explorer)
-	rd, retire, atDone, flDone := func(uint32) {}, func() {}, func(uint32) {}, func() {}
+	rd, retire, atDone := func(uint32) {}, func() {}, func(uint32) {}
 	addr := func(b int) cache.Addr { return cache.Addr(b * cache.BlockBytes) }
 	read := func(p, b int) step { return func(x *Explorer) { x.Read(p, addr(b), rd) } }
 	write := func(p, b int, v uint32) step {
@@ -24,7 +24,7 @@ func TestResetMidFlightLeavesNoTrace(t *testing.T) {
 	atomic := func(p, b int) step {
 		return func(x *Explorer) { x.Atomic(p, addr(b), FetchAdd, 1, 0, atDone); x.Drain() }
 	}
-	flush := func(p, b int) step { return func(x *Explorer) { x.FlushBlock(p, addr(b), flDone) } }
+	flush := func(p, b int) step { return func(x *Explorer) { x.FlushBlock(p, addr(b)) } }
 	deliver := func(src, dst int) step { return func(x *Explorer) { x.Deliver(src, dst) } }
 	cases := []struct {
 		protocol Protocol
@@ -57,7 +57,7 @@ func TestResetMidFlightLeavesNoTrace(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.protocol.String(), func(t *testing.T) {
-			cfg := DefaultConfig(c.protocol, n)
+			cfg := DefaultConfig(c.protocol)
 			cfg.CUThreshold = 1
 			run := func(x *Explorer) {
 				for _, s := range c.sched {

@@ -38,11 +38,11 @@ func withoutRetention() testOpt { return func(c *Config) { c.DisableRetention = 
 func newTestSystem(protocol Protocol, procs int, opts ...testOpt) *testSystem {
 	e := sim.NewEngine()
 	cl := classify.New(procs)
-	cfg := DefaultConfig(protocol, procs)
+	cfg := DefaultConfig(protocol)
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	s := NewSystem(e, procs, cfg, cl)
+	s := NewSystem(e, procs, cfg, cl, func(block uint32) int { return int(block) % procs })
 	return &testSystem{e: e, s: s, cl: cl}
 }
 
@@ -99,7 +99,7 @@ func (sc *script) atomic(p int, a cache.Addr, k AtomicKind, o1, o2 uint32, out *
 }
 
 func (sc *script) flush(p int, a cache.Addr) *script {
-	return sc.add(func(done func()) { sc.ts.s.FlushBlock(p, a, done) })
+	return sc.add(func(done func()) { sc.ts.s.FlushBlock(p, a); done() })
 }
 
 // run executes the steps in order and drains the engine.

@@ -390,7 +390,7 @@ func (s *System) deliverUpdate(q int, op *updOp, v uint32) {
 	if s.tr != nil {
 		s.tr.CacheTouch(q, op.txn)
 	}
-	s.cl.UpdateDelivered(q, block, word, op.p)
+	s.cl.UpdateDelivered(q, block, word)
 	c.ApplyUpdate(ln, word, v) // wakes spinners
 	op.sendAck(s, op.txn, q, op.ackFn)
 }

@@ -195,7 +195,7 @@ func TestWIOwnerFlushServesPendingWriteback(t *testing.T) {
 		add(func(next func()) {
 			// Flush and immediately read from another node without
 			// waiting (the flush notification is still in flight).
-			ts.s.FlushBlock(0, 64, func() {})
+			ts.s.FlushBlock(0, 64)
 			ts.s.Read(1, 64, func(x uint32) {
 				v = x
 				next()

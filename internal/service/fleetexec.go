@@ -64,7 +64,7 @@ func (s *fleetSession) dispatch(pts []experiments.Point) []experiments.PointResu
 	s.mu.Lock()
 	s.jobsTotal += len(pts)
 	s.mu.Unlock()
-	results, err := s.coord.RunPoints(s.ctx, pts, s.onDone)
+	results, err := s.coord.RunPoints(s.ctx, pts, func(i int, r experiments.PointResult) { s.onDone(pts[i].Label, r) })
 	if err != nil {
 		s.mu.Lock()
 		if s.firstErr == nil {
@@ -76,10 +76,11 @@ func (s *fleetSession) dispatch(pts []experiments.Point) []experiments.PointResu
 	return results
 }
 
-// onDone observes one point's result — a shard completion or an answer
-// from the coordinator's memo, in any order — and emits a
-// cumulative progress snapshot, mirroring the local pool's reporting.
-func (s *fleetSession) onDone(index int, r experiments.PointResult) {
+// onDone observes the result of the point labelled label — a shard
+// completion or an answer from the coordinator's memo, in any order —
+// and emits a cumulative progress snapshot naming it, mirroring the
+// local pool's reporting.
+func (s *fleetSession) onDone(label string, r experiments.PointResult) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.jobsDone++
@@ -92,6 +93,7 @@ func (s *fleetSession) onDone(index int, r experiments.PointResult) {
 			JobsTotal: s.jobsTotal,
 			SimCycles: s.simCycles,
 			Elapsed:   time.Since(s.start),
+			Label:     label,
 		})
 	}
 }

@@ -380,6 +380,63 @@ func TestDaemonSharesPointsAcrossJobs(t *testing.T) {
 	}
 }
 
+// startFleet serves a coordinator on memo over HTTP and joins one worker
+// of its own, named id, returning once the worker is live.
+func startFleet(t *testing.T, ctx context.Context, memo *experiments.PointMemo, id string) *fleet.Coordinator {
+	t.Helper()
+	coord := fleet.NewCoordinator(fleet.Config{Memo: memo, HeartbeatTimeout: time.Second})
+	t.Cleanup(coord.Close)
+	mux := http.NewServeMux()
+	coord.Mount(mux)
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	go fleet.NewWorker(fleet.WorkerConfig{Coordinator: ts.URL, ID: id}).Run(ctx)
+	for deadline := time.Now().Add(5 * time.Second); coord.LiveWorkers() < 1; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("fleet worker never registered")
+		}
+	}
+	return coord
+}
+
+// TestFleetProgressNamesPoints: every progress snapshot of a sweep on
+// the fleet path names the point it counts, as the local path's do.
+func TestFleetProgressNamesPoints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sweeps in -short mode")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	coord := startFleet(t, ctx, experiments.NewPointMemo(experiments.PointStore(nil)), "itest-labels")
+
+	labels := func(exec ExecFunc) []string {
+		t.Helper()
+		var mu sync.Mutex
+		var got []string
+		if _, err := exec(ctx, canonical(t, JobSpec{Experiment: "fig9"}), 2, func(sn runner.Snapshot) {
+			mu.Lock()
+			got = append(got, sn.Label)
+			mu.Unlock()
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	points := make(map[string]bool)
+	for _, l := range labels(BatchExecutor()) {
+		points[l] = true
+	}
+	fanned := labels(NewFleetExec(nil, coord))
+	if len(fanned) == 0 || coord.Stats().Completed == 0 {
+		t.Fatalf("the fleet path reported %d snapshots over %d leased points", len(fanned), coord.Stats().Completed)
+	}
+	for i, l := range fanned {
+		if l == "" || !points[l] {
+			t.Errorf("fleet progress snapshot %d names %q, not one of the sweep's %d points", i, l, len(points))
+		}
+	}
+}
+
 // TestFleetPathCountsCacheAnsweredPoints: a point the coordinator
 // answers without leasing it — from its memo, or after a restart from
 // the memo's store — is served work like any other: the fleet path's
@@ -397,21 +454,9 @@ func TestFleetPathCountsCacheAnsweredPoints(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// A coordinator on the shared store with one worker of its own.
-	startFleet := func() (*fleet.Coordinator, *experiments.PointMemo) {
+	storeFleet := func() (*fleet.Coordinator, *experiments.PointMemo) {
 		memo := experiments.NewPointMemo(experiments.PointStore(st))
-		coord := fleet.NewCoordinator(fleet.Config{Memo: memo, HeartbeatTimeout: time.Second})
-		t.Cleanup(coord.Close)
-		mux := http.NewServeMux()
-		coord.Mount(mux)
-		ts := httptest.NewServer(mux)
-		t.Cleanup(ts.Close)
-		go fleet.NewWorker(fleet.WorkerConfig{Coordinator: ts.URL, ID: "itest-cache"}).Run(ctx)
-		for deadline := time.Now().Add(5 * time.Second); coord.LiveWorkers() < 1; time.Sleep(5 * time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatal("fleet worker never registered")
-			}
-		}
-		return coord, memo
+		return startFleet(t, ctx, memo, "itest-cache"), memo
 	}
 
 	last := func(exec ExecFunc, name string) runner.Snapshot {
@@ -428,8 +473,8 @@ func TestFleetPathCountsCacheAnsweredPoints(t *testing.T) {
 		return last
 	}
 	local := last(BatchExecutor(), "fig9")
-	coord, _ := startFleet()
-	restarted, restartedMemo := startFleet()
+	coord, _ := storeFleet()
+	restarted, restartedMemo := storeFleet()
 	for _, run := range []struct {
 		coord *fleet.Coordinator
 		name  string
