@@ -60,7 +60,7 @@ type Coordinator struct {
 // caller is the RunPoints call a job reports to.
 type caller struct {
 	finished chan struct{} // closed once the job has ended
-	onDone   func(index int, r experiments.PointResult)
+	onDone   func(index int, r experiments.PointResult, took time.Duration)
 }
 
 // NewCoordinator builds a coordinator and starts its reaper.
@@ -151,11 +151,11 @@ func (c *Coordinator) do(transition func(now time.Time) effects) {
 		// the result — a store write, outside c.mu — so a request for the
 		// point meanwhile attaches to it instead of leasing it again.
 		c.cfg.Memo.Put(s.point.Unlabeled(), eff.result)
-		c.do(func(time.Time) effects { return c.q.filed(s, eff.result) })
+		c.do(func(now time.Time) effects { return c.q.filed(s, eff.result, now) })
 	}
 	for _, sl := range eff.filled {
 		if onDone := sl.job.caller.onDone; onDone != nil {
-			onDone(sl.index, sl.job.results[sl.index])
+			onDone(sl.index, sl.job.results[sl.index], eff.took)
 		}
 	}
 	for _, j := range eff.ended {
@@ -187,9 +187,11 @@ func (c *Coordinator) runLocal(s *shard) {
 // layer), else it attaches to the shard already outstanding for its key — this
 // batch's or another job's — and only else gets a shard of its own, so a
 // distinct point crosses the fleet once. onDone, when non-nil, observes
-// every result as it lands (any order), however it was answered. With no
-// live workers the coordinator executes pending shards itself.
-func (c *Coordinator) RunPoints(ctx context.Context, pts []experiments.Point, onDone func(index int, r experiments.PointResult)) ([]experiments.PointResult, error) {
+// every result as it lands (any order), however it was answered, with
+// the time from its shard's lease to acceptance — whoever ran it — or 0
+// for a point the memo answered. With no live workers the coordinator
+// executes pending shards itself.
+func (c *Coordinator) RunPoints(ctx context.Context, pts []experiments.Point, onDone func(index int, r experiments.PointResult, took time.Duration)) ([]experiments.PointResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

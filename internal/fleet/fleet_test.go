@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -434,7 +435,7 @@ func resultOf(t *testing.T, s Shard) *experiments.PointResult {
 }
 
 // runAsync starts RunPoints and returns a function that waits for it.
-func runAsync(t *testing.T, coord *Coordinator, ctx context.Context, pts []experiments.Point, onDone func(int, experiments.PointResult)) (wait func() ([]experiments.PointResult, error)) {
+func runAsync(t *testing.T, coord *Coordinator, ctx context.Context, pts []experiments.Point, onDone func(int, experiments.PointResult, time.Duration)) (wait func() ([]experiments.PointResult, error)) {
 	t.Helper()
 	type outcome struct {
 		res []experiments.PointResult
@@ -672,6 +673,49 @@ func TestWorkerRetriesCompletionUntilDelivered(t *testing.T) {
 	}
 }
 
+// TestRefusedCompletionFailsTheShard: a 4xx is the coordinator's final
+// answer. A worker whose result is refused — here by a proxy that
+// answers 400 to every completion carrying one, as the coordinator
+// answers a body over maxRequestBody — posts the refusal as the shard's
+// failure, so the shard is requeued and, once its attempts are spent,
+// fails the job with that text instead of staying leased until the
+// job's deadline.
+func TestRefusedCompletionFailsTheShard(t *testing.T) {
+	coord := NewCoordinator(testConfig(noStore))
+	defer coord.Close()
+	mux := http.NewServeMux()
+	coord.Mount(mux)
+	const refusal = "result refused by the proxy"
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		var req CompleteRequest
+		if strings.HasSuffix(r.URL.Path, "/complete") && json.Unmarshal(body, &req) == nil && req.Result != nil {
+			http.Error(w, refusal, http.StatusBadRequest)
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		mux.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go NewWorker(WorkerConfig{Coordinator: ts.URL, ID: "refused"}).Run(ctx)
+	for deadline := time.Now().Add(5 * time.Second); coord.LiveWorkers() < 1; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never registered")
+		}
+	}
+	jobCtx, jobCancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer jobCancel()
+	_, err := coord.RunPoints(jobCtx, quickPoints(1), nil)
+	if err == nil || !strings.Contains(err.Error(), refusal) {
+		t.Fatalf("RunPoints = %v, want the shard failed with %q", err, refusal)
+	}
+	if st := coord.Stats(); st.Failed != 1 || st.Completed != 0 {
+		t.Errorf("stats = %+v, want the shard failed once and never completed", st)
+	}
+}
+
 // TestSlowWorkerSelfBalances: nothing is leased ahead of execution, so
 // a worker behind a slow link (20 ms per request) simply comes back for
 // work less often than a fast one. The job is byte-identical and the
@@ -703,17 +747,21 @@ func TestSlowWorkerSelfBalances(t *testing.T) {
 }
 
 // TestOnDoneObservesEveryComputedShard: progress callbacks fire once
-// per fresh shard with the final result.
+// per fresh shard with the final result and the time it took since its
+// lease.
 func TestOnDoneObservesEveryComputedShard(t *testing.T) {
 	pts := quickPoints(5)
 	coord := NewCoordinator(testConfig(noStore))
 	defer coord.Close()
 	var mu sync.Mutex
 	seen := make(map[int]bool)
-	_, err := coord.RunPoints(context.Background(), pts, func(i int, r experiments.PointResult) {
+	_, err := coord.RunPoints(context.Background(), pts, func(i int, r experiments.PointResult, took time.Duration) {
 		mu.Lock()
 		seen[i] = true
 		mu.Unlock()
+		if took <= 0 {
+			t.Errorf("onDone(%d): a computed shard took %s", i, took)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -725,8 +773,8 @@ func TestOnDoneObservesEveryComputedShard(t *testing.T) {
 
 // TestOnDoneObservesCacheAnsweredPoints: a point the memo's durable
 // layer or its memory answers never becomes a shard, but the caller's progress and cycle accounting
-// must still see it — once, with its result, and outside the
-// coordinator's lock (the callback below takes it).
+// must still see it — once, with its result, taking no time, and
+// outside the coordinator's lock (the callback below takes it).
 func TestOnDoneObservesCacheAnsweredPoints(t *testing.T) {
 	pts := quickPoints(6)
 	want := baseline(t, pts)
@@ -741,14 +789,15 @@ func TestOnDoneObservesCacheAnsweredPoints(t *testing.T) {
 	for _, batch := range []struct {
 		name             string
 		cached, memoized uint64 // cumulative durable-layer and memory answers after the batch
+		answered         int    // the batch's first points, answered without a lease
 	}{
-		{"half cached", 3, 0},
-		{"all memoized", 3, 6},
+		{"half cached", 3, 0, 3},
+		{"all memoized", 3, 6, 6},
 	} {
 		var mu sync.Mutex
 		seen := make(map[int]int)
 		var cycles uint64
-		_, err := coord.RunPoints(context.Background(), pts, func(i int, r experiments.PointResult) {
+		_, err := coord.RunPoints(context.Background(), pts, func(i int, r experiments.PointResult, took time.Duration) {
 			coord.Stats() // deadlocks if the coordinator calls back under its lock
 			mu.Lock()
 			defer mu.Unlock()
@@ -756,6 +805,9 @@ func TestOnDoneObservesCacheAnsweredPoints(t *testing.T) {
 			cycles += r.SimCycles
 			if !reflect.DeepEqual(r, want[i]) {
 				t.Errorf("%s: onDone(%d) carries a result that differs from the baseline", batch.name, i)
+			}
+			if leased := i >= batch.answered; leased != (took > 0) {
+				t.Errorf("%s: onDone(%d) took %s; leased: %v", batch.name, i, took, leased)
 			}
 		})
 		if err != nil {

@@ -32,7 +32,8 @@ type shard struct {
 	slots     []slot
 	attempts  int
 	notBefore time.Time
-	holder    holder // meaningful only while leased
+	holder    holder    // meaningful only while leased
+	leasedAt  time.Time // when it was last leased
 }
 
 type slot struct { // one place in one job's results
@@ -53,6 +54,7 @@ type effects struct {
 	put    *shard                  // accepted: file result in the memo, then call filed
 	result experiments.PointResult // put's result
 	filled []slot                  // slots filled, in job.results[index]: report them
+	took   time.Duration           // filled's shard's time from its lease to acceptance; 0 for memo answers
 	ended  []*job                  // jobs finished or failed: release their callers
 	wake   bool                    // a shard joined the pending queue
 	notes  []string                // log lines
@@ -191,12 +193,12 @@ func (q *leaseQueue) requeue(s *shard, now time.Time) {
 	q.stats.Reassigned++
 }
 
-// take leases the first pending shard that ok accepts to h, or returns
-// nil.
-func (q *leaseQueue) take(h holder, ok func(*shard) bool) *shard {
+// take leases the first pending shard that ok accepts to h at now, or
+// returns nil.
+func (q *leaseQueue) take(h holder, now time.Time, ok func(*shard) bool) *shard {
 	s := unqueue(&q.pending, ok)
 	if s != nil {
-		s.holder = h
+		s.holder, s.leasedAt = h, now
 		q.leased = append(q.leased, s)
 	}
 	return s
@@ -215,7 +217,7 @@ func (q *leaseQueue) lease(h holder, now time.Time) (lease *Shard, known bool) {
 	if i := slices.IndexFunc(q.leased, func(l *shard) bool { return l.holder == h }); i >= 0 {
 		s = q.leased[i]
 	} else {
-		s = q.take(h, func(p *shard) bool { return !p.notBefore.After(now) })
+		s = q.take(h, now, func(p *shard) bool { return !p.notBefore.After(now) })
 	}
 	if s == nil {
 		return nil, true
@@ -230,7 +232,7 @@ func (q *leaseQueue) takeLocal(now time.Time) *shard {
 	if q.live(now) > 0 {
 		return nil
 	}
-	s := q.take(holder{}, func(*shard) bool { return true })
+	s := q.take(holder{}, now, func(*shard) bool { return true })
 	if s != nil {
 		q.stats.LocalRuns++
 	}
@@ -303,12 +305,13 @@ func unqueue(queue *[]*shard, ok func(*shard) bool) *shard {
 	return s
 }
 
-// filed fills every slot attached to s with res once the memo holds it,
-// skipping jobs that ended meanwhile, and takes s's key out of flight.
-func (q *leaseQueue) filed(s *shard, res experiments.PointResult) effects {
+// filed fills every slot attached to s with res once the memo holds it
+// at now, skipping jobs that ended meanwhile, and takes s's key out of
+// flight. The slots are reported with the time since s's lease.
+func (q *leaseQueue) filed(s *shard, res experiments.PointResult, now time.Time) effects {
 	delete(q.inflight, s.key)
 	q.stats.Completed++
-	var eff effects
+	eff := effects{took: now.Sub(s.leasedAt)}
 	for _, sl := range s.slots {
 		if sl.job.err != nil {
 			continue

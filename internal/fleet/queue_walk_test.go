@@ -388,7 +388,7 @@ func (m walkModel) apply(s *wstate, a wact) (*wstate, string) {
 		case faultSkipFill:
 			e.put.slots = e.put.slots[:len(e.put.slots)-1]
 		}
-		n.react(n.q.filed(e.put, e.result))
+		n.react(n.q.filed(e.put, e.result, n.now))
 		if m.cfg.fault == faultRefile {
 			again := &shard{id: e.put.id, key: e.put.key, point: e.put.point}
 			n.q.pending = append(n.q.pending, again)

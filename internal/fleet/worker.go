@@ -199,15 +199,26 @@ func (w *Worker) poll(ctx context.Context, slot int) *Shard {
 }
 
 // complete delivers one shard outcome and returns the next lease the
-// response carries, if any. It retries until the coordinator has
-// answered or ctx ends: the heartbeat keeps this worker alive, so a
-// result it gave up on would leave its shard leased and never requeued
-// — and a slot that cannot reach the coordinator cannot lease anything
-// else anyway.
+// response carries, if any. It retries network errors and 5xx answers
+// until the coordinator has answered or ctx ends: the heartbeat keeps
+// this worker alive, so a result it gave up on would leave its shard
+// leased and never requeued — and a slot that cannot reach the
+// coordinator cannot lease anything else anyway. A 4xx is the
+// coordinator's final answer: a refused result is posted once more as
+// the shard's failure, carrying the refusal, which the coordinator's
+// attempt accounting requeues or fails; a refused failure is dropped.
 func (w *Worker) complete(ctx context.Context, out CompleteRequest) *Shard {
 	var resp LeaseResponse
 	_ = w.retry(ctx, "complete of "+out.Shard, func() error {
-		_, err := w.post(ctx, "/v1/fleet/complete", out, &resp)
+		code, err := w.post(ctx, "/v1/fleet/complete", out, &resp)
+		if code < 400 || code >= 500 {
+			return err
+		}
+		if out.Result == nil {
+			w.logf("fleet worker %s: failure of shard %s refused: %v", w.cfg.ID, out.Shard, err)
+			return nil
+		}
+		out.Result, out.Error = nil, "completion refused: "+err.Error()
 		return err
 	}) // fails only when ctx ends, and then the slot exits
 	return resp.Shard

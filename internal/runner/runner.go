@@ -95,21 +95,17 @@ func NewWithContext(ctx context.Context, workers int) *Pool {
 	return p
 }
 
-// boundCtx returns the pool's bound context (Background when unbound or
-// nil).
-func (p *Pool) boundCtx() context.Context {
-	if p == nil || p.ctx == nil {
-		return context.Background()
-	}
-	return p.ctx
-}
-
 // Context returns the pool's bound cancellation context (Background for
 // nil or unbound pools). Experiment code uses it so that work started
 // from inside a job — a memoized point's simulation, or the wait for
 // another job's — observes the same cancellation as the Map loops
 // themselves.
-func (p *Pool) Context() context.Context { return p.boundCtx() }
+func (p *Pool) Context() context.Context {
+	if p == nil || p.ctx == nil {
+		return context.Background()
+	}
+	return p.ctx
+}
 
 // Workers returns the pool's concurrency bound (1 for nil pools).
 func (p *Pool) Workers() int {
@@ -145,8 +141,10 @@ func (p *Pool) Progress() Snapshot {
 	}
 }
 
-// submit registers n new jobs.
-func (p *Pool) submit(n int) {
+// Submit registers n new jobs. Map calls it; a caller that runs jobs
+// elsewhere — a fleet dispatch — calls it and Finish to report them
+// through the pool.
+func (p *Pool) Submit(n int) {
 	if p == nil {
 		return
 	}
@@ -155,8 +153,9 @@ func (p *Pool) submit(n int) {
 	p.mu.Unlock()
 }
 
-// finish records one completed job and fires the progress hook.
-func (p *Pool) finish(label string, jobTime time.Duration, result any) {
+// Finish records one completed job, which took jobTime, and fires the
+// progress hook.
+func (p *Pool) Finish(label string, jobTime time.Duration, result any) {
 	if p == nil {
 		return
 	}
@@ -190,34 +189,25 @@ type Job[T any] struct {
 // submitted, so callers assemble output in a deterministic order
 // regardless of scheduling. With a nil pool or a single worker the jobs
 // run inline in submission order on the calling goroutine. Map observes
-// the pool's bound context (NewWithContext), so all existing call sites
-// stay cancellable without signature changes.
-func Map[T any](p *Pool, jobs []Job[T]) []T {
-	results, _ := MapCtx(p.boundCtx(), p, jobs)
-	return results
-}
-
-// MapCtx is Map with explicit cancellation: workers check ctx between
+// the pool's bound context (NewWithContext): workers check it between
 // jobs (a running simulation is never interrupted mid-event), and once
-// ctx is done the remaining jobs are skipped, leaving their results at
-// the zero value. It returns ctx.Err() — non-nil means the result slice
-// is partial and must not be rendered as a complete sweep.
-func MapCtx[T any](ctx context.Context, p *Pool, jobs []Job[T]) ([]T, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// it is done the remaining jobs are skipped, leaving their results at
+// the zero value — the caller's ctx.Err() then says the slice is partial
+// and must not be rendered as a complete sweep.
+func Map[T any](p *Pool, jobs []Job[T]) []T {
+	ctx := p.Context()
 	results := make([]T, len(jobs))
-	p.submit(len(jobs))
+	p.Submit(len(jobs))
 	if p.Workers() == 1 || len(jobs) <= 1 {
 		for i, j := range jobs {
-			if err := ctx.Err(); err != nil {
-				return results, err
+			if ctx.Err() != nil {
+				return results
 			}
 			t0 := time.Now()
 			results[i] = j.Run()
-			p.finish(j.Label, time.Since(t0), results[i])
+			p.Finish(j.Label, time.Since(t0), results[i])
 		}
-		return results, ctx.Err()
+		return results
 	}
 	workers := p.Workers()
 	if workers > len(jobs) {
@@ -237,7 +227,7 @@ func MapCtx[T any](ctx context.Context, p *Pool, jobs []Job[T]) ([]T, error) {
 				}
 				t0 := time.Now()
 				results[i] = jobs[i].Run()
-				p.finish(jobs[i].Label, time.Since(t0), results[i])
+				p.Finish(jobs[i].Label, time.Since(t0), results[i])
 			}
 		}()
 	}
@@ -251,7 +241,7 @@ feed:
 	}
 	close(idx)
 	wg.Wait()
-	return results, ctx.Err()
+	return results
 }
 
 // Printer returns a progress hook that writes one line per completed

@@ -203,10 +203,11 @@ func TestFormatCycles(t *testing.T) {
 	}
 }
 
-func TestMapCtxCompletesWithLiveContext(t *testing.T) {
+func TestMapCompletesWithLiveContext(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		got, err := MapCtx(context.Background(), New(workers), squareJobs(12))
-		if err != nil {
+		ctx := context.Background()
+		got := Map(NewWithContext(ctx, workers), squareJobs(12))
+		if err := ctx.Err(); err != nil {
 			t.Fatalf("workers=%d: err = %v", workers, err)
 		}
 		for i, v := range got {
@@ -217,7 +218,7 @@ func TestMapCtxCompletesWithLiveContext(t *testing.T) {
 	}
 }
 
-func TestMapCtxCancellationSkipsRemainingJobs(t *testing.T) {
+func TestMapCancellationSkipsRemainingJobs(t *testing.T) {
 	// Cancel after the third job; workers must check the context between
 	// jobs and leave every unstarted result at its zero value.
 	for _, workers := range []int{1, 4} {
@@ -234,9 +235,9 @@ func TestMapCtxCancellationSkipsRemainingJobs(t *testing.T) {
 				return i + 1
 			}}
 		}
-		got, err := MapCtx(ctx, New(workers), jobs)
-		if err == nil {
-			t.Fatalf("workers=%d: cancelled MapCtx returned nil error", workers)
+		got := Map(NewWithContext(ctx, workers), jobs)
+		if ctx.Err() == nil {
+			t.Fatalf("workers=%d: Map returned under a live context despite the cancel", workers)
 		}
 		ran := int(started.Load())
 		// Every in-flight job finishes (at most one per worker plus the
@@ -257,12 +258,12 @@ func TestMapCtxCancellationSkipsRemainingJobs(t *testing.T) {
 	}
 }
 
-func TestMapCtxDeadline(t *testing.T) {
+func TestMapDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	<-ctx.Done()
-	got, err := MapCtx(ctx, New(4), squareJobs(8))
-	if err != context.DeadlineExceeded {
+	got := Map(NewWithContext(ctx, 4), squareJobs(8))
+	if err := ctx.Err(); err != context.DeadlineExceeded {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 	for i, v := range got {

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"time"
 
 	"coherencesim/internal/experiments"
+	"coherencesim/internal/fleet"
 	"coherencesim/internal/metrics"
 	"coherencesim/internal/proto"
 	"coherencesim/internal/runner"
@@ -21,34 +23,69 @@ import (
 // tests can substitute stub executors.
 type ExecFunc func(ctx context.Context, spec JobSpec, simWorkers int, progress func(runner.Snapshot)) (*JobResult, error)
 
-// BatchExecutor returns the executor — the daemon's, the fleet
-// coordinator's and coherencesim's — on a point memo of its own: it
-// decodes a canonical spec into experiments.Options (or a single
-// workload run), fans the sweep's simulations onto a context-bound
-// runner pool, and assembles the deterministic result document.
-// Cancellation is observed between simulations — a spec's individual
-// simulation is never interrupted mid-event — and a cancelled job
-// returns ctx.Err() with no result. The jobs run through one executor
-// are a batch (the figures of coherencesim -experiment all): a
-// simulation two of them have in common — figures 9 and 10 project the
-// same runs — happens once.
+// BatchExecutor returns the executor — the daemon's and coherencesim's
+// — on a point memo of its own: it decodes a canonical spec into
+// experiments.Options (or a single workload run), fans the sweep's
+// simulations onto a context-bound runner pool, and assembles the
+// deterministic result document. Cancellation is observed between
+// simulations — a spec's individual simulation is never interrupted
+// mid-event — and a cancelled job returns ctx.Err() with no result. The
+// jobs run through one executor are a batch (the figures of
+// coherencesim -experiment all): a simulation two of them have in
+// common — figures 9 and 10 project the same runs — happens once.
 func BatchExecutor() ExecFunc {
-	return memoExecutor(experiments.NewPointMemo(experiments.PointStore(nil)))
+	return executor(experiments.NewPointMemo(experiments.PointStore(nil)), nil)
 }
 
-// memoExecutor is the executor on the caller's memo (a Service's).
-func memoExecutor(memo *experiments.PointMemo) ExecFunc {
+// executor is the executor on memo, dispatching to coord when it is
+// non-nil (a Service's). Every job gets one runner pool, bound to its
+// context and carrying its progress hook, and the pool is the job's one
+// progress record on either path. While coord has no live worker when
+// the job starts, the sweep runs on that pool through memo. Otherwise
+// its points go to coord — built on the same memo (fleet.Config.Memo),
+// which asks it before it leases anything — and every point that lands
+// is reported into the pool. The coordinator returns results in
+// submission order, so the document is the local path's byte for byte
+// at any worker count and under any failure interleaving.
+func executor(memo *experiments.PointMemo, coord *fleet.Coordinator) ExecFunc {
 	return func(ctx context.Context, spec JobSpec, simWorkers int, progress func(runner.Snapshot)) (*JobResult, error) {
-		return executeSpec(ctx, spec, simWorkers, progress, nil, memo)
+		pool := runner.NewWithContext(ctx, simWorkers)
+		pool.SetProgress(progress)
+		if coord == nil || coord.LiveWorkers() == 0 {
+			return executeSpec(ctx, spec, pool, nil, memo)
+		}
+		// The PointDispatcher contract has no error channel — the local
+		// pool cannot fail — so a failed dispatch returns zero values and
+		// its error discards the rendered document. Sweeps dispatch from
+		// this goroutine, one batch at a time.
+		var dispatchErr error
+		dispatch := func(pts []experiments.Point) []experiments.PointResult {
+			pool.Submit(len(pts))
+			results, err := coord.RunPoints(ctx, pts, func(i int, r experiments.PointResult, took time.Duration) {
+				pool.Finish(pts[i].Label, took, r)
+			})
+			if err != nil {
+				if dispatchErr == nil {
+					dispatchErr = fmt.Errorf("fleet dispatch: %w", err)
+				}
+				return make([]experiments.PointResult, len(pts))
+			}
+			return results
+		}
+		res, err := executeSpec(ctx, spec, pool, dispatch, memo)
+		if err == nil && dispatchErr != nil {
+			return nil, dispatchErr
+		}
+		return res, err
 	}
 }
 
-// executeSpec is the executor with a point dispatcher or a memo: when
-// dispatch is non-nil, decomposable sweeps hand their points to it (the
-// fleet path) and memo is never read; otherwise they run on the local
-// pool through memo. Everything else — rendering, assembly order,
-// collectors — is shared and cannot drift.
-func executeSpec(ctx context.Context, spec JobSpec, simWorkers int, progress func(runner.Snapshot), dispatch experiments.PointDispatcher, memo *experiments.PointMemo) (*JobResult, error) {
+// executeSpec runs spec on pool, with a point dispatcher or through
+// memo: when dispatch is non-nil, decomposable sweeps hand their points
+// to it (the fleet path); otherwise they run on pool through memo.
+// Everything else — rendering, assembly order, collectors — is shared
+// and cannot drift.
+func executeSpec(ctx context.Context, spec JobSpec, pool *runner.Pool, dispatch experiments.PointDispatcher, memo *experiments.PointMemo) (*JobResult, error) {
 	if spec.Kind == "run" {
 		res, _, err := ExecuteRun(ctx, spec, func(pt experiments.Point) (experiments.PointResult, error) {
 			if dispatch != nil {
@@ -66,8 +103,7 @@ func executeSpec(ctx context.Context, spec JobSpec, simWorkers int, progress fun
 	if spec.Scale == "quick" {
 		o = experiments.Quick()
 	}
-	o.Runner = runner.NewWithContext(ctx, simWorkers)
-	o.Runner.SetProgress(progress)
+	o.Runner = pool
 	o.Dispatch = dispatch
 	o.Metrics = metrics.NewCollector(sim.Time(spec.MetricsInterval))
 	if spec.Breakdown {

@@ -400,7 +400,8 @@ func startFleet(t *testing.T, ctx context.Context, memo *experiments.PointMemo, 
 }
 
 // TestFleetProgressNamesPoints: every progress snapshot of a sweep on
-// the fleet path names the point it counts, as the local path's do.
+// the fleet path names the point it counts, as the local path's do, and
+// carries the wall time of that point's lease.
 func TestFleetProgressNamesPoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sweeps in -short mode")
@@ -409,13 +410,13 @@ func TestFleetProgressNamesPoints(t *testing.T) {
 	defer cancel()
 	coord := startFleet(t, ctx, experiments.NewPointMemo(experiments.PointStore(nil)), "itest-labels")
 
-	labels := func(exec ExecFunc) []string {
+	snapshots := func(exec ExecFunc) []runner.Snapshot {
 		t.Helper()
 		var mu sync.Mutex
-		var got []string
+		var got []runner.Snapshot
 		if _, err := exec(ctx, canonical(t, JobSpec{Experiment: "fig9"}), 2, func(sn runner.Snapshot) {
 			mu.Lock()
-			got = append(got, sn.Label)
+			got = append(got, sn)
 			mu.Unlock()
 		}); err != nil {
 			t.Fatal(err)
@@ -423,16 +424,19 @@ func TestFleetProgressNamesPoints(t *testing.T) {
 		return got
 	}
 	points := make(map[string]bool)
-	for _, l := range labels(BatchExecutor()) {
-		points[l] = true
+	for _, sn := range snapshots(BatchExecutor()) {
+		points[sn.Label] = true
 	}
-	fanned := labels(NewFleetExec(nil, coord))
+	fanned := snapshots(executor(nil, coord))
 	if len(fanned) == 0 || coord.Stats().Completed == 0 {
 		t.Fatalf("the fleet path reported %d snapshots over %d leased points", len(fanned), coord.Stats().Completed)
 	}
-	for i, l := range fanned {
-		if l == "" || !points[l] {
-			t.Errorf("fleet progress snapshot %d names %q, not one of the sweep's %d points", i, l, len(points))
+	for i, sn := range fanned {
+		if sn.Label == "" || !points[sn.Label] {
+			t.Errorf("fleet progress snapshot %d names %q, not one of the sweep's %d points", i, sn.Label, len(points))
+		}
+		if sn.JobTime <= 0 {
+			t.Errorf("fleet progress snapshot %d (%s) of a leased point took %s", i, sn.Label, sn.JobTime)
 		}
 	}
 }
@@ -479,7 +483,7 @@ func TestFleetPathCountsCacheAnsweredPoints(t *testing.T) {
 		coord *fleet.Coordinator
 		name  string
 	}{{coord, "fig9"}, {coord, "fig10"}, {restarted, "fig10"}} { // fig10 asks for fig9's points again
-		got := last(NewFleetExec(nil, run.coord), run.name)
+		got := last(executor(nil, run.coord), run.name)
 		if got.JobsDone != local.JobsDone || got.JobsTotal != local.JobsTotal || got.SimCycles != local.SimCycles {
 			t.Errorf("%s on the fleet path ended at %d/%d points, %d cycles; the local path at %d/%d, %d",
 				run.name, got.JobsDone, got.JobsTotal, got.SimCycles, local.JobsDone, local.JobsTotal, local.SimCycles)

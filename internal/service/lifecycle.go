@@ -109,7 +109,8 @@ func (s *Service) to(st State) { s.state.Store(int32(st)) }
 // jobs are decomposed across them.
 func New(cfg Config) (*Service, error) { return newService(cfg, nil) }
 
-// newService is the test seam: any ExecFunc in place of the memo's.
+// newService is the test seam: an ExecFunc, used as it is, in place of
+// the service's executor on its memo and coordinator.
 func newService(cfg Config, exec ExecFunc) (*Service, error) {
 	if cfg.Addr == "" {
 		cfg.Addr = ":8377"
@@ -129,14 +130,14 @@ func newService(cfg Config, exec ExecFunc) (*Service, error) {
 		}
 	}
 	memo := experiments.NewPointMemo(experiments.PointStore(st))
-	if exec == nil {
-		exec = memoExecutor(memo)
-	}
 	coord := fleet.NewCoordinator(fleet.Config{
 		HeartbeatTimeout: cfg.HeartbeatTimeout,
 		Memo:             memo,
 		Logf:             cfg.Logf,
 	})
+	if exec == nil {
+		exec = executor(memo, coord)
+	}
 	sched := NewScheduler(SchedulerConfig{
 		QueueDepth:   cfg.QueueDepth,
 		Jobs:         cfg.Jobs,
@@ -145,7 +146,7 @@ func newService(cfg Config, exec ExecFunc) (*Service, error) {
 		Store:        st,
 		TenantQuota:  cfg.TenantQuota,
 		TenantQuotas: cfg.TenantQuotas,
-	}, NewFleetExec(exec, coord))
+	}, exec)
 	svc := &Service{cfg: cfg, sched: sched, coord: coord, memo: memo}
 	svc.routes()
 	if cfg.ConfigPath != "" {

@@ -444,8 +444,10 @@ func (s *Scheduler) take() (*task, context.Context) {
 
 // run executes one taken job and finalizes it.
 func (s *Scheduler) run(ctx context.Context, t *task) {
-	// The progress hook runs serially under the job pool's lock, so the
-	// previous-cycles accumulator needs no further synchronization.
+	// The progress hook runs serially under the job pool's lock — on
+	// the fleet path too, where the executor reports each dispatched
+	// point into that pool — so the previous-cycles accumulator needs
+	// no further synchronization.
 	var prevCycles uint64
 	progress := func(sn runner.Snapshot) {
 		s.mu.Lock()

@@ -7,10 +7,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,6 +21,7 @@ import (
 
 	"coherencesim/internal/experiments"
 	"coherencesim/internal/runner"
+	"coherencesim/internal/trace"
 )
 
 // newTestServer builds a service around exec and mounts it on a real
@@ -611,7 +614,7 @@ func TestBatchExecutorSharesPoints(t *testing.T) {
 	for _, job := range []JobSpec{{Experiment: "fig8"}, {Experiment: "fig9"}, {Experiment: "fig10"}, mcs} {
 		spec, name := canonical(t, job), job.Experiment+job.Run
 		var docs [3][]byte
-		for i, run := range []ExecFunc{execute, batch, memoExecutor(memo)} {
+		for i, run := range []ExecFunc{execute, batch, executor(memo, nil)} {
 			res, err := run(ctx, spec, 2, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -649,5 +652,126 @@ func TestRealExecuteExperimentCancellation(t *testing.T) {
 	cancel()
 	if _, err := execute(ctx, canonical(t, JobSpec{Experiment: "fig8"}), 2, nil); err == nil {
 		t.Error("cancelled executor returned a result")
+	}
+}
+
+// TestBreakdownAndHotBlocksEndpoints drives /v1/jobs/{id}/breakdown and
+// /hotblocks over a stub executor: fig8 serves a hand-built breakdown of
+// two runs that share a block (and a run without one), fig9 serves no
+// breakdown, fig10 fails and fig11 runs until the test releases it.
+func TestBreakdownAndHotBlocksEndpoints(t *testing.T) {
+	report := &trace.BreakdownReport{Runs: []trace.BreakdownRun{
+		{Label: "a", Breakdown: &trace.BreakdownSnapshot{HotBlocks: []trace.HotBlock{
+			{Block: 1, Txns: 2, Cycles: 10}, {Block: 2, Txns: 1, Cycles: 30}, {Block: 3, Txns: 5, Cycles: 5},
+		}}},
+		{Label: "b", Breakdown: &trace.BreakdownSnapshot{HotBlocks: []trace.HotBlock{
+			{Block: 4, Txns: 1, Cycles: 35}, {Block: 1, Txns: 3, Cycles: 25},
+		}}},
+		{Label: "c"},
+	}}
+	release := make(chan struct{})
+	ts, _ := newTestServer(t, Config{Jobs: 2}, func(ctx context.Context, spec JobSpec, _ int, _ func(runner.Snapshot)) (*JobResult, error) {
+		switch spec.Experiment {
+		case "fig8":
+			return &JobResult{Output: "with breakdown", Breakdown: report}, nil
+		case "fig10":
+			return nil, errors.New("stub failure")
+		case "fig11":
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return &JobResult{Output: "without breakdown"}, nil
+	})
+	code := func(id, view string) int {
+		t.Helper()
+		resp, _ := getBody(t, ts.URL+"/v1/jobs/"+id+view)
+		return resp.StatusCode
+	}
+	submit := func(spec string) string {
+		t.Helper()
+		_, doc := postJob(t, ts, spec)
+		return doc.ID
+	}
+	await := func(id, status string) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			_, body := getBody(t, ts.URL+"/v1/jobs/"+id)
+			var doc JobStatus
+			if err := json.Unmarshal(body, &doc); err != nil {
+				t.Fatal(err)
+			}
+			if doc.Status == status {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s is %s, never %s", id, doc.Status, status)
+			}
+		}
+	}
+
+	for _, view := range []string{"/breakdown", "/hotblocks"} {
+		if c := code("no-such-job", view); c != http.StatusNotFound {
+			t.Errorf("%s of an unknown job: HTTP %d, want 404", view, c)
+		}
+	}
+
+	running := submit(`{"experiment":"fig11","scale":"quick"}`)
+	await(running, StatusRunning)
+	for _, view := range []string{"/breakdown", "/hotblocks"} {
+		if c := code(running, view); c != http.StatusConflict {
+			t.Errorf("%s of a running job: HTTP %d, want 409", view, c)
+		}
+	}
+	close(release)
+	pollDone(t, ts, running)
+
+	failed := submit(`{"experiment":"fig10","scale":"quick"}`)
+	await(failed, StatusFailed)
+	plain := submit(`{"experiment":"fig9","scale":"quick"}`)
+	pollDone(t, ts, plain)
+	for _, view := range []string{"/breakdown", "/hotblocks"} {
+		if c := code(failed, view); c != http.StatusConflict {
+			t.Errorf("%s of a failed job: HTTP %d, want 409", view, c)
+		}
+		if c := code(plain, view); c != http.StatusNotFound {
+			t.Errorf("%s of a job without a breakdown: HTTP %d, want 404", view, c)
+		}
+	}
+
+	id := submit(`{"experiment":"fig8","scale":"quick","breakdown":true}`)
+	var doc JobStatus
+	if err := json.Unmarshal(pollDone(t, ts, id), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var stored struct {
+		Breakdown json.RawMessage `json:"breakdown"`
+	}
+	if err := json.Unmarshal(doc.Result, &stored); err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := getBody(t, ts.URL+"/v1/jobs/"+id+"/breakdown"); resp.StatusCode != http.StatusOK || !bytes.Equal(body, stored.Breakdown) {
+		t.Errorf("/breakdown: HTTP %d, %s; want 200 and the stored document's breakdown %s", resp.StatusCode, body, stored.Breakdown)
+	}
+
+	for _, n := range []string{"0", "-1", "abc"} {
+		if c := code(id, "/hotblocks?n="+n); c != http.StatusBadRequest {
+			t.Errorf("/hotblocks?n=%s: HTTP %d, want 400", n, c)
+		}
+	}
+	// Block 1 sums its two runs to 35 cycles and ties block 4, which it
+	// precedes by number.
+	ranked := []trace.HotBlock{{Block: 1, Txns: 5, Cycles: 35}, {Block: 4, Txns: 1, Cycles: 35}, {Block: 2, Txns: 1, Cycles: 30}, {Block: 3, Txns: 5, Cycles: 5}}
+	for query, want := range map[string][]trace.HotBlock{"": ranked, "?n=3": ranked[:3], "?n=1": ranked[:1]} {
+		resp, body := getBody(t, ts.URL+"/v1/jobs/"+id+"/hotblocks"+query)
+		var got HotBlockList
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &got) != nil {
+			t.Fatalf("/hotblocks%s: HTTP %d, %s", query, resp.StatusCode, body)
+		}
+		if got.ID != id || !reflect.DeepEqual(got.Blocks, want) {
+			t.Errorf("/hotblocks%s = %+v, want id %s and %+v", query, got, id, want)
+		}
 	}
 }
